@@ -77,10 +77,15 @@ class DistanceKernel(abc.ABC):
     def matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """All-pairs distances between ``rows`` and ``cols`` matrices.
 
-        The default delegates to :meth:`batch` per row; kernels override it
-        with a fully vectorised form (construction-time hot path).
+        Stacked inputs ``(R, n, d)`` and ``(R, m, d)`` give the ``(R, n, m)``
+        stack of per-block matrices — one dispatch for every saturated row
+        an HNSW insert re-selects.  The default delegates to :meth:`batch`
+        per row; kernels override it with a fully vectorised form
+        (construction-time hot path).
         """
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        if rows.ndim == 3:
+            return np.stack([self.matrix(r, c) for r, c in zip(rows, cols)])
         return np.stack([self.batch(row, cols) for row in rows])
 
     def batch_many(self, queries: np.ndarray, matrix: np.ndarray) -> np.ndarray:

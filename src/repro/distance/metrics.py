@@ -172,12 +172,14 @@ def pairwise_squared_l2(queries: np.ndarray, corpus: np.ndarray) -> np.ndarray:
 
     Uses the expansion ``|q - x|^2 = |q|^2 - 2 q.x + |x|^2`` so the whole
     computation is three BLAS calls; negatives from floating-point
-    cancellation are clamped to zero.
+    cancellation are clamped to zero.  Inputs may carry matching leading
+    axes — ``(R, n, d)`` against ``(R, m, d)`` gives the ``(R, n, m)``
+    stack of per-block distance matrices in the same three calls.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     corpus = np.atleast_2d(np.asarray(corpus, dtype=np.float64))
     _check_dims(queries, corpus)
-    q_norms = (queries * queries).sum(axis=1)[:, None]
-    c_norms = (corpus * corpus).sum(axis=1)[None, :]
-    distances = q_norms - 2.0 * queries @ corpus.T + c_norms
+    q_norms = (queries * queries).sum(axis=-1)[..., :, None]
+    c_norms = (corpus * corpus).sum(axis=-1)[..., None, :]
+    distances = q_norms - 2.0 * queries @ np.swapaxes(corpus, -1, -2) + c_norms
     return np.maximum(distances, 0.0)

@@ -10,6 +10,15 @@ Because every term is non-negative, scanning modalities incrementally and
 aborting once the running sum exceeds the best-so-far candidate distance is
 an *exact* optimisation ("computational pruning" in the paper).  The kernel
 counts evaluated segments so experiment E5 can report the work saved.
+
+The vectorised entry points use the folded form of the same distance,
+
+    d_w(q, x) = | sqrt(w) * (q - x) |^2      (sqrt(w) spread per column)
+
+so a call is one full-width subtract, one scale and one row-wise sum of
+squares whatever the number of modalities.  The scaling is applied at
+evaluation time — no pre-scaled copy of the corpus is kept, so per-query
+weight overrides are just another ``sqrt(w)`` vector.
 """
 
 from __future__ import annotations
@@ -125,6 +134,11 @@ class WeightedMultiVectorKernel(DistanceKernel):
         # Scanning more discriminative (higher-weight) segments first makes
         # the running sum grow fastest, maximising pruning opportunities.
         self._scan_order = tuple(int(i) for i in np.argsort(-self._weights))
+        # Per-column sqrt(w_m): the weights folded into one (dim,) vector,
+        # applied at evaluation time (no scaled copy of the corpus).
+        self._sqrt_weights = np.repeat(
+            np.sqrt(self._weights), [schema.dim_of(m) for m in schema.modalities]
+        )
 
     def _normalise_weights(self, weights) -> np.ndarray:
         count = len(self.schema.modalities)
@@ -172,100 +186,82 @@ class WeightedMultiVectorKernel(DistanceKernel):
     # ------------------------------------------------------------------
     # distance evaluation
     # ------------------------------------------------------------------
-    def batch(self, query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        query = np.asarray(query, dtype=np.float64)
+    def _folded_squared_norms(
+        self, diff: np.ndarray, out: "np.ndarray | None" = None
+    ) -> np.ndarray:
+        """Scale ``diff`` rows by ``√w`` in place; return their squared norms.
+
+        The one primitive behind :meth:`batch`, :meth:`batch_many` and
+        :meth:`batch_paired`: ``d_w(q, x) = Σ_m w_m‖q_m − x_m‖² =
+        ‖√w ⊙ (q − x)‖²``, so a full-width scale plus one row-wise sum of
+        squares replaces the per-segment subtract/square/reduce/accumulate.
+        Each output entry depends only on its own ``diff`` row, which is
+        what keeps the three entry points bit-identical to each other.
+        """
+        np.multiply(diff, self._sqrt_weights, out=diff)
+        return np.einsum("ij,ij->i", diff, diff, out=out)
+
+    def _check_matrix(self, matrix: np.ndarray) -> np.ndarray:
         matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
         if matrix.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"matrix dim {matrix.shape[1]} != schema dim {self.dim}"
             )
-        total = np.zeros(matrix.shape[0])
-        for i, weight in enumerate(self._weights):
-            seg = self.schema.segment(i)
-            diff = matrix[:, seg] - query[seg]
-            total += weight * (diff * diff).sum(axis=1)
-        n_segments = len(self._weights) * matrix.shape[0]
-        self.stats.calls += matrix.shape[0]
-        self.stats.segments_evaluated += n_segments
-        self.stats.segments_total += n_segments
-        return total
+        return matrix
+
+    def _count(self, pairs: int) -> None:
+        self.stats.calls += pairs
+        self.stats.segments_evaluated += pairs * len(self._weights)
+        self.stats.segments_total += pairs * len(self._weights)
+
+    def batch(self, query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+        query = np.asarray(query, dtype=np.float64)
+        matrix = self._check_matrix(matrix)
+        self._count(matrix.shape[0])
+        return self._folded_squared_norms(matrix - query)
 
     def batch_many(self, queries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-        if matrix.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"matrix dim {matrix.shape[1]} != schema dim {self.dim}"
-            )
+        matrix = self._check_matrix(matrix)
         n_queries = queries.shape[0]
         n_rows = matrix.shape[0]
         out = np.empty((n_queries, n_rows), dtype=np.float64)
-        # Segments tile the concatenated vector, so one full-width
-        # subtract + square per query covers every segment in two dense
-        # 2-D ufunc passes; the per-segment reduces then run over column
-        # slices of that scratch.  The diff/square values, each segment's
-        # pairwise-sum order, the weight scaling, and the segment
-        # accumulation order all match batch() exactly, so each output
-        # row is bit-identical to the serial evaluation of that query
-        # (the dropped leading ``0 +`` is exact: every term is >= +0.0).
+        # One dense 2-D pass per query over a reused scratch block; row q
+        # goes through exactly batch()'s subtract -> scale -> sum of
+        # squares, so it is bit-identical to the serial evaluation.
         scratch = np.empty((n_rows, self.dim), dtype=np.float64)
-        acc = np.empty(n_rows, dtype=np.float64)
         for q in range(n_queries):
             np.subtract(matrix, queries[q], out=scratch)
-            np.multiply(scratch, scratch, out=scratch)
-            row = out[q]
-            for i, weight in enumerate(self._weights):
-                seg = self.schema.segment(i)
-                np.add.reduce(scratch[:, seg], axis=1, out=acc)
-                if i == 0:
-                    np.multiply(acc, weight, out=row)
-                else:
-                    np.multiply(acc, weight, out=acc)
-                    np.add(row, acc, out=row)
-        count = n_queries * n_rows
-        self.stats.calls += count
-        self.stats.segments_evaluated += count * len(self._weights)
-        self.stats.segments_total += count * len(self._weights)
+            self._folded_squared_norms(scratch, out=out[q])
+        self._count(n_queries * n_rows)
         return out
 
     def batch_paired(
         self, queries: np.ndarray, matrix: np.ndarray, owners: np.ndarray
     ) -> np.ndarray:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-        if matrix.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"matrix dim {matrix.shape[1]} != schema dim {self.dim}"
-            )
-        gathered = queries[np.asarray(owners, dtype=np.intp)]
-        # Same segment order and multiply-then-reduce arithmetic as
-        # batch(), so entry i is bit-identical to the serial evaluation of
+        matrix = self._check_matrix(matrix)
+        # The gather is a fresh copy, so it doubles as the diff buffer;
+        # entry i is bit-identical to the serial evaluation of
         # (queries[owners[i]], matrix[i]).
-        total = np.zeros(matrix.shape[0])
-        for i, weight in enumerate(self._weights):
-            seg = self.schema.segment(i)
-            diff = matrix[:, seg] - gathered[:, seg]
-            total += weight * (diff * diff).sum(axis=1)
-        n_segments = len(self._weights) * matrix.shape[0]
-        self.stats.calls += matrix.shape[0]
-        self.stats.segments_evaluated += n_segments
-        self.stats.segments_total += n_segments
-        return total
+        diff = queries[np.asarray(owners, dtype=np.intp)]
+        np.subtract(matrix, diff, out=diff)
+        self._count(matrix.shape[0])
+        return self._folded_squared_norms(diff)
 
     def matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         from repro.distance.metrics import pairwise_squared_l2
 
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        cols = np.atleast_2d(np.asarray(cols, dtype=np.float64))
-        total = np.zeros((rows.shape[0], cols.shape[0]))
-        for i, weight in enumerate(self._weights):
-            seg = self.schema.segment(i)
-            total += weight * pairwise_squared_l2(rows[:, seg], cols[:, seg])
-        count = rows.shape[0] * cols.shape[0]
-        self.stats.calls += count
-        self.stats.segments_evaluated += count * len(self._weights)
-        self.stats.segments_total += count * len(self._weights)
-        return total
+        scaled_rows = np.asarray(rows, dtype=np.float64) * self._sqrt_weights
+        # Construction calls this on a block against itself: scale it once.
+        scaled_cols = (
+            scaled_rows
+            if cols is rows
+            else np.asarray(cols, dtype=np.float64) * self._sqrt_weights
+        )
+        distances = pairwise_squared_l2(scaled_rows, scaled_cols)
+        self._count(distances.size)
+        return distances
 
     def single(self, query: np.ndarray, vector: np.ndarray, bound: float = np.inf) -> float:
         query = np.asarray(query, dtype=np.float64)

@@ -102,10 +102,10 @@ class SingleVectorKernel(DistanceKernel):
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         cols = np.atleast_2d(np.asarray(cols, dtype=np.float64))
         if self.metric is Metric.INNER_PRODUCT:
-            distances = -(rows @ cols.T)
+            distances = -(rows @ np.swapaxes(cols, -1, -2))
         else:
             distances = pairwise_squared_l2(rows, cols)
-        count = rows.shape[0] * cols.shape[0]
+        count = distances.size
         self.stats.calls += count
         self.stats.segments_evaluated += count
         self.stats.segments_total += count

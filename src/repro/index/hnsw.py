@@ -4,6 +4,15 @@ A faithful, pure-Python HNSW: exponentially-distributed layer assignment,
 greedy descent through the upper layers, beam search with the
 ``select_neighbors_heuristic`` diversification rule at the insertion layer,
 and bidirectional edge insertion with degree-bounded re-pruning.
+
+Insertion cost is kernel *dispatches*, not arithmetic, so each insert-layer
+issues a fixed handful of them: the new node is appended to every selected
+neighbour's row, and all rows that overflow the degree cap are re-selected
+together by :meth:`HnswIndex._reselect_rows` — one gather, one
+``kernel.batch_paired``, one ``(distance, id)`` lexsort, one stacked
+``kernel.matrix`` and :func:`select_heuristic_rows`, which runs the
+Algorithm-4 occlusion rule across all rows at once.  Given the same
+distances it makes the decisions a row-by-row re-prune would.
 """
 
 from __future__ import annotations
@@ -45,6 +54,46 @@ class HnswParams:
             raise ValueError(
                 f"ef_construction ({self.ef_construction}) must be >= m ({self.m})"
             )
+
+
+def select_heuristic_rows(
+    distances: np.ndarray, pairwise: np.ndarray, m: int
+) -> np.ndarray:
+    """Algorithm-4 neighbour selection for ``R`` candidate rows at once.
+
+    Args:
+        distances: ``(R, W)`` owner-to-candidate distances, each row
+            ascending (ties already broken by id), with ``W > m``.
+        pairwise: ``(R, W, W)`` candidate-to-candidate distances per row,
+            in the same candidate order.
+        m: Neighbours to keep per row.
+
+    Returns:
+        ``(R, m)`` column indices in selection order: the candidates that
+        are at least as close to the owner as to every earlier-selected
+        one, then — when occlusion leaves a row short — the nearest
+        rejected candidates, so every row comes back saturated.
+
+    The occlusion rule is sequential in the candidates but not in the
+    rows, so it runs column by column over all rows: ``W`` steps of a few
+    ``(R, W)`` boolean operations instead of ``R`` Python loops.
+    """
+    n_rows, width = distances.shape
+    # occludes[r, j, o]: candidate j is closer to candidate o than to the
+    # owner, so j is dropped if o was selected before it.
+    occludes = pairwise < distances[:, :, None]
+    selected = np.zeros((n_rows, width), dtype=bool)
+    selected[:, 0] = True
+    count = np.ones(n_rows, dtype=np.intp)
+    for column in range(1, width):
+        keep = ~(occludes[:, column, :column] & selected[:, :column]).any(axis=1)
+        keep &= count < m
+        selected[:, column] = keep
+        count += keep
+    # Selected columns first, then the rejected ones, each ascending: the
+    # first m are every selected column plus just enough fill-ups.
+    rank = np.arange(width) + width * ~selected
+    return np.argsort(rank, axis=1)[:, :m]
 
 
 class HnswIndex(VectorIndex):
@@ -101,9 +150,6 @@ class HnswIndex(VectorIndex):
     def _neighbors(self, layer: int, node: int) -> List[int]:
         return self._layers[layer].setdefault(node, [])
 
-    def _distance(self, a: int, b: int) -> float:
-        return float(self.kernel.single(self.vectors[a], self.vectors[b]))
-
     def _greedy_descend(self, query: np.ndarray, start: int, layer: int) -> int:
         """Walk layer ``layer`` greedily to the local minimum for ``query``."""
         current = start
@@ -144,8 +190,16 @@ class HnswIndex(VectorIndex):
                 continue
             visited.update(fresh)
             distances = self.kernel.batch(query, self.vectors[fresh])
-            for neighbor, neighbor_distance in zip(fresh, distances):
-                neighbor_distance = float(neighbor_distance)
+            if len(beam) >= ef:
+                # The beam's worst only improves from here, so whatever
+                # fails this one vector compare would fail the exact check
+                # below too; most of a full beam's frontier stops here.
+                admitted = (distances < -beam[0][0]).nonzero()[0]
+                if not admitted.size:
+                    continue
+                fresh = [fresh[i] for i in admitted.tolist()]
+                distances = distances[admitted]
+            for neighbor, neighbor_distance in zip(fresh, distances.tolist()):
                 if len(beam) < ef or neighbor_distance < -beam[0][0]:
                     heapq.heappush(candidates, (neighbor_distance, neighbor))
                     heapq.heappush(beam, (-neighbor_distance, neighbor))
@@ -183,6 +237,40 @@ class HnswIndex(VectorIndex):
                     chosen.add(row)
         return [ids[row] for row in selected_rows]
 
+    def _reselect_rows(self, layer: int, owners: List[int], m: int) -> None:
+        """Re-select every over-cap row of ``owners`` down to ``m``, together.
+
+        All rows hold exactly ``m + 1`` ids (a saturated row plus the node
+        just appended).  Each is ranked by ``(distance to its owner, id)``
+        and pruned by the Algorithm-4 rule with fill-up, exactly as
+        :meth:`_select_heuristic` would prune it alone; the rows are
+        independent, so the only difference is the dispatch count — four
+        for all of them instead of two per row.
+        """
+        rows = self._layers[layer]
+        members = np.array([rows[owner] for owner in owners], dtype=np.intp)
+        n_rows, width = members.shape
+        block = self.vectors[members.ravel()]
+        distances = self.kernel.batch_paired(
+            self.vectors[owners], block, np.repeat(np.arange(n_rows), width)
+        ).reshape(n_rows, width)
+        block = block.reshape(n_rows, width, -1)
+        pairwise = self.kernel.matrix(block, block)
+        # Rank each row by (distance, id); permuting the small pairwise
+        # stack is cheaper than gathering the vectors again in rank order.
+        order = np.lexsort((members, distances))
+        distances = np.take_along_axis(distances, order, axis=1)
+        pairwise = pairwise[
+            np.arange(n_rows)[:, None, None], order[:, :, None], order[:, None, :]
+        ]
+        keep = select_heuristic_rows(distances, pairwise, m)
+        # Back to positions in the stored rows, so the kept ids stay the
+        # int objects the graph already shares instead of fresh copies.
+        positions = np.take_along_axis(order, keep, axis=1).tolist()
+        for owner, picks in zip(owners, positions):
+            row = rows[owner]
+            rows[owner] = [row[i] for i in picks]
+
     def _insert(self, node: int, level: int) -> None:
         self._node_level.append(level)
         while len(self._layers) <= level:
@@ -207,17 +295,19 @@ class HnswIndex(VectorIndex):
             )
             m = self.params.m * 2 if layer == 0 else self.params.m
             neighbors = self._select_heuristic(candidates, m)
-            self._layers[layer][node] = list(neighbors)
+            rows = self._layers[layer]
+            rows[node] = list(neighbors)
+            # The node is new to this layer, so no row holds it yet: every
+            # selected neighbour gains the reverse edge, and the rows that
+            # push past the cap (all exactly m + 1 wide) re-select together.
+            overflowing = []
             for neighbor in neighbors:
-                row = self._neighbors(layer, neighbor)
-                if node not in row:
-                    row.append(node)
-                    if len(row) > m:
-                        row_distances = self.kernel.batch(
-                            self.vectors[neighbor], self.vectors[row]
-                        )
-                        ranked = sorted(zip((float(d) for d in row_distances), row))
-                        self._layers[layer][neighbor] = self._select_heuristic(ranked, m)
+                row = rows[neighbor]
+                row.append(node)
+                if len(row) > m:
+                    overflowing.append(neighbor)
+            if overflowing:
+                self._reselect_rows(layer, overflowing, m)
             starts = [n for _, n in candidates] or [current]
 
         if level > self._max_level:
@@ -259,7 +349,16 @@ class HnswIndex(VectorIndex):
         rng = derive_rng(self.params.seed, "hnsw-level-add", node)
         level = int(-np.log(max(rng.random(), 1e-12)) / np.log(self.params.m))
         self._insert(node, level)
-        self._base_graph = None
+        graph = self._base_graph
+        if graph is not None:
+            # Keep the cached layer-0 view in step: on layer 0 the insert
+            # rewrote the new node's row and the rows of exactly the
+            # neighbours it selected there.
+            graph.add_vertex()
+            base = self._layers[0]
+            for touched in (node, *base[node]):
+                graph.set_neighbors(touched, base[touched])
+            graph.entry_points = [self._entry]
         return node
 
     # ------------------------------------------------------------------

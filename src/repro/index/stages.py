@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import GraphConstructionError
 from repro.index.graph import NavigationGraph
-from repro.index.search import greedy_search
+from repro.index.search import greedy_search_batch
 from repro.utils import derive_rng
 
 StageFn = Callable[[Dict[str, Any]], Any]
@@ -137,9 +137,18 @@ def candidates_exact_knn(k: int, block_size: int = 512) -> StageFn:
     return stage
 
 
+#: Beams per lockstep dispatch in :func:`candidates_beam_search`; bounds
+#: the ``(chunk, n)`` visited bitmap while amortising the kernel calls.
+_BEAM_CHUNK = 64
+
+
 def candidates_beam_search(pool_size: int, budget: int = 96) -> StageFn:
     """Search-based candidates: beam search for each vertex on the current
     graph, collecting the visited pool (Vamana/HNSW-style acquisition).
+
+    The graph does not change during the stage, so the per-vertex searches
+    run in lockstep chunks through :func:`greedy_search_batch`, whose
+    per-beam results are id-identical to serial :func:`greedy_search`.
 
     Requires an initialised graph with edges (e.g. random-regular).
     """
@@ -149,19 +158,20 @@ def candidates_beam_search(pool_size: int, budget: int = 96) -> StageFn:
         kernel = _kernel(context)
         graph: NavigationGraph = context["graph"]
         entry = medoid_of(vectors, kernel)
+        n = vectors.shape[0]
         result: List[List[int]] = []
-        for vertex in range(vectors.shape[0]):
-            outcome = greedy_search(
+        for start in range(0, n, _BEAM_CHUNK):
+            outcomes = greedy_search_batch(
                 graph,
                 vectors,
                 kernel,
-                vectors[vertex],
-                k=min(pool_size, vectors.shape[0]),
+                vectors[start : start + _BEAM_CHUNK],
+                k=min(pool_size, n),
                 budget=budget,
                 entry_points=[entry],
             )
-            pool = [i for i in outcome.ids if i != vertex][:pool_size]
-            result.append(pool)
+            for vertex, outcome in enumerate(outcomes, start):
+                result.append([i for i in outcome.ids if i != vertex][:pool_size])
         return result
 
     return stage
