@@ -62,7 +62,8 @@ class QueryExecution:
         )
 
     def _retrieve_capabilities(self) -> set:
-        """Optional keyword arguments the framework's ``retrieve`` accepts.
+        """Optional keyword arguments the framework's ``retrieve_batch``
+        accepts (``retrieve`` forwards to it).
 
         Capability is checked by signature inspection *before* calling, so
         a genuine ``TypeError`` raised inside retrieval propagates instead
@@ -70,7 +71,9 @@ class QueryExecution:
         framework and cached.
         """
         if self._capabilities is None:
-            parameters = inspect.signature(self.framework.retrieve).parameters
+            parameters = inspect.signature(
+                self.framework.retrieve_batch
+            ).parameters
             if any(
                 p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
             ):

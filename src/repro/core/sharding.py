@@ -315,29 +315,6 @@ class ShardReplica:
             }
         return response
 
-    def search(
-        self,
-        query: RawQuery,
-        k: int,
-        budget: int,
-        weights=None,
-        filter_fn: "ObjectFilter | None" = None,
-    ) -> RetrievalResponse:
-        """Top-``k`` over this replica, results in global ids."""
-        self.searches += 1
-        if self.framework is None:
-            return RetrievalResponse(framework="empty-shard", items=[])
-        kwargs: Dict[str, Any] = {}
-        if weights is not None:
-            kwargs["weights"] = weights
-        local_filter = self._localise_filter(filter_fn)
-        if local_filter is not None:
-            kwargs["filter_fn"] = local_filter
-        # Every index clamps k to its corpus size, so small shards simply
-        # return everything they have.
-        response = self.framework.retrieve(query, k=k, budget=budget, **kwargs)
-        return self._globalise(response)
-
     def search_batch(
         self,
         queries: Sequence[RawQuery],
@@ -346,7 +323,7 @@ class ShardReplica:
         weights=None,
         filter_fn: "ObjectFilter | None" = None,
     ) -> List[RetrievalResponse]:
-        """Batched :meth:`search` via the framework's batched kernels."""
+        """Top-``k`` per query over this replica, results in global ids."""
         self.searches += len(queries)
         if self.framework is None:
             return [
@@ -359,6 +336,8 @@ class ShardReplica:
         local_filter = self._localise_filter(filter_fn)
         if local_filter is not None:
             kwargs["filter_fn"] = local_filter
+        # Every index clamps k to its corpus size, so small shards simply
+        # return everything they have.
         responses = self.framework.retrieve_batch(
             queries, k=k, budget=budget, **kwargs
         )
@@ -814,11 +793,13 @@ class ShardRouter(RetrievalFramework):
         return self._probe
 
     def _inner_capabilities(self) -> set:
-        """Keyword arguments the inner framework's ``retrieve`` accepts
-        (computed once from the probe instance's signature)."""
+        """Keyword arguments the inner framework's ``retrieve_batch``
+        accepts (computed once from the probe instance's signature)."""
         if self._capabilities is None:
             self._capabilities = set(
-                inspect.signature(self._framework_probe().retrieve).parameters
+                inspect.signature(
+                    self._framework_probe().retrieve_batch
+                ).parameters
             )
         return self._capabilities
 
@@ -917,22 +898,15 @@ class ShardRouter(RetrievalFramework):
 
     # -- scatter observability -----------------------------------------
     @staticmethod
-    def _measure(result: Any) -> Tuple[int, int, int]:
-        """(items, distance_evaluations, hops) for one shard's result —
-        a single response (``retrieve``) or the per-query response list
-        one shard returns from ``retrieve_batch``."""
+    def _measure(result: "List[RetrievalResponse] | None") -> Tuple[int, int, int]:
+        """(items, distance_evaluations, hops) over the per-query response
+        list one shard returned (zeros for a shard that did not answer)."""
         if result is None:
             return 0, 0, 0
-        if isinstance(result, list):
-            return (
-                sum(len(r.items) for r in result),
-                sum(r.stats.distance_evaluations for r in result),
-                sum(r.stats.hops for r in result),
-            )
         return (
-            len(result.items),
-            result.stats.distance_evaluations,
-            result.stats.hops,
+            sum(len(r.items) for r in result),
+            sum(r.stats.distance_evaluations for r in result),
+            sum(r.stats.hops for r in result),
         )
 
     def _scatter(
@@ -1058,54 +1032,6 @@ class ShardRouter(RetrievalFramework):
             )
         return merged
 
-    def retrieve(
-        self,
-        query: RawQuery,
-        k: int,
-        budget: int = 64,
-        weights: "Dict[Modality, float] | None" = None,
-        filter_fn: "ObjectFilter | None" = None,
-        fanout: "int | None" = None,
-    ) -> RetrievalResponse:
-        """Scatter ``query`` to every shard and merge the top-k exactly.
-
-        ``fanout`` (the planner's degraded-mode knob) limits the scatter
-        to the first ``fanout`` shards; the result is marked degraded
-        because the unqueried shards may hold better neighbours.
-        """
-        self._require_ready()
-        if k <= 0:
-            raise RetrievalError(f"k must be positive, got {k}")
-        self._check_capabilities(weights, filter_fn)
-        if self.shards == 1:
-            return self._passthrough(query, k, budget, weights, filter_fn)
-        shard_filter = self._deleted_filter(filter_fn)
-        degraded: List[str] = []
-        indices: "List[int] | None" = None
-        if fanout is not None and 1 <= fanout < self.shards:
-            indices = list(range(fanout))
-            degraded.append(
-                f"fanout limited to {fanout}/{self.shards} shards (planner)"
-            )
-        responses = self._scatter(
-            lambda replica: replica.search(
-                query, k, budget, weights=weights, filter_fn=shard_filter
-            ),
-            degraded,
-            {"k": k},
-            indices=indices,
-        )
-        answered = [r for r in responses if r is not None]
-        if not answered:
-            raise RetrievalError(
-                f"all {self.shards} shards unavailable "
-                f"(last: {type(self._last_error).__name__}: {self._last_error})"
-            )
-        return self._merge_observed(
-            lambda: self._merge(answered, k, degraded, weights=weights),
-            shards_answered=len(answered),
-        )
-
     def retrieve_batch(
         self,
         queries: Sequence[RawQuery],
@@ -1113,10 +1039,15 @@ class ShardRouter(RetrievalFramework):
         budget: int = 64,
         weights: "Dict[Modality, float] | None" = None,
         filter_fn: "ObjectFilter | None" = None,
+        fanout: "int | None" = None,
     ) -> List[RetrievalResponse]:
-        """Batched scatter: one ``retrieve_batch`` per shard (the PR 4
-        batched kernels are the per-shard unit of work), merged per
-        query."""
+        """Scatter the batch to every shard — one ``retrieve_batch`` per
+        shard is the unit of work — and merge each query's top-k exactly.
+
+        ``fanout`` (the planner's degraded-mode knob) limits the scatter
+        to the first ``fanout`` shards; the results are marked degraded
+        because the unqueried shards may hold better neighbours.
+        """
         self._require_ready()
         if k <= 0:
             raise RetrievalError(f"k must be positive, got {k}")
@@ -1128,12 +1059,19 @@ class ShardRouter(RetrievalFramework):
             return self._passthrough_batch(queries, k, budget, weights, filter_fn)
         shard_filter = self._deleted_filter(filter_fn)
         degraded: List[str] = []
+        indices: "List[int] | None" = None
+        if fanout is not None and 1 <= fanout < self.shards:
+            indices = list(range(fanout))
+            degraded.append(
+                f"fanout limited to {fanout}/{self.shards} shards (planner)"
+            )
         per_shard = self._scatter(
             lambda replica: replica.search_batch(
                 queries, k, budget, weights=weights, filter_fn=shard_filter
             ),
             degraded,
             {"k": k, "queries": len(queries)},
+            indices=indices,
         )
         answered = [r for r in per_shard if r is not None]
         if not answered:
@@ -1159,26 +1097,12 @@ class ShardRouter(RetrievalFramework):
 
     _last_error: Exception = RetrievalError("no shard searched yet")
 
-    def _passthrough(self, query, k, budget, weights, filter_fn):
+    def _passthrough_batch(self, queries, k, budget, weights, filter_fn):
         """shards=1: delegate unmodified — the bit-identity fast path.
 
         Replica selection and simulated service time still apply, but the
-        inner framework's response object is returned as-is.
+        inner framework's response objects are returned as-is.
         """
-        group = self.groups[0]
-        replica = group.select()
-        self._simulate_service(group)
-        kwargs: Dict[str, Any] = {}
-        if weights is not None:
-            kwargs["weights"] = weights
-        if filter_fn is not None:
-            kwargs["filter_fn"] = filter_fn
-        if replica.framework is None:
-            return RetrievalResponse(framework="empty-shard", items=[])
-        # Single shard ⇒ local ids equal global ids; no translation.
-        return replica.framework.retrieve(query, k=k, budget=budget, **kwargs)
-
-    def _passthrough_batch(self, queries, k, budget, weights, filter_fn):
         group = self.groups[0]
         replica = group.select()
         self._simulate_service(group)
@@ -1192,6 +1116,7 @@ class ShardRouter(RetrievalFramework):
                 RetrievalResponse(framework="empty-shard", items=[])
                 for _ in queries
             ]
+        # Single shard ⇒ local ids equal global ids; no translation.
         return replica.framework.retrieve_batch(
             queries, k=k, budget=budget, **kwargs
         )

@@ -9,7 +9,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.distance.kernel import DistanceKernel
-from repro.errors import IndexError_, IndexNotBuiltError
+from repro.errors import IndexError_, IndexNotBuiltError, SearchError
 
 
 @dataclass
@@ -65,7 +65,7 @@ def _per_query_admits(admit, n_queries: int) -> List:
         return [admit] * n_queries
     admits = list(admit)
     if len(admits) != n_queries:
-        raise IndexError_(
+        raise SearchError(
             f"got {len(admits)} admit predicates for {n_queries} queries"
         )
     return admits
@@ -131,39 +131,32 @@ class VectorIndex(abc.ABC):
             f"index {self.name!r} does not support incremental insertion"
         )
 
-    @abc.abstractmethod
-    def search(self, query: np.ndarray, k: int, budget: int = 64) -> SearchResult:
-        """Return the approximate top-``k`` ids for ``query``.
+    def search(self, query: np.ndarray, k: int, budget: int = 64, **kwargs) -> SearchResult:
+        """Return the approximate top-``k`` ids for ``query``: a batch of one.
 
         Args:
             query: Query vector of the kernel's dimensionality.
             k: Result count.
             budget: Search effort (beam width / ef); larger trades speed
                 for recall.  Ignored by exact indexes.
+            **kwargs: Whatever the index's :meth:`search_batch` accepts.
         """
+        return self.search_batch(np.asarray(query)[None], k, budget, **kwargs)[0]
 
+    @abc.abstractmethod
     def search_batch(
-        self, queries: np.ndarray, k: int, budget: int = 64, **kwargs
+        self, queries: np.ndarray, k: int, budget: int = 64
     ) -> List[SearchResult]:
         """Top-``k`` for every row of ``queries``; results in input order.
 
-        Contract: element ``i`` is identical (same ids, same distances) to
-        ``search(queries[i], ...)`` — batching is a throughput optimisation,
-        never a behaviour change.  The default simply loops; concrete
-        indexes override it with vectorised or lockstep implementations.
-        Keyword arguments are forwarded to :meth:`search`; an ``admit``
-        kwarg may be a single predicate shared by all queries or a sequence
-        with one (possibly ``None``) predicate per query.
+        The one search body of an index.  Contract: row ``i`` does not
+        depend on the rest of the batch — same ids, distances and work
+        counters as a batch holding that row alone — so batching is a
+        throughput optimisation, never a behaviour change.  Concrete
+        indexes add optional keywords; an ``admit`` keyword may be a single
+        predicate shared by all queries or a sequence with one (possibly
+        ``None``) predicate per query.
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        admits = _per_query_admits(kwargs.pop("admit", None), queries.shape[0])
-        out: List[SearchResult] = []
-        for i in range(queries.shape[0]):
-            call_kwargs = dict(kwargs)
-            if admits[i] is not None:
-                call_kwargs["admit"] = admits[i]
-            out.append(self.search(queries[i], k, budget, **call_kwargs))
-        return out
 
     def describe(self) -> str:
         """One-line summary for the status panel."""

@@ -66,45 +66,13 @@ class FlatIndex(VectorIndex):
         if not np.isfinite(vectors).all():
             raise SearchError("corpus contains non-finite values")
 
-    def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        budget: int = 64,
-        admit=None,
-    ) -> SearchResult:
-        self._require_built()
-        if k <= 0:
-            raise SearchError(f"k must be positive, got {k}")
-        distances = self.kernel.batch(np.asarray(query, dtype=np.float64), self.vectors)
-        if admit is not None:
-            mask = np.fromiter(
-                (admit(i) for i in range(distances.size)), dtype=bool,
-                count=distances.size,
-            )
-            distances = np.where(mask, distances, np.inf)
-            if not mask.any():
-                return SearchResult(
-                    ids=[], distances=[],
-                    stats=SearchStats(distance_evaluations=int(mask.size)),
-                )
-            k = min(k, int(mask.sum()))
-        k = min(k, distances.size)
-        top = np.argpartition(distances, k - 1)[:k]
-        top = top[np.argsort(distances[top])]
-        stats = SearchStats(hops=0, distance_evaluations=self.size)
-        return SearchResult(
-            ids=[int(i) for i in top],
-            distances=[float(distances[i]) for i in top],
-            stats=stats,
-        )
-
     def search_batch(self, queries, k: int, budget: int = 64, admit=None):
         """All queries scanned with one kernel dispatch.
 
-        Row ``i`` of the batched distance matrix is bit-identical to the
-        serial ``kernel.batch`` scan, and the per-row top-k selection code
-        is the same — so ids and distances match :meth:`search` exactly.
+        Each row of the distance matrix depends only on its own query, and
+        top-k selection runs per row — so a row's ids and distances do not
+        depend on the rest of the batch.  ``admit`` masks non-matching
+        vectors out of that query's result.
         """
         self._require_built()
         if k <= 0:
@@ -117,15 +85,14 @@ class FlatIndex(VectorIndex):
         all_distances = self.kernel.batch_many(queries, self.vectors)
         if all(a is None for a in admits):
             # Unfiltered fast path: one axis-wise argpartition + argsort
-            # selects every row's top-k.  Partition and sort run per row on
-            # the same values the serial path sees, so ids and distances
-            # are identical to per-query search().
+            # selects every row's top-k; both run row by row.
             row_k = min(k, all_distances.shape[1])
+            rows = np.arange(n_queries)[:, None]
             top = np.argpartition(all_distances, row_k - 1, axis=1)[:, :row_k]
-            picked = np.take_along_axis(all_distances, top, axis=1)
+            picked = all_distances[rows, top]
             order = np.argsort(picked, axis=1)
-            top = np.take_along_axis(top, order, axis=1)
-            picked = np.take_along_axis(picked, order, axis=1)
+            top = top[rows, order]
+            picked = picked[rows, order]
             stats_size = self.size
             return [
                 SearchResult(

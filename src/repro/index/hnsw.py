@@ -26,9 +26,9 @@ import numpy as np
 
 from repro.distance.kernel import DistanceKernel
 from repro.errors import GraphConstructionError, SearchError
-from repro.index.base import SearchResult, VectorIndex
+from repro.index.base import VectorIndex
 from repro.index.graph import NavigationGraph
-from repro.index.search import greedy_search, greedy_search_batch
+from repro.index.search import greedy_search_batch
 from repro.observability import trace_span
 from repro.utils import derive_rng
 
@@ -364,85 +364,58 @@ class HnswIndex(VectorIndex):
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    def search(
-        self, query: np.ndarray, k: int, budget: int = 64, admit=None
-    ) -> SearchResult:
-        self._require_built()
-        if k <= 0:
-            raise SearchError(f"k must be positive, got {k}")
-        query = np.asarray(query, dtype=np.float64)
-        base = self.base_graph()
-        current = self._entry
-        with trace_span("hnsw-descent", top_layer=self._max_level) as span:
-            for layer in range(self._max_level, 0, -1):
-                current = self._greedy_descend(query, current, layer)
-            span.set(base_entry=int(current))
-        return greedy_search(
-            base,
-            self.vectors,
-            self.kernel,
-            query,
-            k=k,
-            budget=budget,
-            entry_points=[current],
-            admit=admit,
-        )
-
     def _greedy_descend_batch(
         self, queries: np.ndarray, currents: List[int], layer: int
     ) -> List[int]:
-        """Lockstep :meth:`_greedy_descend` for every query on one layer.
+        """:meth:`_greedy_descend` for every query on one layer, in lockstep.
 
-        Each query replays exactly the serial walk — same ``kernel.single``
-        initialisation, same per-step argmin over its own neighbour list —
-        but all still-walking queries share one ragged ``batch_paired``
-        dispatch per step (each neighbour scored against its own query).
+        Each query walks on its own — ``kernel.single`` initialisation,
+        per-step argmin over its own neighbour list — but all still-walking
+        queries share one ragged ``batch_paired`` dispatch per step (each
+        neighbour scored against its own query); a lone walker's step is a
+        plain ``kernel.batch``.
         """
-        n_queries = queries.shape[0]
         currents = list(currents)
         best_distances = [
-            float(self.kernel.single(queries[i], self.vectors[currents[i]]))
-            for i in range(n_queries)
+            float(self.kernel.single(query, self.vectors[current]))
+            for query, current in zip(queries, currents)
         ]
-        active = list(range(n_queries))
+        active = list(range(len(currents)))
         while active:
-            neighbor_lists: Dict[int, List[int]] = {}
-            walking: List[int] = []
-            for i in active:
-                neighbors = self._neighbors(layer, currents[i])
-                if neighbors:
-                    neighbor_lists[i] = neighbors
-                    walking.append(i)
+            walking = [
+                (i, neighbors)
+                for i in active
+                if (neighbors := self._neighbors(layer, currents[i]))
+            ]
             if not walking:
                 break
-            flat: List[int] = []
-            owners: List[int] = []
-            for i in walking:
-                flat.extend(neighbor_lists[i])
-                owners.extend([i] * len(neighbor_lists[i]))
-            frontier = self.kernel.batch_paired(
-                queries, self.vectors[flat], owners
-            )
+            if len(walking) == 1:
+                i, neighbors = walking[0]
+                frontier = self.kernel.batch(queries[i], self.vectors[neighbors])
+            else:
+                flat: List[int] = []
+                owners: List[int] = []
+                for i, neighbors in walking:
+                    flat.extend(neighbors)
+                    owners.extend([i] * len(neighbors))
+                frontier = self.kernel.batch_paired(
+                    queries, self.vectors[flat], owners
+                )
             cursor = 0
-            improved: List[int] = []
-            for i in walking:
-                neighbors = neighbor_lists[i]
+            active = []
+            for i, neighbors in walking:
                 distances = frontier[cursor : cursor + len(neighbors)]
                 cursor += len(neighbors)
                 best = int(np.argmin(distances))
                 if float(distances[best]) < best_distances[i]:
                     currents[i] = neighbors[best]
                     best_distances[i] = float(distances[best])
-                    improved.append(i)
-            active = improved
+                    active.append(i)
         return currents
 
     def search_batch(self, queries, k: int, budget: int = 64, admit=None):
-        """Batched search: lockstep descent, then lockstep beam search.
-
-        Per-query ids and distances are identical to :meth:`search`; only
-        the number of kernel dispatches changes.
-        """
+        """Lockstep descent through the upper layers, then lockstep beam
+        search over layer 0 from each query's own base entry."""
         self._require_built()
         if k <= 0:
             raise SearchError(f"k must be positive, got {k}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.distance.kernel import DistanceKernel
 from repro.errors import GraphConstructionError, SearchError
-from repro.index.base import SearchResult, SearchStats, VectorIndex
+from repro.index.base import SearchResult, SearchStats, VectorIndex, _per_query_admits
 from repro.utils import derive_rng
 
 
@@ -112,30 +112,6 @@ class IvfIndex(VectorIndex):
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    def search(
-        self, query: np.ndarray, k: int, budget: int = 64, admit=None
-    ) -> SearchResult:
-        """Scan the closest cells.  ``budget`` maps to extra probes: the
-        effective probe count is ``max(nprobe, budget // 8)``."""
-        self._require_built()
-        assert self._centroids is not None
-        if k <= 0:
-            raise SearchError(f"k must be positive, got {k}")
-        query = np.asarray(query, dtype=np.float64)
-        nprobe = min(
-            max(self.params.nprobe, budget // 8), self._centroids.shape[0]
-        )
-        centroid_distances = self.kernel.batch(query, self._centroids)
-        candidates = self._gather_candidates(centroid_distances, nprobe, admit)
-        stats = SearchStats(
-            hops=int(nprobe),
-            distance_evaluations=len(candidates) + self._centroids.shape[0],
-        )
-        if not candidates:
-            return SearchResult(ids=[], distances=[], stats=stats)
-        distances = self.kernel.batch(query, self.vectors[candidates])
-        return self._top_k(candidates, distances, k, stats)
-
     @staticmethod
     def _probe_cells(centroid_distances: np.ndarray, nprobe: int) -> np.ndarray:
         """The ``nprobe`` closest cells, nearest first.
@@ -173,14 +149,12 @@ class IvfIndex(VectorIndex):
         )
 
     def search_batch(self, queries, k: int, budget: int = 64, admit=None):
-        """Batched probe: one centroid scan and one candidate-union scan.
-
-        Candidate gathering and top-k selection reuse the serial helpers
-        over bit-identical distance rows, so each element matches
-        :meth:`search` exactly.
+        """Scan each query's closest cells: one centroid scan and one
+        candidate-union scan for the whole batch.  ``budget`` maps to extra
+        probes: the effective probe count is ``max(nprobe, budget // 8)``.
+        Candidate gathering and top-k selection run per query over its own
+        distance row, so a row does not depend on the rest of the batch.
         """
-        from repro.index.base import _per_query_admits
-
         self._require_built()
         assert self._centroids is not None
         if k <= 0:

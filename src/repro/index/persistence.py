@@ -30,11 +30,10 @@ from repro.distance import (
     WeightedMultiVectorKernel,
 )
 from repro.errors import IndexError_
-from repro.index.base import SearchResult, VectorIndex
+from repro.index.base import VectorIndex
 from repro.index.graph import NavigationGraph
 from repro.index.hnsw import HnswIndex
 from repro.index.pipeline_builder import PipelineGraphIndex
-from repro.index.search import greedy_search
 
 _META_FILE = "index.json"
 _ARRAYS_FILE = "index.npz"
@@ -58,30 +57,10 @@ class FrozenGraphIndex(VectorIndex):
             "frozen indexes are restored, not built; use load_index()"
         )
 
-    # Insertion reuses the pipeline index's search-and-prune logic.
+    # Insertion and search are the pipeline index's: same graph, same
+    # search-and-prune logic, same override-kernel check.
     add = PipelineGraphIndex.add
-
-    def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        budget: int = 64,
-        use_pruning: bool = False,
-        kernel: "DistanceKernel | None" = None,
-        admit=None,
-    ) -> SearchResult:
-        self._require_built()
-        active = kernel if kernel is not None else self.kernel
-        return greedy_search(
-            self.graph,
-            self.vectors,
-            active,
-            query,
-            k=k,
-            budget=budget,
-            use_pruning=use_pruning,
-            admit=admit,
-        )
+    search_batch = PipelineGraphIndex.search_batch
 
 
 def _graph_of(index: SavableIndex) -> NavigationGraph:

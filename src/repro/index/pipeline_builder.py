@@ -198,38 +198,6 @@ class PipelineGraphIndex(VectorIndex):
                 self.graph.set_neighbors(neighbor, pruned)
         return vertex
 
-    def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        budget: int = 64,
-        use_pruning: bool = False,
-        kernel: "DistanceKernel | None" = None,
-        admit=None,
-    ) -> SearchResult:
-        """Search the graph; ``kernel`` overrides the built kernel for this
-        query only (per-query modality re-weighting — the graph is pure
-        navigation structure, distances are always computed fresh), and
-        ``admit`` filters the result set without blocking traversal."""
-        self._require_built()
-        if self.graph is None:
-            raise SearchError(f"index {self.name!r} has no graph")
-        active = kernel if kernel is not None else self.kernel
-        if active.dim != self.kernel.dim:
-            raise SearchError(
-                f"override kernel dim {active.dim} != index dim {self.kernel.dim}"
-            )
-        return greedy_search(
-            self.graph,
-            self.vectors,
-            active,
-            query,
-            k=k,
-            budget=budget,
-            use_pruning=use_pruning,
-            admit=admit,
-        )
-
     def search_batch(
         self,
         queries: np.ndarray,
@@ -239,11 +207,13 @@ class PipelineGraphIndex(VectorIndex):
         kernel: "DistanceKernel | None" = None,
         admit=None,
     ) -> List[SearchResult]:
-        """Lockstep batched :meth:`search` with the same keyword surface.
+        """Search the graph for every query row, in lockstep.
 
-        ``use_pruning`` scores neighbours one at a time with a bound — a
-        per-query scalar loop with nothing to batch — so that mode falls
-        back to serial searches (identical results either way).
+        ``kernel`` overrides the built kernel for this call only (per-query
+        modality re-weighting — the graph is pure navigation structure,
+        distances are always computed fresh), ``admit`` filters the result
+        set without blocking traversal, and ``use_pruning`` scores
+        neighbours one at a time with a bound (incremental scanning).
         """
         self._require_built()
         if self.graph is None:
@@ -253,18 +223,6 @@ class PipelineGraphIndex(VectorIndex):
             raise SearchError(
                 f"override kernel dim {active.dim} != index dim {self.kernel.dim}"
             )
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if use_pruning:
-            from repro.index.base import _per_query_admits
-
-            admits = _per_query_admits(admit, queries.shape[0])
-            return [
-                greedy_search(
-                    self.graph, self.vectors, active, queries[i],
-                    k=k, budget=budget, use_pruning=True, admit=admits[i],
-                )
-                for i in range(queries.shape[0])
-            ]
         return greedy_search_batch(
             self.graph,
             self.vectors,
@@ -272,6 +230,7 @@ class PipelineGraphIndex(VectorIndex):
             queries,
             k=k,
             budget=budget,
+            use_pruning=use_pruning,
             admit=admit,
         )
 

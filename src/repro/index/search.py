@@ -4,8 +4,10 @@ One search routine serves every graph index and every retrieval framework:
 the traversal "starts at a random or fixed vertex, explores neighbouring
 vertices closer to the query point, and terminates when no closer vertex is
 discovered" — implemented as classic beam search with beam width ``budget``.
+:func:`greedy_search_batch` is that routine; a single query is a batch of
+one (:func:`greedy_search`).
 
-Two evaluation modes are supported:
+Two per-beam scoring modes are supported:
 
 * **batch** (default): each expanded vertex's unvisited neighbours are
   scored in one vectorised kernel call — fastest in numpy.
@@ -18,13 +20,13 @@ Two evaluation modes are supported:
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 from repro.distance.kernel import DistanceKernel
 from repro.errors import SearchError
-from repro.index.base import SearchResult, SearchStats
+from repro.index.base import SearchResult, SearchStats, _per_query_admits
 from repro.index.graph import NavigationGraph
 from repro.observability import trace_span
 
@@ -45,135 +47,24 @@ def greedy_search(
     visit_hook: "VisitHook | None" = None,
     admit: "Callable[[int], bool] | None" = None,
 ) -> SearchResult:
-    """Approximate top-``k`` search over ``graph``.
+    """Approximate top-``k`` search for one query: a batch of one.
 
-    Args:
-        graph: Navigation graph over the corpus.
-        vectors: The ``(n, d)`` corpus matrix the graph was built on.
-        kernel: Distance kernel (single- or multi-vector).
-        query: Query vector.
-        k: Result count.
-        budget: Beam width (``ef``); clamped up to ``k``.
-        entry_points: Traversal start vertices; defaults to the graph's.
-        use_pruning: Score neighbours individually with a bound instead of
-            in one batch, enabling incremental-scanning early exits.
-        visit_hook: Called with each vertex id whose vector is accessed —
-            the hook Starling uses to charge simulated block I/O.
-        admit: Optional result filter: vertices failing the predicate are
-            still *traversed* (the graph must stay navigable through them)
-            but never enter the result beam — filtered vector search.
-
-    Returns:
-        A :class:`SearchResult` with ids sorted by ascending distance.
+    Arguments are those of :func:`greedy_search_batch`, for a single query
+    vector; ``visit_hook`` is called with the vertex id alone.
     """
-    if k <= 0:
-        raise SearchError(f"k must be positive, got {k}")
-    budget = max(budget, k)
-    starts = list(entry_points) if entry_points is not None else list(graph.entry_points)
-    if not starts:
-        raise SearchError("search needs at least one entry point")
-
-    stats = SearchStats()
-    query = np.asarray(query, dtype=np.float64)
-
-    def touch(vertex: int) -> None:
-        if visit_hook is not None:
-            visit_hook(vertex)
-
-    visited = set()
-    candidates: List = []  # min-heap of (distance, vertex)
-    beam: List = []  # max-heap of (-distance, vertex), size <= budget
-    # With a filter, navigation still flows through non-matching vertices,
-    # but results are collected separately from admitted vertices only.
-    results: "List | None" = [] if admit is not None else None
-
-    def collect(vertex: int, distance: float) -> None:
-        if results is None:
-            return
-        if admit is not None and admit(vertex):
-            heapq.heappush(results, (-distance, vertex))
-            if len(results) > budget:
-                heapq.heappop(results)
-
-    with trace_span("beam-search", k=k, budget=budget, pruning=use_pruning) as span:
-        unique_starts = []
-        for start in starts:
-            start = int(start)
-            if start not in visited:
-                visited.add(start)
-                unique_starts.append(start)
-                touch(start)
-        start_distances = kernel.batch(query, vectors[unique_starts])
-        stats.distance_evaluations += len(unique_starts)
-        for vertex, distance in zip(unique_starts, start_distances):
-            distance = float(distance)
-            heapq.heappush(candidates, (distance, vertex))
-            heapq.heappush(beam, (-distance, vertex))
-            collect(vertex, distance)
-        while len(beam) > budget:
-            heapq.heappop(beam)
-
-        while candidates:
-            distance, vertex = heapq.heappop(candidates)
-            worst = -beam[0][0]
-            if distance > worst and len(beam) >= budget:
-                break
-            stats.hops += 1
-            fresh = [n for n in graph.neighbors(vertex) if n not in visited]
-            if not fresh:
-                continue
-            visited.update(fresh)
-            for neighbor in fresh:
-                touch(neighbor)
-
-            worst = -beam[0][0]
-            bound = worst if len(beam) >= budget else np.inf
-            if use_pruning:
-                for neighbor in fresh:
-                    neighbor_distance = kernel.single(query, vectors[neighbor], bound=bound)
-                    stats.distance_evaluations += 1
-                    if neighbor_distance >= bound:
-                        continue
-                    collect(neighbor, float(neighbor_distance))
-                    heapq.heappush(candidates, (neighbor_distance, neighbor))
-                    heapq.heappush(beam, (-neighbor_distance, neighbor))
-                    if len(beam) > budget:
-                        heapq.heappop(beam)
-                    bound = -beam[0][0] if len(beam) >= budget else np.inf
-            else:
-                distances = kernel.batch(query, vectors[fresh])
-                stats.distance_evaluations += len(fresh)
-                # Hot inner loop: np.float64 scalars go straight into the
-                # heaps (they compare exactly like float), and a full beam
-                # is updated with one heapreplace instead of push+pop.
-                # A displacing neighbour is strictly better than the root
-                # (equal distances take the `continue`), so the replaced
-                # content is identical to the old push-then-pop form.
-                for neighbor, neighbor_distance in zip(fresh, distances):
-                    if results is not None:
-                        collect(neighbor, neighbor_distance)
-                    if len(beam) >= budget:
-                        if neighbor_distance >= -beam[0][0]:
-                            continue
-                        heapq.heappush(candidates, (neighbor_distance, neighbor))
-                        heapq.heapreplace(beam, (-neighbor_distance, neighbor))
-                    else:
-                        heapq.heappush(candidates, (neighbor_distance, neighbor))
-                        heapq.heappush(beam, (-neighbor_distance, neighbor))
-        span.set(
-            hops=stats.hops,
-            distance_evaluations=stats.distance_evaluations,
-            visited=len(visited),
-        )
-
-    pool = beam if results is None else results
-    ordered = sorted(((-d, v) for d, v in pool))
-    top = ordered[:k]
-    return SearchResult(
-        ids=[int(v) for _, v in top],
-        distances=[float(d) for d, _ in top],
-        stats=stats,
-    )
+    hook = None if visit_hook is None else (lambda _beam, vertex: visit_hook(vertex))
+    return greedy_search_batch(
+        graph,
+        vectors,
+        kernel,
+        np.asarray(query, dtype=np.float64)[None],
+        k,
+        budget=budget,
+        entry_points=entry_points,
+        use_pruning=use_pruning,
+        visit_hook=hook,
+        admit=admit,
+    )[0]
 
 
 def _normalise_starts(
@@ -182,18 +73,19 @@ def _normalise_starts(
     n_queries: int,
 ) -> List[List[int]]:
     """Per-beam start lists from shared, per-beam, or default entry points."""
-    if entry_points is None:
-        shared = [int(v) for v in graph.entry_points]
-        return [list(shared) for _ in range(n_queries)]
-    eps = list(entry_points)
-    if eps and isinstance(eps[0], (int, np.integer)):
+    eps = list(graph.entry_points if entry_points is None else entry_points)
+    if not eps:
+        raise SearchError("search needs at least one entry point")
+    if isinstance(eps[0], (int, np.integer)):
         shared = [int(v) for v in eps]
-        return [list(shared) for _ in range(n_queries)]
+        return [shared] * n_queries
     per_beam = [[int(v) for v in ep] for ep in eps]
     if len(per_beam) != n_queries:
         raise SearchError(
             f"got {len(per_beam)} entry-point lists for {n_queries} queries"
         )
+    if any(not starts for starts in per_beam):
+        raise SearchError("search needs at least one entry point")
     return per_beam
 
 
@@ -205,33 +97,46 @@ def greedy_search_batch(
     k: int,
     budget: int = 64,
     entry_points=None,
+    use_pruning: bool = False,
     visit_hook: "BatchVisitHook | None" = None,
     admit=None,
 ) -> List[SearchResult]:
-    """Run Q greedy searches in lockstep, batching distance evaluations.
+    """Approximate top-``k`` search over ``graph`` for every query row.
 
-    Each query gets its own beam, candidate heap, and a preallocated numpy
-    bool ``visited`` row.  Per round, every still-active beam pops
+    Each query gets its own beam, candidate heap and visited set, and the
+    beams advance in lockstep: per round, every still-active beam pops
     candidates until it either finds a vertex with unvisited neighbours or
-    terminates, exactly as the serial loop would; then all frontier
-    neighbours across the expanding beams are scored with **one** ragged
-    ``kernel.batch_paired`` call — each neighbour against its own beam's
-    query, so the pair count matches the serial loop exactly — and the
-    result vector is split back per beam.  Because the kernel's batched
-    entries are bit-identical to its serial evaluations,
-    every beam makes exactly the decisions :func:`greedy_search` would —
-    result ids and distances are identical, only the number of numpy
-    dispatches changes.
+    terminates; then all frontier neighbours across the expanding beams are
+    scored with **one** ragged ``kernel.batch_paired`` call — each
+    neighbour against its own beam's query, never queries x union.  A beam
+    never reads another beam's state and the kernel's batched entries are
+    bit-identical to each other, so a row's ids, distances and work
+    counters do not depend on what else is in the batch.  When a single
+    beam expands (always, for a batch of one) the round is one plain
+    ``kernel.batch`` call, so a lone query pays for no gather.
 
     Args:
+        graph: Navigation graph over the corpus.
+        vectors: The ``(n, d)`` corpus matrix the graph was built on.
+        kernel: Distance kernel (single- or multi-vector).
+        queries: ``(Q, d)`` query matrix (a 1-D vector is one query).
+        k: Result count.
+        budget: Beam width (``ef``); clamped up to ``k``.
         entry_points: ``None`` (graph defaults), a flat sequence of vertex
             ids shared by all beams, or one sequence per query.
-        visit_hook: Called with ``(beam_index, vertex)`` per vector access.
+        use_pruning: Score neighbours individually with a bound instead of
+            in one batch, enabling incremental-scanning early exits.
+        visit_hook: Called with ``(beam_index, vertex)`` for each vertex
+            whose vector is accessed — the hook Starling uses to charge
+            simulated block I/O.
         admit: ``None``, a single predicate shared by every beam, or one
-            optional predicate per query.
+            optional predicate per query.  Vertices failing the predicate
+            are still *traversed* (the graph must stay navigable through
+            them) but never enter the result beam — filtered vector search.
 
     Returns:
-        One :class:`SearchResult` per query row, in input order.
+        One :class:`SearchResult` per query row, in input order, ids
+        sorted by ascending distance.
     """
     if k <= 0:
         raise SearchError(f"k must be positive, got {k}")
@@ -241,121 +146,123 @@ def greedy_search_batch(
         return []
     budget = max(budget, k)
     per_beam_starts = _normalise_starts(graph, entry_points, n_queries)
-    if any(not starts for starts in per_beam_starts):
-        raise SearchError("search needs at least one entry point")
-    if admit is None or callable(admit):
-        admits: List = [admit] * n_queries
-    else:
-        admits = list(admit)
-        if len(admits) != n_queries:
-            raise SearchError(
-                f"got {len(admits)} admit predicates for {n_queries} queries"
-            )
+    admits = _per_query_admits(admit, n_queries)
 
+    query_rows = list(queries)
     stats = [SearchStats() for _ in range(n_queries)]
-    visited = np.zeros((n_queries, vectors.shape[0]), dtype=bool)
-    candidates: List[List] = [[] for _ in range(n_queries)]
-    beams: List[List] = [[] for _ in range(n_queries)]
+    visited: List[set] = [set() for _ in range(n_queries)]
+    candidates: List[List] = [[] for _ in range(n_queries)]  # min-heaps of (distance, vertex)
+    beams: List[List] = [[] for _ in range(n_queries)]  # max-heaps of (-distance, vertex)
+    # With a filter, navigation still flows through non-matching vertices,
+    # but results are collected separately from admitted vertices only.
     results: List = [([] if admits[b] is not None else None) for b in range(n_queries)]
 
-    def touch(beam_index: int, vertex: int) -> None:
-        if visit_hook is not None:
-            visit_hook(beam_index, vertex)
-
-    def collect(beam_index: int, vertex: int, distance) -> None:
-        pool = results[beam_index]
-        if pool is None:
-            return
+    def collect(beam_index: int, vertex: int, distance: float) -> None:
         if admits[beam_index](vertex):
+            pool = results[beam_index]
             heapq.heappush(pool, (-distance, vertex))
             if len(pool) > budget:
                 heapq.heappop(pool)
 
+    def score(expanding: List) -> List[float]:
+        """Distances for every ``(beam, fresh)`` pair, concatenated."""
+        if len(expanding) == 1:
+            b, fresh = expanding[0]
+            return kernel.batch(query_rows[b], vectors[fresh]).tolist()
+        flat: List[int] = []
+        owners: List[int] = []
+        for b, fresh in expanding:
+            flat.extend(fresh)
+            owners.extend([b] * len(fresh))
+        return kernel.batch_paired(queries, vectors[flat], owners).tolist()
+
     with trace_span(
-        "beam-search-batch", queries=n_queries, k=k, budget=budget
+        "beam-search", queries=n_queries, k=k, budget=budget, pruning=use_pruning
     ) as span:
-        # Seed phase: dedupe each beam's starts, score all of them in one
-        # ragged dispatch (each start against its own beam's query).
-        seed_lists: List[List[int]] = []
-        seed_flat: List[int] = []
-        seed_owners: List[int] = []
+        seeds: List = []
         for b in range(n_queries):
-            unique: List[int] = []
-            for start in per_beam_starts[b]:
-                if not visited[b, start]:
-                    visited[b, start] = True
-                    unique.append(start)
-                    touch(b, start)
-            seed_lists.append(unique)
-            seed_flat.extend(unique)
-            seed_owners.extend([b] * len(unique))
-        seed_distances = kernel.batch_paired(
-            queries, vectors[seed_flat], seed_owners
-        )
-        cursor = 0
-        for b in range(n_queries):
-            stats[b].distance_evaluations += len(seed_lists[b])
-            for vertex in seed_lists[b]:
-                distance = float(seed_distances[cursor])
-                cursor += 1
+            unique = list(dict.fromkeys(per_beam_starts[b]))
+            visited[b].update(unique)
+            if visit_hook is not None:
+                for start in unique:
+                    visit_hook(b, start)
+            seeds.append((b, unique))
+        scored = iter(score(seeds))
+        for b, unique in seeds:
+            stats[b].distance_evaluations += len(unique)
+            # zip stops at the end of `unique` without touching `scored`,
+            # so the shared iterator hands each beam exactly its own run.
+            for vertex, distance in zip(unique, scored):
                 heapq.heappush(candidates[b], (distance, vertex))
                 heapq.heappush(beams[b], (-distance, vertex))
-                collect(b, vertex, distance)
+                if results[b] is not None:
+                    collect(b, vertex, distance)
             while len(beams[b]) > budget:
                 heapq.heappop(beams[b])
 
         alive = list(range(n_queries))
         while alive:
             # Advance each live beam to its next expansion (or retire it).
-            expanding: List[int] = []
-            fresh_lists: dict = {}
-            survivors: List[int] = []
+            expanding: List = []
             for b in alive:
-                fresh = None
-                row_visited = visited[b]
-                while candidates[b]:
-                    distance, vertex = heapq.heappop(candidates[b])
-                    if distance > -beams[b][0][0] and len(beams[b]) >= budget:
+                cands = candidates[b]
+                beam = beams[b]
+                seen = visited[b]
+                while cands:
+                    distance, vertex = heapq.heappop(cands)
+                    if distance > -beam[0][0] and len(beam) >= budget:
                         break
                     stats[b].hops += 1
-                    neighbors = [
-                        n for n in graph.neighbors(vertex) if not row_visited[n]
-                    ]
-                    if not neighbors:
+                    fresh = [n for n in graph.neighbors(vertex) if n not in seen]
+                    if not fresh:
                         continue
-                    row_visited[neighbors] = True
-                    for neighbor in neighbors:
-                        touch(b, neighbor)
-                    fresh = neighbors
+                    seen.update(fresh)
+                    if visit_hook is not None:
+                        for neighbor in fresh:
+                            visit_hook(b, neighbor)
+                    expanding.append((b, fresh))
                     break
-                if fresh is not None:
-                    expanding.append(b)
-                    fresh_lists[b] = fresh
-                    survivors.append(b)
-            alive = survivors
-            if not expanding:
-                break
+            if len(expanding) < len(alive):
+                if not expanding:
+                    break
+                alive = [b for b, _ in expanding]
 
-            # One ragged kernel dispatch scores every frontier neighbour of
-            # every expanding beam against exactly its own query — the same
-            # pair count as the serial loop, not queries x union.
-            flat: List[int] = []
-            owners: List[int] = []
-            for b in expanding:
-                fresh = fresh_lists[b]
-                flat.extend(fresh)
-                owners.extend([b] * len(fresh))
-            frontier = kernel.batch_paired(queries, vectors[flat], owners)
-            cursor = 0
-            for b in expanding:
-                fresh = fresh_lists[b]
-                row = frontier[cursor : cursor + len(fresh)]
-                cursor += len(fresh)
+            if use_pruning:
+                # Sequential by nature: each neighbour's bound depends on
+                # the beam the previous one left behind.
+                for b, fresh in expanding:
+                    beam = beams[b]
+                    cands = candidates[b]
+                    query = query_rows[b]
+                    bound = -beam[0][0] if len(beam) >= budget else np.inf
+                    for neighbor in fresh:
+                        neighbor_distance = kernel.single(
+                            query, vectors[neighbor], bound=bound
+                        )
+                        stats[b].distance_evaluations += 1
+                        if neighbor_distance >= bound:
+                            continue
+                        if results[b] is not None:
+                            collect(b, neighbor, float(neighbor_distance))
+                        heapq.heappush(cands, (neighbor_distance, neighbor))
+                        heapq.heappush(beam, (-neighbor_distance, neighbor))
+                        if len(beam) > budget:
+                            heapq.heappop(beam)
+                        bound = -beam[0][0] if len(beam) >= budget else np.inf
+                continue
+
+            scored = iter(score(expanding))
+            for b, fresh in expanding:
                 beam = beams[b]
                 cands = candidates[b]
                 stats[b].distance_evaluations += len(fresh)
                 track = results[b] is not None
-                for neighbor, neighbor_distance in zip(fresh, row):
+                # Hot inner loop: a full beam is updated with one
+                # heapreplace instead of push+pop.  A displacing neighbour
+                # is strictly better than the root (equal distances take
+                # the `continue`), so the replaced content is identical to
+                # a push-then-pop.
+                for neighbor, neighbor_distance in zip(fresh, scored):
                     if track:
                         collect(b, neighbor, neighbor_distance)
                     if len(beam) >= budget:
@@ -370,14 +277,13 @@ def greedy_search_batch(
         span.set(
             hops=sum(s.hops for s in stats),
             distance_evaluations=sum(s.distance_evaluations for s in stats),
-            visited=int(visited.sum()),
+            visited=sum(len(seen) for seen in visited),
         )
 
     out: List[SearchResult] = []
     for b in range(n_queries):
         pool = beams[b] if results[b] is None else results[b]
-        ordered = sorted(((-d, v) for d, v in pool))
-        top = ordered[:k]
+        top = sorted((-d, v) for d, v in pool)[:k]
         out.append(
             SearchResult(
                 ids=[int(v) for _, v in top],

@@ -138,7 +138,7 @@ def candidates_exact_knn(k: int, block_size: int = 512) -> StageFn:
 
 
 #: Beams per lockstep dispatch in :func:`candidates_beam_search`; bounds
-#: the ``(chunk, n)`` visited bitmap while amortising the kernel calls.
+#: the live per-beam state while amortising the kernel calls.
 _BEAM_CHUNK = 64
 
 
@@ -148,7 +148,7 @@ def candidates_beam_search(pool_size: int, budget: int = 96) -> StageFn:
 
     The graph does not change during the stage, so the per-vertex searches
     run in lockstep chunks through :func:`greedy_search_batch`, whose
-    per-beam results are id-identical to serial :func:`greedy_search`.
+    per-beam results do not depend on the chunking.
 
     Requires an initialised graph with edges (e.g. random-regular).
     """

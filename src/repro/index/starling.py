@@ -24,7 +24,7 @@ from repro.distance.kernel import DistanceKernel
 from repro.errors import ConfigurationError, SearchError
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.graph import NavigationGraph
-from repro.index.search import greedy_search, greedy_search_batch
+from repro.index.search import greedy_search_batch
 from repro.index.tiered import TieredParams, TieredStore
 from repro.index.vamana import VamanaIndex, VamanaParams
 from repro.observability import trace_span
@@ -231,89 +231,15 @@ class StarlingIndex(VectorIndex):
         self._insert_fill += 1
         return vertex
 
-    def search(
-        self, query: np.ndarray, k: int, budget: int = 64, admit=None
-    ) -> SearchResult:
-        self._require_built()
-        assert self.device is not None
-        if self.tiered is not None:
-            return self._search_tiered(query, k, budget, admit)
-        device = self.device
-        reads = 0
-        hits = 0
-
-        # Charge through the access return value rather than reading the
-        # device counters before/after: the device is shared, so deltas
-        # would also swallow whatever concurrent searches charged.
-        def charge(vertex: int) -> None:
-            nonlocal reads, hits
-            if device.access(vertex):
-                reads += 1
-            else:
-                hits += 1
-
-        with trace_span(
-            "block-io",
-            blocks=device.n_blocks,
-            layout="shuffled" if self.params.shuffled else "naive",
-        ) as span:
-            result = greedy_search(
-                self.graph,
-                self.vectors,
-                self.kernel,
-                query,
-                k=k,
-                budget=budget,
-                visit_hook=charge,
-                admit=admit,
-            )
-            result.stats.block_reads = reads
-            result.stats.cache_hits = hits
-            span.set(
-                block_reads=result.stats.block_reads,
-                cache_hits=result.stats.cache_hits,
-            )
-        return result
-
-    def _search_tiered(self, query, k: int, budget: int, admit) -> SearchResult:
-        """Traverse resident codes, then rerank top-k' at full precision."""
-        assert self.tiered is not None
-        fetch = max(k * self.tiered.params.rerank_factor, k)
-        with trace_span(
-            "block-io",
-            blocks=self.device.n_blocks,
-            layout="tiered",
-            bits=self.tiered.params.bits,
-            rerank=fetch,
-        ) as span:
-            result = greedy_search(
-                self.graph,
-                self.tiered.decoded,
-                self.kernel,
-                query,
-                k=fetch,
-                budget=budget,
-                admit=admit,
-            )
-            ids, distances, reads, hits = self.tiered.rerank(
-                query, self.kernel, result.ids, k
-            )
-            result.ids = ids
-            result.distances = distances
-            result.stats.block_reads = reads
-            result.stats.cache_hits = hits
-            span.set(block_reads=reads, cache_hits=hits)
-        return result
-
     def search_batch(self, queries, k: int, budget: int = 64, admit=None):
-        """Lockstep batched search over the disk-resident graph.
+        """Lockstep search over the disk-resident graph.
 
-        Ids and distances match :meth:`search` per query.  Block accesses
-        are charged to the shared device in lockstep (interleaved) order,
-        so per-query ``block_reads``/``cache_hits`` describe this batch's
-        cache timeline rather than replaying each query against a cold
-        interleaving — totals are exact, the split is attributed per beam
-        via the visit hook.
+        Ids and distances of a row do not depend on the rest of the batch.
+        Block accesses are charged to the shared device in lockstep
+        (interleaved) order, so per-query ``block_reads``/``cache_hits``
+        describe this batch's cache timeline rather than replaying each
+        query against a cold interleaving — totals are exact, the split is
+        attributed per beam via the visit hook.
         """
         self._require_built()
         assert self.device is not None
@@ -327,6 +253,9 @@ class StarlingIndex(VectorIndex):
         hits = [0] * n_queries
         device = self.device
 
+        # Charge through the access return value rather than reading the
+        # device counters before/after: the device is shared, so deltas
+        # would also swallow whatever concurrent searches charged.
         def charge(beam: int, vertex: int) -> None:
             if device.access(vertex):
                 reads[beam] += 1
@@ -356,7 +285,8 @@ class StarlingIndex(VectorIndex):
         return results
 
     def _search_batch_tiered(self, queries, k: int, budget: int, admit):
-        """Lockstep traversal over codes, then per-query exact rerank.
+        """Lockstep traversal over the resident codes, then per-query exact
+        rerank of the top-k' at full precision.
 
         Rerank reads charge the shared mmap device query by query, so the
         device totals are exact for the batch and each query's counters

@@ -4,7 +4,9 @@ A single trace answers "where did *this* query's time go"; the
 :class:`ProfileAggregator` answers the aggregate question across many
 queries (or across the build phases of many indexes): for every span
 *path* — the semicolon-joined chain of span names from the root, e.g.
-``query;retrieval;index-search;beam-search`` — it accumulates call count,
+``query;retrieval;index-search;beam-search`` (``beam-search`` is the one
+graph-traversal span at every batch width; it carries ``queries=``) — it
+accumulates call count,
 cumulative time, and a reservoir-sampled distribution of *self* time
 (duration minus children), reporting total/mean/p95.  Exposed live at
 ``GET /profile`` over the tracer's retained traces and offline via

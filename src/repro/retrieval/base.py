@@ -22,27 +22,13 @@ ObjectFilter = Callable[[int], bool]
 
 
 def search_capabilities(index: VectorIndex) -> Set[str]:
-    """The optional keyword arguments ``index.search`` accepts.
+    """The optional keyword arguments ``index.search_batch`` accepts
+    (``index.search`` forwards to it).
 
     Frameworks use this to decide whether per-query kernels, pruning, or
     result filters can be pushed into the traversal or need a fallback.
     """
-    return set(inspect.signature(index.search).parameters)
-
-
-def search_batch_capabilities(index: VectorIndex) -> Set[str]:
-    """The optional keyword arguments ``index.search_batch`` accepts.
-
-    The base-class default forwards ``**kwargs`` to :meth:`search`, so when
-    a var-keyword parameter is present the serial capabilities apply too.
-    """
-    parameters = inspect.signature(index.search_batch).parameters
-    names = set(parameters)
-    if any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    ):
-        names |= search_capabilities(index)
-    return names
+    return set(inspect.signature(index.search_batch).parameters)
 
 
 @dataclass
@@ -105,7 +91,8 @@ class RetrievalResponse:
 
 
 class RetrievalFramework(abc.ABC):
-    """Lifecycle: ``setup`` once over a knowledge base, then ``retrieve``.
+    """Lifecycle: ``setup`` once over a knowledge base, then ``retrieve``
+    / ``retrieve_batch``.
 
     Subclasses store whatever index structures they need during setup; the
     base class only tracks common bookkeeping.
@@ -150,21 +137,24 @@ class RetrievalFramework(abc.ABC):
                 accept and ignore them so callers can pass uniformly.
         """
 
+    def retrieve(
+        self, query: RawQuery, k: int, budget: int = 64, **kwargs
+    ) -> RetrievalResponse:
+        """Return the top-``k`` objects for ``query``: a batch of one."""
+        return self.retrieve_batch([query], k, budget=budget, **kwargs)[0]
+
     @abc.abstractmethod
-    def retrieve(self, query: RawQuery, k: int, budget: int = 64) -> RetrievalResponse:
-        """Return the top-``k`` objects for ``query``."""
-
     def retrieve_batch(
-        self, queries: Sequence[RawQuery], k: int, budget: int = 64, **kwargs
+        self, queries: Sequence[RawQuery], k: int, budget: int = 64
     ) -> List[RetrievalResponse]:
-        """Top-``k`` for every query; element ``i`` matches
-        ``retrieve(queries[i], ...)`` exactly (same ids, same scores).
+        """Top-``k`` for every query; results in input order.
 
-        Keyword arguments (``filter_fn``, ``weights``, ...) apply to the
-        whole batch.  The default loops; the concrete frameworks override
-        this to share encode and index dispatches across the batch.
+        The one retrieval body of a framework: encode and index dispatches
+        are shared across the batch, and element ``i`` does not depend on
+        the rest of it (same ids, same scores as a batch of that query
+        alone).  Concrete frameworks add optional keywords (``filter_fn``,
+        ``weights``, ...), which apply to the whole batch.
         """
-        return [self.retrieve(query, k, budget=budget, **kwargs) for query in queries]
 
     def add_object(self, obj) -> int:
         """Index one newly ingested object; returns its index id.

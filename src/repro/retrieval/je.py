@@ -85,42 +85,6 @@ class JointEmbeddingRetrieval(RetrievalFramework):
             )
         return self._index.add(self._fuse(self.encoder_set.encode_object(obj)))
 
-    def retrieve(
-        self,
-        query: RawQuery,
-        k: int,
-        budget: int = 64,
-        filter_fn=None,
-    ) -> RetrievalResponse:
-        self._require_ready()
-        assert self.encoder_set is not None and self._index is not None
-        if k <= 0:
-            raise RetrievalError(f"k must be positive, got {k}")
-        with trace_span("encode"), cost_stage("encode"):
-            query_vectors = self.encoder_set.encode_query(query)
-            joint_query = self._fuse(query_vectors)
-        filter_fn = self._compose_filter(filter_fn)
-        with trace_span(
-            "index-search", k=k, budget=budget
-        ) as span, cost_stage("search"):
-            if filter_fn is not None:
-                outcome = self._index.search(
-                    joint_query, k=k, budget=budget, admit=filter_fn
-                )
-            else:
-                outcome = self._index.search(joint_query, k=k, budget=budget)
-            span.set(
-                hops=outcome.stats.hops,
-                distance_evaluations=outcome.stats.distance_evaluations,
-            )
-        items = [
-            RetrievedItem(object_id=object_id, score=distance, rank=rank)
-            for rank, (object_id, distance) in enumerate(
-                zip(outcome.ids, outcome.distances)
-            )
-        ]
-        return RetrievalResponse(framework=self.name, items=items, stats=outcome.stats)
-
     def retrieve_batch(
         self,
         queries: Sequence[RawQuery],
@@ -128,8 +92,9 @@ class JointEmbeddingRetrieval(RetrievalFramework):
         budget: int = 64,
         filter_fn=None,
     ) -> List[RetrievalResponse]:
-        """Batched :meth:`retrieve`: queries are fused per-query (the exact
-        serial floats), stacked, and resolved with one ``search_batch``."""
+        """Queries are fused into the joint space one by one, stacked, and
+        resolved with one ``search_batch``; ``filter_fn`` restricts results
+        to object ids satisfying the predicate."""
         self._require_ready()
         assert self.encoder_set is not None and self._index is not None
         if k <= 0:

@@ -90,88 +90,6 @@ class MultiStreamedRetrieval(RetrievalFramework):
             new_id = self._indexes[modality].add(vector)
         return new_id
 
-    def retrieve(
-        self,
-        query: RawQuery,
-        k: int,
-        budget: int = 64,
-        filter_fn=None,
-        weights: "Dict[Modality, float] | None" = None,
-    ) -> RetrievalResponse:
-        """Top-``k`` retrieval; per-query ``weights`` scale each stream's
-        contribution at fusion time (weighted RRF/CombSUM) — the best MR
-        can do with modality importances, since each stream has already
-        searched blind by the time weights can act."""
-        self._require_ready()
-        assert self.encoder_set is not None
-        if k <= 0:
-            raise RetrievalError(f"k must be positive, got {k}")
-        with trace_span("encode"), cost_stage("encode"):
-            query_vectors = self.encoder_set.encode_query_full(query)
-        filter_fn = self._compose_filter(filter_fn)
-        parsed_weights = None
-        if weights is not None:
-            parsed_weights = {Modality.parse(m): float(w) for m, w in weights.items()}
-
-        rankings: List[List[int]] = []
-        distances: List[List[float]] = []
-        per_modality: Dict[Modality, List[int]] = {}
-        per_modality_distances: Dict[Modality, List[float]] = {}
-        stats = SearchStats()
-        fetch = self.expansion * k
-        for modality, vector in query_vectors.items():
-            index = self._indexes.get(modality)
-            if index is None:
-                raise RetrievalError(
-                    f"MR has no index for query modality {modality.value!r}"
-                )
-            with trace_span(
-                "index-search", modality=modality.value, k=fetch,
-                budget=max(budget, fetch),
-            ) as span, cost_stage("search"):
-                if filter_fn is not None:
-                    outcome = index.search(
-                        vector, k=fetch, budget=max(budget, fetch), admit=filter_fn
-                    )
-                else:
-                    outcome = index.search(vector, k=fetch, budget=max(budget, fetch))
-                span.set(
-                    hops=outcome.stats.hops,
-                    distance_evaluations=outcome.stats.distance_evaluations,
-                )
-            rankings.append(outcome.ids)
-            distances.append(outcome.distances)
-            per_modality[modality] = list(outcome.ids)
-            per_modality_distances[modality] = [float(d) for d in outcome.distances]
-            stats.merge(outcome.stats)
-
-        stream_weights = None
-        if parsed_weights is not None:
-            stream_weights = [
-                parsed_weights.get(modality, 1.0) for modality in per_modality
-            ]
-        with trace_span(
-            "fusion", strategy=self.fusion.value, streams=len(rankings)
-        ), cost_stage("fuse"):
-            fused = fuse_rankings(
-                rankings,
-                distances,
-                k,
-                strategy=self.fusion,
-                stream_weights=stream_weights,
-            )
-        items = [
-            RetrievedItem(object_id=object_id, score=score, rank=rank)
-            for rank, (object_id, score) in enumerate(fused)
-        ]
-        return RetrievalResponse(
-            framework=self.name,
-            items=items,
-            stats=stats,
-            per_modality_ids=per_modality,
-            per_modality_distances=per_modality_distances,
-        )
-
     def retrieve_batch(
         self,
         queries: Sequence[RawQuery],
@@ -180,11 +98,14 @@ class MultiStreamedRetrieval(RetrievalFramework):
         filter_fn=None,
         weights: "Dict[Modality, float] | None" = None,
     ) -> List[RetrievalResponse]:
-        """Batched :meth:`retrieve`: one ``search_batch`` per modality
-        stream over the queries that carry that modality, then per-query
-        rank fusion.  Every stream row is bit-identical to the serial
-        search, and fusion consumes identical inputs — so each response
-        matches the serial one exactly."""
+        """One ``search_batch`` per modality stream over the queries that
+        carry that modality, then per-query rank fusion.
+
+        Per-call ``weights`` scale each stream's contribution at fusion
+        time (weighted RRF/CombSUM) — the best MR can do with modality
+        importances, since each stream has already searched blind by the
+        time weights can act.  ``filter_fn`` restricts results to object
+        ids satisfying the predicate."""
         self._require_ready()
         assert self.encoder_set is not None
         if k <= 0:

@@ -29,7 +29,6 @@ from repro.retrieval.base import (
     RetrievalFramework,
     RetrievalResponse,
     RetrievedItem,
-    search_batch_capabilities,
     search_capabilities,
 )
 
@@ -49,6 +48,8 @@ class MustRetrieval(RetrievalFramework):
         super().__init__()
         self.use_pruning = use_pruning
         self._index: Optional[VectorIndex] = None
+        # What the index's search_batch accepts, read once at setup.
+        self._capabilities: frozenset = frozenset()
         self._schema: Optional[MultiVectorSchema] = None
         self._kernel: Optional[WeightedMultiVectorKernel] = None
 
@@ -81,6 +82,7 @@ class MustRetrieval(RetrievalFramework):
         index = index_builder()
         index.build(matrix, kernel)
         self._index = index
+        self._capabilities = frozenset(search_capabilities(index))
         self._schema = schema
         self._kernel = kernel
         self.kb = kb
@@ -100,92 +102,6 @@ class MustRetrieval(RetrievalFramework):
         vectors = self.encoder_set.encode_object(obj)
         return self._index.add(self._schema.concat(vectors))
 
-    def retrieve(
-        self,
-        query: RawQuery,
-        k: int,
-        budget: int = 64,
-        weights: "Dict[Modality, float] | None" = None,
-        filter_fn: "ObjectFilter | None" = None,
-    ) -> RetrievalResponse:
-        """Top-``k`` retrieval.
-
-        ``weights`` re-weights modalities for this query only ("modality
-        weights at the query point"): the navigation graph is
-        weight-agnostic structure, so per-query weights plug straight into
-        the traversal when the index supports a kernel override, and are
-        applied by re-ranking an over-fetched candidate set otherwise.
-
-        ``filter_fn`` restricts results to object ids satisfying the
-        predicate (metadata-filtered vector search); graph traversal still
-        flows through non-matching vertices.
-        """
-        self._require_ready()
-        assert self.encoder_set is not None
-        assert self._index is not None and self._schema is not None
-        assert self._kernel is not None
-        if k <= 0:
-            raise RetrievalError(f"k must be positive, got {k}")
-        with trace_span("encode"), cost_stage("encode"):
-            query_vectors = self.encoder_set.encode_query_full(query)
-            concatenated = self._schema.concat(query_vectors)
-        override = None
-        if weights is not None:
-            with trace_span("weight-inference", modalities=len(weights)):
-                override = self._kernel.with_weights(weights)
-        filter_fn = self._compose_filter(filter_fn)
-
-        capabilities = search_capabilities(self._index)
-        kwargs = {}
-        if "use_pruning" in capabilities:
-            kwargs["use_pruning"] = self.use_pruning
-        push_kernel = override is not None and "kernel" in capabilities
-        if push_kernel:
-            kwargs["kernel"] = override
-        push_filter = filter_fn is not None and "admit" in capabilities
-        if push_filter:
-            kwargs["admit"] = filter_fn
-
-        rerank = override is not None and not push_kernel
-        post_filter = filter_fn is not None and not push_filter
-        fetch = k
-        if rerank or post_filter:
-            fetch = max(4 * k, k)
-        with trace_span(
-            "index-search", k=fetch, budget=budget
-        ) as span, cost_stage("search"):
-            outcome = self._index.search(concatenated, k=fetch, budget=budget, **kwargs)
-            span.set(
-                hops=outcome.stats.hops,
-                distance_evaluations=outcome.stats.distance_evaluations,
-            )
-        if post_filter:
-            keep = [i for i, object_id in enumerate(outcome.ids) if filter_fn(object_id)]
-            outcome.ids = [outcome.ids[i] for i in keep]
-            outcome.distances = [outcome.distances[i] for i in keep]
-        if rerank and outcome.ids:
-            with trace_span(
-                "rerank", candidates=len(outcome.ids)
-            ), cost_stage("fuse"):
-                rescored = override.batch(
-                    concatenated, self._index.vectors[outcome.ids]
-                )
-                # kind="stable" preserves candidate order on score ties,
-                # exactly like the sorted(..., key=...) this replaces.
-                order = np.argsort(rescored, kind="stable")
-                outcome.ids = [outcome.ids[i] for i in order]
-                outcome.distances = [float(rescored[i]) for i in order]
-        outcome.ids = outcome.ids[:k]
-        outcome.distances = outcome.distances[:k]
-
-        items = [
-            RetrievedItem(object_id=object_id, score=distance, rank=rank)
-            for rank, (object_id, distance) in enumerate(
-                zip(outcome.ids, outcome.distances)
-            )
-        ]
-        return RetrievalResponse(framework=self.name, items=items, stats=outcome.stats)
-
     def retrieve_batch(
         self,
         queries: Sequence[RawQuery],
@@ -194,11 +110,20 @@ class MustRetrieval(RetrievalFramework):
         weights: "Dict[Modality, float] | None" = None,
         filter_fn: "ObjectFilter | None" = None,
     ) -> List[RetrievalResponse]:
-        """Batched :meth:`retrieve`: the whole batch is concatenated under
-        one schema and resolved by a single lockstep graph traversal, with
-        the same kernel-override / rerank / post-filter decisions as the
-        serial path (reranks stay per-query — they already operate on a
-        short candidate list)."""
+        """The whole batch is concatenated under one schema and resolved by
+        a single lockstep graph traversal.
+
+        ``weights`` re-weights modalities for this call only ("modality
+        weights at the query point"): the navigation graph is
+        weight-agnostic structure, so per-call weights plug straight into
+        the traversal when the index supports a kernel override, and are
+        applied by re-ranking an over-fetched candidate set otherwise
+        (per query — the candidate list is short).
+
+        ``filter_fn`` restricts results to object ids satisfying the
+        predicate (metadata-filtered vector search); graph traversal still
+        flows through non-matching vertices.
+        """
         self._require_ready()
         assert self.encoder_set is not None
         assert self._index is not None and self._schema is not None
@@ -222,7 +147,7 @@ class MustRetrieval(RetrievalFramework):
                 override = self._kernel.with_weights(weights)
         filter_fn = self._compose_filter(filter_fn)
 
-        capabilities = search_batch_capabilities(self._index)
+        capabilities = self._capabilities
         kwargs = {}
         if "use_pruning" in capabilities:
             kwargs["use_pruning"] = self.use_pruning
@@ -266,6 +191,7 @@ class MustRetrieval(RetrievalFramework):
                     rescored = override.batch(
                         concatenated[position], self._index.vectors[outcome.ids]
                     )
+                    # kind="stable" preserves candidate order on score ties.
                     order = np.argsort(rescored, kind="stable")
                     outcome.ids = [outcome.ids[i] for i in order]
                     outcome.distances = [float(rescored[i]) for i in order]

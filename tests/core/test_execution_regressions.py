@@ -36,7 +36,8 @@ class AnnotatedItem(RetrievedItem):
 
 
 class StubFramework(RetrievalFramework):
-    """Minimal framework with controllable retrieve behaviour."""
+    """Minimal framework with controllable retrieve behaviour
+    (``retrieve`` is a batch of one through ``retrieve_batch``)."""
 
     name = "stub"
 
@@ -50,18 +51,21 @@ class StubFramework(RetrievalFramework):
     def setup(self, kb, encoder_set, index_builder, weights=None):
         raise NotImplementedError
 
-    def retrieve(self, query, k, budget=64, weights=None, filter_fn=None):
-        self.calls += 1
+    def retrieve_batch(self, queries, k, budget=64, weights=None, filter_fn=None):
+        self.calls += len(queries)
         if self._internal_error is not None:
             raise self._internal_error
-        return RetrievalResponse(
-            framework=self.name,
-            items=[
-                type(item)(**vars(item))
-                for item in self._items[:k]
-            ],
-            stats=SearchStats(hops=3, distance_evaluations=17),
-        )
+        return [
+            RetrievalResponse(
+                framework=self.name,
+                items=[
+                    type(item)(**vars(item))
+                    for item in self._items[:k]
+                ],
+                stats=SearchStats(hops=3, distance_evaluations=17),
+            )
+            for _ in queries
+        ]
 
 
 class WeightlessFramework(StubFramework):
@@ -69,9 +73,9 @@ class WeightlessFramework(StubFramework):
 
     name = "weightless"
 
-    def retrieve(self, query, k, budget=64, filter_fn=None):  # no weights
-        self.calls += 1
-        return RetrievalResponse(framework=self.name, items=[])
+    def retrieve_batch(self, queries, k, budget=64, filter_fn=None):  # no weights
+        self.calls += len(queries)
+        return [RetrievalResponse(framework=self.name, items=[]) for _ in queries]
 
 
 class TestTypeErrorPropagation:
@@ -97,9 +101,12 @@ class TestTypeErrorPropagation:
 
     def test_missing_filter_capability_rejected(self):
         class Unfilterable(StubFramework):
-            def retrieve(self, query, k, budget=64):
-                self.calls += 1
-                return RetrievalResponse(framework=self.name, items=[])
+            def retrieve_batch(self, queries, k, budget=64):
+                self.calls += len(queries)
+                return [
+                    RetrievalResponse(framework=self.name, items=[])
+                    for _ in queries
+                ]
 
         execution = QueryExecution(Unfilterable())
         with pytest.raises(SearchError, match="filtered retrieval"):
@@ -109,15 +116,52 @@ class TestTypeErrorPropagation:
 
     def test_var_keyword_framework_accepts_weights(self):
         class Kwargs(StubFramework):
-            def retrieve(self, query, k, budget=64, **kwargs):
-                self.calls += 1
-                return RetrievalResponse(framework=self.name, items=[])
+            def retrieve_batch(self, queries, k, budget=64, **kwargs):
+                self.calls += len(queries)
+                return [
+                    RetrievalResponse(framework=self.name, items=[])
+                    for _ in queries
+                ]
 
         execution = QueryExecution(Kwargs())
         response = execution.execute(
             RawQuery.from_text("q"), k=3, weights={"text": 1.0}
         )
         assert response.framework == "stub"
+
+
+class TestRealFrameworkCapabilities:
+    """Capabilities are read off ``retrieve_batch``, the one body a
+    framework defines — the base-class ``retrieve`` forwards ``**kwargs``
+    and would make every framework look like it accepts everything."""
+
+    @pytest.fixture(scope="class")
+    def frameworks(self, scenes_kb, clip_set):
+        from repro.index import build_index
+        from repro.retrieval import build_framework
+
+        built = {}
+        for name in ("mr", "je", "must"):
+            framework = build_framework(name, {})
+            framework.setup(scenes_kb, clip_set, lambda: build_index("flat", {}))
+            built[name] = framework
+        return built
+
+    def test_declared_capabilities(self, frameworks):
+        assert QueryExecution(frameworks["must"]).capabilities >= {"weights", "filter_fn"}
+        assert QueryExecution(frameworks["mr"]).capabilities >= {"weights", "filter_fn"}
+        je = QueryExecution(frameworks["je"]).capabilities
+        assert "filter_fn" in je and "weights" not in je
+
+    def test_je_rejects_per_query_weights(self, frameworks):
+        query = RawQuery.from_text("foggy clouds")
+        for execute in (
+            lambda e: e.execute(query, k=3, weights={"text": 2.0}),
+            lambda e: e.execute_batch([query], k=3, weights={"text": 2.0}),
+        ):
+            with pytest.raises(SearchError, match="per-query modality weights"):
+                execute(QueryExecution(frameworks["je"]))
+        assert QueryExecution(frameworks["je"]).execute(query, k=3).ids
 
 
 class TestCacheHitCopy:

@@ -18,7 +18,7 @@ class ExplodingIndex(VectorIndex):
     def build(self, vectors, kernel):
         raise GraphConstructionError("injected build failure")
 
-    def search(self, query, k, budget=64):  # pragma: no cover - never built
+    def search_batch(self, queries, k, budget=64):  # pragma: no cover - never built
         raise AssertionError("unreachable")
 
 

@@ -40,6 +40,31 @@ class TestPersistence:
             restored = loaded.search(query, k=5, budget=32)
             assert original.ids == restored.ids
 
+    def test_loaded_index_takes_the_built_index_path(
+        self, built_vamana, queries, tmp_path_factory
+    ):
+        """A restored index answers batches through the very
+        ``search_batch`` the index it was saved from uses: same rows, same
+        keyword surface, same override-kernel check."""
+        from repro.errors import SearchError
+        from repro.index.pipeline_builder import PipelineGraphIndex
+        from repro.retrieval import search_capabilities
+
+        loaded = load_index(save_index(built_vamana, tmp_path_factory.mktemp("idx")))
+        assert type(loaded).search_batch is PipelineGraphIndex.search_batch
+        assert search_capabilities(loaded) == search_capabilities(built_vamana)
+        admit = [None, lambda i: i % 2 == 0] * 5
+        for kwargs in ({}, {"admit": admit}, {"use_pruning": True}):
+            original = built_vamana.search_batch(queries, k=5, budget=32, **kwargs)
+            restored = loaded.search_batch(queries, k=5, budget=32, **kwargs)
+            assert len(restored) == len(queries)
+            for left, right in zip(original, restored):
+                assert left.ids == right.ids
+                assert left.distances == right.distances
+                assert left.stats == right.stats
+        with pytest.raises(SearchError, match="override kernel dim 8"):
+            loaded.search(queries[0], k=5, kernel=SingleVectorKernel(8))
+
     def test_kernel_restored(self, built_vamana, tmp_path_factory):
         directory = tmp_path_factory.mktemp("idx")
         save_index(built_vamana, directory)

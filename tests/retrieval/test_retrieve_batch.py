@@ -1,12 +1,15 @@
-"""Property tests: ``retrieve_batch`` equals per-query serial ``retrieve``.
+"""Property tests: a ``retrieve_batch`` response does not depend on its batch.
 
-Covers all three frameworks over the shared scenes system: MR (per-stream
-batched searches + per-query fusion), JE (one fused batched search), and
-MUST (one lockstep traversal of the unified graph, with per-query rerank
-and post-filter paths).  Hypothesis draws query subsets up to the batch
-cap, per-call modality weights, and result filters; every response must
-carry identical ids, bit-identical scores, and identical search-work
-counters to the serial loop.
+``retrieve_batch`` is the only retrieval body a framework has
+(``retrieve`` is a batch of one), so the property is batch-composition
+independence: element ``i`` of a B=N call equals the B=1 call for that
+query.  Covers all three frameworks over the shared scenes system: MR
+(per-stream batched searches + per-query fusion), JE (one fused batched
+search), and MUST (one lockstep traversal of the unified graph, with
+per-query rerank and post-filter paths).  Hypothesis draws query subsets
+up to the batch cap, per-call modality weights, and result filters; every
+response must carry identical ids, bit-identical scores, and identical
+search-work counters to the query retrieved alone.
 """
 
 from __future__ import annotations
@@ -48,16 +51,14 @@ def _filter_fn(modulus):
     return lambda object_id: object_id % modulus != 0
 
 
-def _assert_equal(framework, queries, batch_kwargs, serial_kwargs):
-    serial = [
-        framework.retrieve(query, k=K, budget=BUDGET, **serial_kwargs)
-        for query in queries
-    ]
-    batched = framework.retrieve_batch(
-        queries, k=K, budget=BUDGET, **batch_kwargs
-    )
-    assert len(batched) == len(serial)
-    for position, (left, right) in enumerate(zip(serial, batched)):
+def _assert_equal(framework, queries, kwargs):
+    alone = []
+    for query in queries:
+        (response,) = framework.retrieve_batch([query], k=K, budget=BUDGET, **kwargs)
+        alone.append(response)
+    batched = framework.retrieve_batch(queries, k=K, budget=BUDGET, **kwargs)
+    assert len(batched) == len(alone)
+    for position, (left, right) in enumerate(zip(alone, batched)):
         assert left.ids == right.ids, f"query {position} ids diverged"
         left_scores = np.asarray([item.score for item in left.items])
         right_scores = np.asarray([item.score for item in right.items])
@@ -90,7 +91,7 @@ def test_mr_retrieve_batch_matches_serial(mr, scenes_kb, data):
         kwargs["weights"] = weights
     if modulus is not None:
         kwargs["filter_fn"] = _filter_fn(modulus)
-    _assert_equal(mr, [pool[p] for p in positions], kwargs, kwargs)
+    _assert_equal(mr, [pool[p] for p in positions], kwargs)
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
@@ -108,7 +109,7 @@ def test_je_retrieve_batch_matches_serial(je, scenes_kb, data):
     kwargs = {}
     if modulus is not None:
         kwargs["filter_fn"] = _filter_fn(modulus)
-    _assert_equal(je, [pool[p] for p in positions], kwargs, kwargs)
+    _assert_equal(je, [pool[p] for p in positions], kwargs)
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
@@ -129,9 +130,15 @@ def test_must_retrieve_batch_matches_serial(must, scenes_kb, data):
         kwargs["weights"] = weights
     if modulus is not None:
         kwargs["filter_fn"] = _filter_fn(modulus)
-    _assert_equal(must, [pool[p] for p in positions], kwargs, kwargs)
+    _assert_equal(must, [pool[p] for p in positions], kwargs)
 
 
-def test_retrieve_batch_empty_and_default_loop(mr, je, must):
+def test_retrieve_batch_empty_and_retrieve_is_a_batch_of_one(mr, je, must, scenes_kb):
+    query = _queries_for(scenes_kb)[1]
     for framework in (mr, je, must):
         assert framework.retrieve_batch([], k=K) == []
+        single = framework.retrieve(query, k=K, budget=BUDGET)
+        (batched,) = framework.retrieve_batch([query], k=K, budget=BUDGET)
+        assert single.ids == batched.ids
+        assert [i.score for i in single.items] == [i.score for i in batched.items]
+        assert single.stats == batched.stats

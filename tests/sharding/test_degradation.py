@@ -28,7 +28,6 @@ def _break_shard(router, shard_index):
         raise RetrievalError("injected shard outage")
 
     for replica in router.groups[shard_index].replicas:
-        replica.search = boom
         replica.search_batch = boom
 
 
@@ -81,7 +80,7 @@ class TestPartialResults:
         def boom(*args, **kwargs):
             raise RetrievalError("replica down")
 
-        router.groups[0].replicas[0].search = boom
+        router.groups[0].replicas[0].search_batch = boom
         query = query_pool(scenes_kb)[0]
         first = router.retrieve(query, k=K, budget=BUDGET)
         assert first.degraded_reasons  # the bad replica answered first
@@ -131,7 +130,7 @@ class TestBreakerSites:
             raise RetrievalError("injected shard outage")
 
         for replica in router.groups[0].replicas:
-            replica.search = boom
+            replica.search_batch = boom
         query = query_pool(scenes_kb)[0]
         for _ in range(5):
             router.retrieve(query, k=K, budget=BUDGET)

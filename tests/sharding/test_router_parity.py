@@ -3,7 +3,8 @@
 Three layers of guarantee, each pinned here:
 
 * ``shards=1`` — the router is a pure pass-through, so responses are
-  *bit-identical* (same scores, same stats, same response fields).
+  *bit-identical* (same scores, same stats, same response fields) at any
+  batch width: ``retrieve`` is ``retrieve_batch`` with one query.
 * ``shards>1`` — result ids are identical for every framework and every
   index type (scores may differ in the last ulps because per-shard BLAS
   reductions accumulate in a different order — see conftest).
@@ -77,18 +78,24 @@ class TestPassthroughBitIdentity:
             assert actual.degraded_reasons == []
 
     def test_batch_is_bit_identical_too(self, scenes_kb, clip_set):
+        """The one pass-through body serves any batch width: a B=N row is
+        the inner framework's row, and the query routed alone."""
         plain = baseline(scenes_kb, clip_set, "must", "flat")
         router = make_router(scenes_kb, clip_set, shards=1)
         queries = query_pool(scenes_kb)
         expected = plain.retrieve_batch(queries, k=K, budget=BUDGET)
         actual = router.retrieve_batch(queries, k=K, budget=BUDGET)
-        for left, right in zip(actual, expected):
-            assert [i.object_id for i in left.items] == [
-                i.object_id for i in right.items
-            ]
-            assert [i.score for i in left.items] == [
-                i.score for i in right.items
-            ]
+        assert len(actual) == len(queries)
+        for query, left, right in zip(queries, actual, expected):
+            (alone,) = router.retrieve_batch([query], k=K, budget=BUDGET)
+            for other in (right, alone):
+                assert [i.object_id for i in left.items] == [
+                    i.object_id for i in other.items
+                ]
+                assert [i.score for i in left.items] == [
+                    i.score for i in other.items
+                ]
+                assert left.stats == other.stats
 
 
 class TestShardedIdIdentity:
@@ -132,14 +139,20 @@ class TestShardedIdIdentity:
             )
 
     def test_batch_matches_serial_scatter(self, scenes_kb, clip_set):
+        """A scattered B=N row equals that query scattered alone — ids,
+        scores and merged work counters (same shards, same merge)."""
         router = make_router(scenes_kb, clip_set, shards=3)
         queries = query_pool(scenes_kb)
         batched = router.retrieve_batch(queries, k=K, budget=BUDGET)
         for query, response in zip(queries, batched):
-            serial = router.retrieve(query, k=K, budget=BUDGET)
+            alone = router.retrieve(query, k=K, budget=BUDGET)
             assert [i.object_id for i in response.items] == [
-                i.object_id for i in serial.items
+                i.object_id for i in alone.items
             ]
+            assert [i.score for i in response.items] == [
+                i.score for i in alone.items
+            ]
+            assert response.stats == alone.stats
 
     def test_replicas_never_change_results(self, scenes_kb, clip_set):
         """Round-robin replica selection is invisible in the answers."""

@@ -196,6 +196,29 @@ class TestCapabilityMirroring:
         ):
             router.retrieve(query, k=K, budget=BUDGET, weights={"text": 2.0})
 
+    def test_fanout_is_a_router_only_capability(self, scenes_kb, clip_set):
+        """``fanout`` reaches the one scatter body — batches included, where
+        the planner's degraded mode used to be dropped — and only the
+        router declares it."""
+        from repro.core.execution import QueryExecution
+
+        router = make_router(scenes_kb, clip_set, shards=3)
+        queries = query_pool(scenes_kb, count=3)
+        reason = "fanout limited to 1/3 shards (planner)"
+        first_shard = set(router.groups[0].live_global_ids())
+        limited = router.retrieve_batch(queries, k=K, budget=BUDGET, fanout=1)
+        for query, response in zip(queries, limited):
+            assert response.degraded_reasons == [reason]
+            assert set(response.ids) <= first_shard
+            alone = router.retrieve(query, k=K, budget=BUDGET, fanout=1)
+            assert alone.ids == response.ids
+            assert alone.degraded_reasons == [reason]
+        full = router.retrieve_batch(queries, k=K, budget=BUDGET, fanout=3)
+        assert all(response.degraded_reasons == [] for response in full)
+        assert "fanout" in QueryExecution(router).capabilities
+        inner = router.groups[0].replicas[0].framework
+        assert "fanout" not in QueryExecution(inner).capabilities
+
     def test_nonpositive_k_is_rejected(self, scenes_kb, clip_set):
         router = make_router(scenes_kb, clip_set, shards=2)
         with pytest.raises(RetrievalError, match="k must be positive"):

@@ -1,0 +1,44 @@
+"""Structural gate: serial is a batch of one, by construction.
+
+``VectorIndex.search`` and ``RetrievalFramework.retrieve`` are concrete
+one-liners over ``search_batch`` / ``retrieve_batch``.  No subclass
+anywhere under ``repro`` may define its own ``search`` / ``retrieve`` —
+a second body is a second behaviour to keep in step by hand.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import repro
+from repro.index.base import VectorIndex
+from repro.retrieval.base import RetrievalFramework
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("repro."):
+            yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize(
+    "base, single, batch",
+    [(VectorIndex, "search", "search_batch"),
+     (RetrievalFramework, "retrieve", "retrieve_batch")],
+)
+def test_only_the_base_class_defines_the_single_query_form(base, single, batch):
+    for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        importlib.import_module(name)  # so every subclass is registered
+    subclasses = sorted(set(_subclasses(base)), key=lambda c: c.__qualname__)
+    assert len(subclasses) >= 4, "the package walk lost the concrete classes"
+    offenders = [c.__qualname__ for c in subclasses if single in vars(c)]
+    assert not offenders, f"{offenders} define {single}(); implement {batch}() only"
+    assert batch in base.__abstractmethods__
+    assert single not in base.__abstractmethods__
+    for cls in subclasses:
+        assert getattr(cls, single) is getattr(base, single)
+        if not inspect.isabstract(cls):
+            assert getattr(cls, batch) is not getattr(base, batch)
