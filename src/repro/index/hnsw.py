@@ -1,18 +1,31 @@
 """Hierarchical Navigable Small World graphs (Malkov & Yashunin).
 
-A faithful, pure-Python HNSW: exponentially-distributed layer assignment,
-greedy descent through the upper layers, beam search with the
-``select_neighbors_heuristic`` diversification rule at the insertion layer,
-and bidirectional edge insertion with degree-bounded re-pruning.
+What is kept from the paper: exponentially-distributed layer assignment
+from one seeded stream, the ``select_neighbors_heuristic`` diversification
+rule (Algorithm 4) on every layer a node joins, and bidirectional edge
+insertion with degree-bounded re-pruning, in insertion order.
 
-Insertion cost is kernel *dispatches*, not arithmetic, so each insert-layer
-issues a fixed handful of them: the new node is appended to every selected
-neighbour's row, and all rows that overflow the degree cap are re-selected
-together by :meth:`HnswIndex._reselect_rows` — one gather, one
-``kernel.batch_paired``, one ``(distance, id)`` lexsort, one stacked
-``kernel.matrix`` and :func:`select_heuristic_rows`, which runs the
-Algorithm-4 occlusion rule across all rows at once.  Given the same
-distances it makes the decisions a row-by-row re-prune would.
+Where a new node's candidates come from depends on how it arrives, and
+nothing else does:
+
+* :meth:`HnswIndex.build` has the whole corpus, so it computes what the
+  insertion beam search only approximates — each member's
+  ``ef_construction`` nearest *earlier* members of the layer — exactly:
+  one blocked GEMM per block of rows to pre-select, ``kernel.batch_paired``
+  to re-score and order (:func:`repro.index.stages.exact_top_k`), and
+  :func:`select_heuristic_rows` over all full-width rows of a block.
+* :meth:`HnswIndex.add` has one vector and a live graph, so it searches:
+  greedy descent through the upper layers, then a beam search per layer.
+
+Both then link through :meth:`HnswIndex._link`: the new node is appended
+to every selected neighbour's row, and all rows that overflow the degree
+cap are re-selected together by :meth:`HnswIndex._reselect_rows` — one
+gather, one ``kernel.batch_paired``, one ``(distance, id)`` lexsort, one
+stacked ``kernel.matrix`` and :func:`select_heuristic_rows`, which runs the
+occlusion rule across all rows at once.  Given the same distances it makes
+the decisions a row-by-row re-prune would.  Either way the cost is kernel
+*dispatches*, not arithmetic: a handful per block in ``build``, a handful
+per insert-layer plus the search in ``add``.
 """
 
 from __future__ import annotations
@@ -29,6 +42,7 @@ from repro.errors import GraphConstructionError, SearchError
 from repro.index.base import VectorIndex
 from repro.index.graph import NavigationGraph
 from repro.index.search import greedy_search_batch
+from repro.index.stages import block_rows, exact_top_k
 from repro.observability import trace_span
 from repro.utils import derive_rng
 
@@ -39,7 +53,8 @@ class HnswParams:
 
     Attributes:
         m: Target out-degree on upper layers (base layer allows ``2 * m``).
-        ef_construction: Beam width used while inserting.
+        ef_construction: Candidates per new node on each layer: the beam
+            width of ``add``, the exact nearest-earlier count of ``build``.
         seed: Layer-assignment seed.
     """
 
@@ -132,23 +147,120 @@ class HnswIndex(VectorIndex):
         self._buffer = vectors
         self._count = int(vectors.shape[0])
         self._buffer_grows = 0
-        self._layers = []
-        self._node_level = []
-        self._entry = 0
-        self._max_level = -1
 
         rng = derive_rng(self.params.seed, "hnsw-levels")
         level_scale = 1.0 / np.log(self.params.m)
-        with trace_span("hnsw-insert", nodes=int(vectors.shape[0])) as span:
-            for node in range(vectors.shape[0]):
-                level = int(-np.log(max(rng.random(), 1e-12)) * level_scale)
-                self._insert(node, level)
+        self._node_level = [
+            int(-np.log(max(rng.random(), 1e-12)) * level_scale)
+            for _ in range(self._count)
+        ]
+        # Inserting one by one promotes a node to entry point only when it
+        # is strictly taller than every earlier one: the first of max level.
+        self._max_level = max(self._node_level)
+        self._entry = self._node_level.index(self._max_level)
+        self._layers = [{} for _ in range(self._max_level + 1)]
+        levels = np.asarray(self._node_level)
+        with trace_span("hnsw-insert", nodes=self._count) as span:
+            for layer in range(self._max_level, -1, -1):
+                self._build_layer(layer, (levels >= layer).nonzero()[0])
             span.set(layers=self._max_level + 1)
         self._base_graph = None
         self.build_seconds = time.perf_counter() - start
 
+    def _build_layer(self, layer: int, members: np.ndarray) -> None:
+        """Link ``members`` (ascending node ids) into ``layer`` in that order.
+
+        A member's candidates and the Algorithm-4 selection over them depend
+        on nothing the build has linked so far, so both run block by block
+        ahead of the links; only :meth:`_link` is sequential.
+        """
+        ef = self.params.ef_construction
+        m = self.params.m * 2 if layer == 0 else self.params.m
+        count = members.size
+        vectors = self.vectors if count == self._count else self.vectors[members]
+        rows = block_rows(ef, self.kernel.dim)
+        with trace_span(
+            "hnsw-candidates", layer=layer, rows=count, blocks=-(-count // rows)
+        ):
+            ids, distances = self._earlier_neighbors(vectors, rows)
+
+        # Rows narrower than ef keep the single-row form (as does every row
+        # when ef fits the cap and nothing is dropped); the full-width ones
+        # select together, one stacked matrix per chunk.  Either way a row
+        # holds the one int object per member (``nodes``), not the fresh
+        # copies ``tolist`` makes: an edge then costs a pointer.
+        nodes = members.tolist()
+        full_from = min(ef if ef > m else count, count)
+        selected: List[List[int]] = []
+        with trace_span("hnsw-select", layer=layer, rows=count):
+            for p in range(full_from):
+                ranked = [
+                    (distance, nodes[c])
+                    for distance, c in zip(distances[p, :p].tolist(), ids[p, :p].tolist())
+                ]
+                selected.append(self._select_heuristic(ranked, m))
+            for start in range(full_from, count, rows):
+                chunk = ids[start : start + rows]
+                block = vectors[chunk.ravel()].reshape(*chunk.shape, -1)
+                keep = select_heuristic_rows(
+                    distances[start : start + rows], self.kernel.matrix(block, block), m
+                )
+                for row in np.take_along_axis(chunk, keep, axis=1).tolist():
+                    selected.append([nodes[c] for c in row])
+
+        reselected = 0
+        with trace_span("hnsw-link", layer=layer, rows=count) as span:
+            for node, neighbors in zip(nodes, selected):
+                reselected += self._link(layer, node, neighbors, m)
+            span.set(reselected_rows=reselected)
+
+    def _earlier_neighbors(
+        self, vectors: np.ndarray, rows: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each row's ``ef_construction`` nearest *earlier* rows of ``vectors``
+        — exactly the set an insertion's beam search approximates — found
+        ``rows`` rows at a time.
+
+        Returns ``(positions, distances)``, ascending by ``(distance,
+        position)``; row ``p`` has ``min(p, ef_construction)`` candidates, in
+        its leading columns.
+        """
+        count = vectors.shape[0]
+        width = min(self.params.ef_construction, count)
+        positions = np.zeros((count, width), dtype=np.intp)
+        distances = np.full((count, width), np.inf)
+        for start in range(0, count, rows):
+            stop = min(start + rows, count)
+            top, top_distances = exact_top_k(
+                self.kernel, vectors, start, stop, width, earlier_only=True
+            )
+            positions[start:stop, : top.shape[1]] = top
+            distances[start:stop, : top.shape[1]] = top_distances
+        return positions, distances
+
+    def _link(self, layer: int, node: int, neighbors: List[int], m: int) -> int:
+        """Give ``node``, new to ``layer``, the row ``neighbors`` and every
+        neighbour the reverse edge; returns how many rows that re-selected.
+
+        No row holds the node yet, so each neighbour simply gains it, and
+        the rows pushed past the cap (all exactly ``m + 1`` wide) re-select
+        together.  Bulk and incremental construction both link through
+        here; they differ only in where ``neighbors`` came from.
+        """
+        rows = self._layers[layer]
+        rows[node] = neighbors
+        overflowing = []
+        for neighbor in neighbors:
+            row = rows[neighbor]
+            row.append(node)
+            if len(row) > m:
+                overflowing.append(neighbor)
+        if overflowing:
+            self._reselect_rows(layer, overflowing, m)
+        return len(overflowing)
+
     def _neighbors(self, layer: int, node: int) -> List[int]:
-        return self._layers[layer].setdefault(node, [])
+        return self._layers[layer][node]
 
     def _greedy_descend(self, query: np.ndarray, start: int, layer: int) -> int:
         """Walk layer ``layer`` greedily to the local minimum for ``query``."""
@@ -272,16 +384,14 @@ class HnswIndex(VectorIndex):
             rows[owner] = [row[i] for i in picks]
 
     def _insert(self, node: int, level: int) -> None:
+        """Link one new node into a built graph, finding its candidates by
+        search (:meth:`build` finds them exactly instead)."""
         self._node_level.append(level)
         while len(self._layers) <= level:
             self._layers.append({})
+        # A node taller than the graph stays unlinked above the old top.
         for layer in range(level + 1):
-            self._layers[layer].setdefault(node, [])
-
-        if self._max_level < 0:
-            self._entry = node
-            self._max_level = level
-            return
+            self._layers[layer][node] = []
 
         query = self.vectors[node]
         current = self._entry
@@ -294,20 +404,7 @@ class HnswIndex(VectorIndex):
                 query, starts, self.params.ef_construction, layer
             )
             m = self.params.m * 2 if layer == 0 else self.params.m
-            neighbors = self._select_heuristic(candidates, m)
-            rows = self._layers[layer]
-            rows[node] = list(neighbors)
-            # The node is new to this layer, so no row holds it yet: every
-            # selected neighbour gains the reverse edge, and the rows that
-            # push past the cap (all exactly m + 1 wide) re-select together.
-            overflowing = []
-            for neighbor in neighbors:
-                row = rows[neighbor]
-                row.append(node)
-                if len(row) > m:
-                    overflowing.append(neighbor)
-            if overflowing:
-                self._reselect_rows(layer, overflowing, m)
+            self._link(layer, node, self._select_heuristic(candidates, m), m)
             starts = [n for _, n in candidates] or [current]
 
         if level > self._max_level:

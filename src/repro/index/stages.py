@@ -19,7 +19,7 @@ Context keys (set by :func:`repro.index.pipeline_builder.build_navigation_graph`
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -115,23 +115,81 @@ def init_random_regular(max_degree: int, out_degree: int, seed: int = 0) -> Stag
 # ----------------------------------------------------------------------
 # 2. candidate acquisition
 # ----------------------------------------------------------------------
-def candidates_exact_knn(k: int, block_size: int = 512) -> StageFn:
-    """Exact k-nearest-neighbour candidates via blockwise batch distances."""
+#: Bytes one block of candidate rows may gather at once.  Build scratch is
+#: transient, but peak RSS is a high-water mark, so the block size is a
+#: memory decision: the ``(rows, width, dim)`` gather, its scaled copy and
+#: the pairwise stack together stay around a few of these.
+_SCRATCH_BYTES = 640 * 1024
+
+#: Columns pre-selected beyond ``k`` by the GEMM distances in
+#: :func:`exact_top_k`, so their rounding never decides which ``k`` survive
+#: the exact re-scoring.
+_PRESELECT_MARGIN = 8
+
+
+def block_rows(width: int, dim: int) -> int:
+    """Rows per block whose ``(rows, width, dim)`` float64 gather fits
+    :data:`_SCRATCH_BYTES`."""
+    return max(1, _SCRATCH_BYTES // (8 * max(1, width) * dim))
+
+
+def exact_top_k(
+    kernel, vectors: np.ndarray, start: int, stop: int, k: int, earlier_only: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The exact ``k`` nearest rows of ``vectors`` for each row of one block.
+
+    Row ``i`` in ``[start, stop)`` draws its neighbours from every other
+    row, or with ``earlier_only`` from the rows ``j < i`` (what an
+    insertion-ordered build may link to).  One ``kernel.matrix`` over the
+    block — the three-BLAS-call expansion — only *pre-selects*
+    ``k + _PRESELECT_MARGIN`` columns per row; exactly those are re-scored
+    with ``kernel.batch_paired`` and ranked by ``(distance, id)``, so the
+    result carries the bit-stable distances ``kernel.batch`` returns and the
+    GEMM's rounding decides neither membership nor order.
+
+    Returns:
+        ``(ids, distances)``, both ``(stop - start, min(k, columns))``, each
+        row ascending.  A row with fewer than that many eligible
+        neighbours is padded at the end with distance ``inf``.
+    """
+    block = vectors[start:stop]
+    columns = vectors[:stop] if earlier_only else vectors
+    n_rows, n_columns = block.shape[0], columns.shape[0]
+    own = np.arange(start, stop)[:, None]
+    column_ids = np.arange(n_columns)
+    excluded = np.greater_equal if earlier_only else np.equal
+    approximate = kernel.matrix(block, columns)
+    approximate[excluded(column_ids, own)] = np.inf
+    width = min(k + _PRESELECT_MARGIN, n_columns)
+    if width < n_columns:
+        picked = np.argpartition(approximate, width - 1, axis=1)[:, :width]
+    else:
+        picked = np.broadcast_to(column_ids, (n_rows, n_columns))
+    distances = kernel.batch_paired(
+        block, columns[picked.ravel()], np.repeat(np.arange(n_rows), width)
+    ).reshape(n_rows, width)
+    distances[excluded(picked, own)] = np.inf
+    order = np.lexsort((picked, distances))[:, :k]
+    return (
+        np.take_along_axis(picked, order, axis=1),
+        np.take_along_axis(distances, order, axis=1),
+    )
+
+
+def candidates_exact_knn(k: int) -> StageFn:
+    """Exact k-nearest-neighbour candidates, block by block
+    (:func:`exact_top_k`), nearest first with ties broken by id."""
 
     def stage(context: Dict[str, Any]) -> List[List[int]]:
         vectors = _corpus(context)
         kernel = _kernel(context)
-        n = vectors.shape[0]
+        n, dim = vectors.shape
         neighbors_k = min(k, n - 1)
+        rows = block_rows(neighbors_k, dim)
         result: List[List[int]] = []
-        for start in range(0, n, block_size):
-            stop = min(start + block_size, n)
-            for vertex in range(start, stop):
-                distances = kernel.batch(vectors[vertex], vectors)
-                distances[vertex] = np.inf
-                top = np.argpartition(distances, neighbors_k - 1)[:neighbors_k]
-                top = top[np.argsort(distances[top])]
-                result.append([int(t) for t in top])
+        for start in range(0, n, rows):
+            ids, _ = exact_top_k(kernel, vectors, start, min(start + rows, n), neighbors_k)
+            result.extend(ids.tolist())
         return result
 
     return stage

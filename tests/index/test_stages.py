@@ -20,6 +20,7 @@ from repro.index.stages import (
     connect_repair,
     entry_medoid,
     entry_random,
+    exact_top_k,
     init_empty,
     init_random_regular,
     medoid_of,
@@ -70,6 +71,19 @@ class TestCandidateStages:
             assert vertex not in pool
             distances = kernel.batch(small_corpus[vertex], small_corpus[pool])
             assert list(distances) == sorted(distances)
+
+    @pytest.mark.parametrize("k", [5, 200])
+    def test_exact_top_k_matches_brute_force(self, small_corpus, kernel, k):
+        """One block from the middle of the corpus, against a full scan and
+        a Python sort by ``(distance, id)``; ``k = 200`` takes every column,
+        so the row's own (excluded) column pads the end with ``inf``."""
+        ids, distances = exact_top_k(kernel, small_corpus, 30, 50, k)
+        for row, vertex in enumerate(range(30, 50)):
+            scan = kernel.batch(small_corpus[vertex], small_corpus)
+            ranked = sorted((d, j) for j, d in enumerate(scan.tolist()) if j != vertex)[:k]
+            assert ids[row, : len(ranked)].tolist() == [j for _, j in ranked]
+            assert distances[row, : len(ranked)].tolist() == [d for d, _ in ranked]
+            assert np.isinf(distances[row, len(ranked) :]).all()
 
     def test_beam_candidates_exclude_self(self, small_corpus, kernel):
         context = run_context(small_corpus, kernel)
