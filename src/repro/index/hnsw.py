@@ -42,7 +42,7 @@ from repro.errors import GraphConstructionError, SearchError
 from repro.index.base import VectorIndex
 from repro.index.graph import NavigationGraph
 from repro.index.search import greedy_search_batch
-from repro.index.stages import block_rows, exact_top_k
+from repro.index.stages import block_rows, exact_top_k, mrng_rule, occlusion_scan
 from repro.observability import trace_span
 from repro.utils import derive_rng
 
@@ -89,22 +89,12 @@ def select_heuristic_rows(
         one, then — when occlusion leaves a row short — the nearest
         rejected candidates, so every row comes back saturated.
 
-    The occlusion rule is sequential in the candidates but not in the
-    rows, so it runs column by column over all rows: ``W`` steps of a few
-    ``(R, W)`` boolean operations instead of ``R`` Python loops.
+    The occlusion itself is :func:`repro.index.stages.occlusion_scan`
+    under the MRNG predicate, the scan NSG's and Vamana's selection share;
+    what is HNSW's own is the fill-up rank below.
     """
-    n_rows, width = distances.shape
-    # occludes[r, j, o]: candidate j is closer to candidate o than to the
-    # owner, so j is dropped if o was selected before it.
-    occludes = pairwise < distances[:, :, None]
-    selected = np.zeros((n_rows, width), dtype=bool)
-    selected[:, 0] = True
-    count = np.ones(n_rows, dtype=np.intp)
-    for column in range(1, width):
-        keep = ~(occludes[:, column, :column] & selected[:, :column]).any(axis=1)
-        keep &= count < m
-        selected[:, column] = keep
-        count += keep
+    width = distances.shape[1]
+    selected = occlusion_scan(mrng_rule(pairwise, distances), m)
     # Selected columns first, then the rejected ones, each ascending: the
     # first m are every selected column plus just enough fill-ups.
     rank = np.arange(width) + width * ~selected

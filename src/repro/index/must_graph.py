@@ -3,10 +3,12 @@
 The paper: "we incorporate components from several state-of-the-art
 algorithms in the context of concatenated vectors, resulting in a novel
 indexing algorithm".  This spec is that combination, assembled from the
-stage library: random-regular initialisation and beam-search candidate
-acquisition (Vamana), alpha-relaxed robust pruning with reverse edges
-(DiskANN) evaluated under the *weighted multi-vector* kernel, reachability
-repair, and a medoid entry point.  Because every distance flows through
+stage library: random-regular initialisation (Vamana), exact
+nearest-neighbour candidates (NSG), alpha-relaxed robust pruning with
+reverse edges (DiskANN) evaluated under the *weighted multi-vector* kernel,
+reachability repair, and a medoid entry point — :func:`vamana_spec`'s
+stages (see there for what stays DiskANN) at a tighter ``alpha``, and like
+it growing by search-and-prune at ``add``.  Because every distance flows through
 :class:`repro.distance.WeightedMultiVectorKernel`, edges reflect the learned
 modality weighting — the "assigns multiple vectors per object to a unified
 index" property that lets queries run merging-free.
@@ -14,16 +16,10 @@ index" property that lets queries run merging-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.index.pipeline_builder import GraphPipelineSpec, PipelineGraphIndex
-from repro.index.stages import (
-    candidates_beam_search,
-    connect_repair,
-    entry_medoid,
-    init_random_regular,
-    select_alpha_rng,
-)
+from repro.index.vamana import vamana_spec
 
 
 @dataclass(frozen=True)
@@ -33,8 +29,9 @@ class MustGraphParams:
     Attributes:
         max_degree: Out-degree bound.
         alpha: Robust-prune slack (1.0 = strict RNG).
-        candidate_pool: Candidate pool size per vertex.
-        build_budget: Beam width during candidate acquisition.
+        candidate_pool: Candidates per vertex (exact nearest at ``build``).
+        build_budget: Beam width of the searched acquisition at ``add``;
+            ``build`` ranks the corpus exactly and does not search.
         seed: Random-init seed.
     """
 
@@ -53,18 +50,7 @@ class MustGraphParams:
 
 def must_graph_spec(params: MustGraphParams = MustGraphParams()) -> GraphPipelineSpec:
     """The composite spec of the unified multi-modal navigation graph."""
-    return GraphPipelineSpec(
-        name="nav-must",
-        init=init_random_regular(
-            params.max_degree, out_degree=params.max_degree // 2, seed=params.seed
-        ),
-        candidates=candidates_beam_search(
-            params.candidate_pool, budget=params.build_budget
-        ),
-        selection=select_alpha_rng(params.max_degree, alpha=params.alpha),
-        connectivity=connect_repair(),
-        entry=entry_medoid(),
-    )
+    return replace(vamana_spec(params), name="nav-must")
 
 
 class MustGraphIndex(PipelineGraphIndex):

@@ -20,7 +20,7 @@ from repro.errors import GraphConstructionError, SearchError
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.graph import NavigationGraph
 from repro.index.search import greedy_search, greedy_search_batch
-from repro.index.stages import StageFn
+from repro.index.stages import StageFn, robust_prune
 from repro.observability import trace_span
 from repro.pipeline import DagPipeline, NodeReport
 
@@ -62,6 +62,7 @@ class GraphPipelineSpec:
                 span.set(
                     vertices=len(candidate_lists),
                     candidate_edges=sum(len(lst) for lst in candidate_lists),
+                    **context.pop("stage_stats", {}),
                 )
             context["candidates"] = candidate_lists
             return candidate_lists
@@ -72,6 +73,7 @@ class GraphPipelineSpec:
                 span.set(
                     vertices=graph.n_vertices,
                     avg_degree=round(graph.average_degree, 2),
+                    **context.pop("stage_stats", {}),
                 )
             context["graph"] = graph
             return graph
@@ -141,22 +143,15 @@ class PipelineGraphIndex(VectorIndex):
         self._kernel = kernel
         self.build_seconds = time.perf_counter() - start
 
-    def add(
-        self,
-        vector: np.ndarray,
-        candidate_pool: int = 32,
-        alpha: float = 1.2,
-        budget: int = 48,
-    ) -> int:
+    def add(self, vector: np.ndarray) -> int:
         """Insert one vector via search-and-prune (Vamana-style).
 
-        The new vertex's neighbours come from a beam search over the
-        existing graph followed by robust pruning; reverse edges are added
-        with re-pruning when a neighbour overflows.  Works for any
-        pipeline-built graph, so NSG/Vamana/nav-must indexes all grow.
+        One vector has no corpus to rank exactly, so its candidates come
+        from a beam search over the live graph — width ``build_budget``,
+        pool ``candidate_pool`` — pruned with the index's own ``alpha``;
+        reverse edges are added with re-pruning when a neighbour
+        overflows.  Works for any pipeline-built graph.
         """
-        from repro.index.stages import robust_prune
-
         self._require_built()
         if self.graph is None:
             raise SearchError(f"index {self.name!r} has no graph")
@@ -165,6 +160,13 @@ class PipelineGraphIndex(VectorIndex):
             raise GraphConstructionError(
                 f"vector dim {vector.shape[0]} != kernel dim {self.kernel.dim}"
             )
+        # NSG, a custom spec and an index restored from disk carry none of
+        # the three; they keep the values every insert used to get.
+        params = getattr(self, "params", None)
+        alpha = getattr(params, "alpha", 1.2)
+        candidate_pool = getattr(params, "candidate_pool", 32)
+        budget = getattr(params, "build_budget", 48)
+        max_degree = self.graph.max_degree
         outcome = greedy_search(
             self.graph,
             self.vectors,
@@ -176,24 +178,19 @@ class PipelineGraphIndex(VectorIndex):
         self._vectors = np.vstack([self._vectors, vector[None, :]])
         vertex = self.graph.add_vertex()
         neighbors = robust_prune(
-            vector, outcome.ids, self._vectors, self.kernel,
-            self.graph.max_degree, alpha,
+            vector, outcome.ids, self._vectors, self.kernel, max_degree, alpha
         )
         self.graph.set_neighbors(vertex, neighbors)
         for neighbor in neighbors:
             row = self.graph.neighbors(neighbor)
             if vertex in row:
                 continue
-            if len(row) < self.graph.max_degree:
+            if len(row) < max_degree:
                 row.append(vertex)
             else:
                 pruned = robust_prune(
-                    self._vectors[neighbor],
-                    row + [vertex],
-                    self._vectors,
-                    self.kernel,
-                    self.graph.max_degree,
-                    alpha,
+                    self._vectors[neighbor], row + [vertex], self._vectors,
+                    self.kernel, max_degree, alpha,
                 )
                 self.graph.set_neighbors(neighbor, pruned)
         return vertex

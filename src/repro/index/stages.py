@@ -15,6 +15,8 @@ Context keys (set by :func:`repro.index.pipeline_builder.build_navigation_graph`
 * ``kernel`` — the distance kernel.
 * ``graph`` — the evolving :class:`NavigationGraph` (after init).
 * ``candidates`` — per-vertex candidate id lists (after acquisition).
+* ``stage_stats`` — counters a candidate or selection stage leaves for its
+  ``build-candidates`` / ``build-selection`` span, which takes them.
 """
 
 from __future__ import annotations
@@ -25,51 +27,9 @@ import numpy as np
 
 from repro.errors import GraphConstructionError
 from repro.index.graph import NavigationGraph
-from repro.index.search import greedy_search_batch
 from repro.utils import derive_rng
 
 StageFn = Callable[[Dict[str, Any]], Any]
-
-
-def _corpus(context: Dict[str, Any]) -> np.ndarray:
-    return context["vectors"]
-
-
-def _kernel(context: Dict[str, Any]):
-    return context["kernel"]
-
-
-def robust_prune(
-    query_vector: np.ndarray,
-    pool: List[int],
-    vectors: np.ndarray,
-    kernel,
-    max_degree: int,
-    alpha: float = 1.2,
-) -> List[int]:
-    """Vamana's alpha-relaxed RNG selection over a candidate pool.
-
-    Returns at most ``max_degree`` ids from ``pool``, closest first, where
-    each kept candidate removes dominated candidates (those within
-    ``alpha``-scaled distance of it).  Shared by the selection stage and by
-    incremental insertion.
-    """
-    if not pool:
-        return []
-    distances = kernel.batch(query_vector, vectors[pool])
-    order = [int(i) for i in np.argsort(distances)]
-    pairwise = kernel.matrix(vectors[pool], vectors[pool])
-    selected: List[int] = []
-    remaining = order
-    while remaining and len(selected) < max_degree:
-        head = remaining[0]
-        selected.append(head)
-        remaining = [
-            row
-            for row in remaining[1:]
-            if alpha * float(pairwise[head, row]) > float(distances[row])
-        ]
-    return [pool[row] for row in selected]
 
 
 def medoid_of(vectors: np.ndarray, kernel) -> int:
@@ -86,7 +46,7 @@ def init_empty(max_degree: int) -> StageFn:
     """Start from an edgeless graph (NSG-style: edges come from selection)."""
 
     def stage(context: Dict[str, Any]) -> NavigationGraph:
-        n = _corpus(context).shape[0]
+        n = context["vectors"].shape[0]
         return NavigationGraph(n, max_degree=max_degree)
 
     return stage
@@ -100,7 +60,7 @@ def init_random_regular(max_degree: int, out_degree: int, seed: int = 0) -> Stag
         )
 
     def stage(context: Dict[str, Any]) -> NavigationGraph:
-        n = _corpus(context).shape[0]
+        n = context["vectors"].shape[0]
         graph = NavigationGraph(n, max_degree=max_degree)
         rng = derive_rng(seed, "init-random-regular")
         degree = min(out_degree, n - 1)
@@ -181,8 +141,8 @@ def candidates_exact_knn(k: int) -> StageFn:
     (:func:`exact_top_k`), nearest first with ties broken by id."""
 
     def stage(context: Dict[str, Any]) -> List[List[int]]:
-        vectors = _corpus(context)
-        kernel = _kernel(context)
+        vectors = context["vectors"]
+        kernel = context["kernel"]
         n, dim = vectors.shape
         neighbors_k = min(k, n - 1)
         rows = block_rows(neighbors_k, dim)
@@ -190,46 +150,7 @@ def candidates_exact_knn(k: int) -> StageFn:
         for start in range(0, n, rows):
             ids, _ = exact_top_k(kernel, vectors, start, min(start + rows, n), neighbors_k)
             result.extend(ids.tolist())
-        return result
-
-    return stage
-
-
-#: Beams per lockstep dispatch in :func:`candidates_beam_search`; bounds
-#: the live per-beam state while amortising the kernel calls.
-_BEAM_CHUNK = 64
-
-
-def candidates_beam_search(pool_size: int, budget: int = 96) -> StageFn:
-    """Search-based candidates: beam search for each vertex on the current
-    graph, collecting the visited pool (Vamana/HNSW-style acquisition).
-
-    The graph does not change during the stage, so the per-vertex searches
-    run in lockstep chunks through :func:`greedy_search_batch`, whose
-    per-beam results do not depend on the chunking.
-
-    Requires an initialised graph with edges (e.g. random-regular).
-    """
-
-    def stage(context: Dict[str, Any]) -> List[List[int]]:
-        vectors = _corpus(context)
-        kernel = _kernel(context)
-        graph: NavigationGraph = context["graph"]
-        entry = medoid_of(vectors, kernel)
-        n = vectors.shape[0]
-        result: List[List[int]] = []
-        for start in range(0, n, _BEAM_CHUNK):
-            outcomes = greedy_search_batch(
-                graph,
-                vectors,
-                kernel,
-                vectors[start : start + _BEAM_CHUNK],
-                k=min(pool_size, n),
-                budget=budget,
-                entry_points=[entry],
-            )
-            for vertex, outcome in enumerate(outcomes, start):
-                result.append([i for i in outcome.ids if i != vertex][:pool_size])
+        context["stage_stats"] = {"blocks": -(-n // rows)}
         return result
 
     return stage
@@ -238,79 +159,176 @@ def candidates_beam_search(pool_size: int, budget: int = 96) -> StageFn:
 # ----------------------------------------------------------------------
 # 3. neighbour selection
 # ----------------------------------------------------------------------
+def occlusion_scan(
+    dominated: np.ndarray, max_degree: int, eligible: "np.ndarray | None" = None
+) -> np.ndarray:
+    """The sequential occlusion rule for ``R`` ranked candidate rows at once.
+
+    ``dominated[r, j, o]``, ``(R, W, W)``, says candidate ``j`` of row ``r``
+    is dropped once the earlier candidate ``o < j`` is selected; what fills
+    it — :func:`mrng_rule` or :func:`alpha_rng_rule` — is all that differs
+    between NSG's, HNSW's and Vamana's selection.  A row selects at most
+    ``max_degree`` candidates, none where ``eligible`` ``(R, W)`` is false.
+    The rule is sequential in the candidates but not in the rows, so it
+    runs column by column over all rows: ``W`` steps of a few ``(R, W)``
+    boolean operations instead of ``R`` Python loops.  Returns the ``(R,
+    W)`` mask of selected candidates.
+    """
+    n_rows, width = dominated.shape[:2]
+    selected = np.zeros((n_rows, width), dtype=bool)
+    count = np.zeros(n_rows, dtype=np.intp)
+    for column in range(width):
+        keep = ~(dominated[:, column, :column] & selected[:, :column]).any(axis=1)
+        keep &= count < max_degree
+        if eligible is not None:
+            keep &= eligible[:, column]
+        selected[:, column] = keep
+        count += keep
+    return selected
+
+
+def mrng_rule(pairwise: np.ndarray, distances: np.ndarray) -> np.ndarray:
+    """Monotonic-RNG occlusion (NSG, HNSW's Algorithm 4): dropped when a
+    selected candidate is strictly closer to it than its owner is."""
+    return pairwise < distances[:, :, None]
+
+
+def alpha_rng_rule(alpha: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Vamana's occlusion: dropped when ``alpha`` times the distance to a
+    selected candidate is within the owner's — ``alpha > 1`` drops fewer,
+    so longer edges survive."""
+    return lambda pairwise, distances: alpha * pairwise <= distances[:, :, None]
+
+
+def prune_rows(
+    kernel, vectors: np.ndarray, owners: np.ndarray, pools: List[List[int]],
+    max_degree: int, rule,
+) -> Tuple[List[List[int]], int]:
+    """Occlusion-prune pool ``i`` — vertex ids, the owner's own not among
+    them — for the vector ``owners[i]``, to ``max_degree`` ids, nearest first.
+
+    Rows go widest first into blocks whose gather and pairwise stack fit
+    :data:`_SCRATCH_BYTES`, each padded to its widest row.  Per block: one
+    gather, one ``kernel.batch_paired`` (padding scores ``inf``), a
+    ``(distance, id)`` lexsort — ties never depend on pool order, and a
+    repeated id ranks beside its copy and is skipped — one stacked
+    ``kernel.matrix``, one :func:`occlusion_scan`.  A row's result does not
+    depend on its block.  Returns the pruned lists in input order and the
+    number of blocks they took.
+    """
+    widths = [len(pool) for pool in pools]
+    order = sorted(range(len(pools)), key=lambda i: -widths[i])
+    result: List[List[int]] = [[] for _ in pools]
+    blocks = start = 0
+    while start < len(order) and widths[order[start]]:
+        width = widths[order[start]]
+        members = order[start : start + block_rows(width, max(vectors.shape[1], width))]
+        start += len(members)
+        blocks += 1
+        padded = np.full((len(members), width), -1, dtype=np.intp)
+        for row, member in enumerate(members):
+            padded[row, : widths[member]] = pools[member]
+        distances = kernel.batch_paired(
+            owners[members],
+            vectors[np.maximum(padded, 0).ravel()],
+            np.repeat(np.arange(len(members)), width),
+        ).reshape(padded.shape)
+        distances[padded < 0] = np.inf
+        rank = np.lexsort((padded, distances))
+        ids = np.take_along_axis(padded, rank, axis=1)
+        eligible = ids >= 0
+        eligible[:, 1:] &= ids[:, 1:] != ids[:, :-1]
+        # Gathered again in rank order rather than permuted: one
+        # (rows, width, dim) copy alive at a time.
+        ranked = vectors[np.maximum(ids, 0)]
+        dominated = rule(
+            kernel.matrix(ranked, ranked), np.take_along_axis(distances, rank, axis=1)
+        )
+        selected = occlusion_scan(dominated, max_degree, eligible)
+        for member, row, keep in zip(members, ids, selected):
+            result[member] = row[keep].tolist()
+    return result, blocks
+
+
+def robust_prune(
+    query_vector: np.ndarray, pool: List[int], vectors: np.ndarray, kernel,
+    max_degree: int, alpha: float = 1.2,
+) -> List[int]:
+    """Vamana's alpha-relaxed RNG selection over one candidate pool: the
+    one-row call of :func:`prune_rows`, which incremental insertion uses."""
+    owner = np.asarray(query_vector, dtype=np.float64)[None, :]
+    return prune_rows(kernel, vectors, owner, [pool], max_degree, alpha_rng_rule(alpha))[0][0]
+
+
+def _select(max_degree: int, rule, keep_neighbors: bool, add_reverse: bool) -> StageFn:
+    """Selection in two batched phases, so the graph does not depend on
+    the order vertices are processed in.  *Forward*: every vertex's pool —
+    its candidates, with ``keep_neighbors`` also the neighbours it has —
+    through :func:`prune_rows`.  *Reverse* (``add_reverse``): each selected
+    edge ``v -> u`` that ``u`` does not return is grouped by its target; a
+    target with room for all its incoming edges appends them in id order,
+    any other is pruned **once** over its row plus everything incoming.
+    """
+
+    def stage(context: Dict[str, Any]) -> NavigationGraph:
+        vectors = context["vectors"]
+        kernel = context["kernel"]
+        graph: NavigationGraph = context["graph"]
+        pools = [
+            [p for p in pool + (graph.neighbors(v) if keep_neighbors else []) if p != v]
+            for v, pool in enumerate(context["candidates"])
+        ]
+        rows, blocks = prune_rows(kernel, vectors, vectors, pools, max_degree, rule)
+        stats = {"forward_rows": len(rows)}
+        if add_reverse:
+            incoming: Dict[int, List[int]] = {}
+            for vertex, row in enumerate(rows):
+                for target in row:
+                    if vertex not in rows[target]:
+                        incoming.setdefault(target, []).append(vertex)
+            merged = {t: rows[t] + sources for t, sources in incoming.items()}
+            over = [t for t, row in merged.items() if len(row) > max_degree]
+            pruned, reverse_blocks = prune_rows(
+                kernel, vectors, vectors[over], [merged[t] for t in over], max_degree, rule
+            )
+            blocks += reverse_blocks
+            stats["reverse_appended"] = sum(
+                len(sources) for t, sources in incoming.items() if len(merged[t]) <= max_degree
+            )
+            stats["reverse_pruned_rows"] = len(over)
+            merged.update(zip(over, pruned))
+            for target, row in merged.items():
+                rows[target] = row
+        for vertex, row in enumerate(rows):
+            graph.set_neighbors(vertex, row)
+        context["stage_stats"] = {**stats, "blocks": blocks}
+        return graph
+
+    return stage
+
+
 def select_mrng(max_degree: int) -> StageFn:
     """Monotonic-RNG edge selection (NSG's rule).
 
     A candidate is linked only if no already-selected neighbour is closer to
     it than the vertex itself, producing sparse monotonic paths.
     """
-
-    def stage(context: Dict[str, Any]) -> NavigationGraph:
-        vectors = _corpus(context)
-        kernel = _kernel(context)
-        graph: NavigationGraph = context["graph"]
-        candidate_lists: List[List[int]] = context["candidates"]
-        for vertex, pool in enumerate(candidate_lists):
-            if not pool:
-                graph.set_neighbors(vertex, [])
-                continue
-            pool_distances = kernel.batch(vectors[vertex], vectors[pool])
-            order = [int(i) for i in np.argsort(pool_distances)]
-            pairwise = kernel.matrix(vectors[pool], vectors[pool])
-            selected_rows: List[int] = []
-            for row in order:
-                if len(selected_rows) >= max_degree:
-                    break
-                candidate_distance = float(pool_distances[row])
-                keep = all(
-                    pairwise[chosen, row] >= candidate_distance
-                    for chosen in selected_rows
-                )
-                if keep:
-                    selected_rows.append(row)
-            graph.set_neighbors(vertex, [pool[row] for row in selected_rows])
-        return graph
-
-    return stage
+    return _select(max_degree, mrng_rule, keep_neighbors=False, add_reverse=False)
 
 
 def select_alpha_rng(max_degree: int, alpha: float = 1.2, add_reverse: bool = True) -> StageFn:
     """Vamana's robust prune: relaxed RNG rule with slack ``alpha``.
 
     ``alpha > 1`` keeps longer-range edges than the strict RNG rule, giving
-    the flatter graphs DiskANN favours for few-hop disk traversals.  With
-    ``add_reverse`` each selected edge is mirrored and the target re-pruned
-    when over capacity.
+    the flatter graphs DiskANN favours for few-hop disk traversals.  The
+    vertex's initial neighbours join its pool (the long edges come from
+    them) and with ``add_reverse`` each selected edge is mirrored, the
+    target re-pruned when over capacity — in :func:`_select`'s two phases,
+    not DiskANN's vertex-by-vertex passes (see :mod:`repro.index.vamana`).
     """
     if alpha < 1.0:
         raise GraphConstructionError(f"alpha must be >= 1.0, got {alpha}")
-
-    def prune(vertex: int, pool: List[int], vectors, kernel) -> List[int]:
-        pool = list(dict.fromkeys(p for p in pool if p != vertex))
-        return robust_prune(vectors[vertex], pool, vectors, kernel, max_degree, alpha)
-
-    def stage(context: Dict[str, Any]) -> NavigationGraph:
-        vectors = _corpus(context)
-        kernel = _kernel(context)
-        graph: NavigationGraph = context["graph"]
-        candidate_lists: List[List[int]] = context["candidates"]
-        for vertex, pool in enumerate(candidate_lists):
-            merged = pool + graph.neighbors(vertex)
-            graph.set_neighbors(vertex, prune(vertex, merged, vectors, kernel))
-            if add_reverse:
-                for neighbor in graph.neighbors(vertex):
-                    row = graph.neighbors(neighbor)
-                    if vertex in row:
-                        continue
-                    if len(row) < max_degree:
-                        row.append(vertex)
-                    else:
-                        graph.set_neighbors(
-                            neighbor, prune(neighbor, row + [vertex], vectors, kernel)
-                        )
-        return graph
-
-    return stage
+    return _select(max_degree, alpha_rng_rule(alpha), keep_neighbors=True, add_reverse=add_reverse)
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +353,7 @@ def entry_medoid() -> StageFn:
 
     def stage(context: Dict[str, Any]) -> List[int]:
         graph: NavigationGraph = context["graph"]
-        graph.entry_points = [medoid_of(_corpus(context), _kernel(context))]
+        graph.entry_points = [medoid_of(context["vectors"], context["kernel"])]
         return graph.entry_points
 
     return stage

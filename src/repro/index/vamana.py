@@ -1,10 +1,19 @@
 """Vamana (the DiskANN graph) as a five-stage pipeline.
 
-Decomposition: random-regular init -> beam-search candidate acquisition
-from the medoid -> alpha-relaxed robust prune with reverse edges ->
-reachability repair -> medoid entry point.  ``alpha > 1`` keeps longer
-edges than strict RNG pruning, flattening the graph so disk-resident
-searches (Starling) need fewer hops.
+Decomposition: random-regular init -> exact nearest-neighbour candidates
+-> alpha-relaxed robust prune with reverse edges -> reachability repair ->
+medoid entry point.  ``alpha > 1`` keeps longer edges than strict RNG
+pruning, flattening the graph so disk-resident searches (Starling) need
+fewer hops.
+
+Kept from DiskANN: the alpha-relaxed RNG prune, a vertex's random initial
+neighbours in its pool (the long edges), reverse edges with a
+degree-bounded re-prune, the medoid entry, and searched candidates when a
+vector arrives alone (``add``).  Not kept: ``build`` has the whole corpus,
+so in place of two passes of beam searches it ranks each vertex's
+``candidate_pool`` nearest exactly — the set the search approximates — and
+prunes once, in two batched phases with reverse edges grouped by target
+(:func:`repro.index.stages.select_alpha_rng`).
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.index.pipeline_builder import GraphPipelineSpec, PipelineGraphIndex
 from repro.index.stages import (
-    candidates_beam_search,
+    candidates_exact_knn,
     connect_repair,
     entry_medoid,
     init_random_regular,
@@ -28,8 +37,11 @@ class VamanaParams:
     Attributes:
         max_degree: Out-degree bound (DiskANN's R).
         alpha: Pruning slack; 1.0 is strict RNG, DiskANN defaults to 1.2.
-        candidate_pool: Visited-pool size harvested per vertex.
-        build_budget: Beam width during candidate acquisition (DiskANN's L).
+        candidate_pool: Candidates per vertex: its exact nearest at
+            ``build``, the best of the visited pool at ``add``.
+        build_budget: Beam width of the searched acquisition at ``add``
+            (DiskANN's L), as ``ef_construction`` is for HNSW; ``build``
+            ranks the corpus exactly and does not search.
         seed: Random-init seed.
     """
 
@@ -52,15 +64,14 @@ class VamanaParams:
 
 
 def vamana_spec(params: VamanaParams = VamanaParams()) -> GraphPipelineSpec:
-    """The pipeline decomposition of Vamana."""
+    """The pipeline decomposition of Vamana (of any params with these
+    fields: nav-must passes its own)."""
     return GraphPipelineSpec(
         name="vamana",
         init=init_random_regular(
             params.max_degree, out_degree=params.max_degree // 2, seed=params.seed
         ),
-        candidates=candidates_beam_search(
-            params.candidate_pool, budget=params.build_budget
-        ),
+        candidates=candidates_exact_knn(params.candidate_pool),
         selection=select_alpha_rng(params.max_degree, alpha=params.alpha),
         connectivity=connect_repair(),
         entry=entry_medoid(),

@@ -3,19 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.distance import (
-    MultiVectorSchema,
-    SingleVectorKernel,
-    WeightedMultiVectorKernel,
-)
+from repro.distance import SingleVectorKernel
 from repro.errors import GraphConstructionError
 from repro.index import GraphPipelineSpec, build_navigation_graph
-from repro.index.must_graph import MustGraphParams, must_graph_spec
-from repro.index.search import greedy_search
-from repro.index.starling import StarlingParams
-from repro.index.vamana import VamanaParams, vamana_spec
 from repro.index.stages import (
-    candidates_beam_search,
     candidates_exact_knn,
     connect_repair,
     entry_medoid,
@@ -84,50 +75,6 @@ class TestCandidateStages:
             assert ids[row, : len(ranked)].tolist() == [j for _, j in ranked]
             assert distances[row, : len(ranked)].tolist() == [d for d, _ in ranked]
             assert np.isinf(distances[row, len(ranked) :]).all()
-
-    def test_beam_candidates_exclude_self(self, small_corpus, kernel):
-        context = run_context(small_corpus, kernel)
-        context["graph"] = init_random_regular(8, out_degree=4, seed=0)(context)
-        lists = candidates_beam_search(10, budget=16)(context)
-        for vertex, pool in enumerate(lists):
-            assert vertex not in pool
-            assert len(pool) <= 10
-
-
-    @pytest.mark.parametrize("spec_name", ["vamana", "nav-must", "starling"])
-    def test_lockstep_pools_equal_serial_searches(self, unit_vectors, spec_name):
-        """The chunked ``greedy_search_batch`` acquisition returns, vertex
-        by vertex, the pool a serial ``greedy_search`` from the medoid
-        would — on each spec that uses the stage, across a chunk boundary."""
-        corpus = unit_vectors[:150]
-        if spec_name == "vamana":
-            params, kernel = VamanaParams(), SingleVectorKernel(32)
-            spec = vamana_spec(params)
-        elif spec_name == "starling":
-            params, kernel = StarlingParams().inner, SingleVectorKernel(32)
-            spec = vamana_spec(params)
-        else:
-            params = MustGraphParams()
-            schema = MultiVectorSchema({"text": 20, "image": 12})
-            kernel = WeightedMultiVectorKernel(schema, {"text": 0.7, "image": 1.3})
-            spec = must_graph_spec(params)
-        context = {"vectors": corpus, "kernel": kernel}
-        context["graph"] = spec.init(context)
-        pools = spec.candidates(context)
-        entry = medoid_of(corpus, kernel)
-        assert len(pools) == 150
-        for vertex, pool in enumerate(pools):
-            serial = greedy_search(
-                context["graph"],
-                corpus,
-                kernel,
-                corpus[vertex],
-                k=params.candidate_pool,
-                budget=params.build_budget,
-                entry_points=[entry],
-            )
-            expected = [i for i in serial.ids if i != vertex][: params.candidate_pool]
-            assert pool == expected
 
 
 class TestSelectionStages:
