@@ -38,19 +38,18 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 from repro.core.answer import Answer
 from repro.core.generation import context_items
 from repro.data.concepts import ConceptSpace
-from repro.data.modality import Modality
 from repro.data.objects import RawQuery
 from repro.data.rendering import TextRenderer
 from repro.llm.agentic import ClaimSynthesizer, claim_summary_line, render_subquery
 from repro.llm.base import GenerationResult
 from repro.llm.grounding import check_grounding
-from repro.llm.prompts import ContextItem, DialogueTurn
+from repro.llm.prompts import ContextItem
 from repro.observability import trace_span
 from repro.retrieval.fusion import fuse_responses
 from repro.utils import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.core.coordinator import Coordinator
+    from repro.core.coordinator import Coordinator, RoundContext
 
 #: Stream weight of hop 0 (the undecomposed query) in the cross-hop
 #: fusion; sub-query hops weigh 1.0.  The original query already encodes
@@ -241,127 +240,105 @@ class AgenticAnswerer:
     # ------------------------------------------------------------------
     # the multi-hop round
     # ------------------------------------------------------------------
-    def answer(
-        self,
-        coordinator: "Coordinator",
-        query: RawQuery,
-        history: Sequence[DialogueTurn] = (),
-        preferred_ids: Sequence[int] = (),
-        round_index: int = 0,
-        k: Optional[int] = None,
-        weights: "Dict[Modality, float] | None" = None,
-        deadline_ms: Optional[float] = None,
-    ) -> Answer:
-        """Run one agentic round and return the claim-carrying answer.
+    def answer(self, coordinator: "Coordinator", context: "RoundContext") -> Answer:
+        """Run one agentic round over ``context``; returns the
+        claim-carrying answer.
 
-        Falls back to the coordinator's single-hop
-        :meth:`~repro.core.coordinator.Coordinator.handle_query` (with
-        ``claims=[]``) when the question mentions no known concept or the
-        system runs LLM-only.
+        Composes the coordinator's two verbs — ``retrieve_batch`` for the
+        hops, the ``generate`` stage over the fused context — inside one
+        ``agentic-query`` trace.  Falls back to the single-hop round (with
+        ``claims=[]``) when the question mentions no known concept.
         """
-        user_text = (
-            str(query.get(Modality.TEXT)) if query.has(Modality.TEXT) else ""
-        )
-        had_image = query.has(Modality.IMAGE)
-        k = k if k is not None else coordinator.config.result_count
-        subqueries = self.decomposer.decompose(user_text)
-        if not subqueries or coordinator.execution is None or coordinator.kb is None:
-            answer = coordinator.handle_query(
-                query,
-                history=history,
-                preferred_ids=preferred_ids,
-                round_index=round_index,
-                k=k,
-                weights=weights,
-                deadline_ms=deadline_ms,
-            )
+        subqueries = self.decomposer.decompose(context.user_text)
+        if not subqueries:
+            answer = coordinator.run_round(context)
             answer.claims = []
             self._observe([], hops=0, rounds=0)
             return answer
 
-        kb = coordinator.kb
-        deadline = coordinator.resilience.deadline(deadline_ms)
-        degraded_reasons: List[str] = []
-        rounds_run = 0
-        with coordinator.tracer.trace(
+        claims: List[Claim] = []
+        coordinator.run_stages(
             "agentic-query",
-            round=round_index,
+            [
+                ("hops", lambda ctx: self._retrieve_hops(coordinator, ctx, subqueries, claims)),
+                ("generate", coordinator.generate),
+            ],
+            context,
+            round=context.round_index,
             hops=len(subqueries) + 1,
-            k=k,
-        ):
-            with trace_span("decompose") as span, Timer() as decompose_timer:
-                queries = [query] + [
-                    RawQuery.from_text(subquery.text) for subquery in subqueries
-                ]
-                span.set(concepts=",".join(s.concept for s in subqueries))
-            responses = coordinator.retrieve_batch(queries, k=k, weights=weights)
-            with trace_span("synthesize") as span, Timer() as synth_timer:
-                claims = [
-                    self._synthesize(subquery, responses[subquery.hop], kb)
-                    for subquery in subqueries
-                ]
-                span.set(
-                    claims=len(claims),
-                    supported=sum(1 for c in claims if c.supported),
-                )
-            refine_timer = Timer()
-            with refine_timer:
-                rounds_run = self._refine(
-                    coordinator, kb, claims, k, deadline, degraded_reasons,
-                    responses,
-                )
-
-            # The final context is the cross-hop fusion over everything
-            # retrieved (including successful refinement hops), so every
-            # citation in the claim list resolves inside the answer's own
-            # retrieved context.
-            stream_weights = [HOP_ZERO_WEIGHT] + [1.0] * (len(responses) - 1)
-            fused = fuse_responses(responses, k, stream_weights=stream_weights)
-            degraded_reasons.extend(
-                reason
-                for reason in fused.degraded_reasons
-                if reason not in degraded_reasons
-            )
-            fused.degraded_reasons = []
-            answer = coordinator._generate_answer(
-                user_text, fused, history, preferred_ids, had_image,
-                round_index, deadline, degraded_reasons,
-            )
-
+            k=context.k,
+        )
+        answer = context.answer
         claim_lines = [claim.text for claim in claims]
         tally = claim_summary_line(claims)
         if tally is not None:
             claim_lines.append(tally)
         answer.text = "\n".join([answer.text] + claim_lines)
         answer.claims = claims
-        answer.groundedness = (
-            sum(1 for claim in claims if claim.supported) / len(claims)
-            if claims
-            else None
-        )
-        if degraded_reasons:
-            answer.degraded = True
-            answer.degraded_reasons = degraded_reasons
-        hop_cost = responses[0].cost if responses else None
-        if hop_cost is not None:
-            hop_cost.add_stage(
-                "agentic-decompose", decompose_timer.elapsed * 1000.0
-            )
-            hop_cost.add_stage("agentic-synthesize", synth_timer.elapsed * 1000.0)
-            if rounds_run:
-                hop_cost.add_stage(
-                    "agentic-refine", refine_timer.elapsed * 1000.0
-                )
-            answer.cost = hop_cost
-        self._observe(claims, hops=len(responses) - 1, rounds=rounds_run)
-        if self.metrics is not None and answer.groundedness is not None:
+        supported = sum(1 for claim in claims if claim.supported)
+        answer.groundedness = supported / len(claims)
+        if self.metrics is not None:
             self.metrics.observe("agentic.groundedness", answer.groundedness)
         coordinator.events.record(
             "generation", "frontend", "agentic-answer",
-            f"{len(claims)} claims, "
-            f"{sum(1 for c in claims if c.supported)} supported",
+            f"{len(claims)} claims, {supported} supported",
         )
         return answer
+
+    def _retrieve_hops(
+        self,
+        coordinator: "Coordinator",
+        context: "RoundContext",
+        subqueries: List[SubQuery],
+        claims: List[Claim],
+    ) -> None:
+        """The agentic round's retrieval stage: decompose → retrieve →
+        synthesize → refine → fuse.  Fills ``claims`` and leaves the fused
+        response as the context ``generate`` composes from."""
+        kb, k = coordinator.kb, context.k
+        with trace_span("decompose") as span, Timer() as decompose_timer:
+            queries = context.queries + [
+                RawQuery.from_text(subquery.text) for subquery in subqueries
+            ]
+            span.set(concepts=",".join(s.concept for s in subqueries))
+        responses = coordinator.retrieve_batch(
+            queries, k=k, weights=context.weights, exclude_ids=context.exclude_ids
+        )
+        with trace_span("synthesize") as span, Timer() as synth_timer:
+            claims.extend(
+                self._synthesize(subquery, responses[subquery.hop], kb)
+                for subquery in subqueries
+            )
+            span.set(
+                claims=len(claims),
+                supported=sum(1 for c in claims if c.supported),
+            )
+        with Timer() as refine_timer:
+            rounds_run = self._refine(
+                coordinator, kb, claims, k, context.deadline,
+                context.degraded_reasons, responses, context.exclude_ids,
+            )
+        # The final context is the cross-hop fusion over everything
+        # retrieved (including successful refinement hops), so every
+        # citation in the claim list resolves inside the answer's own
+        # retrieved context.
+        stream_weights = [HOP_ZERO_WEIGHT] + [1.0] * (len(responses) - 1)
+        fused = fuse_responses(responses, k, stream_weights=stream_weights)
+        context.degraded_reasons.extend(
+            reason
+            for reason in fused.degraded_reasons
+            if reason not in context.degraded_reasons
+        )
+        fused.degraded_reasons = []
+        # Hop 0's ledger becomes the round's: ``generate`` adds its stage.
+        fused.cost = responses[0].cost
+        if fused.cost is not None:
+            fused.cost.add_stage("agentic-decompose", decompose_timer.elapsed * 1000.0)
+            fused.cost.add_stage("agentic-synthesize", synth_timer.elapsed * 1000.0)
+            if rounds_run:
+                fused.cost.add_stage("agentic-refine", refine_timer.elapsed * 1000.0)
+        context.responses = [fused]
+        self._observe(claims, hops=len(responses) - 1, rounds=rounds_run)
 
     def _synthesize(self, subquery: SubQuery, response, kb) -> Claim:
         """One claim for ``subquery`` from its hop's retrieval response."""
@@ -400,6 +377,7 @@ class AgenticAnswerer:
         deadline,
         degraded_reasons: List[str],
         responses: List,
+        exclude_ids: Sequence[int] = (),
     ) -> int:
         """Re-retrieve for unsupported claims; returns rounds executed.
 
@@ -435,6 +413,7 @@ class AgenticAnswerer:
                 refine_responses = coordinator.retrieve_batch(
                     [RawQuery.from_text(s.text) for s in refine_subqueries],
                     k=k,
+                    exclude_ids=exclude_ids,
                 )
                 rescued = 0
                 for (position, _), subquery, response in zip(

@@ -58,9 +58,7 @@ class QueryCache:
         capacity: Maximum cached responses; least-recently-used evicted.
     """
 
-    #: True on subclasses that support near-duplicate lookups; the
-    #: executor checks this flag instead of isinstance so the exact-match
-    #: code path stays byte-identical.
+    #: True on subclasses that also serve near-duplicates.
     semantic = False
 
     def __init__(self, capacity: int = 128) -> None:
@@ -104,7 +102,24 @@ class QueryCache:
             self._store.move_to_end(key)
             return response
 
-    def put(self, key: Tuple, response: RetrievalResponse) -> None:
+    def lookup(
+        self, key: Tuple, query: RawQuery
+    ) -> "Tuple[Optional[RetrievalResponse], str, Optional[Tuple]]":
+        """The executor's one cache call: ``(response, label, registration)``.
+
+        ``label`` is ``"hit"`` or ``"miss"`` here (a semantic cache adds
+        ``"semantic"``); ``registration`` is handed back to :meth:`put`
+        when the miss has been searched.
+        """
+        cached = self.get(key)
+        return cached, "miss" if cached is None else "hit", None
+
+    def put(
+        self,
+        key: Tuple,
+        response: RetrievalResponse,
+        registration: "Tuple | None" = None,
+    ) -> None:
         """Store ``response`` under ``key`` (evicting LRU if full)."""
         with self._lock:
             self._store[key] = response
@@ -258,6 +273,19 @@ class SemanticQueryCache(QueryCache):
                 self.semantic_rejects += 1
             self.misses += 1
             return None, "miss", (bucket, vector)
+
+    def put(
+        self,
+        key: Tuple,
+        response: RetrievalResponse,
+        registration: "Tuple | None" = None,
+    ) -> None:
+        """Store ``response``; with a miss's ``registration`` its embedding
+        is registered too, so later near-duplicates can find it."""
+        if registration is None:
+            super().put(key, response)
+        else:
+            self.put_semantic(key, registration, response)
 
     def put_semantic(
         self,

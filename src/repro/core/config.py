@@ -42,7 +42,6 @@ class MQAConfig:
         external_knowledge: The paper's toggle — False runs LLM-only mode
             with no retrieval at all.
         encoder_set: Registered encoder-set name.
-        encoder_seed: Seed for encoder projections.
         weight_mode: equal / learned / fixed.
         fixed_weights: Modality-name -> weight mapping (fixed mode only).
         weight_learning: Overrides for the contrastive learner
@@ -50,7 +49,6 @@ class MQAConfig:
         index: Registered index-algorithm name.
         index_params: Parameters forwarded to the index factory.
         framework: Registered retrieval-framework name (mr / je / must).
-        framework_params: Parameters forwarded to the framework factory.
         result_count: Default top-k shown per round.
         search_budget: Beam width for graph searches.
         llm: Registered LLM name, or None for the no-LLM mode.
@@ -66,32 +64,21 @@ class MQAConfig:
             by default: the no-op tracer adds no measurable overhead to
             the serving hot path.  Traces surface through ``GET /trace``,
             the status panel, and the CLI ``--trace`` flag.
-        trace_capacity: How many finished query traces the tracer retains
-            (oldest evicted first).  Only meaningful with ``tracing``.
         recorder_path: Flight-recorder JSONL file; None (the default)
             disables recording.  A non-None path implies tracing — the
             recorder persists span trees, so the coordinator activates a
             tracer even when ``tracing`` is False.
-        recorder_max_bytes: Rotation threshold for the active recorder
-            file.
-        recorder_max_files: Rotated recorder generations kept on disk.
         monitoring: Master switch for online quality + SLO monitoring
             (``GET /health``).  Off by default: the serving hot path then
             pays nothing.
         monitor_sample_rate: Score every Nth query against the
             latent-concept ground truth (1 = every query).
         slo_latency_ms: Rolling-window p95 latency target.
-        slo_error_rate: Rolling-window error-fraction target.
         slo_window: Requests per SLO rolling window.
-        event_capacity: Ring-buffer size of the coordinator's event log
-            (oldest events evicted first so long dialogue sessions cannot
-            grow memory without bound).
         workers: Query-engine worker count.  ``1`` (the default) executes
             requests inline on the calling thread — the historical serial
             behaviour; ``N > 1`` serves up to N requests concurrently
             under the read/write lock.
-        engine_queue: Requests allowed to wait beyond the running ones
-            before the engine sheds load with an engine-saturated error.
         max_batch: Upper bound on how many concurrent ``/search`` requests
             the server micro-batches into one batched retrieval.  ``1``
             (the default) disables coalescing entirely — every request runs
@@ -126,16 +113,12 @@ class MQAConfig:
             pre-resilience code path.
         retry_attempts: Total tries per guarded call (1 = no retries).
         retry_backoff_ms: Backoff before the first retry.
-        retry_multiplier: Exponential backoff growth factor.
-        retry_max_backoff_ms: Backoff ceiling.
         deadline_ms: Default per-request latency budget; None disables
             deadlines (requests may override per call).
         breaker_threshold: Consecutive failures that open a site's
             circuit breaker.
         breaker_reset_ms: How long an open breaker waits before letting
             half-open probe calls through.
-        breaker_half_open_probes: Probe calls allowed in half-open; all
-            succeeding closes the breaker again.
         fault_seed: Master seed for the deterministic fault injector.
         faults: Fault-injection specs keyed by call site (or site prefix,
             e.g. ``"encoder"`` covers ``encoder.text``); each value maps
@@ -149,9 +132,6 @@ class MQAConfig:
             default: the disabled path costs one context-variable read
             per instrumented site and results are bit-identical either
             way.
-        stats_exemplars: How many of the slowest queries the stats plane
-            retains with full cost profiles (tail-latency exemplars);
-            ``0`` keeps distributions only.
         tiered: Beyond-RAM serving for the Starling index: SQ-quantized
             codes stay resident for graph traversal while full-precision
             vectors spill to a memory-mapped file touched only by the
@@ -204,14 +184,12 @@ class MQAConfig:
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     external_knowledge: bool = True
     encoder_set: str = "clip-joint"
-    encoder_seed: int = 0
     weight_mode: WeightMode = WeightMode.LEARNED
     fixed_weights: Optional[Dict[str, float]] = None
     weight_learning: Dict[str, Any] = field(default_factory=dict)
     index: str = "hnsw"
     index_params: Dict[str, Any] = field(default_factory=dict)
     framework: str = "must"
-    framework_params: Dict[str, Any] = field(default_factory=dict)
     result_count: int = 5
     search_budget: int = 64
     llm: Optional[str] = "template"
@@ -220,18 +198,12 @@ class MQAConfig:
     query_rewriting: bool = False
     cache_queries: bool = True
     tracing: bool = False
-    trace_capacity: int = 64
     recorder_path: Optional[str] = None
-    recorder_max_bytes: int = 4_000_000
-    recorder_max_files: int = 3
     monitoring: bool = False
     monitor_sample_rate: int = 8
     slo_latency_ms: float = 250.0
-    slo_error_rate: float = 0.05
     slo_window: int = 64
-    event_capacity: int = 2048
     workers: int = 1
-    engine_queue: int = 64
     max_batch: int = 1
     batch_window_ms: float = 2.0
     shards: Optional[int] = None
@@ -243,16 +215,12 @@ class MQAConfig:
     resilience: bool = False
     retry_attempts: int = 1
     retry_backoff_ms: float = 10.0
-    retry_multiplier: float = 2.0
-    retry_max_backoff_ms: float = 1000.0
     deadline_ms: Optional[float] = None
     breaker_threshold: int = 5
     breaker_reset_ms: float = 1000.0
-    breaker_half_open_probes: int = 1
     fault_seed: int = 0
     faults: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     cost_accounting: bool = False
-    stats_exemplars: int = 8
     tiered: bool = False
     quantize_bits: int = 8
     rerank_factor: int = 4
@@ -322,18 +290,6 @@ class MQAConfig:
             raise ConfigurationError(
                 f"temperature must be in [0, 2], got {self.temperature}"
             )
-        if self.trace_capacity < 1:
-            raise ConfigurationError(
-                f"trace_capacity must be >= 1, got {self.trace_capacity}"
-            )
-        if self.recorder_max_bytes < 1024:
-            raise ConfigurationError(
-                f"recorder_max_bytes must be >= 1024, got {self.recorder_max_bytes}"
-            )
-        if self.recorder_max_files < 1:
-            raise ConfigurationError(
-                f"recorder_max_files must be >= 1, got {self.recorder_max_files}"
-            )
         if self.monitor_sample_rate < 1:
             raise ConfigurationError(
                 f"monitor_sample_rate must be >= 1, got {self.monitor_sample_rate}"
@@ -342,25 +298,13 @@ class MQAConfig:
             raise ConfigurationError(
                 f"slo_latency_ms must be positive, got {self.slo_latency_ms}"
             )
-        if not 0.0 <= self.slo_error_rate <= 1.0:
-            raise ConfigurationError(
-                f"slo_error_rate must be in [0, 1], got {self.slo_error_rate}"
-            )
         if self.slo_window < 1:
             raise ConfigurationError(
                 f"slo_window must be >= 1, got {self.slo_window}"
             )
-        if self.event_capacity < 1:
-            raise ConfigurationError(
-                f"event_capacity must be >= 1, got {self.event_capacity}"
-            )
         if self.workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {self.workers}"
-            )
-        if self.engine_queue < 0:
-            raise ConfigurationError(
-                f"engine_queue must be >= 0, got {self.engine_queue}"
             )
         if self.max_batch < 1:
             raise ConfigurationError(
@@ -407,15 +351,6 @@ class MQAConfig:
             raise ConfigurationError(
                 f"retry_backoff_ms must be >= 0, got {self.retry_backoff_ms}"
             )
-        if self.retry_multiplier < 1.0:
-            raise ConfigurationError(
-                f"retry_multiplier must be >= 1, got {self.retry_multiplier}"
-            )
-        if self.retry_max_backoff_ms < self.retry_backoff_ms:
-            raise ConfigurationError(
-                "retry_max_backoff_ms must be >= retry_backoff_ms, got "
-                f"{self.retry_max_backoff_ms} < {self.retry_backoff_ms}"
-            )
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ConfigurationError(
                 f"deadline_ms must be positive or None, got {self.deadline_ms}"
@@ -428,21 +363,12 @@ class MQAConfig:
             raise ConfigurationError(
                 f"breaker_reset_ms must be positive, got {self.breaker_reset_ms}"
             )
-        if self.breaker_half_open_probes < 1:
-            raise ConfigurationError(
-                "breaker_half_open_probes must be >= 1, got "
-                f"{self.breaker_half_open_probes}"
-            )
         if self.faults:
             # Reuse the injector's own validation so the config panel and
             # CLI reject bad specs at configuration time, not mid-query.
             from repro.core.resilience import FaultInjector
 
             FaultInjector(seed=self.fault_seed, specs=self.faults)
-        if self.stats_exemplars < 0:
-            raise ConfigurationError(
-                f"stats_exemplars must be >= 0, got {self.stats_exemplars}"
-            )
         if self.tiered and self.index != "starling":
             raise ConfigurationError(
                 "tiered serving requires index 'starling', got "

@@ -3,15 +3,20 @@
 "Both the frontend and backend exclusively interact with the coordinator,
 which functions as a conduit between them."  Setup (preprocessing ->
 representation -> index construction) runs as a DAG on the CGraph stand-in;
-each query round flows query-execution -> answer-generation.  Every data
-transition is recorded in the event log, and every stage updates the
+each query round runs an ordered stage list assembled once at the end of
+``setup()`` (rewrite -> degrade-modalities -> plan -> retrieve -> generate)
+over one :class:`RoundContext`, followed by the post-round observers.  A
+layer that is switched off contributes no stage, no observer and no
+wrapper, so the default round is exactly ``[retrieve, generate]``.  Every
+data transition is recorded in the event log, and every stage updates the
 status board the monitoring panel renders.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +29,7 @@ from repro.core.events import EventLog
 from repro.core.execution import QueryExecution
 from repro.core.generation import AnswerGeneration
 from repro.core.indexing import IndexConstruction
-from repro.core.planning import AdmissionController, QueryPlanner
+from repro.core.planning import AdmissionController, QueryPlan, QueryPlanner
 from repro.core.preprocessing import DataPreprocessing
 from repro.core.representation import RepresentationOutcome, VectorRepresentation
 from repro.core.resilience import Deadline, ResilienceManager
@@ -49,7 +54,52 @@ from repro.observability import (
     trace_span,
 )
 from repro.pipeline import DagPipeline
+from repro.retrieval import RetrievalResponse
 from repro.utils import Timer
+
+
+@dataclass
+class RoundContext:
+    """What one query round reads and writes on its way down the stages.
+
+    A dialogue round carries one query plus its dialogue state; a raw
+    ``/search`` batch carries several queries and none.  Inputs:
+    ``queries`` (what retrieval will run — ``rewrite`` replaces the text,
+    ``degrade-modalities`` drops failing modalities and empties the list
+    when none survives), ``k``, ``budget`` and ``fanout`` (``plan``
+    overrides them), ``weights`` (renormalised by ``degrade-modalities``),
+    ``exclude_ids`` (rejected items), ``filter_fn`` (built from ``where``),
+    ``deadline`` (resilience only) and ``submitted`` (the query as the
+    user sent it).  Outputs: ``plan``, ``responses`` (row ``i`` answers
+    query ``i``; empty when retrieval was skipped or unavailable),
+    ``answer``, ``degraded_reasons`` (any stage appends), ``ledger`` (a
+    raw batch's batch-scope cost ledger) and ``elapsed_ms`` (the runner).
+    """
+
+    queries: List[RawQuery]
+    k: int
+    budget: int
+    weights: "Dict[Modality, float] | None" = None
+    exclude_ids: Sequence[int] = ()
+    filter_fn: "Callable[[int], bool] | None" = None
+    fanout: Optional[int] = None
+    deadline: Optional[Deadline] = None
+    submitted: Optional[RawQuery] = None
+    user_text: str = ""
+    had_image: bool = False
+    history: Sequence[DialogueTurn] = ()
+    preferred_ids: Sequence[int] = ()
+    round_index: int = 0
+    plan: Optional[QueryPlan] = None
+    ledger: Optional[QueryCostProfile] = None
+    responses: List[RetrievalResponse] = field(default_factory=list)
+    answer: Optional[Answer] = None
+    degraded_reasons: List[str] = field(default_factory=list)
+    elapsed_ms: float = 0.0
+
+
+#: One entry of a stage or observer list: ``(name, callable(context))``.
+Stage = Tuple[str, Callable[[RoundContext], None]]
 
 
 class Coordinator:
@@ -67,34 +117,25 @@ class Coordinator:
         # read side while ingest_object/remove_object take the write side
         # exclusively — a search can never observe a half-mutated graph.
         self.rwlock = RWLock()
-        self.events = EventLog(capacity=config.event_capacity)
+        self.events = EventLog()
         self.status = StatusBoard()
         self.metrics = MetricsRegistry()
         # A flight recorder persists span trees, so it implies tracing even
         # when the tracing flag itself is off.
+        recording = config.recorder_path is not None
         self.tracer = (
-            Tracer(capacity=config.trace_capacity, metrics=self.metrics)
-            if config.tracing or config.recorder_path is not None
-            else NOOP_TRACER
+            Tracer(metrics=self.metrics) if config.tracing or recording else NOOP_TRACER
         )
         self.recorder: Optional[FlightRecorder] = (
             FlightRecorder(
-                config.recorder_path,
-                config=config.to_dict(),
-                max_bytes=config.recorder_max_bytes,
-                max_files=config.recorder_max_files,
-                metrics=self.metrics,
+                config.recorder_path, config=config.to_dict(), metrics=self.metrics
             )
-            if config.recorder_path is not None
+            if recording
             else None
         )
         self.slo: Optional[SLOMonitor] = (
             SLOMonitor(
-                SLOTargets(
-                    latency_ms=config.slo_latency_ms,
-                    error_rate=config.slo_error_rate,
-                    window=config.slo_window,
-                )
+                SLOTargets(latency_ms=config.slo_latency_ms, window=config.slo_window)
             )
             if config.monitoring
             else None
@@ -104,17 +145,11 @@ class Coordinator:
         # query/batch observed here feeds GET /stats and the labelled
         # Prometheus families.
         self.stats: Optional[StatsPlane] = (
-            StatsPlane(
-                metrics=self.metrics, exemplars=config.stats_exemplars
-            )
-            if config.cost_accounting
-            else None
+            StatsPlane(metrics=self.metrics) if config.cost_accounting else None
         )
         self.resilience = ResilienceManager.from_config(config, metrics=self.metrics)
         # The planner consumes the stats plane's live distributions (when
-        # cost accounting is on) and its own per-tier observations; both
-        # it and the admission controller are None when disabled, so the
-        # query path stays byte-identical.
+        # cost accounting is on) and its own per-tier observations.
         self.planner: Optional[QueryPlanner] = (
             QueryPlanner(
                 base_budget=config.search_budget,
@@ -137,7 +172,8 @@ class Coordinator:
         self.representation: Optional[RepresentationOutcome] = None
         self.execution: Optional[QueryExecution] = None
         self.generation: Optional[AnswerGeneration] = None
-        self._fallback_generation: Optional[AnswerGeneration] = None
+        self.stages: List[Stage] = []
+        self.observers: List[Stage] = []
         self._is_setup = False
 
     # ------------------------------------------------------------------
@@ -161,9 +197,9 @@ class Coordinator:
                 try:
                     return fn(context)
                 except Exception as exc:
-                    milestone = stage_names.get(node)
-                    if milestone is not None:
-                        self.status.fail(milestone, f"{type(exc).__name__}: {exc}")
+                    self.status.fail(
+                        stage_names[node], f"{type(exc).__name__}: {exc}"
+                    )
                     raise
 
             return run
@@ -180,28 +216,66 @@ class Coordinator:
         )
         pipeline.add_node("llm", self._run_llm_setup, depends_on=["indexing"])
         pipeline.run({})
-        if self.config.monitoring and self.kb is not None:
+        self._assemble_round()
+        self._is_setup = True
+        return self
+
+    def _assemble_round(self) -> None:
+        """Decide, once, what a query round consists of.
+
+        The stage list is ordered; each entry is installed by the one
+        flag named beside it, and the resilience guards wrap the search
+        and the LLM call only when ``config.resilience`` is on.  The
+        observers run after the round, outside its lock and trace.
+        """
+        config = self.config
+        retrieves = self.execution is not None  # False in LLM-only mode: no kb
+        if config.monitoring and retrieves:
             self.quality = QualityMonitor(
                 self.kb,
                 self.metrics,
-                sample_rate=self.config.monitor_sample_rate,
-                k=self.config.result_count,
+                sample_rate=config.monitor_sample_rate,
+                k=config.result_count,
             )
-        if self.config.agentic and self.kb is not None:
+        if config.agentic and retrieves:
             # Decomposition needs the domain's concept vocabulary, so the
             # answerer can only exist once preprocessing delivered the kb.
             self.agentic = AgenticAnswerer(
                 QueryDecomposer(
                     self.kb.space,
-                    max_hops=self.config.agentic_max_hops,
-                    seed=self.config.dataset.seed,
-                    temperature=self.config.temperature,
+                    max_hops=config.agentic_max_hops,
+                    seed=config.dataset.seed,
+                    temperature=config.temperature,
                 ),
-                refine_rounds=self.config.agentic_refine_rounds,
+                refine_rounds=config.agentic_refine_rounds,
                 metrics=self.metrics,
             )
-        self._is_setup = True
-        return self
+        self._search = self._plain_search
+        self._compose = self._plain_compose
+        if config.resilience:
+            self._search = self._guarded_search
+            if self.generation.llm is not None:
+                # The degradation target when the real LLM fails: same
+                # component, no model — the grounded retrieval-only listing.
+                self._fallback_generation = AnswerGeneration(
+                    llm=None, temperature=config.temperature
+                )
+                self._compose = self._guarded_compose
+        optional = [
+            (config.query_rewriting, "rewrite", self._rewrite),
+            (config.resilience, "degrade-modalities", self._degrade_modalities),
+            (config.planner, "plan", self._plan),
+            (True, "retrieve", self._retrieve),
+        ]
+        self.stages = [
+            (name, stage) for on, name, stage in optional if on and retrieves
+        ] + [("generate", self.generate)]
+        hooks = [  # keyed on the layer object: present or None
+            (self.stats, "stats", self._observe_stats),
+            (self.recorder, "recorder", self._record_flight),
+            (self.quality, "quality", self._observe_quality),
+        ]
+        self.observers = [(name, hook) for on, name, hook in hooks if on]
 
     def _run_preprocessing(self, context: dict) -> Optional[KnowledgeBase]:
         stage = "data preprocessing"
@@ -305,7 +379,6 @@ class Coordinator:
         the planner — when one exists — supplies the recall guard.
         """
         if self.config.semantic_cache:
-            assert self.representation is not None
             encoder_set = self.representation.encoder_set
 
             def embed(query: RawQuery):
@@ -334,17 +407,12 @@ class Coordinator:
     def _run_llm_setup(self, context: dict) -> None:
         llm = build_llm(self.config.llm, self.config.llm_params) if self.config.llm else None
         self.generation = AnswerGeneration(llm=llm, temperature=self.config.temperature)
-        # The degradation target when the real LLM fails: same component,
-        # no model — produces the grounded retrieval-only listing.
-        self._fallback_generation = AnswerGeneration(
-            llm=None, temperature=self.config.temperature
-        )
         detail = self.config.llm or "none (direct engagement mode)"
         self.events.record("coordinator", "generation", "llm", detail)
         return None
 
     # ------------------------------------------------------------------
-    # query flow (execution -> generation)
+    # query flow: entry points over one runner
     # ------------------------------------------------------------------
     def _require_setup(self) -> None:
         if not self._is_setup:
@@ -362,7 +430,7 @@ class Coordinator:
         where=None,
         deadline_ms: Optional[float] = None,
     ) -> Answer:
-        """Run one full query round through execution and generation.
+        """Run one full query round through the stage list.
 
         ``weights`` applies a per-query modality re-weighting (the
         configuration box's "modality weights at the query point").
@@ -371,63 +439,12 @@ class Coordinator:
         ``deadline_ms`` overrides the configured per-request latency
         budget (resilience mode only; None uses ``config.deadline_ms``).
         """
-        self._require_setup()
-        assert self.generation is not None
-        k = k if k is not None else self.config.result_count
-        user_text = str(query.get(Modality.TEXT)) if query.has(Modality.TEXT) else ""
-        had_image = query.has(Modality.IMAGE)
-        deadline = self.resilience.deadline(deadline_ms)
-
-        self.events.record(
-            "frontend", "coordinator", "raw-query",
-            f"round {round_index}: {user_text[:60]!r}"
-            + (" +image" if had_image else ""),
+        return self.run_round(
+            self.open_round(
+                query, history, preferred_ids, round_index, k, weights,
+                exclude_ids, where, deadline_ms,
+            )
         )
-
-        with self.rwlock.read(), Timer() as round_timer, self.tracer.trace(
-            "query", round=round_index, k=k, had_image=had_image
-        ):
-            answer = self._run_query_round(
-                query, user_text, had_image, history, preferred_ids,
-                round_index, k, weights, exclude_ids, where, deadline,
-            )
-        self.metrics.inc("coordinator.queries")
-        if answer.degraded:
-            self.metrics.inc("coordinator.degraded")
-        self.metrics.observe("coordinator.query_ms", round_timer.elapsed * 1000.0)
-        # Stats folding, recording, and quality scoring happen OUTSIDE the
-        # trace block: they must not add spans, or a replayed flight would
-        # never match its recording's span-tree shape.
-        if self.stats is not None and answer.cost is not None:
-            self.stats.observe(answer.cost, round_timer.elapsed * 1000.0)
-        if self.recorder is not None:
-            self._record_flight(
-                query, user_text, had_image, history, preferred_ids,
-                round_index, k, weights, exclude_ids, where, answer,
-            )
-        if self.quality is not None and user_text:
-            score = self.quality.maybe_score(user_text, answer.ids)
-            if (
-                score is not None
-                and self.stats is not None
-                and answer.cost is not None
-            ):
-                self.stats.observe_recall(
-                    answer.cost.framework,
-                    answer.cost.index,
-                    float(score["recall_at_k"]),
-                )
-            if (
-                score is not None
-                and self.planner is not None
-                and answer.plan is not None
-            ):
-                # Close the loop: sampled recall@k scores tune the
-                # planner's per-tier recall model.
-                self.planner.observe_recall(
-                    answer.plan.budget, float(score["recall_at_k"])
-                )
-        return answer
 
     def answer_agentic(
         self,
@@ -437,338 +454,182 @@ class Coordinator:
         round_index: int = 0,
         k: Optional[int] = None,
         weights: "Dict[Modality, float] | None" = None,
+        exclude_ids: Sequence[int] = (),
         deadline_ms: Optional[float] = None,
     ) -> Answer:
         """Run one multi-hop agentic round (``POST /ask``).
 
         Delegates to the :class:`~repro.core.agentic.AgenticAnswerer`
-        when ``config.agentic`` is on; otherwise falls straight through
-        to :meth:`handle_query`, so an ``/ask`` against a non-agentic
-        deployment answers bit-identically to ``/query``.
+        when ``config.agentic`` is on; otherwise the round is the
+        single-hop one, so an ``/ask`` against a non-agentic deployment
+        answers bit-identically to ``/query``.  ``exclude_ids`` holds on
+        every hop.
         """
-        self._require_setup()
-        if self.agentic is None:
-            return self.handle_query(
-                query,
-                history=history,
-                preferred_ids=preferred_ids,
-                round_index=round_index,
-                k=k,
-                weights=weights,
-                deadline_ms=deadline_ms,
-            )
-        return self.agentic.answer(
-            self,
-            query,
-            history=history,
-            preferred_ids=preferred_ids,
-            round_index=round_index,
-            k=k,
-            weights=weights,
-            deadline_ms=deadline_ms,
+        context = self.open_round(
+            query, history, preferred_ids, round_index, k, weights,
+            exclude_ids, None, deadline_ms,
         )
+        if self.agentic is None:
+            return self.run_round(context)
+        return self.agentic.answer(self, context)
 
     def retrieve_batch(
         self,
         queries: Sequence[RawQuery],
         k: Optional[int] = None,
         weights: "Dict[Modality, float] | None" = None,
-    ):
+        exclude_ids: Sequence[int] = (),
+    ) -> List[RetrievalResponse]:
         """Raw batched retrieval for a set of independent queries.
 
-        The fast path behind server micro-batching: no dialogue state, no
-        query rewriting, no answer generation — just the framework's
-        batched search under one shared read-lock acquisition.  Element
-        ``i`` of the returned list is bit-identical (ids and scores) to a
-        serial ``retrieve`` of ``queries[i]``.
-
-        Cache interaction: each query in the batch consults and populates
-        the :class:`~repro.core.cache.QueryCache` exactly as the serial
-        path would — same keys, same hit/miss accounting — so a query
-        served serially and a query served inside a batch are fully
-        interchangeable.  (An earlier revision bypassed the cache here,
-        which left batch traffic re-searching queries the serial path had
-        already answered and never warming the cache for later serial
-        rounds.)
+        The fast path behind server micro-batching and the agentic hops:
+        no dialogue state, no query rewriting, no answer generation — a
+        stage list of one (``retrieve``) under one shared read-lock
+        acquisition.  Element ``i`` of the returned list is bit-identical
+        (ids and scores) to a serial retrieval of ``queries[i]``, and
+        consults and populates the query cache exactly as that would —
+        same keys, same hit/miss accounting — so a query served serially
+        and a query served inside a batch are fully interchangeable.
+        ``weights`` and ``exclude_ids`` apply to every query.
         """
         self._require_setup()
-        if self.execution is None or self.kb is None:
+        if self.execution is None:
             raise CoordinatorError("cannot retrieve in LLM-only mode")
-        k = k if k is not None else self.config.result_count
-        queries = list(queries)
-        if not queries:
+        context = RoundContext(
+            queries=list(queries),
+            k=k if k is not None else self.config.result_count,
+            budget=self.config.search_budget,
+            weights=weights,
+            exclude_ids=exclude_ids,
+        )
+        if not context.queries:
             return []
-        # One batch-scope ledger collects what is amortised over the whole
-        # batch (the router's scatter/merge); per-query profiles ride on
-        # each response.
-        batch_profile = (
-            QueryCostProfile(
-                framework=self.execution.framework.name,
-                index=self.config.index,
-                shards_total=getattr(self.execution.framework, "shards", 0),
-                batch=len(queries),
+        with self.rwlock.read():
+            self.run_stages(
+                "query-batch", [("retrieve", self._retrieve_batch)], context,
+                queries=len(context.queries), k=context.k,
             )
-            if self.execution.cost_accounting
-            else None
-        )
-        scope = (
-            cost_context(batch_profile)
-            if batch_profile is not None
-            else nullcontext()
-        )
-        with self.rwlock.read(), Timer() as timer, self.tracer.trace(
-            "query-batch", queries=len(queries), k=k
-        ), scope:
-            responses = self.execution.execute_batch(
-                queries, k=k, budget=self.config.search_budget, weights=weights
-            )
-        if self.stats is not None:
-            self.stats.observe_batch(
-                [response.cost for response in responses],
-                batch_profile,
-                timer.elapsed * 1000.0,
-            )
-        self.metrics.inc("coordinator.queries", len(queries))
-        self.metrics.observe(
-            "coordinator.batch_query_ms", timer.elapsed * 1000.0
-        )
+        self._observe(context)
+        self.metrics.inc("coordinator.queries", len(context.queries))
+        self.metrics.observe("coordinator.batch_query_ms", context.elapsed_ms)
         self.events.record(
             "coordinator", "execution", "query-batch",
-            f"{len(queries)} queries, k={k}",
+            f"{len(context.queries)} queries, k={context.k}",
         )
-        return responses
+        return context.responses
 
-    def _record_flight(
+    def open_round(
         self,
         query: RawQuery,
-        user_text: str,
-        had_image: bool,
         history: Sequence[DialogueTurn],
         preferred_ids: Sequence[int],
         round_index: int,
-        k: int,
+        k: Optional[int],
         weights: "Dict[Modality, float] | None",
         exclude_ids: Sequence[int],
         where,
-        answer: Answer,
-    ) -> None:
-        """Persist one finished round into the flight recorder."""
-        assert self.recorder is not None
-        request: Dict[str, object] = {
-            "text": user_text,
-            "k": k,
-            "round_index": round_index,
-            "preferred_ids": [int(i) for i in preferred_ids],
-            "exclude_ids": [int(i) for i in exclude_ids],
-            "history": [
-                {"user": turn.user_text, "system": turn.system_text}
-                for turn in history
-            ],
-            "metadata": dict(query.metadata),
-        }
-        if had_image:
-            request["image"] = query.get(Modality.IMAGE)
-        if weights is not None:
-            request["weights"] = {
-                (m.value if isinstance(m, Modality) else str(m)): float(w)
-                for m, w in weights.items()
-            }
-        if where is not None:
-            # Predicates are arbitrary callables; replay skips such entries.
-            request["filtered"] = True
-        last = self.tracer.last_trace
-        self.recorder.record(
-            request,
-            result_ids=list(answer.ids),
-            span_tree=last.to_dict() if last is not None else None,
-            answer={
-                "text": answer.text,
-                "grounded": answer.grounded,
-                "llm": answer.llm,
-            },
-        )
-
-    def _run_query_round(
-        self,
-        query: RawQuery,
-        user_text: str,
-        had_image: bool,
-        history: Sequence[DialogueTurn],
-        preferred_ids: Sequence[int],
-        round_index: int,
-        k: int,
-        weights: "Dict[Modality, float] | None",
-        exclude_ids: Sequence[int],
-        where,
-        deadline: Optional[Deadline] = None,
-    ) -> Answer:
-        assert self.generation is not None
-        degraded_reasons: List[str] = []
-        if (
-            self.config.query_rewriting
-            and self.kb is not None
-            and user_text
-            and (history or preferred_ids)
-        ):
-            with trace_span("rewrite") as span:
-                rewriter = QueryRewriter(self.kb.space)
-                descriptions = []
-                for object_id in preferred_ids:
-                    obj = self.kb.get(object_id)
-                    if obj.has(Modality.TEXT):
-                        descriptions.append(str(obj.get(Modality.TEXT)))
-                rewritten = rewriter.rewrite(
-                    user_text,
-                    history_texts=[turn.user_text for turn in history],
-                    selected_descriptions=descriptions,
-                )
-                span.set(rewritten=rewritten != user_text)
-            if rewritten != user_text:
-                self.events.record(
-                    "generation", "execution", "rewritten-query",
-                    rewritten[:60],
-                )
-                query = query.with_content(Modality.TEXT, rewritten)
-
-        if (
-            self.resilience.enabled
-            and self.representation is not None
-            and self.kb is not None
-        ):
-            query, weights = self._drop_failing_modalities(
-                query, weights, deadline, degraded_reasons
-            )
-
-        response = None
-        plan = None
-        if self.execution is not None and self.kb is not None and query is not None:
-            filter_fn = None
-            if where is not None:
-                kb = self.kb
-                filter_fn = lambda object_id: where(kb.get(object_id))  # noqa: E731
-            budget = self.config.search_budget
-            fanout = None
-            if self.planner is not None:
-                pressure = (
-                    self.admission is not None and self.admission.under_pressure
-                )
-                with trace_span("plan") as span:
-                    plan = self.planner.plan(deadline=deadline, pressure=pressure)
-                    span.set(**plan.to_dict())
-                budget = plan.budget
-                fanout = plan.fanout
-                if plan.degraded:
-                    degraded_reasons.append(
-                        f"plan degraded to budget {plan.budget} "
-                        f"(deadline pressure)"
-                    )
-            self.status.start("query execution")
-            self.events.record("coordinator", "execution", "query", f"k={k}")
-            with Timer() as timer:
-                if not self.resilience.enabled:
-                    response = self.execution.execute(
-                        query,
-                        k=k,
-                        budget=budget,
-                        weights=weights,
-                        exclude_ids=exclude_ids,
-                        filter_fn=filter_fn,
-                        fanout=fanout,
-                    )
-                else:
-                    try:
-                        response = self.resilience.call(
-                            "index.search",
-                            lambda: self.execution.execute(
-                                query,
-                                k=k,
-                                budget=budget,
-                                weights=weights,
-                                exclude_ids=exclude_ids,
-                                filter_fn=filter_fn,
-                                fanout=fanout,
-                            ),
-                            deadline=deadline,
-                        )
-                    except MQAError as exc:
-                        degraded_reasons.append(
-                            f"retrieval unavailable ({type(exc).__name__})"
-                        )
-                        self.resilience.record_fallback("retrieval_unavailable")
-                        self.status.fail(
-                            "query execution", f"{type(exc).__name__}: {exc}"
-                        )
-                        self.events.record(
-                            "execution", "generation", "search-failed",
-                            f"{type(exc).__name__}: {exc}"[:80],
-                        )
-            if plan is not None and self.planner is not None:
-                self.planner.observe(
-                    plan, timer.elapsed * 1000.0, ok=response is not None
-                )
-            if response is not None:
-                if response.degraded_reasons:
-                    # Partial results from the shard router (lost shards)
-                    # degrade the round rather than failing it.
-                    degraded_reasons.extend(response.degraded_reasons)
-                self.status.finish(
-                    "query execution",
-                    timer.elapsed,
-                    results=str(len(response)),
-                    framework=response.framework,
-                    hops=str(response.stats.hops),
-                )
-                self.events.record(
-                    "execution", "generation", "search-results",
-                    f"{len(response)} items via {response.framework}",
-                )
-
-        self.status.start("answer generation")
-        with Timer() as timer, trace_span("generation") as span:
-            answer = self._generate_answer(
-                user_text, response, history, preferred_ids, had_image,
-                round_index, deadline, degraded_reasons,
-            )
-            span.set(llm=answer.llm or "none", grounded=answer.grounded)
-        if response is not None and response.cost is not None:
-            # The round's ledger: retrieval profile plus the generation
-            # stage, carried on the Answer for the API/stats plane.
-            response.cost.add_stage("generate", timer.elapsed * 1000.0)
-            answer.cost = response.cost
-        self.status.finish(
-            "answer generation",
-            timer.elapsed,
-            llm=answer.llm or "none",
-            grounded=str(answer.grounded),
-        )
+        deadline_ms: Optional[float],
+    ) -> RoundContext:
+        """The context of one dialogue round, as the frontend submitted it."""
+        self._require_setup()
+        user_text = str(query.get(Modality.TEXT)) if query.has(Modality.TEXT) else ""
+        had_image = query.has(Modality.IMAGE)
         self.events.record(
-            "generation", "frontend", "answer", answer.text[:60]
+            "frontend", "coordinator", "raw-query",
+            f"round {round_index}: {user_text[:60]!r}"
+            + (" +image" if had_image else ""),
         )
-        if degraded_reasons:
-            answer.degraded = True
-            answer.degraded_reasons = degraded_reasons
-        answer.plan = plan
+        filter_fn = None
+        if where is not None:
+            kb = self.kb
+            filter_fn = lambda object_id: where(kb.get(object_id))  # noqa: E731
+        return RoundContext(
+            queries=[query],
+            k=k if k is not None else self.config.result_count,
+            budget=self.config.search_budget,
+            weights=weights,
+            exclude_ids=exclude_ids,
+            filter_fn=filter_fn,
+            deadline=self.resilience.deadline(deadline_ms),
+            submitted=query,
+            user_text=user_text,
+            had_image=had_image,
+            history=history,
+            preferred_ids=preferred_ids,
+            round_index=round_index,
+        )
+
+    def run_round(self, context: RoundContext) -> Answer:
+        """Run the single-hop stage list over ``context``; returns its answer."""
+        with self.rwlock.read():
+            self.run_stages(
+                "query", self.stages, context, round=context.round_index,
+                k=context.k, had_image=context.had_image,
+            )
+        self._observe(context)
+        answer = context.answer
+        self.metrics.inc("coordinator.queries")
+        if answer.degraded:
+            self.metrics.inc("coordinator.degraded")
+        self.metrics.observe("coordinator.query_ms", context.elapsed_ms)
         return answer
 
+    def run_stages(
+        self, name: str, stages: Sequence[Stage], context: RoundContext, **attributes
+    ) -> None:
+        """The one runner: ``stages`` in order over ``context``, inside one
+        trace named ``name``, timed into ``context.elapsed_ms``."""
+        with Timer() as timer, self.tracer.trace(name, **attributes):
+            for _, stage in stages:
+                stage(context)
+        context.elapsed_ms = timer.elapsed * 1000.0
+
+    def _observe(self, context: RoundContext) -> None:
+        # Stats folding, recording, and quality scoring happen OUTSIDE the
+        # trace block: they must not add spans, or a replayed flight would
+        # never match its recording's span-tree shape.
+        for _, observe in self.observers:
+            observe(context)
+
     # ------------------------------------------------------------------
-    # graceful degradation (resilience mode only)
+    # stages (each installed by one flag; see _assemble_round)
     # ------------------------------------------------------------------
-    def _drop_failing_modalities(
-        self,
-        query: RawQuery,
-        weights: "Dict[Modality, float] | None",
-        deadline: Optional[Deadline],
-        degraded_reasons: List[str],
-    ) -> "Tuple[RawQuery | None, Dict[Modality, float] | None]":
-        """Probe each query modality's encoder; drop the ones that fail.
+    def _rewrite(self, context: RoundContext) -> None:
+        """``query_rewriting``: fold dialogue intent into a vague follow-up."""
+        user_text = context.user_text
+        if not (user_text and (context.history or context.preferred_ids)):
+            return
+        with trace_span("rewrite") as span:
+            descriptions = []
+            for object_id in context.preferred_ids:
+                obj = self.kb.get(object_id)
+                if obj.has(Modality.TEXT):
+                    descriptions.append(str(obj.get(Modality.TEXT)))
+            rewritten = QueryRewriter(self.kb.space).rewrite(
+                user_text,
+                history_texts=[turn.user_text for turn in context.history],
+                selected_descriptions=descriptions,
+            )
+            span.set(rewritten=rewritten != user_text)
+        if rewritten != user_text:
+            self.events.record(
+                "generation", "execution", "rewritten-query", rewritten[:60]
+            )
+            context.queries = [
+                context.queries[0].with_content(Modality.TEXT, rewritten)
+            ]
+
+    def _degrade_modalities(self, context: RoundContext) -> None:
+        """``resilience``: probe each query modality's encoder; drop the
+        ones that fail.
 
         Encoders are pure functions of their content, so a successful
         probe guarantees the framework's own encode of the same content
-        succeeds identically.  Returns the (possibly reduced) query — or
-        None when no modality survives — plus weights renormalised over
+        succeeds identically.  Leaves the (possibly reduced) query — or
+        none when no modality survives — plus weights renormalised over
         the surviving modalities.
         """
-        assert self.representation is not None
+        query = context.queries[0]
         encoder_set = self.representation.encoder_set
         dropped: List[Modality] = []
         for modality in query.modalities:
@@ -780,11 +641,11 @@ class Coordinator:
                 self.resilience.call(
                     f"encoder.{modality.value}",
                     lambda enc=encoder, m=modality, c=content: enc.encode(m, c),
-                    deadline=deadline,
+                    deadline=context.deadline,
                 )
             except MQAError as exc:
                 dropped.append(modality)
-                degraded_reasons.append(
+                context.degraded_reasons.append(
                     f"modality {modality.value} dropped ({type(exc).__name__})"
                 )
                 self.resilience.record_fallback("modality_dropped")
@@ -793,18 +654,23 @@ class Coordinator:
                     f"{modality.value}: {type(exc).__name__}: {exc}"[:80],
                 )
         if not dropped:
-            return query, weights
+            return
         remaining = {
             modality: query.get(modality)
             for modality in query.modalities
             if modality not in dropped
         }
         if not remaining:
-            degraded_reasons.append("retrieval skipped (no encodable modality)")
+            context.degraded_reasons.append(
+                "retrieval skipped (no encodable modality)"
+            )
             self.resilience.record_fallback("retrieval_unavailable")
-            return None, weights
-        reduced = RawQuery(content=remaining, metadata=dict(query.metadata))
-        return reduced, self._renormalised_weights(weights, dropped)
+            context.queries = []
+            return
+        context.queries = [
+            RawQuery(content=remaining, metadata=dict(query.metadata))
+        ]
+        context.weights = self._renormalised_weights(context.weights, dropped)
 
     def _renormalised_weights(
         self,
@@ -819,14 +685,12 @@ class Coordinator:
         per-query ``weights`` capability (joint embedding) fuse with
         their built-in weighting, so they get None.
         """
-        if self.execution is None or "weights" not in self.execution.capabilities:
+        if "weights" not in self.execution.capabilities:
             return None
         if weights is not None:
             base = {Modality.parse(m): float(w) for m, w in weights.items()}
-        elif self.representation is not None:
-            base = dict(self.representation.weights)
         else:
-            return None
+            base = dict(self.representation.weights)
         kept_total = sum(w for m, w in base.items() if m not in dropped)
         if kept_total <= 0:
             return None
@@ -835,59 +699,230 @@ class Coordinator:
             for m, w in base.items()
         }
 
-    def _generate_answer(
-        self,
-        user_text: str,
-        response,
-        history: Sequence[DialogueTurn],
-        preferred_ids: Sequence[int],
-        had_image: bool,
-        round_index: int,
-        deadline: Optional[Deadline],
-        degraded_reasons: List[str],
-    ) -> Answer:
-        """Generation with LLM fallback: a failing or out-of-budget LLM
-        degrades to the retrieval-only listing instead of failing the
-        round."""
-        assert self.generation is not None
-
-        def generate(component: AnswerGeneration) -> Answer:
-            return component.generate(
-                user_text,
-                response,
-                self.kb,
-                history=history,
-                preferred_ids=preferred_ids,
-                had_image=had_image,
-                round_index=round_index,
+    def _plan(self, context: RoundContext) -> None:
+        """``planner``: pick this round's search budget (and fan-out)."""
+        if not context.queries:
+            return
+        pressure = self.admission is not None and self.admission.under_pressure
+        with trace_span("plan") as span:
+            plan = self.planner.plan(deadline=context.deadline, pressure=pressure)
+            span.set(**plan.to_dict())
+        context.plan = plan
+        context.budget = plan.budget
+        context.fanout = plan.fanout
+        if plan.degraded:
+            context.degraded_reasons.append(
+                f"plan degraded to budget {plan.budget} (deadline pressure)"
             )
 
-        guarded = self.resilience.enabled and self.generation.llm is not None
-        if not guarded:
-            return generate(self.generation)
-        assert self._fallback_generation is not None
-        if deadline is not None and deadline.expired:
-            degraded_reasons.append("llm skipped (deadline exhausted)")
-            self.resilience.record_fallback("llm_fallback")
+    def _retrieve(self, context: RoundContext) -> None:
+        """The round's retrieval; a plan's latency is reported back."""
+        if not context.queries:
+            return
+        self.status.start("query execution")
+        self.events.record("coordinator", "execution", "query", f"k={context.k}")
+        with Timer() as timer:
+            context.responses = self._search(context)
+        if context.plan is not None:
+            self.planner.observe(
+                context.plan, timer.elapsed * 1000.0, ok=bool(context.responses)
+            )
+        for response in context.responses:
+            # Partial results from the shard router (lost shards) degrade
+            # the round rather than failing it.
+            context.degraded_reasons.extend(response.degraded_reasons)
+            self.status.finish(
+                "query execution",
+                timer.elapsed,
+                results=str(len(response)),
+                framework=response.framework,
+                hops=str(response.stats.hops),
+            )
             self.events.record(
-                "generation", "frontend", "generation-fallback",
-                "deadline exhausted before LLM call",
+                "execution", "generation", "search-results",
+                f"{len(response)} items via {response.framework}",
             )
-            return generate(self._fallback_generation)
+
+    def _plain_search(self, context: RoundContext) -> List[RetrievalResponse]:
+        return [
+            self.execution.execute(
+                context.queries[0],
+                k=context.k,
+                budget=context.budget,
+                weights=context.weights,
+                exclude_ids=context.exclude_ids,
+                filter_fn=context.filter_fn,
+                fanout=context.fanout,
+            )
+        ]
+
+    def _guarded_search(self, context: RoundContext) -> List[RetrievalResponse]:
+        """``resilience``: retried, deadline-bound search; a search that
+        still fails degrades the round to no retrieval."""
         try:
             return self.resilience.call(
-                "llm.generate",
-                lambda: generate(self.generation),
-                deadline=deadline,
+                "index.search",
+                lambda: self._plain_search(context),
+                deadline=context.deadline,
             )
         except MQAError as exc:
-            degraded_reasons.append(f"llm fallback ({type(exc).__name__})")
-            self.resilience.record_fallback("llm_fallback")
+            context.degraded_reasons.append(
+                f"retrieval unavailable ({type(exc).__name__})"
+            )
+            self.resilience.record_fallback("retrieval_unavailable")
+            self.status.fail("query execution", f"{type(exc).__name__}: {exc}")
             self.events.record(
-                "generation", "frontend", "generation-fallback",
+                "execution", "generation", "search-failed",
                 f"{type(exc).__name__}: {exc}"[:80],
             )
-            return generate(self._fallback_generation)
+            return []
+
+    def _retrieve_batch(self, context: RoundContext) -> None:
+        """The raw batch's retrieval.  One batch-scope ledger collects what
+        is amortised over the whole batch (the router's scatter/merge);
+        per-query profiles ride on each response."""
+        scope = nullcontext()
+        if self.execution.cost_accounting:
+            context.ledger = self.execution.new_profile(batch=len(context.queries))
+            scope = cost_context(context.ledger)
+        with scope:
+            context.responses = self.execution.execute_batch(
+                context.queries,
+                k=context.k,
+                budget=context.budget,
+                weights=context.weights,
+                exclude_ids=context.exclude_ids,
+            )
+
+    def generate(self, context: RoundContext) -> None:
+        """Compose ``context.answer`` from the first response (or none)."""
+        self.status.start("answer generation")
+        with Timer() as timer, trace_span("generation") as span:
+            answer = self._compose(context)
+            span.set(llm=answer.llm or "none", grounded=answer.grounded)
+        cost = context.responses[0].cost if context.responses else None
+        if cost is not None:
+            # The round's ledger: retrieval profile plus the generation
+            # stage, carried on the Answer for the API/stats plane.
+            cost.add_stage("generate", timer.elapsed * 1000.0)
+            answer.cost = cost
+        self.status.finish(
+            "answer generation",
+            timer.elapsed,
+            llm=answer.llm or "none",
+            grounded=str(answer.grounded),
+        )
+        self.events.record("generation", "frontend", "answer", answer.text[:60])
+        if context.degraded_reasons:
+            answer.degraded = True
+            answer.degraded_reasons = context.degraded_reasons
+        answer.plan = context.plan
+        context.answer = answer
+
+    def _plain_compose(
+        self, context: RoundContext, component: Optional[AnswerGeneration] = None
+    ) -> Answer:
+        return (component or self.generation).generate(
+            context.user_text,
+            context.responses[0] if context.responses else None,
+            self.kb,
+            history=context.history,
+            preferred_ids=context.preferred_ids,
+            had_image=context.had_image,
+            round_index=context.round_index,
+        )
+
+    def _guarded_compose(self, context: RoundContext) -> Answer:
+        """``resilience``: a failing or out-of-budget LLM degrades to the
+        retrieval-only listing instead of failing the round."""
+        deadline = context.deadline
+        if deadline is not None and deadline.expired:
+            reason = "llm skipped (deadline exhausted)"
+            detail = "deadline exhausted before LLM call"
+        else:
+            try:
+                return self.resilience.call(
+                    "llm.generate",
+                    lambda: self._plain_compose(context),
+                    deadline=deadline,
+                )
+            except MQAError as exc:
+                reason = f"llm fallback ({type(exc).__name__})"
+                detail = f"{type(exc).__name__}: {exc}"[:80]
+        context.degraded_reasons.append(reason)
+        self.resilience.record_fallback("llm_fallback")
+        self.events.record("generation", "frontend", "generation-fallback", detail)
+        return self._plain_compose(context, self._fallback_generation)
+
+    # ------------------------------------------------------------------
+    # post-round observers
+    # ------------------------------------------------------------------
+    def _observe_stats(self, context: RoundContext) -> None:
+        """``cost_accounting``: fold the round's (or batch's) ledgers into
+        the stats plane; a batch shares its wall time equally."""
+        self.stats.observe_batch(
+            [response.cost for response in context.responses],
+            context.ledger,
+            context.elapsed_ms,
+        )
+
+    def _record_flight(self, context: RoundContext) -> None:
+        """``recorder_path``: persist one finished round (raw batches are
+        not dialogue rounds and are not recorded)."""
+        answer, query = context.answer, context.submitted
+        if answer is None:
+            return
+        request: Dict[str, object] = {
+            "text": context.user_text,
+            "k": context.k,
+            "round_index": context.round_index,
+            "preferred_ids": [int(i) for i in context.preferred_ids],
+            "exclude_ids": [int(i) for i in context.exclude_ids],
+            "history": [
+                {"user": turn.user_text, "system": turn.system_text}
+                for turn in context.history
+            ],
+            "metadata": dict(query.metadata),
+        }
+        if context.had_image:
+            request["image"] = query.get(Modality.IMAGE)
+        if context.weights is not None:
+            request["weights"] = {
+                (m.value if isinstance(m, Modality) else str(m)): float(w)
+                for m, w in context.weights.items()
+            }
+        if context.filter_fn is not None:
+            # Predicates are arbitrary callables; replay skips such entries.
+            request["filtered"] = True
+        last = self.tracer.last_trace
+        self.recorder.record(
+            request,
+            result_ids=list(answer.ids),
+            span_tree=last.to_dict() if last is not None else None,
+            answer={
+                "text": answer.text,
+                "grounded": answer.grounded,
+                "llm": answer.llm,
+            },
+        )
+
+    def _observe_quality(self, context: RoundContext) -> None:
+        """``monitoring``: score a sampled round against the concept ground
+        truth, and close the loop — sampled recall@k feeds the stats
+        plane's group and tunes the planner's per-tier recall model."""
+        if not context.user_text:
+            return
+        answer = context.answer
+        score = self.quality.maybe_score(context.user_text, answer.ids)
+        if score is None:
+            return
+        recall = float(score["recall_at_k"])
+        if answer.cost is not None:
+            self.stats.observe_recall(
+                answer.cost.framework, answer.cost.index, recall
+            )
+        if answer.plan is not None:
+            self.planner.observe_recall(answer.plan.budget, recall)
 
     # ------------------------------------------------------------------
     # incremental ingestion
@@ -926,8 +961,7 @@ class Coordinator:
                 )
             except BaseException as exc:
                 self.kb.discard_object(obj.object_id)
-                if self.execution.cache is not None:
-                    self.execution.cache.invalidate()
+                self.execution.invalidate_cache()
                 self.events.record(
                     "preprocessing", "coordinator", "ingest-failed",
                     f"object {obj.object_id} rolled back: "
@@ -935,8 +969,7 @@ class Coordinator:
                 )
                 self.metrics.inc("coordinator.ingest_errors")
                 raise
-            if self.execution.cache is not None:
-                self.execution.cache.invalidate()
+            self.execution.invalidate_cache()
             self.events.record(
                 "frontend", "preprocessing", "ingest",
                 f"object {obj.object_id}: {', '.join(obj.concepts)}",
@@ -975,8 +1008,7 @@ class Coordinator:
                 self.metrics.inc("coordinator.remove_errors")
                 raise
             obj.metadata["deleted"] = True
-            if self.execution.cache is not None:
-                self.execution.cache.invalidate()
+            self.execution.invalidate_cache()
             self.events.record(
                 "frontend", "preprocessing", "remove", f"object {object_id}"
             )
@@ -990,6 +1022,24 @@ class Coordinator:
         if self.representation is None:
             return {}
         return dict(self.representation.weights)
+
+    def snapshots(self) -> Dict[str, "dict | None"]:
+        """One read of every optional layer's ledger (``None`` = disabled):
+        what ``/stats``, ``/health`` and the load generator report."""
+        layers = {
+            "planner": self.planner,
+            "admission": self.admission,
+            "agentic": self.agentic,
+            "cache": self.execution.cache if self.execution is not None else None,
+            "stats": self.stats,
+            "slo": self.slo,
+            "quality": self.quality,
+            "recorder": self.recorder,
+        }
+        return {
+            name: layer.snapshot() if layer is not None else None
+            for name, layer in layers.items()
+        }
 
     def get_object(self, object_id: int):
         """Fetch a knowledge-base object through the coordinator."""

@@ -13,7 +13,6 @@ import inspect
 import time
 from contextlib import nullcontext
 from dataclasses import replace
-from typing import List, Optional
 
 from repro.data.modality import Modality
 from repro.data.objects import MultiModalObject, RawQuery
@@ -50,25 +49,34 @@ class QueryExecution:
         self.cache = cache
         self.cost_accounting = bool(cost_accounting)
         self.index_name = index_name
-        self._capabilities: "set | None" = None
+        self._capabilities: "frozenset | None" = None
 
-    def _new_profile(self, cache_label: str = "off") -> QueryCostProfile:
-        """A fresh per-query cost ledger for this framework/index."""
+    def new_profile(self, batch: int = 0) -> QueryCostProfile:
+        """A fresh cost ledger for this framework/index: per query, or
+        batch-scope when ``batch`` counts the queries it covers."""
         return QueryCostProfile(
             framework=self.framework.name,
             index=self.index_name,
             shards_total=getattr(self.framework, "shards", 0),
-            cache=cache_label,
+            batch=batch,
         )
 
-    def _retrieve_capabilities(self) -> set:
+    def invalidate_cache(self) -> None:
+        """Drop every cached response (the corpus changed)."""
+        if self.cache is not None:
+            self.cache.invalidate()
+
+    @property
+    def capabilities(self) -> frozenset:
         """Optional keyword arguments the framework's ``retrieve_batch``
         accepts (``retrieve`` forwards to it).
 
         Capability is checked by signature inspection *before* calling, so
         a genuine ``TypeError`` raised inside retrieval propagates instead
         of being misread as a missing capability.  Computed once per
-        framework and cached.
+        framework and cached; the coordinator's degradation policies read
+        it too (e.g. only pass renormalised weights to frameworks that
+        take a ``weights`` kwarg).
         """
         if self._capabilities is None:
             parameters = inspect.signature(
@@ -77,20 +85,10 @@ class QueryExecution:
             if any(
                 p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
             ):
-                self._capabilities = {"weights", "filter_fn"}
+                self._capabilities = frozenset({"weights", "filter_fn"})
             else:
-                self._capabilities = set(parameters)
+                self._capabilities = frozenset(parameters)
         return self._capabilities
-
-    @property
-    def capabilities(self) -> frozenset:
-        """Optional ``retrieve`` kwargs the framework accepts.
-
-        Public read-only view used by the coordinator's degradation
-        policies (e.g. only pass renormalised weights to frameworks that
-        take a ``weights`` kwarg).
-        """
-        return frozenset(self._retrieve_capabilities())
 
     def execute(
         self,
@@ -102,22 +100,62 @@ class QueryExecution:
         filter_fn=None,
         fanout=None,
     ) -> RetrievalResponse:
-        """Top-``k`` retrieval for ``query``.
+        """Top-``k`` retrieval for ``query``: :meth:`execute_batch` of one."""
+        return self.execute_batch(
+            [query], k, budget=budget, weights=weights,
+            exclude_ids=exclude_ids, filter_fn=filter_fn, fanout=fanout,
+        )[0]
 
-        When the query was augmented from a selected result, that reference
-        object is excluded from the response — the user asked for *more*
-        items like it, not the item itself.  ``exclude_ids`` additionally
-        drops objects the user rejected in earlier rounds (negative
-        feedback).  ``filter_fn`` restricts results by object id (metadata
-        filtering).  ``weights`` applies per-query modality re-weighting
-        (frameworks without that capability reject it).  ``fanout`` limits
-        the shard scatter width on a router that supports it (degraded
-        planner mode only; silently ignored elsewhere).
+    def execute_batch(
+        self,
+        queries,
+        k: int,
+        budget: int = 64,
+        weights=None,
+        exclude_ids=(),
+        filter_fn=None,
+        fanout=None,
+    ) -> "list[RetrievalResponse]":
+        """Top-``k`` for independent queries — the one retrieval body.
+
+        Row ``i`` is what a batch of ``queries[i]`` alone returns: same
+        ids, same score bits, same stats, same cache label and
+        accounting, same cost signature; only cache misses reach the
+        framework, as one ``retrieve_batch`` call per fetch width.  The
+        options are shared by the batch the way ``weights`` is:
+
+        * ``exclude_ids`` drops objects the user rejected in earlier
+          rounds (negative feedback).  A query augmented from a selected
+          result also excludes that reference object — the user asked
+          for *more* items like it, not the item itself.
+        * ``filter_fn`` restricts results by object id (metadata
+          filtering); predicates are not hashable, so filtered batches
+          bypass the cache.
+        * ``weights`` applies per-query modality re-weighting (frameworks
+          without that capability reject it).
+        * ``fanout`` limits the shard scatter width on a router that
+          supports it (degraded planner mode only; silently ignored
+          elsewhere).
+
+        One cache protocol, whichever cache is configured: ``lookup`` →
+        on a miss search, ``put``, and hand out a copy.  The cache holds
+        the raw (pre-exclusion) retrieval and exclusions apply to the
+        copy, so entries stay pristine; partial (degraded) responses are
+        returned but never cached.  A key repeated inside one batch is
+        fetched once; later occurrences replay through the cache after
+        the first was stored, so the hit/miss accounting matches a serial
+        miss-then-hit exactly (and when the first occurrence was degraded,
+        the repeat records the miss a serial re-search would and shares a
+        copy of the partial response).
+
+        The span is ``retrieval`` for one query (a dialogue round) and
+        ``retrieval-batch`` for more; with cost accounting on, a lone
+        query's own ledger is ambient while the framework runs, a wider
+        batch amortises into its caller's batch ledger.
         """
         if k <= 0:
             raise SearchError(f"k must be positive, got {k}")
-
-        capabilities = self._retrieve_capabilities()
+        capabilities = self.capabilities
         if weights is not None and "weights" not in capabilities:
             raise SearchError(
                 f"framework {self.framework.name!r} does not support "
@@ -128,103 +166,114 @@ class QueryExecution:
                 f"framework {self.framework.name!r} does not support "
                 "filtered retrieval"
             )
-        if fanout is not None and "fanout" not in capabilities:
-            fanout = None
+        queries = list(queries)
+        if not queries:
+            return []
+        kwargs = {}
+        if weights is not None:
+            kwargs["weights"] = weights
+        if filter_fn is not None:
+            kwargs["filter_fn"] = filter_fn
+        if fanout is not None and "fanout" in capabilities:
+            kwargs["fanout"] = fanout
 
-        profile = self._new_profile() if self.cost_accounting else None
-
-        def retrieve(fetch: int) -> RetrievalResponse:
-            kwargs = {}
-            if weights is not None:
-                kwargs["weights"] = weights
-            if filter_fn is not None:
-                kwargs["filter_fn"] = filter_fn
-            if fanout is not None:
-                kwargs["fanout"] = fanout
-            return self.framework.retrieve(query, k=fetch, budget=budget, **kwargs)
-
-        def run(fetch: int, span) -> RetrievalResponse:
-            # Cache the raw (pre-exclusion) retrieval; exclusions are
-            # applied to a copy so cached entries stay pristine.  Filtered
-            # queries bypass the cache (predicates are not hashable).
-            if self.cache is None or filter_fn is not None:
-                span.set(cache="bypass")
-                if profile is not None and self.cache is not None:
-                    profile.cache = "bypass"
-                return retrieve(fetch)
-            key = self.cache.key_for(query, fetch, budget, weights=weights)
-            if self.cache.semantic:
-                # Exact-then-near-duplicate lookup; a semantic hit serves
-                # a copy of the neighbour's response and did no kernel
-                # work, exactly like an exact hit.
-                cached, label, registration = self.cache.lookup(key, query)
-                if cached is None:
-                    span.set(cache="miss")
-                    if profile is not None:
-                        profile.cache = "miss"
-                    fresh = retrieve(fetch)
-                    if fresh.degraded_reasons:
-                        return fresh
-                    if registration is not None:
-                        self.cache.put_semantic(key, registration, fresh)
-                    else:
-                        self.cache.put(key, fresh)
-                    return self._copy_response(fresh)
-                span.set(cache=label)
-                if profile is not None:
-                    profile.cache = label
-                return self._copy_response(cached)
-            cached = self.cache.get(key)
-            if cached is None:
-                span.set(cache="miss")
-                if profile is not None:
-                    profile.cache = "miss"
-                cached = retrieve(fetch)
-                if cached.degraded_reasons:
-                    # Partial results (lost shards) must not be served to
-                    # later queries as if they were complete.
-                    return cached
-                self.cache.put(key, cached)
-            else:
-                span.set(cache="hit")
-                if profile is not None:
-                    profile.cache = "hit"
-            return self._copy_response(cached)
-
-        excluded = set(exclude_ids)
-        reference_id = query.metadata.get("augmented_from")
-        if reference_id is not None:
-            excluded.add(reference_id)
-        scope = cost_context(profile) if profile is not None else nullcontext()
-        with trace_span(
-            "retrieval", framework=self.framework.name, k=k, budget=budget
-        ) as span, scope:
-            started = time.perf_counter() if profile is not None else 0.0
-            if not excluded:
-                response = run(k, span)
-            else:
-                response = run(k + len(excluded), span)
-                response.items = [
-                    item for item in response.items if item.object_id not in excluded
-                ][:k]
-                for rank, item in enumerate(response.items):
-                    item.rank = rank
-            span.set(
-                results=len(response.items),
-                hops=response.stats.hops,
-                distance_evaluations=response.stats.distance_evaluations,
+        shared = set(exclude_ids)
+        excluded = []
+        for query in queries:
+            reference_id = query.metadata.get("augmented_from")
+            excluded.append(
+                shared if reference_id is None else shared | {reference_id}
             )
-            if profile is not None:
-                profile.add_stage(
-                    "retrieve", (time.perf_counter() - started) * 1000.0
+        fetches = [k + len(dropped) for dropped in excluded]
+        cache = self.cache if filter_fn is None else None
+        lone = len(queries) == 1
+        profiles = (
+            [self.new_profile() for _ in queries] if self.cost_accounting else []
+        )
+        scope = cost_context(profiles[0]) if lone and profiles else nullcontext()
+        with trace_span(
+            "retrieval" if lone else "retrieval-batch",
+            framework=self.framework.name,
+            queries=len(queries),
+            k=k,
+            budget=budget,
+        ) as span, scope:
+            started = time.perf_counter() if profiles else 0.0
+            results: "list[RetrievalResponse | None]" = [None] * len(queries)
+            labels = ["bypass"] * len(queries)
+            keys, registrations = [], {}
+            first = {}  # key -> position of its first, in-flight miss
+            repeats = []  # later occurrences of such a key
+            misses = {}  # fetch width -> positions the framework answers
+            if cache is None:
+                for position, fetch in enumerate(fetches):
+                    misses.setdefault(fetch, []).append(position)
+            else:
+                keys = [
+                    cache.key_for(query, fetch, budget, weights=weights)
+                    for query, fetch in zip(queries, fetches)
+                ]
+                for position, key in enumerate(keys):
+                    if key in first:
+                        repeats.append(position)
+                        continue
+                    cached, labels[position], registrations[position] = (
+                        cache.lookup(key, queries[position])
+                    )
+                    if cached is None:
+                        first[key] = position
+                        misses.setdefault(fetches[position], []).append(position)
+                    else:
+                        results[position] = self._copy_response(cached)
+            for fetch, group in misses.items():
+                fresh = self.framework.retrieve_batch(
+                    [queries[p] for p in group], k=fetch, budget=budget, **kwargs
                 )
-                # A cache hit (exact or semantic) did no kernel work this
-                # call; the original search was accounted when it ran.
-                if profile.cache not in ("hit", "semantic"):
-                    profile.add_search_stats(response.stats)
-                profile.items = len(response.items)
-                response.cost = profile
-        return response
+                for position, response in zip(group, fresh):
+                    if cache is None or response.degraded_reasons:
+                        results[position] = response
+                    else:
+                        cache.put(
+                            keys[position], response, registrations[position]
+                        )
+                        results[position] = self._copy_response(response)
+            for position in repeats:
+                key = keys[position]
+                cached, labels[position], _ = cache.lookup(key, queries[position])
+                results[position] = self._copy_response(
+                    results[first[key]] if cached is None else cached
+                )
+            items = hops = evaluations = 0
+            for response, dropped in zip(results, excluded):
+                if dropped:
+                    response.items = [
+                        item
+                        for item in response.items
+                        if item.object_id not in dropped
+                    ][:k]
+                    for rank, item in enumerate(response.items):
+                        item.rank = rank
+                items += len(response.items)
+                hops += response.stats.hops
+                evaluations += response.stats.distance_evaluations
+            span.set(
+                cache="/".join(dict.fromkeys(labels)),
+                results=items,
+                hops=hops,
+                distance_evaluations=evaluations,
+            )
+            if profiles:
+                share_ms = (time.perf_counter() - started) * 1000.0 / len(queries)
+                for profile, response, label in zip(profiles, results, labels):
+                    profile.cache = "off" if self.cache is None else label
+                    profile.add_stage("retrieve", share_ms)
+                    # A cache hit (exact or semantic) did no kernel work this
+                    # call; the original search was accounted when it ran.
+                    if label not in ("hit", "semantic"):
+                        profile.add_search_stats(response.stats)
+                    profile.items = len(response.items)
+                    response.cost = profile
+        return results
 
     @staticmethod
     def _copy_response(cached: RetrievalResponse) -> RetrievalResponse:
@@ -248,135 +297,6 @@ class QueryExecution:
             },
             degraded_reasons=list(cached.degraded_reasons),
         )
-
-    def execute_batch(
-        self,
-        queries,
-        k: int,
-        budget: int = 64,
-        weights=None,
-    ) -> "list[RetrievalResponse]":
-        """Batched top-``k`` for independent queries, with cache parity.
-
-        Each query consults and populates the :class:`QueryCache` exactly
-        as a serial :meth:`execute` would (same keys, same hit/miss
-        accounting, same copy-on-return semantics); only the cache misses
-        reach the framework, as one ``retrieve_batch`` call.  The batched
-        kernels guarantee element-wise bit-identity with serial retrieval
-        regardless of batch composition, so mixing hits and misses cannot
-        change any result.  Partial (degraded) responses are returned but
-        never cached.
-
-        This path serves server micro-batching: no exclusions and no
-        filters apply (those are dialogue-round concepts).  A semantic
-        cache participates with its *exact* tier only — near-duplicate
-        matching is a latency optimisation for the interactive serial
-        path, and keeping batches exact preserves the batched-vs-serial
-        bit-identity guarantee unconditionally.
-        """
-        if k <= 0:
-            raise SearchError(f"k must be positive, got {k}")
-        capabilities = self._retrieve_capabilities()
-        if weights is not None and "weights" not in capabilities:
-            raise SearchError(
-                f"framework {self.framework.name!r} does not support "
-                "per-query modality weights"
-            )
-        queries = list(queries)
-        if not queries:
-            return []
-        kwargs = {}
-        if weights is not None:
-            kwargs["weights"] = weights
-        with trace_span(
-            "retrieval-batch",
-            framework=self.framework.name,
-            queries=len(queries),
-            k=k,
-            budget=budget,
-        ) as span:
-            if self.cache is None:
-                span.set(cache="bypass")
-                fresh = self.framework.retrieve_batch(
-                    queries, k=k, budget=budget, **kwargs
-                )
-                if self.cost_accounting:
-                    self._attach_costs(fresh, ["off"] * len(fresh))
-                return fresh
-            keys = [
-                self.cache.key_for(query, k, budget, weights=weights)
-                for query in queries
-            ]
-            results: "list[RetrievalResponse | None]" = [None] * len(queries)
-            labels = ["hit"] * len(queries)
-            misses = []  # first occurrence of each missing key
-            repeats = []  # later occurrences of a key already being fetched
-            pending = set()
-            for position, key in enumerate(keys):
-                if key in pending:
-                    repeats.append(position)
-                    continue
-                cached = self.cache.get(key)
-                if cached is None:
-                    pending.add(key)
-                    misses.append(position)
-                else:
-                    results[position] = self._copy_response(cached)
-            if misses:
-                fresh = self.framework.retrieve_batch(
-                    [queries[position] for position in misses],
-                    k=k,
-                    budget=budget,
-                    **kwargs,
-                )
-                for position, response in zip(misses, fresh):
-                    labels[position] = "miss"
-                    if response.degraded_reasons:
-                        results[position] = response
-                    else:
-                        self.cache.put(keys[position], response)
-                        results[position] = self._copy_response(response)
-            # A key repeated inside one batch is fetched once; later
-            # occurrences replay through the cache so the hit/miss
-            # accounting matches a serial miss-then-hit exactly.  When the
-            # first occurrence was degraded (and therefore not cached) the
-            # lookup records the miss a serial re-search would, and the
-            # repeat shares a copy of the partial response.
-            for position in repeats:
-                cached = self.cache.get(keys[position])
-                if cached is not None:
-                    results[position] = self._copy_response(cached)
-                else:
-                    labels[position] = "miss"
-                    first = next(
-                        p for p in misses if keys[p] == keys[position]
-                    )
-                    results[position] = self._copy_response(results[first])
-            span.set(
-                cache_hits=len(queries) - len(misses) - len(repeats),
-                cache_misses=len(misses),
-                cache_repeats=len(repeats),
-            )
-            if self.cost_accounting:
-                self._attach_costs(results, labels)
-        return results
-
-    def _attach_costs(
-        self, results: "List[RetrievalResponse]", labels: "List[str]"
-    ) -> None:
-        """Attach one fresh per-query profile per batched response.
-
-        Mirrors the serial accounting exactly: a hit carries zero kernel
-        counters (the served copy did no search work); misses and
-        uncached paths copy their counters off the response stats — so a
-        batched query's profile signature matches its serial twin.
-        """
-        for response, label in zip(results, labels):
-            profile = self._new_profile(cache_label=label)
-            if label != "hit":
-                profile.add_search_stats(response.stats)
-            profile.items = len(response.items)
-            response.cost = profile
 
     @staticmethod
     def augment_query(

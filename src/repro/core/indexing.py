@@ -68,7 +68,6 @@ class IndexConstruction:
 
             router = ShardRouter(
                 framework_name=config.framework,
-                framework_params=config.framework_params,
                 shards=config.shards if config.shards is not None else 1,
                 replicas=config.replicas,
                 partitioner=config.partitioner,
@@ -82,6 +81,6 @@ class IndexConstruction:
             router.setup(kb, encoder_set, index_builder, weights=weights)
             return router
 
-        framework = build_framework(config.framework, config.framework_params)
+        framework = build_framework(config.framework)
         framework.setup(kb, encoder_set, index_builder, weights=weights)
         return framework

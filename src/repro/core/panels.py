@@ -66,35 +66,24 @@ class ConfigurationPanel:
             "external_knowledge",
             "fixed_weights",
             "index_params",
-            "framework_params",
             "tracing",
-            "trace_capacity",
             "recorder_path",
-            "recorder_max_bytes",
-            "recorder_max_files",
             "monitoring",
             "monitor_sample_rate",
             "slo_latency_ms",
-            "slo_error_rate",
             "slo_window",
-            "event_capacity",
             "workers",
-            "engine_queue",
             "max_batch",
             "batch_window_ms",
             "resilience",
             "retry_attempts",
             "retry_backoff_ms",
-            "retry_multiplier",
-            "retry_max_backoff_ms",
             "deadline_ms",
             "breaker_threshold",
             "breaker_reset_ms",
-            "breaker_half_open_probes",
             "fault_seed",
             "faults",
             "cost_accounting",
-            "stats_exemplars",
         ):
             updates[option] = value
         else:

@@ -45,7 +45,7 @@ class VectorRepresentation:
 
     def run(self, config: MQAConfig, kb: KnowledgeBase) -> RepresentationOutcome:
         """Build encoders and weights for ``kb`` per ``config``."""
-        encoder_set = build_encoder_set(config.encoder_set, kb, seed=config.encoder_seed)
+        encoder_set = build_encoder_set(config.encoder_set, kb)
         mode = config.weight_mode
         if mode is WeightMode.EQUAL:
             return RepresentationOutcome(

@@ -473,15 +473,11 @@ class ResilienceManager:
         return cls(
             enabled=config.resilience,
             retry=RetryPolicy(
-                attempts=config.retry_attempts,
-                backoff_ms=config.retry_backoff_ms,
-                multiplier=config.retry_multiplier,
-                max_backoff_ms=config.retry_max_backoff_ms,
+                attempts=config.retry_attempts, backoff_ms=config.retry_backoff_ms
             ),
             default_deadline_ms=config.deadline_ms,
             breaker_threshold=config.breaker_threshold,
             breaker_reset_ms=config.breaker_reset_ms,
-            breaker_half_open_probes=config.breaker_half_open_probes,
             injector=injector,
             metrics=metrics,
             clock=clock,

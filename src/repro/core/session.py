@@ -122,15 +122,9 @@ class DialogueSession:
             deadline_ms: Per-request latency budget override (resilience
                 mode only).
         """
-        if not text:
-            raise SessionError("query text must be non-empty")
-        if image is not None:
-            query = RawQuery.from_text_and_image(text, image)
-        else:
-            query = RawQuery.from_text(text)
         return self._run(
-            query, text, k=k, weights=weights, where=where,
-            deadline_ms=deadline_ms,
+            self.coordinator.handle_query, self._fresh_query(text, image), text,
+            k=k, weights=weights, where=where, deadline_ms=deadline_ms,
         )
 
     def ask_agentic(
@@ -144,37 +138,24 @@ class DialogueSession:
         """Ask through the multi-hop agentic path (``POST /ask``).
 
         Same dialogue-state threading as :meth:`ask` (history, preferred
-        selections, round numbering), but the round runs through
-        :meth:`~repro.core.coordinator.Coordinator.answer_agentic` —
-        which falls back to the single-hop path, bit-identically, when
-        agentic mode is off.  Metadata filtering and rejected-id
-        exclusion are :meth:`ask`-only for now.
+        selections, rejected items, round numbering), but the round runs
+        through :meth:`~repro.core.coordinator.Coordinator.answer_agentic`
+        — which is the single-hop round, bit-identically, when agentic
+        mode is off.  Metadata filtering (``where``) is an :meth:`ask`
+        option only.
         """
+        return self._run(
+            self.coordinator.answer_agentic, self._fresh_query(text, image), text,
+            k=k, weights=weights, deadline_ms=deadline_ms,
+        )
+
+    @staticmethod
+    def _fresh_query(text: str, image: Any) -> RawQuery:
         if not text:
             raise SessionError("query text must be non-empty")
         if image is not None:
-            query = RawQuery.from_text_and_image(text, image)
-        else:
-            query = RawQuery.from_text(text)
-        with self._lock:
-            answer = self.coordinator.answer_agentic(
-                query,
-                history=self._history(),
-                preferred_ids=self._preferred_ids(),
-                round_index=len(self.rounds),
-                k=k,
-                weights=weights,
-                deadline_ms=deadline_ms,
-            )
-            self.rounds.append(
-                Round(
-                    index=len(self.rounds),
-                    user_text=text,
-                    had_image=query.has(Modality.IMAGE),
-                    answer=answer,
-                )
-            )
-            return answer
+            return RawQuery.from_text_and_image(text, image)
+        return RawQuery.from_text(text)
 
     def select(self, rank: int) -> int:
         """Mark the item at ``rank`` of the last answer as preferred.
@@ -232,7 +213,8 @@ class DialogueSession:
             selected = self.coordinator.get_object(selected_id)
             query = QueryExecution.augment_query(text, selected)
             return self._run(
-                query, text, k=k, weights=weights, deadline_ms=deadline_ms
+                self.coordinator.handle_query, query, text,
+                k=k, weights=weights, deadline_ms=deadline_ms,
             )
 
     # ------------------------------------------------------------------
@@ -280,26 +262,17 @@ class DialogueSession:
 
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))
 
-    def _run(
-        self,
-        query: RawQuery,
-        text: str,
-        k: Optional[int] = None,
-        weights: Optional[dict] = None,
-        where=None,
-        deadline_ms: Optional[float] = None,
-    ) -> Answer:
+    def _run(self, verb, query: RawQuery, text: str, **options) -> Answer:
+        """One dialogue round through ``verb`` (a coordinator entry point),
+        threading history, selections and rejections in and the round out."""
         with self._lock:
-            answer = self.coordinator.handle_query(
+            answer = verb(
                 query,
                 history=self._history(),
                 preferred_ids=self._preferred_ids(),
                 round_index=len(self.rounds),
-                k=k,
-                weights=weights,
                 exclude_ids=sorted(self._rejected_ids()),
-                where=where,
-                deadline_ms=deadline_ms,
+                **options,
             )
             self.rounds.append(
                 Round(

@@ -290,8 +290,15 @@ class Tracer:
         # iterating a deque during an append raises RuntimeError.
         self._lock = threading.Lock()
 
-    def trace(self, name: str, **attributes: Any) -> _TraceContext:
-        """Open a root span and make this tracer ambient for its duration."""
+    def trace(self, name: str, **attributes: Any):
+        """Open a root span and make this tracer ambient for its duration.
+
+        Opened inside one of this tracer's own traces (an agentic round's
+        hop batches) it is a child span, so a request stays one trace.
+        """
+        state = _ACTIVE.get()
+        if state is not None and state.tracer is self:
+            return _SpanContext(state, name, dict(attributes))
         return _TraceContext(self, name, dict(attributes))
 
     def _finish(self, root: Span) -> None:

@@ -100,7 +100,8 @@ class ApiServer:
             can be driven deterministically in tests).
         workers: Engine worker count; overrides ``config.workers`` when
             given (as the CLI ``--workers`` flag does).
-        engine_queue: Bounded-queue depth; overrides ``config.engine_queue``.
+        engine_queue: Bounded-queue depth (the engine's own default when
+            omitted).
         max_batch: Micro-batch size cap for ``POST /search``; overrides
             ``config.max_batch`` when given (as ``--max-batch`` does).
             ``1`` disables coalescing — identical serving behaviour to the
@@ -162,7 +163,7 @@ class ApiServer:
         draft = self._panel.config
         self.engine = QueryEngine(
             workers=workers if workers is not None else draft.workers,
-            max_queue=engine_queue if engine_queue is not None else draft.engine_queue,
+            **({} if engine_queue is None else {"max_queue": engine_queue}),
         )
         self._batcher_pinned = max_batch is not None or batch_window_ms is not None
         self.batcher = MicroBatcher(
@@ -182,8 +183,8 @@ class ApiServer:
             ("POST", "/apply"): self._post_apply,
             ("GET", "/status"): self._get_status,
             ("GET", "/weights"): self._get_weights,
-            ("POST", "/query"): self._post_query,
-            ("POST", "/ask"): self._post_ask,
+            ("POST", "/query"): lambda body: self._post_question(body, "query"),
+            ("POST", "/ask"): lambda body: self._post_question(body, "ask"),
             ("POST", "/select"): self._post_select,
             ("POST", "/refine"): self._post_refine,
             ("GET", "/transcript"): self._get_transcript,
@@ -314,15 +315,14 @@ class ApiServer:
         """
         if self._engine_pinned:
             return
-        draft = self._panel.config
-        desired = (draft.workers, draft.engine_queue)
-        if desired == (self.engine.workers, self.engine.max_queue):
+        desired = self._panel.config.workers
+        if desired == self.engine.workers:
             return
         with self._engine_lock:
-            if desired == (self.engine.workers, self.engine.max_queue):
+            if desired == self.engine.workers:
                 return
             old = self.engine
-            self.engine = QueryEngine(workers=desired[0], max_queue=desired[1])
+            self.engine = QueryEngine(workers=desired)
             self._install_wait_observer()
             old.shutdown(wait=False)
 
@@ -576,47 +576,25 @@ class ApiServer:
         coordinator.metrics.observe(f"api.{verb}_ms", elapsed * 1000.0)
         return answer
 
-    def _post_query(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _post_question(self, body: Dict[str, Any], verb: str) -> Dict[str, Any]:
+        """``POST /query`` and ``POST /ask`` — the multi-hop agentic mode
+        of ``/query``.  With ``config.agentic`` off both run the single-hop
+        round and answer the same body bit-identically."""
         coordinator, qa = self._require_system(body)
         text = self._require_field(body, "text")
         image = None
-        if "reference_object_id" in body and body["reference_object_id"] is not None:
+        if body.get("reference_object_id") is not None:
             # An uploaded image is modelled by referencing an object whose
             # image modality stands in for the user's file.
             reference = coordinator.get_object(int(body["reference_object_id"]))
             image = reference.get(Modality.IMAGE)
+        ask = qa.session.ask_agentic if verb == "ask" else qa.session.ask
         weights = body.get("weights")
         deadline_ms = self._deadline_override(body)
         answer = self._timed_verb(
             coordinator,
-            "query",
-            lambda: qa.session.ask(
-                text, image=image, weights=weights, deadline_ms=deadline_ms
-            ),
-        )
-        return {"answer": self._answer_payload(answer)}
-
-    def _post_ask(self, body: Dict[str, Any]) -> Dict[str, Any]:
-        """``POST /ask`` — the multi-hop agentic mode of ``/query``.
-
-        With ``config.agentic`` off the round falls through to the
-        single-hop path and the response payload is bit-identical to
-        ``POST /query`` for the same body.
-        """
-        coordinator, qa = self._require_system(body)
-        text = self._require_field(body, "text")
-        image = None
-        if "reference_object_id" in body and body["reference_object_id"] is not None:
-            reference = coordinator.get_object(int(body["reference_object_id"]))
-            image = reference.get(Modality.IMAGE)
-        weights = body.get("weights")
-        deadline_ms = self._deadline_override(body)
-        answer = self._timed_verb(
-            coordinator,
-            "ask",
-            lambda: qa.session.ask_agentic(
-                text, image=image, weights=weights, deadline_ms=deadline_ms
-            ),
+            verb,
+            lambda: ask(text, image=image, weights=weights, deadline_ms=deadline_ms),
         )
         return {"answer": self._answer_payload(answer)}
 
@@ -845,94 +823,38 @@ class ApiServer:
 
     def _get_stats(self, body: Dict[str, Any]) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
-        tiered = tiered_snapshot(
-            coordinator.execution.framework
-            if coordinator.execution is not None
-            else None
-        )
-        cache = (
-            coordinator.execution.cache
-            if coordinator.execution is not None
-            else None
-        )
-        planning = {
-            "planner": (
-                coordinator.planner.snapshot()
-                if coordinator.planner is not None
-                else None
-            ),
-            "admission": (
-                coordinator.admission.snapshot()
-                if coordinator.admission is not None
-                else None
-            ),
-            "cache": cache.snapshot() if cache is not None else None,
-            "agentic": (
-                coordinator.agentic.snapshot()
-                if coordinator.agentic is not None
-                else None
-            ),
-        }
-        if coordinator.stats is None:
-            return {"enabled": False, "stats": None, "tiered": tiered, **planning}
+        ledgers = coordinator.snapshots()
+        framework = coordinator.execution.framework if coordinator.execution else None
         return {
-            "enabled": True,
-            "stats": coordinator.stats.snapshot(),
-            "tiered": tiered,
-            **planning,
+            "enabled": ledgers["stats"] is not None,
+            "stats": ledgers["stats"],
+            "tiered": tiered_snapshot(framework),
+            "planner": ledgers["planner"],
+            "admission": ledgers["admission"],
+            "cache": ledgers["cache"],
+            "agentic": ledgers["agentic"],
         }
 
     def _get_health(self, body: Dict[str, Any]) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
-        slo = coordinator.slo.snapshot() if coordinator.slo is not None else None
-        quality = (
-            coordinator.quality.snapshot() if coordinator.quality is not None else None
-        )
-        recorder = (
-            coordinator.recorder.snapshot() if coordinator.recorder is not None else None
-        )
-        framework = (
-            coordinator.execution.framework
-            if coordinator.execution is not None
-            else None
-        )
-        sharding = (
-            framework.snapshot()
-            if framework is not None and hasattr(framework, "snapshot")
-            else None
-        )
-        cache = (
-            coordinator.execution.cache
-            if coordinator.execution is not None
-            else None
-        )
+        ledgers = coordinator.snapshots()
+        slo = ledgers["slo"]
+        framework = coordinator.execution.framework if coordinator.execution else None
         return {
-            "monitoring": coordinator.slo is not None,
+            "monitoring": slo is not None,
             "state": slo["state"] if slo is not None else STATE_OK,
             "slo": slo,
-            "quality": quality,
-            "recorder": recorder,
+            "quality": ledgers["quality"],
+            "recorder": ledgers["recorder"],
             "engine": self.engine.snapshot(),
             "batching": self.batcher.snapshot(),
             "resilience": coordinator.resilience.snapshot(),
-            "sharding": sharding,
+            "sharding": framework.snapshot() if hasattr(framework, "snapshot") else None,
             "tiered": tiered_snapshot(framework),
-            "cache": cache.snapshot() if cache is not None else None,
-            "planner": (
-                coordinator.planner.snapshot()
-                if coordinator.planner is not None
-                else None
-            ),
-            "admission": (
-                coordinator.admission.snapshot()
-                if coordinator.admission is not None
-                else None
-            ),
-            "agentic": (
-                coordinator.agentic.snapshot()
-                if coordinator.agentic is not None
-                else None
-            ),
+            "cache": ledgers["cache"],
+            "planner": ledgers["planner"],
+            "admission": ledgers["admission"],
+            "agentic": ledgers["agentic"],
         }
 
     def _post_session_new(self, body: Dict[str, Any]) -> Dict[str, Any]:

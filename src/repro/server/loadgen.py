@@ -334,11 +334,7 @@ def run_loadgen(
             and not r.get("degraded")
             and (deadline_ms is None or r["latency_ms"] <= deadline_ms)
         )
-        server_cache = (
-            coordinator.execution.cache
-            if coordinator.execution is not None
-            else None
-        )
+        ledgers = coordinator.snapshots()
         return {
             "workers": workers,
             "operations": len(ops),
@@ -371,19 +367,9 @@ def run_loadgen(
                 ),
                 "saturated": sum(1 for r in results if r.get("saturated")),
             },
-            "cache": (
-                server_cache.snapshot() if server_cache is not None else None
-            ),
-            "planner": (
-                coordinator.planner.snapshot()
-                if coordinator.planner is not None
-                else None
-            ),
-            "admission": (
-                coordinator.admission.snapshot()
-                if coordinator.admission is not None
-                else None
-            ),
+            "cache": ledgers["cache"],
+            "planner": ledgers["planner"],
+            "admission": ledgers["admission"],
             "initial_corpus_size": initial_size,
             "read_ids": read_ids,
             "ingested_ids": ingested,
@@ -394,11 +380,7 @@ def run_loadgen(
                 if config.sharding_enabled
                 else None
             ),
-            "stats": (
-                coordinator.stats.snapshot()
-                if coordinator.stats is not None
-                else None
-            ),
+            "stats": ledgers["stats"],
             "tiered": tiered_snapshot(
                 coordinator.execution.framework
                 if coordinator.execution is not None

@@ -22,8 +22,8 @@ def strip_first_hop_evidence(system, monkeypatch):
     real = coordinator.retrieve_batch
     state = {"first": True}
 
-    def fake(queries, k=None, weights=None):
-        responses = real(queries, k=k, weights=weights)
+    def fake(queries, **options):
+        responses = real(queries, **options)
         if not state["first"]:
             return responses
         state["first"] = False

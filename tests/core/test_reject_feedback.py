@@ -50,3 +50,27 @@ class TestReject:
         system.reject(1)
         follow_up = system.ask("foggy clouds", k=4)
         assert len(follow_up.items) == 4
+
+
+class TestRejectThroughAsk:
+    """``POST /ask`` honours ``/reject`` on both of its paths (it used to
+    drop the session's rejected ids: single-hop fell through without
+    exclusions, and agentic hops could not exclude at all)."""
+
+    @pytest.mark.parametrize("agentic", [False, True])
+    def test_rejected_item_stays_out_of_the_next_ask(self, scenes_kb, agentic):
+        from repro.server import ApiServer
+        from tests.core.conftest import fast_config
+
+        server = ApiServer(fast_config(agentic=agentic), knowledge_base=scenes_kb)
+        assert server.handle("POST", "/apply")["ok"]
+        body = {"text": "a foggy and rainy mountain scene"}
+        first = server.handle("POST", "/ask", body)["answer"]
+        rejected = server.handle("POST", "/reject", {"rank": 0})["rejected_object_id"]
+        assert rejected == first["items"][0]["object_id"]
+        again = server.handle("POST", "/ask", body)["answer"]
+        assert rejected not in [item["object_id"] for item in again["items"]]
+        assert len(again["items"]) == len(first["items"])
+        assert ("claims" in again) == agentic
+        for claim in again.get("claims", []):
+            assert rejected not in claim["citations"]

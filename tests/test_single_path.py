@@ -3,12 +3,16 @@
 ``VectorIndex.search`` and ``RetrievalFramework.retrieve`` are concrete
 one-liners over ``search_batch`` / ``retrieve_batch``.  No subclass
 anywhere under ``repro`` may define its own ``search`` / ``retrieve`` —
-a second body is a second behaviour to keep in step by hand.
+a second body is a second behaviour to keep in step by hand.  The same
+holds one layer up: ``QueryExecution.execute`` is ``execute_batch`` of one
+and the coordinator runs a stage list, not a hand-threaded round.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+import textwrap
 
 import pytest
 
@@ -42,3 +46,29 @@ def test_only_the_base_class_defines_the_single_query_form(base, single, batch):
         assert getattr(cls, single) is getattr(base, single)
         if not inspect.isabstract(cls):
             assert getattr(cls, batch) is not getattr(base, batch)
+
+
+def test_execute_is_a_one_statement_delegation_to_execute_batch():
+    from repro.core.execution import QueryExecution
+
+    function = ast.parse(
+        textwrap.dedent(inspect.getsource(QueryExecution.execute))
+    ).body[0]
+    body = [
+        node for node in function.body
+        if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+    ]
+    assert len(body) == 1 and isinstance(body[0], ast.Return)
+    calls = [
+        node.func.attr for node in ast.walk(body[0])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+    assert calls == ["execute_batch"]
+
+
+def test_coordinator_has_no_hand_threaded_round():
+    from repro.core import MQAConfig
+    from repro.core.coordinator import Coordinator
+
+    assert not hasattr(Coordinator, "_run_query_round")
+    assert {"stages", "observers"} <= set(vars(Coordinator(MQAConfig())))
