@@ -26,8 +26,29 @@ import sys
 from typing import List, Optional
 
 from repro.core import MQAConfig
+from repro.core.config import add_config_arguments, config_overrides
 from repro.data import DOMAINS, DatasetSpec
 from repro.server import ApiServer
+
+
+#: The :class:`MQAConfig` fields (by name or declared alias) each parser
+#: exposes; flag, type, default, choices and help come from the field.
+SHELL_FIELDS = (
+    "framework", "index", "encoder_set", "llm", "k", "trace", "record",
+    "monitor", "workers", "max_batch", "batch_window_ms", "shards", "replicas",
+    "resilience", "deadline_ms", "retry_attempts", "fault_seed", "tiered",
+    "quantize_bits", "rerank_factor", "mmap_cache_blocks", "planner",
+    "recall_floor", "semantic_cache", "semantic_threshold", "admission",
+    "agentic", "agentic_max_hops", "agentic_refine_rounds",
+)
+LOADGEN_FIELDS = (
+    "workers", "batch", "batch_window_ms", "shards", "replicas",
+    "shard_latency_ms", "shard_latency_ms_per_1k", "index", "tiered",
+    "quantize_bits", "rerank_factor", "mmap_cache_blocks", "planner",
+    "recall_floor", "semantic_cache", "semantic_threshold", "admission",
+    "deadline_ms", "cache",
+)
+STATS_FIELDS = ("workers", "shards", "replicas", "batch")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,65 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--size", type=int, default=400, help="knowledge-base size")
     parser.add_argument("--seed", type=int, default=7, help="generation seed")
     parser.add_argument(
-        "--framework", default="must", help="retrieval framework (mr/je/must)"
-    )
-    parser.add_argument("--index", default="hnsw", help="index algorithm")
-    parser.add_argument(
-        "--encoder-set", default="clip-joint", dest="encoder_set",
-        help="encoder set name",
-    )
-    parser.add_argument("--llm", default="template", help="llm name or 'none'")
-    parser.add_argument("--k", type=int, default=5, help="results per round")
-    parser.add_argument(
         "--ask", default=None, help="one-shot query instead of the shell"
-    )
-    parser.add_argument(
-        "--trace", action="store_true",
-        help="capture query traces and print the span tree after each answer",
-    )
-    parser.add_argument(
-        "--record", default=None, metavar="PATH",
-        help="persist every query to a flight-recorder JSONL file "
-        "(replayable with 'repro replay PATH')",
-    )
-    parser.add_argument(
-        "--monitor", action="store_true",
-        help="enable online SLO + retrieval-quality monitoring (/health)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="query-engine worker threads (1 = serial inline execution)",
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=1, dest="max_batch",
-        help="micro-batch size cap for POST /search "
-        "(1 = no coalescing, the serial behaviour)",
-    )
-    parser.add_argument(
-        "--batch-window-ms", type=float, default=2.0, dest="batch_window_ms",
-        help="how long the micro-batch collector waits for the batch to fill",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="partition the knowledge base across N shards behind the "
-        "scatter-gather router (default: unsharded)",
-    )
-    parser.add_argument(
-        "--replicas", type=int, default=1,
-        help="replicas per shard for read scaling (implies the router)",
-    )
-    parser.add_argument(
-        "--resilience", action="store_true",
-        help="enable the resilience layer (retries, deadlines, circuit "
-        "breakers, graceful degradation)",
-    )
-    parser.add_argument(
-        "--deadline-ms", type=float, default=None, dest="deadline_ms",
-        help="per-request latency budget in milliseconds (implies --resilience)",
-    )
-    parser.add_argument(
-        "--retry-attempts", type=int, default=1, dest="retry_attempts",
-        help="attempts per guarded component call (1 = no retries)",
     )
     parser.add_argument(
         "--inject", action="append", default=None, metavar="SPEC",
@@ -111,68 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'llm.generate:error_rate=0.2' or 'encoder:latency_ms=50,"
         "latency_rate=0.5' (implies --resilience)",
     )
-    parser.add_argument(
-        "--fault-seed", type=int, default=0, dest="fault_seed",
-        help="seed for the deterministic fault injector",
-    )
-    parser.add_argument(
-        "--tiered", action="store_true",
-        help="beyond-RAM serving for --index starling: quantized codes "
-        "resident for traversal, full precision memory-mapped for rerank",
-    )
-    parser.add_argument(
-        "--quantize-bits", type=int, default=8, dest="quantize_bits",
-        choices=(4, 8), help="resident-tier code width (with --tiered)",
-    )
-    parser.add_argument(
-        "--rerank-factor", type=int, default=4, dest="rerank_factor",
-        help="full-precision rerank over-fetch multiplier (with --tiered)",
-    )
-    parser.add_argument(
-        "--mmap-cache-blocks", type=int, default=32, dest="mmap_cache_blocks",
-        help="buffer-pool blocks in front of the mmap tier (with --tiered)",
-    )
-    parser.add_argument(
-        "--planner", action="store_true",
-        help="self-tuning query planner: pick per-query search budget "
-        "and shard fan-out from live latency/recall distributions",
-    )
-    parser.add_argument(
-        "--recall-floor", type=float, default=0.8, dest="recall_floor",
-        help="minimum acceptable recall@k for planner and semantic-cache "
-        "decisions",
-    )
-    parser.add_argument(
-        "--semantic-cache", action="store_true", dest="semantic_cache",
-        help="serve near-duplicate queries from the semantic cache "
-        "(cosine matching over query embeddings)",
-    )
-    parser.add_argument(
-        "--semantic-threshold", type=float, default=0.9,
-        dest="semantic_threshold",
-        help="cosine similarity at or above which a cached near-duplicate "
-        "qualifies (0 = exact-match only)",
-    )
-    parser.add_argument(
-        "--admission", action="store_true",
-        help="admission control: shed or degrade requests before the "
-        "engine saturates",
-    )
-    parser.add_argument(
-        "--agentic", action="store_true",
-        help="agentic answering: decompose the question into per-concept "
-        "hops and compose per-claim cited answers",
-    )
-    parser.add_argument(
-        "--agentic-max-hops", type=int, default=4, dest="agentic_max_hops",
-        help="maximum decomposed sub-queries per agentic question",
-    )
-    parser.add_argument(
-        "--agentic-refine-rounds", type=int, default=1,
-        dest="agentic_refine_rounds",
-        help="re-retrieval rounds for unsupported claims (0 disables "
-        "refinement)",
-    )
+    add_config_arguments(parser, SHELL_FIELDS)
     return parser
 
 
@@ -209,44 +111,16 @@ def parse_fault_specs(specs: "Optional[List[str]]") -> dict:
 
 def make_server(args: argparse.Namespace) -> ApiServer:
     """Build and apply the configured system, reporting progress."""
-    faults = parse_fault_specs(getattr(args, "inject", None))
-    deadline_ms = getattr(args, "deadline_ms", None)
-    resilience = bool(
-        getattr(args, "resilience", False) or faults or deadline_ms
+    overrides = config_overrides(args)
+    faults = parse_fault_specs(args.inject)
+    overrides["resilience"] = bool(
+        overrides["resilience"] or faults or overrides["deadline_ms"]
     )
     config = MQAConfig(
         dataset=DatasetSpec(domain=args.domain, size=args.size, seed=args.seed),
-        framework=args.framework,
-        index=args.index,
-        encoder_set=args.encoder_set,
-        llm=None if args.llm == "none" else args.llm,
-        result_count=args.k,
         weight_learning={"steps": 30, "batch_size": 16},
-        tracing=getattr(args, "trace", False),
-        recorder_path=getattr(args, "record", None),
-        monitoring=getattr(args, "monitor", False),
-        workers=getattr(args, "workers", 1),
-        max_batch=getattr(args, "max_batch", 1),
-        batch_window_ms=getattr(args, "batch_window_ms", 2.0),
-        shards=getattr(args, "shards", None),
-        replicas=getattr(args, "replicas", 1),
-        resilience=resilience,
-        retry_attempts=getattr(args, "retry_attempts", 1),
-        deadline_ms=deadline_ms,
-        fault_seed=getattr(args, "fault_seed", 0),
         faults=faults,
-        tiered=getattr(args, "tiered", False),
-        quantize_bits=getattr(args, "quantize_bits", 8),
-        rerank_factor=getattr(args, "rerank_factor", 4),
-        mmap_cache_blocks=getattr(args, "mmap_cache_blocks", 32),
-        planner=getattr(args, "planner", False),
-        recall_floor=getattr(args, "recall_floor", 0.8),
-        semantic_cache=getattr(args, "semantic_cache", False),
-        semantic_threshold=getattr(args, "semantic_threshold", 0.9),
-        admission=getattr(args, "admission", False),
-        agentic=getattr(args, "agentic", False),
-        agentic_max_hops=getattr(args, "agentic_max_hops", 4),
-        agentic_refine_rounds=getattr(args, "agentic_refine_rounds", 1),
+        **overrides,
     )
     server = ApiServer(config)
     print(f"building {args.domain} knowledge base ({args.size} objects)...")
@@ -542,22 +416,15 @@ def run_profile(argv: List[str]) -> int:
     return 0
 
 
-def run_loadgen_command(argv: List[str]) -> int:
-    """``python -m repro loadgen [--workers N] [--queries N] ...``.
-
-    Fires a deterministic mixed read/write workload at a freshly built
-    system through the concurrent query engine and prints throughput,
-    latency percentiles, and engine statistics.
-    """
-    import json
-
-    from repro.server.loadgen import run_loadgen
-
+def build_loadgen_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro loadgen`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro loadgen",
-        description="Concurrent synthetic load generation",
+        description="Concurrent synthetic load generation; with --batch above 1 "
+        "reads become raw POST /search requests that coalesce server-side "
+        "(1 = dialogue /query verbs), and --cache turns on the query cache, "
+        "which is off here for uniform read cost",
     )
-    parser.add_argument("--workers", type=int, default=1, help="engine worker threads")
     parser.add_argument("--queries", type=int, default=200, help="total operations")
     parser.add_argument(
         "--write-every", type=int, default=10, dest="write_every",
@@ -569,82 +436,6 @@ def run_loadgen_command(argv: List[str]) -> int:
     parser.add_argument(
         "--llm-latency-ms", type=float, default=25.0, dest="llm_latency_ms",
         help="simulated remote-LLM latency per generation call",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=1,
-        help="micro-batch size cap: reads become raw POST /search requests "
-        "that coalesce server-side (1 = dialogue /query verbs, no batching)",
-    )
-    parser.add_argument(
-        "--batch-window-ms", type=float, default=2.0, dest="batch_window_ms",
-        help="micro-batch collector window",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="serve through the shard router with N shards",
-    )
-    parser.add_argument(
-        "--replicas", type=int, default=1,
-        help="replicas per shard (implies the router)",
-    )
-    parser.add_argument(
-        "--shard-latency-ms", type=float, default=0.0, dest="shard_latency_ms",
-        help="simulated fixed per-shard service time",
-    )
-    parser.add_argument(
-        "--shard-latency-ms-per-1k", type=float, default=0.0,
-        dest="shard_latency_ms_per_1k",
-        help="simulated per-shard service time per 1000 live objects "
-        "(models remote shard servers; enables the parallel scatter)",
-    )
-    parser.add_argument(
-        "--index", default="hnsw", help="index type (tiered requires starling)"
-    )
-    parser.add_argument(
-        "--tiered", action="store_true",
-        help="tiered serving: quantized traversal + memory-mapped rerank",
-    )
-    parser.add_argument(
-        "--quantize-bits", type=int, choices=(4, 8), default=8,
-        dest="quantize_bits", help="resident code width for the tiered store",
-    )
-    parser.add_argument(
-        "--rerank-factor", type=int, default=4, dest="rerank_factor",
-        help="full-precision rerank depth as a multiple of k",
-    )
-    parser.add_argument(
-        "--mmap-cache-blocks", type=int, default=32, dest="mmap_cache_blocks",
-        help="LRU buffer pool over the memory-mapped full-precision tier",
-    )
-    parser.add_argument(
-        "--planner", action="store_true",
-        help="self-tuning per-query planning from live distributions",
-    )
-    parser.add_argument(
-        "--recall-floor", type=float, default=0.8, dest="recall_floor",
-        help="planner/semantic-cache minimum acceptable recall@k",
-    )
-    parser.add_argument(
-        "--semantic-cache", action="store_true", dest="semantic_cache",
-        help="near-duplicate query serving over the exact-match cache",
-    )
-    parser.add_argument(
-        "--semantic-threshold", type=float, default=0.9,
-        dest="semantic_threshold",
-        help="cosine threshold for semantic cache hits (0 = exact only)",
-    )
-    parser.add_argument(
-        "--admission", action="store_true",
-        help="shed/degrade load before the engine saturates",
-    )
-    parser.add_argument(
-        "--deadline-ms", type=float, default=None, dest="deadline_ms",
-        help="per-request latency budget (enables the resilience layer; "
-        "goodput counts reads finishing inside it)",
-    )
-    parser.add_argument(
-        "--cache", action="store_true",
-        help="enable the exact-match query cache (historically off here)",
     )
     parser.add_argument(
         "--client-workers", type=int, default=None, dest="client_workers",
@@ -665,41 +456,38 @@ def run_loadgen_command(argv: List[str]) -> int:
     parser.add_argument(
         "--json", default=None, metavar="PATH", help="also write the full report as JSON"
     )
-    args = parser.parse_args(argv)
+    add_config_arguments(parser, LOADGEN_FIELDS)
+    return parser
+
+
+def run_loadgen_command(argv: List[str]) -> int:
+    """``python -m repro loadgen [--workers N] [--queries N] ...``.
+
+    Fires a deterministic mixed read/write workload at a freshly built
+    system through the concurrent query engine and prints throughput,
+    latency percentiles, and engine statistics.
+    """
+    import json
+
+    from repro.server.loadgen import run_loadgen
+
+    args = build_loadgen_parser().parse_args(argv)
     print(
         f"loadgen: {args.queries} ops, workers={args.workers}, "
         f"write every {args.write_every or 'never'}, "
         f"llm latency {args.llm_latency_ms} ms"
     )
     report = run_loadgen(
-        workers=args.workers,
         queries=args.queries,
         write_every=args.write_every,
         domain=args.domain,
         size=args.size,
         seed=args.seed,
         llm_latency_ms=args.llm_latency_ms,
-        batch=args.batch,
-        batch_window_ms=args.batch_window_ms,
-        shards=args.shards,
-        replicas=args.replicas,
-        shard_latency_ms=args.shard_latency_ms,
-        shard_latency_ms_per_1k=args.shard_latency_ms_per_1k,
-        index=args.index,
-        tiered=args.tiered,
-        quantize_bits=args.quantize_bits,
-        rerank_factor=args.rerank_factor,
-        mmap_cache_blocks=args.mmap_cache_blocks,
-        planner=args.planner,
-        recall_floor=args.recall_floor,
-        semantic_cache=args.semantic_cache,
-        semantic_threshold=args.semantic_threshold,
-        admission=args.admission,
-        deadline_ms=args.deadline_ms,
-        cache=args.cache,
         client_workers=args.client_workers,
         near_duplicate_every=args.near_duplicate_every,
         shed_retry_ms=args.shed_retry_ms,
+        **config_overrides(args),
     )
     print(
         f"  {report['operations']} ops ({report['reads']} reads, "
@@ -805,6 +593,24 @@ def render_stats(snapshot: dict) -> str:
     return "\n".join(lines)
 
 
+def build_stats_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro stats`` argument parser."""
+    parser = argparse.ArgumentParser(
+        prog="repro stats",
+        description="Per-query cost accounting report over a synthetic workload",
+    )
+    parser.add_argument("--queries", type=int, default=60, help="total operations")
+    parser.add_argument("--domain", default="scenes", help="knowledge-base domain")
+    parser.add_argument("--size", type=int, default=200, help="knowledge-base size")
+    parser.add_argument("--seed", type=int, default=7, help="workload seed")
+    parser.add_argument(
+        "--json", default=None, metavar="PATH",
+        help="also write the stats snapshot as JSON",
+    )
+    add_config_arguments(parser, STATS_FIELDS)
+    return parser
+
+
 def run_stats(argv: List[str]) -> int:
     """``python -m repro stats [--queries N] [--shards N] ...``.
 
@@ -816,44 +622,16 @@ def run_stats(argv: List[str]) -> int:
 
     from repro.server.loadgen import run_loadgen
 
-    parser = argparse.ArgumentParser(
-        prog="repro stats",
-        description="Per-query cost accounting report over a synthetic workload",
-    )
-    parser.add_argument("--queries", type=int, default=60, help="total operations")
-    parser.add_argument("--workers", type=int, default=1, help="engine worker threads")
-    parser.add_argument("--domain", default="scenes", help="knowledge-base domain")
-    parser.add_argument("--size", type=int, default=200, help="knowledge-base size")
-    parser.add_argument("--seed", type=int, default=7, help="workload seed")
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="serve through the shard router with N shards",
-    )
-    parser.add_argument(
-        "--replicas", type=int, default=1,
-        help="replicas per shard (implies the router)",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=1,
-        help="micro-batch size cap (reads become POST /search requests)",
-    )
-    parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write the stats snapshot as JSON",
-    )
-    args = parser.parse_args(argv)
+    args = build_stats_parser().parse_args(argv)
     report = run_loadgen(
-        workers=args.workers,
         queries=args.queries,
         write_every=0,
         domain=args.domain,
         size=args.size,
         seed=args.seed,
         llm_latency_ms=0.0,
-        batch=args.batch,
-        shards=args.shards,
-        replicas=args.replicas,
         cost_accounting=True,
+        **config_overrides(args),
     )
     snapshot = report.get("stats")
     if not snapshot:
@@ -884,7 +662,7 @@ def main(argv: "Optional[List[str]]" = None) -> int:
     args = build_parser().parse_args(argv)
     server = make_server(args)
     if args.ask is not None:
-        verb = "/ask" if getattr(args, "agentic", False) else "/query"
+        verb = "/ask" if args.agentic else "/query"
         response = server.handle("POST", verb, {"text": args.ask})
         if not response["ok"]:
             print("error:", response["error"], file=sys.stderr)
@@ -893,11 +671,7 @@ def main(argv: "Optional[List[str]]" = None) -> int:
         if args.trace:
             print_trace(server)
         return 0
-    run_shell(
-        server,
-        show_trace=args.trace,
-        agentic=getattr(args, "agentic", False),
-    )
+    run_shell(server, show_trace=args.trace, agentic=args.agentic)
     return 0
 
 

@@ -1,10 +1,19 @@
-"""System configuration — the data model behind the configuration panel."""
+"""System configuration — the data model behind the configuration panel.
+
+Every :class:`MQAConfig` field is declared once, through :func:`_knob`;
+validation, the CLI flags (:func:`add_config_arguments` /
+:func:`config_overrides`), ``run_loadgen``'s keyword forwarding and the
+``POST /configure`` option set are all read off those declarations.
+"""
 
 from __future__ import annotations
 
+import argparse
 import enum
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Optional
+import operator
+from dataclasses import Field, asdict, dataclass, field, fields
+from importlib import import_module
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from repro.data.datasets import DOMAINS, DatasetSpec
 from repro.data.modality import Modality
@@ -32,97 +41,104 @@ class WeightMode(str, enum.Enum):
             ) from None
 
 
+def _knob(
+    default: Any,
+    help: str,
+    *,
+    alias: Optional[str] = None,
+    metavar: Optional[str] = None,
+    choices: "Sequence[Any] | Callable[[], Sequence[str]] | None" = None,
+    **bounds: float,
+) -> Any:
+    """Declare one :class:`MQAConfig` field — the only place it is described.
+
+    Args:
+        default: The default value, or a zero-argument factory for a
+            mutable one.
+        help: One-line description; the CLI help text.
+        alias: The name the CLI and ``run_loadgen`` use where it is not the
+            field name (``result_count`` is ``--k``).
+        metavar: Placeholder shown in ``--help`` for the flag's value.
+        choices: The legal values — a tuple, or a callable returning the
+            registered names (see :func:`_registered`).
+        **bounds: ``ge`` / ``gt`` / ``le``: inclusive lower, exclusive
+            lower, inclusive upper bound.
+    """
+    metadata = {
+        "help": help, "alias": alias, "metavar": metavar,
+        "choices": choices, "bounds": bounds,
+    }
+    if callable(default):
+        return field(default_factory=default, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def _registered(module: str, function: str) -> Callable[[], Sequence[str]]:
+    """A choice source looked up when it is read: the registries import this
+    module (and fill lazily), so they cannot be imported while it loads."""
+    return lambda: getattr(import_module(module), function)()
+
+
 @dataclass
 class MQAConfig:
     """Every knob the configuration panel exposes.
 
+    The declarations below carry each field's default, legal range or
+    choices, CLI spelling and one-line summary; ``Attributes`` keeps what
+    takes more than a line to say.
+
     Attributes:
-        dataset: Knowledge-base generation spec (ignored when a prebuilt
-            knowledge base is supplied to the coordinator).
+        dataset: A :class:`~repro.data.DatasetSpec`, or its ``to_dict``
+            form; ignored when a prebuilt knowledge base is supplied to
+            the coordinator.
         external_knowledge: The paper's toggle — False runs LLM-only mode
             with no retrieval at all.
-        encoder_set: Registered encoder-set name.
-        weight_mode: equal / learned / fixed.
-        fixed_weights: Modality-name -> weight mapping (fixed mode only).
-        weight_learning: Overrides for the contrastive learner
-            (steps, batch_size, ...).
-        index: Registered index-algorithm name.
-        index_params: Parameters forwarded to the index factory.
-        framework: Registered retrieval-framework name (mr / je / must).
-        result_count: Default top-k shown per round.
-        search_budget: Beam width for graph searches.
-        llm: Registered LLM name, or None for the no-LLM mode.
-        llm_params: Parameters forwarded to the LLM factory.
-        temperature: LLM output variability.
-        query_rewriting: Fold dialogue intent into vague follow-up queries
-            before retrieval (the "retrieval guided by LLM" mechanism).
-        cache_queries: Serve repeated queries from an LRU response cache
-            (invalidated on ingestion).
-        tracing: Capture a hierarchical span trace (encode /
-            weight-inference / index-search / fusion / generation, with
-            timings and search-work counters) for every query round.  Off
-            by default: the no-op tracer adds no measurable overhead to
-            the serving hot path.  Traces surface through ``GET /trace``,
-            the status panel, and the CLI ``--trace`` flag.
-        recorder_path: Flight-recorder JSONL file; None (the default)
-            disables recording.  A non-None path implies tracing — the
-            recorder persists span trees, so the coordinator activates a
-            tracer even when ``tracing`` is False.
+        llm: ``None`` (spelled ``"none"`` on the CLI and the panel) is the
+            no-LLM mode: answers are plain result listings.
+        query_rewriting: The "retrieval guided by LLM" mechanism.
+        cache_queries: The LRU response cache is invalidated on ingestion.
+        tracing: A hierarchical span trace (encode / weight-inference /
+            index-search / fusion / generation, with timings and
+            search-work counters) for every query round.  Off by default:
+            the no-op tracer adds no measurable overhead to the serving
+            hot path.  Traces surface through ``GET /trace``, the status
+            panel, and the CLI ``--trace`` flag.
+        recorder_path: None (the default) disables recording.  A non-None
+            path implies tracing — the recorder persists span trees, so
+            the coordinator activates a tracer even when ``tracing`` is
+            False.
         monitoring: Master switch for online quality + SLO monitoring
             (``GET /health``).  Off by default: the serving hot path then
             pays nothing.
-        monitor_sample_rate: Score every Nth query against the
-            latent-concept ground truth (1 = every query).
-        slo_latency_ms: Rolling-window p95 latency target.
-        slo_window: Requests per SLO rolling window.
-        workers: Query-engine worker count.  ``1`` (the default) executes
-            requests inline on the calling thread — the historical serial
-            behaviour; ``N > 1`` serves up to N requests concurrently
-            under the read/write lock.
+        workers: ``1`` (the default) executes requests inline on the
+            calling thread — the historical serial behaviour; ``N > 1``
+            serves up to N requests concurrently under the read/write lock.
         max_batch: Upper bound on how many concurrent ``/search`` requests
             the server micro-batches into one batched retrieval.  ``1``
             (the default) disables coalescing entirely — every request runs
             alone, exactly the pre-batching behaviour.
-        batch_window_ms: How long the micro-batch collector waits for
-            additional requests before flushing a partial batch.  Only
-            meaningful with ``max_batch > 1``.
-        shards: Partition the knowledge base across this many shards
-            behind a scatter-gather router.  ``None`` (the default) keeps
-            the historical unsharded engine — no router exists at all;
-            ``1`` routes through a single shard (a pure pass-through,
-            bit-identical to unsharded); ``N > 1`` hash-partitions the
-            corpus and merges per-shard top-k exactly.
-        replicas: Identical replicas per shard for read scaling
-            (round-robin, health-aware selection).  ``replicas > 1`` with
-            ``shards=None`` serves one shard from several replicas.
-        partitioner: Shard-assignment policy: ``"hash"`` (stable id hash)
-            or ``"concept"`` (objects sharing a leading concept co-locate).
-        rebalance_threshold: Live-object spread between the largest and
-            smallest shard that triggers an ingest-time rebalance; ``0``
-            disables online rebalancing.
-        shard_latency_ms: Simulated fixed per-shard-call service time in
-            milliseconds (models remote shard RPC; 0 disables).
-        shard_latency_ms_per_1k: Simulated service time per 1000 live
-            objects on the called shard (models a remote shard scanning
-            its partition; 0 disables).  When either knob is on, the
-            router scatters on a thread pool so shard service times
-            overlap.
-        resilience: Master switch for the fault-tolerance layer (retries,
-            deadlines, circuit breakers, graceful degradation).  Off by
+        batch_window_ms: Only meaningful with ``max_batch > 1``.
+        shards: ``None`` (the default) keeps the historical unsharded
+            engine — no router exists at all; ``1`` routes through a single
+            shard (a pure pass-through, bit-identical to unsharded);
+            ``N > 1`` hash-partitions the corpus and merges per-shard
+            top-k exactly.
+        replicas: Round-robin, health-aware selection.  ``replicas > 1``
+            with ``shards=None`` serves one shard from several replicas.
+        partitioner: ``"hash"`` (stable id hash) or ``"concept"`` (objects
+            sharing a leading concept co-locate).
+        shard_latency_ms: Models remote shard RPC; 0 disables.
+        shard_latency_ms_per_1k: Models a remote shard scanning its
+            partition; 0 disables.  When either knob is on, the router
+            scatters on a thread pool so shard service times overlap.
+        resilience: Master switch for the fault-tolerance layer.  Off by
             default: every guarded boundary then takes the exact
             pre-resilience code path.
-        retry_attempts: Total tries per guarded call (1 = no retries).
-        retry_backoff_ms: Backoff before the first retry.
-        deadline_ms: Default per-request latency budget; None disables
-            deadlines (requests may override per call).
-        breaker_threshold: Consecutive failures that open a site's
-            circuit breaker.
-        breaker_reset_ms: How long an open breaker waits before letting
-            half-open probe calls through.
-        fault_seed: Master seed for the deterministic fault injector.
-        faults: Fault-injection specs keyed by call site (or site prefix,
-            e.g. ``"encoder"`` covers ``encoder.text``); each value maps
-            to :class:`~repro.core.resilience.FaultSpec` kwargs.  Inert
+        deadline_ms: None disables deadlines (requests may override per
+            call).
+        faults: Keyed by call site (or site prefix, e.g. ``"encoder"``
+            covers ``encoder.text``); each value maps to
+            :class:`~repro.core.resilience.FaultSpec` kwargs.  Inert
             unless ``resilience`` is on.
         cost_accounting: Attach a per-query
             :class:`~repro.observability.costs.QueryCostProfile` (kernel
@@ -132,110 +148,221 @@ class MQAConfig:
             default: the disabled path costs one context-variable read
             per instrumented site and results are bit-identical either
             way.
-        tiered: Beyond-RAM serving for the Starling index: SQ-quantized
-            codes stay resident for graph traversal while full-precision
-            vectors spill to a memory-mapped file touched only by the
-            exact rerank pass.  Off by default — results are then
-            bit-identical to the classic all-in-RAM path.  Requires
+        tiered: SQ-quantized codes stay resident for graph traversal while
+            full-precision vectors spill to a memory-mapped file touched
+            only by the exact rerank pass.  Off by default — results are
+            then bit-identical to the classic all-in-RAM path.  Requires
             ``index="starling"``.
-        quantize_bits: Resident-tier code width (8 or 4); only meaningful
-            with ``tiered``.
-        rerank_factor: Rerank over-fetch — traversal returns
-            ``rerank_factor * k`` candidates for full-precision
-            re-scoring; only meaningful with ``tiered``.
-        mmap_cache_blocks: Buffer-pool blocks in front of the mmap tier
-            (0 disables caching); only meaningful with ``tiered``.
-        planner: Self-tuning query planner: pick the per-query search
-            budget (and shard fan-out under deadline pressure) from the
-            live latency/recall distributions so the cheapest plan whose
-            predicted p95 fits the remaining deadline — and whose
-            observed recall stays at or above ``recall_floor`` — runs.
-            Off by default: queries then use ``search_budget`` verbatim
-            and results are bit-identical to the unplanned path.
-        recall_floor: Minimum acceptable recall@k for planner decisions
-            and semantic-cache serving; plans predicted to land below
-            the floor are never chosen voluntarily.
+        rerank_factor: Traversal returns ``rerank_factor * k`` candidates
+            for full-precision re-scoring.
+        planner: Pick the per-query search budget (and shard fan-out under
+            deadline pressure) from the live latency/recall distributions
+            so the cheapest plan whose predicted p95 fits the remaining
+            deadline — and whose observed recall stays at or above
+            ``recall_floor`` — runs.  Off by default: queries then use
+            ``search_budget`` verbatim and results are bit-identical to
+            the unplanned path.
+        recall_floor: Plans predicted to land below the floor are never
+            chosen voluntarily.
         semantic_cache: Replace the exact-match query cache with the
             near-duplicate :class:`~repro.core.cache.SemanticQueryCache`
             (cosine matching over per-modality query embeddings, same
             generation-counter invalidation on ingest).  Off by default.
-        semantic_threshold: Cosine similarity at or above which a cached
-            near-duplicate may be served; ``0`` degenerates to
-            exact-match behaviour bit-identically.
-        admission: Admission control at the query-engine boundary: a
-            predicted-cost token bucket plus a queue-delay EWMA shed or
-            degrade requests *before* the engine saturates, instead of
-            failing at the ``EngineSaturatedError`` cliff.  Off by
-            default.
-        agentic: Agentic multi-hop answering: decompose the question into
-            per-concept sub-queries, retrieve them as one batch, fuse the
-            hops, synthesize per-claim citations, and re-retrieve for
-            unsupported claims (``POST /ask`` and the ``--agentic`` CLI
-            flag).  Off by default: the single-hop query path and its
-            payloads are then bit-identical to the pre-agentic behaviour.
-        agentic_max_hops: Upper bound on decomposed sub-queries per
-            question (the original query always runs as hop 0 on top);
-            only meaningful with ``agentic``.
-        agentic_refine_rounds: Re-retrieval rounds allowed for claims
-            whose citations carry no textual evidence; ``0`` disables the
-            refinement pass.  Only meaningful with ``agentic``.
+        semantic_threshold: ``0`` degenerates to exact-match behaviour
+            bit-identically.
+        admission: A predicted-cost token bucket plus a queue-delay EWMA
+            shed or degrade requests *before* the engine saturates,
+            instead of failing at the ``EngineSaturatedError`` cliff.  Off
+            by default.
+        agentic: Decompose the question into per-concept sub-queries,
+            retrieve them as one batch, fuse the hops, synthesize
+            per-claim citations, and re-retrieve for unsupported claims
+            (``POST /ask`` and the ``--agentic`` CLI flag).  Off by
+            default: the single-hop query path and its payloads are then
+            bit-identical to the pre-agentic behaviour.
+        agentic_max_hops: The original query always runs as hop 0 on top.
+        agentic_refine_rounds: Refinement re-retrieves for claims whose
+            citations carry no textual evidence.
     """
 
-    dataset: DatasetSpec = field(default_factory=DatasetSpec)
-    external_knowledge: bool = True
-    encoder_set: str = "clip-joint"
-    weight_mode: WeightMode = WeightMode.LEARNED
-    fixed_weights: Optional[Dict[str, float]] = None
-    weight_learning: Dict[str, Any] = field(default_factory=dict)
-    index: str = "hnsw"
-    index_params: Dict[str, Any] = field(default_factory=dict)
-    framework: str = "must"
-    result_count: int = 5
-    search_budget: int = 64
-    llm: Optional[str] = "template"
-    llm_params: Dict[str, Any] = field(default_factory=dict)
-    temperature: float = 0.0
-    query_rewriting: bool = False
-    cache_queries: bool = True
-    tracing: bool = False
-    recorder_path: Optional[str] = None
-    monitoring: bool = False
-    monitor_sample_rate: int = 8
-    slo_latency_ms: float = 250.0
-    slo_window: int = 64
-    workers: int = 1
-    max_batch: int = 1
-    batch_window_ms: float = 2.0
-    shards: Optional[int] = None
-    replicas: int = 1
-    partitioner: str = "hash"
-    rebalance_threshold: int = 8
-    shard_latency_ms: float = 0.0
-    shard_latency_ms_per_1k: float = 0.0
-    resilience: bool = False
-    retry_attempts: int = 1
-    retry_backoff_ms: float = 10.0
-    deadline_ms: Optional[float] = None
-    breaker_threshold: int = 5
-    breaker_reset_ms: float = 1000.0
-    fault_seed: int = 0
-    faults: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    cost_accounting: bool = False
-    tiered: bool = False
-    quantize_bits: int = 8
-    rerank_factor: int = 4
-    mmap_cache_blocks: int = 32
-    planner: bool = False
-    recall_floor: float = 0.8
-    semantic_cache: bool = False
-    semantic_threshold: float = 0.9
-    admission: bool = False
-    agentic: bool = False
-    agentic_max_hops: int = 4
-    agentic_refine_rounds: int = 1
+    dataset: DatasetSpec = _knob(DatasetSpec, "knowledge-base generation spec")
+    external_knowledge: bool = _knob(True, "retrieve from the knowledge base")
+    encoder_set: str = _knob(
+        "clip-joint", "encoder set name",
+        choices=_registered("repro.encoders", "available_encoder_sets"),
+    )
+    weight_mode: WeightMode = _knob(
+        WeightMode.LEARNED, "how modality weights are obtained (equal/learned/fixed)"
+    )
+    fixed_weights: Optional[Dict[str, float]] = _knob(
+        None, "modality-name -> weight mapping (fixed mode only)"
+    )
+    weight_learning: Dict[str, Any] = _knob(
+        dict, "overrides for the contrastive learner (steps, batch_size, ...)"
+    )
+    index: str = _knob(
+        "hnsw", "index algorithm",
+        choices=_registered("repro.index", "available_indexes"),
+    )
+    index_params: Dict[str, Any] = _knob(
+        dict, "parameters forwarded to the index factory"
+    )
+    framework: str = _knob(
+        "must", "retrieval framework (mr/je/must)",
+        choices=_registered("repro.retrieval", "available_frameworks"),
+    )
+    result_count: int = _knob(5, "results per round", alias="k", ge=1)
+    search_budget: int = _knob(64, "beam width for graph searches", ge=1)
+    llm: Optional[str] = _knob(
+        "template", "llm name or 'none'",
+        choices=_registered("repro.llm", "available_llms"),
+    )
+    llm_params: Dict[str, Any] = _knob(
+        dict, "parameters forwarded to the LLM factory"
+    )
+    temperature: float = _knob(0.0, "LLM output variability", ge=0, le=2)
+    query_rewriting: bool = _knob(
+        False, "fold dialogue intent into vague follow-up queries before retrieval"
+    )
+    cache_queries: bool = _knob(
+        True, "serve repeated queries from the exact-match query cache",
+        alias="cache",
+    )
+    tracing: bool = _knob(
+        False, "capture query traces and print the span tree after each answer",
+        alias="trace",
+    )
+    recorder_path: Optional[str] = _knob(
+        None, "persist every query to a flight-recorder JSONL file "
+        "(replayable with 'repro replay PATH')",
+        alias="record", metavar="PATH",
+    )
+    monitoring: bool = _knob(
+        False, "enable online SLO + retrieval-quality monitoring (/health)",
+        alias="monitor",
+    )
+    monitor_sample_rate: int = _knob(
+        8, "score every Nth query against the latent-concept ground truth", ge=1
+    )
+    slo_latency_ms: float = _knob(250.0, "rolling-window p95 latency target", gt=0)
+    slo_window: int = _knob(64, "requests per SLO rolling window", ge=1)
+    workers: int = _knob(
+        1, "query-engine worker threads (1 = serial inline execution)", ge=1
+    )
+    max_batch: int = _knob(
+        1, "micro-batch size cap for POST /search (1 = no coalescing, the "
+        "serial behaviour)",
+        alias="batch", ge=1,
+    )
+    batch_window_ms: float = _knob(
+        2.0, "how long the micro-batch collector waits for the batch to fill", ge=0
+    )
+    shards: Optional[int] = _knob(
+        None, "partition the knowledge base across N shards behind the "
+        "scatter-gather router (default: unsharded)",
+        ge=1,
+    )
+    replicas: int = _knob(
+        1, "replicas per shard for read scaling (implies the router)", ge=1
+    )
+    partitioner: str = _knob(
+        "hash", "shard-assignment policy",
+        choices=_registered("repro.core.sharding", "available_partitioners"),
+    )
+    rebalance_threshold: int = _knob(
+        8, "live-object spread between the largest and smallest shard that "
+        "triggers an ingest-time rebalance (0 = never)",
+        ge=0,
+    )
+    shard_latency_ms: float = _knob(
+        0.0, "simulated fixed per-shard-call service time in milliseconds", ge=0
+    )
+    shard_latency_ms_per_1k: float = _knob(
+        0.0, "simulated per-shard service time per 1000 live objects "
+        "(models remote shard servers; enables the parallel scatter)",
+        ge=0,
+    )
+    resilience: bool = _knob(
+        False, "enable the resilience layer (retries, deadlines, circuit "
+        "breakers, graceful degradation)",
+    )
+    retry_attempts: int = _knob(
+        1, "attempts per guarded component call (1 = no retries)", ge=1
+    )
+    retry_backoff_ms: float = _knob(10.0, "backoff before the first retry", ge=0)
+    deadline_ms: Optional[float] = _knob(
+        None, "per-request latency budget in milliseconds (on the command "
+        "line it also enables the resilience layer)",
+        gt=0,
+    )
+    breaker_threshold: int = _knob(
+        5, "consecutive failures that open a site's circuit breaker", ge=1
+    )
+    breaker_reset_ms: float = _knob(
+        1000.0, "how long an open breaker waits before half-open probe calls", gt=0
+    )
+    fault_seed: int = _knob(0, "seed for the deterministic fault injector")
+    faults: Dict[str, Dict[str, Any]] = _knob(
+        dict, "fault-injection specs keyed by call site"
+    )
+    cost_accounting: bool = _knob(
+        False, "per-query cost profiles, aggregated behind GET /stats"
+    )
+    tiered: bool = _knob(
+        False, "beyond-RAM serving for --index starling: quantized codes "
+        "resident for traversal, full precision memory-mapped for rerank",
+    )
+    quantize_bits: int = _knob(
+        8, "resident-tier code width (with --tiered)", choices=(4, 8)
+    )
+    rerank_factor: int = _knob(
+        4, "full-precision rerank over-fetch multiplier (with --tiered)", ge=1
+    )
+    mmap_cache_blocks: int = _knob(
+        32, "buffer-pool blocks in front of the mmap tier (with --tiered; "
+        "0 disables caching)",
+        ge=0,
+    )
+    planner: bool = _knob(
+        False, "self-tuning query planner: pick per-query search budget "
+        "and shard fan-out from live latency/recall distributions",
+    )
+    recall_floor: float = _knob(
+        0.8, "minimum acceptable recall@k for planner and semantic-cache "
+        "decisions",
+        ge=0, le=1,
+    )
+    semantic_cache: bool = _knob(
+        False, "serve near-duplicate queries from the semantic cache "
+        "(cosine matching over query embeddings)",
+    )
+    semantic_threshold: float = _knob(
+        0.9, "cosine similarity at or above which a cached near-duplicate "
+        "qualifies (0 = exact-match only)",
+        ge=0, le=1,
+    )
+    admission: bool = _knob(
+        False, "admission control: shed or degrade requests before the "
+        "engine saturates",
+    )
+    agentic: bool = _knob(
+        False, "agentic answering: decompose the question into per-concept "
+        "hops and compose per-claim cited answers",
+    )
+    agentic_max_hops: int = _knob(
+        4, "maximum decomposed sub-queries per agentic question", ge=1
+    )
+    agentic_refine_rounds: int = _knob(
+        1, "re-retrieval rounds for unsupported claims (0 disables refinement)",
+        ge=0,
+    )
 
     def __post_init__(self) -> None:
         self.weight_mode = WeightMode.parse(self.weight_mode)
+        if self.llm == "none":
+            self.llm = None
+        if not isinstance(self.dataset, DatasetSpec):
+            self.dataset = _dataset_spec(self.dataset)
         self.validate()
 
     @property
@@ -245,124 +372,18 @@ class MQAConfig:
         return self.shards is not None or self.replicas > 1
 
     def validate(self) -> None:
-        """Check cross-field consistency; raises ConfigurationError."""
-        from repro.encoders import available_encoder_sets
-        from repro.index import available_indexes
-        from repro.llm import available_llms
-        from repro.retrieval import available_frameworks
-
+        """Check every field against its declaration, then the rules that
+        span more than one field; raises ConfigurationError."""
         if self.dataset.domain not in DOMAINS:
             valid = ", ".join(sorted(DOMAINS))
             raise ConfigurationError(
                 f"unknown knowledge-base domain {self.dataset.domain!r}; "
                 f"expected one of: {valid}"
             )
-        if self.encoder_set not in available_encoder_sets():
-            raise ConfigurationError(
-                f"unknown encoder set {self.encoder_set!r}; "
-                f"available: {', '.join(available_encoder_sets())}"
-            )
-        if self.index not in available_indexes():
-            raise ConfigurationError(
-                f"unknown index {self.index!r}; "
-                f"available: {', '.join(available_indexes())}"
-            )
-        if self.framework not in available_frameworks():
-            raise ConfigurationError(
-                f"unknown framework {self.framework!r}; "
-                f"available: {', '.join(available_frameworks())}"
-            )
-        if self.llm is not None and self.llm not in available_llms():
-            raise ConfigurationError(
-                f"unknown llm {self.llm!r}; available: {', '.join(available_llms())}"
-            )
+        for spec in fields(self):
+            _check(spec, getattr(self, spec.name))
         if self.weight_mode is WeightMode.FIXED and not self.fixed_weights:
             raise ConfigurationError("weight_mode 'fixed' requires fixed_weights")
-        if self.result_count < 1:
-            raise ConfigurationError(
-                f"result_count must be >= 1, got {self.result_count}"
-            )
-        if self.search_budget < 1:
-            raise ConfigurationError(
-                f"search_budget must be >= 1, got {self.search_budget}"
-            )
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ConfigurationError(
-                f"temperature must be in [0, 2], got {self.temperature}"
-            )
-        if self.monitor_sample_rate < 1:
-            raise ConfigurationError(
-                f"monitor_sample_rate must be >= 1, got {self.monitor_sample_rate}"
-            )
-        if self.slo_latency_ms <= 0:
-            raise ConfigurationError(
-                f"slo_latency_ms must be positive, got {self.slo_latency_ms}"
-            )
-        if self.slo_window < 1:
-            raise ConfigurationError(
-                f"slo_window must be >= 1, got {self.slo_window}"
-            )
-        if self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
-            )
-        if self.max_batch < 1:
-            raise ConfigurationError(
-                f"max_batch must be >= 1, got {self.max_batch}"
-            )
-        if self.batch_window_ms < 0:
-            raise ConfigurationError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
-            )
-        if self.shards is not None and self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1 or None, got {self.shards}"
-            )
-        if self.replicas < 1:
-            raise ConfigurationError(
-                f"replicas must be >= 1, got {self.replicas}"
-            )
-        from repro.core.sharding import available_partitioners
-
-        if self.partitioner not in available_partitioners():
-            raise ConfigurationError(
-                f"unknown partitioner {self.partitioner!r}; "
-                f"available: {', '.join(available_partitioners())}"
-            )
-        if self.rebalance_threshold < 0:
-            raise ConfigurationError(
-                "rebalance_threshold must be >= 0, got "
-                f"{self.rebalance_threshold}"
-            )
-        if self.shard_latency_ms < 0:
-            raise ConfigurationError(
-                f"shard_latency_ms must be >= 0, got {self.shard_latency_ms}"
-            )
-        if self.shard_latency_ms_per_1k < 0:
-            raise ConfigurationError(
-                "shard_latency_ms_per_1k must be >= 0, got "
-                f"{self.shard_latency_ms_per_1k}"
-            )
-        if self.retry_attempts < 1:
-            raise ConfigurationError(
-                f"retry_attempts must be >= 1, got {self.retry_attempts}"
-            )
-        if self.retry_backoff_ms < 0:
-            raise ConfigurationError(
-                f"retry_backoff_ms must be >= 0, got {self.retry_backoff_ms}"
-            )
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ConfigurationError(
-                f"deadline_ms must be positive or None, got {self.deadline_ms}"
-            )
-        if self.breaker_threshold < 1:
-            raise ConfigurationError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
-        if self.breaker_reset_ms <= 0:
-            raise ConfigurationError(
-                f"breaker_reset_ms must be positive, got {self.breaker_reset_ms}"
-            )
         if self.faults:
             # Reuse the injector's own validation so the config panel and
             # CLI reject bad specs at configuration time, not mid-query.
@@ -373,36 +394,6 @@ class MQAConfig:
             raise ConfigurationError(
                 "tiered serving requires index 'starling', got "
                 f"{self.index!r}"
-            )
-        if self.quantize_bits not in (4, 8):
-            raise ConfigurationError(
-                f"quantize_bits must be 4 or 8, got {self.quantize_bits}"
-            )
-        if self.rerank_factor < 1:
-            raise ConfigurationError(
-                f"rerank_factor must be >= 1, got {self.rerank_factor}"
-            )
-        if self.mmap_cache_blocks < 0:
-            raise ConfigurationError(
-                f"mmap_cache_blocks must be >= 0, got {self.mmap_cache_blocks}"
-            )
-        if not 0.0 <= self.recall_floor <= 1.0:
-            raise ConfigurationError(
-                f"recall_floor must be in [0, 1], got {self.recall_floor}"
-            )
-        if not 0.0 <= self.semantic_threshold <= 1.0:
-            raise ConfigurationError(
-                "semantic_threshold must be in [0, 1], got "
-                f"{self.semantic_threshold}"
-            )
-        if self.agentic_max_hops < 1:
-            raise ConfigurationError(
-                f"agentic_max_hops must be >= 1, got {self.agentic_max_hops}"
-            )
-        if self.agentic_refine_rounds < 0:
-            raise ConfigurationError(
-                "agentic_refine_rounds must be >= 0, got "
-                f"{self.agentic_refine_rounds}"
             )
 
     # ------------------------------------------------------------------
@@ -425,19 +416,12 @@ class MQAConfig:
         Unknown keys are rejected (a recording from a future version
         should fail loudly, not half-apply).
         """
-        payload = dict(data)
-        dataset_data = dict(payload.pop("dataset", None) or {})
-        if "modalities" in dataset_data:
-            dataset_data["modalities"] = tuple(
-                Modality.parse(m) for m in dataset_data["modalities"]
-            )
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(payload) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(
                 f"unknown configuration keys: {', '.join(sorted(unknown))}"
             )
-        return cls(dataset=DatasetSpec(**dataset_data), **payload)
+        return cls(**{**data, "dataset": data.get("dataset") or {}})
 
     def summary(self) -> Dict[str, str]:
         """Flat key -> value view for the status panel."""
@@ -474,3 +458,93 @@ class MQAConfig:
                 f"{self.agentic_refine_rounds} refine rounds)"
             )
         return body
+
+
+def _dataset_spec(data: Dict[str, Any]) -> DatasetSpec:
+    """A :class:`DatasetSpec` from its ``to_dict`` form (what a recording
+    header and a ``POST /configure`` body carry)."""
+    try:
+        data = dict(data)
+        if "modalities" in data:
+            data["modalities"] = tuple(Modality.parse(m) for m in data["modalities"])
+        return DatasetSpec(**data)
+    except TypeError as exc:
+        raise ConfigurationError(f"dataset: {exc}") from None
+
+
+_COMPARISONS = {
+    "ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.le, "<="),
+}
+
+
+def _check(spec: Field, value: Any) -> None:
+    """Raise ConfigurationError unless ``value`` is legal for the field
+    ``spec`` declares; ``None`` is legal exactly for ``Optional`` fields."""
+    optional = spec.type.startswith("Optional[")
+    if value is None and optional:
+        return
+    choices, bounds = spec.metadata["choices"], spec.metadata["bounds"]
+    if callable(choices):
+        if value not in choices():
+            raise ConfigurationError(
+                f"unknown {spec.name.replace('_', ' ')} {value!r}; "
+                f"available: {', '.join(choices())}"
+            )
+        return
+    if choices is not None:
+        legal, ok = " or ".join(map(str, choices)), value in choices
+    else:
+        legal = " and ".join(
+            f"{_COMPARISONS[key][1]} {bound:g}" for key, bound in bounds.items()
+        )
+        try:
+            ok = all(_COMPARISONS[key][0](value, b) for key, b in bounds.items())
+        except TypeError:  # e.g. a string from POST /configure
+            ok = False
+    if not ok:
+        raise ConfigurationError(
+            f"{spec.name} must be {legal}{' or None' if optional else ''}, "
+            f"got {value!r}"
+        )
+
+
+#: Every name a field answers to on the CLI and in ``run_loadgen``: its own,
+#: and its declared alias.
+_FIELD_NAMED = {
+    name: spec
+    for spec in fields(MQAConfig)
+    for name in (spec.name, spec.metadata["alias"])
+    if name
+}
+_ARGUMENT_TYPES = {
+    "int": int, "float": float, "Optional[int]": int, "Optional[float]": float,
+}
+
+
+def add_config_arguments(parser: argparse.ArgumentParser, names: Iterable[str]) -> None:
+    """Give ``parser`` one ``--flag`` per name in ``names`` (field names or
+    declared aliases): type, default, choices and help come from the field's
+    declaration, a bool field is a ``store_true`` switch."""
+    for name in names:
+        spec = _FIELD_NAMED[name]
+        meta = spec.metadata
+        flag = "--" + name.replace("_", "-")
+        if spec.type == "bool":
+            parser.add_argument(flag, dest=name, action="store_true", help=meta["help"])
+            continue
+        choices = meta["choices"]
+        parser.add_argument(
+            flag, dest=name, type=_ARGUMENT_TYPES.get(spec.type), default=spec.default,
+            choices=None if callable(choices) else choices,
+            metavar=meta["metavar"], help=meta["help"],
+        )
+
+
+def config_overrides(args: argparse.Namespace) -> Dict[str, Any]:
+    """The :class:`MQAConfig` keyword arguments a parsed namespace carries:
+    every dest that is a field name or alias, keyed by field name."""
+    return {
+        _FIELD_NAMED[dest].name: value
+        for dest, value in vars(args).items()
+        if dest in _FIELD_NAMED
+    }

@@ -927,6 +927,39 @@ class Coordinator:
     # ------------------------------------------------------------------
     # incremental ingestion
     # ------------------------------------------------------------------
+    def _mutate(self, verb: str, refusal: str, stage: Callable[[], tuple]) -> int:
+        """The one store-mutation frame, under the write lock throughout.
+
+        ``stage()`` names the object and returns ``(object_id, apply, undo,
+        detail)``.  ``apply`` runs once through the ``store.<verb>``
+        resilience site; if anything escapes it, ``undo`` runs, a
+        ``<verb>-failed`` event and the ``coordinator.<verb>_errors``
+        counter record the rollback and the error propagates.  Either way
+        the query cache is invalidated before the lock is released, and
+        events are recorded while it is still held, keeping the event
+        log's ordering consistent with the mutation order.
+        """
+        self._require_setup()
+        if self.kb is None or self.execution is None:
+            raise CoordinatorError(refusal)
+        with self.rwlock.write():
+            object_id, apply, undo, detail = stage()
+            try:
+                self.resilience.call(f"store.{verb}", apply, retryable=False)
+            except BaseException as exc:
+                undo()
+                self.events.record(
+                    "preprocessing", "coordinator", f"{verb}-failed",
+                    f"object {object_id} rolled back: "
+                    f"{type(exc).__name__}: {exc}"[:80],
+                )
+                self.metrics.inc(f"coordinator.{verb}_errors")
+                raise
+            finally:
+                self.execution.invalidate_cache()
+            self.events.record("frontend", "preprocessing", verb, detail)
+        return object_id
+
     def ingest_object(
         self,
         concepts,
@@ -943,38 +976,20 @@ class Coordinator:
         created knowledge-base object is discarded and the query cache is
         invalidated before the error propagates, so no reader can ever
         observe an object that exists in the store but not in the index.
-        Events are recorded while the write lock is still held, keeping
-        the event log's ordering consistent with the mutation order.
         """
-        self._require_setup()
-        if self.kb is None or self.execution is None:
-            raise CoordinatorError("cannot ingest in LLM-only mode")
-        with self.rwlock.write():
+
+        def stage() -> tuple:
             obj = self.kb.create_object(
                 concepts, intensities=intensities, metadata=metadata
             )
-            try:
-                self.resilience.call(
-                    "store.ingest",
-                    lambda: self.execution.framework.add_object(obj),
-                    retryable=False,
-                )
-            except BaseException as exc:
-                self.kb.discard_object(obj.object_id)
-                self.execution.invalidate_cache()
-                self.events.record(
-                    "preprocessing", "coordinator", "ingest-failed",
-                    f"object {obj.object_id} rolled back: "
-                    f"{type(exc).__name__}: {exc}"[:80],
-                )
-                self.metrics.inc("coordinator.ingest_errors")
-                raise
-            self.execution.invalidate_cache()
-            self.events.record(
-                "frontend", "preprocessing", "ingest",
+            return (
+                obj.object_id,
+                lambda: self.execution.framework.add_object(obj),
+                lambda: self.kb.discard_object(obj.object_id),
                 f"object {obj.object_id}: {', '.join(obj.concepts)}",
             )
-        return obj.object_id
+
+        return self._mutate("ingest", "cannot ingest in LLM-only mode", stage)
 
     def remove_object(self, object_id: int) -> None:
         """Tombstone an object: it stays stored but never surfaces again.
@@ -985,33 +1000,24 @@ class Coordinator:
         error propagates, so the store's metadata never disagrees with
         the index's view of which objects are live.
         """
-        self._require_setup()
-        if self.kb is None or self.execution is None:
-            raise CoordinatorError("cannot remove objects in LLM-only mode")
-        with self.rwlock.write():
+
+        def stage() -> tuple:
             obj = self.kb.get(object_id)  # validates the id
-            already_deleted = object_id in self.execution.framework.deleted_ids
-            try:
-                self.resilience.call(
-                    "store.remove",
-                    lambda: self.execution.framework.remove_object(object_id),
-                    retryable=False,
-                )
-            except BaseException as exc:
+            framework = self.execution.framework
+            already_deleted = object_id in framework.deleted_ids
+
+            def apply() -> None:
+                framework.remove_object(object_id)
+                obj.metadata["deleted"] = True
+
+            def undo() -> None:
                 if not already_deleted:
-                    self.execution.framework.restore_object(object_id)
-                self.events.record(
-                    "preprocessing", "coordinator", "remove-failed",
-                    f"object {object_id} rolled back: "
-                    f"{type(exc).__name__}: {exc}"[:80],
-                )
-                self.metrics.inc("coordinator.remove_errors")
-                raise
-            obj.metadata["deleted"] = True
-            self.execution.invalidate_cache()
-            self.events.record(
-                "frontend", "preprocessing", "remove", f"object {object_id}"
-            )
+                    framework.restore_object(object_id)
+                    obj.metadata.pop("deleted", None)
+
+            return object_id, apply, undo, f"object {object_id}"
+
+        self._mutate("remove", "cannot remove objects in LLM-only mode", stage)
 
     # ------------------------------------------------------------------
     # introspection used by the panels

@@ -9,7 +9,7 @@ matching the architecture's single-conduit rule.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Any, Dict, List, Optional
 
 from repro.core.config import MQAConfig, WeightMode
@@ -33,59 +33,27 @@ class ConfigurationPanel:
         self.feedback: List[str] = []
 
     def options(self) -> Dict[str, List[str]]:
-        """The choice lists the panel's dropdowns display."""
-        from repro.encoders import available_encoder_sets
-        from repro.index import available_indexes
-        from repro.llm import available_llms
-        from repro.retrieval import available_frameworks
-
+        """The choice lists the panel's dropdowns display: the domains, the
+        weight modes, and every registry a config field draws from."""
+        registered = {
+            spec.name: list(spec.metadata["choices"]())
+            for spec in fields(MQAConfig)
+            if callable(spec.metadata["choices"])
+        }
+        registered["llm"].insert(0, "none")
         return {
             "knowledge_base": sorted(DOMAINS),
-            "encoder_set": list(available_encoder_sets()),
             "weight_mode": [mode.value for mode in WeightMode],
-            "index": list(available_indexes()),
-            "framework": list(available_frameworks()),
-            "llm": ["none", *available_llms()],
+            **registered,
         }
 
     def set_option(self, option: str, value: Any) -> None:
-        """Update one draft field with validation."""
-        updates: Dict[str, Any] = {}
+        """Update one draft field with validation: any :class:`MQAConfig`
+        field by name, or the knowledge-base domain as ``knowledge_base``."""
         if option == "knowledge_base":
-            updates["dataset"] = replace(self.config.dataset, domain=str(value))
-        elif option == "llm":
-            updates["llm"] = None if value in (None, "none") else str(value)
-        elif option in (
-            "encoder_set",
-            "weight_mode",
-            "index",
-            "framework",
-            "result_count",
-            "search_budget",
-            "temperature",
-            "external_knowledge",
-            "fixed_weights",
-            "index_params",
-            "tracing",
-            "recorder_path",
-            "monitoring",
-            "monitor_sample_rate",
-            "slo_latency_ms",
-            "slo_window",
-            "workers",
-            "max_batch",
-            "batch_window_ms",
-            "resilience",
-            "retry_attempts",
-            "retry_backoff_ms",
-            "deadline_ms",
-            "breaker_threshold",
-            "breaker_reset_ms",
-            "fault_seed",
-            "faults",
-            "cost_accounting",
-        ):
-            updates[option] = value
+            updates = {"dataset": replace(self.config.dataset, domain=str(value))}
+        elif option in MQAConfig.__dataclass_fields__:
+            updates = {option: value}
         else:
             raise ConfigurationError(f"unknown configuration option {option!r}")
         try:

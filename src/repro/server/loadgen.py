@@ -111,7 +111,6 @@ def build_workload(
 
 
 def run_loadgen(
-    workers: int = 1,
     queries: int = 200,
     write_every: int = 10,
     domain: str = "scenes",
@@ -121,36 +120,31 @@ def run_loadgen(
     k: int = 5,
     sessions: int = 4,
     batch: int = 1,
-    batch_window_ms: float = 2.0,
-    shards: "int | None" = None,
-    replicas: int = 1,
-    shard_latency_ms: float = 0.0,
-    shard_latency_ms_per_1k: float = 0.0,
-    cost_accounting: bool = False,
-    index: str = "hnsw",
-    index_params: "Dict[str, Any] | None" = None,
-    tiered: bool = False,
-    quantize_bits: int = 8,
-    rerank_factor: int = 4,
-    mmap_cache_blocks: int = 32,
-    planner: bool = False,
-    recall_floor: float = 0.8,
-    semantic_cache: bool = False,
-    semantic_threshold: float = 0.9,
-    admission: bool = False,
-    deadline_ms: "float | None" = None,
     cache: bool = False,
     client_workers: "int | None" = None,
     near_duplicate_every: int = 0,
     shed_retry_ms: float = 0.0,
     shed_retries: int = 8,
+    **config_overrides: Any,
 ) -> Dict[str, Any]:
     """Build a system, fire the workload, and report the results.
+
+    ``config_overrides`` are :class:`MQAConfig` fields by name
+    (``workers=4``, ``shards=2``, ``index="starling"``, ``tiered=True``,
+    ``planner=True``, ``cost_accounting=True`` ...) and win over the four
+    aliases this function keeps for them: ``k`` (``result_count``),
+    ``batch`` (``max_batch``), ``cache`` (``cache_queries`` — off here by
+    default for uniform read cost; ``semantic_cache`` implies it) and
+    ``llm_latency_ms`` (``llm_params``).  A ``deadline_ms`` enables the
+    resilience layer unless ``resilience`` says otherwise.
 
     The client side uses ``workers`` threads calling the blocking
     :meth:`ApiServer.handle`, matching the engine's worker count so the
     bounded queue never rejects — rejections under deliberate over-drive
-    are exercised by the concurrency tests instead.
+    are exercised by the concurrency tests instead.  ``client_workers``
+    sizes the *client* thread pool independently of the engine's
+    ``workers`` — oversubscribing clients is how the planner benchmark
+    creates queueing pressure.
 
     ``batch > 1`` switches read operations from the dialogue ``/query``
     verb to raw ``POST /search`` requests and enables server-side
@@ -164,25 +158,10 @@ def run_loadgen(
     per-shard sleeps overlap on the scatter pool).  Result ids never
     change — the sharding benchmark asserts that.
 
-    ``cost_accounting`` turns the cost plane on; the report then carries
-    the server's ``GET /stats`` snapshot under ``"stats"`` (the data
-    behind ``python -m repro stats``).  Profiles never change result
-    ids — the cost-plane benchmark asserts that too.
+    With ``cost_accounting`` the report carries the server's ``GET /stats``
+    snapshot under ``"stats"`` (the data behind ``python -m repro stats``),
+    with ``tiered`` the aggregated tiered-store ledger under ``"tiered"``.
 
-    ``index`` / ``index_params`` select the index algorithm; ``tiered``
-    (with ``quantize_bits`` / ``rerank_factor`` / ``mmap_cache_blocks``)
-    switches a Starling index to beyond-RAM serving, and the report then
-    carries the aggregated tiered-store ledger under ``"tiered"``.
-
-    The adaptive-serving knobs mirror their config fields: ``planner`` /
-    ``recall_floor`` (per-query budget planning), ``semantic_cache`` /
-    ``semantic_threshold`` (near-duplicate serving; implies ``cache``),
-    ``admission`` (shed/degrade before saturation), and ``deadline_ms``
-    (a per-request latency budget; enables the resilience layer).
-    ``cache`` turns the query cache on (historically off here for
-    uniform read cost).  ``client_workers`` sizes the *client* thread
-    pool independently of the engine's ``workers`` — oversubscribing
-    clients is how the planner benchmark creates queueing pressure.
     ``near_duplicate_every`` rewrites every Nth read as a word-order
     permutation of the previous one (see :func:`build_workload`).
     ``shed_retry_ms`` (0 disables) makes clients behave like real ones
@@ -197,37 +176,22 @@ def run_loadgen(
     hit-rate snapshot, so planner-on and planner-off runs compare on
     useful work rather than raw throughput.
     """
-    config = MQAConfig(
-        dataset=DatasetSpec(domain=domain, size=size, seed=seed),
-        workers=workers,
-        llm_params={"latency_ms": llm_latency_ms},
-        result_count=k,
-        # Historically off for uniform read cost; the cache/semantic
-        # knobs opt back in for the workloads that study caching.
-        cache_queries=cache or semantic_cache,
-        weight_learning={"steps": 20, "batch_size": 16},
-        max_batch=batch,
-        batch_window_ms=batch_window_ms,
-        shards=shards,
-        replicas=replicas,
-        shard_latency_ms=shard_latency_ms,
-        shard_latency_ms_per_1k=shard_latency_ms_per_1k,
-        cost_accounting=cost_accounting,
-        index=index,
-        index_params=dict(index_params or {}),
-        tiered=tiered,
-        quantize_bits=quantize_bits,
-        rerank_factor=rerank_factor,
-        mmap_cache_blocks=mmap_cache_blocks,
-        planner=planner,
-        recall_floor=recall_floor,
-        semantic_cache=semantic_cache,
-        semantic_threshold=semantic_threshold,
-        admission=admission,
-        resilience=deadline_ms is not None,
-        deadline_ms=deadline_ms,
-    )
-    use_search = batch > 1
+    settings = {
+        "dataset": DatasetSpec(domain=domain, size=size, seed=seed),
+        "llm_params": {"latency_ms": llm_latency_ms},
+        "weight_learning": {"steps": 20, "batch_size": 16},
+        "result_count": k,
+        "max_batch": batch,
+        "cache_queries": cache,
+        **config_overrides,
+    }
+    if settings.get("semantic_cache"):
+        settings["cache_queries"] = True
+    settings.setdefault("resilience", settings.get("deadline_ms") is not None)
+    config = MQAConfig(**settings)
+    # What the run reads back, whichever spelling set it.
+    k, workers, deadline_ms = config.result_count, config.workers, config.deadline_ms
+    use_search = config.max_batch > 1
     server = ApiServer(config)
     try:
         applied = server.handle("POST", "/apply")

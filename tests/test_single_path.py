@@ -72,3 +72,52 @@ def test_coordinator_has_no_hand_threaded_round():
 
     assert not hasattr(Coordinator, "_run_query_round")
     assert {"stages", "observers"} <= set(vars(Coordinator(MQAConfig())))
+
+
+def _config_names():
+    from dataclasses import fields
+
+    from repro.core import MQAConfig
+
+    specs = fields(MQAConfig)
+    return {s.name for s in specs}, {s.metadata["alias"] for s in specs} - {None}
+
+
+def test_a_config_field_is_declared_once():
+    """No hand-written flag, loadgen parameter or panel whitelist repeats a
+    field: the CLI gets its config flags from ``add_config_arguments``
+    (``--inject`` stays hand-written — it parses ``site:key=value`` specs
+    into ``faults`` and has a dest of its own), ``run_loadgen`` forwards
+    ``**config_overrides``, and the panel accepts the dataclass's fields."""
+    from repro import cli
+    from repro.core import panels
+    from repro.server.loadgen import run_loadgen
+
+    names, aliases = _config_names()
+    tree = ast.parse(inspect.getsource(cli))
+    dests = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument":
+            keywords = {k.arg: k.value for k in node.keywords}
+            spelled = keywords["dest"] if "dest" in keywords else node.args[0]
+            dests.append(spelled.value.lstrip("-").replace("-", "_"))
+    assert len(dests) >= 20, "the add_argument scan lost the hand-written flags"
+    assert not set(dests) & (names | aliases)
+
+    make_server = ast.parse(inspect.getsource(cli.make_server))
+    assert not [
+        node for node in ast.walk(make_server)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "getattr"
+    ]
+
+    parameters = set(inspect.signature(run_loadgen).parameters)
+    assert not parameters & names
+    assert aliases & parameters == {"k", "batch", "cache"}
+
+    for node in ast.walk(ast.parse(inspect.getsource(panels))):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            listed = {
+                e.value for e in node.elts
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            }
+            assert len(listed & names) < 2, f"panels.py lists fields {sorted(listed)}"
