@@ -9,7 +9,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.distance.kernel import DistanceKernel
-from repro.errors import IndexError_, IndexNotBuiltError, SearchError
+from repro.errors import GraphConstructionError, IndexError_, IndexNotBuiltError, SearchError
 
 
 @dataclass
@@ -71,11 +71,25 @@ def _per_query_admits(admit, n_queries: int) -> List:
     return admits
 
 
+def append_row(buffer: np.ndarray, count: int, row: np.ndarray) -> np.ndarray:
+    """Store ``row`` at index ``count`` of ``buffer`` (``count`` rows in use);
+    returns the buffer holding it.  A full buffer is first copied into one
+    of twice the capacity, so n appends copy each row O(log n) times overall
+    where a ``vstack`` per append copies O(n^2) rows."""
+    if count == buffer.shape[0]:
+        grown = np.empty((max(2 * count, 8), buffer.shape[1]), dtype=buffer.dtype)
+        grown[:count] = buffer
+        buffer = grown
+    buffer[count] = row
+    return buffer
+
+
 class VectorIndex(abc.ABC):
-    """Searchable structure over a fixed corpus of vectors.
+    """Searchable structure over a corpus of vectors.
 
     Lifecycle: construct with parameters, :meth:`build` once over the corpus
-    matrix and a distance kernel, then :meth:`search` any number of times.
+    matrix and a distance kernel, then :meth:`search` any number of times;
+    an index that can grow appends through :meth:`_append_row`.
     """
 
     #: Identifier used by the registry and the status panel.
@@ -84,6 +98,8 @@ class VectorIndex(abc.ABC):
     def __init__(self) -> None:
         self._vectors: Optional[np.ndarray] = None
         self._kernel: Optional[DistanceKernel] = None
+        self._buffer: Optional[np.ndarray] = None
+        self._buffer_grows: int = 0
         self.build_seconds: float = 0.0
 
     @property
@@ -119,6 +135,27 @@ class VectorIndex(abc.ABC):
     @abc.abstractmethod
     def build(self, vectors: np.ndarray, kernel: DistanceKernel) -> None:
         """Index ``vectors`` (an ``(n, d)`` matrix) under ``kernel``."""
+
+    def _append_row(self, vector: np.ndarray, error=GraphConstructionError) -> int:
+        """Append one vector to the corpus matrix; returns its row id.
+
+        :attr:`vectors` stays a view of the rows in use of a doubling
+        buffer (:func:`append_row`).  The matrix ``build`` or ``load_index``
+        left in place has no spare rows, so the first append copies it: the
+        caller's matrix is never written.  A wrong width raises ``error``.
+        """
+        self._require_built()
+        vector = np.asarray(vector, dtype=np.float64).reshape(-1)
+        if vector.shape[0] != self.kernel.dim:
+            raise error(f"vector dim {vector.shape[0]} != kernel dim {self.kernel.dim}")
+        row = self.size
+        if self._buffer is None or self._vectors.base is not self._buffer:
+            self._buffer, self._buffer_grows = self._vectors, 0
+        buffer = append_row(self._buffer, row, vector)
+        self._buffer_grows += buffer is not self._buffer
+        self._buffer = buffer
+        self._vectors = buffer[: row + 1]
+        return row
 
     def add(self, vector: np.ndarray) -> int:
         """Insert one vector into the built index; returns its new id.

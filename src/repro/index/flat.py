@@ -39,14 +39,7 @@ class FlatIndex(VectorIndex):
         self.build_seconds = time.perf_counter() - start
 
     def add(self, vector: np.ndarray) -> int:
-        self._require_built()
-        vector = np.asarray(vector, dtype=np.float64).reshape(1, -1)
-        if vector.shape[1] != self.kernel.dim:
-            raise SearchError(
-                f"vector dim {vector.shape[1]} != kernel dim {self.kernel.dim}"
-            )
-        self._vectors = np.vstack([self._vectors, vector])
-        return self.size - 1
+        return self._append_row(vector, SearchError)
 
     def check_invariants(self) -> None:
         """Verify the store's structural invariants; raise on violation.

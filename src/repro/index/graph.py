@@ -3,20 +3,36 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from collections.abc import Mapping
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.errors import GraphConstructionError
 
 
-class NavigationGraph:
+class SparseLayer(dict):
+    """Neighbour rows of a *subset* of the vertices, ``{vertex: row}`` — an
+    HNSW layer above the base.  The search loop walks it through the same
+    :meth:`neighbors` call as a :class:`NavigationGraph`; a vertex outside
+    the layer is a ``KeyError``, never a planted row."""
+
+    __slots__ = ()
+    neighbors = dict.__getitem__
+
+
+class NavigationGraph(Mapping):
     """A directed graph over vertex ids ``0..n-1`` with bounded out-degree.
 
     Vertices correspond to objects; an edge ``u -> v`` records that ``v`` is
     among ``u``'s selected near neighbours.  The structure is deliberately
     minimal — neighbour lists plus entry points — because that is the whole
     runtime contract of a navigation graph.
+
+    It also reads as the mapping ``{vertex: row}`` a :class:`SparseLayer`
+    is, so HNSW links a dense base layer and a sparse upper one alike;
+    ``graph[vertex] = row`` stores the list as given (shared int objects),
+    :meth:`set_neighbors` dedups, range-checks and trims.
     """
 
     def __init__(self, n_vertices: int, max_degree: int) -> None:
@@ -32,6 +48,20 @@ class NavigationGraph:
     def neighbors(self, vertex: int) -> List[int]:
         """Out-neighbours of ``vertex``."""
         return self._neighbors[vertex]
+
+    __getitem__ = neighbors
+
+    def __setitem__(self, vertex: int, row: List[int]) -> None:
+        self._neighbors[vertex] = row
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self.n_vertices))
+
+    def __len__(self) -> int:
+        return self.n_vertices
+
+    def __contains__(self, vertex: int) -> bool:
+        return 0 <= vertex < self.n_vertices
 
     def add_vertex(self) -> int:
         """Grow the graph by one isolated vertex; returns its id."""

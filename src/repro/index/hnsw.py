@@ -14,8 +14,11 @@ nothing else does:
   one blocked GEMM per block of rows to pre-select, ``kernel.batch_paired``
   to re-score and order (:func:`repro.index.stages.exact_top_k`), and
   :func:`select_heuristic_rows` over all full-width rows of a block.
-* :meth:`HnswIndex.add` has one vector and a live graph, so it searches:
-  greedy descent through the upper layers, then a beam search per layer.
+* :meth:`HnswIndex.add` has one vector and a live graph, so it searches,
+  with the routines every query uses, as a batch of one:
+  :meth:`HnswIndex._greedy_descend_batch` through the layers above the
+  node's own, then :func:`repro.index.search.greedy_search_batch` (``k =
+  budget = ef_construction``) over each layer it joins.
 
 Both then link through :meth:`HnswIndex._link`: the new node is appended
 to every selected neighbour's row, and all rows that overflow the degree
@@ -26,22 +29,28 @@ occlusion rule across all rows at once.  Given the same distances it makes
 the decisions a row-by-row re-prune would.  Either way the cost is kernel
 *dispatches*, not arithmetic: a handful per block in ``build``, a handful
 per insert-layer plus the search in ``add``.
+
+Every layer is stored once.  Layer 0 holds every node, so it *is* the
+:class:`~repro.index.graph.NavigationGraph` that :meth:`HnswIndex.base_graph`
+hands out and ``search_batch`` walks; the layers above are
+:class:`~repro.index.graph.SparseLayer` dicts over their members.  Both read
+as ``{node: row}``, which is all the link step needs, and the entry node is
+the base graph's entry point.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple, Union
 
 import numpy as np
 
 from repro.distance.kernel import DistanceKernel
 from repro.errors import GraphConstructionError, SearchError
 from repro.index.base import VectorIndex
-from repro.index.graph import NavigationGraph
-from repro.index.search import greedy_search_batch
+from repro.index.graph import NavigationGraph, SparseLayer
+from repro.index.search import greedy_search_batch, score_ragged
 from repro.index.stages import block_rows, exact_top_k, mrng_rule, occlusion_scan
 from repro.observability import trace_span
 from repro.utils import derive_rng
@@ -109,14 +118,14 @@ class HnswIndex(VectorIndex):
     def __init__(self, params: HnswParams = HnswParams()) -> None:
         super().__init__()
         self.params = params
-        self._layers: List[Dict[int, List[int]]] = []
+        self._layers: List[Union[NavigationGraph, SparseLayer]] = []
         self._node_level: List[int] = []
-        self._entry: int = 0
         self._max_level: int = -1
-        self._base_graph: Optional[NavigationGraph] = None
-        self._buffer: Optional[np.ndarray] = None
-        self._count: int = 0
-        self._buffer_grows: int = 0
+
+    @property
+    def _entry(self) -> int:
+        """Where every descent starts: the first node of maximal level."""
+        return self._layers[0].entry_points[0]
 
     # ------------------------------------------------------------------
     # construction
@@ -132,29 +141,24 @@ class HnswIndex(VectorIndex):
             )
         self._vectors = vectors
         self._kernel = kernel
-        # The growth buffer starts as the corpus itself; the first add()
-        # reallocates with doubled capacity (amortized O(1) per insert).
-        self._buffer = vectors
-        self._count = int(vectors.shape[0])
-        self._buffer_grows = 0
 
         rng = derive_rng(self.params.seed, "hnsw-levels")
         level_scale = 1.0 / np.log(self.params.m)
         self._node_level = [
             int(-np.log(max(rng.random(), 1e-12)) * level_scale)
-            for _ in range(self._count)
+            for _ in range(self.size)
         ]
+        self._max_level = max(self._node_level)
+        base = NavigationGraph(self.size, max_degree=self.params.m * 2)
         # Inserting one by one promotes a node to entry point only when it
         # is strictly taller than every earlier one: the first of max level.
-        self._max_level = max(self._node_level)
-        self._entry = self._node_level.index(self._max_level)
-        self._layers = [{} for _ in range(self._max_level + 1)]
+        base.entry_points = [self._node_level.index(self._max_level)]
+        self._layers = [base] + [SparseLayer() for _ in range(self._max_level)]
         levels = np.asarray(self._node_level)
-        with trace_span("hnsw-insert", nodes=self._count) as span:
+        with trace_span("hnsw-insert", nodes=self.size) as span:
             for layer in range(self._max_level, -1, -1):
                 self._build_layer(layer, (levels >= layer).nonzero()[0])
             span.set(layers=self._max_level + 1)
-        self._base_graph = None
         self.build_seconds = time.perf_counter() - start
 
     def _build_layer(self, layer: int, members: np.ndarray) -> None:
@@ -167,7 +171,7 @@ class HnswIndex(VectorIndex):
         ef = self.params.ef_construction
         m = self.params.m * 2 if layer == 0 else self.params.m
         count = members.size
-        vectors = self.vectors if count == self._count else self.vectors[members]
+        vectors = self.vectors if count == self.size else self.vectors[members]
         rows = block_rows(ef, self.kernel.dim)
         with trace_span(
             "hnsw-candidates", layer=layer, rows=count, blocks=-(-count // rows)
@@ -252,63 +256,6 @@ class HnswIndex(VectorIndex):
     def _neighbors(self, layer: int, node: int) -> List[int]:
         return self._layers[layer][node]
 
-    def _greedy_descend(self, query: np.ndarray, start: int, layer: int) -> int:
-        """Walk layer ``layer`` greedily to the local minimum for ``query``."""
-        current = start
-        current_distance = float(self.kernel.single(query, self.vectors[current]))
-        improved = True
-        while improved:
-            improved = False
-            neighbors = self._neighbors(layer, current)
-            if not neighbors:
-                break
-            distances = self.kernel.batch(query, self.vectors[neighbors])
-            best = int(np.argmin(distances))
-            if float(distances[best]) < current_distance:
-                current, current_distance = neighbors[best], float(distances[best])
-                improved = True
-        return current
-
-    def _search_layer(
-        self, query: np.ndarray, starts: List[int], ef: int, layer: int
-    ) -> List[Tuple[float, int]]:
-        """Beam search within one layer; returns (distance, node) ascending."""
-        visited = set(starts)
-        candidates: List[Tuple[float, int]] = []
-        beam: List[Tuple[float, int]] = []
-        start_distances = self.kernel.batch(query, self.vectors[starts])
-        for node, distance in zip(starts, start_distances):
-            distance = float(distance)
-            heapq.heappush(candidates, (distance, node))
-            heapq.heappush(beam, (-distance, node))
-        while len(beam) > ef:
-            heapq.heappop(beam)
-        while candidates:
-            distance, node = heapq.heappop(candidates)
-            if beam and distance > -beam[0][0] and len(beam) >= ef:
-                break
-            fresh = [n for n in self._neighbors(layer, node) if n not in visited]
-            if not fresh:
-                continue
-            visited.update(fresh)
-            distances = self.kernel.batch(query, self.vectors[fresh])
-            if len(beam) >= ef:
-                # The beam's worst only improves from here, so whatever
-                # fails this one vector compare would fail the exact check
-                # below too; most of a full beam's frontier stops here.
-                admitted = (distances < -beam[0][0]).nonzero()[0]
-                if not admitted.size:
-                    continue
-                fresh = [fresh[i] for i in admitted.tolist()]
-                distances = distances[admitted]
-            for neighbor, neighbor_distance in zip(fresh, distances.tolist()):
-                if len(beam) < ef or neighbor_distance < -beam[0][0]:
-                    heapq.heappush(candidates, (neighbor_distance, neighbor))
-                    heapq.heappush(beam, (-neighbor_distance, neighbor))
-                    if len(beam) > ef:
-                        heapq.heappop(beam)
-        return sorted((-d, n) for d, n in beam)
-
     def _select_heuristic(
         self, candidates: List[Tuple[float, int]], m: int
     ) -> List[int]:
@@ -378,74 +325,39 @@ class HnswIndex(VectorIndex):
         search (:meth:`build` finds them exactly instead)."""
         self._node_level.append(level)
         while len(self._layers) <= level:
-            self._layers.append({})
+            self._layers.append(SparseLayer())
+        self._layers[0].add_vertex()
         # A node taller than the graph stays unlinked above the old top.
-        for layer in range(level + 1):
+        for layer in range(1, level + 1):
             self._layers[layer][node] = []
 
-        query = self.vectors[node]
-        current = self._entry
+        query = self.vectors[node][None]
+        starts = [self._entry]
         for layer in range(self._max_level, level, -1):
-            current = self._greedy_descend(query, current, layer)
+            starts = self._greedy_descend_batch(query, starts, layer)
 
-        starts = [current]
+        ef = self.params.ef_construction
         for layer in range(min(level, self._max_level), -1, -1):
-            candidates = self._search_layer(
-                query, starts, self.params.ef_construction, layer
-            )
+            found = greedy_search_batch(
+                self._layers[layer], self.vectors, self.kernel, query,
+                k=ef, budget=ef, entry_points=starts,
+            )[0]
             m = self.params.m * 2 if layer == 0 else self.params.m
+            candidates = list(zip(found.distances, found.ids))
             self._link(layer, node, self._select_heuristic(candidates, m), m)
-            starts = [n for _, n in candidates] or [current]
+            starts = found.ids
 
         if level > self._max_level:
-            self._entry = node
+            self._layers[0].entry_points = [node]
             self._max_level = level
 
     def add(self, vector: np.ndarray) -> int:
-        """Insert one vector (HNSW is naturally incremental).
-
-        Vectors live in a capacity-doubling growth buffer, so streaming
-        ingestion copies each row O(log n) times overall instead of the
-        O(n²) total copying a per-insert ``vstack`` would cost.
-        ``self.vectors`` stays a view of the first ``n`` rows, which every
-        search path reads through.
-        """
-        self._require_built()
-        if self._buffer is None:
-            # Restored from disk (persistence assigns _vectors directly):
-            # adopt the matrix as the initial buffer.
-            self._buffer = self._vectors
-            self._count = int(self._vectors.shape[0])
-        vector = np.asarray(vector, dtype=np.float64).reshape(1, -1)
-        if vector.shape[1] != self.kernel.dim:
-            raise GraphConstructionError(
-                f"vector dim {vector.shape[1]} != kernel dim {self.kernel.dim}"
-            )
-        node = self._count
-        if node == self._buffer.shape[0]:
-            grown = np.empty(
-                (max(2 * self._buffer.shape[0], 8), self._buffer.shape[1]),
-                dtype=np.float64,
-            )
-            grown[:node] = self._buffer
-            self._buffer = grown
-            self._buffer_grows += 1
-        self._buffer[node] = vector[0]
-        self._count = node + 1
-        self._vectors = self._buffer[: self._count]
+        """Insert one vector (HNSW is naturally incremental): append the
+        row, draw its level from the seeded per-node stream, link it."""
+        node = self._append_row(vector)
         rng = derive_rng(self.params.seed, "hnsw-level-add", node)
         level = int(-np.log(max(rng.random(), 1e-12)) / np.log(self.params.m))
         self._insert(node, level)
-        graph = self._base_graph
-        if graph is not None:
-            # Keep the cached layer-0 view in step: on layer 0 the insert
-            # rewrote the new node's row and the rows of exactly the
-            # neighbours it selected there.
-            graph.add_vertex()
-            base = self._layers[0]
-            for touched in (node, *base[node]):
-                graph.set_neighbors(touched, base[touched])
-            graph.entry_points = [self._entry]
         return node
 
     # ------------------------------------------------------------------
@@ -454,13 +366,14 @@ class HnswIndex(VectorIndex):
     def _greedy_descend_batch(
         self, queries: np.ndarray, currents: List[int], layer: int
     ) -> List[int]:
-        """:meth:`_greedy_descend` for every query on one layer, in lockstep.
+        """Walk every query greedily to its local minimum on one layer, in
+        lockstep; ``add`` descends with it too, as a batch of one.
 
         Each query walks on its own — ``kernel.single`` initialisation,
         per-step argmin over its own neighbour list — but all still-walking
-        queries share one ragged ``batch_paired`` dispatch per step (each
-        neighbour scored against its own query); a lone walker's step is a
-        plain ``kernel.batch``.
+        queries share one scoring dispatch per step
+        (:func:`repro.index.search.score_ragged`).  Not a beam: no visited
+        set and no frontier, a step scores the whole row again.
         """
         currents = list(currents)
         best_distances = [
@@ -476,18 +389,7 @@ class HnswIndex(VectorIndex):
             ]
             if not walking:
                 break
-            if len(walking) == 1:
-                i, neighbors = walking[0]
-                frontier = self.kernel.batch(queries[i], self.vectors[neighbors])
-            else:
-                flat: List[int] = []
-                owners: List[int] = []
-                for i, neighbors in walking:
-                    flat.extend(neighbors)
-                    owners.extend([i] * len(neighbors))
-                frontier = self.kernel.batch_paired(
-                    queries, self.vectors[flat], owners
-                )
+            frontier = score_ragged(self.kernel, queries, self.vectors, walking)
             cursor = 0
             active = []
             for i, neighbors in walking:
@@ -510,7 +412,6 @@ class HnswIndex(VectorIndex):
         n_queries = queries.shape[0]
         if n_queries == 0:
             return []
-        base = self.base_graph()
         currents = [self._entry] * n_queries
         with trace_span(
             "hnsw-descent", top_layer=self._max_level, queries=n_queries
@@ -519,7 +420,7 @@ class HnswIndex(VectorIndex):
                 currents = self._greedy_descend_batch(queries, currents, layer)
             span.set(base_entries=len(set(currents)))
         return greedy_search_batch(
-            base,
+            self._layers[0],
             self.vectors,
             self.kernel,
             queries,
@@ -613,12 +514,6 @@ class HnswIndex(VectorIndex):
                         )
 
     def base_graph(self) -> NavigationGraph:
-        """Expose layer 0 as a :class:`NavigationGraph` (cached)."""
+        """Layer 0 itself — the graph ``search_batch`` walks, not a copy."""
         self._require_built()
-        if self._base_graph is None:
-            graph = NavigationGraph(self.size, max_degree=self.params.m * 2)
-            for node in range(self.size):
-                graph.set_neighbors(node, self._layers[0].get(node, []))
-            graph.entry_points = [self._entry]
-            self._base_graph = graph
-        return self._base_graph
+        return self._layers[0]

@@ -96,16 +96,9 @@ class IvfIndex(VectorIndex):
         self.build_seconds = time.perf_counter() - start
 
     def add(self, vector: np.ndarray) -> int:
-        self._require_built()
+        new_id = self._append_row(vector)
         assert self._centroids is not None
-        vector = np.asarray(vector, dtype=np.float64).reshape(-1)
-        if vector.shape[0] != self.kernel.dim:
-            raise GraphConstructionError(
-                f"vector dim {vector.shape[0]} != kernel dim {self.kernel.dim}"
-            )
-        cell = int(np.argmin(self.kernel.batch(vector, self._centroids)))
-        new_id = self.size
-        self._vectors = np.vstack([self._vectors, vector[None, :]])
+        cell = int(np.argmin(self.kernel.batch(self.vectors[new_id], self._centroids)))
         self._lists[cell].append(new_id)
         return new_id
 

@@ -59,3 +59,4 @@ class MustGraphIndex(PipelineGraphIndex):
     def __init__(self, params: MustGraphParams = MustGraphParams()) -> None:
         super().__init__(must_graph_spec(params))
         self.params = params
+        self.insertion = {name: getattr(params, name) for name in self.insertion}

@@ -2,9 +2,15 @@
 
 Graph construction dominates setup time, so a built index can be frozen to
 disk and reloaded without rebuilding: the corpus matrix, the adjacency
-structure, the entry points, and the kernel's reconstruction recipe are
-stored; loading yields a :class:`FrozenGraphIndex` that searches (and even
-grows) exactly like the original.
+structure, the entry points, the values ``add`` inserts with, and the
+kernel's reconstruction recipe are stored; loading yields a
+:class:`FrozenGraphIndex` that searches (and even grows) exactly like the
+original.
+
+Everything is written once: ``index.npz`` holds the vectors and the graph
+(HNSW's layer 0) as CSR arrays, ``index.json`` the scalars, the kernel, and
+HNSW's node levels and sparse upper layers — plus a ``format`` number, so a
+directory in another shape is refused whole, never half-loaded.
 
 Any index exposing a graph can be saved: pipeline-built indexes (NSG,
 Vamana, nav-must) directly, HNSW through its base layer, and Starling
@@ -31,12 +37,14 @@ from repro.distance import (
 )
 from repro.errors import IndexError_
 from repro.index.base import VectorIndex
-from repro.index.graph import NavigationGraph
-from repro.index.hnsw import HnswIndex
+from repro.index.graph import NavigationGraph, SparseLayer
+from repro.index.hnsw import HnswIndex, HnswParams
 from repro.index.pipeline_builder import PipelineGraphIndex
 
 _META_FILE = "index.json"
 _ARRAYS_FILE = "index.npz"
+#: 2: layer 0 only as CSR arrays, insertion values stored (1 was unnumbered).
+_FORMAT = 2
 
 SavableIndex = Union[PipelineGraphIndex, HnswIndex, "FrozenGraphIndex"]
 
@@ -58,8 +66,11 @@ class FrozenGraphIndex(VectorIndex):
         )
 
     # Insertion and search are the pipeline index's: same graph, same
-    # search-and-prune logic, same override-kernel check.
+    # search-and-prune logic (with the saved index's own insertion values,
+    # which load_index puts back), same override-kernel check.
+    insertion = PipelineGraphIndex.insertion
     add = PipelineGraphIndex.add
+    _link_row = PipelineGraphIndex._link_row
     search_batch = PipelineGraphIndex.search_batch
 
 
@@ -117,6 +128,7 @@ def save_index(index: SavableIndex, directory: "str | Path") -> Path:
     graph = _graph_of(index)
     offsets, targets = graph.to_arrays()
     meta = {
+        "format": _FORMAT,
         "source": index.name,
         "n_vertices": graph.n_vertices,
         "max_degree": graph.max_degree,
@@ -128,14 +140,15 @@ def save_index(index: SavableIndex, directory: "str | Path") -> Path:
             "m": index.params.m,
             "ef_construction": index.params.ef_construction,
             "seed": index.params.seed,
-            "entry": index._entry,
             "max_level": index._max_level,
             "node_levels": list(index._node_level),
-            "layers": [
+            "upper_layers": [
                 {str(node): neighbors for node, neighbors in layer.items()}
-                for layer in index._layers
+                for layer in index._layers[1:]
             ],
         }
+    else:
+        meta["insertion"] = index.insertion
     (directory / _META_FILE).write_text(json.dumps(meta, indent=2))
     np.savez_compressed(
         directory / _ARRAYS_FILE,
@@ -153,14 +166,23 @@ def load_index(directory: "str | Path") -> "FrozenGraphIndex | HnswIndex":
     if not meta_path.exists():
         raise IndexError_(f"no saved index at {directory} (missing {_META_FILE})")
     meta = json.loads(meta_path.read_text())
+    if meta.get("format") != _FORMAT:
+        raise IndexError_(
+            f"saved index at {directory} has format {meta.get('format')!r}, "
+            f"this version reads format {_FORMAT}; rebuild and save it again"
+        )
     with np.load(directory / _ARRAYS_FILE) as arrays:
         vectors = arrays["vectors"]
-        offsets = arrays["offsets"]
-        targets = arrays["targets"]
+        offsets = arrays["offsets"].tolist()
+        targets = arrays["targets"].tolist()
+
+    graph = NavigationGraph(meta["n_vertices"], max_degree=meta["max_degree"])
+    for vertex in range(meta["n_vertices"]):
+        graph.set_neighbors(vertex, targets[offsets[vertex] : offsets[vertex + 1]])
+    graph.entry_points = [int(e) for e in meta["entry_points"]]
+    kernel = _kernel_from_doc(meta["kernel"])
 
     if "hnsw" in meta:
-        from repro.index.hnsw import HnswParams
-
         doc = meta["hnsw"]
         restored = HnswIndex(
             HnswParams(
@@ -168,23 +190,16 @@ def load_index(directory: "str | Path") -> "FrozenGraphIndex | HnswIndex":
             )
         )
         restored._vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        restored._kernel = _kernel_from_doc(meta["kernel"])
-        restored._entry = int(doc["entry"])
+        restored._kernel = kernel
         restored._max_level = int(doc["max_level"])
         restored._node_level = [int(level) for level in doc["node_levels"]]
-        restored._layers = [
-            {int(node): [int(n) for n in neighbors] for node, neighbors in layer.items()}
-            for layer in doc["layers"]
+        restored._layers = [graph] + [
+            SparseLayer((int(node), row) for node, row in layer.items())
+            for layer in doc["upper_layers"]
         ]
         return restored
 
-    graph = NavigationGraph(meta["n_vertices"], max_degree=meta["max_degree"])
-    for vertex in range(meta["n_vertices"]):
-        graph.set_neighbors(
-            vertex, [int(t) for t in targets[offsets[vertex] : offsets[vertex + 1]]]
-        )
-    graph.entry_points = [int(e) for e in meta["entry_points"]]
-    kernel = _kernel_from_doc(meta["kernel"])
     index = FrozenGraphIndex(graph, vectors, kernel)
     index.name = f"frozen({meta['source']})"
+    index.insertion = meta["insertion"]
     return index

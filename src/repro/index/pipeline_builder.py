@@ -129,6 +129,11 @@ class PipelineGraphIndex(VectorIndex):
     instances of this class with different specs.
     """
 
+    #: What ``add`` inserts with.  Vamana and nav-must put their params'
+    #: values here at construction; NSG and custom specs carry none and
+    #: keep these.  ``save_index`` stores them, ``load_index`` puts them back.
+    insertion = {"alpha": 1.2, "candidate_pool": 32, "build_budget": 48}
+
     def __init__(self, spec: GraphPipelineSpec) -> None:
         super().__init__()
         self.spec = spec
@@ -144,41 +149,41 @@ class PipelineGraphIndex(VectorIndex):
         self.build_seconds = time.perf_counter() - start
 
     def add(self, vector: np.ndarray) -> int:
-        """Insert one vector via search-and-prune (Vamana-style).
-
-        One vector has no corpus to rank exactly, so its candidates come
-        from a beam search over the live graph — width ``build_budget``,
-        pool ``candidate_pool`` — pruned with the index's own ``alpha``;
-        reverse edges are added with re-pruning when a neighbour
-        overflows.  Works for any pipeline-built graph.
-        """
+        """Insert one vector: append the row, then link it.  Works for any
+        pipeline-built graph."""
         self._require_built()
         if self.graph is None:
             raise SearchError(f"index {self.name!r} has no graph")
-        vector = np.asarray(vector, dtype=np.float64).reshape(-1)
-        if vector.shape[0] != self.kernel.dim:
-            raise GraphConstructionError(
-                f"vector dim {vector.shape[0]} != kernel dim {self.kernel.dim}"
-            )
-        # NSG, a custom spec and an index restored from disk carry none of
-        # the three; they keep the values every insert used to get.
-        params = getattr(self, "params", None)
-        alpha = getattr(params, "alpha", 1.2)
-        candidate_pool = getattr(params, "candidate_pool", 32)
-        budget = getattr(params, "build_budget", 48)
+        vertex = self._append_row(vector)
+        self._link_row(vertex)
+        return vertex
+
+    def _link_row(self, vertex: int) -> None:
+        """Link the newest stored row into the graph by search-and-prune
+        (Vamana-style).
+
+        One vector has no corpus to rank exactly, so its candidates come
+        from a beam search over the live graph — width ``build_budget``,
+        pool ``candidate_pool`` — pruned with the index's own ``alpha``
+        (:attr:`insertion`, fixed at construction and saved with the
+        index); reverse edges are added with re-pruning when a neighbour
+        overflows.
+        """
+        alpha = self.insertion["alpha"]
+        candidate_pool = self.insertion["candidate_pool"]
+        vector = self.vectors[vertex]
         max_degree = self.graph.max_degree
         outcome = greedy_search(
             self.graph,
             self.vectors,
             self.kernel,
             vector,
-            k=min(candidate_pool, self.size),
-            budget=max(budget, candidate_pool),
+            k=min(candidate_pool, vertex),
+            budget=max(self.insertion["build_budget"], candidate_pool),
         )
-        self._vectors = np.vstack([self._vectors, vector[None, :]])
-        vertex = self.graph.add_vertex()
+        self.graph.add_vertex()
         neighbors = robust_prune(
-            vector, outcome.ids, self._vectors, self.kernel, max_degree, alpha
+            vector, outcome.ids, self.vectors, self.kernel, max_degree, alpha
         )
         self.graph.set_neighbors(vertex, neighbors)
         for neighbor in neighbors:
@@ -189,11 +194,10 @@ class PipelineGraphIndex(VectorIndex):
                 row.append(vertex)
             else:
                 pruned = robust_prune(
-                    self._vectors[neighbor], row + [vertex], self._vectors,
+                    self.vectors[neighbor], row + [vertex], self.vectors,
                     self.kernel, max_degree, alpha,
                 )
                 self.graph.set_neighbors(neighbor, pruned)
-        return vertex
 
     def search_batch(
         self,

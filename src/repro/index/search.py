@@ -67,6 +67,25 @@ def greedy_search(
     )[0]
 
 
+def score_ragged(
+    kernel: DistanceKernel, queries: np.ndarray, vectors, groups: List
+) -> np.ndarray:
+    """Distances for every ``(query row, vertex ids)`` group, concatenated:
+    the scoring step of a lockstep round.  Several walkers share one ragged
+    ``kernel.batch_paired`` dispatch, a lone one is a plain ``kernel.batch``
+    and pays for no gather; the two entries are bit-identical, so a walker's
+    distances do not depend on who else is in the round."""
+    if len(groups) == 1:
+        b, ids = groups[0]
+        return kernel.batch(queries[b], vectors[ids])
+    flat: List[int] = []
+    owners: List[int] = []
+    for b, ids in groups:
+        flat.extend(ids)
+        owners.extend([b] * len(ids))
+    return kernel.batch_paired(queries, vectors[flat], owners)
+
+
 def _normalise_starts(
     graph: NavigationGraph,
     entry_points,
@@ -107,16 +126,15 @@ def greedy_search_batch(
     beams advance in lockstep: per round, every still-active beam pops
     candidates until it either finds a vertex with unvisited neighbours or
     terminates; then all frontier neighbours across the expanding beams are
-    scored with **one** ragged ``kernel.batch_paired`` call — each
-    neighbour against its own beam's query, never queries x union.  A beam
-    never reads another beam's state and the kernel's batched entries are
-    bit-identical to each other, so a row's ids, distances and work
-    counters do not depend on what else is in the batch.  When a single
-    beam expands (always, for a batch of one) the round is one plain
-    ``kernel.batch`` call, so a lone query pays for no gather.
+    scored in **one** dispatch (:func:`score_ragged`) — each neighbour
+    against its own beam's query, never queries x union.  A beam never
+    reads another beam's state, so a row's ids, distances and work counters
+    do not depend on what else is in the batch.
 
     Args:
-        graph: Navigation graph over the corpus.
+        graph: Navigation graph over the corpus; anything with
+            ``neighbors(vertex)`` will do (an HNSW ``SparseLayer`` has no
+            default entry points and needs ``entry_points``).
         vectors: The ``(n, d)`` corpus matrix the graph was built on.
         kernel: Distance kernel (single- or multi-vector).
         queries: ``(Q, d)`` query matrix (a 1-D vector is one query).
@@ -148,7 +166,6 @@ def greedy_search_batch(
     per_beam_starts = _normalise_starts(graph, entry_points, n_queries)
     admits = _per_query_admits(admit, n_queries)
 
-    query_rows = list(queries)
     stats = [SearchStats() for _ in range(n_queries)]
     visited: List[set] = [set() for _ in range(n_queries)]
     candidates: List[List] = [[] for _ in range(n_queries)]  # min-heaps of (distance, vertex)
@@ -164,18 +181,6 @@ def greedy_search_batch(
             if len(pool) > budget:
                 heapq.heappop(pool)
 
-    def score(expanding: List) -> List[float]:
-        """Distances for every ``(beam, fresh)`` pair, concatenated."""
-        if len(expanding) == 1:
-            b, fresh = expanding[0]
-            return kernel.batch(query_rows[b], vectors[fresh]).tolist()
-        flat: List[int] = []
-        owners: List[int] = []
-        for b, fresh in expanding:
-            flat.extend(fresh)
-            owners.extend([b] * len(fresh))
-        return kernel.batch_paired(queries, vectors[flat], owners).tolist()
-
     with trace_span(
         "beam-search", queries=n_queries, k=k, budget=budget, pruning=use_pruning
     ) as span:
@@ -187,7 +192,7 @@ def greedy_search_batch(
                 for start in unique:
                     visit_hook(b, start)
             seeds.append((b, unique))
-        scored = iter(score(seeds))
+        scored = iter(score_ragged(kernel, queries, vectors, seeds).tolist())
         for b, unique in seeds:
             stats[b].distance_evaluations += len(unique)
             # zip stops at the end of `unique` without touching `scored`,
@@ -233,7 +238,7 @@ def greedy_search_batch(
                 for b, fresh in expanding:
                     beam = beams[b]
                     cands = candidates[b]
-                    query = query_rows[b]
+                    query = queries[b]
                     bound = -beam[0][0] if len(beam) >= budget else np.inf
                     for neighbor in fresh:
                         neighbor_distance = kernel.single(
@@ -251,7 +256,7 @@ def greedy_search_batch(
                         bound = -beam[0][0] if len(beam) >= budget else np.inf
                 continue
 
-            scored = iter(score(expanding))
+            scored = iter(score_ragged(kernel, queries, vectors, expanding).tolist())
             for b, fresh in expanding:
                 beam = beams[b]
                 cands = candidates[b]

@@ -130,6 +130,7 @@ class StarlingIndex(VectorIndex):
         super().__init__()
         self.params = params
         self._inner = VamanaIndex(params.inner)
+        self.insertion = self._inner.insertion
         self.device: Optional[BlockDevice] = None
         self.tiered: Optional[TieredStore] = None
         self._insert_fill = 0
@@ -210,24 +211,26 @@ class StarlingIndex(VectorIndex):
         self.build_seconds = time.perf_counter() - start
 
     def add(self, vector: np.ndarray) -> int:
-        """Insert into the inner graph; new vertices fill fresh blocks."""
+        """Insert into the inner graph; new vertices fill fresh blocks.
+
+        Tiered, the row goes to the store first and the inner graph then
+        links it where it lies: the views are re-pointed (the spill file may
+        have been remapped while growing), never copied, so an insert reads
+        only the rows its search and prune touch.
+        """
         self._require_built()
         assert self.device is not None
-        vertex = self._inner.add(vector)
         if self.tiered is not None:
-            row = self.tiered.add(vector)
-            assert row == vertex
-            # The spill file may have been remapped while growing, so both
-            # vector views must be re-pointed at the fresh mapping.
-            self._inner._vectors = self.tiered.vectors
-            self._vectors = self.tiered.vectors
-            self._insert_fill += 1
-            return vertex
-        self._vectors = self._inner.vectors
-        block = self.device.n_blocks
-        if self._insert_fill % self.params.block_size != 0:
-            block -= 1
-        self.device.extend(block)
+            vertex = self.tiered.add(vector)
+            self._inner._vectors = self._vectors = self.tiered.vectors
+            self._inner._link_row(vertex)
+        else:
+            vertex = self._inner.add(vector)
+            self._vectors = self._inner.vectors
+            block = self.device.n_blocks
+            if self._insert_fill % self.params.block_size != 0:
+                block -= 1
+            self.device.extend(block)
         self._insert_fill += 1
         return vertex
 

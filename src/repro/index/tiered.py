@@ -28,7 +28,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GraphConstructionError
+from repro.index.base import append_row
 from repro.index.quantization import ScalarQuantizer
 
 
@@ -116,6 +117,7 @@ class TieredStore:
         self.params = params
         self.quantizer = ScalarQuantizer(bits=params.bits)
         self.codes: Optional[np.ndarray] = None
+        self._codes: Optional[np.ndarray] = None  # growth buffer ``codes`` views
         self.device = None  # BlockDevice over mmap blocks (set by build)
         self._full: Optional[np.memmap] = None
         self._path: Optional[str] = None
@@ -145,7 +147,7 @@ class TieredStore:
         """Fit the quantizer, encode the resident tier, spill full precision."""
         matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
         self.quantizer.fit(matrix)
-        self.codes = self.quantizer.encode(matrix)
+        self.codes = self._codes = self.quantizer.encode(matrix)
         self._n, self._dim = matrix.shape
         if self.params.path is not None:
             self._path = self.params.path
@@ -170,11 +172,16 @@ class TieredStore:
         """Append one vector to both tiers; returns its row id."""
         self._require_built()
         vector = np.asarray(vector, dtype=np.float64).reshape(-1)
+        if vector.shape[0] != self._dim:
+            raise GraphConstructionError(
+                f"vector dim {vector.shape[0]} != store dim {self._dim}"
+            )
         if self._n == self._capacity:
             self._remap(max(self._capacity * 2, 1))
         row = self._n
         self._full[row] = vector
-        self.codes = np.vstack([self.codes, self.quantizer.encode(vector)])
+        self._codes = append_row(self._codes, row, self.quantizer.encode(vector)[0])
+        self.codes = self._codes[: row + 1]
         self.device.extend(row // self.params.block_size)
         self._n += 1
         return row

@@ -84,3 +84,4 @@ class VamanaIndex(PipelineGraphIndex):
     def __init__(self, params: VamanaParams = VamanaParams()) -> None:
         super().__init__(vamana_spec(params))
         self.params = params
+        self.insertion = {name: getattr(params, name) for name in self.insertion}

@@ -5,7 +5,7 @@
   replaced, over a table-lookup kernel so both sides see *exactly* the same
   distances — quantised, so ``(distance, id)`` ties, ``pairwise ==
   distance`` boundaries and the fill-up step all occur;
-* the cached layer-0 :class:`NavigationGraph` is kept in step by ``add``;
+* ``base_graph()`` is layer 0 itself, before and after ``add``;
 * structural invariants and the recall@10 floor hold after ``build`` and
   after 200 interleaved ``add``/``search`` steps, under both kernels.
 """
@@ -23,7 +23,7 @@ from repro.distance import (
     WeightedMultiVectorKernel,
 )
 from repro.distance.kernel import DistanceKernel
-from repro.index import FlatIndex
+from repro.index import FlatIndex, analyze_graph
 from repro.index.hnsw import HnswIndex, HnswParams, select_heuristic_rows
 
 
@@ -130,30 +130,33 @@ class TestBatchedReselection:
         assert select_heuristic_rows(distances, pairwise, 3).tolist() == [[0, 1, 3]]
 
 
-def _graph_state(graph):
-    offsets, targets = graph.to_arrays()
-    return graph.n_vertices, offsets.tolist(), targets.tolist(), list(graph.entry_points)
-
-
-class TestBaseGraphStaysInStep:
-    def test_add_updates_cached_graph_in_place(self, corpus, kernel_factory):
+class TestBaseGraphIsLayerZero:
+    def test_one_object_before_and_after_adds(self, corpus, kernel_factory):
+        """``base_graph()`` is layer 0's storage, so there is nothing to
+        keep in step: the same object, holding the rows search walks."""
         index = HnswIndex(HnswParams(m=4, ef_construction=16))
         index.build(corpus[:64], kernel_factory())
-        cached = index.base_graph()
-        for row in corpus[64:300]:
+        graph = index.base_graph()
+        for row in corpus[64:264]:
             index.add(row)
-            assert index.base_graph() is cached
-        index._base_graph = None
-        rebuilt = index.base_graph()
-        assert rebuilt is not cached
-        assert _graph_state(cached) == _graph_state(rebuilt)
+        assert index.base_graph() is graph is index._layers[0]
+        assert graph.n_vertices == index.size == 264
+        assert graph.entry_points == [index._entry]
+        for node in range(index.size):
+            assert graph.neighbors(node) is index._neighbors(0, node)
+        index.check_invariants()
 
-    def test_add_before_first_search_builds_lazily(self, corpus, kernel_factory):
+    def test_diagnostics_read_it_after_adds(self, corpus, kernel_factory):
         index = HnswIndex(HnswParams(m=4, ef_construction=16))
-        index.build(corpus[:32], kernel_factory())
-        index.add(corpus[32])
-        assert index._base_graph is None
-        assert index.base_graph().n_vertices == 33
+        index.build(corpus[:64], kernel_factory())
+        for row in corpus[64:264]:
+            index.add(row)
+        graph = index.base_graph()
+        assert graph.is_connected()
+        report = analyze_graph(graph, index.vectors, index.kernel, sample=20)
+        assert report.n_vertices == 264
+        assert report.max_degree_used <= 8 == graph.max_degree
+        assert report.reachable_fraction == 1.0
 
 
 K = 10

@@ -1,5 +1,7 @@
 """Tests for index save/load and incremental insertion."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,10 @@ from repro.index import (
     FrozenGraphIndex,
     HnswIndex,
     HnswParams,
+    MustGraphIndex,
+    MustGraphParams,
+    NsgIndex,
+    NsgParams,
     StarlingIndex,
     StarlingParams,
     VamanaIndex,
@@ -19,6 +25,7 @@ from repro.index import (
     save_index,
 )
 from repro.index.vamana import VamanaParams as InnerParams
+from tests.index.test_add_seam import adjacency_digest
 
 FAST_VAMANA = VamanaParams(max_degree=8, candidate_pool=16, build_budget=24)
 
@@ -113,6 +120,38 @@ class TestPersistence:
         new_id = loaded.add(vector)
         assert loaded.search(vector, k=1, budget=32).ids[0] == new_id
 
+    def test_every_layer_is_written_once(self, corpus, kernel_factory, tmp_path):
+        """Layer 0 is the CSR arrays; ``index.json`` keeps only the sparse
+        layers above it (it used to repeat layer 0 as indented JSON)."""
+        index = HnswIndex(HnswParams(m=6, ef_construction=24))
+        index.build(corpus, kernel_factory())
+        doc = json.loads((save_index(index, tmp_path) / "index.json").read_text())
+        assert doc["format"] == 2 and "layers" not in doc["hnsw"]
+        upper = doc["hnsw"]["upper_layers"]
+        assert [len(layer) for layer in upper] == [len(l) for l in index._layers[1:]]
+        assert doc["entry_points"] == [index._entry]
+        with np.load(tmp_path / "index.npz") as arrays:
+            assert arrays["offsets"].size == index.size + 1
+            assert arrays["targets"].size == index.base_graph().edge_count
+        loaded = load_index(tmp_path)
+        assert loaded._layers == index._layers
+        assert (loaded._entry, loaded._max_level) == (index._entry, index._max_level)
+        loaded.check_invariants()
+
+    @pytest.mark.parametrize("stale", ["unnumbered", 1, 3])
+    def test_another_format_is_refused_whole(self, built_vamana, tmp_path, stale):
+        """A directory written before the format was numbered (or by a later
+        one) is refused, not half-loaded."""
+        meta_path = save_index(built_vamana, tmp_path) / "index.json"
+        doc = json.loads(meta_path.read_text())
+        if stale == "unnumbered":
+            del doc["format"]
+        else:
+            doc["format"] = stale
+        meta_path.write_text(json.dumps(doc))
+        with pytest.raises(IndexError_, match="format"):
+            load_index(tmp_path)
+
     def test_load_missing_raises(self, tmp_path_factory):
         with pytest.raises(IndexError_, match="no saved index"):
             load_index(tmp_path_factory.mktemp("empty"))
@@ -123,6 +162,37 @@ class TestPersistence:
         loaded = load_index(directory)
         with pytest.raises(IndexError_):
             loaded.build(np.zeros((2, 32)), SingleVectorKernel(32))
+
+
+GROWN_AFTER_RELOAD = {
+    "vamana": lambda: VamanaIndex(FAST_VAMANA),
+    "nav-must": lambda: MustGraphIndex(
+        MustGraphParams(max_degree=8, candidate_pool=16, build_budget=24)
+    ),
+    "nsg": lambda: NsgIndex(NsgParams(max_degree=8, knn=16)),
+    "hnsw": lambda: HnswIndex(HnswParams(m=6, ef_construction=24)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWN_AFTER_RELOAD))
+def test_reloaded_index_grows_like_the_original(
+    name, corpus, queries, kernel_factory, tmp_path
+):
+    """The values ``add`` inserts with travel with the saved index: after
+    the same 60 inserts original and copy hold the same graph.  A restored
+    Vamana / nav-must used to fall back to 1.2 / 32 / 48."""
+    original = GROWN_AFTER_RELOAD[name]()
+    original.build(corpus[:240], kernel_factory())
+    restored = load_index(save_index(original, tmp_path))
+    assert adjacency_digest(restored) == adjacency_digest(original)
+    for row in corpus[240:]:
+        assert restored.add(row) == original.add(row)
+    assert adjacency_digest(restored) == adjacency_digest(original)
+    for query in queries:
+        assert (
+            restored.search(query, k=5, budget=32).ids
+            == original.search(query, k=5, budget=32).ids
+        )
 
 
 class TestInsertion:

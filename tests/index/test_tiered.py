@@ -214,6 +214,32 @@ class TestTieredStarling:
         assert result.ids[0] == vertex
         assert index.tiered.size == 81
 
+    def test_insert_never_copies_the_spilled_tier(self):
+        """An insert appends to the store and links the row where it lies.
+        Stacking the memory map (what the inner graph's own append did)
+        pulled the whole full-precision tier into RAM on every ``add``."""
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((2020, 64))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        index = _build(TieredParams(), rows[:2000], SingleVectorKernel(64))
+        index.add(rows[2000])  # the first insert may double the code buffer
+        tracemalloc.start()
+        try:
+            for row in rows[2001:]:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                index.add(row)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert peak < 0.25 * index.tiered.full_bytes()
+        finally:
+            tracemalloc.stop()
+        assert index.size == index.tiered.size == 2020
+        assert isinstance(index.vectors, np.memmap)
+        assert isinstance(index._inner.vectors, np.memmap)
+        assert (np.asarray(index.vectors) == rows).all()
+
     def test_registry_builds_tiered_from_plain_dicts(self, unit_vectors, kernel):
         index = build_index(
             "starling",

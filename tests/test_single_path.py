@@ -121,3 +121,42 @@ def test_a_config_field_is_declared_once():
                 if isinstance(e, ast.Constant) and isinstance(e.value, str)
             }
             assert len(listed & names) < 2, f"panels.py lists fields {sorted(listed)}"
+
+
+def test_the_index_layer_keeps_one_of_each():
+    """One beam loop, one adjacency per layer, one row store: only
+    ``search.py`` runs a heap, HNSW has no private search pair and no cached
+    copy of layer 0, nothing under ``repro.index`` stacks a matrix to grow
+    it (``base.py`` owns growth), and a restored index inserts through the
+    pipeline index's own ``add``."""
+    import repro.index
+    from repro.index.hnsw import HnswIndex
+    from repro.index.persistence import FrozenGraphIndex
+    from repro.index.pipeline_builder import PipelineGraphIndex
+
+    heap_users, stackers = [], []
+    for info in pkgutil.iter_modules(repro.index.__path__, prefix="repro.index."):
+        tree = ast.parse(inspect.getsource(importlib.import_module(info.name)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module]
+            else:
+                imported = []
+            if "heapq" in imported:
+                heap_users.append(info.name)
+            if isinstance(node, ast.Attribute) and node.attr == "vstack":
+                stackers.append(f"{info.name}:{node.lineno}")
+    assert heap_users == ["repro.index.search"]
+    assert not stackers
+
+    for name in ("_search_layer", "_greedy_descend", "_base_graph"):
+        assert not hasattr(HnswIndex, name)
+    assert "_base_graph" not in vars(HnswIndex())
+    assert FrozenGraphIndex.add is PipelineGraphIndex.add
+    add = ast.parse(textwrap.dedent(inspect.getsource(PipelineGraphIndex.add)))
+    assert not [
+        node for node in ast.walk(add)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "getattr"
+    ]
