@@ -136,18 +136,40 @@ class VectorIndex(abc.ABC):
     def build(self, vectors: np.ndarray, kernel: DistanceKernel) -> None:
         """Index ``vectors`` (an ``(n, d)`` matrix) under ``kernel``."""
 
+    @staticmethod
+    def _corpus_matrix(
+        vectors: np.ndarray, kernel: DistanceKernel, error=GraphConstructionError
+    ) -> np.ndarray:
+        """What every ``build`` starts from: ``vectors`` as a float64 ``(n,
+        d)`` matrix, or ``error`` when it is empty, of another width than
+        ``kernel``, or holds a NaN or an infinity — whose distances compare
+        as neither near nor far, so rankings (and the graphs built on them)
+        stop meaning anything."""
+        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        if vectors.shape[0] == 0:
+            raise error("cannot build an index over an empty corpus")
+        if vectors.shape[1] != kernel.dim:
+            raise error(f"corpus dim {vectors.shape[1]} != kernel dim {kernel.dim}")
+        if not np.isfinite(vectors).all():
+            bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+            raise error(f"corpus has {bad.size} non-finite row(s), first at {bad[0]}")
+        return vectors
+
     def _append_row(self, vector: np.ndarray, error=GraphConstructionError) -> int:
         """Append one vector to the corpus matrix; returns its row id.
 
         :attr:`vectors` stays a view of the rows in use of a doubling
         buffer (:func:`append_row`).  The matrix ``build`` or ``load_index``
         left in place has no spare rows, so the first append copies it: the
-        caller's matrix is never written.  A wrong width raises ``error``.
+        caller's matrix is never written.  A wrong width or a non-finite
+        value raises ``error`` and appends nothing.
         """
         self._require_built()
         vector = np.asarray(vector, dtype=np.float64).reshape(-1)
         if vector.shape[0] != self.kernel.dim:
             raise error(f"vector dim {vector.shape[0]} != kernel dim {self.kernel.dim}")
+        if not np.isfinite(vector).all():
+            raise error("vector holds a NaN or an infinity")
         row = self.size
         if self._buffer is None or self._vectors.base is not self._buffer:
             self._buffer, self._buffer_grows = self._vectors, 0

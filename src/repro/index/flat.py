@@ -27,14 +27,7 @@ class FlatIndex(VectorIndex):
 
     def build(self, vectors: np.ndarray, kernel: DistanceKernel) -> None:
         start = time.perf_counter()
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if vectors.shape[0] == 0:
-            raise SearchError("cannot build an index over an empty corpus")
-        if vectors.shape[1] != kernel.dim:
-            raise SearchError(
-                f"corpus dim {vectors.shape[1]} != kernel dim {kernel.dim}"
-            )
-        self._vectors = vectors
+        self._vectors = self._corpus_matrix(vectors, kernel, SearchError)
         self._kernel = kernel
         self.build_seconds = time.perf_counter() - start
 

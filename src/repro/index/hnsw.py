@@ -20,15 +20,15 @@ nothing else does:
   node's own, then :func:`repro.index.search.greedy_search_batch` (``k =
   budget = ef_construction``) over each layer it joins.
 
-Both then link through :meth:`HnswIndex._link`: the new node is appended
-to every selected neighbour's row, and all rows that overflow the degree
-cap are re-selected together by :meth:`HnswIndex._reselect_rows` — one
-gather, one ``kernel.batch_paired``, one ``(distance, id)`` lexsort, one
-stacked ``kernel.matrix`` and :func:`select_heuristic_rows`, which runs the
-occlusion rule across all rows at once.  Given the same distances it makes
-the decisions a row-by-row re-prune would.  Either way the cost is kernel
-*dispatches*, not arithmetic: a handful per block in ``build``, a handful
-per insert-layer plus the search in ``add``.
+Both then link through :meth:`HnswIndex._link`, target-major.  A row's
+history — its own selection, then a reverse edge from every later node that
+selected it, re-selected down to the cap after each one past it — depends
+on no other row, so ``build`` hands over a layer's reverse edges grouped by
+row and each row is folded a *window* of ``m`` arrivals per gather: one
+``kernel.batch_paired`` and one stacked ``kernel.matrix`` per block of rows,
+then the window's events replayed in lockstep by indexing those blocks.
+``add`` is the one-arrival case.  Given the same distances it makes the
+decisions linking node by node would, and stores the rows in the same order.
 
 Every layer is stored once.  Layer 0 holds every node, so it *is* the
 :class:`~repro.index.graph.NavigationGraph` that :meth:`HnswIndex.base_graph`
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -97,13 +97,16 @@ def select_heuristic_rows(
         are at least as close to the owner as to every earlier-selected
         one, then — when occlusion leaves a row short — the nearest
         rejected candidates, so every row comes back saturated.
-
-    The occlusion itself is :func:`repro.index.stages.occlusion_scan`
-    under the MRNG predicate, the scan NSG's and Vamana's selection share;
-    what is HNSW's own is the fill-up rank below.
     """
-    width = distances.shape[1]
-    selected = occlusion_scan(mrng_rule(pairwise, distances), m)
+    return select_saturated(mrng_rule(pairwise, distances), m)
+
+
+def select_saturated(dominated: np.ndarray, m: int) -> np.ndarray:
+    """:func:`select_heuristic_rows` given the ``(R, W, W)`` occlusion table.
+    The scan is :func:`repro.index.stages.occlusion_scan`, which NSG's and
+    Vamana's selection share; what is HNSW's own is the fill-up rank below."""
+    width = dominated.shape[1]
+    selected = occlusion_scan(dominated, m)
     # Selected columns first, then the rejected ones, each ascending: the
     # first m are every selected column plus just enough fill-ups.
     rank = np.arange(width) + width * ~selected
@@ -132,14 +135,7 @@ class HnswIndex(VectorIndex):
     # ------------------------------------------------------------------
     def build(self, vectors: np.ndarray, kernel: DistanceKernel) -> None:
         start = time.perf_counter()
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if vectors.shape[0] == 0:
-            raise GraphConstructionError("cannot build HNSW over an empty corpus")
-        if vectors.shape[1] != kernel.dim:
-            raise GraphConstructionError(
-                f"corpus dim {vectors.shape[1]} != kernel dim {kernel.dim}"
-            )
-        self._vectors = vectors
+        self._vectors = self._corpus_matrix(vectors, kernel)
         self._kernel = kernel
 
         rng = derive_rng(self.params.seed, "hnsw-levels")
@@ -166,7 +162,7 @@ class HnswIndex(VectorIndex):
 
         A member's candidates and the Algorithm-4 selection over them depend
         on nothing the build has linked so far, so both run block by block
-        ahead of the links; only :meth:`_link` is sequential.
+        ahead of the links, and :meth:`_link` takes the layer in one call.
         """
         ef = self.params.ef_construction
         m = self.params.m * 2 if layer == 0 else self.params.m
@@ -202,11 +198,16 @@ class HnswIndex(VectorIndex):
                 for row in np.take_along_axis(chunk, keep, axis=1).tolist():
                     selected.append([nodes[c] for c in row])
 
-        reselected = 0
+        # Every reverse edge into a row comes from a later node, so a row's
+        # history is its own selection, then these, in node order — whatever
+        # happens to any other row: link target-major.
+        incoming: Dict[int, List[int]] = {}
         with trace_span("hnsw-link", layer=layer, rows=count) as span:
             for node, neighbors in zip(nodes, selected):
-                reselected += self._link(layer, node, neighbors, m)
-            span.set(reselected_rows=reselected)
+                self._layers[layer][node] = neighbors
+                for neighbor in neighbors:
+                    incoming.setdefault(neighbor, []).append(node)
+            span.set(**self._link(layer, incoming, m))
 
     def _earlier_neighbors(
         self, vectors: np.ndarray, rows: int
@@ -232,26 +233,85 @@ class HnswIndex(VectorIndex):
             distances[start:stop, : top.shape[1]] = top_distances
         return positions, distances
 
-    def _link(self, layer: int, node: int, neighbors: List[int], m: int) -> int:
-        """Give ``node``, new to ``layer``, the row ``neighbors`` and every
-        neighbour the reverse edge; returns how many rows that re-selected.
+    def _link(self, layer: int, incoming: Dict[int, List[int]], m: int) -> Dict[str, int]:
+        """Fold ``incoming[target]`` — nodes new to the target's row, in
+        arrival order — into every target's row; returns the ``hnsw-link``
+        counters.  ``build`` passes a layer's whole history, ``add`` one
+        arrival per neighbour; nothing else differs.
 
-        No row holds the node yet, so each neighbour simply gains it, and
-        the rows pushed past the cap (all exactly ``m + 1`` wide) re-select
-        together.  Bulk and incremental construction both link through
-        here; they differ only in where ``neighbors`` came from.
+        A row with room extends.  A full one takes each further arrival as
+        its own event, as linking node by node would: rank the ``m + 1`` ids
+        by ``(distance to the owner, id)``, prune by Algorithm 4 with
+        fill-up, keep ``m`` in selection order.  Events read vectors, never
+        the graph, so rows are independent: a round takes every pending
+        row's next ``m`` arrivals through :meth:`_replay` — a *window*; the
+        ``(m + E)^2 / E`` multiply-adds per event are fewest at ``E = m``.
         """
         rows = self._layers[layer]
-        rows[node] = neighbors
-        overflowing = []
-        for neighbor in neighbors:
-            row = rows[neighbor]
-            row.append(node)
-            if len(row) > m:
-                overflowing.append(neighbor)
-        if overflowing:
-            self._reselect_rows(layer, overflowing, m)
-        return len(overflowing)
+        pending = []
+        for target, arrivals in incoming.items():
+            room = m - len(rows[target])
+            rows[target].extend(arrivals[:room])
+            if len(arrivals) > room:
+                pending.append((target, arrivals[room:]))
+        # Longest first, which a round taking m from every row preserves.
+        pending.sort(key=lambda item: -len(item[1]))
+        reselected = sum(len(arrivals) for _, arrivals in pending)
+        stats = {"reselected_rows": reselected, "targets": len(pending), "windows": 0}
+        # Rows replayed together: their tables fit the scratch budget, at a
+        # byte per entry where block_rows counts eight.
+        step = 8 * block_rows(2 * m, 2 * m)
+        while pending:
+            stats["windows"] += len(pending)
+            for start in range(0, len(pending), step):
+                group = pending[start : start + step]
+                pools = [rows[target] + arrivals[:m] for target, arrivals in group]
+                picks = self._replay([target for target, _ in group], pools, m)
+                # By position: the kept ids stay the int objects the graph shares.
+                for (target, _), pool, row in zip(group, pools, picks):
+                    rows[target] = [pool[i] for i in row]
+            pending = [(target, arrivals[m:]) for target, arrivals in pending if len(arrivals) > m]
+        return stats
+
+    def _replay(self, owners: List[int], pools: List[List[int]], m: int) -> List[List[int]]:
+        """Run each pool — a full row's ``m`` ids, then its arrivals, longest
+        pool first — through its events; returns the pool positions each row
+        keeps, in selection order.
+
+        What an event asks of two ids is computed ahead, ``block_rows`` pools
+        at a time: one gather, one ``kernel.batch_paired`` and one stacked
+        ``kernel.matrix`` give each pool's ``(distance, id)`` order and its
+        Algorithm-4 table.  The events then run in lockstep over all pools,
+        each a sort of ``m + 1`` ranks and a look-up in that table.
+        """
+        n_rows, width = len(pools), len(pools[0])
+        events = np.array([len(pool) for pool in pools]) - m
+        # A short pool repeats its first id: ranked beside it, never an arrival.
+        ids = np.array([pool + pool[:1] * (width - len(pool)) for pool in pools], dtype=np.intp)
+        order = np.empty_like(ids)
+        dominated = np.empty((n_rows, width, width), dtype=bool)
+        step = block_rows(width, max(self.kernel.dim, width))
+        for start in range(0, n_rows, step):
+            chunk = ids[start : start + step]
+            block = self.vectors[chunk.ravel()]
+            distances = self.kernel.batch_paired(
+                self.vectors[owners[start : start + step]],
+                block,
+                np.repeat(np.arange(chunk.shape[0]), width),
+            ).reshape(chunk.shape)
+            block = block.reshape(*chunk.shape, -1)
+            order[start : start + step] = np.lexsort((chunk, distances))
+            dominated[start : start + step] = mrng_rule(self.kernel.matrix(block, block), distances)
+        row = np.arange(n_rows)[:, None]
+        rank = np.argsort(order, axis=1)
+        members = rank[:, :m].copy()
+        for event in range(width - m):
+            live = int((events > event).sum())
+            ranked = np.sort(np.hstack([members[:live], rank[:live, m + event, None]]), axis=1)
+            at = order[row[:live], ranked]
+            table = dominated[row[:live, :, None], at[:, :, None], at[:, None, :]]
+            members[:live] = ranked[row[:live], select_saturated(table, m)]
+        return order[row, members].tolist()
 
     def _neighbors(self, layer: int, node: int) -> List[int]:
         return self._layers[layer][node]
@@ -286,40 +346,6 @@ class HnswIndex(VectorIndex):
                     chosen.add(row)
         return [ids[row] for row in selected_rows]
 
-    def _reselect_rows(self, layer: int, owners: List[int], m: int) -> None:
-        """Re-select every over-cap row of ``owners`` down to ``m``, together.
-
-        All rows hold exactly ``m + 1`` ids (a saturated row plus the node
-        just appended).  Each is ranked by ``(distance to its owner, id)``
-        and pruned by the Algorithm-4 rule with fill-up, exactly as
-        :meth:`_select_heuristic` would prune it alone; the rows are
-        independent, so the only difference is the dispatch count — four
-        for all of them instead of two per row.
-        """
-        rows = self._layers[layer]
-        members = np.array([rows[owner] for owner in owners], dtype=np.intp)
-        n_rows, width = members.shape
-        block = self.vectors[members.ravel()]
-        distances = self.kernel.batch_paired(
-            self.vectors[owners], block, np.repeat(np.arange(n_rows), width)
-        ).reshape(n_rows, width)
-        block = block.reshape(n_rows, width, -1)
-        pairwise = self.kernel.matrix(block, block)
-        # Rank each row by (distance, id); permuting the small pairwise
-        # stack is cheaper than gathering the vectors again in rank order.
-        order = np.lexsort((members, distances))
-        distances = np.take_along_axis(distances, order, axis=1)
-        pairwise = pairwise[
-            np.arange(n_rows)[:, None, None], order[:, :, None], order[:, None, :]
-        ]
-        keep = select_heuristic_rows(distances, pairwise, m)
-        # Back to positions in the stored rows, so the kept ids stay the
-        # int objects the graph already shares instead of fresh copies.
-        positions = np.take_along_axis(order, keep, axis=1).tolist()
-        for owner, picks in zip(owners, positions):
-            row = rows[owner]
-            rows[owner] = [row[i] for i in picks]
-
     def _insert(self, node: int, level: int) -> None:
         """Link one new node into a built graph, finding its candidates by
         search (:meth:`build` finds them exactly instead)."""
@@ -344,7 +370,9 @@ class HnswIndex(VectorIndex):
             )[0]
             m = self.params.m * 2 if layer == 0 else self.params.m
             candidates = list(zip(found.distances, found.ids))
-            self._link(layer, node, self._select_heuristic(candidates, m), m)
+            neighbors = self._select_heuristic(candidates, m)
+            self._layers[layer][node] = neighbors
+            self._link(layer, {neighbor: [node] for neighbor in neighbors}, m)
             starts = found.ids
 
         if level > self._max_level:

@@ -17,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.distance.kernel import DistanceKernel
-from repro.errors import GraphConstructionError, SearchError
+from repro.errors import SearchError
 from repro.index.base import SearchResult, SearchStats, VectorIndex, _per_query_admits
 from repro.utils import derive_rng
 
@@ -79,14 +79,7 @@ class IvfIndex(VectorIndex):
 
     def build(self, vectors: np.ndarray, kernel: DistanceKernel) -> None:
         start = time.perf_counter()
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if vectors.shape[0] == 0:
-            raise GraphConstructionError("cannot build IVF over an empty corpus")
-        if vectors.shape[1] != kernel.dim:
-            raise GraphConstructionError(
-                f"corpus dim {vectors.shape[1]} != kernel dim {kernel.dim}"
-            )
-        self._vectors = vectors
+        self._vectors = vectors = self._corpus_matrix(vectors, kernel)
         self._kernel = kernel
         self._centroids = self._kmeans(vectors, kernel)
         self._lists = [[] for _ in range(self._centroids.shape[0])]

@@ -105,13 +105,7 @@ def build_navigation_graph(
     kernel: DistanceKernel,
 ) -> Tuple[NavigationGraph, List[NodeReport]]:
     """Run ``spec`` over ``vectors`` and return (graph, stage reports)."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    if vectors.shape[0] == 0:
-        raise GraphConstructionError("cannot build a graph over an empty corpus")
-    if vectors.shape[1] != kernel.dim:
-        raise GraphConstructionError(
-            f"corpus dim {vectors.shape[1]} != kernel dim {kernel.dim}"
-        )
+    vectors = VectorIndex._corpus_matrix(vectors, kernel)
     pipeline = spec.to_pipeline()
     context, reports = pipeline.run({"vectors": vectors, "kernel": kernel})
     graph = context["graph"]
@@ -143,8 +137,9 @@ class PipelineGraphIndex(VectorIndex):
 
     def build(self, vectors: np.ndarray, kernel: DistanceKernel) -> None:
         start = time.perf_counter()
+        vectors = self._corpus_matrix(vectors, kernel)
         self.graph, self.stage_reports = build_navigation_graph(self.spec, vectors, kernel)
-        self._vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        self._vectors = vectors
         self._kernel = kernel
         self.build_seconds = time.perf_counter() - start
 

@@ -176,6 +176,8 @@ class TieredStore:
             raise GraphConstructionError(
                 f"vector dim {vector.shape[0]} != store dim {self._dim}"
             )
+        if not np.isfinite(vector).all():
+            raise GraphConstructionError("vector holds a NaN or an infinity")
         if self._n == self._capacity:
             self._remap(max(self._capacity * 2, 1))
         row = self._n

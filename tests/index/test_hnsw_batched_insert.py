@@ -1,10 +1,11 @@
-"""Tests for the batched HNSW insertion path.
+"""Tests for the HNSW link step and the insertion path around it.
 
-* the batched re-selection of over-cap rows is checked against the
-  row-by-row ``kernel.batch`` + sort + ``_select_heuristic`` re-prune it
-  replaced, over a table-lookup kernel so both sides see *exactly* the same
-  distances — quantised, so ``(distance, id)`` ties, ``pairwise ==
-  distance`` boundaries and the fill-up step all occur;
+* ``_link`` folds each row's reverse edges in windows; it is checked against
+  the event-by-event ``kernel.batch`` + sort + ``_select_heuristic`` re-prune
+  it replaced, over a table-lookup kernel so both sides see *exactly* the
+  same distances — quantised, so ``(distance, id)`` ties, ``pairwise ==
+  distance`` boundaries and the fill-up step all occur — with histories
+  that end before, on and after a window edge;
 * ``base_graph()`` is layer 0 itself, before and after ``add``;
 * structural invariants and the recall@10 floor hold after ``build`` and
   after 200 interleaved ``add``/``search`` steps, under both kernels.
@@ -61,41 +62,61 @@ def _table_index(table: np.ndarray, rows: dict) -> HnswIndex:
     return index
 
 
-def _row_by_row(index: HnswIndex, owners, m: int) -> dict:
-    """The deleted per-neighbour re-prune, kept here as the oracle."""
-    expected = {}
-    for owner in owners:
-        row = index._layers[0][owner]
-        distances = index.kernel.batch(index.vectors[owner], index.vectors[row])
-        ranked = sorted(zip((float(d) for d in distances), row))
-        expected[owner] = index._select_heuristic(ranked, m)
-    return expected
+def _row_by_row(index: HnswIndex, owner: int, row, arrivals, m: int) -> list:
+    """The deleted per-neighbour re-prune, kept here as the oracle: one
+    arrival at a time, re-selecting whenever the row passes the cap."""
+    row = list(row)
+    for node in arrivals:
+        row.append(node)
+        if len(row) > m:
+            distances = index.kernel.batch(index.vectors[owner], index.vectors[row])
+            ranked = sorted(zip((float(d) for d in distances), row))
+            row = index._select_heuristic(ranked, m)
+    return row
+
+
+def _quantised_table(rng, n: int) -> np.ndarray:
+    """Few distinct values: distance ties and ``pairwise == distance``."""
+    table = rng.integers(1, 5, size=(n, n)).astype(np.float64)
+    table = np.minimum(table, table.T)
+    np.fill_diagonal(table, 0.0)
+    return table
 
 
 class TestBatchedReselection:
     @pytest.mark.parametrize("seed", range(24))
     def test_matches_row_by_row_on_same_distances(self, seed):
+        """One call, fifteen targets: rows with no, some and ``m`` free
+        slots, each taking 1, ``E - 1``, ``E``, ``E + 1`` and ``3E + 2``
+        arrivals, where ``E = m`` is the window ``_link`` folds by."""
         rng = np.random.default_rng(seed)
-        n, m = 48, int(rng.integers(2, 9))
-        # Few distinct values: ties in distance and pairwise == distance.
-        table = rng.integers(1, 5, size=(n, n)).astype(np.float64)
-        table = np.minimum(table, table.T)
-        np.fill_diagonal(table, 0.0)
-        owners = [int(o) for o in rng.choice(n, size=int(rng.integers(1, 20)), replace=False)]
-        rows = {
-            owner: [
-                int(v)
-                for v in rng.choice(
-                    [v for v in range(n) if v != owner], size=m + 1, replace=False
-                )
-            ]
-            for owner in owners
-        }
+        m = int(rng.integers(2, 9))
+        old, new = 40, 3 * m + 2 + 8
+        table = _quantised_table(rng, old + new)
+        rows, incoming = {}, {}
+        for free in (0, int(rng.integers(1, m)), m):
+            for count in (1, m - 1, m, m + 1, 3 * m + 2):
+                target = len(rows)
+                others = [v for v in range(old) if v != target]
+                rows[target] = [int(v) for v in rng.choice(others, size=m - free, replace=False)]
+                arrivals = np.sort(rng.choice(new, size=count, replace=False)) + old
+                incoming[target] = [int(v) for v in arrivals]
         index = _table_index(table, rows)
-        expected = _row_by_row(index, owners, m)
-        index._reselect_rows(0, owners, m)
-        assert {owner: index._layers[0][owner] for owner in owners} == expected
-        assert all(len(index._layers[0][owner]) == m for owner in owners)
+        expected = {t: _row_by_row(index, t, rows[t], incoming[t], m) for t in rows}
+        overflow = [len(incoming[t]) - (m - len(rows[t])) for t in rows]
+        stats = index._link(0, incoming, m)
+        assert index._layers[0] == expected
+        assert stats == {
+            "reselected_rows": sum(max(o, 0) for o in overflow),
+            "targets": sum(o > 0 for o in overflow),
+            "windows": sum(-(-o // m) for o in overflow if o > 0),
+        }
+
+    def test_a_row_with_room_only_extends(self):
+        index = _table_index(_quantised_table(np.random.default_rng(0), 12), {0: [5], 1: []})
+        stats = index._link(0, {0: [7, 9], 1: [8, 10, 11]}, 3)
+        assert index._layers[0] == {0: [5, 7, 9], 1: [8, 10, 11]}
+        assert stats == {"reselected_rows": 0, "targets": 0, "windows": 0}
 
     def test_fill_up_keeps_rows_saturated(self):
         """An owner far from a tight cluster: the nearest member occludes
@@ -104,10 +125,10 @@ class TestBatchedReselection:
         table = np.ones((8, 8))
         np.fill_diagonal(table, 0.0)
         table[0, 1:] = table[1:, 0] = 10.0
-        index = _table_index(table, {0: [5, 3, 7, 2, 6]})
-        expected = _row_by_row(index, [0], m)
-        index._reselect_rows(0, [0], m)
-        assert index._layers[0][0] == expected[0] == [2, 3, 5, 6]
+        index = _table_index(table, {0: [5, 3, 7, 2]})
+        expected = _row_by_row(index, 0, [5, 3, 7, 2], [6], m)
+        index._link(0, {0: [6]}, m)
+        assert index._layers[0][0] == expected == [2, 3, 5, 6]
 
     def test_rule_on_hand_built_arrays(self):
         distances = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 2.0, 2.0]])

@@ -15,7 +15,9 @@ pre-select, ``batch_paired`` to order) instead of searching for them, so:
 
 from __future__ import annotations
 
+import ast
 import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from repro.encoders import build_encoder_set
 from repro.evaluation import exact_knn
 from repro.index import build_index
 from repro.index.hnsw import HnswIndex, HnswParams
-from repro.index.stages import block_rows
+from repro.index.stages import _SCRATCH_BYTES, block_rows
 from repro.observability.tracing import Tracer
 from repro.retrieval import MustRetrieval
 from repro.utils import derive_rng
@@ -117,13 +119,13 @@ class TestCandidatesAgainstBruteForce:
 
 
 def _link_calls(index: HnswIndex):
-    """Record ``(layer, node)`` of every ``_link`` call on ``index``."""
+    """Record ``(layer, incoming)`` of every ``_link`` call on ``index``."""
     calls = []
     original = index._link
 
-    def recording(layer, node, neighbors, m):
-        calls.append((layer, node))
-        return original(layer, node, neighbors, m)
+    def recording(layer, incoming, m):
+        calls.append((layer, {target: list(nodes) for target, nodes in incoming.items()}))
+        return original(layer, incoming, m)
 
     index._link = recording
     return calls
@@ -131,18 +133,36 @@ def _link_calls(index: HnswIndex):
 
 class TestOneLinkStep:
     def test_structure(self):
-        """One definition re-selects overflow and assigns rows; both
-        construction paths call it and do neither themselves."""
+        """One definition folds reverse edges into rows and one re-selects
+        under it; ``_build_layer`` reaches it once, outside any loop,
+        ``_insert`` reaches the same one, and nothing else re-selects."""
         source = {
-            name: inspect.getsource(member)
+            name: ast.parse(textwrap.dedent(inspect.getsource(member)))
             for name, member in vars(HnswIndex).items()
             if inspect.isfunction(member)
         }
-        assert [n for n, s in source.items() if "self._reselect_rows(" in s] == ["_link"]
-        for caller in ("_insert", "_build_layer"):
-            assert "self._link(" in source[caller]
-        assert "self._insert(" not in source["build"]
-        assert "_search_layer" not in source["_build_layer"]
+
+        def calls(tree, method):
+            return [
+                node
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and method in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+            ]
+
+        assert [n for n, tree in source.items() if calls(tree, "_replay")] == ["_link"]
+        assert [n for n, tree in source.items() if calls(tree, "select_saturated")] == ["_replay"]
+        assert sorted(n for n, tree in source.items() if calls(tree, "_link")) == [
+            "_build_layer",
+            "_insert",
+        ]
+        build_layer = source["_build_layer"]
+        assert len(calls(build_layer, "_link")) == 1
+        loops = (ast.For, ast.While, ast.ListComp, ast.DictComp, ast.SetComp, ast.GeneratorExp)
+        for loop in (node for node in ast.walk(build_layer) if isinstance(node, loops)):
+            assert not calls(loop, "_link")
+        assert not calls(source["build"], "_insert")
+        assert "_search_layer" not in inspect.getsource(HnswIndex._build_layer)
 
     @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
     def test_build_and_add_link_every_node_layer_once(self, kernel_name):
@@ -151,27 +171,30 @@ class TestOneLinkStep:
         calls = _link_calls(index)
         index.build(_unit_rows(rng, 400), KERNELS[kernel_name]())
         index.check_invariants()
-        expected = sorted(
-            (layer, node)
-            for node, level in enumerate(index._node_level)
-            for layer in range(level + 1)
-        )
-        assert sorted(calls) == expected
-        # Within a layer, links happen in insertion order.
-        for layer in range(len(index._layers)):
-            order = [node for at, node in calls if at == layer]
-            assert order == sorted(order)
+        # One call per layer, top down, holding the layer's whole history:
+        # every member but the first arrives somewhere, at earlier members
+        # only, and each row's arrivals are in insertion order.
+        assert [layer for layer, _ in calls] == list(range(index._max_level, -1, -1))
+        for layer, incoming in calls:
+            members = _members(index, layer).tolist()
+            arrived = {node for nodes in incoming.values() for node in nodes}
+            assert arrived == set(members[1:])
+            for target, nodes in incoming.items():
+                assert nodes == sorted(set(nodes)) and target < nodes[0]
 
         del calls[:]
         for step in range(200):
             if rng.random() < 0.6:
                 old_top = index._max_level
                 node = index.add(_unit_rows(rng, 1)[0])
-                # A node taller than the graph links from the old top down.
+                # A node taller than the graph links from the old top down,
+                # one arrival — itself — per neighbour it selected.
                 first = min(index._node_level[node], old_top)
-                assert [at for at, who in calls if who == node] == list(
-                    range(first, -1, -1)
-                )
+                assert [layer for layer, _ in calls] == list(range(first, -1, -1))
+                for layer, incoming in calls:
+                    assert incoming and set(map(tuple, incoming.values())) == {(node,)}
+                    assert node not in incoming and node in index._layers[layer]
+                del calls[:]
             else:
                 assert len(index.search(_unit_rows(rng, 1)[0], k=5).ids) == 5
             index.check_invariants()
@@ -211,15 +234,19 @@ class TestLevelsEntryDeterminism:
 
 
 class CountingKernel(SingleVectorKernel):
-    """Counts entries into the kernel, whatever their size."""
+    """Counts entries into the kernel, whatever their size, and keeps the
+    most float64 bytes any one entry was handed."""
 
     entries = 0
+    widest = 0
 
     def _counted(name):
         inner = getattr(SingleVectorKernel, name)
 
         def method(self, *args, **kwargs):
             self.entries += 1
+            handed = sum(a.nbytes for a in args if getattr(a, "dtype", None) == np.float64)
+            self.widest = max(self.widest, handed)
             return inner(self, *args, **kwargs)
 
         return method
@@ -230,12 +257,20 @@ class CountingKernel(SingleVectorKernel):
 
 
 def test_build_dispatch_budget(unit_vectors):
-    """Searching for candidates costs ~80 kernel entries per inserted row;
-    finding them exactly costs a few per *block*."""
+    """Searching for candidates costs ~80 kernel entries per inserted row
+    and re-selecting a row per reverse edge ~2.4; finding them exactly and
+    folding the reverse edges in windows costs a few per *block*.  No block
+    outgrows the scratch budget on the way, and an edge stays a pointer:
+    one int object per member and layer, however often it is stored."""
     kernel = CountingKernel(32)
     index = HnswIndex(HnswParams())
     index.build(unit_vectors, kernel)
-    assert kernel.entries <= 8 * index.size
+    assert kernel.entries <= 1 * index.size
+    assert kernel.widest <= 4 * _SCRATCH_BYTES
+    for layer in index._layers:
+        stored = [node for row in layer.values() for node in row]
+        assert len(set(map(id, stored))) == len(set(stored))
+    assert max(max(row) for row in index._layers[0].values()) > 256  # past CPython's cache
     index.check_invariants()
 
 
@@ -277,8 +312,18 @@ def test_build_spans_give_each_layer_phase_an_address(unit_vectors):
         assert span.attributes["rows"] == members
         if span.name == "hnsw-candidates":
             assert span.attributes["blocks"] == -(-members // rows)
-    reselected = sum(s.attributes["reselected_rows"] for s in insert.find_all("hnsw-link"))
-    assert reselected > 0
+        if span.name == "hnsw-link":
+            # Rows folded, their gathers, their events: a window covers up
+            # to ``m`` events of a row, so a layer with work shows fewer
+            # gathers than events.
+            cap = index.params.m * (2 if span.attributes["layer"] == 0 else 1)
+            folded, windows, events = (
+                span.attributes[key] for key in ("targets", "windows", "reselected_rows")
+            )
+            assert folded <= windows <= events <= windows * cap
+            assert folded <= members
+    base = insert.find_all("hnsw-link")[-1].attributes
+    assert base["layer"] == 0 and 0 < base["windows"] < base["reselected_rows"] / 2
 
 
 def test_recall_at_benchmark_scale():

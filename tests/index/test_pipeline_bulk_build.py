@@ -46,7 +46,7 @@ from repro.index.starling import StarlingIndex, StarlingParams
 from repro.index.vamana import VamanaIndex, VamanaParams
 from repro.observability.tracing import Tracer
 from repro.retrieval import MustRetrieval
-from tests.index.test_hnsw_batched_insert import TableKernel
+from tests.index.test_hnsw_batched_insert import TableKernel, _quantised_table
 from tests.index.test_hnsw_bulk_build import DIM, CountingKernel, _duplicated_corpus
 
 KERNELS = {
@@ -98,14 +98,6 @@ def _mrng_loop(distances, pairwise, ids, max_degree, fill_up=False):
     if fill_up:
         selected += [row for row in order if row not in selected][: max_degree - len(selected)]
     return [ids[row] for row in selected]
-
-
-def _quantised_table(rng, n):
-    """Few distinct values: distance ties and ``pairwise == distance``."""
-    table = rng.integers(1, 5, size=(n, n)).astype(np.float64)
-    table = np.minimum(table, table.T)
-    np.fill_diagonal(table, 0.0)
-    return table
 
 
 @pytest.mark.parametrize("seed", range(12))
