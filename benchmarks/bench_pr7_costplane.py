@@ -2,9 +2,10 @@
 
 Claims pinned here:
 
-* **Disabled cost accounting stays free.**  With ``cost_accounting``
-  off (the default), every instrumentation site reduces to a single
-  context-variable read returning a shared no-op; the estimated
+* **Disabled cost accounting stays free.**  The cost plane has no sites
+  of its own — it reads the spans — so with ``cost_accounting`` (and
+  tracing) off, every instrumentation site is a ``trace_span`` reduced to
+  a single context-variable read returning a shared no-op; the estimated
   per-query overhead versus the instrumented sites' count must be under
   1% (estimated like PR 5/PR 6 disabled claims — the direct difference
   is far below machine noise).
@@ -29,7 +30,7 @@ from pathlib import Path
 from repro.data.objects import RawQuery
 from repro.evaluation import ExperimentTable
 from repro.index import build_index
-from repro.observability.costs import active_cost, cost_stage
+from repro.observability import trace_span
 from repro.retrieval import build_framework
 from repro.server.loadgen import run_loadgen
 
@@ -41,9 +42,9 @@ K = 5
 BUDGET = 64
 ROUNDS = 6
 #: Instrumentation sites one query crosses with accounting off: the
-#: executor's profile gate, the framework's encode/search/fuse stage
-#: timers, the router's scatter observation gate, and the payload/stats
-#: attachment checks — rounded up for headroom.
+#: executor's profile gate and ``retrieval`` span, the framework's
+#: encode/search/fuse spans, the router's scatter and merge spans, and the
+#: payload/stats attachment checks — rounded up for headroom.
 DISABLED_SITES_PER_QUERY = 8
 
 QUERY_TEXTS = (
@@ -67,16 +68,11 @@ LOADGEN_KWARGS = dict(
 
 
 def _disabled_site_seconds(calls: int = 200_000) -> float:
-    """Cost of one disabled instrumentation site.
-
-    One "site" here is deliberately over-counted as a full
-    :func:`cost_stage` call (context-variable read + no-op return) plus
-    a bare :func:`active_cost` read.
-    """
+    """Cost of one disabled instrumentation site: a :func:`trace_span`
+    call with no trace active (context-variable read + no-op return)."""
     start = time.perf_counter()
     for _ in range(calls):
-        cost_stage("encode")
-        active_cost()
+        trace_span("encode")
     return (time.perf_counter() - start) / calls
 
 
@@ -100,7 +96,6 @@ def test_benchmark_pr7_costplane(scenes_world):
     # -- claim 1: disabled overhead -------------------------------------
     framework = build_framework("must", {})
     framework.setup(kb, encoder_set, lambda: build_index("flat", {}), weights=weights)
-    assert active_cost() is None  # accounting really is off here
     mean_query = _mean_query_seconds(framework, queries)
     site_cost = _disabled_site_seconds()
     estimated_overhead_pct = (

@@ -44,9 +44,8 @@ from repro.llm.agentic import ClaimSynthesizer, claim_summary_line, render_subqu
 from repro.llm.base import GenerationResult
 from repro.llm.grounding import check_grounding
 from repro.llm.prompts import ContextItem
-from repro.observability import trace_span
+from repro.observability import fold_span, trace_span
 from repro.retrieval.fusion import fuse_responses
-from repro.utils import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.core.coordinator import Coordinator, RoundContext
@@ -269,6 +268,11 @@ class AgenticAnswerer:
             k=context.k,
         )
         answer = context.answer
+        if answer.cost is not None:
+            # Hop 0's ledger is the round's.  Its hop batch gave it its
+            # ``retrieve`` share; the phases around the batches and the
+            # generation are read off the round's own trace.
+            fold_span(answer.cost, context.trace)
         claim_lines = [claim.text for claim in claims]
         tally = claim_summary_line(claims)
         if tally is not None:
@@ -296,7 +300,7 @@ class AgenticAnswerer:
         synthesize → refine → fuse.  Fills ``claims`` and leaves the fused
         response as the context ``generate`` composes from."""
         kb, k = coordinator.kb, context.k
-        with trace_span("decompose") as span, Timer() as decompose_timer:
+        with trace_span("decompose") as span:
             queries = context.queries + [
                 RawQuery.from_text(subquery.text) for subquery in subqueries
             ]
@@ -304,7 +308,7 @@ class AgenticAnswerer:
         responses = coordinator.retrieve_batch(
             queries, k=k, weights=context.weights, exclude_ids=context.exclude_ids
         )
-        with trace_span("synthesize") as span, Timer() as synth_timer:
+        with trace_span("synthesize") as span:
             claims.extend(
                 self._synthesize(subquery, responses[subquery.hop], kb)
                 for subquery in subqueries
@@ -313,11 +317,10 @@ class AgenticAnswerer:
                 claims=len(claims),
                 supported=sum(1 for c in claims if c.supported),
             )
-        with Timer() as refine_timer:
-            rounds_run = self._refine(
-                coordinator, kb, claims, k, context.deadline,
-                context.degraded_reasons, responses, context.exclude_ids,
-            )
+        rounds_run = self._refine(
+            coordinator, kb, claims, k, context.deadline,
+            context.degraded_reasons, responses, context.exclude_ids,
+        )
         # The final context is the cross-hop fusion over everything
         # retrieved (including successful refinement hops), so every
         # citation in the claim list resolves inside the answer's own
@@ -330,13 +333,8 @@ class AgenticAnswerer:
             if reason not in context.degraded_reasons
         )
         fused.degraded_reasons = []
-        # Hop 0's ledger becomes the round's: ``generate`` adds its stage.
+        # Hop 0's ledger becomes the round's: ``generate`` hands it on.
         fused.cost = responses[0].cost
-        if fused.cost is not None:
-            fused.cost.add_stage("agentic-decompose", decompose_timer.elapsed * 1000.0)
-            fused.cost.add_stage("agentic-synthesize", synth_timer.elapsed * 1000.0)
-            if rounds_run:
-                fused.cost.add_stage("agentic-refine", refine_timer.elapsed * 1000.0)
         context.responses = [fused]
         self._observe(claims, hops=len(responses) - 1, rounds=rounds_run)
 

@@ -14,7 +14,6 @@ status board the monitoring panel renders.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -41,16 +40,17 @@ from repro.errors import CoordinatorError, MQAError
 from repro.llm import QueryRewriter, build_llm
 from repro.llm.prompts import DialogueTurn
 from repro.observability import (
+    NOOP_SPAN,
     NOOP_TRACER,
     FlightRecorder,
     MetricsRegistry,
     QualityMonitor,
-    QueryCostProfile,
     SLOMonitor,
     SLOTargets,
+    Span,
     StatsPlane,
     Tracer,
-    cost_context,
+    fold_span,
     trace_span,
 )
 from repro.pipeline import DagPipeline
@@ -72,8 +72,9 @@ class RoundContext:
     ``deadline`` (resilience only) and ``submitted`` (the query as the
     user sent it).  Outputs: ``plan``, ``responses`` (row ``i`` answers
     query ``i``; empty when retrieval was skipped or unavailable),
-    ``answer``, ``degraded_reasons`` (any stage appends), ``ledger`` (a
-    raw batch's batch-scope cost ledger) and ``elapsed_ms`` (the runner).
+    ``answer``, ``degraded_reasons`` (any stage appends), and from the
+    runner ``elapsed_ms`` and ``trace`` — the round's own span tree (None
+    when nothing traces), closed by the time the observers read it.
     """
 
     queries: List[RawQuery]
@@ -91,7 +92,7 @@ class RoundContext:
     preferred_ids: Sequence[int] = ()
     round_index: int = 0
     plan: Optional[QueryPlan] = None
-    ledger: Optional[QueryCostProfile] = None
+    trace: Optional[Span] = None
     responses: List[RetrievalResponse] = field(default_factory=list)
     answer: Optional[Answer] = None
     degraded_reasons: List[str] = field(default_factory=list)
@@ -120,11 +121,14 @@ class Coordinator:
         self.events = EventLog()
         self.status = StatusBoard()
         self.metrics = MetricsRegistry()
-        # A flight recorder persists span trees, so it implies tracing even
-        # when the tracing flag itself is off.
+        # A flight recorder persists span trees and the cost plane reads its
+        # times off them, so either implies tracing even when the tracing
+        # flag itself is off.
         recording = config.recorder_path is not None
         self.tracer = (
-            Tracer(metrics=self.metrics) if config.tracing or recording else NOOP_TRACER
+            Tracer(metrics=self.metrics)
+            if config.tracing or recording or config.cost_accounting
+            else NOOP_TRACER
         )
         self.recorder: Optional[FlightRecorder] = (
             FlightRecorder(
@@ -186,39 +190,48 @@ class Coordinator:
         status panel shows ✗ plus the error) and the pipeline error
         propagates — the system must never come up half-built.
         """
-        stage_names = {
-            "preprocessing": "data preprocessing",
-            "representation": "vector representation",
-            "indexing": "index construction",
-        }
-
-        def guarded(node: str, fn):
-            def run(context: dict):
-                try:
-                    return fn(context)
-                except Exception as exc:
-                    self.status.fail(
-                        stage_names[node], f"{type(exc).__name__}: {exc}"
-                    )
-                    raise
-
-            return run
-
         pipeline = DagPipeline(name="mqa-setup")
-        pipeline.add_node("preprocessing", guarded("preprocessing", self._run_preprocessing))
+        pipeline.add_node(
+            "preprocessing",
+            self._milestone("data preprocessing", self._run_preprocessing),
+        )
         pipeline.add_node(
             "representation",
-            guarded("representation", self._run_representation),
+            self._milestone("vector representation", self._run_representation),
             depends_on=["preprocessing"],
         )
         pipeline.add_node(
-            "indexing", guarded("indexing", self._run_indexing), depends_on=["representation"]
+            "indexing",
+            self._milestone("index construction", self._run_indexing),
+            depends_on=["representation"],
         )
         pipeline.add_node("llm", self._run_llm_setup, depends_on=["indexing"])
         pipeline.run({})
         self._assemble_round()
         self._is_setup = True
         return self
+
+    def _milestone(
+        self, name: str, run: Callable[[], Optional[Dict[str, str]]]
+    ) -> Callable[[dict], None]:
+        """A set-up pipeline node that reports ``run`` on the status board:
+        started, timed once, then done with the details ``run`` returns
+        (``None``: nothing to do without a knowledge base) or failed."""
+
+        def node(context: dict) -> None:
+            self.status.start(name)
+            try:
+                with Timer() as timer:
+                    details = run()
+            except Exception as exc:
+                self.status.fail(name, f"{type(exc).__name__}: {exc}")
+                raise
+            if details is None:
+                self.status.finish(name, 0.0, mode="skipped (LLM-only)")
+            else:
+                self.status.finish(name, timer.elapsed, **details)
+
+        return node
 
     def _assemble_round(self) -> None:
         """Decide, once, what a query round consists of.
@@ -277,71 +290,49 @@ class Coordinator:
         ]
         self.observers = [(name, hook) for on, name, hook in hooks if on]
 
-    def _run_preprocessing(self, context: dict) -> Optional[KnowledgeBase]:
-        stage = "data preprocessing"
-        self.status.start(stage)
+    def _run_preprocessing(self) -> Dict[str, str]:
         self.events.record("frontend", "coordinator", "configuration", "setup requested")
-        component = DataPreprocessing()
-        with Timer() as timer:
-            kb = component.run(self.config, self._provided_kb)
-        self.kb = kb
+        self.kb = kb = DataPreprocessing().run(self.config, self._provided_kb)
         if kb is None:
-            self.status.finish(stage, timer.elapsed, mode="LLM-only (no external knowledge)")
             self.events.record("coordinator", "preprocessing", "knowledge-base", "disabled")
-        else:
-            self.status.finish(
-                stage,
-                timer.elapsed,
-                objects=str(len(kb)),
-                modalities="+".join(m.value for m in kb.modalities),
-                domain=kb.name,
-            )
-            self.events.record(
-                "coordinator", "preprocessing", "knowledge-base", kb.describe()
-            )
-        return kb
+            return {"mode": "LLM-only (no external knowledge)"}
+        self.events.record(
+            "coordinator", "preprocessing", "knowledge-base", kb.describe()
+        )
+        return {
+            "objects": str(len(kb)),
+            "modalities": "+".join(m.value for m in kb.modalities),
+            "domain": kb.name,
+        }
 
-    def _run_representation(self, context: dict) -> Optional[RepresentationOutcome]:
-        stage = "vector representation"
+    def _run_representation(self) -> Optional[Dict[str, str]]:
         if self.kb is None:
-            self.status.finish(stage, 0.0, mode="skipped (LLM-only)")
             return None
-        self.status.start(stage)
-        component = VectorRepresentation()
-        with Timer() as timer:
-            outcome = component.run(self.config, self.kb)
-        self.representation = outcome
+        self.representation = outcome = VectorRepresentation().run(self.config, self.kb)
         dims = ", ".join(
             f"{m.value}:{d}" for m, d in outcome.encoder_set.dims().items()
         )
         weights = ", ".join(
             f"{m.value}={w:.2f}" for m, w in outcome.weights.items()
         )
-        self.status.finish(
-            stage,
-            timer.elapsed,
-            encoders=outcome.encoder_set.name,
-            modal_count=str(len(outcome.encoder_set.modalities)),
-            vector_dims=dims,
-            weights=weights,
-            weight_mode=self.config.weight_mode.value,
-        )
         self.events.record(
             "preprocessing", "representation", "objects", f"encoded with {dims}"
         )
-        return outcome
+        return {
+            "encoders": outcome.encoder_set.name,
+            "modal_count": str(len(outcome.encoder_set.modalities)),
+            "vector_dims": dims,
+            "weights": weights,
+            "weight_mode": self.config.weight_mode.value,
+        }
 
-    def _run_indexing(self, context: dict) -> None:
-        stage = "index construction"
+    def _run_indexing(self) -> Optional[Dict[str, str]]:
         if self.kb is None or self.representation is None:
-            self.status.finish(stage, 0.0, mode="skipped (LLM-only)")
             return None
-        self.status.start(stage)
-        component = IndexConstruction()
-        with Timer() as timer, self.tracer.trace(
+        with self.tracer.trace(
             "index-build", index=self.config.index, objects=len(self.kb)
         ):
-            framework = component.run(
+            framework = IndexConstruction().run(
                 self.config,
                 self.kb,
                 self.representation.encoder_set,
@@ -350,23 +341,16 @@ class Coordinator:
                 events=self.events,
                 metrics=self.metrics,
             )
-        cache = self._build_cache()
         self.execution = QueryExecution(
             framework,
-            cache=cache,
+            cache=self._build_cache(),
             cost_accounting=self.config.cost_accounting,
             index_name=self.config.index,
-        )
-        self.status.finish(
-            stage,
-            timer.elapsed,
-            index=self.config.index,
-            framework=framework.name,
         )
         self.events.record(
             "representation", "indexing", "vectors", framework.describe()
         )
-        return None
+        return {"index": self.config.index, "framework": framework.name}
 
     def _build_cache(self) -> Optional[QueryCache]:
         """The query cache for this deployment.
@@ -578,8 +562,10 @@ class Coordinator:
         self, name: str, stages: Sequence[Stage], context: RoundContext, **attributes
     ) -> None:
         """The one runner: ``stages`` in order over ``context``, inside one
-        trace named ``name``, timed into ``context.elapsed_ms``."""
-        with Timer() as timer, self.tracer.trace(name, **attributes):
+        trace named ``name`` that stays on ``context.trace``, timed into
+        ``context.elapsed_ms``."""
+        with Timer() as timer, self.tracer.trace(name, **attributes) as root:
+            context.trace = None if root is NOOP_SPAN else root
             for _, stage in stages:
                 stage(context)
         context.elapsed_ms = timer.elapsed * 1000.0
@@ -587,7 +573,8 @@ class Coordinator:
     def _observe(self, context: RoundContext) -> None:
         # Stats folding, recording, and quality scoring happen OUTSIDE the
         # trace block: they must not add spans, or a replayed flight would
-        # never match its recording's span-tree shape.
+        # never match its recording's span-tree shape — and what they read,
+        # ``context.trace``, is closed and belongs to this round alone.
         for _, observe in self.observers:
             observe(context)
 
@@ -778,21 +765,15 @@ class Coordinator:
             return []
 
     def _retrieve_batch(self, context: RoundContext) -> None:
-        """The raw batch's retrieval.  One batch-scope ledger collects what
-        is amortised over the whole batch (the router's scatter/merge);
-        per-query profiles ride on each response."""
-        scope = nullcontext()
-        if self.execution.cost_accounting:
-            context.ledger = self.execution.new_profile(batch=len(context.queries))
-            scope = cost_context(context.ledger)
-        with scope:
-            context.responses = self.execution.execute_batch(
-                context.queries,
-                k=context.k,
-                budget=context.budget,
-                weights=context.weights,
-                exclude_ids=context.exclude_ids,
-            )
+        """The raw batch's retrieval; per-query profiles ride on each
+        response."""
+        context.responses = self.execution.execute_batch(
+            context.queries,
+            k=context.k,
+            budget=context.budget,
+            weights=context.weights,
+            exclude_ids=context.exclude_ids,
+        )
 
     def generate(self, context: RoundContext) -> None:
         """Compose ``context.answer`` from the first response (or none)."""
@@ -800,12 +781,10 @@ class Coordinator:
         with Timer() as timer, trace_span("generation") as span:
             answer = self._compose(context)
             span.set(llm=answer.llm or "none", grounded=answer.grounded)
-        cost = context.responses[0].cost if context.responses else None
-        if cost is not None:
-            # The round's ledger: retrieval profile plus the generation
-            # stage, carried on the Answer for the API/stats plane.
-            cost.add_stage("generate", timer.elapsed * 1000.0)
-            answer.cost = cost
+        if context.responses:
+            # The round's ledger is its retrieval profile, carried on the
+            # Answer for the API/stats plane.
+            answer.cost = context.responses[0].cost
         self.status.finish(
             "answer generation",
             timer.elapsed,
@@ -858,13 +837,26 @@ class Coordinator:
     # post-round observers
     # ------------------------------------------------------------------
     def _observe_stats(self, context: RoundContext) -> None:
-        """``cost_accounting``: fold the round's (or batch's) ledgers into
-        the stats plane; a batch shares its wall time equally."""
-        self.stats.observe_batch(
-            [response.cost for response in context.responses],
-            context.ledger,
-            context.elapsed_ms,
-        )
+        """``cost_accounting``: read the wall times off the round's closed
+        trace, then fold the ledgers into the stats plane.
+
+        A lone profile (a dialogue round, a batch of one) takes the whole
+        tree.  A wider batch amortises one search over its rows: what the
+        ``retrieval-batch`` subtree holds (stages, shard rows) goes to a
+        batch-scope ledger and each row takes an equal share of its time.
+        """
+        profiles = [response.cost for response in context.responses]
+        ledger = None
+        if len(profiles) == 1:
+            fold_span(profiles[0], context.trace)
+        elif profiles:
+            batch = context.trace.find("retrieval-batch")
+            ledger = self.execution.new_profile(batch=len(profiles))
+            fold_span(ledger, batch)
+            share_ms = batch.duration_ms / len(profiles)
+            for profile in profiles:
+                profile.add_stage("retrieve", share_ms)
+        self.stats.observe_batch(profiles, ledger, context.elapsed_ms)
 
     def _record_flight(self, context: RoundContext) -> None:
         """``recorder_path``: persist one finished round (raw batches are
@@ -894,11 +886,10 @@ class Coordinator:
         if context.filter_fn is not None:
             # Predicates are arbitrary callables; replay skips such entries.
             request["filtered"] = True
-        last = self.tracer.last_trace
         self.recorder.record(
             request,
             result_ids=list(answer.ids),
-            span_tree=last.to_dict() if last is not None else None,
+            span_tree=context.trace.to_dict(),
             answer={
                 "text": answer.text,
                 "grounded": answer.grounded,

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import copy
 import inspect
-import time
-from contextlib import nullcontext
 from dataclasses import replace
 
 from repro.data.modality import Modality
 from repro.data.objects import MultiModalObject, RawQuery
 from repro.errors import SearchError
-from repro.observability import QueryCostProfile, cost_context, trace_span
+from repro.observability import QueryCostProfile, trace_span
 from repro.retrieval import RetrievalFramework, RetrievalResponse
 
 
@@ -29,10 +27,11 @@ class QueryExecution:
         cache: Optional :class:`repro.core.cache.QueryCache`; repeated
             queries are served from it, and ingestion invalidates it.
         cost_accounting: When True every response carries a fresh
-            :class:`~repro.observability.costs.QueryCostProfile` — made
-            ambient while the framework runs so stage timers and the
-            shard router can contribute.  Off by default; the disabled
-            path adds one attribute check per call.
+            :class:`~repro.observability.costs.QueryCostProfile` holding
+            what this component alone knows (cache label, kernel
+            counters, result count); it reads no clock — the wall times
+            are read off the round's trace once it has closed.  Off by
+            default; the disabled path adds one attribute check per call.
         index_name: Configured index type, recorded on every profile.
     """
 
@@ -149,9 +148,9 @@ class QueryExecution:
         copy of the partial response).
 
         The span is ``retrieval`` for one query (a dialogue round) and
-        ``retrieval-batch`` for more; with cost accounting on, a lone
-        query's own ledger is ambient while the framework runs, a wider
-        batch amortises into its caller's batch ledger.
+        ``retrieval-batch`` for more — which is how the cost fold tells a
+        lone query, whose profile takes the span's whole subtree, from a
+        wider batch that amortises it.
         """
         if k <= 0:
             raise SearchError(f"k must be positive, got {k}")
@@ -190,15 +189,13 @@ class QueryExecution:
         profiles = (
             [self.new_profile() for _ in queries] if self.cost_accounting else []
         )
-        scope = cost_context(profiles[0]) if lone and profiles else nullcontext()
         with trace_span(
             "retrieval" if lone else "retrieval-batch",
             framework=self.framework.name,
             queries=len(queries),
             k=k,
             budget=budget,
-        ) as span, scope:
-            started = time.perf_counter() if profiles else 0.0
+        ) as span:
             results: "list[RetrievalResponse | None]" = [None] * len(queries)
             labels = ["bypass"] * len(queries)
             keys, registrations = [], {}
@@ -262,17 +259,14 @@ class QueryExecution:
                 hops=hops,
                 distance_evaluations=evaluations,
             )
-            if profiles:
-                share_ms = (time.perf_counter() - started) * 1000.0 / len(queries)
-                for profile, response, label in zip(profiles, results, labels):
-                    profile.cache = "off" if self.cache is None else label
-                    profile.add_stage("retrieve", share_ms)
-                    # A cache hit (exact or semantic) did no kernel work this
-                    # call; the original search was accounted when it ran.
-                    if label not in ("hit", "semantic"):
-                        profile.add_search_stats(response.stats)
-                    profile.items = len(response.items)
-                    response.cost = profile
+        for profile, response, label in zip(profiles, results, labels):
+            profile.cache = "off" if self.cache is None else label
+            # A cache hit (exact or semantic) did no kernel work this
+            # call; the original search was accounted when it ran.
+            if label not in ("hit", "semantic"):
+                profile.add_search_stats(response.stats)
+            profile.items = len(response.items)
+            response.cost = profile
         return results
 
     @staticmethod

@@ -68,7 +68,6 @@ import hashlib
 import inspect
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -79,8 +78,7 @@ from repro.errors import CircuitOpenError, MQAError, RetrievalError
 from repro.index.base import SearchStats
 from repro.observability import (
     NOOP_SPAN,
-    active_cost,
-    cost_context,
+    Span,
     labelled,
     trace_branch,
     trace_span,
@@ -852,19 +850,20 @@ class ShardRouter(RetrievalFramework):
         shard_index: int,
         fn: Callable[[], Any],
         degraded: List[str],
-        telemetry: "Dict[str, Any] | None" = None,
+        span: "Span | None" = None,
     ) -> Any:
         """Run one shard's search; failures degrade to a missing shard.
 
         Returns None when the shard contributed nothing.  ``degraded``
         collects human-readable reasons (also the /health story);
-        ``telemetry``, when given, receives the serving replica index so
-        the caller can label spans and cost entries.
+        ``span``, when given, is the shard's trace branch and is labelled
+        with the serving replica index — the one fact only this thread
+        knows.
         """
         group = self.groups[shard_index]
         replica = group.select()
-        if telemetry is not None:
-            telemetry["replica"] = replica.replica_index
+        if span is not None:
+            span.set(replica=replica.replica_index)
         site = f"shard.{shard_index}.search"
 
         def call():
@@ -923,25 +922,23 @@ class ShardRouter(RetrievalFramework):
         shard.  The returned list is aligned with the targets.
 
         With a trace active, the fan-out nests under one ``scatter`` span
-        with a ``shard-search`` child per shard (replica, timing, and
-        work counters attached) — branches are created here on the
-        coordinating thread, entered on whichever thread serves the
-        shard, and attached back in shard order so one sharded query
-        yields a single deterministic trace.  With an ambient cost
-        profile, each shard contributes one entry to ``profile.shards``;
-        the ambient profile is suppressed around the inner call so inline
-        and pooled scatter account identically (pool threads never
-        inherit it).  With neither active this is the bare scatter loop.
+        with a ``shard-search`` child per shard — branches are created here
+        on the coordinating thread, entered on whichever thread serves the
+        shard (which labels its branch with the replica it picked), and
+        completed and attached back here in shard order: ``ok`` and the
+        work counters are written once, on the branch, and the branch's
+        duration is the shard's time.  One sharded query thus yields a
+        single deterministic trace, identical for inline and pooled
+        scatter, and the cost plane reads its per-shard rows off it.
+        Untraced, this is the bare scatter loop.
         """
         targets = (
             list(range(self.shards)) if indices is None else list(indices)
         )
-        profile = active_cost()
         with trace_span(
             "scatter", shards=len(targets), **span_attrs
         ) as scatter_span:
             traced = scatter_span is not NOOP_SPAN
-            observe = traced or profile is not None
             branches = (
                 [
                     trace_branch("shard-search", shard=i)
@@ -950,47 +947,26 @@ class ShardRouter(RetrievalFramework):
                 if traced
                 else [None] * len(targets)
             )
-            marks: "List[Dict[str, Any] | None]" = [None] * len(targets)
 
             def shard_task(position: int) -> Any:
-                shard_index = targets[position]
-                if not observe:
-                    return self._guarded_shard_call(
-                        shard_index, call_of, degraded
-                    )
-                telemetry: Dict[str, Any] = {}
-                marks[position] = telemetry
                 branch = branches[position]
-                suppress = (
-                    cost_context(None)
-                    if profile is not None
-                    else nullcontext()
-                )
-                started = time.perf_counter()
-                if branch is not None:
-                    with branch, suppress:
-                        result = self._guarded_shard_call(
-                            shard_index, call_of, degraded, telemetry
-                        )
-                else:
-                    with suppress:
-                        result = self._guarded_shard_call(
-                            shard_index, call_of, degraded, telemetry
-                        )
-                telemetry["ms"] = (time.perf_counter() - started) * 1000.0
-                return result
+                if branch is None:
+                    return self._guarded_shard_call(
+                        targets[position], call_of, degraded
+                    )
+                with branch as span:
+                    return self._guarded_shard_call(
+                        targets[position], call_of, degraded, span
+                    )
 
             responses = run_scattered(
                 [lambda p=p: shard_task(p) for p in range(len(targets))],
                 pool=self._scatter_pool() if self._parallel else None,
             )
             if traced:
-                for position, branch in enumerate(branches):
-                    result = responses[position]
-                    telemetry = marks[position] or {}
+                for branch, result in zip(branches, responses):
                     items, evals, hops = self._measure(result)
                     branch.span.set(
-                        replica=telemetry.get("replica"),
                         ok=result is not None,
                         items=items,
                         distance_evaluations=evals,
@@ -1000,37 +976,7 @@ class ShardRouter(RetrievalFramework):
                 scatter_span.set(
                     answered=sum(1 for r in responses if r is not None)
                 )
-            if profile is not None:
-                for position, result in enumerate(responses):
-                    telemetry = marks[position] or {}
-                    items, evals, hops = self._measure(result)
-                    ok = result is not None
-                    profile.add_shard(
-                        shard=targets[position],
-                        replica=telemetry.get("replica"),
-                        ok=ok,
-                        ms=round(telemetry.get("ms", 0.0), 3),
-                        items=items,
-                        distance_evaluations=evals,
-                        hops=hops,
-                    )
-                    if not ok:
-                        profile.shards_failed += 1
         return responses
-
-    def _merge_observed(self, merge_fn: Callable[[], Any], **span_attrs) -> Any:
-        """Run the gather-side merge/re-fuse under a ``shard-merge`` span,
-        timing it into the ambient profile's ``merge`` stage."""
-        profile = active_cost()
-        with trace_span("shard-merge", **span_attrs):
-            if profile is None:
-                return merge_fn()
-            started = time.perf_counter()
-            merged = merge_fn()
-            profile.add_stage(
-                "merge", (time.perf_counter() - started) * 1000.0
-            )
-        return merged
 
     def retrieve_batch(
         self,
@@ -1080,7 +1026,9 @@ class ShardRouter(RetrievalFramework):
                 f"(last: {type(self._last_error).__name__}: {self._last_error})"
             )
 
-        def merge_all() -> List[RetrievalResponse]:
+        with trace_span(
+            "shard-merge", shards_answered=len(answered), queries=len(queries)
+        ):
             return [
                 self._merge(
                     [batch[position] for batch in answered],
@@ -1090,10 +1038,6 @@ class ShardRouter(RetrievalFramework):
                 )
                 for position in range(len(queries))
             ]
-
-        return self._merge_observed(
-            merge_all, shards_answered=len(answered), queries=len(queries)
-        )
 
     _last_error: Exception = RetrievalError("no shard searched yet")
 

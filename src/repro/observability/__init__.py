@@ -17,11 +17,12 @@ table; and :class:`SLOMonitor` / :class:`QualityMonitor` grade live
 latency, error-rate, and retrieval quality against configured targets.
 
 Cost plane (PR 7): a :class:`QueryCostProfile` accounts per-query kernel
-work (distance evaluations, hops, block reads) and per-stage wall time
-through the ambient :func:`cost_stage` / :func:`cost_context` machinery;
-a :class:`StatsPlane` aggregates profiles into rolling per-(framework,
-index, shard) distributions with tail-latency exemplars for
-``GET /stats``; and :func:`trace_branch` carries trace context across
+work (distance evaluations, hops, block reads), written by the executor,
+and per-stage wall time and per-shard rows, read off the round's closed
+trace by :func:`fold_span` — spans are the one timer, there is no ambient
+profile; a :class:`StatsPlane` aggregates profiles into rolling
+per-(framework, index, shard) distributions with tail-latency exemplars
+for ``GET /stats``; and :func:`trace_branch` carries trace context across
 the shard router's scatter threads so one sharded query yields a single
 trace with per-shard child spans.
 
@@ -29,12 +30,7 @@ trace with per-shard child spans.
 :mod:`repro.core`, which imports this package.)
 """
 
-from repro.observability.costs import (
-    QueryCostProfile,
-    active_cost,
-    cost_context,
-    cost_stage,
-)
+from repro.observability.costs import QueryCostProfile, fold_span
 from repro.observability.exporters import (
     collapse_spans,
     prometheus_name,
@@ -89,10 +85,8 @@ __all__ = [
     "StatsPlane",
     "TraceBranch",
     "Tracer",
-    "active_cost",
     "collapse_spans",
-    "cost_context",
-    "cost_stage",
+    "fold_span",
     "labelled",
     "prometheus_name",
     "read_recording",

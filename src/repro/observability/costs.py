@@ -1,44 +1,42 @@
 """Per-query cost accounting: who spent what, where, and on which shard.
 
 The cost plane answers the question the tracer alone cannot: *why* was
-this query slow?  A :class:`QueryCostProfile` is created per query by
-``QueryExecution`` (and per batch by the coordinator), made ambient via
-a :mod:`contextvars` variable while the framework runs, and filled in by
-three independent producers:
+this query slow?  It keeps no clock and no ambient state of its own — a
+block is timed once, by its span, and the cost plane reads the round's
+closed trace.  A :class:`QueryCostProfile` has two writers:
 
-* the executor copies the kernel counters (distance evaluations, graph
-  hops, Starling block reads and block-cache hits) off the response's
-  ``SearchStats`` and labels the query-cache disposition;
-* the retrieval frameworks time their pipeline stages — ``encode``,
-  ``search``, ``fuse`` — through :func:`cost_stage`;
-* the shard router appends one entry per shard with the serving replica,
-  per-shard timing, and per-shard counters.
+* ``QueryExecution.execute_batch`` creates one per query and fills in what
+  it alone knows: framework, index, shard count, the query-cache
+  disposition, the kernel counters (distance evaluations, graph hops,
+  Starling block reads and block-cache hits) off the response's
+  ``SearchStats``, and the result count;
+* after the round's trace has closed, :func:`fold_span` reads the wall
+  times off it: span durations become ``stage_ms`` (:data:`STAGE_OF_SPAN`
+  names the spans that are stages), and each ``shard-search`` branch the
+  router attached becomes one per-shard row.
 
-The machinery mirrors the tracer's zero-overhead discipline exactly:
-when no profile is ambient (the default — ``cost_accounting`` is off),
-:func:`active_cost` and :func:`cost_stage` cost a single context-variable
-read and allocate nothing.
+Two span names are opaque to the fold.  A ``shard-search`` branch is one
+row and its inner ``encode`` / ``index-search`` spans are not counted
+again — the shard's work is attributed per shard, identically for inline
+and pooled scatter because the two build identical trees.  A nested
+``query-batch`` (an agentic hop batch) is a round of its own with its own
+profiles, folded when it closed.
 
-Profiles ride on ``RetrievalResponse.cost`` and ``Answer.cost``, are
-aggregated by :class:`repro.observability.stats.StatsPlane`, and surface
-through ``GET /stats``, the answer/search payloads, and ``python -m
-repro stats``.
+``cost_accounting`` therefore implies a tracer (as ``recorder_path``
+does).  Profiles ride on ``RetrievalResponse.cost`` and ``Answer.cost``,
+are aggregated by :class:`repro.observability.stats.StatsPlane`, and
+surface through ``GET /stats``, the answer/search payloads, and ``python
+-m repro stats``.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
-__all__ = [
-    "QueryCostProfile",
-    "active_cost",
-    "cost_context",
-    "cost_stage",
-]
+from repro.observability.tracing import Span
+
+__all__ = ["QueryCostProfile", "STAGE_OF_SPAN", "fold_span"]
 
 
 @dataclass
@@ -66,7 +64,7 @@ class QueryCostProfile:
         shards_failed: Shards that degraded out of the scatter.
         stage_ms: Wall time per pipeline stage (``encode``, ``search``,
             ``fuse``, ``retrieve``, ``merge``, ``generate``).
-        shards: Per-shard contribution entries appended by the router:
+        shards: Per-shard rows, one per ``shard-search`` branch of the trace:
             ``{"shard", "replica", "ok", "ms", "items",
             "distance_evaluations", "hops"}``.
         trace_id: Sequence id assigned by the stats plane on observation;
@@ -104,7 +102,7 @@ class QueryCostProfile:
         self.stage_ms[name] = self.stage_ms.get(name, 0.0) + float(ms)
 
     def add_shard(self, **entry: Any) -> None:
-        """Append one shard's contribution (called by the router)."""
+        """Append one shard's contribution (called by :func:`fold_span`)."""
         self.shards.append(entry)
 
     def signature(self) -> Dict[str, Any]:
@@ -154,80 +152,47 @@ class QueryCostProfile:
         return body
 
 
-#: Ambient profile for the query being executed on this thread.  Like the
-#: tracer's ``_ACTIVE``, pool threads deliberately do not inherit it —
-#: the shard router accounts scatter work explicitly from the
-#: coordinating thread so pooled and inline scatter account identically.
-_ACTIVE_COST: ContextVar[Optional[QueryCostProfile]] = ContextVar(
-    "repro_active_cost", default=None
-)
+#: Span name -> the ``stage_ms`` key its duration accumulates under.  Spans
+#: not named here (``guard``, ``scatter``, ``beam-search``, ``block-io``,
+#: ``weight-inference``, ...) add nothing themselves but are descended into.
+STAGE_OF_SPAN = {
+    "encode": "encode",
+    "index-search": "search",
+    "fusion": "fuse",
+    "rerank": "fuse",
+    "retrieval": "retrieve",
+    "shard-merge": "merge",
+    "generation": "generate",
+    "decompose": "agentic-decompose",
+    "synthesize": "agentic-synthesize",
+    "refine": "agentic-refine",
+}
 
 
-def active_cost() -> Optional[QueryCostProfile]:
-    """The ambient profile, or None when cost accounting is off."""
-    return _ACTIVE_COST.get()
+def fold_span(profile: QueryCostProfile, span: Span) -> None:
+    """Read a closed trace (sub)tree's wall times into ``profile``.
 
-
-@contextmanager
-def cost_context(
-    profile: Optional[QueryCostProfile],
-) -> Iterator[Optional[QueryCostProfile]]:
-    """Make ``profile`` ambient for the block (None suppresses accounting).
-
-    The router suppresses the ambient profile around inline shard calls
-    so the inner frameworks' stage timers do not double-report work the
-    router already attributes per shard — keeping inline and pooled
-    scatter bit-identical in what they account.
+    ``span`` is the scope, not a stage: only its descendants are read.
     """
-    token = _ACTIVE_COST.set(profile)
-    try:
-        yield profile
-    finally:
-        _ACTIVE_COST.reset(token)
-
-
-class _StageTimer:
-    """Times a block and accumulates it into the ambient profile."""
-
-    __slots__ = ("_profile", "_name", "_start")
-
-    def __init__(self, profile: QueryCostProfile, name: str) -> None:
-        self._profile = profile
-        self._name = name
-
-    def __enter__(self) -> "_StageTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        elapsed_ms = (time.perf_counter() - self._start) * 1000.0
-        self._profile.add_stage(self._name, elapsed_ms)
-        return False
-
-
-class _NoopStage:
-    """Shared do-nothing stage for the disabled path (no allocation)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopStage":
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        return False
-
-
-_NOOP_STAGE = _NoopStage()
-
-
-def cost_stage(name: str) -> Any:
-    """Context manager timing one pipeline stage into the ambient profile.
-
-    When no profile is ambient this returns a shared no-op — the entire
-    disabled cost is one context-variable read, same contract as
-    ``trace_span``.
-    """
-    profile = _ACTIVE_COST.get()
-    if profile is None:
-        return _NOOP_STAGE
-    return _StageTimer(profile, name)
+    for child in span.children:
+        if child.name == "shard-search":
+            facts = child.attributes
+            ok = bool(facts.get("ok"))
+            profile.add_shard(
+                shard=facts.get("shard"),
+                replica=facts.get("replica"),
+                ok=ok,
+                ms=round(child.duration_ms, 3),
+                items=facts.get("items", 0),
+                distance_evaluations=facts.get("distance_evaluations", 0),
+                hops=facts.get("hops", 0),
+            )
+            if not ok:
+                profile.shards_failed += 1
+            continue
+        if child.name == "query-batch":
+            continue
+        stage = STAGE_OF_SPAN.get(child.name)
+        if stage is not None:
+            profile.add_stage(stage, child.duration_ms)
+        fold_span(profile, child)

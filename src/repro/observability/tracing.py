@@ -321,10 +321,12 @@ class Tracer:
             return self._traces[-1] if self._traces else None
 
     def export(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
-        """The last ``limit`` traces (all when None) as JSON-ready dicts."""
+        """The last ``limit`` traces (all when None, none when zero or
+        less) as JSON-ready dicts."""
         traces = self.traces
         if limit is not None:
-            traces = traces[-max(int(limit), 0):]
+            limit = int(limit)
+            traces = traces[-limit:] if limit > 0 else []  # [-0:] is everything
         return [span.to_dict() for span in traces]
 
     def clear(self) -> None:

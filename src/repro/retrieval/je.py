@@ -22,7 +22,7 @@ from repro.distance import SingleVectorKernel
 from repro.encoders.base import EncoderSet
 from repro.errors import RetrievalError
 from repro.index.base import VectorIndex
-from repro.observability import cost_stage, trace_span
+from repro.observability import trace_span
 from repro.retrieval.base import (
     IndexBuilder,
     RetrievalFramework,
@@ -102,7 +102,7 @@ class JointEmbeddingRetrieval(RetrievalFramework):
         queries = list(queries)
         if not queries:
             return []
-        with trace_span("encode", queries=len(queries)), cost_stage("encode"):
+        with trace_span("encode", queries=len(queries)):
             joint_queries = np.stack(
                 [
                     self._fuse(self.encoder_set.encode_query(query))
@@ -112,7 +112,7 @@ class JointEmbeddingRetrieval(RetrievalFramework):
         filter_fn = self._compose_filter(filter_fn)
         with trace_span(
             "index-search", k=k, budget=budget, queries=len(queries)
-        ) as span, cost_stage("search"):
+        ) as span:
             if filter_fn is not None:
                 outcomes = self._index.search_batch(
                     joint_queries, k=k, budget=budget, admit=filter_fn

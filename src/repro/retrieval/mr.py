@@ -22,7 +22,7 @@ from repro.distance import SingleVectorKernel
 from repro.encoders.base import EncoderSet
 from repro.errors import RetrievalError
 from repro.index.base import SearchStats, VectorIndex
-from repro.observability import cost_stage, trace_span
+from repro.observability import trace_span
 from repro.retrieval.base import (
     IndexBuilder,
     RetrievalFramework,
@@ -113,7 +113,7 @@ class MultiStreamedRetrieval(RetrievalFramework):
         queries = list(queries)
         if not queries:
             return []
-        with trace_span("encode", queries=len(queries)), cost_stage("encode"):
+        with trace_span("encode", queries=len(queries)):
             query_vectors_list = self.encoder_set.encode_query_batch(queries)
         filter_fn = self._compose_filter(filter_fn)
         parsed_weights = None
@@ -140,7 +140,7 @@ class MultiStreamedRetrieval(RetrievalFramework):
             with trace_span(
                 "index-search", modality=modality.value, k=fetch,
                 budget=max(budget, fetch), queries=len(members),
-            ) as span, cost_stage("search"):
+            ) as span:
                 if filter_fn is not None:
                     results = index.search_batch(
                         matrix, k=fetch, budget=max(budget, fetch), admit=filter_fn
@@ -180,7 +180,7 @@ class MultiStreamedRetrieval(RetrievalFramework):
                 ]
             with trace_span(
                 "fusion", strategy=self.fusion.value, streams=len(rankings)
-            ), cost_stage("fuse"):
+            ):
                 fused = fuse_rankings(
                     rankings,
                     distances,

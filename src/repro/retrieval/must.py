@@ -22,7 +22,7 @@ from repro.distance import MultiVectorSchema, WeightedMultiVectorKernel
 from repro.encoders.base import EncoderSet
 from repro.errors import RetrievalError
 from repro.index.base import VectorIndex
-from repro.observability import cost_stage, trace_span
+from repro.observability import trace_span
 from repro.retrieval.base import (
     IndexBuilder,
     ObjectFilter,
@@ -133,7 +133,7 @@ class MustRetrieval(RetrievalFramework):
         queries = list(queries)
         if not queries:
             return []
-        with trace_span("encode", queries=len(queries)), cost_stage("encode"):
+        with trace_span("encode", queries=len(queries)):
             query_vectors_list = self.encoder_set.encode_query_batch(queries)
             concatenated = np.stack(
                 [
@@ -165,7 +165,7 @@ class MustRetrieval(RetrievalFramework):
             fetch = max(4 * k, k)
         with trace_span(
             "index-search", k=fetch, budget=budget, queries=len(queries)
-        ) as span, cost_stage("search"):
+        ) as span:
             outcomes = self._index.search_batch(
                 concatenated, k=fetch, budget=budget, **kwargs
             )
@@ -185,9 +185,7 @@ class MustRetrieval(RetrievalFramework):
                 outcome.ids = [outcome.ids[i] for i in keep]
                 outcome.distances = [outcome.distances[i] for i in keep]
             if rerank and outcome.ids:
-                with trace_span(
-                    "rerank", candidates=len(outcome.ids)
-                ), cost_stage("fuse"):
+                with trace_span("rerank", candidates=len(outcome.ids)):
                     rescored = override.batch(
                         concatenated[position], self._index.vectors[outcome.ids]
                     )

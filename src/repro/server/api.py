@@ -785,15 +785,11 @@ class ApiServer:
 
     def _get_trace(self, body: Dict[str, Any]) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
-        limit = body.get("limit")
-        if limit is not None:
-            try:
-                limit = int(limit)
-            except (TypeError, ValueError):
-                raise ApiError(f"'limit' must be an integer, got {limit!r}")
         return {
             "enabled": coordinator.tracer.enabled,
-            "traces": coordinator.tracer.export(limit),
+            "traces": coordinator.tracer.export(
+                self._int_field(body, "limit", None)
+            ),
         }
 
     def _get_profile(self, body: Dict[str, Any]) -> Dict[str, Any]:

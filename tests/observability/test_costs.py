@@ -1,13 +1,9 @@
-"""Unit tests for the per-query cost ledger and its ambient machinery."""
+"""Unit tests for the per-query cost ledger (how it is filled from a trace:
+``test_cost_fold.py``)."""
 
 from types import SimpleNamespace
 
-from repro.observability.costs import (
-    QueryCostProfile,
-    active_cost,
-    cost_context,
-    cost_stage,
-)
+from repro.observability.costs import QueryCostProfile
 
 
 class TestQueryCostProfile:
@@ -66,39 +62,3 @@ class TestQueryCostProfile:
         ]
         assert body["shards_failed"] == 1
         assert body["trace_id"] == 7
-
-
-class TestAmbientCost:
-    def test_no_profile_by_default(self):
-        assert active_cost() is None
-
-    def test_cost_context_installs_and_restores(self):
-        profile = QueryCostProfile(framework="must")
-        with cost_context(profile) as ambient:
-            assert ambient is profile
-            assert active_cost() is profile
-        assert active_cost() is None
-
-    def test_cost_context_none_suppresses_nested_accounting(self):
-        outer = QueryCostProfile(framework="shard-router")
-        with cost_context(outer):
-            with cost_context(None):
-                assert active_cost() is None
-                with cost_stage("search"):
-                    pass
-            assert active_cost() is outer
-        assert outer.stage_ms == {}
-
-    def test_cost_stage_disabled_is_shared_noop(self):
-        # The disabled path must not allocate per call.
-        assert cost_stage("encode") is cost_stage("fuse")
-
-    def test_cost_stage_times_into_ambient_profile(self):
-        profile = QueryCostProfile(framework="mr")
-        with cost_context(profile):
-            with cost_stage("encode"):
-                pass
-            with cost_stage("encode"):
-                pass
-        assert set(profile.stage_ms) == {"encode"}
-        assert profile.stage_ms["encode"] >= 0.0

@@ -160,3 +160,60 @@ class TestRecorderIOFailures:
         recorder._handle = _BrokenHandle()
         recorder.record({"text": "doomed"}, [], None)
         assert recorder.errors == 1
+
+
+class TestRoundIsRecordedWithItsOwnTrace:
+    def test_two_rounds_closing_before_either_records(
+        self, tmp_path, scenes_kb, monkeypatch
+    ):
+        """With two workers a second round can finish between a round's
+        trace closing and its flight being written; each entry must still
+        carry its own round's span tree, not the tracer's latest."""
+        import threading
+
+        from repro.core import MQAConfig
+        from repro.core.coordinator import Coordinator
+        from repro.data import DatasetSpec, RawQuery
+
+        path = tmp_path / "flight.jsonl"
+        coordinator = Coordinator(
+            MQAConfig(
+                dataset=DatasetSpec(domain="scenes", size=120, seed=7),
+                weight_learning={"steps": 12, "batch_size": 8, "n_negatives": 4},
+                index_params={"m": 6, "ef_construction": 32},
+                recorder_path=str(path),
+            ),
+            knowledge_base=scenes_kb,
+        ).setup()
+        barrier = threading.Barrier(2)
+        observe = Coordinator._observe
+
+        def observe_once_both_traces_closed(self, context):
+            barrier.wait(timeout=30)
+            observe(self, context)
+
+        monkeypatch.setattr(Coordinator, "_observe", observe_once_both_traces_closed)
+        failures = []
+
+        def ask(text, round_index):
+            try:
+                coordinator.handle_query(
+                    RawQuery.from_text(text), round_index=round_index
+                )
+            except Exception as exc:  # surfaced by the assertion below
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=ask, args=("foggy clouds", 1)),
+            threading.Thread(target=ask, args=("sunny shoreline", 2)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not failures and not any(thread.is_alive() for thread in threads)
+        _, entries = read_recording(path)
+        assert sorted(e["request"]["round_index"] for e in entries) == [1, 2]
+        for entry in entries:
+            root = entry["span_tree"]
+            assert root["attributes"]["round"] == entry["request"]["round_index"]

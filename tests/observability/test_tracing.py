@@ -1,5 +1,7 @@
 """Tests for the tracer: span trees, the no-op default, determinism."""
 
+import pytest
+
 from repro.observability import (
     NOOP_SPAN,
     NOOP_TRACER,
@@ -82,6 +84,15 @@ class TestTracer:
                 pass
         limited = tracer.export(limit=2)
         assert [t["attributes"]["round"] for t in limited] == [2, 3]
+
+    @pytest.mark.parametrize("limit", [0, -1, -3])
+    def test_export_zero_or_negative_limit_is_empty(self, limit):
+        tracer = Tracer(clock=FakeClock())
+        for index in range(5):
+            with tracer.trace("query", round=index):
+                pass
+        assert tracer.export(limit=limit) == []
+        assert len(tracer.export()) == 5
 
     def test_exception_annotates_and_restores_context(self):
         tracer = Tracer(clock=FakeClock())

@@ -46,6 +46,13 @@ class TestTraceEndpoint:
         response = traced_server.handle("GET", "/trace", {"limit": 2})
         assert len(response["traces"]) == 2
 
+    @pytest.mark.parametrize("limit", [0, -2])
+    def test_zero_or_negative_limit_returns_no_trace(self, traced_server, limit):
+        assert traced_server.handle("POST", "/query", {"text": "stars"})["ok"]
+        response = traced_server.handle("GET", "/trace", {"limit": limit})
+        assert response["ok"] and response["traces"] == []
+        assert traced_server.handle("GET", "/events", {"limit": limit})["events"] == []
+
     def test_disabled_by_default(self, scenes_kb):
         server = ApiServer(MQAConfig(**FAST_CONFIG_KWARGS), knowledge_base=scenes_kb)
         assert server.handle("POST", "/apply")["ok"]

@@ -5,7 +5,8 @@ one-liners over ``search_batch`` / ``retrieve_batch``.  No subclass
 anywhere under ``repro`` may define its own ``search`` / ``retrieve`` —
 a second body is a second behaviour to keep in step by hand.  The same
 holds one layer up: ``QueryExecution.execute`` is ``execute_batch`` of one
-and the coordinator runs a stage list, not a hand-threaded round.
+and the coordinator runs a stage list, not a hand-threaded round — and for
+telemetry: a block is timed by its span and by nothing else.
 """
 
 import ast
@@ -160,3 +161,60 @@ def test_the_index_layer_keeps_one_of_each():
         node for node in ast.walk(add)
         if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "getattr"
     ]
+
+
+def test_a_block_is_timed_once():
+    """Spans are the one timer and the cost plane reads them: one context
+    variable in ``repro.observability`` (the tracer's), no ambient cost
+    machinery, no clock in ``costs.py``, the round's trace on its context,
+    and no retrieval-path body that also reads a clock for itself."""
+    from dataclasses import fields
+
+    import repro.observability
+    from repro.core.agentic import AgenticAnswerer
+    from repro.core.coordinator import RoundContext
+    from repro.core.execution import QueryExecution
+    from repro.core.sharding import ShardRouter
+    from repro.retrieval import (
+        JointEmbeddingRetrieval,
+        MultiStreamedRetrieval,
+        MustRetrieval,
+    )
+
+    made, imported = [], {}
+    for info in pkgutil.iter_modules(
+        repro.observability.__path__, prefix="repro.observability."
+    ):
+        tree = ast.parse(inspect.getsource(importlib.import_module(info.name)))
+        names = imported.setdefault(info.name, set())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                names.add(node.module)
+            elif isinstance(node, ast.Call):
+                called = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                if called == "ContextVar":
+                    made.append(info.name)
+    assert made == ["repro.observability.tracing"]
+    assert not imported["repro.observability.costs"] & {"time", "contextvars"}
+    # Spelled in pieces: a whole-word grep for the deleted names finds no file.
+    for name in ("cost_" + "stage", "cost_" + "context", "active_" + "cost"):
+        assert not hasattr(repro.observability, name)
+        assert not hasattr(repro.observability.costs, name)
+
+    context_fields = {spec.name for spec in fields(RoundContext)}
+    assert "trace" in context_fields and "ledger" not in context_fields
+
+    bodies = [
+        JointEmbeddingRetrieval.retrieve_batch,
+        MultiStreamedRetrieval.retrieve_batch,
+        MustRetrieval.retrieve_batch,
+        ShardRouter._scatter,
+        ShardRouter.retrieve_batch,
+        QueryExecution.execute_batch,
+        AgenticAnswerer._retrieve_hops,
+    ]
+    for body in bodies:
+        source = inspect.getsource(body)
+        assert "perf_counter" not in source and "Timer" not in source, body.__qualname__
