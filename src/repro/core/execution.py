@@ -9,7 +9,6 @@ next round's query.
 from __future__ import annotations
 
 import copy
-import inspect
 from dataclasses import replace
 
 from repro.data.modality import Modality
@@ -48,7 +47,6 @@ class QueryExecution:
         self.cache = cache
         self.cost_accounting = bool(cost_accounting)
         self.index_name = index_name
-        self._capabilities: "frozenset | None" = None
 
     def new_profile(self, batch: int = 0) -> QueryCostProfile:
         """A fresh cost ledger for this framework/index: per query, or
@@ -68,26 +66,9 @@ class QueryExecution:
     @property
     def capabilities(self) -> frozenset:
         """Optional keyword arguments the framework's ``retrieve_batch``
-        accepts (``retrieve`` forwards to it).
-
-        Capability is checked by signature inspection *before* calling, so
-        a genuine ``TypeError`` raised inside retrieval propagates instead
-        of being misread as a missing capability.  Computed once per
-        framework and cached; the coordinator's degradation policies read
-        it too (e.g. only pass renormalised weights to frameworks that
-        take a ``weights`` kwarg).
-        """
-        if self._capabilities is None:
-            parameters = inspect.signature(
-                self.framework.retrieve_batch
-            ).parameters
-            if any(
-                p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-            ):
-                self._capabilities = frozenset({"weights", "filter_fn"})
-            else:
-                self._capabilities = frozenset(parameters)
-        return self._capabilities
+        accepts — :attr:`RetrievalFramework.capabilities`, the one reader
+        (a shard router answers for the framework it wraps)."""
+        return self.framework.capabilities
 
     def execute(
         self,
@@ -155,16 +136,14 @@ class QueryExecution:
         if k <= 0:
             raise SearchError(f"k must be positive, got {k}")
         capabilities = self.capabilities
+        # A shard router answers for the framework it wraps: name that one.
+        name = getattr(self.framework, "framework_name", self.framework.name)
         if weights is not None and "weights" not in capabilities:
             raise SearchError(
-                f"framework {self.framework.name!r} does not support "
-                "per-query modality weights"
+                f"framework {name!r} does not support per-query modality weights"
             )
         if filter_fn is not None and "filter_fn" not in capabilities:
-            raise SearchError(
-                f"framework {self.framework.name!r} does not support "
-                "filtered retrieval"
-            )
+            raise SearchError(f"framework {name!r} does not support filtered retrieval")
         queries = list(queries)
         if not queries:
             return []

@@ -65,10 +65,10 @@ default and adds nothing to the in-process hot path.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import threading
 import time
 from dataclasses import replace
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.concurrency import run_scattered
@@ -596,7 +596,6 @@ class ShardRouter(RetrievalFramework):
         self.events = events
         self.metrics = metrics
         self.groups: List[ShardGroup] = []
-        self._capabilities: "set | None" = None
         self._probe: "RetrievalFramework | None" = None
         self._owner: Dict[int, int] = {}
         self._meta_lock = threading.Lock()
@@ -790,21 +789,19 @@ class ShardRouter(RetrievalFramework):
             self._probe = self._framework_factory()
         return self._probe
 
-    def _inner_capabilities(self) -> set:
-        """Keyword arguments the inner framework's ``retrieve_batch``
-        accepts (computed once from the probe instance's signature)."""
-        if self._capabilities is None:
-            self._capabilities = set(
-                inspect.signature(
-                    self._framework_probe().retrieve_batch
-                ).parameters
-            )
-        return self._capabilities
+    @cached_property
+    def capabilities(self) -> frozenset:
+        """What the *inner* framework's ``retrieve_batch`` takes, plus
+        ``fanout``: the router declares ``weights`` and ``filter_fn`` only
+        to pass them on, so it answers for what it wraps — the caller that
+        asks (degradation, query execution) and :meth:`_check_capabilities`
+        then agree at any shard count."""
+        return self._framework_probe().capabilities | {"fanout"}
 
     def _check_capabilities(self, weights, filter_fn) -> None:
         """Reject kwargs the inner framework cannot honour, with the same
         error shape the unsharded engine produces."""
-        parameters = self._inner_capabilities()
+        parameters = self.capabilities
         if weights is not None and "weights" not in parameters:
             raise RetrievalError(
                 f"framework {self.framework_name!r} does not support "

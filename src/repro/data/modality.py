@@ -29,7 +29,7 @@ class Modality(str, enum.Enum):
             return value
         try:
             return cls(value.lower())
-        except ValueError:
+        except (ValueError, AttributeError):  # a non-string has no lower()
             valid = ", ".join(m.value for m in cls)
             raise ValueError(f"unknown modality {value!r}; expected one of: {valid}") from None
 

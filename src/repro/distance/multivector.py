@@ -157,6 +157,8 @@ class WeightedMultiVectorKernel(DistanceKernel):
                 raise EncodingError(
                     f"expected {count} weights, got {values.shape}"
                 )
+        if not np.isfinite(values).all():
+            raise EncodingError(f"modality weights must be finite, got {values}")
         if (values < 0).any():
             raise EncodingError(f"modality weights must be non-negative, got {values}")
         total = values.sum()

@@ -10,7 +10,6 @@ from repro.evaluation.metrics import (
     precision_at_k,
     recall_at_k,
 )
-from repro.evaluation.tuning import BudgetTuneResult, tune_budget
 from repro.evaluation.workloads import (
     EvalQuery,
     RefinementScript,
@@ -20,7 +19,6 @@ from repro.evaluation.workloads import (
 )
 
 __all__ = [
-    "BudgetTuneResult",
     "EvalQuery",
     "ExperimentTable",
     "RefinementScript",
@@ -35,5 +33,4 @@ __all__ = [
     "recall_at_k",
     "refinement_scripts",
     "text_queries",
-    "tune_budget",
 ]

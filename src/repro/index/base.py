@@ -198,24 +198,60 @@ class VectorIndex(abc.ABC):
             k: Result count.
             budget: Search effort (beam width / ef); larger trades speed
                 for recall.  Ignored by exact indexes.
-            **kwargs: Whatever the index's :meth:`search_batch` accepts.
+            **kwargs: The options of :meth:`search_batch`.
         """
         return self.search_batch(np.asarray(query)[None], k, budget, **kwargs)[0]
 
     @abc.abstractmethod
     def search_batch(
-        self, queries: np.ndarray, k: int, budget: int = 64
+        self,
+        queries: np.ndarray,
+        k: int,
+        budget: int = 64,
+        *,
+        kernel: "DistanceKernel | None" = None,
+        admit=None,
+        use_pruning: bool = False,
     ) -> List[SearchResult]:
         """Top-``k`` for every row of ``queries``; results in input order.
 
-        The one search body of an index.  Contract: row ``i`` does not
-        depend on the rest of the batch — same ids, distances and work
-        counters as a batch holding that row alone — so batching is a
-        throughput optimisation, never a behaviour change.  Concrete
-        indexes add optional keywords; an ``admit`` keyword may be a single
-        predicate shared by all queries or a sequence with one (possibly
-        ``None``) predicate per query.
+        The one search body of an index, and the one place its options are
+        declared: every index takes exactly these and honours each of them.
+        Contract: row ``i`` does not depend on the rest of the batch — same
+        ids, distances and work counters as a batch holding that row alone —
+        so batching is a throughput optimisation, never a behaviour change.
+
+        Args:
+            queries: ``(Q, d)`` query matrix.
+            k: Result count per row.
+            budget: Search effort (beam width / ef / extra probes).
+            kernel: Distances for this call only — per-query modality
+                re-weighting.  An index is navigation structure plus stored
+                rows; distances are always computed fresh, so every scan,
+                traversal and re-rank of the call runs under ``kernel``
+                (resolved by :meth:`_search_kernel`) and the answer is the
+                index's answer *under that kernel*, never a re-ordering of
+                its answer under the built one.  ``None`` is the built kernel.
+            admit: Result filter over row ids — one predicate shared by all
+                queries, or a sequence with one (possibly ``None``) per
+                query.  Rejected rows may still be traversed, never returned.
+            use_pruning: Score graph neighbours one by one against the beam
+                bound, so a multi-vector kernel can stop a distance early
+                (the paper's incremental scanning): same ids, fewer segment
+                evaluations.  To an exact or cell scan it means what
+                ``budget`` means to an exact scan — nothing.
         """
+
+    def _search_kernel(self, kernel: "DistanceKernel | None") -> DistanceKernel:
+        """The kernel one ``search_batch`` call computes distances with: the
+        ``kernel`` override, or the built one."""
+        if kernel is None:
+            return self.kernel
+        if kernel.dim != self.kernel.dim:
+            raise SearchError(
+                f"override kernel dim {kernel.dim} != index dim {self.kernel.dim}"
+            )
+        return kernel
 
     def describe(self) -> str:
         """One-line summary for the status panel."""

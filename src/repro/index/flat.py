@@ -52,13 +52,17 @@ class FlatIndex(VectorIndex):
         if not np.isfinite(vectors).all():
             raise SearchError("corpus contains non-finite values")
 
-    def search_batch(self, queries, k: int, budget: int = 64, admit=None):
-        """All queries scanned with one kernel dispatch.
+    def search_batch(
+        self, queries, k: int, budget: int = 64, *, kernel=None, admit=None,
+        use_pruning: bool = False,
+    ):
+        """All queries scanned with one dispatch of the call's kernel.
 
         Each row of the distance matrix depends only on its own query, and
         top-k selection runs per row — so a row's ids and distances do not
         depend on the rest of the batch.  ``admit`` masks non-matching
-        vectors out of that query's result.
+        vectors out of that query's result; ``budget`` and ``use_pruning``
+        have nothing to act on in an exact scan.
         """
         self._require_built()
         if k <= 0:
@@ -68,7 +72,7 @@ class FlatIndex(VectorIndex):
         if n_queries == 0:
             return []
         admits = _per_query_admits(admit, n_queries)
-        all_distances = self.kernel.batch_many(queries, self.vectors)
+        all_distances = self._search_kernel(kernel).batch_many(queries, self.vectors)
         if all(a is None for a in admits):
             # Unfiltered fast path: one axis-wise argpartition + argsort
             # selects every row's top-k; both run row by row.

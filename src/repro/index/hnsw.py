@@ -360,7 +360,7 @@ class HnswIndex(VectorIndex):
         query = self.vectors[node][None]
         starts = [self._entry]
         for layer in range(self._max_level, level, -1):
-            starts = self._greedy_descend_batch(query, starts, layer)
+            starts = self._greedy_descend_batch(self.kernel, query, starts, layer)
 
         ef = self.params.ef_construction
         for layer in range(min(level, self._max_level), -1, -1):
@@ -392,7 +392,7 @@ class HnswIndex(VectorIndex):
     # search
     # ------------------------------------------------------------------
     def _greedy_descend_batch(
-        self, queries: np.ndarray, currents: List[int], layer: int
+        self, kernel: DistanceKernel, queries: np.ndarray, currents: List[int], layer: int
     ) -> List[int]:
         """Walk every query greedily to its local minimum on one layer, in
         lockstep; ``add`` descends with it too, as a batch of one.
@@ -405,7 +405,7 @@ class HnswIndex(VectorIndex):
         """
         currents = list(currents)
         best_distances = [
-            float(self.kernel.single(query, self.vectors[current]))
+            float(kernel.single(query, self.vectors[current]))
             for query, current in zip(queries, currents)
         ]
         active = list(range(len(currents)))
@@ -417,7 +417,7 @@ class HnswIndex(VectorIndex):
             ]
             if not walking:
                 break
-            frontier = score_ragged(self.kernel, queries, self.vectors, walking)
+            frontier = score_ragged(kernel, queries, self.vectors, walking)
             cursor = 0
             active = []
             for i, neighbors in walking:
@@ -430,10 +430,15 @@ class HnswIndex(VectorIndex):
                     active.append(i)
         return currents
 
-    def search_batch(self, queries, k: int, budget: int = 64, admit=None):
+    def search_batch(
+        self, queries, k: int, budget: int = 64, *, kernel=None, admit=None,
+        use_pruning: bool = False,
+    ):
         """Lockstep descent through the upper layers, then lockstep beam
-        search over layer 0 from each query's own base entry."""
+        search over layer 0 from each query's own base entry — both under
+        the call's kernel."""
         self._require_built()
+        kernel = self._search_kernel(kernel)
         if k <= 0:
             raise SearchError(f"k must be positive, got {k}")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -445,16 +450,17 @@ class HnswIndex(VectorIndex):
             "hnsw-descent", top_layer=self._max_level, queries=n_queries
         ) as span:
             for layer in range(self._max_level, 0, -1):
-                currents = self._greedy_descend_batch(queries, currents, layer)
+                currents = self._greedy_descend_batch(kernel, queries, currents, layer)
             span.set(base_entries=len(set(currents)))
         return greedy_search_batch(
             self._layers[0],
             self.vectors,
-            self.kernel,
+            kernel,
             queries,
             k=k,
             budget=budget,
             entry_points=[[current] for current in currents],
+            use_pruning=use_pruning,
             admit=admit,
         )
 

@@ -134,10 +134,15 @@ class IvfIndex(VectorIndex):
             stats=stats,
         )
 
-    def search_batch(self, queries, k: int, budget: int = 64, admit=None):
+    def search_batch(
+        self, queries, k: int, budget: int = 64, *, kernel=None, admit=None,
+        use_pruning: bool = False,
+    ):
         """Scan each query's closest cells: one centroid scan and one
-        candidate-union scan for the whole batch.  ``budget`` maps to extra
-        probes: the effective probe count is ``max(nprobe, budget // 8)``.
+        candidate-union scan for the whole batch, both under the call's
+        kernel (the cells themselves stay where the built one put them).
+        ``budget`` maps to extra probes: the effective probe count is
+        ``max(nprobe, budget // 8)``; ``use_pruning`` has nothing to act on.
         Candidate gathering and top-k selection run per query over its own
         distance row, so a row does not depend on the rest of the batch.
         """
@@ -153,7 +158,8 @@ class IvfIndex(VectorIndex):
         nprobe = min(
             max(self.params.nprobe, budget // 8), self._centroids.shape[0]
         )
-        centroid_distances = self.kernel.batch_many(queries, self._centroids)
+        kernel = self._search_kernel(kernel)
+        centroid_distances = kernel.batch_many(queries, self._centroids)
         per_query: List[List[int]] = []
         all_stats: List[SearchStats] = []
         for i in range(n_queries):
@@ -169,7 +175,7 @@ class IvfIndex(VectorIndex):
         out: List[SearchResult] = []
         if union:
             colmap = {c: j for j, c in enumerate(union)}
-            union_distances = self.kernel.batch_many(queries, self.vectors[union])
+            union_distances = kernel.batch_many(queries, self.vectors[union])
         for i in range(n_queries):
             candidates = per_query[i]
             if not candidates:

@@ -67,7 +67,7 @@ class FrozenGraphIndex(VectorIndex):
 
     # Insertion and search are the pipeline index's: same graph, same
     # search-and-prune logic (with the saved index's own insertion values,
-    # which load_index puts back), same override-kernel check.
+    # which load_index puts back), same search options.
     insertion = PipelineGraphIndex.insertion
     add = PipelineGraphIndex.add
     _link_row = PipelineGraphIndex._link_row

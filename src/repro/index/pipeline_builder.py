@@ -195,34 +195,18 @@ class PipelineGraphIndex(VectorIndex):
                 self.graph.set_neighbors(neighbor, pruned)
 
     def search_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        budget: int = 64,
+        self, queries, k: int, budget: int = 64, *, kernel=None, admit=None,
         use_pruning: bool = False,
-        kernel: "DistanceKernel | None" = None,
-        admit=None,
     ) -> List[SearchResult]:
-        """Search the graph for every query row, in lockstep.
-
-        ``kernel`` overrides the built kernel for this call only (per-query
-        modality re-weighting — the graph is pure navigation structure,
-        distances are always computed fresh), ``admit`` filters the result
-        set without blocking traversal, and ``use_pruning`` scores
-        neighbours one at a time with a bound (incremental scanning).
-        """
+        """Search the graph for every query row, in lockstep, under the
+        call's kernel: the graph is pure navigation structure."""
         self._require_built()
         if self.graph is None:
             raise SearchError(f"index {self.name!r} has no graph")
-        active = kernel if kernel is not None else self.kernel
-        if active.dim != self.kernel.dim:
-            raise SearchError(
-                f"override kernel dim {active.dim} != index dim {self.kernel.dim}"
-            )
         return greedy_search_batch(
             self.graph,
             self.vectors,
-            active,
+            self._search_kernel(kernel),
             queries,
             k=k,
             budget=budget,

@@ -234,8 +234,12 @@ class StarlingIndex(VectorIndex):
         self._insert_fill += 1
         return vertex
 
-    def search_batch(self, queries, k: int, budget: int = 64, admit=None):
-        """Lockstep search over the disk-resident graph.
+    def search_batch(
+        self, queries, k: int, budget: int = 64, *, kernel=None, admit=None,
+        use_pruning: bool = False,
+    ):
+        """Lockstep search over the disk-resident graph, under the call's
+        kernel on either path.
 
         Ids and distances of a row do not depend on the rest of the batch.
         Block accesses are charged to the shared device in lockstep
@@ -250,8 +254,11 @@ class StarlingIndex(VectorIndex):
         n_queries = queries.shape[0]
         if n_queries == 0:
             return []
+        kernel = self._search_kernel(kernel)
         if self.tiered is not None:
-            return self._search_batch_tiered(queries, k, budget, admit)
+            return self._search_batch_tiered(
+                queries, k, budget, kernel, admit, use_pruning
+            )
         reads = [0] * n_queries
         hits = [0] * n_queries
         device = self.device
@@ -274,10 +281,11 @@ class StarlingIndex(VectorIndex):
             results = greedy_search_batch(
                 self.graph,
                 self.vectors,
-                self.kernel,
+                kernel,
                 queries,
                 k=k,
                 budget=budget,
+                use_pruning=use_pruning,
                 visit_hook=charge,
                 admit=admit,
             )
@@ -287,9 +295,9 @@ class StarlingIndex(VectorIndex):
             span.set(block_reads=sum(reads), cache_hits=sum(hits))
         return results
 
-    def _search_batch_tiered(self, queries, k: int, budget: int, admit):
+    def _search_batch_tiered(self, queries, k, budget, kernel, admit, use_pruning):
         """Lockstep traversal over the resident codes, then per-query exact
-        rerank of the top-k' at full precision.
+        rerank of the top-k' at full precision, both under ``kernel``.
 
         Rerank reads charge the shared mmap device query by query, so the
         device totals are exact for the batch and each query's counters
@@ -308,17 +316,18 @@ class StarlingIndex(VectorIndex):
             results = greedy_search_batch(
                 self.graph,
                 self.tiered.decoded,
-                self.kernel,
+                kernel,
                 queries,
                 k=fetch,
                 budget=budget,
+                use_pruning=use_pruning,
                 admit=admit,
             )
             total_reads = 0
             total_hits = 0
             for i, result in enumerate(results):
                 ids, distances, reads, hits = self.tiered.rerank(
-                    queries[i], self.kernel, result.ids, k
+                    queries[i], kernel, result.ids, k
                 )
                 result.ids = ids
                 result.distances = distances

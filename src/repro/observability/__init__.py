@@ -2,7 +2,7 @@
 
 In-process (PR 1): a :class:`Tracer` captures one hierarchical span tree
 per query (query → encode → weight-inference → index-search →
-fusion/rerank → generation), and a :class:`MetricsRegistry` aggregates
+fusion → generation), and a :class:`MetricsRegistry` aggregates
 counters and p50/p95/p99 latency histograms across queries.  Instrumented
 call sites use :func:`trace_span`, which is a no-op unless a tracer is
 active.

@@ -159,7 +159,6 @@ STAGE_OF_SPAN = {
     "encode": "encode",
     "index-search": "search",
     "fusion": "fuse",
-    "rerank": "fuse",
     "retrieval": "retrieve",
     "shard-merge": "merge",
     "generation": "generate",

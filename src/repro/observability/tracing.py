@@ -4,7 +4,7 @@ The paper's demo ships a status-monitoring panel; production serving needs
 the query-time analogue: per-stage attribution of where each millisecond
 went (retrieval vs. fusion vs. generation).  A :class:`Tracer` produces a
 tree of :class:`Span` objects per query — query → encode →
-weight-inference → per-stream index search → fusion/rerank → generation —
+weight-inference → per-stream index search → fusion → generation —
 each carrying wall-clock timings plus structured attributes (distance
 evaluations, hops, beam budget, cache hit/miss, k).
 

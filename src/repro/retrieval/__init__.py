@@ -17,9 +17,7 @@ from repro.retrieval.base import (
     RetrievalFramework,
     RetrievalResponse,
     RetrievedItem,
-    search_capabilities,
 )
-from repro.retrieval.diversify import diversify
 from repro.retrieval.fusion import FusionStrategy, fuse_rankings, fuse_responses
 from repro.retrieval.je import JointEmbeddingRetrieval
 from repro.retrieval.mr import MultiStreamedRetrieval
@@ -41,9 +39,7 @@ __all__ = [
     "RetrievedItem",
     "available_frameworks",
     "build_framework",
-    "diversify",
     "fuse_rankings",
     "fuse_responses",
     "register_framework",
-    "search_capabilities",
 ]

@@ -5,30 +5,22 @@ from __future__ import annotations
 import abc
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
 from repro.data.objects import RawQuery
 from repro.encoders.base import EncoderSet
 from repro.errors import RetrievalError
-from repro.index.base import SearchStats, VectorIndex
+from repro.index.base import SearchResult, SearchStats, VectorIndex
+from repro.observability import trace_span
 
 IndexBuilder = Callable[[], VectorIndex]
 """Zero-argument factory producing a fresh, unbuilt index instance."""
 
 ObjectFilter = Callable[[int], bool]
 """Predicate over object ids used for filtered retrieval."""
-
-
-def search_capabilities(index: VectorIndex) -> Set[str]:
-    """The optional keyword arguments ``index.search_batch`` accepts
-    (``index.search`` forwards to it).
-
-    Frameworks use this to decide whether per-query kernels, pruning, or
-    result filters can be pushed into the traversal or need a fallback.
-    """
-    return set(inspect.signature(index.search_batch).parameters)
 
 
 @dataclass
@@ -153,8 +145,59 @@ class RetrievalFramework(abc.ABC):
         are shared across the batch, and element ``i`` does not depend on
         the rest of it (same ids, same scores as a batch of that query
         alone).  Concrete frameworks add optional keywords (``filter_fn``,
-        ``weights``, ...), which apply to the whole batch.
+        ``weights``, ...), which apply to the whole batch; callers read
+        which from :attr:`capabilities`.
         """
+
+    @cached_property
+    def capabilities(self) -> frozenset:
+        """The optional keywords this framework's ``retrieve_batch`` takes
+        (``retrieve`` forwards ``**kwargs`` and would say "everything").
+
+        The one capability reader: query execution refuses ``weights`` /
+        ``filter_fn`` a framework does not declare, and the coordinator's
+        degradation asks before re-weighting — both *before* calling, so a
+        genuine ``TypeError`` raised inside retrieval propagates instead of
+        being misread as a missing capability.  A ``**kwargs`` body is
+        taken to accept both.  Read once per instance.
+        """
+        parameters = inspect.signature(self.retrieve_batch).parameters
+        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
+            return frozenset({"weights", "filter_fn"})
+        return frozenset(parameters)
+
+    def _search(
+        self, index: VectorIndex, queries, k: int, budget: int,
+        filter_fn: "ObjectFilter | None", kernel=None, use_pruning: bool = False,
+        **span_attributes,
+    ) -> List[SearchResult]:
+        """The ``index-search`` block of every framework: one
+        ``search_batch`` under one span, tombstones folded into the filter,
+        the work counters on the span."""
+        with trace_span(
+            "index-search", **span_attributes, k=k, budget=budget, queries=len(queries)
+        ) as span:
+            outcomes = index.search_batch(
+                queries, k=k, budget=budget, kernel=kernel,
+                admit=self._compose_filter(filter_fn), use_pruning=use_pruning,
+            )
+            span.set(
+                hops=sum(o.stats.hops for o in outcomes),
+                distance_evaluations=sum(
+                    o.stats.distance_evaluations for o in outcomes
+                ),
+            )
+        return outcomes
+
+    def _respond(self, outcome: SearchResult) -> RetrievalResponse:
+        """One index result as this framework's response, ranked as found."""
+        items = [
+            RetrievedItem(object_id=object_id, score=distance, rank=rank)
+            for rank, (object_id, distance) in enumerate(
+                zip(outcome.ids, outcome.distances)
+            )
+        ]
+        return RetrievalResponse(framework=self.name, items=items, stats=outcome.stats)
 
     def add_object(self, obj) -> int:
         """Index one newly ingested object; returns its index id.

@@ -10,6 +10,7 @@ encoders with different output spaces).
 from __future__ import annotations
 
 import enum
+import math
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.errors import RetrievalError
@@ -143,6 +144,8 @@ def fuse_rankings(
         raise RetrievalError(
             f"{len(rankings)} rankings but {len(stream_weights)} stream weights"
         )
+    elif not all(math.isfinite(w) for w in stream_weights):
+        raise RetrievalError(f"stream weights must be finite, got {list(stream_weights)}")
     elif any(w < 0 for w in stream_weights):
         raise RetrievalError("stream weights must be non-negative")
     strategy = FusionStrategy.parse(strategy)

@@ -27,7 +27,6 @@ from repro.retrieval.base import (
     IndexBuilder,
     RetrievalFramework,
     RetrievalResponse,
-    RetrievedItem,
 )
 from repro.utils import l2_normalize
 
@@ -109,36 +108,8 @@ class JointEmbeddingRetrieval(RetrievalFramework):
                     for query in queries
                 ]
             )
-        filter_fn = self._compose_filter(filter_fn)
-        with trace_span(
-            "index-search", k=k, budget=budget, queries=len(queries)
-        ) as span:
-            if filter_fn is not None:
-                outcomes = self._index.search_batch(
-                    joint_queries, k=k, budget=budget, admit=filter_fn
-                )
-            else:
-                outcomes = self._index.search_batch(joint_queries, k=k, budget=budget)
-            span.set(
-                hops=sum(o.stats.hops for o in outcomes),
-                distance_evaluations=sum(
-                    o.stats.distance_evaluations for o in outcomes
-                ),
-            )
-        responses: List[RetrievalResponse] = []
-        for outcome in outcomes:
-            items = [
-                RetrievedItem(object_id=object_id, score=distance, rank=rank)
-                for rank, (object_id, distance) in enumerate(
-                    zip(outcome.ids, outcome.distances)
-                )
-            ]
-            responses.append(
-                RetrievalResponse(
-                    framework=self.name, items=items, stats=outcome.stats
-                )
-            )
-        return responses
+        outcomes = self._search(self._index, joint_queries, k, budget, filter_fn)
+        return [self._respond(outcome) for outcome in outcomes]
 
     def describe(self) -> str:
         base = super().describe()

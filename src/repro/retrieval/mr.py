@@ -115,7 +115,6 @@ class MultiStreamedRetrieval(RetrievalFramework):
             return []
         with trace_span("encode", queries=len(queries)):
             query_vectors_list = self.encoder_set.encode_query_batch(queries)
-        filter_fn = self._compose_filter(filter_fn)
         parsed_weights = None
         if weights is not None:
             parsed_weights = {Modality.parse(m): float(w) for m, w in weights.items()}
@@ -137,24 +136,10 @@ class MultiStreamedRetrieval(RetrievalFramework):
             matrix = np.stack(
                 [query_vectors_list[position][modality] for position in members]
             )
-            with trace_span(
-                "index-search", modality=modality.value, k=fetch,
-                budget=max(budget, fetch), queries=len(members),
-            ) as span:
-                if filter_fn is not None:
-                    results = index.search_batch(
-                        matrix, k=fetch, budget=max(budget, fetch), admit=filter_fn
-                    )
-                else:
-                    results = index.search_batch(
-                        matrix, k=fetch, budget=max(budget, fetch)
-                    )
-                span.set(
-                    hops=sum(r.stats.hops for r in results),
-                    distance_evaluations=sum(
-                        r.stats.distance_evaluations for r in results
-                    ),
-                )
+            results = self._search(
+                index, matrix, fetch, max(budget, fetch), filter_fn,
+                modality=modality.value,
+            )
             outcomes[modality] = dict(zip(members, results))
 
         responses: List[RetrievalResponse] = []

@@ -28,8 +28,6 @@ from repro.retrieval.base import (
     ObjectFilter,
     RetrievalFramework,
     RetrievalResponse,
-    RetrievedItem,
-    search_capabilities,
 )
 
 
@@ -38,8 +36,8 @@ class MustRetrieval(RetrievalFramework):
 
     Args:
         use_pruning: Enable incremental-scanning early termination during
-            graph traversal (only takes effect on indexes that expose a
-            ``use_pruning`` search flag; others ignore it).
+            graph traversal (every index takes the flag; an exact or cell
+            scan has no beam bound to stop a distance against).
     """
 
     name = "must"
@@ -48,8 +46,6 @@ class MustRetrieval(RetrievalFramework):
         super().__init__()
         self.use_pruning = use_pruning
         self._index: Optional[VectorIndex] = None
-        # What the index's search_batch accepts, read once at setup.
-        self._capabilities: frozenset = frozenset()
         self._schema: Optional[MultiVectorSchema] = None
         self._kernel: Optional[WeightedMultiVectorKernel] = None
 
@@ -82,7 +78,6 @@ class MustRetrieval(RetrievalFramework):
         index = index_builder()
         index.build(matrix, kernel)
         self._index = index
-        self._capabilities = frozenset(search_capabilities(index))
         self._schema = schema
         self._kernel = kernel
         self.kb = kb
@@ -114,11 +109,9 @@ class MustRetrieval(RetrievalFramework):
         a single lockstep graph traversal.
 
         ``weights`` re-weights modalities for this call only ("modality
-        weights at the query point"): the navigation graph is
-        weight-agnostic structure, so per-call weights plug straight into
-        the traversal when the index supports a kernel override, and are
-        applied by re-ranking an over-fetched candidate set otherwise
-        (per query — the candidate list is short).
+        weights at the query point"): the index is weight-agnostic
+        structure, so the re-weighted kernel is handed to ``search_batch``
+        and the answer is the index's answer under those weights.
 
         ``filter_fn`` restricts results to object ids satisfying the
         predicate (metadata-filtered vector search); graph traversal still
@@ -145,68 +138,11 @@ class MustRetrieval(RetrievalFramework):
         if weights is not None:
             with trace_span("weight-inference", modalities=len(weights)):
                 override = self._kernel.with_weights(weights)
-        filter_fn = self._compose_filter(filter_fn)
-
-        capabilities = self._capabilities
-        kwargs = {}
-        if "use_pruning" in capabilities:
-            kwargs["use_pruning"] = self.use_pruning
-        push_kernel = override is not None and "kernel" in capabilities
-        if push_kernel:
-            kwargs["kernel"] = override
-        push_filter = filter_fn is not None and "admit" in capabilities
-        if push_filter:
-            kwargs["admit"] = filter_fn
-
-        rerank = override is not None and not push_kernel
-        post_filter = filter_fn is not None and not push_filter
-        fetch = k
-        if rerank or post_filter:
-            fetch = max(4 * k, k)
-        with trace_span(
-            "index-search", k=fetch, budget=budget, queries=len(queries)
-        ) as span:
-            outcomes = self._index.search_batch(
-                concatenated, k=fetch, budget=budget, **kwargs
-            )
-            span.set(
-                hops=sum(o.stats.hops for o in outcomes),
-                distance_evaluations=sum(
-                    o.stats.distance_evaluations for o in outcomes
-                ),
-            )
-        responses: List[RetrievalResponse] = []
-        for position, outcome in enumerate(outcomes):
-            if post_filter:
-                keep = [
-                    i for i, object_id in enumerate(outcome.ids)
-                    if filter_fn(object_id)
-                ]
-                outcome.ids = [outcome.ids[i] for i in keep]
-                outcome.distances = [outcome.distances[i] for i in keep]
-            if rerank and outcome.ids:
-                with trace_span("rerank", candidates=len(outcome.ids)):
-                    rescored = override.batch(
-                        concatenated[position], self._index.vectors[outcome.ids]
-                    )
-                    # kind="stable" preserves candidate order on score ties.
-                    order = np.argsort(rescored, kind="stable")
-                    outcome.ids = [outcome.ids[i] for i in order]
-                    outcome.distances = [float(rescored[i]) for i in order]
-            outcome.ids = outcome.ids[:k]
-            outcome.distances = outcome.distances[:k]
-            items = [
-                RetrievedItem(object_id=object_id, score=distance, rank=rank)
-                for rank, (object_id, distance) in enumerate(
-                    zip(outcome.ids, outcome.distances)
-                )
-            ]
-            responses.append(
-                RetrievalResponse(
-                    framework=self.name, items=items, stats=outcome.stats
-                )
-            )
-        return responses
+        outcomes = self._search(
+            self._index, concatenated, k, budget, filter_fn,
+            kernel=override, use_pruning=self.use_pruning,
+        )
+        return [self._respond(outcome) for outcome in outcomes]
 
     def describe(self) -> str:
         base = super().describe()

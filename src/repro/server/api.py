@@ -50,11 +50,12 @@ All responses are ``{"ok": True, ...}`` or ``{"ok": False, "error": ...}``.
 
 from __future__ import annotations
 
+import numbers
 import threading
 import time
 import traceback
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.core import ConfigurationPanel, MQAConfig, QAPanel, StatusPanel
 from repro.core.concurrency import (
@@ -403,6 +404,31 @@ class ApiServer:
         except (TypeError, ValueError):
             raise ApiError(f"{field!r} must be an integer, got {value!r}") from None
 
+    @staticmethod
+    def _weights_field(body: Dict[str, Any]) -> "Dict[Modality, float] | None":
+        """The request's per-query ``weights`` as ``{Modality: float}``, or
+        None.  Shape, names and number-ness are checked here, once; whether
+        the numbers make a weighting (finite, non-negative, not all zero,
+        every modality present) is the kernel's check, which library
+        callers share."""
+        raw = body.get("weights")
+        if raw is None:
+            return None
+        if not isinstance(raw, Mapping):
+            raise ApiError(f"'weights' must map modality names to numbers, got {raw!r}")
+        weights = {}
+        for name, value in raw.items():
+            try:
+                modality = Modality.parse(name)
+            except ValueError as exc:
+                raise ApiError(f"'weights': {exc}") from None
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ApiError(
+                    f"'weights' value for {name!r} must be a number, got {value!r}"
+                )
+            weights[modality] = float(value)
+        return weights
+
     # ------------------------------------------------------------------
     # configuration endpoints
     # ------------------------------------------------------------------
@@ -589,7 +615,7 @@ class ApiServer:
             reference = coordinator.get_object(int(body["reference_object_id"]))
             image = reference.get(Modality.IMAGE)
         ask = qa.session.ask_agentic if verb == "ask" else qa.session.ask
-        weights = body.get("weights")
+        weights = self._weights_field(body)
         deadline_ms = self._deadline_override(body)
         answer = self._timed_verb(
             coordinator,
@@ -607,7 +633,7 @@ class ApiServer:
     def _post_refine(self, body: Dict[str, Any]) -> Dict[str, Any]:
         coordinator, qa = self._require_system(body)
         text = self._require_field(body, "text")
-        weights = body.get("weights")
+        weights = self._weights_field(body)
         deadline_ms = self._deadline_override(body)
         answer = self._timed_verb(
             coordinator,
@@ -696,7 +722,7 @@ class ApiServer:
     def _post_search(self, body: Dict[str, Any]) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
         k = self._int_field(body, "k", None)
-        weights = body.get("weights")
+        weights = self._weights_field(body)
         if "queries" in body:
             specs = body["queries"]
             if not isinstance(specs, (list, tuple)) or not specs:

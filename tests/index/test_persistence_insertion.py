@@ -55,11 +55,9 @@ class TestPersistence:
         keyword surface, same override-kernel check."""
         from repro.errors import SearchError
         from repro.index.pipeline_builder import PipelineGraphIndex
-        from repro.retrieval import search_capabilities
 
         loaded = load_index(save_index(built_vamana, tmp_path_factory.mktemp("idx")))
         assert type(loaded).search_batch is PipelineGraphIndex.search_batch
-        assert search_capabilities(loaded) == search_capabilities(built_vamana)
         admit = [None, lambda i: i % 2 == 0] * 5
         for kwargs in ({}, {"admit": admit}, {"use_pruning": True}):
             original = built_vamana.search_batch(queries, k=5, budget=32, **kwargs)

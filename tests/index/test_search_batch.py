@@ -5,9 +5,10 @@ batch of one), so there is no second implementation to compare with; what
 must hold instead is *batch-composition independence*: row ``i`` of a B=N
 call equals the B=1 call for that row — identical result ids,
 bit-identical distances, identical work counters (hops, distance
-evaluations).  Hypothesis draws query subsets, ``k``, and admit-filter
-shapes (none / shared / per-query) against every index family;
-``derandomize=True`` keeps CI deterministic.  The independent references
+evaluations).  Hypothesis draws query subsets, ``k``, admit-filter shapes
+(none / shared / per-query), a kernel override and ``use_pruning`` against
+every index family — every family declares the base class's options and
+honours each; ``derandomize=True`` keeps CI deterministic.  The independent references
 are elsewhere and unchanged: ``test_search.py`` (hand-built graphs with
 known answers) and the flat-oracle recall floors.
 
@@ -19,6 +20,7 @@ normaliser's error.
 
 from __future__ import annotations
 
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -33,7 +35,15 @@ from repro.distance import (
     WeightedMultiVectorKernel,
 )
 from repro.errors import SearchError
-from repro.index import FlatIndex, load_index, save_index
+from repro.index import (
+    FlatIndex,
+    FrozenGraphIndex,
+    VectorIndex,
+    available_indexes,
+    build_index,
+    load_index,
+    save_index,
+)
 from repro.index.hnsw import HnswIndex, HnswParams
 from repro.index.ivf import IvfIndex, IvfParams
 from repro.index.nsg import NsgIndex, NsgParams
@@ -51,6 +61,32 @@ FAST_VAMANA = VamanaParams(max_degree=10, candidate_pool=24, build_budget=32)
 FAMILIES = [
     "flat", "ivf", "hnsw", "vamana", "nsg", "starling", "starling-tiered", "frozen",
 ]
+GRAPH_FAMILIES = [name for name in FAMILIES if name not in ("flat", "ivf")]
+
+
+def _kernels():
+    schema = MultiVectorSchema({Modality.TEXT: DIM // 2, Modality.IMAGE: DIM // 2})
+    return {
+        "single": lambda: SingleVectorKernel(DIM, chunk_size=4),
+        "multivector": lambda: WeightedMultiVectorKernel(schema, [1.3, 0.7]),
+    }
+
+
+def test_every_index_declares_the_base_signature():
+    """``search_batch`` is declared once: every registered index (and the
+    restored one) takes the abstract base's parameters — names, order,
+    kinds, defaults — so an option exists on all of them or on none."""
+    def declared(cls):
+        return [
+            (p.name, p.kind, p.default)
+            for p in inspect.signature(cls.search_batch).parameters.values()
+        ]
+
+    classes = {name: type(build_index(name)) for name in available_indexes()}
+    classes["frozen"] = FrozenGraphIndex
+    assert len(classes) >= 9, "the registry lost its indexes"
+    for name, cls in classes.items():
+        assert declared(cls) == declared(VectorIndex), name
 
 
 def _unit_rows(seed: int, n: int) -> np.ndarray:
@@ -140,15 +176,24 @@ def test_search_batch_matches_serial(name, built_indexes, queries, data):
         data.draw(st.sampled_from([None, "shared", "per-query"]), label="admit"),
         positions,
     )
+    override = data.draw(
+        st.sampled_from([None, "single", "multivector"]), label="kernel"
+    )
+    use_pruning = data.draw(st.booleans(), label="use_pruning")
+
+    def kernel():  # a fresh one per call: kernels carry their own counters
+        return None if override is None else _kernels()[override]()
 
     batched = index.search_batch(
-        queries[positions], k=k, budget=BUDGET, admit=admit
+        queries[positions], k=k, budget=BUDGET, kernel=kernel(), admit=admit,
+        use_pruning=use_pruning,
     )
     assert len(batched) == len(positions)
     for row, (outcome, position) in enumerate(zip(batched, positions)):
         one = admit[row] if isinstance(admit, list) else admit
         alone = index.search_batch(
-            queries[position][None], k=k, budget=BUDGET, admit=one
+            queries[position][None], k=k, budget=BUDGET, kernel=kernel(), admit=one,
+            use_pruning=use_pruning,
         )
         assert len(alone) == 1
         _assert_same(outcome, alone[0], f"{name} row {row}")
@@ -179,21 +224,22 @@ def test_search_batch_per_query_admit_length_mismatch(built_indexes, queries):
 # ----------------------------------------------------------------------
 # what only the serial body used to cover, through the shared core
 # ----------------------------------------------------------------------
-def _kernels():
-    schema = MultiVectorSchema({Modality.TEXT: DIM // 2, Modality.IMAGE: DIM // 2})
-    return {
-        "single": lambda: SingleVectorKernel(DIM, chunk_size=4),
-        "multivector": lambda: WeightedMultiVectorKernel(schema, [1.3, 0.7]),
-    }
-
-
-@pytest.mark.parametrize("kernel_name", ["single", "multivector"])
+@pytest.mark.parametrize(
+    "kernel_name, name",
+    [
+        # vamana keeps the ids it had as the only family this ran on
+        pytest.param(kernel, name, id=kernel if name == "vamana" else f"{kernel}-{name}")
+        for name in GRAPH_FAMILIES
+        for kernel in ("single", "multivector")
+    ],
+)
 def test_pruned_search_batch_equals_unpruned_with_less_work(
-    built_indexes, queries, kernel_name
+    built_indexes, queries, kernel_name, name
 ):
     """Incremental scanning (E5) is a per-beam scoring mode of the one
-    core: same answers as the vectorised mode, fewer segments computed."""
-    index = built_indexes["vamana"]
+    core, reachable through every graph family: same answers as the
+    vectorised mode, fewer segments computed."""
+    index = built_indexes[name]
     plain_kernel = _kernels()[kernel_name]()
     pruned_kernel = _kernels()[kernel_name]()
     plain = index.search_batch(queries, k=5, budget=BUDGET, kernel=plain_kernel)

@@ -8,7 +8,14 @@ the ambient stage-timer machinery produced at commit ``2e049b5``:
 (``python -m tests.observability.test_cost_fold``) at that commit, so every
 path — unsharded, cached, tiered, inline and pooled scatter, batches, an
 agentic round — must keep its stage keys, shard rows, signature and
-``/stats`` observation counts.
+``/stats`` observation counts.  Four entries have been edited by hand
+since, and nothing else in the file: the ``round-weights`` operation of
+``must``, ``must-flat``, ``must-nocache`` and ``tiered-sq8`` lost its
+``fuse`` stage (stage list and ``/stats`` count) when per-query weights
+stopped being an over-fetch re-ranked outside the index, and its work
+counters on ``hnsw`` / tiered ``starling`` are now those of one ``k``-wide
+search under the requested weights (155 for 154 evaluations; 64 hops, 140
+evaluations, 20 re-rank reads for 80, 149, 80 — ``k`` re-ranked, not ``4k``).
 """
 
 import json
@@ -47,7 +54,6 @@ class TestFoldSpan:
             ("encode", "encode"),
             ("index-search", "search"),
             ("fusion", "fuse"),
-            ("rerank", "fuse"),
             ("retrieval", "retrieve"),
             ("shard-merge", "merge"),
             ("generation", "generate"),
@@ -69,7 +75,7 @@ class TestFoldSpan:
                 span("index-search", 2.0, modality="text"),
                 span("index-search", 3.0, modality="image"),
                 span("fusion", 0.25),
-                span("rerank", 0.5),
+                span("fusion", 0.5),
             ]),
         ])
         assert folded(tree).stage_ms == {

@@ -4,24 +4,12 @@ import pytest
 
 from repro.data import Modality, RawQuery
 from repro.index import build_index
-from repro.retrieval import MustRetrieval, build_framework, search_capabilities
+from repro.retrieval import MustRetrieval, build_framework
 
 
 def concept_filter(kb, concept):
     """Admit only objects carrying ``concept``."""
     return lambda object_id: concept in kb.get(object_id).concepts
-
-
-class TestSearchCapabilities:
-    def test_pipeline_index_supports_everything(self):
-        index = build_index("nav-must")
-        capabilities = search_capabilities(index)
-        assert {"kernel", "admit", "use_pruning"} <= capabilities
-
-    def test_flat_supports_admit_only(self):
-        capabilities = search_capabilities(build_index("flat"))
-        assert "admit" in capabilities
-        assert "kernel" not in capabilities
 
 
 class TestFilteredMust:

@@ -99,3 +99,68 @@ class TestDialogueFlow:
         response = applied_server.handle("GET", "/events")
         kinds = [event["kind"] for event in response["events"]]
         assert kinds[:5] == ["configuration", "knowledge-base", "objects", "vectors", "llm"]
+
+
+HOSTILE_WEIGHTS = [
+    ("heavy", "must map modality names to numbers"),
+    (["text", 1.0], "must map modality names to numbers"),
+    ({"text": "x", "image": 1}, "value for 'text' must be a number, got 'x'"),
+    ({"smell": 1, "text": 1, "image": 1}, "'weights': unknown modality 'smell'"),
+    ({7: 1, "text": 1, "image": 1}, "'weights': unknown modality 7"),
+    ({"text": float("nan"), "image": 1.0}, "modality weights must be finite"),
+    # Refused before this PR too, by the kernel; the messages are kept.
+    ({"text": 1.0}, "weights missing for modalities: image"),
+    ({"text": -1.0, "image": 1.0}, "modality weights must be non-negative"),
+    ({"text": 0.0, "image": 0.0}, "modality weights must not all be zero"),
+]
+
+
+class TestHostileWeights:
+    """A ``weights`` body is parsed once at the boundary and its values are
+    checked where every caller's are (the kernel): whatever a client sends,
+    ``handle`` answers ``{"ok": False, "error": ...}`` and raises nothing —
+    and a NaN weight is refused, not served as ten items scored ``nan``."""
+
+    @pytest.fixture()
+    def refinable(self, applied_server):
+        """A fresh session holding a selection, so ``/refine`` can run."""
+        session = applied_server.handle("POST", "/session/new")["session"]
+        asked = applied_server.handle(
+            "POST", "/query", {"text": "foggy clouds", "session": session}
+        )
+        assert asked["ok"], asked
+        assert applied_server.handle(
+            "POST", "/select", {"rank": 0, "session": session}
+        )["ok"]
+        return session
+
+    @pytest.mark.parametrize("route", ["/query", "/refine", "/search"])
+    @pytest.mark.parametrize("weights, message", HOSTILE_WEIGHTS)
+    def test_refused_as_an_error_payload(
+        self, applied_server, refinable, route, weights, message
+    ):
+        response = applied_server.handle(
+            "POST", route,
+            {"text": "at dusk", "session": refinable, "weights": weights},
+        )
+        assert response["ok"] is False
+        assert message in response["error"]
+
+    def test_a_batch_body_is_checked_the_same_way(self, applied_server):
+        response = applied_server.handle(
+            "POST", "/search",
+            {"queries": [{"text": "at dusk"}], "weights": {"text": "x", "image": 1}},
+        )
+        assert response == {
+            "ok": False,
+            "error": "'weights' value for 'text' must be a number, got 'x'",
+        }
+
+    def test_well_formed_weights_still_answer(self, applied_server, refinable):
+        for route in ("/refine", "/search", "/query"):  # /query opens a new round
+            response = applied_server.handle(
+                "POST", route,
+                {"text": "at dusk", "session": refinable,
+                 "weights": {"text": 1.8, "image": 0.2}},
+            )
+            assert response["ok"], response

@@ -219,3 +219,43 @@ class TestServerSurface:
             assert any("shard 0 unavailable" in reason for reason in reasons)
         finally:
             server.close()
+
+
+class TestModalityDropBehindTheRouter:
+    """One capability reader: the degradation stage asks the framework what
+    it takes, and a router answers for the framework it wraps — so a JE
+    deployment that lost its image encoder drops the modality *without*
+    sending the weights JE cannot take, at any shard count."""
+
+    def _degraded_answer(self, shards):
+        from repro.core import MQASystem
+
+        system = MQASystem.from_config(
+            MQAConfig(
+                dataset=DatasetSpec(domain="scenes", size=48, seed=7),
+                framework="je",
+                encoder_set="clip-joint",
+                index="flat",
+                shards=shards,
+                resilience=True,
+                faults={"encoder.image": {"error_rate": 1.0}},
+                llm="none",
+            )
+        )
+        reference = system.coordinator.get_object(3)
+        from repro.data import Modality
+
+        return system.ask("foggy clouds", image=reference.get(Modality.IMAGE))
+
+    def test_sharded_je_keeps_its_degraded_answers(self):
+        plain = self._degraded_answer(None)
+        assert plain.degraded_reasons == [
+            "modality image dropped (InjectedFaultError)"
+        ]
+        assert len(plain.items) == 5
+        for shards in (1, 2):
+            sharded = self._degraded_answer(shards)
+            assert sharded.degraded_reasons == plain.degraded_reasons, shards
+            assert [item.object_id for item in sharded.items] == [
+                item.object_id for item in plain.items
+            ], shards

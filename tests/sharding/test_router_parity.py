@@ -112,6 +112,25 @@ class TestShardedIdIdentity:
                 router.retrieve(query, k=K, budget=BUDGET),
             )
 
+    @pytest.mark.parametrize("weights", [{"text": 1.8, "image": 0.2}])
+    def test_per_query_weights_over_flat(self, scenes_kb, clip_set, weights):
+        """Per-query weights reach every shard's scan, so the merge of exact
+        per-shard answers under ``weights`` is the exact global answer under
+        ``weights`` (re-ranked per-shard over-fetch pools were not)."""
+        plain = baseline(scenes_kb, clip_set, "must", "flat")
+        router = make_router(scenes_kb, clip_set, shards=3)
+        objects = list(scenes_kb)
+        for one, other in zip(objects[:12], objects[60:72]):
+            # One object's text with another's image: the modalities
+            # disagree, so the weighting decides the ranking.
+            query = RawQuery.from_text_and_image(
+                str(one.get("text")), other.get("image")
+            )
+            assert_same_topk(
+                plain.retrieve(query, k=K, budget=BUDGET, weights=weights),
+                router.retrieve(query, k=K, budget=BUDGET, weights=weights),
+            )
+
     @pytest.mark.parametrize("index", sorted(available_indexes()))
     def test_every_index_type(self, scenes_kb, clip_set, index):
         """The merge holds for exact and graph indexes alike: the budget

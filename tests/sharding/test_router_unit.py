@@ -196,6 +196,20 @@ class TestCapabilityMirroring:
         ):
             router.retrieve(query, k=K, budget=BUDGET, weights={"text": 2.0})
 
+    def test_execution_refuses_for_the_inner_framework(self, scenes_kb, clip_set):
+        """Query execution reads the router's capabilities — the inner
+        framework's — and names the framework that cannot, as unsharded."""
+        from repro.core.execution import QueryExecution
+        from repro.errors import SearchError
+
+        router = make_router(scenes_kb, clip_set, framework="je", shards=2)
+        with pytest.raises(
+            SearchError, match="framework 'je' does not support per-query modality"
+        ):
+            QueryExecution(router).execute(
+                query_pool(scenes_kb)[0], k=K, budget=BUDGET, weights={"text": 2.0}
+            )
+
     def test_fanout_is_a_router_only_capability(self, scenes_kb, clip_set):
         """``fanout`` reaches the one scatter body — batches included, where
         the planner's degraded mode used to be dropped — and only the

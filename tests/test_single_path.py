@@ -218,3 +218,53 @@ def test_a_block_is_timed_once():
     for body in bodies:
         source = inspect.getsource(body)
         assert "perf_counter" not in source and "Timer" not in source, body.__qualname__
+
+
+def test_a_search_option_is_declared_once():
+    """``search_batch``'s options are declared on the abstract base and
+    nowhere else, so nobody has to ask an index what it takes: every
+    ``VectorIndex`` under ``repro`` repeats the base's parameter list, the
+    one ``inspect.signature`` call left reads a *framework's* keywords
+    (``RetrievalFramework.capabilities``), the frameworks reach an index
+    only through ``RetrievalFramework._search`` and re-rank nothing
+    themselves, and no stage row waits for a ``rerank`` span."""
+    import repro.retrieval
+    from repro.observability.costs import STAGE_OF_SPAN
+    from repro.retrieval import (
+        JointEmbeddingRetrieval,
+        MultiStreamedRetrieval,
+        MustRetrieval,
+    )
+
+    def declared(cls):
+        return [
+            (p.name, p.kind, p.default)
+            for p in inspect.signature(cls.search_batch).parameters.values()
+        ]
+
+    sniffers = []
+    for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        sniffers += [
+            name for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", "") == "signature"
+            and getattr(node.func.value, "id", "") == "inspect"
+        ]
+    assert sniffers == ["repro.retrieval.base"]
+    assert not hasattr(repro.retrieval, "search_" + "capabilities")
+
+    indexes = sorted(set(_subclasses(VectorIndex)), key=lambda c: c.__qualname__)
+    assert len(indexes) >= 8, "the package walk lost the concrete classes"
+    for cls in indexes:
+        assert declared(cls) == declared(VectorIndex), cls.__qualname__
+    assert [name for name, _, _ in declared(VectorIndex)][-3:] == [
+        "kernel", "admit", "use_pruning",
+    ]
+
+    for framework in (JointEmbeddingRetrieval, MultiStreamedRetrieval, MustRetrieval):
+        source = inspect.getsource(framework.retrieve_batch)
+        assert "_search(" in source, framework.__qualname__
+        assert "search_batch(" not in source, framework.__qualname__
+        assert "argsort" not in source, framework.__qualname__
+    assert "rerank" not in STAGE_OF_SPAN
