@@ -384,6 +384,22 @@ class MQAConfig:
             _check(spec, getattr(self, spec.name))
         if self.weight_mode is WeightMode.FIXED and not self.fixed_weights:
             raise ConfigurationError("weight_mode 'fixed' requires fixed_weights")
+        if self.weight_mode is WeightMode.LEARNED:
+            # Same idea as the fault specs below: the learner's own checks
+            # run here, so a bad override is refused at configuration time
+            # and not after the knowledge base has been generated.
+            from repro.weights import WeightLearningConfig
+
+            try:
+                WeightLearningConfig(**self.weight_learning)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"invalid weight_learning: {exc}") from exc
+            if self.external_knowledge and self.dataset.size < 2:
+                raise ConfigurationError(
+                    "weight_mode 'learned' contrasts objects and needs at "
+                    f"least two, got dataset.size={self.dataset.size}; use "
+                    "'equal' or 'fixed'"
+                )
         if self.faults:
             # Reuse the injector's own validation so the config panel and
             # CLI reject bad specs at configuration time, not mid-query.

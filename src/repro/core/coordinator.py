@@ -340,7 +340,11 @@ class Coordinator:
                 resilience=self.resilience,
                 events=self.events,
                 metrics=self.metrics,
+                corpus=self.representation.corpus,
             )
+        # The index holds its rows now; a second reference here would go
+        # stale at the first ingest.
+        self.representation.corpus = None
         self.execution = QueryExecution(
             framework,
             cache=self._build_cache(),

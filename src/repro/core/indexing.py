@@ -36,9 +36,12 @@ class IndexConstruction:
         resilience=None,
         events=None,
         metrics=None,
+        corpus=None,
     ) -> RetrievalFramework:
         """Set up the retrieval framework over ``kb`` and return it.
 
+        ``corpus`` is the representation stage's encoded ``kb``, handed on
+        to ``setup`` (see :meth:`RetrievalFramework.setup`);
         ``resilience`` (the coordinator's manager) is only used by the
         shard router, which guards each shard search under a per-shard
         breaker site; ``events`` and ``metrics`` likewise flow to the
@@ -78,9 +81,13 @@ class IndexConstruction:
                 events=events,
                 metrics=metrics,
             )
-            router.setup(kb, encoder_set, index_builder, weights=weights)
+            router.setup(
+                kb, encoder_set, index_builder, weights=weights, corpus=corpus
+            )
             return router
 
         framework = build_framework(config.framework)
-        framework.setup(kb, encoder_set, index_builder, weights=weights)
+        framework.setup(
+            kb, encoder_set, index_builder, weights=weights, corpus=corpus
+        )
         return framework

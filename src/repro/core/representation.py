@@ -1,13 +1,16 @@
 """Component 2: vector representation.
 
-Builds the configured encoder set and produces the modality weights —
-learned through contrastive training, fixed from user input, or equal.
+Builds the configured encoder set, encodes the knowledge base once into
+per-modality matrices, and produces the modality weights — learned through
+contrastive training over those matrices, fixed from user input, or equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional
+
+import numpy as np
 
 from repro.core.config import MQAConfig, WeightMode
 from repro.data.knowledge_base import KnowledgeBase
@@ -31,11 +34,17 @@ class RepresentationOutcome:
         weights: Modality weights for the multi-vector distance.
         learning_report: The contrastive run's report (None unless
             weight_mode is LEARNED).
+        corpus: The encoded knowledge base (``encode_corpus`` matrices, row
+            ``i`` = object ``i``) — the one encode of a set-up, shared by
+            the weight learner and index construction.  The coordinator
+            clears it once the index is built: an ingest would make it
+            stale, and the index holds its own rows.
     """
 
     encoder_set: EncoderSet
     weights: Dict[Modality, float]
     learning_report: Optional[WeightLearningReport] = None
+    corpus: Optional[Dict[Modality, np.ndarray]] = None
 
 
 class VectorRepresentation:
@@ -44,24 +53,23 @@ class VectorRepresentation:
     name = "vector representation"
 
     def run(self, config: MQAConfig, kb: KnowledgeBase) -> RepresentationOutcome:
-        """Build encoders and weights for ``kb`` per ``config``."""
+        """Build encoders, encode ``kb`` once and weigh its modalities."""
         encoder_set = build_encoder_set(config.encoder_set, kb)
+        corpus = encoder_set.encode_corpus(list(kb))
+        report = None
         mode = config.weight_mode
         if mode is WeightMode.EQUAL:
-            return RepresentationOutcome(
-                encoder_set=encoder_set,
-                weights=equal_weights(encoder_set.modalities),
-            )
-        if mode is WeightMode.FIXED:
+            weights = equal_weights(encoder_set.modalities)
+        elif mode is WeightMode.FIXED:
             assert config.fixed_weights is not None  # validated by MQAConfig
-            return RepresentationOutcome(
-                encoder_set=encoder_set,
-                weights=fixed_weights(encoder_set.modalities, config.fixed_weights),
-            )
-        learner = VectorWeightLearner(WeightLearningConfig(**config.weight_learning))
-        report = learner.fit(kb, encoder_set)
+            weights = fixed_weights(encoder_set.modalities, config.fixed_weights)
+        else:
+            learner = VectorWeightLearner(WeightLearningConfig(**config.weight_learning))
+            report = learner.fit(kb, encoder_set, corpus=corpus)
+            weights = report.weights
         return RepresentationOutcome(
             encoder_set=encoder_set,
-            weights=report.weights,
+            weights=weights,
             learning_report=report,
+            corpus=corpus,
         )

@@ -221,12 +221,15 @@ class ShardReplica:
         encoder_set,
         index_builder: IndexBuilder,
         weights,
+        corpus=None,
     ) -> None:
         """Localise ``objects`` and build this replica's framework.
 
-        An empty shard stays frameworkless (indexes cannot build over an
-        empty matrix) and answers every search with no results; the first
-        :meth:`add` builds it lazily.
+        ``corpus`` is the encoded ``objects`` (row ``i`` = ``objects[i]``),
+        as :meth:`RetrievalFramework.setup` takes it.  An empty shard stays
+        frameworkless (indexes cannot build over an empty matrix) and
+        answers every search with no results; the first :meth:`add` builds
+        it lazily.
         """
         self._factory = framework_factory
         self._encoder_set = encoder_set
@@ -240,7 +243,8 @@ class ShardReplica:
         if len(self._view):
             framework = framework_factory()
             framework.setup(
-                self._view, encoder_set, index_builder, weights=weights
+                self._view, encoder_set, index_builder, weights=weights,
+                corpus=corpus,
             )
             self.framework = framework
 
@@ -616,22 +620,34 @@ class ShardRouter(RetrievalFramework):
         encoder_set,
         index_builder: IndexBuilder,
         weights: "Dict[Modality, float] | None" = None,
+        corpus=None,
     ) -> None:
-        """Partition ``kb`` and build every shard's replica set."""
+        """Partition ``kb`` and build every shard's replica set.
+
+        Every replica indexes its rows of the one encoded corpus, so a
+        shard's vectors are the unsharded build's vectors to the bit.
+        """
         start = time.perf_counter()
+        corpus = self._corpus(kb, encoder_set, corpus)
         assignments: List[List[MultiModalObject]] = [[] for _ in range(self.shards)]
-        for obj in kb:
+        rows: List[List[int]] = [[] for _ in range(self.shards)]
+        for row, obj in enumerate(kb):
             shard = self.partitioner.assign(obj)
             self._owner[obj.object_id] = shard
             assignments[shard].append(obj)
+            rows[shard].append(row)
         self.groups = []
         for shard_index, objects in enumerate(assignments):
+            shard_corpus = {
+                modality: matrix[rows[shard_index]]
+                for modality, matrix in corpus.items()
+            }
             replicas = []
             for replica_index in range(self.replica_count):
                 replica = ShardReplica(shard_index, replica_index)
                 replica.build(
                     objects, self._framework_factory, encoder_set,
-                    index_builder, weights,
+                    index_builder, weights, corpus=shard_corpus,
                 )
                 replicas.append(replica)
             self.groups.append(

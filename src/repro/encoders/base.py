@@ -42,10 +42,14 @@ class Encoder(abc.ABC):
 
         The default loops over :meth:`encode`; encoders whose pipeline is a
         linear map override it with one matrix multiply over the whole
-        batch.  Batched corpus vectors may differ from the looped ones at
-        the last-ulp level (gemm accumulation order), which is why only
-        corpus encoding uses this path — query encoding stays per-query so
-        batched retrieval matches serial retrieval bit-for-bit.
+        batch.  Batched vectors may differ from the looped ones at the
+        last-ulp level (gemm accumulation order), which is why only set-up
+        uses this path: corpus encoding, and the weight learner's augmented
+        views (one entry per modality per training step — its distances are
+        averaged into a gradient, so an ulp is noise there).  Query encoding
+        stays per-query: a query's vectors must be the same floats whether
+        it arrives alone or in a batch, so that batched retrieval matches
+        serial retrieval bit-for-bit.
         """
         return np.stack([self.encode(modality, content) for content in contents])
 

@@ -15,7 +15,7 @@ detail — the weakness Figure 5 of the paper shows for JE.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -67,6 +67,11 @@ class SimulatedClipEncoder(Encoder):
             Modality.TEXT: l2_normalize(gap_rng.standard_normal(output_dim)),
             Modality.IMAGE: l2_normalize(gap_rng.standard_normal(output_dim)),
         }
+        # The concept table as one matrix: the batched text branch gathers
+        # rows of it instead of stacking ``Concept.vector`` objects per item.
+        names = space.names
+        self._concept_row = {name: row for row, name in enumerate(names)}
+        self._concept_table = np.stack([space.get(name).vector for name in names])
 
     @property
     def output_dim(self) -> int:
@@ -105,6 +110,32 @@ class SimulatedClipEncoder(Encoder):
         )
         return l2_normalize(stacked.mean(axis=0))
 
+    def _text_latents(self, contents) -> np.ndarray:
+        """``_encode_text`` of every item, to the bit, in a few array steps.
+
+        Texts are grouped by how many concept tokens they carry; a group's
+        token rows are gathered from the concept table as one ``(g, c, d)``
+        block whose ``mean(axis=1)`` adds the same ``c`` rows in the same
+        order as the per-item ``np.stack(...).mean(axis=0)``.  An item with
+        no concept token (or that is no string at all) goes through
+        ``_encode_text``, which raises or falls back to pseudo-embeddings.
+        """
+        latents = np.empty((len(contents), self.space.latent_dim))
+        row_of = self._concept_row
+        groups: Dict[int, Tuple[List[int], List[List[int]]]] = {}
+        for position, content in enumerate(contents):
+            tokens = TextRenderer.tokenize(content) if isinstance(content, str) else ()
+            rows = [row_of[token] for token in tokens if token in row_of]
+            if rows:
+                positions, gathered = groups.setdefault(len(rows), ([], []))
+                positions.append(position)
+                gathered.append(rows)
+            else:
+                latents[position] = self._encode_text(content)
+        for positions, gathered in groups.values():
+            latents[positions] = l2_normalize(self._concept_table[gathered].mean(axis=1))
+        return latents
+
     def _encode_image(self, content: object) -> np.ndarray:
         image = np.asarray(content, dtype=np.float64)
         if image.size != self.image_renderer.spec.pixels:
@@ -124,13 +155,14 @@ class SimulatedClipEncoder(Encoder):
         return l2_normalize(projected + self.modality_gap * self._gap[modality])
 
     def encode_batch(self, modality: Modality, contents) -> np.ndarray:
-        """Batched branch: latents per item (text) or one gemm (images),
-        then one shared projection gemm and a broadcast modality-gap add."""
+        """Batched branch: latents by concept-table gather (text) or one
+        gemm (images), then one shared projection gemm and a broadcast
+        modality-gap add."""
         modality = self._require_support(modality)
         if not len(contents):
             return np.empty((0, self._output_dim))
         if modality is Modality.TEXT:
-            latents = np.stack([self._encode_text(content) for content in contents])
+            latents = self._text_latents(contents)
         else:
             images = np.stack(
                 [

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
 from repro.data.objects import RawQuery
@@ -117,8 +119,9 @@ class RetrievalFramework(abc.ABC):
         encoder_set: EncoderSet,
         index_builder: IndexBuilder,
         weights: "Dict[Modality, float] | None" = None,
+        corpus: "Dict[Modality, np.ndarray] | None" = None,
     ) -> None:
-        """Encode ``kb`` and build the framework's index structures.
+        """Build the framework's index structures over the encoded ``kb``.
 
         Args:
             kb: The knowledge base to serve.
@@ -127,7 +130,29 @@ class RetrievalFramework(abc.ABC):
                 needs (MR calls it once per modality).
             weights: Modality weights; only MUST uses them, the others
                 accept and ignore them so callers can pass uniformly.
+            corpus: ``encoder_set.encode_corpus(list(kb))`` when the caller
+                already holds it (row ``i`` = the ``i``-th object of
+                ``kb``).  The set-up pipeline encodes once in the
+                representation stage and hands the same matrices to every
+                framework — and, sliced by row, to every shard replica — so
+                MUST, MR, JE and their shards index the same floats.
+                Omitted, the framework encodes ``kb`` itself; every
+                implementation reads it through :meth:`_corpus`.  The
+                matrices are never written (an index that keeps one as its
+                rows copies it on its first ``add``).
         """
+
+    @staticmethod
+    def _corpus(
+        kb: KnowledgeBase,
+        encoder_set: EncoderSet,
+        corpus: "Dict[Modality, np.ndarray] | None",
+    ) -> Dict[Modality, np.ndarray]:
+        """The corpus matrices :meth:`setup` builds over: the ones handed
+        in, else ``kb`` encoded here."""
+        if corpus is None:
+            return encoder_set.encode_corpus(list(kb))
+        return corpus
 
     def retrieve(
         self, query: RawQuery, k: int, budget: int = 64, **kwargs

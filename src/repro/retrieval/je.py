@@ -47,6 +47,8 @@ class JointEmbeddingRetrieval(RetrievalFramework):
 
     @staticmethod
     def _fuse(vectors: Dict[Modality, np.ndarray]) -> np.ndarray:
+        """Normalised mean over modalities — of one object's vectors, or row
+        by row of a corpus's matrices."""
         stacked = np.stack(list(vectors.values()))
         return l2_normalize(stacked.mean(axis=0))
 
@@ -56,6 +58,7 @@ class JointEmbeddingRetrieval(RetrievalFramework):
         encoder_set: EncoderSet,
         index_builder: IndexBuilder,
         weights: "Dict[Modality, float] | None" = None,
+        corpus: "Dict[Modality, np.ndarray] | None" = None,
     ) -> None:
         if not encoder_set.is_joint and len(encoder_set.modalities) > 1:
             raise RetrievalError(
@@ -63,8 +66,7 @@ class JointEmbeddingRetrieval(RetrievalFramework):
                 f"(got {encoder_set.name!r} with per-modality spaces)"
             )
         start = time.perf_counter()
-        joint_rows = [self._fuse(encoder_set.encode_object(obj)) for obj in kb]
-        matrix = np.stack(joint_rows)
+        matrix = self._fuse(self._corpus(kb, encoder_set, corpus))
         kernel = SingleVectorKernel(matrix.shape[1])
         index = index_builder()
         index.build(matrix, kernel)

@@ -61,9 +61,10 @@ class MultiStreamedRetrieval(RetrievalFramework):
         encoder_set: EncoderSet,
         index_builder: IndexBuilder,
         weights: "Dict[Modality, float] | None" = None,
+        corpus: "Dict[Modality, np.ndarray] | None" = None,
     ) -> None:
         start = time.perf_counter()
-        corpus = encoder_set.encode_corpus(list(kb))
+        corpus = self._corpus(kb, encoder_set, corpus)
         self._indexes = {}
         for modality, matrix in corpus.items():
             kernel = SingleVectorKernel(matrix.shape[1])

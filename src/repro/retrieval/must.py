@@ -69,9 +69,10 @@ class MustRetrieval(RetrievalFramework):
         encoder_set: EncoderSet,
         index_builder: IndexBuilder,
         weights: "Dict[Modality, float] | None" = None,
+        corpus: "Dict[Modality, np.ndarray] | None" = None,
     ) -> None:
         start = time.perf_counter()
-        corpus = encoder_set.encode_corpus(list(kb))
+        corpus = self._corpus(kb, encoder_set, corpus)
         schema = MultiVectorSchema(encoder_set.dims())
         kernel = WeightedMultiVectorKernel(schema, weights, prune=True)
         matrix = kernel.stack_corpus(corpus)

@@ -23,6 +23,7 @@ its weight is pushed down — exactly the behaviour the paper describes for
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -65,8 +66,12 @@ class WeightLearningConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        for name in ("steps", "batch_size", "n_negatives"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
@@ -151,13 +156,14 @@ class VectorWeightLearner:
     # ------------------------------------------------------------------
     # training
     # ------------------------------------------------------------------
-    def fit(self, kb: KnowledgeBase, encoder_set: EncoderSet) -> WeightLearningReport:
-        """Learn modality weights for ``kb`` under ``encoder_set``."""
+    def fit(
+        self, kb: KnowledgeBase, encoder_set: EncoderSet,
+        corpus: "Dict[Modality, np.ndarray] | None" = None,
+    ) -> WeightLearningReport:
+        """Learn modality weights for ``kb`` under ``encoder_set``; ``corpus``
+        is the already-encoded ``kb``, when the caller holds it."""
         sampler = ViewPairSampler(
-            kb,
-            encoder_set,
-            n_negatives=self.config.n_negatives,
-            seed=self.config.seed,
+            kb, encoder_set, self.config.n_negatives, self.config.seed, corpus
         )
         modalities = list(encoder_set.modalities)
         count = len(modalities)

@@ -4,6 +4,10 @@ Positives are *augmented views*: the same object re-rendered with fresh
 modality noise and re-encoded.  Negatives are other objects drawn uniformly.
 Neither uses the hidden ground-truth latent, so the learner sees exactly
 what a practitioner with an unlabelled corpus would see.
+
+A step is array work, not a loop over views: set-up trains on ``steps *
+batch_size`` views (1 920 at the defaults), so an encoder entry per view and
+a Python dot product per pair would be the bulk of its representation stage.
 """
 
 from __future__ import annotations
@@ -40,7 +44,13 @@ class ContrastiveBatch:
 
 
 class ViewPairSampler:
-    """Samples contrastive batches from a knowledge base + encoder set."""
+    """Samples contrastive batches from a knowledge base + encoder set.
+
+    ``corpus`` is the encoded ``kb`` (``encode_corpus`` matrices, row ``i`` =
+    object ``i``) when the caller holds it — set-up encodes once and hands
+    the same matrices here and to index construction; without it the sampler
+    encodes.  The rows are the anchors and the negatives.
+    """
 
     def __init__(
         self,
@@ -48,6 +58,7 @@ class ViewPairSampler:
         encoder_set: EncoderSet,
         n_negatives: int = 8,
         seed: int = 0,
+        corpus: "Dict[Modality, np.ndarray] | None" = None,
     ) -> None:
         if len(kb) < 2:
             raise DataError("contrastive sampling needs at least two objects")
@@ -57,46 +68,43 @@ class ViewPairSampler:
         self.encoder_set = encoder_set
         self.n_negatives = n_negatives
         self.seed = seed
-        self._anchor_vectors = encoder_set.encode_corpus(list(kb))
-        self._modalities = list(self._anchor_vectors)
-
-    def _encode_view(self, object_id: int, view_seed: int) -> Dict[Modality, np.ndarray]:
-        content = self.kb.render_view(object_id, view_seed)
-        vectors: Dict[Modality, np.ndarray] = {}
-        for modality in self._modalities:
-            encoder = self.encoder_set.encoder_for(modality)
-            vectors[modality] = encoder.encode(modality, content[modality])
-        return vectors
+        if corpus is None:
+            corpus = encoder_set.encode_corpus(list(kb))
+        self._anchor_vectors = corpus
 
     def sample(self, batch_size: int, step: int) -> ContrastiveBatch:
-        """Draw a deterministic batch for training step ``step``."""
+        """Draw a deterministic batch for training step ``step``.
+
+        The draws are scalar and in a fixed order (the anchors, then per
+        anchor one view seed and a rejection loop for its negatives); what
+        follows them is array work — one ``encode_batch`` per modality over
+        the step's views, one gather over the anchor matrix for negatives.
+        """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         rng = derive_rng(self.seed, "contrastive-batch", step)
         n = len(self.kb)
         anchors = rng.integers(0, n, size=batch_size)
 
-        positive: Dict[Modality, List[float]] = {m: [] for m in self._modalities}
-        negative: Dict[Modality, List[List[float]]] = {m: [] for m in self._modalities}
-        for anchor in anchors:
-            anchor = int(anchor)
-            view = self._encode_view(anchor, view_seed=int(rng.integers(1 << 30)))
-            negatives = []
-            while len(negatives) < self.n_negatives:
+        views: List[dict] = []
+        negatives: List[List[int]] = []
+        for anchor in anchors.tolist():
+            views.append(self.kb.render_view(anchor, int(rng.integers(1 << 30))))
+            drawn: List[int] = []
+            while len(drawn) < self.n_negatives:
                 candidate = int(rng.integers(n))
                 if candidate != anchor:
-                    negatives.append(candidate)
-            for modality in self._modalities:
-                anchor_vec = self._anchor_vectors[modality][anchor]
-                diff = anchor_vec - view[modality]
-                positive[modality].append(float(diff @ diff))
-                row = []
-                for neg in negatives:
-                    diff = anchor_vec - self._anchor_vectors[modality][neg]
-                    row.append(float(diff @ diff))
-                negative[modality].append(row)
+                    drawn.append(candidate)
+            negatives.append(drawn)
 
-        return ContrastiveBatch(
-            positive={m: np.asarray(v) for m, v in positive.items()},
-            negative={m: np.asarray(v) for m, v in negative.items()},
-        )
+        positive: Dict[Modality, np.ndarray] = {}
+        negative: Dict[Modality, np.ndarray] = {}
+        for modality, matrix in self._anchor_vectors.items():
+            encoder = self.encoder_set.encoder_for(modality)
+            view_rows = encoder.encode_batch(modality, [view[modality] for view in views])
+            anchor_rows = matrix[anchors]
+            diff = anchor_rows - view_rows
+            positive[modality] = np.einsum("bd,bd->b", diff, diff)
+            diff = anchor_rows[:, None, :] - matrix[negatives]
+            negative[modality] = np.einsum("bnd,bnd->bn", diff, diff)
+        return ContrastiveBatch(positive=positive, negative=negative)

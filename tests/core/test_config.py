@@ -7,6 +7,15 @@ from repro.data import DatasetSpec
 from repro.errors import ConfigurationError
 
 
+BAD_WEIGHT_LEARNING = [
+    ({"stepz": 3}, "stepz"),
+    ({"steps": "many"}, "steps"),
+    ({"batch_size": 0}, "batch_size"),
+    ({"n_negatives": 0}, "n_negatives"),
+    ({"batch_size": 2.5}, "batch_size"),
+]
+
+
 class TestValidation:
     def test_defaults_valid(self):
         MQAConfig()  # must not raise
@@ -60,6 +69,26 @@ class TestValidation:
     def test_bad_budget(self):
         with pytest.raises(ConfigurationError):
             MQAConfig(search_budget=0)
+
+    @pytest.mark.parametrize("overrides, names", BAD_WEIGHT_LEARNING)
+    def test_bad_weight_learning_is_refused_before_set_up(self, overrides, names):
+        # These used to validate and then kill the representation stage,
+        # after the knowledge base had been generated.
+        with pytest.raises(ConfigurationError, match=names):
+            MQAConfig(dataset=DatasetSpec("scenes", size=50), weight_learning=overrides)
+
+    def test_learned_weights_need_two_objects(self):
+        with pytest.raises(ConfigurationError, match="at least two"):
+            MQAConfig(dataset=DatasetSpec("scenes", size=1))
+        for mode in ("equal", "fixed"):
+            MQAConfig(
+                dataset=DatasetSpec("scenes", size=1),
+                weight_mode=mode,
+                fixed_weights={"text": 1.0, "image": 1.0},
+            )
+
+    def test_weight_learning_is_only_read_when_learning(self):
+        MQAConfig(weight_mode="equal", weight_learning={"stepz": 3})
 
 
 class TestSummary:

@@ -1,9 +1,12 @@
 """Tests for the dataset generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.data import DOMAINS, DatasetSpec, Modality, generate_knowledge_base
+from repro.encoders import build_encoder_set
 from repro.errors import DataError
 
 
@@ -66,3 +69,48 @@ class TestGeneration:
     def test_zero_size_rejected(self):
         with pytest.raises(DataError):
             generate_knowledge_base(DatasetSpec(domain="food", size=0))
+
+
+def _content_digest(kb) -> str:
+    digest = hashlib.sha256()
+    for obj in kb:
+        for modality in kb.modalities:
+            content = obj.get(modality)
+            if isinstance(content, str):
+                digest.update(content.encode("utf-8"))
+            else:
+                digest.update(np.ascontiguousarray(content, dtype=np.float64).tobytes())
+        digest.update(np.ascontiguousarray(obj.latent, dtype=np.float64).tobytes())
+        digest.update("|".join(obj.concepts).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_generated_content_digest():
+    """What set-up is built on, pinned: every object's text, image (and
+    audio) bytes, latent bytes and concepts, and the ``encode_corpus``
+    matrices over them.  The digests were captured at 23a1e17, before the
+    representation stage was made to encode once and the weight learner was
+    vectorised — a change to either must leave all three alone."""
+    scenes = generate_knowledge_base(DatasetSpec("scenes", size=300, seed=7))
+    assert _content_digest(scenes) == (
+        "16c695fabc650cae32954b1adaf35dfafd739a699b7be31a703b74704e2e60ee"
+    )
+    movies = generate_knowledge_base(
+        DatasetSpec(
+            domain="movies",
+            size=150,
+            seed=5,
+            modalities=(Modality.TEXT, Modality.IMAGE, Modality.AUDIO),
+        )
+    )
+    assert _content_digest(movies) == (
+        "7e3c2ec2333422688aba258b13c910c390a4bfbd68ba6af8fee0ec26b6821215"
+    )
+    corpus = build_encoder_set("clip-joint", scenes).encode_corpus(list(scenes))
+    digest = hashlib.sha256()
+    for modality, matrix in corpus.items():
+        digest.update(modality.value.encode("utf-8"))
+        digest.update(np.ascontiguousarray(matrix, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == (
+        "9c8fb130660105bf86d77a4be9f0a0288446297c9ee01c1d8439133c0fec320e"
+    )

@@ -6,6 +6,7 @@ import pytest
 from repro.data import Modality
 from repro.encoders import SimulatedClipEncoder
 from repro.errors import EncodingError
+from repro.utils import l2_normalize
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,42 @@ class TestSharedSpace:
 
     def test_output_compressed(self, clip, scenes_kb):
         assert clip.output_dim < scenes_kb.space.latent_dim
+
+
+class TestBatchedTextBranch:
+    """``encode_batch`` gathers concept-table rows by group instead of
+    calling ``_encode_text`` per item; the latents must be the same floats."""
+
+    def test_same_floats_as_per_item_latents(self, clip, scenes_kb):
+        names = scenes_kb.space.names
+        texts = [
+            names[0],
+            f"a {names[1]} scene with {names[2]}",
+            f"{names[3]} {names[4]} {names[5]}",
+            f"{names[0]} {names[2]} {names[4]} {names[6]} filler words",
+            "qwerty zxcvb",  # no concept token: pseudo-embedding fallback
+            f"{names[1]} {names[1]} {names[7]}",  # a repeated token counts twice
+            f"{names[5].upper()}   {names[6]}",
+            names[0],
+        ]
+        latents = np.stack([clip._encode_text(text) for text in texts])
+        expected = l2_normalize(
+            latents @ clip._projection.T + clip.modality_gap * clip._gap[Modality.TEXT]
+        )
+        np.testing.assert_array_equal(clip.encode_batch(Modality.TEXT, texts), expected)
+
+    def test_same_floats_on_a_rendered_corpus(self, clip, scenes_kb):
+        texts = [obj.get(Modality.TEXT) for obj in scenes_kb]
+        np.testing.assert_array_equal(
+            clip._text_latents(texts),
+            np.stack([clip._encode_text(text) for text in texts]),
+        )
+
+    @pytest.mark.parametrize("bad", ["   ", "", 7, None, ["foggy"]])
+    def test_bad_items_still_raise(self, clip, scenes_kb, bad):
+        good = scenes_kb.get(0).get(Modality.TEXT)
+        with pytest.raises(EncodingError):
+            clip.encode_batch(Modality.TEXT, [good, bad])
 
 
 class TestValidation:

@@ -50,6 +50,24 @@ class TestRouting:
         )
         assert not response["ok"]
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("weight_learning", {"stepz": 3}),
+            ("weight_learning", {"steps": "many"}),
+            ("weight_learning", {"batch_size": 0}),
+            ("weight_learning", {"n_negatives": 0}),
+            ("weight_learning", {"batch_size": 2.5}),
+            ("dataset", {"domain": "scenes", "size": 1}),
+        ],
+    )
+    def test_configure_refuses_what_the_weight_learner_would(self, option, value):
+        # Accepted here, these failed in /apply's representation stage.
+        server = ApiServer(MQAConfig(**FAST_CONFIG_KWARGS))
+        response = server.handle("POST", "/configure", {"option": option, "value": value})
+        assert not response["ok"]
+        assert getattr(server._panel.config, option) == FAST_CONFIG_KWARGS[option]
+
     def test_missing_field(self, applied_server):
         response = applied_server.handle("POST", "/configure", {"option": "framework"})
         assert not response["ok"]

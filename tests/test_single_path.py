@@ -268,3 +268,48 @@ def test_a_search_option_is_declared_once():
         assert "search_batch(" not in source, framework.__qualname__
         assert "argsort" not in source, framework.__qualname__
     assert "rerank" not in STAGE_OF_SPAN
+
+
+def test_set_up_encodes_the_corpus_once():
+    """The representation stage encodes the knowledge base and hands the
+    matrices on; the only other ``encode_corpus(`` calls are the two
+    fall-backs for a caller that holds none (a framework set up directly —
+    one resolver on the base class, which lazy shard builds use too — and a
+    sampler constructed directly).  JE's ``setup`` fuses corpus rows, not
+    objects, and the sampler is array work: no per-view ``encode``, no
+    Python-level dot product."""
+    import repro.weights.sampler
+    from repro.retrieval import JointEmbeddingRetrieval
+
+    def calls(tree, attr):
+        return [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == attr
+        ]
+
+    sites = []
+    for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        sites += [
+            f"{name}:{function.name}"
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for _ in calls(function, "encode_corpus")
+        ]
+    assert sorted(sites) == [
+        "repro.core.representation:run",
+        "repro.retrieval.base:_corpus",
+        "repro.weights.sampler:__init__",
+    ]
+
+    setup = ast.parse(textwrap.dedent(inspect.getsource(JointEmbeddingRetrieval.setup)))
+    assert not calls(setup, "encode_object")
+    assert calls(setup, "_corpus")
+
+    sampler = ast.parse(inspect.getsource(repro.weights.sampler))
+    assert not calls(sampler, "encode")
+    assert calls(sampler, "encode_batch")
+    assert not [
+        node for node in ast.walk(sampler)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]

@@ -15,6 +15,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             WeightLearningConfig(steps=0)
 
+    @pytest.mark.parametrize("name", ["steps", "batch_size", "n_negatives"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, "many", True, None])
+    def test_counts_are_positive_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            WeightLearningConfig(**{name: value})
+
+    def test_numpy_integers_are_integers(self):
+        assert WeightLearningConfig(steps=np.int64(3)).steps == 3
+
     def test_bad_learning_rate(self):
         with pytest.raises(ValueError):
             WeightLearningConfig(learning_rate=0)
