@@ -1,21 +1,21 @@
-"""PR 6 — horizontal sharding: pass-through overhead and read scaling.
+"""PR 6 — horizontal sharding: what it guarantees and what it costs.
 
-Claims pinned here:
+Pinned here:
 
-* **``shards=1`` stays free.**  The router's pass-through adds only a
-  capability check, a replica selection, and a no-op service-time
-  computation per query; the estimated overhead versus the bare
-  framework must be under 1% (estimated like PR 5's disabled claim —
-  the direct difference is far below machine noise), and the responses
-  are *bit-identical*.
-* **≥2× read throughput at 4 shards.**  Under the simulated remote-shard
-  service time (``shard_latency_ms_per_1k`` models a shard server
-  scanning its partition; the sleeps release the GIL exactly as network
-  waits would), four shards each hold a quarter of the corpus and their
-  service times overlap on the scatter pool — so the same workload runs
-  at least twice as fast as a single shard carrying the whole corpus.
+* **``shards=1`` stays free.**  The router's pass-through adds the
+  ready / ``k`` / option checks and a replica selection per call; the
+  estimated overhead versus the bare framework must be under 1% (estimated
+  like PR 5's disabled claim — the direct difference is far below machine
+  noise), and the responses are *bit-identical*.
 * **Ids never change.**  Every run's read result ids are asserted
   identical across the unsharded engine, 1 shard, and 4 shards.
+
+Reported, not asserted (it is wall time): the p50 of one framework-level
+read at each shard count.  In process, under the GIL, shards are CPU-bound
+and searched one after another, each re-encoding the query — a sharded read
+costs *more* than the unsharded one, and the table says how much.  There
+is no read-throughput claim: the one this file used to make was measured
+against ``time.sleep``.
 
 Results go to stdout, ``benchmarks/results/``, and ``BENCH_PR6.json`` at
 the repository root.
@@ -24,11 +24,14 @@ the repository root.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
 from repro.core.sharding import ShardRouter
+from repro.data import DatasetSpec, generate_knowledge_base
 from repro.data.objects import RawQuery
+from repro.encoders import build_encoder_set
 from repro.evaluation import ExperimentTable
 from repro.index import build_index
 from repro.retrieval import build_framework
@@ -42,9 +45,9 @@ K = 5
 BUDGET = 64
 ROUNDS = 6
 #: Pass-through work one routed query adds on top of the inner framework:
-#: the ready/k checks, the capability check, the replica selection, and
-#: the service-time computation — rounded up for headroom.
-PASSTHROUGH_SITES_PER_QUERY = 2
+#: the preamble timed below (a whole ``retrieve_batch`` entry that stops after
+#: its checks, plus the replica selection), once per query.
+PASSTHROUGH_SITES_PER_QUERY = 1
 
 QUERY_TEXTS = (
     "foggy clouds over mountains",
@@ -64,12 +67,14 @@ LOADGEN_KWARGS = dict(
     llm_latency_ms=0.0,
     k=K,
 )
-#: Simulated per-shard service time: 100 ms per 1000 live objects, i.e.
-#: ~30 ms for the whole 300-object corpus on one shard vs ~7.5 ms per
-#: shard (overlapped) at four shards.  Large enough that the modelled
-#: remote scan dominates the fixed in-process query cost.
-SERVICE_MS_PER_1K = 100.0
-MIN_SPEEDUP = 2.0
+
+#: The read-cost table: rows, text queries, repeats (alternating over the
+#: shard counts so drift hits every column alike) and the read measured.
+COST_ROWS = 2000
+COST_QUERIES = 150
+COST_REPEATS = 3
+COST_K = 10
+SHARD_COUNTS = (None, 2, 4)  # None = the bare framework, no router
 
 
 def _block_seconds(framework, queries) -> float:
@@ -91,15 +96,43 @@ def _paired_query_seconds(plain, routed, queries, rounds: int = ROUNDS):
 
 
 def _passthrough_site_seconds(router, calls: int = 200_000) -> float:
-    """Cost of the pass-through preamble: capability check + replica
-    selection + no-op service-time computation."""
+    """Cost of the pass-through preamble: the ready / ``k`` / option checks
+    (an empty batch runs them and nothing else) + the replica selection."""
     group = router.groups[0]
     start = time.perf_counter()
     for _ in range(calls):
-        router._check_capabilities(None, None)
+        router.retrieve_batch((), k=K)
         group.select()
-        router._simulate_service(group)
     return (time.perf_counter() - start) / calls
+
+
+def shard_read_p50_ms(index: str, rows: int = COST_ROWS) -> "dict[str, list[float]]":
+    """p50 ms of ``retrieve_batch([q], 10, budget=64)`` on MUST per shard
+    count, one value per repeat: scenes seed 7, text queries, no sleep."""
+    kb = generate_knowledge_base(DatasetSpec(domain="scenes", size=rows, seed=7))
+    encoder_set = build_encoder_set("clip-joint", kb, seed=3)
+    queries = [
+        RawQuery.from_text(str(obj.get("text"))) for obj in list(kb)[:COST_QUERIES]
+    ]
+    engines = {}
+    for shards in SHARD_COUNTS:
+        if shards is None:
+            engine = build_framework("must", {})
+        else:
+            engine = ShardRouter(framework_name="must", shards=shards)
+        engine.setup(kb, encoder_set, lambda: build_index(index, {}))
+        engines["unsharded" if shards is None else f"{shards} shards"] = engine
+    p50s = {label: [] for label in engines}
+    for repeat in range(COST_REPEATS + 1):
+        for label, engine in engines.items():
+            samples = []
+            for query in queries:
+                start = time.perf_counter()
+                engine.retrieve_batch([query], COST_K, budget=BUDGET)
+                samples.append((time.perf_counter() - start) * 1000.0)
+            if repeat:  # the first pass is the warm-up
+                p50s[label].append(round(statistics.median(samples), 3))
+    return p50s
 
 
 def test_benchmark_pr6_sharding(scenes_world):
@@ -127,27 +160,22 @@ def test_benchmark_pr6_sharding(scenes_world):
     )
     measured_overhead_pct = (mean_routed - mean_plain) / mean_plain * 100.0
 
-    # -- claims 2 + 3: read scaling with identical ids ------------------
+    # -- claim 2: identical ids at any shard count ----------------------
     unsharded = run_loadgen(**LOADGEN_KWARGS)
-    one_shard = run_loadgen(
-        shards=1, shard_latency_ms_per_1k=SERVICE_MS_PER_1K, **LOADGEN_KWARGS
-    )
-    four_shards = run_loadgen(
-        shards=4, shard_latency_ms_per_1k=SERVICE_MS_PER_1K, **LOADGEN_KWARGS
-    )
+    one_shard = run_loadgen(shards=1, **LOADGEN_KWARGS)
+    four_shards = run_loadgen(shards=4, **LOADGEN_KWARGS)
     for run in (unsharded, one_shard, four_shards):
         assert run["errors"] == 0, run["error_messages"]
     assert unsharded["read_ids"] == one_shard["read_ids"]
     assert unsharded["read_ids"] == four_shards["read_ids"]
     assert four_shards["sharding"]["shards"] == 4
 
-    speedup = one_shard["latency_ms"]["p50"] / four_shards["latency_ms"]["p50"]
-    throughput_ratio = (
-        four_shards["throughput_qps"] / one_shard["throughput_qps"]
-    )
+    # -- reported: what a sharded read costs ----------------------------
+    read_cost = {index: shard_read_p50_ms(index) for index in ("hnsw", "flat")}
 
     table = ExperimentTable(
-        "PR6: horizontal sharding (scenes n=500 pass-through, n=300 loadgen)",
+        "PR6: horizontal sharding (scenes n=500 pass-through, n=300 loadgen, "
+        f"n={COST_ROWS} read cost)",
         ["metric", "value"],
     )
     table.add_row(["mean query ms (bare framework)", round(mean_plain * 1000, 3)])
@@ -155,12 +183,13 @@ def test_benchmark_pr6_sharding(scenes_world):
     table.add_row(["pass-through site ns", round(site_cost * 1e9, 1)])
     table.add_row(["est. shards=1 overhead %", round(estimated_overhead_pct, 4)])
     table.add_row(["measured shards=1 overhead %", round(measured_overhead_pct, 2)])
-    table.add_row(["1-shard qps (simulated service)", one_shard["throughput_qps"]])
-    table.add_row(["4-shard qps (simulated service)", four_shards["throughput_qps"]])
-    table.add_row(["throughput ratio", round(throughput_ratio, 2)])
-    table.add_row(["p50 speedup", round(speedup, 2)])
     table.add_row(["4-shard moves", four_shards["sharding"]["moves"]])
     table.add_row(["read ids identical", True])
+    for index, columns in read_cost.items():
+        for label, p50s in columns.items():
+            table.add_row(
+                [f"{index} read p50 ms, {label}", f"{min(p50s)}-{max(p50s)}"]
+            )
     report(table)
 
     BENCH_JSON.write_text(
@@ -172,14 +201,6 @@ def test_benchmark_pr6_sharding(scenes_world):
                 "passthrough_sites_per_query": PASSTHROUGH_SITES_PER_QUERY,
                 "estimated_shards1_overhead_pct": round(estimated_overhead_pct, 4),
                 "measured_shards1_overhead_pct": round(measured_overhead_pct, 3),
-                "service_ms_per_1k": SERVICE_MS_PER_1K,
-                "one_shard_qps": one_shard["throughput_qps"],
-                "four_shard_qps": four_shards["throughput_qps"],
-                "throughput_ratio": round(throughput_ratio, 3),
-                "p50_latency_ms": {
-                    "one_shard": one_shard["latency_ms"]["p50"],
-                    "four_shards": four_shards["latency_ms"]["p50"],
-                },
                 "read_ids_identical": True,
                 "four_shard_ledger": {
                     "moves": four_shards["sharding"]["moves"],
@@ -187,6 +208,13 @@ def test_benchmark_pr6_sharding(scenes_world):
                     "degraded_searches": four_shards["sharding"][
                         "degraded_searches"
                     ],
+                },
+                "read_p50_ms": {
+                    "rows": COST_ROWS,
+                    "queries": COST_QUERIES,
+                    "k": COST_K,
+                    "budget": BUDGET,
+                    **read_cost,
                 },
             },
             indent=2,
@@ -196,7 +224,4 @@ def test_benchmark_pr6_sharding(scenes_world):
 
     assert estimated_overhead_pct < 1.0, (
         f"shards=1 pass-through adds {estimated_overhead_pct:.3f}% per query"
-    )
-    assert throughput_ratio >= MIN_SPEEDUP, (
-        f"4 shards gave only {throughput_ratio:.2f}x the 1-shard throughput"
     )

@@ -301,26 +301,6 @@ class MicroBatcher:
             }
 
 
-def run_scattered(
-    tasks: "List[Callable[[], Any]]",
-    pool: "ThreadPoolExecutor | None" = None,
-) -> List[Any]:
-    """Run every thunk and return their results in task order.
-
-    The scatter primitive behind the shard router: with ``pool`` the
-    thunks run concurrently (per-shard service waits overlap, the way
-    independent shard servers would); without one they run inline on the
-    calling thread, in order — no pool threads, no overhead.  Either way
-    the result list is positionally stable, so callers merge results
-    deterministically regardless of completion order.  Exceptions
-    propagate — thunks that must degrade instead of raise catch their own.
-    """
-    if pool is None:
-        return [task() for task in tasks]
-    futures = [pool.submit(task) for task in tasks]
-    return [future.result() for future in futures]
-
-
 class QueryEngine:
     """Bounded concurrent dispatcher for API verbs.
 

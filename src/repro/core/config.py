@@ -127,10 +127,8 @@ class MQAConfig:
             with ``shards=None`` serves one shard from several replicas.
         partitioner: ``"hash"`` (stable id hash) or ``"concept"`` (objects
             sharing a leading concept co-locate).
-        shard_latency_ms: Models remote shard RPC; 0 disables.
-        shard_latency_ms_per_1k: Models a remote shard scanning its
-            partition; 0 disables.  When either knob is on, the router
-            scatters on a thread pool so shard service times overlap.
+        shard_latency_ms: Models remote shard RPC (a sleep per shard
+            call, one after another); 0 disables.
         resilience: Master switch for the fault-tolerance layer.  Off by
             default: every guarded boundary then takes the exact
             pre-resilience code path.
@@ -263,7 +261,8 @@ class MQAConfig:
         ge=1,
     )
     replicas: int = _knob(
-        1, "replicas per shard for read scaling (implies the router)", ge=1
+        1, "identical replicas per shard, read round-robin among the healthy "
+        "(implies the router)", ge=1
     )
     partitioner: str = _knob(
         "hash", "shard-assignment policy",
@@ -276,11 +275,6 @@ class MQAConfig:
     )
     shard_latency_ms: float = _knob(
         0.0, "simulated fixed per-shard-call service time in milliseconds", ge=0
-    )
-    shard_latency_ms_per_1k: float = _knob(
-        0.0, "simulated per-shard service time per 1000 live objects "
-        "(models remote shard servers; enables the parallel scatter)",
-        ge=0,
     )
     resilience: bool = _knob(
         False, "enable the resilience layer (retries, deadlines, circuit "

@@ -65,9 +65,9 @@ class QueryExecution:
 
     @property
     def capabilities(self) -> frozenset:
-        """Optional keyword arguments the framework's ``retrieve_batch``
-        accepts — :attr:`RetrievalFramework.capabilities`, the one reader
-        (a shard router answers for the framework it wraps)."""
+        """The ``retrieve_batch`` options the framework honours —
+        :attr:`RetrievalFramework.capabilities`, the one declaration (a
+        shard router answers for the framework it wraps)."""
         return self.framework.capabilities
 
     def execute(
@@ -135,25 +135,13 @@ class QueryExecution:
         """
         if k <= 0:
             raise SearchError(f"k must be positive, got {k}")
-        capabilities = self.capabilities
-        # A shard router answers for the framework it wraps: name that one.
-        name = getattr(self.framework, "framework_name", self.framework.name)
-        if weights is not None and "weights" not in capabilities:
-            raise SearchError(
-                f"framework {name!r} does not support per-query modality weights"
-            )
-        if filter_fn is not None and "filter_fn" not in capabilities:
-            raise SearchError(f"framework {name!r} does not support filtered retrieval")
+        self.framework._check_options(weights, filter_fn, SearchError)
         queries = list(queries)
         if not queries:
             return []
-        kwargs = {}
-        if weights is not None:
-            kwargs["weights"] = weights
-        if filter_fn is not None:
-            kwargs["filter_fn"] = filter_fn
-        if fanout is not None and "fanout" in capabilities:
-            kwargs["fanout"] = fanout
+        options = {"weights": weights, "filter_fn": filter_fn}
+        if fanout is not None and "fanout" in self.capabilities:
+            options["fanout"] = fanout
 
         shared = set(exclude_ids)
         excluded = []
@@ -203,7 +191,7 @@ class QueryExecution:
                         results[position] = self._copy_response(cached)
             for fetch, group in misses.items():
                 fresh = self.framework.retrieve_batch(
-                    [queries[p] for p in group], k=fetch, budget=budget, **kwargs
+                    [queries[p] for p in group], k=fetch, budget=budget, **options
                 )
                 for position, response in zip(group, fresh):
                     if cache is None or response.degraded_reasons:

@@ -76,7 +76,6 @@ class IndexConstruction:
                 partitioner=config.partitioner,
                 rebalance_threshold=config.rebalance_threshold,
                 latency_ms=config.shard_latency_ms,
-                latency_ms_per_1k=config.shard_latency_ms_per_1k,
                 resilience=resilience,
                 events=events,
                 metrics=metrics,

@@ -17,15 +17,12 @@ routing layer:
   merge the per-shard top-k exactly on ``(score, object_id)``, so the
   merged ids equal the unsharded ids wherever per-shard search is exact.
 
-MR needs one extra step: its fused scores are functions of shard-*local*
-ranks (RRF) or per-fetched-list normalisation spans (CombSUM), so
-per-shard fused lists are not mergeable — naive merging is exactly the
-rank-fusion information loss the paper's Figure 5 critiques.  The router
-therefore ignores MR's fused scores and rebuilds each modality stream's
-*global* top-``fetch`` ranking from the per-shard ``(id, distance)``
-pairs (distances within one stream are globally comparable), then
-re-runs the same fusion the unsharded framework would — restoring exact
-result-id parity for MR too.
+How partial answers combine is the framework's decision, not the router's:
+``_merge`` hands each query's per-shard responses to
+:meth:`RetrievalFramework.merge <repro.retrieval.base.RetrievalFramework.merge>`
+of the framework it wraps — the exact item-level merge for JE and MUST, a
+stream-level re-fusion for MR, whose fused scores are functions of
+shard-*local* ranks and cannot be merged as they are.
 
 Ids: shard-local indexes keep their own dense id space (frameworks insist
 on it), so every replica stores a *localised clone* of each object
@@ -53,13 +50,15 @@ shard contributes nothing; the merged response carries
 surfaces the per-shard ledger.  Only when *every* shard fails does the
 error propagate.
 
-Simulated shard service time (``latency_ms`` / ``latency_ms_per_1k``)
-models remote shard servers the same way the load generator's simulated
-LLM latency models the remote generation call: a GIL-releasing sleep
-proportional to the shard's corpus size.  When it is enabled the scatter
-fans out on a thread pool so per-shard service times overlap — the read
-scaling a real deployment gets from N shard machines.  It is off by
-default and adds nothing to the in-process hot path.
+The scatter is a loop on the calling thread: in process, under the GIL,
+shards are CPU-bound and a thread pool only adds hand-off cost (measured
+3.4x slower than this loop on real work), so there is none.  A 4-shard read
+costs about 3x the unsharded one — every shard re-encodes the query and
+pays its own fixed per-search overhead.  What the module models honestly
+is partitioning, the exact merge, tombstones, rebalancing and degradation;
+``latency_ms`` (a fixed GIL-releasing sleep per shard call, off by
+default) stands in for a remote shard's service time where an experiment
+needs one.
 """
 
 from __future__ import annotations
@@ -68,29 +67,19 @@ import hashlib
 import threading
 import time
 from dataclasses import replace
-from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.concurrency import run_scattered
 from repro.data.modality import Modality
 from repro.data.objects import MultiModalObject, RawQuery
-from repro.errors import CircuitOpenError, MQAError, RetrievalError
-from repro.index.base import SearchStats
-from repro.observability import (
-    NOOP_SPAN,
-    Span,
-    labelled,
-    trace_branch,
-    trace_span,
-)
+from repro.errors import CircuitOpenError, EncodingError, MQAError, RetrievalError
+from repro.observability import labelled, trace_span
 from repro.retrieval import build_framework
-from repro.retrieval.fusion import fuse_rankings
 from repro.retrieval.base import (
     IndexBuilder,
     ObjectFilter,
     RetrievalFramework,
     RetrievalResponse,
-    RetrievedItem,
+    merge_shard_topk,  # noqa: F401 - moved to the frameworks' module, still importable here
 )
 
 # ----------------------------------------------------------------------
@@ -159,40 +148,6 @@ def build_partitioner(name: str, shards: int):
     return factory(shards)
 
 
-# ----------------------------------------------------------------------
-# shard-local corpus view
-# ----------------------------------------------------------------------
-
-
-class ShardView:
-    """A knowledge-base-shaped view over one shard's localised objects.
-
-    Frameworks only iterate the corpus at setup time and remember the
-    handle, so the view needs iteration, length, and id lookup — nothing
-    else from :class:`~repro.data.knowledge_base.KnowledgeBase`.
-    """
-
-    def __init__(self, name: str, objects: List[MultiModalObject]) -> None:
-        self.name = name
-        self._objects = objects
-
-    def __len__(self) -> int:
-        return len(self._objects)
-
-    def __iter__(self):
-        return iter(self._objects)
-
-    def get(self, local_id: int) -> MultiModalObject:
-        """The localised object with ``local_id``."""
-        if not 0 <= local_id < len(self._objects):
-            raise RetrievalError(f"shard has no local object {local_id}")
-        return self._objects[local_id]
-
-    def append(self, obj: MultiModalObject) -> None:
-        """Grow the view by one already-localised object."""
-        self._objects.append(obj)
-
-
 class ShardReplica:
     """One self-contained copy of a shard: framework + indexes + id maps.
 
@@ -208,7 +163,9 @@ class ShardReplica:
         self.framework: Optional[RetrievalFramework] = None
         self.global_ids: List[int] = []
         self._local_of: Dict[int, int] = {}
-        self._view = ShardView(f"shard-{shard_index}.{replica_index}", [])
+        #: The localised clones, in local-id order — all a framework's
+        #: ``setup`` needs of a knowledge base is to iterate it.
+        self._view: List[MultiModalObject] = []
         self.healthy = True
         self.searches = 0
         self.errors = 0
@@ -240,7 +197,7 @@ class ShardReplica:
             self._view.append(replace(obj, object_id=local_id))
             self._local_of[obj.object_id] = local_id
             self.global_ids.append(obj.object_id)
-        if len(self._view):
+        if self._view:
             framework = framework_factory()
             framework.setup(
                 self._view, encoder_set, index_builder, weights=weights,
@@ -332,16 +289,11 @@ class ShardReplica:
                 RetrievalResponse(framework="empty-shard", items=[])
                 for _ in queries
             ]
-        kwargs: Dict[str, Any] = {}
-        if weights is not None:
-            kwargs["weights"] = weights
-        local_filter = self._localise_filter(filter_fn)
-        if local_filter is not None:
-            kwargs["filter_fn"] = local_filter
         # Every index clamps k to its corpus size, so small shards simply
         # return everything they have.
         responses = self.framework.retrieve_batch(
-            queries, k=k, budget=budget, **kwargs
+            queries, k=k, budget=budget, weights=weights,
+            filter_fn=self._localise_filter(filter_fn),
         )
         return [self._globalise(response) for response in responses]
 
@@ -509,39 +461,14 @@ class ShardGroup:
 # ----------------------------------------------------------------------
 
 
-def merge_shard_topk(
-    shard_results: Sequence[Sequence[Tuple[int, float]]],
-    k: int,
-    drop: "frozenset | set | None" = None,
-) -> List[Tuple[int, float]]:
-    """Exact top-``k`` merge of per-shard ``(object_id, score)`` lists.
-
-    Smaller scores win; ties break on the object id so the merge is a
-    deterministic function of its inputs.  Duplicate ids (an object live
-    on two shards mid-move) keep their best-scoring occurrence.  ``drop``
-    removes ids regardless of shard state — the router passes its deleted
-    set so a removed object can never resurface from a stale copy.
-    """
-    best: Dict[int, float] = {}
-    for results in shard_results:
-        for object_id, score in results:
-            if drop is not None and object_id in drop:
-                continue
-            current = best.get(object_id)
-            if current is None or score < current:
-                best[object_id] = score
-    ranked = sorted(best.items(), key=lambda pair: (pair[1], pair[0]))
-    return ranked[:k]
-
-
 class ShardRouter(RetrievalFramework):
     """Scatter-gather retrieval over hash-partitioned shard replicas.
 
     Presents the plain :class:`RetrievalFramework` surface, so the
     coordinator, query execution, cache, and micro-batcher all work
-    unchanged above it.  ``weights`` and ``filter_fn`` are declared
-    capabilities and validated against the *inner* framework at call
-    time, mirroring the unsharded capability errors.
+    unchanged above it.  ``weights`` and ``filter_fn`` are passed on, so
+    the router declares — and refuses, with the unsharded engine's errors
+    — exactly what the framework it wraps does.
 
     Args:
         framework_name: Registered inner framework ("mr" / "je" / "must").
@@ -551,10 +478,7 @@ class ShardRouter(RetrievalFramework):
         partitioner: Registered partitioner name.
         rebalance_threshold: Live-object spread (largest minus smallest
             shard) that triggers an ingest-time rebalance; 0 disables.
-        latency_ms: Simulated fixed per-shard-call service time.
-        latency_ms_per_1k: Simulated service time per 1000 live objects
-            on the called shard (models a remote shard scanning its
-            partition); enables the parallel scatter pool.
+        latency_ms: Simulated fixed per-shard-call service time (a sleep).
         resilience: Optional :class:`~repro.core.resilience.ResilienceManager`;
             when enabled, every shard search runs under its own breaker
             site ``shard.<i>.search``.
@@ -578,7 +502,6 @@ class ShardRouter(RetrievalFramework):
         partitioner: str = "hash",
         rebalance_threshold: int = 8,
         latency_ms: float = 0.0,
-        latency_ms_per_1k: float = 0.0,
         resilience=None,
         events=None,
         metrics=None,
@@ -595,15 +518,20 @@ class ShardRouter(RetrievalFramework):
         self.partitioner = build_partitioner(partitioner, shards)
         self.rebalance_threshold = rebalance_threshold
         self.latency_ms = latency_ms
-        self.latency_ms_per_1k = latency_ms_per_1k
         self.resilience = resilience
         self.events = events
         self.metrics = metrics
         self.groups: List[ShardGroup] = []
-        self._probe: "RetrievalFramework | None" = None
+        #: A never-set-up instance of the wrapped framework: it answers for
+        #: what the replicas honour and how their partial answers merge.
+        self._inner = self._framework_factory()
+        #: What the wrapped framework honours, plus ``fanout``: the router
+        #: takes ``weights`` and ``filter_fn`` only to pass them on, so every
+        #: caller that asks (degradation, query execution) is answered as
+        #: the unsharded engine would answer, at any shard count.
+        self.capabilities = self._inner.capabilities | {"fanout"}
         self._owner: Dict[int, int] = {}
         self._meta_lock = threading.Lock()
-        self._pool = None
         self.moves = 0
         self.rebalances = 0
         self.degraded_searches = 0
@@ -798,90 +726,44 @@ class ShardRouter(RetrievalFramework):
             return lambda object_id: object_id not in deleted
         return lambda object_id: object_id not in deleted and filter_fn(object_id)
 
-    def _framework_probe(self) -> RetrievalFramework:
-        """A never-set-up instance of the inner framework, built once —
-        used to read signatures and fusion settings without a corpus."""
-        if self._probe is None:
-            self._probe = self._framework_factory()
-        return self._probe
+    def _check_options(self, weights, filter_fn, error: type = RetrievalError) -> None:
+        """Refused by — and in the name of — the wrapped framework."""
+        self._inner._check_options(weights, filter_fn, error)
 
-    @cached_property
-    def capabilities(self) -> frozenset:
-        """What the *inner* framework's ``retrieve_batch`` takes, plus
-        ``fanout``: the router declares ``weights`` and ``filter_fn`` only
-        to pass them on, so it answers for what it wraps — the caller that
-        asks (degradation, query execution) and :meth:`_check_capabilities`
-        then agree at any shard count."""
-        return self._framework_probe().capabilities | {"fanout"}
-
-    def _check_capabilities(self, weights, filter_fn) -> None:
-        """Reject kwargs the inner framework cannot honour, with the same
-        error shape the unsharded engine produces."""
-        parameters = self.capabilities
-        if weights is not None and "weights" not in parameters:
-            raise RetrievalError(
-                f"framework {self.framework_name!r} does not support "
-                "per-query modality weights"
-            )
-        if filter_fn is not None and "filter_fn" not in parameters:
-            raise RetrievalError(
-                f"framework {self.framework_name!r} does not support "
-                "filtered retrieval"
-            )
-
-    def _simulate_service(self, group: ShardGroup) -> None:
-        """Sleep for the shard's modelled remote service time (see module
-        docstring); a no-op when both knobs are 0."""
-        if self.latency_ms <= 0 and self.latency_ms_per_1k <= 0:
-            return  # keep live_count() off the un-simulated hot path
-        total_ms = self.latency_ms + (
-            self.latency_ms_per_1k * group.live_count() / 1000.0
-        )
-        if total_ms > 0:
-            time.sleep(total_ms / 1000.0)
-
-    @property
-    def _parallel(self) -> bool:
-        """Scatter on threads only when simulated service time is on —
-        overlapping sleeps models N shard servers working concurrently;
-        for in-process CPU-bound shards a pool only adds overhead."""
-        return self.shards > 1 and (
-            self.latency_ms > 0 or self.latency_ms_per_1k > 0
-        )
-
-    def _scatter_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.shards, thread_name_prefix="shard-scatter"
-            )
-        return self._pool
+    def _simulate_service(self) -> None:
+        """Sleep for the modelled remote service time (off at 0)."""
+        if self.latency_ms > 0:
+            time.sleep(self.latency_ms / 1000.0)
 
     def _guarded_shard_call(
         self,
         shard_index: int,
-        fn: Callable[[], Any],
+        fn: Callable[[ShardReplica], Any],
         degraded: List[str],
-        span: "Span | None" = None,
+        span,
     ) -> Any:
         """Run one shard's search; failures degrade to a missing shard.
 
         Returns None when the shard contributed nothing.  ``degraded``
-        collects human-readable reasons (also the /health story);
-        ``span``, when given, is the shard's trace branch and is labelled
-        with the serving replica index — the one fact only this thread
-        knows.
+        collects human-readable reasons (also the /health story); ``span``
+        is the shard's ``shard-search`` span and is labelled with the
+        serving replica.  An :class:`EncodingError` is the request's fault
+        and the same on every shard (``k`` and the options were refused
+        before the scatter): it is carried past the breaker as a value and
+        raised to the caller as the unsharded engine raises it — no replica
+        is marked, no search counted degraded.
         """
         group = self.groups[shard_index]
         replica = group.select()
-        if span is not None:
-            span.set(replica=replica.replica_index)
+        span.set(replica=replica.replica_index)
         site = f"shard.{shard_index}.search"
 
         def call():
-            self._simulate_service(group)
-            return fn(replica)
+            self._simulate_service()
+            try:
+                return fn(replica)
+            except EncodingError as exc:
+                return exc
 
         try:
             if self.resilience is not None and self.resilience.enabled:
@@ -900,6 +782,8 @@ class ShardRouter(RetrievalFramework):
             )
             self._note_degraded(exc)
             return None
+        if isinstance(result, EncodingError):
+            raise result
         group.mark(replica, True)
         return result
 
@@ -908,87 +792,37 @@ class ShardRouter(RetrievalFramework):
             self.degraded_searches += 1
             self._last_error = exc
 
-    # -- scatter observability -----------------------------------------
-    @staticmethod
-    def _measure(result: "List[RetrievalResponse] | None") -> Tuple[int, int, int]:
-        """(items, distance_evaluations, hops) over the per-query response
-        list one shard returned (zeros for a shard that did not answer)."""
-        if result is None:
-            return 0, 0, 0
-        return (
-            sum(len(r.items) for r in result),
-            sum(r.stats.distance_evaluations for r in result),
-            sum(r.stats.hops for r in result),
-        )
-
     def _scatter(
         self,
         call_of: Callable[[ShardReplica], Any],
+        targets: Sequence[int],
         degraded: List[str],
-        span_attrs: Dict[str, Any],
-        indices: "Sequence[int] | None" = None,
+        **span_attrs: Any,
     ) -> List[Any]:
-        """Fan ``call_of`` out to the target shards, observing the scatter.
+        """Ask every target shard in turn; the list is aligned with
+        ``targets`` (None where a shard did not answer).
 
-        ``indices`` restricts the fan-out to a subset of shards (the
-        planner's degraded-mode fan-out limit); ``None`` scatters to every
-        shard.  The returned list is aligned with the targets.
-
-        With a trace active, the fan-out nests under one ``scatter`` span
-        with a ``shard-search`` child per shard — branches are created here
-        on the coordinating thread, entered on whichever thread serves the
-        shard (which labels its branch with the replica it picked), and
-        completed and attached back here in shard order: ``ok`` and the
-        work counters are written once, on the branch, and the branch's
-        duration is the shard's time.  One sharded query thus yields a
-        single deterministic trace, identical for inline and pooled
-        scatter, and the cost plane reads its per-shard rows off it.
-        Untraced, this is the bare scatter loop.
+        With a trace active the loop is one ``scatter`` span holding a
+        ``shard-search`` child per shard — the shard's own pipeline spans
+        nest inside it, its duration is the shard's time, and the cost
+        plane reads its per-shard rows off the attributes written here.
         """
-        targets = (
-            list(range(self.shards)) if indices is None else list(indices)
-        )
-        with trace_span(
-            "scatter", shards=len(targets), **span_attrs
-        ) as scatter_span:
-            traced = scatter_span is not NOOP_SPAN
-            branches = (
-                [
-                    trace_branch("shard-search", shard=i)
-                    for i in targets
-                ]
-                if traced
-                else [None] * len(targets)
-            )
-
-            def shard_task(position: int) -> Any:
-                branch = branches[position]
-                if branch is None:
-                    return self._guarded_shard_call(
-                        targets[position], call_of, degraded
-                    )
-                with branch as span:
-                    return self._guarded_shard_call(
-                        targets[position], call_of, degraded, span
-                    )
-
-            responses = run_scattered(
-                [lambda p=p: shard_task(p) for p in range(len(targets))],
-                pool=self._scatter_pool() if self._parallel else None,
-            )
-            if traced:
-                for branch, result in zip(branches, responses):
-                    items, evals, hops = self._measure(result)
-                    branch.span.set(
+        responses: List[Any] = []
+        with trace_span("scatter", shards=len(targets), **span_attrs) as scatter_span:
+            for shard in targets:
+                with trace_span("shard-search", shard=shard) as span:
+                    result = self._guarded_shard_call(shard, call_of, degraded, span)
+                    answered = result or ()
+                    span.set(
                         ok=result is not None,
-                        items=items,
-                        distance_evaluations=evals,
-                        hops=hops,
+                        items=sum(len(r.items) for r in answered),
+                        distance_evaluations=sum(
+                            r.stats.distance_evaluations for r in answered
+                        ),
+                        hops=sum(r.stats.hops for r in answered),
                     )
-                    branch.attach(scatter_span)
-                scatter_span.set(
-                    answered=sum(1 for r in responses if r is not None)
-                )
+                responses.append(result)
+            scatter_span.set(answered=sum(1 for r in responses if r is not None))
         return responses
 
     def retrieve_batch(
@@ -996,6 +830,7 @@ class ShardRouter(RetrievalFramework):
         queries: Sequence[RawQuery],
         k: int,
         budget: int = 64,
+        *,
         weights: "Dict[Modality, float] | None" = None,
         filter_fn: "ObjectFilter | None" = None,
         fanout: "int | None" = None,
@@ -1010,7 +845,7 @@ class ShardRouter(RetrievalFramework):
         self._require_ready()
         if k <= 0:
             raise RetrievalError(f"k must be positive, got {k}")
-        self._check_capabilities(weights, filter_fn)
+        self._check_options(weights, filter_fn)
         queries = list(queries)
         if not queries:
             return []
@@ -1018,9 +853,9 @@ class ShardRouter(RetrievalFramework):
             return self._passthrough_batch(queries, k, budget, weights, filter_fn)
         shard_filter = self._deleted_filter(filter_fn)
         degraded: List[str] = []
-        indices: "List[int] | None" = None
+        targets = range(self.shards)
         if fanout is not None and 1 <= fanout < self.shards:
-            indices = list(range(fanout))
+            targets = range(fanout)
             degraded.append(
                 f"fanout limited to {fanout}/{self.shards} shards (planner)"
             )
@@ -1028,9 +863,10 @@ class ShardRouter(RetrievalFramework):
             lambda replica: replica.search_batch(
                 queries, k, budget, weights=weights, filter_fn=shard_filter
             ),
+            targets,
             degraded,
-            {"k": k, "queries": len(queries)},
-            indices=indices,
+            k=k,
+            queries=len(queries),
         )
         answered = [r for r in per_shard if r is not None]
         if not answered:
@@ -1060,14 +896,8 @@ class ShardRouter(RetrievalFramework):
         Replica selection and simulated service time still apply, but the
         inner framework's response objects are returned as-is.
         """
-        group = self.groups[0]
-        replica = group.select()
-        self._simulate_service(group)
-        kwargs: Dict[str, Any] = {}
-        if weights is not None:
-            kwargs["weights"] = weights
-        if filter_fn is not None:
-            kwargs["filter_fn"] = filter_fn
+        replica = self.groups[0].select()
+        self._simulate_service()
         if replica.framework is None:
             return [
                 RetrievalResponse(framework="empty-shard", items=[])
@@ -1075,7 +905,7 @@ class ShardRouter(RetrievalFramework):
             ]
         # Single shard ⇒ local ids equal global ids; no translation.
         return replica.framework.retrieve_batch(
-            queries, k=k, budget=budget, **kwargs
+            queries, k=k, budget=budget, weights=weights, filter_fn=filter_fn
         )
 
     def _merge(
@@ -1085,133 +915,16 @@ class ShardRouter(RetrievalFramework):
         degraded: List[str],
         weights: "Dict[Modality, float] | None" = None,
     ) -> RetrievalResponse:
-        """Exact merge of per-shard responses.
-
-        Distance-scored frameworks (JE, MUST) merge at the item level via
-        :func:`merge_shard_topk`.  Rank-fusion frameworks (MR) signal
-        themselves by carrying per-stream distances; their fused scores
-        are shard-local, so the router re-fuses at the stream level
-        instead (:meth:`_merge_rank_fusion`).
-        """
+        """One query's per-shard responses, merged the way the wrapped
+        framework says its partial answers combine
+        (:meth:`RetrievalFramework.merge`), without the ids removed at the
+        router and with the scatter's degradation attached."""
         with self._meta_lock:
             drop = frozenset(self._deleted)
-        if any(response.per_modality_distances for response in responses):
-            merged = self._merge_rank_fusion(responses, k, drop, weights)
-        else:
-            ranked = merge_shard_topk(
-                [
-                    [(item.object_id, item.score) for item in response.items]
-                    for response in responses
-                ],
-                k,
-                drop=drop,
-            )
-            items = [
-                RetrievedItem(object_id=object_id, score=score, rank=rank)
-                for rank, (object_id, score) in enumerate(ranked)
-            ]
-            stats = SearchStats()
-            for response in responses:
-                stats.merge(response.stats)
-            per_modality: Dict[Modality, List[int]] = {}
-            for response in responses:
-                for modality, ids in response.per_modality_ids.items():
-                    per_modality.setdefault(modality, []).extend(ids)
-            merged = RetrievalResponse(
-                framework=self._merged_name(responses),
-                items=items,
-                stats=stats,
-                per_modality_ids=per_modality,
-            )
+        merged = self._inner.merge(responses, k, drop=drop, weights=weights)
         if degraded:
             merged.degraded_reasons = list(dict.fromkeys(degraded))
         return merged
-
-    @staticmethod
-    def _merged_name(responses: Sequence[RetrievalResponse]) -> str:
-        """The inner framework's name, skipping empty-shard placeholders."""
-        for response in responses:
-            if response.framework != "empty-shard":
-                return response.framework
-        return responses[0].framework
-
-    def _merge_rank_fusion(
-        self,
-        responses: Sequence[RetrievalResponse],
-        k: int,
-        drop: frozenset,
-        weights: "Dict[Modality, float] | None",
-    ) -> RetrievalResponse:
-        """Stream-level re-fusion for rank-fusion frameworks (MR).
-
-        Per-shard fused scores encode shard-local ranks and cannot be
-        merged.  Distances within one modality stream *are* globally
-        comparable, so the router pools every shard's ``(id, distance)``
-        stream fragments, rebuilds each stream's global top-``fetch``
-        ranking (best-distance dedup for mid-move copies, dropped ids
-        removed, ``(distance, id)`` tie-break), and re-runs the same
-        fusion the unsharded framework applies — same strategy, same
-        expansion, same stream weights.  When every shard returned its
-        full stream top-``fetch``, the rebuilt streams equal the
-        unsharded streams and the fused ids match exactly.
-        """
-        probe = self._framework_probe()
-        fetch = getattr(probe, "expansion", 1) * k
-        order: List[Modality] = []
-        pooled: Dict[Modality, Dict[int, float]] = {}
-        for response in responses:
-            for modality, ids in response.per_modality_ids.items():
-                stream_distances = response.per_modality_distances.get(
-                    modality, []
-                )
-                if modality not in pooled:
-                    pooled[modality] = {}
-                    order.append(modality)
-                best = pooled[modality]
-                for object_id, distance in zip(ids, stream_distances):
-                    if object_id in drop:
-                        continue
-                    if object_id not in best or distance < best[object_id]:
-                        best[object_id] = distance
-        rankings: List[List[int]] = []
-        distances: List[List[float]] = []
-        per_modality: Dict[Modality, List[int]] = {}
-        per_modality_distances: Dict[Modality, List[float]] = {}
-        for modality in order:
-            ranked = sorted(
-                pooled[modality].items(), key=lambda pair: (pair[1], pair[0])
-            )[:fetch]
-            rankings.append([object_id for object_id, _ in ranked])
-            distances.append([distance for _, distance in ranked])
-            per_modality[modality] = rankings[-1]
-            per_modality_distances[modality] = distances[-1]
-        stream_weights = None
-        if weights is not None:
-            parsed = {
-                Modality.parse(m): float(w) for m, w in weights.items()
-            }
-            stream_weights = [parsed.get(m, 1.0) for m in order]
-        fused = fuse_rankings(
-            rankings,
-            distances,
-            k,
-            strategy=getattr(probe, "fusion", "rrf"),
-            stream_weights=stream_weights,
-        )
-        items = [
-            RetrievedItem(object_id=object_id, score=score, rank=rank)
-            for rank, (object_id, score) in enumerate(fused)
-        ]
-        stats = SearchStats()
-        for response in responses:
-            stats.merge(response.stats)
-        return RetrievalResponse(
-            framework=self._merged_name(responses),
-            items=items,
-            stats=stats,
-            per_modality_ids=per_modality,
-            per_modality_distances=per_modality_distances,
-        )
 
     # ------------------------------------------------------------------
     # introspection
@@ -1253,9 +966,3 @@ class ShardRouter(RetrievalFramework):
             f"replica(s) over {self.framework_name!r}, "
             f"partitioner {self.partitioner.name!r}, live per shard [{sizes}]"
         )
-
-    def close(self) -> None:
-        """Shut down the scatter pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None

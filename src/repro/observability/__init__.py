@@ -22,9 +22,8 @@ and per-stage wall time and per-shard rows, read off the round's closed
 trace by :func:`fold_span` — spans are the one timer, there is no ambient
 profile; a :class:`StatsPlane` aggregates profiles into rolling
 per-(framework, index, shard) distributions with tail-latency exemplars
-for ``GET /stats``; and :func:`trace_branch` carries trace context across
-the shard router's scatter threads so one sharded query yields a single
-trace with per-shard child spans.
+for ``GET /stats``.  A sharded query is one trace like any other: the
+router's scatter is a loop of nested ``shard-search`` spans.
 
 (:mod:`repro.observability.replay` is imported lazily — it depends on
 :mod:`repro.core`, which imports this package.)
@@ -59,9 +58,7 @@ from repro.observability.tracing import (
     NOOP_TRACER,
     NoopTracer,
     Span,
-    TraceBranch,
     Tracer,
-    trace_branch,
     trace_span,
 )
 
@@ -83,7 +80,6 @@ __all__ = [
     "STATE_OK",
     "Span",
     "StatsPlane",
-    "TraceBranch",
     "Tracer",
     "collapse_spans",
     "fold_span",
@@ -92,6 +88,5 @@ __all__ = [
     "read_recording",
     "render_prometheus",
     "split_labels",
-    "trace_branch",
     "trace_span",
 ]

@@ -179,60 +179,6 @@ def trace_span(name: str, **attributes: Any):
     return _SpanContext(state, name, dict(attributes))
 
 
-class TraceBranch:
-    """A detached span for work that runs on another thread.
-
-    Context variables do not propagate into pool threads, and sharing one
-    :class:`_TraceState` across threads would race on ``current`` — so
-    scatter-style callers create one branch per task *on the coordinating
-    thread* (capturing the active tracer), enter it *on the worker
-    thread* (``__enter__`` installs a fresh ambient state in that
-    thread's own context, so nested :func:`trace_span` calls attach under
-    the branch; ``__exit__`` restores, keeping reused pool threads
-    clean), and finally :meth:`attach` the finished branch to a parent
-    span back on the coordinating thread, in deterministic order.  The
-    same sequence works unchanged when the "worker" is the calling
-    thread itself (inline scatter).
-    """
-
-    __slots__ = ("span", "_tracer", "_token")
-
-    def __init__(self, tracer: "Tracer", name: str, attributes: Dict[str, Any]) -> None:
-        self.span = Span(name=name, attributes=attributes)
-        self._tracer = tracer
-        self._token: "contextvars.Token | None" = None
-
-    def __enter__(self) -> Span:
-        self._token = _ACTIVE.set(_TraceState(self._tracer, self.span))
-        self.span._start = self._tracer._clock()
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        span = self.span
-        span.duration = max(self._tracer._clock() - span._start, 0.0)
-        if exc_type is not None:
-            span.attributes.setdefault("error", exc_type.__name__)
-        if self._token is not None:
-            _ACTIVE.reset(self._token)
-            self._token = None
-        return False
-
-    def attach(self, parent: Span) -> None:
-        """Append the finished branch under ``parent`` (coordinator side)."""
-        parent.children.append(self.span)
-
-
-def trace_branch(name: str, **attributes: Any) -> Optional[TraceBranch]:
-    """A :class:`TraceBranch` under the active trace, or None when none is.
-
-    The disabled path is one context-variable read, like ``trace_span``.
-    """
-    state = _ACTIVE.get()
-    if state is None:
-        return None
-    return TraceBranch(state.tracer, name, dict(attributes))
-
-
 class _TraceContext:
     """Context manager for one root trace; restores the ambient state."""
 

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import abc
-import inspect
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,8 +52,8 @@ class RetrievalResponse:
         per_modality_distances: The matching per-stream distances, aligned
             with ``per_modality_ids``.  Distances within one stream are
             globally comparable (same encoder, same metric), which is what
-            lets the shard router rebuild a global stream ranking from
-            per-shard fragments and re-run fusion exactly.
+            lets :meth:`MultiStreamedRetrieval.merge` rebuild a global stream
+            ranking from per-shard fragments and re-run fusion exactly.
         degraded_reasons: Non-empty when the response is partial — e.g.
             the shard router lost shards to open breakers and merged what
             remained.  Partial responses are never cached.
@@ -84,6 +82,31 @@ class RetrievalResponse:
         return len(self.items)
 
 
+def merge_shard_topk(
+    shard_results: Sequence[Sequence[Tuple[int, float]]],
+    k: int,
+    drop: "frozenset | set | None" = None,
+) -> List[Tuple[int, float]]:
+    """Exact top-``k`` merge of per-shard ``(object_id, score)`` lists.
+
+    Smaller scores win; ties break on the object id so the merge is a
+    deterministic function of its inputs.  Duplicate ids (an object live
+    on two shards mid-move) keep their best-scoring occurrence.  ``drop``
+    removes ids regardless of shard state — the router passes its deleted
+    set so a removed object can never resurface from a stale copy.
+    """
+    best: Dict[int, float] = {}
+    for results in shard_results:
+        for object_id, score in results:
+            if drop is not None and object_id in drop:
+                continue
+            current = best.get(object_id)
+            if current is None or score < current:
+                best[object_id] = score
+    ranked = sorted(best.items(), key=lambda pair: (pair[1], pair[0]))
+    return ranked[:k]
+
+
 class RetrievalFramework(abc.ABC):
     """Lifecycle: ``setup`` once over a knowledge base, then ``retrieve``
     / ``retrieve_batch``.
@@ -94,6 +117,14 @@ class RetrievalFramework(abc.ABC):
 
     #: Registry identifier ("mr", "je", "must").
     name: str = "framework"
+
+    #: The ``retrieve_batch`` options this framework honours.  Every
+    #: framework *takes* every option (one signature); one it does not
+    #: declare here is refused by :meth:`_check_options` when it is not
+    #: None.  Query execution and the coordinator's degradation read it
+    #: before calling; a shard router answers with the set of the framework
+    #: it wraps plus ``fanout``.
+    capabilities: frozenset = frozenset({"weights", "filter_fn"})
 
     def __init__(self) -> None:
         self.kb: Optional[KnowledgeBase] = None
@@ -162,34 +193,99 @@ class RetrievalFramework(abc.ABC):
 
     @abc.abstractmethod
     def retrieve_batch(
-        self, queries: Sequence[RawQuery], k: int, budget: int = 64
+        self,
+        queries: Sequence[RawQuery],
+        k: int,
+        budget: int = 64,
+        *,
+        weights: "Dict[Modality, float] | None" = None,
+        filter_fn: "ObjectFilter | None" = None,
     ) -> List[RetrievalResponse]:
         """Top-``k`` for every query; results in input order.
 
         The one retrieval body of a framework: encode and index dispatches
         are shared across the batch, and element ``i`` does not depend on
         the rest of it (same ids, same scores as a batch of that query
-        alone).  Concrete frameworks add optional keywords (``filter_fn``,
-        ``weights``, ...), which apply to the whole batch; callers read
-        which from :attr:`capabilities`.
+        alone).  Every framework repeats this parameter list; the two
+        options are keyword-only, apply to the whole batch, and this is
+        their reference:
+
+        * ``weights`` — modality importances for this call only ("modality
+          weights at the query point").  MUST searches its one index under
+          the re-weighted kernel, so the answer is the index's answer under
+          those weights; MR can only scale each stream's contribution at
+          fusion time, after every stream has searched blind; JE has one
+          fused vector per object and does not honour it.
+        * ``filter_fn`` — a predicate over object ids; only ids it admits
+          are returned (metadata-filtered search).  A graph traversal still
+          flows *through* non-matching vertices.
+
+        An option the framework does not list in :attr:`capabilities` is
+        refused (:meth:`_check_options`) rather than ignored.
         """
 
-    @cached_property
-    def capabilities(self) -> frozenset:
-        """The optional keywords this framework's ``retrieve_batch`` takes
-        (``retrieve`` forwards ``**kwargs`` and would say "everything").
+    def _check_options(self, weights, filter_fn, error: type = RetrievalError) -> None:
+        """Refuse an option that is set but not in :attr:`capabilities`.
 
-        The one capability reader: query execution refuses ``weights`` /
-        ``filter_fn`` a framework does not declare, and the coordinator's
-        degradation asks before re-weighting — both *before* calling, so a
-        genuine ``TypeError`` raised inside retrieval propagates instead of
-        being misread as a missing capability.  A ``**kwargs`` body is
-        taken to accept both.  Read once per instance.
+        The one refusal: a framework or the shard router raises it as
+        :class:`RetrievalError`, query execution as ``SearchError`` *before*
+        any retrieval work — so a genuine ``TypeError`` raised inside
+        retrieval propagates instead of being misread as a missing
+        capability.
         """
-        parameters = inspect.signature(self.retrieve_batch).parameters
-        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
-            return frozenset({"weights", "filter_fn"})
-        return frozenset(parameters)
+        if weights is not None and "weights" not in self.capabilities:
+            raise error(
+                f"framework {self.name!r} does not support per-query modality weights"
+            )
+        if filter_fn is not None and "filter_fn" not in self.capabilities:
+            raise error(f"framework {self.name!r} does not support filtered retrieval")
+
+    def merge(
+        self,
+        partials: Sequence[RetrievalResponse],
+        k: int,
+        *,
+        drop: frozenset = frozenset(),
+        weights: "Dict[Modality, float] | None" = None,
+    ) -> RetrievalResponse:
+        """One query's top-``k`` from partial answers over disjoint (or,
+        mid-move, overlapping) parts of the corpus — one per shard.
+
+        The one place a framework says how its partial answers combine; it
+        reads no index, so a never-set-up instance can be asked.  Here:
+        scores are distances, comparable across parts, so the merge is the
+        exact ``(score, object_id)`` top-``k`` of :func:`merge_shard_topk`
+        — what JE and MUST need.  ``drop`` ids never surface; ``weights``
+        is the weighting the partials were retrieved under (a framework
+        whose scores are not mergeable re-derives them from it — MR).  The
+        work counters are summed, and the result is named after the first
+        part that is not an ``empty-shard`` placeholder.
+        """
+        ranked = merge_shard_topk(
+            [
+                [(item.object_id, item.score) for item in partial.items]
+                for partial in partials
+            ],
+            k,
+            drop=drop,
+        )
+        name, stats = self._summary(partials)
+        items = [
+            RetrievedItem(object_id=object_id, score=score, rank=rank)
+            for rank, (object_id, score) in enumerate(ranked)
+        ]
+        return RetrievalResponse(framework=name, items=items, stats=stats)
+
+    @staticmethod
+    def _summary(partials: Sequence[RetrievalResponse]) -> Tuple[str, SearchStats]:
+        """What a merged response inherits from its parts: the name of the
+        framework that answered (skipping ``empty-shard`` placeholders) and
+        the summed work counters."""
+        stats = SearchStats()
+        for partial in partials:
+            stats.merge(partial.stats)
+        named = [p.framework for p in partials if p.framework != "empty-shard"]
+        return (named[0] if named else partials[0].framework), stats
 
     def _search(
         self, index: VectorIndex, queries, k: int, budget: int,

@@ -25,6 +25,7 @@ from repro.index.base import VectorIndex
 from repro.observability import trace_span
 from repro.retrieval.base import (
     IndexBuilder,
+    ObjectFilter,
     RetrievalFramework,
     RetrievalResponse,
 )
@@ -40,6 +41,7 @@ class JointEmbeddingRetrieval(RetrievalFramework):
     """
 
     name = "je"
+    capabilities = frozenset({"filter_fn"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -91,15 +93,18 @@ class JointEmbeddingRetrieval(RetrievalFramework):
         queries: Sequence[RawQuery],
         k: int,
         budget: int = 64,
-        filter_fn=None,
+        *,
+        weights: "Dict[Modality, float] | None" = None,
+        filter_fn: "ObjectFilter | None" = None,
     ) -> List[RetrievalResponse]:
         """Queries are fused into the joint space one by one, stacked, and
-        resolved with one ``search_batch``; ``filter_fn`` restricts results
-        to object ids satisfying the predicate."""
+        resolved with one ``search_batch``.  ``weights`` is refused: the
+        modalities were averaged away when the object was indexed."""
         self._require_ready()
         assert self.encoder_set is not None and self._index is not None
         if k <= 0:
             raise RetrievalError(f"k must be positive, got {k}")
+        self._check_options(weights, filter_fn)
         queries = list(queries)
         if not queries:
             return []

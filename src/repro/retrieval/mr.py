@@ -11,7 +11,7 @@ mediocre in every single modality but best overall never surfaces.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,11 +25,16 @@ from repro.index.base import SearchStats, VectorIndex
 from repro.observability import trace_span
 from repro.retrieval.base import (
     IndexBuilder,
+    ObjectFilter,
     RetrievalFramework,
     RetrievalResponse,
     RetrievedItem,
+    merge_shard_topk,
 )
 from repro.retrieval.fusion import FusionStrategy, fuse_rankings
+
+Stream = Tuple[Sequence[int], Sequence[float]]
+"""One modality stream of one query: ``(ids, distances)``, best first."""
 
 
 class MultiStreamedRetrieval(RetrievalFramework):
@@ -96,17 +101,17 @@ class MultiStreamedRetrieval(RetrievalFramework):
         queries: Sequence[RawQuery],
         k: int,
         budget: int = 64,
-        filter_fn=None,
+        *,
         weights: "Dict[Modality, float] | None" = None,
+        filter_fn: "ObjectFilter | None" = None,
     ) -> List[RetrievalResponse]:
         """One ``search_batch`` per modality stream over the queries that
         carry that modality, then per-query rank fusion.
 
-        Per-call ``weights`` scale each stream's contribution at fusion
-        time (weighted RRF/CombSUM) — the best MR can do with modality
+        ``weights`` scale each stream's contribution at fusion time
+        (weighted RRF/CombSUM) — the best MR can do with modality
         importances, since each stream has already searched blind by the
-        time weights can act.  ``filter_fn`` restricts results to object
-        ids satisfying the predicate."""
+        time weights can act."""
         self._require_ready()
         assert self.encoder_set is not None
         if k <= 0:
@@ -116,9 +121,7 @@ class MultiStreamedRetrieval(RetrievalFramework):
             return []
         with trace_span("encode", queries=len(queries)):
             query_vectors_list = self.encoder_set.encode_query_batch(queries)
-        parsed_weights = None
-        if weights is not None:
-            parsed_weights = {Modality.parse(m): float(w) for m, w in weights.items()}
+        parsed_weights = self._parse_weights(weights)
         fetch = self.expansion * k
 
         # Group query rows per modality stream (queries may be partial).
@@ -145,49 +148,111 @@ class MultiStreamedRetrieval(RetrievalFramework):
 
         responses: List[RetrievalResponse] = []
         for position, query_vectors in enumerate(query_vectors_list):
-            rankings: List[List[int]] = []
-            distances: List[List[float]] = []
-            per_modality: Dict[Modality, List[int]] = {}
-            per_modality_distances: Dict[Modality, List[float]] = {}
+            streams: Dict[Modality, Stream] = {}
             stats = SearchStats()
             for modality in query_vectors:
                 outcome = outcomes[modality][position]
-                rankings.append(outcome.ids)
-                distances.append(outcome.distances)
-                per_modality[modality] = list(outcome.ids)
-                per_modality_distances[modality] = [
-                    float(d) for d in outcome.distances
-                ]
+                streams[modality] = (outcome.ids, outcome.distances)
                 stats.merge(outcome.stats)
-            stream_weights = None
-            if parsed_weights is not None:
-                stream_weights = [
-                    parsed_weights.get(modality, 1.0) for modality in per_modality
-                ]
             with trace_span(
-                "fusion", strategy=self.fusion.value, streams=len(rankings)
+                "fusion", strategy=self.fusion.value, streams=len(streams)
             ):
-                fused = fuse_rankings(
-                    rankings,
-                    distances,
-                    k,
-                    strategy=self.fusion,
-                    stream_weights=stream_weights,
+                responses.append(
+                    self._fuse(streams, k, parsed_weights, self.name, stats)
                 )
-            items = [
-                RetrievedItem(object_id=object_id, score=score, rank=rank)
-                for rank, (object_id, score) in enumerate(fused)
-            ]
-            responses.append(
-                RetrievalResponse(
-                    framework=self.name,
-                    items=items,
-                    stats=stats,
-                    per_modality_ids=per_modality,
-                    per_modality_distances=per_modality_distances,
-                )
-            )
         return responses
+
+    @staticmethod
+    def _parse_weights(weights) -> "Dict[Modality, float] | None":
+        if weights is None:
+            return None
+        return {Modality.parse(m): float(w) for m, w in weights.items()}
+
+    def _fuse(
+        self,
+        streams: "Dict[Modality, Stream]",
+        k: int,
+        parsed_weights: "Dict[Modality, float] | None",
+        framework: str,
+        stats: SearchStats,
+    ) -> RetrievalResponse:
+        """The fusion tail of :meth:`retrieve_batch` and :meth:`merge`: one
+        query's per-stream ``(ids, distances)``, best first, become its
+        fused top-``k`` under this framework's strategy — a stream the
+        weights do not name counts 1.0 — with the streams kept on the
+        response."""
+        stream_weights = None
+        if parsed_weights is not None:
+            stream_weights = [parsed_weights.get(modality, 1.0) for modality in streams]
+        fused = fuse_rankings(
+            [ids for ids, _ in streams.values()],
+            [distances for _, distances in streams.values()],
+            k,
+            strategy=self.fusion,
+            stream_weights=stream_weights,
+        )
+        items = [
+            RetrievedItem(object_id=object_id, score=score, rank=rank)
+            for rank, (object_id, score) in enumerate(fused)
+        ]
+        return RetrievalResponse(
+            framework=framework,
+            items=items,
+            stats=stats,
+            per_modality_ids={m: list(ids) for m, (ids, _) in streams.items()},
+            per_modality_distances={
+                m: [float(d) for d in distances]
+                for m, (_, distances) in streams.items()
+            },
+        )
+
+    def merge(
+        self,
+        partials: Sequence[RetrievalResponse],
+        k: int,
+        *,
+        drop: frozenset = frozenset(),
+        weights: "Dict[Modality, float] | None" = None,
+    ) -> RetrievalResponse:
+        """Stream-level re-fusion: the partials' fused scores are ignored.
+
+        A fused score is a function of part-*local* ranks (RRF) or of the
+        normalisation span of one fetched list (CombSUM), so fused lists
+        from different parts are not mergeable — merging them anyway is
+        exactly the rank-fusion information loss the paper's Figure 5
+        critiques.  Distances within one modality stream *are* globally
+        comparable, so each stream's global top-``expansion * k`` is rebuilt
+        from the parts' ``(id, distance)`` fragments
+        (:func:`merge_shard_topk`: best distance for a mid-move duplicate,
+        ``drop`` ids removed, ``(distance, id)`` tie-break) and fused by the
+        same tail ``retrieve_batch`` ends in.  When every part returned its
+        full stream top-``fetch`` the rebuilt streams equal the unsplit
+        streams and so do the fused ids.
+        """
+        modalities = dict.fromkeys(
+            m for partial in partials for m in partial.per_modality_ids
+        )
+        if not modalities:  # nothing but empty-shard placeholders
+            return super().merge(partials, k, drop=drop)
+        streams: Dict[Modality, Stream] = {}
+        for modality in modalities:
+            ranked = merge_shard_topk(
+                [
+                    zip(
+                        partial.per_modality_ids.get(modality, ()),
+                        partial.per_modality_distances.get(modality, ()),
+                    )
+                    for partial in partials
+                ],
+                self.expansion * k,
+                drop=drop,
+            )
+            streams[modality] = (
+                [object_id for object_id, _ in ranked],
+                [distance for _, distance in ranked],
+            )
+        name, stats = self._summary(partials)
+        return self._fuse(streams, k, self._parse_weights(weights), name, stats)
 
     def describe(self) -> str:
         base = super().describe()

@@ -103,20 +103,16 @@ class MustRetrieval(RetrievalFramework):
         queries: Sequence[RawQuery],
         k: int,
         budget: int = 64,
+        *,
         weights: "Dict[Modality, float] | None" = None,
         filter_fn: "ObjectFilter | None" = None,
     ) -> List[RetrievalResponse]:
         """The whole batch is concatenated under one schema and resolved by
         a single lockstep graph traversal.
 
-        ``weights`` re-weights modalities for this call only ("modality
-        weights at the query point"): the index is weight-agnostic
-        structure, so the re-weighted kernel is handed to ``search_batch``
-        and the answer is the index's answer under those weights.
-
-        ``filter_fn`` restricts results to object ids satisfying the
-        predicate (metadata-filtered vector search); graph traversal still
-        flows through non-matching vertices.
+        ``weights``: the index is weight-agnostic structure, so the
+        re-weighted kernel is handed to ``search_batch`` and the answer is
+        the index's answer under those weights.
         """
         self._require_ready()
         assert self.encoder_set is not None

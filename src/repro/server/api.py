@@ -240,9 +240,9 @@ class ApiServer:
         session_key = None
         if route in self._SESSION_ROUTES:
             try:
-                session_key = int((body or {}).get("session", 0))
-            except (TypeError, ValueError):
-                session_key = None  # the handler raises the proper ApiError
+                session_key = self._int_field(body or {}, "session", 0)
+            except ApiError:
+                session_key = None  # the handler raises it again, as a reply
         self._maybe_resize_engine()
         self._maybe_resize_batcher()
         # In resilience mode the engine sheds requests whose latency budget
@@ -382,7 +382,7 @@ class ApiServer:
     def _require_system(self, body: "Dict[str, Any] | None" = None) -> Tuple[Coordinator, QAPanel]:
         if self._coordinator is None or not self._sessions:
             raise ApiError("system not applied yet; POST /apply first")
-        session_id = int((body or {}).get("session", 0))
+        session_id = self._int_field(body or {}, "session", 0)
         if session_id not in self._sessions:
             known = ", ".join(str(s) for s in sorted(self._sessions))
             raise ApiError(f"unknown session {session_id}; known sessions: {known}")
@@ -394,10 +394,15 @@ class ApiServer:
             raise ApiError(f"request body is missing field {field!r}")
         return body[field]
 
-    @staticmethod
-    def _int_field(body: Dict[str, Any], field: str, default: Optional[int]) -> Optional[int]:
-        value = body.get(field)
-        if value is None:
+    @classmethod
+    def _int_field(
+        cls, body: Dict[str, Any], field: str, default: Optional[int] = None,
+        required: bool = False,
+    ) -> Optional[int]:
+        """``body[field]`` as an int; ``default`` when absent or null,
+        unless ``required``.  Anything ``int()`` refuses is an ApiError."""
+        value = cls._require_field(body, field) if required else body.get(field)
+        if value is None and not required:
             return default
         try:
             return int(value)
@@ -609,11 +614,11 @@ class ApiServer:
         coordinator, qa = self._require_system(body)
         text = self._require_field(body, "text")
         image = None
-        if body.get("reference_object_id") is not None:
+        reference_id = self._int_field(body, "reference_object_id")
+        if reference_id is not None:
             # An uploaded image is modelled by referencing an object whose
             # image modality stands in for the user's file.
-            reference = coordinator.get_object(int(body["reference_object_id"]))
-            image = reference.get(Modality.IMAGE)
+            image = coordinator.get_object(reference_id).get(Modality.IMAGE)
         ask = qa.session.ask_agentic if verb == "ask" else qa.session.ask
         weights = self._weights_field(body)
         deadline_ms = self._deadline_override(body)
@@ -626,7 +631,7 @@ class ApiServer:
 
     def _post_select(self, body: Dict[str, Any]) -> Dict[str, Any]:
         _, qa = self._require_system(body)
-        rank = int(self._require_field(body, "rank"))
+        rank = self._int_field(body, "rank", required=True)
         object_id = qa.click_result(rank)
         return {"selected_object_id": object_id}
 
@@ -650,19 +655,21 @@ class ApiServer:
 
     def _post_remove(self, body: Dict[str, Any]) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
-        object_id = int(self._require_field(body, "object_id"))
+        object_id = self._int_field(body, "object_id", required=True)
         coordinator.remove_object(object_id)
         return {"removed_object_id": object_id}
 
     # ------------------------------------------------------------------
     # raw batched retrieval
     # ------------------------------------------------------------------
-    def _search_query(self, coordinator: Coordinator, spec: Dict[str, Any]) -> RawQuery:
+    def _search_query(self, coordinator: Coordinator, spec: Any) -> RawQuery:
         """Build one :class:`RawQuery` from a ``/search`` request spec."""
+        if not isinstance(spec, Mapping):
+            raise ApiError(f"a search spec must be an object with 'text', got {spec!r}")
         text = str(self._require_field(spec, "text"))
-        reference_id = spec.get("reference_object_id")
+        reference_id = self._int_field(spec, "reference_object_id")
         if reference_id is not None:
-            reference = coordinator.get_object(int(reference_id))
+            reference = coordinator.get_object(reference_id)
             return RawQuery.from_text_and_image(text, reference.get(Modality.IMAGE))
         return RawQuery.from_text(text)
 
@@ -727,9 +734,7 @@ class ApiServer:
             specs = body["queries"]
             if not isinstance(specs, (list, tuple)) or not specs:
                 raise ApiError("'queries' must be a non-empty list")
-            queries = [
-                self._search_query(coordinator, dict(spec)) for spec in specs
-            ]
+            queries = [self._search_query(coordinator, spec) for spec in specs]
             responses = coordinator.retrieve_batch(queries, k=k, weights=weights)
             self.batcher.note(len(queries))
             return {"results": [self._search_payload(r) for r in responses]}
@@ -887,14 +892,18 @@ class ApiServer:
 
     def _post_reject(self, body: Dict[str, Any]) -> Dict[str, Any]:
         _, qa = self._require_system(body)
-        rank = int(self._require_field(body, "rank"))
+        rank = self._int_field(body, "rank", required=True)
         object_id = qa.session.reject(rank)
         return {"rejected_object_id": object_id}
 
     def _post_ingest(self, body: Dict[str, Any]) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
         concepts = self._require_field(body, "concepts")
-        if not isinstance(concepts, (list, tuple)) or not concepts:
+        if (
+            not isinstance(concepts, (list, tuple))
+            or not concepts
+            or not all(isinstance(concept, str) for concept in concepts)
+        ):
             raise ApiError("'concepts' must be a non-empty list of concept names")
         intensities = body.get("intensities")
         if intensities is not None:
@@ -902,10 +911,16 @@ class ApiServer:
                 raise ApiError(
                     "'intensities' must be a list matching 'concepts' in length"
                 )
+            if not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool)
+                for v in intensities
+            ):
+                raise ApiError(f"'intensities' must be numbers, got {intensities!r}")
             intensities = [float(v) for v in intensities]
+        metadata = body.get("metadata") or {}
+        if not isinstance(metadata, Mapping):
+            raise ApiError(f"'metadata' must be an object, got {metadata!r}")
         object_id = coordinator.ingest_object(
-            list(concepts),
-            intensities=intensities,
-            metadata=dict(body.get("metadata") or {}),
+            list(concepts), intensities=intensities, metadata=dict(metadata)
         )
         return {"object_id": object_id}

@@ -153,10 +153,9 @@ def run_loadgen(
     only throughput changes.
 
     ``shards`` / ``replicas`` serve the same workload through the shard
-    router; the ``shard_latency_*`` knobs add the simulated remote-shard
-    service time under which sharding shows its read scaling (the
-    per-shard sleeps overlap on the scatter pool).  Result ids never
-    change — the sharding benchmark asserts that.
+    router; ``shard_latency_ms`` adds a simulated remote-shard service
+    time (a sleep per shard call).  Result ids never change — the sharding
+    benchmark asserts that.
 
     With ``cost_accounting`` the report carries the server's ``GET /stats``
     snapshot under ``"stats"`` (the data behind ``python -m repro stats``),

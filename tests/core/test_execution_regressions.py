@@ -51,7 +51,7 @@ class StubFramework(RetrievalFramework):
     def setup(self, kb, encoder_set, index_builder, weights=None):
         raise NotImplementedError
 
-    def retrieve_batch(self, queries, k, budget=64, weights=None, filter_fn=None):
+    def retrieve_batch(self, queries, k, budget=64, *, weights=None, filter_fn=None):
         self.calls += len(queries)
         if self._internal_error is not None:
             raise self._internal_error
@@ -69,13 +69,10 @@ class StubFramework(RetrievalFramework):
 
 
 class WeightlessFramework(StubFramework):
-    """Framework whose retrieve accepts no per-query weights."""
+    """Framework that declares no per-query weights."""
 
     name = "weightless"
-
-    def retrieve_batch(self, queries, k, budget=64, filter_fn=None):  # no weights
-        self.calls += len(queries)
-        return [RetrievalResponse(framework=self.name, items=[]) for _ in queries]
+    capabilities = frozenset({"filter_fn"})
 
 
 class TestTypeErrorPropagation:
@@ -96,23 +93,19 @@ class TestTypeErrorPropagation:
         execution = QueryExecution(framework)
         with pytest.raises(SearchError, match="per-query modality weights"):
             execution.execute(RawQuery.from_text("q"), k=3, weights={"text": 1.0})
-        # Rejected by signature inspection, before any retrieval work ran.
+        # Rejected on the declared capabilities, before any retrieval work ran.
         assert framework.calls == 0
 
     def test_missing_filter_capability_rejected(self):
         class Unfilterable(StubFramework):
-            def retrieve_batch(self, queries, k, budget=64):
-                self.calls += len(queries)
-                return [
-                    RetrievalResponse(framework=self.name, items=[])
-                    for _ in queries
-                ]
+            capabilities = frozenset({"weights"})
 
-        execution = QueryExecution(Unfilterable())
+        framework = Unfilterable()
         with pytest.raises(SearchError, match="filtered retrieval"):
-            execution.execute(
+            QueryExecution(framework).execute(
                 RawQuery.from_text("q"), k=3, filter_fn=lambda object_id: True
             )
+        assert framework.calls == 0
 
     def test_var_keyword_framework_accepts_weights(self):
         class Kwargs(StubFramework):
@@ -123,6 +116,7 @@ class TestTypeErrorPropagation:
                     for _ in queries
                 ]
 
+        assert Kwargs.capabilities == {"weights", "filter_fn"}  # the base's
         execution = QueryExecution(Kwargs())
         response = execution.execute(
             RawQuery.from_text("q"), k=3, weights={"text": 1.0}
@@ -131,9 +125,9 @@ class TestTypeErrorPropagation:
 
 
 class TestRealFrameworkCapabilities:
-    """Capabilities are read off ``retrieve_batch``, the one body a
-    framework defines — the base-class ``retrieve`` forwards ``**kwargs``
-    and would make every framework look like it accepts everything."""
+    """Capabilities are what a framework declares: every ``retrieve_batch``
+    takes every option, so the signature says nothing about which it
+    honours."""
 
     @pytest.fixture(scope="class")
     def frameworks(self, scenes_kb, clip_set):

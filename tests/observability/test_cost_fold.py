@@ -6,11 +6,12 @@ the fold never descends into.  (b) The account it produces has the shape
 the ambient stage-timer machinery produced at commit ``2e049b5``:
 ``data/cost_shape_2e049b5.json`` was written by running this module
 (``python -m tests.observability.test_cost_fold``) at that commit, so every
-path — unsharded, cached, tiered, inline and pooled scatter, batches, an
-agentic round — must keep its stage keys, shard rows, signature and
-``/stats`` observation counts.  Four entries have been edited by hand
-since, and nothing else in the file: the ``round-weights`` operation of
-``must``, ``must-flat``, ``must-nocache`` and ``tiered-sq8`` lost its
+path — unsharded, cached, tiered, sharded, batches, an agentic round —
+must keep its stage keys, shard rows, signature and ``/stats`` observation
+counts.  The ``shards3-pooled`` key (it asserted that a thread-pool scatter
+folds like the inline loop) went with the pool.  Four entries have been
+edited by hand since, and nothing else in the file: the ``round-weights``
+operation of ``must``, ``must-flat``, ``must-nocache`` and ``tiered-sq8`` lost its
 ``fuse`` stage (stage list and ``/stats`` count) when per-query weights
 stopped being an over-fetch re-ranked outside the index, and its work
 counters on ``hnsw`` / tiered ``starling`` are now those of one ``k``-wide
@@ -175,7 +176,6 @@ CONFIGS = {
     ),
     "shards3-must": dict(index_params=HNSW, shards=3),
     "shards3-mr": dict(framework="mr", index_params=HNSW, shards=3),
-    "shards3-pooled": dict(index_params=HNSW, shards=3, shard_latency_ms=0.2),
 }
 WEIGHTS = {"text": 0.7, "image": 0.3}
 TEXTS = ("foggy clouds", "sunny shoreline at dusk", "rain on a forest trail")
@@ -288,10 +288,9 @@ class TestShapeParityWithParent:
         ]
         assert must["round-again"]["costs"][0]["stages"] == ["generate", "retrieve"]
         assert [c["stages"] for c in must["batch-of-3"]["costs"]] == [["retrieve"]] * 3
-        sharded = golden["shards3-pooled"]["round-miss"]
+        sharded = golden["shards3-must"]["round-miss"]
         assert [row["shard"] for row in sharded["costs"][0]["shards"]] == [0, 1, 2]
         assert [g["shard"] for g in sharded["stats"]] == ["-", "0", "1", "2"]
-        assert golden["shards3-pooled"] == golden["shards3-must"]
 
 
 if __name__ == "__main__":  # regenerate the fixture (run at 2e049b5)

@@ -14,7 +14,8 @@ from repro.core.cache import QueryCache
 from repro.core.execution import QueryExecution
 from repro.core.resilience import ResilienceManager, RetryPolicy
 from repro.data import DatasetSpec
-from repro.errors import RetrievalError
+from repro.data.objects import RawQuery
+from repro.errors import EncodingError, RetrievalError
 from repro.server.api import ApiServer
 
 from tests.sharding.conftest import BUDGET, K, make_router
@@ -219,6 +220,74 @@ class TestServerSurface:
             assert any("shard 0 unavailable" in reason for reason in reasons)
         finally:
             server.close()
+
+
+class TestMalformedRequestIsNotAShardFailure:
+    """An ``EncodingError`` is the request's fault and the same on every
+    shard: it reaches the caller as the unsharded engine raises it, and no
+    replica, breaker or degraded-search counter books it.  (Three
+    ``{"text": 5}`` bodies used to mark every replica of every shard
+    unhealthy and come back as ``all 2 shards unavailable``.)"""
+
+    def _server(self, **overrides):
+        server = ApiServer(
+            MQAConfig(
+                dataset=DatasetSpec(domain="scenes", size=48, seed=7),
+                weight_learning={"steps": 5, "batch_size": 8},
+                index="flat",
+                **overrides,
+            )
+        )
+        assert server.handle("POST", "/apply").get("ok")
+        return server
+
+    @pytest.mark.parametrize("resilience", [False, True])
+    def test_poison_body_marks_no_replica(self, resilience):
+        def verdict(server):
+            reply = server.handle("POST", "/query", {"text": 5})
+            answer = reply.get("answer", {})
+            return reply["ok"], reply.get("error"), answer.get("degraded_reasons")
+
+        with self._server(resilience=resilience) as plain:
+            expected = verdict(plain)
+        if not resilience:
+            assert expected[0] is False and "expects a string" in expected[1]
+        with self._server(shards=2, replicas=2, resilience=resilience) as server:
+            router = server._coordinator.execution.framework
+            for _ in range(3):
+                assert verdict(server) == expected
+                # A resilient round drops the modality before retrieval, so
+                # also send the router the read itself.
+                with pytest.raises(EncodingError, match="expects a string"):
+                    router.retrieve(RawQuery.from_text(5), k=K, budget=BUDGET)
+            health = server.handle("GET", "/health")
+            sharding = health["sharding"]
+            assert sharding["degraded_searches"] == 0
+            assert [
+                [replica["healthy"] for replica in shard["replicas"]]
+                for shard in sharding["per_shard"]
+            ] == [[True, True], [True, True]]
+            assert all(
+                replica["errors"] == 0
+                for shard in sharding["per_shard"]
+                for replica in shard["replicas"]
+            )
+            assert bool(sharding["breakers"]) == resilience
+            for state in sharding["breakers"].values():
+                assert state["state"] == "closed"
+                assert state["consecutive_failures"] == state["times_opened"] == 0
+            events = server.handle("GET", "/events")["events"]
+            assert not [e for e in events if e["kind"] == "replica-probe"]
+            # ...and the deployment still answers.
+            good = server.handle("POST", "/query", {"text": "foggy clouds"})
+            assert good["ok"] and not good["answer"]["degraded"]
+
+    def test_a_shard_outage_still_degrades(self, scenes_kb, clip_set):
+        router = make_router(scenes_kb, clip_set, shards=2, replicas=2)
+        _break_shard(router, 0)
+        response = router.retrieve(query_pool(scenes_kb)[0], k=K, budget=BUDGET)
+        assert response.degraded_reasons == ["shard 0 unavailable (RetrievalError)"]
+        assert router.snapshot()["degraded_searches"] == 1
 
 
 class TestModalityDropBehindTheRouter:

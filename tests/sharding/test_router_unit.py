@@ -105,11 +105,6 @@ class TestRouterConstruction:
         assert "2 replica(s)" in text
         assert "'must'" in text
 
-    def test_close_is_idempotent(self, scenes_kb, clip_set):
-        router = make_router(scenes_kb, clip_set, shards=2)
-        router.close()
-        router.close()
-
 
 class TestReplicaSelection:
     def _group(self, replicas=3):
