@@ -31,7 +31,6 @@ path is bit-identical to the pre-agentic behaviour.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
@@ -44,7 +43,7 @@ from repro.llm.agentic import ClaimSynthesizer, claim_summary_line, render_subqu
 from repro.llm.base import GenerationResult
 from repro.llm.grounding import check_grounding
 from repro.llm.prompts import ContextItem
-from repro.observability import fold_span, trace_span
+from repro.observability import MetricsRegistry, fold_span, trace_span
 from repro.retrieval.fusion import fuse_responses
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -164,9 +163,11 @@ class QueryDecomposer:
 class AgenticAnswerer:
     """Orchestrates decompose → retrieve → fuse → synthesize → refine.
 
-    Owns only counters; all retrieval/generation machinery is borrowed
-    from the coordinator per call, so the answerer itself is stateless
-    with respect to queries and safe under concurrent sessions.
+    Owns nothing but its parts: the retrieval/generation machinery is
+    borrowed from the coordinator per call and the ``agentic.*`` counts
+    live in the metrics registry (the coordinator's, or one of its own),
+    so the answerer is stateless with respect to queries and safe under
+    concurrent sessions.
     """
 
     def __init__(
@@ -181,60 +182,40 @@ class AgenticAnswerer:
         self.decomposer = decomposer
         self.synthesizer = synthesizer or ClaimSynthesizer(seed=decomposer.seed)
         self.refine_rounds = refine_rounds
-        self.metrics = metrics
-        self._lock = threading.Lock()
-        self._questions = 0
-        self._hops = 0
-        self._claims = 0
-        self._supported = 0
-        self._refined = 0
-        self._refine_rounds_run = 0
-        self._groundedness_sum = 0.0
-        self._groundedness_count = 0
+        self.metrics = metrics or MetricsRegistry()
 
     # ------------------------------------------------------------------
     # introspection (GET /stats, GET /health)
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
-        """Aggregate agentic counters for the stats/health planes."""
-        with self._lock:
-            mean = (
-                self._groundedness_sum / self._groundedness_count
-                if self._groundedness_count
-                else None
-            )
-            return {
-                "enabled": True,
-                "max_hops": self.decomposer.max_hops,
-                "refine_rounds": self.refine_rounds,
-                "questions": self._questions,
-                "hops": self._hops,
-                "claims": self._claims,
-                "supported_claims": self._supported,
-                "refined_claims": self._refined,
-                "refine_rounds_run": self._refine_rounds_run,
-                "mean_groundedness": mean,
-            }
+        """The registry's ``agentic.*`` counts for the stats/health planes."""
+        count = self.metrics.count
+        groundedness = self.metrics.histogram("agentic.groundedness")
+        return {
+            "enabled": True,
+            "max_hops": self.decomposer.max_hops,
+            "refine_rounds": self.refine_rounds,
+            "questions": count("agentic.questions"),
+            "hops": count("agentic.hops"),
+            "claims": count("agentic.claims"),
+            "supported_claims": count("agentic.supported_claims"),
+            "refined_claims": count("agentic.refined_claims"),
+            "refine_rounds_run": count("agentic.refine_rounds_run"),
+            "mean_groundedness": groundedness.mean if groundedness.count else None,
+        }
 
     def _observe(self, claims: Sequence[Claim], hops: int, rounds: int) -> None:
         supported = sum(1 for claim in claims if claim.supported)
-        refined = sum(1 for claim in claims if claim.refined)
-        with self._lock:
-            self._questions += 1
-            self._hops += hops
-            self._claims += len(claims)
-            self._supported += supported
-            self._refined += refined
-            self._refine_rounds_run += rounds
-            if claims:
-                self._groundedness_sum += supported / len(claims)
-                self._groundedness_count += 1
-        if self.metrics is not None:
-            self.metrics.inc("agentic.questions")
-            self.metrics.inc("agentic.hops", hops)
-            self.metrics.inc("agentic.claims", len(claims))
-            self.metrics.inc("agentic.supported_claims", supported)
-            self.metrics.inc("agentic.refined_claims", refined)
+        self.metrics.inc("agentic.questions")
+        self.metrics.inc("agentic.hops", hops)
+        self.metrics.inc("agentic.claims", len(claims))
+        self.metrics.inc("agentic.supported_claims", supported)
+        self.metrics.inc(
+            "agentic.refined_claims", sum(1 for claim in claims if claim.refined)
+        )
+        self.metrics.inc("agentic.refine_rounds_run", rounds)
+        if claims:
+            self.metrics.observe("agentic.groundedness", supported / len(claims))
 
     # ------------------------------------------------------------------
     # the multi-hop round
@@ -281,8 +262,6 @@ class AgenticAnswerer:
         answer.claims = claims
         supported = sum(1 for claim in claims if claim.supported)
         answer.groundedness = supported / len(claims)
-        if self.metrics is not None:
-            self.metrics.observe("agentic.groundedness", answer.groundedness)
         coordinator.events.record(
             "generation", "frontend", "agentic-answer",
             f"{len(claims)} claims, {supported} supported",

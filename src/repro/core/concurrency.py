@@ -37,9 +37,8 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Dict, Hashable, List, Optional
 
-import numpy as np
-
 from repro.errors import DeadlineExceededError, MQAError
+from repro.observability.metrics import Window
 
 #: Task modes accepted by :meth:`QueryEngine.submit`.
 READ = "read"
@@ -351,7 +350,7 @@ class QueryEngine:
         self._errors = 0
         self._reads = 0
         self._writes = 0
-        self._waits_ms: List[float] = []
+        self._waits_ms = Window(1024)
         self._closed = False
         #: Optional ``wait_ms -> None`` callback invoked as each task
         #: starts (outside the stats lock) — the admission controller's
@@ -451,9 +450,7 @@ class QueryEngine:
         with self._stats_lock:
             self._queued -= 1
             self._in_flight += 1
-            self._waits_ms.append(wait_ms)
-            if len(self._waits_ms) > 1024:
-                del self._waits_ms[: len(self._waits_ms) - 1024]
+            self._waits_ms.observe(wait_ms)
             if mode == READ:
                 self._reads += 1
             else:
@@ -509,7 +506,6 @@ class QueryEngine:
     def snapshot(self) -> Dict[str, Any]:
         """Pool depth and queue statistics for ``GET /health``."""
         with self._stats_lock:
-            waits = list(self._waits_ms)
             stats = {
                 "workers": self.workers,
                 "max_queue": self.max_queue,
@@ -524,15 +520,11 @@ class QueryEngine:
                 "writes": self._writes,
                 "sessions_tracked": len(self._session_locks),
             }
-        if waits:
-            sample = np.asarray(waits)
-            stats["queue_wait_ms"] = {
-                "p50": round(float(np.percentile(sample, 50)), 3),
-                "p95": round(float(np.percentile(sample, 95)), 3),
-                "max": round(float(sample.max()), 3),
-            }
-        else:
-            stats["queue_wait_ms"] = {"p50": 0.0, "p95": 0.0, "max": 0.0}
+        stats["queue_wait_ms"] = {
+            "p50": round(self._waits_ms.percentile(50), 3),
+            "p95": round(self._waits_ms.percentile(95), 3),
+            "max": round(self._waits_ms.percentile(100), 3),
+        }
         stats["lock"] = self.rwlock.snapshot()
         return stats
 

@@ -178,6 +178,7 @@ class Coordinator:
         self.generation: Optional[AnswerGeneration] = None
         self.stages: List[Stage] = []
         self.observers: List[Stage] = []
+        self.ledgers: Dict[str, Callable[[], "dict | None"]] = {}
         self._is_setup = False
 
     # ------------------------------------------------------------------
@@ -239,7 +240,10 @@ class Coordinator:
         The stage list is ordered; each entry is installed by the one
         flag named beside it, and the resilience guards wrap the search
         and the LLM call only when ``config.resilience`` is on.  The
-        observers run after the round, outside its lock and trace.
+        observers run after the round, outside its lock and trace.  The
+        ledger table names every layer's ``snapshot`` — what ``/health``,
+        ``/stats``, the status panel and the load generator select from by
+        name through :meth:`ledger`; a layer that is off has no entry.
         """
         config = self.config
         retrieves = self.execution is not None  # False in LLM-only mode: no kb
@@ -289,6 +293,24 @@ class Coordinator:
             (self.quality, "quality", self._observe_quality),
         ]
         self.observers = [(name, hook) for on, name, hook in hooks if on]
+        layers = {
+            "planner": self.planner,
+            "admission": self.admission,
+            "agentic": self.agentic,
+            "cache": self.execution.cache if retrieves else None,
+            "stats": self.stats,
+            "slo": self.slo,
+            "quality": self.quality,
+            "recorder": self.recorder,
+            "resilience": self.resilience,
+        }
+        self.ledgers = {
+            name: layer.snapshot for name, layer in layers.items() if layer is not None
+        }
+        if self.tracer.enabled:
+            self.ledgers["trace"] = self._trace_ledger
+        if retrieves:
+            self.ledgers.update(self.execution.framework.ledgers())
 
     def _run_preprocessing(self) -> Dict[str, str]:
         self.events.record("frontend", "coordinator", "configuration", "setup requested")
@@ -1024,23 +1046,15 @@ class Coordinator:
             return {}
         return dict(self.representation.weights)
 
-    def snapshots(self) -> Dict[str, "dict | None"]:
-        """One read of every optional layer's ledger (``None`` = disabled):
-        what ``/stats``, ``/health`` and the load generator report."""
-        layers = {
-            "planner": self.planner,
-            "admission": self.admission,
-            "agentic": self.agentic,
-            "cache": self.execution.cache if self.execution is not None else None,
-            "stats": self.stats,
-            "slo": self.slo,
-            "quality": self.quality,
-            "recorder": self.recorder,
-        }
-        return {
-            name: layer.snapshot() if layer is not None else None
-            for name, layer in layers.items()
-        }
+    def ledger(self, name: str) -> "dict | None":
+        """One read of the ledger called ``name`` (``None``: no such layer
+        in this deployment)."""
+        read = self.ledgers.get(name)
+        return read() if read is not None else None
+
+    def _trace_ledger(self) -> "dict | None":
+        last = self.tracer.last_trace
+        return {"last": last.render()} if last is not None else None
 
     def get_object(self, object_id: int):
         """Fetch a knowledge-base object through the coordinator."""

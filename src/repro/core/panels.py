@@ -10,7 +10,7 @@ matching the architecture's single-conduit rule.
 from __future__ import annotations
 
 from dataclasses import fields, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.config import MQAConfig, WeightMode
 from repro.core.coordinator import Coordinator
@@ -52,7 +52,7 @@ class ConfigurationPanel:
         field by name, or the knowledge-base domain as ``knowledge_base``."""
         if option == "knowledge_base":
             updates = {"dataset": replace(self.config.dataset, domain=str(value))}
-        elif option in MQAConfig.__dataclass_fields__:
+        elif isinstance(option, str) and option in MQAConfig.__dataclass_fields__:
             updates = {option: value}
         else:
             raise ConfigurationError(f"unknown configuration option {option!r}")
@@ -77,19 +77,16 @@ class StatusPanel:
 
     Args:
         board: The coordinator's status board.
-        tracer: Optional query tracer; when it holds finished traces the
-            panel appends the most recent query's span tree, giving the
+        ledger: The coordinator's by-name ledger read
+            (:meth:`~repro.core.coordinator.Coordinator.ledger`); a board
+            alone renders the milestones only.  Each ledger the deployment
+            has adds its line — ``slo`` (health: latency/errors against
+            targets), ``quality`` (streaming recall@k / MRR of sampled
+            live queries), ``stats`` (queries observed, whole-query p95
+            and mean distance evaluations), ``cache`` (one locked counter
+            snapshot, plus the semantic totals on a semantic cache) — and
+            ``trace`` appends the most recent query's span tree, the
             per-stage breakdown the milestones can't show.
-        slo: Optional :class:`~repro.observability.SLOMonitor`; adds a
-            health line grading latency/errors against targets.
-        quality: Optional :class:`~repro.observability.QualityMonitor`;
-            adds the streaming recall@k / MRR of sampled live queries.
-        stats: Optional :class:`~repro.observability.StatsPlane`; adds a
-            cost line (queries observed, whole-query p95 latency and
-            mean distance evaluations) when cost accounting is on.
-        cache: Optional :class:`~repro.core.cache.QueryCache`; adds a
-            cache line from one locked counter snapshot (plus the
-            semantic hit/rejection totals on a semantic cache).
     """
 
     TICKS = {
@@ -100,15 +97,12 @@ class StatusPanel:
     }
 
     def __init__(
-        self, board: StatusBoard, tracer=None, slo=None, quality=None,
-        stats=None, cache=None,
+        self,
+        board: StatusBoard,
+        ledger: Callable[[str], "dict | None"] = lambda name: None,
     ) -> None:
         self.board = board
-        self.tracer = tracer
-        self.slo = slo
-        self.quality = quality
-        self.stats = stats
-        self.cache = cache
+        self.ledger = ledger
 
     def render(self) -> str:
         """Multi-line text of ticks + details, the panel's whole content."""
@@ -118,23 +112,23 @@ class StatusPanel:
             detail = ", ".join(f"{k}={v}" for k, v in milestone.details.items())
             elapsed = f" [{milestone.elapsed * 1000:.0f} ms]" if milestone.elapsed else ""
             lines.append(f" [{tick}] {milestone.name}{elapsed}" + (f": {detail}" if detail else ""))
-        if self.slo is not None:
-            snap = self.slo.snapshot()
+        snap = self.ledger("slo")
+        if snap is not None:
             lines.append(
                 f" health: {snap['state']} "
                 f"(p95 {snap['window_p95_ms']:.1f}/{snap['latency_target_ms']:.0f} ms, "
                 f"errors {snap['window_error_rate']:.1%}/{snap['error_rate_target']:.0%}, "
                 f"window {snap['window_fill']}/{snap['window']})"
             )
-        if self.quality is not None:
-            snap = self.quality.snapshot()
+        snap = self.ledger("quality")
+        if snap is not None:
             lines.append(
                 f" quality: recall@{snap['k']} {snap['mean_recall_at_k']:.3f}, "
                 f"mrr {snap['mean_mrr']:.3f} "
                 f"({snap['sampled']} scored of {snap['queries_seen']} seen)"
             )
-        if self.stats is not None:
-            snap = self.stats.snapshot()
+        snap = self.ledger("stats")
+        if snap is not None:
             whole = [
                 group for group in snap["groups"] if group["shard"] == "-"
             ]
@@ -151,8 +145,8 @@ class StatusPanel:
                 )
             else:
                 lines.append(f" cost: {snap['queries']} observed")
-        if self.cache is not None:
-            snap = self.cache.snapshot()
+        snap = self.ledger("cache")
+        if snap is not None:
             line = (
                 f" cache: {snap['size']} entries, "
                 f"{snap['hits']} hits / {snap['misses']} misses "
@@ -164,12 +158,10 @@ class StatusPanel:
                     f"{snap['semantic_rejects']} rejected"
                 )
             lines.append(line)
-        last_trace = self.tracer.last_trace if self.tracer is not None else None
-        if last_trace is not None:
+        snap = self.ledger("trace")
+        if snap is not None:
             lines.append("last query trace")
-            lines.extend(
-                " " + line for line in last_trace.render().splitlines()
-            )
+            lines.extend(" " + line for line in snap["last"].splitlines())
         return "\n".join(lines)
 
 

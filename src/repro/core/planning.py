@@ -45,9 +45,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.errors import MQAError
+from repro.observability.metrics import MetricsRegistry, Window
 
 __all__ = [
     "AdmissionController",
@@ -133,27 +132,23 @@ class QueryPlan:
 
 
 class _Tier:
-    """Rolling latency/recall state for one ladder budget."""
+    """Rolling latency/recall state for one ladder budget (how often the
+    tier was planned is the registry's ``planner.tier.<budget>``)."""
 
-    __slots__ = ("budget", "latencies", "recall_ewma", "plans", "observed")
+    __slots__ = ("budget", "latencies", "recall_ewma", "observed")
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
-        self.latencies: List[float] = []
+        self.latencies = Window(_TIER_WINDOW)
         self.recall_ewma: Optional[float] = None
-        self.plans = 0
         self.observed = 0
 
     def note_latency(self, ms: float) -> None:
-        self.latencies.append(float(ms))
+        self.latencies.observe(ms)
         self.observed += 1
-        if len(self.latencies) > _TIER_WINDOW:
-            del self.latencies[: len(self.latencies) - _TIER_WINDOW]
 
     def p95(self) -> Optional[float]:
-        if not self.latencies:
-            return None
-        return float(np.percentile(np.asarray(self.latencies), 95))
+        return self.latencies.percentile(95) if len(self.latencies) else None
 
 
 def budget_ladder(base_budget: int, k: int, min_budget: int = 8) -> List[int]:
@@ -188,8 +183,9 @@ class QueryPlanner:
         stats: Optional :class:`~repro.observability.stats.StatsPlane`
             whose whole-query latency p95 seeds tier-0 predictions before
             the planner has its own samples.
-        metrics: Optional metrics registry receiving ``planner.*``
-            counters.
+        metrics: The registry the ``planner.*`` counters live in — what
+            :meth:`snapshot` reads (the planner makes its own when the
+            deployment hands it none).
         safety: Multiplier applied to predicted p95 before comparing with
             the remaining deadline (headroom for generation and jitter).
         min_budget: Smallest ladder budget considered.
@@ -218,17 +214,12 @@ class QueryPlanner:
         self.recall_floor = float(recall_floor)
         self.shards = int(shards or 0)
         self.stats = stats
-        self.metrics = metrics
+        self.metrics = metrics or MetricsRegistry()
         self.safety = float(safety)
         self._lock = threading.Lock()
         self._tiers = [
             _Tier(budget) for budget in budget_ladder(base_budget, k, min_budget)
         ]
-        self._plans = 0
-        self._degraded = 0
-        self._pressure_plans = 0
-        self._batch_skips = 0
-        self._errors = 0
         self._error_logged = False
         self._stats_seed_ms: Optional[float] = None
         self._stats_seed_at = 0
@@ -249,18 +240,17 @@ class QueryPlanner:
         """
         if self.stats is None:
             return self._stats_seed_ms
-        if self._plans - self._stats_seed_at < 32 and self._stats_seed_ms is not None:
+        plans = self.metrics.count("planner.plans")
+        if plans - self._stats_seed_at < 32 and self._stats_seed_ms is not None:
             return self._stats_seed_ms
-        self._stats_seed_at = self._plans
+        self._stats_seed_at = plans
         try:
             snap = self.stats.snapshot()
         except Exception as exc:
             # Falling back to the cached seed keeps planning alive, but a
             # broken stats plane must be visible, not silent: count every
             # failure and log the first one with its cause.
-            self._errors += 1
-            if self.metrics is not None:
-                self.metrics.inc("planner.errors")
+            self.metrics.inc("planner.errors")
             if not self._error_logged:
                 self._error_logged = True
                 logger.warning(
@@ -331,7 +321,7 @@ class QueryPlanner:
         if deadline is not None:
             remaining = max(float(deadline.remaining_ms), 0.0)
         with self._lock:
-            self._plans += 1
+            self.metrics.inc("planner.plans")
             eligible = [
                 (index, tier)
                 for index, tier in enumerate(self._tiers)
@@ -342,7 +332,6 @@ class QueryPlanner:
                 # best the system can do — run it and report honestly.
                 eligible = [(0, self._tiers[0])]
             if pressure and len(eligible) > 1:
-                self._pressure_plans += 1
                 eligible = eligible[1:]
             chosen: Optional[QueryPlan] = None
             if remaining is None:
@@ -371,7 +360,6 @@ class QueryPlanner:
                 # cheapest tier and, when sharded, halve the fan-out.
                 index = len(self._tiers) - 1
                 tier = self._tiers[index]
-                self._degraded += 1
                 chosen = QueryPlan(
                     budget=tier.budget,
                     tier=index,
@@ -383,16 +371,12 @@ class QueryPlanner:
                         max(1, self.shards // 2) if self.shards > 1 else None
                     ),
                 )
-            tier_state = self._tiers[chosen.tier]
-            tier_state.plans += 1
-        if self.metrics is not None:
-            self.metrics.inc("planner.plans")
-            self.metrics.inc(f"planner.tier.{chosen.budget}")
-            if chosen.degraded:
-                self.metrics.inc("planner.plan_degraded")
-            if pressure:
-                self.metrics.inc("planner.plan_pressure")
-            self.metrics.observe("planner.budget", float(chosen.budget))
+        self.metrics.inc(f"planner.tier.{chosen.budget}")
+        if chosen.degraded:
+            self.metrics.inc("planner.plan_degraded")
+        if pressure:
+            self.metrics.inc("planner.plan_pressure")
+        self.metrics.observe("planner.budget", float(chosen.budget))
         return chosen
 
     def skip_batching(
@@ -408,10 +392,7 @@ class QueryPlanner:
             return False
         skip = remaining_ms < window_ms * 4.0
         if skip:
-            with self._lock:
-                self._batch_skips += 1
-            if self.metrics is not None:
-                self.metrics.inc("planner.batch_skipped")
+            self.metrics.inc("planner.batch_skipped")
         return skip
 
     # ------------------------------------------------------------------
@@ -424,8 +405,7 @@ class QueryPlanner:
         with self._lock:
             if 0 <= plan.tier < len(self._tiers):
                 self._tiers[plan.tier].note_latency(latency_ms)
-        if self.metrics is not None:
-            self.metrics.observe("planner.observed_ms", float(latency_ms))
+        self.metrics.observe("planner.observed_ms", float(latency_ms))
 
     def observe_recall(self, budget: int, recall: float, alpha: float = 0.25) -> None:
         """Fold one sampled recall@k score into the matching tier's EWMA."""
@@ -455,7 +435,9 @@ class QueryPlanner:
     # introspection
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """Ladder state and counters for ``GET /health`` / ``GET /stats``."""
+        """Ladder state for ``GET /health`` / ``GET /stats``; the counts
+        are read from the registry, where they are kept."""
+        count = self.metrics.count
         with self._lock:
             tiers = []
             for index, tier in enumerate(self._tiers):
@@ -464,7 +446,7 @@ class QueryPlanner:
                     {
                         "tier": index,
                         "budget": tier.budget,
-                        "plans": tier.plans,
+                        "plans": count(f"planner.tier.{tier.budget}"),
                         "observed": tier.observed,
                         "p95_ms": round(p95, 3) if p95 is not None else None,
                         "predicted_ms": round(self._predict_ms(tier), 3),
@@ -480,11 +462,11 @@ class QueryPlanner:
                 "enabled": True,
                 "recall_floor": self.recall_floor,
                 "safety": self.safety,
-                "plans": self._plans,
-                "degraded": self._degraded,
-                "pressure_plans": self._pressure_plans,
-                "batch_skips": self._batch_skips,
-                "errors": self._errors,
+                "plans": count("planner.plans"),
+                "degraded": count("planner.plan_degraded"),
+                "pressure_plans": count("planner.plan_pressure"),
+                "batch_skips": count("planner.batch_skipped"),
+                "errors": count("planner.errors"),
                 "tiers": tiers,
             }
 
@@ -534,8 +516,9 @@ class AdmissionController:
             depth (:attr:`QueryEngine.queue_depth`); also settable after
             construction, mirroring ``QueryEngine.wait_observer``.
         clock: Time source (injectable for deterministic tests).
-        metrics: Optional metrics registry receiving ``admission.*``
-            counters.
+        metrics: The registry the ``admission.*`` decision counters live
+            in — what :meth:`snapshot` reads (the controller makes its
+            own when handed none).
     """
 
     def __init__(
@@ -574,12 +557,8 @@ class AdmissionController:
         self._last = clock()
         self._wait_ewma = 0.0
         self._wait_seen = False
-        self.accepted = 0
-        self.degraded = 0
-        self.shed = 0
-        self.probe_errors = 0
         self._probe_error_logged = False
-        self.metrics = metrics
+        self.metrics = metrics or MetricsRegistry()
 
     @classmethod
     def from_config(cls, config: Any, metrics: Optional[Any] = None) -> "AdmissionController":
@@ -619,36 +598,32 @@ class AdmissionController:
         Without one (or when the probe fails): the backward-looking
         queue-wait EWMA.
         """
-        probe = self.queue_probe
-        if probe is not None:
-            try:
-                depth = max(int(probe()), 0)
-            except Exception as exc:
-                # Callers (decide) already hold self._lock; plain counter
-                # increments are safe here, but no re-acquisition.
-                self._record_probe_error(exc)
-            else:
-                return depth / self.workers * predicted
-        return self._wait_ewma
+        depth = self._probe_depth()
+        return self._wait_ewma if depth is None else depth / self.workers * predicted
 
-    def _record_probe_error(self, exc: BaseException) -> None:
-        """Count a failed queue probe and log the first occurrence.
+    def _probe_depth(self) -> Optional[int]:
+        """The live queue depth, or None without a working probe; a failed
+        probe is counted and the first one logged.
 
-        Must be callable both with and without ``self._lock`` held (the
-        probe fires from :meth:`decide`, which holds it, and from
-        :meth:`snapshot`, which does not), so it never takes the lock.
+        Called both with ``self._lock`` held (:meth:`decide`) and without
+        (:meth:`snapshot`), so it never takes the lock.
         """
-        self.probe_errors += 1
-        if self.metrics is not None:
+        probe = self.queue_probe  # settable from another thread: read once
+        if probe is None:
+            return None
+        try:
+            return max(int(probe()), 0)
+        except Exception as exc:
             self.metrics.inc("admission.probe_errors")
-        if not self._probe_error_logged:
-            self._probe_error_logged = True
-            logger.warning(
-                "admission queue probe failed; falling back to the "
-                "queue-wait EWMA (error=%s message=%r)",
-                type(exc).__name__,
-                str(exc),
-            )
+            if not self._probe_error_logged:
+                self._probe_error_logged = True
+                logger.warning(
+                    "admission queue probe failed; falling back to the "
+                    "queue-wait EWMA (error=%s message=%r)",
+                    type(exc).__name__,
+                    str(exc),
+                )
+            return None
 
     def decide(self, predicted_ms: float) -> str:
         """Admit one request: ``"accept"``, ``"degrade"``, or ``"shed"``.
@@ -676,18 +651,14 @@ class AdmissionController:
             wait = self._expected_wait_ms(predicted)
             completion = wait + predicted * self.safety
             if completion >= self.shed_wait_ms or self._tokens <= -self.burst_ms:
-                self.shed += 1
                 decision = "shed"
             elif wait >= self.degrade_wait_ms or self._tokens < predicted:
                 self._tokens -= predicted * 0.5
-                self.degraded += 1
                 decision = "degrade"
             else:
                 self._tokens -= predicted
-                self.accepted += 1
                 decision = "accept"
-        if self.metrics is not None:
-            self.metrics.inc(f"admission.{decision}")
+        self.metrics.inc(f"admission.{decision}")
         return decision
 
     @property
@@ -700,15 +671,9 @@ class AdmissionController:
             )
 
     def snapshot(self) -> Dict[str, Any]:
-        """Counters and live signals for ``GET /health`` / ``GET /stats``."""
-        probe = self.queue_probe
-        depth: Optional[int] = None
-        if probe is not None:
-            try:
-                depth = max(int(probe()), 0)
-            except Exception as exc:
-                self._record_probe_error(exc)
-                depth = None
+        """Live signals plus the registry's decision counts for
+        ``GET /health`` / ``GET /stats``."""
+        depth = self._probe_depth()
         with self._lock:
             return {
                 "enabled": True,
@@ -720,8 +685,8 @@ class AdmissionController:
                 "burst_ms": self.burst_ms,
                 "queue_wait_ewma_ms": round(self._wait_ewma, 3),
                 "queue_depth": depth,
-                "accepted": self.accepted,
-                "degraded": self.degraded,
-                "shed": self.shed,
-                "probe_errors": self.probe_errors,
+                "accepted": self.metrics.count("admission.accept"),
+                "degraded": self.metrics.count("admission.degrade"),
+                "shed": self.metrics.count("admission.shed"),
+                "probe_errors": self.metrics.count("admission.probe_errors"),
             }

@@ -934,6 +934,17 @@ class ShardRouter(RetrievalFramework):
         with self._meta_lock:
             return self._owner.get(object_id)
 
+    def tiered_stores(self):
+        for g, group in enumerate(self.groups):
+            for r, replica in enumerate(group.replicas):
+                if replica.framework is None:  # an empty shard builds lazily
+                    continue
+                for label, store in replica.framework.tiered_stores():
+                    yield f"shard{g}/replica{r}/{label}", store
+
+    def ledgers(self):
+        return {**super().ledgers(), "sharding": self.snapshot}
+
     def snapshot(self) -> Dict[str, Any]:
         """The per-shard ledger surfaced in ``GET /health``."""
         breakers = {}

@@ -127,9 +127,7 @@ class MQASystem:
 
     def status_report(self) -> str:
         """The status-monitoring panel's current text."""
-        return StatusPanel(
-            self.coordinator.status, tracer=self.coordinator.tracer
-        ).render()
+        return StatusPanel(self.coordinator.status, self.coordinator.ledger).render()
 
     def reset_dialogue(self) -> None:
         """Start a fresh conversation over the same indexes."""

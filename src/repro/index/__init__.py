@@ -33,7 +33,6 @@ from repro.index.tiered import (
     QuantizedCodes,
     TieredParams,
     TieredStore,
-    iter_tiered_stores,
     tiered_snapshot,
 )
 from repro.index.vamana import VamanaIndex, VamanaParams
@@ -71,7 +70,6 @@ __all__ = [
     "build_index",
     "build_navigation_graph",
     "greedy_search",
-    "iter_tiered_stores",
     "load_index",
     "register_index",
     "save_index",

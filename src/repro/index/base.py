@@ -95,6 +95,10 @@ class VectorIndex(abc.ABC):
     #: Identifier used by the registry and the status panel.
     name: str = "index"
 
+    #: The beyond-RAM :class:`~repro.index.tiered.TieredStore` the index
+    #: serves from (Starling with ``tiered`` set); None everywhere else.
+    tiered = None
+
     def __init__(self) -> None:
         self._vectors: Optional[np.ndarray] = None
         self._kernel: Optional[DistanceKernel] = None

@@ -24,7 +24,7 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -318,46 +318,15 @@ class TieredStore:
             pass
 
 
-# ----------------------------------------------------------------------
-# observability aggregation (duck-typed so this module never imports the
-# retrieval or sharding layers)
-# ----------------------------------------------------------------------
-def iter_tiered_stores(framework) -> Iterator[Tuple[str, TieredStore]]:
-    """Yield ``(label, store)`` for every tiered store behind ``framework``.
-
-    Walks shard routers (one store per replica — each owns its own mmap
-    segment), MR's per-modality indexes, and JE/MUST's single index.
-    """
-    if framework is None:
-        return
-    groups = getattr(framework, "groups", None)
-    if groups is not None:
-        for g, group in enumerate(groups):
-            for r, replica in enumerate(getattr(group, "replicas", ())):
-                inner = getattr(replica, "framework", None)
-                for label, store in iter_tiered_stores(inner):
-                    yield f"shard{g}/replica{r}/{label}", store
-        return
-    indexes = getattr(framework, "_indexes", None)
-    if indexes:
-        for modality, index in indexes.items():
-            store = getattr(index, "tiered", None)
-            if store is not None:
-                yield getattr(modality, "value", str(modality)), store
-        return
-    index = getattr(framework, "_index", None)
-    store = getattr(index, "tiered", None) if index is not None else None
-    if store is not None:
-        yield "joint", store
-
-
 def tiered_snapshot(framework) -> Optional[Dict[str, Any]]:
-    """Aggregate ledger for ``GET /health`` / ``GET /stats``.
+    """Aggregate ledger of ``framework.tiered_stores()`` — the ``tiered``
+    entry of the coordinator's ledger table (``GET /health`` / ``GET
+    /stats`` / the loadgen report).
 
     ``None`` when no tiered store is active (the zero-cost disabled
     surface); otherwise per-store rows plus fleet totals.
     """
-    stores = list(iter_tiered_stores(framework))
+    stores = list(framework.tiered_stores())
     if not stores:
         return None
     rows = [{"store": label, **store.snapshot()} for label, store in stores]

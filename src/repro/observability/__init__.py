@@ -40,6 +40,7 @@ from repro.observability.metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
+    Window,
     labelled,
 )
 from repro.observability.monitoring import (
@@ -81,6 +82,7 @@ __all__ = [
     "Span",
     "StatsPlane",
     "Tracer",
+    "Window",
     "collapse_spans",
     "fold_span",
     "labelled",

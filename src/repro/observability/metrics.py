@@ -1,4 +1,4 @@
-"""Counters and streaming latency histograms.
+"""Counters, streaming latency histograms and the rolling window.
 
 The :class:`MetricsRegistry` aggregates across queries what a single trace
 shows for one query: monotonically increasing counters plus bounded-memory
@@ -7,6 +7,16 @@ reservoir sampling (Vitter's Algorithm R) with a deterministically seeded
 RNG — memory stays fixed no matter how many observations stream in, and
 identical observation sequences always produce identical summaries, so
 tests and benchmark artefacts are reproducible.
+
+The registry is where a served event is *counted*: the planner, admission,
+agentic, cost-plane and API ledgers keep no counter of their own and read
+the names they increment here, so ``/health``, ``/stats``, ``/metrics`` and
+the Prometheus exposition cannot disagree about the same traffic.
+
+Two bounded samples answer two questions.  A :class:`Histogram` is a
+*reservoir* — uniform over the whole stream, everything served since
+set-up.  A :class:`Window` is the *last N* observations — now: an SLO must
+recover when latency does, a planner tier must forget a slow start.
 
 Thread safety
 -------------
@@ -25,7 +35,8 @@ path free of reader/writer contention.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -52,6 +63,44 @@ def labelled(name: str, **labels: Any) -> str:
                              "may not contain '{', '}', ',' or '='")
         parts.append(f"{key}={value}")
     return f"{name}{{{','.join(parts)}}}"
+
+
+def _percentile(sample: List[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) of ``sample`` (0.0 when empty)."""
+    if not sample:
+        return 0.0
+    return float(np.percentile(np.asarray(sample), q))
+
+
+class Window:
+    """The last ``size`` observations: a rolling sample, oldest out first.
+
+    Unlocked — :meth:`observe` is one deque append and the readers copy the
+    sample before computing, so the owner's own lock (the SLO monitor's,
+    the planner's, the engine's) is the only one a write ever takes.
+    """
+
+    __slots__ = ("_sample",)
+
+    def __init__(self, size: int) -> None:
+        self._sample: Deque[float] = deque(maxlen=size)
+
+    def observe(self, value: float) -> None:
+        """Record one observation, evicting the oldest at capacity."""
+        self._sample.append(float(value))
+
+    def __len__(self) -> int:
+        return len(self._sample)
+
+    @property
+    def mean(self) -> float:
+        """Arithmetic mean of the retained sample (0.0 when empty)."""
+        sample = list(self._sample)
+        return sum(sample) / len(sample) if sample else 0.0
+
+    def percentile(self, q: float) -> float:
+        """The ``q``-th percentile (0..100) of the retained sample."""
+        return _percentile(list(self._sample), q)
 
 
 class Counter:
@@ -136,10 +185,7 @@ class Histogram:
         """The ``q``-th percentile (0..100) over the retained sample."""
         # list() snapshots the reservoir atomically under the GIL; a
         # concurrent observe() costs at most one-observation staleness.
-        sample = list(self._reservoir)
-        if not sample:
-            return 0.0
-        return float(np.percentile(np.asarray(sample), q))
+        return _percentile(list(self._reservoir), q)
 
     def summary(self) -> Dict[str, float]:
         """count / mean / min / max / p50 / p95 / p99, all rounded."""
@@ -204,6 +250,10 @@ class MetricsRegistry:
         """Current value of ``name`` (0.0 if never incremented)."""
         counter = self._counters.get(name)
         return counter.value if counter is not None else 0.0
+
+    def count(self, name: str) -> int:
+        """``name`` as the whole number of events a ledger reports."""
+        return int(self.counter_value(name))
 
     def histogram_summaries(self, prefix: str = "") -> Dict[str, Dict[str, float]]:
         """Summaries of histograms whose name starts with ``prefix``.

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import re
 import threading
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
+from repro.observability.metrics import Window
 
 STATE_OK = "ok"
 STATE_DEGRADED = "degraded"
@@ -71,8 +70,8 @@ class SLOMonitor:
 
     def __init__(self, targets: SLOTargets = SLOTargets()) -> None:
         self.targets = targets
-        self._latencies: Deque[float] = deque(maxlen=targets.window)
-        self._errors: Deque[bool] = deque(maxlen=targets.window)
+        self._latencies = Window(targets.window)
+        self._errors = Window(targets.window)
         self._lock = threading.Lock()
         self.total_requests = 0
         self.total_errors = 0
@@ -80,8 +79,8 @@ class SLOMonitor:
     def observe(self, latency_ms: float, error: bool = False) -> None:
         """Fold one finished request into the rolling windows."""
         with self._lock:
-            self._latencies.append(float(latency_ms))
-            self._errors.append(bool(error))
+            self._latencies.observe(latency_ms)
+            self._errors.observe(error)
             self.total_requests += 1
             if error:
                 self.total_errors += 1
@@ -89,34 +88,22 @@ class SLOMonitor:
     # ------------------------------------------------------------------
     # grading
     # ------------------------------------------------------------------
-    def _sample(self) -> Tuple[List[float], List[bool], int, int]:
-        """One consistent copy of both windows and the running totals.
+    def _reading(self) -> Tuple[float, float, int, int, int]:
+        """``(p95, error rate, fill, requests, errors)`` of one instant.
 
-        Every derived figure (p95, error rate, state) is computed from a
-        copy taken under the lock in a single acquisition — grading must
-        not mix a latency window that saw a request with an error window
-        that hasn't, and the lock is non-reentrant so the readers below
-        cannot simply call each other while holding it.
+        Every derived figure is computed in a single acquisition — grading
+        must not mix a latency window that saw a request with an error
+        window that hasn't, and the lock is non-reentrant so the readers
+        below cannot simply call each other while holding it.
         """
         with self._lock:
             return (
-                list(self._latencies),
-                list(self._errors),
+                self._latencies.percentile(95),
+                self._errors.mean,
+                len(self._latencies),
                 self.total_requests,
                 self.total_errors,
             )
-
-    @staticmethod
-    def _p95(latencies: List[float]) -> float:
-        if not latencies:
-            return 0.0
-        return float(np.percentile(np.asarray(latencies), 95))
-
-    @staticmethod
-    def _error_rate(errors: List[bool]) -> float:
-        if not errors:
-            return 0.0
-        return sum(errors) / len(errors)
 
     def _grade(self, p95: float, errors: float) -> str:
         factor = self.targets.breach_factor
@@ -132,26 +119,22 @@ class SLOMonitor:
     @property
     def window_p95_ms(self) -> float:
         """p95 latency over the current window (0.0 when empty)."""
-        latencies, _, _, _ = self._sample()
-        return self._p95(latencies)
+        return self._reading()[0]
 
     @property
     def window_error_rate(self) -> float:
         """Error fraction over the current window (0.0 when empty)."""
-        _, errors, _, _ = self._sample()
-        return self._error_rate(errors)
+        return self._reading()[1]
 
     @property
     def state(self) -> str:
         """``ok`` / ``degraded`` / ``breach`` under the targets."""
-        latencies, errors, _, _ = self._sample()
-        return self._grade(self._p95(latencies), self._error_rate(errors))
+        p95, error_rate, _, _, _ = self._reading()
+        return self._grade(p95, error_rate)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready grading report for ``/health``."""
-        latencies, errors, total_requests, total_errors = self._sample()
-        p95 = self._p95(latencies)
-        error_rate = self._error_rate(errors)
+        p95, error_rate, fill, total_requests, total_errors = self._reading()
         return {
             "state": self._grade(p95, error_rate),
             "window_p95_ms": round(p95, 3),
@@ -159,7 +142,7 @@ class SLOMonitor:
             "window_error_rate": round(error_rate, 4),
             "error_rate_target": self.targets.error_rate,
             "window": self.targets.window,
-            "window_fill": len(latencies),
+            "window_fill": fill,
             "breach_factor": self.targets.breach_factor,
             "total_requests": total_requests,
             "total_errors": total_errors,
@@ -251,8 +234,8 @@ class QualityMonitor:
             "sample_rate": self.sample_rate,
             "k": self.k,
             "queries_seen": self._seen,
-            "sampled": int(self.metrics.counter_value("quality.sampled")),
-            "unscorable": int(self.metrics.counter_value("quality.unscorable")),
+            "sampled": self.metrics.count("quality.sampled"),
+            "unscorable": self.metrics.count("quality.unscorable"),
             "mean_recall_at_k": round(recall.mean, 4),
             "mean_mrr": round(mrr.mean, 4),
             "last_score": dict(self.last_score) if self.last_score else None,

@@ -15,11 +15,15 @@ latency and recall distributions a planner needs to pick a framework,
 index, and search budget under a deadline.
 
 The plane only exists when ``cost_accounting`` is enabled; the disabled
-path never constructs one.  When a metrics registry is supplied, every
-observation is mirrored as labelled Prometheus families
-(``cost.latency_ms{framework=...,index=...}``,
-``cost.stage_ms{stage=...}``, ``cost.shard_ms{shard=...}``) rendered by
-:func:`repro.observability.exporters.render_prometheus`.
+path never constructs one.  A distribution that has a labelled family —
+``cost.latency_ms`` / ``cost.distance_evaluations`` / ``cost.queries``
+``{framework,index}``, ``cost.stage_ms{...,stage}``, ``cost.shard_ms`` /
+``cost.shard_failures{...,shard}`` — *is* that registry instrument: one
+``observe``, read by ``GET /stats`` here and by
+:func:`repro.observability.exporters.render_prometheus` there, for lone
+and batch-scope profiles alike.  What has no family (hops, recall@k, a
+shard's distance evaluations, the item / block / cache tallies) stays
+private to its group.
 """
 
 from __future__ import annotations
@@ -39,71 +43,65 @@ WHOLE_QUERY = "-"
 class _CostGroup:
     """Rolling distributions for one (framework, index, shard) key."""
 
-    __slots__ = (
-        "framework",
-        "index",
-        "shard",
-        "queries",
-        "items",
-        "block_reads",
-        "block_cache_hits",
-        "failures",
-        "cache",
-        "latency",
-        "distance_evaluations",
-        "hops",
-        "recall",
-        "stages",
-    )
-
-    def __init__(self, framework: str, index: str, shard: str) -> None:
+    def __init__(
+        self, metrics: MetricsRegistry, framework: str, index: str, shard: str
+    ) -> None:
+        self.metrics = metrics
         self.framework = framework
         self.index = index
         self.shard = shard
-        self.queries = 0
         self.items = 0
         self.block_reads = 0
         self.block_cache_hits = 0
-        self.failures = 0
+        self.shards_failed = 0
         self.cache: Dict[str, int] = {}
+        self.labels = {"framework": framework, "index": index}
+        self.queries_key = labelled("cost.queries", **self.labels)
         stem = f"stats.{framework}.{index}.{shard}"
-        self.latency = Histogram(f"{stem}.latency_ms")
-        self.distance_evaluations = Histogram(f"{stem}.distance_evaluations")
+        if shard == WHOLE_QUERY:
+            self.latency = metrics.histogram(labelled("cost.latency_ms", **self.labels))
+            self.distance_evaluations = metrics.histogram(
+                labelled("cost.distance_evaluations", **self.labels)
+            )
+        else:
+            self.labels["shard"] = shard
+            self.latency = metrics.histogram(labelled("cost.shard_ms", **self.labels))
+            self.distance_evaluations = Histogram(f"{stem}.distance_evaluations")
+        self.failures_key = labelled("cost.shard_failures", **self.labels)
         self.hops = Histogram(f"{stem}.hops")
         self.recall = Histogram(f"{stem}.recall_at_k")
         self.stages: Dict[str, Histogram] = {}
-
-    def _stage(self, name: str) -> Histogram:
-        histogram = self.stages.get(name)
-        if histogram is None:
-            histogram = Histogram(
-                f"stats.{self.framework}.{self.index}.{self.shard}.stage.{name}"
-            )
-            self.stages[name] = histogram
-        return histogram
 
     def observe_query(
         self, profile: QueryCostProfile, latency_ms: float
     ) -> None:
         """Fold one whole-query profile into the distributions."""
-        self.queries += 1
+        self.metrics.inc(self.queries_key)
         self.items += profile.items
         self.block_reads += profile.block_reads
         self.block_cache_hits += profile.cache_hits
-        self.failures += profile.shards_failed
+        self.shards_failed += profile.shards_failed
         self.cache[profile.cache] = self.cache.get(profile.cache, 0) + 1
         self.latency.observe(latency_ms)
         self.distance_evaluations.observe(float(profile.distance_evaluations))
         self.hops.observe(float(profile.hops))
+        self.observe_stages(profile)
+
+    def observe_stages(self, profile: QueryCostProfile) -> None:
+        """Fold a profile's per-stage wall times in (nothing else of it)."""
         for name, ms in profile.stage_ms.items():
-            self._stage(name).observe(ms)
+            histogram = self.stages.get(name)
+            if histogram is None:
+                histogram = self.stages[name] = self.metrics.histogram(
+                    labelled("cost.stage_ms", stage=name, **self.labels)
+                )
+            histogram.observe(ms)
 
     def observe_shard(self, entry: Dict[str, Any]) -> None:
         """Fold one per-shard contribution entry from the router."""
-        self.queries += 1
         self.items += int(entry.get("items", 0))
         if not entry.get("ok", True):
-            self.failures += 1
+            self.metrics.inc(self.failures_key)
         self.latency.observe(float(entry.get("ms", 0.0)))
         self.distance_evaluations.observe(
             float(entry.get("distance_evaluations", 0))
@@ -112,15 +110,17 @@ class _CostGroup:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready row for ``GET /stats`` and the CLI table."""
-        body: Dict[str, Any] = {
+        return {
             "framework": self.framework,
             "index": self.index,
             "shard": self.shard,
-            "queries": self.queries,
+            "queries": self.latency.count,
             "items": self.items,
             "block_reads": self.block_reads,
             "block_cache_hits": self.block_cache_hits,
-            "failures": self.failures,
+            # A whole-query row sums its profiles' lost shards; a shard row
+            # reads its own failure counter (the other term is zero).
+            "failures": self.shards_failed + self.metrics.count(self.failures_key),
             "cache": {k: v for k, v in sorted(self.cache.items()) if v},
             "latency_ms": self.latency.summary(),
             "distance_evaluations": self.distance_evaluations.summary(),
@@ -133,7 +133,6 @@ class _CostGroup:
                 for name, histogram in sorted(self.stages.items())
             },
         }
-        return body
 
 
 def _group_order(key: Tuple[str, str, str]) -> Tuple[str, str, int, int]:
@@ -148,8 +147,8 @@ class StatsPlane:
     """Aggregates cost profiles into rolling stats with tail exemplars.
 
     Args:
-        metrics: Optional registry that receives labelled mirror
-            families for Prometheus exposition.
+        metrics: The registry the ``cost.*`` families live in (the plane
+            makes its own when handed none).
         exemplars: How many of the slowest queries to retain with their
             full cost profiles (the K in "K slowest traces").
     """
@@ -161,7 +160,7 @@ class StatsPlane:
     ) -> None:
         if exemplars < 0:
             raise ValueError("exemplars must be >= 0")
-        self.metrics = metrics
+        self.metrics = metrics or MetricsRegistry()
         self.exemplars_retained = exemplars
         self._lock = threading.Lock()
         self._groups: Dict[Tuple[str, str, str], _CostGroup] = {}
@@ -172,7 +171,7 @@ class StatsPlane:
         key = (framework, index, shard)
         group = self._groups.get(key)
         if group is None:
-            group = _CostGroup(framework, index, shard)
+            group = _CostGroup(self.metrics, framework, index, shard)
             self._groups[key] = group
         return group
 
@@ -185,13 +184,15 @@ class StatsPlane:
             self._group(
                 profile.framework, profile.index, WHOLE_QUERY
             ).observe_query(profile, latency_ms)
-            for entry in profile.shards:
-                self._group(
-                    profile.framework, profile.index, str(entry.get("shard"))
-                ).observe_shard(entry)
+            self._observe_shards(profile)
             self._note_exemplar(profile, latency_ms, trace_id)
-        self._mirror_query(profile, latency_ms)
         return trace_id
+
+    def _observe_shards(self, profile: QueryCostProfile) -> None:
+        for entry in profile.shards:
+            self._group(
+                profile.framework, profile.index, str(entry.get("shard"))
+            ).observe_shard(entry)
 
     def observe_batch(
         self,
@@ -214,17 +215,10 @@ class StatsPlane:
         if batch_profile is None:
             return
         with self._lock:
-            for entry in batch_profile.shards:
-                self._group(
-                    batch_profile.framework,
-                    batch_profile.index,
-                    str(entry.get("shard")),
-                ).observe_shard(entry)
-            group = self._group(
+            self._observe_shards(batch_profile)
+            self._group(
                 batch_profile.framework, batch_profile.index, WHOLE_QUERY
-            )
-            for name, ms in batch_profile.stage_ms.items():
-                group._stage(name).observe(ms)
+            ).observe_stages(batch_profile)
 
     def observe_recall(
         self, framework: str, index: str, recall: float
@@ -251,34 +245,6 @@ class StatsPlane:
             key=lambda entry: (-entry["latency_ms"], entry["trace_id"])
         )
         del self._exemplars[self.exemplars_retained :]
-
-    def _mirror_query(
-        self, profile: QueryCostProfile, latency_ms: float
-    ) -> None:
-        """Mirror one observation as labelled Prometheus families."""
-        if self.metrics is None:
-            return
-        labels = {"framework": profile.framework, "index": profile.index}
-        self.metrics.inc(labelled("cost.queries", **labels))
-        self.metrics.observe(labelled("cost.latency_ms", **labels), latency_ms)
-        self.metrics.observe(
-            labelled("cost.distance_evaluations", **labels),
-            float(profile.distance_evaluations),
-        )
-        for name, ms in profile.stage_ms.items():
-            self.metrics.observe(
-                labelled("cost.stage_ms", stage=name, **labels), ms
-            )
-        for entry in profile.shards:
-            shard_labels = dict(labels, shard=entry.get("shard"))
-            self.metrics.observe(
-                labelled("cost.shard_ms", **shard_labels),
-                float(entry.get("ms", 0.0)),
-            )
-            if not entry.get("ok", True):
-                self.metrics.inc(
-                    labelled("cost.shard_failures", **shard_labels)
-                )
 
     def snapshot(self) -> Dict[str, Any]:
         """Full JSON-ready view for ``GET /stats`` / the status panel."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -14,6 +14,7 @@ from repro.data.objects import RawQuery
 from repro.encoders.base import EncoderSet
 from repro.errors import RetrievalError
 from repro.index.base import SearchResult, SearchStats, VectorIndex
+from repro.index.tiered import TieredStore, tiered_snapshot
 from repro.observability import trace_span
 
 IndexBuilder = Callable[[], VectorIndex]
@@ -369,6 +370,17 @@ class RetrievalFramework(abc.ABC):
         if filter_fn is None:
             return lambda object_id: object_id not in deleted
         return lambda object_id: object_id not in deleted and filter_fn(object_id)
+
+    def tiered_stores(self) -> Iterator[Tuple[str, TieredStore]]:
+        """``(label, store)`` for every tiered store this framework serves
+        from: ``joint`` for a single index, the modality per MR stream, and
+        ``shard{g}/replica{r}/`` in front behind a shard router."""
+        return iter(())
+
+    def ledgers(self) -> Dict[str, Callable[[], "dict | None"]]:
+        """The named ledgers this framework adds to the coordinator's table
+        (``tiered`` reads None while no store is tiered)."""
+        return {"tiered": lambda: tiered_snapshot(self)}
 
     def describe(self) -> str:
         """One-line summary for the status panel."""

@@ -118,6 +118,10 @@ class JointEmbeddingRetrieval(RetrievalFramework):
         outcomes = self._search(self._index, joint_queries, k, budget, filter_fn)
         return [self._respond(outcome) for outcome in outcomes]
 
+    def tiered_stores(self):
+        if self._index is not None and self._index.tiered is not None:
+            yield "joint", self._index.tiered
+
     def describe(self) -> str:
         base = super().describe()
         if self._index is not None:

@@ -254,6 +254,11 @@ class MultiStreamedRetrieval(RetrievalFramework):
         name, stats = self._summary(partials)
         return self._fuse(streams, k, self._parse_weights(weights), name, stats)
 
+    def tiered_stores(self):
+        for modality, index in self._indexes.items():
+            if index.tiered is not None:
+                yield modality.value, index.tiered
+
     def describe(self) -> str:
         base = super().describe()
         if self._indexes:

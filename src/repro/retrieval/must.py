@@ -141,6 +141,10 @@ class MustRetrieval(RetrievalFramework):
         )
         return [self._respond(outcome) for outcome in outcomes]
 
+    def tiered_stores(self):
+        if self._index is not None and self._index.tiered is not None:
+            yield "joint", self._index.tiered
+
     def describe(self) -> str:
         base = super().describe()
         if self._kernel is not None and self._index is not None:

@@ -34,12 +34,12 @@ Endpoints (mirroring the demo's backend):
   and no answer generation.  A single-query body (``{"text": ...}``) may
   be micro-batched with concurrent requests when ``max_batch > 1``; a
   list body (``{"queries": [...]}``) runs as one explicit batch.
-* ``GET  /health``             — SLO grading (ok / degraded / breach),
-  online retrieval-quality scores, recorder state, the micro-batch
-  collector's batch-size histogram (requires ``monitoring`` for the
-  SLO/quality sections), and — when sharding is configured — the shard
-  router's per-shard ledger (live/tombstoned counts, replica health,
-  breaker states, degraded-search totals).
+* ``GET  /health``             — SLO grading (ok / degraded / breach)
+  plus every ledger of the coordinator's table by name — quality,
+  recorder, engine, batching, resilience, sharding (per-shard counts,
+  replica health, breakers), tiered, cache, planner, admission, agentic;
+  ``null`` where the deployment has no such layer (``monitoring`` turns
+  the SLO/quality sections on).
 
 Dialogue endpoints accept an optional ``session`` field; all sessions share
 the coordinator (and therefore the index) but keep independent dialogue
@@ -50,6 +50,7 @@ All responses are ``{"ok": True, ...}`` or ``{"ok": False, "error": ...}``.
 
 from __future__ import annotations
 
+import math
 import numbers
 import threading
 import time
@@ -69,7 +70,6 @@ from repro.core.coordinator import Coordinator
 from repro.core.planning import AdmissionShedError
 from repro.data import KnowledgeBase, Modality, RawQuery
 from repro.errors import DeadlineExceededError, MQAError
-from repro.index.tiered import tiered_snapshot
 from repro.observability import (
     STATE_OK,
     ProfileAggregator,
@@ -177,7 +177,6 @@ class ApiServer:
             ),
         )
         self._engine_lock = threading.Lock()
-        self._metrics_lock = threading.Lock()
         self._routes: Dict[Tuple[str, str], Callable[[Dict[str, Any]], Dict[str, Any]]] = {
             ("GET", "/options"): self._get_options,
             ("POST", "/configure"): self._post_configure,
@@ -187,7 +186,7 @@ class ApiServer:
             ("POST", "/query"): lambda body: self._post_question(body, "query"),
             ("POST", "/ask"): lambda body: self._post_question(body, "ask"),
             ("POST", "/select"): self._post_select,
-            ("POST", "/refine"): self._post_refine,
+            ("POST", "/refine"): lambda body: self._post_question(body, "refine"),
             ("GET", "/transcript"): self._get_transcript,
             ("GET", "/events"): self._get_events,
             ("POST", "/ingest"): self._post_ingest,
@@ -201,10 +200,6 @@ class ApiServer:
             ("GET", "/profile"): self._get_profile,
             ("GET", "/health"): self._get_health,
         }
-        self._query_count = 0
-        self._refine_count = 0
-        self._error_count = 0
-        self._query_seconds = 0.0
 
     # ------------------------------------------------------------------
     # dispatch
@@ -235,6 +230,12 @@ class ApiServer:
             EngineSaturatedError: The bounded queue is full — callers doing
                 their own dispatch decide whether to retry or shed.
         """
+        if body is not None and not isinstance(body, Mapping):
+            refused: "Future[Dict[str, Any]]" = Future()
+            refused.set_result(
+                {"ok": False, "error": f"request body must be an object, got {body!r}"}
+            )
+            return refused
         route = (method.upper(), path)
         mode = WRITE if route in self._WRITE_ROUTES else READ
         session_key = None
@@ -251,9 +252,11 @@ class ApiServer:
         deadline = None
         coordinator = self._coordinator
         if coordinator is not None and coordinator.resilience.enabled:
-            deadline = coordinator.resilience.deadline(
-                self._deadline_override(body)
-            )
+            try:
+                override = self._deadline_override(body)
+            except ApiError:
+                override = None  # the verb handler raises it again, as a reply
+            deadline = coordinator.resilience.deadline(override)
         if (
             coordinator is not None
             and coordinator.admission is not None
@@ -283,14 +286,18 @@ class ApiServer:
 
     @staticmethod
     def _deadline_override(body: "Dict[str, Any] | None") -> Optional[float]:
-        """The request's ``deadline_ms`` as a float, or None."""
+        """The request's ``deadline_ms`` as a float; None (no override)
+        when absent, null or not positive.  Anything that is not a finite
+        number is an ApiError."""
         raw = (body or {}).get("deadline_ms")
         if raw is None:
             return None
         try:
             value = float(raw)
         except (TypeError, ValueError):
-            return None  # the verb handler raises the proper ApiError
+            value = math.nan
+        if not math.isfinite(value):
+            raise ApiError(f"'deadline_ms' must be a finite number, got {raw!r}")
         return value if value > 0 else None
 
     def _dispatch(self, method: str, path: str, body: "Dict[str, Any] | None") -> Dict[str, Any]:
@@ -449,6 +456,11 @@ class ApiServer:
     def _post_apply(self, body: Dict[str, Any]) -> Dict[str, Any]:
         self._coordinator = self._panel.apply(knowledge_base=self._knowledge_base)
         self._sessions = {0: QAPanel(self._coordinator)}
+        # Through ``self``: the entries follow engine and batcher swaps.
+        self._coordinator.ledgers.update(
+            engine=lambda: self.engine.snapshot(),
+            batching=lambda: self.batcher.snapshot(),
+        )
         self._install_wait_observer()
         return {
             "feedback": self._panel.feedback[-1],
@@ -471,18 +483,7 @@ class ApiServer:
         ]
         return {
             "milestones": milestones,
-            "rendered": StatusPanel(
-                coordinator.status,
-                tracer=coordinator.tracer,
-                slo=coordinator.slo,
-                quality=coordinator.quality,
-                stats=coordinator.stats,
-                cache=(
-                    coordinator.execution.cache
-                    if coordinator.execution is not None
-                    else None
-                ),
-            ).render(),
+            "rendered": StatusPanel(coordinator.status, coordinator.ledger).render(),
         }
 
     def _get_weights(self, body: Dict[str, Any]) -> Dict[str, Any]:
@@ -556,77 +557,72 @@ class ApiServer:
     def _timed_verb(self, coordinator: Coordinator, verb: str, fn: Callable[[], Any]):
         """Run one dialogue verb, feeding counters and latency histograms.
 
-        Both ``/query`` and ``/refine`` flow through here so ``/metrics``
-        accounts for every dialogue round, not just first questions — and
-        so the SLO monitor grades every round, including failed ones.
-
-        The SLO observation and the server's own latency counters update
-        together under one lock: with concurrent rounds, interleaved
-        read-modify-write on ``_query_seconds`` loses updates, and an SLO
-        window that saw a request the counters haven't would let
-        ``/metrics`` and ``/health`` disagree about the same traffic.
-        Errored rounds feed the same time and latency accounting as
-        successful ones (plus an error counter), so both views always
-        describe identical traffic.  The full traceback is recorded in
-        the event log before re-raising — ``_dispatch`` flattens the
-        exception into a one-line error payload, which used to be the
-        only surviving evidence of *where* a round failed.
+        Every dialogue round — errored ones too — is counted and timed
+        here, each fact in one place (the coordinator's registry, the SLO
+        window) that ``/metrics`` and ``/health`` read: a read taken while
+        rounds are in flight may be one observation stale, and once they
+        have finished every total agrees.  A failure's full traceback goes
+        to the event log before re-raising — ``_dispatch`` flattens the
+        exception into a one-line error payload.
         """
         start = self._clock()
         try:
             answer = fn()
         except Exception as exc:
-            elapsed = self._clock() - start
-            with self._metrics_lock:
-                if coordinator.slo is not None:
-                    coordinator.slo.observe(elapsed * 1000.0, error=True)
-                self._query_seconds += elapsed
-                self._error_count += 1
-            coordinator.metrics.inc("api.errors")
-            coordinator.metrics.inc(f"api.{verb}.errors")
-            coordinator.metrics.observe("api.request_ms", elapsed * 1000.0)
-            coordinator.metrics.observe(f"api.{verb}_ms", elapsed * 1000.0)
+            self._account(coordinator, verb, start, exc)
+            raise
+        self._account(coordinator, verb, start)
+        return answer
+
+    def _account(
+        self, coordinator: Coordinator, verb: str, start: float,
+        failure: Optional[Exception] = None,
+    ) -> None:
+        elapsed_ms = (self._clock() - start) * 1000.0
+        metrics = coordinator.metrics
+        if coordinator.slo is not None:
+            coordinator.slo.observe(elapsed_ms, error=failure is not None)
+        if failure is None:
+            metrics.inc(f"api.{verb}")
+        else:
+            metrics.inc("api.errors")
+            metrics.inc(f"api.{verb}.errors")
             coordinator.events.record(
                 "qa", "coordinator", "api-error",
                 f"{verb}: " + "".join(
-                    traceback.format_exception(type(exc), exc, exc.__traceback__)
+                    traceback.format_exception(
+                        type(failure), failure, failure.__traceback__
+                    )
                 ).strip(),
             )
-            raise
-        elapsed = self._clock() - start
-        with self._metrics_lock:
-            if coordinator.slo is not None:
-                coordinator.slo.observe(elapsed * 1000.0)
-            self._query_seconds += elapsed
-            if verb in ("query", "ask"):
-                self._query_count += 1
-            else:
-                self._refine_count += 1
-        coordinator.metrics.inc(f"api.{verb}")
-        coordinator.metrics.observe("api.request_ms", elapsed * 1000.0)
-        coordinator.metrics.observe(f"api.{verb}_ms", elapsed * 1000.0)
-        return answer
+        metrics.observe("api.request_ms", elapsed_ms)
+        metrics.observe(f"api.{verb}_ms", elapsed_ms)
 
     def _post_question(self, body: Dict[str, Any], verb: str) -> Dict[str, Any]:
-        """``POST /query`` and ``POST /ask`` — the multi-hop agentic mode
-        of ``/query``.  With ``config.agentic`` off both run the single-hop
-        round and answer the same body bit-identically."""
+        """The dialogue verbs: ``POST /query``, ``POST /ask`` — its
+        multi-hop agentic mode; with ``config.agentic`` off both run the
+        single-hop round and answer the same body bit-identically — and
+        ``POST /refine``."""
         coordinator, qa = self._require_system(body)
         text = self._require_field(body, "text")
-        image = None
-        reference_id = self._int_field(body, "reference_object_id")
-        if reference_id is not None:
-            # An uploaded image is modelled by referencing an object whose
-            # image modality stands in for the user's file.
-            image = coordinator.get_object(reference_id).get(Modality.IMAGE)
-        ask = qa.session.ask_agentic if verb == "ask" else qa.session.ask
-        weights = self._weights_field(body)
-        deadline_ms = self._deadline_override(body)
-        answer = self._timed_verb(
-            coordinator,
-            verb,
-            lambda: ask(text, image=image, weights=weights, deadline_ms=deadline_ms),
-        )
+        if not isinstance(text, str):  # what the encoders and the cache key take
+            raise ApiError(f"'text' expects a string, got {text!r}")
+        options = {
+            "weights": self._weights_field(body),
+            "deadline_ms": self._deadline_override(body),
+        }
+        if verb == "refine":
+            ask = qa.session.refine
+        else:
+            ask = qa.session.ask_agentic if verb == "ask" else qa.session.ask
+            reference_id = self._int_field(body, "reference_object_id")
+            if reference_id is not None:
+                # An uploaded image is modelled by referencing an object whose
+                # image modality stands in for the user's file.
+                options["image"] = coordinator.get_object(reference_id).get(
+                    Modality.IMAGE
+                )
+        answer = self._timed_verb(coordinator, verb, lambda: ask(text, **options))
         return {"answer": self._answer_payload(answer)}
 
     def _post_select(self, body: Dict[str, Any]) -> Dict[str, Any]:
@@ -634,20 +630,6 @@ class ApiServer:
         rank = self._int_field(body, "rank", required=True)
         object_id = qa.click_result(rank)
         return {"selected_object_id": object_id}
-
-    def _post_refine(self, body: Dict[str, Any]) -> Dict[str, Any]:
-        coordinator, qa = self._require_system(body)
-        text = self._require_field(body, "text")
-        weights = self._weights_field(body)
-        deadline_ms = self._deadline_override(body)
-        answer = self._timed_verb(
-            coordinator,
-            "refine",
-            lambda: qa.session.refine(
-                text, weights=weights, deadline_ms=deadline_ms
-            ),
-        )
-        return {"answer": self._answer_payload(answer)}
 
     def _get_transcript(self, body: Dict[str, Any]) -> Dict[str, Any]:
         _, qa = self._require_system(body)
@@ -730,6 +712,7 @@ class ApiServer:
         coordinator, _ = self._require_system()
         k = self._int_field(body, "k", None)
         weights = self._weights_field(body)
+        deadline_ms = self._deadline_override(body)
         if "queries" in body:
             specs = body["queries"]
             if not isinstance(specs, (list, tuple)) or not specs:
@@ -743,9 +726,7 @@ class ApiServer:
         if planner is not None and self.batcher.max_batch > 1:
             # A request whose remaining deadline cannot absorb several
             # collector windows runs inline instead of joining the batch.
-            deadline = coordinator.resilience.deadline(
-                self._deadline_override(body)
-            )
+            deadline = coordinator.resilience.deadline(deadline_ms)
             remaining = (
                 deadline.remaining_ms if deadline is not None else None
             )
@@ -769,27 +750,20 @@ class ApiServer:
             }
         if fmt != "json":
             raise ApiError(f"unknown metrics format {fmt!r}; expected json or prometheus")
-        cache = coordinator.execution.cache if coordinator.execution else None
+        cache = coordinator.ledger("cache")
         framework = coordinator.execution.framework if coordinator.execution else None
-        with self._metrics_lock:
-            query_count = self._query_count
-            refine_count = self._refine_count
-            error_count = self._error_count
-            query_seconds = self._query_seconds
-        # Errored rounds contributed to query_seconds, so the mean divides
-        # by every round the SLO window saw — /metrics and /health agree.
-        rounds = query_count + refine_count + error_count
-        mean_ms = query_seconds / rounds * 1000.0 if rounds else 0.0
-        latency = coordinator.metrics.histogram("api.request_ms").summary()
-        stages = coordinator.metrics.histogram_summaries("stage_ms.")
+        # Every round — errored ones too — is one ``api.request_ms``
+        # observation, the same traffic the SLO window saw.
+        count = coordinator.metrics.count
+        latency = coordinator.metrics.histogram("api.request_ms")
         return {
             "metrics": {
-                "queries": query_count,
-                "refines": refine_count,
-                "errors": error_count,
-                "mean_query_ms": round(mean_ms, 3),
-                "latency_ms": latency,
-                "stages": stages,
+                "queries": count("api.query") + count("api.ask"),
+                "refines": count("api.refine"),
+                "errors": count("api.errors"),
+                "mean_query_ms": round(latency.mean, 3),
+                "latency_ms": latency.summary(),
+                "stages": coordinator.metrics.histogram_summaries("stage_ms."),
                 "sessions": len(self._sessions),
                 "kb_objects": len(coordinator.kb) if coordinator.kb else 0,
                 "deleted_objects": len(framework.deleted_ids) if framework else 0,
@@ -797,7 +771,7 @@ class ApiServer:
                 # together, so reading them attribute-by-attribute could
                 # pair a hit with the wrong total.
                 "cache": (
-                    {"enabled": True, **cache.snapshot()}
+                    {"enabled": True, **cache}
                     if cache is not None
                     else {
                         "enabled": False,
@@ -850,38 +824,31 @@ class ApiServer:
 
     def _get_stats(self, body: Dict[str, Any]) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
-        ledgers = coordinator.snapshots()
-        framework = coordinator.execution.framework if coordinator.execution else None
+        stats = coordinator.ledger("stats")
         return {
-            "enabled": ledgers["stats"] is not None,
-            "stats": ledgers["stats"],
-            "tiered": tiered_snapshot(framework),
-            "planner": ledgers["planner"],
-            "admission": ledgers["admission"],
-            "cache": ledgers["cache"],
-            "agentic": ledgers["agentic"],
+            "enabled": stats is not None,
+            "stats": stats,
+            **{
+                name: coordinator.ledger(name)
+                for name in ("tiered", "planner", "admission", "cache", "agentic")
+            },
         }
 
     def _get_health(self, body: Dict[str, Any]) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
-        ledgers = coordinator.snapshots()
-        slo = ledgers["slo"]
-        framework = coordinator.execution.framework if coordinator.execution else None
+        slo = coordinator.ledger("slo")
         return {
             "monitoring": slo is not None,
             "state": slo["state"] if slo is not None else STATE_OK,
             "slo": slo,
-            "quality": ledgers["quality"],
-            "recorder": ledgers["recorder"],
-            "engine": self.engine.snapshot(),
-            "batching": self.batcher.snapshot(),
-            "resilience": coordinator.resilience.snapshot(),
-            "sharding": framework.snapshot() if hasattr(framework, "snapshot") else None,
-            "tiered": tiered_snapshot(framework),
-            "cache": ledgers["cache"],
-            "planner": ledgers["planner"],
-            "admission": ledgers["admission"],
-            "agentic": ledgers["agentic"],
+            **{
+                name: coordinator.ledger(name)
+                for name in (
+                    "quality", "recorder", "engine", "batching", "resilience",
+                    "sharding", "tiered", "cache", "planner", "admission",
+                    "agentic",
+                )
+            },
         }
 
     def _post_session_new(self, body: Dict[str, Any]) -> Dict[str, Any]:

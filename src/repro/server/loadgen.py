@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.core import MQAConfig
 from repro.data import DatasetSpec
-from repro.index.tiered import tiered_snapshot
 from repro.observability.metrics import Histogram
 from repro.server.api import ApiServer
 
@@ -297,7 +296,6 @@ def run_loadgen(
             and not r.get("degraded")
             and (deadline_ms is None or r["latency_ms"] <= deadline_ms)
         )
-        ledgers = coordinator.snapshots()
         return {
             "workers": workers,
             "operations": len(ops),
@@ -330,25 +328,16 @@ def run_loadgen(
                 ),
                 "saturated": sum(1 for r in results if r.get("saturated")),
             },
-            "cache": ledgers["cache"],
-            "planner": ledgers["planner"],
-            "admission": ledgers["admission"],
             "initial_corpus_size": initial_size,
             "read_ids": read_ids,
             "ingested_ids": ingested,
-            "engine": server.engine.snapshot(),
-            "batching": server.batcher.snapshot(),
-            "sharding": (
-                coordinator.execution.framework.snapshot()
-                if config.sharding_enabled
-                else None
-            ),
-            "stats": ledgers["stats"],
-            "tiered": tiered_snapshot(
-                coordinator.execution.framework
-                if coordinator.execution is not None
-                else None
-            ),
+            **{
+                name: coordinator.ledger(name)
+                for name in (
+                    "cache", "planner", "admission", "engine", "batching",
+                    "sharding", "stats", "tiered",
+                )
+            },
         }
     finally:
         server.close()

@@ -172,8 +172,9 @@ def test_no_lost_updates_in_counters_and_events():
         responses = [future.result(timeout=30) for future in futures]
         assert all(response["ok"] for response in responses), responses
 
-        with srv._metrics_lock:
-            assert srv._query_count == queries
+        metrics = srv.handle("GET", "/metrics")["metrics"]
+        assert metrics["queries"] == queries
+        assert metrics["latency_ms"]["count"] == queries
 
         slo = srv._coordinator.slo
         assert slo is not None

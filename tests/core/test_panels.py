@@ -65,6 +65,24 @@ class TestStatusPanel:
         assert "[ ]" in text
 
 
+    def test_status_report_is_the_status_endpoint_text(self, scenes_kb):
+        """The library's report used to lack the health / quality / cost /
+        cache lines ``GET /status`` renders: both read one ledger table."""
+        from repro.core import MQASystem
+        from repro.server import ApiServer
+
+        config = fast_config(monitoring=True, cost_accounting=True)
+        with ApiServer(config, knowledge_base=scenes_kb) as server:
+            assert server.handle("POST", "/apply")["ok"]
+            assert server.handle("POST", "/query", {"text": "foggy clouds"})["ok"]
+            rendered = server.handle("GET", "/status")["rendered"]
+            report = MQASystem(server._coordinator).status_report()
+        assert report == rendered
+        for line in (" health: ", " quality: ", " cost: 1 observed", " cache: "):
+            assert line in report
+        assert "last query trace" in report
+
+
 class TestQAPanel:
     def test_full_interaction_transcript(self, scenes_kb):
         coordinator = Coordinator(fast_config(), knowledge_base=scenes_kb).setup()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.observability import Counter, Histogram, MetricsRegistry
+from repro.observability import Counter, Histogram, MetricsRegistry, Window
 
 
 class TestCounter:
@@ -64,6 +64,37 @@ class TestHistogram:
     def test_validates_reservoir_size(self):
         with pytest.raises(ValueError):
             Histogram("latency", reservoir_size=0)
+
+
+class TestWindow:
+    def test_percentiles_match_numpy_below_capacity(self):
+        rng = np.random.default_rng(7)
+        sample = rng.exponential(scale=10.0, size=100)
+        window = Window(128)
+        for value in sample:
+            window.observe(value)
+        assert len(window) == 100
+        for q in (50, 95, 100):
+            assert window.percentile(q) == pytest.approx(
+                float(np.percentile(sample, q))
+            )
+        assert window.mean == pytest.approx(float(sample.mean()))
+
+    def test_evicts_oldest_first_at_capacity(self):
+        window = Window(4)
+        for value in range(10):
+            window.observe(value)
+        assert len(window) == 4
+        # What is left is 6, 7, 8, 9: the stream's tail, not a sample of it.
+        assert window.percentile(0) == 6.0
+        assert window.percentile(100) == 9.0
+        assert window.mean == 7.5
+
+    def test_empty_reads_zero(self):
+        window = Window(8)
+        assert len(window) == 0
+        assert window.percentile(95) == 0.0
+        assert window.mean == 0.0
 
 
 class TestMetricsRegistry:

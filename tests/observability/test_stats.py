@@ -3,6 +3,7 @@
 import pytest
 
 from repro.observability.costs import QueryCostProfile
+from repro.observability.exporters import render_prometheus
 from repro.observability.metrics import MetricsRegistry, labelled
 from repro.observability.stats import WHOLE_QUERY, StatsPlane
 
@@ -167,6 +168,39 @@ class TestMetricsMirror:
             "cost.shard_failures", framework="must", index="hnsw", shard=1
         )
         assert registry.snapshot()["counters"][key] == 1
+
+    def test_stats_groups_and_prometheus_families_tell_one_story(self, scenes_kb):
+        """One sharded ``/search`` batch: ``/stats`` showed a ``merge`` stage
+        and a row per shard while the families held no
+        ``cost.stage_ms{stage=merge}`` and no ``cost.shard_ms`` at all — a
+        batch-scope profile never reached the mirror."""
+        from repro.core import MQAConfig
+        from repro.data import DatasetSpec
+        from repro.server import ApiServer
+
+        config = MQAConfig(
+            dataset=DatasetSpec(domain="scenes", size=120, seed=7),
+            weight_learning={"steps": 12, "batch_size": 8, "n_negatives": 4},
+            index="flat", shards=2, cost_accounting=True,
+        )
+        with ApiServer(config, knowledge_base=scenes_kb) as server:
+            assert server.handle("POST", "/apply")["ok"]
+            texts = ("foggy clouds", "stars", "shoreline", "mountain pass")
+            assert server.handle(
+                "POST", "/search", {"queries": [{"text": t} for t in texts]}
+            )["ok"]
+            groups = server.handle("GET", "/stats")["stats"]["groups"]
+            families = render_prometheus(server._coordinator.metrics)
+        whole = groups[0]
+        assert [g["shard"] for g in groups] == [WHOLE_QUERY, "0", "1"]
+        assert "merge" in whole["stages_ms"]
+        labels = f'framework="{whole["framework"]}",index="flat"'
+        for stage, summary in whole["stages_ms"].items():
+            sample = f'repro_cost_stage_ms_count{{{labels},stage="{stage}"}}'
+            assert f"{sample} {summary['count']}\n" in families
+        for group in groups[1:]:
+            sample = f'repro_cost_shard_ms_count{{{labels},shard="{group["shard"]}"}}'
+            assert f"{sample} {group['queries']}\n" in families
 
     def test_snapshot_counts_all_observed(self):
         plane = StatsPlane()

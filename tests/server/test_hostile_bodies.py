@@ -36,6 +36,29 @@ HOSTILE_BODIES = [
      "a search spec must be an object with 'text', got 5"),
     ("/search", {"text": "fog", "reference_object_id": [1]},
      "'reference_object_id' must be an integer, got [1]"),
+    # An unhashable text used to reach the cache key (ValueError / TypeError).
+    ("/query", {"text": ["a"]}, "'text' expects a string, got ['a']"),
+    ("/ask", {"text": {"a": 1}}, "'text' expects a string, got {'a': 1}"),
+    ("/refine", {"text": ["a"]}, "'text' expects a string, got ['a']"),
+    ("/configure", {"option": ["a"], "value": 1},
+     "unknown configuration option ['a']"),
+    # deadline_ms used to be dropped in silence.
+    ("/query", {"text": "fog", "deadline_ms": "x"},
+     "'deadline_ms' must be a finite number, got 'x'"),
+    ("/refine", {"text": "fog", "deadline_ms": float("nan")},
+     "'deadline_ms' must be a finite number, got nan"),
+    ("/search", {"text": "fog", "deadline_ms": [5]},
+     "'deadline_ms' must be a finite number, got [5]"),
+]
+
+#: A body that is not an object used to escape as AttributeError (the session
+#: read in ``handle_async``) or TypeError (``dict(body)``).
+NOT_AN_OBJECT = [
+    ("POST", "/query", [1, 2]),
+    ("POST", "/query", "text"),
+    ("POST", "/refine", 5),
+    ("GET", "/metrics", [1]),
+    ("GET", "/health", "x"),
 ]
 
 
@@ -53,6 +76,14 @@ def test_a_malformed_field_is_an_error_reply(server, route, body, message):
     assert server.handle("POST", route, body) == {"ok": False, "error": message}
 
 
+@pytest.mark.parametrize("method, route, body", NOT_AN_OBJECT)
+def test_a_body_that_is_not_an_object_is_an_error_reply(server, method, route, body):
+    assert server.handle(method, route, body) == {
+        "ok": False, "error": f"request body must be an object, got {body!r}",
+    }
+    assert server.handle_async(method, route, body).result()["ok"] is False
+
+
 def test_the_same_routes_still_take_well_formed_bodies(server):
     assert server.handle("POST", "/select", {"rank": "0", "session": None})["ok"]
     assert server.handle("POST", "/reject", {"rank": 1})["ok"]
@@ -61,3 +92,7 @@ def test_the_same_routes_still_take_well_formed_bodies(server):
         {"queries": [{"text": "foggy clouds", "reference_object_id": "3"}]},
     )
     assert found["ok"] and found["results"][0]["items"]
+    for deadline_ms in (None, 0, "250", 250.0):
+        assert server.handle(
+            "POST", "/query", {"text": "foggy clouds", "deadline_ms": deadline_ms}
+        )["ok"]

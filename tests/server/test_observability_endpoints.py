@@ -118,6 +118,33 @@ class TestMetricsEndpoint:
         assert json.loads(json.dumps(metrics)) == metrics
 
 
+class TestCountsDescribeTheAppliedSystem:
+    def test_metrics_and_health_agree_after_a_second_apply(self, scenes_kb):
+        """``/metrics`` used to answer ``queries: 3`` beside
+        ``latency_ms.count: 0`` (and ``/health`` ``total_requests: 0``) —
+        server-held counts outlived the coordinator whose registry held the
+        latencies."""
+        server = ApiServer(
+            MQAConfig(monitoring=True, **FAST_CONFIG_KWARGS), knowledge_base=scenes_kb
+        )
+        assert server.handle("POST", "/apply")["ok"]
+        for text in ("foggy clouds", "stars", "shoreline"):
+            assert server.handle("POST", "/query", {"text": text})["ok"]
+        assert server.handle("POST", "/apply")["ok"]
+
+        def totals():
+            metrics = server.handle("GET", "/metrics")["metrics"]
+            slo = server.handle("GET", "/health")["slo"]
+            return (
+                metrics["queries"], metrics["latency_ms"]["count"],
+                slo["total_requests"],
+            )
+
+        assert totals() == (0, 0, 0)
+        assert server.handle("POST", "/query", {"text": "mountain pass"})["ok"]
+        assert totals() == (1, 1, 1)
+
+
 class TestRefineWeights:
     def test_refine_passes_weights_through(self, scenes_kb):
         # JE rejects per-query weights; the error surfacing through

@@ -6,7 +6,8 @@ anywhere under ``repro`` may define its own ``search`` / ``retrieve`` —
 a second body is a second behaviour to keep in step by hand.  The same
 holds one layer up: ``QueryExecution.execute`` is ``execute_batch`` of one
 and the coordinator runs a stage list, not a hand-threaded round — and for
-telemetry: a block is timed by its span and by nothing else.
+telemetry: a block is timed by its span and by nothing else, and a served
+event is counted in the metrics registry and nowhere else.
 """
 
 import ast
@@ -381,3 +382,83 @@ def test_set_up_encodes_the_corpus_once():
         node for node in ast.walk(sampler)
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
     ]
+
+
+def test_an_event_is_counted_once():
+    """The registry is where an event is counted: the layers that increment
+    a registry name keep no counter of their own, the cost plane has no
+    mirror, percentiles are computed in one file, and every reader of a
+    ledger selects it by name from the coordinator's one table — nobody
+    discovers ledgers by ``getattr`` / ``hasattr``."""
+    import repro.index.tiered
+    import repro.server.api
+    from repro.core import MQAConfig
+    from repro.core.agentic import AgenticAnswerer
+    from repro.core.coordinator import Coordinator
+    from repro.core.planning import AdmissionController, QueryPlanner
+    from repro.observability import StatsPlane
+    from repro.server import ApiServer
+
+    def calls(tree):
+        return [
+            (getattr(node.func.value, "id", ""), node.func.attr)
+            if isinstance(node.func, ast.Attribute)
+            else ("", getattr(node.func, "id", ""))
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+        ]
+
+    percentile_sites = []
+    guards = 0
+    for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        source = inspect.getsource(importlib.import_module(name))
+        guards += source.count("metrics is not " + "None")
+        if ("np", "percentile") in calls(ast.parse(source)):
+            percentile_sites.append(name)
+    # ``repro.evaluation`` scores offline experiments, not served traffic.
+    assert [
+        site for site in percentile_sites if not site.startswith("repro.evaluation")
+    ] == ["repro.observability.metrics"]
+    assert guards <= 5
+
+    # ``__init__`` assigns nothing under a name the registry counts.
+    # Spelled in pieces: a whole-word grep for the deleted names finds no file.
+    deleted = {
+        ApiServer: ["_query_" + "count", "_refine_" + "count", "_error_" + "count",
+                    "_query_" + "seconds", "_metrics_" + "lock"],
+        QueryPlanner: ["_pl" + "ans", "_degr" + "aded", "_pressure_" + "plans",
+                       "_batch_" + "skips", "_err" + "ors"],
+        AdmissionController: ["acc" + "epted", "degr" + "aded", "sh" + "ed",
+                              "probe_" + "errors"],
+        AgenticAnswerer: ["_quest" + "ions", "_ho" + "ps", "_cla" + "ims",
+                          "_suppor" + "ted", "_refi" + "ned", "_lo" + "ck",
+                          "_refine_rounds_" + "run", "_groundedness_" + "sum"],
+    }
+    for cls, names in deleted.items():
+        init = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
+        assigned = {
+            target.attr
+            for node in ast.walk(init) if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Attribute)
+        }
+        assert not set(names) & assigned, cls.__qualname__
+    assert not hasattr(StatsPlane, "_mirror_" + "query")
+
+    assert ("", "getattr") not in calls(ast.parse(inspect.getsource(repro.index.tiered)))
+    assert ("", "hasattr") not in calls(ast.parse(inspect.getsource(repro.server.api)))
+    assert not hasattr(repro.index.tiered, "iter_tiered_" + "stores")
+
+    assert not hasattr(Coordinator, "snap" + "shots")
+    assert {"stages", "observers", "ledgers"} <= set(vars(Coordinator(MQAConfig())))
+    # The readers take the table, not layers: the panel's only argument
+    # beside the board is the by-name read.
+    from repro.core import StatusPanel
+
+    assert list(inspect.signature(StatusPanel.__init__).parameters) == [
+        "self", "board", "ledger",
+    ]
+    for reader in (
+        ApiServer._get_health, ApiServer._get_stats, ApiServer._get_status,
+        repro.server.loadgen.run_loadgen, repro.core.MQASystem.status_report,
+    ):
+        source = inspect.getsource(reader)
+        assert "ledger" in source and ".snapshot()" not in source, reader.__qualname__
