@@ -43,7 +43,7 @@ SHELL_FIELDS = (
 )
 LOADGEN_FIELDS = (
     "workers", "batch", "batch_window_ms", "shards", "replicas",
-    "shard_latency_ms", "index", "tiered",
+    "index", "tiered",
     "quantize_bits", "rerank_factor", "mmap_cache_blocks", "planner",
     "recall_floor", "semantic_cache", "semantic_threshold", "admission",
     "deadline_ms", "cache",

@@ -127,8 +127,6 @@ class MQAConfig:
             with ``shards=None`` serves one shard from several replicas.
         partitioner: ``"hash"`` (stable id hash) or ``"concept"`` (objects
             sharing a leading concept co-locate).
-        shard_latency_ms: Models remote shard RPC (a sleep per shard
-            call, one after another); 0 disables.
         resilience: Master switch for the fault-tolerance layer.  Off by
             default: every guarded boundary then takes the exact
             pre-resilience code path.
@@ -272,9 +270,6 @@ class MQAConfig:
         8, "live-object spread between the largest and smallest shard that "
         "triggers an ingest-time rebalance (0 = never)",
         ge=0,
-    )
-    shard_latency_ms: float = _knob(
-        0.0, "simulated fixed per-shard-call service time in milliseconds", ge=0
     )
     resilience: bool = _knob(
         False, "enable the resilience layer (retries, deadlines, circuit "

@@ -75,7 +75,6 @@ class IndexConstruction:
                 replicas=config.replicas,
                 partitioner=config.partitioner,
                 rebalance_threshold=config.rebalance_threshold,
-                latency_ms=config.shard_latency_ms,
                 resilience=resilience,
                 events=events,
                 metrics=metrics,

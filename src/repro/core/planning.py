@@ -557,6 +557,7 @@ class AdmissionController:
         self._last = clock()
         self._wait_ewma = 0.0
         self._wait_seen = False
+        self._predicted = 0.0
         self._probe_error_logged = False
         self.metrics = metrics or MetricsRegistry()
 
@@ -648,6 +649,7 @@ class AdmissionController:
                 self._tokens + (now - self._last) * self.rate_ms_per_s,
             )
             self._last = now
+            self._predicted = predicted
             wait = self._expected_wait_ms(predicted)
             completion = wait + predicted * self.safety
             if completion >= self.shed_wait_ms or self._tokens <= -self.burst_ms:
@@ -664,11 +666,13 @@ class AdmissionController:
     @property
     def under_pressure(self) -> bool:
         """True while the controller is in degrade territory — the
-        planner starts below tier 0 for the duration."""
+        planner starts below tier 0 for the duration.  The wait is the one
+        :meth:`decide` reads (the live probe when installed, priced at the
+        last arrival's predicted cost; the EWMA otherwise), so a drained
+        queue is no pressure however high the EWMA was left."""
         with self._lock:
-            return (
-                self._wait_ewma >= self.degrade_wait_ms or self._tokens < 0.0
-            )
+            wait = self._expected_wait_ms(self._predicted)
+            return wait >= self.degrade_wait_ms or self._tokens < 0.0
 
     def snapshot(self) -> Dict[str, Any]:
         """Live signals plus the registry's decision counts for

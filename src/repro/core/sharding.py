@@ -55,10 +55,7 @@ shards are CPU-bound and a thread pool only adds hand-off cost (measured
 3.4x slower than this loop on real work), so there is none.  A 4-shard read
 costs about 3x the unsharded one — every shard re-encodes the query and
 pays its own fixed per-search overhead.  What the module models honestly
-is partitioning, the exact merge, tombstones, rebalancing and degradation;
-``latency_ms`` (a fixed GIL-releasing sleep per shard call, off by
-default) stands in for a remote shard's service time where an experiment
-needs one.
+is partitioning, the exact merge, tombstones, rebalancing and degradation.
 """
 
 from __future__ import annotations
@@ -478,7 +475,6 @@ class ShardRouter(RetrievalFramework):
         partitioner: Registered partitioner name.
         rebalance_threshold: Live-object spread (largest minus smallest
             shard) that triggers an ingest-time rebalance; 0 disables.
-        latency_ms: Simulated fixed per-shard-call service time (a sleep).
         resilience: Optional :class:`~repro.core.resilience.ResilienceManager`;
             when enabled, every shard search runs under its own breaker
             site ``shard.<i>.search``.
@@ -501,7 +497,6 @@ class ShardRouter(RetrievalFramework):
         replicas: int = 1,
         partitioner: str = "hash",
         rebalance_threshold: int = 8,
-        latency_ms: float = 0.0,
         resilience=None,
         events=None,
         metrics=None,
@@ -517,7 +512,6 @@ class ShardRouter(RetrievalFramework):
         self.replica_count = replicas
         self.partitioner = build_partitioner(partitioner, shards)
         self.rebalance_threshold = rebalance_threshold
-        self.latency_ms = latency_ms
         self.resilience = resilience
         self.events = events
         self.metrics = metrics
@@ -730,11 +724,6 @@ class ShardRouter(RetrievalFramework):
         """Refused by — and in the name of — the wrapped framework."""
         self._inner._check_options(weights, filter_fn, error)
 
-    def _simulate_service(self) -> None:
-        """Sleep for the modelled remote service time (off at 0)."""
-        if self.latency_ms > 0:
-            time.sleep(self.latency_ms / 1000.0)
-
     def _guarded_shard_call(
         self,
         shard_index: int,
@@ -759,7 +748,6 @@ class ShardRouter(RetrievalFramework):
         site = f"shard.{shard_index}.search"
 
         def call():
-            self._simulate_service()
             try:
                 return fn(replica)
             except EncodingError as exc:
@@ -893,11 +881,10 @@ class ShardRouter(RetrievalFramework):
     def _passthrough_batch(self, queries, k, budget, weights, filter_fn):
         """shards=1: delegate unmodified — the bit-identity fast path.
 
-        Replica selection and simulated service time still apply, but the
-        inner framework's response objects are returned as-is.
+        Replica selection still applies, but the inner framework's response
+        objects are returned as-is.
         """
         replica = self.groups[0].select()
-        self._simulate_service()
         if replica.framework is None:
             return [
                 RetrievalResponse(framework="empty-shard", items=[])

@@ -2,19 +2,17 @@
 
 ``pytest benchmarks/ --benchmark-only`` persists every experiment table
 under ``benchmarks/results/``; this module collects them into one markdown
-digest (and ``python -m repro.reporting`` prints it), so a full
-reproduction run ends with a single reviewable artefact.  The digest
-closes with the serving-layer *performance trajectory*: one headline row
-per infrastructure PR, read from the committed ``BENCH_PR*.json``
-artefacts at the repository root so the table can never drift from the
-numbers actually measured.
+digest, so a full reproduction run ends with a single reviewable artefact.
+``python -m repro.reporting > benchmarks/RESULTS.md`` regenerates the
+committed digest byte for byte.  The digest holds result tables only:
+timing comparisons between commits are the ``benchmarks/mqa_bench``
+harness's job.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 EXPERIMENT_ORDER = (
     "fig1", "fig2", "fig3", "fig4", "fig5",
@@ -33,90 +31,13 @@ def collect_results(results_dir: "str | Path") -> List[Path]:
     return ordered
 
 
-def _load_bench(repo_root: Path, name: str) -> Optional[dict]:
-    path = repo_root / name
-    if not path.is_file():
-        return None
-    try:
-        return json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-
-
-def render_trajectory(repo_root: "str | Path") -> Optional[str]:
-    """The serving-layer performance-trajectory table, or None.
-
-    One row per infrastructure PR bench, read from the committed
-    ``BENCH_PR*.json`` artefacts so the digest always matches the
-    measured numbers.  Returns None when no artefact is present.
-    """
-    repo_root = Path(repo_root)
-    rows: List[List[str]] = []
-    pr7 = _load_bench(repo_root, "BENCH_PR7.json")
-    if pr7 is not None:
-        p50 = pr7["p50_latency_ms"]
-        rows.append(
-            [
-                "7",
-                "cost accounting",
-                "p50 read latency, accounting off -> on: "
-                f"{p50['accounting_off']} -> {p50['accounting_on']} ms",
-                f"{pr7['estimated_disabled_overhead_pct']}",
-                "yes" if pr7["read_ids_identical"] else "NO",
-            ]
-        )
-    pr8 = _load_bench(repo_root, "BENCH_PR8.json")
-    if pr8 is not None:
-        rows.append(
-            [
-                "8",
-                "tiered beyond-RAM serving",
-                f"recall@10 {pr8['best_tiered_recall_at_10']} (full precision "
-                f"{pr8['full_precision']['recall_at_10']}) at >= "
-                f"{pr8['min_full_to_resident_ratio']:.1f}x spilled",
-                f"{pr8['estimated_disabled_overhead_pct']}",
-                "yes" if pr8["tiered_off_ids_identical"] else "NO",
-            ]
-        )
-    pr9 = _load_bench(repo_root, "BENCH_PR9.json")
-    if pr9 is not None:
-        rows.append(
-            [
-                "9",
-                "adaptive serving (planner + semantic cache + admission)",
-                f"{pr9['goodput_ratio']}x goodput under overload "
-                f"({pr9['adaptive']['goodput']['good']} vs "
-                f"{pr9['baseline']['goodput']['good']} good reads, "
-                f"{pr9['scenario']['deadline_ms']:.0f} ms deadline)",
-                f"{pr9['estimated_disabled_overhead_pct']}",
-                "yes" if pr9["idle_ids_identical"] else "NO",
-            ]
-        )
-    if not rows:
-        return None
-    header = ["PR", "feature", "headline (measured)", "disabled ovh %", "ids identical"]
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows))
-        for i in range(len(header))
-    ]
-    lines = [
-        "  ".join(header[i].ljust(widths[i]) for i in range(len(header))).rstrip(),
-        "-" * (sum(widths) + 2 * (len(widths) - 1)),
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(row[i].ljust(widths[i]) for i in range(len(row))).rstrip()
-        )
-    return "\n".join(lines)
-
-
 def render_digest(results_dir: "str | Path") -> str:
     """All experiment tables as one markdown document."""
     paths = collect_results(results_dir)
     if not paths:
         return (
             "No experiment results found. Run "
-            "`pytest benchmarks/ --benchmark-only` first."
+            "`pytest benchmarks/ --benchmark-only` first.\n"
         )
     sections = ["# Experiment results digest", ""]
     for path in paths:
@@ -126,24 +47,6 @@ def render_digest(results_dir: "str | Path") -> str:
         sections.append("")
         sections.append("```")
         sections.append(body)
-        sections.append("```")
-        sections.append("")
-    trajectory = render_trajectory(Path(results_dir).resolve().parent.parent)
-    if trajectory is not None:
-        sections.append("## Performance trajectory (serving-layer PR benches)")
-        sections.append("")
-        sections.append(
-            "Headline numbers from the committed `BENCH_PR*.json` artefacts"
-        )
-        sections.append(
-            "at the repository root; every PR's flags are off by default and"
-        )
-        sections.append(
-            "each bench asserts bit-identical ids and < 1% disabled overhead."
-        )
-        sections.append("")
-        sections.append("```")
-        sections.append(trajectory)
         sections.append("```")
         sections.append("")
     return "\n".join(sections)
@@ -162,7 +65,7 @@ def write_digest(
 def main() -> int:
     """Print the digest for the repository's benchmark results."""
     repo_root = Path(__file__).resolve().parents[2]
-    print(render_digest(repo_root / "benchmarks" / "results"))
+    print(render_digest(repo_root / "benchmarks" / "results"), end="")
     return 0
 
 

@@ -1,24 +1,26 @@
 """Concurrent synthetic load generation against a live :class:`ApiServer`.
 
-``python -m repro loadgen`` (and ``benchmarks/bench_pr3_concurrency.py``)
-drive a deterministic mixed read/write workload through the full API
-stack — dialogue queries under the shared read lock, periodic ingests
-under the exclusive write lock — and report throughput and latency
-percentiles.
+``python -m repro loadgen`` drives a deterministic mixed read/write
+workload through the full API stack — dialogue queries under the shared
+read lock, periodic ingests under the exclusive write lock — and reports
+throughput, latency percentiles and the coordinator's ledgers.  To compare
+a layer on and off, run it twice with ``--json`` and read the two reports;
+timings from one run are a reading, not a gate (the repository's one
+timing harness is ``benchmarks/mqa_bench``).
 
 Determinism under concurrency is engineered, not hoped for: the read
 queries draw their concepts from one half of the corpus vocabulary and
 the ingested objects from the *other* half (at deliberately low
 intensity), so no ingested object can enter a read's top-k regardless of
 how reads and writes interleave.  That makes every read's result ids a
-pure function of the query alone — the benchmark asserts the concurrent
-run returns exactly the serial run's ids, and that no ingested id ever
-surfaces.
+pure function of the query alone — ``tests/concurrency/test_stress.py``
+asserts a concurrent run returns exactly the serial run's ids, and that no
+ingested id ever surfaces.
 
 The simulated LLM latency (``llm_latency_ms``) models the production
 deployment's remote generation call (the MQA demo uses ChatGPT); the
-sleep releases the GIL exactly as the network wait would, which is the
-regime where a thread pool multiplies throughput.
+sleep releases the GIL as the network wait would.  A throughput gain
+measured against it is a gain over a sleep, and none is claimed.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from repro.server.api import ApiServer
 #: Low intensity keeps ingested objects' vectors far from every read
 #: query, preserving read determinism (see module docstring).
 _INGEST_INTENSITY = 0.35
+#: How many times a client retries a shed request (with ``shed_retry_ms``).
+_SHED_RETRIES = 8
 
 
 def build_workload(
@@ -123,7 +127,6 @@ def run_loadgen(
     client_workers: "int | None" = None,
     near_duplicate_every: int = 0,
     shed_retry_ms: float = 0.0,
-    shed_retries: int = 8,
     **config_overrides: Any,
 ) -> Dict[str, Any]:
     """Build a system, fire the workload, and report the results.
@@ -142,8 +145,8 @@ def run_loadgen(
     bounded queue never rejects — rejections under deliberate over-drive
     are exercised by the concurrency tests instead.  ``client_workers``
     sizes the *client* thread pool independently of the engine's
-    ``workers`` — oversubscribing clients is how the planner benchmark
-    creates queueing pressure.
+    ``workers`` — oversubscribing clients is how queueing pressure is
+    created for the planner and admission control.
 
     ``batch > 1`` switches read operations from the dialogue ``/query``
     verb to raw ``POST /search`` requests and enables server-side
@@ -152,9 +155,7 @@ def run_loadgen(
     only throughput changes.
 
     ``shards`` / ``replicas`` serve the same workload through the shard
-    router; ``shard_latency_ms`` adds a simulated remote-shard service
-    time (a sleep per shard call).  Result ids never change — the sharding
-    benchmark asserts that.
+    router.  Result ids never change — ``tests/sharding`` asserts that.
 
     With ``cost_accounting`` the report carries the server's ``GET /stats``
     snapshot under ``"stats"`` (the data behind ``python -m repro stats``),
@@ -164,7 +165,7 @@ def run_loadgen(
     permutation of the previous one (see :func:`build_workload`).
     ``shed_retry_ms`` (0 disables) makes clients behave like real ones
     facing a 503: a shed response is retried after that backoff, up to
-    ``shed_retries`` times, and the op's reported latency spans every
+    eight times, and the op's reported latency spans every
     attempt — shedding costs the client real time instead of instantly
     freeing it to burn through the finite operation list.
 
@@ -223,7 +224,7 @@ def run_loadgen(
                     response = server.handle("POST", "/query", dict(op["body"]))
                 if (
                     shed_retry_ms > 0
-                    and attempts < shed_retries
+                    and attempts < _SHED_RETRIES
                     and not response.get("ok")
                     and response.get("shed")
                 ):

@@ -1,6 +1,15 @@
 """End-to-end tests for the agentic answering round."""
 
-from repro.evaluation import groundedness_score
+from dataclasses import dataclass
+from typing import List
+
+import pytest
+
+from repro.core import MQASystem
+from repro.data import Modality
+from repro.evaluation import groundedness_score, text_queries
+
+from tests.agentic.conftest import agentic_config
 
 MULTI_CONCEPT = "a foggy and rainy mountain scene"
 
@@ -100,3 +109,54 @@ class TestAgenticAnswer:
         agentic_system.select(0)
         refined = agentic_system.refine("more dramatic")
         assert refined.round_index == 1
+
+
+@dataclass
+class SingleHopClaim:
+    """A single-hop answer judged per concept, as agentic claims are."""
+
+    concept: str
+    citations: List[int]
+
+
+def answer_recall(answer, gt_ids) -> float:
+    return len({item.object_id for item in answer.items} & set(gt_ids)) / len(gt_ids)
+
+
+class TestAgainstSingleHop:
+    @pytest.mark.parametrize("framework", ["must", "je"])
+    def test_hops_ground_more_claims_at_no_recall_cost(self, scenes_kb, framework):
+        """Forty three-concept questions: per target concept, an answer is
+        oracle-grounded when it cites an object of that concept's true
+        top-10.  The agentic claims (one retrieval hop each) are grounded
+        more often than the single-hop answers judged the same way (1.000
+        against 0.970 on MUST here), the fused final list recovers no fewer
+        ground-truth objects, and no claim cites nothing."""
+        questions = text_queries(scenes_kb, 40, k=10, concepts_per_query=3, seed=7)
+        single = MQASystem.from_knowledge_base(
+            scenes_kb, agentic_config(agentic=False, framework=framework, result_count=10)
+        )
+        multi = MQASystem.from_knowledge_base(
+            scenes_kb, agentic_config(framework=framework, result_count=10)
+        )
+        single_claims, multi_claims = [], []
+        single_recall = multi_recall = 0.0
+        for question in questions:
+            text = str(question.raw.get(Modality.TEXT))
+            single.reset_dialogue()
+            plain = single.ask(text, k=10)
+            single_recall += answer_recall(plain, question.gt_ids)
+            single_claims += [
+                SingleHopClaim(concept, [item.object_id for item in plain.items])
+                for concept in question.target_concepts
+            ]
+            multi.reset_dialogue()
+            agentic = multi.ask_agentic(text, k=10)
+            multi_recall += answer_recall(agentic, question.gt_ids)
+            multi_claims += agentic.claims
+        assert len(multi_claims) == len(single_claims)
+        assert all(claim.citations for claim in multi_claims)
+        assert groundedness_score(scenes_kb, multi_claims, k=10) > groundedness_score(
+            scenes_kb, single_claims, k=10
+        )
+        assert multi_recall >= single_recall

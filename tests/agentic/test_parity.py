@@ -39,6 +39,25 @@ class TestOffModeParity:
         assert agentic.claims is None
         assert agentic.groundedness is None
 
+    @pytest.mark.parametrize(
+        "knob",
+        [{"agentic_max_hops": 2}, {"agentic_refine_rounds": 3}],
+        ids=["agentic_max_hops", "agentic_refine_rounds"],
+    )
+    def test_knobs_are_inert_when_off(self, scenes_kb, off_system, knob):
+        knobbed = MQASystem.from_knowledge_base(
+            scenes_kb, agentic_config(agentic=False, **knob)
+        )
+        off_system.reset_dialogue()
+        plain = off_system.ask(QUESTION)
+        knobbed.reset_dialogue()
+        agentic = knobbed.ask_agentic(QUESTION)
+        assert knobbed.coordinator.agentic is None
+        assert agentic.text == plain.text
+        assert [i.object_id for i in agentic.items] == [
+            i.object_id for i in plain.items
+        ]
+
     def test_server_payloads_identical(self, scenes_kb):
         def payload(verb):
             server = ApiServer(

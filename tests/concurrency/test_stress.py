@@ -5,7 +5,8 @@ races the deterministic tests did not think to force.  The workload is
 seeded (every run issues the identical operation sequence per thread);
 only the thread schedule varies.  Asserts the system-wide accounting
 still balances afterwards: zero errors, no lost rounds, consistent
-event-log totals, a quiescent engine.
+event-log totals, a quiescent engine.  Beside it, the loadgen workload
+served by several engine workers returns the serial run's read ids.
 """
 
 from __future__ import annotations
@@ -13,14 +14,20 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
-from tests.concurrency.conftest import make_server, split_vocab
+from repro.server.loadgen import run_loadgen
+from tests.concurrency.conftest import SIZE, make_server, split_vocab
 from tests.concurrency.harness import spawn
 
 SEED = 11
 THREADS = 8
 OPS_PER_THREAD = 12
 TIME_BUDGET_S = 10.0
+#: One ingest every fifth operation; no simulated LLM wait.
+LOADGEN = dict(
+    queries=40, write_every=5, size=SIZE, seed=SEED, llm_latency_ms=0.0, k=5
+)
 
 
 def test_eight_thread_stress_smoke():
@@ -99,3 +106,31 @@ def test_eight_thread_stress_smoke():
         srv.close()
     elapsed = time.perf_counter() - started
     assert elapsed < TIME_BUDGET_S, f"stress smoke took {elapsed:.1f}s"
+
+
+@pytest.fixture(scope="module")
+def serial_loadgen():
+    return run_loadgen(workers=1, **LOADGEN)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_concurrent_loadgen_reads_equal_the_serial_reads(serial_loadgen, workers):
+    """Reads draw from one half of the vocabulary and ingests from the
+    other, so a read's ids are a function of its query alone: ``workers``
+    engine threads (and as many clients) return the serial run's ids
+    exactly, with no error and no rejection, every ingest lands past the
+    initial corpus, and no ingested id ever surfaces in a read."""
+    concurrent = run_loadgen(workers=workers, **LOADGEN)
+    for run in (serial_loadgen, concurrent):
+        assert run["errors"] == 0, run["error_messages"]
+        assert run["engine"]["rejected"] == 0
+    assert concurrent["read_ids"] == serial_loadgen["read_ids"]
+    ingested = set(serial_loadgen["ingested_ids"]) | set(concurrent["ingested_ids"])
+    assert len(concurrent["ingested_ids"]) == LOADGEN["queries"] // LOADGEN["write_every"]
+    assert min(ingested) >= serial_loadgen["initial_corpus_size"]
+    surfaced = {
+        object_id
+        for ids in serial_loadgen["read_ids"] + concurrent["read_ids"]
+        for object_id in ids
+    }
+    assert not surfaced & ingested

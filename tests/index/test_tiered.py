@@ -318,6 +318,20 @@ class TestFrameworkParity:
         assert _retrieve_ids(via_config) == _retrieve_ids(seed)
         assert tiered_snapshot(via_config) is None
 
+    @pytest.mark.parametrize(
+        "knob",
+        [{"quantize_bits": 4}, {"rerank_factor": 8}, {"mmap_cache_blocks": 64}],
+        ids=["quantize_bits", "rerank_factor", "mmap_cache_blocks"],
+    )
+    def test_tier_knobs_are_inert_when_off(self, knob, scenes_kb, clip_set, weights):
+        """With ``tiered=False`` the tier's own knobs at non-default values
+        build the same index and answer with the same ids."""
+        builder = IndexConstruction()
+        plain = builder.run(_config(), scenes_kb, clip_set, weights)
+        knobbed = builder.run(_config(tiered=False, **knob), scenes_kb, clip_set, weights)
+        assert _retrieve_ids(knobbed) == _retrieve_ids(plain)
+        assert tiered_snapshot(knobbed) is None
+
     @pytest.mark.parametrize("name", ["mr", "je", "must"])
     def test_tiered_on_exact_with_covering_rerank(
         self, name, scenes_kb, clip_set, weights

@@ -109,6 +109,21 @@ class TestQueueWaitSignal:
         ctl.observe_wait(500.0)
         assert ctl.decide(10.0) == "accept"
 
+    def test_drained_queue_is_no_pressure_for_the_planner(self):
+        # The planner reads the same live wait ``decide`` does: after a
+        # storm of 400 ms waits the EWMA stays high, but an empty queue is
+        # neither a degrade decision nor pressure below tier 0.
+        depth = {"queued": 4}
+        ctl = controller(queue_probe=lambda: depth["queued"])
+        for _ in range(5):
+            ctl.observe_wait(400.0)
+        depth["queued"] = 0
+        assert ctl.decide(30.0) == "accept"
+        assert ctl.snapshot()["queue_wait_ewma_ms"] == pytest.approx(400.0)
+        assert not ctl.under_pressure
+        depth["queued"] = 2  # 2 queued / 1 worker x 30 ms = 60 >= 50
+        assert ctl.under_pressure
+
     def test_queue_probe_sheds_on_deep_queue(self):
         ctl = controller(queue_probe=lambda: 10)
         # Little's law: 10 queued / 1 worker × 50 ms each = 500 ms ≥ 200.

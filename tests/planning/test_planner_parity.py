@@ -48,6 +48,22 @@ class TestPlannerOffIsSeed:
         )
         assert ask_all(baseline, QUERIES) == ask_all(adaptive, QUERIES)
 
+    @pytest.mark.parametrize(
+        "knob",
+        [{"recall_floor": 0.5}, {"semantic_threshold": 0.7}],
+        ids=["recall_floor", "semantic_threshold"],
+    )
+    def test_stack_knobs_are_inert_when_off(self, scenes_kb, knob):
+        """With ``planner``, ``semantic_cache`` and ``admission`` off, their
+        knobs at non-default values change no answer — near-duplicates
+        included, which only a semantic cache would serve differently."""
+        sequence = QUERIES + [" ".join(reversed(text.split())) for text in QUERIES]
+        baseline = MQASystem.from_knowledge_base(scenes_kb, fast_config())
+        knobbed = MQASystem.from_knowledge_base(scenes_kb, fast_config(**knob))
+        assert ask_all(baseline, sequence) == ask_all(knobbed, sequence)
+        assert knobbed.coordinator.planner is None
+        assert not knobbed.coordinator.execution.cache.semantic
+
     def test_idle_plans_run_the_full_budget(self, scenes_kb):
         system = MQASystem.from_knowledge_base(
             scenes_kb, fast_config(planner=True)

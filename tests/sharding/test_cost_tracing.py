@@ -3,11 +3,15 @@
 The observability contract for sharding: one sharded query yields a
 *single* trace whose scatter span holds one child branch per shard (each
 carrying the shard's own pipeline spans) plus a sibling merge span; the
-query's cost profile carries one entry per shard; and rebalance moves and
-replica probes surface as structured events and labelled counters.
+query's cost profile carries one entry per shard; turning the accounting
+on changes no result id and every successful read reaches the stats plane;
+and rebalance moves and replica probes surface as structured events and
+labelled counters.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.core import MQAConfig
 from repro.core.coordinator import Coordinator
@@ -15,6 +19,7 @@ from repro.core.events import EventLog
 from repro.data import DatasetSpec, RawQuery, generate_knowledge_base
 from repro.encoders import build_encoder_set
 from repro.observability.metrics import MetricsRegistry, labelled
+from repro.server.loadgen import run_loadgen
 
 from tests.sharding.conftest import make_router
 
@@ -22,6 +27,10 @@ FAST_CONFIG_KWARGS = dict(
     dataset=DatasetSpec(domain="scenes", size=120, seed=7),
     weight_learning={"steps": 12, "batch_size": 8, "n_negatives": 4},
     cache_queries=False,
+)
+#: A serial mixed read/write workload: one ingest every eighth operation.
+LOADGEN = dict(
+    workers=1, queries=24, write_every=8, size=100, seed=7, llm_latency_ms=0.0, k=5
 )
 
 
@@ -94,6 +103,22 @@ class TestShardedCostProfile:
             g["shard"] for g in coordinator.stats.snapshot()["groups"]
         }
         assert shards == {"-", "0", "1"}
+
+
+class TestAccountingNeverChangesResults:
+    @pytest.mark.parametrize("shards", [None, 3])
+    def test_loadgen_ids_identical_and_every_read_observed(self, shards):
+        off = run_loadgen(shards=shards, **LOADGEN)
+        on = run_loadgen(shards=shards, cost_accounting=True, **LOADGEN)
+        for run in (off, on):
+            assert run["errors"] == 0, run["error_messages"]
+        assert on["read_ids"] == off["read_ids"]
+        assert off["stats"] is None
+        stats = on["stats"]
+        assert stats["queries"] == on["reads"]
+        shard_rows = {g["shard"] for g in stats["groups"] if g["shard"] != "-"}
+        assert shard_rows == ({"0", "1", "2"} if shards else set())
+        assert stats["exemplars"]
 
 
 class TestRouterEvents:

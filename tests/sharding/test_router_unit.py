@@ -77,7 +77,6 @@ class TestConfigValidation:
             {"replicas": 0},
             {"partitioner": "range"},
             {"rebalance_threshold": -1},
-            {"shard_latency_ms": -0.5},
         ],
     )
     def test_invalid_values_are_rejected(self, kwargs):
