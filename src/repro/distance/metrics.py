@@ -175,11 +175,21 @@ def pairwise_squared_l2(queries: np.ndarray, corpus: np.ndarray) -> np.ndarray:
     cancellation are clamped to zero.  Inputs may carry matching leading
     axes — ``(R, n, d)`` against ``(R, m, d)`` gives the ``(R, n, m)``
     stack of per-block distance matrices in the same three calls.
+
+    The steps after the product run in place on its output, in the order
+    ``np.maximum(q_norms - (2.0 * q) @ cᵀ + c_norms, 0)`` evaluates them,
+    so every entry is that expression's.  The product's left operand is
+    the scaled copy ``2.0 * q``, never ``q`` itself: on a self-distance
+    call ``q @ qᵀ`` is one array times its own transpose, which NumPy may
+    hand to a symmetric-rank-k routine that rounds differently, so
+    ``-2.0 * (q @ qᵀ)`` is *not* the same floats.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     corpus = np.atleast_2d(np.asarray(corpus, dtype=np.float64))
     _check_dims(queries, corpus)
     q_norms = (queries * queries).sum(axis=-1)[..., :, None]
     c_norms = (corpus * corpus).sum(axis=-1)[..., None, :]
-    distances = q_norms - 2.0 * queries @ np.swapaxes(corpus, -1, -2) + c_norms
-    return np.maximum(distances, 0.0)
+    distances = (2.0 * queries) @ np.swapaxes(corpus, -1, -2)
+    np.subtract(q_norms, distances, out=distances)
+    distances += c_norms
+    return np.maximum(distances, 0.0, out=distances)

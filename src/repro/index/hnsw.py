@@ -13,7 +13,8 @@ nothing else does:
   ``ef_construction`` nearest *earlier* members of the layer — exactly:
   one blocked GEMM per block of rows to pre-select, ``kernel.batch_paired``
   to re-score and order (:func:`repro.index.stages.exact_top_k`), and
-  :func:`select_heuristic_rows` over all full-width rows of a block.
+  Algorithm 4 over all full-width rows of a block, its occlusion table
+  packed into a pass of blocks that :func:`select_saturated` scans once.
 * :meth:`HnswIndex.add` has one vector and a live graph, so it searches,
   with the routines every query uses, as a batch of one:
   :meth:`HnswIndex._greedy_descend_batch` through the layers above the
@@ -26,7 +27,8 @@ selected it, re-selected down to the cap after each one past it — depends
 on no other row, so ``build`` hands over a layer's reverse edges grouped by
 row and each row is folded a *window* of ``m`` arrivals per gather: one
 ``kernel.batch_paired`` and one stacked ``kernel.matrix`` per block of rows,
-then the window's events replayed in lockstep by indexing those blocks.
+then the window's events replayed in lockstep, each scanning its ranked
+pool positions against the pools' packed tables.
 ``add`` is the one-arrival case.  Given the same distances it makes the
 decisions linking node by node would, and stores the rows in the same order.
 
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -51,7 +53,15 @@ from repro.errors import GraphConstructionError, SearchError
 from repro.index.base import VectorIndex
 from repro.index.graph import NavigationGraph, SparseLayer
 from repro.index.search import greedy_search_batch, score_ragged
-from repro.index.stages import block_rows, exact_top_k, mrng_rule, occlusion_scan
+from repro.index.stages import (
+    block_rows,
+    exact_top_k,
+    mrng_rule,
+    occlusion_scan,
+    pack_table,
+    packed_words,
+    pass_rows,
+)
 from repro.observability import trace_span
 from repro.utils import derive_rng
 
@@ -98,15 +108,18 @@ def select_heuristic_rows(
         one, then — when occlusion leaves a row short — the nearest
         rejected candidates, so every row comes back saturated.
     """
-    return select_saturated(mrng_rule(pairwise, distances), m)
+    return select_saturated(pack_table(mrng_rule(pairwise, distances)), m)
 
 
-def select_saturated(dominated: np.ndarray, m: int) -> np.ndarray:
-    """:func:`select_heuristic_rows` given the ``(R, W, W)`` occlusion table.
-    The scan is :func:`repro.index.stages.occlusion_scan`, which NSG's and
-    Vamana's selection share; what is HNSW's own is the fill-up rank below."""
-    width = dominated.shape[1]
-    selected = occlusion_scan(dominated, m)
+def select_saturated(
+    packed: np.ndarray, m: int, columns: "np.ndarray | None" = None
+) -> np.ndarray:
+    """:func:`select_heuristic_rows` given the packed occlusion table (and
+    with ``columns`` the entries each row visits, in rank order).  The scan
+    is :func:`repro.index.stages.occlusion_scan`, which NSG's and Vamana's
+    selection share; what is HNSW's own is the fill-up rank below."""
+    selected = occlusion_scan(packed, m, columns=columns)
+    width = selected.shape[1]
     # Selected columns first, then the rejected ones, each ascending: the
     # first m are every selected column plus just enough fill-ups.
     rank = np.arange(width) + width * ~selected
@@ -176,9 +189,9 @@ class HnswIndex(VectorIndex):
 
         # Rows narrower than ef keep the single-row form (as does every row
         # when ef fits the cap and nothing is dropped); the full-width ones
-        # select together, one stacked matrix per chunk.  Either way a row
-        # holds the one int object per member (``nodes``), not the fresh
-        # copies ``tolist`` makes: an edge then costs a pointer.
+        # select together.  Either way a row holds the one int object per
+        # member (``nodes``), not the fresh copies ``tolist`` makes: an edge
+        # then costs a pointer.
         nodes = members.tolist()
         full_from = min(ef if ef > m else count, count)
         selected: List[List[int]] = []
@@ -189,14 +202,8 @@ class HnswIndex(VectorIndex):
                     for distance, c in zip(distances[p, :p].tolist(), ids[p, :p].tolist())
                 ]
                 selected.append(self._select_heuristic(ranked, m))
-            for start in range(full_from, count, rows):
-                chunk = ids[start : start + rows]
-                block = vectors[chunk.ravel()].reshape(*chunk.shape, -1)
-                keep = select_heuristic_rows(
-                    distances[start : start + rows], self.kernel.matrix(block, block), m
-                )
-                for row in np.take_along_axis(chunk, keep, axis=1).tolist():
-                    selected.append([nodes[c] for c in row])
+            for kept in self._select_passes(vectors, ids, distances, full_from, m):
+                selected.extend([nodes[c] for c in row] for row in kept.tolist())
 
         # Every reverse edge into a row comes from a later node, so a row's
         # history is its own selection, then these, in node order — whatever
@@ -208,6 +215,29 @@ class HnswIndex(VectorIndex):
                 for neighbor in neighbors:
                     incoming.setdefault(neighbor, []).append(node)
             span.set(**self._link(layer, incoming, m))
+
+    def _select_passes(
+        self, vectors: np.ndarray, ids: np.ndarray, distances: np.ndarray, first: int, m: int
+    ) -> Iterator[np.ndarray]:
+        """Algorithm 4 over the full-width candidate rows from ``first`` on:
+        one stacked ``kernel.matrix`` per block of rows, its table packed
+        into a pass of whole blocks that fits the scratch budget, one scan
+        per pass.  Yields each pass's kept candidate positions, ``(rows,
+        m)`` in selection order; no pass's table outlives the selection."""
+        ef = self.params.ef_construction
+        rows = block_rows(ef, self.kernel.dim)
+        step = max(1, pass_rows(ef) // rows) * rows
+        for start in range(first, ids.shape[0], step):
+            stop = min(start + step, ids.shape[0])
+            packed = np.zeros((stop - start, ef, packed_words(ef)), dtype="<u8")
+            for lo in range(start, stop, rows):
+                chunk = ids[lo : lo + rows]
+                block = vectors[chunk.ravel()].reshape(*chunk.shape, -1)
+                pack_table(
+                    mrng_rule(self.kernel.matrix(block, block), distances[lo : lo + rows]),
+                    out=packed[lo - start : lo - start + rows],
+                )
+            yield np.take_along_axis(ids[start:stop], select_saturated(packed, m), axis=1)
 
     def _earlier_neighbors(
         self, vectors: np.ndarray, rows: int
@@ -258,8 +288,9 @@ class HnswIndex(VectorIndex):
         pending.sort(key=lambda item: -len(item[1]))
         reselected = sum(len(arrivals) for _, arrivals in pending)
         stats = {"reselected_rows": reselected, "targets": len(pending), "windows": 0}
-        # Rows replayed together: their tables fit the scratch budget, at a
-        # byte per entry where block_rows counts eight.
+        # Rows replayed together: 280 at the defaults, whose tables filled the
+        # scratch budget at a byte per entry and take a sixth of it packed.
+        # Replaying more rows at once buys no speed and raises the peak.
         step = 8 * block_rows(2 * m, 2 * m)
         while pending:
             stats["windows"] += len(pending)
@@ -281,15 +312,16 @@ class HnswIndex(VectorIndex):
         What an event asks of two ids is computed ahead, ``block_rows`` pools
         at a time: one gather, one ``kernel.batch_paired`` and one stacked
         ``kernel.matrix`` give each pool's ``(distance, id)`` order and its
-        Algorithm-4 table.  The events then run in lockstep over all pools,
-        each a sort of ``m + 1`` ranks and a look-up in that table.
+        Algorithm-4 table, packed by pool position.  The events then run in
+        lockstep over all pools, each a sort of ``m + 1`` ranks and one scan
+        of the pool positions they name, in rank order, against that table.
         """
         n_rows, width = len(pools), len(pools[0])
         events = np.array([len(pool) for pool in pools]) - m
         # A short pool repeats its first id: ranked beside it, never an arrival.
         ids = np.array([pool + pool[:1] * (width - len(pool)) for pool in pools], dtype=np.intp)
         order = np.empty_like(ids)
-        dominated = np.empty((n_rows, width, width), dtype=bool)
+        packed = np.zeros((n_rows, width, packed_words(width)), dtype="<u8")
         step = block_rows(width, max(self.kernel.dim, width))
         for start in range(0, n_rows, step):
             chunk = ids[start : start + step]
@@ -301,16 +333,18 @@ class HnswIndex(VectorIndex):
             ).reshape(chunk.shape)
             block = block.reshape(*chunk.shape, -1)
             order[start : start + step] = np.lexsort((chunk, distances))
-            dominated[start : start + step] = mrng_rule(self.kernel.matrix(block, block), distances)
+            pack_table(
+                mrng_rule(self.kernel.matrix(block, block), distances),
+                out=packed[start : start + step],
+            )
         row = np.arange(n_rows)[:, None]
         rank = np.argsort(order, axis=1)
         members = rank[:, :m].copy()
         for event in range(width - m):
             live = int((events > event).sum())
             ranked = np.sort(np.hstack([members[:live], rank[:live, m + event, None]]), axis=1)
-            at = order[row[:live], ranked]
-            table = dominated[row[:live, :, None], at[:, :, None], at[:, None, :]]
-            members[:live] = ranked[row[:live], select_saturated(table, m)]
+            keep = select_saturated(packed[:live], m, columns=order[row[:live], ranked])
+            members[:live] = ranked[row[:live], keep]
         return order[row, members].tolist()
 
     def _neighbors(self, layer: int, node: int) -> List[int]:

@@ -75,10 +75,13 @@ def init_random_regular(max_degree: int, out_degree: int, seed: int = 0) -> Stag
 # ----------------------------------------------------------------------
 # 2. candidate acquisition
 # ----------------------------------------------------------------------
-#: Bytes one block of candidate rows may gather at once.  Build scratch is
-#: transient, but peak RSS is a high-water mark, so the block size is a
-#: memory decision: the ``(rows, width, dim)`` gather, its scaled copy and
-#: the pairwise stack together stay around a few of these.
+#: Bytes one block of candidate rows may gather at once, and one scan pass's
+#: occlusion tables may hold packed at a bit per entry.  Build scratch is
+#: transient, but peak RSS is a high-water mark, so both sizes are memory
+#: decisions: the ``(rows, width, dim)`` gather, its scaled copy and the
+#: pairwise stack together stay around a few of these, and a pass is as
+#: many whole blocks as its ``(rows, width, words)`` ``uint64`` table fits
+#: (512 rows at ``width`` 80).
 _SCRATCH_BYTES = 640 * 1024
 
 #: Columns pre-selected beyond ``k`` by the GEMM distances in
@@ -91,6 +94,17 @@ def block_rows(width: int, dim: int) -> int:
     """Rows per block whose ``(rows, width, dim)`` float64 gather fits
     :data:`_SCRATCH_BYTES`."""
     return max(1, _SCRATCH_BYTES // (8 * max(1, width) * dim))
+
+
+def packed_words(width: int) -> int:
+    """``uint64`` words holding one bit per candidate of a ``width``-row."""
+    return -(-width // 64)
+
+
+def pass_rows(width: int) -> int:
+    """Rows per scan pass whose packed ``(rows, width, words)`` table fits
+    :data:`_SCRATCH_BYTES`."""
+    return max(1, _SCRATCH_BYTES // (8 * packed_words(width) * max(1, width)))
 
 
 def exact_top_k(
@@ -159,32 +173,70 @@ def candidates_exact_knn(k: int) -> StageFn:
 # ----------------------------------------------------------------------
 # 3. neighbour selection
 # ----------------------------------------------------------------------
+def pack_table(dominated: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    """An ``(R, W, O)`` boolean occlusion table as bits along its last axis:
+    bit ``o % 64`` of little-endian word ``o // 64`` of ``out[r, j]`` is
+    ``dominated[r, j, o]``.  ``out`` — ``(R, W, words)`` ``uint64``, zero
+    beyond the table, e.g. a slice of a wider pass — is written and
+    returned; without it a fitting one is made."""
+    n_rows, width, occluders = dominated.shape
+    if out is None:
+        out = np.zeros((n_rows, width, packed_words(occluders)), dtype="<u8")
+    bits = np.packbits(dominated, axis=-1, bitorder="little")
+    out.view(np.uint8)[..., : bits.shape[-1]] = bits
+    return out
+
+
 def occlusion_scan(
-    dominated: np.ndarray, max_degree: int, eligible: "np.ndarray | None" = None
+    packed: np.ndarray,
+    max_degree: int,
+    eligible: "np.ndarray | None" = None,
+    columns: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """The sequential occlusion rule for ``R`` ranked candidate rows at once.
 
-    ``dominated[r, j, o]``, ``(R, W, W)``, says candidate ``j`` of row ``r``
-    is dropped once the earlier candidate ``o < j`` is selected; what fills
-    it — :func:`mrng_rule` or :func:`alpha_rng_rule` — is all that differs
-    between NSG's, HNSW's and Vamana's selection.  A row selects at most
-    ``max_degree`` candidates, none where ``eligible`` ``(R, W)`` is false.
+    ``packed`` is the occlusion table as :func:`pack_table` stores it: bit
+    ``o`` of ``packed[r, j]`` says candidate ``j`` of row ``r`` is dropped
+    once candidate ``o`` is selected; what fills it — :func:`mrng_rule` or
+    :func:`alpha_rng_rule` — is all that differs between NSG's, HNSW's and
+    Vamana's selection.  Row ``r`` visits its entries ``columns[r]`` ``(R,
+    C)`` in that order (by default all ``W``, in order) and selects at most
+    ``max_degree`` of them, none where ``eligible`` ``(R, C)`` is false.
     The rule is sequential in the candidates but not in the rows, so it
-    runs column by column over all rows: ``W`` steps of a few ``(R, W)``
-    boolean operations instead of ``R`` Python loops.  Returns the ``(R,
-    W)`` mask of selected candidates.
+    runs column by column over all rows, each step one AND of a column's
+    words against the bits selected so far: as cheap at the last column as
+    at the first.  The cap is applied afterwards — a row's first
+    ``max_degree`` selections do not depend on what it would select past
+    them.  Returns the ``(R, C)`` mask of selected visits.
     """
-    n_rows, width = dominated.shape[:2]
-    selected = np.zeros((n_rows, width), dtype=bool)
-    count = np.zeros(n_rows, dtype=np.intp)
-    for column in range(width):
-        keep = ~(dominated[:, column, :column] & selected[:, :column]).any(axis=1)
-        keep &= count < max_degree
+    n_rows, width, words = packed.shape
+    if columns is None:
+        entries = packed.transpose(1, 2, 0)
+        positions = np.arange(width)[:, None, None]
+    else:
+        entries = packed[np.arange(n_rows)[:, None], columns].transpose(1, 2, 0)
+        positions = columns.T[:, None, :]
+    # bit[c, w, r]: what selecting visit c of row r sets in word w.
+    bit = np.where(
+        positions >> 6 == np.arange(words)[:, None],
+        np.left_shift(np.uint64(1), (positions & 63).astype(np.uint64)),
+        np.uint64(0),
+    )
+    chosen = np.zeros((words, n_rows), dtype=np.uint64)
+    hit = np.empty(n_rows, dtype=np.uint64)
+    selected = np.empty((entries.shape[0], n_rows), dtype=bool)
+    for column, entry in enumerate(entries):
+        np.bitwise_and(entry[0], chosen[0], out=hit)
+        for word in range(1, words):
+            hit |= entry[word] & chosen[word]
+        keep = np.equal(hit, 0, out=selected[column])
         if eligible is not None:
             keep &= eligible[:, column]
-        selected[:, column] = keep
-        count += keep
-    return selected
+        np.bitwise_or(chosen, bit[column], out=chosen, where=keep)
+    selected = selected.T
+    # A count never exceeds the row's visits: the narrowest type holds it.
+    counts = np.cumsum(selected, axis=1, dtype=np.min_scalar_type(selected.shape[1]))
+    return selected & (counts <= max_degree)
 
 
 def mrng_rule(pairwise: np.ndarray, distances: np.ndarray) -> np.ndarray:
@@ -212,40 +264,57 @@ def prune_rows(
     gather, one ``kernel.batch_paired`` (padding scores ``inf``), a
     ``(distance, id)`` lexsort — ties never depend on pool order, and a
     repeated id ranks beside its copy and is skipped — one stacked
-    ``kernel.matrix``, one :func:`occlusion_scan`.  A row's result does not
-    depend on its block.  Returns the pruned lists in input order and the
-    number of blocks they took.
+    ``kernel.matrix``, its table packed into the pass.  Per pass — the
+    blocks whose packed tables fit :data:`_SCRATCH_BYTES` at the width of
+    the first — one :func:`occlusion_scan`.  A row's result depends on
+    neither its block nor its pass.  Returns the pruned lists in input
+    order and the number of blocks they took.
     """
     widths = [len(pool) for pool in pools]
-    order = sorted(range(len(pools)), key=lambda i: -widths[i])
+    order = [i for i in sorted(range(len(pools)), key=lambda i: -widths[i]) if widths[i]]
     result: List[List[int]] = [[] for _ in pools]
     blocks = start = 0
-    while start < len(order) and widths[order[start]]:
-        width = widths[order[start]]
-        members = order[start : start + block_rows(width, max(vectors.shape[1], width))]
-        start += len(members)
-        blocks += 1
-        padded = np.full((len(members), width), -1, dtype=np.intp)
-        for row, member in enumerate(members):
-            padded[row, : widths[member]] = pools[member]
-        distances = kernel.batch_paired(
-            owners[members],
-            vectors[np.maximum(padded, 0).ravel()],
-            np.repeat(np.arange(len(members)), width),
-        ).reshape(padded.shape)
-        distances[padded < 0] = np.inf
-        rank = np.lexsort((padded, distances))
-        ids = np.take_along_axis(padded, rank, axis=1)
+    while start < len(order):
+        # A pass's first block is its widest and fits: pass_rows >= block_rows.
+        width, first = widths[order[start]], start
+        rows = min(pass_rows(width), len(order) - start)
+        ids = np.full((rows, width), -1, dtype=np.intp)
+        packed = np.zeros((rows, width, packed_words(width)), dtype="<u8")
+        # A block's arrays stay bound until the next block's replace them:
+        # freed at the block's end, the heap top goes back to the system and
+        # is faulted in again every block (twice the page faults at 2000 rows).
+        while start < len(order):
+            block_width = widths[order[start]]
+            stop = start + block_rows(block_width, max(vectors.shape[1], block_width))
+            members = order[start:stop]
+            at = slice(start - first, start - first + len(members))
+            if at.stop > rows:
+                break
+            start += len(members)
+            blocks += 1
+            padded = np.full((len(members), block_width), -1, dtype=np.intp)
+            for row, member in enumerate(members):
+                padded[row, : widths[member]] = pools[member]
+            distances = kernel.batch_paired(
+                owners[members],
+                vectors[np.maximum(padded, 0).ravel()],
+                np.repeat(np.arange(len(members)), block_width),
+            ).reshape(padded.shape)
+            distances[padded < 0] = np.inf
+            rank = np.lexsort((padded, distances))
+            ids[at, :block_width] = ranked_ids = np.take_along_axis(padded, rank, axis=1)
+            # Gathered again in rank order rather than permuted: one
+            # (rows, width, dim) copy alive at a time.
+            ranked = vectors[np.maximum(ranked_ids, 0)]
+            pack_table(
+                rule(kernel.matrix(ranked, ranked), np.take_along_axis(distances, rank, axis=1)),
+                out=packed[at, :block_width],
+            )
+        ids = ids[: start - first]
         eligible = ids >= 0
         eligible[:, 1:] &= ids[:, 1:] != ids[:, :-1]
-        # Gathered again in rank order rather than permuted: one
-        # (rows, width, dim) copy alive at a time.
-        ranked = vectors[np.maximum(ids, 0)]
-        dominated = rule(
-            kernel.matrix(ranked, ranked), np.take_along_axis(distances, rank, axis=1)
-        )
-        selected = occlusion_scan(dominated, max_degree, eligible)
-        for member, row, keep in zip(members, ids, selected):
+        selected = occlusion_scan(packed[: start - first], max_degree, eligible)
+        for member, row, keep in zip(order[first:start], ids, selected):
             result[member] = row[keep].tolist()
     return result, blocks
 

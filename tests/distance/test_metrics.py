@@ -75,3 +75,41 @@ class TestPairwise:
     def test_self_distance_zero(self, matrix):
         distances = pairwise_squared_l2(matrix, matrix)
         np.testing.assert_allclose(np.diag(distances), 0.0, atol=1e-6)
+
+
+def _expression(queries, corpus, product=lambda q, ct: 2.0 * q @ ct):
+    """The one-line form the kernel computes in place."""
+    q_norms = (queries * queries).sum(axis=-1)[..., :, None]
+    c_norms = (corpus * corpus).sum(axis=-1)[..., None, :]
+    return np.maximum(q_norms - product(queries, np.swapaxes(corpus, -1, -2)) + c_norms, 0.0)
+
+
+class TestPairwiseBits:
+    """Graph builds order candidates by these floats, so the in-place
+    evaluation must give the expression's bytes, not merely close ones."""
+
+    SHAPES = [((24, 64), (40, 64)), ((7, 5), (7, 5)), ((53, 24, 64), (53, 24, 64)),
+              ((16, 80, 64), (16, 12, 64)), ((3, 1, 8), (3, 9, 8))]
+
+    @pytest.mark.parametrize("shapes", SHAPES, ids=lambda s: "x".join(map(str, s[0])))
+    @pytest.mark.parametrize("operands", ["self", "distinct"])
+    def test_bytes_equal_the_expression(self, shapes, operands):
+        rng = np.random.default_rng(len(shapes[0]))
+        queries = rng.standard_normal(shapes[0])
+        corpus = queries if operands == "self" else rng.standard_normal(shapes[1])
+        before = (queries.tobytes(), corpus.tobytes())
+        got = pairwise_squared_l2(queries, corpus)
+        assert got.dtype == np.float64 and got.shape == _expression(queries, corpus).shape
+        assert got.tobytes() == _expression(queries, corpus).tobytes()
+        assert (queries.tobytes(), corpus.tobytes()) == before
+
+    def test_self_product_rewrite_is_not_the_same_floats(self):
+        """``-2.0 * (q @ qᵀ)`` multiplies an array by its own transpose,
+        which NumPy may route to a symmetric-rank-k routine: on this stack
+        it rounds differently, which is why the kernel scales first."""
+        stacks = [np.random.default_rng(seed).standard_normal((53, 24, 64)) for seed in range(3)]
+        rewrite = lambda q, ct: 2.0 * (q @ ct)  # noqa: E731
+        assert any(
+            _expression(q, q, rewrite).tobytes() != pairwise_squared_l2(q, q).tobytes()
+            for q in stacks
+        )

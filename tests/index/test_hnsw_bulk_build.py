@@ -30,9 +30,9 @@ from repro.distance import (
 )
 from repro.encoders import build_encoder_set
 from repro.evaluation import exact_knn
-from repro.index import build_index
+from repro.index import build_index, hnsw
 from repro.index.hnsw import HnswIndex, HnswParams
-from repro.index.stages import _SCRATCH_BYTES, block_rows
+from repro.index.stages import _SCRATCH_BYTES, block_rows, pass_rows
 from repro.observability.tracing import Tracer
 from repro.retrieval import MustRetrieval
 from repro.utils import derive_rng
@@ -49,8 +49,8 @@ KERNELS = {
 }
 
 
-def _unit_rows(rng, n):
-    rows = rng.normal(size=(n, DIM))
+def _unit_rows(rng, n, dim=DIM):
+    rows = rng.normal(size=(n, dim))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
@@ -135,7 +135,9 @@ class TestOneLinkStep:
     def test_structure(self):
         """One definition folds reverse edges into rows and one re-selects
         under it; ``_build_layer`` reaches it once, outside any loop,
-        ``_insert`` reaches the same one, and nothing else re-selects."""
+        ``_insert`` reaches the same one, and nothing else re-selects.  The
+        full-width forward selection (``_select_passes``) scans its packed
+        passes through the same ``select_saturated`` the replay does."""
         source = {
             name: ast.parse(textwrap.dedent(inspect.getsource(member)))
             for name, member in vars(HnswIndex).items()
@@ -151,7 +153,10 @@ class TestOneLinkStep:
             ]
 
         assert [n for n, tree in source.items() if calls(tree, "_replay")] == ["_link"]
-        assert [n for n, tree in source.items() if calls(tree, "select_saturated")] == ["_replay"]
+        assert [n for n, tree in source.items() if calls(tree, "select_saturated")] == [
+            "_select_passes",
+            "_replay",
+        ]
         assert sorted(n for n, tree in source.items() if calls(tree, "_link")) == [
             "_build_layer",
             "_insert",
@@ -256,17 +261,38 @@ class CountingKernel(SingleVectorKernel):
     )
 
 
-def test_build_dispatch_budget(unit_vectors):
+def test_build_dispatch_budget(monkeypatch):
     """Searching for candidates costs ~80 kernel entries per inserted row
     and re-selecting a row per reverse edge ~2.4; finding them exactly and
-    folding the reverse edges in windows costs a few per *block*.  No block
-    outgrows the scratch budget on the way, and an edge stays a pointer:
-    one int object per member and layer, however often it is stored."""
+    folding the reverse edges in windows costs a few per *block*.  The
+    forward selection scans once per *pass* of whole blocks whose packed
+    tables fit the scratch budget — 4 scans for 60 blocks on layer 0 of
+    2000 rows.  No block or scan outgrows the scratch budget on the way,
+    and an edge stays a pointer: one int object per member and layer,
+    however often it is stored."""
+    scans = []
+    real = hnsw.occlusion_scan
+
+    def spy(packed, max_degree, eligible=None, columns=None):
+        scans.append((packed.shape[0], packed.nbytes, columns is None))
+        return real(packed, max_degree, eligible, columns)
+
+    monkeypatch.setattr(hnsw, "occlusion_scan", spy)
     kernel = CountingKernel(32)
     index = HnswIndex(HnswParams())
-    index.build(unit_vectors, kernel)
+    index.build(_unit_rows(np.random.default_rng(0), 2000, 32), kernel)
     assert kernel.entries <= 1 * index.size
     assert kernel.widest <= 4 * _SCRATCH_BYTES
+    assert max(nbytes for _, nbytes, _ in scans) <= _SCRATCH_BYTES
+
+    ef = index.params.ef_construction
+    rows = block_rows(ef, 32)
+    step = pass_rows(ef) // rows * rows
+    full = [len(layer) - ef for layer in reversed(index._layers) if len(layer) > ef]
+    passes = [min(step, f - start) for f in full for start in range(0, f, step)]
+    assert [r for r, _, forward in scans if forward] == passes
+    assert (len(passes), sum(-(-f // rows) for f in full)) == (5, 63)
+
     for layer in index._layers:
         stored = [node for row in layer.values() for node in row]
         assert len(set(map(id, stored))) == len(set(stored))

@@ -7,6 +7,9 @@ blocks of rows with one column scan, so:
   kept *here* as oracles — over a table-lookup kernel, so both sides see
   exactly the same quantised distances: ties, ``inf`` padding, ragged
   widths in one block, the degree cap hit mid-row;
+* the packed scan is checked against the boolean column scan it replaced —
+  kept here too — on drawn tables either side of every word boundary, and
+  the link replay's ranked-subset scan against the sub-table it gathered;
 * the graph must not depend on how rows fall into blocks, nor on NumPy's
   sort internals when corpus rows are duplicated;
 * structure (degree, no self-loop or duplicate, reachability, one prune per
@@ -31,14 +34,17 @@ from repro.distance import (
 from repro.encoders import build_encoder_set
 from repro.evaluation import exact_knn
 from repro.index import build_index, stages
-from repro.index.hnsw import select_heuristic_rows
+from repro.index.hnsw import select_heuristic_rows, select_saturated
 from repro.index.must_graph import MustGraphIndex, MustGraphParams
 from repro.index.nsg import NsgIndex
 from repro.index.stages import (
+    _SCRATCH_BYTES,
     alpha_rng_rule,
     block_rows,
     mrng_rule,
     occlusion_scan,
+    pack_table,
+    pass_rows,
     prune_rows,
     robust_prune,
 )
@@ -152,16 +158,84 @@ def test_scan_on_hand_built_arrays():
     dominated[2] = True  # would drop everything after the first selected...
     dominated[2, 1, 0] = False
     eligible = np.array([[1, 1, 1, 1], [1, 1, 1, 1], [0, 1, 0, 0]], dtype=bool)
-    assert occlusion_scan(dominated, 3, eligible).tolist() == [
+    assert occlusion_scan(pack_table(dominated), 3, eligible).tolist() == [
         [True, True, True, False],
         [True, False, False, False],
         [False, True, False, False],
     ]
     # Without a mask every column is eligible (HNSW's full-width rows).
-    assert occlusion_scan(dominated[:2], 2).tolist() == [
+    assert occlusion_scan(pack_table(dominated[:2]), 2).tolist() == [
         [True, True, False, False],
         [True, False, False, False],
     ]
+
+
+# ----------------------------------------------------------------------
+# (a') the packed scan against the boolean scan it replaced
+# ----------------------------------------------------------------------
+def _boolean_scan(dominated, max_degree, eligible=None):
+    """``occlusion_scan`` as it was before its table was packed: column by
+    column over the ``(R, W, W)`` boolean table, an AND of the column's
+    ``(R, column)`` prefix with the selected mask and one ``.any`` each."""
+    n_rows, width = dominated.shape[:2]
+    selected = np.zeros((n_rows, width), dtype=bool)
+    count = np.zeros(n_rows, dtype=np.intp)
+    for column in range(width):
+        keep = ~(dominated[:, column, :column] & selected[:, :column]).any(axis=1)
+        keep &= count < max_degree
+        if eligible is not None:
+            keep &= eligible[:, column]
+        selected[:, column] = keep
+        count += keep
+    return selected
+
+
+def _drawn_tables(rng, n_rows, width):
+    """Tables at three densities, then all-dominated and none-dominated."""
+    for density in (0.05, 0.3, 0.7):
+        yield rng.random((n_rows, width, width)) < density
+    yield np.ones((n_rows, width, width), dtype=bool)
+    yield np.zeros((n_rows, width, width), dtype=bool)
+
+
+@pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 80, 128, 129])
+def test_packed_scan_equals_the_boolean_scan(width):
+    """Either side of a word boundary, with no mask, a drawn mask and an
+    all-ineligible one: every cap from none to more than the row holds on a
+    drawn table, the edge caps on every table."""
+    rng = np.random.default_rng(width)
+    n_rows = 5
+    masks = [None, rng.random((n_rows, width)) < 0.8, np.zeros((n_rows, width), dtype=bool)]
+    edge_caps = sorted({0, 1, width // 2, width, width + 1})
+    for table, dominated in enumerate(_drawn_tables(rng, n_rows, width)):
+        packed = pack_table(dominated)
+        assert packed.shape == (n_rows, width, -(-width // 64))
+        for mask, eligible in enumerate(masks):
+            every_cap = table == 1 and mask < 2
+            for cap in range(width + 2) if every_cap else edge_caps:
+                got = occlusion_scan(packed, cap, eligible)
+                assert got.tolist() == _boolean_scan(dominated, cap, eligible).tolist()
+
+
+@pytest.mark.parametrize("m", [2, 12, 24, 32, 33])
+def test_ranked_subset_scan_equals_the_gathered_sub_table(m):
+    """HNSW's link replay scans an event's ``m + 1`` ranked pool positions
+    straight against the pool's packed table; the parent gathered their
+    ``(m + 1)²`` sub-table and scanned that.  A pool holds ``2m`` positions,
+    so from ``m = 33`` it spans two words."""
+    rng = np.random.default_rng(m)
+    n_rows, width = 30, 2 * m
+    row = np.arange(n_rows)[:, None]
+    for dominated in _drawn_tables(rng, n_rows, width):
+        packed = pack_table(dominated)
+        # Distinct positions per row, in a drawn rank order.
+        at = np.argsort(rng.random((n_rows, width)), axis=1)[:, : m + 1]
+        table = dominated[row[:, :, None], at[:, :, None], at[:, None, :]]
+        for cap in (0, 1, m, m + 1):
+            got = occlusion_scan(packed, cap, columns=at)
+            assert got.tolist() == _boolean_scan(table, cap).tolist()
+        keep = select_saturated(packed, m, columns=at)
+        assert keep.tolist() == select_saturated(pack_table(table), m).tolist()
 
 
 def test_repeated_ids_in_a_pool_are_selected_once():
@@ -309,13 +383,40 @@ def test_structure_at_600_rows(unit_vectors, monkeypatch, kernel_name, index_nam
     )
 
 
-def test_build_dispatch_budget(unit_vectors):
+def test_build_dispatch_budget(unit_vectors, monkeypatch):
     """Searching for candidates and pruning vertex by vertex cost ~7 kernel
-    entries per vertex; the bulk build costs a few per *block*."""
+    entries per vertex; the bulk build costs a few per *block*, and scans
+    once per *pass* of blocks whose packed tables fit the scratch budget:
+    at 2000 rows the forward phase's 77 blocks are 2 scans."""
     kernel = CountingKernel(32)
     index = VamanaIndex(VamanaParams())
     index.build(unit_vectors, kernel)
     assert kernel.entries <= index.size
+
+    calls, real_prune, real_scan = [], stages.prune_rows, stages.occlusion_scan
+
+    def prune(kernel, vectors, owners, pools, max_degree, rule):
+        calls.append([len(pools), 0, []])
+        rows, blocks = real_prune(kernel, vectors, owners, pools, max_degree, rule)
+        calls[-1][1] = blocks
+        return rows, blocks
+
+    def scan(packed, max_degree, eligible=None, columns=None):
+        calls[-1][2].append((packed.shape, packed.nbytes))
+        return real_scan(packed, max_degree, eligible, columns)
+
+    monkeypatch.setattr(stages, "prune_rows", prune)
+    monkeypatch.setattr(stages, "occlusion_scan", scan)
+    rows = np.random.default_rng(8).standard_normal((2000, 32))
+    VamanaIndex(VamanaParams()).build(rows / np.linalg.norm(rows, axis=1, keepdims=True), kernel)
+    (_, forward_blocks, forward), (_, reverse_blocks, reverse) = calls
+    # Forward pools are all 48 + 8 wide: whole blocks per pass, then the rest.
+    width, per_block = 56, block_rows(56, 56)
+    per_pass = pass_rows(width) // per_block * per_block
+    assert forward_blocks == -(-2000 // per_block) == 77
+    assert [shape[0] for shape, _ in forward] == [per_pass, 2000 - per_pass]
+    assert 1 <= len(reverse) < reverse_blocks
+    assert max(nbytes for _, nbytes in forward + reverse) <= _SCRATCH_BYTES
 
 
 def test_build_spans_say_where_the_time_went(unit_vectors):
