@@ -24,7 +24,7 @@ item 3).  One question becomes several cooperating retrieval hops:
    re-retrieved with a concept-doubled query (bounded rounds, deadline
    aware) and re-synthesized; rescued claims are marked ``refined``.
 
-Everything is off unless ``config.agentic`` is set — the coordinator
+Everything is off unless ``config.agentic`` is set — the layer registry
 then never constructs an :class:`AgenticAnswerer` and the single-hop
 path is bit-identical to the pre-agentic behaviour.
 """
@@ -47,7 +47,9 @@ from repro.observability import MetricsRegistry, fold_span, trace_span
 from repro.retrieval.fusion import fuse_responses
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.core.coordinator import Coordinator, RoundContext
+    from repro.core.config import MQAConfig
+    from repro.core.coordinator import Coordinator
+    from repro.core.layers import RoundContext
 
 #: Stream weight of hop 0 (the undecomposed query) in the cross-hop
 #: fusion; sub-query hops weigh 1.0.  The original query already encodes
@@ -183,6 +185,21 @@ class AgenticAnswerer:
         self.synthesizer = synthesizer or ClaimSynthesizer(seed=decomposer.seed)
         self.refine_rounds = refine_rounds
         self.metrics = metrics or MetricsRegistry()
+
+    @classmethod
+    def from_config(
+        cls, config: "MQAConfig", space: ConceptSpace, metrics=None
+    ) -> "AgenticAnswerer":
+        """The answerer ``config`` describes over the domain's concept
+        ``space`` — decomposition needs the vocabulary, so the answerer
+        exists only once preprocessing delivered the knowledge base."""
+        decomposer = QueryDecomposer(
+            space,
+            max_hops=config.agentic_max_hops,
+            seed=config.dataset.seed,
+            temperature=config.temperature,
+        )
+        return cls(decomposer, refine_rounds=config.agentic_refine_rounds, metrics=metrics)
 
     # ------------------------------------------------------------------
     # introspection (GET /stats, GET /health)

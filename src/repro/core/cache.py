@@ -47,6 +47,27 @@ def _digest_content(value: Any) -> str:
     return digest.hexdigest()
 
 
+def query_embedding(encoder_set) -> Callable[[RawQuery], Tuple[Tuple, np.ndarray]]:
+    """The semantic cache's ``embed`` over ``encoder_set``: a query's
+    per-modality encoder vectors, each unit-normalised, concatenated and
+    jointly re-scaled so the cosine of two embeddings is the mean
+    per-modality cosine; the signature names the modalities."""
+
+    def embed(query: RawQuery) -> Tuple[Tuple, np.ndarray]:
+        vectors = encoder_set.encode_query(query)
+        signature: List[str] = []
+        parts: List[np.ndarray] = []
+        for modality in sorted(vectors, key=lambda m: m.value):
+            vector = np.asarray(vectors[modality], dtype=np.float64)
+            norm = float(np.linalg.norm(vector))
+            parts.append(vector / norm if norm > 0.0 else vector)
+            signature.append(modality.value)
+        joined = np.concatenate(parts) / float(np.sqrt(len(parts)))
+        return tuple(signature), joined
+
+    return embed
+
+
 class QueryCache:
     """LRU cache over retrieval responses.
 
@@ -188,8 +209,8 @@ class SemanticQueryCache(QueryCache):
 
     Args:
         embed: Deterministic ``query -> (signature, unit_vector)``
-            mapping (built by the coordinator from the active encoder
-            set); only called when semantic matching is active.
+            mapping (:func:`query_embedding` over the active encoder set);
+            only called when semantic matching is active.
         capacity: Maximum cached responses (LRU).
         threshold: Cosine similarity at or above which a neighbour
             qualifies; ``<= 0`` disables semantic matching entirely —
@@ -221,13 +242,6 @@ class SemanticQueryCache(QueryCache):
         self.semantic_rejects = 0
         #: bucket key -> [(unit vector, exact key), ...]
         self._vectors: Dict[Tuple, List[Tuple[np.ndarray, Tuple]]] = {}
-
-    @staticmethod
-    def _bucket_of(key: Tuple) -> Tuple:
-        """The semantic bucket for an exact key: content digests replaced
-        by the modality signature, everything else kept verbatim."""
-        signature = tuple(modality for modality, _ in key[1])
-        return (key[0], signature) + key[2:]
 
     def lookup(
         self, key: Tuple, query: RawQuery

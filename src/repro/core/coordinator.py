@@ -4,103 +4,48 @@
 which functions as a conduit between them."  Setup (preprocessing ->
 representation -> index construction) runs as a DAG on the CGraph stand-in;
 each query round runs an ordered stage list assembled once at the end of
-``setup()`` (rewrite -> degrade-modalities -> plan -> retrieve -> generate)
-over one :class:`RoundContext`, followed by the post-round observers.  A
-layer that is switched off contributes no stage, no observer and no
-wrapper, so the default round is exactly ``[retrieve, generate]``.  Every
-data transition is recorded in the event log, and every stage updates the
-status board the monitoring panel renders.
+``setup()`` over one :class:`~repro.core.layers.RoundContext`, followed by
+the post-round observers.  The coordinator owns ``retrieve`` and
+``generate``; every other stage and observer, and every ledger but its
+own, is contributed by an optional layer of :mod:`repro.core.layers`.  A
+layer that is switched off contributes nothing, so the default round is
+exactly ``[retrieve, generate]``.  Every data transition is recorded in the
+event log, and every stage updates the status board the monitoring panel
+renders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.core.agentic import AgenticAnswerer, QueryDecomposer
 from repro.core.answer import Answer
-from repro.core.cache import QueryCache, SemanticQueryCache
 from repro.core.concurrency import RWLock
 from repro.core.config import MQAConfig
 from repro.core.events import EventLog
 from repro.core.execution import QueryExecution
 from repro.core.generation import AnswerGeneration
 from repro.core.indexing import IndexConstruction
-from repro.core.planning import AdmissionController, QueryPlan, QueryPlanner
+from repro.core.layers import Layer, RoundContext, Stage, build_layers
 from repro.core.preprocessing import DataPreprocessing
 from repro.core.representation import RepresentationOutcome, VectorRepresentation
-from repro.core.resilience import Deadline, ResilienceManager
+from repro.core.resilience import ResilienceManager
 from repro.core.status import StatusBoard
 from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
 from repro.data.objects import RawQuery
 from repro.errors import CoordinatorError, MQAError
-from repro.llm import QueryRewriter, build_llm
+from repro.llm import build_llm
 from repro.llm.prompts import DialogueTurn
 from repro.observability import (
     NOOP_SPAN,
     NOOP_TRACER,
-    FlightRecorder,
     MetricsRegistry,
-    QualityMonitor,
-    SLOMonitor,
-    SLOTargets,
-    Span,
-    StatsPlane,
     Tracer,
-    fold_span,
     trace_span,
 )
 from repro.pipeline import DagPipeline
 from repro.retrieval import RetrievalResponse
 from repro.utils import Timer
-
-
-@dataclass
-class RoundContext:
-    """What one query round reads and writes on its way down the stages.
-
-    A dialogue round carries one query plus its dialogue state; a raw
-    ``/search`` batch carries several queries and none.  Inputs:
-    ``queries`` (what retrieval will run — ``rewrite`` replaces the text,
-    ``degrade-modalities`` drops failing modalities and empties the list
-    when none survives), ``k``, ``budget`` and ``fanout`` (``plan``
-    overrides them), ``weights`` (renormalised by ``degrade-modalities``),
-    ``exclude_ids`` (rejected items), ``filter_fn`` (built from ``where``),
-    ``deadline`` (resilience only) and ``submitted`` (the query as the
-    user sent it).  Outputs: ``plan``, ``responses`` (row ``i`` answers
-    query ``i``; empty when retrieval was skipped or unavailable),
-    ``answer``, ``degraded_reasons`` (any stage appends), and from the
-    runner ``elapsed_ms`` and ``trace`` — the round's own span tree (None
-    when nothing traces), closed by the time the observers read it.
-    """
-
-    queries: List[RawQuery]
-    k: int
-    budget: int
-    weights: "Dict[Modality, float] | None" = None
-    exclude_ids: Sequence[int] = ()
-    filter_fn: "Callable[[int], bool] | None" = None
-    fanout: Optional[int] = None
-    deadline: Optional[Deadline] = None
-    submitted: Optional[RawQuery] = None
-    user_text: str = ""
-    had_image: bool = False
-    history: Sequence[DialogueTurn] = ()
-    preferred_ids: Sequence[int] = ()
-    round_index: int = 0
-    plan: Optional[QueryPlan] = None
-    trace: Optional[Span] = None
-    responses: List[RetrievalResponse] = field(default_factory=list)
-    answer: Optional[Answer] = None
-    degraded_reasons: List[str] = field(default_factory=list)
-    elapsed_ms: float = 0.0
-
-
-#: One entry of a stage or observer list: ``(name, callable(context))``.
-Stage = Tuple[str, Callable[[RoundContext], None]]
 
 
 class Coordinator:
@@ -124,58 +69,18 @@ class Coordinator:
         # A flight recorder persists span trees and the cost plane reads its
         # times off them, so either implies tracing even when the tracing
         # flag itself is off.
-        recording = config.recorder_path is not None
         self.tracer = (
             Tracer(metrics=self.metrics)
-            if config.tracing or recording or config.cost_accounting
+            if config.tracing or config.recorder_path or config.cost_accounting
             else NOOP_TRACER
         )
-        self.recorder: Optional[FlightRecorder] = (
-            FlightRecorder(
-                config.recorder_path, config=config.to_dict(), metrics=self.metrics
-            )
-            if recording
-            else None
-        )
-        self.slo: Optional[SLOMonitor] = (
-            SLOMonitor(
-                SLOTargets(latency_ms=config.slo_latency_ms, window=config.slo_window)
-            )
-            if config.monitoring
-            else None
-        )
-        self.quality: Optional[QualityMonitor] = None  # needs the kb; see setup()
-        # The cost plane only exists when cost accounting is on; every
-        # query/batch observed here feeds GET /stats and the labelled
-        # Prometheus families.
-        self.stats: Optional[StatsPlane] = (
-            StatsPlane(metrics=self.metrics) if config.cost_accounting else None
-        )
+        # Always present: disabled, it forwards every call untouched.
         self.resilience = ResilienceManager.from_config(config, metrics=self.metrics)
-        # The planner consumes the stats plane's live distributions (when
-        # cost accounting is on) and its own per-tier observations.
-        self.planner: Optional[QueryPlanner] = (
-            QueryPlanner(
-                base_budget=config.search_budget,
-                k=config.result_count,
-                recall_floor=config.recall_floor,
-                shards=config.shards or 0,
-                stats=self.stats,
-                metrics=self.metrics,
-            )
-            if config.planner
-            else None
-        )
-        self.admission: Optional[AdmissionController] = (
-            AdmissionController.from_config(config, metrics=self.metrics)
-            if config.admission
-            else None
-        )
-        self.agentic: Optional[AgenticAnswerer] = None  # needs the kb; see setup()
         self.kb: Optional[KnowledgeBase] = None
         self.representation: Optional[RepresentationOutcome] = None
         self.execution: Optional[QueryExecution] = None
         self.generation: Optional[AnswerGeneration] = None
+        self.layers: Dict[str, Layer] = {}
         self.stages: List[Stage] = []
         self.observers: List[Stage] = []
         self.ledgers: Dict[str, Callable[[], "dict | None"]] = {}
@@ -237,79 +142,28 @@ class Coordinator:
     def _assemble_round(self) -> None:
         """Decide, once, what a query round consists of.
 
-        The stage list is ordered; each entry is installed by the one
-        flag named beside it, and the resilience guards wrap the search
-        and the LLM call only when ``config.resilience`` is on.  The
-        observers run after the round, outside its lock and trace.  The
-        ledger table names every layer's ``snapshot`` — what ``/health``,
-        ``/stats``, the status panel and the load generator select from by
-        name through :meth:`ledger`; a layer that is off has no entry.
+        Each configured layer (:func:`~repro.core.layers.build_layers`)
+        contributes its stages, in registry order, before ``retrieve``; its
+        observers, run after the round outside its lock and trace; and its
+        ledger to the table ``/health``, ``/stats``, the status panel and
+        the load generator select from by name through :meth:`ledger` — a
+        layer that is off has no entry.  Without a knowledge base there is
+        nothing to search, so an LLM-only round is ``generate`` alone.
         """
-        config = self.config
-        retrieves = self.execution is not None  # False in LLM-only mode: no kb
-        if config.monitoring and retrieves:
-            self.quality = QualityMonitor(
-                self.kb,
-                self.metrics,
-                sample_rate=config.monitor_sample_rate,
-                k=config.result_count,
-            )
-        if config.agentic and retrieves:
-            # Decomposition needs the domain's concept vocabulary, so the
-            # answerer can only exist once preprocessing delivered the kb.
-            self.agentic = AgenticAnswerer(
-                QueryDecomposer(
-                    self.kb.space,
-                    max_hops=config.agentic_max_hops,
-                    seed=config.dataset.seed,
-                    temperature=config.temperature,
-                ),
-                refine_rounds=config.agentic_refine_rounds,
-                metrics=self.metrics,
-            )
-        self._search = self._plain_search
-        self._compose = self._plain_compose
-        if config.resilience:
-            self._search = self._guarded_search
-            if self.generation.llm is not None:
-                # The degradation target when the real LLM fails: same
-                # component, no model — the grounded retrieval-only listing.
-                self._fallback_generation = AnswerGeneration(
-                    llm=None, temperature=config.temperature
-                )
-                self._compose = self._guarded_compose
-        optional = [
-            (config.query_rewriting, "rewrite", self._rewrite),
-            (config.resilience, "degrade-modalities", self._degrade_modalities),
-            (config.planner, "plan", self._plan),
-            (True, "retrieve", self._retrieve),
-        ]
-        self.stages = [
-            (name, stage) for on, name, stage in optional if on and retrieves
-        ] + [("generate", self.generate)]
-        hooks = [  # keyed on the layer object: present or None
-            (self.stats, "stats", self._observe_stats),
-            (self.recorder, "recorder", self._record_flight),
-            (self.quality, "quality", self._observe_quality),
-        ]
-        self.observers = [(name, hook) for on, name, hook in hooks if on]
-        layers = {
-            "planner": self.planner,
-            "admission": self.admission,
-            "agentic": self.agentic,
-            "cache": self.execution.cache if retrieves else None,
-            "stats": self.stats,
-            "slo": self.slo,
-            "quality": self.quality,
-            "recorder": self.recorder,
-            "resilience": self.resilience,
-        }
-        self.ledgers = {
-            name: layer.snapshot for name, layer in layers.items() if layer is not None
-        }
+        self.layers = build_layers(self)
+        self.stages, self.observers = [], []
+        self.ledgers = {"resilience": self.resilience.snapshot}
+        for name, layer in self.layers.items():
+            self.stages += layer.stages
+            self.observers += layer.observers
+            if layer.snapshot:
+                self.ledgers[name] = layer.snapshot
         if self.tracer.enabled:
             self.ledgers["trace"] = self._trace_ledger
-        if retrieves:
+        if self.execution is None:
+            self.stages = [("generate", self.generate)]
+        else:
+            self.stages += [("retrieve", self._retrieve), ("generate", self.generate)]
             self.ledgers.update(self.execution.framework.ledgers())
 
     def _run_preprocessing(self) -> Dict[str, str]:
@@ -367,9 +221,9 @@ class Coordinator:
         # The index holds its rows now; a second reference here would go
         # stale at the first ingest.
         self.representation.corpus = None
+        # A query cache is the ``cache`` layer's to install: it may need the planner.
         self.execution = QueryExecution(
             framework,
-            cache=self._build_cache(),
             cost_accounting=self.config.cost_accounting,
             index_name=self.config.index,
         )
@@ -377,42 +231,6 @@ class Coordinator:
             "representation", "indexing", "vectors", framework.describe()
         )
         return {"index": self.config.index, "framework": framework.name}
-
-    def _build_cache(self) -> Optional[QueryCache]:
-        """The query cache for this deployment.
-
-        ``semantic_cache`` upgrades the exact-match LRU to the
-        near-duplicate :class:`~repro.core.cache.SemanticQueryCache`; the
-        embedding is the concatenation of the query's per-modality
-        encoder vectors (each unit-normalised, jointly re-scaled so the
-        cosine of two embeddings is the mean per-modality cosine), and
-        the planner — when one exists — supplies the recall guard.
-        """
-        if self.config.semantic_cache:
-            encoder_set = self.representation.encoder_set
-
-            def embed(query: RawQuery):
-                vectors = encoder_set.encode_query(query)
-                signature: List[str] = []
-                parts: List[np.ndarray] = []
-                for modality in sorted(vectors, key=lambda m: m.value):
-                    vector = np.asarray(vectors[modality], dtype=np.float64)
-                    norm = float(np.linalg.norm(vector))
-                    parts.append(vector / norm if norm > 0.0 else vector)
-                    signature.append(modality.value)
-                joined = np.concatenate(parts) / float(np.sqrt(len(parts)))
-                return tuple(signature), joined
-
-            return SemanticQueryCache(
-                embed,
-                threshold=self.config.semantic_threshold,
-                recall_guard=(
-                    self.planner.semantic_guard
-                    if self.planner is not None
-                    else None
-                ),
-            )
-        return QueryCache() if self.config.cache_queries else None
 
     def _run_llm_setup(self, context: dict) -> None:
         llm = build_llm(self.config.llm, self.config.llm_params) if self.config.llm else None
@@ -479,9 +297,10 @@ class Coordinator:
             query, history, preferred_ids, round_index, k, weights,
             exclude_ids, None, deadline_ms,
         )
-        if self.agentic is None:
+        answerer = self.layer("agentic")
+        if answerer is None:
             return self.run_round(context)
-        return self.agentic.answer(self, context)
+        return answerer.answer(self, context)
 
     def retrieve_batch(
         self,
@@ -507,7 +326,7 @@ class Coordinator:
             raise CoordinatorError("cannot retrieve in LLM-only mode")
         context = RoundContext(
             queries=list(queries),
-            k=k if k is not None else self.config.result_count,
+            k=self.config.result_count if k is None else k,
             budget=self.config.search_budget,
             weights=weights,
             exclude_ids=exclude_ids,
@@ -555,7 +374,7 @@ class Coordinator:
             filter_fn = lambda object_id: where(kb.get(object_id))  # noqa: E731
         return RoundContext(
             queries=[query],
-            k=k if k is not None else self.config.result_count,
+            k=self.config.result_count if k is None else k,
             budget=self.config.search_budget,
             weights=weights,
             exclude_ids=exclude_ids,
@@ -605,139 +424,47 @@ class Coordinator:
             observe(context)
 
     # ------------------------------------------------------------------
-    # stages (each installed by one flag; see _assemble_round)
+    # the coordinator's own stages (the layers' are in repro.core.layers)
     # ------------------------------------------------------------------
-    def _rewrite(self, context: RoundContext) -> None:
-        """``query_rewriting``: fold dialogue intent into a vague follow-up."""
-        user_text = context.user_text
-        if not (user_text and (context.history or context.preferred_ids)):
-            return
-        with trace_span("rewrite") as span:
-            descriptions = []
-            for object_id in context.preferred_ids:
-                obj = self.kb.get(object_id)
-                if obj.has(Modality.TEXT):
-                    descriptions.append(str(obj.get(Modality.TEXT)))
-            rewritten = QueryRewriter(self.kb.space).rewrite(
-                user_text,
-                history_texts=[turn.user_text for turn in context.history],
-                selected_descriptions=descriptions,
-            )
-            span.set(rewritten=rewritten != user_text)
-        if rewritten != user_text:
-            self.events.record(
-                "generation", "execution", "rewritten-query", rewritten[:60]
-            )
-            context.queries = [
-                context.queries[0].with_content(Modality.TEXT, rewritten)
-            ]
-
-    def _degrade_modalities(self, context: RoundContext) -> None:
-        """``resilience``: probe each query modality's encoder; drop the
-        ones that fail.
-
-        Encoders are pure functions of their content, so a successful
-        probe guarantees the framework's own encode of the same content
-        succeeds identically.  Leaves the (possibly reduced) query — or
-        none when no modality survives — plus weights renormalised over
-        the surviving modalities.
-        """
-        query = context.queries[0]
-        encoder_set = self.representation.encoder_set
-        dropped: List[Modality] = []
-        for modality in query.modalities:
-            if modality not in encoder_set.modalities:
-                continue
-            encoder = encoder_set.encoder_for(modality)
-            content = query.get(modality)
-            try:
-                self.resilience.call(
-                    f"encoder.{modality.value}",
-                    lambda enc=encoder, m=modality, c=content: enc.encode(m, c),
-                    deadline=context.deadline,
-                )
-            except MQAError as exc:
-                dropped.append(modality)
-                context.degraded_reasons.append(
-                    f"modality {modality.value} dropped ({type(exc).__name__})"
-                )
-                self.resilience.record_fallback("modality_dropped")
-                self.events.record(
-                    "representation", "execution", "modality-dropped",
-                    f"{modality.value}: {type(exc).__name__}: {exc}"[:80],
-                )
-        if not dropped:
-            return
-        remaining = {
-            modality: query.get(modality)
-            for modality in query.modalities
-            if modality not in dropped
-        }
-        if not remaining:
-            context.degraded_reasons.append(
-                "retrieval skipped (no encodable modality)"
-            )
-            self.resilience.record_fallback("retrieval_unavailable")
-            context.queries = []
-            return
-        context.queries = [
-            RawQuery(content=remaining, metadata=dict(query.metadata))
-        ]
-        context.weights = self._renormalised_weights(context.weights, dropped)
-
-    def _renormalised_weights(
-        self,
-        weights: "Dict[Modality, float] | None",
-        dropped: Sequence[Modality],
-    ) -> "Dict[Modality, float] | None":
-        """Redistribute the dropped modalities' weight over the survivors.
-
-        The distance kernels expect a weight for *every* schema modality,
-        so dropped modalities stay in the map pinned to 0.0 while the
-        survivors are rescaled to sum to 1.  Frameworks without a
-        per-query ``weights`` capability (joint embedding) fuse with
-        their built-in weighting, so they get None.
-        """
-        if "weights" not in self.execution.capabilities:
-            return None
-        if weights is not None:
-            base = {Modality.parse(m): float(w) for m, w in weights.items()}
-        else:
-            base = dict(self.representation.weights)
-        kept_total = sum(w for m, w in base.items() if m not in dropped)
-        if kept_total <= 0:
-            return None
-        return {
-            m: (0.0 if m in dropped else w / kept_total)
-            for m, w in base.items()
-        }
-
-    def _plan(self, context: RoundContext) -> None:
-        """``planner``: pick this round's search budget (and fan-out)."""
-        if not context.queries:
-            return
-        pressure = self.admission is not None and self.admission.under_pressure
-        with trace_span("plan") as span:
-            plan = self.planner.plan(deadline=context.deadline, pressure=pressure)
-            span.set(**plan.to_dict())
-        context.plan = plan
-        context.budget = plan.budget
-        context.fanout = plan.fanout
-        if plan.degraded:
-            context.degraded_reasons.append(
-                f"plan degraded to budget {plan.budget} (deadline pressure)"
-            )
-
     def _retrieve(self, context: RoundContext) -> None:
-        """The round's retrieval; a plan's latency is reported back."""
+        """The round's retrieval; a plan's latency is reported back to its
+        planner.  Under ``resilience`` a search that still fails after its
+        retries degrades the round to no retrieval."""
         if not context.queries:
             return
         self.status.start("query execution")
         self.events.record("coordinator", "execution", "query", f"k={context.k}")
         with Timer() as timer:
-            context.responses = self._search(context)
+            try:
+                context.responses = self.resilience.call(
+                    "index.search",
+                    lambda: [
+                        self.execution.execute(
+                            context.queries[0],
+                            k=context.k,
+                            budget=context.budget,
+                            weights=context.weights,
+                            exclude_ids=context.exclude_ids,
+                            filter_fn=context.filter_fn,
+                            fanout=context.fanout,
+                        )
+                    ],
+                    deadline=context.deadline,
+                )
+            except MQAError as exc:
+                if not self.resilience.enabled:
+                    raise
+                context.degraded_reasons.append(
+                    f"retrieval unavailable ({type(exc).__name__})"
+                )
+                self.resilience.record_fallback("retrieval_unavailable")
+                self.status.fail("query execution", f"{type(exc).__name__}: {exc}")
+                self.events.record(
+                    "execution", "generation", "search-failed",
+                    f"{type(exc).__name__}: {exc}"[:80],
+                )
         if context.plan is not None:
-            self.planner.observe(
+            context.plan.planner.observe(
                 context.plan, timer.elapsed * 1000.0, ok=bool(context.responses)
             )
         for response in context.responses:
@@ -755,40 +482,6 @@ class Coordinator:
                 "execution", "generation", "search-results",
                 f"{len(response)} items via {response.framework}",
             )
-
-    def _plain_search(self, context: RoundContext) -> List[RetrievalResponse]:
-        return [
-            self.execution.execute(
-                context.queries[0],
-                k=context.k,
-                budget=context.budget,
-                weights=context.weights,
-                exclude_ids=context.exclude_ids,
-                filter_fn=context.filter_fn,
-                fanout=context.fanout,
-            )
-        ]
-
-    def _guarded_search(self, context: RoundContext) -> List[RetrievalResponse]:
-        """``resilience``: retried, deadline-bound search; a search that
-        still fails degrades the round to no retrieval."""
-        try:
-            return self.resilience.call(
-                "index.search",
-                lambda: self._plain_search(context),
-                deadline=context.deadline,
-            )
-        except MQAError as exc:
-            context.degraded_reasons.append(
-                f"retrieval unavailable ({type(exc).__name__})"
-            )
-            self.resilience.record_fallback("retrieval_unavailable")
-            self.status.fail("query execution", f"{type(exc).__name__}: {exc}")
-            self.events.record(
-                "execution", "generation", "search-failed",
-                f"{type(exc).__name__}: {exc}"[:80],
-            )
-            return []
 
     def _retrieve_batch(self, context: RoundContext) -> None:
         """The raw batch's retrieval; per-query profiles ride on each
@@ -824,122 +517,42 @@ class Coordinator:
         answer.plan = context.plan
         context.answer = answer
 
-    def _plain_compose(
-        self, context: RoundContext, component: Optional[AnswerGeneration] = None
-    ) -> Answer:
-        return (component or self.generation).generate(
-            context.user_text,
-            context.responses[0] if context.responses else None,
-            self.kb,
-            history=context.history,
-            preferred_ids=context.preferred_ids,
-            had_image=context.had_image,
-            round_index=context.round_index,
-        )
+    def _compose(self, context: RoundContext) -> Answer:
+        """The answer to ``context``.  Under ``resilience`` a failing or
+        out-of-budget LLM degrades to the retrieval-only listing — the same
+        component without a model — instead of failing the round."""
 
-    def _guarded_compose(self, context: RoundContext) -> Answer:
-        """``resilience``: a failing or out-of-budget LLM degrades to the
-        retrieval-only listing instead of failing the round."""
-        deadline = context.deadline
+        def compose(generation: AnswerGeneration) -> Answer:
+            return generation.generate(
+                context.user_text,
+                context.responses[0] if context.responses else None,
+                self.kb,
+                history=context.history,
+                preferred_ids=context.preferred_ids,
+                had_image=context.had_image,
+                round_index=context.round_index,
+            )
+
+        if self.generation.llm is None:  # already the listing: nothing to guard
+            return compose(self.generation)
+        deadline = context.deadline  # None unless resilience is on
         if deadline is not None and deadline.expired:
             reason = "llm skipped (deadline exhausted)"
             detail = "deadline exhausted before LLM call"
         else:
             try:
                 return self.resilience.call(
-                    "llm.generate",
-                    lambda: self._plain_compose(context),
-                    deadline=deadline,
+                    "llm.generate", lambda: compose(self.generation), deadline=deadline
                 )
             except MQAError as exc:
+                if not self.resilience.enabled:
+                    raise
                 reason = f"llm fallback ({type(exc).__name__})"
                 detail = f"{type(exc).__name__}: {exc}"[:80]
         context.degraded_reasons.append(reason)
         self.resilience.record_fallback("llm_fallback")
         self.events.record("generation", "frontend", "generation-fallback", detail)
-        return self._plain_compose(context, self._fallback_generation)
-
-    # ------------------------------------------------------------------
-    # post-round observers
-    # ------------------------------------------------------------------
-    def _observe_stats(self, context: RoundContext) -> None:
-        """``cost_accounting``: read the wall times off the round's closed
-        trace, then fold the ledgers into the stats plane.
-
-        A lone profile (a dialogue round, a batch of one) takes the whole
-        tree.  A wider batch amortises one search over its rows: what the
-        ``retrieval-batch`` subtree holds (stages, shard rows) goes to a
-        batch-scope ledger and each row takes an equal share of its time.
-        """
-        profiles = [response.cost for response in context.responses]
-        ledger = None
-        if len(profiles) == 1:
-            fold_span(profiles[0], context.trace)
-        elif profiles:
-            batch = context.trace.find("retrieval-batch")
-            ledger = self.execution.new_profile(batch=len(profiles))
-            fold_span(ledger, batch)
-            share_ms = batch.duration_ms / len(profiles)
-            for profile in profiles:
-                profile.add_stage("retrieve", share_ms)
-        self.stats.observe_batch(profiles, ledger, context.elapsed_ms)
-
-    def _record_flight(self, context: RoundContext) -> None:
-        """``recorder_path``: persist one finished round (raw batches are
-        not dialogue rounds and are not recorded)."""
-        answer, query = context.answer, context.submitted
-        if answer is None:
-            return
-        request: Dict[str, object] = {
-            "text": context.user_text,
-            "k": context.k,
-            "round_index": context.round_index,
-            "preferred_ids": [int(i) for i in context.preferred_ids],
-            "exclude_ids": [int(i) for i in context.exclude_ids],
-            "history": [
-                {"user": turn.user_text, "system": turn.system_text}
-                for turn in context.history
-            ],
-            "metadata": dict(query.metadata),
-        }
-        if context.had_image:
-            request["image"] = query.get(Modality.IMAGE)
-        if context.weights is not None:
-            request["weights"] = {
-                (m.value if isinstance(m, Modality) else str(m)): float(w)
-                for m, w in context.weights.items()
-            }
-        if context.filter_fn is not None:
-            # Predicates are arbitrary callables; replay skips such entries.
-            request["filtered"] = True
-        self.recorder.record(
-            request,
-            result_ids=list(answer.ids),
-            span_tree=context.trace.to_dict(),
-            answer={
-                "text": answer.text,
-                "grounded": answer.grounded,
-                "llm": answer.llm,
-            },
-        )
-
-    def _observe_quality(self, context: RoundContext) -> None:
-        """``monitoring``: score a sampled round against the concept ground
-        truth, and close the loop — sampled recall@k feeds the stats
-        plane's group and tunes the planner's per-tier recall model."""
-        if not context.user_text:
-            return
-        answer = context.answer
-        score = self.quality.maybe_score(context.user_text, answer.ids)
-        if score is None:
-            return
-        recall = float(score["recall_at_k"])
-        if answer.cost is not None:
-            self.stats.observe_recall(
-                answer.cost.framework, answer.cost.index, recall
-            )
-        if answer.plan is not None:
-            self.planner.observe_recall(answer.plan.budget, recall)
+        return compose(AnswerGeneration(temperature=self.config.temperature))
 
     # ------------------------------------------------------------------
     # incremental ingestion
@@ -1049,12 +662,16 @@ class Coordinator:
     def ledger(self, name: str) -> "dict | None":
         """One read of the ledger called ``name`` (``None``: no such layer
         in this deployment)."""
-        read = self.ledgers.get(name)
-        return read() if read is not None else None
+        return self.ledgers[name]() if name in self.ledgers else None
+
+    def layer(self, name: str) -> Any:
+        """The object of the optional layer called ``name`` (``None``: the
+        layer is off in this deployment)."""
+        return self.layers[name].part if name in self.layers else None
 
     def _trace_ledger(self) -> "dict | None":
         last = self.tracer.last_trace
-        return {"last": last.render()} if last is not None else None
+        return None if last is None else {"last": last.render()}
 
     def get_object(self, object_id: int):
         """Fetch a knowledge-base object through the coordinator."""

@@ -48,16 +48,6 @@ class QueryExecution:
         self.cost_accounting = bool(cost_accounting)
         self.index_name = index_name
 
-    def new_profile(self, batch: int = 0) -> QueryCostProfile:
-        """A fresh cost ledger for this framework/index: per query, or
-        batch-scope when ``batch`` counts the queries it covers."""
-        return QueryCostProfile(
-            framework=self.framework.name,
-            index=self.index_name,
-            shards_total=getattr(self.framework, "shards", 0),
-            batch=batch,
-        )
-
     def invalidate_cache(self) -> None:
         """Drop every cached response (the corpus changed)."""
         if self.cache is not None:
@@ -153,9 +143,12 @@ class QueryExecution:
         fetches = [k + len(dropped) for dropped in excluded]
         cache = self.cache if filter_fn is None else None
         lone = len(queries) == 1
-        profiles = (
-            [self.new_profile() for _ in queries] if self.cost_accounting else []
-        )
+        profiles = [
+            QueryCostProfile(
+                self.framework.name, self.index_name, getattr(self.framework, "shards", 0)
+            )
+            for _ in queries
+        ] if self.cost_accounting else []
         with trace_span(
             "retrieval" if lone else "retrieval-batch",
             framework=self.framework.name,

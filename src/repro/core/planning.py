@@ -42,11 +42,12 @@ import logging
 import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import MQAError
 from repro.observability.metrics import MetricsRegistry, Window
+from repro.observability.tracing import trace_span
 
 __all__ = [
     "AdmissionController",
@@ -101,9 +102,8 @@ class QueryPlan:
             ``"pressure"``, or ``"deadline"`` (degraded).
         fanout: Shard fan-out limit for degraded plans on a sharded
             deployment (None = scatter to every shard).
-        skip_batch: True when the plan recommends bypassing the
-            micro-batch collector (remaining deadline too small to spend
-            on the batching window).
+        planner: The planner that made the plan, which its measured
+            latency and sampled recall are reported back to.
     """
 
     budget: int
@@ -113,7 +113,7 @@ class QueryPlan:
     degraded: bool = False
     reason: str = "fit"
     fanout: Optional[int] = None
-    skip_batch: bool = False
+    planner: Optional["QueryPlanner"] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready view carried on answer payloads and trace spans."""
@@ -333,44 +333,29 @@ class QueryPlanner:
                 eligible = [(0, self._tiers[0])]
             if pressure and len(eligible) > 1:
                 eligible = eligible[1:]
-            chosen: Optional[QueryPlan] = None
-            if remaining is None:
-                index, tier = eligible[0]
-                chosen = QueryPlan(
-                    budget=tier.budget,
-                    tier=index,
-                    predicted_ms=self._predict_ms(tier),
-                    predicted_recall=self._predict_recall(tier),
-                    reason="pressure" if pressure else "no-deadline",
-                )
-            else:
+            (index, tier), predicted, degraded = eligible[0], None, False
+            reason = "pressure" if pressure else "no-deadline"
+            if remaining is not None:
+                reason = "pressure" if pressure else "fit"
                 for index, tier in eligible:
                     predicted = self._predict_ms(tier)
                     if predicted * self.safety <= remaining:
-                        chosen = QueryPlan(
-                            budget=tier.budget,
-                            tier=index,
-                            predicted_ms=predicted,
-                            predicted_recall=self._predict_recall(tier),
-                            reason="pressure" if pressure else "fit",
-                        )
                         break
-            if chosen is None:
-                # Nothing above the floor fits: degrade to the absolute
-                # cheapest tier and, when sharded, halve the fan-out.
-                index = len(self._tiers) - 1
-                tier = self._tiers[index]
-                chosen = QueryPlan(
-                    budget=tier.budget,
-                    tier=index,
-                    predicted_ms=self._predict_ms(tier),
-                    predicted_recall=self._predict_recall(tier),
-                    degraded=True,
-                    reason="deadline",
-                    fanout=(
-                        max(1, self.shards // 2) if self.shards > 1 else None
-                    ),
-                )
+                else:
+                    # Nothing above the floor fits: degrade to the absolute
+                    # cheapest tier and, when sharded, halve the fan-out.
+                    index, predicted, degraded = len(self._tiers) - 1, None, True
+                    tier = self._tiers[index]
+            chosen = QueryPlan(
+                budget=tier.budget,
+                tier=index,
+                predicted_ms=self._predict_ms(tier) if predicted is None else predicted,
+                predicted_recall=self._predict_recall(tier),
+                degraded=degraded,
+                reason="deadline" if degraded else reason,
+                fanout=max(1, self.shards // 2) if degraded and self.shards > 1 else None,
+                planner=self,
+            )
         self.metrics.inc(f"planner.tier.{chosen.budget}")
         if chosen.degraded:
             self.metrics.inc("planner.plan_degraded")
@@ -378,6 +363,24 @@ class QueryPlanner:
             self.metrics.inc("planner.plan_pressure")
         self.metrics.observe("planner.budget", float(chosen.budget))
         return chosen
+
+    def plan_round(self, context, admission: Optional["AdmissionController"] = None) -> None:
+        """The ``plan`` stage (``planner``): pick the round's search budget
+        (and fan-out) under its deadline — a tier down while ``admission``,
+        when that layer is on, is under pressure."""
+        if not context.queries:
+            return
+        pressure = admission is not None and admission.under_pressure
+        with trace_span("plan") as span:
+            plan = self.plan(deadline=context.deadline, pressure=pressure)
+            span.set(**plan.to_dict())
+        context.plan = plan
+        context.budget = plan.budget
+        context.fanout = plan.fanout
+        if plan.degraded:
+            context.degraded_reasons.append(
+                f"plan degraded to budget {plan.budget} (deadline pressure)"
+            )
 
     def skip_batching(
         self, remaining_ms: Optional[float], window_ms: float

@@ -33,13 +33,17 @@ import enum
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional
 
+from repro.data.modality import Modality
+from repro.data.objects import RawQuery
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
     DeadlineExceededError,
     InjectedFaultError,
+    MQAError,
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import trace_span
@@ -601,6 +605,68 @@ class ResilienceManager:
                     return result
         raise AssertionError("unreachable")  # pragma: no cover
 
+    # -- the degrade-modalities stage ----------------------------------
+    def degrade_modalities(self, context, representation, weighted: bool, events) -> None:
+        """The ``degrade-modalities`` stage (``resilience``): probe each
+        query modality's encoder in the set-up's ``representation``; drop
+        the ones that fail, each recorded in the ``events`` log.
+
+        Encoders are pure functions of their content, so a successful
+        probe guarantees the framework's own encode of the same content
+        succeeds identically.  Leaves the (possibly reduced) query — or
+        none when no modality survives.  The dropped modalities' weight is
+        redistributed over the survivors: the distance kernels expect a
+        weight for *every* schema modality, so dropped ones stay pinned to
+        0.0 while the survivors are rescaled to sum to 1.  A framework that
+        takes no per-query weights (not ``weighted``: joint embedding) fuses
+        with its built-in weighting and gets None.
+        """
+        query = context.queries[0]
+        encoder_set = representation.encoder_set
+        dropped: List[Modality] = []
+        for modality in query.modalities:
+            if modality not in encoder_set.modalities:
+                continue
+            encode = encoder_set.encoder_for(modality).encode
+            try:
+                self.call(
+                    f"encoder.{modality.value}",
+                    partial(encode, modality, query.get(modality)),
+                    deadline=context.deadline,
+                )
+            except MQAError as exc:
+                dropped.append(modality)
+                context.degraded_reasons.append(
+                    f"modality {modality.value} dropped ({type(exc).__name__})"
+                )
+                self.record_fallback("modality_dropped")
+                events.record(
+                    "representation", "execution", "modality-dropped",
+                    f"{modality.value}: {type(exc).__name__}: {exc}"[:80],
+                )
+        if not dropped:
+            return
+        remaining = {m: query.get(m) for m in query.modalities if m not in dropped}
+        if not remaining:
+            context.degraded_reasons.append("retrieval skipped (no encodable modality)")
+            self.record_fallback("retrieval_unavailable")
+            context.queries = []
+            return
+        context.queries = [RawQuery(content=remaining, metadata=dict(query.metadata))]
+        if not weighted:
+            context.weights = None
+            return
+        if context.weights is not None:
+            base = {Modality.parse(m): float(w) for m, w in context.weights.items()}
+        else:
+            base = dict(representation.weights)
+        kept_total = sum(w for m, w in base.items() if m not in dropped)
+        context.weights = (
+            {m: (0.0 if m in dropped else w / kept_total) for m, w in base.items()}
+            if kept_total > 0
+            else None
+        )
+
     # -- reporting -----------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """The ``resilience`` section of ``GET /health``."""
@@ -650,7 +716,3 @@ class ResilienceManager:
         if self.injector is not None:
             snap["injected"] = self.injector.snapshot()
         return snap
-
-
-#: Shared no-op manager for code paths built without a config.
-DISABLED = ResilienceManager(enabled=False)

@@ -18,7 +18,9 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 from repro.data.concepts import ConceptSpace
+from repro.data.modality import Modality
 from repro.data.rendering import TextRenderer
+from repro.observability.tracing import trace_span
 
 
 class QueryRewriter:
@@ -86,3 +88,29 @@ class QueryRewriter:
         if not carried:
             return text
         return text + " " + " ".join(carried)
+
+    def rewrite_round(self, context, kb, events) -> None:
+        """The ``rewrite`` stage (``query_rewriting``): fold the dialogue's
+        intent — including the ``kb`` descriptions of the items it selected
+        — into a vague follow-up before it is searched; a rewrite is
+        recorded in the ``events`` log."""
+        user_text = context.user_text
+        if not (user_text and (context.history or context.preferred_ids)):
+            return
+        with trace_span("rewrite") as span:
+            descriptions = []
+            for object_id in context.preferred_ids:
+                obj = kb.get(object_id)
+                if obj.has(Modality.TEXT):
+                    descriptions.append(str(obj.get(Modality.TEXT)))
+            rewritten = self.rewrite(
+                user_text,
+                history_texts=[turn.user_text for turn in context.history],
+                selected_descriptions=descriptions,
+            )
+            span.set(rewritten=rewritten != user_text)
+        if rewritten != user_text:
+            events.record("generation", "execution", "rewritten-query", rewritten[:60])
+            context.queries = [
+                context.queries[0].with_content(Modality.TEXT, rewritten)
+            ]

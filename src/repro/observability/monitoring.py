@@ -226,6 +226,23 @@ class QualityMonitor:
         self.last_score = score
         return score
 
+    def observe_round(self, context, stats=None) -> None:
+        """The ``quality`` observer (``monitoring``): score a sampled round
+        and close the loop — its recall@k feeds the ``stats`` plane's group
+        (when cost accounting is on) and the planner's per-tier recall model
+        (when the round was planned)."""
+        if not context.user_text:
+            return
+        answer = context.answer
+        score = self.maybe_score(context.user_text, answer.ids)
+        if score is None:
+            return
+        recall = float(score["recall_at_k"])
+        if answer.cost is not None:
+            stats.observe_recall(answer.cost.framework, answer.cost.index, recall)
+        if answer.plan is not None:
+            answer.plan.planner.observe_recall(answer.plan.budget, recall)
+
     def snapshot(self) -> Dict[str, Any]:
         """Streaming gauges for ``/health`` and the status panel."""
         recall = self.metrics.histogram("quality.recall_at_k")

@@ -32,6 +32,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.data.modality import Modality
+
 RECORDING_VERSION = 1
 
 
@@ -167,6 +169,41 @@ class FlightRecorder:
                 # counter makes the loss visible instead of silent.
                 self._count_error()
         return trace_id
+
+    def observe_round(self, context) -> None:
+        """The ``recorder`` observer (``recorder_path``): persist one finished
+        dialogue round — a raw batch has no answer and is not recorded."""
+        answer, query = context.answer, context.submitted
+        if answer is None:
+            return
+        request: Dict[str, Any] = {
+            "text": context.user_text,
+            "k": context.k,
+            "round_index": context.round_index,
+            "preferred_ids": [int(i) for i in context.preferred_ids],
+            "exclude_ids": [int(i) for i in context.exclude_ids],
+            "history": [
+                {"user": turn.user_text, "system": turn.system_text}
+                for turn in context.history
+            ],
+            "metadata": dict(query.metadata),
+        }
+        if context.had_image:
+            request["image"] = query.get(Modality.IMAGE)
+        if context.weights is not None:
+            request["weights"] = {
+                (m.value if isinstance(m, Modality) else str(m)): float(w)
+                for m, w in context.weights.items()
+            }
+        if context.filter_fn is not None:
+            # Predicates are arbitrary callables; replay skips such entries.
+            request["filtered"] = True
+        self.record(
+            request,
+            result_ids=list(answer.ids),
+            span_tree=context.trace.to_dict(),
+            answer={"text": answer.text, "grounded": answer.grounded, "llm": answer.llm},
+        )
 
     def _count_error(self) -> None:
         self.errors += 1

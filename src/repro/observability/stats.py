@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.observability.costs import QueryCostProfile
+from repro.observability.costs import QueryCostProfile, fold_span
 from repro.observability.metrics import Histogram, MetricsRegistry, labelled
 
 __all__ = ["StatsPlane"]
@@ -219,6 +219,30 @@ class StatsPlane:
             self._group(
                 batch_profile.framework, batch_profile.index, WHOLE_QUERY
             ).observe_stages(batch_profile)
+
+    def observe_round(self, context) -> None:
+        """The ``stats`` observer (``cost_accounting``): read a round's wall
+        times off its closed trace, then fold its ledgers in.
+
+        A lone profile (a dialogue round, a batch of one) takes the whole
+        tree.  A wider batch amortises one search over its rows: what the
+        ``retrieval-batch`` subtree holds (stages, shard rows) goes to a
+        batch-scope ledger and each row takes an equal share of its time.
+        """
+        profiles = [response.cost for response in context.responses]
+        ledger = None
+        if len(profiles) == 1:
+            fold_span(profiles[0], context.trace)
+        elif profiles:
+            first, batch = profiles[0], context.trace.find("retrieval-batch")
+            ledger = QueryCostProfile(
+                first.framework, first.index, first.shards_total, batch=len(profiles)
+            )
+            fold_span(ledger, batch)
+            share_ms = batch.duration_ms / len(profiles)
+            for profile in profiles:
+                profile.add_stage("retrieve", share_ms)
+        self.observe_batch(profiles, ledger, context.elapsed_ms)
 
     def observe_recall(
         self, framework: str, index: str, recall: float

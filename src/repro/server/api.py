@@ -257,21 +257,15 @@ class ApiServer:
             except ApiError:
                 override = None  # the verb handler raises it again, as a reply
             deadline = coordinator.resilience.deadline(override)
-        if (
-            coordinator is not None
-            and coordinator.admission is not None
-            and route in self._ADMITTED_ROUTES
-        ):
+        admission = coordinator.layer("admission") if coordinator is not None else None
+        if admission is not None and route in self._ADMITTED_ROUTES:
             # Admission happens before the engine queue is touched: the
             # predicted tier-0 cost is the token charge, a shed decision
             # never enqueues, and a degrade decision is picked up by the
             # planner through ``under_pressure``.
-            predicted = (
-                coordinator.planner.predicted_base_ms()
-                if coordinator.planner is not None
-                else 1.0
-            )
-            if coordinator.admission.decide(predicted) == "shed":
+            planner = coordinator.layer("planner")
+            predicted = planner.predicted_base_ms() if planner is not None else 1.0
+            if admission.decide(predicted) == "shed":
                 coordinator.resilience.record_fallback("admission_shed")
                 raise AdmissionShedError(
                     "admission control shed the request: engine queue "
@@ -346,10 +340,8 @@ class ApiServer:
         swaps automatically.
         """
         coordinator = self._coordinator
-        admission = coordinator.admission if coordinator is not None else None
-        self.engine.wait_observer = (
-            admission.observe_wait if admission is not None else None
-        )
+        admission = coordinator.layer("admission") if coordinator is not None else None
+        self.engine.wait_observer = admission.observe_wait if admission is not None else None
         if admission is not None:
             admission.queue_probe = lambda: self.engine.queue_depth
 
@@ -413,7 +405,7 @@ class ApiServer:
             return default
         try:
             return int(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: ±inf
             raise ApiError(f"{field!r} must be an integer, got {value!r}") from None
 
     @staticmethod
@@ -580,8 +572,9 @@ class ApiServer:
     ) -> None:
         elapsed_ms = (self._clock() - start) * 1000.0
         metrics = coordinator.metrics
-        if coordinator.slo is not None:
-            coordinator.slo.observe(elapsed_ms, error=failure is not None)
+        slo = coordinator.layer("slo")
+        if slo is not None:
+            slo.observe(elapsed_ms, error=failure is not None)
         if failure is None:
             metrics.inc(f"api.{verb}")
         else:
@@ -722,7 +715,7 @@ class ApiServer:
             self.batcher.note(len(queries))
             return {"results": [self._search_payload(r) for r in responses]}
         query = self._search_query(coordinator, body)
-        planner = coordinator.planner
+        planner = coordinator.layer("planner")
         if planner is not None and self.batcher.max_batch > 1:
             # A request whose remaining deadline cannot absorb several
             # collector windows runs inline instead of joining the batch.

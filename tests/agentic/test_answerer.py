@@ -69,9 +69,9 @@ class TestAgenticAnswer:
 
     def test_snapshot_counters_advance(self, agentic_system):
         agentic_system.reset_dialogue()
-        before = agentic_system.coordinator.agentic.snapshot()
+        before = agentic_system.coordinator.layer("agentic").snapshot()
         agentic_system.ask_agentic(MULTI_CONCEPT)
-        after = agentic_system.coordinator.agentic.snapshot()
+        after = agentic_system.coordinator.layer("agentic").snapshot()
         assert after["questions"] == before["questions"] + 1
         assert after["hops"] >= before["hops"] + 2
         assert after["claims"] == before["claims"] + 2
@@ -80,9 +80,9 @@ class TestAgenticAnswer:
 
     def test_conceptless_question_falls_back_single_hop(self, agentic_system):
         agentic_system.reset_dialogue()
-        before = agentic_system.coordinator.agentic.snapshot()
+        before = agentic_system.coordinator.layer("agentic").snapshot()
         answer = agentic_system.ask_agentic("zzz qqq xyzzy")
-        after = agentic_system.coordinator.agentic.snapshot()
+        after = agentic_system.coordinator.layer("agentic").snapshot()
         assert answer.claims == []
         assert answer.groundedness is None
         assert after["questions"] == before["questions"] + 1

@@ -28,7 +28,7 @@ class TestOffModeParity:
         plain = off_system.ask(QUESTION)
         off_system.reset_dialogue()
         agentic = off_system.ask_agentic(QUESTION)
-        assert off_system.coordinator.agentic is None
+        assert off_system.coordinator.layer("agentic") is None
         assert agentic.text == plain.text
         assert [i.object_id for i in agentic.items] == [
             i.object_id for i in plain.items
@@ -52,7 +52,7 @@ class TestOffModeParity:
         plain = off_system.ask(QUESTION)
         knobbed.reset_dialogue()
         agentic = knobbed.ask_agentic(QUESTION)
-        assert knobbed.coordinator.agentic is None
+        assert knobbed.coordinator.layer("agentic") is None
         assert agentic.text == plain.text
         assert [i.object_id for i in agentic.items] == [
             i.object_id for i in plain.items

@@ -51,10 +51,10 @@ def strip_first_hop_evidence(system, monkeypatch):
 class TestRefinement:
     def test_unsupported_claims_get_rescued(self, agentic_system, monkeypatch):
         agentic_system.reset_dialogue()
-        before = agentic_system.coordinator.agentic.snapshot()
+        before = agentic_system.coordinator.layer("agentic").snapshot()
         strip_first_hop_evidence(agentic_system, monkeypatch)
         answer = agentic_system.ask_agentic("a foggy and rainy mountain scene")
-        after = agentic_system.coordinator.agentic.snapshot()
+        after = agentic_system.coordinator.layer("agentic").snapshot()
         assert after["refine_rounds_run"] == before["refine_rounds_run"] + 1
         rescued = [claim for claim in answer.claims if claim.refined]
         assert rescued, "no claim was rescued by refinement"
@@ -75,13 +75,13 @@ class TestRefinement:
         self, agentic_system, monkeypatch
     ):
         agentic_system.reset_dialogue()
-        before = agentic_system.coordinator.agentic.snapshot()
+        before = agentic_system.coordinator.layer("agentic").snapshot()
         monkeypatch.setattr(
-            agentic_system.coordinator.agentic, "refine_rounds", 0
+            agentic_system.coordinator.layer("agentic"), "refine_rounds", 0
         )
         strip_first_hop_evidence(agentic_system, monkeypatch)
         answer = agentic_system.ask_agentic("a foggy and rainy mountain scene")
-        after = agentic_system.coordinator.agentic.snapshot()
+        after = agentic_system.coordinator.layer("agentic").snapshot()
         assert after["refine_rounds_run"] == before["refine_rounds_run"]
         assert not any(claim.supported for claim in answer.claims)
         assert answer.groundedness == 0.0
@@ -89,9 +89,9 @@ class TestRefinement:
 
     def test_already_supported_claims_skip_refinement(self, agentic_system):
         agentic_system.reset_dialogue()
-        before = agentic_system.coordinator.agentic.snapshot()
+        before = agentic_system.coordinator.layer("agentic").snapshot()
         answer = agentic_system.ask_agentic("a foggy and rainy mountain scene")
-        after = agentic_system.coordinator.agentic.snapshot()
+        after = agentic_system.coordinator.layer("agentic").snapshot()
         assert all(claim.supported for claim in answer.claims)
         assert after["refine_rounds_run"] == before["refine_rounds_run"]
 
@@ -101,7 +101,7 @@ class TestRefinement:
         class Expired:
             expired = True
 
-        answerer = agentic_system.coordinator.agentic
+        answerer = agentic_system.coordinator.layer("agentic")
         claims = [Claim(concept="foggy", text="x", supported=False, hop=1)]
         reasons = []
         rounds = answerer._refine(

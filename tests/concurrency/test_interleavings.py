@@ -176,7 +176,7 @@ def test_no_lost_updates_in_counters_and_events():
         assert metrics["queries"] == queries
         assert metrics["latency_ms"]["count"] == queries
 
-        slo = srv._coordinator.slo
+        slo = srv._coordinator.layer("slo")
         assert slo is not None
         assert slo.snapshot()["total_requests"] == queries
         assert slo.snapshot()["total_errors"] == 0

@@ -355,8 +355,8 @@ class TestConfigureAcceptsEveryField:
                 [("index", "starling"), ("index_params", STARLING), ("tiered", True)],
                 lambda c: c.config.summary()["index"].startswith("starling (tiered"),
             ),
-            ([("planner", True)], lambda c: c.planner is not None),
-            ([("agentic", True)], lambda c: c.agentic is not None),
+            ([("planner", True)], lambda c: c.layer("planner") is not None),
+            ([("agentic", True)], lambda c: c.layer("agentic") is not None),
         ],
         ids=["sharded", "tiered", "planner", "agentic"],
     )

@@ -205,7 +205,7 @@ def stats_shape(coordinator):
                 for name, summary in group["stages_ms"].items()
             },
         }
-        for group in coordinator.stats.snapshot()["groups"]
+        for group in coordinator.layer("stats").snapshot()["groups"]
     ]
 
 

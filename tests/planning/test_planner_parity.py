@@ -26,8 +26,8 @@ def ask_all(system, queries):
 class TestPlannerOffIsSeed:
     def test_disabled_by_default(self, scenes_kb):
         system = MQASystem.from_knowledge_base(scenes_kb, fast_config())
-        assert system.coordinator.planner is None
-        assert system.coordinator.admission is None
+        assert system.coordinator.layer("planner") is None
+        assert system.coordinator.layer("admission") is None
         assert not system.coordinator.execution.cache.semantic
 
     @pytest.mark.parametrize("framework", ["must", "je", "mr"])
@@ -61,7 +61,7 @@ class TestPlannerOffIsSeed:
         baseline = MQASystem.from_knowledge_base(scenes_kb, fast_config())
         knobbed = MQASystem.from_knowledge_base(scenes_kb, fast_config(**knob))
         assert ask_all(baseline, sequence) == ask_all(knobbed, sequence)
-        assert knobbed.coordinator.planner is None
+        assert knobbed.coordinator.layer("planner") is None
         assert not knobbed.coordinator.execution.cache.semantic
 
     def test_idle_plans_run_the_full_budget(self, scenes_kb):

@@ -27,7 +27,7 @@ def applied(**overrides) -> ApiServer:
 class TestAdmissionBoundary:
     def test_shed_is_a_structured_error_not_saturation(self):
         server = applied(admission=True, planner=True)
-        admission = server._coordinator.admission
+        admission = server._coordinator.layer("admission")
         # Report a deep live queue — the signal real overload produces.
         admission.queue_probe = lambda: 10_000
         response = server.handle("POST", "/query", {"text": "foggy clouds"})
@@ -38,7 +38,7 @@ class TestAdmissionBoundary:
 
     def test_shed_is_recorded_as_a_fallback(self):
         server = applied(admission=True)
-        admission = server._coordinator.admission
+        admission = server._coordinator.layer("admission")
         admission.queue_probe = lambda: 10_000
         server.handle("POST", "/query", {"text": "foggy clouds"})
         health = server.handle("GET", "/health")
@@ -46,7 +46,7 @@ class TestAdmissionBoundary:
 
     def test_monitoring_routes_are_never_shed(self):
         server = applied(admission=True)
-        admission = server._coordinator.admission
+        admission = server._coordinator.layer("admission")
         admission.queue_probe = lambda: 10_000
         for method, path in (("GET", "/health"), ("GET", "/stats"), ("GET", "/status")):
             assert server.handle(method, path)["ok"]
@@ -55,7 +55,7 @@ class TestAdmissionBoundary:
         server = applied(admission=True)
         assert server.engine.wait_observer is not None
         server.handle("POST", "/query", {"text": "foggy clouds"})
-        snap = server._coordinator.admission.snapshot()
+        snap = server._coordinator.layer("admission").snapshot()
         assert snap["accepted"] >= 1
 
     def test_no_observer_without_admission(self):
@@ -64,7 +64,7 @@ class TestAdmissionBoundary:
 
     def test_queue_probe_reads_the_live_engine(self):
         server = applied(admission=True)
-        admission = server._coordinator.admission
+        admission = server._coordinator.layer("admission")
         assert admission.queue_probe is not None
         assert admission.queue_probe() == server.engine.queue_depth == 0
         assert admission.snapshot()["queue_depth"] == 0

@@ -4,6 +4,8 @@ turned into replies, so a ``ValueError`` / ``TypeError`` / ``AttributeError``
 raised by a malformed field used to escape ``handle``.  Each body below did,
 unsharded and behind the shard router alike."""
 
+import math
+
 import pytest
 
 from repro.core import MQAConfig
@@ -51,6 +53,27 @@ HOSTILE_BODIES = [
      "'deadline_ms' must be a finite number, got [5]"),
 ]
 
+#: ``int(float("inf"))`` raises OverflowError, which used to escape ``handle``
+#: from every integer field: ``(method, route, field)``.
+INFINITE_INTEGERS = [
+    ("POST", "/query", "session"),
+    ("POST", "/ask", "session"),
+    ("POST", "/select", "session"),
+    ("POST", "/refine", "session"),
+    ("POST", "/reject", "session"),
+    ("GET", "/transcript", "session"),
+    ("POST", "/select", "rank"),
+    ("POST", "/reject", "rank"),
+    ("POST", "/remove", "object_id"),
+    ("POST", "/search", "k"),
+    ("POST", "/query", "reference_object_id"),
+    ("POST", "/ask", "reference_object_id"),
+    ("POST", "/search", "reference_object_id"),
+    ("GET", "/events", "limit"),
+    ("GET", "/trace", "limit"),
+    ("GET", "/events", "offset"),
+]
+
 #: A body that is not an object used to escape as AttributeError (the session
 #: read in ``handle_async``) or TypeError (``dict(body)``).
 NOT_AN_OBJECT = [
@@ -74,6 +97,15 @@ def server(request, scenes_kb):
 @pytest.mark.parametrize("route, body, message", HOSTILE_BODIES)
 def test_a_malformed_field_is_an_error_reply(server, route, body, message):
     assert server.handle("POST", route, body) == {"ok": False, "error": message}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize("method, route, field", INFINITE_INTEGERS)
+def test_an_infinite_integer_is_an_error_reply(server, method, route, field, value):
+    body = {"text": "fog", field: value}
+    assert server.handle(method, route, body) == {
+        "ok": False, "error": f"{field!r} must be an integer, got {value!r}",
+    }
 
 
 @pytest.mark.parametrize("method, route, body", NOT_AN_OBJECT)

@@ -98,9 +98,9 @@ class TestShardedCostProfile:
             scenes_kb, shards=2, cost_accounting=True
         )
         coordinator.handle_query(RawQuery.from_text("sunny shoreline"))
-        assert coordinator.stats is not None
+        assert coordinator.layer("stats") is not None
         shards = {
-            g["shard"] for g in coordinator.stats.snapshot()["groups"]
+            g["shard"] for g in coordinator.layer("stats").snapshot()["groups"]
         }
         assert shards == {"-", "0", "1"}
 

@@ -8,7 +8,8 @@ holds one layer up: ``QueryExecution.execute`` is ``execute_batch`` of one
 and the coordinator runs a stage list, not a hand-threaded round — and for
 telemetry: a block is timed by its span and by nothing else, and a served
 event is counted in the metrics registry and nowhere else.  A sleep models
-a remote wait and never stands in for work.
+a remote wait and never stands in for work, and the coordinator runs the
+rounds its layers register without naming any of them.
 """
 
 import ast
@@ -463,6 +464,30 @@ def test_an_event_is_counted_once():
     ):
         source = inspect.getsource(reader)
         assert "ledger" in source and ".snapshot()" not in source, reader.__qualname__
+
+
+def test_the_coordinator_names_no_optional_layer():
+    """Which optional layers a deployment has, and what each adds to a round,
+    is decided in ``repro.core.layers`` alone: ``core/coordinator.py`` imports
+    no layer's module and none of the layer objects, and no longer threads
+    each layer through an ``is not None`` check."""
+    import repro.core.coordinator
+
+    source = inspect.getsource(repro.core.coordinator)
+    modules, names = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+            names.update(alias.name for alias in node.names)
+    assert "repro.core.execution" in modules, "the import scan lost the module"
+    assert not modules & {"repro.core.planning", "repro.core.agentic", "repro.core.cache"}
+    assert not names & {
+        "StatsPlane", "FlightRecorder", "QualityMonitor", "SLOMonitor", "fold_span",
+        "QueryRewriter",
+    }
+    assert source.count("is not " + "None") <= 5
 
 
 def test_a_sleep_models_a_wait_and_nothing_else():
