@@ -28,6 +28,7 @@ from typing import List, Optional
 from repro.core import MQAConfig
 from repro.core.config import add_config_arguments, config_overrides
 from repro.data import DOMAINS, DatasetSpec
+from repro.observability import ProfileAggregator, Span, read_recording
 from repro.server import ApiServer
 
 
@@ -183,27 +184,12 @@ def print_answer(payload: dict) -> None:
         print(f"   groundedness: {payload['groundedness']}")
 
 
-def format_trace(trace: dict, indent: int = 0) -> str:
-    """Render one exported span tree as an indented text block."""
-    attrs = ", ".join(f"{k}={v}" for k, v in trace.get("attributes", {}).items())
-    line = (
-        "  " * indent
-        + f"{trace['name']} [{trace['duration_ms']:.2f} ms]"
-        + (f" ({attrs})" if attrs else "")
-    )
-    lines = [line]
-    lines.extend(
-        format_trace(child, indent + 1) for child in trace.get("children", ())
-    )
-    return "\n".join(lines)
-
-
 def print_trace(server: ApiServer) -> None:
     """Print the most recent query's span tree, if tracing captured one."""
     response = server.handle("GET", "/trace", {"limit": 1})
     if response.get("ok") and response.get("traces"):
         print("trace:")
-        print(format_trace(response["traces"][-1], indent=1))
+        print(Span.from_dict(response["traces"][-1]).render(indent=1))
 
 
 def report_shell_error(server: ApiServer, command: str, exc: BaseException) -> None:
@@ -388,8 +374,6 @@ def run_profile(argv: List[str]) -> int:
     Folds every span tree of a flight recording into the per-path
     profile table (or collapsed-stack lines for flamegraph tooling).
     """
-    from repro.observability import ProfileAggregator, collapse_spans, read_recording
-
     parser = argparse.ArgumentParser(
         prog="repro profile",
         description="Aggregate the span trees of a flight recording",
@@ -402,17 +386,18 @@ def run_profile(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     try:
         _, entries = read_recording(args.trace_file)
+        trees = [Span.from_dict(e["span_tree"]) for e in entries if e.get("span_tree")]
     except (OSError, ValueError) as exc:
         print("error:", exc, file=sys.stderr)
         return 1
-    trees = [e["span_tree"] for e in entries if e.get("span_tree")]
     if not trees:
         print(f"{args.trace_file}: no span trees recorded", file=sys.stderr)
         return 1
+    aggregator = ProfileAggregator().add_traces(trees)
     if args.format == "collapsed":
-        print(collapse_spans(trees), end="")
+        print(aggregator.collapsed(), end="")
     else:
-        print(ProfileAggregator().add_traces(trees).render())
+        print(aggregator.render())
     return 0
 
 

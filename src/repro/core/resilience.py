@@ -458,7 +458,6 @@ class ResilienceManager:
         self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._counters: Dict[str, _SiteCounters] = {}
-        self._fallbacks: Dict[str, int] = {}
 
     @classmethod
     def from_config(
@@ -512,8 +511,6 @@ class ResilienceManager:
 
     def record_fallback(self, kind: str) -> None:
         """Count one graceful-degradation event (e.g. ``llm_fallback``)."""
-        with self._lock:
-            self._fallbacks[kind] = self._fallbacks.get(kind, 0) + 1
         self.metrics.inc("resilience.fallbacks")
         self.metrics.inc(f"resilience.fallback.{kind}")
 
@@ -681,7 +678,6 @@ class ResilienceManager:
                 }
                 for site, c in sorted(self._counters.items())
             }
-            fallbacks = dict(self._fallbacks)
             breakers = {
                 site: breaker.snapshot()
                 for site, breaker in sorted(self._breakers.items())
@@ -707,7 +703,7 @@ class ResilienceManager:
             },
             "totals": totals,
             "sites": sites,
-            "fallbacks": fallbacks,
+            "fallbacks": self.metrics.counts("resilience.fallback."),
             "breakers": breakers,
             "breaker_transitions": sum(
                 b["transitions"] for b in breakers.values()

@@ -11,10 +11,14 @@ Durable (PR 2): a :class:`FlightRecorder` persists finished traces plus
 request context to a rotating JSONL sink that
 :mod:`repro.observability.replay` can deterministically re-execute;
 :mod:`~repro.observability.exporters` renders the registry as Prometheus
-text exposition and span trees as collapsed stacks; a
-:class:`ProfileAggregator` folds many traces into a per-path self-time
-table; and :class:`SLOMonitor` / :class:`QualityMonitor` grade live
-latency, error-rate, and retrieval quality against configured targets.
+text exposition; a :class:`ProfileAggregator` folds many traces into a
+per-path self-time table, which is also what the collapsed stacks print;
+and :class:`SLOMonitor` / :class:`QualityMonitor` grade live latency,
+error-rate, and retrieval quality against configured targets.
+
+A closed span tree is read one way: :meth:`Span.from_dict` lifts an export
+(a ``/trace`` entry, a recording's ``span_tree``) and :meth:`Span.paths`
+walks it for the profile, replay's shape diff and the CLI trace print.
 
 Cost plane (PR 7): a :class:`QueryCostProfile` accounts per-query kernel
 work (distance evaluations, hops, block reads), written by the executor,
@@ -30,12 +34,7 @@ router's scatter is a loop of nested ``shard-search`` spans.
 """
 
 from repro.observability.costs import QueryCostProfile, fold_span
-from repro.observability.exporters import (
-    collapse_spans,
-    prometheus_name,
-    render_prometheus,
-    split_labels,
-)
+from repro.observability.exporters import prometheus_name, render_prometheus, split_labels
 from repro.observability.metrics import (
     Counter,
     Histogram,
@@ -51,7 +50,7 @@ from repro.observability.monitoring import (
     SLOMonitor,
     SLOTargets,
 )
-from repro.observability.profiling import ProfileAggregator
+from repro.observability.profiling import ProfileAggregator, collapse_spans
 from repro.observability.recorder import FlightRecorder, read_recording
 from repro.observability.stats import StatsPlane
 from repro.observability.tracing import (

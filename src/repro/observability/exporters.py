@@ -1,30 +1,18 @@
-"""Render metrics and traces in formats external tooling understands.
+"""Render the metrics registry as Prometheus text exposition (version 0.0.4).
 
-Two exporters:
-
-* :func:`render_prometheus` — the Prometheus text exposition format
-  (version 0.0.4) over a :class:`~repro.observability.metrics.MetricsRegistry`:
-  counters become ``*_total`` counter families, histograms become summary
-  families with p50/p95/p99 quantiles plus ``_sum``/``_count``.  Served by
-  ``GET /metrics?format=prometheus`` so a scraper can point straight at
-  the MQA server.
-* :func:`collapse_spans` — Brendan Gregg's collapsed-stack format
-  (``root;child;grandchild <self_ms>``) over span trees, consumable by
-  ``flamegraph.pl`` and speedscope.  Self time (a span's duration minus
-  its children's) is what flame graphs expect, so nested stages never
-  double-count.
-
-Both outputs are deterministic for deterministic inputs: families and
-stacks are emitted in sorted order, values rounded to fixed precision.
+Counters become ``*_total`` counter families, histograms summary families
+with p50/p95/p99 quantiles plus ``_sum``/``_count``.  Served by ``GET
+/metrics?format=prometheus`` so a scraper can point straight at the MQA
+server.  The output is deterministic for deterministic inputs: families are
+emitted in sorted order, values rounded to fixed precision.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Tuple
 
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import Span
 
 _INVALID_METRIC_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 _INVALID_FIRST_CHAR = re.compile(r"^[^a-zA-Z_:]")
@@ -149,46 +137,3 @@ def render_prometheus(registry: MetricsRegistry, prefix: str = "repro") -> str:
             )
     return "\n".join(lines) + "\n"
 
-
-SpanLike = Union[Span, Mapping[str, Any]]
-
-
-def _span_fields(span: SpanLike) -> Tuple[str, float, List[SpanLike]]:
-    """(name, duration_ms, children) for a Span or its dict export."""
-    if isinstance(span, Span):
-        return span.name, span.duration_ms, list(span.children)
-    return (
-        str(span["name"]),
-        float(span.get("duration_ms", 0.0)),
-        list(span.get("children", ())),
-    )
-
-
-def collapse_spans(roots: Iterable[SpanLike]) -> str:
-    """Fold span trees into collapsed-stack lines.
-
-    Each line is ``name;child;grandchild <self_ms>`` with semicolon-joined
-    span names as the stack and the span's *self* time (duration minus
-    children) as the value, summed across all occurrences of the same
-    stack and emitted in sorted stack order.  Zero-self-time stacks are
-    kept so the tree shape survives even for sub-millisecond spans.
-    """
-    totals: Dict[str, float] = {}
-
-    def walk(span: SpanLike, prefix: str) -> None:
-        name, duration_ms, children = _span_fields(span)
-        stack = f"{prefix};{name}" if prefix else name
-        children_ms = 0.0
-        for child in children:
-            _, child_ms, _ = _span_fields(child)
-            children_ms += child_ms
-        self_ms = max(duration_ms - children_ms, 0.0)
-        totals[stack] = totals.get(stack, 0.0) + self_ms
-        for child in children:
-            walk(child, stack)
-
-    for root in roots:
-        walk(root, "")
-    return "\n".join(
-        f"{stack} {round(value, 3)}" for stack, value in sorted(totals.items())
-    ) + ("\n" if totals else "")

@@ -255,6 +255,15 @@ class MetricsRegistry:
         """``name`` as the whole number of events a ledger reports."""
         return int(self.counter_value(name))
 
+    def counts(self, prefix: str = "") -> Dict[str, int]:
+        """:meth:`count` of every counter whose name starts with ``prefix``,
+        the prefix stripped from the keys (as :meth:`histogram_summaries`)."""
+        return {
+            name[len(prefix):]: int(counter.value)
+            for name, counter in sorted(self._counters.items())
+            if name.startswith(prefix)
+        }
+
     def histogram_summaries(self, prefix: str = "") -> Dict[str, Dict[str, float]]:
         """Summaries of histograms whose name starts with ``prefix``.
 

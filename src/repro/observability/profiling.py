@@ -11,16 +11,16 @@ cumulative time, and a reservoir-sampled distribution of *self* time
 (duration minus children), reporting total/mean/p95.  Exposed live at
 ``GET /profile`` over the tracer's retained traces and offline via
 ``python -m repro profile <trace-file>`` over a flight recording.
+The same fold prints Brendan Gregg's collapsed stacks (``root;child <self_ms>``,
+:func:`collapse_spans`) for ``flamegraph.pl`` and speedscope.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Union
+from typing import Any, Dict, Iterable, List, Mapping
 
 from repro.observability.metrics import Histogram
 from repro.observability.tracing import Span
-
-SpanLike = Union[Span, Mapping[str, Any]]
 
 
 class _PathStats:
@@ -49,41 +49,34 @@ class ProfileAggregator:
         self._paths: Dict[str, _PathStats] = {}
         self.trace_count = 0
 
-    @staticmethod
-    def _fields(span: SpanLike):
-        if isinstance(span, Span):
-            return span.name, span.duration_ms, list(span.children)
-        return (
-            str(span["name"]),
-            float(span.get("duration_ms", 0.0)),
-            list(span.get("children", ())),
-        )
-
-    def add_trace(self, root: SpanLike) -> None:
-        """Fold one span tree (a :class:`Span` or its dict export) in."""
+    def add_trace(self, root: Span | Mapping[str, Any]) -> None:
+        """Fold one span tree (a :class:`Span`, or its dict export lifted) in."""
+        if not isinstance(root, Span):
+            root = Span.from_dict(root)
         self.trace_count += 1
-        self._walk(root, "")
+        for path, span in root.paths():
+            stats = self._paths.get(path)
+            if stats is None:
+                stats = self._paths[path] = _PathStats(path, self._reservoir_size)
+            self_ms = span.self_ms
+            stats.count += 1
+            stats.total_ms += span.duration_ms
+            stats.self_total_ms += self_ms
+            stats.self_histogram.observe(self_ms)
 
-    def add_traces(self, roots: Iterable[SpanLike]) -> "ProfileAggregator":
+    def add_traces(self, roots: Iterable[Span | Mapping[str, Any]]) -> "ProfileAggregator":
         """Fold many span trees in; returns self for chaining."""
         for root in roots:
             self.add_trace(root)
         return self
 
-    def _walk(self, span: SpanLike, prefix: str) -> None:
-        name, duration_ms, children = self._fields(span)
-        path = f"{prefix};{name}" if prefix else name
-        children_ms = sum(self._fields(child)[1] for child in children)
-        self_ms = max(duration_ms - children_ms, 0.0)
-        stats = self._paths.get(path)
-        if stats is None:
-            stats = self._paths[path] = _PathStats(path, self._reservoir_size)
-        stats.count += 1
-        stats.total_ms += duration_ms
-        stats.self_total_ms += self_ms
-        stats.self_histogram.observe(self_ms)
-        for child in children:
-            self._walk(child, path)
+    def collapsed(self) -> str:
+        """``path <summed self ms>`` lines in path order; zero-self-time paths
+        are kept so the tree shape survives even for sub-millisecond spans."""
+        return "".join(
+            f"{path} {round(stats.self_total_ms, 3)}\n"
+            for path, stats in sorted(self._paths.items())
+        )
 
     def rows(self) -> List[Dict[str, Any]]:
         """One dict per path, heaviest self time first.
@@ -129,3 +122,8 @@ class ProfileAggregator:
                 + "  ".join(line[i].rjust(widths[i]) for i in range(1, len(headers)))
             )
         return "\n".join(lines)
+
+
+def collapse_spans(roots: Iterable[Span | Mapping[str, Any]]) -> str:
+    """Fold span trees (or their dict exports) into collapsed-stack lines."""
+    return ProfileAggregator().add_traces(roots).collapsed()

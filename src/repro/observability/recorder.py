@@ -266,6 +266,8 @@ def read_recording(
             raise ValueError(
                 f"{path}:{line_number}: not valid JSONL ({exc.msg})"
             ) from None
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}:{line_number}: not a JSON object")
         kind = record.get("kind")
         if kind == "header":
             if header is None:

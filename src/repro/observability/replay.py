@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.errors import MQAError
 from repro.observability.recorder import read_recording
+from repro.observability.tracing import Span
 
 
 class ReplayError(MQAError):
@@ -39,20 +40,10 @@ def span_paths(tree: Optional[Mapping[str, Any]]) -> List[str]:
     """Depth-first semicolon-joined paths of a span-tree dict.
 
     Two trees have equal path lists iff they have identical shape and
-    names, which is the replay contract.
+    names, which is the replay contract.  A tree that is not one raises
+    ValueError (:meth:`Span.from_dict`).
     """
-    if tree is None:
-        return []
-    paths: List[str] = []
-
-    def walk(node: Mapping[str, Any], prefix: str) -> None:
-        path = f"{prefix};{node['name']}" if prefix else str(node["name"])
-        paths.append(path)
-        for child in node.get("children", ()):
-            walk(child, path)
-
-    walk(tree, "")
-    return paths
+    return [] if tree is None else [path for path, _ in Span.from_dict(tree).paths()]
 
 
 @dataclass
@@ -119,6 +110,14 @@ class ReplayReport:
 TOPOLOGY_FIELDS = ("shards", "replicas", "partitioner")
 
 
+def _recorded_config(header: "Mapping[str, Any] | None") -> Dict[str, Any]:
+    """The header's ``config`` ({} when absent); ReplayError if not an object."""
+    config = (header or {}).get("config") or {}
+    if not isinstance(config, Mapping):
+        raise ReplayError(f"recording header's config is not an object: {config!r:.60}")
+    return dict(config)
+
+
 def validate_topology(header: "Mapping[str, Any] | None", coordinator) -> None:
     """Reject replaying onto a coordinator with a mismatched topology.
 
@@ -127,7 +126,7 @@ def validate_topology(header: "Mapping[str, Any] | None", coordinator) -> None:
     matches by construction.  Headerless recordings cannot be checked
     and pass through.
     """
-    config_data = dict((header or {}).get("config") or {})
+    config_data = _recorded_config(header)
     if not config_data:
         return
     mismatches = []
@@ -156,11 +155,14 @@ def build_replay_coordinator(header: Mapping[str, Any]):
     from repro.core.config import MQAConfig
     from repro.core.coordinator import Coordinator
 
-    config_data = dict(header.get("config") or {})
+    config_data = _recorded_config(header)
     if not config_data:
         raise ReplayError("recording header carries no configuration")
     config_data.update(tracing=True, recorder_path=None, monitoring=False)
-    config = MQAConfig.from_dict(config_data)
+    try:
+        config = MQAConfig.from_dict(config_data)
+    except MQAError as exc:
+        raise ReplayError(f"recording header's config is refused: {exc}") from exc
     return Coordinator(config).setup()
 
 
@@ -233,6 +235,8 @@ def replay_recording(
             raise ReplayError(f"recording has no entry with trace id {trace_id}")
     if not entries:
         raise ReplayError(f"recording {path} holds no query entries")
+    for entry in entries:  # a corrupt span tree is refused before the rebuild
+        span_paths(entry.get("span_tree"))
     if coordinator is None:
         if header is None:
             raise ReplayError(

@@ -20,11 +20,12 @@ the ``/trace`` endpoint, the status panel, and the CLI ``--trace`` flag.
 from __future__ import annotations
 
 import contextvars
+import math
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from typing import Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Tuple
 
 
 @dataclass
@@ -44,6 +45,23 @@ class Span:
     children: List["Span"] = field(default_factory=list)
     duration: float = 0.0
     _start: float = 0.0
+    # A lifted span reads its exported ms: ms -> s -> ms is not exact in floats.
+    _exported_ms: Optional[float] = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "Span":
+        """Lift a :meth:`to_dict` export (``duration_ms``, ``attributes`` and
+        ``children`` optional) back into a tree; ValueError if it is not one."""
+        if not isinstance(data, Mapping) or not isinstance(data.get("name"), str):
+            raise ValueError(f"not a span: an object with a string 'name', got {data!r:.60}")
+        name, ms = data["name"], data.get("duration_ms", 0.0)
+        attributes, children = data.get("attributes", {}), data.get("children", [])
+        if isinstance(ms, bool) or not isinstance(ms, (int, float)) or not 0 <= ms < math.inf:
+            raise ValueError(f"span {name!r}: 'duration_ms' is not a finite ms count: {ms!r}")
+        if not isinstance(attributes, Mapping) or not isinstance(children, list):
+            raise ValueError(f"span {name!r}: 'attributes' is not an object or 'children' a list")
+        children = [cls.from_dict(child) for child in children]
+        return cls(name, dict(attributes), children, ms / 1000.0, _exported_ms=float(ms))
 
     def set(self, **attributes: Any) -> "Span":
         """Attach attributes to the span; returns self for chaining."""
@@ -52,7 +70,9 @@ class Span:
 
     @property
     def duration_ms(self) -> float:
-        """Wall-clock milliseconds."""
+        """Wall-clock milliseconds (a lifted span's as exported)."""
+        if self._exported_ms is not None:
+            return self._exported_ms
         return self.duration * 1000.0
 
     @property
@@ -62,7 +82,9 @@ class Span:
         Clamped at zero: clock granularity can make the children sum to
         slightly more than the parent.
         """
-        children_ms = sum(child.duration_ms for child in self.children)
+        children_ms = 0.0  # left to right: ``sum`` compensates from Python 3.12
+        for child in self.children:
+            children_ms += child.duration_ms
         return max(self.duration_ms - children_ms, 0.0)
 
     def walk(self) -> Iterator["Span"]:
@@ -70,6 +92,14 @@ class Span:
         yield self
         for child in self.children:
             yield from child.walk()
+
+    def paths(self, prefix: str = "") -> Iterator[Tuple[str, "Span"]]:
+        """``(path, span)`` for this span and every descendant, depth first;
+        a path is the ``;``-joined span names from the root."""
+        path = f"{prefix};{self.name}" if prefix else self.name
+        yield path, self
+        for child in self.children:
+            yield from child.paths(path)
 
     def find(self, name: str) -> Optional["Span"]:
         """First span called ``name`` in the subtree (depth first)."""

@@ -70,12 +70,7 @@ from repro.core.coordinator import Coordinator
 from repro.core.planning import AdmissionShedError
 from repro.data import KnowledgeBase, Modality, RawQuery
 from repro.errors import DeadlineExceededError, MQAError
-from repro.observability import (
-    STATE_OK,
-    ProfileAggregator,
-    collapse_spans,
-    render_prometheus,
-)
+from repro.observability import STATE_OK, ProfileAggregator, render_prometheus
 
 
 class ApiError(MQAError):
@@ -794,18 +789,14 @@ class ApiServer:
         coordinator, _ = self._require_system()
         traces = coordinator.tracer.traces
         fmt = str(body.get("format", "rows")).lower()
-        if fmt == "collapsed":
-            return {
-                "enabled": coordinator.tracer.enabled,
-                "traces": len(traces),
-                "collapsed": collapse_spans(traces),
-            }
         aggregator = ProfileAggregator().add_traces(traces)
         payload: Dict[str, Any] = {
             "enabled": coordinator.tracer.enabled,
             "traces": len(traces),
         }
-        if fmt == "table":
+        if fmt == "collapsed":
+            payload["collapsed"] = aggregator.collapsed()
+        elif fmt == "table":
             payload["table"] = aggregator.render()
         elif fmt == "rows":
             payload["profile"] = aggregator.rows()

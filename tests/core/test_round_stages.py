@@ -208,11 +208,12 @@ class TestStageAssembly:
         assert names(coordinator.stages) == ["generate"]
 
     def test_retired_config_key_in_a_recording_header_is_rejected(self):
-        from repro.observability.replay import build_replay_coordinator
+        from repro.observability.replay import ReplayError, build_replay_coordinator
 
         config = {**MQAConfig(**FLAT).to_dict(), "trace_capacity": 64}
-        with pytest.raises(ConfigurationError, match="unknown configuration keys: trace_capacity"):
+        with pytest.raises(ReplayError, match="unknown configuration keys: trace_capacity") as err:
             build_replay_coordinator({"config": config})
+        assert isinstance(err.value.__cause__, ConfigurationError)
 
 
 class TestAllLayersOn:

@@ -204,3 +204,59 @@ class TestTopologyValidation:
         # No header at all, and a header without config: both pass.
         validate_topology(None, _Live())
         validate_topology({"config": {}}, _Live())
+
+
+def _first_tree(change):
+    """Corrupt the first recorded span tree (or one of its children)."""
+    def corrupt(records):
+        change(next(r for r in records if r["kind"] == "query")["span_tree"])
+        return records
+    return corrupt
+
+
+def _header_config(value):
+    def corrupt(records):
+        header = records[0]
+        header["config"] = value(header["config"])
+        return records
+    return corrupt
+
+
+#: A recording that is not one, by where it breaks.  Every case escaped
+#: ``repro profile`` / ``repro replay`` as a traceback before it was refused.
+CORRUPT_FILES = {
+    "a-number-line": lambda records: records + [5],
+    "a-list-line": lambda records: records + [[1, 2]],
+    "a-span-without-name": _first_tree(lambda tree: tree["children"][0].pop("name")),
+    "children-not-a-list": _first_tree(lambda tree: tree.update(children=5)),
+    "duration-not-a-number": _first_tree(lambda tree: tree.update(duration_ms="x")),
+}
+#: ``repro profile`` reads no header; only ``repro replay`` rebuilds from it.
+CORRUPT_HEADERS = {
+    "config-a-number": _header_config(lambda config: 5),
+    "config-a-list": _header_config(lambda config: [1]),
+    "config-an-unknown-key": _header_config(lambda config: {**config, "bogus": 1}),
+    "config-out-of-range": _header_config(lambda config: {**config, "workers": 0}),
+}
+
+
+class TestCorruptRecordings:
+    """A corrupt recording is a typed error, printed as ``error: …`` with
+    exit status 1 — never a traceback."""
+
+    @pytest.mark.parametrize("command, case", [
+        *[(command, case) for command in ("profile", "replay") for case in CORRUPT_FILES],
+        *[("replay", case) for case in CORRUPT_HEADERS],
+    ])
+    def test_refused_with_a_message(self, recorded, tmp_path, capsys, command, case):
+        import json
+
+        from repro.cli import main
+
+        path, _ = recorded
+        records = [json.loads(line) for line in open(path, encoding="utf-8")]
+        records = {**CORRUPT_FILES, **CORRUPT_HEADERS}[case](records)
+        corrupt = tmp_path / "corrupt.jsonl"
+        corrupt.write_text("".join(json.dumps(record) + "\n" for record in records))
+        assert main([command, str(corrupt)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

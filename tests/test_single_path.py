@@ -398,6 +398,7 @@ def test_an_event_is_counted_once():
     from repro.core.agentic import AgenticAnswerer
     from repro.core.coordinator import Coordinator
     from repro.core.planning import AdmissionController, QueryPlanner
+    from repro.core.resilience import ResilienceManager
     from repro.observability import StatsPlane
     from repro.server import ApiServer
 
@@ -434,13 +435,15 @@ def test_an_event_is_counted_once():
         AgenticAnswerer: ["_quest" + "ions", "_ho" + "ps", "_cla" + "ims",
                           "_suppor" + "ted", "_refi" + "ned", "_lo" + "ck",
                           "_refine_rounds_" + "run", "_groundedness_" + "sum"],
+        ResilienceManager: ["_fall" + "backs"],
     }
     for cls, names in deleted.items():
         init = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
         assigned = {
             target.attr
-            for node in ast.walk(init) if isinstance(node, ast.Assign)
-            for target in node.targets if isinstance(target, ast.Attribute)
+            for node in ast.walk(init) if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Attribute)
         }
         assert not set(names) & assigned, cls.__qualname__
     assert not hasattr(StatsPlane, "_mirror_" + "query")
@@ -533,3 +536,64 @@ def test_a_sleep_models_a_wait_and_nothing_else():
             named.add(node.asname or node.name)
     assert len(named) > 100, "the name scan lost the module"
     assert not [name for name in named if "sleep" in name.lower()]
+
+
+def test_a_span_tree_is_read_through_span():
+    """How a closed span tree is traversed is ``observability/tracing.py``'s
+    alone: ``Span.from_dict`` lifts an export, ``Span.paths`` walks it.
+    Under ``repro.observability``, ``repro.server`` and ``repro.cli`` no
+    other module reads ``children`` — as an attribute or as the
+    ``"children"`` key — except ``costs.fold_span``, whose walk prunes at
+    ``shard-search`` / ``query-batch`` and sums stages by name.  No module
+    declares a Span-or-dict alias, and the Prometheus exporter imports
+    nothing from the tracer."""
+    import repro.cli
+    import repro.observability
+    import repro.server
+
+    modules = [repro.cli]
+    for package in (repro.observability, repro.server):
+        modules += [
+            importlib.import_module(info.name)
+            for info in pkgutil.iter_modules(package.__path__, prefix=package.__name__ + ".")
+        ]
+    assert len(modules) >= 12, "the package walk lost the modules"
+    readers = []
+    for module in modules:
+        if module.__name__ == "repro.observability.tracing":
+            continue
+        tree = ast.parse(inspect.getsource(module))
+        exempt = set()
+        if module.__name__ == "repro.observability.costs":
+            fold = next(
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "fold_span"
+            )
+            exempt = set(map(id, ast.walk(fold)))
+        readers += [
+            f"{module.__name__}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in exempt and (
+                (isinstance(node, ast.Attribute) and node.attr == "children")
+                or (isinstance(node, ast.Constant) and node.value == "children")
+            )
+        ]
+    assert readers == []
+
+    # Spelled in pieces: a whole-word grep for the deleted names finds no file.
+    for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        source = inspect.getsource(importlib.import_module(name))
+        assert not [
+            node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id == "Span" + "Like"
+        ], name
+    assert not hasattr(repro.cli, "format_" + "trace")
+
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(repro.observability.exporters))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "repro.observability.metrics" in imported, "the import scan lost the module"
+    assert "repro.observability.tracing" not in imported
