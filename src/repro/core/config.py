@@ -16,8 +16,7 @@ from importlib import import_module
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from repro.data.datasets import DOMAINS, DatasetSpec
-from repro.data.modality import Modality
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DataError
 
 
 class WeightMode(str, enum.Enum):
@@ -469,11 +468,8 @@ def _dataset_spec(data: Dict[str, Any]) -> DatasetSpec:
     """A :class:`DatasetSpec` from its ``to_dict`` form (what a recording
     header and a ``POST /configure`` body carry)."""
     try:
-        data = dict(data)
-        if "modalities" in data:
-            data["modalities"] = tuple(Modality.parse(m) for m in data["modalities"])
-        return DatasetSpec(**data)
-    except TypeError as exc:
+        return DatasetSpec(**dict(data))
+    except (TypeError, ValueError, DataError) as exc:
         raise ConfigurationError(f"dataset: {exc}") from None
 
 

@@ -64,6 +64,10 @@ class ConceptSpace:
                 raise DataError(f"category {category!r} has no concepts")
             for name in names:
                 self._add(name, category)
+        # One row per concept, in insertion order: what composing many bags
+        # gathers from (the Concept objects keep their own vectors).
+        self._matrix = np.stack([concept.vector for concept in self._concepts.values()])
+        self._rows = {name: row for row, name in enumerate(self._concepts)}
 
     def _add(self, name: str, category: str) -> None:
         name = name.lower()
@@ -124,21 +128,62 @@ class ConceptSpace:
         Returns:
             A unit-norm latent vector of shape ``(latent_dim,)``.
         """
-        names = [name.lower() for name in concepts]
-        if not names:
-            raise DataError("cannot compose a latent from zero concepts")
+        return self.compose_many([concepts], [intensities])[0]
+
+    def compose_many(
+        self,
+        bags: Sequence[Iterable[str]],
+        intensities: "Sequence[Sequence[float] | None] | None" = None,
+    ) -> np.ndarray:
+        """Unit-norm latents for many weighted bags, one ``(latent_dim,)`` row
+        per bag; ``intensities`` holds one entry per bag (``None`` for all
+        ones) or is ``None``.
+
+        Bags are grouped by size and each group is one batched vector-matrix
+        product over rows of the concept matrix, which is every bag's own
+        ``weights @ stacked`` to the bit (``np.einsum('nk,nkd->nd')`` sums in
+        another order and is not).
+        """
         if intensities is None:
-            weights = np.ones(len(names))
+            intensities = [None] * len(bags)
+        if len(intensities) != len(bags):
+            raise DataError(f"got {len(bags)} concept bags but {len(intensities)} intensities")
+        groups: Dict[int, Tuple[List[int], List[List[int]], list]] = {}
+        for position, (bag, given) in enumerate(zip(bags, intensities)):
+            rows = [self._row(name) for name in bag]
+            if not rows:
+                raise DataError("cannot compose a latent from zero concepts")
+            if given is None:
+                weights = [1.0] * len(rows)
+            else:
+                weights = np.asarray(list(given), dtype=np.float64)
+                if weights.shape != (len(rows),):
+                    raise DataError(
+                        f"got {len(rows)} concepts but {weights.size} intensities"
+                    )
+                if (weights < 0).any():
+                    raise DataError("concept intensities must be non-negative")
+            group = groups.setdefault(len(rows), ([], [], []))
+            group[0].append(position)
+            group[1].append(rows)
+            group[2].append(weights)
+        summed = [
+            (positions, np.matmul(np.array(weights)[:, None], self._matrix[rows])[:, 0])
+            for positions, rows, weights in groups.values()
+        ]
+        if len(summed) == 1:
+            latents = summed[0][1]  # every bag is in the one group, in order
         else:
-            weights = np.asarray(list(intensities), dtype=np.float64)
-            if weights.shape != (len(names),):
-                raise DataError(
-                    f"got {len(names)} concepts but {weights.size} intensities"
-                )
-            if (weights < 0).any():
-                raise DataError("concept intensities must be non-negative")
-        stacked = np.stack([self.get(name).vector for name in names])
-        return l2_normalize(weights @ stacked)
+            latents = np.empty((len(bags), self.latent_dim))
+            for positions, rows in summed:
+                latents[positions] = rows
+        return l2_normalize(latents)
+
+    def _row(self, name: str) -> int:
+        try:
+            return self._rows[name.lower()]
+        except KeyError:
+            raise DataError(f"unknown concept: {name!r}") from None
 
     def known_tokens(self, tokens: Iterable[str]) -> List[str]:
         """Filter ``tokens`` down to those that are concept names."""

@@ -14,6 +14,8 @@ is shared, so every domain gets exact ground truth for free.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
@@ -100,6 +102,52 @@ class DatasetSpec:
     min_concepts: int = 2
     max_concepts: int = 4
 
+    def __post_init__(self) -> None:
+        """Check every field (bar ``domain``, which the generator and the
+        configuration check against :data:`DOMAINS`) and raise DataError;
+        ``modalities`` may be names and is stored as a tuple of
+        :class:`Modality`."""
+        for name, low in (("size", 1), ("latent_dim", 1), ("min_concepts", 1)):
+            _check_integer(name, getattr(self, name), low)
+        _check_integer("seed", self.seed)
+        _check_integer("max_concepts", self.max_concepts, self.min_concepts)
+        _check_real("text_drop_probability", self.text_drop_probability, 0.0, 1.0)
+        _check_real("image_noise_sigma", self.image_noise_sigma, 0.0)
+        _check_real("audio_noise_sigma", self.audio_noise_sigma, 0.0)
+        modalities = self.modalities
+        if isinstance(modalities, str) or not isinstance(modalities, (list, tuple)):
+            modalities = ()
+        if not modalities:
+            raise DataError(
+                "modalities must be a non-empty list of modality names, "
+                f"got {self.modalities!r}"
+            )
+        try:
+            object.__setattr__(self, "modalities", tuple(Modality.parse(m) for m in modalities))
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
+
+
+def _check_integer(name: str, value: object, low: "int | None" = None) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise DataError(f"{name} must be >= {low}, got {value!r}")
+
+
+def _check_real(name: str, value: object, low: float, below: "float | None" = None) -> None:
+    """``low <= value`` (and ``value < below`` when given), finite."""
+    ok = (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Real)
+        and math.isfinite(value)
+        and low <= value
+        and (below is None or value < below)
+    )
+    if not ok:
+        bounds = f"in [{low:g}, {below:g})" if below is not None else f"a finite number >= {low:g}"
+        raise DataError(f"{name} must be {bounds}, got {value!r}")
+
 
 def generate_knowledge_base(spec: DatasetSpec = DatasetSpec()) -> KnowledgeBase:
     """Generate a knowledge base according to ``spec``.
@@ -110,8 +158,6 @@ def generate_knowledge_base(spec: DatasetSpec = DatasetSpec()) -> KnowledgeBase:
     if spec.domain not in DOMAINS:
         valid = ", ".join(sorted(DOMAINS))
         raise DataError(f"unknown domain {spec.domain!r}; expected one of: {valid}")
-    if spec.size <= 0:
-        raise DataError(f"dataset size must be positive, got {spec.size}")
 
     space = ConceptSpace(
         DOMAINS[spec.domain], latent_dim=spec.latent_dim, seed=spec.seed
@@ -130,10 +176,12 @@ def generate_knowledge_base(spec: DatasetSpec = DatasetSpec()) -> KnowledgeBase:
         modalities=spec.modalities,
     )
     rng = derive_rng(spec.seed, "dataset", spec.domain)
+    bags, intensities = [], []
     for _ in range(spec.size):
         concepts = space.sample_object_concepts(
             rng, min_concepts=spec.min_concepts, max_concepts=spec.max_concepts
         )
-        intensities = 0.5 + rng.random(len(concepts))
-        kb.create_object(concepts, intensities=intensities)
+        bags.append(concepts)
+        intensities.append(0.5 + rng.random(len(concepts)))
+    kb.create_objects(bags, intensities)
     return kb

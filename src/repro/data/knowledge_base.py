@@ -73,24 +73,37 @@ class KnowledgeBase:
         The object's content is rendered for every modality the knowledge
         base carries, using the next dense id as the per-object noise seed.
         """
-        latent = self.space.compose(concepts, intensities)
-        object_id = len(self.store)
-        content = {}
-        for modality in self.modalities:
-            if modality is Modality.TEXT:
-                content[modality] = self.render_model.text.render(list(concepts), object_id)
-            elif modality is Modality.IMAGE:
-                content[modality] = self.render_model.image.render(latent, object_id)
-            elif modality is Modality.AUDIO:
-                content[modality] = self.render_model.audio.render(latent, object_id)
-            else:  # pragma: no cover - enum is closed
-                raise DataError(f"no renderer for modality {modality!r}")
-        return self.store.add(
-            content=content,
-            concepts=tuple(c.lower() for c in concepts),
-            latent=latent,
-            metadata=metadata,
-        )
+        return self.create_objects([concepts], [intensities], [metadata])[0]
+
+    def create_objects(
+        self,
+        bags: Sequence[Sequence[str]],
+        intensities: "Sequence[Sequence[float] | None] | None" = None,
+        metadata: "Sequence[dict | None] | None" = None,
+    ) -> List[MultiModalObject]:
+        """Render and store one new object per concept bag, in order.
+
+        ``intensities`` and ``metadata`` are ``None`` or hold one entry per
+        bag.  Every object is byte-identical to what :meth:`create_object`
+        would have made at its id: latents are composed, and each modality
+        rendered, for the whole batch at once.
+        """
+        if metadata is None:
+            metadata = [None] * len(bags)
+        if len(metadata) != len(bags):
+            raise DataError(f"got {len(bags)} concept bags but {len(metadata)} metadata")
+        latents = self.space.compose_many(bags, intensities)
+        first = len(self.store)
+        contents = self._render(bags, latents, range(first, first + len(bags)))
+        return [
+            self.store.add(
+                content=content,
+                concepts=tuple(c.lower() for c in concepts),
+                latent=latent,
+                metadata=meta,
+            )
+            for concepts, latent, content, meta in zip(bags, latents, contents, metadata)
+        ]
 
     def discard_object(self, object_id: int) -> None:
         """Roll back the most recent :meth:`create_object`.
@@ -109,19 +122,41 @@ class KnowledgeBase:
         noise, and frame noise.  The contrastive weight learner uses pairs
         of views as positives, so it never touches the hidden latent.
         """
-        obj = self.store.get(object_id)
-        noise_key = ("view", object_id, view_seed)
-        content = {}
+        return self.render_views([object_id], [view_seed])[0]
+
+    def render_views(
+        self, object_ids: Sequence[int], view_seeds: Sequence[int]
+    ) -> List[dict]:
+        """:meth:`render_view` for each ``(object_ids[i], view_seeds[i])``,
+        every modality rendered for the whole batch at once."""
+        if len(view_seeds) != len(object_ids):
+            raise DataError(f"got {len(object_ids)} objects but {len(view_seeds)} view seeds")
+        objects = [self.store.get(object_id) for object_id in object_ids]
+        latents = np.array([obj.latent for obj in objects]).reshape(
+            len(objects), self.space.latent_dim
+        )
+        return self._render(
+            [list(obj.concepts) for obj in objects],
+            latents,
+            [("view", object_id, seed) for object_id, seed in zip(object_ids, view_seeds)],
+        )
+
+    def _render(
+        self, bags: List[List[str]], latents: np.ndarray, noise_keys: Sequence[object]
+    ) -> List[dict]:
+        """Per item, a modality -> content mapping: ``bags[i]`` / ``latents[i]``
+        rendered under ``noise_keys[i]`` by each modality's renderer."""
+        rendered = {}
         for modality in self.modalities:
             if modality is Modality.TEXT:
-                content[modality] = self.render_model.text.render(
-                    list(obj.concepts), noise_key
-                )
+                rendered[modality] = self.render_model.text.render_many(bags, noise_keys)
             elif modality is Modality.IMAGE:
-                content[modality] = self.render_model.image.render(obj.latent, noise_key)
+                rendered[modality] = self.render_model.image.render_many(latents, noise_keys)
             elif modality is Modality.AUDIO:
-                content[modality] = self.render_model.audio.render(obj.latent, noise_key)
-        return content
+                rendered[modality] = self.render_model.audio.render_many(latents, noise_keys)
+            else:  # pragma: no cover - enum is closed
+                raise DataError(f"no renderer for modality {modality!r}")
+        return [dict(zip(rendered, item)) for item in zip(*rendered.values())]
 
     # ------------------------------------------------------------------
     # oracle ground truth (evaluation only)

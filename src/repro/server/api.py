@@ -394,13 +394,17 @@ class ApiServer:
         required: bool = False,
     ) -> Optional[int]:
         """``body[field]`` as an int; ``default`` when absent or null,
-        unless ``required``.  Anything ``int()`` refuses is an ApiError."""
+        unless ``required``.  An integer, an integral float or a digit string
+        is taken; anything else — a boolean, a fraction, what ``int()``
+        refuses — is an ApiError, not truncated."""
         value = cls._require_field(body, field) if required else body.get(field)
         if value is None and not required:
             return default
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ApiError(f"{field!r} must be an integer, got {value!r}")
         try:
             return int(value)
-        except (TypeError, ValueError, OverflowError):  # OverflowError: ±inf
+        except (TypeError, ValueError):
             raise ApiError(f"{field!r} must be an integer, got {value!r}") from None
 
     @staticmethod

@@ -12,7 +12,10 @@ def l2_normalize(vectors: np.ndarray, axis: int = -1, eps: float = 1e-12) -> np.
     for degenerate synthetic objects (e.g. an empty text description).
     """
     vectors = np.asarray(vectors, dtype=np.float64)
-    norms = np.linalg.norm(vectors, axis=axis, keepdims=True)
+    # What np.linalg.norm(vectors, axis=axis, keepdims=True) computes for a
+    # real array, to the bit, without its dispatch (a third of its time on
+    # one 64-d vector).
+    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=axis, keepdims=True))
     return vectors / np.maximum(norms, eps)
 
 

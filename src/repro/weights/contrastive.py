@@ -171,8 +171,7 @@ class VectorWeightLearner:
         velocity = np.zeros(count)
         loss_curve: List[float] = []
 
-        for step in range(self.config.steps):
-            batch = sampler.sample(self.config.batch_size, step)
+        for batch in sampler.sample_many(self.config.batch_size, range(self.config.steps)):
             loss, gradient = self._loss_and_gradient(weights, batch, modalities)
             velocity = self.config.momentum * velocity - self.config.learning_rate * gradient
             weights = project_to_simplex(weights + velocity, total=float(count))

@@ -7,13 +7,15 @@ what a practitioner with an unlabelled corpus would see.
 
 A step is array work, not a loop over views: set-up trains on ``steps *
 batch_size`` views (1 920 at the defaults), so an encoder entry per view and
-a Python dot product per pair would be the bulk of its representation stage.
+a Python dot product per pair would be the bulk of its representation stage,
+and so would rendering (and seeding the noise of) each view on its own —
+all of a run's views are rendered in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -73,38 +75,61 @@ class ViewPairSampler:
         self._anchor_vectors = corpus
 
     def sample(self, batch_size: int, step: int) -> ContrastiveBatch:
-        """Draw a deterministic batch for training step ``step``.
+        """Draw a deterministic batch for training step ``step``."""
+        return self.sample_many(batch_size, [step])[0]
 
-        The draws are scalar and in a fixed order (the anchors, then per
-        anchor one view seed and a rejection loop for its negatives); what
-        follows them is array work — one ``encode_batch`` per modality over
-        the step's views, one gather over the anchor matrix for negatives.
+    def sample_many(self, batch_size: int, steps: Iterable[int]) -> List[ContrastiveBatch]:
+        """One deterministic batch per training step in ``steps``.
+
+        Each step draws from its own stream, in a fixed order (the anchors,
+        then per anchor one view seed and its negatives); since no draw
+        depends on a view, every step's draws come first and the views of
+        all steps are rendered in one call.  Encoding stays per step — one
+        ``encode_batch`` per modality over the step's views, as a batch of
+        ``batch_size`` rows rounds — and the negatives are one gather over
+        the anchor matrix.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        draws = [self._draw(batch_size, step) for step in steps]
+        views = self.kb.render_views(
+            [anchor for anchors, _, _ in draws for anchor in anchors],
+            [seed for _, seeds, _ in draws for seed in seeds],
+        )
+        batches = []
+        for index, (anchors, _, negatives) in enumerate(draws):
+            step_views = views[index * batch_size:(index + 1) * batch_size]
+            positive: Dict[Modality, np.ndarray] = {}
+            negative: Dict[Modality, np.ndarray] = {}
+            for modality, matrix in self._anchor_vectors.items():
+                encoder = self.encoder_set.encoder_for(modality)
+                view_rows = encoder.encode_batch(
+                    modality, [view[modality] for view in step_views]
+                )
+                anchor_rows = matrix[anchors]
+                diff = anchor_rows - view_rows
+                positive[modality] = np.einsum("bd,bd->b", diff, diff)
+                diff = anchor_rows[:, None, :] - matrix[negatives]
+                negative[modality] = np.einsum("bnd,bnd->bn", diff, diff)
+            batches.append(ContrastiveBatch(positive=positive, negative=negative))
+        return batches
+
+    def _draw(self, batch_size: int, step: int) -> Tuple[List[int], List[int], List[List[int]]]:
+        """Step ``step``'s anchors, view seeds and negatives, from its stream:
+        the negatives are a vector draw topped up by rejection, which
+        consumes the stream as a draw-until-accepted loop does."""
         rng = derive_rng(self.seed, "contrastive-batch", step)
         n = len(self.kb)
-        anchors = rng.integers(0, n, size=batch_size)
-
-        views: List[dict] = []
+        anchors = rng.integers(0, n, size=batch_size).tolist()
+        seeds: List[int] = []
         negatives: List[List[int]] = []
-        for anchor in anchors.tolist():
-            views.append(self.kb.render_view(anchor, int(rng.integers(1 << 30))))
-            drawn: List[int] = []
-            while len(drawn) < self.n_negatives:
+        for anchor in anchors:
+            seeds.append(int(rng.integers(1 << 30)))
+            drawn = rng.integers(n, size=self.n_negatives)
+            kept = drawn[drawn != anchor].tolist()
+            while len(kept) < self.n_negatives:
                 candidate = int(rng.integers(n))
                 if candidate != anchor:
-                    drawn.append(candidate)
-            negatives.append(drawn)
-
-        positive: Dict[Modality, np.ndarray] = {}
-        negative: Dict[Modality, np.ndarray] = {}
-        for modality, matrix in self._anchor_vectors.items():
-            encoder = self.encoder_set.encoder_for(modality)
-            view_rows = encoder.encode_batch(modality, [view[modality] for view in views])
-            anchor_rows = matrix[anchors]
-            diff = anchor_rows - view_rows
-            positive[modality] = np.einsum("bd,bd->b", diff, diff)
-            diff = anchor_rows[:, None, :] - matrix[negatives]
-            negative[modality] = np.einsum("bnd,bnd->bn", diff, diff)
-        return ContrastiveBatch(positive=positive, negative=negative)
+                    kept.append(candidate)
+            negatives.append(kept)
+        return anchors, seeds, negatives

@@ -51,6 +51,35 @@ HOSTILE_BODIES = [
      "'deadline_ms' must be a finite number, got nan"),
     ("/search", {"text": "fog", "deadline_ms": [5]},
      "'deadline_ms' must be a finite number, got [5]"),
+    # A boolean or a fraction used to pass as int(value): true removed
+    # object 1, 1.9 removed object 1, 10.7 asked for 10 results.
+    ("/remove", {"object_id": True}, "'object_id' must be an integer, got True"),
+    ("/remove", {"object_id": 1.9}, "'object_id' must be an integer, got 1.9"),
+    ("/query", {"text": "fog", "reference_object_id": True},
+     "'reference_object_id' must be an integer, got True"),
+    ("/search", {"text": "fog", "k": 10.7}, "'k' must be an integer, got 10.7"),
+    ("/select", {"rank": False}, "'rank' must be an integer, got False"),
+    # A dataset spec is checked when it is configured: these escaped
+    # ``handle`` (TypeError, ValueError) or were accepted and failed in /apply
+    # (or not at all).
+    ("/configure", {"option": "dataset", "value": {"size": "x"}},
+     "dataset: size must be an integer, got 'x'"),
+    ("/configure", {"option": "dataset", "value": {"modalities": "text"}},
+     "dataset: modalities must be a non-empty list of modality names, got 'text'"),
+    ("/configure", {"option": "dataset", "value": {"min_concepts": 0}},
+     "dataset: min_concepts must be >= 1, got 0"),
+    ("/configure", {"option": "dataset", "value": {"max_concepts": 1}},
+     "dataset: max_concepts must be >= 2, got 1"),
+    ("/configure", {"option": "dataset", "value": {"latent_dim": 0}},
+     "dataset: latent_dim must be >= 1, got 0"),
+    ("/configure", {"option": "dataset", "value": {"text_drop_probability": 1.5}},
+     "dataset: text_drop_probability must be in [0, 1), got 1.5"),
+    ("/configure", {"option": "dataset", "value": {"size": 2.5}},
+     "dataset: size must be an integer, got 2.5"),
+    ("/configure", {"option": "dataset", "value": {"seed": "x"}},
+     "dataset: seed must be an integer, got 'x'"),
+    ("/configure", {"option": "dataset", "value": {"image_noise_sigma": -1}},
+     "dataset: image_noise_sigma must be a finite number >= 0, got -1"),
 ]
 
 #: ``int(float("inf"))`` raises OverflowError, which used to escape ``handle``

@@ -9,7 +9,9 @@ and the coordinator runs a stage list, not a hand-threaded round — and for
 telemetry: a block is timed by its span and by nothing else, and a served
 event is counted in the metrics registry and nowhere else.  A sleep models
 a remote wait and never stands in for work, and the coordinator runs the
-rounds its layers register without naming any of them.
+rounds its layers register without naming any of them.  Set-up's data is
+rendered the same way: an object, a view and a learner step are batches of
+one.
 """
 
 import ast
@@ -52,22 +54,25 @@ def test_only_the_base_class_defines_the_single_query_form(base, single, batch):
             assert getattr(cls, batch) is not getattr(base, batch)
 
 
-def test_execute_is_a_one_statement_delegation_to_execute_batch():
-    from repro.core.execution import QueryExecution
-
-    function = ast.parse(
-        textwrap.dedent(inspect.getsource(QueryExecution.execute))
-    ).body[0]
+def _delegated_calls(method):
+    """The attribute calls of ``method``'s body, which must be a single
+    ``return`` statement (a docstring aside)."""
+    function = ast.parse(textwrap.dedent(inspect.getsource(method))).body[0]
     body = [
         node for node in function.body
         if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
     ]
-    assert len(body) == 1 and isinstance(body[0], ast.Return)
-    calls = [
+    assert len(body) == 1 and isinstance(body[0], ast.Return), method.__qualname__
+    return [
         node.func.attr for node in ast.walk(body[0])
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
     ]
-    assert calls == ["execute_batch"]
+
+
+def test_execute_is_a_one_statement_delegation_to_execute_batch():
+    from repro.core.execution import QueryExecution
+
+    assert _delegated_calls(QueryExecution.execute) == ["execute_batch"]
 
 
 def test_coordinator_has_no_hand_threaded_round():
@@ -597,3 +602,42 @@ def test_a_span_tree_is_read_through_span():
             imported.add(node.module)
     assert "repro.observability.metrics" in imported, "the import scan lost the module"
     assert "repro.observability.tracing" not in imported
+
+
+def test_set_up_data_is_rendered_in_bulk():
+    """An object, a view, a learner step and each renderer's output are
+    batches of one: ``create_object``, ``render_view``, ``sample`` and every
+    ``render`` are one-statement delegations to their bulk forms, the
+    knowledge base is generated by one ``create_objects`` call, and the
+    per-object noise streams in ``rendering.py`` come from ``derive_rngs`` —
+    ``derive_rng`` seeds only the two projection matrices."""
+    import repro.data.datasets
+    import repro.data.rendering
+    from repro.data.knowledge_base import KnowledgeBase
+    from repro.data.rendering import AudioRenderer, ImageRenderer, TextRenderer
+    from repro.weights.sampler import ViewPairSampler
+
+    for single, bulk in [
+        (KnowledgeBase.create_object, "create_objects"),
+        (KnowledgeBase.render_view, "render_views"),
+        (ViewPairSampler.sample, "sample_many"),
+        (TextRenderer.render, "render_many"),
+        (ImageRenderer.render, "render_many"),
+        (AudioRenderer.render, "render_many"),
+    ]:
+        assert _delegated_calls(single) == [bulk], single.__qualname__
+
+    generate = ast.parse(inspect.getsource(repro.data.datasets.generate_knowledge_base))
+    called = [
+        node.func.attr for node in ast.walk(generate)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+    assert called.count("create_objects") == 1 and "create_object" not in called
+
+    seeded = [
+        node.args[1].value
+        for node in ast.walk(ast.parse(inspect.getsource(repro.data.rendering)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "derive_rng"
+    ]
+    assert seeded == ["image-projection", "audio-projection"]
+

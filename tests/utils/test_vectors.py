@@ -25,6 +25,20 @@ class TestL2Normalize:
         vector = np.array([2.0, 0.0, 0.0])
         np.testing.assert_allclose(l2_normalize(vector), [1.0, 0.0, 0.0])
 
+    @given(
+        shape=st.sampled_from([(7,), (64,), (1, 64), (33, 17), (3, 4, 5), (0, 8)]),
+        axis=st.sampled_from([-1, 0]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-8, 1.0, 1e6]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bits_are_linalg_norm_s(self, shape, axis, seed, scale):
+        vectors = np.random.default_rng(seed).standard_normal(shape) * scale
+        norms = np.linalg.norm(vectors, axis=axis, keepdims=True)
+        assert np.array_equal(
+            l2_normalize(vectors, axis=axis), vectors / np.maximum(norms, 1e-12)
+        )
+
 
 class TestProjectToSimplex:
     def test_already_on_simplex_unchanged(self):
