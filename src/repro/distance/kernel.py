@@ -13,6 +13,27 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class Embedding:
+    """Rows in a kernel's Euclidean coordinates, with their squared norms.
+
+    ``points[i]`` is row ``i`` mapped so that the kernel's distance is the
+    squared L2 between points (``√w ⊙ x`` for the weighted kernel, ``x``
+    itself for plain squared L2) and ``norms[i]`` is ``‖points[i]‖²``, a
+    reduction over that row alone.  Indexing gathers both arrays, so a
+    gather of an embedding is bit for bit the embedding of the gathered
+    rows.  Built by :meth:`DistanceKernel.embed`, read by ``matrix``.
+    """
+
+    __slots__ = ("points", "norms", "__weakref__")
+
+    def __init__(self, points: np.ndarray, norms: np.ndarray) -> None:
+        self.points = points
+        self.norms = norms
+
+    def __getitem__(self, index) -> "Embedding":
+        return Embedding(self.points[index], self.norms[index])
+
+
 @dataclass
 class DistanceStats:
     """Counters for the computational-pruning ablation (experiment E5).
@@ -74,16 +95,32 @@ class DistanceKernel(abc.ABC):
     def single(self, query: np.ndarray, vector: np.ndarray, bound: float = np.inf) -> float:
         """Distance from ``query`` to ``vector``, with optional early exit."""
 
+    def embed(self, vectors: np.ndarray) -> "np.ndarray | Embedding":
+        """``vectors`` as :meth:`matrix` takes them, prepared once.
+
+        A graph build embeds its corpus once and hands :meth:`matrix`
+        gathers of the result instead of gathers of the rows; indexing an
+        embedding gathers exactly what embedding the gathered rows would
+        give.  The default prepares nothing and returns the rows; kernels
+        whose ``matrix`` is a squared L2 return an :class:`Embedding`.
+        Embedding an embedding returns it unchanged.
+        """
+        if isinstance(vectors, Embedding):
+            return vectors
+        return np.asarray(vectors, dtype=np.float64)
+
     def matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """All-pairs distances between ``rows`` and ``cols`` matrices.
 
         Stacked inputs ``(R, n, d)`` and ``(R, m, d)`` give the ``(R, n, m)``
         stack of per-block matrices — one dispatch for every saturated row
-        an HNSW insert re-selects.  The default delegates to :meth:`batch`
-        per row; kernels override it with a fully vectorised form
-        (construction-time hot path).
+        an HNSW insert re-selects.  Either operand may be raw rows or what
+        :meth:`embed` made of them; the result is the same bits.  The
+        default delegates to :meth:`batch` per row; kernels override it
+        with a fully vectorised form (construction-time hot path).
         """
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        rows = np.atleast_2d(self.embed(rows))
+        cols = self.embed(cols)
         if rows.ndim == 3:
             return np.stack([self.matrix(r, c) for r, c in zip(rows, cols)])
         return np.stack([self.batch(row, cols) for row in rows])

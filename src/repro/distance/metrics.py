@@ -167,14 +167,29 @@ def paired_inner_product_distance(
     return total
 
 
-def pairwise_squared_l2(queries: np.ndarray, corpus: np.ndarray) -> np.ndarray:
+def squared_norms(rows: np.ndarray) -> np.ndarray:
+    """``‖row‖²`` of every row along the last axis: a reduction over each
+    row alone, so a row's norm is the same bits whatever it is stacked
+    with — never a GEMV, whose accumulation order follows the row count."""
+    return (rows * rows).sum(axis=-1)
+
+
+def pairwise_squared_l2(
+    queries: np.ndarray,
+    corpus: np.ndarray,
+    *,
+    query_norms: "np.ndarray | None" = None,
+    corpus_norms: "np.ndarray | None" = None,
+) -> np.ndarray:
     """Squared L2 between every query row and every corpus row.
 
     Uses the expansion ``|q - x|^2 = |q|^2 - 2 q.x + |x|^2`` so the whole
     computation is three BLAS calls; negatives from floating-point
     cancellation are clamped to zero.  Inputs may carry matching leading
     axes — ``(R, n, d)`` against ``(R, m, d)`` gives the ``(R, n, m)``
-    stack of per-block distance matrices in the same three calls.
+    stack of per-block distance matrices in the same three calls.  Norms
+    not handed over are :func:`squared_norms` of their rows; handed over,
+    they must be those (a gather of them is).
 
     The steps after the product run in place on its output, in the order
     ``np.maximum(q_norms - (2.0 * q) @ cᵀ + c_norms, 0)`` evaluates them,
@@ -187,9 +202,11 @@ def pairwise_squared_l2(queries: np.ndarray, corpus: np.ndarray) -> np.ndarray:
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     corpus = np.atleast_2d(np.asarray(corpus, dtype=np.float64))
     _check_dims(queries, corpus)
-    q_norms = (queries * queries).sum(axis=-1)[..., :, None]
-    c_norms = (corpus * corpus).sum(axis=-1)[..., None, :]
+    if query_norms is None:
+        query_norms = squared_norms(queries)
+    if corpus_norms is None:
+        corpus_norms = squared_norms(corpus)
     distances = (2.0 * queries) @ np.swapaxes(corpus, -1, -2)
-    np.subtract(q_norms, distances, out=distances)
-    distances += c_norms
+    np.subtract(query_norms[..., :, None], distances, out=distances)
+    distances += corpus_norms[..., None, :]
     return np.maximum(distances, 0.0, out=distances)

@@ -18,7 +18,10 @@ The vectorised entry points use the folded form of the same distance,
 so a call is one full-width subtract, one scale and one row-wise sum of
 squares whatever the number of modalities.  The scaling is applied at
 evaluation time — no pre-scaled copy of the corpus is kept, so per-query
-weight overrides are just another ``sqrt(w)`` vector.
+weight overrides are just another ``sqrt(w)`` vector.  The one exception
+lives only as long as a graph build: :meth:`WeightedMultiVectorKernel.embed`
+scales the corpus and takes its norms once, and the build's blocks gather
+from that (``matrix`` reads it as it reads raw rows).
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from typing import Dict, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.data.modality import Modality
-from repro.distance.kernel import DistanceKernel
+from repro.distance.kernel import DistanceKernel, Embedding
+from repro.distance.metrics import pairwise_squared_l2, squared_norms
 from repro.errors import DimensionMismatchError, EncodingError
 
 
@@ -251,17 +255,22 @@ class WeightedMultiVectorKernel(DistanceKernel):
         self._count(matrix.shape[0])
         return self._folded_squared_norms(diff)
 
-    def matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        from repro.distance.metrics import pairwise_squared_l2
+    def embed(self, vectors: np.ndarray) -> Embedding:
+        """Rows as ``√w ⊙ x`` with their squared norms: the points whose
+        plain squared L2 is this kernel's distance (``matrix``'s input)."""
+        if isinstance(vectors, Embedding):
+            return vectors
+        points = np.atleast_2d(np.asarray(vectors, dtype=np.float64)) * self._sqrt_weights
+        return Embedding(points, squared_norms(points))
 
-        scaled_rows = np.asarray(rows, dtype=np.float64) * self._sqrt_weights
-        # Construction calls this on a block against itself: scale it once.
-        scaled_cols = (
-            scaled_rows
-            if cols is rows
-            else np.asarray(cols, dtype=np.float64) * self._sqrt_weights
+    def matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        embedded = self.embed(rows)
+        # Construction calls this on a block against itself: embed it once.
+        other = embedded if cols is rows else self.embed(cols)
+        distances = pairwise_squared_l2(
+            embedded.points, other.points,
+            query_norms=embedded.norms, corpus_norms=other.norms,
         )
-        distances = pairwise_squared_l2(scaled_rows, scaled_cols)
         self._count(distances.size)
         return distances
 

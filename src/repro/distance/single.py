@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distance.kernel import DistanceKernel
+from repro.distance.kernel import DistanceKernel, Embedding
 from repro.distance.metrics import (
     Metric,
     paired_inner_product_distance,
@@ -12,6 +12,7 @@ from repro.distance.metrics import (
     pairwise_squared_l2,
     rowwise_inner_product_distance,
     rowwise_squared_l2,
+    squared_norms,
 )
 from repro.errors import DimensionMismatchError
 from repro.utils import l2_normalize
@@ -98,13 +99,24 @@ class SingleVectorKernel(DistanceKernel):
         self.stats.segments_total += count
         return distances
 
+    def embed(self, vectors: np.ndarray) -> "np.ndarray | Embedding":
+        """Under squared L2 (cosine inputs are prepared to it) the rows
+        with their squared norms; under inner product the rows alone."""
+        if self.metric is Metric.INNER_PRODUCT or isinstance(vectors, Embedding):
+            return super().embed(vectors)
+        points = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        return Embedding(points, squared_norms(points))
+
     def matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        cols = np.atleast_2d(np.asarray(cols, dtype=np.float64))
+        embedded = self.embed(rows)
+        other = embedded if cols is rows else self.embed(cols)
         if self.metric is Metric.INNER_PRODUCT:
-            distances = -(rows @ np.swapaxes(cols, -1, -2))
+            distances = -(np.atleast_2d(embedded) @ np.swapaxes(np.atleast_2d(other), -1, -2))
         else:
-            distances = pairwise_squared_l2(rows, cols)
+            distances = pairwise_squared_l2(
+                embedded.points, other.points,
+                query_norms=embedded.norms, corpus_norms=other.norms,
+            )
         count = distances.size
         self.stats.calls += count
         self.stats.segments_evaluated += count

@@ -164,28 +164,34 @@ class HnswIndex(VectorIndex):
         base.entry_points = [self._node_level.index(self._max_level)]
         self._layers = [base] + [SparseLayer() for _ in range(self._max_level)]
         levels = np.asarray(self._node_level)
+        # The corpus as kernel.matrix takes it, for this build only: every
+        # stacked block below gathers its rows and norms from here.
+        embedded = kernel.embed(self._vectors)
         with trace_span("hnsw-insert", nodes=self.size) as span:
             for layer in range(self._max_level, -1, -1):
-                self._build_layer(layer, (levels >= layer).nonzero()[0])
+                self._build_layer(layer, (levels >= layer).nonzero()[0], embedded)
             span.set(layers=self._max_level + 1)
         self.build_seconds = time.perf_counter() - start
 
-    def _build_layer(self, layer: int, members: np.ndarray) -> None:
+    def _build_layer(self, layer: int, members: np.ndarray, embedded) -> None:
         """Link ``members`` (ascending node ids) into ``layer`` in that order.
 
         A member's candidates and the Algorithm-4 selection over them depend
         on nothing the build has linked so far, so both run block by block
         ahead of the links, and :meth:`_link` takes the layer in one call.
+        ``embedded`` is the build's ``kernel.embed`` of the whole corpus.
         """
         ef = self.params.ef_construction
         m = self.params.m * 2 if layer == 0 else self.params.m
         count = members.size
-        vectors = self.vectors if count == self.size else self.vectors[members]
+        whole = count == self.size
+        vectors = self.vectors if whole else self.vectors[members]
+        local = embedded if whole else embedded[members]
         rows = block_rows(ef, self.kernel.dim)
         with trace_span(
             "hnsw-candidates", layer=layer, rows=count, blocks=-(-count // rows)
         ):
-            ids, distances = self._earlier_neighbors(vectors, rows)
+            ids, distances = self._earlier_neighbors(vectors, rows, local)
 
         # Rows narrower than ef keep the single-row form (as does every row
         # when ef fits the cap and nothing is dropped); the full-width ones
@@ -201,8 +207,8 @@ class HnswIndex(VectorIndex):
                     (distance, nodes[c])
                     for distance, c in zip(distances[p, :p].tolist(), ids[p, :p].tolist())
                 ]
-                selected.append(self._select_heuristic(ranked, m))
-            for kept in self._select_passes(vectors, ids, distances, full_from, m):
+                selected.append(self._select_heuristic(ranked, m, embedded))
+            for kept in self._select_passes(local, ids, distances, full_from, m):
                 selected.extend([nodes[c] for c in row] for row in kept.tolist())
 
         # Every reverse edge into a row comes from a later node, so a row's
@@ -214,13 +220,14 @@ class HnswIndex(VectorIndex):
                 self._layers[layer][node] = neighbors
                 for neighbor in neighbors:
                     incoming.setdefault(neighbor, []).append(node)
-            span.set(**self._link(layer, incoming, m))
+            span.set(**self._link(layer, incoming, m, embedded))
 
     def _select_passes(
-        self, vectors: np.ndarray, ids: np.ndarray, distances: np.ndarray, first: int, m: int
+        self, embedded, ids: np.ndarray, distances: np.ndarray, first: int, m: int
     ) -> Iterator[np.ndarray]:
         """Algorithm 4 over the full-width candidate rows from ``first`` on:
-        one stacked ``kernel.matrix`` per block of rows, its table packed
+        one stacked ``kernel.matrix`` per block of rows, gathered from the
+        layer's ``embedded`` members, its table packed
         into a pass of whole blocks that fits the scratch budget, one scan
         per pass.  Yields each pass's kept candidate positions, ``(rows,
         m)`` in selection order; no pass's table outlives the selection."""
@@ -231,8 +238,7 @@ class HnswIndex(VectorIndex):
             stop = min(start + step, ids.shape[0])
             packed = np.zeros((stop - start, ef, packed_words(ef)), dtype="<u8")
             for lo in range(start, stop, rows):
-                chunk = ids[lo : lo + rows]
-                block = vectors[chunk.ravel()].reshape(*chunk.shape, -1)
+                block = embedded[ids[lo : lo + rows]]
                 pack_table(
                     mrng_rule(self.kernel.matrix(block, block), distances[lo : lo + rows]),
                     out=packed[lo - start : lo - start + rows],
@@ -240,11 +246,12 @@ class HnswIndex(VectorIndex):
             yield np.take_along_axis(ids[start:stop], select_saturated(packed, m), axis=1)
 
     def _earlier_neighbors(
-        self, vectors: np.ndarray, rows: int
+        self, vectors: np.ndarray, rows: int, embedded=None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Each row's ``ef_construction`` nearest *earlier* rows of ``vectors``
         — exactly the set an insertion's beam search approximates — found
-        ``rows`` rows at a time.
+        ``rows`` rows at a time, the GEMM reading ``embedded`` (the rows'
+        ``kernel.embed``) when given.
 
         Returns ``(positions, distances)``, ascending by ``(distance,
         position)``; row ``p`` has ``min(p, ef_construction)`` candidates, in
@@ -257,17 +264,21 @@ class HnswIndex(VectorIndex):
         for start in range(0, count, rows):
             stop = min(start + rows, count)
             top, top_distances = exact_top_k(
-                self.kernel, vectors, start, stop, width, earlier_only=True
+                self.kernel, vectors, start, stop, width, earlier_only=True,
+                embedded=embedded,
             )
             positions[start:stop, : top.shape[1]] = top
             distances[start:stop, : top.shape[1]] = top_distances
         return positions, distances
 
-    def _link(self, layer: int, incoming: Dict[int, List[int]], m: int) -> Dict[str, int]:
+    def _link(
+        self, layer: int, incoming: Dict[int, List[int]], m: int, embedded=None
+    ) -> Dict[str, int]:
         """Fold ``incoming[target]`` — nodes new to the target's row, in
         arrival order — into every target's row; returns the ``hnsw-link``
-        counters.  ``build`` passes a layer's whole history, ``add`` one
-        arrival per neighbour; nothing else differs.
+        counters.  ``build`` passes a layer's whole history and its corpus
+        ``embedded``, ``add`` one arrival per neighbour and no embedding (its
+        few gathers are embedded as they come); nothing else differs.
 
         A row with room extends.  A full one takes each further arrival as
         its own event, as linking node by node would: rank the ``m + 1`` ids
@@ -278,6 +289,7 @@ class HnswIndex(VectorIndex):
         ``(m + E)^2 / E`` multiply-adds per event are fewest at ``E = m``.
         """
         rows = self._layers[layer]
+        source = self.vectors if embedded is None else embedded
         pending = []
         for target, arrivals in incoming.items():
             room = m - len(rows[target])
@@ -297,22 +309,25 @@ class HnswIndex(VectorIndex):
             for start in range(0, len(pending), step):
                 group = pending[start : start + step]
                 pools = [rows[target] + arrivals[:m] for target, arrivals in group]
-                picks = self._replay([target for target, _ in group], pools, m)
+                picks = self._replay([target for target, _ in group], pools, m, source)
                 # By position: the kept ids stay the int objects the graph shares.
                 for (target, _), pool, row in zip(group, pools, picks):
                     rows[target] = [pool[i] for i in row]
             pending = [(target, arrivals[m:]) for target, arrivals in pending if len(arrivals) > m]
         return stats
 
-    def _replay(self, owners: List[int], pools: List[List[int]], m: int) -> List[List[int]]:
+    def _replay(
+        self, owners: List[int], pools: List[List[int]], m: int, source
+    ) -> List[List[int]]:
         """Run each pool — a full row's ``m`` ids, then its arrivals, longest
         pool first — through its events; returns the pool positions each row
         keeps, in selection order.
 
         What an event asks of two ids is computed ahead, ``block_rows`` pools
-        at a time: one gather, one ``kernel.batch_paired`` and one stacked
-        ``kernel.matrix`` give each pool's ``(distance, id)`` order and its
-        Algorithm-4 table, packed by pool position.  The events then run in
+        at a time: one ``kernel.batch_paired`` over the gathered rows and one
+        stacked ``kernel.matrix`` over the same ids gathered from ``source``
+        (the build's embedding, or the rows) give each pool's ``(distance,
+        id)`` order and its Algorithm-4 table, packed by pool position.  The events then run in
         lockstep over all pools, each a sort of ``m + 1`` ranks and one scan
         of the pool positions they name, in rank order, against that table.
         """
@@ -325,13 +340,12 @@ class HnswIndex(VectorIndex):
         step = block_rows(width, max(self.kernel.dim, width))
         for start in range(0, n_rows, step):
             chunk = ids[start : start + step]
-            block = self.vectors[chunk.ravel()]
             distances = self.kernel.batch_paired(
                 self.vectors[owners[start : start + step]],
-                block,
+                self.vectors[chunk.ravel()],
                 np.repeat(np.arange(chunk.shape[0]), width),
             ).reshape(chunk.shape)
-            block = block.reshape(*chunk.shape, -1)
+            block = source[chunk]
             order[start : start + step] = np.lexsort((chunk, distances))
             pack_table(
                 mrng_rule(self.kernel.matrix(block, block), distances),
@@ -351,18 +365,20 @@ class HnswIndex(VectorIndex):
         return self._layers[layer][node]
 
     def _select_heuristic(
-        self, candidates: List[Tuple[float, int]], m: int
+        self, candidates: List[Tuple[float, int]], m: int, embedded=None
     ) -> List[int]:
         """Diversified neighbour selection (Algorithm 4 of the paper).
 
         A candidate is kept only if it is closer to the inserted point than
         to every already-selected neighbour, which spreads edges across
-        directions instead of clustering them.
+        directions instead of clustering them.  The candidates are gathered
+        from ``embedded`` (the build's) when given, else from the rows.
         """
         if len(candidates) <= m:
             return [candidate for _, candidate in candidates]
         ids = [candidate for _, candidate in candidates]
-        pairwise = self.kernel.matrix(self.vectors[ids], self.vectors[ids])
+        block = (self.vectors if embedded is None else embedded)[ids]
+        pairwise = self.kernel.matrix(block, block)
         selected_rows: List[int] = []
         for row, (distance, _) in enumerate(candidates):
             if len(selected_rows) >= m:

@@ -13,6 +13,9 @@ Context keys (set by :func:`repro.index.pipeline_builder.build_navigation_graph`
 
 * ``vectors`` — the ``(n, d)`` corpus matrix.
 * ``kernel`` — the distance kernel.
+* ``embedded`` — ``kernel.embed(vectors)``, made by the first stage that
+  gathers stacked blocks (:func:`embedded_corpus`) and shared by the rest;
+  it goes with the context when the build ends.
 * ``graph`` — the evolving :class:`NavigationGraph` (after init).
 * ``candidates`` — per-vertex candidate id lists (after acquisition).
 * ``stage_stats`` — counters a candidate or selection stage leaves for its
@@ -78,7 +81,8 @@ def init_random_regular(max_degree: int, out_degree: int, seed: int = 0) -> Stag
 #: Bytes one block of candidate rows may gather at once, and one scan pass's
 #: occlusion tables may hold packed at a bit per entry.  Build scratch is
 #: transient, but peak RSS is a high-water mark, so both sizes are memory
-#: decisions: the ``(rows, width, dim)`` gather, its scaled copy and the
+#: decisions: the ``(rows, width, dim)`` gather (of the build's embedding,
+#: already scaled), the ``2.0 *`` copy ``kernel.matrix`` multiplies and the
 #: pairwise stack together stay around a few of these, and a pass is as
 #: many whole blocks as its ``(rows, width, words)`` ``uint64`` table fits
 #: (512 rows at ``width`` 80).
@@ -88,6 +92,14 @@ _SCRATCH_BYTES = 640 * 1024
 #: :func:`exact_top_k`, so their rounding never decides which ``k`` survive
 #: the exact re-scoring.
 _PRESELECT_MARGIN = 8
+
+
+def embedded_corpus(context: Dict[str, Any]):
+    """The build's corpus as ``kernel.matrix`` takes it: embedded on first
+    use, then the same object for every later stage of the build."""
+    if "embedded" not in context:
+        context["embedded"] = context["kernel"].embed(context["vectors"])
+    return context["embedded"]
 
 
 def block_rows(width: int, dim: int) -> int:
@@ -108,7 +120,8 @@ def pass_rows(width: int) -> int:
 
 
 def exact_top_k(
-    kernel, vectors: np.ndarray, start: int, stop: int, k: int, earlier_only: bool = False
+    kernel, vectors: np.ndarray, start: int, stop: int, k: int, earlier_only: bool = False,
+    embedded=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The exact ``k`` nearest rows of ``vectors`` for each row of one block.
 
@@ -119,7 +132,10 @@ def exact_top_k(
     ``k + _PRESELECT_MARGIN`` columns per row; exactly those are re-scored
     with ``kernel.batch_paired`` and ranked by ``(distance, id)``, so the
     result carries the bit-stable distances ``kernel.batch`` returns and the
-    GEMM's rounding decides neither membership nor order.
+    GEMM's rounding decides neither membership nor order.  The GEMM reads
+    the block and its columns from ``embedded`` — ``kernel.embed(vectors)``,
+    made once by a caller that runs many blocks — or, without it, from the
+    rows themselves, which ``kernel.matrix`` then embeds: the same bits.
 
     Returns:
         ``(ids, distances)``, both ``(stop - start, min(k, columns))``, each
@@ -132,7 +148,8 @@ def exact_top_k(
     own = np.arange(start, stop)[:, None]
     column_ids = np.arange(n_columns)
     excluded = np.greater_equal if earlier_only else np.equal
-    approximate = kernel.matrix(block, columns)
+    source = vectors if embedded is None else embedded
+    approximate = kernel.matrix(source[start:stop], source[:stop] if earlier_only else source)
     approximate[excluded(column_ids, own)] = np.inf
     width = min(k + _PRESELECT_MARGIN, n_columns)
     if width < n_columns:
@@ -157,12 +174,15 @@ def candidates_exact_knn(k: int) -> StageFn:
     def stage(context: Dict[str, Any]) -> List[List[int]]:
         vectors = context["vectors"]
         kernel = context["kernel"]
+        embedded = embedded_corpus(context)
         n, dim = vectors.shape
         neighbors_k = min(k, n - 1)
         rows = block_rows(neighbors_k, dim)
         result: List[List[int]] = []
         for start in range(0, n, rows):
-            ids, _ = exact_top_k(kernel, vectors, start, min(start + rows, n), neighbors_k)
+            ids, _ = exact_top_k(
+                kernel, vectors, start, min(start + rows, n), neighbors_k, embedded=embedded
+            )
             result.extend(ids.tolist())
         context["stage_stats"] = {"blocks": -(-n // rows)}
         return result
@@ -254,7 +274,7 @@ def alpha_rng_rule(alpha: float) -> Callable[[np.ndarray, np.ndarray], np.ndarra
 
 def prune_rows(
     kernel, vectors: np.ndarray, owners: np.ndarray, pools: List[List[int]],
-    max_degree: int, rule,
+    max_degree: int, rule, embedded=None,
 ) -> Tuple[List[List[int]], int]:
     """Occlusion-prune pool ``i`` — vertex ids, the owner's own not among
     them — for the vector ``owners[i]``, to ``max_degree`` ids, nearest first.
@@ -264,7 +284,9 @@ def prune_rows(
     gather, one ``kernel.batch_paired`` (padding scores ``inf``), a
     ``(distance, id)`` lexsort — ties never depend on pool order, and a
     repeated id ranks beside its copy and is skipped — one stacked
-    ``kernel.matrix``, its table packed into the pass.  Per pass — the
+    ``kernel.matrix`` over the ranked rows gathered from ``embedded`` (the
+    build's ``kernel.embed(vectors)``; without it, from ``vectors``), its
+    table packed into the pass.  Per pass — the
     blocks whose packed tables fit :data:`_SCRATCH_BYTES` at the width of
     the first — one :func:`occlusion_scan`.  A row's result depends on
     neither its block nor its pass.  Returns the pruned lists in input
@@ -273,6 +295,7 @@ def prune_rows(
     widths = [len(pool) for pool in pools]
     order = [i for i in sorted(range(len(pools)), key=lambda i: -widths[i]) if widths[i]]
     result: List[List[int]] = [[] for _ in pools]
+    source = vectors if embedded is None else embedded
     blocks = start = 0
     while start < len(order):
         # A pass's first block is its widest and fits: pass_rows >= block_rows.
@@ -305,7 +328,7 @@ def prune_rows(
             ids[at, :block_width] = ranked_ids = np.take_along_axis(padded, rank, axis=1)
             # Gathered again in rank order rather than permuted: one
             # (rows, width, dim) copy alive at a time.
-            ranked = vectors[np.maximum(ranked_ids, 0)]
+            ranked = source[np.maximum(ranked_ids, 0)]
             pack_table(
                 rule(kernel.matrix(ranked, ranked), np.take_along_axis(distances, rank, axis=1)),
                 out=packed[at, :block_width],
@@ -342,12 +365,13 @@ def _select(max_degree: int, rule, keep_neighbors: bool, add_reverse: bool) -> S
     def stage(context: Dict[str, Any]) -> NavigationGraph:
         vectors = context["vectors"]
         kernel = context["kernel"]
+        embedded = embedded_corpus(context)
         graph: NavigationGraph = context["graph"]
         pools = [
             [p for p in pool + (graph.neighbors(v) if keep_neighbors else []) if p != v]
             for v, pool in enumerate(context["candidates"])
         ]
-        rows, blocks = prune_rows(kernel, vectors, vectors, pools, max_degree, rule)
+        rows, blocks = prune_rows(kernel, vectors, vectors, pools, max_degree, rule, embedded)
         stats = {"forward_rows": len(rows)}
         if add_reverse:
             incoming: Dict[int, List[int]] = {}
@@ -358,7 +382,8 @@ def _select(max_degree: int, rule, keep_neighbors: bool, add_reverse: bool) -> S
             merged = {t: rows[t] + sources for t, sources in incoming.items()}
             over = [t for t, row in merged.items() if len(row) > max_degree]
             pruned, reverse_blocks = prune_rows(
-                kernel, vectors, vectors[over], [merged[t] for t in over], max_degree, rule
+                kernel, vectors, vectors[over], [merged[t] for t in over], max_degree, rule,
+                embedded,
             )
             blocks += reverse_blocks
             stats["reverse_appended"] = sum(

@@ -123,9 +123,9 @@ def _link_calls(index: HnswIndex):
     calls = []
     original = index._link
 
-    def recording(layer, incoming, m):
+    def recording(layer, incoming, m, embedded=None):
         calls.append((layer, {target: list(nodes) for target, nodes in incoming.items()}))
-        return original(layer, incoming, m)
+        return original(layer, incoming, m, embedded)
 
     index._link = recording
     return calls

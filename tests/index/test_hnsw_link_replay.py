@@ -30,16 +30,16 @@ def _recorded(index: HnswIndex, node_by_node: bool) -> list:
     every call is first taken apart into the calls ``add`` would make."""
     fold, totals = index._link, []
 
-    def link(layer, incoming, m):
+    def link(layer, incoming, m, embedded=None):
         if not node_by_node:
-            totals.append(fold(layer, incoming, m))
+            totals.append(fold(layer, incoming, m, embedded))
             return totals[-1]
         rows = index._layers[layer]
         forward = {node: list(row) for node, row in rows.items()}
         assert {t: sorted(s) for t, s in incoming.items()} == incoming
         stats = {"reselected_rows": 0, "targets": 0, "windows": 0}
         for node in sorted(forward):
-            one = fold(layer, {neighbor: [node] for neighbor in forward[node]}, m)
+            one = fold(layer, {neighbor: [node] for neighbor in forward[node]}, m, embedded)
             # One event per row: each re-selected row is a target and a window.
             assert one["reselected_rows"] == one["targets"] == one["windows"]
             stats["reselected_rows"] += one["reselected_rows"]

@@ -342,8 +342,8 @@ def test_structure_at_600_rows(unit_vectors, monkeypatch, kernel_name, index_nam
     calls = []
     real = stages.prune_rows
 
-    def spy(kernel, vectors, owners, pools, max_degree, rule):
-        rows, blocks = real(kernel, vectors, owners, pools, max_degree, rule)
+    def spy(kernel, vectors, owners, pools, max_degree, rule, embedded=None):
+        rows, blocks = real(kernel, vectors, owners, pools, max_degree, rule, embedded)
         calls.append((np.array(owners), [list(pool) for pool in pools], [list(r) for r in rows]))
         return rows, blocks
 
@@ -395,9 +395,9 @@ def test_build_dispatch_budget(unit_vectors, monkeypatch):
 
     calls, real_prune, real_scan = [], stages.prune_rows, stages.occlusion_scan
 
-    def prune(kernel, vectors, owners, pools, max_degree, rule):
+    def prune(kernel, vectors, owners, pools, max_degree, rule, embedded=None):
         calls.append([len(pools), 0, []])
-        rows, blocks = real_prune(kernel, vectors, owners, pools, max_degree, rule)
+        rows, blocks = real_prune(kernel, vectors, owners, pools, max_degree, rule, embedded)
         calls[-1][1] = blocks
         return rows, blocks
 
