@@ -3,7 +3,12 @@
 What is kept from the paper: exponentially-distributed layer assignment
 from one seeded stream, the ``select_neighbors_heuristic`` diversification
 rule (Algorithm 4) on every layer a node joins, and bidirectional edge
-insertion with degree-bounded re-pruning, in insertion order.
+insertion with degree-bounded re-pruning, in insertion order.  The degrees
+are Algorithm 1's: an insert selects ``m`` neighbours on every layer,
+layer 0 included, and ``Mmax0 = 2m`` on layer 0 (``m`` above) is only the
+cap a row is re-selected down to once reverse edges push it past.  hnswlib
+does the same; FAISS instead selects ``2M`` at level 0, which starts every
+base row full, so every reverse edge re-selects.
 
 Where a new node's candidates come from depends on how it arrives, and
 nothing else does:
@@ -20,6 +25,10 @@ nothing else does:
   :meth:`HnswIndex._greedy_descend_batch` through the layers above the
   node's own, then :func:`repro.index.search.greedy_search_batch` (``k =
   budget = ef_construction``) over each layer it joins.
+
+``build`` embeds the corpus once (``kernel.embed``: for MUST ``√w ⊙ x`` and
+each row's squared norm) and every stacked block above and in the link step
+gathers from that; the embedding is a local of ``build`` and goes with it.
 
 Both then link through :meth:`HnswIndex._link`, target-major.  A row's
 history — its own selection, then a reverse edge from every later node that
@@ -71,7 +80,11 @@ class HnswParams:
     """HNSW construction parameters.
 
     Attributes:
-        m: Target out-degree on upper layers (base layer allows ``2 * m``).
+        m: Neighbours an insert selects on every layer (Algorithm 1's
+            ``M``).  A row grows past that only by reverse edges, up to
+            the cap ``Mmax0 = 2 * m`` on layer 0 and ``m`` above, and is
+            re-selected down to the cap when one more arrives.  hnswlib
+            does the same; FAISS selects ``2M`` at level 0.
         ef_construction: Candidates per new node on each layer: the beam
             width of ``add``, the exact nearest-earlier count of ``build``.
         seed: Layer-assignment seed.
@@ -158,7 +171,7 @@ class HnswIndex(VectorIndex):
             for _ in range(self.size)
         ]
         self._max_level = max(self._node_level)
-        base = NavigationGraph(self.size, max_degree=self.params.m * 2)
+        base = NavigationGraph(self.size, max_degree=self._cap(0))
         # Inserting one by one promotes a node to entry point only when it
         # is strictly taller than every earlier one: the first of max level.
         base.entry_points = [self._node_level.index(self._max_level)]
@@ -173,6 +186,11 @@ class HnswIndex(VectorIndex):
             span.set(layers=self._max_level + 1)
         self.build_seconds = time.perf_counter() - start
 
+    def _cap(self, layer: int) -> int:
+        """Algorithm 1's ``Mmax``: a row is re-selected down to ``2m`` on
+        layer 0 and ``m`` above, once reverse edges push it past that."""
+        return 2 * self.params.m if layer == 0 else self.params.m
+
     def _build_layer(self, layer: int, members: np.ndarray, embedded) -> None:
         """Link ``members`` (ascending node ids) into ``layer`` in that order.
 
@@ -181,8 +199,7 @@ class HnswIndex(VectorIndex):
         ahead of the links, and :meth:`_link` takes the layer in one call.
         ``embedded`` is the build's ``kernel.embed`` of the whole corpus.
         """
-        ef = self.params.ef_construction
-        m = self.params.m * 2 if layer == 0 else self.params.m
+        ef, m = self.params.ef_construction, self.params.m
         count = members.size
         whole = count == self.size
         vectors = self.vectors if whole else self.vectors[members]
@@ -220,7 +237,7 @@ class HnswIndex(VectorIndex):
                 self._layers[layer][node] = neighbors
                 for neighbor in neighbors:
                     incoming.setdefault(neighbor, []).append(node)
-            span.set(**self._link(layer, incoming, m, embedded))
+            span.set(**self._link(layer, incoming, self._cap(layer), embedded))
 
     def _select_passes(
         self, embedded, ids: np.ndarray, distances: np.ndarray, first: int, m: int
@@ -418,11 +435,10 @@ class HnswIndex(VectorIndex):
                 self._layers[layer], self.vectors, self.kernel, query,
                 k=ef, budget=ef, entry_points=starts,
             )[0]
-            m = self.params.m * 2 if layer == 0 else self.params.m
             candidates = list(zip(found.distances, found.ids))
-            neighbors = self._select_heuristic(candidates, m)
+            neighbors = self._select_heuristic(candidates, self.params.m)
             self._layers[layer][node] = neighbors
-            self._link(layer, {neighbor: [node] for neighbor in neighbors}, m)
+            self._link(layer, {neighbor: [node] for neighbor in neighbors}, self._cap(layer))
             starts = found.ids
 
         if level > self._max_level:
@@ -556,7 +572,7 @@ class HnswIndex(VectorIndex):
                     f"node {node} level {level} outside [0, {self._max_level}]"
                 )
         for layer_index, layer in enumerate(self._layers):
-            cap = self.params.m * 2 if layer_index == 0 else self.params.m
+            cap = self._cap(layer_index)
             for node in range(size):
                 present = node in layer
                 expected = self._node_level[node] >= layer_index

@@ -8,7 +8,9 @@ digest covers every layer's rows in stored order (node order, then each
 row's neighbour order), the entry points and the max level, and for Starling
 its block layout too.
 
-The digests were taken at ``18b594a``.  A change that is meant to leave the
+The digests were taken at ``18b594a``, HNSW's retaken when layer 0 moved to
+selecting ``m`` neighbours per insert with ``2m`` as the cap only
+(Algorithm 1).  A change that is meant to leave the
 graphs alone — a faster scan, a leaner kernel entry — must pass unedited; a
 change that moves a graph on purpose updates the digest in its own diff.
 (CI runs this file with ``-p no:randomly`` and ``PYTHONHASHSEED=0``.)
@@ -25,9 +27,9 @@ from repro.core import MQAConfig, MQASystem
 from repro.data import DatasetSpec
 from repro.index import HnswIndex, StarlingIndex, build_index
 
-# name -> digest at 18b594a
+# name -> digest (18b594a; hnsw at Algorithm 1)
 PINNED = {
-    "hnsw": "249b8798af7d57c0a7a61bbe223ea2c0167365d1f2dbb23cd7b535a762ba092d",
+    "hnsw": "58b73fcb828ec40f0239aef76c786d14f5f98da337da2f7902363da857e3f75b",
     "nsg": "64923409fae1264557ccf9e265ef7680241bc83648583a6cdc37c21d2da6d0ee",
     "vamana": "41de7f12b44713adf8c77e91f9c0505a16a4d74c4e2a4f59c8d29f3e7d145ec6",
     "nav-must": "e9e5dfad6abfebe68a1d95985ba3ff581f35acad9ac122b025bf4c67fe4eef04",

@@ -10,13 +10,18 @@ path — unsharded, cached, tiered, sharded, batches, an agentic round —
 must keep its stage keys, shard rows, signature and ``/stats`` observation
 counts.  The ``shards3-pooled`` key (it asserted that a thread-pool scatter
 folds like the inline loop) went with the pool.  Four entries have been
-edited by hand since, and nothing else in the file: the ``round-weights``
+edited by hand since: the ``round-weights``
 operation of ``must``, ``must-flat``, ``must-nocache`` and ``tiered-sq8`` lost its
 ``fuse`` stage (stage list and ``/stats`` count) when per-query weights
 stopped being an over-fetch re-ranked outside the index, and its work
 counters on ``hnsw`` / tiered ``starling`` are now those of one ``k``-wide
 search under the requested weights (155 for 154 evaluations; 64 hops, 140
 evaluations, 20 re-rank reads for 80, 149, 80 — ``k`` re-ranked, not ``4k``).
+When HNSW's layer 0 moved to selecting ``m`` per insert (Algorithm 1), the
+``distance_evaluations`` signature counter of every HNSW operation in
+``must``, ``mr``, ``je``, ``must-nocache`` and ``agentic`` was retaken (a
+different graph, walked in the same hops); stage keys, shard rows and
+``/stats`` counts did not move.
 """
 
 import json
