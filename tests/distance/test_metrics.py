@@ -8,6 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from repro.distance import (
     Metric,
+    MultiVectorSchema,
+    SingleVectorKernel,
+    WeightedMultiVectorKernel,
     cosine_distance,
     inner_product_distance,
     pairwise_squared_l2,
@@ -113,3 +116,80 @@ class TestPairwiseBits:
             _expression(q, q, rewrite).tobytes() != pairwise_squared_l2(q, q).tobytes()
             for q in stacks
         )
+
+
+def _parent_matrix(kernel, rows, cols):
+    """What ``kernel.matrix`` computed before a build could embed its
+    corpus: scale both operands by ``√w`` (the weighted kernel; the
+    single-vector one uses the rows as they are), then the expression."""
+    if isinstance(kernel, WeightedMultiVectorKernel):
+        schema = kernel.schema
+        scale = np.repeat(
+            np.sqrt(kernel.weights), [schema.dim_of(m) for m in schema.modalities]
+        )
+        rows, cols = rows * scale, cols * scale
+    return _expression(rows, cols)
+
+
+class TestEmbeddedMatrixBits:
+    """A build embeds its corpus once and hands ``matrix`` gathers of the
+    embedding: every entry must be the bytes ``matrix`` gives on the raw
+    rows, and the raw form's bytes must be the parent's expression."""
+
+    KERNELS = {
+        "weighted": lambda: WeightedMultiVectorKernel(
+            MultiVectorSchema({"text": 40, "image": 24}), {"text": 0.8, "image": 1.2}
+        ),
+        "single": lambda: SingleVectorKernel(64),
+    }
+    # (rows ids, cols ids) into a 300-row corpus: 2-D blocks, a prefix, stacks.
+    GATHERS = {
+        "2d": ((24,), (40,)),
+        "prefix": ((32,), (300,)),
+        "stacked": ((53, 24), (53, 24)),
+        "stacked-wide": ((16, 80), (16, 12)),
+    }
+
+    @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+    @pytest.mark.parametrize("gather", sorted(GATHERS))
+    @pytest.mark.parametrize("operands", ["self", "distinct"])
+    def test_embedded_bytes_equal_the_parent_expression(self, kernel_name, gather, operands):
+        rng = np.random.default_rng(sorted(self.GATHERS).index(gather))
+        corpus = rng.standard_normal((300, 64))
+        row_shape, col_shape = self.GATHERS[gather]
+        rows = rng.integers(0, 300, size=row_shape)
+        cols = rows if operands == "self" else rng.integers(0, 300, size=col_shape)
+        if gather == "prefix":  # exact_top_k's block against every earlier row
+            cols = slice(0, 300)
+            rows = cols if operands == "self" else slice(268, 300)
+        kernel = self.KERNELS[kernel_name]()
+        embedded = kernel.embed(corpus)
+        before = [a.tobytes() for a in (corpus, embedded.points, embedded.norms)]
+
+        want = _parent_matrix(kernel, corpus[rows], corpus[cols]).tobytes()
+        raw_rows = corpus[rows]
+        raw = kernel.matrix(raw_rows, raw_rows if operands == "self" else corpus[cols])
+        block = embedded[rows]
+        got = kernel.matrix(block, block if operands == "self" else embedded[cols])
+        assert raw.tobytes() == want and got.tobytes() == want
+        assert [a.tobytes() for a in (corpus, embedded.points, embedded.norms)] == before
+        # Embedding a gather is the gather of the embedding, bit for bit;
+        # and an embedding is its own embedding.
+        again = kernel.embed(corpus[rows])
+        assert again.points.tobytes() == block.points.tobytes()
+        assert again.norms.tobytes() == block.norms.tobytes()
+        assert kernel.embed(block) is block
+
+    def test_a_prefix_slice_is_a_view(self):
+        """``exact_top_k`` reads its columns as a prefix of the build's
+        embedding: a slice, never a copy of the corpus per block."""
+        embedded = SingleVectorKernel(8).embed(np.ones((10, 8)))
+        prefix = embedded[:6]
+        assert np.shares_memory(prefix.points, embedded.points)
+        assert np.shares_memory(prefix.norms, embedded.norms)
+
+    def test_inner_product_embeds_nothing(self):
+        kernel = SingleVectorKernel(8, metric=Metric.INNER_PRODUCT)
+        rows = np.random.default_rng(2).standard_normal((5, 8))
+        assert kernel.embed(rows) is rows
+        assert kernel.matrix(rows, rows).tobytes() == (-(rows @ rows.T)).tobytes()

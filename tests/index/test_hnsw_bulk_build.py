@@ -16,8 +16,10 @@ pre-select, ``batch_paired`` to order) instead of searching for them, so:
 from __future__ import annotations
 
 import ast
+import gc
 import inspect
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.distance import (
     SingleVectorKernel,
     WeightedMultiVectorKernel,
 )
+from repro.distance.kernel import Embedding
 from repro.encoders import build_encoder_set
 from repro.evaluation import exact_knn
 from repro.index import build_index, hnsw
@@ -238,20 +241,33 @@ class TestLevelsEntryDeterminism:
             assert list(rows) == [n for n, level in enumerate(levels) if level >= layer]
 
 
+def _float_bytes(arg) -> int:
+    """float64 bytes of a kernel argument: an array, or an embedding's
+    points and norms."""
+    if isinstance(arg, Embedding):
+        return arg.points.nbytes + arg.norms.nbytes
+    return arg.nbytes if getattr(arg, "dtype", None) == np.float64 else 0
+
+
 class CountingKernel(SingleVectorKernel):
     """Counts entries into the kernel, whatever their size, and keeps the
-    most float64 bytes any one entry was handed."""
+    most float64 bytes any one entry was handed and the largest stacked
+    block ``matrix`` was handed (a ``(rows, width, dim)`` gather)."""
 
     entries = 0
     widest = 0
+    widest_block = 0
 
     def _counted(name):
         inner = getattr(SingleVectorKernel, name)
 
         def method(self, *args, **kwargs):
             self.entries += 1
-            handed = sum(a.nbytes for a in args if getattr(a, "dtype", None) == np.float64)
-            self.widest = max(self.widest, handed)
+            self.widest = max(self.widest, sum(map(_float_bytes, args)))
+            if name == "matrix":
+                points = [getattr(a, "points", a) for a in args]
+                stacked = [p.nbytes for p in points if np.ndim(p) == 3]
+                self.widest_block = max([self.widest_block, *stacked])
             return inner(self, *args, **kwargs)
 
         return method
@@ -283,6 +299,7 @@ def test_build_dispatch_budget(monkeypatch):
     index.build(_unit_rows(np.random.default_rng(0), 2000, 32), kernel)
     assert kernel.entries <= 1 * index.size
     assert kernel.widest <= 4 * _SCRATCH_BYTES
+    assert 0 < kernel.widest_block <= _SCRATCH_BYTES
     assert max(nbytes for _, nbytes, _ in scans) <= _SCRATCH_BYTES
 
     ef = index.params.ef_construction
@@ -298,6 +315,36 @@ def test_build_dispatch_budget(monkeypatch):
         assert len(set(map(id, stored))) == len(set(stored))
     assert max(max(row) for row in index._layers[0].values()) > 256  # past CPython's cache
     index.check_invariants()
+
+
+class EmbedCountingKernel(WeightedMultiVectorKernel):
+    """Counts the rows it embeds from raw vectors and keeps a weak
+    reference to every embedding it makes."""
+
+    def __init__(self) -> None:
+        super().__init__(MultiVectorSchema({"text": 20, "image": 12}), {"text": 0.7, "image": 1.3})
+        self.embedded_rows = 0
+        self.made = []
+
+    def embed(self, vectors):
+        embedded = super().embed(vectors)
+        if embedded is not vectors:
+            self.embedded_rows += int(np.prod(np.shape(vectors)[:-1]))
+            self.made.append(weakref.ref(embedded))
+        return embedded
+
+
+@pytest.mark.parametrize("index_name", ["hnsw", "vamana"])
+def test_a_build_embeds_its_corpus_once(index_name):
+    """Every stacked block of a 2000-row build gathers from one embedding
+    of the corpus — no row is scaled or normed twice — and the embedding
+    is the build's scratch: nothing holds it once ``build`` returns."""
+    kernel = EmbedCountingKernel()
+    index = build_index(index_name, {})
+    index.build(_unit_rows(np.random.default_rng(4), 2000, 32), kernel)
+    assert (kernel.embedded_rows, len(kernel.made)) == (index.size, 1)
+    gc.collect()
+    assert kernel.made[0]() is None
 
 
 class TestReadsDoNotWrite:

@@ -392,6 +392,7 @@ def test_build_dispatch_budget(unit_vectors, monkeypatch):
     index = VamanaIndex(VamanaParams())
     index.build(unit_vectors, kernel)
     assert kernel.entries <= index.size
+    assert 0 < kernel.widest_block <= _SCRATCH_BYTES
 
     calls, real_prune, real_scan = [], stages.prune_rows, stages.occlusion_scan
 

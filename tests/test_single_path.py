@@ -11,7 +11,8 @@ event is counted in the metrics registry and nowhere else.  A sleep models
 a remote wait and never stands in for work, and the coordinator runs the
 rounds its layers register without naming any of them.  Set-up's data is
 rendered the same way: an object, a view and a learner step are batches of
-one.
+one.  And index code computes a distance only through a kernel, where it is
+counted.
 """
 
 import ast
@@ -641,3 +642,39 @@ def test_set_up_data_is_rendered_in_bulk():
     ]
     assert seeded == ["image-projection", "audio-projection"]
 
+
+
+def test_index_code_computes_distances_only_through_a_kernel():
+    """Build and search work enters through the kernel's public entries
+    (``batch`` / ``batch_many`` / ``batch_paired`` / ``matrix`` /
+    ``single``), which is where it is counted: no module under
+    ``repro.index`` imports a distance function from
+    ``repro.distance.metrics`` (directly or through the package) or reads a
+    kernel's private weights to scale rows itself — a build that wants
+    scaled rows asks ``kernel.embed``."""
+    import repro.distance.metrics as metrics
+    import repro.index
+
+    functions = {
+        name for name, value in vars(metrics).items()
+        if inspect.isfunction(value) and value.__module__ == metrics.__name__
+    }
+    assert {"pairwise_squared_l2", "squared_norms"} <= functions
+    offenders, allowed = [], []
+    for info in pkgutil.iter_modules(repro.index.__path__, prefix="repro.index."):
+        tree = ast.parse(inspect.getsource(importlib.import_module(info.name)))
+        for node in ast.walk(tree):
+            where = f"{info.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                if any(alias.name == metrics.__name__ for alias in node.names):
+                    offenders.append(where)
+            elif isinstance(node, ast.ImportFrom) and node.module == metrics.__name__:
+                offenders.append(where)
+            elif isinstance(node, ast.ImportFrom) and node.module == "repro.distance":
+                names = {alias.name for alias in node.names}
+                offenders += [f"{where} {name}" for name in sorted(names & functions)]
+                allowed += sorted(names - functions)
+            elif isinstance(node, ast.Attribute) and node.attr in ("_sqrt_weights", "_weights"):
+                offenders.append(f"{where} .{node.attr}")
+    assert "Metric" in allowed, "the import scan lost the package imports"
+    assert offenders == []
