@@ -94,15 +94,16 @@ class KnowledgeBase:
             raise DataError(f"got {len(bags)} concept bags but {len(metadata)} metadata")
         latents = self.space.compose_many(bags, intensities)
         first = len(self.store)
-        contents = self._render(bags, latents, range(first, first + len(bags)))
+        columns = self._render(bags, latents, range(first, first + len(bags)))
+        modalities, add = self.modalities, self.store.add
         return [
-            self.store.add(
-                content=content,
-                concepts=tuple(c.lower() for c in concepts),
+            add(
+                content=dict(zip(modalities, content)),
+                concepts=tuple([c.lower() for c in concepts]),
                 latent=latent,
                 metadata=meta,
             )
-            for concepts, latent, content, meta in zip(bags, latents, contents, metadata)
+            for concepts, latent, meta, *content in zip(bags, latents, metadata, *columns)
         ]
 
     def discard_object(self, object_id: int) -> None:
@@ -135,28 +136,30 @@ class KnowledgeBase:
         latents = np.array([obj.latent for obj in objects]).reshape(
             len(objects), self.space.latent_dim
         )
-        return self._render(
+        columns = self._render(
             [list(obj.concepts) for obj in objects],
             latents,
             [("view", object_id, seed) for object_id, seed in zip(object_ids, view_seeds)],
         )
+        return [dict(zip(self.modalities, item)) for item in zip(*columns)]
 
     def _render(
         self, bags: List[List[str]], latents: np.ndarray, noise_keys: Sequence[object]
-    ) -> List[dict]:
-        """Per item, a modality -> content mapping: ``bags[i]`` / ``latents[i]``
-        rendered under ``noise_keys[i]`` by each modality's renderer."""
-        rendered = {}
+    ) -> list:
+        """One column per modality of :attr:`modalities`, in that order: item
+        ``i`` of a column is ``bags[i]`` / ``latents[i]`` rendered under
+        ``noise_keys[i]`` by that modality's renderer."""
+        model, columns = self.render_model, []
         for modality in self.modalities:
             if modality is Modality.TEXT:
-                rendered[modality] = self.render_model.text.render_many(bags, noise_keys)
+                columns.append(model.text.render_many(bags, noise_keys))
             elif modality is Modality.IMAGE:
-                rendered[modality] = self.render_model.image.render_many(latents, noise_keys)
+                columns.append(model.image.render_many(latents, noise_keys))
             elif modality is Modality.AUDIO:
-                rendered[modality] = self.render_model.audio.render_many(latents, noise_keys)
+                columns.append(model.audio.render_many(latents, noise_keys))
             else:  # pragma: no cover - enum is closed
                 raise DataError(f"no renderer for modality {modality!r}")
-        return [dict(zip(rendered, item)) for item in zip(*rendered.values())]
+        return columns
 
     # ------------------------------------------------------------------
     # oracle ground truth (evaluation only)

@@ -139,18 +139,21 @@ class ImageRenderer:
         """Render ``(n, latent_dim)`` latents into ``(n, height, width)``
         images, latent ``i`` under ``noise_keys[i]``.
 
-        Each row is written in place as one latent renders:
-        ``projection @ latent + sigma * noise``, a matrix-vector product per
-        row.  (One gemm ``latents @ projection.T`` would round differently,
-        by up to 3.6e-15.)
+        Each row is ``projection @ latent + sigma * noise``, a matrix-vector
+        product per row, built in place: the noise is drawn into the row,
+        scaled, and the product added (both operations commute, so the
+        bits are the expression's).  (One gemm ``latents @ projection.T``
+        would round differently, by up to 3.6e-15.)
         """
         latents = _check_latents(latents, self.space.latent_dim, noise_keys)
-        pixels, sigma = self.spec.pixels, self.spec.noise_sigma
-        images = np.empty((len(latents), self.spec.height, self.spec.width))
+        spec, sigma = self.spec, self.spec.noise_sigma
+        images = np.empty((len(latents), spec.pixels))
         streams = derive_rngs(self.seed, "image-noise", keys=noise_keys)
-        for row, latent, rng in zip(images.reshape(len(latents), pixels), latents, streams):
-            np.add(self._projection @ latent, sigma * rng.standard_normal(pixels), out=row)
-        return images
+        for row, latent, rng in zip(images, latents, streams):
+            rng.standard_normal(out=row)
+            row *= sigma
+            row += self._projection @ latent
+        return images.reshape(len(latents), spec.height, spec.width)
 
     def decode(self, image: np.ndarray) -> np.ndarray:
         """Recover a latent estimate from an image (least-squares inverse)."""
@@ -213,7 +216,9 @@ class AudioRenderer:
             frames = self._projection @ latent
             if self.spec.smoothing > 1:
                 frames = np.convolve(frames, kernel, mode="same")
-            np.add(frames, self.spec.noise_sigma * rng.standard_normal(self.spec.frames), out=row)
+            rng.standard_normal(out=row)
+            row *= self.spec.noise_sigma
+            row += frames
         return clips
 
     def decode(self, audio: np.ndarray) -> np.ndarray:

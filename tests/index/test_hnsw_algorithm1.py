@@ -57,7 +57,9 @@ def _ranked(vectors, kernel, owner: int, nodes: List[int]) -> List[Tuple[float, 
     return sorted(zip(distances.tolist(), nodes))
 
 
-def algorithm1(vectors, kernel, levels: List[int], params: HnswParams) -> List[Dict[int, List[int]]]:
+def algorithm1(
+    vectors, kernel, levels: List[int], params: HnswParams
+) -> List[Dict[int, List[int]]]:
     """Insert node after node; returns every layer as ``{node: row}``."""
     m, ef = params.m, params.ef_construction
     layers: List[Dict[int, List[int]]] = [{} for _ in range(max(levels) + 1)]
