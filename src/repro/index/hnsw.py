@@ -344,9 +344,10 @@ class HnswIndex(VectorIndex):
         at a time: one ``kernel.batch_paired`` over the gathered rows and one
         stacked ``kernel.matrix`` over the same ids gathered from ``source``
         (the build's embedding, or the rows) give each pool's ``(distance,
-        id)`` order and its Algorithm-4 table, packed by pool position.  The events then run in
-        lockstep over all pools, each a sort of ``m + 1`` ranks and one scan
-        of the pool positions they name, in rank order, against that table.
+        id)`` order and its Algorithm-4 table, packed by pool position.  The
+        events then run in lockstep over all pools, each a sort of ``m + 1``
+        ranks and one scan of the pool positions they name, in rank order,
+        against that table.
         """
         n_rows, width = len(pools), len(pools[0])
         events = np.array([len(pool) for pool in pools]) - m
