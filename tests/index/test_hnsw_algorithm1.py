@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
 import pytest
 
 from repro.index.hnsw import HnswIndex, HnswParams
