@@ -14,8 +14,6 @@ is shared, so every domain gets exact ground truth for free.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
@@ -24,7 +22,7 @@ from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import DEFAULT_MODALITIES, Modality
 from repro.data.rendering import AudioSpec, ImageSpec, RenderModel
 from repro.errors import DataError
-from repro.utils import derive_rng
+from repro.utils import check_integer, check_real, derive_rng
 
 DOMAINS: Dict[str, Mapping[str, Tuple[str, ...]]] = {
     "fashion": {
@@ -108,12 +106,12 @@ class DatasetSpec:
         ``modalities`` may be names and is stored as a tuple of
         :class:`Modality`."""
         for name, low in (("size", 1), ("latent_dim", 1), ("min_concepts", 1)):
-            _check_integer(name, getattr(self, name), low)
-        _check_integer("seed", self.seed)
-        _check_integer("max_concepts", self.max_concepts, self.min_concepts)
-        _check_real("text_drop_probability", self.text_drop_probability, 0.0, 1.0)
-        _check_real("image_noise_sigma", self.image_noise_sigma, 0.0)
-        _check_real("audio_noise_sigma", self.audio_noise_sigma, 0.0)
+            check_integer(name, getattr(self, name), low, DataError)
+        check_integer("seed", self.seed, error=DataError)
+        check_integer("max_concepts", self.max_concepts, self.min_concepts, DataError)
+        check_real("text_drop_probability", self.text_drop_probability, 0.0, 1.0, DataError)
+        check_real("image_noise_sigma", self.image_noise_sigma, 0.0, error=DataError)
+        check_real("audio_noise_sigma", self.audio_noise_sigma, 0.0, error=DataError)
         modalities = self.modalities
         if isinstance(modalities, str) or not isinstance(modalities, (list, tuple)):
             modalities = ()
@@ -126,27 +124,6 @@ class DatasetSpec:
             object.__setattr__(self, "modalities", tuple(Modality.parse(m) for m in modalities))
         except ValueError as exc:
             raise DataError(str(exc)) from None
-
-
-def _check_integer(name: str, value: object, low: "int | None" = None) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DataError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise DataError(f"{name} must be >= {low}, got {value!r}")
-
-
-def _check_real(name: str, value: object, low: float, below: "float | None" = None) -> None:
-    """``low <= value`` (and ``value < below`` when given), finite."""
-    ok = (
-        not isinstance(value, bool)
-        and isinstance(value, numbers.Real)
-        and math.isfinite(value)
-        and low <= value
-        and (below is None or value < below)
-    )
-    if not ok:
-        bounds = f"in [{low:g}, {below:g})" if below is not None else f"a finite number >= {low:g}"
-        raise DataError(f"{name} must be {bounds}, got {value!r}")
 
 
 def generate_knowledge_base(spec: DatasetSpec = DatasetSpec()) -> KnowledgeBase:

@@ -53,11 +53,12 @@ class SpectralAudioEncoder(Encoder):
         latent_estimate = self.renderer.decode(frames)
         return l2_normalize(self._projection @ latent_estimate)
 
-    def encode_batch(self, modality: Modality, contents) -> np.ndarray:
-        """Whole-corpus encoding as two gemms (decode, project)."""
-        self._require_support(modality)
-        if not len(contents):
-            return np.empty((0, self._output_dim))
+    def row_bytes(self, modality: Modality) -> int:
+        """A block stacks raw frames."""
+        return 8 * self.renderer.spec.frames
+
+    def _encode_rows(self, modality: Modality, contents) -> np.ndarray:
+        """One block as two gemms (decode, project)."""
         frames = np.stack(
             [np.asarray(content, dtype=np.float64).reshape(-1) for content in contents]
         )

@@ -10,6 +10,7 @@ import numpy as np
 from repro.data.modality import Modality
 from repro.data.objects import MultiModalObject, RawQuery
 from repro.errors import EncodingError
+from repro.utils import row_blocks
 
 
 class Encoder(abc.ABC):
@@ -40,17 +41,38 @@ class Encoder(abc.ABC):
     def encode_batch(self, modality: Modality, contents: Sequence[Any]) -> np.ndarray:
         """Encode many contents of one modality into an ``(n, d)`` matrix.
 
-        The default loops over :meth:`encode`; encoders whose pipeline is a
-        linear map override it with one matrix multiply over the whole
-        batch.  Batched vectors may differ from the looped ones at the
-        last-ulp level (gemm accumulation order), which is why only set-up
-        uses this path: corpus encoding, and the weight learner's augmented
-        views (one entry per modality per training step — its distances are
-        averaged into a gradient, so an ulp is noise there).  Query encoding
-        stays per-query: a query's vectors must be the same floats whether
-        it arrives alone or in a batch, so that batched retrieval matches
-        serial retrieval bit-for-bit.
+        The rows are encoded a block at a time (:func:`repro.utils.
+        row_blocks` over :meth:`row_bytes`) into one preallocated output,
+        so a corpus-sized encode holds one block of stacked content beside
+        its result, never the whole corpus's.  A block is
+        :meth:`_encode_rows`: encoders whose pipeline is a linear map
+        override it with one matrix multiply over the block.  Blocks start
+        at multiples of 64 rows and only a lone one holds fewer than 64,
+        which keeps the GEMMs' per-row bits the one-call bits.  Batched
+        vectors may differ from the looped ones at the last-ulp level (gemm
+        accumulation order), which is why only set-up uses this path:
+        corpus encoding, and the weight learner's augmented views (one entry
+        per modality per training step — its distances are averaged into a
+        gradient, so an ulp is noise there).
+        Query encoding stays per-query: a query's vectors must be the same
+        floats whether it arrives alone or in a batch, so that batched
+        retrieval matches serial retrieval bit-for-bit.
         """
+        modality = self._require_support(modality)
+        out = np.empty((len(contents), self.output_dim))
+        for rows in row_blocks(len(contents), self.row_bytes(modality)):
+            out[rows] = self._encode_rows(modality, contents[rows])
+        return out
+
+    def row_bytes(self, modality: Modality) -> int:
+        """Bytes per row of the widest array a block of :meth:`encode_batch`
+        holds for ``modality`` — by default an output row; encoders that
+        stack raw content or latents count those."""
+        return 8 * self.output_dim
+
+    def _encode_rows(self, modality: Modality, contents: Sequence[Any]) -> np.ndarray:
+        """One block of :meth:`encode_batch` (``modality`` already parsed):
+        by default a loop over :meth:`encode`."""
         return np.stack([self.encode(modality, content) for content in contents])
 
     def supports(self, modality: Modality) -> bool:
@@ -185,8 +207,9 @@ class EncoderSet:
         """Encode a corpus into per-modality matrices (row i = object i).
 
         Each modality's column is produced by one :meth:`Encoder.encode_batch`
-        call, so encoders with a vectorised override pay one matrix multiply
-        per modality instead of a Python loop over objects.
+        call, so encoders with a vectorised block pay a matrix multiply per
+        block of rows instead of a Python loop over objects, and hold one
+        block of stacked content at a time.
         """
         if not objects:
             raise EncodingError("cannot encode an empty corpus")

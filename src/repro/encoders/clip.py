@@ -154,13 +154,16 @@ class SimulatedClipEncoder(Encoder):
         projected = self._projection @ latent_estimate
         return l2_normalize(projected + self.modality_gap * self._gap[modality])
 
-    def encode_batch(self, modality: Modality, contents) -> np.ndarray:
-        """Batched branch: latents by concept-table gather (text) or one
-        gemm (images), then one shared projection gemm and a broadcast
+    def row_bytes(self, modality: Modality) -> int:
+        """A block stacks raw pixels (images) or latents (text)."""
+        if self._require_support(modality) is Modality.IMAGE:
+            return 8 * self.image_renderer.spec.pixels
+        return 8 * self.space.latent_dim
+
+    def _encode_rows(self, modality: Modality, contents) -> np.ndarray:
+        """One block: latents by concept-table gather (text) or one gemm
+        (images), then one shared projection gemm and a broadcast
         modality-gap add."""
-        modality = self._require_support(modality)
-        if not len(contents):
-            return np.empty((0, self._output_dim))
         if modality is Modality.TEXT:
             latents = self._text_latents(contents)
         else:

@@ -102,11 +102,12 @@ class PatchPoolingImageEncoder(Encoder):
         latent_estimate = l2_normalize(self._decoder @ pooled)
         return l2_normalize(self._projection @ latent_estimate)
 
-    def encode_batch(self, modality: Modality, contents) -> np.ndarray:
-        """Whole-corpus encoding as three gemms (pool, decode, project)."""
-        self._require_support(modality)
-        if not len(contents):
-            return np.empty((0, self._output_dim))
+    def row_bytes(self, modality: Modality) -> int:
+        """A block stacks raw pixels."""
+        return 8 * self.renderer.spec.pixels
+
+    def _encode_rows(self, modality: Modality, contents) -> np.ndarray:
+        """One block as three gemms (pool, decode, project)."""
         images = np.stack(
             [np.asarray(content, dtype=np.float64).reshape(-1) for content in contents]
         )

@@ -93,11 +93,12 @@ class BagOfTokensEncoder(Encoder):
                 )
         return l2_normalize(accumulated)
 
-    def encode_batch(self, modality: Modality, contents) -> np.ndarray:
-        """Token accumulation stays per-string; projection is one gemm."""
-        self._require_support(modality)
-        if not len(contents):
-            return np.empty((0, self._output_dim))
+    def row_bytes(self, modality: Modality) -> int:
+        """A block stacks latents."""
+        return 8 * self.space.latent_dim
+
+    def _encode_rows(self, modality: Modality, contents) -> np.ndarray:
+        """Token accumulation stays per-string; a block's projection is one gemm."""
         latents = np.stack([self._latent(content) for content in contents])
         return l2_normalize(latents @ self._projection.T)
 
@@ -173,10 +174,11 @@ class SequenceTextEncoder(Encoder):
             state = self.recurrence_decay * state + step
         return l2_normalize(state)
 
-    def encode_batch(self, modality: Modality, contents) -> np.ndarray:
-        """The recurrence stays per-string; projection is one gemm."""
-        self._require_support(modality)
-        if not len(contents):
-            return np.empty((0, self._output_dim))
+    def row_bytes(self, modality: Modality) -> int:
+        """A block stacks latents."""
+        return 8 * self.space.latent_dim
+
+    def _encode_rows(self, modality: Modality, contents) -> np.ndarray:
+        """The recurrence stays per-string; a block's projection is one gemm."""
         latents = np.stack([self._latent(content) for content in contents])
         return l2_normalize(latents @ self._projection.T)

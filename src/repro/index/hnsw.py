@@ -72,7 +72,7 @@ from repro.index.stages import (
     pass_rows,
 )
 from repro.observability import trace_span
-from repro.utils import derive_rng
+from repro.utils import check_integer, derive_rng
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,9 @@ class HnswParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
+        check_integer("m", self.m, 2)
+        check_integer("ef_construction", self.ef_construction)
+        check_integer("seed", self.seed)
         if self.ef_construction < self.m:
             raise ValueError(
                 f"ef_construction ({self.ef_construction}) must be >= m ({self.m})"

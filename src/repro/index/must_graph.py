@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.index.pipeline_builder import GraphPipelineSpec, PipelineGraphIndex
-from repro.index.vamana import vamana_spec
+from repro.index.vamana import check_vamana_params, vamana_spec
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,7 @@ class MustGraphParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_degree < 2:
-            raise ValueError(f"max_degree must be >= 2, got {self.max_degree}")
-        if self.alpha < 1.0:
-            raise ValueError(f"alpha must be >= 1.0, got {self.alpha}")
+        check_vamana_params(self)
 
 
 def must_graph_spec(params: MustGraphParams = MustGraphParams()) -> GraphPipelineSpec:

@@ -19,6 +19,7 @@ from repro.index.stages import (
     init_empty,
     select_mrng,
 )
+from repro.utils import check_integer
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,8 @@ class NsgParams:
     knn: int = 50
 
     def __post_init__(self) -> None:
-        if self.max_degree < 2:
-            raise ValueError(f"max_degree must be >= 2, got {self.max_degree}")
+        check_integer("max_degree", self.max_degree, 2)
+        check_integer("knn", self.knn)
         if self.knn < self.max_degree:
             raise ValueError(
                 f"knn pool ({self.knn}) must be >= max_degree ({self.max_degree})"

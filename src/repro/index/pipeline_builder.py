@@ -20,7 +20,7 @@ from repro.errors import GraphConstructionError, SearchError
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.graph import NavigationGraph
 from repro.index.search import greedy_search, greedy_search_batch
-from repro.index.stages import StageFn, robust_prune
+from repro.index.stages import StageFn, pad_rows, robust_prune
 from repro.observability import trace_span
 from repro.pipeline import DagPipeline, NodeReport
 
@@ -32,7 +32,9 @@ class GraphPipelineSpec:
     Attributes:
         name: Algorithm identifier.
         init: Stage producing the initial :class:`NavigationGraph`.
-        candidates: Stage producing per-vertex candidate lists.
+        candidates: Stage producing the candidates: one ``(n, k)`` id
+            array, row ``v`` vertex ``v``'s, ``-1`` padding (id lists are
+            padded into one).
         selection: Stage wiring selected edges into the graph.
         connectivity: Stage repairing reachability.
         entry: Stage choosing entry points.
@@ -56,16 +58,16 @@ class GraphPipelineSpec:
             context["graph"] = graph
             return graph
 
-        def run_candidates(context: Dict[str, Any]) -> List[List[int]]:
+        def run_candidates(context: Dict[str, Any]) -> np.ndarray:
             with trace_span("build-candidates", algorithm=self.name) as span:
-                candidate_lists = self.candidates(context)
+                candidates = pad_rows(self.candidates(context))
                 span.set(
-                    vertices=len(candidate_lists),
-                    candidate_edges=sum(len(lst) for lst in candidate_lists),
+                    vertices=len(candidates),
+                    candidate_edges=int(np.count_nonzero(candidates >= 0)),
                     **context.pop("stage_stats", {}),
                 )
-            context["candidates"] = candidate_lists
-            return candidate_lists
+            context["candidates"] = candidates
+            return candidates
 
         def run_selection(context: Dict[str, Any]) -> NavigationGraph:
             with trace_span("build-selection", algorithm=self.name) as span:

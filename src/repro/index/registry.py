@@ -50,7 +50,7 @@ def build_index(name: str, params: "Mapping[str, Any] | None" = None) -> VectorI
 def _params_from(mapping: Mapping[str, Any], cls):
     try:
         return cls(**mapping)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad parameters for {cls.__name__}: {exc}") from None
 
 

@@ -17,20 +17,22 @@ Context keys (set by :func:`repro.index.pipeline_builder.build_navigation_graph`
   gathers stacked blocks (:func:`embedded_corpus`) and shared by the rest;
   it goes with the context when the build ends.
 * ``graph`` — the evolving :class:`NavigationGraph` (after init).
-* ``candidates`` — per-vertex candidate id lists (after acquisition).
+* ``candidates`` — one ``(n, k)`` ``intp`` id array, row ``v`` vertex
+  ``v``'s candidates, ``-1`` padding a short row (after acquisition; a stage
+  that returns id lists has them padded into one).
 * ``stage_stats`` — counters a candidate or selection stage leaves for its
   ``build-candidates`` / ``build-selection`` span, which takes them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import GraphConstructionError
 from repro.index.graph import NavigationGraph
-from repro.utils import derive_rng
+from repro.utils import SCRATCH_BYTES, derive_rng
 
 StageFn = Callable[[Dict[str, Any]], Any]
 
@@ -79,14 +81,15 @@ def init_random_regular(max_degree: int, out_degree: int, seed: int = 0) -> Stag
 # 2. candidate acquisition
 # ----------------------------------------------------------------------
 #: Bytes one block of candidate rows may gather at once, and one scan pass's
-#: occlusion tables may hold packed at a bit per entry.  Build scratch is
-#: transient, but peak RSS is a high-water mark, so both sizes are memory
-#: decisions: the ``(rows, width, dim)`` gather (of the build's embedding,
-#: already scaled), the ``2.0 *`` copy ``kernel.matrix`` multiplies and the
-#: pairwise stack together stay around a few of these, and a pass is as
-#: many whole blocks as its ``(rows, width, words)`` ``uint64`` table fits
-#: (512 rows at ``width`` 80).
-_SCRATCH_BYTES = 640 * 1024
+#: occlusion tables may hold packed at a bit per entry: set-up's one scratch
+#: budget, :data:`repro.utils.SCRATCH_BYTES` (the same object).  Build
+#: scratch is transient, but peak RSS is a high-water mark, so both sizes
+#: are memory decisions: the ``(rows, width, dim)`` gather (of the build's
+#: embedding, already scaled), the ``2.0 *`` copy ``kernel.matrix``
+#: multiplies and the pairwise stack together stay around a few of these,
+#: and a pass is as many whole blocks as its ``(rows, width, words)``
+#: ``uint64`` table fits (512 rows at ``width`` 80).
+_SCRATCH_BYTES = SCRATCH_BYTES
 
 #: Columns pre-selected beyond ``k`` by the GEMM distances in
 #: :func:`exact_top_k`, so their rounding never decides which ``k`` survive
@@ -169,21 +172,21 @@ def exact_top_k(
 
 def candidates_exact_knn(k: int) -> StageFn:
     """Exact k-nearest-neighbour candidates, block by block
-    (:func:`exact_top_k`), nearest first with ties broken by id."""
+    (:func:`exact_top_k`) into one ``(n, min(k, n - 1))`` ``intp`` id
+    array, each row nearest first with ties broken by id."""
 
-    def stage(context: Dict[str, Any]) -> List[List[int]]:
+    def stage(context: Dict[str, Any]) -> np.ndarray:
         vectors = context["vectors"]
         kernel = context["kernel"]
         embedded = embedded_corpus(context)
         n, dim = vectors.shape
         neighbors_k = min(k, n - 1)
         rows = block_rows(neighbors_k, dim)
-        result: List[List[int]] = []
+        result = np.empty((n, neighbors_k), dtype=np.intp)
         for start in range(0, n, rows):
-            ids, _ = exact_top_k(
-                kernel, vectors, start, min(start + rows, n), neighbors_k, embedded=embedded
-            )
-            result.extend(ids.tolist())
+            stop = min(start + rows, n)
+            ids, _ = exact_top_k(kernel, vectors, start, stop, neighbors_k, embedded=embedded)
+            result[start:stop] = ids
         context["stage_stats"] = {"blocks": -(-n // rows)}
         return result
 
@@ -272,18 +275,32 @@ def alpha_rng_rule(alpha: float) -> Callable[[np.ndarray, np.ndarray], np.ndarra
     return lambda pairwise, distances: alpha * pairwise <= distances[:, :, None]
 
 
+def pad_rows(rows: "Sequence[Sequence[int]] | np.ndarray") -> np.ndarray:
+    """Id rows as one ``(len(rows), widest)`` ``intp`` matrix, each row
+    padded at its end with ``-1``; an array is returned as it is."""
+    if isinstance(rows, np.ndarray):
+        return rows
+    out = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.intp)
+    for out_row, row in zip(out, rows):
+        out_row[: len(row)] = row
+    return out
+
+
 def prune_rows(
-    kernel, vectors: np.ndarray, owners: np.ndarray, pools: List[List[int]],
+    kernel, vectors: np.ndarray, owners: np.ndarray, pools: np.ndarray,
     max_degree: int, rule, embedded=None,
 ) -> Tuple[List[List[int]], int]:
-    """Occlusion-prune pool ``i`` — vertex ids, the owner's own not among
+    """Occlusion-prune pool ``i`` — row ``i`` of ``pools``, an ``(R, W)``
+    id matrix whose ``-1`` entries are padding wherever they stand (id
+    lists are padded first, :func:`pad_rows`), the owner's own id not among
     them — for the vector ``owners[i]``, to ``max_degree`` ids, nearest first.
 
-    Rows go widest first into blocks whose gather and pairwise stack fit
-    :data:`_SCRATCH_BYTES`, each padded to its widest row.  Per block: one
-    gather, one ``kernel.batch_paired`` (padding scores ``inf``), a
-    ``(distance, id)`` lexsort — ties never depend on pool order, and a
-    repeated id ranks beside its copy and is skipped — one stacked
+    Rows go widest first (most ids) into blocks whose gather and pairwise
+    stack fit :data:`_SCRATCH_BYTES`, each cut to its widest row with its
+    ids moved ahead of its padding.  Per block: one gather, one
+    ``kernel.batch_paired`` (padding scores ``inf``), a ``(distance, id)``
+    lexsort — ties never depend on pool order, nor does anything else, and
+    a repeated id ranks beside its copy and is skipped — one stacked
     ``kernel.matrix`` over the ranked rows gathered from ``embedded`` (the
     build's ``kernel.embed(vectors)``; without it, from ``vectors``), its
     table packed into the pass.  Per pass — the
@@ -292,9 +309,11 @@ def prune_rows(
     neither its block nor its pass.  Returns the pruned lists in input
     order and the number of blocks they took.
     """
-    widths = [len(pool) for pool in pools]
-    order = [i for i in sorted(range(len(pools)), key=lambda i: -widths[i]) if widths[i]]
-    result: List[List[int]] = [[] for _ in pools]
+    pools = pad_rows(pools)
+    widths = np.count_nonzero(pools >= 0, axis=1)
+    order = np.argsort(-widths, kind="stable")
+    order = order[widths[order] > 0]
+    result: List[List[int]] = [[] for _ in range(len(pools))]
     source = vectors if embedded is None else embedded
     blocks = start = 0
     while start < len(order):
@@ -315,9 +334,8 @@ def prune_rows(
                 break
             start += len(members)
             blocks += 1
-            padded = np.full((len(members), block_width), -1, dtype=np.intp)
-            for row, member in enumerate(members):
-                padded[row, : widths[member]] = pools[member]
+            # Ids descending, so the padding goes last.
+            padded = -np.sort(-pools[members], axis=1)[:, :block_width]
             distances = kernel.batch_paired(
                 owners[members],
                 vectors[np.maximum(padded, 0).ravel()],
@@ -355,11 +373,13 @@ def robust_prune(
 def _select(max_degree: int, rule, keep_neighbors: bool, add_reverse: bool) -> StageFn:
     """Selection in two batched phases, so the graph does not depend on
     the order vertices are processed in.  *Forward*: every vertex's pool —
-    its candidates, with ``keep_neighbors`` also the neighbours it has —
-    through :func:`prune_rows`.  *Reverse* (``add_reverse``): each selected
-    edge ``v -> u`` that ``u`` does not return is grouped by its target; a
-    target with room for all its incoming edges appends them in id order,
-    any other is pruned **once** over its row plus everything incoming.
+    its row of the candidate array, with ``keep_neighbors`` also the
+    neighbours it has, as one padded id matrix — through :func:`prune_rows`.
+    *Reverse* (``add_reverse``): each selected edge ``v -> u`` that ``u``
+    does not return is grouped by its target; a target with room for all
+    its incoming edges appends them in id order, any other is pruned
+    **once** over its row plus everything incoming (their pools padded into
+    one matrix too).
     """
 
     def stage(context: Dict[str, Any]) -> NavigationGraph:
@@ -367,10 +387,11 @@ def _select(max_degree: int, rule, keep_neighbors: bool, add_reverse: bool) -> S
         kernel = context["kernel"]
         embedded = embedded_corpus(context)
         graph: NavigationGraph = context["graph"]
-        pools = [
-            [p for p in pool + (graph.neighbors(v) if keep_neighbors else []) if p != v]
-            for v, pool in enumerate(context["candidates"])
-        ]
+        pools = context["candidates"]
+        n = len(pools)
+        if keep_neighbors:
+            pools = np.hstack([pools, pad_rows([graph.neighbors(v) for v in range(n)])])
+        pools = np.where(pools == np.arange(n)[:, None], -1, pools)
         rows, blocks = prune_rows(kernel, vectors, vectors, pools, max_degree, rule, embedded)
         stats = {"forward_rows": len(rows)}
         if add_reverse:
@@ -382,8 +403,8 @@ def _select(max_degree: int, rule, keep_neighbors: bool, add_reverse: bool) -> S
             merged = {t: rows[t] + sources for t, sources in incoming.items()}
             over = [t for t, row in merged.items() if len(row) > max_degree]
             pruned, reverse_blocks = prune_rows(
-                kernel, vectors, vectors[over], [merged[t] for t in over], max_degree, rule,
-                embedded,
+                kernel, vectors, vectors[over], pad_rows([merged[t] for t in over]),
+                max_degree, rule, embedded,
             )
             blocks += reverse_blocks
             stats["reverse_appended"] = sum(

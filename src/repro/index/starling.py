@@ -28,6 +28,7 @@ from repro.index.search import greedy_search_batch
 from repro.index.tiered import TieredParams, TieredStore
 from repro.index.vamana import VamanaIndex, VamanaParams
 from repro.observability import trace_span
+from repro.utils import check_integer
 
 
 class BlockDevice:
@@ -117,8 +118,8 @@ class StarlingParams:
     tiered: Optional[TieredParams] = None
 
     def __post_init__(self) -> None:
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
+        check_integer("block_size", self.block_size, 1)
+        check_integer("cache_blocks", self.cache_blocks, 0)
 
 
 class StarlingIndex(VectorIndex):

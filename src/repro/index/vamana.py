@@ -28,6 +28,7 @@ from repro.index.stages import (
     init_random_regular,
     select_alpha_rng,
 )
+from repro.utils import check_integer, check_real
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,23 @@ class VamanaParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_degree < 2:
-            raise ValueError(f"max_degree must be >= 2, got {self.max_degree}")
-        if self.alpha < 1.0:
-            raise ValueError(f"alpha must be >= 1.0, got {self.alpha}")
+        check_vamana_params(self)
         if self.candidate_pool < self.max_degree:
             raise ValueError(
                 f"candidate_pool ({self.candidate_pool}) must be >= "
                 f"max_degree ({self.max_degree})"
             )
+
+
+def check_vamana_params(params) -> None:
+    """What Vamana's fields must be, in any params with them (nav-must's
+    too): integers, ``max_degree >= 2``, and ``alpha`` a finite real
+    ``>= 1`` — NaN would pass ``alpha < 1.0`` and build a graph whose
+    occlusion rule never fires."""
+    check_integer("max_degree", params.max_degree, 2)
+    for name in ("candidate_pool", "build_budget", "seed"):
+        check_integer(name, getattr(params, name))
+    check_real("alpha", params.alpha, 1.0)
 
 
 def vamana_spec(params: VamanaParams = VamanaParams()) -> GraphPipelineSpec:

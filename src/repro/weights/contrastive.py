@@ -23,7 +23,6 @@ its weight is pushed down — exactly the behaviour the paper describes for
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -32,7 +31,7 @@ import numpy as np
 from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
 from repro.encoders.base import EncoderSet
-from repro.utils import project_to_simplex
+from repro.utils import check_integer, check_real, project_to_simplex
 from repro.weights.sampler import ContrastiveBatch, ViewPairSampler
 
 
@@ -66,20 +65,19 @@ class WeightLearningConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        """Refuse what the learner cannot run on — a non-integer count, a
+        ``bool`` or a non-finite rate — here, so ``MQAConfig`` refuses it
+        at configuration time rather than set-up failing at indexing."""
         for name in ("steps", "batch_size", "n_negatives"):
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed)
+        check_real("momentum", self.momentum, 0.0, 1.0)
+        check_real("uniform_pull", self.uniform_pull, 0.0)
+        for name in ("learning_rate", "temperature"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.uniform_pull < 0:
-            raise ValueError(f"uniform_pull must be >= 0, got {self.uniform_pull}")
+            check_real(name, value, 0.0)
+            if value == 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass

@@ -9,13 +9,14 @@ A step is array work, not a loop over views: set-up trains on ``steps *
 batch_size`` views (1 920 at the defaults), so an encoder entry per view and
 a Python dot product per pair would be the bulk of its representation stage,
 and so would rendering (and seeding the noise of) each view on its own —
-all of a run's views are rendered in one call.
+the views of a group of steps are rendered in one call, as many steps as
+fit the set-up scratch budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
 from repro.encoders.base import EncoderSet
 from repro.errors import DataError
-from repro.utils import derive_rng
+from repro.utils import SCRATCH_BYTES, derive_rng
 
 
 @dataclass
@@ -76,43 +77,52 @@ class ViewPairSampler:
 
     def sample(self, batch_size: int, step: int) -> ContrastiveBatch:
         """Draw a deterministic batch for training step ``step``."""
-        return self.sample_many(batch_size, [step])[0]
+        return next(self.sample_many(batch_size, [step]))
 
-    def sample_many(self, batch_size: int, steps: Iterable[int]) -> List[ContrastiveBatch]:
-        """One deterministic batch per training step in ``steps``.
+    def sample_many(self, batch_size: int, steps: Iterable[int]) -> Iterator[ContrastiveBatch]:
+        """One deterministic batch per training step in ``steps``, in order.
 
         Each step draws from its own stream, in a fixed order (the anchors,
         then per anchor one view seed and its negatives); since no draw
-        depends on a view, every step's draws come first and the views of
-        all steps are rendered in one call.  Encoding stays per step — one
+        depends on a view, the steps go in groups whose views fit
+        :data:`repro.utils.SCRATCH_BYTES` — a view's rows counted as its
+        encoders' :meth:`~repro.encoders.base.Encoder.row_bytes`, 8 steps
+        of 32 on text + 256-pixel images — and a group's draws come first,
+        then its views in one render call.  Encoding stays per step — one
         ``encode_batch`` per modality over the step's views, as a batch of
         ``batch_size`` rows rounds — and the negatives are one gather over
-        the anchor matrix.
+        the anchor matrix.  The batches are yielded as they are made, so
+        the caller holds one group's views at a time, never the run's.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        draws = [self._draw(batch_size, step) for step in steps]
-        views = self.kb.render_views(
-            [anchor for anchors, _, _ in draws for anchor in anchors],
-            [seed for _, seeds, _ in draws for seed in seeds],
+        view_bytes = batch_size * sum(
+            self.encoder_set.encoder_for(modality).row_bytes(modality)
+            for modality in self._anchor_vectors
         )
-        batches = []
-        for index, (anchors, _, negatives) in enumerate(draws):
-            step_views = views[index * batch_size:(index + 1) * batch_size]
-            positive: Dict[Modality, np.ndarray] = {}
-            negative: Dict[Modality, np.ndarray] = {}
-            for modality, matrix in self._anchor_vectors.items():
-                encoder = self.encoder_set.encoder_for(modality)
-                view_rows = encoder.encode_batch(
-                    modality, [view[modality] for view in step_views]
-                )
-                anchor_rows = matrix[anchors]
-                diff = anchor_rows - view_rows
-                positive[modality] = np.einsum("bd,bd->b", diff, diff)
-                diff = anchor_rows[:, None, :] - matrix[negatives]
-                negative[modality] = np.einsum("bnd,bnd->bn", diff, diff)
-            batches.append(ContrastiveBatch(positive=positive, negative=negative))
-        return batches
+        group = max(1, SCRATCH_BYTES // view_bytes)
+        steps = list(steps)
+        for first in range(0, len(steps), group):
+            draws = [self._draw(batch_size, step) for step in steps[first:first + group]]
+            views = self.kb.render_views(
+                [anchor for anchors, _, _ in draws for anchor in anchors],
+                [seed for _, seeds, _ in draws for seed in seeds],
+            )
+            for index, (anchors, _, negatives) in enumerate(draws):
+                step_views = views[index * batch_size:(index + 1) * batch_size]
+                positive: Dict[Modality, np.ndarray] = {}
+                negative: Dict[Modality, np.ndarray] = {}
+                for modality, matrix in self._anchor_vectors.items():
+                    encoder = self.encoder_set.encoder_for(modality)
+                    view_rows = encoder.encode_batch(
+                        modality, [view[modality] for view in step_views]
+                    )
+                    anchor_rows = matrix[anchors]
+                    diff = anchor_rows - view_rows
+                    positive[modality] = np.einsum("bd,bd->b", diff, diff)
+                    diff = anchor_rows[:, None, :] - matrix[negatives]
+                    negative[modality] = np.einsum("bnd,bnd->bn", diff, diff)
+                yield ContrastiveBatch(positive=positive, negative=negative)
 
     def _draw(self, batch_size: int, step: int) -> Tuple[List[int], List[int], List[List[int]]]:
         """Step ``step``'s anchors, view seeds and negatives, from its stream:

@@ -13,6 +13,12 @@ BAD_WEIGHT_LEARNING = [
     ({"batch_size": 0}, "batch_size"),
     ({"n_negatives": 0}, "n_negatives"),
     ({"batch_size": 2.5}, "batch_size"),
+    # These were accepted and failed only at the indexing node ("modality
+    # weights must be finite"), after generation and learning had run.
+    ({"learning_rate": float("nan")}, "learning_rate"),
+    ({"temperature": float("inf")}, "temperature"),
+    ({"uniform_pull": float("nan")}, "uniform_pull"),
+    ({"learning_rate": True}, "learning_rate"),
 ]
 
 

@@ -344,7 +344,9 @@ def test_structure_at_600_rows(unit_vectors, monkeypatch, kernel_name, index_nam
 
     def spy(kernel, vectors, owners, pools, max_degree, rule, embedded=None):
         rows, blocks = real(kernel, vectors, owners, pools, max_degree, rule, embedded)
-        calls.append((np.array(owners), [list(pool) for pool in pools], [list(r) for r in rows]))
+        # A pool is a padded id row: its ids are the entries that are not -1.
+        ids = [[int(p) for p in pool if p >= 0] for pool in pools]
+        calls.append((np.array(owners), ids, [list(r) for r in rows]))
         return rows, blocks
 
     monkeypatch.setattr(stages, "prune_rows", spy)

@@ -4,6 +4,7 @@ turned into replies, so a ``ValueError`` / ``TypeError`` / ``AttributeError``
 raised by a malformed field used to escape ``handle``.  Each body below did,
 unsharded and behind the shard router alike."""
 
+import json
 import math
 
 import pytest
@@ -126,6 +127,27 @@ def server(request, scenes_kb):
 @pytest.mark.parametrize("route, body, message", HOSTILE_BODIES)
 def test_a_malformed_field_is_an_error_reply(server, route, body, message):
     assert server.handle("POST", route, body) == {"ok": False, "error": message}
+
+
+#: JSON bodies as a client sends them: ``json.loads`` reads ``NaN`` and
+#: ``Infinity`` as floats, which every ``<=`` check of the learner passed.
+NON_FINITE_LEARNER = [
+    ('{"option": "weight_learning", "value": {"learning_rate": NaN}}',
+     "invalid weight_learning: learning_rate must be a finite number >= 0, got nan"),
+    ('{"option": "weight_learning", "value": {"temperature": Infinity}}',
+     "invalid weight_learning: temperature must be a finite number >= 0, got inf"),
+    ('{"option": "weight_learning", "value": {"uniform_pull": NaN}}',
+     "invalid weight_learning: uniform_pull must be a finite number >= 0, got nan"),
+    ('{"option": "weight_learning", "value": {"learning_rate": true}}',
+     "invalid weight_learning: learning_rate must be a finite number >= 0, got True"),
+]
+
+
+@pytest.mark.parametrize("text, message", NON_FINITE_LEARNER)
+def test_a_non_finite_learner_rate_is_refused_at_configure(server, text, message):
+    assert server.handle("POST", "/configure", json.loads(text)) == {
+        "ok": False, "error": message,
+    }
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])

@@ -40,6 +40,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             WeightLearningConfig(uniform_pull=-0.1)
 
+    @pytest.mark.parametrize(
+        "name", ["learning_rate", "momentum", "temperature", "uniform_pull"]
+    )
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), True, False, "0.1", None]
+    )
+    def test_rates_are_finite_reals(self, name, value):
+        """A NaN rate used to pass every ``<=`` check and fail only at the
+        indexing node ("modality weights must be finite")."""
+        with pytest.raises(ValueError, match=name):
+            WeightLearningConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [1.5, True, "3", None])
+    def test_seed_is_an_integer(self, value):
+        with pytest.raises(ValueError, match="seed"):
+            WeightLearningConfig(seed=value)
+
+    def test_numpy_reals_are_reals(self):
+        config = WeightLearningConfig(learning_rate=np.float64(0.1), temperature=np.float32(0.5))
+        assert config.learning_rate == 0.1 and config.temperature == 0.5
+
 
 class TestLearning:
     def test_weights_on_scaled_simplex(self, scenes_kb, uni_set):
