@@ -27,7 +27,10 @@ while remaining safe if callers share it across threads.
 
 Lock ordering, everywhere: session lock → engine RW lock → coordinator RW
 lock.  All three levels are acquired in that order only (and each at most
-once per task), so the system is deadlock-free by construction.
+once per task), so the system is deadlock-free by construction.  The
+engine's stats lock and the server's session-table lock are leaves: the
+stats lock consults the table (``live_session``) under it, the table never
+calls out under its own.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional
 
 from repro.errors import DeadlineExceededError, MQAError
 from repro.observability.metrics import Window
@@ -310,6 +313,11 @@ class QueryEngine:
         max_queue: Tasks allowed to *wait* beyond the running ones before
             :meth:`submit` rejects with :class:`EngineSaturatedError`.
         clock: Time source for queue-wait measurement (injectable).
+        live_session: When given, only keys it accepts get a session
+            lock; a task for any other key runs without one (the server's
+            handler refuses it).  The server passes its session table's
+            membership test, so the lock table never outgrows the live
+            sessions.  Called under the engine's stats lock.
 
     Reads run under the shared :attr:`rwlock` read side, writes under its
     write side.  A task submitted with a ``session_key`` additionally
@@ -322,6 +330,7 @@ class QueryEngine:
         workers: int = 1,
         max_queue: int = 64,
         clock: Callable[[], float] = time.perf_counter,
+        live_session: Optional[Callable[[Hashable], bool]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -341,6 +350,7 @@ class QueryEngine:
             else None
         )
         self._session_locks: Dict[Hashable, threading.Lock] = {}
+        self._live_session = live_session
         self._stats_lock = threading.Lock()
         self._queued = 0
         self._in_flight = 0
@@ -360,13 +370,24 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # session locks
     # ------------------------------------------------------------------
-    def session_lock(self, key: Hashable) -> threading.Lock:
-        """The (lazily created) lock serialising one session's verbs."""
+    def session_lock(self, key: Hashable) -> Optional[threading.Lock]:
+        """The (lazily created) lock serialising one session's verbs;
+        None for a key ``live_session`` refuses."""
         with self._stats_lock:
             lock = self._session_locks.get(key)
-            if lock is None:
+            if lock is None and (
+                self._live_session is None or self._live_session(key)
+            ):
                 lock = self._session_locks[key] = threading.Lock()
             return lock
+
+    def drop_sessions(self, keys: Iterable[Hashable]) -> None:
+        """Forget the locks of closed sessions.  A task already holding
+        one keeps it; a later task for a closed key gets no lock, since
+        ``live_session`` refuses it."""
+        with self._stats_lock:
+            for key in keys:
+                self._session_locks.pop(key, None)
 
     # ------------------------------------------------------------------
     # dispatch

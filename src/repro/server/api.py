@@ -8,7 +8,8 @@ Endpoints (mirroring the demo's backend):
 * ``GET  /status``             — status-monitoring panel content.
 * ``GET  /weights``            — modality weights in force.
 * ``POST /session/new``        — open an additional dialogue session;
-  returns its id (session ``0`` always exists after apply).
+  returns its id (session ``0`` always exists after apply).  Past
+  :data:`MAX_SESSIONS` it closes the least recently used session.
 * ``POST /query``              — submit a dialogue query (text, optional
   reference object id standing in for an uploaded image, optional
   ``session`` id).
@@ -43,7 +44,8 @@ Endpoints (mirroring the demo's backend):
 
 Dialogue endpoints accept an optional ``session`` field; all sessions share
 the coordinator (and therefore the index) but keep independent dialogue
-state — several users against one deployment.
+state — several users against one deployment.  The server keeps session 0
+and at most :data:`MAX_SESSIONS` others (:class:`SessionTable`).
 
 All responses are ``{"ok": True, ...}`` or ``{"ok": False, "error": ...}``.
 """
@@ -55,8 +57,9 @@ import numbers
 import threading
 import time
 import traceback
+from collections import OrderedDict
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.core import ConfigurationPanel, MQAConfig, QAPanel, StatusPanel
 from repro.core.concurrency import (
@@ -75,6 +78,84 @@ from repro.observability import STATE_OK, ProfileAggregator, render_prometheus
 
 class ApiError(MQAError):
     """A request that cannot be routed or is malformed."""
+
+
+#: Dialogue sessions the server keeps besides session 0; opening one more
+#: closes the least recently used.  At about 8 KB a session that is 2 MB.
+MAX_SESSIONS = 256
+
+
+class SessionTable:
+    """The server's live dialogue sessions.
+
+    Session 0 is opened by ``POST /apply`` and never evicted.  At most
+    :data:`MAX_SESSIONS` others live beside it; opening one more closes the
+    least recently used.  Ids come from a counter that never goes back, not
+    even across a re-apply, so a closed id stays ``unknown session`` and
+    never lands a client in a stranger's dialogue.
+
+    :meth:`get` marks a session used.  It runs under the engine's *read*
+    lock, beside other verbs, so one leaf lock guards the table and nothing
+    is called while it is held.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._pinned: Optional[QAPanel] = None
+        #: Sessions other than 0, least recently used first.
+        self._recent: "OrderedDict[int, QAPanel]" = OrderedDict()
+        self._next_id = 1
+
+    def reset(self, panel: QAPanel) -> List[int]:
+        """Make ``panel`` session 0 and close every other session; returns
+        the closed ids."""
+        with self._lock:
+            closed = list(self._recent)
+            self._pinned = panel
+            self._recent.clear()
+        return closed
+
+    def open(self, panel: QAPanel) -> Tuple[int, List[int]]:
+        """Add ``panel`` under a new id; returns the id and the ids evicted
+        to make room."""
+        with self._lock:
+            session_id = self._next_id
+            self._next_id += 1
+            self._recent[session_id] = panel
+            evicted = []
+            while len(self._recent) > MAX_SESSIONS:
+                evicted.append(self._recent.popitem(last=False)[0])
+        return session_id, evicted
+
+    def _lookup(self, session_id: object) -> Optional[QAPanel]:
+        """The session's panel or None; the caller holds the lock."""
+        return self._pinned if session_id == 0 else self._recent.get(session_id)
+
+    def get(self, session_id: int) -> Optional[QAPanel]:
+        """The session's panel, marked most recently used; None when the
+        session is not live."""
+        with self._lock:
+            panel = self._lookup(session_id)
+            if panel is not None and session_id != 0:
+                self._recent.move_to_end(session_id)
+            return panel
+
+    def __getitem__(self, session_id: int) -> QAPanel:
+        """The session's panel for inspection, *not* marked used; KeyError
+        when the session is not live."""
+        with self._lock:
+            panel = self._lookup(session_id)
+        if panel is None:
+            raise KeyError(session_id)
+        return panel
+
+    def __contains__(self, session_id: object) -> bool:
+        with self._lock:
+            return self._lookup(session_id) is not None
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._recent) + (self._pinned is not None)
 
 
 class ApiServer:
@@ -152,13 +233,14 @@ class ApiServer:
         self._knowledge_base = knowledge_base
         self._clock = clock or time.perf_counter
         self._coordinator: Optional[Coordinator] = None
-        self._sessions: Dict[int, QAPanel] = {}
+        self._sessions = SessionTable()
         # Explicit constructor/CLI settings pin the engine; otherwise it
         # follows the (possibly reconfigured) panel config.
         self._engine_pinned = workers is not None or engine_queue is not None
         draft = self._panel.config
         self.engine = QueryEngine(
             workers=workers if workers is not None else draft.workers,
+            live_session=self._sessions.__contains__,
             **({} if engine_queue is None else {"max_queue": engine_queue}),
         )
         self._batcher_pinned = max_batch is not None or batch_window_ms is not None
@@ -319,7 +401,9 @@ class ApiServer:
             if desired == self.engine.workers:
                 return
             old = self.engine
-            self.engine = QueryEngine(workers=desired)
+            self.engine = QueryEngine(
+                workers=desired, live_session=self._sessions.__contains__
+            )
             self._install_wait_observer()
             old.shutdown(wait=False)
 
@@ -374,13 +458,13 @@ class ApiServer:
         return False
 
     def _require_system(self, body: "Dict[str, Any] | None" = None) -> Tuple[Coordinator, QAPanel]:
-        if self._coordinator is None or not self._sessions:
+        if self._coordinator is None:
             raise ApiError("system not applied yet; POST /apply first")
         session_id = self._int_field(body or {}, "session", 0)
-        if session_id not in self._sessions:
-            known = ", ".join(str(s) for s in sorted(self._sessions))
-            raise ApiError(f"unknown session {session_id}; known sessions: {known}")
-        return self._coordinator, self._sessions[session_id]
+        qa = self._sessions.get(session_id)
+        if qa is None:
+            raise ApiError(f"unknown session {session_id}")
+        return self._coordinator, qa
 
     @staticmethod
     def _require_field(body: Dict[str, Any], field: str) -> Any:
@@ -446,7 +530,9 @@ class ApiServer:
 
     def _post_apply(self, body: Dict[str, Any]) -> Dict[str, Any]:
         self._coordinator = self._panel.apply(knowledge_base=self._knowledge_base)
-        self._sessions = {0: QAPanel(self._coordinator)}
+        # Session 0 keeps its id, and so its engine lock: a verb may hold
+        # it already, queued behind this write.
+        self.engine.drop_sessions(self._sessions.reset(QAPanel(self._coordinator)))
         # Through ``self``: the entries follow engine and batcher swaps.
         self._coordinator.ledgers.update(
             engine=lambda: self.engine.snapshot(),
@@ -841,8 +927,8 @@ class ApiServer:
 
     def _post_session_new(self, body: Dict[str, Any]) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
-        session_id = max(self._sessions) + 1
-        self._sessions[session_id] = QAPanel(coordinator)
+        session_id, evicted = self._sessions.open(QAPanel(coordinator))
+        self.engine.drop_sessions(evicted)
         return {"session": session_id}
 
     def _post_reject(self, body: Dict[str, Any]) -> Dict[str, Any]:

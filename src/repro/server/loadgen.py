@@ -33,8 +33,9 @@ import numpy as np
 
 from repro.core import MQAConfig
 from repro.data import DatasetSpec
+from repro.errors import ConfigurationError
 from repro.observability.metrics import Histogram
-from repro.server.api import ApiServer
+from repro.server.api import MAX_SESSIONS, ApiServer
 
 #: Low intensity keeps ingested objects' vectors far from every read
 #: query, preserving read determinism (see module docstring).
@@ -174,7 +175,17 @@ def run_loadgen(
     deadline-exceeded / saturated counts and the server cache's
     hit-rate snapshot, so planner-on and planner-off runs compare on
     useful work rather than raw throughput.
+
+    Raises:
+        ConfigurationError: ``sessions`` is not between 1 and
+            ``MAX_SESSIONS + 1`` — beyond that the server would evict the
+            run's own round-robin sessions.  Raised before any server is
+            built.
     """
+    if not 1 <= sessions <= MAX_SESSIONS + 1:
+        raise ConfigurationError(
+            f"sessions must be between 1 and {MAX_SESSIONS + 1}, got {sessions!r}"
+        )
     settings = {
         "dataset": DatasetSpec(domain=domain, size=size, seed=seed),
         "llm_params": {"latency_ms": llm_latency_ms},

@@ -13,9 +13,10 @@ import time
 
 from repro.core.session import DialogueSession
 from repro.data.objects import RawQuery
+from repro.server import api
 
 from tests.concurrency.conftest import make_server, split_vocab
-from tests.concurrency.harness import StepScheduler, spawn
+from tests.concurrency.harness import StepScheduler, eventually, spawn
 
 #: Generous enough that a scheduler hiccup cannot fake "blocked", short
 #: enough to keep the suite quick.  A blocked thread *cannot* finish in
@@ -150,6 +151,52 @@ def test_concurrent_asks_append_distinct_rounds(server):
     rounds = session.rounds_snapshot()
     assert [r.index for r in rounds] == [0, 1, 2, 3], "lost or duplicated round"
     assert sorted(r.user_text for r in rounds) == sorted(texts)
+
+
+def test_a_verb_queued_behind_its_sessions_eviction_replies_unknown(
+    server, monkeypatch
+):
+    """A verb for session X holds X's lock, queued behind the ``/session/new``
+    that evicts X: it replies ``unknown session`` and no dialogue changes.
+
+    Ids never come back, so the evicted id cannot name the new session, and
+    X's lock leaves the engine's table with X.
+    """
+    monkeypatch.setattr(api, "MAX_SESSIONS", 3)
+    read_pool, _ = split_vocab(server._coordinator.kb)
+    opened = [server.handle("POST", "/session/new")["session"] for _ in range(3)]
+    for session in (0, *opened):
+        assert server.handle(
+            "POST", "/query", {"text": read_pool[0], "session": session}
+        )["ok"]
+    victim = opened[0]  # the least recently used
+    victim_lock = server.engine._session_locks[victim]
+
+    with StepScheduler() as sched:
+        gate = sched.pause_before(server._sessions, "open", "mid-session-new")
+        opener = server.handle_async("POST", "/session/new")
+        gate.wait_arrived()  # /session/new parked under the engine write lock
+        verb = server.handle_async(
+            "POST", "/query", {"text": read_pool[1], "session": victim}
+        )
+        assert eventually(victim_lock.locked), "the verb never took X's lock"
+        time.sleep(BLOCKED_WINDOW_S)
+        assert not verb.done(), "the verb ran beside the write"
+        gate.release()
+        fresh = opener.result(timeout=10)["session"]
+        reply = verb.result(timeout=10)
+
+    assert reply == {"ok": False, "error": f"unknown session {victim}"}
+    assert fresh not in opened and fresh != victim
+    rounds = {
+        session: server._sessions[session].session.round_count
+        for session in (0, *opened[1:], fresh)
+    }
+    assert rounds == {0: 1, opened[1]: 1, opened[2]: 1, fresh: 0}
+    assert victim not in server._sessions
+    assert victim not in server.engine._session_locks
+    assert server.handle("GET", "/transcript", {"session": victim})["ok"] is False
+    assert victim not in server.engine._session_locks
 
 
 def test_no_lost_updates_in_counters_and_events():

@@ -6,16 +6,19 @@ seeded (every run issues the identical operation sequence per thread);
 only the thread schedule varies.  Asserts the system-wide accounting
 still balances afterwards: zero errors, no lost rounds, consistent
 event-log totals, a quiescent engine.  Beside it, the loadgen workload
-served by several engine workers returns the serial run's read ids.
+served by several engine workers returns the serial run's read ids, and
+clients churning through a small session table never share a dialogue.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from repro.server import api
 from repro.server.loadgen import run_loadgen
 from tests.concurrency.conftest import SIZE, make_server, split_vocab
 from tests.concurrency.harness import spawn
@@ -134,3 +137,52 @@ def test_concurrent_loadgen_reads_equal_the_serial_reads(serial_loadgen, workers
         for object_id in ids
     }
     assert not surfaced & ingested
+
+
+def test_session_churn_never_shares_a_dialogue(monkeypatch):
+    """Six clients on four workers each open sessions and query their own
+    newest and a few older ones while others' ``/session/new`` evict them.
+    A query either lands in the client's own dialogue or is refused as
+    ``unknown session``; no id is issued twice, every live session holds
+    exactly the rounds its owner saw succeed, and the engine keeps locks
+    for live sessions only."""
+    monkeypatch.setattr(api, "MAX_SESSIONS", 4)
+    srv = make_server(workers=4)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        read_pool, _ = split_vocab(srv._coordinator.kb)
+
+        def client(thread_index: int) -> dict:
+            answered: dict = {}
+            for i in range(12):
+                opened = srv.handle("POST", "/session/new")["session"]
+                answered[opened] = 0
+                older = list(answered)[-3] if len(answered) >= 3 else opened
+                for session in (opened, older):
+                    response = srv.handle(
+                        "POST", "/query",
+                        {"text": read_pool[(thread_index + i) % len(read_pool)],
+                         "session": session},
+                    )
+                    if response["ok"]:
+                        answered[session] += 1
+                    else:
+                        assert response["error"] == f"unknown session {session}"
+            return answered
+
+        handles = [spawn(lambda t=t: client(t), name=f"churn-{t}") for t in range(6)]
+        tallies = [handle.join(timeout=TIME_BUDGET_S) for handle in handles]
+    finally:
+        sys.setswitchinterval(previous)
+        srv.close()
+
+    issued = [session for tally in tallies for session in tally]
+    assert len(issued) == len(set(issued)), "an id was issued twice"
+    answered = {session: n for tally in tallies for session, n in tally.items()}
+    live = [session for session in issued if session in srv._sessions]
+    assert len(live) == api.MAX_SESSIONS
+    for session in live:
+        assert srv._sessions[session].session.round_count == answered[session]
+    locks = set(srv.engine._session_locks)
+    assert locks <= set(live) | {0}

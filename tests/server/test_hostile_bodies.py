@@ -179,3 +179,24 @@ def test_the_same_routes_still_take_well_formed_bodies(server):
         assert server.handle(
             "POST", "/query", {"text": "foggy clouds", "deadline_ms": deadline_ms}
         )["ok"]
+
+
+#: The session routes, each asked about ids no session ever had.
+SESSION_ROUTES = [
+    ("POST", "/query", {"text": "fog"}),
+    ("POST", "/ask", {"text": "fog"}),
+    ("POST", "/select", {"rank": 0}),
+    ("POST", "/refine", {"text": "fog"}),
+    ("POST", "/reject", {"rank": 0}),
+    ("GET", "/transcript", {}),
+]
+
+
+def test_unknown_session_ids_leave_no_engine_lock_behind(server):
+    before = server.engine.snapshot()["sessions_tracked"]
+    for n in range(10_000):
+        method, route, body = SESSION_ROUTES[n % len(SESSION_ROUTES)]
+        session = 10**6 + n if n % 2 else -1 - n
+        reply = server.handle(method, route, {**body, "session": session})
+        assert reply == {"ok": False, "error": f"unknown session {session}"}
+    assert server.engine.snapshot()["sessions_tracked"] == before
