@@ -15,7 +15,7 @@ from dataclasses import Field, asdict, dataclass, field, fields
 from importlib import import_module
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
-from repro.data.datasets import DOMAINS, DatasetSpec
+from repro.data.datasets import DatasetSpec, domain_vocabulary
 from repro.errors import ConfigurationError, DataError
 
 
@@ -362,12 +362,10 @@ class MQAConfig:
     def validate(self) -> None:
         """Check every field against its declaration, then the rules that
         span more than one field; raises ConfigurationError."""
-        if self.dataset.domain not in DOMAINS:
-            valid = ", ".join(sorted(DOMAINS))
-            raise ConfigurationError(
-                f"unknown knowledge-base domain {self.dataset.domain!r}; "
-                f"expected one of: {valid}"
-            )
+        try:
+            domain_vocabulary(self.dataset)
+        except DataError as exc:
+            raise ConfigurationError(f"dataset: {exc}") from None
         for spec in fields(self):
             _check(spec, getattr(self, spec.name))
         if self.weight_mode is WeightMode.FIXED and not self.fixed_weights:

@@ -634,18 +634,18 @@ class Coordinator:
         def stage() -> tuple:
             obj = self.kb.get(object_id)  # validates the id
             framework = self.execution.framework
-            already_deleted = object_id in framework.deleted_ids
+            already_deleted = obj.object_id in framework.deleted_ids
 
             def apply() -> None:
-                framework.remove_object(object_id)
+                framework.remove_object(obj.object_id)
                 obj.metadata["deleted"] = True
 
             def undo() -> None:
                 if not already_deleted:
-                    framework.restore_object(object_id)
+                    framework.restore_object(obj.object_id)
                     obj.metadata.pop("deleted", None)
 
-            return object_id, apply, undo, f"object {object_id}"
+            return obj.object_id, apply, undo, f"object {obj.object_id}"
 
         self._mutate("remove", "cannot remove objects in LLM-only mode", stage)
 

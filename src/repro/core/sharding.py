@@ -78,6 +78,7 @@ from repro.retrieval.base import (
     RetrievalResponse,
     merge_shard_topk,  # noqa: F401 - moved to the frameworks' module, still importable here
 )
+from repro.utils import object_id_of
 
 # ----------------------------------------------------------------------
 # partitioners
@@ -602,8 +603,7 @@ class ShardRouter(RetrievalFramework):
         mid-flight move leaves an untombstoned copy on another shard.
         """
         self._require_ready()
-        if not isinstance(object_id, int) or object_id < 0:
-            raise RetrievalError(f"invalid object id: {object_id!r}")
+        object_id = object_id_of(object_id, RetrievalError)
         with self._meta_lock:
             owner = self._owner.get(object_id)
             if owner is None:

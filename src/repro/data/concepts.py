@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.errors import DataError
 from repro.utils import derive_rng, l2_normalize
+from repro.utils.replay import WordStream
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ class ConceptSpace:
 
     def sample_object_concepts(
         self,
-        rng: np.random.Generator,
+        rng: "np.random.Generator | WordStream",
         min_concepts: int = 2,
         max_concepts: int = 4,
     ) -> List[str]:
@@ -199,7 +200,11 @@ class ConceptSpace:
 
         Drawing each concept from a distinct category mimics real objects
         (a coat has one material, one colour, one pattern) and keeps the
-        synthetic retrieval problem well-posed.
+        synthetic retrieval problem well-posed; a drawn count above the
+        number of categories is capped to it (:func:`~repro.data.datasets.
+        generate_knowledge_base` refuses such bounds).  The draws are
+        ``integers`` and ``choice`` calls, which a :class:`~repro.utils.
+        replay.WordStream` replays.
         """
         if min_concepts < 1 or max_concepts < min_concepts:
             raise ValueError("need 1 <= min_concepts <= max_concepts")

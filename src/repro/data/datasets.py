@@ -22,7 +22,8 @@ from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import DEFAULT_MODALITIES, Modality
 from repro.data.rendering import AudioSpec, ImageSpec, RenderModel
 from repro.errors import DataError
-from repro.utils import check_integer, check_real, derive_rng
+from repro.utils import BULK_SEEDING_MIN_KEYS, check_integer, check_real, derive_rng
+from repro.utils.replay import WordStream
 
 DOMAINS: Dict[str, Mapping[str, Tuple[str, ...]]] = {
     "fashion": {
@@ -126,18 +127,34 @@ class DatasetSpec:
             raise DataError(str(exc)) from None
 
 
+def domain_vocabulary(spec: DatasetSpec) -> Mapping[str, Tuple[str, ...]]:
+    """The concept vocabulary of ``spec.domain``; raises DataError when the
+    domain is unknown or has fewer categories than ``spec.max_concepts``
+    (a bag holds at most one concept per category)."""
+    if spec.domain not in DOMAINS:
+        valid = ", ".join(sorted(DOMAINS))
+        raise DataError(f"unknown domain {spec.domain!r}; expected one of: {valid}")
+    vocabulary = DOMAINS[spec.domain]
+    if spec.max_concepts > len(vocabulary):
+        raise DataError(
+            f"max_concepts must be <= {len(vocabulary)}, the number of concept "
+            f"categories of domain {spec.domain!r}, got {spec.max_concepts}"
+        )
+    return vocabulary
+
+
 def generate_knowledge_base(spec: DatasetSpec = DatasetSpec()) -> KnowledgeBase:
     """Generate a knowledge base according to ``spec``.
 
     Sampling is deterministic in ``spec.seed``: the same spec always yields
-    byte-identical content across processes.
+    byte-identical content across processes.  Every bag and its intensities
+    come from one ``dataset`` stream, in order; from
+    :data:`~repro.utils.rng.BULK_SEEDING_MIN_KEYS` objects on, its draws are
+    replayed from the stream's raw words (:class:`~repro.utils.replay.
+    WordStream`) instead of made by ``Generator`` calls.
     """
-    if spec.domain not in DOMAINS:
-        valid = ", ".join(sorted(DOMAINS))
-        raise DataError(f"unknown domain {spec.domain!r}; expected one of: {valid}")
-
     space = ConceptSpace(
-        DOMAINS[spec.domain], latent_dim=spec.latent_dim, seed=spec.seed
+        domain_vocabulary(spec), latent_dim=spec.latent_dim, seed=spec.seed
     )
     render_model = RenderModel(
         space,
@@ -153,12 +170,14 @@ def generate_knowledge_base(spec: DatasetSpec = DatasetSpec()) -> KnowledgeBase:
         modalities=spec.modalities,
     )
     rng = derive_rng(spec.seed, "dataset", spec.domain)
+    if spec.size >= BULK_SEEDING_MIN_KEYS:
+        rng = WordStream(rng.bit_generator)
     bags, intensities = [], []
     for _ in range(spec.size):
         concepts = space.sample_object_concepts(
             rng, min_concepts=spec.min_concepts, max_concepts=spec.max_concepts
         )
         bags.append(concepts)
-        intensities.append(0.5 + rng.random(len(concepts)))
+        intensities.append([0.5 + u for u in rng.random(len(concepts))])
     kb.create_objects(bags, intensities)
     return kb

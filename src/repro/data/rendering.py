@@ -29,13 +29,26 @@ import numpy as np
 
 from repro.data.concepts import ConceptSpace
 from repro.errors import DataError
-from repro.utils import derive_rng, derive_rngs, l2_normalize
+from repro.utils import (
+    BULK_SEEDING_MIN_KEYS,
+    derive_rng,
+    derive_rngs,
+    derive_words,
+    l2_normalize,
+    row_blocks,
+)
+from repro.utils.replay import StreamBlock
 
 FILLER_WORDS: Tuple[str, ...] = (
     "a", "an", "the", "photo", "picture", "image", "of", "with", "some",
     "very", "style", "item", "shown", "featuring", "and", "quite", "nice",
 )
 """Non-concept tokens mixed into descriptions, shared across domains."""
+
+#: Raw words a text key's replay holds beyond its expected draws.  A key
+#: that needs more is rendered again on its ``Generator`` (rare: the
+#: shuffle's redraws are the only unbounded part).
+TEXT_SURPLUS_WORDS = 2
 
 
 class TextRenderer:
@@ -72,22 +85,74 @@ class TextRenderer:
 
         Each key's stream is drawn in one fixed order: one uniform per
         concept for the drop step, the fallback concept when every one was
-        dropped, one integer per filler, then the token order.  The draws
-        stay scalar: at three or four concepts a vector draw consumes the
-        stream identically but costs more than it saves.
+        dropped, one integer per filler, then the token order
+        (:meth:`_render_drawn`).  From :data:`~repro.utils.rng.
+        BULK_SEEDING_MIN_KEYS` keys on, those draws are replayed from each
+        key's raw words for all keys at once (:meth:`_replay`); below it
+        each key's ``Generator`` makes them.
         """
         _check_keys(len(bags), noise_keys)
-        drop, fillers = self.drop_probability, range(self.filler_count)
+        if not all(bags):
+            raise DataError("cannot render text for zero concepts")
+        if len(bags) < BULK_SEEDING_MIN_KEYS:
+            streams = derive_rngs(self.seed, "text", keys=noise_keys)
+            return [self._render_drawn(bag, rng) for bag, rng in zip(bags, streams)]
+        top = max(map(len, bags))
+        most = top + self.filler_count  # tokens
+        # A word per uniform, and the 32-bit draws (two a word) for the
+        # fallback, the fillers and a shuffle's partners at two tries each.
+        width = top + (1 + self.filler_count + 2 * (most - 1) + 1) // 2 + TEXT_SURPLUS_WORDS
+        # A key's words, cursor and buffer, its draws, and the lists of its
+        # kept flags, fillers and order that its text is joined from.
+        row_bytes = 8 * (2 * width + 4 * most + 32)
         texts: List[str] = []
-        for concepts, rng in zip(bags, derive_rngs(self.seed, "text", keys=noise_keys)):
-            if not concepts:
-                raise DataError("cannot render text for zero concepts")
-            kept = [c for c in concepts if rng.random() >= drop]
-            if not kept:
-                kept = [concepts[int(rng.integers(len(concepts)))]]
-            tokens = kept + [FILLER_WORDS[int(rng.integers(len(FILLER_WORDS)))] for _ in fillers]
-            order = rng.permutation(len(tokens)).tolist()
-            texts.append(" ".join([tokens[i] for i in order]))
+        for block in row_blocks(len(bags), row_bytes):
+            texts += self._replay(bags[block], noise_keys[block], width)
+        return texts
+
+    def _render_drawn(self, concepts: Sequence[str], rng: np.random.Generator) -> str:
+        """One description, its draws made on its ``Generator``."""
+        kept = [c for c in concepts if rng.random() >= self.drop_probability]
+        if not kept:
+            kept = [concepts[int(rng.integers(len(concepts)))]]
+        fillers = range(self.filler_count)
+        tokens = kept + [FILLER_WORDS[int(rng.integers(len(FILLER_WORDS)))] for _ in fillers]
+        order = rng.permutation(len(tokens)).tolist()
+        return " ".join([tokens[i] for i in order])
+
+    def _replay(
+        self, bags: Sequence[Sequence[str]], noise_keys: Sequence[object], width: int
+    ) -> List[str]:
+        """:meth:`_render_drawn` for every bag, the draws computed from the
+        first ``width`` raw words of each key's stream as array operations
+        across keys; a key whose draws need more words is rendered again on
+        its ``Generator``."""
+        streams = StreamBlock(derive_words(self.seed, "text", keys=noise_keys, width=width))
+        everyone = np.arange(len(bags))
+        lengths = np.array([len(bag) for bag in bags])
+        kept = np.zeros((len(bags), int(lengths.max())), dtype=bool)
+        for j in range(kept.shape[1]):
+            rows = np.flatnonzero(lengths > j)
+            kept[rows, j] = streams.random(rows) >= self.drop_probability
+        counts = kept.sum(axis=1)
+        empty = np.flatnonzero(counts == 0)
+        kept[empty, streams.integers(empty, lengths[empty]).astype(np.intp)] = True
+        counts[empty] = 1
+        fillers = np.empty((len(bags), self.filler_count), dtype=np.uint64)
+        for f in range(self.filler_count):
+            fillers[:, f] = streams.integers(everyone, len(FILLER_WORDS))
+        sizes = counts + self.filler_count
+        orders = streams.permutations(everyone, sizes)
+        texts: List[str] = []
+        for bag, keep, filler, order, size in zip(
+            bags, kept.tolist(), fillers.tolist(), orders.tolist(), sizes.tolist()
+        ):
+            tokens = [c for c, k in zip(bag, keep) if k] + [FILLER_WORDS[f] for f in filler]
+            texts.append(" ".join([tokens[i] for i in order[:size]]))
+        redo = np.flatnonzero(streams.overrun).tolist()
+        rngs = derive_rngs(self.seed, "text", keys=[noise_keys[i] for i in redo])
+        for i, rng in zip(redo, rngs):
+            texts[i] = self._render_drawn(bags[i], rng)
         return texts
 
     @staticmethod

@@ -13,6 +13,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.data.modality import Modality
 from repro.data.objects import MultiModalObject
 from repro.errors import DataError, UnknownObjectError
+from repro.utils import object_id_of
 
 
 class ObjectStore:
@@ -59,10 +60,15 @@ class ObjectStore:
         self._objects.append(obj)
 
     def get(self, object_id: int) -> MultiModalObject:
-        """Return the object with ``object_id`` or raise UnknownObjectError."""
-        if not isinstance(object_id, int) or object_id not in self:
+        """Return the object with ``object_id`` (any integer but a ``bool``)
+        or raise UnknownObjectError."""
+        try:
+            index = object_id_of(object_id)
+        except ValueError:
+            raise UnknownObjectError(object_id) from None
+        if index not in self:
             raise UnknownObjectError(object_id)
-        return self._objects[object_id]
+        return self._objects[index]
 
     def discard_last(self, object_id: int) -> None:
         """Roll back the most recent add.

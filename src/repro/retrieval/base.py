@@ -16,6 +16,7 @@ from repro.errors import RetrievalError
 from repro.index.base import SearchResult, SearchStats, VectorIndex
 from repro.index.tiered import TieredStore, tiered_snapshot
 from repro.observability import trace_span
+from repro.utils import object_id_of
 
 IndexBuilder = Callable[[], VectorIndex]
 """Zero-argument factory producing a fresh, unbuilt index instance."""
@@ -342,8 +343,7 @@ class RetrievalFramework(abc.ABC):
         Ids stay dense, so re-ingestion after deletion keeps working.
         """
         self._require_ready()
-        if not isinstance(object_id, int) or object_id < 0:
-            raise RetrievalError(f"invalid object id: {object_id!r}")
+        object_id = object_id_of(object_id, RetrievalError)
         self._deleted.add(object_id)
 
     @property

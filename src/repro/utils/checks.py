@@ -1,9 +1,11 @@
-"""Checks the parameter dataclasses run on their fields at construction."""
+"""Checks the parameter dataclasses run on their fields at construction,
+and the one check of an object id."""
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 
 
 def check_integer(
@@ -33,3 +35,18 @@ def check_real(
     if not ok:
         bounds = f"in [{low:g}, {below:g})" if below is not None else f"a finite number >= {low:g}"
         raise error(f"{name} must be {bounds}, got {value!r}")
+
+
+def object_id_of(value: object, error: type = ValueError) -> int:
+    """``value`` as an object id: a Python ``int`` >= 0 from any integer
+    ``operator.index`` accepts (a NumPy integer included), never from a
+    ``bool``; raises ``error`` otherwise."""
+    if not isinstance(value, bool):
+        try:
+            index = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if index >= 0:
+                return index
+    raise error(f"invalid object id: {value!r}")

@@ -24,7 +24,8 @@ from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
 from repro.encoders.base import EncoderSet
 from repro.errors import DataError
-from repro.utils import SCRATCH_BYTES, derive_rng
+from repro.utils import BULK_SEEDING_MIN_KEYS, SCRATCH_BYTES, derive_rng, derive_words
+from repro.utils.replay import halves, lemire
 
 
 @dataclass
@@ -103,7 +104,7 @@ class ViewPairSampler:
         group = max(1, SCRATCH_BYTES // view_bytes)
         steps = list(steps)
         for first in range(0, len(steps), group):
-            draws = [self._draw(batch_size, step) for step in steps[first:first + group]]
+            draws = self._draws(batch_size, steps[first:first + group])
             views = self.kb.render_views(
                 [anchor for anchors, _, _ in draws for anchor in anchors],
                 [seed for _, seeds, _ in draws for seed in seeds],
@@ -123,6 +124,42 @@ class ViewPairSampler:
                     diff = anchor_rows[:, None, :] - matrix[negatives]
                     negative[modality] = np.einsum("bnd,bnd->bn", diff, diff)
                 yield ContrastiveBatch(positive=positive, negative=negative)
+
+    def _draws(
+        self, batch_size: int, steps: List[int]
+    ) -> List[Tuple[List[int], List[int], List[List[int]]]]:
+        """:meth:`_draw` for each of ``steps``, the steps' streams replayed
+        together once they hold :data:`~repro.utils.rng.
+        BULK_SEEDING_MIN_KEYS` anchors.
+
+        A step's draws are all 32-bit: ``batch_size`` anchors, then per
+        anchor a view seed and ``n_negatives`` negatives, so when no
+        Lemire draw is redrawn and no negative hits its anchor they are
+        the step's first ``batch_size * (n_negatives + 2)`` 32-bit draws
+        in that fixed layout, computed for every step at once.  A step
+        where either happens is drawn again by :meth:`_draw`.
+        """
+        if len(steps) * batch_size < BULK_SEEDING_MIN_KEYS:
+            return [self._draw(batch_size, step) for step in steps]
+        n, stride = len(self.kb), self.n_negatives + 1
+        count = batch_size * (1 + stride)
+        words = derive_words(self.seed, "contrastive-batch", keys=steps, width=(count + 1) // 2)
+        drawn = halves(words)[:, :count]
+        picks, accepted = lemire(drawn, n)
+        per_anchor = (len(steps), batch_size, stride)  # a view seed, then the negatives
+        anchors = picks[:, :batch_size]
+        seeds = lemire(drawn[:, batch_size:].reshape(per_anchor)[:, :, 0], 1 << 30)[0]
+        negatives = picks[:, batch_size:].reshape(per_anchor)[:, :, 1:]
+        exact = (
+            accepted[:, :batch_size].all(axis=1)
+            & accepted[:, batch_size:].reshape(per_anchor)[:, :, 1:].all(axis=(1, 2))
+            & (negatives != anchors[:, :, None]).all(axis=(1, 2))
+        )
+        return [
+            (anchors[i].tolist(), seeds[i].tolist(), negatives[i].tolist())
+            if exact[i] else self._draw(batch_size, step)
+            for i, step in enumerate(steps)
+        ]
 
     def _draw(self, batch_size: int, step: int) -> Tuple[List[int], List[int], List[List[int]]]:
         """Step ``step``'s anchors, view seeds and negatives, from its stream:

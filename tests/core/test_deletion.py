@@ -1,5 +1,6 @@
 """Tests for object deletion (tombstones)."""
 
+import numpy as np
 import pytest
 
 from repro.core import MQAConfig, MQASystem
@@ -69,6 +70,38 @@ class TestDeletion:
         system.remove(answer.ids[0])
         framework = system.coordinator.execution.framework
         assert answer.ids[0] in framework.deleted_ids
+
+
+class TestObjectIdTypes:
+    """An object id is any integer ``operator.index`` takes but a ``bool``;
+    the tombstone set holds Python ints, sharded or not."""
+
+    @pytest.fixture(params=[None, 2], ids=["unsharded", "shards=2"])
+    def system(self, request):
+        return MQASystem.from_config(MQAConfig(shards=request.param, **FAST))
+
+    def test_a_bool_is_refused_and_tombstones_nothing(self, system):
+        # True == 1: it used to tombstone object 1 and stay in deleted_ids.
+        with pytest.raises(UnknownObjectError):
+            system.remove(True)
+        framework = system.coordinator.execution.framework
+        assert framework.deleted_ids == frozenset()
+        assert "deleted" not in system.kb.get(1).metadata
+        with pytest.raises(RetrievalError, match="invalid object id"):
+            framework.remove_object(True)
+        assert framework.deleted_ids == frozenset()
+
+    def test_numpy_integers_are_object_ids(self, system):
+        assert system.kb.get(np.int64(3)) is system.kb.get(3)
+        system.remove(np.int64(3))
+        framework = system.coordinator.execution.framework
+        assert framework.deleted_ids == frozenset({3})
+        assert all(type(i) is int for i in framework.deleted_ids)
+        framework.remove_object(np.uint16(4))
+        assert framework.deleted_ids == frozenset({3, 4})
+        assert all(type(i) is int for i in framework.deleted_ids)
+        system.reset_dialogue()
+        assert not {3, 4} & set(system.ask("foggy clouds", k=10).ids)
 
 
 class TestDeletionViaApi:

@@ -66,6 +66,16 @@ class TestGeneration:
         with pytest.raises(DataError, match="unknown domain"):
             generate_knowledge_base(DatasetSpec(domain="galaxies"))
 
+    def test_more_concepts_than_categories_refused(self):
+        # scenes has 5 categories; the count used to be capped to 5 silently.
+        for low, high in ((9, 12), (2, 9), (2, 6)):
+            with pytest.raises(DataError, match="max_concepts must be <= 5"):
+                generate_knowledge_base(
+                    DatasetSpec("scenes", size=20, min_concepts=low, max_concepts=high)
+                )
+        kb = generate_knowledge_base(DatasetSpec("scenes", size=40, min_concepts=5, max_concepts=5))
+        assert all(len(obj.concepts) == 5 for obj in kb)
+
     def test_zero_size_rejected(self):
         with pytest.raises(DataError):
             generate_knowledge_base(DatasetSpec(domain="food", size=0))

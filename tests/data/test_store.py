@@ -32,6 +32,17 @@ class TestObjectStore:
         with pytest.raises(UnknownObjectError):
             store.get("0")
 
+    def test_get_refuses_a_bool_and_takes_numpy_integers(self):
+        # True == 1, so a bool used to fetch object 1.
+        store = ObjectStore()
+        store.add({"text": "a"})
+        second = store.add({"text": "b"})
+        for refused in (True, False, np.True_, -1, 1.0, np.float64(1.0)):
+            with pytest.raises(UnknownObjectError):
+                store.get(refused)
+        for index in (np.int64(1), np.uint8(1), np.intp(1)):
+            assert store.get(index) is second
+
     def test_contains(self):
         store = ObjectStore()
         store.add({"text": "a"})

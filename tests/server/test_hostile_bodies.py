@@ -71,6 +71,10 @@ HOSTILE_BODIES = [
      "dataset: min_concepts must be >= 1, got 0"),
     ("/configure", {"option": "dataset", "value": {"max_concepts": 1}},
      "dataset: max_concepts must be >= 2, got 1"),
+    ("/configure", {"option": "dataset",
+                    "value": {"domain": "scenes", "min_concepts": 9, "max_concepts": 12}},
+     "dataset: max_concepts must be <= 5, the number of concept categories of "
+     "domain 'scenes', got 12"),
     ("/configure", {"option": "dataset", "value": {"latent_dim": 0}},
      "dataset: latent_dim must be >= 1, got 0"),
     ("/configure", {"option": "dataset", "value": {"text_drop_probability": 1.5}},
