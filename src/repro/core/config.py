@@ -17,6 +17,7 @@ from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from repro.data.datasets import DatasetSpec, domain_vocabulary
 from repro.errors import ConfigurationError, DataError
+from repro.utils import check_integer, check_real
 
 
 class WeightMode(str, enum.Enum):
@@ -478,7 +479,9 @@ _COMPARISONS = {
 
 def _check(spec: Field, value: Any) -> None:
     """Raise ConfigurationError unless ``value`` is legal for the field
-    ``spec`` declares; ``None`` is legal exactly for ``Optional`` fields."""
+    ``spec`` declares; ``None`` is legal exactly for ``Optional`` fields.
+    Past its choices or bounds, an ``int`` field's value must be an integer
+    and a ``float`` field's a finite real (a ``bool`` is neither)."""
     optional = spec.type.startswith("Optional[")
     if value is None and optional:
         return
@@ -505,6 +508,11 @@ def _check(spec: Field, value: Any) -> None:
             f"{spec.name} must be {legal}{' or None' if optional else ''}, "
             f"got {value!r}"
         )
+    kind = spec.type.removeprefix("Optional[").removesuffix("]")
+    if kind == "int":
+        check_integer(spec.name, value, error=ConfigurationError)
+    elif kind == "float":
+        check_real(spec.name, value, error=ConfigurationError)
 
 
 #: Every name a field answers to on the CLI and in ``run_loadgen``: its own,

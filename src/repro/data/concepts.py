@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import DataError
 from repro.utils import derive_rng, l2_normalize
-from repro.utils.replay import WordStream
+from repro.utils.rng import KEY_BLOCK, below, unit_interval, words
 
 
 @dataclass(frozen=True)
@@ -190,30 +190,46 @@ class ConceptSpace:
         """Filter ``tokens`` down to those that are concept names."""
         return [token for token in (t.lower() for t in tokens) if token in self._concepts]
 
-    def sample_object_concepts(
+    def sample_bags(
         self,
-        rng: "np.random.Generator | WordStream",
+        seed: int,
+        scope: Sequence[object],
+        keys: Sequence[object],
         min_concepts: int = 2,
         max_concepts: int = 4,
-    ) -> List[str]:
-        """Sample a coherent concept bag: at most one concept per category.
+    ) -> Tuple[List[List[str]], List[List[float]]]:
+        """One coherent concept bag per key, and its intensities in
+        ``[0.5, 1.5)``: at most one concept per category.
 
         Drawing each concept from a distinct category mimics real objects
         (a coat has one material, one colour, one pattern) and keeps the
         synthetic retrieval problem well-posed; a drawn count above the
-        number of categories is capped to it (:func:`~repro.data.datasets.
-        generate_knowledge_base` refuses such bounds).  The draws are
-        ``integers`` and ``choice`` calls, which a :class:`~repro.utils.
-        replay.WordStream` replays.
+        number of categories ``c`` is capped to it (:func:`~repro.data.
+        datasets.generate_knowledge_base` refuses such bounds).  A key's row
+        of :func:`~repro.utils.rng.words` under ``(seed, *scope)`` holds,
+        with ``m = min(max_concepts, c)``: the count (column 0), a sort key
+        per category (1 .. c; the bag's categories are the first of their
+        stable argsort), then per position a concept of that category
+        (``m`` columns) and an intensity (``m`` columns).  Keys go
+        :data:`~repro.utils.rng.KEY_BLOCK` at a time.
         """
         if min_concepts < 1 or max_concepts < min_concepts:
             raise ValueError("need 1 <= min_concepts <= max_concepts")
-        count = int(rng.integers(min_concepts, max_concepts + 1))
-        count = min(count, len(self._by_category))
-        categories = list(self._by_category)
-        chosen = rng.choice(len(categories), size=count, replace=False)
-        picked: List[str] = []
-        for idx in chosen:
-            names = self._by_category[categories[int(idx)]]
-            picked.append(names[int(rng.integers(len(names)))])
-        return picked
+        categories = list(self._by_category.values())
+        c = len(categories)
+        m = min(max_concepts, c)
+        category_sizes = np.array([len(names) for names in categories])
+        bags, intensities = [], []
+        for start in range(0, len(keys), KEY_BLOCK):
+            drawn = words(seed, scope, keys[start:start + KEY_BLOCK], 1 + c + 2 * m)
+            counts = np.minimum(min_concepts + below(drawn[:, 0], max_concepts - min_concepts + 1), c)
+            chosen = np.argsort(drawn[:, 1:1 + c], axis=1, kind="stable")[:, :m]
+            picks = below(drawn[:, 1 + c:1 + c + m], category_sizes[chosen])
+            used = np.arange(m) < counts[:, None]
+            weights = (0.5 + unit_interval(drawn[:, 1 + c + m:]))[used].tolist()
+            at = 0
+            for count, row, pick in zip(counts.tolist(), chosen.tolist(), picks.tolist()):
+                bags.append([categories[row[p]][pick[p]] for p in range(count)])
+                intensities.append(weights[at:at + count])
+                at += count
+        return bags, intensities

@@ -22,8 +22,7 @@ from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import DEFAULT_MODALITIES, Modality
 from repro.data.rendering import AudioSpec, ImageSpec, RenderModel
 from repro.errors import DataError
-from repro.utils import BULK_SEEDING_MIN_KEYS, check_integer, check_real, derive_rng
-from repro.utils.replay import WordStream
+from repro.utils import check_integer, check_real
 
 DOMAINS: Dict[str, Mapping[str, Tuple[str, ...]]] = {
     "fashion": {
@@ -147,11 +146,10 @@ def generate_knowledge_base(spec: DatasetSpec = DatasetSpec()) -> KnowledgeBase:
     """Generate a knowledge base according to ``spec``.
 
     Sampling is deterministic in ``spec.seed``: the same spec always yields
-    byte-identical content across processes.  Every bag and its intensities
-    come from one ``dataset`` stream, in order; from
-    :data:`~repro.utils.rng.BULK_SEEDING_MIN_KEYS` objects on, its draws are
-    replayed from the stream's raw words (:class:`~repro.utils.replay.
-    WordStream`) instead of made by ``Generator`` calls.
+    byte-identical content across processes.  Object ``i``'s bag and its
+    intensities are drawn under the key ``i`` of the ``("dataset",
+    spec.domain)`` scope (:meth:`~repro.data.concepts.ConceptSpace.
+    sample_bags`), so they do not depend on the objects before it.
     """
     space = ConceptSpace(
         domain_vocabulary(spec), latent_dim=spec.latent_dim, seed=spec.seed
@@ -169,15 +167,9 @@ def generate_knowledge_base(spec: DatasetSpec = DatasetSpec()) -> KnowledgeBase:
         render_model=render_model,
         modalities=spec.modalities,
     )
-    rng = derive_rng(spec.seed, "dataset", spec.domain)
-    if spec.size >= BULK_SEEDING_MIN_KEYS:
-        rng = WordStream(rng.bit_generator)
-    bags, intensities = [], []
-    for _ in range(spec.size):
-        concepts = space.sample_object_concepts(
-            rng, min_concepts=spec.min_concepts, max_concepts=spec.max_concepts
-        )
-        bags.append(concepts)
-        intensities.append([0.5 + u for u in rng.random(len(concepts))])
+    bags, intensities = space.sample_bags(
+        spec.seed, ("dataset", spec.domain), range(spec.size),
+        min_concepts=spec.min_concepts, max_concepts=spec.max_concepts,
+    )
     kb.create_objects(bags, intensities)
     return kb

@@ -16,8 +16,9 @@ weights: they are public "model parameters" of the world, not the per-object
 ground truth, which stays hidden behind noise and dropped tokens.
 
 A renderer renders many items at once (``render_many``; ``render`` is a
-batch of one), each under its own noise key, with the keys' streams seeded
-together by :func:`~repro.utils.rng.derive_rngs`.
+batch of one), each under its own noise key: an item's draws are its key's
+row of the keyed generator (:func:`~repro.utils.rng.words`), so they do not
+depend on the other items of the call.
 """
 
 from __future__ import annotations
@@ -29,26 +30,14 @@ import numpy as np
 
 from repro.data.concepts import ConceptSpace
 from repro.errors import DataError
-from repro.utils import (
-    BULK_SEEDING_MIN_KEYS,
-    derive_rng,
-    derive_rngs,
-    derive_words,
-    l2_normalize,
-    row_blocks,
-)
-from repro.utils.replay import StreamBlock
+from repro.utils import check_integer, check_real, derive_rng, l2_normalize
+from repro.utils.rng import KEY_BLOCK, normals, unit_interval, words
 
 FILLER_WORDS: Tuple[str, ...] = (
     "a", "an", "the", "photo", "picture", "image", "of", "with", "some",
     "very", "style", "item", "shown", "featuring", "and", "quite", "nice",
 )
 """Non-concept tokens mixed into descriptions, shared across domains."""
-
-#: Raw words a text key's replay holds beyond its expected draws.  A key
-#: that needs more is rendered again on its ``Generator`` (rare: the
-#: shuffle's redraws are the only unbounded part).
-TEXT_SURPLUS_WORDS = 2
 
 
 class TextRenderer:
@@ -61,10 +50,8 @@ class TextRenderer:
         filler_count: int = 3,
         seed: int = 0,
     ) -> None:
-        if not 0.0 <= drop_probability < 1.0:
-            raise ValueError(f"drop_probability must be in [0, 1), got {drop_probability}")
-        if filler_count < 0:
-            raise ValueError(f"filler_count must be >= 0, got {filler_count}")
+        check_real("drop_probability", drop_probability, 0.0, 1.0)
+        check_integer("filler_count", filler_count, 0)
         self.space = space
         self.drop_probability = drop_probability
         self.filler_count = filler_count
@@ -83,76 +70,49 @@ class TextRenderer:
     ) -> List[str]:
         """One description per concept bag, bag ``i`` under ``noise_keys[i]``.
 
-        Each key's stream is drawn in one fixed order: one uniform per
-        concept for the drop step, the fallback concept when every one was
-        dropped, one integer per filler, then the token order
-        (:meth:`_render_drawn`).  From :data:`~repro.utils.rng.
-        BULK_SEEDING_MIN_KEYS` keys on, those draws are replayed from each
-        key's raw words for all keys at once (:meth:`_replay`); below it
-        each key's ``Generator`` makes them.
+        A key's row of :func:`~repro.utils.rng.words` under ``(seed,
+        "text")``, with ``f`` the filler count: column 0 picks the concept
+        kept when every one was dropped; filler ``k`` takes a word at
+        ``1 + 2k`` and a sort key at ``2 + 2k``; concept ``j`` a drop
+        uniform at ``1 + 2f + 2j`` and a sort key at ``2 + 2f + 2j``.  The
+        text is the kept concepts and the fillers in the stable order of
+        their sort keys (a column's top 32 bits).  Keys go
+        :data:`~repro.utils.rng.KEY_BLOCK` at a time.
         """
         _check_keys(len(bags), noise_keys)
         if not all(bags):
             raise DataError("cannot render text for zero concepts")
-        if len(bags) < BULK_SEEDING_MIN_KEYS:
-            streams = derive_rngs(self.seed, "text", keys=noise_keys)
-            return [self._render_drawn(bag, rng) for bag, rng in zip(bags, streams)]
-        top = max(map(len, bags))
-        most = top + self.filler_count  # tokens
-        # A word per uniform, and the 32-bit draws (two a word) for the
-        # fallback, the fillers and a shuffle's partners at two tries each.
-        width = top + (1 + self.filler_count + 2 * (most - 1) + 1) // 2 + TEXT_SURPLUS_WORDS
-        # A key's words, cursor and buffer, its draws, and the lists of its
-        # kept flags, fillers and order that its text is joined from.
-        row_bytes = 8 * (2 * width + 4 * most + 32)
+        top = max(map(len, bags), default=0)
         texts: List[str] = []
-        for block in row_blocks(len(bags), row_bytes):
-            texts += self._replay(bags[block], noise_keys[block], width)
+        for start in range(0, len(bags), KEY_BLOCK):
+            block = slice(start, start + KEY_BLOCK)
+            texts += self._render_block(bags[block], noise_keys[block], top)
         return texts
 
-    def _render_drawn(self, concepts: Sequence[str], rng: np.random.Generator) -> str:
-        """One description, its draws made on its ``Generator``."""
-        kept = [c for c in concepts if rng.random() >= self.drop_probability]
-        if not kept:
-            kept = [concepts[int(rng.integers(len(concepts)))]]
-        fillers = range(self.filler_count)
-        tokens = kept + [FILLER_WORDS[int(rng.integers(len(FILLER_WORDS)))] for _ in fillers]
-        order = rng.permutation(len(tokens)).tolist()
-        return " ".join([tokens[i] for i in order])
-
-    def _replay(
-        self, bags: Sequence[Sequence[str]], noise_keys: Sequence[object], width: int
+    def _render_block(
+        self, bags: Sequence[Sequence[str]], noise_keys: Sequence[object], top: int
     ) -> List[str]:
-        """:meth:`_render_drawn` for every bag, the draws computed from the
-        first ``width`` raw words of each key's stream as array operations
-        across keys; a key whose draws need more words is rendered again on
-        its ``Generator``."""
-        streams = StreamBlock(derive_words(self.seed, "text", keys=noise_keys, width=width))
-        everyone = np.arange(len(bags))
-        lengths = np.array([len(bag) for bag in bags])
-        kept = np.zeros((len(bags), int(lengths.max())), dtype=bool)
-        for j in range(kept.shape[1]):
-            rows = np.flatnonzero(lengths > j)
-            kept[rows, j] = streams.random(rows) >= self.drop_probability
-        counts = kept.sum(axis=1)
-        empty = np.flatnonzero(counts == 0)
-        kept[empty, streams.integers(empty, lengths[empty]).astype(np.intp)] = True
-        counts[empty] = 1
-        fillers = np.empty((len(bags), self.filler_count), dtype=np.uint64)
-        for f in range(self.filler_count):
-            fillers[:, f] = streams.integers(everyone, len(FILLER_WORDS))
-        sizes = counts + self.filler_count
-        orders = streams.permutations(everyone, sizes)
+        # Only bools and small ints reach Python objects: a sort key or a
+        # word per token would be an int object each, and that churn
+        # fragments the small-object heap that the texts themselves live in.
+        fill = self.filler_count
+        drawn = words(self.seed, ("text",), noise_keys, 1 + 2 * (fill + top))
+        high = drawn >> np.uint64(32)
+        lengths = np.array([len(bag) for bag in bags], dtype=np.uint64)
+        fallbacks = ((high[:, 0] * lengths) >> np.uint64(32)).tolist()
+        fillers = ((high[:, 1:2 * fill:2] * np.uint64(len(FILLER_WORDS))) >> np.uint64(32)).tolist()
+        kept = (unit_interval(drawn[:, 1 + 2 * fill::2]) >= self.drop_probability).tolist()
+        # Every position's stable order: concepts 0 .. top - 1, then fillers.
+        orders = np.argsort(
+            np.concatenate([high[:, 2 + 2 * fill::2], high[:, 2:1 + 2 * fill:2]], axis=1),
+            axis=1, kind="stable",
+        ).tolist()
         texts: List[str] = []
-        for bag, keep, filler, order, size in zip(
-            bags, kept.tolist(), fillers.tolist(), orders.tolist(), sizes.tolist()
-        ):
-            tokens = [c for c, k in zip(bag, keep) if k] + [FILLER_WORDS[f] for f in filler]
-            texts.append(" ".join([tokens[i] for i in order[:size]]))
-        redo = np.flatnonzero(streams.overrun).tolist()
-        rngs = derive_rngs(self.seed, "text", keys=[noise_keys[i] for i in redo])
-        for i, rng in zip(redo, rngs):
-            texts[i] = self._render_drawn(bags[i], rng)
+        for bag, keep, fallback, filler, order in zip(bags, kept, fallbacks, fillers, orders):
+            present = [j for j in range(len(bag)) if keep[j]] or [fallback]
+            tokens = [bag[j] if j in present else None for j in range(top)]
+            tokens += [FILLER_WORDS[f] for f in filler]
+            texts.append(" ".join([tokens[i] for i in order if tokens[i] is not None]))
         return texts
 
     @staticmethod
@@ -204,19 +164,18 @@ class ImageRenderer:
         """Render ``(n, latent_dim)`` latents into ``(n, height, width)``
         images, latent ``i`` under ``noise_keys[i]``.
 
-        Each row is ``projection @ latent + sigma * noise``, a matrix-vector
-        product per row, built in place: the noise is drawn into the row,
-        scaled, and the product added (both operations commute, so the
-        bits are the expression's).  (One gemm ``latents @ projection.T``
-        would round differently, by up to 3.6e-15.)
+        Each row is ``projection @ latent + sigma * noise``, the noise the
+        key's :func:`~repro.utils.rng.normals` row under ``(seed,
+        "image-noise")``, and a matrix-vector product per row added in
+        place.  (One gemm ``latents @ projection.T`` would round
+        differently, by up to 3.6e-15, and a row's bits would depend on
+        the rows beside it.)
         """
         latents = _check_latents(latents, self.space.latent_dim, noise_keys)
-        spec, sigma = self.spec, self.spec.noise_sigma
-        images = np.empty((len(latents), spec.pixels))
-        streams = derive_rngs(self.seed, "image-noise", keys=noise_keys)
-        for row, latent, rng in zip(images, latents, streams):
-            rng.standard_normal(out=row)
-            row *= sigma
+        spec = self.spec
+        images = normals(self.seed, ("image-noise",), noise_keys, spec.pixels)
+        images *= spec.noise_sigma
+        for row, latent in zip(images, latents):
             row += self._projection @ latent
         return images.reshape(len(latents), spec.height, spec.width)
 
@@ -274,15 +233,13 @@ class AudioRenderer:
         render_many` does, with each projection smoothed by ``np.convolve``
         before the noise is added."""
         latents = _check_latents(latents, self.space.latent_dim, noise_keys)
-        clips = np.empty((len(latents), self.spec.frames))
-        streams = derive_rngs(self.seed, "audio-noise", keys=noise_keys)
+        clips = normals(self.seed, ("audio-noise",), noise_keys, self.spec.frames)
+        clips *= self.spec.noise_sigma
         kernel = np.ones(self.spec.smoothing) / self.spec.smoothing
-        for row, latent, rng in zip(clips, latents, streams):
+        for row, latent in zip(clips, latents):
             frames = self._projection @ latent
             if self.spec.smoothing > 1:
                 frames = np.convolve(frames, kernel, mode="same")
-            rng.standard_normal(out=row)
-            row *= self.spec.noise_sigma
             row += frames
         return clips
 

@@ -74,15 +74,22 @@ class FlatIndex(VectorIndex):
         admits = _per_query_admits(admit, n_queries)
         all_distances = self._search_kernel(kernel).batch_many(queries, self.vectors)
         if all(a is None for a in admits):
-            # Unfiltered fast path: one axis-wise argpartition + argsort
-            # selects every row's top-k; both run row by row.
+            # Unfiltered fast path: one axis-wise argpartition + lexsort
+            # selects every row's top-k in (distance, id) order; both run
+            # row by row.
             row_k = min(k, all_distances.shape[1])
             rows = np.arange(n_queries)[:, None]
             top = np.argpartition(all_distances, row_k - 1, axis=1)[:, :row_k]
             picked = all_distances[rows, top]
-            order = np.argsort(picked, axis=1)
+            order = np.lexsort((top, picked), axis=1)
             top = top[rows, order]
             picked = picked[rows, order]
+            # A tie across the k-th distance: the partition chose among the
+            # tied ids arbitrarily, so such a row is selected exactly.
+            tied = (all_distances <= picked[:, -1:]).sum(axis=1) > row_k
+            for i in np.flatnonzero(tied):
+                top[i] = _top_k(all_distances[i], row_k)
+                picked[i] = all_distances[i, top[i]]
             stats_size = self.size
             return [
                 SearchResult(
@@ -111,11 +118,19 @@ class FlatIndex(VectorIndex):
                     continue
                 row_k = min(row_k, int(mask.sum()))
             row_k = min(row_k, distances.size)
-            top = np.argpartition(distances, row_k - 1)[:row_k]
-            top = top[np.argsort(distances[top])]
+            top = _top_k(distances, row_k)
             out.append(SearchResult(
                 ids=[int(j) for j in top],
                 distances=[float(distances[j]) for j in top],
                 stats=SearchStats(hops=0, distance_evaluations=self.size),
             ))
         return out
+
+
+def _top_k(distances: np.ndarray, k: int) -> np.ndarray:
+    """The ids of the ``k`` smallest ``distances`` in ``(distance, id)``
+    order: equal distances rank by id, as a sharded merge ranks them
+    (:func:`~repro.retrieval.base.merge_shard_topk`)."""
+    kth = np.partition(distances, k - 1)[k - 1]
+    candidates = np.flatnonzero(distances <= kth)
+    return candidates[np.argsort(distances[candidates], kind="stable")[:k]]

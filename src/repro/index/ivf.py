@@ -19,7 +19,7 @@ import numpy as np
 from repro.distance.kernel import DistanceKernel
 from repro.errors import SearchError
 from repro.index.base import SearchResult, SearchStats, VectorIndex, _per_query_admits
-from repro.utils import derive_rng
+from repro.utils import check_integer, derive_rng
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,9 @@ class IvfParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_lists < 1:
-            raise ValueError(f"n_lists must be >= 1, got {self.n_lists}")
-        if self.nprobe < 1:
-            raise ValueError(f"nprobe must be >= 1, got {self.nprobe}")
-        if self.kmeans_iters < 1:
-            raise ValueError(f"kmeans_iters must be >= 1, got {self.kmeans_iters}")
+        for name in ("n_lists", "nprobe", "kmeans_iters"):
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed)
 
 
 class IvfIndex(VectorIndex):

@@ -31,6 +31,7 @@ import numpy as np
 from repro.errors import ConfigurationError, GraphConstructionError
 from repro.index.base import append_row
 from repro.index.quantization import ScalarQuantizer
+from repro.utils import check_integer
 
 
 @dataclass(frozen=True)
@@ -57,20 +58,12 @@ class TieredParams:
     path: Optional[str] = None
 
     def __post_init__(self) -> None:
+        check_integer("bits", self.bits, error=ConfigurationError)
         if self.bits not in (4, 8):
             raise ConfigurationError(f"bits must be 4 or 8, got {self.bits}")
-        if self.rerank_factor < 1:
-            raise ConfigurationError(
-                f"rerank_factor must be >= 1, got {self.rerank_factor}"
-            )
-        if self.mmap_cache_blocks < 0:
-            raise ConfigurationError(
-                f"mmap_cache_blocks must be >= 0, got {self.mmap_cache_blocks}"
-            )
-        if self.block_size < 1:
-            raise ConfigurationError(
-                f"block_size must be >= 1, got {self.block_size}"
-            )
+        check_integer("rerank_factor", self.rerank_factor, 1, ConfigurationError)
+        check_integer("mmap_cache_blocks", self.mmap_cache_blocks, 0, ConfigurationError)
+        check_integer("block_size", self.block_size, 1, ConfigurationError)
 
 
 class QuantizedCodes:

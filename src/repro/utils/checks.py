@@ -20,20 +20,24 @@ def check_integer(
 
 
 def check_real(
-    name: str, value: object, low: float, below: "float | None" = None,
+    name: str, value: object, low: "float | None" = None, below: "float | None" = None,
     error: type = ValueError,
 ) -> None:
     """``value`` is a finite real (a ``bool`` is not one), ``low <= value``
-    and ``value < below`` when given; raises ``error`` otherwise."""
+    when ``low`` is given and ``value < below`` when ``below`` is; raises
+    ``error`` otherwise."""
     ok = (
         not isinstance(value, bool)
         and isinstance(value, numbers.Real)
         and math.isfinite(value)
-        and low <= value
+        and (low is None or low <= value)
         and (below is None or value < below)
     )
     if not ok:
-        bounds = f"in [{low:g}, {below:g})" if below is not None else f"a finite number >= {low:g}"
+        if below is not None:
+            bounds = f"in [{low:g}, {below:g})"
+        else:
+            bounds = "a finite number" + (f" >= {low:g}" if low is not None else "")
         raise error(f"{name} must be {bounds}, got {value!r}")
 
 

@@ -1,17 +1,28 @@
 """Deterministic random-number utilities.
 
-Everything stochastic in this library flows through seeded
-:class:`numpy.random.Generator` instances so that datasets, encoders, index
-construction, and benchmarks are exactly reproducible run to run.
+Everything stochastic in this library is seeded by name, so that datasets,
+encoders, index construction and benchmarks are exactly reproducible run to
+run, and adding draws in one module never shifts another's.  There are two
+sources:
+
+* :func:`derive_rng` — a numpy :class:`~numpy.random.Generator` for a named
+  scope.  It serves the sites that draw once per scope: projection matrices,
+  index initialisation, LLM phrasing, fault injection, workloads.
+* :func:`words` and its forms :func:`uniforms` and :func:`normals` — one
+  stateless, counter-based generator for set-up's keyed draws (a concept bag
+  per object, the noise of each rendered item, a learner step).  Row ``i``
+  depends only on ``stable_hash(seed, *scope, keys[i])`` and the column
+  index, so a key's draws are the same alone, in any batch and in any order:
+  one code path serves one key and ten thousand.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, List, Sequence, Tuple
+import math
+from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 
 def stable_hash(*parts: object) -> int:
@@ -37,204 +48,164 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 def derive_rng(seed: int, *scope: object) -> np.random.Generator:
     """Create a generator for a named sub-scope of a master seed.
 
-    Deriving independent streams by name (e.g. ``derive_rng(seed, "text",
-    object_id)``) keeps components decoupled: adding noise draws in one
-    module never shifts the stream consumed by another.
+    Deriving independent streams by name (e.g. ``derive_rng(seed,
+    "image-projection")``) keeps components decoupled: adding noise draws in
+    one module never shifts the stream consumed by another.
     """
     return np.random.default_rng(stable_hash(seed, *scope))
 
 
-#: Below this many keys :func:`derive_rngs` calls :func:`derive_rng` per
-#: key: mixing the seeds as arrays costs ~0.15 ms whatever the count, then
-#: ~2 µs a key, against ~11 µs a key for ``default_rng`` (2-core x86 host,
-#: numpy 2.4; the two meet at about 16 keys).
-BULK_SEEDING_MIN_KEYS = 16
-
-
-def derive_rngs(
-    seed: int, *scope: object, keys: Sequence[object]
-) -> Iterator[np.random.Generator]:
-    """One generator per key of ``keys``, in order, whose stream is
-    ``derive_rng(seed, *scope, key)``'s, bit for bit.
-
-    ``derive_rng`` spends most of its time in ``SeedSequence``.  From
-    :data:`BULK_SEEDING_MIN_KEYS` keys on, the shared ``(seed, *scope)``
-    prefix is hashed once, the seed-sequence words each PCG64 reads are
-    mixed for all keys in one vectorised pass (:func:`_seed_words`), and
-    PCG64 does its own 128-bit seeding from them.
-    """
-    if len(keys) < BULK_SEEDING_MIN_KEYS:
-        return iter([derive_rng(seed, *scope, key) for key in keys])
-    # map, not a generator: zip() leaves a generator suspended, and closing
-    # one when it is collected raises GeneratorExit inside it.
-    return map(np.random.Generator, _bit_generators(seed, scope, keys))
-
-
-#: From this many keys per word of width on, :func:`derive_words` steps
-#: PCG64 as arrays: ~42 µs a word whatever the key count, against ~4.4 µs
-#: a key for a PCG64 object and its ``random_raw`` (2-core x86 host,
-#: numpy 2.4).  Text's 2 000 keys × 14 words step; the learner's few
-#: steps × 160 words do not.
-STEPPED_KEYS_PER_WORD = 10
-
-
-def derive_words(seed: int, *scope: object, keys: Sequence[object], width: int) -> np.ndarray:
-    """The first ``width`` raw 64-bit outputs of each key's
-    ``derive_rng(seed, *scope, key)`` stream: row ``i`` of the ``(len(keys),
-    width)`` uint64 result is ``bit_generator.random_raw(width)`` of key
-    ``i``'s generator.  :mod:`repro.utils.replay` computes the generator's
-    draws from them.
-
-    From :data:`STEPPED_KEYS_PER_WORD` keys a word on, the keys' seed words
-    are mixed as in :func:`derive_rngs` and PCG64 itself is stepped for all
-    keys at once (:func:`_pcg64_words`); below it each key's generator from
-    :func:`derive_rngs` makes its row.
-    """
-    if len(keys) >= STEPPED_KEYS_PER_WORD * width:
-        return _pcg64_words(_key_seed_words(seed, scope, keys), width)
-    words = np.empty((len(keys), width), dtype=np.uint64)
-    for row, rng in zip(words, derive_rngs(seed, *scope, keys=keys)):
-        row[:] = rng.bit_generator.random_raw(width)
-    return words
-
-
-def _bit_generators(
-    seed: int, scope: Sequence[object], keys: Sequence[object]
-) -> Iterator[np.random.PCG64]:
-    rows = np.stack(_key_seed_words(seed, scope, keys), axis=1)
-    return map(_pcg64, rows)
-
-
-def _pcg64(words: np.ndarray) -> np.random.PCG64:
-    return np.random.PCG64(_SeedWords(words))
-
-
-def _key_seed_words(
-    seed: int, scope: Sequence[object], keys: Sequence[object]
-) -> List[np.ndarray]:
-    """:func:`_seed_words` of each key's ``stable_hash(seed, *scope, key)``,
-    the shared prefix hashed once."""
+def _key_hashes(seed: int, scope: Sequence[object], keys: Sequence[object]) -> np.ndarray:
+    """``stable_hash(seed, *scope, key)`` of each key, as uint64, the shared
+    ``(seed, *scope)`` prefix hashed once."""
     prefix = hashlib.blake2b(_encoded((seed, *scope)), digest_size=8)
-    entropy: List[int] = []
+    hashes = []
     for key in keys:
         digest = prefix.copy()
         digest.update(_encoded((key,)))
-        entropy.append(int.from_bytes(digest.digest(), "big"))
-    return _seed_words(np.array(entropy, dtype=np.uint64))
+        hashes.append(int.from_bytes(digest.digest(), "big"))
+    return np.array(hashes, dtype=np.uint64).reshape(len(hashes))
 
 
-# PCG64's 128-bit LCG multiplier (numpy's PCG_DEFAULT_MULTIPLIER_128), halved.
-_PCG_MULT_HIGH, _PCG_MULT_LOW = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-_U32, _U63, _U64 = np.uint64(32), np.uint64(63), np.uint64(64)
+# SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014): a Weyl sequence of the golden-ratio increment
+# from the key's hash, each element put through a 64-bit finaliser.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S11, _S12, _S27, _S30, _S31, _S32 = (np.uint64(s) for s in (11, 12, 27, 30, 31, 32))
+
+#: Bytes of words one block of keys mixes and converts; about four arrays of
+#: that size are alive at once (the normals' conversion is the widest).
+#: Callers hand the generator scratch-sized blocks of their own (the learner
+#: renders a group of views that fills :data:`~repro.utils.SCRATCH_BYTES`),
+#: so its blocks stay a small fraction of that budget: 32 KiB, 16 rows of
+#: 256 normals, adds nothing measurable to the learner's traced peak.
+_BLOCK_BYTES = 32 * 1024
 
 
-def _pcg64_words(seed_words: List[np.ndarray], width: int) -> np.ndarray:
-    """``PCG64(_SeedWords(row)).random_raw(width)`` for every row of the
-    four seed-word arrays, as one ``(n, width)`` array.
+#: Keys a consumer of :func:`words` draws for at a time when it has many
+#: (the concept bags, the texts).  The numpy call overhead is amortised, and
+#: the arrays and lists built per block stay a few tens of KB: drawn for the
+#: whole corpus at once, they left more resident memory behind over repeated
+#: set-ups in one process (allocator fragmentation, not live data).
+KEY_BLOCK = 256
 
-    numpy's PCG64 is the 128-bit LCG ``state = state * M + inc`` with the
-    XSL-RR output (``(high ^ low)`` rotated right by ``state >> 122``).
-    Seeding: words 0-1 are the initial state's high and low halves, words
-    2-3 the stream's, ``inc = stream << 1 | 1``; the state starts at 0, is
-    stepped, has the initial state added and is stepped again.  Each draw
-    steps, then outputs.  128-bit values are (high, low) pairs of uint64
-    arrays, and the products are built from 32-bit limbs.
+
+def _block_rows(count: int) -> int:
+    """Keys a block holds when each draws ``count`` words."""
+    return max(1, _BLOCK_BYTES // (8 * max(count, 1)))
+
+
+def _mixed(hashes: np.ndarray, count: int) -> np.ndarray:
+    """Word ``(i, j)`` is SplitMix64's ``j``-th output from ``hashes[i]``:
+    the finaliser of ``hashes[i] + (j + 1) * gamma`` (uint64 arithmetic
+    wraps)."""
+    z = hashes[:, None] + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+    z ^= z >> _S30
+    z *= _MIX_A
+    z ^= z >> _S27
+    z *= _MIX_B
+    z ^= z >> _S31
+    return z
+
+
+def _keyed(
+    seed: int, scope: Sequence[object], keys: Sequence[object], count: int,
+    dtype: type, convert: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """``convert`` of each key's first ``count`` words, as a ``(len(keys),
+    count)`` array of ``dtype``, made a :func:`_block_rows` block of keys at
+    a time."""
+    hashes = _key_hashes(seed, scope, keys)
+    out = np.empty((len(hashes), count), dtype=dtype)
+    step = _block_rows(count)
+    for start in range(0, len(hashes), step):
+        block = slice(start, start + step)
+        out[block] = convert(_mixed(hashes[block], count))
+    return out
+
+
+def words(seed: int, scope: Sequence[object], keys: Sequence[object], count: int) -> np.ndarray:
+    """The keyed generator: a ``(len(keys), count)`` uint64 array whose row
+    ``i`` depends only on ``stable_hash(seed, *scope, keys[i])`` and whose
+    column ``j`` only on ``j``.  A caller gives each column of its scope a
+    fixed meaning and converts it with :func:`unit_interval`, :func:`below`
+    or a stable argsort (an order)."""
+    return _keyed(seed, scope, keys, count, np.uint64, lambda z: z)
+
+
+def unit_interval(drawn: np.ndarray) -> np.ndarray:
+    """Each word as a float64 in ``[0, 1)``: its top 53 bits times 2**-53."""
+    return (drawn >> _S11).astype(np.float64) * 2.0 ** -53
+
+
+def below(drawn: np.ndarray, bound: "int | np.ndarray") -> np.ndarray:
+    """Each word as an int64 in ``[0, bound)`` (``bound`` one for all or
+    broadcast against ``drawn``, each in ``1 .. 2**32``): the high 32 bits
+    times ``bound``, shifted down 32 (multiply-shift; no rejection)."""
+    bound = np.asarray(bound, dtype=np.uint64)
+    return (((drawn >> _S32) * bound) >> _S32).astype(np.int64)
+
+
+def uniforms(
+    seed: int, scope: Sequence[object], keys: Sequence[object], count: int
+) -> np.ndarray:
+    """:func:`unit_interval` of :func:`words`: ``(len(keys), count)``
+    float64 uniforms in ``[0, 1)``."""
+    return _keyed(seed, scope, keys, count, np.float64, unit_interval)
+
+
+def normals(
+    seed: int, scope: Sequence[object], keys: Sequence[object], count: int
+) -> np.ndarray:
+    """Standard normals from :func:`words`, ``(len(keys), count)`` float64.
+
+    Each word's top 52 bits ``k`` give ``p = (k + 1/2) / 2**52`` in
+    ``(0, 1)``, and the normal is the quantile of ``p`` by Acklam's
+    rational approximation (relative error below 1.2e-9).  Only ``+ − × ÷``
+    and ``sqrt`` run in numpy, which round the same at every SIMD dispatch
+    level; the log of the ≈ 5 % of ``p`` in the tails is ``math.log``.
+    (``np.log`` / ``np.exp`` give other bytes with AVX-512 on than off.)
     """
-    state_high, state_low, stream_high, stream_low = seed_words
-    inc_high = (stream_high << np.uint64(1)) | (stream_low >> _U63)
-    inc_low = (stream_low << np.uint64(1)) | np.uint64(1)
-    low = inc_low + state_low  # step 0 gives inc; then the state is added
-    high = inc_high + state_high + (low < inc_low)
-    high, low = _pcg64_step(high, low, inc_high, inc_low)
-    words = np.empty((len(low), width), dtype=np.uint64)
-    for column in range(width):
-        high, low = _pcg64_step(high, low, inc_high, inc_low)
-        mixed, rotation = high ^ low, high >> np.uint64(58)
-        words[:, column] = (mixed >> rotation) | (mixed << ((_U64 - rotation) & _U63))
-    return words
+    return _keyed(seed, scope, keys, count, np.float64, _quantiles)
 
 
-def _pcg64_step(
-    high: np.ndarray, low: np.ndarray, inc_high: np.ndarray, inc_low: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    product_low = low * np.uint64(_PCG_MULT_LOW)
-    product_high = (
-        _mul_high(low, _PCG_MULT_LOW)
-        + low * np.uint64(_PCG_MULT_HIGH)
-        + high * np.uint64(_PCG_MULT_LOW)
-    )
-    low = product_low + inc_low
-    return product_high + inc_high + (low < product_low), low
+# Acklam's coefficients: the central region's numerator and denominator in
+# r = (p - 1/2)**2, the tails' in s = sqrt(-2 log p).
+_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
+      1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
+_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
+      6.680131188771972e01, -1.328068155288572e01, 1.0)
+_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
+      -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
+_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
+      3.754408661907416e00, 1.0)
+#: ``|p - 1/2|`` above this is in a tail (Acklam's ``p < 0.02425``).
+_CENTRAL_HALF_WIDTH = 0.5 - 0.02425
 
 
-def _mul_high(a: np.ndarray, b: int) -> np.ndarray:
-    """The high 64 bits of each ``a * b`` (``a`` uint64, ``b < 2**64``)."""
-    a_low, a_high = a & np.uint64(_MASK32), a >> _U32
-    b_low, b_high = np.uint64(b & _MASK32), np.uint64(b >> 32)
-    cross_low, cross_high = a_low * b_high, a_high * b_low
-    middle = (a_low * b_low >> _U32) + (cross_low & np.uint64(_MASK32)) + (
-        cross_high & np.uint64(_MASK32)
-    )
-    return a_high * b_high + (cross_low >> _U32) + (cross_high >> _U32) + (middle >> _U32)
+def _horner(coefficients: Sequence[float], x: np.ndarray) -> np.ndarray:
+    value = coefficients[0] * x
+    for coefficient in coefficients[1:-1]:
+        value += coefficient
+        value *= x
+    value += coefficients[-1]
+    return value
 
 
-class _SeedWords(ISeedSequence):
-    """The four uint64 words ``SeedSequence(e).generate_state(4, uint64)``
-    returns, precomputed: PCG64 asks its seed sequence for exactly these."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
-        return self.words
-
-
-# numpy.random.SeedSequence's hash constants (a pool of four 32-bit words).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hashmix(value: np.ndarray, hash_const: int) -> Tuple[np.ndarray, int]:
-    value = value ^ hash_const
-    hash_const = (hash_const * _MULT_A) & _MASK32
-    value = (value * hash_const) & _MASK32
-    return value ^ (value >> 16), hash_const
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
-
-
-def _seed_words(entropy: np.ndarray) -> List[np.ndarray]:
-    """``SeedSequence(e).generate_state(4, np.uint64)`` for each ``e`` of a
-    uint64 array, as four arrays (word ``k`` of every ``e``).
-
-    ``e``'s two 32-bit halves are hashed into a pool of four (a missing high
-    half hashes like a zero one), the pool is cross-mixed, and eight 32-bit
-    outputs are read off it and paired little-endian.  Every step is masked
-    to 32 bits: a product of two 32-bit words does not overflow a uint64.
-    """
-    zero = np.zeros_like(entropy)
-    hash_const = _INIT_A
-    pool = []
-    for word in (entropy & _MASK32, entropy >> 32, zero, zero):
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for source in range(4):
-        for target in range(4):
-            if source != target:
-                value, hash_const = _hashmix(pool[source], hash_const)
-                pool[target] = _mix(pool[target], value)
-    hash_const = _INIT_B
-    state = []
-    for index in range(8):
-        value = pool[index % 4] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = (value * hash_const) & _MASK32
-        state.append(value ^ (value >> 16))
-    return [state[2 * k] | (state[2 * k + 1] << 32) for k in range(4)]
+def _quantiles(drawn: np.ndarray) -> np.ndarray:
+    shape = drawn.shape
+    q = ((drawn >> _S12) * 2.0 ** -52).ravel()
+    del drawn  # the block's words are not needed past here
+    q -= 0.5 - 2.0 ** -53  # p - 1/2, exact
+    r = q * q
+    x = _horner(_A, r)
+    x *= q
+    x /= _horner(_B, r)
+    del r
+    tail = np.abs(q) > _CENTRAL_HALF_WIDTH
+    ends = q[tail]
+    # 0.5 - |p - 1/2| is min(p, 1 - p), exact; the log is libm's.
+    s = np.sqrt(np.array([-2.0 * math.log(0.5 - abs(v)) for v in ends.tolist()]))
+    x[tail] = np.copysign(_horner(_C, s) / _horner(_D, s), ends)
+    return x.reshape(shape)

@@ -24,8 +24,8 @@ from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
 from repro.encoders.base import EncoderSet
 from repro.errors import DataError
-from repro.utils import BULK_SEEDING_MIN_KEYS, SCRATCH_BYTES, derive_rng, derive_words
-from repro.utils.replay import halves, lemire
+from repro.utils import SCRATCH_BYTES
+from repro.utils.rng import below, words
 
 
 @dataclass
@@ -83,8 +83,7 @@ class ViewPairSampler:
     def sample_many(self, batch_size: int, steps: Iterable[int]) -> Iterator[ContrastiveBatch]:
         """One deterministic batch per training step in ``steps``, in order.
 
-        Each step draws from its own stream, in a fixed order (the anchors,
-        then per anchor one view seed and its negatives); since no draw
+        Each step draws from its own key (:meth:`_draws`); since no draw
         depends on a view, the steps go in groups whose views fit
         :data:`repro.utils.SCRATCH_BYTES` — a view's rows counted as its
         encoders' :meth:`~repro.encoders.base.Encoder.row_bytes`, 8 steps
@@ -104,12 +103,9 @@ class ViewPairSampler:
         group = max(1, SCRATCH_BYTES // view_bytes)
         steps = list(steps)
         for first in range(0, len(steps), group):
-            draws = self._draws(batch_size, steps[first:first + group])
-            views = self.kb.render_views(
-                [anchor for anchors, _, _ in draws for anchor in anchors],
-                [seed for _, seeds, _ in draws for seed in seeds],
-            )
-            for index, (anchors, _, negatives) in enumerate(draws):
+            anchors, seeds, negatives = self._draws(batch_size, steps[first:first + group])
+            views = self.kb.render_views(anchors.ravel().tolist(), seeds.ravel().tolist())
+            for index, (step_anchors, step_negatives) in enumerate(zip(anchors, negatives)):
                 step_views = views[index * batch_size:(index + 1) * batch_size]
                 positive: Dict[Modality, np.ndarray] = {}
                 negative: Dict[Modality, np.ndarray] = {}
@@ -118,65 +114,30 @@ class ViewPairSampler:
                     view_rows = encoder.encode_batch(
                         modality, [view[modality] for view in step_views]
                     )
-                    anchor_rows = matrix[anchors]
+                    anchor_rows = matrix[step_anchors]
                     diff = anchor_rows - view_rows
                     positive[modality] = np.einsum("bd,bd->b", diff, diff)
-                    diff = anchor_rows[:, None, :] - matrix[negatives]
+                    diff = anchor_rows[:, None, :] - matrix[step_negatives]
                     negative[modality] = np.einsum("bnd,bnd->bn", diff, diff)
                 yield ContrastiveBatch(positive=positive, negative=negative)
 
     def _draws(
         self, batch_size: int, steps: List[int]
-    ) -> List[Tuple[List[int], List[int], List[List[int]]]]:
-        """:meth:`_draw` for each of ``steps``, the steps' streams replayed
-        together once they hold :data:`~repro.utils.rng.
-        BULK_SEEDING_MIN_KEYS` anchors.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each step's anchors ``(len(steps), batch_size)``, view seeds (the
+        same shape) and negatives ``(len(steps), batch_size, n_negatives)``.
 
-        A step's draws are all 32-bit: ``batch_size`` anchors, then per
-        anchor a view seed and ``n_negatives`` negatives, so when no
-        Lemire draw is redrawn and no negative hits its anchor they are
-        the step's first ``batch_size * (n_negatives + 2)`` 32-bit draws
-        in that fixed layout, computed for every step at once.  A step
-        where either happens is drawn again by :meth:`_draw`.
+        A step's row of :func:`~repro.utils.rng.words` under ``(seed,
+        "contrastive-batch")``, keyed by the step: ``batch_size`` anchors,
+        then per anchor a view seed below ``2**30`` and ``n_negatives``
+        draws below ``n - 1``, each shifted up by one at or past its
+        anchor — uniform over the other objects, with no redraw.
         """
-        if len(steps) * batch_size < BULK_SEEDING_MIN_KEYS:
-            return [self._draw(batch_size, step) for step in steps]
         n, stride = len(self.kb), self.n_negatives + 1
-        count = batch_size * (1 + stride)
-        words = derive_words(self.seed, "contrastive-batch", keys=steps, width=(count + 1) // 2)
-        drawn = halves(words)[:, :count]
-        picks, accepted = lemire(drawn, n)
-        per_anchor = (len(steps), batch_size, stride)  # a view seed, then the negatives
-        anchors = picks[:, :batch_size]
-        seeds = lemire(drawn[:, batch_size:].reshape(per_anchor)[:, :, 0], 1 << 30)[0]
-        negatives = picks[:, batch_size:].reshape(per_anchor)[:, :, 1:]
-        exact = (
-            accepted[:, :batch_size].all(axis=1)
-            & accepted[:, batch_size:].reshape(per_anchor)[:, :, 1:].all(axis=(1, 2))
-            & (negatives != anchors[:, :, None]).all(axis=(1, 2))
-        )
-        return [
-            (anchors[i].tolist(), seeds[i].tolist(), negatives[i].tolist())
-            if exact[i] else self._draw(batch_size, step)
-            for i, step in enumerate(steps)
-        ]
-
-    def _draw(self, batch_size: int, step: int) -> Tuple[List[int], List[int], List[List[int]]]:
-        """Step ``step``'s anchors, view seeds and negatives, from its stream:
-        the negatives are a vector draw topped up by rejection, which
-        consumes the stream as a draw-until-accepted loop does."""
-        rng = derive_rng(self.seed, "contrastive-batch", step)
-        n = len(self.kb)
-        anchors = rng.integers(0, n, size=batch_size).tolist()
-        seeds: List[int] = []
-        negatives: List[List[int]] = []
-        for anchor in anchors:
-            seeds.append(int(rng.integers(1 << 30)))
-            drawn = rng.integers(n, size=self.n_negatives)
-            kept = drawn[drawn != anchor].tolist()
-            while len(kept) < self.n_negatives:
-                candidate = int(rng.integers(n))
-                if candidate != anchor:
-                    kept.append(candidate)
-            negatives.append(kept)
+        drawn = words(self.seed, ("contrastive-batch",), steps, batch_size * (1 + stride))
+        anchors = below(drawn[:, :batch_size], n)
+        per_anchor = drawn[:, batch_size:].reshape(len(steps), batch_size, stride)
+        seeds = below(per_anchor[:, :, 0], 1 << 30)
+        negatives = below(per_anchor[:, :, 1:], n - 1)
+        negatives += negatives >= anchors[:, :, None]
         return anchors, seeds, negatives

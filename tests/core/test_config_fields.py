@@ -105,6 +105,12 @@ BOUNDARY_TABLE = [
     ("agentic_max_hops", 0, False),
     ("agentic_refine_rounds", 0, True),
     ("agentic_refine_rounds", -1, False),
+    # Past the bounds: a bool is not a number, an integer is integral and a
+    # real is finite (d639eca accepted all four).
+    ("result_count", True, False),
+    ("result_count", 3.5, False),
+    ("search_budget", float("inf"), False),
+    ("slo_latency_ms", float("inf"), False),
 ]
 
 # d639eca's messages for an unknown registered name, verbatim.

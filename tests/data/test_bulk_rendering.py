@@ -1,14 +1,12 @@
-"""The bulk renderers against the per-object bodies they replaced.
+"""The bulk renderers against per-object bodies.
 
 ``TextRenderer`` / ``ImageRenderer`` / ``AudioRenderer.render_many``,
 ``ConceptSpace.compose_many`` and ``KnowledgeBase.create_objects`` /
-``render_views`` do in one call what the bodies below did one object at a
-time.  Those bodies are kept here, as they were, as the oracles: every
-string and every byte must come out the same, whether the noise streams are
-seeded one key at a time or in one vectorised pass.
+``render_views`` do in one call what the bodies below do one object at a
+time, each reading its key's row of the keyed generator in plain Python:
+every string and every byte must come out the same, whatever other keys
+share the call.
 """
-
-from typing import List
 
 import numpy as np
 import pytest
@@ -20,8 +18,8 @@ from repro.data.concepts import ConceptSpace
 from repro.data.knowledge_base import KnowledgeBase
 from repro.data.rendering import FILLER_WORDS, AudioSpec, ImageSpec, RenderModel
 from repro.errors import DataError
-from repro.utils import derive_rng, l2_normalize
-from repro.utils.rng import BULK_SEEDING_MIN_KEYS
+from repro.utils import l2_normalize
+from repro.utils.rng import normals, words
 from tests.data.test_datasets import _content_digest
 
 VOCAB = {
@@ -31,6 +29,8 @@ VOCAB = {
     "time": ["dawn", "dusk"],
 }
 NAMES = [name for names in VOCAB.values() for name in names]
+#: A batch size the tests build their batches from.
+BATCH = 16
 MODALITIES = (Modality.TEXT, Modality.IMAGE, Modality.AUDIO)
 
 #: Noise keys as the knowledge base makes them: an object id, or a view's
@@ -42,33 +42,39 @@ KEYS = st.one_of(
 
 
 def _text_oracle(renderer, concepts, noise_key) -> str:
-    rng = derive_rng(renderer.seed, "text", noise_key)
-    kept: List[str] = [c for c in concepts if rng.random() >= renderer.drop_probability]
-    if not kept:
-        kept = [concepts[int(rng.integers(len(concepts)))]]
-    fillers = [
-        FILLER_WORDS[int(rng.integers(len(FILLER_WORDS)))]
-        for _ in range(renderer.filler_count)
-    ]
-    tokens = kept + fillers
-    order = rng.permutation(len(tokens))
+    fill = renderer.filler_count
+    width = 1 + 2 * (fill + len(concepts))
+    row = [int(w) for w in words(renderer.seed, ("text",), [noise_key], width)[0]]
+    tokens, sort_keys = [], []
+    for j, concept in enumerate(concepts):
+        if (row[1 + 2 * fill + 2 * j] >> 11) * 2.0 ** -53 >= renderer.drop_probability:
+            tokens.append(concept)
+            sort_keys.append(row[2 + 2 * fill + 2 * j] >> 32)
+    if not tokens:
+        j = ((row[0] >> 32) * len(concepts)) >> 32
+        tokens.append(concepts[j])
+        sort_keys.append(row[2 + 2 * fill + 2 * j] >> 32)
+    for k in range(fill):
+        tokens.append(FILLER_WORDS[((row[1 + 2 * k] >> 32) * len(FILLER_WORDS)) >> 32])
+        sort_keys.append(row[2 + 2 * k] >> 32)
+    order = sorted(range(len(tokens)), key=sort_keys.__getitem__)  # a stable sort
     return " ".join(tokens[i] for i in order)
 
 
 def _image_oracle(renderer, latent, noise_key) -> np.ndarray:
-    rng = derive_rng(renderer.seed, "image-noise", noise_key)
+    noise = normals(renderer.seed, ("image-noise",), [noise_key], renderer.spec.pixels)[0]
     flat = renderer.projection @ latent
-    flat = flat + renderer.spec.noise_sigma * rng.standard_normal(renderer.spec.pixels)
+    flat = flat + renderer.spec.noise_sigma * noise
     return flat.reshape(renderer.spec.height, renderer.spec.width)
 
 
 def _audio_oracle(renderer, latent, noise_key) -> np.ndarray:
-    rng = derive_rng(renderer.seed, "audio-noise", noise_key)
+    noise = normals(renderer.seed, ("audio-noise",), [noise_key], renderer.spec.frames)[0]
     frames = renderer._projection @ latent
     if renderer.spec.smoothing > 1:
         kernel = np.ones(renderer.spec.smoothing) / renderer.spec.smoothing
         frames = np.convolve(frames, kernel, mode="same")
-    return frames + renderer.spec.noise_sigma * rng.standard_normal(renderer.spec.frames)
+    return frames + renderer.spec.noise_sigma * noise
 
 
 def _compose_oracle(space, concepts, intensities) -> np.ndarray:
@@ -95,7 +101,7 @@ def _model(space, drop_probability=0.15, smoothing=4):
 @st.composite
 def batches(draw):
     """``(bags, keys)``: one concept bag (repeats allowed) per noise key."""
-    keys = draw(st.lists(KEYS, min_size=1, max_size=2 * BULK_SEEDING_MIN_KEYS + 3))
+    keys = draw(st.lists(KEYS, min_size=1, max_size=2 * BATCH + 3))
     bags = draw(
         st.lists(
             st.lists(st.sampled_from(NAMES), min_size=1, max_size=4),
@@ -117,9 +123,9 @@ class TestRenderersAgainstThePerObjectBodies:
 
     def test_text_when_every_concept_is_dropped(self, space):
         # At p = 0.99 nearly every bag loses all its concepts and takes the
-        # fallback draw; the batch crosses the seeding crossover.
+        # fallback draw.
         renderer = _model(space, drop_probability=0.99).text
-        bags = [NAMES[i % 5:i % 5 + 3] for i in range(3 * BULK_SEEDING_MIN_KEYS)]
+        bags = [NAMES[i % 5:i % 5 + 3] for i in range(3 * BATCH)]
         keys = list(range(len(bags)))
         expected = [_text_oracle(renderer, bag, key) for bag, key in zip(bags, keys)]
         fallbacks = sum(
@@ -129,7 +135,7 @@ class TestRenderersAgainstThePerObjectBodies:
         assert renderer.render_many(bags, keys) == expected
 
     @settings(max_examples=40, deadline=None)
-    @given(keys=st.lists(KEYS, min_size=1, max_size=2 * BULK_SEEDING_MIN_KEYS + 3),
+    @given(keys=st.lists(KEYS, min_size=1, max_size=2 * BATCH + 3),
            seed=st.integers(0, 2**32 - 1))
     def test_image(self, space, keys, seed):
         renderer = _model(space).image
@@ -143,7 +149,7 @@ class TestRenderersAgainstThePerObjectBodies:
         )
 
     @settings(max_examples=30, deadline=None)
-    @given(keys=st.lists(KEYS, min_size=1, max_size=2 * BULK_SEEDING_MIN_KEYS + 3),
+    @given(keys=st.lists(KEYS, min_size=1, max_size=2 * BATCH + 3),
            seed=st.integers(0, 2**32 - 1), smoothing=st.sampled_from([1, 4]))
     def test_audio(self, space, keys, seed, smoothing):
         renderer = _model(space, smoothing=smoothing).audio
@@ -201,7 +207,7 @@ def _assert_same_objects(left, right):
 
 
 class TestKnowledgeBaseInBulk:
-    @pytest.mark.parametrize("count", [1, BULK_SEEDING_MIN_KEYS - 1, 3 * BULK_SEEDING_MIN_KEYS])
+    @pytest.mark.parametrize("count", [1, BATCH - 1, 3 * BATCH])
     def test_create_objects_is_repeated_create_object(self, space, count):
         rng = np.random.default_rng(count)
         bags = [
@@ -224,7 +230,7 @@ class TestKnowledgeBaseInBulk:
     def test_render_views_is_repeated_render_view(self, space):
         kb = _empty_kb(space)
         kb.create_objects([["foggy", "clouds"], ["sunny"], ["misty", "ocean", "dusk"]])
-        ids = [i % 3 for i in range(2 * BULK_SEEDING_MIN_KEYS + 1)]
+        ids = [i % 3 for i in range(2 * BATCH + 1)]
         seeds = [7 * i for i in range(len(ids))]
         views = kb.render_views(ids, seeds)
         for view, object_id, seed in zip(views, ids, seeds):
@@ -243,8 +249,9 @@ class TestKnowledgeBaseInBulk:
     def test_benchmark_corpus_digest(self):
         """The benchmark's corpus (scenes / 2000 / seed 7), rendered in bulk:
         sha256 of every object's text, image, latent and concepts, captured
-        at e634851 when each object was rendered on its own."""
+        at e634851 when each object was rendered on its own, and retaken when
+        set-up's keyed draws moved to ``repro.utils.rng.words``."""
         kb = generate_knowledge_base(DatasetSpec("scenes", size=2000, seed=7))
         assert _content_digest(kb) == (
-            "0f76472c7a8ff15cbdf02df131d9856bdcb8fe26ca449fa239889a977a7a48f3"
+            "98013b64a1df29930bd1abd1d923df31c7dfc19436187ea285fece1b1e8aeb37"
         )

@@ -5,7 +5,6 @@ import pytest
 
 from repro.data.concepts import ConceptSpace
 from repro.errors import DataError
-from repro.utils import derive_rng
 
 VOCAB = {"weather": ["foggy", "sunny"], "sky": ["clouds", "stars"]}
 
@@ -96,18 +95,16 @@ class TestCompose:
 
 class TestSampling:
     def test_one_concept_per_category(self, space):
-        rng = derive_rng(0, "test")
-        for _ in range(20):
-            picked = space.sample_object_concepts(rng, 2, 2)
+        bags, intensities = space.sample_bags(0, ("test",), range(20), 2, 2)
+        for picked, weights in zip(bags, intensities):
             categories = {space.get(name).category for name in picked}
-            assert len(categories) == len(picked)
+            assert len(categories) == len(picked) == len(weights) == 2
+            assert all(0.5 <= w < 1.5 for w in weights)
 
     def test_count_bounded_by_categories(self, space):
-        rng = derive_rng(0, "test")
-        picked = space.sample_object_concepts(rng, 4, 6)
-        assert len(picked) <= len(space.categories)
+        bags, _ = space.sample_bags(0, ("test",), range(20), 4, 6)
+        assert all(len(picked) == len(space.categories) for picked in bags)
 
     def test_rejects_bad_bounds(self, space):
-        rng = derive_rng(0, "test")
         with pytest.raises(ValueError):
-            space.sample_object_concepts(rng, 3, 2)
+            space.sample_bags(0, ("test",), [0], 3, 2)

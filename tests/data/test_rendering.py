@@ -50,6 +50,10 @@ class TestTextRenderer:
     def test_rejects_bad_drop_probability(self, space):
         with pytest.raises(ValueError):
             TextRenderer(space, drop_probability=1.0)
+        for bad in ({"filler_count": True}, {"filler_count": 2.5}, {"filler_count": -1},
+                    {"drop_probability": float("nan")}):
+            with pytest.raises(ValueError):
+                TextRenderer(space, **bad)
 
     def test_tokenize_lowercases(self):
         assert TextRenderer.tokenize("Foggy  CLOUDS") == ["foggy", "clouds"]

@@ -6,6 +6,7 @@ import pytest
 from repro.data import Modality
 from repro.encoders import PatchPoolingImageEncoder
 from repro.errors import EncodingError
+from repro.utils import l2_normalize
 
 
 @pytest.fixture(scope="module")
@@ -55,12 +56,17 @@ class TestConstruction:
         np.testing.assert_allclose(matrix.sum(axis=1), np.ones(4))
 
     def test_coarser_patches_lose_more(self, scenes_kb):
+        """Pooling discards within-patch detail: over the fixture's objects,
+        the latent a coarse encoder recovers from an image is further from
+        the object's own latent than a fine encoder's (mean cosine ≈ 0.83
+        at 2-pixel patches, ≈ 0.21 at 8)."""
         fine = PatchPoolingImageEncoder(scenes_kb.render_model.image, patch_size=2, seed=1)
         coarse = PatchPoolingImageEncoder(scenes_kb.render_model.image, patch_size=8, seed=1)
+        images = np.stack([obj.get(Modality.IMAGE).reshape(-1) for obj in scenes_kb])
+        latents = scenes_kb.latent_matrix()
 
-        def view_similarity(enc):
-            original = enc.encode(Modality.IMAGE, scenes_kb.get(0).get(Modality.IMAGE))
-            view = scenes_kb.render_view(0, view_seed=5)
-            return original @ enc.encode(Modality.IMAGE, view[Modality.IMAGE])
+        def recovered(enc):
+            estimates = l2_normalize(images @ enc._pool.T @ enc._decoder.T)
+            return float(np.einsum("nd,nd->n", estimates, latents).mean())
 
-        assert view_similarity(fine) > view_similarity(coarse)
+        assert recovered(fine) > recovered(coarse) + 0.3

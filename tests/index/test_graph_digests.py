@@ -10,7 +10,8 @@ its block layout too.
 
 The digests were taken at ``18b594a``, HNSW's retaken when layer 0 moved to
 selecting ``m`` neighbours per insert with ``2m`` as the cap only
-(Algorithm 1).  A change that is meant to leave the
+(Algorithm 1), and all five when set-up's keyed draws (the corpus and the
+learned weights under the graphs) moved to ``repro.utils.rng.words``.  A change that is meant to leave the
 graphs alone — a faster scan, a leaner kernel entry — must pass unedited; a
 change that moves a graph on purpose updates the digest in its own diff.
 (CI runs this file with ``-p no:randomly`` and ``PYTHONHASHSEED=0``.)
@@ -27,13 +28,13 @@ from repro.core import MQAConfig, MQASystem
 from repro.data import DatasetSpec
 from repro.index import HnswIndex, StarlingIndex, build_index
 
-# name -> digest (18b594a; hnsw at Algorithm 1)
+# name -> digest (retaken with the keyed generator's corpus)
 PINNED = {
-    "hnsw": "58b73fcb828ec40f0239aef76c786d14f5f98da337da2f7902363da857e3f75b",
-    "nsg": "64923409fae1264557ccf9e265ef7680241bc83648583a6cdc37c21d2da6d0ee",
-    "vamana": "41de7f12b44713adf8c77e91f9c0505a16a4d74c4e2a4f59c8d29f3e7d145ec6",
-    "nav-must": "e9e5dfad6abfebe68a1d95985ba3ff581f35acad9ac122b025bf4c67fe4eef04",
-    "starling": "96655cbef7efec697f856d1dc510688f73bbeeaf03d5ca907e9f5d886859a370",
+    "hnsw": "e4f1cf715c59b3680e646cfd1d043c6ab75c7fe6963e87bdb678dc2d70767e8f",
+    "nsg": "6d10336b619f203a94190bbb39e0f4ab49a182e0319cadb2b1daaec1f0042b87",
+    "vamana": "fa17dc31ffc2d0a23db70ae0d73693d325ca085f9896f2193a57c868f256f035",
+    "nav-must": "c2e82724ff9834441f594132882126e3f7becc847e0f602b78a068879e79f013",
+    "starling": "64bb724d948f2249d10cbaa9f74b18d8ee301351dfd4923e8b14753a7ed11402",
 }
 
 

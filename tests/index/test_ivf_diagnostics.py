@@ -64,6 +64,9 @@ class TestIvf:
             IvfParams(n_lists=0)
         with pytest.raises(ValueError):
             IvfParams(nprobe=0)
+        for bad in ({"nprobe": True}, {"n_lists": 2.5}, {"kmeans_iters": 1.0}):
+            with pytest.raises(ValueError):
+                IvfParams(**bad)
 
     def test_empty_corpus_rejected(self, kernel_factory):
         with pytest.raises(GraphConstructionError):

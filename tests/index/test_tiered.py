@@ -49,6 +49,9 @@ class TestTieredStore:
             TieredParams(mmap_cache_blocks=-1)
         with pytest.raises(ConfigurationError):
             TieredParams(block_size=0)
+        for bad in ({"rerank_factor": True}, {"block_size": 2.5}, {"bits": 8.0}):
+            with pytest.raises(ConfigurationError):
+                TieredParams(**bad)
 
     def test_full_tier_is_exact_and_memory_mapped(self, unit_vectors):
         matrix = unit_vectors[:100]

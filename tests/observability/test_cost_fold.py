@@ -21,7 +21,10 @@ When HNSW's layer 0 moved to selecting ``m`` per insert (Algorithm 1), the
 ``distance_evaluations`` signature counter of every HNSW operation in
 ``must``, ``mr``, ``je``, ``must-nocache`` and ``agentic`` was retaken (a
 different graph, walked in the same hops); stage keys, shard rows and
-``/stats`` counts did not move.
+``/stats`` counts did not move.  When set-up's keyed draws moved to
+``repro.utils.rng.words`` (another corpus), the signature's work counters —
+``distance_evaluations``, ``hops``, ``block_reads``, ``cache_hits`` — were
+retaken by the regeneration command; nothing else moved.
 """
 
 import json

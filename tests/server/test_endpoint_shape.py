@@ -9,7 +9,10 @@ single-worker session (apply -> queries -> select -> refine -> ask -> a
 configurations it holds the key tree with value types of each payload, every
 non-float leaf that repeats from run to run, and each Prometheus sample's
 count.  The change must reproduce all of it; what it adds on purpose is
-spelled out in ``INTENDED_ADDITIONS`` and nowhere else.
+spelled out in ``INTENDED_ADDITIONS`` and nowhere else.  When set-up's
+keyed draws moved to ``repro.utils.rng.words`` (another corpus), the
+``exact`` leaves were retaken: only ``every-layer``'s loadgen planner tier
+counts moved (tier 0 6 -> 5 plans, tier 1 1 -> 2).
 """
 
 import json

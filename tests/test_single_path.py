@@ -605,15 +605,25 @@ def test_a_span_tree_is_read_through_span():
     assert "repro.observability.tracing" not in imported
 
 
+def _imported(node):
+    """The modules and names an ``import`` / ``from ... import`` names."""
+    return [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+
+
 def test_set_up_data_is_rendered_in_bulk():
     """An object, a view, a learner step and each renderer's output are
     batches of one: ``create_object``, ``render_view``, ``sample`` and every
-    ``render`` are one-statement delegations to their bulk forms, the
-    knowledge base is generated by one ``create_objects`` call, and the
-    per-object noise streams in ``rendering.py`` come from ``derive_rngs`` —
-    ``derive_rng`` seeds only the two projection matrices."""
+    ``render`` are one-statement delegations to their bulk forms, and the
+    knowledge base is generated by one ``create_objects`` call.  Their keyed
+    draws come from one generator: in ``repro.data`` and the learner's
+    sampler, the only random source besides ``repro.utils.rng``'s keyed
+    ``words`` / ``normals`` is ``derive_rng`` for the two projections and
+    the concept vectors (one draw per scope), nothing calls numpy's random
+    module, and nothing in ``repro`` imports ``numpy.random.bit_generator``
+    or names ``SeedSequence`` / ``PCG64``."""
+    import repro.data
     import repro.data.datasets
-    import repro.data.rendering
+    import repro.weights.sampler
     from repro.data.knowledge_base import KnowledgeBase
     from repro.data.rendering import AudioRenderer, ImageRenderer, TextRenderer
     from repro.weights.sampler import ViewPairSampler
@@ -635,13 +645,48 @@ def test_set_up_data_is_rendered_in_bulk():
     ]
     assert called.count("create_objects") == 1 and "create_object" not in called
 
-    seeded = [
-        node.args[1].value
-        for node in ast.walk(ast.parse(inspect.getsource(repro.data.rendering)))
-        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "derive_rng"
-    ]
-    assert seeded == ["image-projection", "audio-projection"]
+    modules = [
+        name for _, name, _ in pkgutil.walk_packages(repro.data.__path__, prefix="repro.data.")
+    ] + ["repro.weights.sampler"]
+    seeded, keyed, numpy_random = {}, {}, []
+    for name in modules:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "derive_rng":
+                    seeded.setdefault(name, []).append(node.args[1].value)
+                elif node.func.id in ("words", "normals", "uniforms"):
+                    keyed.setdefault(name, set()).add(node.func.id)
+            elif isinstance(node, ast.Attribute) and node.attr in ("random", "default_rng"):
+                if getattr(node.value, "id", "") in ("np", "numpy"):
+                    numpy_random.append(name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported = _imported(node)
+                numpy_random += [name for module in imported if module.startswith("numpy.random")]
+    assert seeded == {
+        "repro.data.concepts": ["concept"],
+        "repro.data.rendering": ["image-projection", "audio-projection"],
+    }
+    assert keyed == {
+        "repro.data.concepts": {"words"},
+        "repro.data.rendering": {"words", "normals"},
+        "repro.weights.sampler": {"words"},
+    }
+    assert numpy_random == []
 
+    offenders = []
+    for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        source = inspect.getsource(importlib.import_module(name))
+        named = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                named.update(_imported(node))
+            named.add(getattr(node, "id", None) or getattr(node, "attr", None) or "")
+        offenders += [
+            f"{name}: {item}" for item in sorted(named)
+            if "bit_generator" in item or item.split(".")[-1] in ("SeedSequence", "PCG64")
+        ]
+    assert offenders == []
 
 
 def test_index_code_computes_distances_only_through_a_kernel():

@@ -6,7 +6,7 @@ import pytest
 from repro.data import DatasetSpec, Modality, generate_knowledge_base
 from repro.encoders import build_encoder_set
 from repro.errors import DataError
-from repro.utils import derive_rng
+from repro.utils.rng import words
 from repro.weights import VectorWeightLearner, ViewPairSampler
 
 
@@ -51,24 +51,25 @@ def _reference_sample(sampler, batch_size, step):
     """The per-anchor loop ``sample`` was before it became array work, kept
     as the oracle: one ``encode`` per view and modality, one Python dot
     product per pair.  Returns ``(positive, negative)``."""
-    rng = derive_rng(sampler.seed, "contrastive-batch", step)
-    n = len(sampler.kb)
-    anchors = rng.integers(0, n, size=batch_size)
+    n, k = len(sampler.kb), sampler.n_negatives
+    width = batch_size * (2 + k)
+    drawn = iter([int(w) for w in words(sampler.seed, ("contrastive-batch",), [step], width)[0]])
+
+    def draw(bound):
+        return ((next(drawn) >> 32) * bound) >> 32
+
+    anchors = [draw(n) for _ in range(batch_size)]
     modalities = list(sampler._anchor_vectors)
     positive = {m: [] for m in modalities}
     negative = {m: [] for m in modalities}
     for anchor in anchors:
-        anchor = int(anchor)
-        content = sampler.kb.render_view(anchor, int(rng.integers(1 << 30)))
+        content = sampler.kb.render_view(anchor, draw(1 << 30))
         view = {
             m: sampler.encoder_set.encoder_for(m).encode(m, content[m])
             for m in modalities
         }
-        negatives = []
-        while len(negatives) < sampler.n_negatives:
-            candidate = int(rng.integers(n))
-            if candidate != anchor:
-                negatives.append(candidate)
+        others = [i for i in range(n) if i != anchor]
+        negatives = [others[draw(n - 1)] for _ in range(k)]
         for m in modalities:
             anchor_vec = sampler._anchor_vectors[m][anchor]
             diff = anchor_vec - view[m]
@@ -141,12 +142,13 @@ class TestAgainstPerAnchorLoop:
 
     def test_learned_weights_on_the_benchmark_corpus(self):
         # mqa_bench's corpus and learner (scenes / 2000 / seed 7, defaults);
-        # the values are what the per-anchor loop learned at 23a1e17.
+        # the values are what the per-anchor loop learned at 23a1e17,
+        # retaken when set-up's keyed draws moved to repro.utils.rng.words.
         kb = generate_knowledge_base(DatasetSpec("scenes", size=2000, seed=7))
         encoder_set = build_encoder_set("clip-joint", kb)
         weights = VectorWeightLearner().fit(kb, encoder_set).weights
-        assert weights[Modality.TEXT] == pytest.approx(0.7845055693430139, abs=1e-12, rel=0)
-        assert weights[Modality.IMAGE] == pytest.approx(1.2154944306569861, abs=1e-12, rel=0)
+        assert weights[Modality.TEXT] == pytest.approx(0.7310500233827566, abs=1e-12, rel=0)
+        assert weights[Modality.IMAGE] == pytest.approx(1.2689499766172434, abs=1e-12, rel=0)
 
 
 class TestValidation:
