@@ -18,6 +18,7 @@ from repro.data.modality import Modality
 from repro.data.objects import RawQuery
 from repro.errors import SessionError
 from repro.llm.prompts import DialogueTurn
+from repro.utils import check_integer
 
 
 @dataclass
@@ -163,13 +164,7 @@ class DialogueSession:
         Returns the selected object id (the click on a result card).
         """
         with self._lock:
-            answer = self.last_answer
-            if not 0 <= rank < len(answer.items):
-                raise SessionError(
-                    f"rank {rank} out of range; last answer has "
-                    f"{len(answer.items)} items"
-                )
-            object_id = answer.items[rank].object_id
+            object_id = self._object_at(rank)
             self.rounds[-1].selected_object_id = object_id
             return object_id
 
@@ -180,15 +175,21 @@ class DialogueSession:
         Returns the rejected object id.
         """
         with self._lock:
-            answer = self.last_answer
-            if not 0 <= rank < len(answer.items):
-                raise SessionError(
-                    f"rank {rank} out of range; last answer has "
-                    f"{len(answer.items)} items"
-                )
-            object_id = answer.items[rank].object_id
+            object_id = self._object_at(rank)
             self.rounds[-1].rejected_object_ids.add(object_id)
             return object_id
+
+    def _object_at(self, rank: int) -> int:
+        """The object id at ``rank`` of the last answer: an integer (a
+        ``bool`` is not one) in range, else a :class:`SessionError`."""
+        check_integer("rank", rank, error=SessionError)
+        answer = self.last_answer
+        if not 0 <= rank < len(answer.items):
+            raise SessionError(
+                f"rank {rank} out of range; last answer has "
+                f"{len(answer.items)} items"
+            )
+        return answer.items[rank].object_id
 
     def refine(
         self,

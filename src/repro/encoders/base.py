@@ -159,12 +159,19 @@ class EncoderSet:
         """Encode the modalities the query actually carries.
 
         Unlike objects, queries may be partial (text-only); missing
-        modalities are simply absent from the result.
+        modalities are simply absent from the result.  Raw numeric content
+        holding a NaN or an infinity is refused here, before any encoder:
+        it would encode to a vector every distance to is NaN.
         """
         vectors: Dict[Modality, np.ndarray] = {}
         for modality, encoder in self._assignment.items():
             if query.has(modality):
-                vectors[modality] = encoder.encode(modality, query.get(modality))
+                content = query.get(modality)
+                if modality is not Modality.TEXT and not np.isfinite(
+                    np.asarray(content, dtype=np.float64)
+                ).all():
+                    raise EncodingError(f"query {modality.value} holds a NaN or an infinity")
+                vectors[modality] = encoder.encode(modality, content)
         if not vectors:
             expected = ", ".join(m.value for m in self._assignment)
             raise EncodingError(

@@ -15,11 +15,15 @@ nothing else does:
 
 * :meth:`HnswIndex.build` has the whole corpus, so it computes what the
   insertion beam search only approximates — each member's
-  ``ef_construction`` nearest *earlier* members of the layer — exactly:
-  one blocked GEMM per block of rows to pre-select, ``kernel.batch_paired``
-  to re-score and order (:func:`repro.index.stages.exact_top_k`), and
-  Algorithm 4 over all full-width rows of a block, its occlusion table
-  packed into a pass of blocks that :func:`select_saturated` scans once.
+  ``ef_construction`` nearest *earlier* members of the layer — exactly,
+  a pass at a time.  A pass is as many rows as one packed occlusion table
+  fits in the scratch budget: its candidates come one block of rows at a
+  time (a blocked GEMM to pre-select, ``kernel.batch_paired`` to re-score
+  and order: :func:`repro.index.stages.exact_top_k`, each block once, a
+  block straddling the pass's end held for the next), then Algorithm 4
+  runs over its full-width rows, the table :func:`select_saturated` scans
+  once, and the candidates go before the next pass's.  Only each row's
+  ``m`` picks outlive it: there is no ``(members, ef)`` table.
 * :meth:`HnswIndex.add` has one vector and a live graph, so it searches,
   with the routines every query uses, as a batch of one:
   :meth:`HnswIndex._greedy_descend_batch` through the layers above the
@@ -53,7 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -196,9 +200,12 @@ class HnswIndex(VectorIndex):
         """Link ``members`` (ascending node ids) into ``layer`` in that order.
 
         A member's candidates and the Algorithm-4 selection over them depend
-        on nothing the build has linked so far, so both run block by block
-        ahead of the links, and :meth:`_link` takes the layer in one call.
-        ``embedded`` is the build's ``kernel.embed`` of the whole corpus.
+        on nothing the build has linked so far, so both run ahead of the
+        links, a pass of whole candidate blocks at a time: each pass's
+        candidates are computed, selected from and dropped before the next
+        pass's, and only the ``(members, m)`` selection outlives it.
+        :meth:`_link` then takes the layer in one call.  ``embedded`` is
+        the build's ``kernel.embed`` of the whole corpus.
         """
         ef, m = self.params.ef_construction, self.params.m
         count = members.size
@@ -206,88 +213,80 @@ class HnswIndex(VectorIndex):
         vectors = self.vectors if whole else self.vectors[members]
         local = embedded if whole else embedded[members]
         rows = block_rows(ef, self.kernel.dim)
-        with trace_span(
-            "hnsw-candidates", layer=layer, rows=count, blocks=-(-count // rows)
-        ):
-            ids, distances = self._earlier_neighbors(vectors, rows, local)
-
+        step = max(1, pass_rows(ef) // rows) * rows
+        width = min(ef, count)
         # Rows narrower than ef keep the single-row form (as does every row
-        # when ef fits the cap and nothing is dropped); the full-width ones
-        # select together.  Either way a row holds the one int object per
-        # member (``nodes``), not the fresh copies ``tolist`` makes: an edge
-        # then costs a pointer.
-        nodes = members.tolist()
+        # when ef fits the cap and nothing is dropped), padded with -1; the
+        # full-width ones select a pass at a time.  Passes start at row 0 and
+        # at the first full-width row; candidate blocks start at row 0, and
+        # one that straddles a pass edge is held for the next pass.
         full_from = min(ef if ef > m else count, count)
-        selected: List[List[int]] = []
-        with trace_span("hnsw-select", layer=layer, rows=count):
-            for p in range(full_from):
-                ranked = [
-                    (distance, nodes[c])
-                    for distance, c in zip(distances[p, :p].tolist(), ids[p, :p].tolist())
-                ]
-                selected.append(self._select_heuristic(ranked, m, embedded))
-            for kept in self._select_passes(local, ids, distances, full_from, m):
-                selected.extend([nodes[c] for c in row] for row in kept.tolist())
+        bounds = [*range(0, full_from, step), *range(full_from, count, step), count]
+        selected = np.full((count, m), -1, dtype=np.intp)
+        with trace_span(
+            "hnsw-select", layer=layer, rows=count, blocks=-(-count // rows),
+            passes=len(bounds) - 1,
+        ):
+            for start, stop in zip(bounds, bounds[1:]):
+                with trace_span(
+                    "hnsw-candidates", rows=stop - start,
+                    blocks=len(range(-(-start // rows) * rows, stop, rows)),
+                ):
+                    ids = np.zeros((stop - start, width), dtype=np.intp)
+                    distances = np.full((stop - start, width), np.inf)
+                    for lo in range(start - start % rows, stop, rows):
+                        if lo >= start:
+                            top, top_distances = exact_top_k(
+                                self.kernel, vectors, lo, min(lo + rows, count), width,
+                                earlier_only=True, embedded=local,
+                            )
+                        a, b, got = max(lo, start), min(lo + rows, stop), top.shape[1]
+                        ids[a - start : b - start, :got] = top[a - lo : b - lo]
+                        distances[a - start : b - start, :got] = top_distances[a - lo : b - lo]
+                if start >= full_from:
+                    selected[start:stop] = self._select_passes(local, ids, distances, m)
+                for p in range(start, min(stop, full_from)):
+                    kept = self._select_heuristic(
+                        list(zip(distances[p - start, :p].tolist(), ids[p - start, :p].tolist())),
+                        m, local,
+                    )
+                    selected[p, : len(kept)] = kept
+                del ids, distances  # before the next pass's are made
 
-        # Every reverse edge into a row comes from a later node, so a row's
+        # A row holds the one int object per member (``nodes``), not the
+        # fresh copies ``tolist`` makes: an edge then costs a pointer.  Every
+        # reverse edge into a row comes from a later node, so a row's
         # history is its own selection, then these, in node order — whatever
         # happens to any other row: link target-major.
+        nodes = members.tolist()
         incoming: Dict[int, List[int]] = {}
         with trace_span("hnsw-link", layer=layer, rows=count) as span:
-            for node, neighbors in zip(nodes, selected):
+            for node, row in zip(nodes, selected):
+                neighbors = [nodes[c] for c in row.tolist() if c >= 0]
                 self._layers[layer][node] = neighbors
                 for neighbor in neighbors:
                     incoming.setdefault(neighbor, []).append(node)
+            del selected  # before _link's scratch
             span.set(**self._link(layer, incoming, self._cap(layer), embedded))
 
     def _select_passes(
-        self, embedded, ids: np.ndarray, distances: np.ndarray, first: int, m: int
-    ) -> Iterator[np.ndarray]:
-        """Algorithm 4 over the full-width candidate rows from ``first`` on:
-        one stacked ``kernel.matrix`` per block of rows, gathered from the
-        layer's ``embedded`` members, its table packed
-        into a pass of whole blocks that fits the scratch budget, one scan
-        per pass.  Yields each pass's kept candidate positions, ``(rows,
-        m)`` in selection order; no pass's table outlives the selection."""
+        self, embedded, ids: np.ndarray, distances: np.ndarray, m: int
+    ) -> np.ndarray:
+        """Algorithm 4 over one pass of full-width candidate rows: one
+        stacked ``kernel.matrix`` per block of rows, gathered from the
+        layer's ``embedded`` members, its table packed into the pass's, one
+        scan.  Returns the kept candidate positions, ``(rows, m)`` in
+        selection order; the pass's table goes with the call."""
         ef = self.params.ef_construction
         rows = block_rows(ef, self.kernel.dim)
-        step = max(1, pass_rows(ef) // rows) * rows
-        for start in range(first, ids.shape[0], step):
-            stop = min(start + step, ids.shape[0])
-            packed = np.zeros((stop - start, ef, packed_words(ef)), dtype="<u8")
-            for lo in range(start, stop, rows):
-                block = embedded[ids[lo : lo + rows]]
-                pack_table(
-                    mrng_rule(self.kernel.matrix(block, block), distances[lo : lo + rows]),
-                    out=packed[lo - start : lo - start + rows],
-                )
-            yield np.take_along_axis(ids[start:stop], select_saturated(packed, m), axis=1)
-
-    def _earlier_neighbors(
-        self, vectors: np.ndarray, rows: int, embedded=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Each row's ``ef_construction`` nearest *earlier* rows of ``vectors``
-        — exactly the set an insertion's beam search approximates — found
-        ``rows`` rows at a time, the GEMM reading ``embedded`` (the rows'
-        ``kernel.embed``) when given.
-
-        Returns ``(positions, distances)``, ascending by ``(distance,
-        position)``; row ``p`` has ``min(p, ef_construction)`` candidates, in
-        its leading columns.
-        """
-        count = vectors.shape[0]
-        width = min(self.params.ef_construction, count)
-        positions = np.zeros((count, width), dtype=np.intp)
-        distances = np.full((count, width), np.inf)
-        for start in range(0, count, rows):
-            stop = min(start + rows, count)
-            top, top_distances = exact_top_k(
-                self.kernel, vectors, start, stop, width, earlier_only=True,
-                embedded=embedded,
+        packed = np.zeros((ids.shape[0], ef, packed_words(ef)), dtype="<u8")
+        for lo in range(0, ids.shape[0], rows):
+            block = embedded[ids[lo : lo + rows]]
+            pack_table(
+                mrng_rule(self.kernel.matrix(block, block), distances[lo : lo + rows]),
+                out=packed[lo : lo + rows],
             )
-            positions[start:stop, : top.shape[1]] = top
-            distances[start:stop, : top.shape[1]] = top_distances
-        return positions, distances
+        return np.take_along_axis(ids, select_saturated(packed, m), axis=1)
 
     def _link(
         self, layer: int, incoming: Dict[int, List[int]], m: int, embedded=None

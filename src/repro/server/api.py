@@ -473,6 +473,15 @@ class ApiServer:
         return body[field]
 
     @classmethod
+    def _text_field(cls, body: Dict[str, Any]) -> str:
+        """``body["text"]``, which must be a string: it is what the encoders
+        and the cache key take, so nothing else is coerced into one."""
+        text = cls._require_field(body, "text")
+        if not isinstance(text, str):
+            raise ApiError(f"'text' expects a string, got {text!r}")
+        return text
+
+    @classmethod
     def _int_field(
         cls, body: Dict[str, Any], field: str, default: Optional[int] = None,
         required: bool = False,
@@ -682,9 +691,7 @@ class ApiServer:
         single-hop round and answer the same body bit-identically — and
         ``POST /refine``."""
         coordinator, qa = self._require_system(body)
-        text = self._require_field(body, "text")
-        if not isinstance(text, str):  # what the encoders and the cache key take
-            raise ApiError(f"'text' expects a string, got {text!r}")
+        text = self._text_field(body)
         options = {
             "weights": self._weights_field(body),
             "deadline_ms": self._deadline_override(body),
@@ -726,7 +733,7 @@ class ApiServer:
         """Build one :class:`RawQuery` from a ``/search`` request spec."""
         if not isinstance(spec, Mapping):
             raise ApiError(f"a search spec must be an object with 'text', got {spec!r}")
-        text = str(self._require_field(spec, "text"))
+        text = self._text_field(spec)
         reference_id = self._int_field(spec, "reference_object_id")
         if reference_id is not None:
             reference = coordinator.get_object(reference_id)

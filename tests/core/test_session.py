@@ -1,5 +1,6 @@
 """Tests for multi-round dialogue sessions."""
 
+import numpy as np
 import pytest
 
 from repro.core import Coordinator, DialogueSession
@@ -44,6 +45,19 @@ class TestSelectAndRefine:
         session.ask("foggy clouds")
         with pytest.raises(SessionError, match="out of range"):
             session.select(99)
+
+    @pytest.mark.parametrize("verb", ["select", "reject"])
+    def test_rank_must_be_an_integer(self, session, verb):
+        """A string or a float used to escape as a bare TypeError, and
+        ``True`` picked rank 1; a NumPy integer is an integer."""
+        session.ask("foggy clouds")
+        for rank in ("0", 0.0, True, None):
+            with pytest.raises(SessionError, match=f"rank must be an integer, got {rank!r}"):
+                getattr(session, verb)(rank)
+        assert session.rounds[0].selected_object_id is None
+        assert not session.rounds[0].rejected_object_ids
+        object_id = getattr(session, verb)(np.int64(2))
+        assert object_id == session.last_answer.items[2].object_id
 
     def test_refine_requires_selection(self, session):
         session.ask("foggy clouds")

@@ -19,6 +19,7 @@ import ast
 import gc
 import inspect
 import textwrap
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -84,36 +85,62 @@ def _oracle(index: HnswIndex, members: np.ndarray, p: int):
     return sorted(zip(distances.tolist(), earlier.tolist()))
 
 
+def _selection_inputs(index: HnswIndex, corpus, kernel):
+    """Build ``index`` and return every member's candidates as selection
+    is handed them, layer by layer from the top: ``(positions,
+    distances)``, positions into the layer's members, in rank order."""
+    rows = []
+    single, passes = index._select_heuristic, index._select_passes
+
+    def select_one(candidates, m, embedded=None):
+        rows.append(([c for _, c in candidates], [d for d, _ in candidates]))
+        return single(candidates, m, embedded)
+
+    def select_pass(embedded, ids, distances, m):
+        rows.extend(zip(ids.tolist(), distances.tolist()))
+        return passes(embedded, ids, distances, m)
+
+    index._select_heuristic, index._select_passes = select_one, select_pass
+    index.build(corpus, kernel)
+    del index._select_heuristic, index._select_passes
+    by_layer = []
+    for layer in range(len(index._layers) - 1, -1, -1):
+        by_layer.append((layer, rows[: len(index._layers[layer])]))
+        del rows[: len(index._layers[layer])]
+    assert not rows
+    return by_layer
+
+
 @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
 @pytest.mark.parametrize("corpus_name", ["distinct", "duplicated"])
 class TestCandidatesAgainstBruteForce:
-    def test_every_node_on_every_layer(self, kernel_name, corpus_name):
+    def test_every_node_on_every_layer(self, kernel_name, corpus_name, monkeypatch):
         corpus = {"distinct": _distinct_corpus, "duplicated": _duplicated_corpus}[
             corpus_name
         ]()
-        index = HnswIndex(PARAMS)
-        index.build(corpus, KERNELS[kernel_name]())
         ef = PARAMS.ef_construction
-        assert [len(rows) for rows in index._layers] == [400, 69, 12, 4, 1]
 
         straddling = 0
-        # The build's own block size (one block at this scale) and one that
-        # divides nothing, so block edges fall inside the layer.
-        for rows in (block_rows(ef, DIM), 7):
-            for layer in range(len(index._layers)):
+        # The build's own blocks and passes (one of each at this scale), then
+        # 7-row blocks in 14-row passes from the first full-width row, so
+        # block edges fall inside the layer and blocks straddle pass edges.
+        for rows in (None, 7):
+            if rows:
+                monkeypatch.setattr(hnsw, "block_rows", lambda width, dim: rows)
+                monkeypatch.setattr(hnsw, "pass_rows", lambda width: 2 * rows)
+            index = HnswIndex(PARAMS)
+            inputs = _selection_inputs(index, corpus, KERNELS[kernel_name]())
+            assert [len(rows) for rows in index._layers] == [400, 69, 12, 4, 1]
+            for layer, candidates in inputs:
                 members = _members(index, layer)
-                positions, distances = index._earlier_neighbors(
-                    index.vectors[members], rows
-                )
-                for p in range(members.size):
+                for p, (positions, distances) in enumerate(candidates):
                     ranked = _oracle(index, members, p)
                     expected = ranked[:ef]
                     width = len(expected)
-                    assert width == min(p, ef)
-                    got_ids = members[positions[p, :width]].tolist()
-                    assert got_ids == [node for _, node in expected]
+                    assert width == min(p, ef) == len(positions)
+                    assert members[positions].tolist() == [node for _, node in expected]
                     want = np.array([d for d, _ in expected], dtype=np.float64)
-                    assert distances[p, :width].tobytes() == want.tobytes()
+                    assert np.array(distances, dtype=np.float64).tobytes() == want.tobytes()
                     straddling += p > ef and ranked[ef - 1][0] == ranked[ef][0]
         if corpus_name == "duplicated":
             assert straddling > 100
@@ -317,6 +344,36 @@ def test_build_dispatch_budget(monkeypatch):
     index.check_invariants()
 
 
+def _build_peak_beyond_output(rows: int) -> int:
+    """Traced peak of one ``build`` under the benchmark's kernel shape
+    (MUST over 64 dims, default parameters) beyond its one embedding
+    (points and norms) and the graph it leaves behind."""
+    corpus = _unit_rows(np.random.default_rng(8), rows, 64)
+    kernel = WeightedMultiVectorKernel(
+        MultiVectorSchema({"text": 32, "image": 32}), {"text": 0.8, "image": 1.2}
+    )
+    index = HnswIndex(HnswParams())
+    tracemalloc.start()
+    try:
+        index.build(corpus, kernel)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - live - (corpus.nbytes + 8 * rows)
+
+
+def test_build_transient_does_not_grow_with_the_corpus():
+    """A layer's candidates live one pass at a time: 6 000 more rows add
+    less than half of what a whole-layer candidate table of them held
+    (``16 * ef`` bytes a member, 7.7 MB; with it the peak grew 10 MB).  What
+    still grows is each block's GEMM row against its prefix and the link
+    step's per-row lists."""
+    ef = HnswParams().ef_construction
+    small = _build_peak_beyond_output(2000)
+    large = _build_peak_beyond_output(8000)
+    assert large - small <= 16 * ef * 6000 // 2, (small, large)
+
+
 class EmbedCountingKernel(WeightedMultiVectorKernel):
     """Counts the rows it embeds from raw vectors and keeps a weak
     reference to every embedding it makes."""
@@ -378,13 +435,24 @@ def test_build_spans_give_each_layer_phase_an_address(unit_vectors):
     insert = root.find("hnsw-insert")
     assert insert.attributes == {"nodes": 300, "layers": len(index._layers)}
     phases = [child.name for child in insert.children]
-    assert phases == ["hnsw-candidates", "hnsw-select", "hnsw-link"] * len(index._layers)
+    assert phases == ["hnsw-select", "hnsw-link"] * len(index._layers)
     rows = block_rows(32, 32)
+    step = pass_rows(32) // rows * rows
     for span in insert.children:
         members = len(index._layers[span.attributes["layer"]])
         assert span.attributes["rows"] == members
-        if span.name == "hnsw-candidates":
+        if span.name == "hnsw-select":
+            # One candidates span per pass: passes of `step` rows from row 0
+            # and from the first full-width row, each computing the blocks
+            # that start in it, so every block is computed once.
+            full_from = min(32, members)
+            bounds = [*range(0, full_from, step), *range(full_from, members, step), members]
+            passes = [b - a for a, b in zip(bounds, bounds[1:])]
             assert span.attributes["blocks"] == -(-members // rows)
+            assert span.attributes["passes"] == len(passes)
+            assert [child.name for child in span.children] == ["hnsw-candidates"] * len(passes)
+            assert [c.attributes["rows"] for c in span.children] == passes
+            assert sum(c.attributes["blocks"] for c in span.children) == span.attributes["blocks"]
         if span.name == "hnsw-link":
             # Rows folded, their gathers, their events: a window covers up
             # to ``m`` events of a row, so a layer with work shows fewer

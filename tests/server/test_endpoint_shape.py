@@ -12,7 +12,11 @@ count.  The change must reproduce all of it; what it adds on purpose is
 spelled out in ``INTENDED_ADDITIONS`` and nowhere else.  When set-up's
 keyed draws moved to ``repro.utils.rng.words`` (another corpus), the
 ``exact`` leaves were retaken: only ``every-layer``'s loadgen planner tier
-counts moved (tier 0 6 -> 5 plans, tier 1 1 -> 2).
+counts moved (tier 0 6 -> 5 plans, tier 1 1 -> 2).  When HNSW's build
+began computing a layer's candidates a pass at a time, with one
+``hnsw-candidates`` span per pass, ``every-layer``'s count of that span went
+4 -> 5 in ``/metrics`` and in Prometheus: its 120-row layer 0 is two passes,
+the rows before ``ef_construction`` and the rest.
 """
 
 import json

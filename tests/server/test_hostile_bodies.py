@@ -85,6 +85,12 @@ HOSTILE_BODIES = [
      "dataset: seed must be an integer, got 'x'"),
     ("/configure", {"option": "dataset", "value": {"image_noise_sigma": -1}},
      "dataset: image_noise_sigma must be a finite number >= 0, got -1"),
+    # /search built its text with str(): 123 searched for "123", null for
+    # "None".
+    ("/search", {"text": 123}, "'text' expects a string, got 123"),
+    ("/search", {"text": None}, "'text' expects a string, got None"),
+    ("/search", {"text": True}, "'text' expects a string, got True"),
+    ("/search", {"queries": [{"text": ["sky"]}]}, "'text' expects a string, got ['sky']"),
 ]
 
 #: ``int(float("inf"))`` raises OverflowError, which used to escape ``handle``
