@@ -28,6 +28,7 @@ from typing import List, Optional
 from repro.core import MQAConfig
 from repro.core.config import add_config_arguments, config_overrides
 from repro.data import DOMAINS, DatasetSpec
+from repro.errors import ConfigurationError, DataError
 from repro.observability import ProfileAggregator, Span, read_recording
 from repro.server import ApiServer
 
@@ -83,7 +84,8 @@ def parse_fault_specs(specs: "Optional[List[str]]") -> dict:
     """Parse repeated ``--inject site:key=value,...`` flags into a faults dict.
 
     Raises SystemExit with a usage message on malformed specs; validation
-    of the keys/values themselves happens in ``MQAConfig.validate``.
+    of the keys/values themselves happens in ``MQAConfig.validate``.  A value
+    is an ``int`` where it spells one (``max_faults=2``), else a ``float``.
     """
     faults: dict = {}
     for spec in specs or []:
@@ -101,8 +103,9 @@ def parse_fault_specs(specs: "Optional[List[str]]") -> dict:
                 raise SystemExit(
                     f"--inject {spec!r}: malformed 'key=value' pair {pair!r}"
                 )
+            number = int if value.strip().lstrip("+-").isdigit() else float
             try:
-                entry[key] = float(value)
+                entry[key] = number(value)
             except ValueError:
                 raise SystemExit(
                     f"--inject {spec!r}: value for {key!r} must be numeric"
@@ -111,18 +114,22 @@ def parse_fault_specs(specs: "Optional[List[str]]") -> dict:
 
 
 def make_server(args: argparse.Namespace) -> ApiServer:
-    """Build and apply the configured system, reporting progress."""
+    """Build and apply the configured system, reporting progress; a refused
+    configuration is one ``error:`` line on stderr and exit status 1."""
     overrides = config_overrides(args)
     faults = parse_fault_specs(args.inject)
     overrides["resilience"] = bool(
         overrides["resilience"] or faults or overrides["deadline_ms"]
     )
-    config = MQAConfig(
-        dataset=DatasetSpec(domain=args.domain, size=args.size, seed=args.seed),
-        weight_learning={"steps": 30, "batch_size": 16},
-        faults=faults,
-        **overrides,
-    )
+    try:
+        config = MQAConfig(
+            dataset=DatasetSpec(domain=args.domain, size=args.size, seed=args.seed),
+            weight_learning={"steps": 30, "batch_size": 16},
+            faults=faults,
+            **overrides,
+        )
+    except (ConfigurationError, DataError) as exc:
+        raise SystemExit(f"error: {exc}") from None
     server = ApiServer(config)
     print(f"building {args.domain} knowledge base ({args.size} objects)...")
     response = server.handle("POST", "/apply")

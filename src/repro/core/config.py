@@ -1,7 +1,7 @@
 """System configuration — the data model behind the configuration panel.
 
 Every :class:`MQAConfig` field is declared once, through :func:`_knob`;
-validation, the CLI flags (:func:`add_config_arguments` /
+validation (:func:`~repro.utils.check_fields`), the CLI flags (:func:`add_config_arguments` /
 :func:`config_overrides`), ``run_loadgen``'s keyword forwarding and the
 ``POST /configure`` option set are all read off those declarations.
 """
@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import enum
-import operator
-from dataclasses import Field, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from importlib import import_module
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from repro.data.datasets import DatasetSpec, domain_vocabulary
 from repro.errors import ConfigurationError, DataError
-from repro.utils import check_integer, check_real
+from repro.utils import check_fields, param
 
 
 class WeightMode(str, enum.Enum):
@@ -34,43 +33,19 @@ class WeightMode(str, enum.Enum):
             return value
         try:
             return cls(value.lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             valid = ", ".join(m.value for m in cls)
             raise ConfigurationError(
                 f"unknown weight mode {value!r}; expected one of: {valid}"
             ) from None
 
 
-def _knob(
-    default: Any,
-    help: str,
-    *,
-    alias: Optional[str] = None,
-    metavar: Optional[str] = None,
-    choices: "Sequence[Any] | Callable[[], Sequence[str]] | None" = None,
-    **bounds: float,
-) -> Any:
-    """Declare one :class:`MQAConfig` field — the only place it is described.
-
-    Args:
-        default: The default value, or a zero-argument factory for a
-            mutable one.
-        help: One-line description; the CLI help text.
-        alias: The name the CLI and ``run_loadgen`` use where it is not the
-            field name (``result_count`` is ``--k``).
-        metavar: Placeholder shown in ``--help`` for the flag's value.
-        choices: The legal values — a tuple, or a callable returning the
-            registered names (see :func:`_registered`).
-        **bounds: ``ge`` / ``gt`` / ``le``: inclusive lower, exclusive
-            lower, inclusive upper bound.
-    """
-    metadata = {
-        "help": help, "alias": alias, "metavar": metavar,
-        "choices": choices, "bounds": bounds,
-    }
-    if callable(default):
-        return field(default_factory=default, metadata=metadata)
-    return field(default=default, metadata=metadata)
+def _knob(default: Any, help: str, **declaration: Any) -> Any:
+    """Declare one :class:`MQAConfig` field, the only place it is described:
+    :func:`~repro.utils.param` with its one-line ``help`` required (``alias``
+    is the CLI and ``run_loadgen`` name where it differs: ``result_count`` is
+    ``--k``)."""
+    return param(default, help=help, **declaration)
 
 
 def _registered(module: str, function: str) -> Callable[[], Sequence[str]]:
@@ -362,13 +337,13 @@ class MQAConfig:
 
     def validate(self) -> None:
         """Check every field against its declaration, then the rules that
-        span more than one field; raises ConfigurationError."""
+        span more than one field or reach into a forwarded dictionary;
+        raises ConfigurationError."""
+        check_fields(self, ConfigurationError)
         try:
             domain_vocabulary(self.dataset)
         except DataError as exc:
             raise ConfigurationError(f"dataset: {exc}") from None
-        for spec in fields(self):
-            _check(spec, getattr(self, spec.name))
         if self.weight_mode is WeightMode.FIXED and not self.fixed_weights:
             raise ConfigurationError("weight_mode 'fixed' requires fixed_weights")
         if self.weight_mode is WeightMode.LEARNED:
@@ -393,6 +368,11 @@ class MQAConfig:
             from repro.core.resilience import FaultInjector
 
             FaultInjector(seed=self.fault_seed, specs=self.faults)
+        # Likewise the index's parameters: instantiating (not building) the
+        # index checks them now, not after the knowledge base is generated.
+        from repro.index import build_index
+
+        build_index(self.index, self.index_params)
         if self.tiered and self.index != "starling":
             raise ConfigurationError(
                 "tiered serving requires index 'starling', got "
@@ -470,49 +450,6 @@ def _dataset_spec(data: Dict[str, Any]) -> DatasetSpec:
         return DatasetSpec(**dict(data))
     except (TypeError, ValueError, DataError) as exc:
         raise ConfigurationError(f"dataset: {exc}") from None
-
-
-_COMPARISONS = {
-    "ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.le, "<="),
-}
-
-
-def _check(spec: Field, value: Any) -> None:
-    """Raise ConfigurationError unless ``value`` is legal for the field
-    ``spec`` declares; ``None`` is legal exactly for ``Optional`` fields.
-    Past its choices or bounds, an ``int`` field's value must be an integer
-    and a ``float`` field's a finite real (a ``bool`` is neither)."""
-    optional = spec.type.startswith("Optional[")
-    if value is None and optional:
-        return
-    choices, bounds = spec.metadata["choices"], spec.metadata["bounds"]
-    if callable(choices):
-        if value not in choices():
-            raise ConfigurationError(
-                f"unknown {spec.name.replace('_', ' ')} {value!r}; "
-                f"available: {', '.join(choices())}"
-            )
-        return
-    if choices is not None:
-        legal, ok = " or ".join(map(str, choices)), value in choices
-    else:
-        legal = " and ".join(
-            f"{_COMPARISONS[key][1]} {bound:g}" for key, bound in bounds.items()
-        )
-        try:
-            ok = all(_COMPARISONS[key][0](value, b) for key, b in bounds.items())
-        except TypeError:  # e.g. a string from POST /configure
-            ok = False
-    if not ok:
-        raise ConfigurationError(
-            f"{spec.name} must be {legal}{' or None' if optional else ''}, "
-            f"got {value!r}"
-        )
-    kind = spec.type.removeprefix("Optional[").removesuffix("]")
-    if kind == "int":
-        check_integer(spec.name, value, error=ConfigurationError)
-    elif kind == "float":
-        check_real(spec.name, value, error=ConfigurationError)
 
 
 #: Every name a field answers to on the CLI and in ``run_loadgen``: its own,

@@ -49,9 +49,12 @@ class ConfigurationPanel:
 
     def set_option(self, option: str, value: Any) -> None:
         """Update one draft field with validation: any :class:`MQAConfig`
-        field by name, or the knowledge-base domain as ``knowledge_base``."""
+        field by name, or the knowledge-base domain as ``knowledge_base``.
+        Another ``index`` clears ``index_params`` (they were the old one's)."""
         if option == "knowledge_base":
             updates = {"dataset": replace(self.config.dataset, domain=str(value))}
+        elif option == "index" and value != self.config.index:
+            updates = {"index": value, "index_params": {}}
         elif isinstance(option, str) and option in MQAConfig.__dataclass_fields__:
             updates = {option: value}
         else:

@@ -32,7 +32,8 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
@@ -47,6 +48,7 @@ from repro.errors import (
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import trace_span
+from repro.utils.checks import check_fields, param
 from repro.utils.rng import derive_rng
 
 __all__ = [
@@ -75,33 +77,13 @@ class FaultSpec:
             scenario model a component that recovers after N failures.
     """
 
-    error_rate: float = 0.0
-    latency_ms: float = 0.0
-    latency_rate: float = 0.0
-    max_faults: Optional[int] = None
+    error_rate: float = param(0.0, ge=0, le=1)
+    latency_ms: float = param(0.0, ge=0)
+    latency_rate: float = param(0.0, ge=0, le=1)
+    max_faults: Optional[int] = param(None, ge=0)
 
-    def validate(self, site: str) -> None:
-        """Raise :class:`ConfigurationError` on out-of-range fields."""
-        if not 0.0 <= self.error_rate <= 1.0:
-            raise ConfigurationError(
-                f"fault site {site!r}: error_rate must be in [0, 1], "
-                f"got {self.error_rate}"
-            )
-        if not 0.0 <= self.latency_rate <= 1.0:
-            raise ConfigurationError(
-                f"fault site {site!r}: latency_rate must be in [0, 1], "
-                f"got {self.latency_rate}"
-            )
-        if self.latency_ms < 0:
-            raise ConfigurationError(
-                f"fault site {site!r}: latency_ms must be >= 0, "
-                f"got {self.latency_ms}"
-            )
-        if self.max_faults is not None and self.max_faults < 0:
-            raise ConfigurationError(
-                f"fault site {site!r}: max_faults must be >= 0, "
-                f"got {self.max_faults}"
-            )
+    def __post_init__(self) -> None:
+        check_fields(self, ConfigurationError)
 
 
 class FaultInjector:
@@ -129,23 +111,25 @@ class FaultInjector:
         self.errors: Dict[str, int] = {}
         self.delays: Dict[str, int] = {}
         for site, spec in (specs or {}).items():
-            self.configure(site, **dict(spec))
+            if not isinstance(spec, Mapping):
+                raise ConfigurationError(
+                    f"fault site {site!r}: a spec maps FaultSpec fields to "
+                    f"values, got {spec!r}"
+                )
+            self.configure(site, **{str(key): value for key, value in spec.items()})
 
     def configure(self, site: str, **spec_kwargs: Any) -> None:
         """Register (or replace) the fault spec for one site/prefix."""
-        unknown = set(spec_kwargs) - {
-            "error_rate",
-            "latency_ms",
-            "latency_rate",
-            "max_faults",
-        }
+        unknown = set(spec_kwargs) - {f.name for f in fields(FaultSpec)}
         if unknown:
             raise ConfigurationError(
                 f"fault site {site!r}: unknown spec keys: "
                 f"{', '.join(sorted(unknown))}"
             )
-        spec = FaultSpec(**spec_kwargs)
-        spec.validate(site)
+        try:
+            spec = FaultSpec(**spec_kwargs)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"fault site {site!r}: {exc}") from None
         with self._lock:
             self._specs[site] = spec
             self._rngs[site] = derive_rng(self.seed, "fault", site)
@@ -248,25 +232,13 @@ class RetryPolicy:
     the request deadline.
     """
 
-    attempts: int = 1
-    backoff_ms: float = 10.0
-    multiplier: float = 2.0
+    attempts: int = param(1, ge=1)
+    backoff_ms: float = param(10.0, ge=0)
+    multiplier: float = param(2.0, ge=1)
     max_backoff_ms: float = 1000.0
 
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on out-of-range fields."""
-        if self.attempts < 1:
-            raise ConfigurationError(
-                f"retry attempts must be >= 1, got {self.attempts}"
-            )
-        if self.backoff_ms < 0:
-            raise ConfigurationError(
-                f"retry backoff_ms must be >= 0, got {self.backoff_ms}"
-            )
-        if self.multiplier < 1.0:
-            raise ConfigurationError(
-                f"retry multiplier must be >= 1, got {self.multiplier}"
-            )
+    def __post_init__(self) -> None:
+        check_fields(self, ConfigurationError)
         if self.max_backoff_ms < self.backoff_ms:
             raise ConfigurationError(
                 "retry max_backoff_ms must be >= backoff_ms, "
@@ -446,7 +418,6 @@ class ResilienceManager:
     ) -> None:
         self.enabled = bool(enabled)
         self.retry = retry or RetryPolicy()
-        self.retry.validate()
         self.default_deadline_ms = default_deadline_ms
         self.breaker_threshold = breaker_threshold
         self.breaker_reset_ms = breaker_reset_ms

@@ -22,7 +22,7 @@ from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import DEFAULT_MODALITIES, Modality
 from repro.data.rendering import AudioSpec, ImageSpec, RenderModel
 from repro.errors import DataError
-from repro.utils import check_integer, check_real
+from repro.utils import check_fields, check_integer, param
 
 DOMAINS: Dict[str, Mapping[str, Tuple[str, ...]]] = {
     "fashion": {
@@ -90,28 +90,23 @@ class DatasetSpec:
     """
 
     domain: str = "fashion"
-    size: int = 500
+    size: int = param(500, ge=1)
     seed: int = 7
-    latent_dim: int = 64
+    latent_dim: int = param(64, ge=1)
     modalities: Tuple[Modality, ...] = DEFAULT_MODALITIES
-    text_drop_probability: float = 0.15
-    image_noise_sigma: float = 0.05
-    audio_noise_sigma: float = 0.1
-    min_concepts: int = 2
+    text_drop_probability: float = param(0.15, ge=0, lt=1)
+    image_noise_sigma: float = param(0.05, ge=0)
+    audio_noise_sigma: float = param(0.1, ge=0)
+    min_concepts: int = param(2, ge=1)
     max_concepts: int = 4
 
     def __post_init__(self) -> None:
-        """Check every field (bar ``domain``, which the generator and the
-        configuration check against :data:`DOMAINS`) and raise DataError;
-        ``modalities`` may be names and is stored as a tuple of
+        """Check every field (``domain`` only as a string: the generator and
+        the configuration check it against :data:`DOMAINS`) and raise
+        DataError; ``modalities`` may be names and is stored as a tuple of
         :class:`Modality`."""
-        for name, low in (("size", 1), ("latent_dim", 1), ("min_concepts", 1)):
-            check_integer(name, getattr(self, name), low, DataError)
-        check_integer("seed", self.seed, error=DataError)
+        check_fields(self, DataError)
         check_integer("max_concepts", self.max_concepts, self.min_concepts, DataError)
-        check_real("text_drop_probability", self.text_drop_probability, 0.0, 1.0, DataError)
-        check_real("image_noise_sigma", self.image_noise_sigma, 0.0, error=DataError)
-        check_real("audio_noise_sigma", self.audio_noise_sigma, 0.0, error=DataError)
         modalities = self.modalities
         if isinstance(modalities, str) or not isinstance(modalities, (list, tuple)):
             modalities = ()

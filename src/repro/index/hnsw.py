@@ -76,7 +76,7 @@ from repro.index.stages import (
     pass_rows,
 )
 from repro.observability import trace_span
-from repro.utils import check_integer, derive_rng
+from repro.utils import check_fields, derive_rng, param
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,12 @@ class HnswParams:
         seed: Layer-assignment seed.
     """
 
-    m: int = 12
+    m: int = param(12, ge=2)
     ef_construction: int = 80
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_integer("m", self.m, 2)
-        check_integer("ef_construction", self.ef_construction)
-        check_integer("seed", self.seed)
+        check_fields(self)
         if self.ef_construction < self.m:
             raise ValueError(
                 f"ef_construction ({self.ef_construction}) must be >= m ({self.m})"

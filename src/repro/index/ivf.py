@@ -19,7 +19,7 @@ import numpy as np
 from repro.distance.kernel import DistanceKernel
 from repro.errors import SearchError
 from repro.index.base import SearchResult, SearchStats, VectorIndex, _per_query_admits
-from repro.utils import check_integer, derive_rng
+from repro.utils import check_fields, derive_rng, param
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,13 @@ class IvfParams:
         seed: Centroid-init seed.
     """
 
-    n_lists: int = 32
-    nprobe: int = 4
-    kmeans_iters: int = 10
+    n_lists: int = param(32, ge=1)
+    nprobe: int = param(4, ge=1)
+    kmeans_iters: int = param(10, ge=1)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_lists", "nprobe", "kmeans_iters"):
-            check_integer(name, getattr(self, name), 1)
-        check_integer("seed", self.seed)
+        check_fields(self)
 
 
 class IvfIndex(VectorIndex):

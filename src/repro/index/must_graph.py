@@ -19,30 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.index.pipeline_builder import GraphPipelineSpec, PipelineGraphIndex
-from repro.index.vamana import check_vamana_params, vamana_spec
+from repro.index.vamana import VamanaParams, vamana_spec
+from repro.utils import param
 
 
 @dataclass(frozen=True)
-class MustGraphParams:
-    """Parameters of the unified multi-modal navigation graph.
+class MustGraphParams(VamanaParams):
+    """Parameters of the unified multi-modal navigation graph: Vamana's
+    (:class:`~repro.index.vamana.VamanaParams`, its ranges and its
+    ``candidate_pool >= max_degree`` rule) at a tighter robust-prune slack,
+    ``alpha = 1.15``."""
 
-    Attributes:
-        max_degree: Out-degree bound.
-        alpha: Robust-prune slack (1.0 = strict RNG).
-        candidate_pool: Candidates per vertex (exact nearest at ``build``).
-        build_budget: Beam width of the searched acquisition at ``add``;
-            ``build`` ranks the corpus exactly and does not search.
-        seed: Random-init seed.
-    """
-
-    max_degree: int = 16
-    alpha: float = 1.15
-    candidate_pool: int = 48
-    build_budget: int = 64
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_vamana_params(self)
+    alpha: float = param(1.15, ge=1)
 
 
 def must_graph_spec(params: MustGraphParams = MustGraphParams()) -> GraphPipelineSpec:

@@ -19,7 +19,7 @@ from repro.index.stages import (
     init_empty,
     select_mrng,
 )
-from repro.utils import check_integer
+from repro.utils import check_fields, param
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,11 @@ class NsgParams:
         knn: Size of the kNN candidate pool per vertex.
     """
 
-    max_degree: int = 16
+    max_degree: int = param(16, ge=2)
     knn: int = 50
 
     def __post_init__(self) -> None:
-        check_integer("max_degree", self.max_degree, 2)
-        check_integer("knn", self.knn)
+        check_fields(self)
         if self.knn < self.max_degree:
             raise ValueError(
                 f"knn pool ({self.knn}) must be >= max_degree ({self.max_degree})"

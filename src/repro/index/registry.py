@@ -64,13 +64,12 @@ def _starling_params(mapping: Mapping[str, Any]) -> StarlingParams:
     """Starling parameters with the ``inner`` / ``tiered`` sub-configs
     inflated from plain mappings (how they arrive from
     ``MQAConfig.index_params`` / JSON)."""
-    params = dict(mapping)
-    inner = params.get("inner")
-    if isinstance(inner, Mapping):
-        params["inner"] = _params_from(inner, VamanaParams)
-    tiered = params.get("tiered")
-    if isinstance(tiered, Mapping):
-        params["tiered"] = _params_from(tiered, TieredParams)
+    nested = {"inner": VamanaParams, "tiered": TieredParams}
+    params = {
+        key: _params_from(value, nested[key])
+        if key in nested and isinstance(value, Mapping) else value
+        for key, value in mapping.items()
+    }
     return _params_from(params, StarlingParams)
 
 

@@ -28,7 +28,7 @@ from repro.index.search import greedy_search_batch
 from repro.index.tiered import TieredParams, TieredStore
 from repro.index.vamana import VamanaIndex, VamanaParams
 from repro.observability import trace_span
-from repro.utils import check_integer
+from repro.utils import check_fields, param
 
 
 class BlockDevice:
@@ -111,15 +111,14 @@ class StarlingParams:
             tiered store existed.
     """
 
-    block_size: int = 16
-    cache_blocks: int = 8
+    block_size: int = param(16, ge=1)
+    cache_blocks: int = param(8, ge=0)
     shuffled: bool = True
     inner: VamanaParams = VamanaParams()
     tiered: Optional[TieredParams] = None
 
     def __post_init__(self) -> None:
-        check_integer("block_size", self.block_size, 1)
-        check_integer("cache_blocks", self.cache_blocks, 0)
+        check_fields(self)
 
 
 class StarlingIndex(VectorIndex):

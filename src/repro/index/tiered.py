@@ -31,7 +31,7 @@ import numpy as np
 from repro.errors import ConfigurationError, GraphConstructionError
 from repro.index.base import append_row
 from repro.index.quantization import ScalarQuantizer
-from repro.utils import check_integer
+from repro.utils import check_fields, param
 
 
 @dataclass(frozen=True)
@@ -51,19 +51,14 @@ class TieredParams:
             own mmap segment.
     """
 
-    bits: int = 8
-    rerank_factor: int = 4
-    mmap_cache_blocks: int = 32
-    block_size: int = 16
+    bits: int = param(8, choices=(4, 8))
+    rerank_factor: int = param(4, ge=1)
+    mmap_cache_blocks: int = param(32, ge=0)
+    block_size: int = param(16, ge=1)
     path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        check_integer("bits", self.bits, error=ConfigurationError)
-        if self.bits not in (4, 8):
-            raise ConfigurationError(f"bits must be 4 or 8, got {self.bits}")
-        check_integer("rerank_factor", self.rerank_factor, 1, ConfigurationError)
-        check_integer("mmap_cache_blocks", self.mmap_cache_blocks, 0, ConfigurationError)
-        check_integer("block_size", self.block_size, 1, ConfigurationError)
+        check_fields(self, ConfigurationError)
 
 
 class QuantizedCodes:

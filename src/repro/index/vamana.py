@@ -28,7 +28,7 @@ from repro.index.stages import (
     init_random_regular,
     select_alpha_rng,
 )
-from repro.utils import check_integer, check_real
+from repro.utils import check_fields, param
 
 
 @dataclass(frozen=True)
@@ -46,30 +46,19 @@ class VamanaParams:
         seed: Random-init seed.
     """
 
-    max_degree: int = 16
-    alpha: float = 1.2
+    max_degree: int = param(16, ge=2)
+    alpha: float = param(1.2, ge=1)
     candidate_pool: int = 48
     build_budget: int = 64
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_vamana_params(self)
+        check_fields(self)
         if self.candidate_pool < self.max_degree:
             raise ValueError(
                 f"candidate_pool ({self.candidate_pool}) must be >= "
                 f"max_degree ({self.max_degree})"
             )
-
-
-def check_vamana_params(params) -> None:
-    """What Vamana's fields must be, in any params with them (nav-must's
-    too): integers, ``max_degree >= 2``, and ``alpha`` a finite real
-    ``>= 1`` — NaN would pass ``alpha < 1.0`` and build a graph whose
-    occlusion rule never fires."""
-    check_integer("max_degree", params.max_degree, 2)
-    for name in ("candidate_pool", "build_budget", "seed"):
-        check_integer(name, getattr(params, name))
-    check_real("alpha", params.alpha, 1.0)
 
 
 def vamana_spec(params: VamanaParams = VamanaParams()) -> GraphPipelineSpec:

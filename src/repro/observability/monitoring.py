@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.observability.metrics import Window
+from repro.utils import check_fields, param
 
 STATE_OK = "ok"
 STATE_DEGRADED = "degraded"
@@ -47,22 +48,13 @@ class SLOTargets:
         breach_factor: Multiplier separating ``degraded`` from ``breach``.
     """
 
-    latency_ms: float = 250.0
-    error_rate: float = 0.05
-    window: int = 64
-    breach_factor: float = 2.0
+    latency_ms: float = param(250.0, gt=0)
+    error_rate: float = param(0.05, ge=0, le=1)
+    window: int = param(64, ge=1)
+    breach_factor: float = param(2.0, gt=1)
 
     def __post_init__(self) -> None:
-        if self.latency_ms <= 0:
-            raise ValueError(f"latency_ms must be positive, got {self.latency_ms}")
-        if not 0.0 <= self.error_rate <= 1.0:
-            raise ValueError(f"error_rate must be in [0, 1], got {self.error_rate}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.breach_factor <= 1.0:
-            raise ValueError(
-                f"breach_factor must be > 1, got {self.breach_factor}"
-            )
+        check_fields(self)
 
 
 class SLOMonitor:

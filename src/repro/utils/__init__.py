@@ -1,8 +1,8 @@
 """Shared utilities: seeded RNG helpers (set-up's keyed generator is
 :mod:`repro.utils.rng`'s ``words``), timers, simplex projection, the set-up
-scratch budget and parameter checks."""
+scratch budget and the parameter contract (:func:`param`, :func:`check_fields`)."""
 
-from repro.utils.checks import check_integer, check_real, object_id_of
+from repro.utils.checks import check_fields, check_integer, check_real, object_id_of, param
 from repro.utils.rng import derive_rng, rng_from_seed, stable_hash
 from repro.utils.scratch import SCRATCH_BYTES, row_blocks
 from repro.utils.timing import Timer
@@ -11,11 +11,13 @@ from repro.utils.vectors import l2_normalize, project_to_simplex
 __all__ = [
     "SCRATCH_BYTES",
     "Timer",
+    "check_fields",
     "check_integer",
     "check_real",
     "derive_rng",
     "l2_normalize",
     "object_id_of",
+    "param",
     "project_to_simplex",
     "rng_from_seed",
     "row_blocks",

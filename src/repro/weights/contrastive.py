@@ -31,7 +31,7 @@ import numpy as np
 from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
 from repro.encoders.base import EncoderSet
-from repro.utils import check_integer, check_real, project_to_simplex
+from repro.utils import check_fields, param, project_to_simplex
 from repro.weights.sampler import ContrastiveBatch, ViewPairSampler
 
 
@@ -55,29 +55,20 @@ class WeightLearningConfig:
         seed: Sampling seed.
     """
 
-    steps: int = 60
-    batch_size: int = 32
-    n_negatives: int = 8
-    learning_rate: float = 0.05
-    momentum: float = 0.8
-    temperature: float = 0.5
-    uniform_pull: float = 0.15
+    steps: int = param(60, ge=1)
+    batch_size: int = param(32, ge=1)
+    n_negatives: int = param(8, ge=1)
+    learning_rate: float = param(0.05, gt=0)
+    momentum: float = param(0.8, ge=0, lt=1)
+    temperature: float = param(0.5, gt=0)
+    uniform_pull: float = param(0.15, ge=0)
     seed: int = 0
 
     def __post_init__(self) -> None:
         """Refuse what the learner cannot run on — a non-integer count, a
         ``bool`` or a non-finite rate — here, so ``MQAConfig`` refuses it
         at configuration time rather than set-up failing at indexing."""
-        for name in ("steps", "batch_size", "n_negatives"):
-            check_integer(name, getattr(self, name), 1)
-        check_integer("seed", self.seed)
-        check_real("momentum", self.momentum, 0.0, 1.0)
-        check_real("uniform_pull", self.uniform_pull, 0.0)
-        for name in ("learning_rate", "temperature"):
-            value = getattr(self, name)
-            check_real(name, value, 0.0)
-            if value == 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+        check_fields(self)
 
 
 @dataclass

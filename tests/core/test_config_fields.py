@@ -157,7 +157,7 @@ class TestRejectionParity:
         }
 
     def test_a_mistyped_value_is_a_configuration_error_too(self):
-        with pytest.raises(ConfigurationError, match="workers must be >= 1, got 'two'"):
+        with pytest.raises(ConfigurationError, match="workers must be an integer, got 'two'"):
             MQAConfig(workers="two")
         with pytest.raises(ConfigurationError, match="dataset"):
             MQAConfig(dataset={"galaxy": "far away"})

@@ -3,16 +3,21 @@ the build can use.  ``HnswParams(m=2.5)`` used to pass its ``<`` checks and
 die as a ``TypeError`` inside the indexing node; ``VamanaParams(alpha=nan)``
 passed ``alpha < 1.0`` and built a graph whose occlusion rule never fires.
 ``MQAConfig(index_params=...)`` hands these dicts to :func:`build_index`,
-which now answers with a :class:`ConfigurationError` naming the field."""
+which now answers with a :class:`ConfigurationError` naming the field — and
+``MQAConfig`` does so when it is configured, not at ``/apply`` after the
+knowledge base has been generated."""
 
 import math
 
 import numpy as np
 import pytest
 
+from repro.core import MQAConfig
+from repro.core.panels import ConfigurationPanel
 from repro.errors import ConfigurationError
 from repro.index import build_index
 from repro.index.hnsw import HnswParams
+from repro.index.ivf import IvfParams
 from repro.index.must_graph import MustGraphParams
 from repro.index.nsg import NsgParams
 from repro.index.starling import StarlingParams
@@ -37,6 +42,14 @@ REFUSED = [
     (NsgParams, "nsg", "knn", [50.5, NAN, True]),
     (StarlingParams, "starling", "block_size", [16.5, NAN, True]),
     (StarlingParams, "starling", "cache_blocks", [8.5, NAN, True, -1]),
+    # Starling's untyped fields: an ``inner`` of 5 died at apply with an
+    # AttributeError, ``tiered="yes"`` was accepted, and ``shuffled="no"``
+    # built the shuffled layout.
+    (StarlingParams, "starling", "shuffled", ["no", 1, None]),
+    (StarlingParams, "starling", "inner", [5, "x", None]),
+    (StarlingParams, "starling", "tiered", ["yes", 5, True]),
+    (IvfParams, "ivf", "n_lists", [0, 32.5, True]),
+    (IvfParams, "ivf", "nprobe", [0, NAN, "4"]),
 ]
 
 CASES = [
@@ -74,3 +87,38 @@ def test_defaults_and_bounds_still_hold():
         VamanaParams(alpha=0.99)
     with pytest.raises(ValueError, match="max_degree"):
         MustGraphParams(max_degree=1)
+
+
+#: ``(index, index_params)`` that ``MQAConfig`` accepted: each failed only at
+#: ``/apply``, after the knowledge base had been generated (or, for
+#: ``shuffled``, never).
+AT_CONFIGURATION = [
+    ("hnsw", {"m": 1}, "m must be >= 2"),
+    ("hnsw", {"bogus": 3}, "bogus"),
+    ("vamana", {"alpha": NAN}, "alpha"),
+    ("starling", {"inner": 5}, "inner"),
+    ("starling", {"tiered": "yes"}, "tiered"),
+    ("starling", {"shuffled": "no"}, "shuffled"),
+    ("starling", {"tiered": {"bits": 3}}, "bits must be 4 or 8"),
+]
+
+
+@pytest.mark.parametrize("index, params, message", AT_CONFIGURATION)
+def test_refused_when_configured(index, params, message):
+    with pytest.raises(ConfigurationError, match=message):
+        MQAConfig(index=index, index_params=params)
+
+
+def test_the_panel_takes_an_index_then_its_parameters():
+    """Choosing another index clears the old one's parameters, so the
+    index-then-parameters order works from any starting point."""
+    panel = ConfigurationPanel(MQAConfig(index_params={"m": 6, "ef_construction": 32}))
+    panel.set_option("index", "hnsw")
+    assert panel.config.index_params == {"m": 6, "ef_construction": 32}
+    panel.set_option("index", "vamana")
+    assert panel.config.index_params == {}
+    panel.set_option("index_params", {"max_degree": 8, "candidate_pool": 16})
+    with pytest.raises(ConfigurationError, match="max_degree must be >= 2"):
+        panel.set_option("index_params", {"max_degree": 1})
+    assert panel.config.index == "vamana"
+    assert panel.config.index_params == {"max_degree": 8, "candidate_pool": 16}

@@ -25,19 +25,46 @@ def fire_schedule(injector: FaultInjector, site: str, n: int) -> list:
 class TestSpecValidation:
     def test_rates_must_be_probabilities(self):
         with pytest.raises(ConfigurationError):
-            FaultSpec(error_rate=1.5).validate("x")
+            FaultSpec(error_rate=1.5)
         with pytest.raises(ConfigurationError):
-            FaultSpec(latency_rate=-0.1).validate("x")
+            FaultSpec(latency_rate=-0.1)
 
     def test_latency_and_budget_bounds(self):
         with pytest.raises(ConfigurationError):
-            FaultSpec(latency_ms=-1).validate("x")
+            FaultSpec(latency_ms=-1)
         with pytest.raises(ConfigurationError):
-            FaultSpec(max_faults=-1).validate("x")
+            FaultSpec(max_faults=-1)
 
     def test_unknown_spec_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown spec keys"):
             FaultInjector().configure("llm.generate", error_probability=0.5)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"error_rate": True}, "error_rate must be in [0, 1], got True"),
+            ({"max_faults": 2.5}, "max_faults must be an integer or None, got 2.5"),
+            ({"latency_ms": float("nan")}, "latency_ms must be a finite number >= 0, got nan"),
+            # An infinite latency used to reach ``time.sleep`` (OverflowError).
+            ({"latency_ms": float("inf"), "latency_rate": 1},
+             "latency_ms must be a finite number >= 0, got inf"),
+            ({"error_rate": "0.5"}, "error_rate must be in [0, 1], got '0.5'"),
+        ],
+        ids=["bool-rate", "fractional-budget", "nan-latency", "inf-latency", "string-rate"],
+    )
+    def test_a_mistyped_spec_is_refused_at_construction(self, spec, message):
+        with pytest.raises(ConfigurationError) as caught:
+            FaultInjector(specs={"encoder": spec})
+        assert str(caught.value) == f"fault site 'encoder': {message}"
+
+    @pytest.mark.parametrize("spec", [5, "error_rate=1", [("error_rate", 1.0)], None])
+    def test_a_spec_that_is_not_a_mapping_is_refused(self, spec):
+        with pytest.raises(ConfigurationError, match="fault site 'encoder': a spec maps"):
+            FaultInjector(specs={"encoder": spec})
+
+    def test_an_integral_budget_is_kept(self):
+        injector = FaultInjector(specs={"llm": {"error_rate": 1, "max_faults": 2}})
+        assert fire_schedule(injector, "llm.generate", 4) == [True, True, False, False]
 
 
 class TestDeterminism:

@@ -81,3 +81,32 @@ class TestShell:
         assert "selected #" in captured.out
         assert "status monitoring" in captured.out
         assert "frontend -> coordinator" in captured.out
+
+
+class TestRefusedConfiguration:
+    """A refused configuration is one ``error:`` line on stderr and exit
+    status 1 — it used to print a ``ConfigurationError`` traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--k", "0"], "error: result_count must be >= 1, got 0"),
+            (["--inject", "encoder:error_rate=nan"],
+             "error: fault site 'encoder': error_rate must be in [0, 1], got nan"),
+            (["--inject", "encoder:latency_ms=inf,latency_rate=1"],
+             "error: fault site 'encoder': latency_ms must be a finite number >= 0, "
+             "got inf"),
+            (["--size", "0"], "error: size must be >= 1, got 0"),
+        ],
+    )
+    def test_one_line_and_status_one(self, argv, message):
+        with pytest.raises(SystemExit) as caught:
+            main(argv + ["--ask", "fog"])
+        assert caught.value.code == message
+
+    def test_an_integral_fault_value_is_an_integer(self):
+        from repro.cli import parse_fault_specs
+
+        faults = parse_fault_specs(["llm.generate:error_rate=1,max_faults=2,latency_ms=0.5"])
+        assert faults == {"llm.generate": {"error_rate": 1, "max_faults": 2, "latency_ms": 0.5}}
+        assert type(faults["llm.generate"]["max_faults"]) is int

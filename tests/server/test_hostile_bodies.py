@@ -91,6 +91,12 @@ HOSTILE_BODIES = [
     ("/search", {"text": None}, "'text' expects a string, got None"),
     ("/search", {"text": True}, "'text' expects a string, got True"),
     ("/search", {"queries": [{"text": ["sky"]}]}, "'text' expects a string, got ['sky']"),
+    # A fault spec that is not a mapping, or a rate sent as a string, used to
+    # escape ``handle`` as a TypeError.
+    ("/configure", {"option": "faults", "value": {"encoder": 5}},
+     "fault site 'encoder': a spec maps FaultSpec fields to values, got 5"),
+    ("/configure", {"option": "faults", "value": {"encoder": {"error_rate": "0.5"}}},
+     "fault site 'encoder': error_rate must be in [0, 1], got '0.5'"),
 ]
 
 #: ``int(float("inf"))`` raises OverflowError, which used to escape ``handle``
@@ -143,13 +149,13 @@ def test_a_malformed_field_is_an_error_reply(server, route, body, message):
 #: ``Infinity`` as floats, which every ``<=`` check of the learner passed.
 NON_FINITE_LEARNER = [
     ('{"option": "weight_learning", "value": {"learning_rate": NaN}}',
-     "invalid weight_learning: learning_rate must be a finite number >= 0, got nan"),
+     "invalid weight_learning: learning_rate must be a finite number > 0, got nan"),
     ('{"option": "weight_learning", "value": {"temperature": Infinity}}',
-     "invalid weight_learning: temperature must be a finite number >= 0, got inf"),
+     "invalid weight_learning: temperature must be a finite number > 0, got inf"),
     ('{"option": "weight_learning", "value": {"uniform_pull": NaN}}',
      "invalid weight_learning: uniform_pull must be a finite number >= 0, got nan"),
     ('{"option": "weight_learning", "value": {"learning_rate": true}}',
-     "invalid weight_learning: learning_rate must be a finite number >= 0, got True"),
+     "invalid weight_learning: learning_rate must be a finite number > 0, got True"),
 ]
 
 

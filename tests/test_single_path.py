@@ -12,10 +12,12 @@ a remote wait and never stands in for work, and the coordinator runs the
 rounds its layers register without naming any of them.  Set-up's data is
 rendered the same way: an object, a view and a learner step are batches of
 one.  And index code computes a distance only through a kernel, where it is
-counted.
+counted.  A parameter is declared once, on its dataclass field, and checked
+by the one checker that reads the declarations.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -723,3 +725,108 @@ def test_index_code_computes_distances_only_through_a_kernel():
                 offenders.append(f"{where} .{node.attr}")
     assert "Metric" in allowed, "the import scan lost the package imports"
     assert offenders == []
+
+
+def _dataclasses_of_repro():
+    """Every dataclass defined in a ``repro`` module, with its source tree."""
+    for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        for value in vars(importlib.import_module(name)).values():
+            if (
+                inspect.isclass(value) and dataclasses.is_dataclass(value)
+                and value.__module__ == name
+            ):
+                yield value, ast.parse(textwrap.dedent(inspect.getsource(value)))
+
+
+def _called(node):
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def test_a_parameter_is_checked_once():
+    """A field's type and range are declared on the field
+    (``repro.utils.param``) and enforced by ``check_fields``: no dataclass
+    under ``repro`` compares one of its own fields with a bound, or hands
+    one field to ``check_integer`` / ``check_real``, before raising — only a
+    rule that spans fields stays as code.  ``config._check``,
+    ``check_vamana_params`` and the ``validate`` methods of ``FaultSpec``
+    and ``RetryPolicy`` are gone, every dataclass that declares a range
+    calls ``check_fields`` at construction (its own ``__post_init__`` /
+    ``validate`` or an inherited one), and outside ``repro.utils.checks`` the two
+    ``check_*`` helpers check only values that are no field:
+    ``TextRenderer``'s two arguments, a session's ``rank`` and
+    ``max_concepts``' bound by ``min_concepts``."""
+    from repro.core import config, resilience
+    from repro.index import vamana
+
+    assert not hasattr(config, "_check") and not hasattr(config, "_COMPARISONS")
+    assert not hasattr(vamana, "check_vamana_params")
+    assert not hasattr(resilience.FaultSpec, "validate")
+    assert not hasattr(resilience.RetryPolicy, "validate")
+
+    hand, unenforced, declaring = [], [], []
+    for cls, tree in _dataclasses_of_repro():
+        names = {spec.name for spec in dataclasses.fields(cls)}
+
+        def fields_in(node):
+            found = set()
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute) and sub.attr in names
+                    and getattr(sub.value, "id", "") == "self"
+                ):
+                    found.add(sub.attr)
+                elif isinstance(sub, ast.Call) and _called(sub) == "getattr":
+                    found.add("getattr")
+            return found
+
+        for node in ast.walk(tree):
+            where = f"{cls.__qualname__}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call) and _called(node) in ("check_integer", "check_real"):
+                if len(fields_in(node)) == 1:
+                    hand.append(where)
+            elif isinstance(node, ast.If) and any(
+                isinstance(statement, ast.Raise) for statement in node.body
+            ):
+                tests = [
+                    sub for sub in ast.walk(node.test)
+                    if isinstance(sub, ast.Compare)
+                    or (isinstance(sub, ast.Call) and _called(sub) == "isinstance")
+                ]
+                if tests and len(fields_in(node.test)) == 1:
+                    hand.append(where)
+        if any(
+            spec.metadata.get("bounds") or spec.metadata.get("choices") is not None
+            for spec in dataclasses.fields(cls)
+        ):
+            declaring.append(cls.__name__)
+            checkers = [
+                ast.parse(textwrap.dedent(inspect.getsource(getattr(cls, name))))
+                for name in ("__post_init__", "validate") if hasattr(cls, name)
+            ]
+            if not any(
+                isinstance(node, ast.Call) and _called(node) == "check_fields"
+                for checker in checkers for node in ast.walk(checker)
+            ):
+                unenforced.append(cls.__name__)
+    assert hand == []
+    assert unenforced == []
+    assert {"MQAConfig", "HnswParams", "FaultSpec", "SLOTargets"} <= set(declaring), (
+        "the dataclass scan lost the declaring classes"
+    )
+
+    calls = []
+    for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        if name == "repro.utils.checks":
+            continue
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        calls += [
+            (name, node.args[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called(node) in ("check_integer", "check_real")
+        ]
+    assert sorted(calls) == [
+        ("repro.core.session", "rank"),
+        ("repro.data.datasets", "max_concepts"),
+        ("repro.data.rendering", "drop_probability"),
+        ("repro.data.rendering", "filler_count"),
+    ]
