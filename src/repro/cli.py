@@ -37,18 +37,15 @@ from repro.server import ApiServer
 #: exposes; flag, type, default, choices and help come from the field.
 SHELL_FIELDS = (
     "framework", "index", "encoder_set", "llm", "k", "trace", "record",
-    "monitor", "workers", "max_batch", "batch_window_ms", "shards", "replicas",
+    "monitor", "workers", "max_batch", "shards", "replicas",
     "resilience", "deadline_ms", "retry_attempts", "fault_seed", "tiered",
     "quantize_bits", "rerank_factor", "mmap_cache_blocks", "planner",
-    "recall_floor", "semantic_cache", "semantic_threshold", "admission",
-    "agentic", "agentic_max_hops", "agentic_refine_rounds",
+    "semantic_cache", "admission", "agentic",
 )
 LOADGEN_FIELDS = (
-    "workers", "batch", "batch_window_ms", "shards", "replicas",
-    "index", "tiered",
+    "workers", "batch", "shards", "replicas", "index", "tiered",
     "quantize_bits", "rerank_factor", "mmap_cache_blocks", "planner",
-    "recall_floor", "semantic_cache", "semantic_threshold", "admission",
-    "deadline_ms", "cache",
+    "semantic_cache", "admission", "deadline_ms", "cache",
 )
 STATS_FIELDS = ("workers", "shards", "replicas", "batch")
 

@@ -109,6 +109,12 @@ class Claim:
         }
 
 
+#: Decomposed sub-queries per question (hop 0, the question, runs on top).
+MAX_HOPS = 4
+#: Re-retrieval rounds for claims whose citations carry no textual evidence.
+REFINE_ROUNDS = 1
+
+
 class QueryDecomposer:
     """Split a question into per-concept sub-queries.
 
@@ -120,7 +126,7 @@ class QueryDecomposer:
     def __init__(
         self,
         space: ConceptSpace,
-        max_hops: int = 4,
+        max_hops: int = MAX_HOPS,
         seed: int = 0,
         temperature: float = 0.0,
     ) -> None:
@@ -176,7 +182,7 @@ class AgenticAnswerer:
         self,
         decomposer: QueryDecomposer,
         synthesizer: Optional[ClaimSynthesizer] = None,
-        refine_rounds: int = 1,
+        refine_rounds: int = REFINE_ROUNDS,
         metrics=None,
     ) -> None:
         if refine_rounds < 0:
@@ -194,12 +200,9 @@ class AgenticAnswerer:
         ``space`` — decomposition needs the vocabulary, so the answerer
         exists only once preprocessing delivered the knowledge base."""
         decomposer = QueryDecomposer(
-            space,
-            max_hops=config.agentic_max_hops,
-            seed=config.dataset.seed,
-            temperature=config.temperature,
+            space, seed=config.dataset.seed, temperature=config.temperature
         )
-        return cls(decomposer, refine_rounds=config.agentic_refine_rounds, metrics=metrics)
+        return cls(decomposer, metrics=metrics)
 
     # ------------------------------------------------------------------
     # introspection (GET /stats, GET /health)

@@ -32,6 +32,9 @@ from repro.data.objects import RawQuery
 from repro.errors import ConfigurationError
 from repro.retrieval.base import RetrievalResponse
 
+#: Cosine similarity at or above which a cached near-duplicate qualifies.
+SEMANTIC_THRESHOLD = 0.9
+
 
 def _digest_content(value: Any) -> str:
     """Stable digest of query content (text or array)."""
@@ -227,7 +230,7 @@ class SemanticQueryCache(QueryCache):
         self,
         embed: Callable[[RawQuery], Tuple[Tuple, np.ndarray]],
         capacity: int = 128,
-        threshold: float = 0.9,
+        threshold: float = SEMANTIC_THRESHOLD,
         recall_guard: "Callable[[float], bool] | None" = None,
     ) -> None:
         if not 0.0 <= threshold <= 1.0:

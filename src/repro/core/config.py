@@ -92,7 +92,6 @@ class MQAConfig:
             the server micro-batches into one batched retrieval.  ``1``
             (the default) disables coalescing entirely — every request runs
             alone, exactly the pre-batching behaviour.
-        batch_window_ms: Only meaningful with ``max_batch > 1``.
         shards: ``None`` (the default) keeps the historical unsharded
             engine — no router exists at all; ``1`` routes through a single
             shard (a pure pass-through, bit-identical to unsharded);
@@ -129,18 +128,14 @@ class MQAConfig:
         planner: Pick the per-query search budget (and shard fan-out under
             deadline pressure) from the live latency/recall distributions
             so the cheapest plan whose predicted p95 fits the remaining
-            deadline — and whose observed recall stays at or above
-            ``recall_floor`` — runs.  Off by default: queries then use
+            deadline — and whose observed recall stays at or above the
+            planner's recall floor — runs.  Off by default: queries then use
             ``search_budget`` verbatim and results are bit-identical to
             the unplanned path.
-        recall_floor: Plans predicted to land below the floor are never
-            chosen voluntarily.
         semantic_cache: Replace the exact-match query cache with the
             near-duplicate :class:`~repro.core.cache.SemanticQueryCache`
             (cosine matching over per-modality query embeddings, same
             generation-counter invalidation on ingest).  Off by default.
-        semantic_threshold: ``0`` degenerates to exact-match behaviour
-            bit-identically.
         admission: A predicted-cost token bucket plus a queue-delay EWMA
             shed or degrade requests *before* the engine saturates,
             instead of failing at the ``EngineSaturatedError`` cliff.  Off
@@ -151,9 +146,6 @@ class MQAConfig:
             (``POST /ask`` and the ``--agentic`` CLI flag).  Off by
             default: the single-hop query path and its payloads are then
             bit-identical to the pre-agentic behaviour.
-        agentic_max_hops: The original query always runs as hop 0 on top.
-        agentic_refine_rounds: Refinement re-retrieves for claims whose
-            citations carry no textual evidence.
     """
 
     dataset: DatasetSpec = _knob(DatasetSpec, "knowledge-base generation spec")
@@ -212,11 +204,7 @@ class MQAConfig:
         False, "enable online SLO + retrieval-quality monitoring (/health)",
         alias="monitor",
     )
-    monitor_sample_rate: int = _knob(
-        8, "score every Nth query against the latent-concept ground truth", ge=1
-    )
     slo_latency_ms: float = _knob(250.0, "rolling-window p95 latency target", gt=0)
-    slo_window: int = _knob(64, "requests per SLO rolling window", ge=1)
     workers: int = _knob(
         1, "query-engine worker threads (1 = serial inline execution)", ge=1
     )
@@ -224,9 +212,6 @@ class MQAConfig:
         1, "micro-batch size cap for POST /search (1 = no coalescing, the "
         "serial behaviour)",
         alias="batch", ge=1,
-    )
-    batch_window_ms: float = _knob(
-        2.0, "how long the micro-batch collector waits for the batch to fill", ge=0
     )
     shards: Optional[int] = _knob(
         None, "partition the knowledge base across N shards behind the "
@@ -241,11 +226,6 @@ class MQAConfig:
         "hash", "shard-assignment policy",
         choices=_registered("repro.core.sharding", "available_partitioners"),
     )
-    rebalance_threshold: int = _knob(
-        8, "live-object spread between the largest and smallest shard that "
-        "triggers an ingest-time rebalance (0 = never)",
-        ge=0,
-    )
     resilience: bool = _knob(
         False, "enable the resilience layer (retries, deadlines, circuit "
         "breakers, graceful degradation)",
@@ -253,17 +233,10 @@ class MQAConfig:
     retry_attempts: int = _knob(
         1, "attempts per guarded component call (1 = no retries)", ge=1
     )
-    retry_backoff_ms: float = _knob(10.0, "backoff before the first retry", ge=0)
     deadline_ms: Optional[float] = _knob(
         None, "per-request latency budget in milliseconds (on the command "
         "line it also enables the resilience layer)",
         gt=0,
-    )
-    breaker_threshold: int = _knob(
-        5, "consecutive failures that open a site's circuit breaker", ge=1
-    )
-    breaker_reset_ms: float = _knob(
-        1000.0, "how long an open breaker waits before half-open probe calls", gt=0
     )
     fault_seed: int = _knob(0, "seed for the deterministic fault injector")
     faults: Dict[str, Dict[str, Any]] = _knob(
@@ -291,19 +264,9 @@ class MQAConfig:
         False, "self-tuning query planner: pick per-query search budget "
         "and shard fan-out from live latency/recall distributions",
     )
-    recall_floor: float = _knob(
-        0.8, "minimum acceptable recall@k for planner and semantic-cache "
-        "decisions",
-        ge=0, le=1,
-    )
     semantic_cache: bool = _knob(
         False, "serve near-duplicate queries from the semantic cache "
         "(cosine matching over query embeddings)",
-    )
-    semantic_threshold: float = _knob(
-        0.9, "cosine similarity at or above which a cached near-duplicate "
-        "qualifies (0 = exact-match only)",
-        ge=0, le=1,
     )
     admission: bool = _knob(
         False, "admission control: shed or degrade requests before the "
@@ -312,13 +275,6 @@ class MQAConfig:
     agentic: bool = _knob(
         False, "agentic answering: decompose the question into per-concept "
         "hops and compose per-claim cited answers",
-    )
-    agentic_max_hops: int = _knob(
-        4, "maximum decomposed sub-queries per agentic question", ge=1
-    )
-    agentic_refine_rounds: int = _knob(
-        1, "re-retrieval rounds for unsupported claims (0 disables refinement)",
-        ge=0,
     )
 
     def __post_init__(self) -> None:
@@ -368,11 +324,15 @@ class MQAConfig:
             from repro.core.resilience import FaultInjector
 
             FaultInjector(seed=self.fault_seed, specs=self.faults)
-        # Likewise the index's parameters: instantiating (not building) the
-        # index checks them now, not after the knowledge base is generated.
+        # Likewise the index's and the LLM's parameters: instantiating (not
+        # building) them checks them now, not after the knowledge base is
+        # generated.
         from repro.index import build_index
+        from repro.llm import build_llm
 
         build_index(self.index, self.index_params)
+        if self.llm is not None:
+            build_llm(self.llm, self.llm_params)
         if self.tiered and self.index != "starling":
             raise ConfigurationError(
                 "tiered serving requires index 'starling', got "
@@ -426,19 +386,21 @@ class MQAConfig:
             "llm": self.llm or "none",
             "temperature": f"{self.temperature:.2f}",
         }
+        from repro.core import agentic, cache, planning
+
         adaptive = []
         if self.planner:
-            adaptive.append(f"planner (floor {self.recall_floor:.2f})")
+            adaptive.append(f"planner (floor {planning.RECALL_FLOOR:.2f})")
         if self.semantic_cache:
-            adaptive.append(f"semantic cache @ {self.semantic_threshold:.2f}")
+            adaptive.append(f"semantic cache @ {cache.SEMANTIC_THRESHOLD:.2f}")
         if self.admission:
             adaptive.append("admission control")
         if adaptive:
             body["planning"] = ", ".join(adaptive)
         if self.agentic:
             body["agentic"] = (
-                f"multi-hop (max {self.agentic_max_hops} hops, "
-                f"{self.agentic_refine_rounds} refine rounds)"
+                f"multi-hop (max {agentic.MAX_HOPS} hops, "
+                f"{agentic.REFINE_ROUNDS} refine rounds)"
             )
         return body
 

@@ -74,7 +74,6 @@ class IndexConstruction:
                 shards=config.shards if config.shards is not None else 1,
                 replicas=config.replicas,
                 partitioner=config.partitioner,
-                rebalance_threshold=config.rebalance_threshold,
                 resilience=resilience,
                 events=events,
                 metrics=metrics,

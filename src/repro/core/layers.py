@@ -115,8 +115,7 @@ def _admission(c, parts):
 def _planner(c, parts):
     config = c.config
     planner = QueryPlanner(
-        base_budget=config.search_budget, k=config.result_count,
-        recall_floor=config.recall_floor, shards=config.shards or 0,
+        base_budget=config.search_budget, k=config.result_count, shards=config.shards or 0,
         stats=parts.get("stats"), metrics=c.metrics,
     )
     stage = partial(planner.plan_round, admission=parts.get("admission"))
@@ -127,7 +126,6 @@ def _cache(c, parts):
     config, planner = c.config, parts.get("planner")
     cache = SemanticQueryCache(
         query_embedding(c.representation.encoder_set),
-        threshold=config.semantic_threshold,
         recall_guard=planner.semantic_guard if planner else None,
     ) if config.semantic_cache else QueryCache()
     c.execution.cache = cache
@@ -140,7 +138,7 @@ def _agentic(c, parts):
 
 
 def _slo(c, parts):
-    slo = SLOMonitor(SLOTargets(latency_ms=c.config.slo_latency_ms, window=c.config.slo_window))
+    slo = SLOMonitor(SLOTargets(latency_ms=c.config.slo_latency_ms))
     return Layer(slo, slo.snapshot)
 
 
@@ -150,8 +148,7 @@ def _recorder(c, parts):
 
 
 def _quality(c, parts):
-    config = c.config
-    quality = QualityMonitor(c.kb, c.metrics, config.monitor_sample_rate, config.result_count)
+    quality = QualityMonitor(c.kb, c.metrics, k=c.config.result_count)
     observe = partial(quality.observe_round, stats=parts.get("stats"))
     return Layer(quality, quality.snapshot, observers=(("quality", observe),))
 

@@ -61,6 +61,9 @@ logger = logging.getLogger(__name__)
 #: Latency samples retained per budget tier (rolling window).
 _TIER_WINDOW = 128
 
+#: Minimum predicted recall a plan must keep (the status panel prints it).
+RECALL_FLOOR = 0.8
+
 #: Exponent of the prior recall model ``(budget / base) ** rho`` used for
 #: tiers with no observed recall yet — mildly pessimistic, so very cheap
 #: tiers start out below any reasonable floor until proven otherwise.
@@ -198,7 +201,7 @@ class QueryPlanner:
         self,
         base_budget: int,
         k: int,
-        recall_floor: float = 0.8,
+        recall_floor: float = RECALL_FLOOR,
         shards: int = 0,
         stats: Optional[Any] = None,
         metrics: Optional[Any] = None,

@@ -50,6 +50,7 @@ from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import trace_span
 from repro.utils.checks import check_fields, param
 from repro.utils.rng import derive_rng
+from repro.utils.timing import MAX_SLEEP_MS
 
 __all__ = [
     "FaultSpec",
@@ -78,7 +79,7 @@ class FaultSpec:
     """
 
     error_rate: float = param(0.0, ge=0, le=1)
-    latency_ms: float = param(0.0, ge=0)
+    latency_ms: float = param(0.0, ge=0, le=MAX_SLEEP_MS)
     latency_rate: float = param(0.0, ge=0, le=1)
     max_faults: Optional[int] = param(None, ge=0)
 
@@ -446,12 +447,8 @@ class ResilienceManager:
             )
         return cls(
             enabled=config.resilience,
-            retry=RetryPolicy(
-                attempts=config.retry_attempts, backoff_ms=config.retry_backoff_ms
-            ),
+            retry=RetryPolicy(attempts=config.retry_attempts),
             default_deadline_ms=config.deadline_ms,
-            breaker_threshold=config.breaker_threshold,
-            breaker_reset_ms=config.breaker_reset_ms,
             injector=injector,
             metrics=metrics,
             clock=clock,

@@ -11,15 +11,18 @@ derived from context items, its answers always pass the grounding check.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.llm.base import GenerationRequest, GenerationResult, LanguageModel
 from repro.llm.template_llm import TemplateLLM
+from repro.utils import check_fields
 
 _WHICH_PATTERN = re.compile(r"\bwhich (?:of (?:these|them|the results) )?(?:are|is|have|has)\b (.+)")
 _COUNT_PATTERN = re.compile(r"\bhow many (?:of (?:these|them|the results) )?(?:are|is|have|has)?\b(.*)")
 
 
+@dataclass(eq=False)
 class AttributeQALLM(LanguageModel):
     """Answers attribute questions about the retrieved items.
 
@@ -30,8 +33,12 @@ class AttributeQALLM(LanguageModel):
 
     name = "attribute-qa"
 
-    def __init__(self, fallback: Optional[LanguageModel] = None, seed: int = 0) -> None:
-        self.fallback = fallback or TemplateLLM(seed=seed)
+    fallback: Optional[LanguageModel] = None
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        self.fallback = self.fallback or TemplateLLM(seed=self.seed)
 
     @staticmethod
     def _attribute_terms(raw: str) -> List[str]:

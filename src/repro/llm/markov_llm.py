@@ -11,12 +11,13 @@ configuration panel's temperature slider observable behaviour.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.llm.base import GenerationRequest, GenerationResult, LanguageModel
-from repro.utils import derive_rng
+from repro.utils import check_fields, derive_rng, param
 
 _BASE_CORPUS = """
 here are the results you asked for . i found several matching items in the
@@ -29,16 +30,17 @@ detail to narrow things down .
 """
 
 
+@dataclass(eq=False)
 class MarkovLLM(LanguageModel):
     """Word-bigram generation seeded by the retrieval context."""
 
     name = "markov"
 
-    def __init__(self, seed: int = 0, max_words: int = 40) -> None:
-        if max_words < 5:
-            raise ValueError(f"max_words must be >= 5, got {max_words}")
-        self.seed = seed
-        self.max_words = max_words
+    seed: int = 0
+    max_words: int = param(40, ge=5)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
         self._base_transitions = self._train(_BASE_CORPUS.split())
 
     @staticmethod

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any, Callable, Dict, Mapping, Tuple
 
 from repro.errors import ConfigurationError
@@ -37,17 +38,24 @@ def build_llm(name: str, params: "Mapping[str, Any] | None" = None) -> LanguageM
     return factory(dict(params or {}))
 
 
-register_llm(
-    "template",
-    lambda p: TemplateLLM(
-        seed=int(p.get("seed", 0)),
-        latency_ms=float(p.get("latency_ms", 0.0)),
-    ),
-)
-register_llm("attribute-qa", lambda p: AttributeQALLM(seed=int(p.get("seed", 0))))
-register_llm(
-    "markov",
-    lambda p: MarkovLLM(
-        seed=int(p.get("seed", 0)), max_words=int(p.get("max_words", 40))
-    ),
-)
+def _declared(cls: type) -> LLMFactory:
+    """The factory of a model whose parameters are its declared fields: an
+    unknown key or an illegal value is refused naming the model."""
+
+    def factory(params: Mapping[str, Any]) -> LanguageModel:
+        unknown = set(map(str, params)) - {spec.name for spec in fields(cls)}
+        if unknown:
+            raise ConfigurationError(
+                f"llm {cls.name!r}: unknown parameters: {', '.join(sorted(unknown))}"
+            )
+        try:
+            return cls(**params)
+        except (ValueError, ConfigurationError) as exc:
+            raise ConfigurationError(f"llm {cls.name!r}: {exc}") from None
+
+    return factory
+
+
+register_llm("template", _declared(TemplateLLM))
+register_llm("attribute-qa", _declared(AttributeQALLM))
+register_llm("markov", _declared(MarkovLLM))

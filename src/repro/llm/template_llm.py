@@ -10,11 +10,13 @@ to parametric knowledge — the behaviour the paper's "LLM-only" mode needs.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import List
 
 from repro.errors import ConfigurationError
 from repro.llm.base import GenerationRequest, GenerationResult, LanguageModel
-from repro.utils import derive_rng
+from repro.utils import check_fields, derive_rng, param
+from repro.utils.timing import MAX_SLEEP_MS
 
 _OPENERS = (
     "Here is what I found",
@@ -29,6 +31,7 @@ _REFINE_OPENERS = (
 )
 
 
+@dataclass(eq=False)
 class TemplateLLM(LanguageModel):
     """Grounded template-based generation.
 
@@ -46,13 +49,11 @@ class TemplateLLM(LanguageModel):
 
     name = "template"
 
-    def __init__(self, seed: int = 0, latency_ms: float = 0.0) -> None:
-        if latency_ms < 0:
-            raise ConfigurationError(
-                f"latency_ms must be >= 0, got {latency_ms}"
-            )
-        self.seed = seed
-        self.latency_ms = float(latency_ms)
+    seed: int = 0
+    latency_ms: float = param(0.0, ge=0, le=MAX_SLEEP_MS)
+
+    def __post_init__(self) -> None:
+        check_fields(self, ConfigurationError)
 
     def _pick(self, options: "tuple[str, ...]", request: GenerationRequest, temperature: float) -> str:
         if temperature == 0.0:

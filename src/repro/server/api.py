@@ -176,15 +176,8 @@ class ApiServer:
         clock: Time source for request latency (injectable so SLO grading
             can be driven deterministically in tests).
         workers: Engine worker count; overrides ``config.workers`` when
-            given (as the CLI ``--workers`` flag does).
-        engine_queue: Bounded-queue depth (the engine's own default when
-            omitted).
-        max_batch: Micro-batch size cap for ``POST /search``; overrides
-            ``config.max_batch`` when given (as ``--max-batch`` does).
-            ``1`` disables coalescing — identical serving behaviour to the
-            pre-batching server.
-        batch_window_ms: Collector wait window; overrides
-            ``config.batch_window_ms``.
+            given.  The micro-batcher of ``POST /search`` always follows
+            the panel's ``max_batch``.
     """
 
     #: Verbs that mutate shared state — exclusive under the engine lock.
@@ -225,34 +218,21 @@ class ApiServer:
         knowledge_base: Optional[KnowledgeBase] = None,
         clock: Optional[Callable[[], float]] = None,
         workers: Optional[int] = None,
-        engine_queue: Optional[int] = None,
-        max_batch: Optional[int] = None,
-        batch_window_ms: Optional[float] = None,
     ) -> None:
         self._panel = ConfigurationPanel(config)
         self._knowledge_base = knowledge_base
         self._clock = clock or time.perf_counter
         self._coordinator: Optional[Coordinator] = None
         self._sessions = SessionTable()
-        # Explicit constructor/CLI settings pin the engine; otherwise it
-        # follows the (possibly reconfigured) panel config.
-        self._engine_pinned = workers is not None or engine_queue is not None
+        # An explicit ``workers`` pins the engine; otherwise it follows the
+        # (possibly reconfigured) panel config.
+        self._engine_pinned = workers is not None
         draft = self._panel.config
         self.engine = QueryEngine(
             workers=workers if workers is not None else draft.workers,
             live_session=self._sessions.__contains__,
-            **({} if engine_queue is None else {"max_queue": engine_queue}),
         )
-        self._batcher_pinned = max_batch is not None or batch_window_ms is not None
-        self.batcher = MicroBatcher(
-            self._run_search_batch,
-            max_batch=max_batch if max_batch is not None else draft.max_batch,
-            window_ms=(
-                batch_window_ms
-                if batch_window_ms is not None
-                else draft.batch_window_ms
-            ),
-        )
+        self.batcher = MicroBatcher(self._run_search_batch, max_batch=draft.max_batch)
         self._engine_lock = threading.Lock()
         self._routes: Dict[Tuple[str, str], Callable[[Dict[str, Any]], Dict[str, Any]]] = {
             ("GET", "/options"): self._get_options,
@@ -425,26 +405,19 @@ class ApiServer:
             admission.queue_probe = lambda: self.engine.queue_depth
 
     def _maybe_resize_batcher(self) -> None:
-        """Follow ``POST /configure`` batching settings (unless pinned).
+        """Follow the panel's ``max_batch`` after ``POST /configure``.
 
         Swapping in a fresh collector is safe at any point: waiters on the
         old instance elect leaders among themselves, so every in-flight
         submission still completes.
         """
-        if self._batcher_pinned:
-            return
-        draft = self._panel.config
-        desired = (draft.max_batch, draft.batch_window_ms)
-        if desired == (self.batcher.max_batch, self.batcher.window_ms):
+        desired = self._panel.config.max_batch
+        if desired == self.batcher.max_batch:
             return
         with self._engine_lock:
-            if desired == (self.batcher.max_batch, self.batcher.window_ms):
+            if desired == self.batcher.max_batch:
                 return
-            self.batcher = MicroBatcher(
-                self._run_search_batch,
-                max_batch=desired[0],
-                window_ms=desired[1],
-            )
+            self.batcher = MicroBatcher(self._run_search_batch, max_batch=desired)
 
     def close(self) -> None:
         """Shut the engine down (stops accepting work, drains the pool)."""

@@ -99,8 +99,8 @@ def _range(bounds: "dict[str, float]") -> str:
     """``in [0, 1)`` for a lower and an upper bound, ``>= 1`` for one."""
     if len(bounds) == 2:
         (low, a), (high, b) = sorted(bounds.items(), key=lambda item: item[0][0] == "l")
-        return f"in {'[('[low == 'gt']}{a:g}, {b:g}{'])'[high == 'lt']}"
-    return " and ".join(f"{_ORDER[key][1]} {bound:g}" for key, bound in bounds.items())
+        return f"in {'[('[low == 'gt']}{a:.12g}, {b:.12g}{'])'[high == 'lt']}"
+    return " and ".join(f"{_ORDER[key][1]} {bound:.12g}" for key, bound in bounds.items())
 
 
 def _enforce(

@@ -1,8 +1,13 @@
-"""A tiny wall-clock timer used by the status panel and the benchmarks."""
+"""A tiny wall-clock timer used by the status panel and the benchmarks, and
+the bound on a simulated wait."""
 
 from __future__ import annotations
 
 import time
+
+#: The longest simulated wait a parameter may ask for (one hour); past it
+#: ``time.sleep`` overflows on a finite value such as ``1e300``.
+MAX_SLEEP_MS = 3_600_000
 
 
 class Timer:

@@ -1,5 +1,7 @@
 """CLI surface for agentic answering (``--agentic`` and friends)."""
 
+import pytest
+
 from repro.cli import build_parser, main, print_answer
 
 
@@ -7,16 +9,14 @@ class TestAgenticFlags:
     def test_defaults_off(self):
         args = build_parser().parse_args([])
         assert args.agentic is False
-        assert args.agentic_max_hops == 4
-        assert args.agentic_refine_rounds == 1
 
     def test_flags_parse(self):
-        args = build_parser().parse_args(
-            ["--agentic", "--agentic-max-hops", "2", "--agentic-refine-rounds", "0"]
-        )
+        args = build_parser().parse_args(["--agentic"])
         assert args.agentic is True
-        assert args.agentic_max_hops == 2
-        assert args.agentic_refine_rounds == 0
+        # The hop cap and the refine rounds are the answerer's own settings.
+        for flag in ("--agentic-max-hops", "--agentic-refine-rounds"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([flag, "2"])
 
 
 class TestAgenticOneShot:

@@ -8,6 +8,7 @@ can never perturb existing deployments.
 import pytest
 
 from repro.core import MQASystem
+from repro.core.agentic import AgenticAnswerer, QueryDecomposer
 from repro.server import ApiServer
 
 from tests.agentic.conftest import agentic_config
@@ -40,13 +41,16 @@ class TestOffModeParity:
         assert agentic.groundedness is None
 
     @pytest.mark.parametrize(
-        "knob",
-        [{"agentic_max_hops": 2}, {"agentic_refine_rounds": 3}],
-        ids=["agentic_max_hops", "agentic_refine_rounds"],
+        "component, setting",
+        [(QueryDecomposer, {"max_hops": 2}), (AgenticAnswerer, {"refine_rounds": 3})],
+        ids=["agentic_max_hops", "agentic_refine_rounds"],  # the fields they were
     )
-    def test_knobs_are_inert_when_off(self, scenes_kb, off_system, knob):
+    def test_knobs_are_inert_when_off(
+        self, scenes_kb, off_system, set_default, component, setting
+    ):
+        set_default(component, **setting)
         knobbed = MQASystem.from_knowledge_base(
-            scenes_kb, agentic_config(agentic=False, **knob)
+            scenes_kb, agentic_config(agentic=False)
         )
         off_system.reset_dialogue()
         plain = off_system.ask(QUESTION)
@@ -81,8 +85,12 @@ class TestOffModeParity:
         config = agentic_config()
         assert "multi-hop" in config.summary()["agentic"]
 
-    def test_config_validation(self):
-        with pytest.raises(Exception):
-            agentic_config(agentic_max_hops=0).validate()
-        with pytest.raises(Exception):
-            agentic_config(agentic_refine_rounds=-1).validate()
+    def test_config_validation(self, scenes_kb):
+        """The hop cap and the refine rounds are their components' settings,
+        no config field, and the components refuse them out of range."""
+        with pytest.raises(TypeError, match="agentic_max_hops"):
+            agentic_config(agentic_max_hops=2)
+        with pytest.raises(ValueError, match="max_hops"):
+            QueryDecomposer(scenes_kb.space, max_hops=0)
+        with pytest.raises(ValueError, match="refine_rounds"):
+            AgenticAnswerer(QueryDecomposer(scenes_kb.space), refine_rounds=-1)

@@ -112,9 +112,10 @@ def test_validation():
         MicroBatcher(lambda items: items, window_ms=-1.0)
 
 
-def test_server_search_coalescing_preserves_results():
+def test_server_search_coalescing_preserves_results(set_default):
     """Concurrent ``POST /search`` under micro-batching returns exactly the
     serial answers, and the health histogram accounts for every query."""
+    set_default(MicroBatcher, window_ms=50.0)
     serial = make_server(workers=1)
     try:
         kb = serial._coordinator.kb
@@ -133,7 +134,7 @@ def test_server_search_coalescing_preserves_results():
     finally:
         serial.close()
 
-    batched = make_server(workers=4, max_batch=4, batch_window_ms=50.0)
+    batched = make_server(workers=4, max_batch=4)
     try:
         health = batched.handle("GET", "/health")
         assert health["batching"]["enabled"] is True
@@ -160,9 +161,10 @@ def test_server_search_coalescing_preserves_results():
         batched.close()
 
 
-def test_server_list_search_records_explicit_batch():
+def test_server_list_search_records_explicit_batch(set_default):
     """An explicit list body bypasses the collector but is still counted."""
-    server = make_server(workers=1, max_batch=4, batch_window_ms=1.0)
+    set_default(MicroBatcher, window_ms=1.0)
+    server = make_server(workers=1, max_batch=4)
     try:
         kb = server._coordinator.kb
         concepts = sorted({c for obj in kb for c in obj.concepts})

@@ -67,3 +67,30 @@ def unit_queries():
     rng = np.random.default_rng(1)
     matrix = rng.standard_normal((20, 32))
     return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+
+
+@pytest.fixture
+def set_default(monkeypatch):
+    """``set_default(Component, name=value, ...)`` changes the defaults of a
+    constructor's parameters for one test.  A setting that is no
+    configuration field is its component's own default; this is how a test
+    reaches another value of it through a system built from a config."""
+
+    def patch(component, **values):
+        function = component.__init__
+        code = function.__code__
+        positional = code.co_varnames[: code.co_argcount]
+        defaults = list(function.__defaults__ or ())
+        named = positional[len(positional) - len(defaults):]
+        kwdefaults = dict(function.__kwdefaults__ or {})
+        for name, value in values.items():
+            if name in named:
+                defaults[named.index(name)] = value
+            elif name in kwdefaults:
+                kwdefaults[name] = value
+            else:
+                raise TypeError(f"{component.__qualname__} has no default for {name!r}")
+        monkeypatch.setattr(function, "__defaults__", tuple(defaults))
+        monkeypatch.setattr(function, "__kwdefaults__", kwdefaults or None)
+
+    return patch

@@ -5,10 +5,12 @@ spelling, help); validation, the three CLI parsers, ``run_loadgen`` and
 ``POST /configure`` are read off the declarations.  The expectations here
 were captured by running the hand-written versions at commit ``d639eca``
 (``data/config_surface_d639eca.json`` and ``BOUNDARY_TABLE`` below), so the
-derivation may not add, lose or move anything.  Two fields have been retired
-since: ``shard_latency_ms_per_1k`` and ``shard_latency_ms`` (each one's flag
-row, two bound rows and ``to_dict`` key left the expectations with it, and a
-recording header that still carries one is refused).
+derivation may not add, lose or move anything.  Thirteen fields have been
+retired since: ``shard_latency_ms_per_1k`` and ``shard_latency_ms``, then the
+eleven serving settings no caller set, now their components' own defaults
+(``tests.test_single_path.RETIRED_KNOBS``).  Each one's flag rows, bound
+rows and ``to_dict`` key left the expectations with it, and a recording
+header that still carries one is refused.
 """
 
 import argparse
@@ -25,6 +27,8 @@ from repro.core import MQAConfig
 from repro.errors import ConfigurationError
 from repro.server import ApiServer
 from repro.server.loadgen import run_loadgen
+
+from tests.test_single_path import RETIRED_KNOBS
 
 REPO = Path(__file__).resolve().parents[2]
 GOLDEN = json.loads(
@@ -54,36 +58,22 @@ BOUNDARY_TABLE = [
     ("temperature", 2.0, True),
     ("temperature", -0.001, False),
     ("temperature", 2.001, False),
-    ("monitor_sample_rate", 1, True),
-    ("monitor_sample_rate", 0, False),
     ("slo_latency_ms", 0.001, True),
     ("slo_latency_ms", 0.0, False),
-    ("slo_window", 1, True),
-    ("slo_window", 0, False),
     ("workers", 1, True),
     ("workers", 0, False),
     ("max_batch", 1, True),
     ("max_batch", 0, False),
-    ("batch_window_ms", 0.0, True),
-    ("batch_window_ms", -0.001, False),
     ("shards", 1, True),
     ("shards", 0, False),
     ("shards", None, True),
     ("replicas", 1, True),
     ("replicas", 0, False),
-    ("rebalance_threshold", 0, True),
-    ("rebalance_threshold", -1, False),
     ("retry_attempts", 1, True),
     ("retry_attempts", 0, False),
-    ("retry_backoff_ms", 0.0, True),
-    ("retry_backoff_ms", -0.001, False),
     ("deadline_ms", 0.001, True),
     ("deadline_ms", 0.0, False),
     ("deadline_ms", None, True),
-    ("breaker_threshold", 1, True),
-    ("breaker_threshold", 0, False),
-    ("breaker_reset_ms", 0.001, True),
-    ("breaker_reset_ms", 0.0, False),
     ("quantize_bits", 4, True),
     ("quantize_bits", 8, True),
     ("quantize_bits", 3, False),
@@ -93,18 +83,6 @@ BOUNDARY_TABLE = [
     ("rerank_factor", 0, False),
     ("mmap_cache_blocks", 0, True),
     ("mmap_cache_blocks", -1, False),
-    ("recall_floor", 0.0, True),
-    ("recall_floor", 1.0, True),
-    ("recall_floor", -0.001, False),
-    ("recall_floor", 1.001, False),
-    ("semantic_threshold", 0.0, True),
-    ("semantic_threshold", 1.0, True),
-    ("semantic_threshold", -0.001, False),
-    ("semantic_threshold", 1.001, False),
-    ("agentic_max_hops", 1, True),
-    ("agentic_max_hops", 0, False),
-    ("agentic_refine_rounds", 0, True),
-    ("agentic_refine_rounds", -1, False),
     # Past the bounds: a bool is not a number, an integer is integral and a
     # real is finite (d639eca accepted all four).
     ("result_count", True, False),
@@ -207,7 +185,7 @@ class TestParserParity:
             else:
                 assert spec.default is not MISSING
                 assert action.default is spec.default
-        assert backed == {"repro": 29, "repro loadgen": 17, "repro stats": 4}[prog]
+        assert backed == {"repro": 24, "repro loadgen": 14, "repro stats": 4}[prog]
 
     def test_overrides_are_keyed_by_field_name(self):
         args = cli.build_parser().parse_args(
@@ -217,7 +195,7 @@ class TestParserParity:
         assert overrides["result_count"] == 3 and overrides["tracing"] is True
         assert overrides["recorder_path"] == "f.jsonl"
         assert MQAConfig(**overrides).llm is None
-        assert set(overrides) <= set(FIELDS) and len(overrides) == 29
+        assert set(overrides) <= set(FIELDS) and len(overrides) == 24
         batch = cli.config_overrides(
             cli.build_loadgen_parser().parse_args(["--batch", "4", "--cache"])
         )
@@ -240,7 +218,9 @@ class TestSerialisationParity:
         assert config.tiered and config.shards == 2 and config.agentic
         assert json.dumps(config.to_dict()) == golden
 
-    @pytest.mark.parametrize("key", ["gpu_count", "trace_capacity", "shard_latency_ms"])
+    @pytest.mark.parametrize(
+        "key", ["gpu_count", "trace_capacity", "shard_latency_ms", *RETIRED_KNOBS]
+    )
     def test_unknown_or_retired_key_is_rejected(self, key):
         header = {**json.loads(GOLDEN["to_dict"]["default"]), key: 1}
         with pytest.raises(ConfigurationError, match=f"unknown configuration keys: {key}"):

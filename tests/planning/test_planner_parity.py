@@ -10,6 +10,8 @@ the shard router.
 import pytest
 
 from repro.core import MQASystem
+from repro.core.cache import SemanticQueryCache
+from repro.core.planning import QueryPlanner
 from tests.core.conftest import fast_config
 
 QUERIES = ["foggy clouds", "sunny meadow", "calm river at dawn"]
@@ -49,17 +51,18 @@ class TestPlannerOffIsSeed:
         assert ask_all(baseline, QUERIES) == ask_all(adaptive, QUERIES)
 
     @pytest.mark.parametrize(
-        "knob",
-        [{"recall_floor": 0.5}, {"semantic_threshold": 0.7}],
-        ids=["recall_floor", "semantic_threshold"],
+        "component, setting",
+        [(QueryPlanner, {"recall_floor": 0.5}), (SemanticQueryCache, {"threshold": 0.7})],
+        ids=["recall_floor", "semantic_threshold"],  # the fields they were
     )
-    def test_stack_knobs_are_inert_when_off(self, scenes_kb, knob):
+    def test_stack_knobs_are_inert_when_off(self, scenes_kb, set_default, component, setting):
         """With ``planner``, ``semantic_cache`` and ``admission`` off, their
-        knobs at non-default values change no answer — near-duplicates
+        settings at non-default values change no answer — near-duplicates
         included, which only a semantic cache would serve differently."""
         sequence = QUERIES + [" ".join(reversed(text.split())) for text in QUERIES]
         baseline = MQASystem.from_knowledge_base(scenes_kb, fast_config())
-        knobbed = MQASystem.from_knowledge_base(scenes_kb, fast_config(**knob))
+        set_default(component, **setting)
+        knobbed = MQASystem.from_knowledge_base(scenes_kb, fast_config())
         assert ask_all(baseline, sequence) == ask_all(knobbed, sequence)
         assert knobbed.coordinator.layer("planner") is None
         assert not knobbed.coordinator.execution.cache.semantic
@@ -76,11 +79,11 @@ class TestPlannerOffIsSeed:
 
 
 class TestThresholdZeroDegeneracy:
-    def test_exact_cache_behaviour_bit_identical(self, scenes_kb):
+    def test_exact_cache_behaviour_bit_identical(self, scenes_kb, set_default):
+        set_default(SemanticQueryCache, threshold=0.0)
         exact = MQASystem.from_knowledge_base(scenes_kb, fast_config())
         degenerate = MQASystem.from_knowledge_base(
-            scenes_kb,
-            fast_config(semantic_cache=True, semantic_threshold=0.0),
+            scenes_kb, fast_config(semantic_cache=True)
         )
         sequence = [QUERIES[0], QUERIES[1], QUERIES[0], QUERIES[0]]
         assert ask_all(exact, sequence) == ask_all(degenerate, sequence)

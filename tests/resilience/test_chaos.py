@@ -14,6 +14,10 @@ from __future__ import annotations
 import random
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
+from repro.core.resilience import ResilienceManager, RetryPolicy
+
 from tests.resilience.conftest import make_server
 
 OPS = 200
@@ -30,18 +34,21 @@ FAULTS = {
 }
 
 
-def chaos_server(workers: int = 1):
-    """A small system with faults at every guarded boundary.
+@pytest.fixture(autouse=True)
+def chaos_defaults(set_default):
+    """A 0.1 ms retry backoff, and the breaker threshold out of reach:
+    breaker *recovery* depends on wall-clock reset windows, which would make
+    the schedule time-dependent (breaker dynamics have their own dedicated
+    tests)."""
+    set_default(RetryPolicy, backoff_ms=0.1)
+    set_default(ResilienceManager, breaker_threshold=10_000)
 
-    The breaker threshold is set out of reach: breaker *recovery* depends
-    on wall-clock reset windows, which would make the schedule
-    time-dependent (breaker dynamics have their own dedicated tests).
-    """
+
+def chaos_server(workers: int = 1):
+    """A small system with faults at every guarded boundary."""
     return make_server(
         workers=workers,
         retry_attempts=2,
-        retry_backoff_ms=0.1,
-        breaker_threshold=10_000,
         fault_seed=5,
         faults={site: dict(spec) for site, spec in FAULTS.items()},
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import MQASystem
+from repro.core.resilience import ResilienceManager
 
 from tests.resilience.conftest import make_server, resilient_config
 
@@ -14,7 +15,6 @@ class TestLLMFallback:
         server = make_server(
             fault_seed=3,
             retry_attempts=2,
-            retry_backoff_ms=0.1,
             faults={"llm.generate": {"error_rate": 1.0}},
         )
         try:
@@ -150,11 +150,10 @@ class TestRetrievalDegradation:
         finally:
             server.close()
 
-    def test_breaker_opens_after_repeated_index_failures(self):
+    def test_breaker_opens_after_repeated_index_failures(self, set_default):
+        set_default(ResilienceManager, breaker_threshold=3, breaker_reset_ms=60_000.0)
         server = make_server(
             fault_seed=3,
-            breaker_threshold=3,
-            breaker_reset_ms=60_000.0,
             faults={"index.search": {"error_rate": 1.0}},
         )
         try:
@@ -219,13 +218,7 @@ class TestDisabledBitIdentity:
         whatever the other knobs say."""
         baseline = MQASystem.from_config(resilient_config(resilience=False))
         knobbed = MQASystem.from_config(
-            resilient_config(
-                resilience=False,
-                retry_attempts=3,
-                retry_backoff_ms=5.0,
-                breaker_threshold=2,
-                fault_seed=99,
-            )
+            resilient_config(resilience=False, retry_attempts=3, fault_seed=99)
         )
         assert self.dialogue(baseline) == self.dialogue(knobbed)
         assert baseline.coordinator.resilience.snapshot()["totals"]["calls"] == 0

@@ -44,13 +44,19 @@ class TestSpecValidation:
         [
             ({"error_rate": True}, "error_rate must be in [0, 1], got True"),
             ({"max_faults": 2.5}, "max_faults must be an integer or None, got 2.5"),
-            ({"latency_ms": float("nan")}, "latency_ms must be a finite number >= 0, got nan"),
-            # An infinite latency used to reach ``time.sleep`` (OverflowError).
+            ({"latency_ms": float("nan")}, "latency_ms must be in [0, 3600000], got nan"),
+            # An infinite latency used to reach ``time.sleep`` (OverflowError),
+            # and so did a finite one too large for it.
             ({"latency_ms": float("inf"), "latency_rate": 1},
-             "latency_ms must be a finite number >= 0, got inf"),
+             "latency_ms must be in [0, 3600000], got inf"),
+            ({"latency_ms": 1e300, "latency_rate": 1},
+             "latency_ms must be in [0, 3600000], got 1e+300"),
             ({"error_rate": "0.5"}, "error_rate must be in [0, 1], got '0.5'"),
         ],
-        ids=["bool-rate", "fractional-budget", "nan-latency", "inf-latency", "string-rate"],
+        ids=[
+            "bool-rate", "fractional-budget", "nan-latency", "inf-latency",
+            "huge-latency", "string-rate",
+        ],
     )
     def test_a_mistyped_spec_is_refused_at_construction(self, spec, message):
         with pytest.raises(ConfigurationError) as caught:

@@ -94,9 +94,11 @@ class TestRefusedConfiguration:
             (["--inject", "encoder:error_rate=nan"],
              "error: fault site 'encoder': error_rate must be in [0, 1], got nan"),
             (["--inject", "encoder:latency_ms=inf,latency_rate=1"],
-             "error: fault site 'encoder': latency_ms must be a finite number >= 0, "
-             "got inf"),
+             "error: fault site 'encoder': latency_ms must be in [0, 3600000], got inf"),
             (["--size", "0"], "error: size must be >= 1, got 0"),
+            (["--inject", "encoder:latency_ms=1e300,latency_rate=1", "--resilience"],
+             "error: fault site 'encoder': latency_ms must be in [0, 3600000], "
+             "got 1e+300"),
         ],
     )
     def test_one_line_and_status_one(self, argv, message):

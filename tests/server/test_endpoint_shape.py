@@ -16,7 +16,14 @@ counts moved (tier 0 6 -> 5 plans, tier 1 1 -> 2).  When HNSW's build
 began computing a layer's candidates a pass at a time, with one
 ``hnsw-candidates`` span per pass, ``every-layer``'s count of that span went
 4 -> 5 in ``/metrics`` and in Prometheus: its 120-row layer 0 is two passes,
-the rows before ``ef_construction`` and the rest.
+the rows before ``ef_construction`` and the rest.  When
+``monitor_sample_rate`` stopped being a config field (the quality monitor
+scores every 8th query, its own default), ``every-layer`` lost
+``monitor_sample_rate=1`` and the leaves that moved with it were retaken:
+the monitor scores 1 query of the session instead of 4 (of loadgen's 8, 1),
+and with fewer recall observations the planner picks other tiers (plans per
+tier 2/1/1 -> 1/3/0 in the session, 5/2/1 -> 1/7/0 in loadgen), in the
+payloads and in the Prometheus samples alike.
 """
 
 import json
@@ -41,7 +48,7 @@ STARLING = {"inner": {"max_degree": 8, "candidate_pool": 16, "build_budget": 24}
 CONFIGS = {
     "defaults": dict(index_params=HNSW),
     "every-layer": dict(
-        index_params=HNSW, tracing=True, monitoring=True, monitor_sample_rate=1,
+        index_params=HNSW, tracing=True, monitoring=True,
         cost_accounting=True, planner=True, admission=True, agentic=True,
         resilience=True, deadline_ms=60000.0, query_rewriting=True,
         semantic_cache=True,

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import MQAConfig
 from repro.data import DatasetSpec
+from repro.observability.monitoring import QualityMonitor, SLOTargets
 from repro.server import ApiServer
 
 FAST_CONFIG_KWARGS = dict(
@@ -254,16 +255,13 @@ class FakeClock:
 
 class TestHealthEndpoint:
     @pytest.fixture()
-    def monitored(self, scenes_kb):
+    def monitored(self, scenes_kb, set_default):
+        # A four-request SLO window, and every query scored.
+        set_default(SLOTargets, window=4)
+        set_default(QualityMonitor, sample_rate=1)
         clock = FakeClock()
         server = ApiServer(
-            MQAConfig(
-                monitoring=True,
-                slo_latency_ms=50.0,
-                slo_window=4,
-                monitor_sample_rate=1,
-                **FAST_CONFIG_KWARGS,
-            ),
+            MQAConfig(monitoring=True, slo_latency_ms=50.0, **FAST_CONFIG_KWARGS),
             knowledge_base=scenes_kb,
             clock=clock,
         )

@@ -130,23 +130,8 @@ class TestBatchingSurface:
         assert batching["enabled"] is True
         assert batching["max_batch"] == 8
         # Single searches still work (window flush path) after the resize.
-        server.handle(
-            "POST", "/configure", {"option": "batch_window_ms", "value": 1.0}
-        )
         result = server.handle("POST", "/search", {"text": "foggy clouds"})
         assert result["ok"]
-
-    def test_constructor_override_pins_batcher(self, scenes_kb):
-        server = ApiServer(
-            MQAConfig(**FAST_CONFIG_KWARGS),
-            knowledge_base=scenes_kb,
-            max_batch=4,
-            batch_window_ms=1.0,
-        )
-        assert server.handle("POST", "/apply")["ok"]
-        server.handle("POST", "/configure", {"option": "max_batch", "value": 2})
-        batching = server.handle("GET", "/health")["batching"]
-        assert batching["max_batch"] == 4  # pinned; configure does not follow
 
 
 class TestWeightsCapability:

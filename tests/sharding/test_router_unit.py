@@ -76,7 +76,6 @@ class TestConfigValidation:
             {"shards": -2},
             {"replicas": 0},
             {"partitioner": "range"},
-            {"rebalance_threshold": -1},
         ],
     )
     def test_invalid_values_are_rejected(self, kwargs):

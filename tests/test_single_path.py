@@ -13,7 +13,8 @@ rounds its layers register without naming any of them.  Set-up's data is
 rendered the same way: an object, a view and a learner step are batches of
 one.  And index code computes a distance only through a kernel, where it is
 counted.  A parameter is declared once, on its dataclass field, and checked
-by the one checker that reads the declarations.
+by the one checker that reads the declarations; a setting no caller configures
+is its component's default and no config field.
 """
 
 import ast
@@ -133,6 +134,57 @@ def test_a_config_field_is_declared_once():
                 if isinstance(e, ast.Constant) and isinstance(e.value, str)
             }
             assert len(listed & names) < 2, f"panels.py lists fields {sorted(listed)}"
+
+
+#: Serving settings no caller set: each is its component's own default, and
+#: no config field, flag or ``ApiServer`` parameter repeats it.
+RETIRED_KNOBS = (
+    "monitor_sample_rate", "slo_window", "batch_window_ms", "rebalance_threshold",
+    "retry_backoff_ms", "breaker_threshold", "breaker_reset_ms", "recall_floor",
+    "semantic_threshold", "agentic_max_hops", "agentic_refine_rounds",
+)
+
+
+def test_a_retired_knob_is_declared_once():
+    """A retired knob is declared by its component alone: it is no
+    ``MQAConfig`` field (so no ``POST /configure`` option), no parser has a
+    flag for it, nothing under ``repro`` reads it off an object but the
+    component itself (``self.<name>``), and ``ApiServer`` takes no batcher
+    or engine-queue override beside the panel's settings."""
+    from repro import cli
+    from repro.core import MQAConfig
+    from repro.server import ApiServer
+
+    names, _ = _config_names()
+    assert not names & set(RETIRED_KNOBS)
+
+    builders = [
+        build for name, build in vars(cli).items()
+        if name.startswith("build_") and name.endswith("parser")
+    ]
+    assert len(builders) >= 3, "the parser scan lost the builders"
+    for build in builders:
+        dests = {action.dest for action in build()._actions}
+        assert not dests & set(RETIRED_KNOBS), build.__name__
+
+    reads = []
+    for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        reads += [
+            f"{name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in RETIRED_KNOBS
+            and getattr(node.value, "id", "") != "self"
+        ]
+    assert reads == []
+
+    assert not {"max_batch", "batch_window_ms", "engine_queue"} & set(
+        inspect.signature(ApiServer).parameters
+    )
+    server = ApiServer(MQAConfig())
+    for name in RETIRED_KNOBS:
+        reply = server.handle("POST", "/configure", {"option": name, "value": 1})
+        assert not reply["ok"] and "unknown configuration option" in reply["error"]
 
 
 def test_the_index_layer_keeps_one_of_each():
