@@ -159,6 +159,33 @@ def save_index(index: SavableIndex, directory: "str | Path") -> Path:
     return directory
 
 
+def _check_graph_arrays(
+    directory: Path, meta: dict, vectors: np.ndarray, offsets: np.ndarray, targets: np.ndarray
+) -> None:
+    """Refuse a saved graph whose arrays do not describe ``n_vertices`` rows
+    of at most ``max_degree`` in-range targets, before anything is built:
+    ``set_neighbors`` would drop a bad target silently, and a short vector
+    matrix fails only at the first search."""
+    n = meta["n_vertices"]
+    problem = None
+    if not isinstance(n, int) or n < 1:
+        problem = f"n_vertices must be a positive integer, got {n!r}"
+    elif offsets.shape != (n + 1,) or offsets[0] != 0:
+        problem = f"offsets must be {n + 1} entries from 0, got shape {offsets.shape}"
+    elif (np.diff(offsets) < 0).any() or offsets[-1] != len(targets):
+        problem = f"offsets must never decrease and end at {len(targets)} targets"
+    elif np.diff(offsets).max(initial=0) > meta["max_degree"]:
+        problem = f"a row is longer than max_degree {meta['max_degree']}"
+    elif len(targets) and not 0 <= targets.min() <= targets.max() < n:
+        problem = f"a target is outside 0..{n - 1}"
+    elif len(vectors) != n:
+        problem = f"{len(vectors)} vector rows for {n} vertices"
+    elif not all(0 <= int(e) < n for e in meta["entry_points"]):
+        problem = f"an entry point is outside 0..{n - 1}"
+    if problem is not None:
+        raise IndexError_(f"saved index at {directory} is corrupt: {problem}")
+
+
 def load_index(directory: "str | Path") -> "FrozenGraphIndex | HnswIndex":
     """Restore an index saved by :func:`save_index`."""
     directory = Path(directory)
@@ -173,8 +200,10 @@ def load_index(directory: "str | Path") -> "FrozenGraphIndex | HnswIndex":
         )
     with np.load(directory / _ARRAYS_FILE) as arrays:
         vectors = arrays["vectors"]
-        offsets = arrays["offsets"].tolist()
-        targets = arrays["targets"].tolist()
+        offsets = arrays["offsets"]
+        targets = arrays["targets"]
+    _check_graph_arrays(directory, meta, vectors, offsets, targets)
+    offsets, targets = offsets.tolist(), targets.tolist()
 
     graph = NavigationGraph(meta["n_vertices"], max_degree=meta["max_degree"])
     for vertex in range(meta["n_vertices"]):

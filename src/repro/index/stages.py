@@ -17,16 +17,18 @@ Context keys (set by :func:`repro.index.pipeline_builder.build_navigation_graph`
   gathers stacked blocks (:func:`embedded_corpus`) and shared by the rest;
   it goes with the context when the build ends.
 * ``graph`` — the evolving :class:`NavigationGraph` (after init).
-* ``candidates`` — one ``(n, k)`` ``intp`` id array, row ``v`` vertex
+* ``candidates`` — one ``(n, k)`` ``int32`` id array, row ``v`` vertex
   ``v``'s candidates, ``-1`` padding a short row (after acquisition; a stage
-  that returns id lists has them padded into one).
+  that returns id lists has them padded into one).  Selection takes it out
+  of the context: once its pools are made, nothing holds it.
 * ``stage_stats`` — counters a candidate or selection stage leaves for its
   ``build-candidates`` / ``build-selection`` span, which takes them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -172,7 +174,7 @@ def exact_top_k(
 
 def candidates_exact_knn(k: int) -> StageFn:
     """Exact k-nearest-neighbour candidates, block by block
-    (:func:`exact_top_k`) into one ``(n, min(k, n - 1))`` ``intp`` id
+    (:func:`exact_top_k`) into one ``(n, min(k, n - 1))`` ``int32`` id
     array, each row nearest first with ties broken by id."""
 
     def stage(context: Dict[str, Any]) -> np.ndarray:
@@ -182,7 +184,7 @@ def candidates_exact_knn(k: int) -> StageFn:
         n, dim = vectors.shape
         neighbors_k = min(k, n - 1)
         rows = block_rows(neighbors_k, dim)
-        result = np.empty((n, neighbors_k), dtype=np.intp)
+        result = np.empty((n, neighbors_k), dtype=np.int32)
         for start in range(0, n, rows):
             stop = min(start + rows, n)
             ids, _ = exact_top_k(kernel, vectors, start, stop, neighbors_k, embedded=embedded)
@@ -276,24 +278,54 @@ def alpha_rng_rule(alpha: float) -> Callable[[np.ndarray, np.ndarray], np.ndarra
 
 
 def pad_rows(rows: "Sequence[Sequence[int]] | np.ndarray") -> np.ndarray:
-    """Id rows as one ``(len(rows), widest)`` ``intp`` matrix, each row
+    """Id rows as one ``(len(rows), widest)`` ``int32`` matrix, each row
     padded at its end with ``-1``; an array is returned as it is."""
     if isinstance(rows, np.ndarray):
         return rows
-    out = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.intp)
-    for out_row, row in zip(out, rows):
-        out_row[: len(row)] = row
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    out = np.full((len(rows), widths.max(initial=0)), -1, dtype=np.int32)
+    out[np.arange(out.shape[1]) < widths[:, None]] = np.fromiter(
+        chain.from_iterable(rows), dtype=np.int32, count=int(widths.sum())
+    )
     return out
 
 
+class RaggedRows(NamedTuple):
+    """Id rows of different widths in one array: row ``i`` is
+    ``ids[offsets[i]:offsets[i + 1]]``.  A wide row costs only its own
+    width, where a padded matrix costs every row the widest one's."""
+
+    offsets: np.ndarray
+    ids: np.ndarray
+
+
+def _pool_block(pools: "np.ndarray | RaggedRows", members: np.ndarray, width: int) -> np.ndarray:
+    """Pools ``members`` as one ``(len(members), width)`` id block, ids
+    descending so the padding goes last."""
+    if isinstance(pools, RaggedRows):
+        starts = pools.offsets[members]
+        column = np.arange(width)
+        at = np.minimum(starts[:, None] + column, len(pools.ids) - 1)
+        inside = column < (pools.offsets[members + 1] - starts)[:, None]
+        block = np.where(inside, pools.ids[at], -1)
+    else:
+        block = pools[members]
+    return -np.sort(-block, axis=1)[:, :width]
+
+
 def prune_rows(
-    kernel, vectors: np.ndarray, owners: np.ndarray, pools: np.ndarray,
+    kernel, vectors: np.ndarray, owners: np.ndarray, pools: "np.ndarray | RaggedRows",
     max_degree: int, rule, embedded=None,
-) -> Tuple[List[List[int]], int]:
-    """Occlusion-prune pool ``i`` — row ``i`` of ``pools``, an ``(R, W)``
-    id matrix whose ``-1`` entries are padding wherever they stand (id
-    lists are padded first, :func:`pad_rows`), the owner's own id not among
-    them — for the vector ``owners[i]``, to ``max_degree`` ids, nearest first.
+) -> Tuple[np.ndarray, int]:
+    """Occlusion-prune pool ``i`` for owner ``i`` to ``max_degree`` ids,
+    nearest first, the owner's own id not among the pool's.
+
+    A pool comes in one of two forms: row ``i`` of an ``(R, W)`` id matrix
+    whose ``-1`` entries are padding wherever they stand (id lists are
+    padded first, :func:`pad_rows`), or row ``i`` of :class:`RaggedRows` —
+    the form for pools whose widths differ, such as a hub's reverse edges
+    beside a leaf's.  ``owners`` is the ``(R, d)`` owner rows, or ``R`` ids
+    of rows of ``vectors``, gathered a block at a time.
 
     Rows go widest first (most ids) into blocks whose gather and pairwise
     stack fit :data:`_SCRATCH_BYTES`, each cut to its widest row with its
@@ -306,21 +338,25 @@ def prune_rows(
     table packed into the pass.  Per pass — the
     blocks whose packed tables fit :data:`_SCRATCH_BYTES` at the width of
     the first — one :func:`occlusion_scan`.  A row's result depends on
-    neither its block nor its pass.  Returns the pruned lists in input
-    order and the number of blocks they took.
+    neither its block nor its pass.  Returns the ``(R, max_degree)``
+    ``int32`` selections in input order, each row's ids first and ``-1``
+    padding its end, and the number of blocks they took.
     """
-    pools = pad_rows(pools)
-    widths = np.count_nonzero(pools >= 0, axis=1)
+    if isinstance(pools, RaggedRows):
+        widths = np.diff(pools.offsets)
+    else:
+        pools = pad_rows(pools)
+        widths = np.count_nonzero(pools >= 0, axis=1)
     order = np.argsort(-widths, kind="stable")
     order = order[widths[order] > 0]
-    result: List[List[int]] = [[] for _ in range(len(pools))]
+    result = np.full((len(widths), max_degree), -1, dtype=np.int32)
     source = vectors if embedded is None else embedded
     blocks = start = 0
     while start < len(order):
         # A pass's first block is its widest and fits: pass_rows >= block_rows.
         width, first = widths[order[start]], start
         rows = min(pass_rows(width), len(order) - start)
-        ids = np.full((rows, width), -1, dtype=np.intp)
+        ids = np.full((rows, width), -1, dtype=np.int32)
         packed = np.zeros((rows, width, packed_words(width)), dtype="<u8")
         # A block's arrays stay bound until the next block's replace them:
         # freed at the block's end, the heap top goes back to the system and
@@ -334,10 +370,9 @@ def prune_rows(
                 break
             start += len(members)
             blocks += 1
-            # Ids descending, so the padding goes last.
-            padded = -np.sort(-pools[members], axis=1)[:, :block_width]
+            padded = _pool_block(pools, members, block_width)
             distances = kernel.batch_paired(
-                owners[members],
+                vectors[owners[members]] if owners.ndim == 1 else owners[members],
                 vectors[np.maximum(padded, 0).ravel()],
                 np.repeat(np.arange(len(members)), block_width),
             ).reshape(padded.shape)
@@ -355,8 +390,9 @@ def prune_rows(
         eligible = ids >= 0
         eligible[:, 1:] &= ids[:, 1:] != ids[:, :-1]
         selected = occlusion_scan(packed[: start - first], max_degree, eligible)
-        for member, row, keep in zip(order[first:start], ids, selected):
-            result[member] = row[keep].tolist()
+        counts = np.count_nonzero(selected, axis=1)
+        slots = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        result[np.repeat(order[first:start], counts), slots] = ids[selected]
     return result, blocks
 
 
@@ -367,19 +403,78 @@ def robust_prune(
     """Vamana's alpha-relaxed RNG selection over one candidate pool: the
     one-row call of :func:`prune_rows`, which incremental insertion uses."""
     owner = np.asarray(query_vector, dtype=np.float64)[None, :]
-    return prune_rows(kernel, vectors, owner, [pool], max_degree, alpha_rng_rule(alpha))[0][0]
+    (row,), _ = prune_rows(kernel, vectors, owner, [pool], max_degree, alpha_rng_rule(alpha))
+    return row[row >= 0].tolist()
+
+
+def _unreturned(rows: np.ndarray) -> np.ndarray:
+    """Mask of the edges ``v -> rows[v, j]`` whose target's row does not
+    hold ``v``, over an ``(n, D)`` id array padded with ``-1``: one
+    ``(rows, D, D)`` gather of target rows per scratch-sized block."""
+    n, width = rows.shape
+    mask = np.empty(rows.shape, dtype=bool)
+    step = max(1, _SCRATCH_BYTES // (rows.itemsize * width * width))
+    for start in range(0, n, step):
+        block = rows[start : start + step]
+        sources = np.arange(start, start + len(block), dtype=rows.dtype)[:, None, None]
+        returned = (rows[np.maximum(block, 0)] == sources).any(axis=2)
+        mask[start : start + step] = (block >= 0) & ~returned
+    return mask
+
+
+def _reverse_pools(rows: np.ndarray, max_degree: int) -> Tuple[np.ndarray, RaggedRows, int]:
+    """Group the edges no target returns by target and fold them into
+    ``rows`` (the ``(n, max_degree)`` forward selections, ids first).
+
+    One stable argsort on the targets lists each target's sources in id
+    order.  A target with room for all of them has them appended in
+    place; the rest are returned as ``(over, pools, appended)`` — the
+    over-capacity targets ascending, their pools (forward row, then the
+    sources) as :class:`RaggedRows`, and how many edges were appended.
+    """
+    n = len(rows)
+    unreturned = _unreturned(rows)
+    sources = np.repeat(np.arange(n, dtype=np.int32), np.count_nonzero(unreturned, axis=1))
+    targets = rows[unreturned]
+    del unreturned
+    by_target = np.argsort(targets, kind="stable")
+    sources, targets = sources[by_target], targets[by_target]
+    del by_target
+    incoming = np.bincount(targets, minlength=n)
+    degree = np.count_nonzero(rows >= 0, axis=1)
+    rank = np.arange(len(targets)) - (np.cumsum(incoming) - incoming)[targets]
+    fits = degree + incoming <= max_degree
+    appended = fits[targets]
+    over = np.flatnonzero(~fits)
+    widths = degree[over] + incoming[over]
+    offsets = np.zeros(len(over) + 1, dtype=np.intp)
+    np.cumsum(widths, out=offsets[1:])
+    ids = np.empty(offsets[-1], dtype=np.int32)
+    column = np.arange(rows.shape[1])
+    head = column < degree[over][:, None]
+    ids[(offsets[:-1, None] + column)[head]] = rows[over][head]
+    tail = np.zeros(n, dtype=np.intp)
+    tail[over] = offsets[:-1] + degree[over]
+    pooled = ~appended
+    ids[tail[targets[pooled]] + rank[pooled]] = sources[pooled]
+    targets, rank, sources = targets[appended], rank[appended], sources[appended]
+    rows[targets, degree[targets] + rank] = sources
+    return over, RaggedRows(offsets, ids), len(targets)
 
 
 def _select(max_degree: int, rule, keep_neighbors: bool, add_reverse: bool) -> StageFn:
     """Selection in two batched phases, so the graph does not depend on
     the order vertices are processed in.  *Forward*: every vertex's pool —
     its row of the candidate array, with ``keep_neighbors`` also the
-    neighbours it has, as one padded id matrix — through :func:`prune_rows`.
+    neighbours it has, as one padded ``int32`` id matrix — through
+    :func:`prune_rows` into one ``(n, max_degree)`` ``int32`` array.
     *Reverse* (``add_reverse``): each selected edge ``v -> u`` that ``u``
-    does not return is grouped by its target; a target with room for all
-    its incoming edges appends them in id order, any other is pruned
-    **once** over its row plus everything incoming (their pools padded into
-    one matrix too).
+    does not return is grouped by its target (:func:`_reverse_pools`); a
+    target with room for all its incoming edges appends them in id order,
+    any other is pruned **once** over its row plus everything incoming,
+    the pools as :class:`RaggedRows` so a hub's width costs only its own
+    row.  Each table goes as soon as its phase has used it; the graph takes
+    each row once, at the end.
     """
 
     def stage(context: Dict[str, Any]) -> NavigationGraph:
@@ -387,35 +482,25 @@ def _select(max_degree: int, rule, keep_neighbors: bool, add_reverse: bool) -> S
         kernel = context["kernel"]
         embedded = embedded_corpus(context)
         graph: NavigationGraph = context["graph"]
-        pools = context["candidates"]
+        pools = context.pop("candidates")
         n = len(pools)
         if keep_neighbors:
             pools = np.hstack([pools, pad_rows([graph.neighbors(v) for v in range(n)])])
-        pools = np.where(pools == np.arange(n)[:, None], -1, pools)
+        pools[pools == np.arange(n)[:, None]] = -1
         rows, blocks = prune_rows(kernel, vectors, vectors, pools, max_degree, rule, embedded)
-        stats = {"forward_rows": len(rows)}
+        del pools
+        stats = {"forward_rows": n}
         if add_reverse:
-            incoming: Dict[int, List[int]] = {}
-            for vertex, row in enumerate(rows):
-                for target in row:
-                    if vertex not in rows[target]:
-                        incoming.setdefault(target, []).append(vertex)
-            merged = {t: rows[t] + sources for t, sources in incoming.items()}
-            over = [t for t, row in merged.items() if len(row) > max_degree]
-            pruned, reverse_blocks = prune_rows(
-                kernel, vectors, vectors[over], pad_rows([merged[t] for t in over]),
-                max_degree, rule, embedded,
+            over, reverse, stats["reverse_appended"] = _reverse_pools(rows, max_degree)
+            rows[over], reverse_blocks = prune_rows(
+                kernel, vectors, over, reverse, max_degree, rule, embedded
             )
+            del reverse
             blocks += reverse_blocks
-            stats["reverse_appended"] = sum(
-                len(sources) for t, sources in incoming.items() if len(merged[t]) <= max_degree
-            )
             stats["reverse_pruned_rows"] = len(over)
-            merged.update(zip(over, pruned))
-            for target, row in merged.items():
-                rows[target] = row
-        for vertex, row in enumerate(rows):
-            graph.set_neighbors(vertex, row)
+        degree = np.count_nonzero(rows >= 0, axis=1)
+        for vertex, (row, width) in enumerate(zip(rows, degree)):
+            graph.set_neighbors(vertex, row[:width].tolist())
         context["stage_stats"] = {**stats, "blocks": blocks}
         return graph
 

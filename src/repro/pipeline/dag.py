@@ -140,6 +140,9 @@ class DagPipeline:
             report.status = NodeStatus.DONE
             if result is not None:
                 context[name] = result
+            # The context holds the result now; a later node that pops it
+            # from there must be able to free it while it runs.
+            del result
         ordered_reports = [reports[name] for name in order]
         if failed is not None:
             message = reports[failed].error or "unknown error"

@@ -44,6 +44,7 @@ from repro.index.stages import (
     mrng_rule,
     occlusion_scan,
     pack_table,
+    RaggedRows,
     pass_rows,
     prune_rows,
     robust_prune,
@@ -70,6 +71,18 @@ INDEXES = {
 
 def _adjacency(index):
     return [list(index.graph.neighbors(v)) for v in range(index.graph.n_vertices)]
+
+
+def _selected(rows):
+    """``prune_rows``'s ``(R, max_degree)`` ``int32`` selections as id
+    lists: a row's ids come first and ``-1`` pads only its end."""
+    assert rows.dtype == np.int32
+    lists = []
+    for row in rows:
+        width = int(np.count_nonzero(row >= 0))
+        assert (row[width:] == -1).all()
+        lists.append(row[:width].tolist())
+    return lists
 
 
 # ----------------------------------------------------------------------
@@ -128,8 +141,8 @@ def test_block_prune_equals_single_row_loops(seed):
         (mrng_rule, lambda d, p, ids: _mrng_loop(d, p, ids, max_degree)),
     ):
         rows, blocks = prune_rows(kernel, vectors, vectors[owners], pools, max_degree, rule)
-        assert blocks >= 1
-        for owner, pool, row in zip(owners, pools, rows):
+        assert blocks >= 1 and rows.shape == (len(owners), max_degree)
+        for owner, pool, row in zip(owners, pools, _selected(rows)):
             expected = loop(table[owner, pool], table[np.ix_(pool, pool)], pool)
             assert row == expected
             capped += len(row) == max_degree < len(pool)
@@ -144,6 +157,7 @@ def test_one_row_robust_prune_is_row_i_of_a_block_call():
     pools = [rng.choice(np.arange(1, 40), size=w, replace=False).tolist() for w in (25, 9, 17)]
     pools = [[p for p in pool if p != owner] for owner, pool in enumerate(pools)]
     rows, _ = prune_rows(kernel, vectors, vectors[:3], pools, 5, alpha_rng_rule(1.2))
+    rows = _selected(rows)
     for owner, pool in enumerate(pools):
         assert robust_prune(vectors[owner], pool, vectors, kernel, 5, 1.2) == rows[owner]
     assert robust_prune(vectors[0], [], vectors, kernel, 5) == []
@@ -246,6 +260,7 @@ def test_repeated_ids_in_a_pool_are_selected_once():
     for rule in (alpha_rng_rule(1.2), mrng_rule):
         once, _ = prune_rows(kernel, vectors, vectors[:1], [sorted(set(pool))], 4, rule)
         twice, _ = prune_rows(kernel, vectors, vectors[:1], [pool], 4, rule)
+        once, twice = _selected(once), _selected(twice)
         assert twice == once and len(set(twice[0])) == len(twice[0])
 
 
@@ -298,9 +313,9 @@ def test_ties_rank_by_id_on_a_duplicated_corpus(rule):
         scan = kernel.batch(corpus[vertex], corpus).tolist()
         pool = [j for _, j in sorted((d, j) for j, d in enumerate(scan) if j != vertex)[:14]]
         owner = corpus[[vertex]]
-        (kept,), _ = prune_rows(kernel, corpus, owner, [pool], 6, rule)
+        (kept,) = _selected(prune_rows(kernel, corpus, owner, [pool], 6, rule)[0])
         for arrival in (pool[::-1], rng.permutation(pool).tolist()):
-            assert prune_rows(kernel, corpus, owner, [arrival], 6, rule)[0] == [kept]
+            assert _selected(prune_rows(kernel, corpus, owner, [arrival], 6, rule)[0]) == [kept]
         for neighbor in kept:
             if scan[neighbor] > 0:
                 assert neighbor == min(j for j in pool if scan[j] == scan[neighbor])
@@ -317,8 +332,10 @@ def test_tie_group_straddling_the_degree_cap(rule):
     kernel = TableKernel(table)
     vectors = np.arange(7, dtype=np.float64)[:, None]
     for pool in ([1, 2, 3, 4, 5, 6], [6, 4, 2, 5, 3, 1], [3, 4, 1, 2, 6, 5]):
-        assert prune_rows(kernel, vectors, vectors[:1], [pool], 2, rule)[0] == [[1, 2]]
-        assert prune_rows(kernel, vectors, vectors[:1], [pool], 5, rule)[0] == [[1, 2, 3, 4, 5]]
+        assert _selected(prune_rows(kernel, vectors, vectors[:1], [pool], 2, rule)[0]) == [[1, 2]]
+        assert _selected(prune_rows(kernel, vectors, vectors[:1], [pool], 5, rule)[0]) == [
+            [1, 2, 3, 4, 5]
+        ]
 
 
 @pytest.mark.parametrize("factory", [
@@ -344,9 +361,17 @@ def test_structure_at_600_rows(unit_vectors, monkeypatch, kernel_name, index_nam
 
     def spy(kernel, vectors, owners, pools, max_degree, rule, embedded=None):
         rows, blocks = real(kernel, vectors, owners, pools, max_degree, rule, embedded)
-        # A pool is a padded id row: its ids are the entries that are not -1.
-        ids = [[int(p) for p in pool if p >= 0] for pool in pools]
-        calls.append((np.array(owners), ids, [list(r) for r in rows]))
+        if isinstance(pools, RaggedRows):
+            # Reverse: owners are ids, each pool exactly its ids, no padding.
+            assert owners.ndim == 1 and pools.ids.dtype == np.int32
+            assert (pools.ids >= 0).all() and pools.offsets[-1] == len(pools.ids)
+            ids = np.split(pools.ids, pools.offsets[1:-1])
+            calls.append((owners.tolist(), [p.tolist() for p in ids], _selected(rows)))
+        else:
+            # Forward: one int32 row per vertex, its ids the entries not -1.
+            assert owners is vectors and pools.dtype == np.int32
+            ids = [[int(p) for p in pool if p >= 0] for pool in pools]
+            calls.append((list(range(len(owners))), ids, _selected(rows)))
         return rows, blocks
 
     monkeypatch.setattr(stages, "prune_rows", spy)
@@ -363,10 +388,11 @@ def test_structure_at_600_rows(unit_vectors, monkeypatch, kernel_name, index_nam
     assert graph.entry_points == [stages.medoid_of(unit_vectors, index.kernel)]
 
     # One forward call over every vertex, one reverse call in which each
-    # overflowing target appears once, with more than its row can hold;
-    # the edges that fit were appended instead.
+    # overflowing target appears once, ascending, its ragged pool exactly
+    # its row and then its unreturned sources in id order (what the padded
+    # row held before its -1s); the edges that fit were appended instead.
     (forward_owners, _, forward), (reverse_owners, reverse_pools, _) = calls
-    assert forward_owners.shape[0] == 600
+    assert forward_owners == list(range(600))
     incoming = {}
     for vertex, row in enumerate(forward):
         for target in row:
@@ -375,8 +401,8 @@ def test_structure_at_600_rows(unit_vectors, monkeypatch, kernel_name, index_nam
     fits = {t: len(forward[t]) + len(inc) <= graph.max_degree for t, inc in incoming.items()}
     overflowing = [t for t, fit in fits.items() if not fit]
     assert len(overflowing) > 0
-    assert sorted(map(tuple, unit_vectors[overflowing])) == sorted(map(tuple, reverse_owners))
-    assert sorted(reverse_pools) == sorted(forward[t] + incoming[t] for t in overflowing)
+    assert reverse_owners == sorted(overflowing)
+    assert reverse_pools == [forward[t] + incoming[t] for t in sorted(overflowing)]
     selection = root.find("build-selection").attributes
     assert selection["forward_rows"] == 600
     assert selection["reverse_pruned_rows"] == len(overflowing)

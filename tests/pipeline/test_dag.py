@@ -1,5 +1,7 @@
 """Tests for the DAG execution engine (CGraph stand-in)."""
 
+import weakref
+
 import pytest
 
 from repro.errors import CycleError, PipelineError
@@ -75,6 +77,30 @@ class TestContext:
         pipeline.add_node("quiet", lambda ctx: None)
         context, _ = pipeline.run()
         assert "quiet" not in context
+
+    def test_a_popped_result_is_freed_during_the_next_node(self):
+        """The context is the only holder of a finished node's result: a
+        node that pops it frees it while it runs, not when ``run`` ends."""
+
+        class Table:
+            pass
+
+        made = []
+
+        def produce(ctx):
+            table = Table()
+            made.append(weakref.ref(table))
+            return table
+
+        def consume(ctx):
+            ctx.pop("produce")
+            return made[0]() is None
+
+        pipeline = DagPipeline()
+        pipeline.add_node("produce", produce)
+        pipeline.add_node("consume", consume, depends_on=["produce"])
+        context, _ = pipeline.run()
+        assert context["consume"] is True
 
 
 class TestFailure:
