@@ -16,7 +16,6 @@ from repro.core.cache import QueryCache, SemanticQueryCache
 from repro.core.panels import ConfigurationPanel, QAPanel, StatusPanel
 from repro.core.planning import (
     AdmissionController,
-    AdmissionShedError,
     QueryPlan,
     QueryPlanner,
 )
@@ -34,7 +33,6 @@ from repro.core.system import MQASystem
 
 __all__ = [
     "AdmissionController",
-    "AdmissionShedError",
     "AgenticAnswerer",
     "Answer",
     "CircuitBreaker",

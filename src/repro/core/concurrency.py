@@ -10,20 +10,21 @@ that safe:
   parallel; ingestion, removal, and re-apply mutate the graph and take the
   lock exclusively.  Writer preference keeps a stream of cheap reads from
   starving a pending ingest.
-* :class:`QueryEngine` — a bounded thread-pool dispatcher.  Every API verb
-  flows through it: reads run concurrently under the shared read lock up
-  to ``workers`` at a time, writes run exclusively, and dialogue verbs on
-  the same session serialise on a per-session lock so multi-round state
-  (history, selections, rejections) never interleaves.  The queue is
-  bounded: when ``workers`` tasks are running and ``max_queue`` more are
-  waiting, further submissions fail fast with
-  :class:`EngineSaturatedError` — backpressure instead of an unbounded
-  memory ramp.
+* :class:`QueryEngine` — a bounded dispatcher.  Every API verb flows
+  through it on the thread that submitted it: reads run concurrently under
+  the shared read lock up to ``workers`` at a time, writes run
+  exclusively, and dialogue verbs on the same session serialise on a
+  per-session lock so multi-round state (history, selections, rejections)
+  never interleaves.  The queue is bounded: when ``workers`` tasks are
+  running and ``max_queue`` more are waiting, further submissions fail
+  fast with :class:`EngineSaturatedError` — backpressure instead of an
+  unbounded memory ramp.
 
-With ``workers == 1`` the engine runs tasks inline on the calling thread
-(no pool is created), still enforcing every lock — so the default
-configuration behaves exactly like the historical single-threaded server
-while remaining safe if callers share it across threads.
+The engine owns no thread: every caller blocks on its own verb, so a pool
+thread would only add a hand-off (and, for a set-up run on it, a second
+malloc arena's worth of resident memory).  ``workers`` caps how many
+callers run at once; ``workers == 1`` is the historical single-threaded
+server, still safe if callers share it across threads.
 
 Lock ordering, everywhere: session lock → engine RW lock → coordinator RW
 lock.  All three levels are acquired in that order only (and each at most
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional
 
 from repro.errors import DeadlineExceededError, MQAError
@@ -304,12 +304,11 @@ class MicroBatcher:
 
 
 class QueryEngine:
-    """Bounded concurrent dispatcher for API verbs.
+    """Bounded dispatcher for API verbs; a task runs on its caller's thread.
 
     Args:
-        workers: Maximum tasks running at once.  ``1`` (the default) runs
-            tasks inline on the calling thread — no pool threads exist and
-            behaviour is byte-identical to the historical serial server.
+        workers: Maximum tasks running at once; :meth:`resize` changes it
+            in place.  ``1`` (the default) is the historical serial server.
         max_queue: Tasks allowed to *wait* beyond the running ones before
             :meth:`submit` rejects with :class:`EngineSaturatedError`.
         clock: Time source for queue-wait measurement (injectable).
@@ -340,18 +339,12 @@ class QueryEngine:
         self.max_queue = max_queue
         self.rwlock = RWLock()
         self._clock = clock
-        # Slots bound total outstanding work (running + queued).
-        self._slots = threading.Semaphore(workers + max_queue)
-        # In inline mode the semaphore (not a pool) caps execution width.
-        self._exec = threading.Semaphore(workers)
-        self._pool: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mqa-engine")
-            if workers > 1
-            else None
-        )
         self._session_locks: Dict[Hashable, threading.Lock] = {}
         self._live_session = live_session
         self._stats_lock = threading.Lock()
+        # Waited on (under the stats lock) for one of the ``workers``
+        # running places; notified whenever one frees up or the width grows.
+        self._place_free = threading.Condition(self._stats_lock)
         self._queued = 0
         self._in_flight = 0
         self._completed = 0
@@ -392,6 +385,16 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
+    def resize(self, workers: int) -> None:
+        """Let ``workers`` tasks run at once from now on.  The RW lock and
+        the session locks carry over, so a task admitted before the change
+        still excludes every task admitted after it."""
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        with self._place_free:
+            self.workers = workers
+            self._place_free.notify_all()
+
     def submit(
         self,
         fn: Callable[[], Any],
@@ -399,76 +402,38 @@ class QueryEngine:
         mode: str = READ,
         session_key: Optional[Hashable] = None,
         deadline: Optional[Any] = None,
-    ) -> "Future[Any]":
-        """Schedule ``fn`` under the engine's locks; returns its future.
+    ) -> Any:
+        """Run ``fn`` on the calling thread under the engine's locks and
+        return its result (or raise its exception).
 
+        The caller first waits for one of the ``workers`` running places.
         ``deadline`` (a :class:`repro.core.resilience.Deadline`) lets the
         engine shed a request whose latency budget already expired while
-        it waited in the queue — the task fails with
+        it waited — the task fails with
         :class:`~repro.errors.DeadlineExceededError` instead of running
         work whose caller has given up.
 
         Raises:
-            EngineSaturatedError: All workers are busy and the wait queue
-                is full (the caller should shed load or retry later).
+            EngineSaturatedError: ``workers`` tasks are running and
+                ``max_queue`` more are waiting (the caller should shed
+                load or retry later).
         """
         if mode not in (READ, WRITE):
             raise ValueError(f"mode must be 'read' or 'write', got {mode!r}")
         if self._closed:
             raise EngineSaturatedError("engine has been shut down")
-        if not self._slots.acquire(blocking=False):
-            with self._stats_lock:
-                self._rejected += 1
-            raise EngineSaturatedError(
-                f"engine saturated: {self.workers} worker(s) busy and "
-                f"queue of {self.max_queue} full"
-            )
         submitted = self._clock()
-        with self._stats_lock:
-            self._queued += 1
-        if self._pool is not None:
-            try:
-                return self._pool.submit(
-                    self._run_task, fn, mode, session_key, submitted, deadline
+        with self._place_free:
+            if self._queued + self._in_flight >= self.workers + self.max_queue:
+                self._rejected += 1
+                raise EngineSaturatedError(
+                    f"engine saturated: {self.workers} worker(s) busy and "
+                    f"queue of {self.max_queue} full"
                 )
-            except BaseException:
-                self._slots.release()
-                with self._stats_lock:
-                    self._queued -= 1
-                raise
-        # Inline mode: execute on the calling thread, still under every
-        # lock, and hand back an already-resolved future.
-        future: "Future[Any]" = Future()
-        future.set_running_or_notify_cancel()
-        try:
-            future.set_result(
-                self._run_task(fn, mode, session_key, submitted, deadline)
-            )
-        except BaseException as exc:  # noqa: BLE001 - mirrored into the future
-            future.set_exception(exc)
-        return future
-
-    def run(
-        self,
-        fn: Callable[[], Any],
-        *,
-        mode: str = READ,
-        session_key: Optional[Hashable] = None,
-    ) -> Any:
-        """Synchronous :meth:`submit`: dispatch and wait for the result."""
-        return self.submit(fn, mode=mode, session_key=session_key).result()
-
-    def _run_task(
-        self,
-        fn: Callable[[], Any],
-        mode: str,
-        session_key: Optional[Hashable],
-        submitted: float,
-        deadline: Optional[Any] = None,
-    ) -> Any:
-        self._exec.acquire()
-        wait_ms = (self._clock() - submitted) * 1000.0
-        with self._stats_lock:
+            self._queued += 1
+            while self._in_flight >= self.workers:
+                self._place_free.wait()
+            wait_ms = (self._clock() - submitted) * 1000.0
             self._queued -= 1
             self._in_flight += 1
             self._waits_ms.observe(wait_ms)
@@ -504,11 +469,10 @@ class QueryEngine:
                 self._errors += 1
             raise
         finally:
-            with self._stats_lock:
+            with self._place_free:
                 self._in_flight -= 1
                 self._completed += 1
-            self._exec.release()
-            self._slots.release()
+                self._place_free.notify()
 
     # ------------------------------------------------------------------
     # introspection / lifecycle
@@ -525,12 +489,13 @@ class QueryEngine:
             return self._queued
 
     def snapshot(self) -> Dict[str, Any]:
-        """Pool depth and queue statistics for ``GET /health``."""
+        """Width and queue statistics for ``GET /health``.  ``inline`` is
+        always true: every task runs on the thread that submitted it."""
         with self._stats_lock:
             stats = {
                 "workers": self.workers,
                 "max_queue": self.max_queue,
-                "inline": self._pool is None,
+                "inline": True,
                 "queued": self._queued,
                 "in_flight": self._in_flight,
                 "completed": self._completed,
@@ -549,11 +514,10 @@ class QueryEngine:
         stats["lock"] = self.rwlock.snapshot()
         return stats
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting work and (optionally) wait for the pool to drain."""
+    def shutdown(self) -> None:
+        """Stop accepting work: a later :meth:`submit` is refused as
+        saturated.  Tasks already admitted finish on their own threads."""
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait)
 
     def __enter__(self) -> "QueryEngine":
         return self

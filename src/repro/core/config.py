@@ -85,9 +85,10 @@ class MQAConfig:
         monitoring: Master switch for online quality + SLO monitoring
             (``GET /health``).  Off by default: the serving hot path then
             pays nothing.
-        workers: ``1`` (the default) executes requests inline on the
-            calling thread — the historical serial behaviour; ``N > 1``
-            serves up to N requests concurrently under the read/write lock.
+        workers: How many requests the server runs at once, each on the
+            thread that sent it (the server starts no thread).  ``1`` (the
+            default) is the historical serial behaviour; ``N > 1`` lets up
+            to N callers run together under the read/write lock.
         max_batch: Upper bound on how many concurrent ``/search`` requests
             the server micro-batches into one batched retrieval.  ``1``
             (the default) disables coalescing entirely — every request runs
@@ -206,7 +207,8 @@ class MQAConfig:
     )
     slo_latency_ms: float = _knob(250.0, "rolling-window p95 latency target", gt=0)
     workers: int = _knob(
-        1, "query-engine worker threads (1 = serial inline execution)", ge=1
+        1, "requests the server runs at once, each on its caller's thread "
+        "(1 = one at a time)", ge=1
     )
     max_batch: int = _knob(
         1, "micro-batch size cap for POST /search (1 = no coalescing, the "

@@ -45,13 +45,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import MQAError
 from repro.observability.metrics import MetricsRegistry, Window
 from repro.observability.tracing import trace_span
 
 __all__ = [
     "AdmissionController",
-    "AdmissionShedError",
     "QueryPlan",
     "QueryPlanner",
 ]
@@ -77,15 +75,6 @@ _COST_SCALE = 0.8
 #: How dissimilarity translates into predicted recall loss for the
 #: semantic cache: ``predicted = 1 - (1 - cosine) * penalty``.
 _SIMILARITY_PENALTY = 2.0
-
-
-class AdmissionShedError(MQAError):
-    """Raised by the API boundary when admission control sheds a request.
-
-    Deliberately *not* an :class:`~repro.core.concurrency.EngineSaturatedError`:
-    shedding happens before the engine queue is touched, while the system
-    still has headroom to answer the requests it already accepted.
-    """
 
 
 @dataclass
@@ -193,7 +182,7 @@ class QueryPlanner:
             the remaining deadline (headroom for generation and jitter).
         min_budget: Smallest ladder budget considered.
 
-    Thread safety: one planner is shared by every engine worker; all
+    Thread safety: one planner is shared by every request thread; all
     mutable state is guarded by an internal lock.
     """
 

@@ -540,7 +540,8 @@ class HnswIndex(VectorIndex):
 
         * bookkeeping — one level per node, vectors row per node, layer
           count matching the max level, entry node at the max level;
-        * membership — node present in layer ``l`` iff ``l <= level(node)``;
+        * membership — node present in layer ``l`` iff ``l <= level(node)``,
+          and no other member;
         * edges — every neighbour id valid, no self-loops, no duplicates,
           rows within the degree cap (``2m`` on layer 0, ``m`` above);
         * connectivity — for every edge ``u -> v``, either ``v -> u``
@@ -580,6 +581,12 @@ class HnswIndex(VectorIndex):
                         f"node {node} (level {self._node_level[node]}) "
                         f"{'present' if present else 'missing'} on layer {layer_index}"
                     )
+            members = sum(level >= layer_index for level in self._node_level)
+            if len(layer) != members:
+                raise GraphConstructionError(
+                    f"layer {layer_index} has {len(layer)} members, "
+                    f"the node levels place {members}"
+                )
             for node, row in layer.items():
                 if len(row) > cap:
                     raise GraphConstructionError(

@@ -35,7 +35,7 @@ from repro.distance import (
     SingleVectorKernel,
     WeightedMultiVectorKernel,
 )
-from repro.errors import IndexError_
+from repro.errors import IndexError_, MQAError
 from repro.index.base import VectorIndex
 from repro.index.graph import NavigationGraph, SparseLayer
 from repro.index.hnsw import HnswIndex, HnswParams
@@ -183,7 +183,58 @@ def _check_graph_arrays(
     elif not all(0 <= int(e) < n for e in meta["entry_points"]):
         problem = f"an entry point is outside 0..{n - 1}"
     if problem is not None:
-        raise IndexError_(f"saved index at {directory} is corrupt: {problem}")
+        raise _corrupt(directory, problem)
+
+
+def _corrupt(directory: Path, problem: str) -> IndexError_:
+    return IndexError_(f"saved index at {directory} is corrupt: {problem}")
+
+
+def _is_int(value: object) -> bool:
+    return type(value) is int  # JSON's true / false are not levels or ids
+
+
+def _restore_hnsw(
+    directory: Path, doc: dict, graph: NavigationGraph, vectors: np.ndarray,
+    kernel: DistanceKernel,
+) -> HnswIndex:
+    """The saved HNSW hierarchy over ``graph``, refused whole unless the
+    JSON has the saved shape and the restored index passes its own
+    :meth:`HnswIndex.check_invariants` (one level per node, one layer per
+    level, level-consistent membership, in-range member targets within the
+    degree caps, reverse edges or saturated rows)."""
+    if not isinstance(doc, dict):
+        raise _corrupt(directory, f"hnsw must be an object, got {doc!r}")
+    levels, layers = doc.get("node_levels"), doc.get("upper_layers")
+    if not _is_int(doc.get("max_level")):
+        raise _corrupt(directory, f"max_level must be an integer, got {doc.get('max_level')!r}")
+    if not isinstance(levels, list) or not all(map(_is_int, levels)):
+        raise _corrupt(directory, "node_levels must be a list of integers")
+    if not isinstance(layers, list) or not all(
+        isinstance(layer, dict)
+        and all(
+            node.isdigit() and isinstance(row, list) and all(map(_is_int, row))
+            for node, row in layer.items()
+        )
+        for layer in layers
+    ):
+        raise _corrupt(directory, "upper_layers must be a list of {node: [ids]} objects")
+    try:
+        restored = HnswIndex(
+            HnswParams(m=doc["m"], ef_construction=doc["ef_construction"], seed=doc["seed"])
+        )
+        restored._vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        restored._kernel = kernel
+        restored._max_level = doc["max_level"]
+        restored._node_level = levels
+        restored._layers = [graph] + [
+            SparseLayer((int(node), row) for node, row in layer.items())
+            for layer in layers
+        ]
+        restored.check_invariants()
+    except (KeyError, TypeError, ValueError, MQAError) as exc:
+        raise _corrupt(directory, str(exc)) from exc
+    return restored
 
 
 def load_index(directory: "str | Path") -> "FrozenGraphIndex | HnswIndex":
@@ -212,21 +263,7 @@ def load_index(directory: "str | Path") -> "FrozenGraphIndex | HnswIndex":
     kernel = _kernel_from_doc(meta["kernel"])
 
     if "hnsw" in meta:
-        doc = meta["hnsw"]
-        restored = HnswIndex(
-            HnswParams(
-                m=doc["m"], ef_construction=doc["ef_construction"], seed=doc["seed"]
-            )
-        )
-        restored._vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        restored._kernel = kernel
-        restored._max_level = int(doc["max_level"])
-        restored._node_level = [int(level) for level in doc["node_levels"]]
-        restored._layers = [graph] + [
-            SparseLayer((int(node), row) for node, row in layer.items())
-            for layer in doc["upper_layers"]
-        ]
-        return restored
+        return _restore_hnsw(directory, meta["hnsw"], graph, vectors, kernel)
 
     index = FrozenGraphIndex(graph, vectors, kernel)
     index.name = f"frozen({meta['source']})"

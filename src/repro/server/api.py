@@ -58,7 +58,6 @@ import threading
 import time
 import traceback
 from collections import OrderedDict
-from concurrent.futures import Future
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.core import ConfigurationPanel, MQAConfig, QAPanel, StatusPanel
@@ -70,7 +69,6 @@ from repro.core.concurrency import (
     QueryEngine,
 )
 from repro.core.coordinator import Coordinator
-from repro.core.planning import AdmissionShedError
 from repro.data import KnowledgeBase, Modality, RawQuery
 from repro.errors import DeadlineExceededError, MQAError
 from repro.observability import STATE_OK, ProfileAggregator, render_prometheus
@@ -161,13 +159,13 @@ class SessionTable:
 class ApiServer:
     """Routes endpoint calls to the panels and the coordinator.
 
-    Every request dispatches through a :class:`QueryEngine`: reads (query,
-    refine, transcript, metrics, ...) run concurrently under the engine's
-    shared read lock, writes (configure, apply, ingest, remove,
-    session/new) run exclusively, and dialogue verbs carrying a ``session``
-    id serialise per session.  With the default ``workers=1`` the engine
-    executes inline on the calling thread — identical behaviour to the
-    historical serial server, no pool threads.
+    Every request dispatches through a :class:`QueryEngine` and runs on the
+    thread that called :meth:`handle`: reads (query, refine, transcript,
+    metrics, ...) run concurrently under the engine's shared read lock,
+    writes (configure, apply, ingest, remove, session/new) run exclusively,
+    and dialogue verbs carrying a ``session`` id serialise per session.
+    ``workers`` caps how many callers run at once; the server starts no
+    thread of its own.
 
     Args:
         config: Initial draft configuration (panel defaults otherwise).
@@ -175,8 +173,9 @@ class ApiServer:
             one at apply time.
         clock: Time source for request latency (injectable so SLO grading
             can be driven deterministically in tests).
-        workers: Engine worker count; overrides ``config.workers`` when
-            given.  The micro-batcher of ``POST /search`` always follows
+        workers: How many requests may run at once; overrides
+            ``config.workers`` when given (and then ``POST /configure``
+            no longer changes it).  The micro-batcher of ``POST /search`` always follows
             the panel's ``max_batch``.
     """
 
@@ -224,8 +223,8 @@ class ApiServer:
         self._clock = clock or time.perf_counter
         self._coordinator: Optional[Coordinator] = None
         self._sessions = SessionTable()
-        # An explicit ``workers`` pins the engine; otherwise it follows the
-        # (possibly reconfigured) panel config.
+        # An explicit ``workers`` pins the engine's width; otherwise it
+        # follows the (possibly reconfigured) panel config.
         self._engine_pinned = workers is not None
         draft = self._panel.config
         self.engine = QueryEngine(
@@ -233,7 +232,7 @@ class ApiServer:
             live_session=self._sessions.__contains__,
         )
         self.batcher = MicroBatcher(self._run_search_batch, max_batch=draft.max_batch)
-        self._engine_lock = threading.Lock()
+        self._batcher_lock = threading.Lock()
         self._routes: Dict[Tuple[str, str], Callable[[Dict[str, Any]], Dict[str, Any]]] = {
             ("GET", "/options"): self._get_options,
             ("POST", "/configure"): self._post_configure,
@@ -262,37 +261,14 @@ class ApiServer:
     # dispatch
     # ------------------------------------------------------------------
     def handle(self, method: str, path: str, body: "Dict[str, Any] | None" = None) -> Dict[str, Any]:
-        """Route one request through the engine; exceptions become error
-        responses, including engine saturation (``"saturated": True``)."""
-        try:
-            return self.handle_async(method, path, body).result()
-        except AdmissionShedError as exc:
-            # Admission control turned the request away before it touched
-            # the engine (admission mode only).
-            return {"ok": False, "error": str(exc), "shed": True}
-        except EngineSaturatedError as exc:
-            return {"ok": False, "error": str(exc), "saturated": True}
-        except DeadlineExceededError as exc:
-            # The engine shed the request after its budget expired in the
-            # queue (resilience mode only).
-            return {"ok": False, "error": str(exc), "deadline_exceeded": True}
+        """Route one request through the engine on the calling thread.
 
-    def handle_async(
-        self, method: str, path: str, body: "Dict[str, Any] | None" = None
-    ) -> "Future[Dict[str, Any]]":
-        """Submit one request to the engine; the future resolves to the
-        response dict.
-
-        Raises:
-            EngineSaturatedError: The bounded queue is full — callers doing
-                their own dispatch decide whether to retry or shed.
+        Exceptions become error responses: admission shedding (``"shed":
+        True``), engine saturation (``"saturated": True``) and a deadline
+        that expired in the queue (``"deadline_exceeded": True``).
         """
         if body is not None and not isinstance(body, Mapping):
-            refused: "Future[Dict[str, Any]]" = Future()
-            refused.set_result(
-                {"ok": False, "error": f"request body must be an object, got {body!r}"}
-            )
-            return refused
+            return {"ok": False, "error": f"request body must be an object, got {body!r}"}
         route = (method.upper(), path)
         mode = WRITE if route in self._WRITE_ROUTES else READ
         session_key = None
@@ -324,16 +300,25 @@ class ApiServer:
             predicted = planner.predicted_base_ms() if planner is not None else 1.0
             if admission.decide(predicted) == "shed":
                 coordinator.resilience.record_fallback("admission_shed")
-                raise AdmissionShedError(
-                    "admission control shed the request: engine queue "
-                    "delay or predicted cost exceeds serving capacity"
-                )
-        return self.engine.submit(
-            lambda: self._dispatch(method, path, body),
-            mode=mode,
-            session_key=session_key,
-            deadline=deadline,
-        )
+                return {
+                    "ok": False,
+                    "error": "admission control shed the request: engine queue "
+                    "delay or predicted cost exceeds serving capacity",
+                    "shed": True,
+                }
+        try:
+            return self.engine.submit(
+                lambda: self._dispatch(method, path, body),
+                mode=mode,
+                session_key=session_key,
+                deadline=deadline,
+            )
+        except EngineSaturatedError as exc:
+            return {"ok": False, "error": str(exc), "saturated": True}
+        except DeadlineExceededError as exc:
+            # The engine shed the request after its budget expired in the
+            # queue (resilience mode only).
+            return {"ok": False, "error": str(exc), "deadline_exceeded": True}
 
     @staticmethod
     def _deadline_override(body: "Dict[str, Any] | None") -> Optional[float]:
@@ -368,35 +353,23 @@ class ApiServer:
     def _maybe_resize_engine(self) -> None:
         """Follow ``POST /configure`` engine settings (unless pinned).
 
-        The swap happens here — on the submitting thread, outside any
-        engine task — because a task cannot shut down the pool it is
-        running on.
+        Only the width changes: the engine, its RW lock and its session
+        locks stay, so a verb admitted before the change still excludes
+        every verb admitted after it.
         """
-        if self._engine_pinned:
-            return
-        desired = self._panel.config.workers
-        if desired == self.engine.workers:
-            return
-        with self._engine_lock:
-            if desired == self.engine.workers:
-                return
-            old = self.engine
-            self.engine = QueryEngine(
-                workers=desired, live_session=self._sessions.__contains__
-            )
-            self._install_wait_observer()
-            old.shutdown(wait=False)
+        if not self._engine_pinned:
+            desired = self._panel.config.workers
+            if desired != self.engine.workers:
+                self.engine.resize(desired)
 
     def _install_wait_observer(self) -> None:
         """Feed the engine's queue signals to admission control.
 
         Two hooks: the engine's measured per-request queue waits (EWMA
         fallback signal) and a live queue-depth probe (the preferred
-        Little's-law wait estimate).  Re-run after every apply and
-        engine swap so the active engine's signals always reach the
-        active coordinator's controller (a no-op ``None`` when admission
-        is off); the probe closes over ``self`` so it follows engine
-        swaps automatically.
+        Little's-law wait estimate).  Re-run after every apply so the
+        engine's signals reach the active coordinator's controller (a
+        no-op ``None`` when admission is off).
         """
         coordinator = self._coordinator
         admission = coordinator.layer("admission") if coordinator is not None else None
@@ -414,13 +387,15 @@ class ApiServer:
         desired = self._panel.config.max_batch
         if desired == self.batcher.max_batch:
             return
-        with self._engine_lock:
+        with self._batcher_lock:
             if desired == self.batcher.max_batch:
                 return
             self.batcher = MicroBatcher(self._run_search_batch, max_batch=desired)
 
     def close(self) -> None:
-        """Shut the engine down (stops accepting work, drains the pool)."""
+        """Stop accepting requests: a later one is refused as saturated.
+        There is no thread to join — a request in flight finishes on its
+        caller's thread."""
         self.engine.shutdown()
 
     def __enter__(self) -> "ApiServer":
@@ -515,9 +490,9 @@ class ApiServer:
         # Session 0 keeps its id, and so its engine lock: a verb may hold
         # it already, queued behind this write.
         self.engine.drop_sessions(self._sessions.reset(QAPanel(self._coordinator)))
-        # Through ``self``: the entries follow engine and batcher swaps.
+        # The batcher entry reads through ``self``: it follows batcher swaps.
         self._coordinator.ledgers.update(
-            engine=lambda: self.engine.snapshot(),
+            engine=self.engine.snapshot,
             batching=lambda: self.batcher.snapshot(),
         )
         self._install_wait_observer()

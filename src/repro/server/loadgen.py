@@ -142,7 +142,7 @@ def run_loadgen(
     resilience layer unless ``resilience`` says otherwise.
 
     The client side uses ``workers`` threads calling the blocking
-    :meth:`ApiServer.handle`, matching the engine's worker count so the
+    :meth:`ApiServer.handle`, matching the engine's width so the
     bounded queue never rejects — rejections under deliberate over-drive
     are exercised by the concurrency tests instead.  ``client_workers``
     sizes the *client* thread pool independently of the engine's

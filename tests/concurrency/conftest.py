@@ -21,16 +21,20 @@ SIZE = 80
 SEED = 3
 
 
-def make_server(workers: int = 1, **overrides) -> ApiServer:
-    """A small applied :class:`ApiServer`; caller is responsible for close()."""
-    config = MQAConfig(
+def small_config(workers: int = 1, **overrides) -> MQAConfig:
+    """The suite's small configuration, ``workers`` wide."""
+    return MQAConfig(
         dataset=DatasetSpec(domain="scenes", size=SIZE, seed=SEED),
         workers=workers,
         cache_queries=False,  # cached reads would dodge the locks under test
         weight_learning={"steps": 10, "batch_size": 8},
         **overrides,
     )
-    server = ApiServer(config)
+
+
+def make_server(workers: int = 1, **overrides) -> ApiServer:
+    """A small applied :class:`ApiServer`; caller is responsible for close()."""
+    server = ApiServer(small_config(workers, **overrides))
     applied = server.handle("POST", "/apply")
     assert applied.get("ok"), applied
     return server
@@ -50,7 +54,7 @@ def split_vocab(kb) -> Tuple[List[str], List[str]]:
 
 @pytest.fixture
 def server():
-    """An applied server with a real two-worker engine."""
+    """An applied server that runs two requests at once."""
     srv = make_server(workers=2)
     yield srv
     srv.close()

@@ -9,13 +9,14 @@ no lost updates, identical result ids.
 
 from __future__ import annotations
 
-import time
+import threading
 
 from repro.core.session import DialogueSession
 from repro.data.objects import RawQuery
 from repro.server import api
+from repro.server.api import ApiServer
 
-from tests.concurrency.conftest import make_server, split_vocab
+from tests.concurrency.conftest import make_server, small_config, split_vocab
 from tests.concurrency.harness import StepScheduler, eventually, spawn
 
 #: Generous enough that a scheduler hiccup cannot fake "blocked", short
@@ -113,20 +114,19 @@ def test_concurrent_refines_on_one_session_serialise(server):
 
     with StepScheduler() as sched:
         gate = sched.pause_before(coordinator.generation, "generate", "mid-refine")
-        first = server.handle_async(
+        first = spawn(lambda: server.handle(
             "POST", "/refine", {"text": read_pool[2], "session": 0}
-        )
+        ), name="first-refine")
         gate.wait_arrived()  # first refine parked, holding the session lock
-        second = server.handle_async(
+        second = spawn(lambda: server.handle(
             "POST", "/refine", {"text": read_pool[3], "session": 0}
-        )
-        time.sleep(BLOCKED_WINDOW_S)
-        assert not second.done(), (
+        ), name="second-refine")
+        assert not second.join_within(BLOCKED_WINDOW_S), (
             "second refine ran while the first held the session lock"
         )
         gate.release()
-        first_response = first.result(timeout=10)
-        second_response = second.result(timeout=10)
+        first_response = first.join()
+        second_response = second.join()
 
     assert first_response["ok"]
     assert not second_response["ok"]
@@ -140,11 +140,13 @@ def test_concurrent_asks_append_distinct_rounds(server):
     """Racing asks on one session serialise into distinct, ordered rounds."""
     read_pool, _ = split_vocab(server._coordinator.kb)
     texts = [read_pool[i] for i in range(4)]
-    futures = [
-        server.handle_async("POST", "/query", {"text": text, "session": 0})
-        for text in texts
+    askers = [
+        spawn(lambda text=text: server.handle(
+            "POST", "/query", {"text": text, "session": 0}
+        ), name=f"ask-{i}")
+        for i, text in enumerate(texts)
     ]
-    responses = [future.result(timeout=10) for future in futures]
+    responses = [asker.join() for asker in askers]
 
     assert all(response["ok"] for response in responses), responses
     session = server._sessions[0].session
@@ -174,17 +176,16 @@ def test_a_verb_queued_behind_its_sessions_eviction_replies_unknown(
 
     with StepScheduler() as sched:
         gate = sched.pause_before(server._sessions, "open", "mid-session-new")
-        opener = server.handle_async("POST", "/session/new")
+        opener = spawn(lambda: server.handle("POST", "/session/new"), name="opener")
         gate.wait_arrived()  # /session/new parked under the engine write lock
-        verb = server.handle_async(
+        verb = spawn(lambda: server.handle(
             "POST", "/query", {"text": read_pool[1], "session": victim}
-        )
+        ), name="verb")
         assert eventually(victim_lock.locked), "the verb never took X's lock"
-        time.sleep(BLOCKED_WINDOW_S)
-        assert not verb.done(), "the verb ran beside the write"
+        assert not verb.join_within(BLOCKED_WINDOW_S), "the verb ran beside the write"
         gate.release()
-        fresh = opener.result(timeout=10)["session"]
-        reply = verb.result(timeout=10)
+        fresh = opener.join()["session"]
+        reply = verb.join()
 
     assert reply == {"ok": False, "error": f"unknown session {victim}"}
     assert fresh not in opened and fresh != victim
@@ -208,15 +209,15 @@ def test_no_lost_updates_in_counters_and_events():
         read_pool, _ = split_vocab(srv._coordinator.kb)
         for _ in range(1, sessions):
             assert srv.handle("POST", "/session/new")["ok"]
-        futures = [
-            srv.handle_async(
+        clients = [
+            spawn(lambda i=i: srv.handle(
                 "POST",
                 "/query",
                 {"text": read_pool[i % len(read_pool)], "session": i % sessions},
-            )
+            ), name=f"client-{i}")
             for i in range(queries)
         ]
-        responses = [future.result(timeout=30) for future in futures]
+        responses = [client.join(timeout=30) for client in clients]
         assert all(response["ok"] for response in responses), responses
 
         metrics = srv.handle("GET", "/metrics")["metrics"]
@@ -239,3 +240,85 @@ def test_no_lost_updates_in_counters_and_events():
         assert engine["in_flight"] == 0
     finally:
         srv.close()
+
+
+def test_a_verb_queued_behind_a_width_change_keeps_its_sessions_lock():
+    """``POST /configure {"workers": 2}`` changes only the engine's width.
+
+    A query for session 0 queued behind the configure runs after it and
+    holds session 0's lock; a second query for session 0 sent after the
+    change must wait for that lock, not find a fresh one beside it.
+    """
+    server = ApiServer(small_config(workers=1))
+    try:
+        assert server.handle("POST", "/apply")["ok"]
+        read_pool, _ = split_vocab(server._coordinator.kb)
+        with StepScheduler() as sched:
+            configuring = sched.pause_before(server._panel, "set_option", "mid-configure")
+            # Before the round: the dialogue's own lock is not taken yet.
+            answering = sched.pause_before(server, "_timed_verb", "mid-query")
+            configure = spawn(lambda: server.handle(
+                "POST", "/configure", {"option": "workers", "value": 2}
+            ), name="configure")
+            configuring.wait_arrived()  # the write holds the only place
+            first = spawn(lambda: server.handle(
+                "POST", "/query", {"text": read_pool[0], "session": 0}
+            ), name="first")
+            assert eventually(lambda: server.engine.queue_depth == 1)
+            configuring.release()
+            assert configure.join()["ok"]
+            answering.wait_arrived()  # the first query holds session 0's lock
+            second = spawn(lambda: server.handle(
+                "POST", "/query", {"text": read_pool[1], "session": 0}
+            ), name="second")
+            assert not second.join_within(BLOCKED_WINDOW_S), (
+                "a second verb for session 0 ran beside the first"
+            )
+            answering.release()
+            first_reply, second_reply = first.join(), second.join()
+
+        assert first_reply["ok"] and second_reply["ok"]
+        assert server.engine.snapshot()["workers"] == 2
+        rounds = server._sessions[0].session.rounds_snapshot()
+        assert [r.user_text for r in rounds] == [read_pool[0], read_pool[1]]
+    finally:
+        server.close()
+
+
+def test_every_request_runs_on_its_callers_thread():
+    """Two clients on a two-wide server: set-up and reads run on the
+    thread that sent them, and the server starts no thread of its own."""
+    before = set(threading.enumerate())
+    server = ApiServer(small_config(), workers=2)
+    ran_on = {}
+    dispatch = server._dispatch
+
+    def recording(method, path, body):
+        ran_on[id(body)] = threading.get_ident()
+        return dispatch(method, path, body)
+
+    server._dispatch = recording
+
+    def client(name, apply_first):
+        sent = []
+        if apply_first:
+            sent.append({})
+            assert server.handle("POST", "/apply", sent[-1])["ok"]
+        else:
+            assert eventually(lambda: server._coordinator is not None)
+        for text in ("fog", "clouds", "mountain"):
+            sent.append({"text": f"{text} {name}"})
+            assert server.handle("POST", "/search", sent[-1])["ok"]
+        return threading.get_ident(), sent
+
+    try:
+        clients = [spawn(lambda: client("a", True), name="client-a"),
+                   spawn(lambda: client("b", False), name="client-b")]
+        outcomes = [c.join(timeout=30) for c in clients]
+        assert [t.name for t in threading.enumerate() if t not in before] == []
+        assert threading.active_count() <= len(before)
+    finally:
+        server.close()
+    for ident, sent in outcomes:
+        assert [ran_on[id(body)] for body in sent] == [ident] * len(sent)
+    assert len(ran_on) == 7

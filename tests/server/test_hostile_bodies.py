@@ -121,7 +121,7 @@ INFINITE_INTEGERS = [
 ]
 
 #: A body that is not an object used to escape as AttributeError (the session
-#: read in ``handle_async``) or TypeError (``dict(body)``).
+#: read in ``handle``) or TypeError (``dict(body)``).
 NOT_AN_OBJECT = [
     ("POST", "/query", [1, 2]),
     ("POST", "/query", "text"),
@@ -180,7 +180,6 @@ def test_a_body_that_is_not_an_object_is_an_error_reply(server, method, route, b
     assert server.handle(method, route, body) == {
         "ok": False, "error": f"request body must be an object, got {body!r}",
     }
-    assert server.handle_async(method, route, body).result()["ok"] is False
 
 
 def test_the_same_routes_still_take_well_formed_bodies(server):
