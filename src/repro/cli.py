@@ -210,13 +210,67 @@ def report_shell_error(server: ApiServer, command: str, exc: BaseException) -> N
     coordinator = server._coordinator
     if coordinator is None:
         return
-    coordinator.events.record(
-        "qa", "coordinator", "cli-error",
-        f"{command}: " + "".join(
-            traceback.format_exception(type(exc), exc, exc.__traceback__)
-        ).strip(),
-    )
+    trace = "".join(traceback.format_exception(exc)).strip()
+    coordinator.events.record("qa", "coordinator", "cli-error", f"{command}: {trace}")
     coordinator.metrics.inc("cli.errors")
+
+
+def show_object(server: ApiServer, object_id: str) -> None:
+    """``/show ID``: an object's image as character art, and its caption."""
+    if not object_id:
+        print("usage: /show OBJECT_ID")
+        return
+    try:
+        obj = server._coordinator.get_object(int(object_id))
+        print(ascii_image(obj.get("image")))
+        print("caption:", obj.get("text"))
+    except Exception as exc:  # noqa: BLE001 - interactive surface
+        report_shell_error(server, "/show", exc)
+
+
+def _print_events(response: dict) -> None:
+    for event in response["events"]:
+        print(f"  {event['source']} -> {event['target']}: {event['kind']}")
+
+
+def _print_health(response: dict) -> None:
+    if not response["monitoring"]:
+        print("monitoring disabled (start with --monitor)")
+        return
+    slo = response["slo"]
+    print(
+        f"state: {response['state']} "
+        f"(p95 {slo.get('window_p95_ms', 0)} ms, "
+        f"errors {slo.get('window_error_rate', 0)})"
+    )
+    quality = response.get("quality")
+    if quality:
+        print(
+            f"quality: recall@{quality['k']} {quality['mean_recall_at_k']}, "
+            f"mrr {quality['mean_mrr']} ({quality['sampled']} sampled)"
+        )
+
+
+#: Shell command -> (method, route, the body made of the rest of the line,
+#: what to print of a served reply; None prints an answer).  Words go to the
+#: server as typed: the route's body declaration reads and checks them.
+SHELL_COMMANDS = {
+    "/status": ("GET", "/status", lambda rest: {}, lambda reply: print(reply["rendered"])),
+    "/weights": ("GET", "/weights", lambda rest: {}, lambda reply: print(reply["weights"])),
+    "/transcript": ("GET", "/transcript", lambda rest: {},
+                    lambda reply: print(reply["transcript"])),
+    "/events": ("GET", "/events", lambda rest: {}, _print_events),
+    "/health": ("GET", "/health", lambda rest: {}, _print_health),
+    "/profile": ("GET", "/profile", lambda rest: {"format": "table"},
+                 lambda reply: print(reply["table"])),
+    "/select": ("POST", "/select", lambda rest: {"rank": (rest.split() or [0])[0]},
+                lambda reply: print(f"selected #{reply['selected_object_id']}")),
+    "/reject": ("POST", "/reject", lambda rest: {"rank": (rest.split() or [0])[0]},
+                lambda reply: print(f"rejected #{reply['rejected_object_id']}")),
+    "/ingest": ("POST", "/ingest", lambda rest: {"concepts": rest.split()},
+                lambda reply: print(f"ingested as #{reply['object_id']}")),
+    "/refine": ("POST", "/refine", lambda rest: {"text": rest}, None),
+}
 
 
 def run_shell(
@@ -230,6 +284,7 @@ def run_shell(
     print("\ntype a query, /select N, /reject N, /refine TEXT, /show ID,")
     print("/ingest concept1 concept2 ..., /status, /weights, /transcript,")
     print("/events, /health, /profile, or /quit\n")
+    query = ("POST", "/ask" if agentic else "/query", None, None)
     while True:
         try:
             line = input("> ").strip()
@@ -240,100 +295,21 @@ def run_shell(
             continue
         if line in ("/quit", "/exit"):
             return
-        if line == "/status":
-            print(server.handle("GET", "/status").get("rendered", ""))
+        command, _, rest = line.partition(" ")
+        if command == "/show":
+            show_object(server, rest.strip())
             continue
-        if line == "/weights":
-            print(server.handle("GET", "/weights").get("weights", {}))
-            continue
-        if line == "/transcript":
-            print(server.handle("GET", "/transcript").get("transcript", ""))
-            continue
-        if line == "/events":
-            for event in server.handle("GET", "/events").get("events", []):
-                print(f"  {event['source']} -> {event['target']}: {event['kind']}")
-            continue
-        if line == "/health":
-            response = server.handle("GET", "/health")
-            if not response.get("monitoring"):
-                print("monitoring disabled (start with --monitor)")
-                continue
-            slo = response.get("slo") or {}
-            print(
-                f"state: {response['state']} "
-                f"(p95 {slo.get('window_p95_ms', 0)} ms, "
-                f"errors {slo.get('window_error_rate', 0)})"
-            )
-            quality = response.get("quality")
-            if quality:
-                print(
-                    f"quality: recall@{quality['k']} {quality['mean_recall_at_k']}, "
-                    f"mrr {quality['mean_mrr']} ({quality['sampled']} sampled)"
-                )
-            continue
-        if line == "/profile":
-            response = server.handle("GET", "/profile", {"format": "table"})
-            if response.get("ok"):
-                print(response.get("table", ""))
-            else:
-                print("error:", response.get("error"))
-            continue
-        if line.startswith("/select"):
-            parts = line.split()
-            rank = int(parts[1]) if len(parts) > 1 else 0
-            response = server.handle("POST", "/select", {"rank": rank})
-            if response["ok"]:
-                print(f"selected #{response['selected_object_id']}")
-            else:
-                print("error:", response["error"])
-            continue
-        if line.startswith("/reject"):
-            parts = line.split()
-            rank = int(parts[1]) if len(parts) > 1 else 0
-            response = server.handle("POST", "/reject", {"rank": rank})
-            if response["ok"]:
-                print(f"rejected #{response['rejected_object_id']}")
-            else:
-                print("error:", response["error"])
-            continue
-        if line.startswith("/ingest"):
-            concepts = line.split()[1:]
-            response = server.handle("POST", "/ingest", {"concepts": concepts})
-            if response["ok"]:
-                print(f"ingested as #{response['object_id']}")
-            else:
-                print("error:", response["error"])
-            continue
-        if line.startswith("/show"):
-            parts = line.split()
-            if len(parts) < 2:
-                print("usage: /show OBJECT_ID")
-                continue
-            try:
-                obj = server._coordinator.get_object(int(parts[1]))
-                print(ascii_image(obj.get("image")))
-                print("caption:", obj.get("text"))
-            except Exception as exc:  # noqa: BLE001 - interactive surface
-                report_shell_error(server, "/show", exc)
-            continue
-        if line.startswith("/refine"):
-            text = line[len("/refine") :].strip()
-            response = server.handle("POST", "/refine", {"text": text})
-            if response["ok"]:
-                print_answer(response["answer"])
-                if show_trace:
-                    print_trace(server)
-            else:
-                print("error:", response["error"])
-            continue
-        verb = "/ask" if agentic else "/query"
-        response = server.handle("POST", verb, {"text": line})
-        if response["ok"]:
+        method, route, body_of, show = SHELL_COMMANDS.get(command, query)
+        body = {"text": line} if body_of is None else body_of(rest.strip())
+        response = server.handle(method, route, body)
+        if not response["ok"]:
+            print("error:", response["error"])
+        elif show is not None:
+            show(response)
+        else:
             print_answer(response["answer"])
             if show_trace:
                 print_trace(server)
-        else:
-            print("error:", response["error"])
 
 
 def run_replay(argv: List[str]) -> int:

@@ -21,17 +21,17 @@ class Modality(str, enum.Enum):
 
     @classmethod
     def parse(cls, value: "str | Modality") -> "Modality":
-        """Coerce a string such as ``"text"`` into a :class:`Modality`.
+        """A :class:`Modality` from a name such as ``"text"`` (any case); a
+        :class:`ValueError` lists the valid names otherwise."""
+        return value if isinstance(value, cls) else cls(value)
 
-        Raises :class:`ValueError` with the list of valid names on failure.
-        """
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value.lower())
-        except (ValueError, AttributeError):  # a non-string has no lower()
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown modality {value!r}; expected one of: {valid}") from None
+    @classmethod
+    def _missing_(cls, value: object) -> "Modality":
+        """What ``Modality(value)`` does when no member has that value."""
+        if isinstance(value, str) and value.lower() in cls._value2member_map_:
+            return cls._value2member_map_[value.lower()]
+        valid = ", ".join(m.value for m in cls)
+        raise ValueError(f"unknown modality {value!r}; expected one of: {valid}")
 
 
 DEFAULT_MODALITIES = (Modality.TEXT, Modality.IMAGE)

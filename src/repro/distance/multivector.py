@@ -165,10 +165,16 @@ class WeightedMultiVectorKernel(DistanceKernel):
             raise EncodingError(f"modality weights must be finite, got {values}")
         if (values < 0).any():
             raise EncodingError(f"modality weights must be non-negative, got {values}")
-        total = values.sum()
+        with np.errstate(all="ignore"):
+            total = values.sum()
+            normalised = values * (count / total)
         if total <= 0:
             raise EncodingError("modality weights must not all be zero")
-        return values * (count / total)
+        # A sum past the float range normalises to zeros, a subnormal sum
+        # to inf and nan: both would be served as scores.
+        if not (np.isfinite(total) and np.isfinite(normalised).all()):
+            raise EncodingError(f"modality weights {values} do not normalise to finite weights")
+        return normalised
 
     @property
     def weights(self) -> np.ndarray:

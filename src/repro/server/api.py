@@ -1,63 +1,34 @@
-"""Endpoint routing over the coordinator.
+"""Endpoint routing over the coordinator, mirroring the demo's backend.
 
-Endpoints (mirroring the demo's backend):
+A route that reads a body declares it once, as a :class:`Body` dataclass
+below whose docstring says what the route does, and the body is read
+through :func:`repro.utils.read_fields`: unknown keys are ignored, an
+integer field also takes an integral float or a digit string, a float field
+a numeric string, and anything else its declaration refuses is an error
+reply naming the field and the value.  The routes that read no body:
 
-* ``GET  /options``            — dropdown contents for the config panel.
-* ``POST /configure``          — set one configuration option.
-* ``POST /apply``              — build the system from the draft config.
-* ``GET  /status``             — status-monitoring panel content.
-* ``GET  /weights``            — modality weights in force.
-* ``POST /session/new``        — open an additional dialogue session;
-  returns its id (session ``0`` always exists after apply).  Past
-  :data:`MAX_SESSIONS` it closes the least recently used session.
-* ``POST /query``              — submit a dialogue query (text, optional
-  reference object id standing in for an uploaded image, optional
-  ``session`` id).
-* ``POST /select``             — click a result card.
-* ``POST /reject``             — dismiss a result card (negative feedback).
-* ``POST /refine``             — refine from the selected result.
-* ``GET  /transcript``         — the QA panel transcript.
-* ``GET  /events``             — the coordinator's event log, paginated
-  (``offset`` / ``limit``; also reports ring-buffer totals).
-* ``POST /ingest``             — add a new object to the live system.
-* ``GET  /metrics``            — request counters, latency percentiles,
-  per-stage timings, and cache statistics; with ``format="prometheus"``
-  returns text exposition instead (``{"content_type": ..., "body": ...}``).
-* ``GET  /trace``              — the last-N query traces as JSON span
-  trees (requires ``tracing`` enabled in the configuration).
-* ``GET  /profile``            — aggregated per-span-path profile over all
-  captured traces (``format="collapsed"`` returns collapsed-stack text
-  for flamegraph tooling, ``format="table"`` the rendered table).
-* ``GET  /stats``              — the cost plane: rolling per-(framework,
-  index, shard) latency/cost/recall distributions with the K slowest
-  queries retained as exemplars (requires ``cost_accounting``).
-* ``POST /search``             — raw batched retrieval, no dialogue state
-  and no answer generation.  A single-query body (``{"text": ...}``) may
-  be micro-batched with concurrent requests when ``max_batch > 1``; a
-  list body (``{"queries": [...]}``) runs as one explicit batch.
-* ``GET  /health``             — SLO grading (ok / degraded / breach)
-  plus every ledger of the coordinator's table by name — quality,
-  recorder, engine, batching, resilience, sharding (per-shard counts,
-  replica health, breakers), tiered, cache, planner, admission, agentic;
-  ``null`` where the deployment has no such layer (``monitoring`` turns
-  the SLO/quality sections on).
-
-Dialogue endpoints accept an optional ``session`` field; all sessions share
-the coordinator (and therefore the index) but keep independent dialogue
-state — several users against one deployment.  The server keeps session 0
-and at most :data:`MAX_SESSIONS` others (:class:`SessionTable`).
+* ``GET /options`` — the config panel's dropdowns; ``POST /apply`` builds
+  the system from the draft config; ``GET /status`` — the status panel;
+  ``GET /weights`` — the modality weights in force.
+* ``POST /session/new`` — open another dialogue session; returns its id.
+  Sessions share the coordinator (and so the index) but keep their own
+  dialogue state; past :data:`MAX_SESSIONS` the least recently used closes.
+* ``GET /stats`` — the cost plane: per-(framework, index, shard) latency /
+  cost / recall distributions and the slowest queries (``cost_accounting``).
+* ``GET /health`` — SLO grading (ok / degraded / breach) and every ledger of
+  the coordinator's table by name; ``null`` where a layer is off.
 
 All responses are ``{"ok": True, ...}`` or ``{"ok": False, "error": ...}``.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import threading
 import time
 import traceback
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.core import ConfigurationPanel, MQAConfig, QAPanel, StatusPanel
@@ -72,10 +43,140 @@ from repro.core.coordinator import Coordinator
 from repro.data import KnowledgeBase, Modality, RawQuery
 from repro.errors import DeadlineExceededError, MQAError
 from repro.observability import STATE_OK, ProfileAggregator, render_prometheus
+from repro.utils import check_fields, param, read_fields
 
 
 class ApiError(MQAError):
     """A request that cannot be routed or is malformed."""
+
+
+class Body:
+    """A request body, checked against its declaration at construction; never
+    compared or printed, so no ``__eq__`` / ``__repr__`` is generated."""
+
+    def __post_init__(self) -> None:
+        check_fields(self, ApiError)
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class SessionBody(Body):
+    """``GET /transcript``: the QA panel transcript.  Every dialogue verb
+    carries a ``session`` too; its verbs do not interleave."""
+
+    #: The dialogue session; 0 when absent or null.
+    session: Optional[int] = None
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class DeadlineBody(Body):
+    """A latency budget, which resilience mode reads from any body; a body
+    that carries one is a read, which admission control may shed."""
+
+    deadline_ms: Optional[float] = None
+
+    @property
+    def deadline_override(self) -> Optional[float]:
+        """``deadline_ms``; None (no override) when null or not positive."""
+        return self.deadline_ms if self.deadline_ms is not None and self.deadline_ms > 0 else None
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class QuestionBody(SessionBody, DeadlineBody):
+    """``POST /query`` submits a dialogue query, ``/ask`` its multi-hop
+    mode, ``/refine`` refines from the selected result.  ``weights`` are
+    checked here for shape, names and number-ness; whether they make a
+    weighting is the kernel's check, which library callers share."""
+
+    text: str
+    weights: Optional[Dict[Modality, numbers.Real]] = None
+    #: An object whose image stands in for an uploaded one (not on /refine).
+    reference_object_id: Optional[int] = None
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class RankBody(SessionBody):
+    """``POST /select`` clicks a result card, ``/reject`` dismisses one."""
+
+    rank: int
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class RemoveBody(Body):
+    """``POST /remove``: tombstone an object."""
+
+    object_id: int
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class SearchQuery(Body):
+    """One query of ``POST /search``."""
+
+    text: str
+    reference_object_id: Optional[int] = None
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class SearchBody(DeadlineBody):
+    """``POST /search``: raw retrieval, no dialogue state, no answer.  One
+    query (the :class:`SearchQuery` fields at the top level) may be
+    micro-batched with concurrent ones when ``max_batch > 1``; ``queries``
+    runs as one explicit batch."""
+
+    text: Optional[str] = None
+    reference_object_id: Optional[int] = None
+    k: Optional[int] = None
+    weights: Optional[Dict[Modality, numbers.Real]] = None
+    queries: Optional[List[SearchQuery]] = param(None, ge=1)
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class IngestBody(Body):
+    """``POST /ingest``: add an object of these domain concepts, live."""
+
+    concepts: List[str] = param(ge=1)
+    intensities: Optional[List[float]] = None
+    metadata: Optional[Dict[str, Any]] = None
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class EventsBody(Body):
+    """``GET /events``: a page of the event log, with its ring-buffer
+    totals."""
+
+    offset: Optional[int] = None
+    limit: Optional[int] = None
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class TraceBody(Body):
+    """``GET /trace``: the last ``limit`` traces (all when null) as JSON
+    span trees (requires ``tracing``)."""
+
+    limit: Optional[int] = None
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class MetricsBody(Body):
+    """``GET /metrics``: request counters, latency percentiles, stage
+    timings and cache statistics, or their Prometheus text exposition."""
+
+    format: str = param("json", choices=("json", "prometheus"))
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class ProfileBody(Body):
+    """``GET /profile``: the per-span-path profile of the captured traces,
+    as rows, the rendered table or collapsed stacks (flamegraph tooling)."""
+
+    format: str = param("rows", choices=("rows", "table", "collapsed"))
+
+
+@dataclass(kw_only=True, eq=False, repr=False)
+class ConfigureBody(Body):
+    """``POST /configure``: set one option of the draft configuration."""
+
+    option: str
+    value: Any
 
 
 #: Dialogue sessions the server keeps besides session 0; opening one more
@@ -180,36 +281,10 @@ class ApiServer:
     """
 
     #: Verbs that mutate shared state — exclusive under the engine lock.
-    _WRITE_ROUTES: FrozenSet[Tuple[str, str]] = frozenset(
-        {
-            ("POST", "/configure"),
-            ("POST", "/apply"),
-            ("POST", "/ingest"),
-            ("POST", "/remove"),
-            ("POST", "/session/new"),
-        }
-    )
-    #: Verbs whose dialogue state must not interleave within one session.
-    _SESSION_ROUTES: FrozenSet[Tuple[str, str]] = frozenset(
-        {
-            ("POST", "/query"),
-            ("POST", "/ask"),
-            ("POST", "/select"),
-            ("POST", "/refine"),
-            ("POST", "/reject"),
-            ("GET", "/transcript"),
-        }
-    )
-    #: Retrieval-bearing verbs subject to admission control; monitoring
-    #: and configuration verbs are never shed.
-    _ADMITTED_ROUTES: FrozenSet[Tuple[str, str]] = frozenset(
-        {
-            ("POST", "/query"),
-            ("POST", "/ask"),
-            ("POST", "/refine"),
-            ("POST", "/search"),
-        }
-    )
+    _WRITE_ROUTES: FrozenSet[Tuple[str, str]] = frozenset({
+        ("POST", "/configure"), ("POST", "/apply"), ("POST", "/ingest"), ("POST", "/remove"),
+        ("POST", "/session/new"),
+    })
 
     def __init__(
         self,
@@ -233,28 +308,30 @@ class ApiServer:
         )
         self.batcher = MicroBatcher(self._run_search_batch, max_batch=draft.max_batch)
         self._batcher_lock = threading.Lock()
-        self._routes: Dict[Tuple[str, str], Callable[[Dict[str, Any]], Dict[str, Any]]] = {
-            ("GET", "/options"): self._get_options,
-            ("POST", "/configure"): self._post_configure,
-            ("POST", "/apply"): self._post_apply,
-            ("GET", "/status"): self._get_status,
-            ("GET", "/weights"): self._get_weights,
-            ("POST", "/query"): lambda body: self._post_question(body, "query"),
-            ("POST", "/ask"): lambda body: self._post_question(body, "ask"),
-            ("POST", "/select"): self._post_select,
-            ("POST", "/refine"): lambda body: self._post_question(body, "refine"),
-            ("GET", "/transcript"): self._get_transcript,
-            ("GET", "/events"): self._get_events,
-            ("POST", "/ingest"): self._post_ingest,
-            ("POST", "/session/new"): self._post_session_new,
-            ("POST", "/reject"): self._post_reject,
-            ("POST", "/remove"): self._post_remove,
-            ("POST", "/search"): self._post_search,
-            ("GET", "/metrics"): self._get_metrics,
-            ("GET", "/trace"): self._get_trace,
-            ("GET", "/stats"): self._get_stats,
-            ("GET", "/profile"): self._get_profile,
-            ("GET", "/health"): self._get_health,
+        #: route -> (the declaration its body is read through, None for no
+        #: body; the handler, given the read body).
+        self._routes: Dict[Tuple[str, str], Tuple[Optional[type], Callable[..., Any]]] = {
+            ("GET", "/options"): (None, self._get_options),
+            ("POST", "/configure"): (ConfigureBody, self._post_configure),
+            ("POST", "/apply"): (None, self._post_apply),
+            ("GET", "/status"): (None, self._get_status),
+            ("GET", "/weights"): (None, self._get_weights),
+            ("POST", "/query"): (QuestionBody, lambda body: self._post_question(body, "query")),
+            ("POST", "/ask"): (QuestionBody, lambda body: self._post_question(body, "ask")),
+            ("POST", "/select"): (RankBody, self._post_select),
+            ("POST", "/refine"): (QuestionBody, lambda body: self._post_question(body, "refine")),
+            ("GET", "/transcript"): (SessionBody, self._get_transcript),
+            ("GET", "/events"): (EventsBody, self._get_events),
+            ("POST", "/ingest"): (IngestBody, self._post_ingest),
+            ("POST", "/session/new"): (None, self._post_session_new),
+            ("POST", "/reject"): (RankBody, self._post_reject),
+            ("POST", "/remove"): (RemoveBody, self._post_remove),
+            ("POST", "/search"): (SearchBody, self._post_search),
+            ("GET", "/metrics"): (MetricsBody, self._get_metrics),
+            ("GET", "/trace"): (TraceBody, self._get_trace),
+            ("GET", "/stats"): (None, self._get_stats),
+            ("GET", "/profile"): (ProfileBody, self._get_profile),
+            ("GET", "/health"): (None, self._get_health),
         }
 
     # ------------------------------------------------------------------
@@ -271,10 +348,11 @@ class ApiServer:
             return {"ok": False, "error": f"request body must be an object, got {body!r}"}
         route = (method.upper(), path)
         mode = WRITE if route in self._WRITE_ROUTES else READ
+        declared = self._routes.get(route, (None, None))[0]
         session_key = None
-        if route in self._SESSION_ROUTES:
+        if declared and issubclass(declared, SessionBody):  # one dialogue's verbs serialise
             try:
-                session_key = self._int_field(body or {}, "session", 0)
+                session_key = read_fields(SessionBody, body or {}, ApiError).session or 0
             except ApiError:
                 session_key = None  # the handler raises it again, as a reply
         self._maybe_resize_engine()
@@ -286,12 +364,12 @@ class ApiServer:
         coordinator = self._coordinator
         if coordinator is not None and coordinator.resilience.enabled:
             try:
-                override = self._deadline_override(body)
+                override = read_fields(DeadlineBody, body or {}, ApiError).deadline_override
             except ApiError:
                 override = None  # the verb handler raises it again, as a reply
             deadline = coordinator.resilience.deadline(override)
         admission = coordinator.layer("admission") if coordinator is not None else None
-        if admission is not None and route in self._ADMITTED_ROUTES:
+        if admission is not None and declared and issubclass(declared, DeadlineBody):
             # Admission happens before the engine queue is touched: the
             # predicted tier-0 cost is the token charge, a shed decision
             # never enqueues, and a degrade decision is picked up by the
@@ -320,28 +398,15 @@ class ApiServer:
             # queue (resilience mode only).
             return {"ok": False, "error": str(exc), "deadline_exceeded": True}
 
-    @staticmethod
-    def _deadline_override(body: "Dict[str, Any] | None") -> Optional[float]:
-        """The request's ``deadline_ms`` as a float; None (no override)
-        when absent, null or not positive.  Anything that is not a finite
-        number is an ApiError."""
-        raw = (body or {}).get("deadline_ms")
-        if raw is None:
-            return None
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            value = math.nan
-        if not math.isfinite(value):
-            raise ApiError(f"'deadline_ms' must be a finite number, got {raw!r}")
-        return value if value > 0 else None
-
     def _dispatch(self, method: str, path: str, body: "Dict[str, Any] | None") -> Dict[str, Any]:
-        handler = self._routes.get((method.upper(), path))
-        if handler is None:
+        route = self._routes.get((method.upper(), path))
+        if route is None:
             return {"ok": False, "error": f"no route for {method.upper()} {path}"}
+        declared, handler = route
         try:
-            payload = handler(dict(body or {}))
+            payload = handler() if declared is None else handler(
+                read_fields(declared, body or {}, ApiError)
+            )
         except DeadlineExceededError as exc:
             return {"ok": False, "error": str(exc), "deadline_exceeded": True}
         except MQAError as exc:
@@ -405,114 +470,44 @@ class ApiServer:
         self.close()
         return False
 
-    def _require_system(self, body: "Dict[str, Any] | None" = None) -> Tuple[Coordinator, QAPanel]:
+    def _require_system(self, session_id: int = 0) -> Tuple[Coordinator, QAPanel]:
         if self._coordinator is None:
             raise ApiError("system not applied yet; POST /apply first")
-        session_id = self._int_field(body or {}, "session", 0)
         qa = self._sessions.get(session_id)
         if qa is None:
             raise ApiError(f"unknown session {session_id}")
         return self._coordinator, qa
 
-    @staticmethod
-    def _require_field(body: Dict[str, Any], field: str) -> Any:
-        if field not in body:
-            raise ApiError(f"request body is missing field {field!r}")
-        return body[field]
-
-    @classmethod
-    def _text_field(cls, body: Dict[str, Any]) -> str:
-        """``body["text"]``, which must be a string: it is what the encoders
-        and the cache key take, so nothing else is coerced into one."""
-        text = cls._require_field(body, "text")
-        if not isinstance(text, str):
-            raise ApiError(f"'text' expects a string, got {text!r}")
-        return text
-
-    @classmethod
-    def _int_field(
-        cls, body: Dict[str, Any], field: str, default: Optional[int] = None,
-        required: bool = False,
-    ) -> Optional[int]:
-        """``body[field]`` as an int; ``default`` when absent or null,
-        unless ``required``.  An integer, an integral float or a digit string
-        is taken; anything else — a boolean, a fraction, what ``int()``
-        refuses — is an ApiError, not truncated."""
-        value = cls._require_field(body, field) if required else body.get(field)
-        if value is None and not required:
-            return default
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ApiError(f"{field!r} must be an integer, got {value!r}")
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ApiError(f"{field!r} must be an integer, got {value!r}") from None
-
-    @staticmethod
-    def _weights_field(body: Dict[str, Any]) -> "Dict[Modality, float] | None":
-        """The request's per-query ``weights`` as ``{Modality: float}``, or
-        None.  Shape, names and number-ness are checked here, once; whether
-        the numbers make a weighting (finite, non-negative, not all zero,
-        every modality present) is the kernel's check, which library
-        callers share."""
-        raw = body.get("weights")
-        if raw is None:
-            return None
-        if not isinstance(raw, Mapping):
-            raise ApiError(f"'weights' must map modality names to numbers, got {raw!r}")
-        weights = {}
-        for name, value in raw.items():
-            try:
-                modality = Modality.parse(name)
-            except ValueError as exc:
-                raise ApiError(f"'weights': {exc}") from None
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ApiError(
-                    f"'weights' value for {name!r} must be a number, got {value!r}"
-                )
-            weights[modality] = float(value)
-        return weights
-
     # ------------------------------------------------------------------
     # configuration endpoints
     # ------------------------------------------------------------------
-    def _get_options(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _get_options(self) -> Dict[str, Any]:
         return {"options": self._panel.options()}
 
-    def _post_configure(self, body: Dict[str, Any]) -> Dict[str, Any]:
-        option = self._require_field(body, "option")
-        value = self._require_field(body, "value")
-        self._panel.set_option(option, value)
+    def _post_configure(self, body: ConfigureBody) -> Dict[str, Any]:
+        self._panel.set_option(body.option, body.value)
         return {"feedback": self._panel.feedback[-1]}
 
-    def _post_apply(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _post_apply(self) -> Dict[str, Any]:
         self._coordinator = self._panel.apply(knowledge_base=self._knowledge_base)
         # Session 0 keeps its id, and so its engine lock: a verb may hold
         # it already, queued behind this write.
         self.engine.drop_sessions(self._sessions.reset(QAPanel(self._coordinator)))
         # The batcher entry reads through ``self``: it follows batcher swaps.
         self._coordinator.ledgers.update(
-            engine=self.engine.snapshot,
-            batching=lambda: self.batcher.snapshot(),
+            engine=self.engine.snapshot, batching=lambda: self.batcher.snapshot()
         )
         self._install_wait_observer()
-        return {
-            "feedback": self._panel.feedback[-1],
-            "summary": self._panel.config.summary(),
-        }
+        return {"feedback": self._panel.feedback[-1], "summary": self._panel.config.summary()}
 
     # ------------------------------------------------------------------
     # monitoring endpoints
     # ------------------------------------------------------------------
-    def _get_status(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _get_status(self) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
         milestones = [
-            {
-                "name": m.name,
-                "state": m.state.value,
-                "elapsed_ms": round(m.elapsed * 1000, 2),
-                "details": dict(m.details),
-            }
+            {"name": m.name, "state": m.state.value,
+             "elapsed_ms": round(m.elapsed * 1000, 2), "details": dict(m.details)}
             for m in coordinator.status.milestones()
         ]
         return {
@@ -520,35 +515,22 @@ class ApiServer:
             "rendered": StatusPanel(coordinator.status, coordinator.ledger).render(),
         }
 
-    def _get_weights(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _get_weights(self) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
-        return {
-            "weights": {m.value: w for m, w in coordinator.weights.items()}
-        }
+        return {"weights": {m.value: w for m, w in coordinator.weights.items()}}
 
-    def _get_events(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _get_events(self, body: EventsBody) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
-        offset = self._int_field(body, "offset", 0)
-        limit = self._int_field(body, "limit", None)
         # One snapshot call: the page and its ring-buffer totals must
         # describe the same instant even while appends continue.
         retained, total_recorded, dropped = coordinator.events.snapshot()
-        offset = max(int(offset), 0)
-        if limit is None:
-            page = retained[offset:]
-        else:
-            page = retained[offset : offset + max(int(limit), 0)]
-        events = [
-            {
-                "source": e.source,
-                "target": e.target,
-                "kind": e.kind,
-                "detail": e.detail,
-            }
-            for e in page
-        ]
+        offset = max(body.offset or 0, 0)
+        end = None if body.limit is None else offset + max(body.limit, 0)
         return {
-            "events": events,
+            "events": [
+                {"source": e.source, "target": e.target, "kind": e.kind, "detail": e.detail}
+                for e in retained[offset:end]
+            ],
             "offset": offset,
             "retained": len(retained),
             "total_recorded": total_recorded,
@@ -567,12 +549,8 @@ class ApiServer:
             "degraded": answer.degraded,
             "degraded_reasons": list(answer.degraded_reasons),
             "items": [
-                {
-                    "object_id": item.object_id,
-                    "description": item.description,
-                    "score": round(item.score, 4),
-                    "preferred": item.preferred,
-                }
+                {"object_id": item.object_id, "description": item.description,
+                 "score": round(item.score, 4), "preferred": item.preferred}
                 for item in answer.items
             ],
         }
@@ -622,82 +600,60 @@ class ApiServer:
         else:
             metrics.inc("api.errors")
             metrics.inc(f"api.{verb}.errors")
-            coordinator.events.record(
-                "qa", "coordinator", "api-error",
-                f"{verb}: " + "".join(
-                    traceback.format_exception(
-                        type(failure), failure, failure.__traceback__
-                    )
-                ).strip(),
-            )
+            trace = "".join(traceback.format_exception(failure)).strip()
+            coordinator.events.record("qa", "coordinator", "api-error", f"{verb}: {trace}")
         metrics.observe("api.request_ms", elapsed_ms)
         metrics.observe(f"api.{verb}_ms", elapsed_ms)
 
-    def _post_question(self, body: Dict[str, Any], verb: str) -> Dict[str, Any]:
+    def _post_question(self, body: QuestionBody, verb: str) -> Dict[str, Any]:
         """The dialogue verbs: ``POST /query``, ``POST /ask`` — its
         multi-hop agentic mode; with ``config.agentic`` off both run the
         single-hop round and answer the same body bit-identically — and
         ``POST /refine``."""
-        coordinator, qa = self._require_system(body)
-        text = self._text_field(body)
-        options = {
-            "weights": self._weights_field(body),
-            "deadline_ms": self._deadline_override(body),
-        }
+        coordinator, qa = self._require_system(body.session or 0)
+        options = {"weights": body.weights, "deadline_ms": body.deadline_override}
         if verb == "refine":
             ask = qa.session.refine
         else:
             ask = qa.session.ask_agentic if verb == "ask" else qa.session.ask
-            reference_id = self._int_field(body, "reference_object_id")
-            if reference_id is not None:
+            if body.reference_object_id is not None:
                 # An uploaded image is modelled by referencing an object whose
                 # image modality stands in for the user's file.
-                options["image"] = coordinator.get_object(reference_id).get(
-                    Modality.IMAGE
-                )
-        answer = self._timed_verb(coordinator, verb, lambda: ask(text, **options))
+                reference = coordinator.get_object(body.reference_object_id)
+                options["image"] = reference.get(Modality.IMAGE)
+        answer = self._timed_verb(coordinator, verb, lambda: ask(body.text, **options))
         return {"answer": self._answer_payload(answer)}
 
-    def _post_select(self, body: Dict[str, Any]) -> Dict[str, Any]:
-        _, qa = self._require_system(body)
-        rank = self._int_field(body, "rank", required=True)
-        object_id = qa.click_result(rank)
-        return {"selected_object_id": object_id}
+    def _post_select(self, body: RankBody) -> Dict[str, Any]:
+        _, qa = self._require_system(body.session or 0)
+        return {"selected_object_id": qa.click_result(body.rank)}
 
-    def _get_transcript(self, body: Dict[str, Any]) -> Dict[str, Any]:
-        _, qa = self._require_system(body)
+    def _get_transcript(self, body: SessionBody) -> Dict[str, Any]:
+        _, qa = self._require_system(body.session or 0)
         return {"transcript": qa.render_transcript()}
 
-    def _post_remove(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _post_remove(self, body: RemoveBody) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
-        object_id = self._int_field(body, "object_id", required=True)
-        coordinator.remove_object(object_id)
-        return {"removed_object_id": object_id}
+        coordinator.remove_object(body.object_id)
+        return {"removed_object_id": body.object_id}
 
     # ------------------------------------------------------------------
     # raw batched retrieval
     # ------------------------------------------------------------------
-    def _search_query(self, coordinator: Coordinator, spec: Any) -> RawQuery:
-        """Build one :class:`RawQuery` from a ``/search`` request spec."""
-        if not isinstance(spec, Mapping):
-            raise ApiError(f"a search spec must be an object with 'text', got {spec!r}")
-        text = self._text_field(spec)
-        reference_id = self._int_field(spec, "reference_object_id")
-        if reference_id is not None:
-            reference = coordinator.get_object(reference_id)
-            return RawQuery.from_text_and_image(text, reference.get(Modality.IMAGE))
-        return RawQuery.from_text(text)
+    @staticmethod
+    def _search_query(coordinator: Coordinator, spec: SearchQuery) -> RawQuery:
+        """Build one :class:`RawQuery` from a ``/search`` query."""
+        if spec.reference_object_id is not None:
+            reference = coordinator.get_object(spec.reference_object_id)
+            return RawQuery.from_text_and_image(spec.text, reference.get(Modality.IMAGE))
+        return RawQuery.from_text(spec.text)
 
     @staticmethod
     def _search_payload(response) -> Dict[str, Any]:
         payload = {
             "framework": response.framework,
             "items": [
-                {
-                    "object_id": item.object_id,
-                    "score": round(item.score, 6),
-                    "rank": item.rank,
-                }
+                {"object_id": item.object_id, "score": round(item.score, 6), "rank": item.rank}
                 for item in response.items
             ],
             "stats": {
@@ -711,15 +667,9 @@ class ApiServer:
             payload["cost"] = response.cost.to_dict()
         return payload
 
-    @staticmethod
-    def _weights_key(weights) -> "Tuple | None":
-        if weights is None:
-            return None
-        return tuple(sorted((str(m), float(w)) for m, w in weights.items()))
-
     def _run_search_batch(self, items):
-        """Micro-batch runner: group compatible requests, one batched
-        retrieval per group.
+        """Micro-batch runner over ``(query, k, weights)`` items: group
+        compatible requests, one batched retrieval per group.
 
         Requests coalesce only when they share ``k`` and ``weights`` —
         mixed groups split into separate ``retrieve_batch`` calls, each
@@ -730,59 +680,48 @@ class ApiServer:
             raise ApiError("system not applied yet; POST /apply first")
         results: list = [None] * len(items)
         groups: Dict[Any, list] = {}
-        for position, (query, k, weights_key, _weights) in enumerate(items):
-            groups.setdefault((k, weights_key), []).append(position)
-        for (k, _weights_key), members in groups.items():
-            weights = items[members[0]][3]
-            responses = coordinator.retrieve_batch(
-                [items[m][0] for m in members], k=k, weights=weights
-            )
-            for member, response in zip(members, responses):
+        for position, (_, k, weights) in enumerate(items):
+            named = None if weights is None else tuple(sorted(
+                (str(m), float(w)) for m, w in weights.items()
+            ))
+            groups.setdefault((k, named), []).append(position)
+        for members in groups.values():
+            _, k, weights = items[members[0]]
+            queries = [items[m][0] for m in members]
+            for member, response in zip(members, coordinator.retrieve_batch(
+                queries, k=k, weights=weights
+            )):
                 results[member] = response
         return results
 
-    def _post_search(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _post_search(self, body: SearchBody) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
-        k = self._int_field(body, "k", None)
-        weights = self._weights_field(body)
-        deadline_ms = self._deadline_override(body)
-        if "queries" in body:
-            specs = body["queries"]
-            if not isinstance(specs, (list, tuple)) or not specs:
-                raise ApiError("'queries' must be a non-empty list")
-            queries = [self._search_query(coordinator, spec) for spec in specs]
+        k, weights = body.k, body.weights
+        if body.queries is not None:
+            queries = [self._search_query(coordinator, spec) for spec in body.queries]
             responses = coordinator.retrieve_batch(queries, k=k, weights=weights)
             self.batcher.note(len(queries))
             return {"results": [self._search_payload(r) for r in responses]}
-        query = self._search_query(coordinator, body)
+        query = self._search_query(coordinator, read_fields(SearchQuery, vars(body), ApiError))
         planner = coordinator.layer("planner")
         if planner is not None and self.batcher.max_batch > 1:
             # A request whose remaining deadline cannot absorb several
             # collector windows runs inline instead of joining the batch.
-            deadline = coordinator.resilience.deadline(deadline_ms)
-            remaining = (
-                deadline.remaining_ms if deadline is not None else None
-            )
+            deadline = coordinator.resilience.deadline(body.deadline_override)
+            remaining = deadline.remaining_ms if deadline is not None else None
             if planner.skip_batching(remaining, self.batcher.window_ms):
-                responses = coordinator.retrieve_batch(
-                    [query], k=k, weights=weights
-                )
-                return {"result": self._search_payload(responses[0])}
-        response = self.batcher.submit(
-            (query, k, self._weights_key(weights), weights)
-        )
+                (response,) = coordinator.retrieve_batch([query], k=k, weights=weights)
+                return {"result": self._search_payload(response)}
+        response = self.batcher.submit((query, k, weights))
         return {"result": self._search_payload(response)}
 
-    def _get_metrics(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _get_metrics(self, body: MetricsBody) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
-        fmt = str(body.get("format", "json")).lower()
-        if fmt == "prometheus":
+        if body.format == "prometheus":
             return {
                 "content_type": "text/plain; version=0.0.4; charset=utf-8",
                 "body": render_prometheus(coordinator.metrics),
             }
-        if fmt != "json":
-            raise ApiError(f"unknown metrics format {fmt!r}; expected json or prometheus")
         cache = coordinator.ledger("cache")
         framework = coordinator.execution.framework if coordinator.execution else None
         # Every round — errored ones too — is one ``api.request_ms``
@@ -803,17 +742,9 @@ class ApiServer:
                 # One locked snapshot: hits/misses/size are mutated
                 # together, so reading them attribute-by-attribute could
                 # pair a hit with the wrong total.
-                "cache": (
-                    {"enabled": True, **cache}
-                    if cache is not None
-                    else {
-                        "enabled": False,
-                        "size": 0,
-                        "hits": 0,
-                        "misses": 0,
-                        "hit_rate": 0.0,
-                    }
-                ),
+                "cache": {"enabled": True, **cache} if cache is not None else {
+                    "enabled": False, "size": 0, "hits": 0, "misses": 0, "hit_rate": 0.0,
+                },
                 "trace": {
                     "enabled": coordinator.tracer.enabled,
                     "captured": len(coordinator.tracer.traces),
@@ -821,102 +752,58 @@ class ApiServer:
             }
         }
 
-    def _get_trace(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _get_trace(self, body: TraceBody) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
-        return {
-            "enabled": coordinator.tracer.enabled,
-            "traces": coordinator.tracer.export(
-                self._int_field(body, "limit", None)
-            ),
-        }
+        traces = coordinator.tracer.export(body.limit)
+        return {"enabled": coordinator.tracer.enabled, "traces": traces}
 
-    def _get_profile(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _get_profile(self, body: ProfileBody) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
         traces = coordinator.tracer.traces
-        fmt = str(body.get("format", "rows")).lower()
         aggregator = ProfileAggregator().add_traces(traces)
-        payload: Dict[str, Any] = {
-            "enabled": coordinator.tracer.enabled,
-            "traces": len(traces),
-        }
-        if fmt == "collapsed":
+        payload: Dict[str, Any] = {"enabled": coordinator.tracer.enabled, "traces": len(traces)}
+        if body.format == "collapsed":
             payload["collapsed"] = aggregator.collapsed()
-        elif fmt == "table":
+        elif body.format == "table":
             payload["table"] = aggregator.render()
-        elif fmt == "rows":
-            payload["profile"] = aggregator.rows()
         else:
-            raise ApiError(
-                f"unknown profile format {fmt!r}; expected rows, table or collapsed"
-            )
+            payload["profile"] = aggregator.rows()
         return payload
 
-    def _get_stats(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _get_stats(self) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
         stats = coordinator.ledger("stats")
         return {
-            "enabled": stats is not None,
-            "stats": stats,
-            **{
-                name: coordinator.ledger(name)
-                for name in ("tiered", "planner", "admission", "cache", "agentic")
-            },
+            "enabled": stats is not None, "stats": stats,
+            **{name: coordinator.ledger(name)
+               for name in ("tiered", "planner", "admission", "cache", "agentic")},
         }
 
-    def _get_health(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _get_health(self) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
         slo = coordinator.ledger("slo")
         return {
             "monitoring": slo is not None,
             "state": slo["state"] if slo is not None else STATE_OK,
             "slo": slo,
-            **{
-                name: coordinator.ledger(name)
-                for name in (
-                    "quality", "recorder", "engine", "batching", "resilience",
-                    "sharding", "tiered", "cache", "planner", "admission",
-                    "agentic",
-                )
-            },
+            **{name: coordinator.ledger(name) for name in (
+                "quality", "recorder", "engine", "batching", "resilience", "sharding",
+                "tiered", "cache", "planner", "admission", "agentic",
+            )},
         }
 
-    def _post_session_new(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _post_session_new(self) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
         session_id, evicted = self._sessions.open(QAPanel(coordinator))
         self.engine.drop_sessions(evicted)
         return {"session": session_id}
 
-    def _post_reject(self, body: Dict[str, Any]) -> Dict[str, Any]:
-        _, qa = self._require_system(body)
-        rank = self._int_field(body, "rank", required=True)
-        object_id = qa.session.reject(rank)
-        return {"rejected_object_id": object_id}
+    def _post_reject(self, body: RankBody) -> Dict[str, Any]:
+        _, qa = self._require_system(body.session or 0)
+        return {"rejected_object_id": qa.session.reject(body.rank)}
 
-    def _post_ingest(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _post_ingest(self, body: IngestBody) -> Dict[str, Any]:
         coordinator, _ = self._require_system()
-        concepts = self._require_field(body, "concepts")
-        if (
-            not isinstance(concepts, (list, tuple))
-            or not concepts
-            or not all(isinstance(concept, str) for concept in concepts)
-        ):
-            raise ApiError("'concepts' must be a non-empty list of concept names")
-        intensities = body.get("intensities")
-        if intensities is not None:
-            if not isinstance(intensities, (list, tuple)) or len(intensities) != len(concepts):
-                raise ApiError(
-                    "'intensities' must be a list matching 'concepts' in length"
-                )
-            if not all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool)
-                for v in intensities
-            ):
-                raise ApiError(f"'intensities' must be numbers, got {intensities!r}")
-            intensities = [float(v) for v in intensities]
-        metadata = body.get("metadata") or {}
-        if not isinstance(metadata, Mapping):
-            raise ApiError(f"'metadata' must be an object, got {metadata!r}")
-        object_id = coordinator.ingest_object(
-            list(concepts), intensities=intensities, metadata=dict(metadata)
-        )
+        metadata = dict(body.metadata or {})
+        object_id = coordinator.ingest_object(body.concepts, body.intensities, metadata)
         return {"object_id": object_id}

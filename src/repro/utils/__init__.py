@@ -1,8 +1,11 @@
 """Shared utilities: seeded RNG helpers (set-up's keyed generator is
 :mod:`repro.utils.rng`'s ``words``), timers, simplex projection, the set-up
-scratch budget and the parameter contract (:func:`param`, :func:`check_fields`)."""
+scratch budget and the parameter contract (:func:`param`, :func:`check_fields`,
+:func:`read_fields`)."""
 
-from repro.utils.checks import check_fields, check_integer, check_real, object_id_of, param
+from repro.utils.checks import (
+    check_fields, check_integer, check_real, object_id_of, param, read_fields,
+)
 from repro.utils.rng import derive_rng, rng_from_seed, stable_hash
 from repro.utils.scratch import SCRATCH_BYTES, row_blocks
 from repro.utils.timing import Timer
@@ -19,6 +22,7 @@ __all__ = [
     "object_id_of",
     "param",
     "project_to_simplex",
+    "read_fields",
     "rng_from_seed",
     "row_blocks",
     "stable_hash",

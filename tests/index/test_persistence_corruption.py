@@ -4,7 +4,9 @@
 out-of-range id silently, and a vector matrix shorter than the graph fails
 only at the first search.  So the saved arrays are checked before anything
 is built: each corruption below, written into an otherwise intact save of a
-200-row Vamana, must raise :class:`IndexError_` naming the directory.
+200-row Vamana, must raise :class:`IndexError_` naming the directory.  So
+must a malformed ``index.json``, which is read through its declaration
+(``repro.utils.read_fields``).
 
 A saved HNSW also carries its node levels and upper layers in the JSON.  A
 bad upper-layer target, a short or out-of-range level list, or a target
@@ -133,6 +135,46 @@ def test_a_non_positive_vertex_count_is_refused(saved, tmp_path):
         document["n_vertices"] = -1
 
     _refused(_corrupt(saved, tmp_path, empty, plant), "n_vertices must be a positive integer")
+
+
+# ----------------------------------------------------------------------
+# The header: index.json is read through its declaration
+# ----------------------------------------------------------------------
+def _drop(key):
+    return lambda document: document.pop(key)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda doc: doc.update(max_degree="x"), "'max_degree' must be an integer, got 'x'"),
+        (lambda doc: doc.update(kernel={"kind": "single"}), "missing field 'dim'"),
+        (lambda doc: doc.update(kernel={"kind": "bogus"}),
+         "'kind' must be multivector or single, got 'bogus'"),
+        (lambda doc: doc.update(entry_points=5), "'entry_points' must be a list, got 5"),
+        (_drop("source"), "missing field 'source'"),
+        (_drop("insertion"), "missing field 'insertion'"),
+        (_drop("n_vertices"), "missing field 'n_vertices'"),
+    ],
+    ids=["max-degree-string", "kernel-without-dim", "kernel-bogus-kind",
+         "entry-points-int", "source-missing", "insertion-missing", "n-vertices-missing"],
+)
+def test_a_malformed_header_is_refused(saved, tmp_path, edit, match):
+    """Each of these raised a builtin error (numpy ``UFuncTypeError``,
+    ``KeyError``, ``TypeError``) instead of ``IndexError_``."""
+    _refused(_corrupt(saved, tmp_path, meta=edit), match)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [("[1]", "expected an object, got \\[1\\]"), ("{", "Expecting property name")],
+    ids=["not-an-object", "not-json"],
+)
+def test_an_index_json_that_is_no_header_is_refused(saved, tmp_path, text, match):
+    """``[1]`` raised ``AttributeError`` and ``{`` ``JSONDecodeError``."""
+    directory = _corrupt(saved, tmp_path)
+    (directory / "index.json").write_text(text)
+    _refused(directory, match)
 
 
 # ----------------------------------------------------------------------

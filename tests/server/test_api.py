@@ -120,8 +120,8 @@ class TestDialogueFlow:
 
 
 HOSTILE_WEIGHTS = [
-    ("heavy", "must map modality names to numbers"),
-    (["text", 1.0], "must map modality names to numbers"),
+    ("heavy", "'weights' must be a mapping or None, got 'heavy'"),
+    (["text", 1.0], "'weights' must be a mapping or None, got ['text', 1.0]"),
     ({"text": "x", "image": 1}, "value for 'text' must be a number, got 'x'"),
     ({"smell": 1, "text": 1, "image": 1}, "'weights': unknown modality 'smell'"),
     ({7: 1, "text": 1, "image": 1}, "'weights': unknown modality 7"),

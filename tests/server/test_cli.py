@@ -83,6 +83,20 @@ class TestShell:
         assert "frontend -> coordinator" in captured.out
 
 
+    def test_a_malformed_rank_is_an_error_line(self, monkeypatch, capsys):
+        """``/select abc`` used to end the shell with a ValueError traceback:
+        the shell parsed the rank itself.  It now sends the word, and the
+        route's body declaration refuses it."""
+        lines = iter(["foggy clouds", "/select abc", "/reject 1.5", "/select 0", "/quit"])
+        monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+        exit_code = main(["--domain", "scenes", "--size", "80", "--index", "flat"])
+        out = capsys.readouterr().out
+        assert exit_code == 0
+        assert "error: 'rank' must be an integer, got 'abc'" in out
+        assert "error: 'rank' must be an integer, got '1.5'" in out
+        assert "selected #" in out
+
+
 class TestRefusedConfiguration:
     """A refused configuration is one ``error:`` line on stderr and exit
     status 1 — it used to print a ``ConfigurationError`` traceback."""

@@ -26,39 +26,39 @@ HOSTILE_BODIES = [
     ("/remove", {"object_id": "x"}, "'object_id' must be an integer, got 'x'"),
     ("/remove", {"object_id": None}, "'object_id' must be an integer, got None"),
     ("/query", {"text": "fog", "session": "abc"},
-     "'session' must be an integer, got 'abc'"),
+     "'session' must be an integer or None, got 'abc'"),
     ("/query", {"text": "fog", "reference_object_id": "x"},
-     "'reference_object_id' must be an integer, got 'x'"),
+     "'reference_object_id' must be an integer or None, got 'x'"),
     ("/ingest", {"concepts": ["fog"], "intensities": ["x"]},
-     "'intensities' must be numbers, got ['x']"),
+     "'intensities' item 0 must be a finite number, got 'x'"),
     ("/ingest", {"concepts": ["fog"], "metadata": 5},
-     "'metadata' must be an object, got 5"),
+     "'metadata' must be a mapping or None, got 5"),
     ("/ingest", {"concepts": [5]},
-     "'concepts' must be a non-empty list of concept names"),
+     "'concepts' item 0 must be a string, got 5"),
     ("/search", {"queries": [5]},
-     "a search spec must be an object with 'text', got 5"),
+     "'queries' item 0 must be a SearchQuery, got 5"),
     ("/search", {"text": "fog", "reference_object_id": [1]},
-     "'reference_object_id' must be an integer, got [1]"),
+     "'reference_object_id' must be an integer or None, got [1]"),
     # An unhashable text used to reach the cache key (ValueError / TypeError).
-    ("/query", {"text": ["a"]}, "'text' expects a string, got ['a']"),
-    ("/ask", {"text": {"a": 1}}, "'text' expects a string, got {'a': 1}"),
-    ("/refine", {"text": ["a"]}, "'text' expects a string, got ['a']"),
+    ("/query", {"text": ["a"]}, "'text' must be a string, got ['a']"),
+    ("/ask", {"text": {"a": 1}}, "'text' must be a string, got {'a': 1}"),
+    ("/refine", {"text": ["a"]}, "'text' must be a string, got ['a']"),
     ("/configure", {"option": ["a"], "value": 1},
-     "unknown configuration option ['a']"),
+     "'option' must be a string, got ['a']"),
     # deadline_ms used to be dropped in silence.
     ("/query", {"text": "fog", "deadline_ms": "x"},
-     "'deadline_ms' must be a finite number, got 'x'"),
+     "'deadline_ms' must be a finite number or None, got 'x'"),
     ("/refine", {"text": "fog", "deadline_ms": float("nan")},
-     "'deadline_ms' must be a finite number, got nan"),
+     "'deadline_ms' must be a finite number or None, got nan"),
     ("/search", {"text": "fog", "deadline_ms": [5]},
-     "'deadline_ms' must be a finite number, got [5]"),
+     "'deadline_ms' must be a finite number or None, got [5]"),
     # A boolean or a fraction used to pass as int(value): true removed
     # object 1, 1.9 removed object 1, 10.7 asked for 10 results.
     ("/remove", {"object_id": True}, "'object_id' must be an integer, got True"),
     ("/remove", {"object_id": 1.9}, "'object_id' must be an integer, got 1.9"),
     ("/query", {"text": "fog", "reference_object_id": True},
-     "'reference_object_id' must be an integer, got True"),
-    ("/search", {"text": "fog", "k": 10.7}, "'k' must be an integer, got 10.7"),
+     "'reference_object_id' must be an integer or None, got True"),
+    ("/search", {"text": "fog", "k": 10.7}, "'k' must be an integer or None, got 10.7"),
     ("/select", {"rank": False}, "'rank' must be an integer, got False"),
     # A dataset spec is checked when it is configured: these escaped
     # ``handle`` (TypeError, ValueError) or were accepted and failed in /apply
@@ -87,14 +87,14 @@ HOSTILE_BODIES = [
      "dataset: image_noise_sigma must be a finite number >= 0, got -1"),
     # /search built its text with str(): 123 searched for "123", null for
     # "None".
-    ("/search", {"text": 123}, "'text' expects a string, got 123"),
-    ("/search", {"text": None}, "'text' expects a string, got None"),
-    ("/search", {"text": True}, "'text' expects a string, got True"),
-    ("/search", {"queries": [{"text": ["sky"]}]}, "'text' expects a string, got ['sky']"),
+    ("/search", {"text": 123}, "'text' must be a string or None, got 123"),
+    ("/search", {"text": None}, "'text' must be a string, got None"),
+    ("/search", {"text": True}, "'text' must be a string or None, got True"),
+    ("/search", {"queries": [{"text": ["sky"]}]}, "'text' must be a string, got ['sky']"),
     # A fault spec that is not a mapping, or a rate sent as a string, used to
     # escape ``handle`` as a TypeError.
     ("/configure", {"option": "faults", "value": {"encoder": 5}},
-     "fault site 'encoder': a spec maps FaultSpec fields to values, got 5"),
+     "faults value for 'encoder' must be a mapping, got 5"),
     ("/configure", {"option": "faults", "value": {"encoder": {"error_rate": "0.5"}}},
      "fault site 'encoder': error_rate must be in [0, 1], got '0.5'"),
 ]
@@ -170,8 +170,9 @@ def test_a_non_finite_learner_rate_is_refused_at_configure(server, text, message
 @pytest.mark.parametrize("method, route, field", INFINITE_INTEGERS)
 def test_an_infinite_integer_is_an_error_reply(server, method, route, field, value):
     body = {"text": "fog", field: value}
+    optional = "" if field in ("rank", "object_id") else " or None"
     assert server.handle(method, route, body) == {
-        "ok": False, "error": f"{field!r} must be an integer, got {value!r}",
+        "ok": False, "error": f"{field!r} must be an integer{optional}, got {value!r}",
     }
 
 

@@ -251,7 +251,7 @@ class TestMalformedRequestIsNotAShardFailure:
         with self._server(resilience=resilience) as plain:
             expected = verdict(plain)
         if not resilience:
-            assert expected[0] is False and "expects a string" in expected[1]
+            assert expected[0] is False and "'text' must be a string" in expected[1]
         with self._server(shards=2, replicas=2, resilience=resilience) as server:
             router = server._coordinator.execution.framework
             for _ in range(3):

@@ -882,3 +882,65 @@ def test_a_parameter_is_checked_once():
         ("repro.data.rendering", "drop_probability"),
         ("repro.data.rendering", "filler_count"),
     ]
+
+
+def test_an_api_body_is_read_through_its_declaration():
+    """Each route's body is a dataclass read by ``repro.utils.read_fields``
+    and checked by ``check_fields`` at construction; ``ApiServer`` reads
+    nothing else of it.  Outside the reader, ``repro/server/api.py`` never
+    subscripts a body or a query spec, never calls ``.get`` on one, never
+    asks whether a key is in one, and never ``isinstance``-checks a value
+    taken from one — only ``handle`` checks that the body is an object at
+    all.  The hand readers (``_int_field``, ``_text_field``,
+    ``_weights_field``, ``_require_field``, ``_deadline_override``) are
+    gone."""
+    from repro.server import api
+
+    tree = ast.parse(inspect.getsource(api))
+    raw = {"body", "spec"}
+
+    def rooted(node):
+        """The name a chain of attributes and subscripts starts from."""
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            node = node.value
+        return getattr(node, "id", None)
+
+    offenders = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(function):
+            where = f"{getattr(function, 'name', 'lambda')}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Subscript) and rooted(node.value) in raw:
+                offenders.append(f"{where} subscript")
+            elif (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and rooted(node.func.value) in raw
+            ):
+                offenders.append(f"{where} .get")
+            elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.In, ast.NotIn)) for op in node.ops
+            ) and any(rooted(side) in raw for side in node.comparators):
+                offenders.append(f"{where} in")
+            elif isinstance(node, ast.Call) and _called(node) == "isinstance":
+                subject = node.args[0]
+                if rooted(subject) in raw and not (
+                    isinstance(subject, ast.Name) and getattr(function, "name", "") == "handle"
+                ):
+                    offenders.append(f"{where} isinstance")
+    assert offenders == []
+
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {
+        "_int_field", "_text_field", "_weights_field", "_require_field", "_deadline_override",
+    }
+
+    with api.ApiServer() as server:
+        declared = {cls for cls, _ in server._routes.values() if cls is not None}
+    assert {api.QuestionBody, api.SearchBody, api.IngestBody} <= declared
+    for cls in declared | {api.SearchQuery}:
+        assert dataclasses.is_dataclass(cls) and issubclass(cls, api.Body), cls
+    checker = ast.parse(textwrap.dedent(inspect.getsource(api.Body.__post_init__)))
+    assert [_called(node) for node in ast.walk(checker) if isinstance(node, ast.Call)] == [
+        "check_fields"
+    ]
