@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from collections.abc import Mapping
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -29,10 +30,12 @@ class NavigationGraph(Mapping):
     minimal — neighbour lists plus entry points — because that is the whole
     runtime contract of a navigation graph.
 
-    It also reads as the mapping ``{vertex: row}`` a :class:`SparseLayer`
-    is, so HNSW links a dense base layer and a sparse upper one alike;
-    ``graph[vertex] = row`` stores the list as given (shared int objects),
-    :meth:`set_neighbors` dedups, range-checks and trims.
+    It owns the row format: one int object per vertex (a table
+    :meth:`add_vertex` grows), which every row stores, so an edge costs a
+    pointer.  It reads as the mapping ``{vertex: row}`` a
+    :class:`SparseLayer` is, so HNSW links a dense base layer and a sparse
+    upper one alike; ``graph[vertex] = row`` stores a row of
+    :meth:`vertex_ids` as given.
     """
 
     def __init__(self, n_vertices: int, max_degree: int) -> None:
@@ -42,6 +45,7 @@ class NavigationGraph(Mapping):
             raise GraphConstructionError(f"max_degree must be positive, got {max_degree}")
         self.n_vertices = n_vertices
         self.max_degree = max_degree
+        self._ids: List[int] = list(range(n_vertices))
         self._neighbors: List[List[int]] = [[] for _ in range(n_vertices)]
         self.entry_points: List[int] = [0]
 
@@ -55,7 +59,7 @@ class NavigationGraph(Mapping):
         self._neighbors[vertex] = row
 
     def __iter__(self) -> Iterator[int]:
-        return iter(range(self.n_vertices))
+        return iter(self._ids)
 
     def __len__(self) -> int:
         return self.n_vertices
@@ -63,24 +67,23 @@ class NavigationGraph(Mapping):
     def __contains__(self, vertex: int) -> bool:
         return 0 <= vertex < self.n_vertices
 
+    def vertex_ids(self, vertices: Iterable[int]) -> List[int]:
+        """The graph's int object for each of ``vertices`` (valid ids)."""
+        return list(map(self._ids.__getitem__, vertices))
+
     def add_vertex(self) -> int:
         """Grow the graph by one isolated vertex; returns its id."""
+        self._ids.append(self.n_vertices)
         self._neighbors.append([])
         self.n_vertices += 1
-        return self.n_vertices - 1
+        return self._ids[-1]
 
     def set_neighbors(self, vertex: int, neighbors: Sequence[int]) -> None:
-        """Replace ``vertex``'s neighbour list (trimmed to max_degree)."""
-        unique: List[int] = []
-        seen: Set[int] = {vertex}
-        for neighbor in neighbors:
-            neighbor = int(neighbor)
-            if neighbor not in seen and 0 <= neighbor < self.n_vertices:
-                unique.append(neighbor)
-                seen.add(neighbor)
-            if len(unique) == self.max_degree:
-                break
-        self._neighbors[vertex] = unique
+        """Replace ``vertex``'s neighbour list: first occurrences of the
+        valid ids other than ``vertex``, trimmed to max_degree."""
+        unique = dict.fromkeys(map(int, neighbors))
+        valid = [v for v in unique if v != vertex and 0 <= v < self.n_vertices]
+        self._neighbors[vertex] = self.vertex_ids(valid[: self.max_degree])
 
     def add_edge(self, source: int, target: int) -> bool:
         """Append edge if absent and capacity remains; True when added."""
@@ -89,13 +92,21 @@ class NavigationGraph(Mapping):
         row = self._neighbors[source]
         if target in row or len(row) >= self.max_degree:
             return False
-        row.append(target)
+        row.append(self._ids[target])
         return True
+
+    def set_arrays(self, offsets: np.ndarray, targets: np.ndarray) -> None:
+        """Replace every row from CSR arrays (:meth:`to_arrays`' form),
+        taken as given: valid, distinct ids within ``max_degree``.  Each
+        row is a slice, allocated at its length."""
+        flat = self.vertex_ids(targets)
+        bounds = np.asarray(offsets).tolist()
+        self._neighbors = [flat[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
     @property
     def edge_count(self) -> int:
         """Total number of directed edges."""
-        return sum(len(row) for row in self._neighbors)
+        return sum(map(len, self._neighbors))
 
     @property
     def average_degree(self) -> float:
@@ -105,79 +116,73 @@ class NavigationGraph(Mapping):
     # ------------------------------------------------------------------
     # connectivity
     # ------------------------------------------------------------------
+    def _expand(self, sources: Iterable[int], reached: List[bool], order: List[int]) -> None:
+        """Append to ``order``, breadth-first, what ``sources`` reach beyond
+        ``reached``, marking it: calls sharing ``reached`` visit each
+        vertex and edge once in all."""
+        head = len(order)
+        for source in sources:
+            if not reached[source]:
+                reached[source] = True
+                order.append(self._ids[source])
+        while head < len(order):
+            for neighbor in self._neighbors[order[head]]:
+                if not reached[neighbor]:
+                    reached[neighbor] = True
+                    order.append(neighbor)
+            head += 1
+
     def reachable_from(self, sources: Iterable[int]) -> Set[int]:
         """All vertices reachable from ``sources`` by directed edges."""
-        visited: Set[int] = set()
-        queue = deque(int(s) for s in sources)
-        while queue:
-            vertex = queue.popleft()
-            if vertex in visited:
-                continue
-            visited.add(vertex)
-            for neighbor in self._neighbors[vertex]:
-                if neighbor not in visited:
-                    queue.append(neighbor)
-        return visited
+        order: List[int] = []
+        self._expand(sources, [False] * self.n_vertices, order)
+        return set(order)
 
     def is_connected(self) -> bool:
         """True when every vertex is reachable from the entry points."""
         return len(self.reachable_from(self.entry_points)) == self.n_vertices
 
-    def connect_unreachable(self, order: "Sequence[int] | None" = None) -> int:
-        """Attach unreachable vertices so the graph becomes navigable.
+    def connect_unreachable(self) -> int:
+        """Make every vertex reachable from the entry points in one linear
+        pass; returns the number of edges written.
 
-        Each unreachable vertex gets an edge from a reachable vertex with
-        spare capacity; when every reachable vertex is full, the most
-        recently attached vertex donates its last edge slot.  Displacing an
-        edge can orphan its old target, so reachability is recomputed and
-        orphans are revisited in later passes until the graph is connected
-        (bounded by ``n_vertices`` passes).  Returns the number of repair
-        edges added.
+        Each vertex the entry points do not reach, in id order, gets an
+        edge from the first reached vertex, in visit order, with a spare
+        slot, and what it reaches is marked from it alone.  When every
+        reached vertex is full, the next one in visit order gives up its
+        last edge ``d -> t`` for ``d -> v``, and ``v`` takes ``t`` (in its
+        last slot when full): ``v`` was on no path, so nothing reached is
+        orphaned and reachability is never recomputed.
         """
-        added = 0
-        donor = self.entry_points[0]
-        pool = list(order) if order is not None else list(range(self.n_vertices))
-        for _ in range(self.n_vertices + 1):
-            reachable = self.reachable_from(self.entry_points)
-            if len(reachable) == self.n_vertices:
-                break
-            for vertex in pool:
-                if vertex in reachable:
-                    continue
-                spare = next(
-                    (
-                        u
-                        for u in reachable
-                        if len(self._neighbors[u]) < self.max_degree
-                    ),
-                    None,
-                )
-                if spare is None:
-                    spare = donor if donor in reachable else self.entry_points[0]
-                    self._neighbors[spare] = self._neighbors[spare][
-                        : self.max_degree - 1
-                    ]
-                self._neighbors[spare].append(vertex)
-                donor = vertex
-                added += 1
-                # Attaching the vertex exposes its own out-edges, and a
-                # displacement may have orphaned an old target.
-                reachable = self.reachable_from(self.entry_points)
-        return added
+        rows, ids, cap = self._neighbors, self._ids, self.max_degree
+        reached = [False] * self.n_vertices
+        order: List[int] = []
+        self._expand(self.entry_points, reached, order)
+        spare = donor = written = 0
+        for vertex in range(self.n_vertices):
+            if reached[vertex]:
+                continue
+            while spare < len(order) and len(rows[order[spare]]) >= cap:
+                spare += 1
+            if spare < len(order):
+                rows[order[spare]].append(ids[vertex])
+            else:
+                source, row = rows[order[donor]], rows[vertex]
+                donor += 1
+                target, source[-1] = source[-1], ids[vertex]
+                if target not in row:
+                    row[cap - 1 :] = [target]  # appended, or the last slot when full
+                    written += 1
+            written += 1
+            self._expand((vertex,), reached, order)
+        return written
 
     def degree_histogram(self) -> Dict[int, int]:
         """Mapping out-degree -> vertex count (for diagnostics and tests)."""
-        histogram: Dict[int, int] = {}
-        for row in self._neighbors:
-            histogram[len(row)] = histogram.get(len(row), 0) + 1
-        return histogram
+        return dict(Counter(map(len, self._neighbors)))
 
     def to_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Flatten adjacency to (offsets, targets) CSR-style arrays."""
-        offsets = np.zeros(self.n_vertices + 1, dtype=np.int64)
-        for i, row in enumerate(self._neighbors):
-            offsets[i + 1] = offsets[i] + len(row)
-        targets = np.zeros(int(offsets[-1]), dtype=np.int64)
-        for i, row in enumerate(self._neighbors):
-            targets[offsets[i] : offsets[i + 1]] = row
+        offsets = np.cumsum([0, *map(len, self._neighbors)], dtype=np.int64)
+        targets = np.fromiter(chain.from_iterable(self._neighbors), np.int64, int(offsets[-1]))
         return offsets, targets

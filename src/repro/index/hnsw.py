@@ -50,7 +50,8 @@ Every layer is stored once.  Layer 0 holds every node, so it *is* the
 hands out and ``search_batch`` walks; the layers above are
 :class:`~repro.index.graph.SparseLayer` dicts over their members.  Both read
 as ``{node: row}``, which is all the link step needs, and the entry node is
-the base graph's entry point.
+the base graph's entry point.  Every row of every layer holds the base
+graph's int object per node (:meth:`NavigationGraph.vertex_ids`).
 """
 
 from __future__ import annotations
@@ -251,12 +252,12 @@ class HnswIndex(VectorIndex):
                     selected[p, : len(kept)] = kept
                 del ids, distances  # before the next pass's are made
 
-        # A row holds the one int object per member (``nodes``), not the
-        # fresh copies ``tolist`` makes: an edge then costs a pointer.  Every
-        # reverse edge into a row comes from a later node, so a row's
-        # history is its own selection, then these, in node order — whatever
-        # happens to any other row: link target-major.
-        nodes = members.tolist()
+        # A row holds the base graph's int object per member (``nodes``):
+        # an edge costs a pointer.  Every reverse edge into a row comes from
+        # a later node, so a row's history is its own selection, then
+        # these, in node order — whatever happens to any other row: link
+        # target-major.
+        nodes = self._layers[0].vertex_ids(members)
         incoming: Dict[int, List[int]] = {}
         with trace_span("hnsw-link", layer=layer, rows=count) as span:
             for node, row in zip(nodes, selected):
@@ -418,7 +419,8 @@ class HnswIndex(VectorIndex):
         self._node_level.append(level)
         while len(self._layers) <= level:
             self._layers.append(SparseLayer())
-        self._layers[0].add_vertex()
+        base = self._layers[0]
+        node = base.add_vertex()
         # A node taller than the graph stays unlinked above the old top.
         for layer in range(1, level + 1):
             self._layers[layer][node] = []
@@ -435,7 +437,7 @@ class HnswIndex(VectorIndex):
                 k=ef, budget=ef, entry_points=starts,
             )[0]
             candidates = list(zip(found.distances, found.ids))
-            neighbors = self._select_heuristic(candidates, self.params.m)
+            neighbors = base.vertex_ids(self._select_heuristic(candidates, self.params.m))
             self._layers[layer][node] = neighbors
             self._link(layer, {neighbor: [node] for neighbor in neighbors}, self._cap(layer))
             starts = found.ids

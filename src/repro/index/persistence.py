@@ -202,8 +202,8 @@ def _check_graph_arrays(
 ) -> None:
     """Refuse a saved graph whose arrays do not describe ``n_vertices`` rows
     of at most ``max_degree`` in-range targets, before anything is built:
-    ``set_neighbors`` would drop a bad target silently, and a short vector
-    matrix fails only at the first search."""
+    ``set_arrays`` takes rows as given, and a short vector matrix fails only
+    at the first search."""
     n = header.n_vertices
     problem = None
     if n < 1:
@@ -272,6 +272,11 @@ def _restore_hnsw(
         restored.check_invariants()
     except (KeyError, TypeError, ValueError, MQAError) as exc:
         raise _corrupt(directory, str(exc)) from exc
+    # Checked: every id is a vertex, so the rows can take the graph's ints.
+    restored._layers[1:] = [
+        SparseLayer(zip(graph.vertex_ids(layer), map(graph.vertex_ids, layer.values())))
+        for layer in restored._layers[1:]
+    ]
     return restored
 
 
@@ -295,11 +300,8 @@ def load_index(directory: "str | Path") -> "FrozenGraphIndex | HnswIndex":
         offsets = arrays["offsets"]
         targets = arrays["targets"]
     _check_graph_arrays(directory, header, vectors, offsets, targets)
-    offsets, targets = offsets.tolist(), targets.tolist()
-
     graph = NavigationGraph(header.n_vertices, max_degree=header.max_degree)
-    for vertex in range(header.n_vertices):
-        graph.set_neighbors(vertex, targets[offsets[vertex] : offsets[vertex + 1]])
+    graph.set_arrays(offsets, targets)
     graph.entry_points = list(header.entry_points)
 
     if header.hnsw is not None:

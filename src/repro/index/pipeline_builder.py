@@ -36,8 +36,9 @@ class GraphPipelineSpec:
             array, row ``v`` vertex ``v``'s, ``-1`` padding (id lists are
             padded into one).
         selection: Stage wiring selected edges into the graph.
-        connectivity: Stage repairing reachability.
-        entry: Stage choosing entry points.
+        connectivity: Stage repairing reachability from the entry points
+            (run after ``entry``).
+        entry: Stage choosing entry points (run before ``connectivity``).
     """
 
     name: str
@@ -51,53 +52,37 @@ class GraphPipelineSpec:
         """Materialise the spec as a DAG with stage dependencies."""
         pipeline = DagPipeline(name=f"graph-build:{self.name}")
 
-        def run_init(context: Dict[str, Any]) -> NavigationGraph:
-            with trace_span("build-init", algorithm=self.name) as span:
-                graph = self.init(context)
-                span.set(vertices=graph.n_vertices)
-            context["graph"] = graph
-            return graph
+        def add(name, stage, key, fields, after=()) -> None:
+            """A node running ``stage`` in its ``build-<name>`` span, which
+            takes ``fields(output)`` and the stage's counters; the output is
+            put in the context under ``key``."""
 
-        def run_candidates(context: Dict[str, Any]) -> np.ndarray:
-            with trace_span("build-candidates", algorithm=self.name) as span:
-                candidates = pad_rows(self.candidates(context))
-                span.set(
-                    vertices=len(candidates),
-                    candidate_edges=int(np.count_nonzero(candidates >= 0)),
-                    **context.pop("stage_stats", {}),
-                )
-            context["candidates"] = candidates
-            return candidates
+            def run(context: Dict[str, Any]) -> Any:
+                with trace_span(f"build-{name}", algorithm=self.name) as span:
+                    output = stage(context)
+                    span.set(**fields(output), **context.pop("stage_stats", {}))
+                if key is not None:
+                    context[key] = output
+                return output
 
-        def run_selection(context: Dict[str, Any]) -> NavigationGraph:
-            with trace_span("build-selection", algorithm=self.name) as span:
-                graph = self.selection(context)
-                span.set(
-                    vertices=graph.n_vertices,
-                    avg_degree=round(graph.average_degree, 2),
-                    **context.pop("stage_stats", {}),
-                )
-            context["graph"] = graph
-            return graph
+            pipeline.add_node(name, run, depends_on=after)
 
-        def run_connectivity(context: Dict[str, Any]) -> NavigationGraph:
-            with trace_span("build-connectivity", algorithm=self.name) as span:
-                graph = self.connectivity(context)
-                span.set(vertices=graph.n_vertices)
-            context["graph"] = graph
-            return graph
+        def graph_fields(graph: NavigationGraph) -> Dict[str, Any]:
+            return {"vertices": graph.n_vertices}
 
-        def run_entry(context: Dict[str, Any]) -> List[int]:
-            with trace_span("build-entry", algorithm=self.name) as span:
-                entry_points = self.entry(context)
-                span.set(entry_points=len(entry_points))
-            return entry_points
-
-        pipeline.add_node("init", run_init)
-        pipeline.add_node("candidates", run_candidates, depends_on=["init"])
-        pipeline.add_node("selection", run_selection, depends_on=["candidates"])
-        pipeline.add_node("connectivity", run_connectivity, depends_on=["selection"])
-        pipeline.add_node("entry", run_entry, depends_on=["connectivity"])
+        add("init", self.init, "graph", graph_fields)
+        add("candidates", lambda context: pad_rows(self.candidates(context)), "candidates",
+            lambda candidates: {"vertices": len(candidates),
+                                "candidate_edges": int(np.count_nonzero(candidates >= 0))},
+            ["init"])
+        add("selection", self.selection, "graph",
+            lambda graph: {**graph_fields(graph), "avg_degree": round(graph.average_degree, 2)},
+            ["candidates"])
+        # The entry is fixed first (NSG's order: navigating node, then
+        # reachability from it), so the repair roots where searches start.
+        add("entry", self.entry, None, lambda entries: {"entry_points": len(entries)},
+            ["selection"])
+        add("connectivity", self.connectivity, "graph", graph_fields, ["entry"])
         return pipeline
 
 
@@ -185,16 +170,13 @@ class PipelineGraphIndex(VectorIndex):
         self.graph.set_neighbors(vertex, neighbors)
         for neighbor in neighbors:
             row = self.graph.neighbors(neighbor)
-            if vertex in row:
+            if vertex in row or self.graph.add_edge(neighbor, vertex):
                 continue
-            if len(row) < max_degree:
-                row.append(vertex)
-            else:
-                pruned = robust_prune(
-                    self.vectors[neighbor], row + [vertex], self.vectors,
-                    self.kernel, max_degree, alpha,
-                )
-                self.graph.set_neighbors(neighbor, pruned)
+            pruned = robust_prune(
+                self.vectors[neighbor], row + [vertex], self.vectors,
+                self.kernel, max_degree, alpha,
+            )
+            self.graph.set_neighbors(neighbor, pruned)
 
     def search_batch(
         self, queries, k: int, budget: int = 64, *, kernel=None, admit=None,

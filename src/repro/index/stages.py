@@ -474,7 +474,7 @@ def _select(max_degree: int, rule, keep_neighbors: bool, add_reverse: bool) -> S
     any other is pruned **once** over its row plus everything incoming,
     the pools as :class:`RaggedRows` so a hub's width costs only its own
     row.  Each table goes as soon as its phase has used it; the graph takes
-    each row once, at the end.
+    the rows in one :meth:`NavigationGraph.set_arrays`, at the end.
     """
 
     def stage(context: Dict[str, Any]) -> NavigationGraph:
@@ -498,9 +498,8 @@ def _select(max_degree: int, rule, keep_neighbors: bool, add_reverse: bool) -> S
             del reverse
             blocks += reverse_blocks
             stats["reverse_pruned_rows"] = len(over)
-        degree = np.count_nonzero(rows >= 0, axis=1)
-        for vertex, (row, width) in enumerate(zip(rows, degree)):
-            graph.set_neighbors(vertex, row[:width].tolist())
+        widths = np.count_nonzero(rows >= 0, axis=1)
+        graph.set_arrays(np.concatenate([[0], np.cumsum(widths)]), rows[rows >= 0])
         context["stage_stats"] = {**stats, "blocks": blocks}
         return graph
 
@@ -535,7 +534,9 @@ def select_alpha_rng(max_degree: int, alpha: float = 1.2, add_reverse: bool = Tr
 # 4. connectivity augmentation
 # ----------------------------------------------------------------------
 def connect_repair() -> StageFn:
-    """Attach vertices unreachable from the entry points."""
+    """Attach vertices unreachable from the entry points
+    (:meth:`NavigationGraph.connect_unreachable`): the pipeline runs it
+    after the entry stage, so it repairs from where the search starts."""
 
     def stage(context: Dict[str, Any]) -> NavigationGraph:
         graph: NavigationGraph = context["graph"]

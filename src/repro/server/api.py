@@ -349,12 +349,16 @@ class ApiServer:
         route = (method.upper(), path)
         mode = WRITE if route in self._WRITE_ROUTES else READ
         declared = self._routes.get(route, (None, None))[0]
-        session_key = None
-        if declared and issubclass(declared, SessionBody):  # one dialogue's verbs serialise
+        # The body is read once, here, through its route's declaration; a
+        # body that does not read is answered when its turn comes.
+        read: Any = None
+        if declared is not None:
             try:
-                session_key = read_fields(SessionBody, body or {}, ApiError).session or 0
-            except ApiError:
-                session_key = None  # the handler raises it again, as a reply
+                read = read_fields(declared, body or {}, ApiError)
+            except ApiError as exc:
+                read = exc
+        # One dialogue's verbs serialise.
+        session_key = (read.session or 0) if isinstance(read, SessionBody) else None
         self._maybe_resize_engine()
         self._maybe_resize_batcher()
         # In resilience mode the engine sheds requests whose latency budget
@@ -363,10 +367,7 @@ class ApiServer:
         deadline = None
         coordinator = self._coordinator
         if coordinator is not None and coordinator.resilience.enabled:
-            try:
-                override = read_fields(DeadlineBody, body or {}, ApiError).deadline_override
-            except ApiError:
-                override = None  # the verb handler raises it again, as a reply
+            override = read.deadline_override if isinstance(read, DeadlineBody) else None
             deadline = coordinator.resilience.deadline(override)
         admission = coordinator.layer("admission") if coordinator is not None else None
         if admission is not None and declared and issubclass(declared, DeadlineBody):
@@ -386,7 +387,7 @@ class ApiServer:
                 }
         try:
             return self.engine.submit(
-                lambda: self._dispatch(method, path, body),
+                lambda: self._dispatch(method, path, read),
                 mode=mode,
                 session_key=session_key,
                 deadline=deadline,
@@ -398,15 +399,18 @@ class ApiServer:
             # queue (resilience mode only).
             return {"ok": False, "error": str(exc), "deadline_exceeded": True}
 
-    def _dispatch(self, method: str, path: str, body: "Dict[str, Any] | None") -> Dict[str, Any]:
+    def _dispatch(self, method: str, path: str, read: Any) -> Dict[str, Any]:
+        """Run the route's handler on ``read``: the body as its declaration
+        read it, the :class:`ApiError` it raised instead, or None for a
+        route that takes no body."""
         route = self._routes.get((method.upper(), path))
         if route is None:
             return {"ok": False, "error": f"no route for {method.upper()} {path}"}
+        if isinstance(read, ApiError):
+            return {"ok": False, "error": str(read)}
         declared, handler = route
         try:
-            payload = handler() if declared is None else handler(
-                read_fields(declared, body or {}, ApiError)
-            )
+            payload = handler() if declared is None else handler(read)
         except DeadlineExceededError as exc:
             return {"ok": False, "error": str(exc), "deadline_exceeded": True}
         except MQAError as exc:

@@ -293,22 +293,24 @@ def test_every_request_runs_on_its_callers_thread():
     ran_on = {}
     dispatch = server._dispatch
 
-    def recording(method, path, body):
-        ran_on[id(body)] = threading.get_ident()
-        return dispatch(method, path, body)
+    def recording(method, path, read):
+        # Keyed on what the request names: the route and the text searched
+        # (``/apply`` has no body, and each client applies at most once).
+        ran_on[path, getattr(read, "text", None)] = threading.get_ident()
+        return dispatch(method, path, read)
 
     server._dispatch = recording
 
     def client(name, apply_first):
         sent = []
         if apply_first:
-            sent.append({})
-            assert server.handle("POST", "/apply", sent[-1])["ok"]
+            sent.append(("/apply", None))
+            assert server.handle("POST", "/apply", {})["ok"]
         else:
             assert eventually(lambda: server._coordinator is not None)
         for text in ("fog", "clouds", "mountain"):
-            sent.append({"text": f"{text} {name}"})
-            assert server.handle("POST", "/search", sent[-1])["ok"]
+            sent.append(("/search", f"{text} {name}"))
+            assert server.handle("POST", "/search", {"text": sent[-1][1]})["ok"]
         return threading.get_ident(), sent
 
     try:
@@ -320,5 +322,5 @@ def test_every_request_runs_on_its_callers_thread():
     finally:
         server.close()
     for ident, sent in outcomes:
-        assert [ran_on[id(body)] for body in sent] == [ident] * len(sent)
+        assert [ran_on[request] for request in sent] == [ident] * len(sent)
     assert len(ran_on) == 7

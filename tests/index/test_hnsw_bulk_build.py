@@ -40,6 +40,7 @@ from repro.index.stages import _SCRATCH_BYTES, block_rows, pass_rows
 from repro.observability.tracing import Tracer
 from repro.retrieval import MustRetrieval
 from repro.utils import derive_rng
+from tests.index.conftest import assert_one_int_per_vertex, bytes_per_edge
 
 DIM = 16
 # Seed 0 at m=6 puts the 400 rows on five layers of 400/69/12/4/1 members.
@@ -311,8 +312,8 @@ def test_build_dispatch_budget(monkeypatch):
     forward selection scans once per *pass* of whole blocks whose packed
     tables fit the scratch budget — 4 scans for 60 blocks on layer 0 of
     2000 rows.  No block or scan outgrows the scratch budget on the way,
-    and an edge stays a pointer: one int object per member and layer,
-    however often it is stored."""
+    and an edge stays a pointer: every layer's rows hold the base graph's
+    int object per node, however often it is stored."""
     scans = []
     real = hnsw.occlusion_scan
 
@@ -337,9 +338,8 @@ def test_build_dispatch_budget(monkeypatch):
     assert [r for r, _, forward in scans if forward] == passes
     assert (len(passes), sum(-(-f // rows) for f in full)) == (5, 63)
 
-    for layer in index._layers:
-        stored = [node for row in layer.values() for node in row]
-        assert len(set(map(id, stored))) == len(set(stored))
+    assert_one_int_per_vertex(index.base_graph(), index._layers)
+    assert bytes_per_edge(index._layers) <= 16
     assert max(max(row) for row in index._layers[0].values()) > 256  # past CPython's cache
     index.check_invariants()
 

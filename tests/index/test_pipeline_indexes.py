@@ -52,7 +52,7 @@ class TestPipelineIndexes:
 
     def test_five_stage_reports(self, built):
         names = [report.name for report in built.stage_reports]
-        assert names == ["init", "candidates", "selection", "connectivity", "entry"]
+        assert names == ["init", "candidates", "selection", "entry", "connectivity"]
         assert all(r.status is NodeStatus.DONE for r in built.stage_reports)
 
     def test_describe_mentions_degree(self, built):

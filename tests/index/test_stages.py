@@ -155,7 +155,7 @@ class TestPipelineBuilder:
         graph, reports = build_navigation_graph(spec, small_corpus, kernel)
         assert graph.is_connected()
         assert [r.name for r in reports] == [
-            "init", "candidates", "selection", "connectivity", "entry",
+            "init", "candidates", "selection", "entry", "connectivity",
         ]
 
     def test_empty_corpus_rejected(self, kernel):
