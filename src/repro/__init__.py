@@ -20,6 +20,12 @@ from repro.data import (
     load_knowledge_base,
     save_knowledge_base,
 )
+from repro.utils import use_one_blas_thread
+
+# numpy's OpenBLAS computes on the calling thread alone (DESIGN §7).  No
+# module of the package makes a BLAS call at import, so this precedes the
+# process's first one.
+use_one_blas_thread()
 
 __version__ = "1.0.0"
 

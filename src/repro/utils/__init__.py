@@ -1,8 +1,10 @@
 """Shared utilities: seeded RNG helpers (set-up's keyed generator is
 :mod:`repro.utils.rng`'s ``words``), timers, simplex projection, the set-up
-scratch budget and the parameter contract (:func:`param`, :func:`check_fields`,
-:func:`read_fields`)."""
+scratch budget, the parameter contract (:func:`param`, :func:`check_fields`,
+:func:`read_fields`) and :func:`use_one_blas_thread`, which ``import repro``
+runs."""
 
+from repro.utils.blas import use_one_blas_thread
 from repro.utils.checks import (
     check_fields, check_integer, check_real, object_id_of, param, read_fields,
 )
@@ -26,4 +28,5 @@ __all__ = [
     "rng_from_seed",
     "row_blocks",
     "stable_hash",
+    "use_one_blas_thread",
 ]

@@ -14,7 +14,8 @@ rendered the same way: an object, a view and a learner step are batches of
 one.  And index code computes a distance only through a kernel, where it is
 counted.  A parameter is declared once, on its dataclass field, and checked
 by the one checker that reads the declarations; a setting no caller configures
-is its component's default and no config field.
+is its component's default and no config field.  One module loads a shared
+library: the one that sets numpy's BLAS to one thread.
 """
 
 import ast
@@ -944,3 +945,23 @@ def test_an_api_body_is_read_through_its_declaration():
     assert [_called(node) for node in ast.walk(checker) if isinstance(node, ast.Call)] == [
         "check_fields"
     ]
+
+
+def test_one_module_loads_a_shared_library():
+    """Only ``repro.utils.blas`` touches ``ctypes``: it finds the OpenBLAS
+    numpy has loaded and sets it to one thread at ``import repro``.  A second
+    module reaching into native libraries is a second place where the
+    process's threads are decided."""
+    loaders = set()
+    for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "ctypes" for module in modules):
+                loaders.add(name)
+    assert loaders == {"repro.utils.blas"}

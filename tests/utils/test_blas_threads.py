@@ -1,0 +1,60 @@
+"""``import repro`` leaves numpy's OpenBLAS at one thread.
+
+The program's parallelism is its callers' threads; a second BLAS thread
+beside each small GEMM doubled set-up's CPU for the same wall time.  The
+check runs in a fresh process that asks for two BLAS threads and imports
+numpy before ``repro``, and reads the thread count through OpenBLAS's own
+getter, not through the package.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[2]
+
+_SCRIPT = """
+import ctypes, glob, os, sys
+import numpy as np
+sys.path.insert(0, "src")
+package = os.path.dirname(np.__file__)
+
+def find_getter():
+    for path in glob.glob(package + ".libs/*openblas*") + glob.glob(package + "/.dylibs/*openblas*"):
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(library, name):
+                return getattr(library, name)
+
+getter = find_getter()
+if getter is None:
+    print("none")
+else:
+    before = getter()
+    import repro
+    print(before, getter())
+"""
+
+
+def test_importing_repro_leaves_numpy_blas_at_one_thread():
+    if not hasattr(os, "RTLD_NOLOAD"):
+        pytest.skip("no RTLD_NOLOAD on this platform: numpy's OpenBLAS cannot be looked up")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    result = subprocess.run(
+        [sys.executable, "-c", _SCRIPT], cwd=REPO, env=env,
+        capture_output=True, text=True, check=True,
+    )
+    if result.stdout.strip() == "none":
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS this test can find")
+    before, after = map(int, result.stdout.split())
+    assert before >= 1
+    assert after == 1
