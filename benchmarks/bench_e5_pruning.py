@@ -1,7 +1,9 @@
 """E5 — the incremental-scanning (computational pruning) ablation.
 
-Runs the same nav-must graph searches with pruning on and off and reports
-the fraction of per-modality segment evaluations the early exit avoids.
+Runs the same nav-must graph searches under the built kernel and under a
+``prune=True`` copy of it handed over as ``kernel=`` (pruning is the
+kernel's switch), and reports the fraction of per-modality segment
+evaluations the early exit avoids.
 Correctness requirement: pruning is exact — both modes return identical
 results on every query.
 """
@@ -25,7 +27,8 @@ N_QUERIES = 30
 
 
 def build_world(spec: DatasetSpec, weights):
-    """A nav-must index over the given world + query sample."""
+    """A nav-must index over the given world + query sample, and a pruning
+    kernel under the index's own weights."""
     kb = generate_knowledge_base(spec)
     encoder_set = build_encoder_set("unimodal-strong", kb, seed=3)
     schema = MultiVectorSchema(encoder_set.dims())
@@ -40,7 +43,7 @@ def build_world(spec: DatasetSpec, weights):
     queries = corpus[query_ids] + 0.05 * rng.standard_normal(
         (N_QUERIES, corpus.shape[1])
     )
-    return schema, index, queries
+    return WeightedMultiVectorKernel(schema, weights, prune=True), index, queries
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +66,10 @@ def three_modality_world():
     return build_world(spec, weights=[1.5, 0.9, 0.6])
 
 
-def run_mode(index, queries, use_pruning: bool):
-    kernel = index.kernel
+def run_mode(index, queries, kernel):
     kernel.stats.reset()
     results = [
-        index.search(query, k=K, budget=BUDGET, use_pruning=use_pruning).ids
+        index.search(query, k=K, budget=BUDGET, kernel=kernel).ids
         for query in queries
     ]
     return results, kernel.stats.pruning_rate, kernel.stats.work_saved
@@ -75,12 +77,12 @@ def run_mode(index, queries, use_pruning: bool):
 
 def test_benchmark_e5(benchmark, pruning_world, three_modality_world):
     """Regenerates the pruning table, checks exactness, times pruned search."""
-    schema, index, queries = pruning_world
-    pruned_results, pruning_rate, work_saved = run_mode(index, queries, True)
-    full_results, full_rate, full_saved = run_mode(index, queries, False)
-    schema3, index3, queries3 = three_modality_world
-    pruned3, rate3, saved3 = run_mode(index3, queries3, True)
-    full3, _, _ = run_mode(index3, queries3, False)
+    pruning, index, queries = pruning_world
+    pruned_results, pruning_rate, work_saved = run_mode(index, queries, pruning)
+    full_results, full_rate, full_saved = run_mode(index, queries, index.kernel)
+    pruning3, index3, queries3 = three_modality_world
+    pruned3, rate3, saved3 = run_mode(index3, queries3, pruning3)
+    full3, _, _ = run_mode(index3, queries3, index3.kernel)
 
     table = ExperimentTable(
         f"E5: incremental-scanning pruning (budget={BUDGET})",
@@ -109,5 +111,5 @@ def test_benchmark_e5(benchmark, pruning_world, three_modality_world):
     assert rate3 > 0.2 and saved3 > 0.02
 
     benchmark(
-        lambda: index.search(queries[0], k=K, budget=BUDGET, use_pruning=True)
+        lambda: index.search(queries[0], k=K, budget=BUDGET, kernel=pruning)
     )

@@ -470,7 +470,6 @@ class ShardRouter(RetrievalFramework):
 
     Args:
         framework_name: Registered inner framework ("mr" / "je" / "must").
-        framework_params: Factory parameters for each replica's framework.
         shards: Number of shards (1 = pass-through).
         replicas: Replicas per shard.
         partitioner: Registered partitioner name.
@@ -493,7 +492,6 @@ class ShardRouter(RetrievalFramework):
     def __init__(
         self,
         framework_name: str,
-        framework_params: "Dict[str, Any] | None" = None,
         shards: int = 1,
         replicas: int = 1,
         partitioner: str = "hash",
@@ -508,7 +506,6 @@ class ShardRouter(RetrievalFramework):
         if replicas < 1:
             raise RetrievalError(f"replicas must be >= 1, got {replicas}")
         self.framework_name = framework_name
-        self.framework_params = dict(framework_params or {})
         self.shards = shards
         self.replica_count = replicas
         self.partitioner = build_partitioner(partitioner, shards)
@@ -535,7 +532,7 @@ class ShardRouter(RetrievalFramework):
     # setup / writes
     # ------------------------------------------------------------------
     def _framework_factory(self) -> RetrievalFramework:
-        return build_framework(self.framework_name, self.framework_params)
+        return build_framework(self.framework_name)
 
     def setup(
         self,

@@ -77,7 +77,14 @@ class DistanceKernel(abc.ABC):
     ``bound``: implementations may stop early once the partial distance
     provably exceeds it, returning any value greater than ``bound`` —
     exact pruning, never an approximation.
+
+    ``prune`` is the one switch for that incremental scanning: a beam
+    search scores a round's neighbours one by one through ``single``
+    against its bound when it is true, and in one vectorised entry when it
+    is false.
     """
+
+    prune = False
 
     def __init__(self) -> None:
         self.stats = DistanceStats()

@@ -121,15 +121,17 @@ class WeightedMultiVectorKernel(DistanceKernel):
         weights: Per-modality weights in schema order or as a mapping.
             Normalised to sum to the number of modalities, so equal weights
             are all 1.0 and distances stay comparable across weightings.
-        prune: Enable early termination in :meth:`single` (on by default;
-            the E5 ablation turns it off).
+        prune: Incremental scanning: :meth:`single` stops once the running
+            sum passes its bound, and a beam search scores neighbours one
+            by one against the beam bound (off by default; the E5 ablation
+            turns it on).
     """
 
     def __init__(
         self,
         schema: MultiVectorSchema,
         weights: "Sequence[float] | Mapping[Modality, float] | None" = None,
-        prune: bool = True,
+        prune: bool = False,
     ) -> None:
         super().__init__()
         self.schema = schema
@@ -192,7 +194,8 @@ class WeightedMultiVectorKernel(DistanceKernel):
         return self.schema.total_dim
 
     def with_weights(self, weights) -> "WeightedMultiVectorKernel":
-        """A new kernel over the same schema with different weights."""
+        """A new kernel over the same schema with different weights (and
+        the same ``prune``)."""
         return WeightedMultiVectorKernel(self.schema, weights, prune=self.prune)
 
     # ------------------------------------------------------------------

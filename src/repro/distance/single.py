@@ -1,4 +1,4 @@
-"""Single-vector distance kernel with optional chunked incremental scanning."""
+"""Single-vector distance kernel."""
 
 from __future__ import annotations
 
@@ -25,21 +25,14 @@ class SingleVectorKernel(DistanceKernel):
         dim: Expected vector dimensionality.
         metric: Distance metric.  Cosine inputs are normalised up front so
             searches reduce to squared L2 (monotonically equivalent).
-        chunk_size: When positive, ``single`` accumulates squared L2 in
-            chunks of this many dimensions and stops once the partial sum
-            exceeds the bound — the single-vector form of incremental
-            scanning.  Zero disables chunking.
     """
 
-    def __init__(self, dim: int, metric: Metric = Metric.SQUARED_L2, chunk_size: int = 0) -> None:
+    def __init__(self, dim: int, metric: Metric = Metric.SQUARED_L2) -> None:
         super().__init__()
         if dim <= 0:
             raise ValueError(f"dim must be positive, got {dim}")
-        if chunk_size < 0:
-            raise ValueError(f"chunk_size must be >= 0, got {chunk_size}")
         self._dim = dim
         self.metric = Metric.parse(metric)
-        self.chunk_size = chunk_size
 
     @property
     def dim(self) -> int:
@@ -127,25 +120,9 @@ class SingleVectorKernel(DistanceKernel):
         query = np.asarray(query, dtype=np.float64)
         vector = np.asarray(vector, dtype=np.float64)
         self.stats.calls += 1
-        if self.metric is Metric.INNER_PRODUCT or not self.chunk_size:
-            self.stats.segments_evaluated += 1
-            self.stats.segments_total += 1
-            if self.metric is Metric.INNER_PRODUCT:
-                return float(-(query @ vector))
-            diff = query - vector
-            return float(diff @ diff)
-
-        # Chunked incremental scan: squared L2 partial sums never decrease,
-        # so exceeding the bound part-way proves the full distance does too.
-        n_chunks = (self._dim + self.chunk_size - 1) // self.chunk_size
-        self.stats.segments_total += n_chunks
-        total = 0.0
-        for start in range(0, self._dim, self.chunk_size):
-            stop = min(start + self.chunk_size, self._dim)
-            diff = query[start:stop] - vector[start:stop]
-            total += float(diff @ diff)
-            self.stats.segments_evaluated += 1
-            if total > bound:
-                self.stats.pruned += 1
-                return total
-        return total
+        self.stats.segments_evaluated += 1
+        self.stats.segments_total += 1
+        if self.metric is Metric.INNER_PRODUCT:
+            return float(-(query @ vector))
+        diff = query - vector
+        return float(diff @ diff)

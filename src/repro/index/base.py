@@ -215,7 +215,6 @@ class VectorIndex(abc.ABC):
         *,
         kernel: "DistanceKernel | None" = None,
         admit=None,
-        use_pruning: bool = False,
     ) -> List[SearchResult]:
         """Top-``k`` for every row of ``queries``; results in input order.
 
@@ -230,8 +229,11 @@ class VectorIndex(abc.ABC):
             k: Result count per row.
             budget: Search effort (beam width / ef / extra probes).
             kernel: Distances for this call only — per-query modality
-                re-weighting.  An index is navigation structure plus stored
-                rows; distances are always computed fresh, so every scan,
+                re-weighting, or a ``prune`` kernel for incremental scanning
+                (graph indexes score neighbours one by one against the beam
+                bound; an exact or cell scan has no bound to stop against).
+                An index is navigation structure plus stored rows;
+                distances are always computed fresh, so every scan,
                 traversal and re-rank of the call runs under ``kernel``
                 (resolved by :meth:`_search_kernel`) and the answer is the
                 index's answer *under that kernel*, never a re-ordering of
@@ -239,11 +241,6 @@ class VectorIndex(abc.ABC):
             admit: Result filter over row ids — one predicate shared by all
                 queries, or a sequence with one (possibly ``None``) per
                 query.  Rejected rows may still be traversed, never returned.
-            use_pruning: Score graph neighbours one by one against the beam
-                bound, so a multi-vector kernel can stop a distance early
-                (the paper's incremental scanning): same ids, fewer segment
-                evaluations.  To an exact or cell scan it means what
-                ``budget`` means to an exact scan — nothing.
         """
 
     def _search_kernel(self, kernel: "DistanceKernel | None") -> DistanceKernel:

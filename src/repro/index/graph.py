@@ -142,7 +142,7 @@ class NavigationGraph(Mapping):
         """True when every vertex is reachable from the entry points."""
         return len(self.reachable_from(self.entry_points)) == self.n_vertices
 
-    def connect_unreachable(self) -> int:
+    def connect_unreachable(self, reverse: bool = False) -> int:
         """Make every vertex reachable from the entry points in one linear
         pass; returns the number of edges written.
 
@@ -152,7 +152,10 @@ class NavigationGraph(Mapping):
         reached vertex is full, the next one in visit order gives up its
         last edge ``d -> t`` for ``d -> v``, and ``v`` takes ``t`` (in its
         last slot when full): ``v`` was on no path, so nothing reached is
-        orphaned and reachability is never recomputed.
+        orphaned and reachability is never recomputed.  With ``reverse``,
+        ``v`` also takes an edge back to its source while its row has room,
+        so every written edge is returned or ends in a full row (HNSW's
+        invariant; ``t`` is reached, hence full).
         """
         rows, ids, cap = self._neighbors, self._ids, self.max_degree
         reached = [False] * self.n_vertices
@@ -162,18 +165,23 @@ class NavigationGraph(Mapping):
         for vertex in range(self.n_vertices):
             if reached[vertex]:
                 continue
+            row = rows[vertex]
             while spare < len(order) and len(rows[order[spare]]) >= cap:
                 spare += 1
             if spare < len(order):
-                rows[order[spare]].append(ids[vertex])
+                source = order[spare]
+                rows[source].append(ids[vertex])
             else:
-                source, row = rows[order[donor]], rows[vertex]
+                source = order[donor]
                 donor += 1
-                target, source[-1] = source[-1], ids[vertex]
+                target, rows[source][-1] = rows[source][-1], ids[vertex]
                 if target not in row:
                     row[cap - 1 :] = [target]  # appended, or the last slot when full
                     written += 1
             written += 1
+            if reverse and len(row) < cap and source not in row:
+                row.append(source)
+                written += 1
             self._expand((vertex,), reached, order)
         return written
 

@@ -187,6 +187,10 @@ class HnswIndex(VectorIndex):
         with trace_span("hnsw-insert", nodes=self.size) as span:
             for layer in range(self._max_level, -1, -1):
                 self._build_layer(layer, (levels >= layer).nonzero()[0], embedded)
+            # Re-selection can drop a node from every row that held it; the
+            # repair writes each edge it adds both ways while the attached
+            # row has room, so check_invariants still holds.
+            base.connect_unreachable(reverse=True)
             span.set(layers=self._max_level + 1)
         self.build_seconds = time.perf_counter() - start
 
@@ -384,34 +388,21 @@ class HnswIndex(VectorIndex):
     def _select_heuristic(
         self, candidates: List[Tuple[float, int]], m: int, embedded=None
     ) -> List[int]:
-        """Diversified neighbour selection (Algorithm 4 of the paper).
-
-        A candidate is kept only if it is closer to the inserted point than
-        to every already-selected neighbour, which spreads edges across
-        directions instead of clustering them.  The candidates are gathered
-        from ``embedded`` (the build's) when given, else from the rows.
-        """
-        if len(candidates) <= m:
-            return [candidate for _, candidate in candidates]
+        """Algorithm 4 over one candidate row, ascending by ``(distance,
+        id)``: the one-row call of :func:`select_heuristic_rows`, which
+        ``add`` and a layer's rows narrower than ``ef`` select through.  The
+        candidates are gathered from ``embedded`` (the build's) when given,
+        else from the rows; a row of at most ``m`` is kept whole."""
         ids = [candidate for _, candidate in candidates]
+        if len(ids) <= m:
+            return ids
         block = (self.vectors if embedded is None else embedded)[ids]
-        pairwise = self.kernel.matrix(block, block)
-        selected_rows: List[int] = []
-        for row, (distance, _) in enumerate(candidates):
-            if len(selected_rows) >= m:
-                break
-            keep = all(pairwise[row, other] >= distance for other in selected_rows)
-            if keep:
-                selected_rows.append(row)
-        if len(selected_rows) < m:
-            chosen = set(selected_rows)
-            for row in range(len(candidates)):
-                if len(selected_rows) >= m:
-                    break
-                if row not in chosen:
-                    selected_rows.append(row)
-                    chosen.add(row)
-        return [ids[row] for row in selected_rows]
+        (picks,) = select_heuristic_rows(
+            np.array([[distance for distance, _ in candidates]]),
+            self.kernel.matrix(block, block)[None],
+            m,
+        )
+        return [ids[c] for c in picks.tolist()]
 
     def _insert(self, node: int, level: int) -> None:
         """Link one new node into a built graph, finding its candidates by
@@ -499,7 +490,6 @@ class HnswIndex(VectorIndex):
 
     def search_batch(
         self, queries, k: int, budget: int = 64, *, kernel=None, admit=None,
-        use_pruning: bool = False,
     ):
         """Lockstep descent through the upper layers, then lockstep beam
         search over layer 0 from each query's own base entry — both under
@@ -527,7 +517,6 @@ class HnswIndex(VectorIndex):
             k=k,
             budget=budget,
             entry_points=[[current] for current in currents],
-            use_pruning=use_pruning,
             admit=admit,
         )
 

@@ -131,13 +131,12 @@ class IvfIndex(VectorIndex):
 
     def search_batch(
         self, queries, k: int, budget: int = 64, *, kernel=None, admit=None,
-        use_pruning: bool = False,
     ):
         """Scan each query's closest cells: one centroid scan and one
         candidate-union scan for the whole batch, both under the call's
         kernel (the cells themselves stay where the built one put them).
         ``budget`` maps to extra probes: the effective probe count is
-        ``max(nprobe, budget // 8)``; ``use_pruning`` has nothing to act on.
+        ``max(nprobe, budget // 8)``; a kernel's ``prune`` has nothing to act on.
         Candidate gathering and top-k selection run per query over its own
         distance row, so a row does not depend on the rest of the batch.
         """

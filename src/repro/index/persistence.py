@@ -89,12 +89,9 @@ def _kernel_doc(kernel: DistanceKernel) -> dict:
     if isinstance(kernel, WeightedMultiVectorKernel):
         dims = {m.value: kernel.schema.dim_of(m) for m in kernel.schema.modalities}
         weights = [float(w) for w in kernel.weights]
-        return {"kind": "multivector", "dims": dims, "weights": weights, "prune": kernel.prune}
+        return {"kind": "multivector", "dims": dims, "weights": weights}
     if isinstance(kernel, SingleVectorKernel):
-        return {
-            "kind": "single", "dim": kernel.dim, "metric": kernel.metric.value,
-            "chunk_size": kernel.chunk_size,
-        }
+        return {"kind": "single", "dim": kernel.dim, "metric": kernel.metric.value}
     raise IndexError_(f"cannot serialise kernel of type {type(kernel).__name__}")
 
 
@@ -135,23 +132,19 @@ class _KernelDoc:
 class _MultiVectorDoc(_KernelDoc):
     dims: Dict[Modality, int]
     weights: List[float]
-    prune: bool
 
     def kernel(self) -> DistanceKernel:
         schema = MultiVectorSchema({Modality(name): dim for name, dim in self.dims.items()})
-        return WeightedMultiVectorKernel(schema, self.weights, prune=self.prune)
+        return WeightedMultiVectorKernel(schema, self.weights)
 
 
 @dataclass(kw_only=True, eq=False, repr=False)
 class _SingleVectorDoc(_KernelDoc):
     dim: int
     metric: str
-    chunk_size: int
 
     def kernel(self) -> DistanceKernel:
-        return SingleVectorKernel(
-            self.dim, metric=Metric.parse(self.metric), chunk_size=self.chunk_size
-        )
+        return SingleVectorKernel(self.dim, metric=Metric.parse(self.metric))
 
 
 def save_index(index: SavableIndex, directory: "str | Path") -> Path:

@@ -180,7 +180,6 @@ class PipelineGraphIndex(VectorIndex):
 
     def search_batch(
         self, queries, k: int, budget: int = 64, *, kernel=None, admit=None,
-        use_pruning: bool = False,
     ) -> List[SearchResult]:
         """Search the graph for every query row, in lockstep, under the
         call's kernel: the graph is pure navigation structure."""
@@ -194,7 +193,6 @@ class PipelineGraphIndex(VectorIndex):
             queries,
             k=k,
             budget=budget,
-            use_pruning=use_pruning,
             admit=admit,
         )
 

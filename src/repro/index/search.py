@@ -7,14 +7,16 @@ discovered" — implemented as classic beam search with beam width ``budget``.
 :func:`greedy_search_batch` is that routine; a single query is a batch of
 one (:func:`greedy_search`).
 
-Two per-beam scoring modes are supported:
+The kernel decides how a round's neighbours are scored:
 
-* **batch** (default): each expanded vertex's unvisited neighbours are
-  scored in one vectorised kernel call — fastest in numpy.
-* **pruned**: neighbours are scored one by one through ``kernel.single``
-  with the current beam bound, letting multi-vector kernels terminate a
-  distance computation early (the paper's incremental scanning).  Identical
-  results, fewer scalar operations; experiment E5 measures the saving.
+* **batch** (``kernel.prune`` false, every served kernel): the round's
+  unvisited neighbours are scored in one vectorised kernel call — fastest
+  in numpy.
+* **pruned** (``kernel.prune`` true): neighbours are scored one by one
+  through ``kernel.single`` with the current beam bound, letting a
+  multi-vector kernel terminate a distance computation early (the paper's
+  incremental scanning).  Identical results, fewer scalar operations;
+  experiment E5 measures the saving.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ def greedy_search(
     k: int,
     budget: int = 64,
     entry_points: "Sequence[int] | None" = None,
-    use_pruning: bool = False,
     visit_hook: "VisitHook | None" = None,
     admit: "Callable[[int], bool] | None" = None,
 ) -> SearchResult:
@@ -61,7 +62,6 @@ def greedy_search(
         k,
         budget=budget,
         entry_points=entry_points,
-        use_pruning=use_pruning,
         visit_hook=hook,
         admit=admit,
     )[0]
@@ -116,7 +116,6 @@ def greedy_search_batch(
     k: int,
     budget: int = 64,
     entry_points=None,
-    use_pruning: bool = False,
     visit_hook: "BatchVisitHook | None" = None,
     admit=None,
 ) -> List[SearchResult]:
@@ -136,14 +135,14 @@ def greedy_search_batch(
             ``neighbors(vertex)`` will do (an HNSW ``SparseLayer`` has no
             default entry points and needs ``entry_points``).
         vectors: The ``(n, d)`` corpus matrix the graph was built on.
-        kernel: Distance kernel (single- or multi-vector).
+        kernel: Distance kernel (single- or multi-vector); with
+            ``kernel.prune`` set, neighbours are scored one by one against
+            the beam bound instead of in one batch (incremental scanning).
         queries: ``(Q, d)`` query matrix (a 1-D vector is one query).
         k: Result count.
         budget: Beam width (``ef``); clamped up to ``k``.
         entry_points: ``None`` (graph defaults), a flat sequence of vertex
             ids shared by all beams, or one sequence per query.
-        use_pruning: Score neighbours individually with a bound instead of
-            in one batch, enabling incremental-scanning early exits.
         visit_hook: Called with ``(beam_index, vertex)`` for each vertex
             whose vector is accessed — the hook Starling uses to charge
             simulated block I/O.
@@ -182,7 +181,7 @@ def greedy_search_batch(
                 heapq.heappop(pool)
 
     with trace_span(
-        "beam-search", queries=n_queries, k=k, budget=budget, pruning=use_pruning
+        "beam-search", queries=n_queries, k=k, budget=budget, pruning=kernel.prune
     ) as span:
         seeds: List = []
         for b in range(n_queries):
@@ -232,7 +231,7 @@ def greedy_search_batch(
                     break
                 alive = [b for b, _ in expanding]
 
-            if use_pruning:
+            if kernel.prune:
                 # Sequential by nature: each neighbour's bound depends on
                 # the beam the previous one left behind.
                 for b, fresh in expanding:

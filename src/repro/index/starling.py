@@ -236,7 +236,6 @@ class StarlingIndex(VectorIndex):
 
     def search_batch(
         self, queries, k: int, budget: int = 64, *, kernel=None, admit=None,
-        use_pruning: bool = False,
     ):
         """Lockstep search over the disk-resident graph, under the call's
         kernel on either path.
@@ -256,9 +255,7 @@ class StarlingIndex(VectorIndex):
             return []
         kernel = self._search_kernel(kernel)
         if self.tiered is not None:
-            return self._search_batch_tiered(
-                queries, k, budget, kernel, admit, use_pruning
-            )
+            return self._search_batch_tiered(queries, k, budget, kernel, admit)
         reads = [0] * n_queries
         hits = [0] * n_queries
         device = self.device
@@ -285,7 +282,6 @@ class StarlingIndex(VectorIndex):
                 queries,
                 k=k,
                 budget=budget,
-                use_pruning=use_pruning,
                 visit_hook=charge,
                 admit=admit,
             )
@@ -295,7 +291,7 @@ class StarlingIndex(VectorIndex):
             span.set(block_reads=sum(reads), cache_hits=sum(hits))
         return results
 
-    def _search_batch_tiered(self, queries, k, budget, kernel, admit, use_pruning):
+    def _search_batch_tiered(self, queries, k, budget, kernel, admit):
         """Lockstep traversal over the resident codes, then per-query exact
         rerank of the top-k' at full precision, both under ``kernel``.
 
@@ -320,7 +316,6 @@ class StarlingIndex(VectorIndex):
                 queries,
                 k=fetch,
                 budget=budget,
-                use_pruning=use_pruning,
                 admit=admit,
             )
             total_reads = 0

@@ -291,8 +291,7 @@ class RetrievalFramework(abc.ABC):
 
     def _search(
         self, index: VectorIndex, queries, k: int, budget: int,
-        filter_fn: "ObjectFilter | None", kernel=None, use_pruning: bool = False,
-        **span_attributes,
+        filter_fn: "ObjectFilter | None", kernel=None, **span_attributes,
     ) -> List[SearchResult]:
         """The ``index-search`` block of every framework: one
         ``search_batch`` under one span, tombstones folded into the filter,
@@ -302,7 +301,7 @@ class RetrievalFramework(abc.ABC):
         ) as span:
             outcomes = index.search_batch(
                 queries, k=k, budget=budget, kernel=kernel,
-                admit=self._compose_filter(filter_fn), use_pruning=use_pruning,
+                admit=self._compose_filter(filter_fn),
             )
             span.set(
                 hops=sum(o.stats.hops for o in outcomes),

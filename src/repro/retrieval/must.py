@@ -4,8 +4,10 @@ Objects keep one vector *per modality*; the unified navigation graph is
 built over their weighted concatenation, with the modality weights coming
 from the contrastive weight learner (or user input).  A query is encoded
 per modality, concatenated under the same schema, and resolved in a single
-graph traversal — no per-stream searches, no rank fusion, and incremental
-scanning prunes partial distance computations along the way.
+graph traversal — no per-stream searches, no rank fusion.  Incremental
+scanning (E5) is the kernel's ``prune`` switch: a ``prune=True`` kernel
+handed to the index's ``search_batch`` stops partial distance computations
+against the beam bound, with the same ids.
 """
 
 from __future__ import annotations
@@ -32,19 +34,12 @@ from repro.retrieval.base import (
 
 
 class MustRetrieval(RetrievalFramework):
-    """The paper's framework: weighted multi-vector, merging-free search.
-
-    Args:
-        use_pruning: Enable incremental-scanning early termination during
-            graph traversal (every index takes the flag; an exact or cell
-            scan has no beam bound to stop a distance against).
-    """
+    """The paper's framework: weighted multi-vector, merging-free search."""
 
     name = "must"
 
-    def __init__(self, use_pruning: bool = False) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.use_pruning = use_pruning
         self._index: Optional[VectorIndex] = None
         self._schema: Optional[MultiVectorSchema] = None
         self._kernel: Optional[WeightedMultiVectorKernel] = None
@@ -74,7 +69,7 @@ class MustRetrieval(RetrievalFramework):
         start = time.perf_counter()
         corpus = self._corpus(kb, encoder_set, corpus)
         schema = MultiVectorSchema(encoder_set.dims())
-        kernel = WeightedMultiVectorKernel(schema, weights, prune=True)
+        kernel = WeightedMultiVectorKernel(schema, weights)
         matrix = kernel.stack_corpus(corpus)
         index = index_builder()
         index.build(matrix, kernel)
@@ -136,8 +131,7 @@ class MustRetrieval(RetrievalFramework):
             with trace_span("weight-inference", modalities=len(weights)):
                 override = self._kernel.with_weights(weights)
         outcomes = self._search(
-            self._index, concatenated, k, budget, filter_fn,
-            kernel=override, use_pruning=self.use_pruning,
+            self._index, concatenated, k, budget, filter_fn, kernel=override
         )
         return [self._respond(outcome) for outcome in outcomes]
 

@@ -50,6 +50,4 @@ def _build_mr(params: Mapping[str, Any]) -> MultiStreamedRetrieval:
 
 register_framework("mr", _build_mr)
 register_framework("je", lambda p: JointEmbeddingRetrieval())
-register_framework(
-    "must", lambda p: MustRetrieval(use_pruning=bool(p.get("use_pruning", False)))
-)
+register_framework("must", lambda p: MustRetrieval())

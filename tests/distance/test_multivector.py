@@ -148,7 +148,7 @@ class TestDistances:
 
 class TestIncrementalScanning:
     def test_pruned_value_exceeds_bound(self, schema, corpus):
-        kernel = WeightedMultiVectorKernel(schema, [1.0, 1.0])
+        kernel = WeightedMultiVectorKernel(schema, [1.0, 1.0], prune=True)
         exact = WeightedMultiVectorKernel(schema, [1.0, 1.0], prune=False)
         query = corpus[0]
         for vector in corpus[1:]:
@@ -159,7 +159,7 @@ class TestIncrementalScanning:
 
     def test_pruning_preserves_argmin(self, schema, corpus):
         # Simulated beam update: track best-so-far with bound passing.
-        kernel = WeightedMultiVectorKernel(schema)
+        kernel = WeightedMultiVectorKernel(schema, prune=True)
         exact = WeightedMultiVectorKernel(schema, prune=False)
         query = np.zeros(schema.total_dim)
         best = np.inf
@@ -172,12 +172,18 @@ class TestIncrementalScanning:
         assert best_row == truth
 
     def test_stats_record_savings(self, schema, corpus):
-        kernel = WeightedMultiVectorKernel(schema)
+        kernel = WeightedMultiVectorKernel(schema, prune=True)
         query = np.zeros(schema.total_dim)
         for vector in corpus:
             kernel.single(query, vector, bound=0.1)
         assert kernel.stats.pruned > 0
         assert kernel.stats.work_saved > 0.0
+
+    def test_prune_is_off_by_default_and_kept_by_with_weights(self, schema):
+        assert WeightedMultiVectorKernel(schema).prune is False
+        assert WeightedMultiVectorKernel(schema).with_weights([2.0, 0.5]).prune is False
+        pruning = WeightedMultiVectorKernel(schema, prune=True)
+        assert pruning.with_weights([2.0, 0.5]).prune is True
 
     def test_prune_disabled_evaluates_everything(self, schema, corpus):
         kernel = WeightedMultiVectorKernel(schema, prune=False)
@@ -198,7 +204,7 @@ class TestIncrementalScanning:
     @settings(max_examples=40, deadline=None)
     def test_property_prune_exactness(self, weights, seed):
         schema = MultiVectorSchema({Modality.TEXT: 3, Modality.IMAGE: 5})
-        kernel = WeightedMultiVectorKernel(schema, weights)
+        kernel = WeightedMultiVectorKernel(schema, weights, prune=True)
         exact = WeightedMultiVectorKernel(schema, weights, prune=False)
         rng = np.random.default_rng(seed)
         query = rng.standard_normal(8)

@@ -34,34 +34,15 @@ class TestBatch:
             np.testing.assert_allclose(matrix[i], kernel.batch(corpus[i], corpus))
 
 
-class TestChunkedPruning:
-    def test_prune_returns_value_above_bound(self, corpus):
-        kernel = SingleVectorKernel(16, chunk_size=4)
-        exact = SingleVectorKernel(16)
-        query = corpus[0]
-        full = exact.single(query, corpus[5])
-        pruned = kernel.single(query, corpus[5], bound=full / 10)
-        assert pruned > full / 10
-
-    def test_no_bound_gives_exact(self, corpus):
-        kernel = SingleVectorKernel(16, chunk_size=4)
-        exact = SingleVectorKernel(16)
-        for vector in corpus[:5]:
-            assert kernel.single(corpus[0], vector) == pytest.approx(
-                exact.single(corpus[0], vector)
-            )
-
-    def test_stats_count_pruning(self, corpus):
-        kernel = SingleVectorKernel(16, chunk_size=4)
-        kernel.single(corpus[0], corpus[5], bound=1e-9)
-        assert kernel.stats.pruned == 1
-        assert kernel.stats.segments_evaluated < kernel.stats.segments_total
-
-    def test_work_saved_property(self, corpus):
-        kernel = SingleVectorKernel(16, chunk_size=2)
-        for vector in corpus:
-            kernel.single(corpus[0], vector, bound=0.5)
-        assert 0.0 <= kernel.stats.work_saved < 1.0
+class TestNoIncrementalScanning:
+    def test_a_bound_never_cuts_a_distance_short(self, corpus):
+        """A single vector is one segment: the kernel does not prune, so a
+        beam search scores its neighbours in one batch."""
+        kernel = SingleVectorKernel(16)
+        assert kernel.prune is False
+        full = kernel.single(corpus[0], corpus[5])
+        assert kernel.single(corpus[0], corpus[5], bound=full / 10) == full
+        assert kernel.stats.pruned == 0
 
 
 class TestPrepare:
@@ -78,7 +59,3 @@ class TestPrepare:
     def test_bad_dim_rejected(self):
         with pytest.raises(ValueError):
             SingleVectorKernel(0)
-
-    def test_bad_chunk_rejected(self):
-        with pytest.raises(ValueError):
-            SingleVectorKernel(4, chunk_size=-1)

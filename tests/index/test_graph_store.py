@@ -57,20 +57,15 @@ def test_every_pipeline_family_is_reachable_from_its_entry(built, name):
     assert len(graph.reachable_from(graph.entry_points)) == graph.n_vertices
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 14: HNSW's layer 0 has no reachability repair that "
-    "keeps its reverse-edge invariant",
-)
 def test_hnsw_is_reachable_from_its_entry(built):
-    """Vertex 172 has no in-edge on layer 0 and is on no upper layer, so no
-    search returns it (a search for its own vector returns 613 first).
-    ``connect_unreachable`` attaches it with one edge, ``360 -> 172``, but
-    ``check_invariants`` then refuses the graph: 172's row is unsaturated
-    and holds no ``172 -> 360``.  A repair must write both directions."""
+    """Vertex 172 has no in-edge on layer 0 after selection and is on no
+    upper layer.  The repair attaches it with ``360 -> 172``; a one-way edge
+    would break HNSW's invariant (172's row is unsaturated), so it writes
+    ``172 -> 360`` too and ``check_invariants`` accepts the graph."""
     index = built("hnsw")
     graph = index.base_graph()
     assert len(graph.reachable_from(graph.entry_points)) == graph.n_vertices
+    assert 172 in graph.neighbors(360) and 360 in graph.neighbors(172)
     index.check_invariants()
 
 

@@ -335,7 +335,17 @@ def test_build_dispatch_budget(monkeypatch):
     step = pass_rows(ef) // rows * rows
     full = [len(layer) - ef for layer in reversed(index._layers) if len(layer) > ef]
     passes = [min(step, f - start) for f in full for start in range(0, f, step)]
-    assert [r for r, _, forward in scans if forward] == passes
+    # Before its passes, each row of a layer narrower than ef with more
+    # than m candidates (rows m + 1 .. min(ef, size) - 1) scans on its own.
+    m = index.params.m
+    expected = [
+        rows_scanned
+        for size in (len(layer) for layer in reversed(index._layers))
+        for rows_scanned in [1] * max(0, min(ef, size) - m - 1) + [
+            min(step, size - ef - start) for start in range(0, max(0, size - ef), step)
+        ]
+    ]
+    assert [r for r, _, forward in scans if forward] == expected
     assert (len(passes), sum(-(-f // rows) for f in full)) == (5, 63)
 
     assert_one_int_per_vertex(index.base_graph(), index._layers)

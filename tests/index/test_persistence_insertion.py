@@ -59,7 +59,9 @@ class TestPersistence:
         loaded = load_index(save_index(built_vamana, tmp_path_factory.mktemp("idx")))
         assert type(loaded).search_batch is PipelineGraphIndex.search_batch
         admit = [None, lambda i: i % 2 == 0] * 5
-        for kwargs in ({}, {"admit": admit}, {"use_pruning": True}):
+        schema = MultiVectorSchema({Modality.TEXT: 16, Modality.IMAGE: 16})
+        pruning = WeightedMultiVectorKernel(schema, prune=True)
+        for kwargs in ({}, {"admit": admit}, {"kernel": pruning}):
             original = built_vamana.search_batch(queries, k=5, budget=32, **kwargs)
             restored = loaded.search_batch(queries, k=5, budget=32, **kwargs)
             assert len(restored) == len(queries)
@@ -135,6 +137,28 @@ class TestPersistence:
         assert loaded._layers == index._layers
         assert (loaded._entry, loaded._max_level) == (index._entry, index._max_level)
         loaded.check_invariants()
+
+    @pytest.mark.parametrize("retired", [{"chunk_size": 0}, {"prune": True}], ids=["single", "multivector"])
+    def test_a_kernel_doc_with_retired_keys_still_loads(
+        self, built_vamana, queries, tmp_path, retired
+    ):
+        """Kernel docs once held ``chunk_size`` (single-vector) and ``prune``
+        (multi-vector); ``read_fields`` ignores keys it does not declare, so
+        such an ``index.json`` loads and searches to the saved index's ids."""
+        index = built_vamana
+        if "prune" in retired:
+            schema = MultiVectorSchema({Modality.TEXT: 16, Modality.IMAGE: 16})
+            index = VamanaIndex(FAST_VAMANA)
+            index.build(built_vamana.vectors, WeightedMultiVectorKernel(schema, [1.4, 0.6]))
+        meta_path = save_index(index, tmp_path) / "index.json"
+        doc = json.loads(meta_path.read_text())
+        assert not retired.keys() & doc["kernel"].keys()
+        doc["kernel"].update(retired)
+        meta_path.write_text(json.dumps(doc))
+        loaded = load_index(tmp_path)
+        assert type(loaded.kernel) is type(index.kernel) and not loaded.kernel.prune
+        for query in queries:
+            assert loaded.search(query, k=5, budget=32).ids == index.search(query, k=5, budget=32).ids
 
     @pytest.mark.parametrize("stale", ["unnumbered", 1, 3])
     def test_another_format_is_refused_whole(self, built_vamana, tmp_path, stale):

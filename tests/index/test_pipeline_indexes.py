@@ -59,10 +59,16 @@ class TestPipelineIndexes:
         assert "avg degree" in built.describe()
 
     def test_pruning_flag_preserves_results(self, built, queries):
+        """A ``prune=True`` kernel scores neighbours one by one against the
+        beam bound and returns the batch-scoring kernel's ids."""
+        schema = MultiVectorSchema({Modality.TEXT: 16, Modality.IMAGE: 16})
+        plain_kernel = WeightedMultiVectorKernel(schema)
+        pruned_kernel = WeightedMultiVectorKernel(schema, prune=True)
         for query in queries[:3]:
-            plain = built.search(query, k=5, budget=32)
-            pruned = built.search(query, k=5, budget=32, use_pruning=True)
+            plain = built.search(query, k=5, budget=32, kernel=plain_kernel)
+            pruned = built.search(query, k=5, budget=32, kernel=pruned_kernel)
             assert plain.ids == pruned.ids
+        assert pruned_kernel.stats.pruned > 0
 
 
 class TestMustGraphMultiVector:

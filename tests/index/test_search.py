@@ -54,10 +54,10 @@ class TestGreedySearch:
         batch = greedy_search(
             ring_graph, line_vectors, kernel, query, k=5, budget=16
         )
-        schema_kernel = SingleVectorKernel(4, chunk_size=2)
+        schema = MultiVectorSchema({Modality.TEXT: 2, Modality.IMAGE: 2})
         pruned = greedy_search(
-            ring_graph, line_vectors, schema_kernel, query, k=5, budget=16,
-            use_pruning=True,
+            ring_graph, line_vectors, WeightedMultiVectorKernel(schema, prune=True),
+            query, k=5, budget=16,
         )
         assert batch.ids == pruned.ids
 
@@ -73,11 +73,9 @@ class TestGreedySearch:
         graph.connect_unreachable()
         query = rng.standard_normal(8)
         batch_kernel = WeightedMultiVectorKernel(schema, [1.3, 0.7])
-        pruned_kernel = WeightedMultiVectorKernel(schema, [1.3, 0.7])
+        pruned_kernel = WeightedMultiVectorKernel(schema, [1.3, 0.7], prune=True)
         batch = greedy_search(graph, vectors, batch_kernel, query, k=5, budget=24)
-        pruned = greedy_search(
-            graph, vectors, pruned_kernel, query, k=5, budget=24, use_pruning=True
-        )
+        pruned = greedy_search(graph, vectors, pruned_kernel, query, k=5, budget=24)
         assert batch.ids == pruned.ids
         assert pruned_kernel.stats.pruned > 0
 

@@ -6,14 +6,14 @@ must hold instead is *batch-composition independence*: row ``i`` of a B=N
 call equals the B=1 call for that row — identical result ids,
 bit-identical distances, identical work counters (hops, distance
 evaluations).  Hypothesis draws query subsets, ``k``, admit-filter shapes
-(none / shared / per-query), a kernel override and ``use_pruning`` against
-every index family — every family declares the base class's options and
+(none / shared / per-query) and a kernel override (a pruning one among
+them) against every index family — every family declares the base class's options and
 honours each; ``derandomize=True`` keeps CI deterministic.  The independent references
 are elsewhere and unchanged: ``test_search.py`` (hand-built graphs with
 known answers) and the flat-oracle recall floors.
 
 The second half covers what only the deleted serial body used to
-exercise: incremental scanning (``use_pruning``) and per-vertex visit
+exercise: incremental scanning (a ``prune=True`` kernel) and per-vertex visit
 hooks through the shared core, per-beam entry points, and the one admit
 normaliser's error.
 """
@@ -67,8 +67,9 @@ GRAPH_FAMILIES = [name for name in FAMILIES if name not in ("flat", "ivf")]
 def _kernels():
     schema = MultiVectorSchema({Modality.TEXT: DIM // 2, Modality.IMAGE: DIM // 2})
     return {
-        "single": lambda: SingleVectorKernel(DIM, chunk_size=4),
+        "single": lambda: SingleVectorKernel(DIM),
         "multivector": lambda: WeightedMultiVectorKernel(schema, [1.3, 0.7]),
+        "pruned": lambda: WeightedMultiVectorKernel(schema, [1.3, 0.7], prune=True),
     }
 
 
@@ -177,23 +178,20 @@ def test_search_batch_matches_serial(name, built_indexes, queries, data):
         positions,
     )
     override = data.draw(
-        st.sampled_from([None, "single", "multivector"]), label="kernel"
+        st.sampled_from([None, "single", "multivector", "pruned"]), label="kernel"
     )
-    use_pruning = data.draw(st.booleans(), label="use_pruning")
 
     def kernel():  # a fresh one per call: kernels carry their own counters
         return None if override is None else _kernels()[override]()
 
     batched = index.search_batch(
         queries[positions], k=k, budget=BUDGET, kernel=kernel(), admit=admit,
-        use_pruning=use_pruning,
     )
     assert len(batched) == len(positions)
     for row, (outcome, position) in enumerate(zip(batched, positions)):
         one = admit[row] if isinstance(admit, list) else admit
         alone = index.search_batch(
             queries[position][None], k=k, budget=BUDGET, kernel=kernel(), admit=one,
-            use_pruning=use_pruning,
         )
         assert len(alone) == 1
         _assert_same(outcome, alone[0], f"{name} row {row}")
@@ -225,27 +223,22 @@ def test_search_batch_per_query_admit_length_mismatch(built_indexes, queries):
 # what only the serial body used to cover, through the shared core
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "kernel_name, name",
+    "name",
     [
-        # vamana keeps the ids it had as the only family this ran on
-        pytest.param(kernel, name, id=kernel if name == "vamana" else f"{kernel}-{name}")
+        # vamana keeps the id it had as the only family this ran on
+        pytest.param(name, id="multivector" if name == "vamana" else f"multivector-{name}")
         for name in GRAPH_FAMILIES
-        for kernel in ("single", "multivector")
     ],
 )
-def test_pruned_search_batch_equals_unpruned_with_less_work(
-    built_indexes, queries, kernel_name, name
-):
+def test_pruned_search_batch_equals_unpruned_with_less_work(built_indexes, queries, name):
     """Incremental scanning (E5) is a per-beam scoring mode of the one
-    core, reachable through every graph family: same answers as the
-    vectorised mode, fewer segments computed."""
+    core, chosen by the kernel and reachable through every graph family:
+    same answers as the vectorised mode, fewer segments computed."""
     index = built_indexes[name]
-    plain_kernel = _kernels()[kernel_name]()
-    pruned_kernel = _kernels()[kernel_name]()
+    plain_kernel = _kernels()["multivector"]()
+    pruned_kernel = _kernels()["pruned"]()
     plain = index.search_batch(queries, k=5, budget=BUDGET, kernel=plain_kernel)
-    pruned = index.search_batch(
-        queries, k=5, budget=BUDGET, kernel=pruned_kernel, use_pruning=True
-    )
+    pruned = index.search_batch(queries, k=5, budget=BUDGET, kernel=pruned_kernel)
     for row, (left, right) in enumerate(zip(plain, pruned)):
         assert left.ids == right.ids, f"row {row}"
         np.testing.assert_allclose(left.distances, right.distances, rtol=1e-12)
@@ -256,15 +249,10 @@ def test_pruned_search_batch_equals_unpruned_with_less_work(
     assert pruned_kernel.stats.pruned > 0
     assert pruned_kernel.stats.segments_evaluated < pruned_kernel.stats.segments_total
     assert plain_kernel.stats.segments_evaluated == plain_kernel.stats.segments_total
-    if kernel_name == "multivector":  # both modes count modality segments
-        assert (
-            pruned_kernel.stats.segments_evaluated
-            < plain_kernel.stats.segments_evaluated
-        )
+    assert pruned_kernel.stats.segments_evaluated < plain_kernel.stats.segments_evaluated
     # ...and a pruned row is as independent of its batch as any other.
     alone = index.search_batch(
-        queries[3][None], k=5, budget=BUDGET, kernel=_kernels()[kernel_name](),
-        use_pruning=True,
+        queries[3][None], k=5, budget=BUDGET, kernel=_kernels()["pruned"](),
     )[0]
     _assert_same(pruned[3], alone, "pruned row 3")
 

@@ -123,7 +123,7 @@ class TestKernelProperties:
     @settings(max_examples=30, deadline=None)
     def test_batch_argmin_matches_single_scan(self, seed):
         schema = MultiVectorSchema({Modality.TEXT: 3, Modality.IMAGE: 5})
-        kernel = WeightedMultiVectorKernel(schema, [1.2, 0.8])
+        kernel = WeightedMultiVectorKernel(schema, [1.2, 0.8], prune=True)
         rng = np.random.default_rng(seed)
         corpus = rng.standard_normal((25, 8))
         query = rng.standard_normal(8)

@@ -75,7 +75,7 @@ class TestThreeModalities:
         kb, encoder_set = movie_world
         corpus = encoder_set.encode_corpus(list(kb))
         schema = MultiVectorSchema(encoder_set.dims())
-        kernel = WeightedMultiVectorKernel(schema)
+        kernel = WeightedMultiVectorKernel(schema, prune=True)
         matrix = kernel.stack_corpus(corpus)
         query = matrix[0]
         best = np.inf

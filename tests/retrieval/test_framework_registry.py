@@ -23,11 +23,6 @@ class TestFrameworkRegistry:
         assert framework.fusion is FusionStrategy.COMBSUM
         assert framework.expansion == 5
 
-    def test_must_pruning_param(self):
-        framework = build_framework("must", {"use_pruning": True})
-        assert isinstance(framework, MustRetrieval)
-        assert framework.use_pruning
-
     def test_unknown(self):
         with pytest.raises(ConfigurationError):
             build_framework("colbert")

@@ -98,7 +98,7 @@ class TestMustSpecifics:
     def test_flat_index_supported(self, scenes_kb, clip_set):
         from repro.index import build_index
 
-        framework = MustRetrieval(use_pruning=True)
+        framework = MustRetrieval()
         framework.setup(scenes_kb, clip_set, lambda: build_index("flat"))
         response = framework.retrieve(RawQuery.from_text("foggy clouds"), k=3)
         assert len(response) == 3

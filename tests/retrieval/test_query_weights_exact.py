@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.data import DatasetSpec, generate_knowledge_base
-from repro.distance import SingleVectorKernel
+from repro.distance import SingleVectorKernel, WeightedMultiVectorKernel
 from repro.encoders import build_encoder_set
 from repro.errors import SearchError
 from repro.evaluation import composed_queries
@@ -137,19 +137,19 @@ def test_a_wrong_width_override_is_refused(frameworks, name):
 
 
 @pytest.mark.parametrize("name", ["hnsw", "starling"])
-def test_incremental_scanning_reaches_every_graph_index(kb, encoders, queries, name):
-    """``MustRetrieval(use_pruning=True)`` prunes on the default index too:
-    same ids as the unpruned framework, with early exits counted."""
-    plain, pruned = MustRetrieval(), MustRetrieval(use_pruning=True)
-    for framework in (plain, pruned):
-        framework.setup(kb, encoders, lambda: build_index(name, {}), weights=BUILT)
-    for query in queries:
-        assert (
-            pruned.retrieve(query, k=K, budget=BUDGET).ids
-            == plain.retrieve(query, k=K, budget=BUDGET).ids
-        )
-    assert plain._kernel.stats.pruned == 0
-    assert pruned._kernel.stats.pruned > 0
-    assert (
-        pruned._kernel.stats.segments_evaluated < plain._kernel.stats.segments_evaluated
-    )
+def test_incremental_scanning_reaches_every_graph_index(frameworks, queries, name):
+    """A ``prune=True`` kernel handed to MUST's default index prunes too:
+    same ids as the built kernel, with early exits counted."""
+    framework = frameworks[name]
+    concatenated = np.stack([
+        framework.schema.concat(vectors)
+        for vectors in framework.encoder_set.encode_query_batch(queries)
+    ])
+    plain = WeightedMultiVectorKernel(framework.schema, BUILT)
+    pruned = WeightedMultiVectorKernel(framework.schema, BUILT, prune=True)
+    want = framework._index.search_batch(concatenated, k=K, budget=BUDGET, kernel=plain)
+    got = framework._index.search_batch(concatenated, k=K, budget=BUDGET, kernel=pruned)
+    assert [result.ids for result in got] == [result.ids for result in want]
+    assert plain.stats.pruned == 0
+    assert pruned.stats.pruned > 0
+    assert pruned.stats.segments_evaluated < plain.stats.segments_evaluated

@@ -12,7 +12,8 @@ a remote wait and never stands in for work, and the coordinator runs the
 rounds its layers register without naming any of them.  Set-up's data is
 rendered the same way: an object, a view and a learner step are batches of
 one.  And index code computes a distance only through a kernel, where it is
-counted.  A parameter is declared once, on its dataclass field, and checked
+counted, and the beam loop's scoring mode is the kernel's ``prune`` alone.
+A parameter is declared once, on its dataclass field, and checked
 by the one checker that reads the declarations; a setting no caller configures
 is its component's default and no config field.  One module loads a shared
 library: the one that sets numpy's BLAS to one thread.
@@ -322,9 +323,7 @@ def test_a_search_option_is_declared_once():
     assert len(indexes) >= 8, "the package walk lost the concrete classes"
     for cls in indexes:
         assert declared(cls) == declared(VectorIndex), cls.__qualname__
-    assert [name for name, _, _ in declared(VectorIndex)][-3:] == [
-        "kernel", "admit", "use_pruning",
-    ]
+    assert [name for name, _, _ in declared(VectorIndex)][-2:] == ["kernel", "admit"]
 
     for framework in (JointEmbeddingRetrieval, MultiStreamedRetrieval, MustRetrieval):
         source = inspect.getsource(framework.retrieve_batch)
@@ -332,6 +331,39 @@ def test_a_search_option_is_declared_once():
         assert "search_batch(" not in source, framework.__qualname__
         assert "argsort" not in source, framework.__qualname__
     assert "rerank" not in STAGE_OF_SPAN
+
+
+def test_the_beam_loop_scores_by_the_kernels_prune_alone():
+    """Incremental scanning is the kernel's switch: the beam loop takes no
+    pruning argument, its one scoring choice is ``if kernel.prune:`` (the
+    scalar ``kernel.single`` branch, bounded by the beam; otherwise one
+    ``score_ragged`` entry), and no other module outside ``repro.distance``
+    reads ``prune`` off anything."""
+    from repro.index.search import greedy_search_batch
+
+    loop = ast.parse(textwrap.dedent(inspect.getsource(greedy_search_batch))).body[0]
+    assert not [a.arg for a in loop.args.args + loop.args.kwonlyargs if "prun" in a.arg]
+    choices = [
+        node for node in ast.walk(loop)
+        if isinstance(node, (ast.If, ast.IfExp, ast.While)) and "prun" in ast.unparse(node.test)
+    ]
+    assert [ast.unparse(node.test) for node in choices] == ["kernel.prune"]
+    calls = [ast.unparse(node.func) for node in ast.walk(loop) if isinstance(node, ast.Call)]
+    scalar = [
+        node for statement in choices[0].body for node in ast.walk(statement)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "kernel.single"
+    ]
+    assert calls.count("kernel.single") == len(scalar) == 1
+    assert calls.count("score_ragged") == 2  # the seeds, then a batch round
+
+    readers = set()
+    for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        if name.startswith("repro.distance"):
+            continue
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        if any(isinstance(node, ast.Attribute) and node.attr == "prune" for node in ast.walk(tree)):
+            readers.add(name)
+    assert readers == {"repro.index.search"}
 
 
 def test_the_shard_router_is_a_scatter_and_nothing_else():
