@@ -78,7 +78,7 @@ from repro.retrieval.base import (
     RetrievalResponse,
     merge_shard_topk,  # noqa: F401 - moved to the frameworks' module, still importable here
 )
-from repro.utils import object_id_of
+from repro.utils import Registry, object_id_of
 
 # ----------------------------------------------------------------------
 # partitioners
@@ -123,26 +123,15 @@ class ConceptPartitioner:
         return _stable_hash(str(obj.object_id).encode()) % self.shards
 
 
-PARTITIONERS: Dict[str, Callable[[int], Any]] = {
-    HashPartitioner.name: HashPartitioner,
-    ConceptPartitioner.name: ConceptPartitioner,
-}
-
-
-def available_partitioners() -> List[str]:
-    """Registered partitioner names, sorted."""
-    return sorted(PARTITIONERS)
+PARTITIONERS = Registry("partitioner")
+PARTITIONERS.register(HashPartitioner.name, HashPartitioner)
+PARTITIONERS.register(ConceptPartitioner.name, ConceptPartitioner)
+available_partitioners = PARTITIONERS.names
 
 
 def build_partitioner(name: str, shards: int):
     """Instantiate a registered partitioner for ``shards`` shards."""
-    try:
-        factory = PARTITIONERS[name]
-    except KeyError:
-        raise RetrievalError(
-            f"unknown partitioner {name!r}; "
-            f"available: {', '.join(available_partitioners())}"
-        ) from None
+    factory, _ = PARTITIONERS.lookup(name)
     return factory(shards)
 
 

@@ -25,7 +25,6 @@ from repro.index.pipeline_builder import (
     build_navigation_graph,
 )
 from repro.index.quantization import QuantizationReport, ScalarQuantizer
-from repro.index.registry import available_indexes, build_index, register_index
 from repro.index.search import greedy_search
 from repro.index.starling import BlockDevice, StarlingIndex, StarlingParams
 from repro.index.tiered import (
@@ -35,6 +34,24 @@ from repro.index.tiered import (
     tiered_snapshot,
 )
 from repro.index.vamana import VamanaIndex, VamanaParams
+from repro.utils import Registry
+
+#: The configuration panel's "index" options; a custom graph registers the
+#: same way ("or initiate custom graphs via the backend API").  A factory
+#: takes the index's declared parameters and returns an unbuilt index.
+INDEXES = Registry("index")
+register_index = INDEXES.register
+available_indexes = INDEXES.names
+build_index = INDEXES.build
+
+register_index("flat", lambda params: FlatIndex())
+register_index("hnsw", HnswIndex, HnswParams)
+register_index("ivf", IvfIndex, IvfParams)
+register_index("nsg", NsgIndex, NsgParams)
+register_index("vamana", VamanaIndex, VamanaParams)
+register_index("diskann", VamanaIndex, VamanaParams)
+register_index("starling", StarlingIndex, StarlingParams)
+register_index("nav-must", MustGraphIndex, MustGraphParams)
 
 __all__ = [
     "BlockDevice",
@@ -44,6 +61,7 @@ __all__ = [
     "GraphReport",
     "HnswIndex",
     "HnswParams",
+    "INDEXES",
     "IvfIndex",
     "IvfParams",
     "MustGraphIndex",

@@ -28,9 +28,20 @@ from repro.llm.generative_image import GenerativeImageModel
 from repro.llm.grounding import check_grounding, extract_citations
 from repro.llm.markov_llm import MarkovLLM
 from repro.llm.prompts import ContextItem, PromptBuilder
-from repro.llm.registry import available_llms, build_llm, register_llm
 from repro.llm.rewriter import QueryRewriter
 from repro.llm.template_llm import TemplateLLM
+from repro.utils import Registry
+
+#: The configuration panel's "LLM" options; a model is a dataclass whose
+#: fields are its parameters.
+LLMS = Registry("llm")
+register_llm = LLMS.register
+available_llms = LLMS.names
+build_llm = LLMS.build
+
+register_llm("template", TemplateLLM)
+register_llm("attribute-qa", AttributeQALLM)
+register_llm("markov", MarkovLLM)
 
 __all__ = [
     "AttributeQALLM",
@@ -39,6 +50,7 @@ __all__ = [
     "GenerationRequest",
     "GenerationResult",
     "GenerativeImageModel",
+    "LLMS",
     "LanguageModel",
     "MarkovLLM",
     "PromptBuilder",

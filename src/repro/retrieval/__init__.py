@@ -20,17 +20,27 @@ from repro.retrieval.base import (
 )
 from repro.retrieval.fusion import FusionStrategy, fuse_rankings, fuse_responses
 from repro.retrieval.je import JointEmbeddingRetrieval
-from repro.retrieval.mr import MultiStreamedRetrieval
+from repro.retrieval.mr import MrParams, MultiStreamedRetrieval
 from repro.retrieval.must import MustRetrieval
-from repro.retrieval.registry import (
-    available_frameworks,
-    build_framework,
-    register_framework,
+from repro.utils import Registry
+
+#: The retrieval frameworks the configuration panel picks from.
+FRAMEWORKS = Registry("retrieval framework")
+register_framework = FRAMEWORKS.register
+available_frameworks = FRAMEWORKS.names
+build_framework = FRAMEWORKS.build
+
+register_framework(
+    "mr", lambda params: MultiStreamedRetrieval(params.fusion, params.expansion), MrParams
 )
+register_framework("je", lambda params: JointEmbeddingRetrieval())
+register_framework("must", lambda params: MustRetrieval())
 
 __all__ = [
+    "FRAMEWORKS",
     "FusionStrategy",
     "JointEmbeddingRetrieval",
+    "MrParams",
     "MultiStreamedRetrieval",
     "MustRetrieval",
     "ObjectFilter",

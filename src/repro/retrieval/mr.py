@@ -11,6 +11,7 @@ mediocre in every single modality but best overall never surfaces.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -32,9 +33,24 @@ from repro.retrieval.base import (
     merge_shard_topk,
 )
 from repro.retrieval.fusion import FusionStrategy, fuse_rankings
+from repro.utils import check_fields, param
 
 Stream = Tuple[Sequence[int], Sequence[float]]
 """One modality stream of one query: ``(ids, distances)``, best first."""
+
+
+@dataclass
+class MrParams:
+    """MR's declared parameters (``build_framework("mr", {...})``): a
+    ``fusion`` strategy or its name, and the per-stream ``expansion``."""
+
+    fusion: FusionStrategy = FusionStrategy.RRF
+    expansion: int = param(3, ge=1)
+
+    def __post_init__(self) -> None:
+        if isinstance(self.fusion, str):
+            self.fusion = FusionStrategy.parse(self.fusion)
+        check_fields(self)
 
 
 class MultiStreamedRetrieval(RetrievalFramework):

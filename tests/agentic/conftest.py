@@ -17,7 +17,8 @@ def agentic_config(**overrides) -> MQAConfig:
     base = dict(
         dataset=FAST_DATASET,
         weight_learning=dict(FAST_LEARNING),
-        index_params=dict(FAST_INDEX),
+        # HNSW's; another index gets its own defaults, as on the panel.
+        index_params=dict(FAST_INDEX) if overrides.get("index", "hnsw") == "hnsw" else {},
         search_budget=48,
         agentic=True,
     )

@@ -94,3 +94,17 @@ def set_default(monkeypatch):
         monkeypatch.setattr(function, "__kwdefaults__", kwdefaults or None)
 
     return patch
+
+
+@pytest.fixture
+def registered(monkeypatch):
+    """``registered(register_index, "name", factory)`` files a component
+    through any ``register_*`` for one test: the registry's entries are a
+    copy while the test runs and the originals come back after it."""
+
+    def register(register_function, name, factory):
+        registry = register_function.__self__
+        monkeypatch.setattr(registry, "_entries", dict(registry._entries))
+        register_function(name, factory)
+
+    return register

@@ -23,12 +23,8 @@ class ExplodingIndex(VectorIndex):
 
 
 @pytest.fixture()
-def exploding_registered():
-    register_index("exploding", lambda p: ExplodingIndex())
-    yield
-    from repro.index import registry
-
-    del registry._REGISTRY["exploding"]
+def exploding_registered(registered):
+    registered(register_index, "exploding", lambda p: ExplodingIndex())
 
 
 class TestSetupFailure:

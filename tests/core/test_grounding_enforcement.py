@@ -42,20 +42,15 @@ class TestGroundingEnforcement:
         answer = component.generate("find things", response([0, 1]), scenes_kb)
         assert answer.grounded
 
-    def test_registered_hallucinator_blocked_end_to_end(self, scenes_kb):
+    def test_registered_hallucinator_blocked_end_to_end(self, scenes_kb, registered):
         from repro.core import MQAConfig, MQASystem
         from repro.errors import GroundingError
         from repro.llm import register_llm
         from tests.core.conftest import fast_config
 
-        register_llm("test-hallucinator", lambda p: HallucinatingLLM())
-        try:
-            system = MQASystem.from_knowledge_base(
-                scenes_kb, fast_config(llm="test-hallucinator")
-            )
-            with pytest.raises(GroundingError):
-                system.ask("foggy clouds")
-        finally:
-            from repro.llm import registry
-
-            del registry._REGISTRY["test-hallucinator"]
+        registered(register_llm, "test-hallucinator", lambda p: HallucinatingLLM())
+        system = MQASystem.from_knowledge_base(
+            scenes_kb, fast_config(llm="test-hallucinator")
+        )
+        with pytest.raises(GroundingError):
+            system.ask("foggy clouds")

@@ -21,14 +21,9 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="clip-joint"):
             build_encoder_set("nonexistent", scenes_kb)
 
-    def test_custom_registration(self, scenes_kb, uni_set):
-        register_encoder_set("test-custom", lambda kb, seed: uni_set)
-        try:
-            assert build_encoder_set("test-custom", scenes_kb) is uni_set
-        finally:
-            from repro.encoders import registry
-
-            del registry._REGISTRY["test-custom"]
+    def test_custom_registration(self, scenes_kb, uni_set, registered):
+        registered(register_encoder_set, "test-custom", lambda kb, seed: uni_set)
+        assert build_encoder_set("test-custom", scenes_kb) is uni_set
 
     def test_empty_name_rejected(self):
         with pytest.raises(ConfigurationError):

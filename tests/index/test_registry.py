@@ -39,14 +39,9 @@ class TestIndexRegistry:
         with pytest.raises(ConfigurationError, match="available"):
             build_index("faiss")
 
-    def test_custom_registration(self):
-        register_index("test-flat", lambda p: FlatIndex())
-        try:
-            assert isinstance(build_index("test-flat"), FlatIndex)
-        finally:
-            from repro.index import registry
-
-            del registry._REGISTRY["test-flat"]
+    def test_custom_registration(self, registered):
+        registered(register_index, "test-flat", lambda p: FlatIndex())
+        assert isinstance(build_index("test-flat"), FlatIndex)
 
     def test_empty_name_rejected(self):
         with pytest.raises(ConfigurationError):

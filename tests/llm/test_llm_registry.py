@@ -24,14 +24,9 @@ class TestLlmRegistry:
         with pytest.raises(ConfigurationError, match="available"):
             build_llm("gpt-4")
 
-    def test_custom(self):
-        register_llm("test-llm", lambda p: TemplateLLM())
-        try:
-            assert isinstance(build_llm("test-llm"), TemplateLLM)
-        finally:
-            from repro.llm import registry
-
-            del registry._REGISTRY["test-llm"]
+    def test_custom(self, registered):
+        registered(register_llm, "test-llm", lambda p: TemplateLLM())
+        assert isinstance(build_llm("test-llm"), TemplateLLM)
 
     def test_empty_name(self):
         with pytest.raises(ConfigurationError):

@@ -25,7 +25,8 @@ def resilient_config(**overrides) -> MQAConfig:
     base = dict(
         dataset=DatasetSpec(domain="scenes", size=SIZE, seed=SEED),
         weight_learning=dict(FAST_LEARNING),
-        index_params=dict(FAST_INDEX),
+        # HNSW's; another index gets its own defaults, as on the panel.
+        index_params=dict(FAST_INDEX) if overrides.get("index", "hnsw") == "hnsw" else {},
         search_budget=48,
         resilience=True,
     )

@@ -27,14 +27,9 @@ class TestFrameworkRegistry:
         with pytest.raises(ConfigurationError):
             build_framework("colbert")
 
-    def test_custom(self):
-        register_framework("test-must", lambda p: MustRetrieval())
-        try:
-            assert isinstance(build_framework("test-must"), MustRetrieval)
-        finally:
-            from repro.retrieval import registry
-
-            del registry._REGISTRY["test-must"]
+    def test_custom(self, registered):
+        registered(register_framework, "test-must", lambda p: MustRetrieval())
+        assert isinstance(build_framework("test-must"), MustRetrieval)
 
     def test_empty_name(self):
         with pytest.raises(ConfigurationError):

@@ -28,7 +28,7 @@ class TestPartitioners:
         assert isinstance(build_partitioner("concept", 3), ConceptPartitioner)
 
     def test_unknown_name_lists_alternatives(self):
-        with pytest.raises(RetrievalError, match="concept, hash"):
+        with pytest.raises(ConfigurationError, match="concept, hash"):
             build_partitioner("range", 3)
 
     def test_hash_is_deterministic_and_in_range(self, scenes_kb):

@@ -997,3 +997,52 @@ def test_one_module_loads_a_shared_library():
             if any(module.split(".")[0] == "ctypes" for module in modules):
                 loaders.add(name)
     assert loaders == {"repro.utils.blas"}
+
+
+def test_a_registry_is_declared_once():
+    """Every component the panel picks by name is an entry of one
+    :class:`repro.utils.Registry`, read by its one reader of declared
+    parameters.  No module under ``repro`` but ``repro.utils.registry``
+    defines a ``register_*`` / ``available_*`` function or keeps a
+    module-level dict from names to classes or lambdas — the five
+    hand-copied tables (four ``*/registry.py`` modules and the shard
+    router's ``PARTITIONERS`` dict) are gone — and each public
+    ``register_*`` / ``available_*`` is the shared object's method."""
+
+    def factory(node):
+        """A lambda, or a class by its PEP 8 name (``HashPartitioner``)."""
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+        return isinstance(node, ast.Lambda) or name[:1].isupper()
+
+    offenders = []
+    for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        if name == "repro.utils.registry":
+            continue
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith(
+                ("register_", "available_")
+            ):
+                offenders.append(f"{name}.{node.name}")
+            elif (
+                isinstance(node, (ast.Assign, ast.AnnAssign))
+                and isinstance(node.value, ast.Dict) and node.value.values
+                and all(factory(value) for value in node.value.values)
+            ):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []
+
+    from repro import encoders, index, llm, retrieval
+    from repro.core import sharding
+    from repro.utils import Registry
+
+    bound = {
+        encoders: ("register_encoder_set", "available_encoder_sets"),
+        index: ("register_index", "available_indexes", "build_index"),
+        llm: ("register_llm", "available_llms", "build_llm"),
+        retrieval: ("register_framework", "available_frameworks", "build_framework"),
+        sharding: ("available_partitioners",),
+    }
+    for module, names in bound.items():
+        for public in names:
+            assert isinstance(getattr(module, public).__self__, Registry), public
