@@ -2,7 +2,7 @@
 
 Indexes never touch raw vectors directly; they ask a kernel for distances.
 That indirection is what lets the same graph code serve single-vector
-searches (MR, JE) and MUST's weighted multi-vector searches with pruning.
+searches (MR, JE) and MUST's weighted multi-vector searches.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class DistanceStats:
     """Counters for the computational-pruning ablation (experiment E5).
 
     Attributes:
-        calls: Number of single-pair distance evaluations requested.
+        calls: Number of query-row pairs whose distance was requested.
         pruned: How many of those terminated early via the bound.
         segments_evaluated: Vector segments actually computed.
         segments_total: Segments that a full evaluation would have computed.
@@ -73,18 +73,9 @@ class DistanceStats:
 class DistanceKernel(abc.ABC):
     """Computes distances between a query and stored vectors.
 
-    Smaller is always more similar.  ``single`` accepts an optional upper
-    ``bound``: implementations may stop early once the partial distance
-    provably exceeds it, returning any value greater than ``bound`` —
-    exact pruning, never an approximation.
-
-    ``prune`` is the one switch for that incremental scanning: a beam
-    search scores a round's neighbours one by one through ``single``
-    against its bound when it is true, and in one vectorised entry when it
-    is false.
+    Smaller is always more similar.  Every entry is vectorised: a search
+    scores a round's neighbours in one call.
     """
-
-    prune = False
 
     def __init__(self) -> None:
         self.stats = DistanceStats()
@@ -97,10 +88,6 @@ class DistanceKernel(abc.ABC):
     @abc.abstractmethod
     def batch(self, query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         """Distances from ``query`` to every row of ``matrix``."""
-
-    @abc.abstractmethod
-    def single(self, query: np.ndarray, vector: np.ndarray, bound: float = np.inf) -> float:
-        """Distance from ``query`` to ``vector``, with optional early exit."""
 
     def embed(self, vectors: np.ndarray) -> "np.ndarray | Embedding":
         """``vectors`` as :meth:`matrix` takes them, prepared once.

@@ -8,8 +8,11 @@ per-modality squared L2 distances:
 
 Because every term is non-negative, scanning modalities incrementally and
 aborting once the running sum exceeds the best-so-far candidate distance is
-an *exact* optimisation ("computational pruning" in the paper).  The kernel
-counts evaluated segments so experiment E5 can report the work saved.
+an *exact* optimisation ("computational pruning" in the paper):
+:meth:`WeightedMultiVectorKernel.single` with a ``bound``.  The kernel
+counts evaluated segments so experiment E5 can report the work saved.  No
+search calls it: scored pair by pair, a round is slower in numpy than in
+one vectorised call (E5 times both).
 
 The vectorised entry points use the folded form of the same distance,
 
@@ -121,21 +124,15 @@ class WeightedMultiVectorKernel(DistanceKernel):
         weights: Per-modality weights in schema order or as a mapping.
             Normalised to sum to the number of modalities, so equal weights
             are all 1.0 and distances stay comparable across weightings.
-        prune: Incremental scanning: :meth:`single` stops once the running
-            sum passes its bound, and a beam search scores neighbours one
-            by one against the beam bound (off by default; the E5 ablation
-            turns it on).
     """
 
     def __init__(
         self,
         schema: MultiVectorSchema,
         weights: "Sequence[float] | Mapping[Modality, float] | None" = None,
-        prune: bool = False,
     ) -> None:
         super().__init__()
         self.schema = schema
-        self.prune = prune
         self._weights = self._normalise_weights(weights)
         # Scanning more discriminative (higher-weight) segments first makes
         # the running sum grow fastest, maximising pruning opportunities.
@@ -194,9 +191,8 @@ class WeightedMultiVectorKernel(DistanceKernel):
         return self.schema.total_dim
 
     def with_weights(self, weights) -> "WeightedMultiVectorKernel":
-        """A new kernel over the same schema with different weights (and
-        the same ``prune``)."""
-        return WeightedMultiVectorKernel(self.schema, weights, prune=self.prune)
+        """A new kernel over the same schema with different weights."""
+        return WeightedMultiVectorKernel(self.schema, weights)
 
     # ------------------------------------------------------------------
     # distance evaluation
@@ -284,6 +280,10 @@ class WeightedMultiVectorKernel(DistanceKernel):
         return distances
 
     def single(self, query: np.ndarray, vector: np.ndarray, bound: float = np.inf) -> float:
+        """Distance from ``query`` to one ``vector`` by incremental scanning:
+        segments in descending weight order, abandoned as soon as the
+        partial sum exceeds a finite ``bound``.  An abandoned scan returns
+        that partial sum, which is ``> bound``, as the exact distance is."""
         query = np.asarray(query, dtype=np.float64)
         vector = np.asarray(vector, dtype=np.float64)
         self.stats.calls += 1
@@ -294,7 +294,7 @@ class WeightedMultiVectorKernel(DistanceKernel):
             diff = query[seg] - vector[seg]
             total += self._weights[i] * float(diff @ diff)
             self.stats.segments_evaluated += 1
-            if self.prune and total > bound:
+            if total > bound:
                 self.stats.pruned += 1
                 return total
         return total

@@ -115,14 +115,3 @@ class SingleVectorKernel(DistanceKernel):
         self.stats.segments_evaluated += count
         self.stats.segments_total += count
         return distances
-
-    def single(self, query: np.ndarray, vector: np.ndarray, bound: float = np.inf) -> float:
-        query = np.asarray(query, dtype=np.float64)
-        vector = np.asarray(vector, dtype=np.float64)
-        self.stats.calls += 1
-        self.stats.segments_evaluated += 1
-        self.stats.segments_total += 1
-        if self.metric is Metric.INNER_PRODUCT:
-            return float(-(query @ vector))
-        diff = query - vector
-        return float(diff @ diff)

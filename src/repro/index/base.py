@@ -229,11 +229,8 @@ class VectorIndex(abc.ABC):
             k: Result count per row.
             budget: Search effort (beam width / ef / extra probes).
             kernel: Distances for this call only — per-query modality
-                re-weighting, or a ``prune`` kernel for incremental scanning
-                (graph indexes score neighbours one by one against the beam
-                bound; an exact or cell scan has no bound to stop against).
-                An index is navigation structure plus stored rows;
-                distances are always computed fresh, so every scan,
+                re-weighting.  An index is navigation structure plus
+                stored rows; distances are always computed fresh, so every scan,
                 traversal and re-rank of the call runs under ``kernel``
                 (resolved by :meth:`_search_kernel`) and the answer is the
                 index's answer *under that kernel*, never a re-ordering of

@@ -60,8 +60,8 @@ class FlatIndex(VectorIndex):
         Each row of the distance matrix depends only on its own query, and
         top-k selection runs per row — so a row's ids and distances do not
         depend on the rest of the batch.  ``admit`` masks non-matching
-        vectors out of that query's result; ``budget`` and a kernel's
-        ``prune`` have nothing to act on in an exact scan.
+        vectors out of that query's result; ``budget`` has nothing to act
+        on in an exact scan.
         """
         self._require_built()
         if k <= 0:

@@ -25,10 +25,10 @@ nothing else does:
   once, and the candidates go before the next pass's.  Only each row's
   ``m`` picks outlive it: there is no ``(members, ef)`` table.
 * :meth:`HnswIndex.add` has one vector and a live graph, so it searches,
-  with the routines every query uses, as a batch of one:
-  :meth:`HnswIndex._greedy_descend_batch` through the layers above the
-  node's own, then :func:`repro.index.search.greedy_search_batch` (``k =
-  budget = ef_construction``) over each layer it joins.
+  with the loop every query uses, as a batch of one: at ``k = budget = 1``
+  through the layers above the node's own (:meth:`HnswIndex._descend`),
+  then :func:`repro.index.search.greedy_search_batch` (``k = budget =
+  ef_construction``) over each layer it joins.
 
 ``build`` embeds the corpus once (``kernel.embed``: for MUST ``√w ⊙ x`` and
 each row's squared norm) and every stacked block above and in the link step
@@ -66,7 +66,7 @@ from repro.distance.kernel import DistanceKernel
 from repro.errors import GraphConstructionError, SearchError
 from repro.index.base import VectorIndex
 from repro.index.graph import NavigationGraph, SparseLayer
-from repro.index.search import greedy_search_batch, score_ragged
+from repro.index.search import beam_rounds, greedy_search_batch
 from repro.index.stages import (
     block_rows,
     exact_top_k,
@@ -419,7 +419,7 @@ class HnswIndex(VectorIndex):
         query = self.vectors[node][None]
         starts = [self._entry]
         for layer in range(self._max_level, level, -1):
-            starts = self._greedy_descend_batch(self.kernel, query, starts, layer)
+            starts = self._descend(self.kernel, query, starts, layer)
 
         ef = self.params.ef_construction
         for layer in range(min(level, self._max_level), -1, -1):
@@ -449,51 +449,22 @@ class HnswIndex(VectorIndex):
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    def _greedy_descend_batch(
-        self, kernel: DistanceKernel, queries: np.ndarray, currents: List[int], layer: int
-    ) -> List[int]:
-        """Walk every query greedily to its local minimum on one layer, in
-        lockstep; ``add`` descends with it too, as a batch of one.
-
-        Each query walks on its own — ``kernel.single`` initialisation,
-        per-step argmin over its own neighbour list — but all still-walking
-        queries share one scoring dispatch per step
-        (:func:`repro.index.search.score_ragged`).  Not a beam: no visited
-        set and no frontier, a step scores the whole row again.
-        """
-        currents = list(currents)
-        best_distances = [
-            float(kernel.single(query, self.vectors[current]))
-            for query, current in zip(queries, currents)
-        ]
-        active = list(range(len(currents)))
-        while active:
-            walking = [
-                (i, neighbors)
-                for i in active
-                if (neighbors := self._neighbors(layer, currents[i]))
-            ]
-            if not walking:
-                break
-            frontier = score_ragged(kernel, queries, self.vectors, walking)
-            cursor = 0
-            active = []
-            for i, neighbors in walking:
-                distances = frontier[cursor : cursor + len(neighbors)]
-                cursor += len(neighbors)
-                best = int(np.argmin(distances))
-                if float(distances[best]) < best_distances[i]:
-                    currents[i] = neighbors[best]
-                    best_distances[i] = float(distances[best])
-                    active.append(i)
-        return currents
+    def _descend(self, kernel: DistanceKernel, queries: np.ndarray, currents, layer: int):
+        """Every query's greedy walk to its local minimum on one upper layer:
+        the beam loop at ``k = budget = 1``, in the caller's span."""
+        found, _ = beam_rounds(
+            self._layers[layer], self.vectors, kernel, queries, 1, 1,
+            [[current] for current in currents],
+        )
+        return [result.ids[0] for result in found]
 
     def search_batch(
         self, queries, k: int, budget: int = 64, *, kernel=None, admit=None,
     ):
-        """Lockstep descent through the upper layers, then lockstep beam
-        search over layer 0 from each query's own base entry — both under
-        the call's kernel."""
+        """Lockstep descent through the upper layers (the beam loop at
+        ``k = budget = 1``, under the ``hnsw-descent`` span), then lockstep
+        beam search over layer 0 from each query's own base entry — both
+        under the call's kernel."""
         self._require_built()
         kernel = self._search_kernel(kernel)
         if k <= 0:
@@ -507,7 +478,7 @@ class HnswIndex(VectorIndex):
             "hnsw-descent", top_layer=self._max_level, queries=n_queries
         ) as span:
             for layer in range(self._max_level, 0, -1):
-                currents = self._greedy_descend_batch(kernel, queries, currents, layer)
+                currents = self._descend(kernel, queries, currents, layer)
             span.set(base_entries=len(set(currents)))
         return greedy_search_batch(
             self._layers[0],

@@ -136,7 +136,7 @@ class IvfIndex(VectorIndex):
         candidate-union scan for the whole batch, both under the call's
         kernel (the cells themselves stay where the built one put them).
         ``budget`` maps to extra probes: the effective probe count is
-        ``max(nprobe, budget // 8)``; a kernel's ``prune`` has nothing to act on.
+        ``max(nprobe, budget // 8)``.
         Candidate gathering and top-k selection run per query over its own
         distance row, so a row does not depend on the rest of the batch.
         """

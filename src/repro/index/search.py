@@ -4,25 +4,19 @@ One search routine serves every graph index and every retrieval framework:
 the traversal "starts at a random or fixed vertex, explores neighbouring
 vertices closer to the query point, and terminates when no closer vertex is
 discovered" — implemented as classic beam search with beam width ``budget``.
-:func:`greedy_search_batch` is that routine; a single query is a batch of
-one (:func:`greedy_search`).
-
-The kernel decides how a round's neighbours are scored:
-
-* **batch** (``kernel.prune`` false, every served kernel): the round's
-  unvisited neighbours are scored in one vectorised kernel call — fastest
-  in numpy.
-* **pruned** (``kernel.prune`` true): neighbours are scored one by one
-  through ``kernel.single`` with the current beam bound, letting a
-  multi-vector kernel terminate a distance computation early (the paper's
-  incremental scanning).  Identical results, fewer scalar operations;
-  experiment E5 measures the saving.
+:func:`beam_rounds` is that loop and :func:`greedy_search_batch` its traced
+entry; a single query is a batch of one (:func:`greedy_search`), and an
+HNSW upper-layer descent is the loop at ``k = budget = 1``.  Every
+distance the loop computes comes from one :func:`score_ragged` entry per
+round: the paper's incremental scanning,
+``WeightedMultiVectorKernel.single(bound=)``, saves segments but not time
+in numpy, so experiment E5 replays it over this loop's visits instead.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -121,23 +115,15 @@ def greedy_search_batch(
 ) -> List[SearchResult]:
     """Approximate top-``k`` search over ``graph`` for every query row.
 
-    Each query gets its own beam, candidate heap and visited set, and the
-    beams advance in lockstep: per round, every still-active beam pops
-    candidates until it either finds a vertex with unvisited neighbours or
-    terminates; then all frontier neighbours across the expanding beams are
-    scored in **one** dispatch (:func:`score_ragged`) — each neighbour
-    against its own beam's query, never queries x union.  A beam never
-    reads another beam's state, so a row's ids, distances and work counters
-    do not depend on what else is in the batch.
+    Checks the arguments and runs :func:`beam_rounds` in one
+    ``beam-search`` span.
 
     Args:
         graph: Navigation graph over the corpus; anything with
             ``neighbors(vertex)`` will do (an HNSW ``SparseLayer`` has no
             default entry points and needs ``entry_points``).
         vectors: The ``(n, d)`` corpus matrix the graph was built on.
-        kernel: Distance kernel (single- or multi-vector); with
-            ``kernel.prune`` set, neighbours are scored one by one against
-            the beam bound instead of in one batch (incremental scanning).
+        kernel: Distance kernel (single- or multi-vector).
         queries: ``(Q, d)`` query matrix (a 1-D vector is one query).
         k: Result count.
         budget: Beam width (``ef``); clamped up to ``k``.
@@ -162,9 +148,55 @@ def greedy_search_batch(
     if n_queries == 0:
         return []
     budget = max(budget, k)
-    per_beam_starts = _normalise_starts(graph, entry_points, n_queries)
+    starts = _normalise_starts(graph, entry_points, n_queries)
     admits = _per_query_admits(admit, n_queries)
+    with trace_span("beam-search", queries=n_queries, k=k, budget=budget) as span:
+        results, visited = beam_rounds(
+            graph, vectors, kernel, queries, k, budget, starts,
+            visit_hook=visit_hook, admits=admits,
+        )
+        span.set(
+            hops=sum(result.stats.hops for result in results),
+            distance_evaluations=sum(
+                result.stats.distance_evaluations for result in results
+            ),
+            visited=visited,
+        )
+    return results
 
+
+def beam_rounds(
+    graph: NavigationGraph,
+    vectors: np.ndarray,
+    kernel: DistanceKernel,
+    queries: np.ndarray,
+    k: int,
+    budget: int,
+    starts: List[List[int]],
+    visit_hook: "BatchVisitHook | None" = None,
+    admits: "List | None" = None,
+) -> Tuple[List[SearchResult], int]:
+    """The beam loop, for checked arguments and in the caller's span.
+
+    Each query gets its own beam, candidate heap and visited set, and the
+    beams advance in lockstep: per round, every still-active beam pops
+    candidates until it either finds a vertex with unvisited neighbours or
+    terminates; then all frontier neighbours across the expanding beams are
+    scored in **one** dispatch (:func:`score_ragged`) — each neighbour
+    against its own beam's query, never queries x union.  A beam never
+    reads another beam's state, so a row's ids, distances and work counters
+    do not depend on what else is in the batch.
+
+    ``queries`` is a ``(Q, d)`` float64 matrix, ``budget >= k``,
+    ``starts[b]`` beam ``b``'s non-empty entry list and ``admits`` one
+    optional predicate per beam (``None``: no filter).  Returns the
+    per-query results and the number of vertices the beams visited.  At
+    ``k = budget = 1`` from one entry, a beam is a greedy walk to its local
+    minimum: HNSW descends its upper layers that way.
+    """
+    n_queries = queries.shape[0]
+    if admits is None:
+        admits = [None] * n_queries
     stats = [SearchStats() for _ in range(n_queries)]
     visited: List[set] = [set() for _ in range(n_queries)]
     candidates: List[List] = [[] for _ in range(n_queries)]  # min-heaps of (distance, vertex)
@@ -180,109 +212,76 @@ def greedy_search_batch(
             if len(pool) > budget:
                 heapq.heappop(pool)
 
-    with trace_span(
-        "beam-search", queries=n_queries, k=k, budget=budget, pruning=kernel.prune
-    ) as span:
-        seeds: List = []
-        for b in range(n_queries):
-            unique = list(dict.fromkeys(per_beam_starts[b]))
-            visited[b].update(unique)
-            if visit_hook is not None:
-                for start in unique:
-                    visit_hook(b, start)
-            seeds.append((b, unique))
-        scored = iter(score_ragged(kernel, queries, vectors, seeds).tolist())
-        for b, unique in seeds:
-            stats[b].distance_evaluations += len(unique)
-            # zip stops at the end of `unique` without touching `scored`,
-            # so the shared iterator hands each beam exactly its own run.
-            for vertex, distance in zip(unique, scored):
-                heapq.heappush(candidates[b], (distance, vertex))
-                heapq.heappush(beams[b], (-distance, vertex))
-                if results[b] is not None:
-                    collect(b, vertex, distance)
-            while len(beams[b]) > budget:
-                heapq.heappop(beams[b])
+    seeds: List = []
+    for b in range(n_queries):
+        unique = list(dict.fromkeys(starts[b]))
+        visited[b].update(unique)
+        if visit_hook is not None:
+            for start in unique:
+                visit_hook(b, start)
+        seeds.append((b, unique))
+    scored = iter(score_ragged(kernel, queries, vectors, seeds).tolist())
+    for b, unique in seeds:
+        stats[b].distance_evaluations += len(unique)
+        # zip stops at the end of `unique` without touching `scored`,
+        # so the shared iterator hands each beam exactly its own run.
+        for vertex, distance in zip(unique, scored):
+            heapq.heappush(candidates[b], (distance, vertex))
+            heapq.heappush(beams[b], (-distance, vertex))
+            if results[b] is not None:
+                collect(b, vertex, distance)
+        while len(beams[b]) > budget:
+            heapq.heappop(beams[b])
 
-        alive = list(range(n_queries))
-        while alive:
-            # Advance each live beam to its next expansion (or retire it).
-            expanding: List = []
-            for b in alive:
-                cands = candidates[b]
-                beam = beams[b]
-                seen = visited[b]
-                while cands:
-                    distance, vertex = heapq.heappop(cands)
-                    if distance > -beam[0][0] and len(beam) >= budget:
-                        break
-                    stats[b].hops += 1
-                    fresh = [n for n in graph.neighbors(vertex) if n not in seen]
-                    if not fresh:
-                        continue
-                    seen.update(fresh)
-                    if visit_hook is not None:
-                        for neighbor in fresh:
-                            visit_hook(b, neighbor)
-                    expanding.append((b, fresh))
+    alive = list(range(n_queries))
+    while alive:
+        # Advance each live beam to its next expansion (or retire it).
+        expanding: List = []
+        for b in alive:
+            cands = candidates[b]
+            beam = beams[b]
+            seen = visited[b]
+            while cands:
+                distance, vertex = heapq.heappop(cands)
+                if distance > -beam[0][0] and len(beam) >= budget:
                     break
-            if len(expanding) < len(alive):
-                if not expanding:
-                    break
-                alive = [b for b, _ in expanding]
-
-            if kernel.prune:
-                # Sequential by nature: each neighbour's bound depends on
-                # the beam the previous one left behind.
-                for b, fresh in expanding:
-                    beam = beams[b]
-                    cands = candidates[b]
-                    query = queries[b]
-                    bound = -beam[0][0] if len(beam) >= budget else np.inf
+                stats[b].hops += 1
+                fresh = [n for n in graph.neighbors(vertex) if n not in seen]
+                if not fresh:
+                    continue
+                seen.update(fresh)
+                if visit_hook is not None:
                     for neighbor in fresh:
-                        neighbor_distance = kernel.single(
-                            query, vectors[neighbor], bound=bound
-                        )
-                        stats[b].distance_evaluations += 1
-                        if neighbor_distance >= bound:
-                            continue
-                        if results[b] is not None:
-                            collect(b, neighbor, float(neighbor_distance))
-                        heapq.heappush(cands, (neighbor_distance, neighbor))
-                        heapq.heappush(beam, (-neighbor_distance, neighbor))
-                        if len(beam) > budget:
-                            heapq.heappop(beam)
-                        bound = -beam[0][0] if len(beam) >= budget else np.inf
-                continue
+                        visit_hook(b, neighbor)
+                expanding.append((b, fresh))
+                break
+        if len(expanding) < len(alive):
+            if not expanding:
+                break
+            alive = [b for b, _ in expanding]
 
-            scored = iter(score_ragged(kernel, queries, vectors, expanding).tolist())
-            for b, fresh in expanding:
-                beam = beams[b]
-                cands = candidates[b]
-                stats[b].distance_evaluations += len(fresh)
-                track = results[b] is not None
-                # Hot inner loop: a full beam is updated with one
-                # heapreplace instead of push+pop.  A displacing neighbour
-                # is strictly better than the root (equal distances take
-                # the `continue`), so the replaced content is identical to
-                # a push-then-pop.
-                for neighbor, neighbor_distance in zip(fresh, scored):
-                    if track:
-                        collect(b, neighbor, neighbor_distance)
-                    if len(beam) >= budget:
-                        if neighbor_distance >= -beam[0][0]:
-                            continue
-                        heapq.heappush(cands, (neighbor_distance, neighbor))
-                        heapq.heapreplace(beam, (-neighbor_distance, neighbor))
-                    else:
-                        heapq.heappush(cands, (neighbor_distance, neighbor))
-                        heapq.heappush(beam, (-neighbor_distance, neighbor))
-
-        span.set(
-            hops=sum(s.hops for s in stats),
-            distance_evaluations=sum(s.distance_evaluations for s in stats),
-            visited=sum(len(seen) for seen in visited),
-        )
+        scored = iter(score_ragged(kernel, queries, vectors, expanding).tolist())
+        for b, fresh in expanding:
+            beam = beams[b]
+            cands = candidates[b]
+            stats[b].distance_evaluations += len(fresh)
+            track = results[b] is not None
+            # Hot inner loop: a full beam is updated with one
+            # heapreplace instead of push+pop.  A displacing neighbour
+            # is strictly better than the root (equal distances take
+            # the `continue`), so the replaced content is identical to
+            # a push-then-pop.
+            for neighbor, neighbor_distance in zip(fresh, scored):
+                if track:
+                    collect(b, neighbor, neighbor_distance)
+                if len(beam) >= budget:
+                    if neighbor_distance >= -beam[0][0]:
+                        continue
+                    heapq.heappush(cands, (neighbor_distance, neighbor))
+                    heapq.heapreplace(beam, (-neighbor_distance, neighbor))
+                else:
+                    heapq.heappush(cands, (neighbor_distance, neighbor))
+                    heapq.heappush(beam, (-neighbor_distance, neighbor))
 
     out: List[SearchResult] = []
     for b in range(n_queries):
@@ -295,4 +294,4 @@ def greedy_search_batch(
                 stats=stats[b],
             )
         )
-    return out
+    return out, sum(len(seen) for seen in visited)

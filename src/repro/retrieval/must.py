@@ -5,9 +5,8 @@ built over their weighted concatenation, with the modality weights coming
 from the contrastive weight learner (or user input).  A query is encoded
 per modality, concatenated under the same schema, and resolved in a single
 graph traversal — no per-stream searches, no rank fusion.  Incremental
-scanning (E5) is the kernel's ``prune`` switch: a ``prune=True`` kernel
-handed to the index's ``search_batch`` stops partial distance computations
-against the beam bound, with the same ids.
+scanning (E5) is ``WeightedMultiVectorKernel.single(bound=)``; the
+traversal scores each round in one vectorised call instead.
 """
 
 from __future__ import annotations

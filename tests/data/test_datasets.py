@@ -24,6 +24,12 @@ class TestDomains:
         assert "cheese" in DOMAINS["food"]["item"]
         assert "coat" in DOMAINS["products"]["item"]
 
+    def test_travel_generates(self):
+        assert "travel" in DOMAINS
+        kb = generate_knowledge_base(DatasetSpec(domain="travel", size=30, seed=2))
+        assert len(kb) == 30
+        assert kb.ground_truth_for_concepts(["beach", "tropical"], 5)
+
 
 class TestGeneration:
     def test_size(self):

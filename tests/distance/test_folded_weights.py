@@ -100,9 +100,6 @@ class LoopKernel(DistanceKernel):
     def batch(self, query, matrix):
         return np.abs(np.atleast_2d(matrix) - query).sum(axis=1)
 
-    def single(self, query, vector, bound=np.inf):
-        return float(np.abs(vector - query).sum())
-
 
 def _matrix_kernels():
     schema = MultiVectorSchema({"text": 4, "image": 2})

@@ -148,8 +148,8 @@ class TestDistances:
 
 class TestIncrementalScanning:
     def test_pruned_value_exceeds_bound(self, schema, corpus):
-        kernel = WeightedMultiVectorKernel(schema, [1.0, 1.0], prune=True)
-        exact = WeightedMultiVectorKernel(schema, [1.0, 1.0], prune=False)
+        kernel = WeightedMultiVectorKernel(schema, [1.0, 1.0])
+        exact = WeightedMultiVectorKernel(schema, [1.0, 1.0])
         query = corpus[0]
         for vector in corpus[1:]:
             full = exact.single(query, vector)
@@ -159,8 +159,8 @@ class TestIncrementalScanning:
 
     def test_pruning_preserves_argmin(self, schema, corpus):
         # Simulated beam update: track best-so-far with bound passing.
-        kernel = WeightedMultiVectorKernel(schema, prune=True)
-        exact = WeightedMultiVectorKernel(schema, prune=False)
+        kernel = WeightedMultiVectorKernel(schema)
+        exact = WeightedMultiVectorKernel(schema)
         query = np.zeros(schema.total_dim)
         best = np.inf
         best_row = -1
@@ -172,24 +172,31 @@ class TestIncrementalScanning:
         assert best_row == truth
 
     def test_stats_record_savings(self, schema, corpus):
-        kernel = WeightedMultiVectorKernel(schema, prune=True)
+        kernel = WeightedMultiVectorKernel(schema)
         query = np.zeros(schema.total_dim)
         for vector in corpus:
             kernel.single(query, vector, bound=0.1)
         assert kernel.stats.pruned > 0
         assert kernel.stats.work_saved > 0.0
 
-    def test_prune_is_off_by_default_and_kept_by_with_weights(self, schema):
-        assert WeightedMultiVectorKernel(schema).prune is False
-        assert WeightedMultiVectorKernel(schema).with_weights([2.0, 0.5]).prune is False
-        pruning = WeightedMultiVectorKernel(schema, prune=True)
-        assert pruning.with_weights([2.0, 0.5]).prune is True
+    def test_prune_is_off_by_default_and_kept_by_with_weights(self, schema, corpus):
+        """Pruning is no switch: without a bound ``single`` scans every
+        segment, with a finite one it exits early, and a re-weighted kernel
+        keeps the mechanism."""
+        kernel = WeightedMultiVectorKernel(schema)
+        assert not hasattr(kernel, "prune")
+        kernel.single(corpus[0], corpus[1])
+        assert kernel.stats.pruned == 0
+        reweighted = kernel.with_weights([2.0, 0.5])
+        reweighted.single(corpus[0], corpus[1], bound=0.0)
+        assert reweighted.stats.pruned == 1
 
     def test_prune_disabled_evaluates_everything(self, schema, corpus):
-        kernel = WeightedMultiVectorKernel(schema, prune=False)
+        """An infinite bound, the default, disables the early exit."""
+        kernel = WeightedMultiVectorKernel(schema)
         query = np.zeros(schema.total_dim)
         for vector in corpus:
-            kernel.single(query, vector, bound=0.0)
+            kernel.single(query, vector, bound=np.inf)
         assert kernel.stats.pruned == 0
         assert kernel.stats.segments_evaluated == kernel.stats.segments_total
 
@@ -204,8 +211,8 @@ class TestIncrementalScanning:
     @settings(max_examples=40, deadline=None)
     def test_property_prune_exactness(self, weights, seed):
         schema = MultiVectorSchema({Modality.TEXT: 3, Modality.IMAGE: 5})
-        kernel = WeightedMultiVectorKernel(schema, weights, prune=True)
-        exact = WeightedMultiVectorKernel(schema, weights, prune=False)
+        kernel = WeightedMultiVectorKernel(schema, weights)
+        exact = WeightedMultiVectorKernel(schema, weights)
         rng = np.random.default_rng(seed)
         query = rng.standard_normal(8)
         vector = rng.standard_normal(8)

@@ -19,7 +19,7 @@ class TestBatch:
         query = corpus[0]
         batch = kernel.batch(query, corpus)
         for row, vector in enumerate(corpus):
-            assert batch[row] == pytest.approx(kernel.single(query, vector))
+            assert batch[row] == pytest.approx(((query - vector) ** 2).sum())
 
     def test_inner_product(self, corpus):
         kernel = SingleVectorKernel(16, metric=Metric.INNER_PRODUCT)
@@ -36,13 +36,13 @@ class TestBatch:
 
 class TestNoIncrementalScanning:
     def test_a_bound_never_cuts_a_distance_short(self, corpus):
-        """A single vector is one segment: the kernel does not prune, so a
-        beam search scores its neighbours in one batch."""
+        """A single vector is one segment: the kernel has no bounded
+        one-pair entry to cut short, and every distance it gives is whole."""
         kernel = SingleVectorKernel(16)
-        assert kernel.prune is False
-        full = kernel.single(corpus[0], corpus[5])
-        assert kernel.single(corpus[0], corpus[5], bound=full / 10) == full
+        assert not hasattr(kernel, "single") and not hasattr(kernel, "prune")
+        kernel.batch(corpus[0], corpus)
         assert kernel.stats.pruned == 0
+        assert kernel.stats.segments_evaluated == kernel.stats.segments_total
 
 
 class TestPrepare:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
 import sys
 
 import numpy as np
 import pytest
 
-from repro.distance import SingleVectorKernel
+from repro.distance import SingleVectorKernel, WeightedMultiVectorKernel
 from repro.evaluation import exact_knn
 from repro.index import FlatIndex
 
@@ -58,3 +59,62 @@ def bytes_per_edge(layers):
     ints = {id(vertex): vertex for row in rows for vertex in row}
     held = sum(map(sys.getsizeof, rows)) + sum(map(sys.getsizeof, ints.values()))
     return held / sum(map(len, rows))
+
+
+class RecordingKernel(WeightedMultiVectorKernel):
+    """A weighted kernel that keeps every row a search hands it, in order:
+    a one-query search's scoring sequence, whatever the index."""
+
+    def __init__(self, schema, weights=None) -> None:
+        super().__init__(schema, weights)
+        self.rows = []
+
+    def batch(self, query, matrix):
+        self.rows.extend(np.atleast_2d(matrix))
+        return super().batch(query, matrix)
+
+    def batch_paired(self, queries, matrix, owners):
+        self.rows.extend(np.atleast_2d(matrix))
+        return super().batch_paired(queries, matrix, owners)
+
+
+def bounded_replay(kernel, query, rows, budget, bounded=True):
+    """Helper, experiment E5's replay: score ``rows`` in order through
+    ``kernel.single`` against the ``budget``-th best distance so far (with
+    ``bounded=False``, whole, then compared with it), asserting at every
+    early exit that the returned value and the exact distance both exceed
+    the bound.  Returns the kept ``(distance, position)`` pairs, nearest
+    first."""
+    beam = []  # max-heap of (-distance, position)
+    for position, row in enumerate(rows):
+        bound = -beam[0][0] if len(beam) >= budget else np.inf
+        exits = kernel.stats.pruned
+        distance = kernel.single(query, row, bound=bound if bounded else np.inf)
+        if kernel.stats.pruned > exits:
+            assert distance > bound
+            assert kernel.with_weights(kernel.weights).single(query, row) > bound
+        if distance < bound:
+            heapq.heappush(beam, (-distance, position))
+            if len(beam) > budget:
+                heapq.heappop(beam)
+    return sorted((-d, position) for d, position in beam)
+
+
+def assert_pruning_is_exact(index, queries, schema, weights, k, budget):
+    """Helper: each query's one-query search under ``weights`` is recorded
+    and replayed through the bounded ``single``; the replay keeps exactly
+    the rows an unbounded replay keeps, and the search itself returns the
+    same ids as under a plain kernel of the same weights.  Returns the
+    bounded and the unbounded replays' counters."""
+    pruning = WeightedMultiVectorKernel(schema, weights)
+    exact = WeightedMultiVectorKernel(schema, weights)
+    for query in queries:
+        recorder = RecordingKernel(schema, weights)
+        found = index.search(query, k=k, budget=budget, kernel=recorder)
+        plain = index.search(
+            query, k=k, budget=budget, kernel=WeightedMultiVectorKernel(schema, weights)
+        )
+        assert found.ids == plain.ids
+        kept = bounded_replay(pruning, query, recorder.rows, budget)
+        assert kept == bounded_replay(exact, query, recorder.rows, budget, bounded=False)
+    return pruning.stats, exact.stats

@@ -69,6 +69,31 @@ def test_hnsw_is_reachable_from_its_entry(built):
     index.check_invariants()
 
 
+@pytest.mark.parametrize(
+    "budget, hops, evaluations", [(64, 64, 852), (200, 200, 1492), (800, 800, 1980)]
+)
+def test_hnsw_search_for_the_repaired_vertex_misses_it(built, budget, hops, evaluations):
+    """Pins what a search for vertex 172's own vector reads today: the beam
+    starts at a base entry near 172 and never returns to 360, 172's only
+    in-edge.  The ids and work counters are those of the search before the
+    upper-layer descent became the beam loop at ``k = budget = 1``."""
+    index = built("hnsw")
+    found = index.search(index.vectors[172], k=3, budget=budget)
+    assert found.ids == [613, 1111, 710]
+    assert (found.stats.hops, found.stats.distance_evaluations) == (hops, evaluations)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 17(c): the repair attaches 172 from the first reached row "
+    "with room (360), not from its nearest reached vertex",
+)
+@pytest.mark.parametrize("budget", [64, 200, 800])
+def test_hnsw_finds_the_repaired_vertex_by_its_own_vector(built, budget):
+    index = built("hnsw")
+    assert index.search(index.vectors[172], k=3, budget=budget).ids[0] == 172
+
+
 @pytest.mark.parametrize("name", [*PIPELINE_FAMILIES, "hnsw"])
 def test_rows_hold_the_graphs_ints_after_build_load_and_add(built, name, tmp_path):
     index = built(name)

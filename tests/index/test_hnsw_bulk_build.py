@@ -300,8 +300,8 @@ class CountingKernel(SingleVectorKernel):
 
         return method
 
-    batch, batch_many, batch_paired, matrix, single = map(
-        _counted, ("batch", "batch_many", "batch_paired", "matrix", "single")
+    batch, batch_many, batch_paired, matrix = map(
+        _counted, ("batch", "batch_many", "batch_paired", "matrix")
     )
 
 

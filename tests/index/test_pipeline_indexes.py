@@ -16,7 +16,7 @@ from repro.index import (
 )
 from repro.pipeline import NodeStatus
 
-from tests.index.conftest import mean_recall
+from tests.index.conftest import assert_pruning_is_exact, mean_recall
 
 
 @pytest.fixture(
@@ -59,16 +59,13 @@ class TestPipelineIndexes:
         assert "avg degree" in built.describe()
 
     def test_pruning_flag_preserves_results(self, built, queries):
-        """A ``prune=True`` kernel scores neighbours one by one against the
-        beam bound and returns the batch-scoring kernel's ids."""
+        """Pruning is no flag now but a bound: each search's scored rows,
+        replayed through the bounded ``single`` (E5), keep exactly the rows
+        a replay without the bound keeps, and the search under the recording
+        kernel returns the plain kernel's ids."""
         schema = MultiVectorSchema({Modality.TEXT: 16, Modality.IMAGE: 16})
-        plain_kernel = WeightedMultiVectorKernel(schema)
-        pruned_kernel = WeightedMultiVectorKernel(schema, prune=True)
-        for query in queries[:3]:
-            plain = built.search(query, k=5, budget=32, kernel=plain_kernel)
-            pruned = built.search(query, k=5, budget=32, kernel=pruned_kernel)
-            assert plain.ids == pruned.ids
-        assert pruned_kernel.stats.pruned > 0
+        pruned, _ = assert_pruning_is_exact(built, queries[:3], schema, None, 5, 32)
+        assert pruned.pruned > 0
 
 
 class TestMustGraphMultiVector:

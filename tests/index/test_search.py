@@ -7,6 +7,7 @@ from repro.data import Modality
 from repro.distance import MultiVectorSchema, SingleVectorKernel, WeightedMultiVectorKernel
 from repro.errors import SearchError
 from repro.index import NavigationGraph, greedy_search
+from tests.index.conftest import bounded_replay
 
 
 @pytest.fixture(scope="module")
@@ -49,17 +50,19 @@ class TestGreedySearch:
         assert len(result) == 10
 
     def test_pruned_and_batch_agree(self, ring_graph, line_vectors):
-        kernel = SingleVectorKernel(4)
+        """The search's visits, replayed through incremental scanning (E5's
+        bounded ``single``), keep the batch search's top k."""
         query = line_vectors[20] + 0.002
+        visits = []
         batch = greedy_search(
-            ring_graph, line_vectors, kernel, query, k=5, budget=16
+            ring_graph, line_vectors, SingleVectorKernel(4), query, k=5, budget=16,
+            visit_hook=visits.append,
         )
         schema = MultiVectorSchema({Modality.TEXT: 2, Modality.IMAGE: 2})
-        pruned = greedy_search(
-            ring_graph, line_vectors, WeightedMultiVectorKernel(schema, prune=True),
-            query, k=5, budget=16,
+        kept = bounded_replay(
+            WeightedMultiVectorKernel(schema), query, line_vectors[visits], budget=16
         )
-        assert batch.ids == pruned.ids
+        assert batch.ids == [visits[position] for _, position in kept[:5]]
 
     def test_multivector_pruned_matches_batch(self):
         schema = MultiVectorSchema({Modality.TEXT: 4, Modality.IMAGE: 4})
@@ -73,11 +76,15 @@ class TestGreedySearch:
         graph.connect_unreachable()
         query = rng.standard_normal(8)
         batch_kernel = WeightedMultiVectorKernel(schema, [1.3, 0.7])
-        pruned_kernel = WeightedMultiVectorKernel(schema, [1.3, 0.7], prune=True)
-        batch = greedy_search(graph, vectors, batch_kernel, query, k=5, budget=24)
-        pruned = greedy_search(graph, vectors, pruned_kernel, query, k=5, budget=24)
-        assert batch.ids == pruned.ids
+        pruned_kernel = WeightedMultiVectorKernel(schema, [1.3, 0.7])
+        visits = []
+        batch = greedy_search(
+            graph, vectors, batch_kernel, query, k=5, budget=24, visit_hook=visits.append
+        )
+        kept = bounded_replay(pruned_kernel, query, vectors[visits], budget=24)
+        assert batch.ids == [visits[position] for _, position in kept[:5]]
         assert pruned_kernel.stats.pruned > 0
+        assert batch_kernel.stats.pruned == 0
 
     def test_visit_hook_sees_all_touched_vertices(self, ring_graph, line_vectors):
         kernel = SingleVectorKernel(4)

@@ -6,16 +6,15 @@ must hold instead is *batch-composition independence*: row ``i`` of a B=N
 call equals the B=1 call for that row — identical result ids,
 bit-identical distances, identical work counters (hops, distance
 evaluations).  Hypothesis draws query subsets, ``k``, admit-filter shapes
-(none / shared / per-query) and a kernel override (a pruning one among
-them) against every index family — every family declares the base class's options and
+(none / shared / per-query) and a kernel override against every index
+family — every family declares the base class's options and
 honours each; ``derandomize=True`` keeps CI deterministic.  The independent references
 are elsewhere and unchanged: ``test_search.py`` (hand-built graphs with
 known answers) and the flat-oracle recall floors.
 
 The second half covers what only the deleted serial body used to
-exercise: incremental scanning (a ``prune=True`` kernel) and per-vertex visit
-hooks through the shared core, per-beam entry points, and the one admit
-normaliser's error.
+exercise: per-vertex visit hooks through the shared core, per-beam entry
+points, and the one admit normaliser's error.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from repro.index.search import greedy_search, greedy_search_batch
 from repro.index.starling import StarlingIndex, StarlingParams
 from repro.index.tiered import TieredParams
 from repro.index.vamana import VamanaIndex, VamanaParams
+from tests.index.conftest import assert_pruning_is_exact
 
 DIM = 16
 CORPUS = 220
@@ -69,7 +69,6 @@ def _kernels():
     return {
         "single": lambda: SingleVectorKernel(DIM),
         "multivector": lambda: WeightedMultiVectorKernel(schema, [1.3, 0.7]),
-        "pruned": lambda: WeightedMultiVectorKernel(schema, [1.3, 0.7], prune=True),
     }
 
 
@@ -178,7 +177,7 @@ def test_search_batch_matches_serial(name, built_indexes, queries, data):
         positions,
     )
     override = data.draw(
-        st.sampled_from([None, "single", "multivector", "pruned"]), label="kernel"
+        st.sampled_from([None, "single", "multivector"]), label="kernel"
     )
 
     def kernel():  # a fresh one per call: kernels carry their own counters
@@ -231,30 +230,18 @@ def test_search_batch_per_query_admit_length_mismatch(built_indexes, queries):
     ],
 )
 def test_pruned_search_batch_equals_unpruned_with_less_work(built_indexes, queries, name):
-    """Incremental scanning (E5) is a per-beam scoring mode of the one
-    core, chosen by the kernel and reachable through every graph family:
-    same answers as the vectorised mode, fewer segments computed."""
-    index = built_indexes[name]
-    plain_kernel = _kernels()["multivector"]()
-    pruned_kernel = _kernels()["pruned"]()
-    plain = index.search_batch(queries, k=5, budget=BUDGET, kernel=plain_kernel)
-    pruned = index.search_batch(queries, k=5, budget=BUDGET, kernel=pruned_kernel)
-    for row, (left, right) in enumerate(zip(plain, pruned)):
-        assert left.ids == right.ids, f"row {row}"
-        np.testing.assert_allclose(left.distances, right.distances, rtol=1e-12)
-        assert left.stats.hops == right.stats.hops
-        assert left.stats.distance_evaluations == right.stats.distance_evaluations
-    # Same pairs scored; the bound cut evaluations short only when pruning.
-    assert pruned_kernel.stats.calls == plain_kernel.stats.calls
-    assert pruned_kernel.stats.pruned > 0
-    assert pruned_kernel.stats.segments_evaluated < pruned_kernel.stats.segments_total
-    assert plain_kernel.stats.segments_evaluated == plain_kernel.stats.segments_total
-    assert pruned_kernel.stats.segments_evaluated < plain_kernel.stats.segments_evaluated
-    # ...and a pruned row is as independent of its batch as any other.
-    alone = index.search_batch(
-        queries[3][None], k=5, budget=BUDGET, kernel=_kernels()["pruned"](),
-    )[0]
-    _assert_same(pruned[3], alone, "pruned row 3")
+    """Incremental scanning (E5) on every graph family's own work: each
+    row's search, replayed in its scoring order through the bounded
+    ``WeightedMultiVectorKernel.single``, keeps exactly the rows a replay
+    without the bound keeps, with fewer segments computed."""
+    schema = MultiVectorSchema({Modality.TEXT: DIM // 2, Modality.IMAGE: DIM // 2})
+    pruned, plain = assert_pruning_is_exact(
+        built_indexes[name], queries, schema, [1.3, 0.7], 5, BUDGET
+    )
+    assert pruned.calls == plain.calls
+    assert pruned.pruned > 0
+    assert pruned.segments_evaluated < pruned.segments_total
+    assert plain.segments_evaluated == plain.segments_total
 
 
 def test_visit_hook_sees_each_beams_own_vertices(built_indexes, corpus, queries):

@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 from repro.data import DatasetSpec, generate_knowledge_base
-from repro.distance import SingleVectorKernel, WeightedMultiVectorKernel
+from repro.distance import SingleVectorKernel
 from repro.encoders import build_encoder_set
 from repro.errors import SearchError
 from repro.evaluation import composed_queries
 from repro.index import build_index
 from repro.retrieval import MustRetrieval
+from tests.index.conftest import assert_pruning_is_exact
 
 K = 10
 BUDGET = 64
@@ -128,28 +129,28 @@ def test_ivf_loses_little_to_a_reweighting(frameworks, queries, oracle, weightin
     assert recall >= built - 0.05, f"{weighting}: {recall:.3f} vs {built:.3f} built"
 
 
+@pytest.mark.parametrize("name", ["hnsw", "starling"])
+def test_incremental_scanning_reaches_every_graph_index(frameworks, queries, name):
+    """Incremental scanning (E5) on MUST's default graph indexes' own work:
+    each query's search, replayed in its scoring order through the bounded
+    ``single``, keeps exactly the rows a replay without the bound keeps,
+    with early exits counted."""
+    framework = frameworks[name]
+    concatenated = np.stack([
+        framework.schema.concat(vectors)
+        for vectors in framework.encoder_set.encode_query_batch(queries)
+    ])
+    pruned, plain = assert_pruning_is_exact(
+        framework._index, concatenated, framework.schema, BUILT, K, BUDGET
+    )
+    assert plain.pruned == 0
+    assert pruned.pruned > 0
+    assert pruned.segments_evaluated < plain.segments_evaluated
+
+
 @pytest.mark.parametrize("name", sorted(INDEXES))
 def test_a_wrong_width_override_is_refused(frameworks, name):
     index = frameworks[name]._index
     query = np.zeros(index.kernel.dim)
     with pytest.raises(SearchError, match="override kernel dim 8 != index dim"):
         index.search(query, k=K, kernel=SingleVectorKernel(8))
-
-
-@pytest.mark.parametrize("name", ["hnsw", "starling"])
-def test_incremental_scanning_reaches_every_graph_index(frameworks, queries, name):
-    """A ``prune=True`` kernel handed to MUST's default index prunes too:
-    same ids as the built kernel, with early exits counted."""
-    framework = frameworks[name]
-    concatenated = np.stack([
-        framework.schema.concat(vectors)
-        for vectors in framework.encoder_set.encode_query_batch(queries)
-    ])
-    plain = WeightedMultiVectorKernel(framework.schema, BUILT)
-    pruned = WeightedMultiVectorKernel(framework.schema, BUILT, prune=True)
-    want = framework._index.search_batch(concatenated, k=K, budget=BUDGET, kernel=plain)
-    got = framework._index.search_batch(concatenated, k=K, budget=BUDGET, kernel=pruned)
-    assert [result.ids for result in got] == [result.ids for result in want]
-    assert plain.stats.pruned == 0
-    assert pruned.stats.pruned > 0
-    assert pruned.stats.segments_evaluated < plain.stats.segments_evaluated

@@ -12,8 +12,9 @@ a remote wait and never stands in for work, and the coordinator runs the
 rounds its layers register without naming any of them.  Set-up's data is
 rendered the same way: an object, a view and a learner step are batches of
 one.  And index code computes a distance only through a kernel, where it is
-counted, and the beam loop's scoring mode is the kernel's ``prune`` alone.
-A parameter is declared once, on its dataclass field, and checked
+counted, and the one beam loop scores through ``score_ragged`` alone.
+Every module under ``repro`` is imported from a served root or a cited
+experiment.  A parameter is declared once, on its dataclass field, and checked
 by the one checker that reads the declarations; a setting no caller configures
 is its component's default and no config field.  One module loads a shared
 library: the one that sets numpy's BLAS to one thread.
@@ -22,9 +23,12 @@ library: the one that sets numpy's BLAS to one thread.
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -191,10 +195,10 @@ def test_a_retired_knob_is_declared_once():
 
 def test_the_index_layer_keeps_one_of_each():
     """One beam loop, one adjacency per layer, one row store: only
-    ``search.py`` runs a heap, HNSW has no private search pair and no cached
-    copy of layer 0, nothing under ``repro.index`` stacks a matrix to grow
-    it (``base.py`` owns growth), and a restored index inserts through the
-    pipeline index's own ``add``."""
+    ``search.py`` runs a heap, HNSW has no private search pair or descent
+    loop and no cached copy of layer 0, nothing under ``repro.index``
+    stacks a matrix to grow it (``base.py`` owns growth), and a restored
+    index inserts through the pipeline index's own ``add``."""
     import repro.index
     from repro.index.hnsw import HnswIndex
     from repro.index.persistence import FrozenGraphIndex
@@ -217,7 +221,7 @@ def test_the_index_layer_keeps_one_of_each():
     assert heap_users == ["repro.index.search"]
     assert not stackers
 
-    for name in ("_search_layer", "_greedy_descend", "_base_graph"):
+    for name in ("_search_layer", "_greedy_descend", "_greedy_descend_batch", "_base_graph"):
         assert not hasattr(HnswIndex, name)
     assert "_base_graph" not in vars(HnswIndex())
     assert FrozenGraphIndex.add is PipelineGraphIndex.add
@@ -333,37 +337,39 @@ def test_a_search_option_is_declared_once():
     assert "rerank" not in STAGE_OF_SPAN
 
 
-def test_the_beam_loop_scores_by_the_kernels_prune_alone():
-    """Incremental scanning is the kernel's switch: the beam loop takes no
-    pruning argument, its one scoring choice is ``if kernel.prune:`` (the
-    scalar ``kernel.single`` branch, bounded by the beam; otherwise one
-    ``score_ragged`` entry), and no other module outside ``repro.distance``
-    reads ``prune`` off anything."""
-    from repro.index.search import greedy_search_batch
+def test_the_beam_loop_scores_through_score_ragged_alone():
+    """One scoring path: the beam loop calls ``score_ragged`` twice (the
+    seeds, then a round) and ``kernel.single`` nowhere, its traced entry
+    scores nothing itself, no module outside ``repro.distance`` calls a
+    one-pair ``single``, and no module defines or reads a ``prune`` switch
+    on a kernel (incremental scanning is ``single(bound=)``, experiment
+    E5's replay)."""
+    from repro.index.search import beam_rounds, greedy_search_batch
 
-    loop = ast.parse(textwrap.dedent(inspect.getsource(greedy_search_batch))).body[0]
-    assert not [a.arg for a in loop.args.args + loop.args.kwonlyargs if "prun" in a.arg]
-    choices = [
-        node for node in ast.walk(loop)
-        if isinstance(node, (ast.If, ast.IfExp, ast.While)) and "prun" in ast.unparse(node.test)
-    ]
-    assert [ast.unparse(node.test) for node in choices] == ["kernel.prune"]
-    calls = [ast.unparse(node.func) for node in ast.walk(loop) if isinstance(node, ast.Call)]
-    scalar = [
-        node for statement in choices[0].body for node in ast.walk(statement)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "kernel.single"
-    ]
-    assert calls.count("kernel.single") == len(scalar) == 1
-    assert calls.count("score_ragged") == 2  # the seeds, then a batch round
+    def calls(function):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+        return [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
-    readers = set()
+    loop = calls(beam_rounds)
+    assert loop.count("score_ragged") == 2  # the seeds, then a round
+    assert "kernel.single" not in loop
+    assert "score_ragged" not in calls(greedy_search_batch)
+    assert "beam_rounds" in calls(greedy_search_batch)
+
+    single_callers, switches = set(), set()
     for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
-        if name.startswith("repro.distance"):
-            continue
         tree = ast.parse(inspect.getsource(importlib.import_module(name)))
-        if any(isinstance(node, ast.Attribute) and node.attr == "prune" for node in ast.walk(tree)):
-            readers.add(name)
-    assert readers == {"repro.index.search"}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "single" and not name.startswith("repro.distance")
+            ):
+                single_callers.add(name)
+            # an attribute, a parameter or keyword, or a name: `prune` anywhere
+            if "prune" in (getattr(node, field, None) for field in ("attr", "arg", "id")):
+                switches.add(name)
+    assert single_callers == set()
+    assert switches == set()
 
 
 def test_the_shard_router_is_a_scatter_and_nothing_else():
@@ -778,8 +784,8 @@ def test_set_up_data_is_rendered_in_bulk():
 
 def test_index_code_computes_distances_only_through_a_kernel():
     """Build and search work enters through the kernel's public entries
-    (``batch`` / ``batch_many`` / ``batch_paired`` / ``matrix`` /
-    ``single``), which is where it is counted: no module under
+    (``batch`` / ``batch_many`` / ``batch_paired`` / ``matrix``), which is
+    where it is counted: no module under
     ``repro.index`` imports a distance function from
     ``repro.distance.metrics`` (directly or through the package) or reads a
     kernel's private weights to scale rows itself — a build that wants
@@ -1046,3 +1052,54 @@ def test_a_registry_is_declared_once():
     for module, names in bound.items():
         for public in names:
             assert isinstance(getattr(module, public).__self__, Registry), public
+
+
+#: Modules no served root or cited experiment imports, each kept for the
+#: open ROADMAP item named beside it.  At most five.
+UNREACHED_ON_PURPOSE: dict = {}
+
+
+def _imported_names(path: Path, package: str) -> set:
+    """Every module name an ``import`` anywhere in ``path`` may load (a
+    ``from x import y`` names ``x`` and ``x.y``, which may be a module)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.split(".")[: len(package.split(".")) - node.level + 1]
+                base = ".".join([*anchor, base] if base else anchor)
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_every_module_is_reached_from_a_served_root():
+    """Code that nothing served and no paper experiment imports is deleted:
+    the import closure of ``repro.cli``, ``repro.__main__``,
+    ``repro.server.api``, ``repro.core`` and the ``benchmarks/bench_*.py``
+    files EXPERIMENTS.md cites (with the conftest they all load) covers
+    every ``repro`` module but the few named in ``UNREACHED_ON_PURPOSE``."""
+    root = Path(__file__).resolve().parents[1]
+    modules = {name for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro.")}
+    modules.add("repro")
+    cited = sorted(set(re.findall(r"bench_\w+\.py", (root / "EXPERIMENTS.md").read_text())))
+    assert len(cited) >= 10, "the EXPERIMENTS.md scan lost the cited benchmarks"
+    pending = ["repro.cli", "repro.__main__", "repro.server.api", "repro.core"]
+    for script in ["conftest.py", *cited]:
+        pending += _imported_names(root / "benchmarks" / script, "benchmarks")
+    reached = set()
+    while pending:
+        name = pending.pop()
+        if name not in modules or name in reached:
+            continue
+        reached.add(name)
+        parts = name.split(".")
+        pending += [".".join(parts[:i]) for i in range(1, len(parts))]
+        path = Path(importlib.util.find_spec(name).origin)
+        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+        pending += _imported_names(path, package)
+    assert len(UNREACHED_ON_PURPOSE) <= 5
+    assert sorted(modules - reached) == sorted(UNREACHED_ON_PURPOSE)
