@@ -46,6 +46,7 @@ from repro.observability import (
 from repro.pipeline import DagPipeline
 from repro.retrieval import RetrievalResponse
 from repro.utils import Timer
+from repro.utils.blas import release_free_heap
 
 
 class Coordinator:
@@ -113,6 +114,7 @@ class Coordinator:
         )
         pipeline.add_node("llm", self._run_llm_setup, depends_on=["indexing"])
         pipeline.run({})
+        release_free_heap()  # the builds' freed scratch, before serving
         self._assemble_round()
         self._is_setup = True
         return self

@@ -16,19 +16,22 @@ nothing else does:
 * :meth:`HnswIndex.build` has the whole corpus, so it computes what the
   insertion beam search only approximates — each member's
   ``ef_construction`` nearest *earlier* members of the layer — exactly,
-  a pass at a time.  A pass is as many rows as one packed occlusion table
-  fits in the scratch budget: its candidates come one block of rows at a
-  time (a blocked GEMM to pre-select, ``kernel.batch_paired`` to re-score
-  and order: :func:`repro.index.stages.exact_top_k`, each block once, a
-  block straddling the pass's end held for the next), then Algorithm 4
-  runs over its full-width rows, the table :func:`select_saturated` scans
-  once, and the candidates go before the next pass's.  Only each row's
-  ``m`` picks outlive it: there is no ``(members, ef)`` table.
+  a pass at a time from row 0.  A pass is as many whole blocks of rows as
+  one packed occlusion table fits in the scratch budget; each block's
+  candidates come from a blocked GEMM to pre-select and
+  ``kernel.batch_paired`` to re-score and order
+  (:func:`repro.index.stages.exact_top_k`), and a row with fewer than
+  ``ef`` earlier members is padded at distance ``inf``.  Only each row's
+  ``m`` picks outlive the pass: there is no ``(members, ef)`` table.
 * :meth:`HnswIndex.add` has one vector and a live graph, so it searches,
   with the loop every query uses, as a batch of one: at ``k = budget = 1``
   through the layers above the node's own (:meth:`HnswIndex._descend`),
   then :func:`repro.index.search.greedy_search_batch` (``k = budget =
   ef_construction``) over each layer it joins.
+
+Both select through :meth:`HnswIndex._select_passes` — ``add`` as a pass of
+one row — which runs Algorithm 4 over a pass's rows: one packed table that
+:func:`select_saturated` scans once.
 
 ``build`` embeds the corpus once (``kernel.embed``: for MUST ``√w ⊙ x`` and
 each row's squared norm) and every stacked block above and in the link step
@@ -58,7 +61,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Union
 
 import numpy as np
 
@@ -218,42 +221,29 @@ class HnswIndex(VectorIndex):
         rows = block_rows(ef, self.kernel.dim)
         step = max(1, pass_rows(ef) // rows) * rows
         width = min(ef, count)
-        # Rows narrower than ef keep the single-row form (as does every row
-        # when ef fits the cap and nothing is dropped), padded with -1; the
-        # full-width ones select a pass at a time.  Passes start at row 0 and
-        # at the first full-width row; candidate blocks start at row 0, and
-        # one that straddles a pass edge is held for the next pass.
-        full_from = min(ef if ef > m else count, count)
-        bounds = [*range(0, full_from, step), *range(full_from, count, step), count]
-        selected = np.full((count, m), -1, dtype=np.intp)
+        # One schedule of passes of whole candidate blocks from row 0; row p
+        # has min(p, width) candidates, padded past them.
+        bounds = [*range(0, count, step), count]
+        selected = np.empty((count, m), dtype=np.intp)
         with trace_span(
             "hnsw-select", layer=layer, rows=count, blocks=-(-count // rows),
             passes=len(bounds) - 1,
         ):
             for start, stop in zip(bounds, bounds[1:]):
                 with trace_span(
-                    "hnsw-candidates", rows=stop - start,
-                    blocks=len(range(-(-start // rows) * rows, stop, rows)),
+                    "hnsw-candidates", rows=stop - start, blocks=-(-(stop - start) // rows),
                 ):
                     ids = np.zeros((stop - start, width), dtype=np.intp)
                     distances = np.full((stop - start, width), np.inf)
-                    for lo in range(start - start % rows, stop, rows):
-                        if lo >= start:
-                            top, top_distances = exact_top_k(
-                                self.kernel, vectors, lo, min(lo + rows, count), width,
-                                earlier_only=True, embedded=local,
-                            )
-                        a, b, got = max(lo, start), min(lo + rows, stop), top.shape[1]
-                        ids[a - start : b - start, :got] = top[a - lo : b - lo]
-                        distances[a - start : b - start, :got] = top_distances[a - lo : b - lo]
-                if start >= full_from:
-                    selected[start:stop] = self._select_passes(local, ids, distances, m)
-                for p in range(start, min(stop, full_from)):
-                    kept = self._select_heuristic(
-                        list(zip(distances[p - start, :p].tolist(), ids[p - start, :p].tolist())),
-                        m, local,
-                    )
-                    selected[p, : len(kept)] = kept
+                    for lo in range(start, stop, rows):
+                        top, top_distances = exact_top_k(
+                            self.kernel, vectors, lo, min(lo + rows, count), width,
+                            earlier_only=True, embedded=local,
+                        )
+                        ids[lo - start : lo - start + rows, : top.shape[1]] = top
+                        distances[lo - start : lo - start + rows, : top.shape[1]] = top_distances
+                counts = np.minimum(np.arange(start, stop), width)
+                selected[start:stop] = self._select_passes(local, ids, distances, counts)
                 del ids, distances  # before the next pass's are made
 
         # A row holds the base graph's int object per member (``nodes``):
@@ -273,23 +263,32 @@ class HnswIndex(VectorIndex):
             span.set(**self._link(layer, incoming, self._cap(layer), embedded))
 
     def _select_passes(
-        self, embedded, ids: np.ndarray, distances: np.ndarray, m: int
+        self, embedded, ids: np.ndarray, distances: np.ndarray, counts: np.ndarray
     ) -> np.ndarray:
-        """Algorithm 4 over one pass of full-width candidate rows: one
-        stacked ``kernel.matrix`` per block of rows, gathered from the
-        layer's ``embedded`` members, its table packed into the pass's, one
-        scan.  Returns the kept candidate positions, ``(rows, m)`` in
-        selection order; the pass's table goes with the call."""
-        ef = self.params.ef_construction
-        rows = block_rows(ef, self.kernel.dim)
-        packed = np.zeros((ids.shape[0], ef, packed_words(ef)), dtype="<u8")
-        for lo in range(0, ids.shape[0], rows):
-            block = embedded[ids[lo : lo + rows]]
-            pack_table(
-                mrng_rule(self.kernel.matrix(block, block), distances[lo : lo + rows]),
-                out=packed[lo : lo + rows],
-            )
-        return np.take_along_axis(ids, select_saturated(packed, m), axis=1)
+        """Algorithm 4 over a pass of candidate rows, ascending by ``(distance,
+        id)`` in their first ``counts`` entries, padded at distance ``inf``
+        (occluded, never a fill-up): one stacked ``kernel.matrix`` a block,
+        gathered from ``embedded`` (the build's, or the rows), one packed
+        table, one scan.  A row of at most ``m`` keeps all in rank order.
+        Returns ``(rows, m)`` ids in selection order, ``-1`` past the end."""
+        m = self.params.m
+        n_rows, width = ids.shape
+        kept = np.broadcast_to(np.arange(min(width, m)), (n_rows, min(width, m)))
+        if width > m:
+            rows = block_rows(width, self.kernel.dim)
+            packed = np.zeros((n_rows, width, packed_words(width)), dtype="<u8")
+            for lo in range(0, n_rows, rows):
+                block = embedded[ids[lo : lo + rows]]
+                pack_table(
+                    mrng_rule(self.kernel.matrix(block, block), distances[lo : lo + rows]),
+                    out=packed[lo : lo + rows],
+                )
+            kept = np.where(counts[:, None] > m, select_saturated(packed, m), kept)
+        selected = np.full((n_rows, m), -1, dtype=np.intp)
+        selected[:, : kept.shape[1]] = np.where(
+            kept < counts[:, None], np.take_along_axis(ids, kept, axis=1), -1
+        )
+        return selected
 
     def _link(
         self, layer: int, incoming: Dict[int, List[int]], m: int, embedded=None
@@ -385,25 +384,6 @@ class HnswIndex(VectorIndex):
     def _neighbors(self, layer: int, node: int) -> List[int]:
         return self._layers[layer][node]
 
-    def _select_heuristic(
-        self, candidates: List[Tuple[float, int]], m: int, embedded=None
-    ) -> List[int]:
-        """Algorithm 4 over one candidate row, ascending by ``(distance,
-        id)``: the one-row call of :func:`select_heuristic_rows`, which
-        ``add`` and a layer's rows narrower than ``ef`` select through.  The
-        candidates are gathered from ``embedded`` (the build's) when given,
-        else from the rows; a row of at most ``m`` is kept whole."""
-        ids = [candidate for _, candidate in candidates]
-        if len(ids) <= m:
-            return ids
-        block = (self.vectors if embedded is None else embedded)[ids]
-        (picks,) = select_heuristic_rows(
-            np.array([[distance for distance, _ in candidates]]),
-            self.kernel.matrix(block, block)[None],
-            m,
-        )
-        return [ids[c] for c in picks.tolist()]
-
     def _insert(self, node: int, level: int) -> None:
         """Link one new node into a built graph, finding its candidates by
         search (:meth:`build` finds them exactly instead)."""
@@ -427,8 +407,11 @@ class HnswIndex(VectorIndex):
                 self._layers[layer], self.vectors, self.kernel, query,
                 k=ef, budget=ef, entry_points=starts,
             )[0]
-            candidates = list(zip(found.distances, found.ids))
-            neighbors = base.vertex_ids(self._select_heuristic(candidates, self.params.m))
+            (row,) = self._select_passes(
+                self.vectors, np.array([found.ids]), np.array([found.distances]),
+                np.array([len(found.ids)]),
+            )
+            neighbors = base.vertex_ids(row[row >= 0].tolist())
             self._layers[layer][node] = neighbors
             self._link(layer, {neighbor: [node] for neighbor in neighbors}, self._cap(layer))
             starts = found.ids

@@ -1,4 +1,5 @@
-"""numpy's BLAS at one thread.
+"""The C runtime under numpy: its BLAS at one thread, and the heap that
+set-up freed handed back to the operating system.
 
 The program's parallelism is its callers' threads (DESIGN §7).  OpenBLAS
 starts one thread per core at load and hands each GEMM it thinks is large
@@ -56,3 +57,16 @@ def use_one_blas_thread() -> Optional[str]:
                 setter(1)
                 return name
     return None
+
+
+def release_free_heap() -> bool:
+    """Hand the C heap's free pages back to the OS (glibc's ``malloc_trim``;
+    ``False``, doing nothing, elsewhere).  glibc trims by itself only a free
+    top above twice its largest freed mapping, so the ≈ 2 MB of scratch a
+    2 000-row build frees would otherwise stay resident."""
+    try:
+        trim = ctypes.CDLL("libc.so.6", mode=getattr(os, "RTLD_NOLOAD", 0)).malloc_trim
+    except (OSError, AttributeError):
+        return False
+    trim(0)
+    return True

@@ -1,11 +1,11 @@
 """Tests for the HNSW link step and the insertion path around it.
 
 * ``_link`` folds each row's reverse edges in windows; it is checked against
-  the event-by-event ``kernel.batch`` + sort + ``_select_heuristic`` re-prune
-  it replaced, over a table-lookup kernel so both sides see *exactly* the
-  same distances — quantised, so ``(distance, id)`` ties, ``pairwise ==
-  distance`` boundaries and the fill-up step all occur — with histories
-  that end before, on and after a window edge;
+  the event-by-event ``kernel.batch`` + sort + ``select_heuristic_rows``
+  re-prune it replaced, over a table-lookup kernel so both sides see
+  *exactly* the same distances — quantised, so ``(distance, id)`` ties,
+  ``pairwise == distance`` boundaries and the fill-up step all occur — with
+  histories that end before, on and after a window edge;
 * ``base_graph()`` is layer 0 itself, before and after ``add``;
 * structural invariants and the recall@10 floor hold after ``build`` and
   after 200 interleaved ``add``/``search`` steps, under both kernels.
@@ -71,7 +71,12 @@ def _row_by_row(index: HnswIndex, owner: int, row, arrivals, m: int) -> list:
         if len(row) > m:
             distances = index.kernel.batch(index.vectors[owner], index.vectors[row])
             ranked = sorted(zip((float(d) for d in distances), row))
-            row = index._select_heuristic(ranked, m)
+            row = [node for _, node in ranked]
+            block = index.vectors[row]
+            (picks,) = select_heuristic_rows(
+                np.array([[d for d, _ in ranked]]), index.kernel.matrix(block, block)[None], m
+            )
+            row = [row[c] for c in picks.tolist()]
     return row
 
 

@@ -91,19 +91,16 @@ def _selection_inputs(index: HnswIndex, corpus, kernel):
     is handed them, layer by layer from the top: ``(positions,
     distances)``, positions into the layer's members, in rank order."""
     rows = []
-    single, passes = index._select_heuristic, index._select_passes
+    passes = index._select_passes
 
-    def select_one(candidates, m, embedded=None):
-        rows.append(([c for _, c in candidates], [d for d, _ in candidates]))
-        return single(candidates, m, embedded)
+    def select_pass(embedded, ids, distances, counts):
+        for row, row_distances, count in zip(ids.tolist(), distances.tolist(), counts.tolist()):
+            rows.append((row[:count], row_distances[:count]))
+        return passes(embedded, ids, distances, counts)
 
-    def select_pass(embedded, ids, distances, m):
-        rows.extend(zip(ids.tolist(), distances.tolist()))
-        return passes(embedded, ids, distances, m)
-
-    index._select_heuristic, index._select_passes = select_one, select_pass
+    index._select_passes = select_pass
     index.build(corpus, kernel)
-    del index._select_heuristic, index._select_passes
+    del index._select_passes
     by_layer = []
     for layer in range(len(index._layers) - 1, -1, -1):
         by_layer.append((layer, rows[: len(index._layers[layer])]))
@@ -123,8 +120,8 @@ class TestCandidatesAgainstBruteForce:
 
         straddling = 0
         # The build's own blocks and passes (one of each at this scale), then
-        # 7-row blocks in 14-row passes from the first full-width row, so
-        # block edges fall inside the layer and blocks straddle pass edges.
+        # 7-row blocks in 14-row passes, so block and pass edges fall inside
+        # the layer, narrow rows and full-width ones share a pass.
         for rows in (None, 7):
             if rows:
                 monkeypatch.setattr(hnsw, "block_rows", lambda width, dim: rows)
@@ -167,8 +164,8 @@ class TestOneLinkStep:
         """One definition folds reverse edges into rows and one re-selects
         under it; ``_build_layer`` reaches it once, outside any loop,
         ``_insert`` reaches the same one, and nothing else re-selects.  The
-        full-width forward selection (``_select_passes``) scans its packed
-        passes through the same ``select_saturated`` the replay does."""
+        forward selection (``_select_passes``) scans its packed passes
+        through the same ``select_saturated`` the replay does."""
         source = {
             name: ast.parse(textwrap.dedent(inspect.getsource(member)))
             for name, member in vars(HnswIndex).items()
@@ -310,7 +307,7 @@ def test_build_dispatch_budget(monkeypatch):
     and re-selecting a row per reverse edge ~2.4; finding them exactly and
     folding the reverse edges in windows costs a few per *block*.  The
     forward selection scans once per *pass* of whole blocks whose packed
-    tables fit the scratch budget — 4 scans for 60 blocks on layer 0 of
+    tables fit the scratch budget — 4 scans for 63 blocks on layer 0 of
     2000 rows.  No block or scan outgrows the scratch budget on the way,
     and an edge stays a pointer: every layer's rows hold the base graph's
     int object per node, however often it is stored."""
@@ -330,23 +327,20 @@ def test_build_dispatch_budget(monkeypatch):
     assert 0 < kernel.widest_block <= _SCRATCH_BYTES
     assert max(nbytes for _, nbytes, _ in scans) <= _SCRATCH_BYTES
 
-    ef = index.params.ef_construction
+    ef, m = index.params.ef_construction, index.params.m
     rows = block_rows(ef, 32)
     step = pass_rows(ef) // rows * rows
-    full = [len(layer) - ef for layer in reversed(index._layers) if len(layer) > ef]
-    passes = [min(step, f - start) for f in full for start in range(0, f, step)]
-    # Before its passes, each row of a layer narrower than ef with more
-    # than m candidates (rows m + 1 .. min(ef, size) - 1) scans on its own.
-    m = index.params.m
-    expected = [
-        rows_scanned
-        for size in (len(layer) for layer in reversed(index._layers))
-        for rows_scanned in [1] * max(0, min(ef, size) - m - 1) + [
-            min(step, size - ef - start) for start in range(0, max(0, size - ef), step)
-        ]
+    sizes = [len(layer) for layer in reversed(index._layers)]
+    # Passes of whole blocks from each layer's row 0; a layer of at most m
+    # members keeps every row whole and scans nothing.
+    passes = [
+        min(step, size - start)
+        for size in sizes
+        if min(ef, size) > m
+        for start in range(0, size, step)
     ]
-    assert [r for r, _, forward in scans if forward] == expected
-    assert (len(passes), sum(-(-f // rows) for f in full)) == (5, 63)
+    assert [r for r, _, forward in scans if forward] == passes
+    assert (len(passes), sum(-(-size // rows) for size in sizes)) == (6, 70)
 
     assert_one_int_per_vertex(index.base_graph(), index._layers)
     assert bytes_per_edge(index._layers) <= 16
@@ -452,11 +446,10 @@ def test_build_spans_give_each_layer_phase_an_address(unit_vectors):
         members = len(index._layers[span.attributes["layer"]])
         assert span.attributes["rows"] == members
         if span.name == "hnsw-select":
-            # One candidates span per pass: passes of `step` rows from row 0
-            # and from the first full-width row, each computing the blocks
-            # that start in it, so every block is computed once.
-            full_from = min(32, members)
-            bounds = [*range(0, full_from, step), *range(full_from, members, step), members]
+            # One candidates span per pass: passes of `step` rows from row 0,
+            # each computing its own whole blocks, so every block is
+            # computed once.
+            bounds = [*range(0, members, step), members]
             passes = [b - a for a, b in zip(bounds, bounds[1:])]
             assert span.attributes["blocks"] == -(-members // rows)
             assert span.attributes["passes"] == len(passes)

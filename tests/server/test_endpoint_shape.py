@@ -16,7 +16,8 @@ counts moved (tier 0 6 -> 5 plans, tier 1 1 -> 2).  When HNSW's build
 began computing a layer's candidates a pass at a time, with one
 ``hnsw-candidates`` span per pass, ``every-layer``'s count of that span went
 4 -> 5 in ``/metrics`` and in Prometheus: its 120-row layer 0 is two passes,
-the rows before ``ef_construction`` and the rest.  When
+the rows before ``ef_construction`` and the rest; it went back to 4 when
+those rows joined the one schedule of passes from row 0.  When
 ``monitor_sample_rate`` stopped being a config field (the quality monitor
 scores every 8th query, its own default), ``every-layer`` lost
 ``monitor_sample_rate=1`` and the leaves that moved with it were retaken:

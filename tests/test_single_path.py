@@ -197,8 +197,11 @@ def test_the_index_layer_keeps_one_of_each():
     """One beam loop, one adjacency per layer, one row store: only
     ``search.py`` runs a heap, HNSW has no private search pair or descent
     loop and no cached copy of layer 0, nothing under ``repro.index``
-    stacks a matrix to grow it (``base.py`` owns growth), and a restored
-    index inserts through the pipeline index's own ``add``."""
+    stacks a matrix to grow it (``base.py`` owns growth), a restored
+    index inserts through the pipeline index's own ``add``, and HNSW's
+    ``build`` and ``add`` select a new node's neighbours (Algorithm 4)
+    through one driver, ``_select_passes`` — ``_link``'s reverse-edge
+    re-selection aside."""
     import repro.index
     from repro.index.hnsw import HnswIndex
     from repro.index.persistence import FrozenGraphIndex
@@ -221,7 +224,10 @@ def test_the_index_layer_keeps_one_of_each():
     assert heap_users == ["repro.index.search"]
     assert not stackers
 
-    for name in ("_search_layer", "_greedy_descend", "_greedy_descend_batch", "_base_graph"):
+    for name in (
+        "_search_layer", "_greedy_descend", "_greedy_descend_batch", "_base_graph",
+        "_select_heuristic",
+    ):
         assert not hasattr(HnswIndex, name)
     assert "_base_graph" not in vars(HnswIndex())
     assert FrozenGraphIndex.add is PipelineGraphIndex.add
@@ -230,6 +236,31 @@ def test_the_index_layer_keeps_one_of_each():
         node for node in ast.walk(add)
         if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "getattr"
     ]
+
+    algorithm_4 = {
+        "select_heuristic_rows", "select_saturated", "occlusion_scan", "mrng_rule",
+        "pack_table", "prune_rows", "robust_prune",
+    }
+    methods = {
+        name: {
+            getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(member))))
+            if isinstance(node, ast.Call)
+        }
+        for name, member in vars(HnswIndex).items()
+        if inspect.isfunction(member)
+    }
+
+    def reaches(name, seen=frozenset()):
+        callees = methods[name] & (methods.keys() - seen - {name})
+        return bool(methods[name] & algorithm_4) or any(
+            reaches(callee, seen | {name}) for callee in callees
+        )
+
+    for caller in ("_build_layer", "_insert"):
+        assert not methods[caller] & algorithm_4, caller
+        via = {callee for callee in methods[caller] & methods.keys() if reaches(callee)}
+        assert via == {"_select_passes", "_link"}, (caller, via)
 
 
 def test_a_block_is_timed_once():
@@ -987,7 +1018,8 @@ def test_an_api_body_is_read_through_its_declaration():
 
 def test_one_module_loads_a_shared_library():
     """Only ``repro.utils.blas`` touches ``ctypes``: it finds the OpenBLAS
-    numpy has loaded and sets it to one thread at ``import repro``.  A second
+    numpy has loaded and sets it to one thread at ``import repro``, and
+    trims the C heap at the end of set-up.  A second
     module reaching into native libraries is a second place where the
     process's threads are decided."""
     loaders = set()

@@ -1,4 +1,5 @@
-"""``import repro`` leaves numpy's OpenBLAS at one thread.
+"""``import repro`` leaves numpy's OpenBLAS at one thread, and set-up hands
+the heap it freed back to the operating system.
 
 The program's parallelism is its callers' threads; a second BLAS thread
 beside each small GEMM doubled set-up's CPU for the same wall time.  The
@@ -58,3 +59,40 @@ def test_importing_repro_leaves_numpy_blas_at_one_thread():
     before, after = map(int, result.stdout.split())
     assert before >= 1
     assert after == 1
+
+
+_HEAP_SCRIPT = """
+import sys
+sys.path.insert(0, "src")
+import numpy as np
+from repro.utils.blas import release_free_heap
+
+def resident_mb():
+    with open("/proc/self/status") as status:
+        line = next(line for line in status if line.startswith("VmRSS"))
+    return int(line.split()[1]) / 1024
+
+# 100 KB blocks (heap, below glibc's first mapping threshold), each followed
+# by a small block that stays: freed, they are holes glibc never trims.
+blocks, pins = [], []
+for _ in range(40):
+    blocks.append(np.ones(12_800))
+    pins.append(np.ones(2_000))
+del blocks
+before = resident_mb()
+trimmed = release_free_heap()
+print(int(trimmed), before - resident_mb())
+"""
+
+
+def test_release_free_heap_returns_freed_pages():
+    if not sys.platform.startswith("linux"):
+        pytest.skip("malloc_trim is glibc's")
+    result = subprocess.run(
+        [sys.executable, "-c", _HEAP_SCRIPT], cwd=REPO,
+        capture_output=True, text=True, check=True,
+    )
+    trimmed, released_mb = result.stdout.split()
+    if trimmed == "0":
+        pytest.skip("this C library has no malloc_trim")
+    assert float(released_mb) >= 2.0
