@@ -45,7 +45,7 @@ def vector_world():
     encoder_set = build_encoder_set("clip-joint", kb, seed=3)
     schema = MultiVectorSchema(encoder_set.dims())
     kernel = WeightedMultiVectorKernel(schema, [0.8, 1.2])
-    corpus = kernel.stack_corpus(encoder_set.encode_corpus(list(kb)))
+    corpus = encoder_set.encode_corpus(list(kb)).matrix
 
     rng = derive_rng(9, "e3-queries")
     query_ids = rng.choice(len(kb), size=N_QUERIES, replace=False)

@@ -47,7 +47,7 @@ def build_world(spec: DatasetSpec, weights):
     encoder_set = build_encoder_set("unimodal-strong", kb, seed=3)
     schema = MultiVectorSchema(encoder_set.dims())
     build_kernel = WeightedMultiVectorKernel(schema, weights)
-    corpus = build_kernel.stack_corpus(encoder_set.encode_corpus(list(kb)))
+    corpus = encoder_set.encode_corpus(list(kb)).matrix
     index = MustGraphIndex(
         MustGraphParams(max_degree=12, candidate_pool=32, build_budget=48)
     )

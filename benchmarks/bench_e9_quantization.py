@@ -31,7 +31,7 @@ def quantization_sweep():
     encoder_set = build_encoder_set("clip-joint", kb, seed=3)
     schema = MultiVectorSchema(encoder_set.dims())
     kernel = WeightedMultiVectorKernel(schema, [0.9, 1.1])
-    corpus = kernel.stack_corpus(encoder_set.encode_corpus(list(kb)))
+    corpus = encoder_set.encode_corpus(list(kb)).matrix
 
     rng = derive_rng(13, "e9-queries")
     query_ids = rng.choice(len(kb), size=N_QUERIES, replace=False)

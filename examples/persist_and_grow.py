@@ -39,7 +39,7 @@ def main() -> None:
     encoder_set = build_encoder_set("clip-joint", kb, seed=3)
     schema = MultiVectorSchema(encoder_set.dims())
     kernel = WeightedMultiVectorKernel(schema, [0.9, 1.1])
-    corpus = kernel.stack_corpus(encoder_set.encode_corpus(list(kb)))
+    corpus = encoder_set.encode_corpus(list(kb)).matrix
 
     index = MustGraphIndex(MustGraphParams(max_degree=12, candidate_pool=32))
     index.build(corpus, kernel)

@@ -220,8 +220,9 @@ class Coordinator:
                 metrics=self.metrics,
                 corpus=self.representation.corpus,
             )
-        # The index holds its rows now; a second reference here would go
-        # stale at the first ingest.
+        # The index holds its rows now (MUST and MR over the encoded
+        # corpus's own memory); a second reference here would go stale at
+        # the first ingest.
         self.representation.corpus = None
         # A query cache is the ``cache`` layer's to install: it may need the planner.
         self.execution = QueryExecution(

@@ -1,7 +1,8 @@
 """Component 2: vector representation.
 
 Builds the configured encoder set, encodes the knowledge base once into
-per-modality matrices, and produces the modality weights — learned through
+one schema-ordered matrix (read per modality through column views), and
+produces the modality weights — learned through
 contrastive training over those matrices, fixed from user input, or equal.
 """
 
@@ -10,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.core.config import MQAConfig, WeightMode
 from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
-from repro.encoders import EncoderSet, build_encoder_set
+from repro.encoders import EncodedCorpus, EncoderSet, build_encoder_set
 from repro.weights import (
     VectorWeightLearner,
     WeightLearningConfig,
@@ -34,17 +33,18 @@ class RepresentationOutcome:
         weights: Modality weights for the multi-vector distance.
         learning_report: The contrastive run's report (None unless
             weight_mode is LEARNED).
-        corpus: The encoded knowledge base (``encode_corpus`` matrices, row
-            ``i`` = object ``i``) — the one encode of a set-up, shared by
-            the weight learner and index construction.  The coordinator
-            clears it once the index is built: an ingest would make it
-            stale, and the index holds its own rows.
+        corpus: The encoded knowledge base (``encode_corpus``, row ``i`` =
+            object ``i``) — the one encode of a set-up: the weight learner
+            reads its anchors from the per-modality views, and index
+            construction builds over the same memory.  The coordinator
+            drops this reference once the index is built: an ingest would
+            make it stale, and the index holds the rows it needs.
     """
 
     encoder_set: EncoderSet
     weights: Dict[Modality, float]
     learning_report: Optional[WeightLearningReport] = None
-    corpus: Optional[Dict[Modality, np.ndarray]] = None
+    corpus: Optional[EncodedCorpus] = None
 
 
 class VectorRepresentation:

@@ -534,7 +534,10 @@ class ShardRouter(RetrievalFramework):
         """Partition ``kb`` and build every shard's replica set.
 
         Every replica indexes its rows of the one encoded corpus, so a
-        shard's vectors are the unsharded build's vectors to the bit.
+        shard's vectors are the unsharded build's vectors to the bit.  A
+        shard's rows are gathered once and all its replicas build over that
+        one :class:`~repro.encoders.base.EncodedCorpus`: builds never write
+        it, and an index copies its rows before its first ``add``.
         """
         start = time.perf_counter()
         corpus = self._corpus(kb, encoder_set, corpus)
@@ -547,10 +550,7 @@ class ShardRouter(RetrievalFramework):
             rows[shard].append(row)
         self.groups = []
         for shard_index, objects in enumerate(assignments):
-            shard_corpus = {
-                modality: matrix[rows[shard_index]]
-                for modality, matrix in corpus.items()
-            }
+            shard_corpus = corpus.take(rows[shard_index])
             replicas = []
             for replica_index in range(self.replica_count):
                 replica = ShardReplica(shard_index, replica_index)

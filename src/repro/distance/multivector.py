@@ -298,30 +298,3 @@ class WeightedMultiVectorKernel(DistanceKernel):
                 self.stats.pruned += 1
                 return total
         return total
-
-    # ------------------------------------------------------------------
-    # corpus helpers
-    # ------------------------------------------------------------------
-    def stack_corpus(self, vectors_by_modality: Mapping[Modality, np.ndarray]) -> np.ndarray:
-        """Concatenate per-modality corpus matrices into an (n, total) matrix."""
-        rows = None
-        parts = []
-        for modality in self.schema.modalities:
-            if modality not in vectors_by_modality:
-                raise EncodingError(
-                    f"corpus is missing modality {modality.value!r}"
-                )
-            matrix = np.atleast_2d(np.asarray(vectors_by_modality[modality], dtype=np.float64))
-            if matrix.shape[1] != self.schema.dim_of(modality):
-                raise DimensionMismatchError(
-                    f"{modality.value} corpus dim {matrix.shape[1]} != "
-                    f"schema dim {self.schema.dim_of(modality)}"
-                )
-            if rows is None:
-                rows = matrix.shape[0]
-            elif matrix.shape[0] != rows:
-                raise EncodingError(
-                    "per-modality corpus matrices have different row counts"
-                )
-            parts.append(matrix)
-        return np.concatenate(parts, axis=1)

@@ -14,7 +14,7 @@ relies on).  MUST consumes either kind, one vector per modality.
 
 from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
-from repro.encoders.base import Encoder, EncoderSet
+from repro.encoders.base import EncodedCorpus, Encoder, EncoderSet
 from repro.encoders.audio import SpectralAudioEncoder
 from repro.encoders.clip import SimulatedClipEncoder
 from repro.encoders.image import PatchPoolingImageEncoder
@@ -71,6 +71,7 @@ register_encoder_set("clip-joint", _clip_joint)
 __all__ = [
     "BagOfTokensEncoder",
     "ENCODER_SETS",
+    "EncodedCorpus",
     "Encoder",
     "EncoderSet",
     "PatchPoolingImageEncoder",

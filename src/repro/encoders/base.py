@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -38,13 +38,20 @@ class Encoder(abc.ABC):
     def encode(self, modality: Modality, content: Any) -> np.ndarray:
         """Encode ``content`` of ``modality`` into a unit-norm vector."""
 
-    def encode_batch(self, modality: Modality, contents: Sequence[Any]) -> np.ndarray:
+    def encode_batch(
+        self,
+        modality: Modality,
+        contents: Sequence[Any],
+        out: "np.ndarray | None" = None,
+    ) -> np.ndarray:
         """Encode many contents of one modality into an ``(n, d)`` matrix.
 
         The rows are encoded a block at a time (:func:`repro.utils.
-        row_blocks` over :meth:`row_bytes`) into one preallocated output,
-        so a corpus-sized encode holds one block of stacked content beside
-        its result, never the whole corpus's.  A block is
+        row_blocks` over :meth:`row_bytes`) into one preallocated output —
+        ``out`` when given (any ``(n, d)`` float64 view, such as a column
+        slice of :meth:`EncoderSet.encode_corpus`'s matrix), which is filled
+        and returned — so a corpus-sized encode holds one block of stacked
+        content beside its result, never the whole corpus's.  A block is
         :meth:`_encode_rows`: encoders whose pipeline is a linear map
         override it with one matrix multiply over the block.  Blocks start
         at multiples of 64 rows and only a lone one holds fewer than 64,
@@ -59,7 +66,13 @@ class Encoder(abc.ABC):
         retrieval matches serial retrieval bit-for-bit.
         """
         modality = self._require_support(modality)
-        out = np.empty((len(contents), self.output_dim))
+        shape = (len(contents), self.output_dim)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64:
+            raise EncodingError(
+                f"encode_batch out is {out.dtype}{out.shape}, expected float64{shape}"
+            )
         for rows in row_blocks(len(contents), self.row_bytes(modality)):
             out[rows] = self._encode_rows(modality, contents[rows])
         return out
@@ -210,13 +223,15 @@ class EncoderSet:
         """
         return [self.encode_query_full(query) for query in queries]
 
-    def encode_corpus(self, objects: Sequence[MultiModalObject]) -> Dict[Modality, np.ndarray]:
-        """Encode a corpus into per-modality matrices (row i = object i).
+    def encode_corpus(self, objects: Sequence[MultiModalObject]) -> "EncodedCorpus":
+        """Encode a corpus into one :class:`EncodedCorpus` (row i = object i).
 
-        Each modality's column is produced by one :meth:`Encoder.encode_batch`
-        call, so encoders with a vectorised block pay a matrix multiply per
-        block of rows instead of a Python loop over objects, and hold one
-        block of stacked content at a time.
+        One ``(n, Σd)`` matrix is allocated in :meth:`dims` order — the
+        order of ``MultiVectorSchema(encoder_set.dims())`` — and each
+        modality's :meth:`Encoder.encode_batch` call fills its column slice
+        block by block, so encoders with a vectorised block pay a matrix
+        multiply per block of rows instead of a Python loop over objects,
+        and the encode holds the matrix and one block of stacked content.
         """
         if not objects:
             raise EncodingError("cannot encode an empty corpus")
@@ -227,12 +242,13 @@ class EncoderSet:
                         f"object {obj.object_id} lacks modality {modality.value!r} "
                         f"required by encoder set {self.name!r}"
                     )
-        return {
-            modality: encoder.encode_batch(
-                modality, [obj.get(modality) for obj in objects]
+        dims = self.dims()
+        corpus = EncodedCorpus(np.empty((len(objects), sum(dims.values()))), dims)
+        for modality, encoder in self._assignment.items():
+            encoder.encode_batch(
+                modality, [obj.get(modality) for obj in objects], out=corpus[modality]
             )
-            for modality, encoder in self._assignment.items()
-        }
+        return corpus
 
     def describe(self) -> str:
         """Status-panel summary: encoder and dimension per modality."""
@@ -241,3 +257,37 @@ class EncoderSet:
         ]
         kind = "joint" if self.is_joint else "unimodal"
         return f"encoder set {self.name!r} [{kind}] " + ", ".join(parts)
+
+
+class EncodedCorpus(Mapping):
+    """An encoded corpus: one ``(n, Σd)`` float64 :attr:`matrix` holding
+    each object's modality vectors side by side in ``dims`` order (row i =
+    object i), read per modality as a read-only mapping of column views.
+
+    MUST builds its unified index over :attr:`matrix` itself, MR indexes
+    the views, and the weight learner reads its anchors from them, so a
+    set-up holds its encoded corpus once.  Nobody writes it: an index that
+    keeps it as its rows copies them on its first ``add``.
+    """
+
+    def __init__(self, matrix: np.ndarray, dims: Mapping[Modality, int]) -> None:
+        self.matrix = matrix
+        self._dims = dict(dims)
+        self._views: Dict[Modality, np.ndarray] = {}
+        start = 0
+        for modality, dim in self._dims.items():
+            self._views[modality] = matrix[:, start:start + dim]
+            start += dim
+
+    def __getitem__(self, modality: Modality) -> np.ndarray:
+        return self._views[modality]
+
+    def __iter__(self) -> Iterator[Modality]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def take(self, rows: Sequence[int]) -> "EncodedCorpus":
+        """The corpus of ``rows`` (in that order): one gather of the matrix."""
+        return EncodedCorpus(self.matrix[rows], self._dims)

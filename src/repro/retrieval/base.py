@@ -6,12 +6,10 @@ import abc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
 from repro.data.objects import RawQuery
-from repro.encoders.base import EncoderSet
+from repro.encoders.base import EncodedCorpus, EncoderSet
 from repro.errors import RetrievalError
 from repro.index.base import SearchResult, SearchStats, VectorIndex
 from repro.index.tiered import TieredStore, tiered_snapshot
@@ -152,7 +150,7 @@ class RetrievalFramework(abc.ABC):
         encoder_set: EncoderSet,
         index_builder: IndexBuilder,
         weights: "Dict[Modality, float] | None" = None,
-        corpus: "Dict[Modality, np.ndarray] | None" = None,
+        corpus: "EncodedCorpus | None" = None,
     ) -> None:
         """Build the framework's index structures over the encoded ``kb``.
 
@@ -166,22 +164,25 @@ class RetrievalFramework(abc.ABC):
             corpus: ``encoder_set.encode_corpus(list(kb))`` when the caller
                 already holds it (row ``i`` = the ``i``-th object of
                 ``kb``).  The set-up pipeline encodes once in the
-                representation stage and hands the same matrices to every
-                framework — and, sliced by row, to every shard replica — so
-                MUST, MR, JE and their shards index the same floats.
-                Omitted, the framework encodes ``kb`` itself; every
-                implementation reads it through :meth:`_corpus`.  The
-                matrices are never written (an index that keeps one as its
-                rows copies it on its first ``add``).
+                representation stage and hands the same
+                :class:`~repro.encoders.base.EncodedCorpus` to every
+                framework — and, gathered once per shard, to both replicas
+                of a shard — so MUST, MR, JE and their shards index the same
+                floats, and MUST and MR index them where they lie: MUST its
+                :attr:`~repro.encoders.base.EncodedCorpus.matrix`, MR its
+                per-modality views.  Omitted, the framework encodes ``kb``
+                itself; every implementation reads it through
+                :meth:`_corpus`.  The corpus is never written (an index that
+                keeps it as its rows copies them on its first ``add``).
         """
 
     @staticmethod
     def _corpus(
         kb: KnowledgeBase,
         encoder_set: EncoderSet,
-        corpus: "Dict[Modality, np.ndarray] | None",
-    ) -> Dict[Modality, np.ndarray]:
-        """The corpus matrices :meth:`setup` builds over: the ones handed
+        corpus: "EncodedCorpus | None",
+    ) -> EncodedCorpus:
+        """The encoded corpus :meth:`setup` builds over: the one handed
         in, else ``kb`` encoded here."""
         if corpus is None:
             return encoder_set.encode_corpus(list(kb))

@@ -19,7 +19,7 @@ from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
 from repro.data.objects import RawQuery
 from repro.distance import SingleVectorKernel
-from repro.encoders.base import EncoderSet
+from repro.encoders.base import EncodedCorpus, EncoderSet
 from repro.errors import RetrievalError
 from repro.index.base import VectorIndex
 from repro.observability import trace_span
@@ -60,7 +60,7 @@ class JointEmbeddingRetrieval(RetrievalFramework):
         encoder_set: EncoderSet,
         index_builder: IndexBuilder,
         weights: "Dict[Modality, float] | None" = None,
-        corpus: "Dict[Modality, np.ndarray] | None" = None,
+        corpus: "EncodedCorpus | None" = None,
     ) -> None:
         if not encoder_set.is_joint and len(encoder_set.modalities) > 1:
             raise RetrievalError(

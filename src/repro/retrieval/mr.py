@@ -20,7 +20,7 @@ from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
 from repro.data.objects import RawQuery
 from repro.distance import SingleVectorKernel
-from repro.encoders.base import EncoderSet
+from repro.encoders.base import EncodedCorpus, EncoderSet
 from repro.errors import RetrievalError
 from repro.index.base import SearchStats, VectorIndex
 from repro.observability import trace_span
@@ -82,7 +82,7 @@ class MultiStreamedRetrieval(RetrievalFramework):
         encoder_set: EncoderSet,
         index_builder: IndexBuilder,
         weights: "Dict[Modality, float] | None" = None,
-        corpus: "Dict[Modality, np.ndarray] | None" = None,
+        corpus: "EncodedCorpus | None" = None,
     ) -> None:
         start = time.perf_counter()
         corpus = self._corpus(kb, encoder_set, corpus)

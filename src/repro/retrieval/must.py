@@ -20,7 +20,7 @@ from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
 from repro.data.objects import RawQuery
 from repro.distance import MultiVectorSchema, WeightedMultiVectorKernel
-from repro.encoders.base import EncoderSet
+from repro.encoders.base import EncodedCorpus, EncoderSet
 from repro.errors import RetrievalError
 from repro.index.base import VectorIndex
 from repro.observability import trace_span
@@ -63,15 +63,21 @@ class MustRetrieval(RetrievalFramework):
         encoder_set: EncoderSet,
         index_builder: IndexBuilder,
         weights: "Dict[Modality, float] | None" = None,
-        corpus: "Dict[Modality, np.ndarray] | None" = None,
+        corpus: "EncodedCorpus | None" = None,
     ) -> None:
+        """The unified index is built over the encoded corpus's matrix
+        itself: its columns are already in schema order."""
         start = time.perf_counter()
         corpus = self._corpus(kb, encoder_set, corpus)
         schema = MultiVectorSchema(encoder_set.dims())
+        if tuple(corpus) != schema.modalities:
+            raise RetrievalError(
+                f"corpus modalities {[m.value for m in corpus]} are not in schema "
+                f"order {[m.value for m in schema.modalities]}"
+            )
         kernel = WeightedMultiVectorKernel(schema, weights)
-        matrix = kernel.stack_corpus(corpus)
         index = index_builder()
-        index.build(matrix, kernel)
+        index.build(corpus.matrix, kernel)
         self._index = index
         self._schema = schema
         self._kernel = kernel

@@ -24,7 +24,7 @@ its weight is pushed down — exactly the behaviour the paper describes for
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Mapping
 
 import numpy as np
 
@@ -147,7 +147,7 @@ class VectorWeightLearner:
     # ------------------------------------------------------------------
     def fit(
         self, kb: KnowledgeBase, encoder_set: EncoderSet,
-        corpus: "Dict[Modality, np.ndarray] | None" = None,
+        corpus: "Mapping[Modality, np.ndarray] | None" = None,
     ) -> WeightLearningReport:
         """Learn modality weights for ``kb`` under ``encoder_set``; ``corpus``
         is the already-encoded ``kb``, when the caller holds it."""

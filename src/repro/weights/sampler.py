@@ -16,7 +16,7 @@ fit the set-up scratch budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -50,10 +50,11 @@ class ContrastiveBatch:
 class ViewPairSampler:
     """Samples contrastive batches from a knowledge base + encoder set.
 
-    ``corpus`` is the encoded ``kb`` (``encode_corpus`` matrices, row ``i`` =
-    object ``i``) when the caller holds it — set-up encodes once and hands
-    the same matrices here and to index construction; without it the sampler
-    encodes.  The rows are the anchors and the negatives.
+    ``corpus`` is the encoded ``kb`` (``encode_corpus``'s per-modality
+    views, row ``i`` = object ``i``) when the caller holds it — set-up
+    encodes once and hands the same corpus here and to index construction;
+    without it the sampler encodes.  The rows are the anchors and the
+    negatives.
     """
 
     def __init__(
@@ -62,7 +63,7 @@ class ViewPairSampler:
         encoder_set: EncoderSet,
         n_negatives: int = 8,
         seed: int = 0,
-        corpus: "Dict[Modality, np.ndarray] | None" = None,
+        corpus: "Mapping[Modality, np.ndarray] | None" = None,
     ) -> None:
         if len(kb) < 2:
             raise DataError("contrastive sampling needs at least two objects")

@@ -1,12 +1,20 @@
 """A set-up encodes the knowledge base once, and every framework — and
-every shard replica — indexes rows of those same matrices."""
+every shard replica — indexes rows of that one encoded corpus: MUST builds
+over its matrix and MR over its per-modality views where they lie, and the
+replicas of a shard share one gather of its rows."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core import MQASystem
+from repro.core.indexing import IndexConstruction
 from repro.data import Modality
+from repro.distance import WeightedMultiVectorKernel
 from repro.encoders import EncoderSet
+from repro.index import FlatIndex, HnswIndex
+from repro.retrieval.base import RetrievalFramework
 
 from tests.core.conftest import fast_config
 
@@ -37,9 +45,11 @@ def _indexed_rows(framework) -> np.ndarray:
 
 
 def _build(framework, shards, replicas):
-    return MQASystem.from_config(
-        fast_config(framework=framework, index="flat", shards=shards, replicas=replicas)
-    )
+    return _build_index(framework, "flat", shards=shards, replicas=replicas)
+
+
+def _build_index(framework, index, **overrides):
+    return MQASystem.from_config(fast_config(framework=framework, index=index, **overrides))
 
 
 @pytest.mark.parametrize("shards, replicas", DEPLOYMENTS)
@@ -71,3 +81,101 @@ def test_shard_rows_are_the_unsharded_rows(framework):
             )
         held += len(group.replicas[0].global_ids)
     assert held == len(whole)
+
+
+@pytest.fixture
+def set_up_reads(monkeypatch):
+    """In call order: every ``encode_corpus`` result, the corpus every
+    ``setup`` reads (``RetrievalFramework._corpus``; a shard router's own
+    read comes first) and the matrix every flat-index build is handed."""
+    reads = {"encoded": [], "setups": [], "builds": []}
+    encode, resolve, build = EncoderSet.encode_corpus, RetrievalFramework._corpus, FlatIndex.build
+
+    def encode_corpus(self, objects):
+        reads["encoded"].append(encode(self, objects))
+        return reads["encoded"][-1]
+
+    def corpus(kb, encoder_set, corpus):
+        reads["setups"].append(resolve(kb, encoder_set, corpus))
+        return reads["setups"][-1]
+
+    def flat_build(self, vectors, kernel):
+        reads["builds"].append(vectors)
+        build(self, vectors, kernel)
+
+    monkeypatch.setattr(EncoderSet, "encode_corpus", encode_corpus)
+    monkeypatch.setattr(RetrievalFramework, "_corpus", staticmethod(corpus))
+    monkeypatch.setattr(FlatIndex, "build", flat_build)
+    return reads
+
+
+@pytest.mark.parametrize("shards, replicas", DEPLOYMENTS)
+@pytest.mark.parametrize("framework", FRAMEWORKS)
+def test_builds_share_the_encoded_memory(set_up_reads, framework, shards, replicas):
+    """Every replica of a shard reads one gather of the encoded corpus (an
+    unsharded framework the encode itself); MUST builds over its matrix and
+    MR over its views, so each build shares that memory — JE indexes the
+    fused means, a matrix of its own."""
+    _build(framework, shards, replicas)
+    (encoded,) = set_up_reads["encoded"]
+    setups, builds = set_up_reads["setups"], set_up_reads["builds"]
+    assert setups[0] is encoded
+    if shards is not None:
+        setups = setups[1:]
+        assert len(setups) == shards * replicas
+        for shard in range(shards):
+            first, *others = setups[shard * replicas:(shard + 1) * replicas]
+            assert all(other is first for other in others)
+            assert not np.shares_memory(first.matrix, encoded.matrix)
+    per_setup = len(encoded) if framework == "mr" else 1
+    assert len(builds) == len(setups) * per_setup
+    if framework == "je":
+        return
+    for i, corpus in enumerate(setups):
+        matrices = builds[i * per_setup:(i + 1) * per_setup]
+        expected = list(corpus.values()) if framework == "mr" else [corpus.matrix]
+        for matrix, rows in zip(matrices, expected):
+            assert matrix.shape == rows.shape
+            assert np.shares_memory(matrix, rows)
+    if replicas > 1:
+        for shard in range(shards):
+            first = builds[shard * replicas * per_setup]
+            second = builds[(shard * replicas + 1) * per_setup]
+            assert np.shares_memory(first, second)
+
+
+def test_index_construction_allocates_no_second_corpus(monkeypatch):
+    """Traced from the start of MUST + HNSW index construction, nothing
+    corpus-sized is allocated before the build, and when the build's
+    embedding exists it is the stage's one live ``n × Σd`` array."""
+    seen = {}
+    run, build, embed = IndexConstruction.run, HnswIndex.build, WeightedMultiVectorKernel.embed
+
+    def traced_run(self, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            tracemalloc.stop()
+
+    def traced_build(self, vectors, kernel):
+        seen["corpus_bytes"] = vectors.nbytes
+        seen["peak_before_build"] = tracemalloc.get_traced_memory()[1]
+        build(self, vectors, kernel)
+
+    def traced_embed(self, vectors):
+        embedded = embed(self, vectors)
+        if "at_embedding" not in seen and "corpus_bytes" in seen:
+            seen["at_embedding"] = tracemalloc.take_snapshot()
+            seen["embedding_bytes"] = embedded.points.nbytes
+        return embedded
+
+    monkeypatch.setattr(IndexConstruction, "run", traced_run)
+    monkeypatch.setattr(HnswIndex, "build", traced_build)
+    monkeypatch.setattr(WeightedMultiVectorKernel, "embed", traced_embed)
+    _build_index("must", "hnsw")
+    corpus_bytes = seen["corpus_bytes"]
+    assert seen["embedding_bytes"] == corpus_bytes
+    assert seen["peak_before_build"] < corpus_bytes // 2, seen
+    sized = [t.size for t in seen["at_embedding"].traces if t.size >= corpus_bytes]
+    assert sized == [corpus_bytes], sized

@@ -126,25 +126,6 @@ class TestDistances:
             query, text_match
         )
 
-    def test_stack_corpus(self, schema):
-        kernel = WeightedMultiVectorKernel(schema)
-        stacked = kernel.stack_corpus(
-            {Modality.TEXT: np.ones((5, 4)), Modality.IMAGE: np.zeros((5, 6))}
-        )
-        assert stacked.shape == (5, 10)
-
-    def test_stack_corpus_row_mismatch(self, schema):
-        kernel = WeightedMultiVectorKernel(schema)
-        with pytest.raises(EncodingError, match="row counts"):
-            kernel.stack_corpus(
-                {Modality.TEXT: np.ones((5, 4)), Modality.IMAGE: np.zeros((4, 6))}
-            )
-
-    def test_stack_corpus_missing_modality(self, schema):
-        kernel = WeightedMultiVectorKernel(schema)
-        with pytest.raises(EncodingError, match="missing"):
-            kernel.stack_corpus({Modality.TEXT: np.ones((5, 4))})
-
 
 class TestIncrementalScanning:
     def test_pruned_value_exceeds_bound(self, schema, corpus):

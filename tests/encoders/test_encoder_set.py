@@ -42,6 +42,22 @@ class TestObjectEncoding:
         assert matrices[Modality.TEXT].shape == (10, 48)
         assert matrices[Modality.IMAGE].shape == (10, 96)
 
+    def test_encode_corpus_is_one_matrix_in_dims_order(self, uni_set, scenes_kb):
+        objects = list(scenes_kb)[:10]
+        corpus = uni_set.encode_corpus(objects)
+        assert corpus.matrix.shape == (10, 144) and list(corpus) == list(uni_set.dims())
+        np.testing.assert_array_equal(corpus.matrix[:, :48], corpus[Modality.TEXT])
+        assert np.shares_memory(corpus.matrix, corpus[Modality.IMAGE])
+        for modality in corpus:
+            encoder = uni_set.encoder_for(modality)
+            alone = encoder.encode_batch(modality, [obj.get(modality) for obj in objects])
+            np.testing.assert_array_equal(corpus[modality], alone)
+        gathered = corpus.take([3, 1])
+        np.testing.assert_array_equal(gathered.matrix, corpus.matrix[[3, 1]])
+        np.testing.assert_array_equal(gathered[Modality.IMAGE], corpus[Modality.IMAGE][[3, 1]])
+        with pytest.raises(EncodingError, match="out is"):
+            encoder.encode_batch(modality, [objects[0].get(modality)], out=np.empty((2, 96)))
+
     def test_encode_corpus_empty_rejected(self, uni_set):
         with pytest.raises(EncodingError):
             uni_set.encode_corpus([])

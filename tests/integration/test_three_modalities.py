@@ -73,10 +73,8 @@ class TestThreeModalities:
         from repro.distance import MultiVectorSchema, WeightedMultiVectorKernel
 
         kb, encoder_set = movie_world
-        corpus = encoder_set.encode_corpus(list(kb))
-        schema = MultiVectorSchema(encoder_set.dims())
-        kernel = WeightedMultiVectorKernel(schema)
-        matrix = kernel.stack_corpus(corpus)
+        matrix = encoder_set.encode_corpus(list(kb)).matrix
+        kernel = WeightedMultiVectorKernel(MultiVectorSchema(encoder_set.dims()))
         query = matrix[0]
         best = np.inf
         for row in range(matrix.shape[0]):

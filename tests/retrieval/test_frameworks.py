@@ -103,6 +103,17 @@ class TestMustSpecifics:
         response = framework.retrieve(RawQuery.from_text("foggy clouds"), k=3)
         assert len(response) == 3
 
+    def test_corpus_out_of_schema_order_refused(self, scenes_kb, uni_set):
+        from repro.encoders import EncodedCorpus
+        from repro.index import build_index
+
+        corpus = uni_set.encode_corpus(list(scenes_kb))
+        reordered = EncodedCorpus(corpus.matrix, dict(reversed(list(uni_set.dims().items()))))
+        with pytest.raises(RetrievalError, match="schema order"):
+            MustRetrieval().setup(
+                scenes_kb, uni_set, lambda: build_index("flat"), corpus=reordered
+            )
+
     def test_weights_property_before_setup(self):
         with pytest.raises(RetrievalError):
             MustRetrieval().weights
