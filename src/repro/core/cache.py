@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.data.modality import Modality
 from repro.data.objects import RawQuery
+from repro.encoders.base import numeric_content
 from repro.errors import ConfigurationError
 from repro.retrieval.base import RetrievalResponse
 
@@ -36,14 +37,14 @@ from repro.retrieval.base import RetrievalResponse
 SEMANTIC_THRESHOLD = 0.9
 
 
-def _digest_content(value: Any) -> str:
+def _digest_content(modality: Modality, value: Any) -> str:
     """Stable digest of query content (text or array)."""
     digest = hashlib.blake2b(digest_size=12)
     if isinstance(value, str):
         digest.update(b"s")
         digest.update(value.encode("utf-8"))
     else:
-        array = np.ascontiguousarray(np.asarray(value, dtype=np.float64))
+        array = np.ascontiguousarray(numeric_content(modality, value))
         digest.update(b"a")
         digest.update(str(array.shape).encode())
         digest.update(array.tobytes())
@@ -105,7 +106,7 @@ class QueryCache:
     ) -> Tuple:
         """Build the cache key for one retrieval call."""
         content = tuple(
-            (modality.value, _digest_content(query.get(modality)))
+            (modality.value, _digest_content(modality, query.get(modality)))
             for modality in sorted(query.modalities, key=lambda m: m.value)
         )
         weight_items: Tuple = ()

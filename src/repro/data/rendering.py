@@ -10,7 +10,7 @@ Each renderer owns the fixed generative parameters for one modality:
 * :class:`AudioRenderer` — projects the latent into a 1-D frame sequence with
   temporal smoothing and noise.
 
-Renderers also expose ``decode`` methods (the pseudo-inverse of the
+Renderers also expose ``decode_batch`` methods (the pseudo-inverse of the
 projection).  Encoders use these the way a pretrained model uses its learned
 weights: they are public "model parameters" of the world, not the per-object
 ground truth, which stays hidden behind noise and dropped tokens.
@@ -179,17 +179,10 @@ class ImageRenderer:
             row += self._projection @ latent
         return images.reshape(len(latents), spec.height, spec.width)
 
-    def decode(self, image: np.ndarray) -> np.ndarray:
-        """Recover a latent estimate from an image (least-squares inverse)."""
-        flat = np.asarray(image, dtype=np.float64).reshape(-1)
-        if flat.size != self.spec.pixels:
-            raise DataError(
-                f"image has {flat.size} pixels, renderer expects {self.spec.pixels}"
-            )
-        return l2_normalize(self._decoder @ flat)
-
     def decode_batch(self, images: np.ndarray) -> np.ndarray:
-        """Decode ``(n, pixels)`` (or ``(n, h, w)``) images in one gemm."""
+        """Recover latent estimates from ``(n, pixels)`` (or ``(n, h, w)``)
+        images in one gemm (least-squares inverse); one image is a batch of
+        one."""
         flat = np.asarray(images, dtype=np.float64).reshape(len(images), -1)
         if flat.shape[1] != self.spec.pixels:
             raise DataError(
@@ -243,17 +236,9 @@ class AudioRenderer:
             row += frames
         return clips
 
-    def decode(self, audio: np.ndarray) -> np.ndarray:
-        """Recover a latent estimate from audio frames."""
-        frames = np.asarray(audio, dtype=np.float64).reshape(-1)
-        if frames.size != self.spec.frames:
-            raise DataError(
-                f"audio has {frames.size} frames, renderer expects {self.spec.frames}"
-            )
-        return l2_normalize(self._decoder @ frames)
-
     def decode_batch(self, audios: np.ndarray) -> np.ndarray:
-        """Decode ``(n, frames)`` clips in one gemm."""
+        """Recover latent estimates from ``(n, frames)`` clips in one gemm;
+        one clip is a batch of one."""
         frames = np.asarray(audios, dtype=np.float64).reshape(len(audios), -1)
         if frames.shape[1] != self.spec.frames:
             raise DataError(

@@ -9,7 +9,6 @@ import numpy as np
 from repro.data.modality import Modality
 from repro.data.rendering import AudioRenderer
 from repro.encoders.base import Encoder
-from repro.errors import EncodingError
 from repro.utils import derive_rng, l2_normalize
 
 
@@ -42,30 +41,12 @@ class SpectralAudioEncoder(Encoder):
     def modalities(self) -> Tuple[Modality, ...]:
         return (Modality.AUDIO,)
 
-    def encode(self, modality: Modality, content: object) -> np.ndarray:
-        self._require_support(modality)
-        frames = np.asarray(content, dtype=np.float64).reshape(-1)
-        if frames.size != self.renderer.spec.frames:
-            raise EncodingError(
-                f"{self.name} expects {self.renderer.spec.frames} frames, "
-                f"got {frames.size}"
-            )
-        latent_estimate = self.renderer.decode(frames)
-        return l2_normalize(self._projection @ latent_estimate)
-
     def row_bytes(self, modality: Modality) -> int:
         """A block stacks raw frames."""
         return 8 * self.renderer.spec.frames
 
     def _encode_rows(self, modality: Modality, contents) -> np.ndarray:
         """One block as two gemms (decode, project)."""
-        frames = np.stack(
-            [np.asarray(content, dtype=np.float64).reshape(-1) for content in contents]
-        )
-        if frames.shape[1] != self.renderer.spec.frames:
-            raise EncodingError(
-                f"{self.name} expects {self.renderer.spec.frames} frames, "
-                f"got {frames.shape[1]}"
-            )
+        frames = self._numeric_rows(modality, contents, self.renderer.spec.frames)
         latent_estimates = self.renderer.decode_batch(frames)
         return l2_normalize(latent_estimates @ self._projection.T)

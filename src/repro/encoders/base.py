@@ -13,6 +13,21 @@ from repro.errors import EncodingError
 from repro.utils import row_blocks
 
 
+def numeric_content(modality: Modality, content: Any) -> np.ndarray:
+    """Raw ``content`` of ``modality`` as a float64 array.
+
+    The one place raw image or audio content becomes numbers: content that
+    is not numeric (a string, a mapping) is an :class:`EncodingError`
+    naming the modality, never a builtin ``ValueError`` / ``TypeError``.
+    """
+    try:
+        return np.asarray(content, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise EncodingError(
+            f"{modality.value} content must be numeric, got {type(content).__name__}"
+        ) from None
+
+
 class Encoder(abc.ABC):
     """Encodes raw content of one or more modalities into vectors.
 
@@ -34,9 +49,10 @@ class Encoder(abc.ABC):
     def modalities(self) -> Tuple[Modality, ...]:
         """Modalities this encoder accepts."""
 
-    @abc.abstractmethod
     def encode(self, modality: Modality, content: Any) -> np.ndarray:
-        """Encode ``content`` of ``modality`` into a unit-norm vector."""
+        """Encode ``content`` of ``modality`` into a unit-norm vector: a block
+        of one row."""
+        return self._encode_rows(self._require_support(modality), [content])[0]
 
     def encode_batch(
         self,
@@ -52,18 +68,14 @@ class Encoder(abc.ABC):
         slice of :meth:`EncoderSet.encode_corpus`'s matrix), which is filled
         and returned — so a corpus-sized encode holds one block of stacked
         content beside its result, never the whole corpus's.  A block is
-        :meth:`_encode_rows`: encoders whose pipeline is a linear map
-        override it with one matrix multiply over the block.  Blocks start
-        at multiples of 64 rows and only a lone one holds fewer than 64,
-        which keeps the GEMMs' per-row bits the one-call bits.  Batched
-        vectors may differ from the looped ones at the last-ulp level (gemm
-        accumulation order), which is why only set-up uses this path:
-        corpus encoding, and the weight learner's augmented views (one entry
-        per modality per training step — its distances are averaged into a
-        gradient, so an ulp is noise there).
-        Query encoding stays per-query: a query's vectors must be the same
-        floats whether it arrives alone or in a batch, so that batched
-        retrieval matches serial retrieval bit-for-bit.
+        :meth:`_encode_rows`, the one body each encoder has; :meth:`encode`
+        is that body over a block of one row.  Blocks start at multiples of
+        64 rows and only a lone one holds fewer than 64, which keeps the
+        GEMMs' per-row bits the one-call bits.  A row of a larger block may
+        differ from its one-row encode in the last ulp (GEMM accumulation
+        order), which set-up takes (corpus encoding, the weight learner's
+        views) and queries do not: they are never blocked together
+        (:meth:`EncoderSet.encode_query_batch`).
         """
         modality = self._require_support(modality)
         shape = (len(contents), self.output_dim)
@@ -83,10 +95,26 @@ class Encoder(abc.ABC):
         stack raw content or latents count those."""
         return 8 * self.output_dim
 
+    @abc.abstractmethod
     def _encode_rows(self, modality: Modality, contents: Sequence[Any]) -> np.ndarray:
-        """One block of :meth:`encode_batch` (``modality`` already parsed):
-        by default a loop over :meth:`encode`."""
-        return np.stack([self.encode(modality, content) for content in contents])
+        """Encode a block of contents (``modality`` already parsed) into an
+        ``(n, d)`` matrix of unit-norm rows."""
+
+    def _numeric_rows(
+        self, modality: Modality, contents: Sequence[Any], width: int
+    ) -> np.ndarray:
+        """Raw numeric ``contents`` as one ``(n, width)`` float64 block,
+        refusing content that is not ``width`` numbers."""
+        rows = np.empty((len(contents), width))
+        for position, content in enumerate(contents):
+            values = numeric_content(modality, content)
+            if values.size != width:
+                raise EncodingError(
+                    f"{self.name} expects {width} {modality.value} values, "
+                    f"got {values.size}"
+                )
+            rows[position] = values.reshape(-1)
+        return rows
 
     def supports(self, modality: Modality) -> bool:
         """True if this encoder accepts ``modality``."""
@@ -153,20 +181,14 @@ class EncoderSet:
     # encoding objects and queries
     # ------------------------------------------------------------------
     def encode_object(self, obj: MultiModalObject) -> Dict[Modality, np.ndarray]:
-        """Encode every assigned modality of ``obj``.
+        """Encode every assigned modality of ``obj``: :meth:`encode_corpus`
+        of one object, so each vector is its encoder's block of one row.
 
         Raises :class:`EncodingError` if the object lacks a modality the set
         expects — every indexed object must supply all configured modalities.
         """
-        vectors: Dict[Modality, np.ndarray] = {}
-        for modality, encoder in self._assignment.items():
-            if not obj.has(modality):
-                raise EncodingError(
-                    f"object {obj.object_id} lacks modality {modality.value!r} "
-                    f"required by encoder set {self.name!r}"
-                )
-            vectors[modality] = encoder.encode(modality, obj.get(modality))
-        return vectors
+        corpus = self.encode_corpus([obj])
+        return {modality: corpus[modality][0] for modality in corpus}
 
     def encode_query(self, query: RawQuery) -> Dict[Modality, np.ndarray]:
         """Encode the modalities the query actually carries.
@@ -174,14 +196,15 @@ class EncoderSet:
         Unlike objects, queries may be partial (text-only); missing
         modalities are simply absent from the result.  Raw numeric content
         holding a NaN or an infinity is refused here, before any encoder:
-        it would encode to a vector every distance to is NaN.
+        it would encode to a vector every distance to is NaN.  Content that
+        is not numeric at all is refused by :func:`numeric_content`.
         """
         vectors: Dict[Modality, np.ndarray] = {}
         for modality, encoder in self._assignment.items():
             if query.has(modality):
                 content = query.get(modality)
                 if modality is not Modality.TEXT and not np.isfinite(
-                    np.asarray(content, dtype=np.float64)
+                    numeric_content(modality, content)
                 ).all():
                     raise EncodingError(f"query {modality.value} holds a NaN or an infinity")
                 vectors[modality] = encoder.encode(modality, content)
@@ -215,11 +238,12 @@ class EncoderSet:
     def encode_query_batch(self, queries: Sequence[RawQuery]) -> list:
         """Encode many queries; element ``i`` is ``encode_query_full(queries[i])``.
 
-        Deliberately per-query underneath: the batched retrieval path
-        promises results id-identical to serial retrieval, so query vectors
-        must be the exact same floats either way.  Encoding is a handful of
-        gemv calls per query — batching it would change bits for a
-        negligible saving next to the search itself.
+        Deliberately per-query underneath: each query is its encoders'
+        block of one row, never a row of one block with the other queries.
+        A row's bits may depend on the rows blocked beside it (GEMM
+        accumulation order), and the batched retrieval path promises results
+        id-identical to serial retrieval, so a query's vectors must be the
+        same floats however it arrives.
         """
         return [self.encode_query_full(query) for query in queries]
 
@@ -229,9 +253,9 @@ class EncoderSet:
         One ``(n, Σd)`` matrix is allocated in :meth:`dims` order — the
         order of ``MultiVectorSchema(encoder_set.dims())`` — and each
         modality's :meth:`Encoder.encode_batch` call fills its column slice
-        block by block, so encoders with a vectorised block pay a matrix
-        multiply per block of rows instead of a Python loop over objects,
-        and the encode holds the matrix and one block of stacked content.
+        block by block, so an encoder pays a matrix multiply per block of
+        rows, and the encode holds the matrix and one block of stacked
+        content.
         """
         if not objects:
             raise EncodingError("cannot encode an empty corpus")

@@ -136,24 +136,6 @@ class SimulatedClipEncoder(Encoder):
             latents[positions] = l2_normalize(self._concept_table[gathered].mean(axis=1))
         return latents
 
-    def _encode_image(self, content: object) -> np.ndarray:
-        image = np.asarray(content, dtype=np.float64)
-        if image.size != self.image_renderer.spec.pixels:
-            raise EncodingError(
-                f"{self.name} image branch expects "
-                f"{self.image_renderer.spec.pixels} pixels, got {image.size}"
-            )
-        return self.image_renderer.decode(image)
-
-    def encode(self, modality: Modality, content: object) -> np.ndarray:
-        modality = self._require_support(modality)
-        if modality is Modality.TEXT:
-            latent_estimate = self._encode_text(content)
-        else:
-            latent_estimate = self._encode_image(content)
-        projected = self._projection @ latent_estimate
-        return l2_normalize(projected + self.modality_gap * self._gap[modality])
-
     def row_bytes(self, modality: Modality) -> int:
         """A block stacks raw pixels (images) or latents (text)."""
         if self._require_support(modality) is Modality.IMAGE:
@@ -167,29 +149,7 @@ class SimulatedClipEncoder(Encoder):
         if modality is Modality.TEXT:
             latents = self._text_latents(contents)
         else:
-            images = np.stack(
-                [
-                    np.asarray(content, dtype=np.float64).reshape(-1)
-                    for content in contents
-                ]
-            )
-            if images.shape[1] != self.image_renderer.spec.pixels:
-                raise EncodingError(
-                    f"{self.name} image branch expects "
-                    f"{self.image_renderer.spec.pixels} pixels, "
-                    f"got {images.shape[1]}"
-                )
+            images = self._numeric_rows(modality, contents, self.image_renderer.spec.pixels)
             latents = self.image_renderer.decode_batch(images)
         projected = latents @ self._projection.T
         return l2_normalize(projected + self.modality_gap * self._gap[modality])
-
-    def encode_joint(self, vectors: Dict[Modality, np.ndarray]) -> np.ndarray:
-        """Fuse per-modality CLIP vectors into one joint vector.
-
-        Joint Embedding represents a whole multi-modal object (or query) as
-        the normalised mean of its modality vectors in the shared space.
-        """
-        if not vectors:
-            raise EncodingError("cannot fuse an empty vector set")
-        stacked = np.stack(list(vectors.values()))
-        return l2_normalize(stacked.mean(axis=0))

@@ -17,7 +17,6 @@ import numpy as np
 from repro.data.modality import Modality
 from repro.data.rendering import ImageRenderer
 from repro.encoders.base import Encoder
-from repro.errors import EncodingError
 from repro.utils import derive_rng, l2_normalize
 
 
@@ -89,34 +88,13 @@ class PatchPoolingImageEncoder(Encoder):
     def modalities(self) -> Tuple[Modality, ...]:
         return (Modality.IMAGE,)
 
-    def encode(self, modality: Modality, content: object) -> np.ndarray:
-        self._require_support(modality)
-        image = np.asarray(content, dtype=np.float64)
-        spec = self.renderer.spec
-        if image.size != spec.pixels:
-            raise EncodingError(
-                f"{self.name} expects a {spec.height}x{spec.width} image, "
-                f"got {image.size} pixels"
-            )
-        pooled = self._pool @ image.reshape(-1)
-        latent_estimate = l2_normalize(self._decoder @ pooled)
-        return l2_normalize(self._projection @ latent_estimate)
-
     def row_bytes(self, modality: Modality) -> int:
         """A block stacks raw pixels."""
         return 8 * self.renderer.spec.pixels
 
     def _encode_rows(self, modality: Modality, contents) -> np.ndarray:
         """One block as three gemms (pool, decode, project)."""
-        images = np.stack(
-            [np.asarray(content, dtype=np.float64).reshape(-1) for content in contents]
-        )
-        spec = self.renderer.spec
-        if images.shape[1] != spec.pixels:
-            raise EncodingError(
-                f"{self.name} expects a {spec.height}x{spec.width} image, "
-                f"got {images.shape[1]} pixels"
-            )
+        images = self._numeric_rows(modality, contents, self.renderer.spec.pixels)
         pooled = images @ self._pool.T
         latent_estimates = l2_normalize(pooled @ self._decoder.T)
         return l2_normalize(latent_estimates @ self._projection.T)

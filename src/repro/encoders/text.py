@@ -1,10 +1,12 @@
 """Text encoders.
 
 Both encoders turn a token string into a latent estimate and then project it
-into an encoder-specific output space.  The latent estimate averages the
-concept-table vectors of recognised tokens (the "pretrained vocabulary");
-unrecognised tokens contribute hashed pseudo-embeddings, so filler words act
-as noise exactly the way out-of-distribution words degrade a real encoder.
+into an encoder-specific output space.  The latent estimate runs a decaying
+sum over the concept-table vectors of recognised tokens (the "pretrained
+vocabulary"); unrecognised tokens contribute hashed pseudo-embeddings, so
+filler words act as noise exactly the way out-of-distribution words degrade
+a real encoder.  The bag-of-tokens baseline is the same recurrence at decay
+1: a plain sum.
 """
 
 from __future__ import annotations
@@ -27,82 +29,6 @@ def _token_pseudo_embedding(token: str, dim: int, seed: int) -> np.ndarray:
     return l2_normalize(rng.standard_normal(dim))
 
 
-class BagOfTokensEncoder(Encoder):
-    """Order-free averaging text encoder (the weaker baseline).
-
-    Averages embeddings of *all* tokens — concept tokens resolve through the
-    concept table, everything else through hashing — so filler words dilute
-    the signal.  ``oov_weight`` controls how much they hurt.
-    """
-
-    name = "bag-of-tokens"
-
-    def __init__(
-        self,
-        space: ConceptSpace,
-        output_dim: int = 48,
-        oov_weight: float = 0.5,
-        seed: int = 0,
-    ) -> None:
-        if output_dim <= 0:
-            raise ValueError(f"output_dim must be positive, got {output_dim}")
-        if oov_weight < 0:
-            raise ValueError(f"oov_weight must be >= 0, got {oov_weight}")
-        self.space = space
-        self._output_dim = output_dim
-        self.oov_weight = oov_weight
-        self.seed = seed
-        rng = derive_rng(seed, "bag-of-tokens-projection")
-        self._projection = rng.standard_normal((output_dim, space.latent_dim))
-        self._projection /= np.sqrt(space.latent_dim)
-
-    @property
-    def output_dim(self) -> int:
-        return self._output_dim
-
-    @property
-    def modalities(self) -> Tuple[Modality, ...]:
-        return (Modality.TEXT,)
-
-    def encode(self, modality: Modality, content: object) -> np.ndarray:
-        self._require_support(modality)
-        if not isinstance(content, str):
-            raise EncodingError(
-                f"{self.name} expects a string, got {type(content).__name__}"
-            )
-        tokens = TextRenderer.tokenize(content)
-        if not tokens:
-            raise EncodingError(f"{self.name} cannot encode empty text")
-        return l2_normalize(self._projection @ self._latent(content))
-
-    def _latent(self, content: object) -> np.ndarray:
-        if not isinstance(content, str):
-            raise EncodingError(
-                f"{self.name} expects a string, got {type(content).__name__}"
-            )
-        tokens = TextRenderer.tokenize(content)
-        if not tokens:
-            raise EncodingError(f"{self.name} cannot encode empty text")
-        accumulated = np.zeros(self.space.latent_dim)
-        for token in tokens:
-            if token in self.space:
-                accumulated += self.space.get(token).vector
-            else:
-                accumulated += self.oov_weight * _token_pseudo_embedding(
-                    token, self.space.latent_dim, self.seed
-                )
-        return l2_normalize(accumulated)
-
-    def row_bytes(self, modality: Modality) -> int:
-        """A block stacks latents."""
-        return 8 * self.space.latent_dim
-
-    def _encode_rows(self, modality: Modality, contents) -> np.ndarray:
-        """Token accumulation stays per-string; a block's projection is one gemm."""
-        latents = np.stack([self._latent(content) for content in contents])
-        return l2_normalize(latents @ self._projection.T)
-
-
 class SequenceTextEncoder(Encoder):
     """Recurrent text encoder (the LSTM stand-in, the stronger option).
 
@@ -112,6 +38,7 @@ class SequenceTextEncoder(Encoder):
     """
 
     name = "sequence-lstm"
+    _projection_scope = "sequence-projection"
 
     def __init__(
         self,
@@ -123,6 +50,8 @@ class SequenceTextEncoder(Encoder):
     ) -> None:
         if output_dim <= 0:
             raise ValueError(f"output_dim must be positive, got {output_dim}")
+        if oov_weight < 0:
+            raise ValueError(f"oov_weight must be >= 0, got {oov_weight}")
         if not 0.0 < recurrence_decay <= 1.0:
             raise ValueError(
                 f"recurrence_decay must be in (0, 1], got {recurrence_decay}"
@@ -132,7 +61,7 @@ class SequenceTextEncoder(Encoder):
         self.oov_weight = oov_weight
         self.recurrence_decay = recurrence_decay
         self.seed = seed
-        rng = derive_rng(seed, "sequence-projection")
+        rng = derive_rng(seed, self._projection_scope)
         self._projection = rng.standard_normal((output_dim, space.latent_dim))
         self._projection /= np.sqrt(space.latent_dim)
 
@@ -143,17 +72,6 @@ class SequenceTextEncoder(Encoder):
     @property
     def modalities(self) -> Tuple[Modality, ...]:
         return (Modality.TEXT,)
-
-    def encode(self, modality: Modality, content: object) -> np.ndarray:
-        self._require_support(modality)
-        if not isinstance(content, str):
-            raise EncodingError(
-                f"{self.name} expects a string, got {type(content).__name__}"
-            )
-        tokens = TextRenderer.tokenize(content)
-        if not tokens:
-            raise EncodingError(f"{self.name} cannot encode empty text")
-        return l2_normalize(self._projection @ self._latent(content))
 
     def _latent(self, content: object) -> np.ndarray:
         if not isinstance(content, str):
@@ -182,3 +100,28 @@ class SequenceTextEncoder(Encoder):
         """The recurrence stays per-string; a block's projection is one gemm."""
         latents = np.stack([self._latent(content) for content in contents])
         return l2_normalize(latents @ self._projection.T)
+
+
+class BagOfTokensEncoder(SequenceTextEncoder):
+    """Order-free summing text encoder (the weaker baseline).
+
+    The recurrence at decay 1 — a plain sum of *all* token embeddings,
+    concept tokens through the concept table, everything else through
+    hashing — so filler words dilute the signal.  ``oov_weight`` controls
+    how much they hurt.
+    """
+
+    name = "bag-of-tokens"
+    _projection_scope = "bag-of-tokens-projection"
+
+    def __init__(
+        self,
+        space: ConceptSpace,
+        output_dim: int = 48,
+        oov_weight: float = 0.5,
+        seed: int = 0,
+    ) -> None:
+        super().__init__(
+            space, output_dim=output_dim, oov_weight=oov_weight,
+            recurrence_decay=1.0, seed=seed,
+        )

@@ -24,16 +24,21 @@ DEPLOYMENTS = ((None, 1), (2, 1), (2, 2))
 
 @pytest.fixture
 def encode_calls(monkeypatch):
-    """Entries into ``EncoderSet.encode_corpus`` / ``encode_object``."""
-    calls = {"encode_corpus": 0, "encode_object": 0}
-    for name in calls:
-        original = getattr(EncoderSet, name)
+    """Entries into ``EncoderSet.encode_object``, and the object count of
+    each ``encode_corpus`` call (``encode_object`` is a corpus of one)."""
+    calls = {"encode_corpus": [], "encode_object": 0}
+    encode_corpus, encode_object = EncoderSet.encode_corpus, EncoderSet.encode_object
 
-        def counted(self, *args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(self, *args, **kwargs)
+    def counted_corpus(self, objects):
+        calls["encode_corpus"].append(len(objects))
+        return encode_corpus(self, objects)
 
-        monkeypatch.setattr(EncoderSet, name, counted)
+    def counted_object(self, obj):
+        calls["encode_object"] += 1
+        return encode_object(self, obj)
+
+    monkeypatch.setattr(EncoderSet, "encode_corpus", counted_corpus)
+    monkeypatch.setattr(EncoderSet, "encode_object", counted_object)
     return calls
 
 
@@ -56,14 +61,16 @@ def _build_index(framework, index, **overrides):
 @pytest.mark.parametrize("framework", FRAMEWORKS)
 def test_one_encode_per_setup(encode_calls, framework, shards, replicas):
     system = _build(framework, shards, replicas)
-    assert encode_calls == {"encode_corpus": 1, "encode_object": 0}
+    size = len(system.coordinator.kb)
+    assert encode_calls == {"encode_corpus": [size], "encode_object": 0}
     # The matrices served the learner and the build; nothing keeps them.
     assert system.coordinator.representation.corpus is None
 
     # The system is live: an ingested object is encoded on its own and is
     # the nearest thing to its own content.
     new_id = system.ingest(["foggy", "dusk"])
-    assert encode_calls["encode_corpus"] == 1
+    ingests = encode_calls["encode_object"]
+    assert ingests >= 1 and encode_calls["encode_corpus"] == [size] + [1] * ingests
     obj = system.coordinator.kb.get(new_id)
     answer = system.ask(obj.get(Modality.TEXT), image=obj.get(Modality.IMAGE))
     assert answer.items[0].object_id == new_id

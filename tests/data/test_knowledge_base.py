@@ -75,7 +75,7 @@ class TestRenderView:
     def test_view_keeps_latent_close(self, scenes_kb):
         obj = scenes_kb.get(3)
         view = scenes_kb.render_view(3, view_seed=9)
-        estimate = scenes_kb.render_model.image.decode(view[Modality.IMAGE])
+        estimate = scenes_kb.render_model.image.decode_batch([view[Modality.IMAGE]])[0]
         assert estimate @ obj.latent > 0.8
 
 

@@ -69,15 +69,15 @@ class TestImageRenderer:
     def test_decode_recovers_latent(self, space):
         renderer = ImageRenderer(space, ImageSpec(noise_sigma=0.01), seed=0)
         latent = space.compose(["foggy", "clouds"])
-        estimate = renderer.decode(renderer.render(latent, 3))
+        estimate = renderer.decode_batch([renderer.render(latent, 3)])[0]
         assert estimate @ latent > 0.98
 
     def test_noise_degrades_decoding(self, space):
         latent = space.compose(["foggy", "clouds"])
         clean = ImageRenderer(space, ImageSpec(noise_sigma=0.01), seed=0)
         noisy = ImageRenderer(space, ImageSpec(noise_sigma=1.5), seed=0)
-        cos_clean = clean.decode(clean.render(latent, 3)) @ latent
-        cos_noisy = noisy.decode(noisy.render(latent, 3)) @ latent
+        cos_clean = clean.decode_batch([clean.render(latent, 3)])[0] @ latent
+        cos_noisy = noisy.decode_batch([noisy.render(latent, 3)])[0] @ latent
         assert cos_clean > cos_noisy
 
     def test_rejects_undersized_image_spec(self, space):
@@ -92,7 +92,7 @@ class TestImageRenderer:
     def test_decode_rejects_wrong_size(self, space):
         renderer = ImageRenderer(space, seed=0)
         with pytest.raises(DataError):
-            renderer.decode(np.zeros(10))
+            renderer.decode_batch(np.zeros((1, 10)))
 
 
 class TestAudioRenderer:
@@ -104,15 +104,15 @@ class TestAudioRenderer:
     def test_decode_recovers_latent_direction(self, space):
         renderer = AudioRenderer(space, AudioSpec(noise_sigma=0.01, smoothing=1), seed=0)
         latent = space.compose(["foggy", "stars"])
-        estimate = renderer.decode(renderer.render(latent, 1))
+        estimate = renderer.decode_batch([renderer.render(latent, 1)])[0]
         assert estimate @ latent > 0.95
 
     def test_smoothing_loses_information(self, space):
         latent = space.compose(["foggy", "stars"])
         crisp = AudioRenderer(space, AudioSpec(noise_sigma=0.01, smoothing=1), seed=0)
         smooth = AudioRenderer(space, AudioSpec(noise_sigma=0.01, smoothing=16), seed=0)
-        cos_crisp = crisp.decode(crisp.render(latent, 1)) @ latent
-        cos_smooth = smooth.decode(smooth.render(latent, 1)) @ latent
+        cos_crisp = crisp.decode_batch([crisp.render(latent, 1)])[0] @ latent
+        cos_smooth = smooth.decode_batch([smooth.render(latent, 1)])[0] @ latent
         assert cos_crisp > cos_smooth
 
     def test_rejects_undersized_spec(self, space):

@@ -113,17 +113,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimulatedClipEncoder(scenes_kb.render_model.image, modality_gap=-1)
 
-
-class TestJointFusion:
-    def test_encode_joint_unit_norm(self, clip, scenes_kb):
-        obj = scenes_kb.get(0)
-        vectors = {
-            Modality.TEXT: clip.encode(Modality.TEXT, obj.get(Modality.TEXT)),
-            Modality.IMAGE: clip.encode(Modality.IMAGE, obj.get(Modality.IMAGE)),
-        }
-        joint = clip.encode_joint(vectors)
-        np.testing.assert_allclose(np.linalg.norm(joint), 1.0)
-
-    def test_encode_joint_rejects_empty(self, clip):
-        with pytest.raises(EncodingError):
-            clip.encode_joint({})

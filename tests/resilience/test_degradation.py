@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import MQASystem
 from repro.core.resilience import ResilienceManager
+from repro.errors import EncodingError
 
 from tests.resilience.conftest import make_server, resilient_config
 
@@ -47,6 +48,32 @@ class TestLLMFallback:
             assert not second["answer"]["text"].startswith("Top results")
         finally:
             server.close()
+
+
+@pytest.fixture(scope="module")
+def systems():
+    """The same small system with the resilience layer on and off."""
+    return {
+        resilience: MQASystem.from_config(resilient_config(resilience=resilience))
+        for resilience in (True, False)
+    }
+
+
+@pytest.mark.parametrize("image", ["abc", {"a": 1}], ids=["string", "mapping"])
+class TestNonNumericContent:
+    """Image content that is not numbers is an ``EncodingError`` naming the
+    modality — it used to escape as a builtin ``ValueError`` / ``TypeError``
+    that the modality probe does not catch."""
+
+    def test_is_an_encoding_error(self, systems, image):
+        with pytest.raises(EncodingError, match="image content must be numeric"):
+            systems[False].ask("red car", image=image)
+
+    def test_drops_the_modality_under_resilience(self, systems, image):
+        answer = systems[True].ask("red car", image=image)
+        assert answer.degraded is True
+        assert answer.degraded_reasons == ["modality image dropped (EncodingError)"]
+        assert answer.items  # text-only retrieval still answered
 
 
 class TestModalityDrop:

@@ -75,8 +75,16 @@ class TestJeSpecifics:
         with pytest.raises(RetrievalError, match="joint"):
             framework.setup(scenes_kb, uni_set, index_builder)
 
-    def test_joint_index_dim(self, je, clip_set):
+    def test_joint_index_dim(self, je, clip_set, scenes_kb):
         assert je._index.kernel.dim == clip_set.dims()[Modality.TEXT]
+        # Fused rows, of a corpus and of one ingested object, are unit-norm.
+        objects = [scenes_kb.get(i) for i in range(8)]
+        np.testing.assert_allclose(
+            np.linalg.norm(je._fuse(clip_set.encode_corpus(objects)), axis=1), 1.0
+        )
+        np.testing.assert_allclose(
+            np.linalg.norm(je._fuse(clip_set.encode_object(objects[0]))), 1.0
+        )
 
 
 class TestMustSpecifics:

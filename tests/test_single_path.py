@@ -12,7 +12,8 @@ a remote wait and never stands in for work, and the coordinator runs the
 rounds its layers register without naming any of them.  Set-up's data is
 rendered the same way: an object, a view and a learner step are batches of
 one.  And index code computes a distance only through a kernel, where it is
-counted, and the one beam loop scores through ``score_ragged`` alone.
+counted, and the one beam loop scores through ``score_ragged`` alone.  An
+encoder's one body is its block; a query is a block of one row.
 Every module under ``repro`` is imported from a served root or a cited
 experiment.  A parameter is declared once, on its dataclass field, and checked
 by the one checker that reads the declarations; a setting no caller configures
@@ -476,7 +477,8 @@ def test_set_up_encodes_the_corpus_once():
     matrices on; the only other ``encode_corpus(`` calls are the two
     fall-backs for a caller that holds none (a framework set up directly —
     one resolver on the base class, which lazy shard builds use too — and a
-    sampler constructed directly).  JE's ``setup`` fuses corpus rows, not
+    sampler constructed directly) and ``encode_object``, an ingest's corpus
+    of one object.  JE's ``setup`` fuses corpus rows, not
     objects, and the sampler is array work: no per-view ``encode``, no
     Python-level dot product."""
     import repro.weights.sampler
@@ -499,6 +501,7 @@ def test_set_up_encodes_the_corpus_once():
         ]
     assert sorted(sites) == [
         "repro.core.representation:run",
+        "repro.encoders.base:encode_object",
         "repro.retrieval.base:_corpus",
         "repro.weights.sampler:__init__",
     ]
@@ -514,6 +517,28 @@ def test_set_up_encodes_the_corpus_once():
         node for node in ast.walk(sampler)
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
     ]
+
+
+def test_an_encoder_states_its_math_once():
+    """Each encoder has one body, the block: ``Encoder._encode_rows`` is the
+    only abstract encoding method, ``Encoder.encode`` is that body over one
+    row, and no subclass defines ``encode``.  The bag-of-tokens encoder is
+    the sequence encoder at decay 1 with no body of its own, and the
+    renderers decode only in bulk (``decode_batch``)."""
+    import repro.encoders
+    from repro.data.rendering import AudioRenderer, ImageRenderer
+    from repro.encoders import BagOfTokensEncoder, Encoder, SequenceTextEncoder
+
+    assert _delegated_calls(Encoder.encode) == ["_encode_rows", "_require_support"]
+    assert Encoder.__abstractmethods__ == {"output_dim", "modalities", "_encode_rows"}
+    for _, name, _ in pkgutil.walk_packages(repro.encoders.__path__, prefix="repro.encoders."):
+        importlib.import_module(name)
+    subclasses = set(_subclasses(Encoder))
+    assert len(subclasses) >= 5, "the package walk lost the concrete encoders"
+    assert not [c.__qualname__ for c in subclasses if "encode" in vars(c)]
+    assert issubclass(BagOfTokensEncoder, SequenceTextEncoder)
+    assert not {"_latent", "_encode_rows"} & set(vars(BagOfTokensEncoder))
+    assert not [c.__qualname__ for c in (ImageRenderer, AudioRenderer) if "decode" in vars(c)]
 
 
 def test_an_event_is_counted_once():

@@ -62,10 +62,24 @@ def test_importing_repro_leaves_numpy_blas_at_one_thread():
 
 
 _HEAP_SCRIPT = """
-import sys
+import ctypes, sys
 sys.path.insert(0, "src")
 import numpy as np
 from repro.utils.blas import release_free_heap
+
+# free() trims a free heap top by itself once it passes glibc's trim
+# threshold.  Where the blocks below come to border the top (a pin placed in
+# a hole that importing the package left), it would trim them before the
+# measurement, and how much of the heap stays resident would hang on the
+# import's heap layout.  A threshold above the heap's size, as set-up's
+# freed mappings raise it in the program, leaves every freed page to
+# release_free_heap; 100 KB blocks stay below the mapping threshold.
+try:
+    libc = ctypes.CDLL("libc.so.6")
+    libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    libc.mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
+except (OSError, AttributeError):
+    pass
 
 def resident_mb():
     with open("/proc/self/status") as status:
