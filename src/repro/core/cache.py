@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.data.modality import Modality
 from repro.data.objects import RawQuery
-from repro.encoders.base import numeric_content
+from repro.encoders.base import EncodedQuery, numeric_content
 from repro.errors import ConfigurationError
 from repro.retrieval.base import RetrievalResponse
 
@@ -51,25 +51,21 @@ def _digest_content(modality: Modality, value: Any) -> str:
     return digest.hexdigest()
 
 
-def query_embedding(encoder_set) -> Callable[[RawQuery], Tuple[Tuple, np.ndarray]]:
-    """The semantic cache's ``embed`` over ``encoder_set``: a query's
-    per-modality encoder vectors, each unit-normalised, concatenated and
-    jointly re-scaled so the cosine of two embeddings is the mean
-    per-modality cosine; the signature names the modalities."""
-
-    def embed(query: RawQuery) -> Tuple[Tuple, np.ndarray]:
-        vectors = encoder_set.encode_query(query)
-        signature: List[str] = []
-        parts: List[np.ndarray] = []
-        for modality in sorted(vectors, key=lambda m: m.value):
-            vector = np.asarray(vectors[modality], dtype=np.float64)
-            norm = float(np.linalg.norm(vector))
-            parts.append(vector / norm if norm > 0.0 else vector)
-            signature.append(modality.value)
-        joined = np.concatenate(parts) / float(np.sqrt(len(parts)))
-        return tuple(signature), joined
-
-    return embed
+def query_embedding(query: EncodedQuery) -> Tuple[Tuple, np.ndarray]:
+    """The semantic cache's ``embed``: the vectors of the modalities the
+    query carries, each unit-normalised, concatenated and jointly
+    re-scaled so the cosine of two embeddings is the mean per-modality
+    cosine; the signature names the modalities."""
+    vectors = query.carried
+    signature: List[str] = []
+    parts: List[np.ndarray] = []
+    for modality in sorted(vectors, key=lambda m: m.value):
+        vector = np.asarray(vectors[modality], dtype=np.float64)
+        norm = float(np.linalg.norm(vector))
+        parts.append(vector / norm if norm > 0.0 else vector)
+        signature.append(modality.value)
+    joined = np.concatenate(parts) / float(np.sqrt(len(parts)))
+    return tuple(signature), joined
 
 
 class QueryCache:
@@ -98,7 +94,7 @@ class QueryCache:
 
     def key_for(
         self,
-        query: RawQuery,
+        query: "RawQuery | EncodedQuery",
         k: int,
         budget: int,
         weights: "Dict[Modality, float] | None" = None,
@@ -106,8 +102,8 @@ class QueryCache:
     ) -> Tuple:
         """Build the cache key for one retrieval call."""
         content = tuple(
-            (modality.value, _digest_content(modality, query.get(modality)))
-            for modality in sorted(query.modalities, key=lambda m: m.value)
+            (modality.value, _digest_content(modality, value))
+            for modality, value in sorted(query.content.items(), key=lambda m: m[0].value)
         )
         weight_items: Tuple = ()
         if weights is not None:
@@ -116,28 +112,43 @@ class QueryCache:
             )
         return (self._generation, content, k, budget, weight_items, tuple(exclude_ids))
 
-    def get(self, key: Tuple) -> Optional[RetrievalResponse]:
-        """Cached response for ``key``, or None (counts hit/miss)."""
+    def hit(self, key: Tuple) -> Optional[RetrievalResponse]:
+        """The exact entry for ``key``, counted as a hit — or None, not yet
+        counted: the caller encodes the query and asks :meth:`near`."""
         with self._lock:
             response = self._store.get(key)
-            if response is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            self._store.move_to_end(key)
+            if response is not None:
+                self.hits += 1
+                self._store.move_to_end(key)
             return response
 
-    def lookup(
-        self, key: Tuple, query: RawQuery
+    def near(
+        self, key: Tuple, query: EncodedQuery
     ) -> "Tuple[Optional[RetrievalResponse], str, Optional[Tuple]]":
-        """The executor's one cache call: ``(response, label, registration)``.
+        """After an exact miss: ``(response, label, registration)``.
 
-        ``label`` is ``"hit"`` or ``"miss"`` here (a semantic cache adds
-        ``"semantic"``); ``registration`` is handed back to :meth:`put`
+        Here ``(None, "miss", None)`` with the miss counted; a semantic
+        cache may serve a near-duplicate of ``query`` (label
+        ``"semantic"``).  ``registration`` is handed back to :meth:`put`
         when the miss has been searched.
         """
-        cached = self.get(key)
-        return cached, "miss" if cached is None else "hit", None
+        with self._lock:
+            self.misses += 1
+        return None, "miss", None
+
+    def lookup(
+        self, key: Tuple, query: EncodedQuery
+    ) -> "Tuple[Optional[RetrievalResponse], str, Optional[Tuple]]":
+        """:meth:`hit`, else :meth:`near` — for a caller already holding
+        the query's vectors."""
+        response = self.hit(key)
+        if response is not None:
+            return response, "hit", None
+        return self.near(key, query)
+
+    def get(self, key: Tuple) -> Optional[RetrievalResponse]:
+        """Cached response for ``key``, or None (counts hit/miss)."""
+        return self.lookup(key, None)[0]
 
     def put(
         self,
@@ -212,9 +223,9 @@ class SemanticQueryCache(QueryCache):
     never be served after it.
 
     Args:
-        embed: Deterministic ``query -> (signature, unit_vector)``
-            mapping (:func:`query_embedding` over the active encoder set);
-            only called when semantic matching is active.
+        embed: Deterministic ``encoded query -> (signature,
+            unit_vector)`` mapping (:func:`query_embedding` unless a test
+            substitutes one); only called when semantic matching is active.
         capacity: Maximum cached responses (LRU).
         threshold: Cosine similarity at or above which a neighbour
             qualifies; ``<= 0`` disables semantic matching entirely —
@@ -229,7 +240,7 @@ class SemanticQueryCache(QueryCache):
 
     def __init__(
         self,
-        embed: Callable[[RawQuery], Tuple[Tuple, np.ndarray]],
+        embed: Callable[[EncodedQuery], Tuple[Tuple, np.ndarray]] = query_embedding,
         capacity: int = 128,
         threshold: float = SEMANTIC_THRESHOLD,
         recall_guard: "Callable[[float], bool] | None" = None,
@@ -247,28 +258,20 @@ class SemanticQueryCache(QueryCache):
         #: bucket key -> [(unit vector, exact key), ...]
         self._vectors: Dict[Tuple, List[Tuple[np.ndarray, Tuple]]] = {}
 
-    def lookup(
-        self, key: Tuple, query: RawQuery
+    def near(
+        self, key: Tuple, query: EncodedQuery
     ) -> "Tuple[Optional[RetrievalResponse], str, Optional[Tuple]]":
-        """Exact-then-semantic lookup for one retrieval call.
+        """The near-duplicate scan after an exact miss.
 
         Returns ``(response, label, registration)`` where ``label`` is
-        ``"hit"``, ``"semantic"``, or ``"miss"``; on a miss with semantic
-        matching active, ``registration`` carries ``(bucket, vector)``
-        for the follow-up :meth:`put_semantic`.  Counter discipline: an
-        exact hit counts as a hit, a semantic hit counts only in
-        ``semantic_hits`` (not as a miss), everything else as a miss.
+        ``"semantic"`` or ``"miss"``; on a miss with semantic matching
+        active, ``registration`` carries ``(bucket, vector)`` for the
+        follow-up :meth:`put_semantic`.  Counter discipline: a semantic hit
+        counts only in ``semantic_hits`` (not as a miss), a miss as a miss.
         """
-        with self._lock:
-            response = self._store.get(key)
-            if response is not None:
-                self.hits += 1
-                self._store.move_to_end(key)
-                return response, "hit", None
-            if self.threshold <= 0.0:
-                self.misses += 1
-                return None, "miss", None
-        # The embedding is a pure function of the query; computing it
+        if self.threshold <= 0.0:
+            return super().near(key, query)
+        # The embedding is a pure function of the vectors; computing it
         # outside the lock keeps the scan the only serialised part.
         signature, vector = self._embed(query)
         bucket = (key[0], signature) + key[2:]

@@ -107,8 +107,10 @@ class QueryExecution:
           supports it (degraded planner mode only; silently ignored
           elsewhere).
 
-        One cache protocol, whichever cache is configured: ``lookup`` →
-        on a miss search, ``put``, and hand out a copy.  The cache holds
+        One cache protocol, whichever cache is configured: the exact
+        ``hit`` → on a miss, the query's one encode and ``near`` (a semantic
+        cache's near-duplicate scan) → search, ``put``, and hand out a
+        copy; an exact hit encodes nothing.  The cache holds
         the raw (pre-exclusion) retrieval and exclusions apply to the
         copy, so entries stay pristine; partial (degraded) responses are
         returned but never cached.  A key repeated inside one batch is
@@ -161,10 +163,8 @@ class QueryExecution:
             keys, registrations = [], {}
             first = {}  # key -> position of its first, in-flight miss
             repeats = []  # later occurrences of such a key
-            misses = {}  # fetch width -> positions the framework answers
             if cache is None:
-                for position, fetch in enumerate(fetches):
-                    misses.setdefault(fetch, []).append(position)
+                fresh = list(range(len(queries)))
             else:
                 keys = [
                     cache.key_for(query, fetch, budget, weights=weights)
@@ -174,19 +174,37 @@ class QueryExecution:
                     if key in first:
                         repeats.append(position)
                         continue
-                    cached, labels[position], registrations[position] = (
-                        cache.lookup(key, queries[position])
-                    )
+                    cached = cache.hit(key)
                     if cached is None:
                         first[key] = position
-                        misses.setdefault(fetches[position], []).append(position)
                     else:
+                        labels[position] = "hit"
                         results[position] = self._copy_response(cached)
+                fresh = list(first.values())
+            # An exact hit encodes nothing; every other query is encoded
+            # here once (unless upstream already did), and its vectors serve
+            # the near-duplicate scan and the search alike.
+            encoded = dict(zip(
+                fresh,
+                self.framework.encoder_set.encode_query_batch(
+                    [queries[p] for p in fresh]
+                ),
+            ))
+            misses = {}  # fetch width -> positions the framework answers
+            for position in fresh:
+                if cache is not None:
+                    cached, labels[position], registrations[position] = cache.near(
+                        keys[position], encoded[position]
+                    )
+                    if cached is not None:
+                        results[position] = self._copy_response(cached)
+                        continue
+                misses.setdefault(fetches[position], []).append(position)
             for fetch, group in misses.items():
-                fresh = self.framework.retrieve_batch(
-                    [queries[p] for p in group], k=fetch, budget=budget, **options
+                answered = self.framework.retrieve_batch(
+                    [encoded[p] for p in group], k=fetch, budget=budget, **options
                 )
-                for position, response in zip(group, fresh):
+                for position, response in zip(group, answered):
                     if cache is None or response.degraded_reasons:
                         results[position] = response
                     else:
@@ -196,7 +214,7 @@ class QueryExecution:
                         results[position] = self._copy_response(response)
             for position in repeats:
                 key = keys[position]
-                cached, labels[position], _ = cache.lookup(key, queries[position])
+                cached, labels[position], _ = cache.lookup(key, encoded[first[key]])
                 results[position] = self._copy_response(
                     results[first[key]] if cached is None else cached
                 )

@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.agentic import AgenticAnswerer
 from repro.core.answer import Answer
-from repro.core.cache import QueryCache, SemanticQueryCache, query_embedding
+from repro.core.cache import QueryCache, SemanticQueryCache
 from repro.core.config import MQAConfig
 from repro.core.planning import AdmissionController, QueryPlan, QueryPlanner
 from repro.core.resilience import Deadline
@@ -36,9 +36,11 @@ class RoundContext:
 
     A dialogue round carries one query plus its dialogue state; a raw
     ``/search`` batch carries several queries and none.  Inputs:
-    ``queries`` (what retrieval will run — ``rewrite`` replaces the text,
-    ``degrade-modalities`` drops failing modalities and empties the list
-    when none survives), ``k``, ``budget`` and ``fanout`` (``plan``
+    ``queries`` (what retrieval will run — ``rewrite`` replaces the text;
+    ``degrade-modalities`` encodes it, the round's one encode, so it goes
+    on as an ``EncodedQuery`` carrying its vectors and without the
+    modalities that failed, or the list empties when none survives; query
+    execution encodes any other once), ``k``, ``budget`` and ``fanout`` (``plan``
     overrides them), ``weights`` (renormalised by ``degrade-modalities``),
     ``exclude_ids`` (rejected items), ``filter_fn`` (built from ``where``),
     ``deadline`` (resilience only) and ``submitted`` (the query as the
@@ -125,7 +127,6 @@ def _planner(c, parts):
 def _cache(c, parts):
     config, planner = c.config, parts.get("planner")
     cache = SemanticQueryCache(
-        query_embedding(c.representation.encoder_set),
         recall_guard=planner.semantic_guard if planner else None,
     ) if config.semantic_cache else QueryCache()
     c.execution.cache = cache

@@ -34,17 +34,14 @@ import threading
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.data.modality import Modality
-from repro.data.objects import RawQuery
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
     DeadlineExceededError,
     InjectedFaultError,
-    MQAError,
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import trace_span
@@ -572,52 +569,43 @@ class ResilienceManager:
 
     # -- the degrade-modalities stage ----------------------------------
     def degrade_modalities(self, context, representation, weighted: bool, events) -> None:
-        """The ``degrade-modalities`` stage (``resilience``): probe each
-        query modality's encoder in the set-up's ``representation``; drop
-        the ones that fail, each recorded in the ``events`` log.
-
-        Encoders are pure functions of their content, so a successful
-        probe guarantees the framework's own encode of the same content
-        succeeds identically.  Leaves the (possibly reduced) query — or
-        none when no modality survives.  The dropped modalities' weight is
+        """The ``degrade-modalities`` stage (``resilience``): the round's one
+        encode, each query modality's encoder call under its own
+        ``encoder.<modality>`` site.  A modality whose content is refused
+        (before any guard: a client's malformed content charges no breaker)
+        or whose guarded call still fails is dropped and recorded in the
+        ``events`` log; the query travels on with its vectors, or is gone
+        when no modality survives.  The dropped modalities' weight is
         redistributed over the survivors: the distance kernels expect a
         weight for *every* schema modality, so dropped ones stay pinned to
         0.0 while the survivors are rescaled to sum to 1.  A framework that
         takes no per-query weights (not ``weighted``: joint embedding) fuses
         with its built-in weighting and gets None.
         """
-        query = context.queries[0]
-        encoder_set = representation.encoder_set
-        dropped: List[Modality] = []
-        for modality in query.modalities:
-            if modality not in encoder_set.modalities:
-                continue
-            encode = encoder_set.encoder_for(modality).encode
-            try:
-                self.call(
-                    f"encoder.{modality.value}",
-                    partial(encode, modality, query.get(modality)),
-                    deadline=context.deadline,
-                )
-            except MQAError as exc:
-                dropped.append(modality)
-                context.degraded_reasons.append(
-                    f"modality {modality.value} dropped ({type(exc).__name__})"
-                )
-                self.record_fallback("modality_dropped")
-                events.record(
-                    "representation", "execution", "modality-dropped",
-                    f"{modality.value}: {type(exc).__name__}: {exc}"[:80],
-                )
-        if not dropped:
-            return
-        remaining = {m: query.get(m) for m in query.modalities if m not in dropped}
-        if not remaining:
+        (encoded,) = representation.encoder_set.encode_query_batch(
+            context.queries,
+            guard=lambda modality, encode: self.call(
+                f"encoder.{modality.value}", encode, deadline=context.deadline
+            ),
+        )
+        for modality, exc in encoded.dropped.items():
+            context.degraded_reasons.append(
+                f"modality {modality.value} dropped ({type(exc).__name__})"
+            )
+            self.record_fallback("modality_dropped")
+            events.record(
+                "representation", "execution", "modality-dropped",
+                f"{modality.value}: {type(exc).__name__}: {exc}"[:80],
+            )
+        if not encoded:
             context.degraded_reasons.append("retrieval skipped (no encodable modality)")
             self.record_fallback("retrieval_unavailable")
             context.queries = []
             return
-        context.queries = [RawQuery(content=remaining, metadata=dict(query.metadata))]
+        context.queries = [encoded]
+        dropped = encoded.dropped
+        if not dropped:
+            return
         if not weighted:
             context.weights = None
             return

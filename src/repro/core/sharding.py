@@ -52,9 +52,10 @@ error propagate.
 
 The scatter is a loop on the calling thread: in process, under the GIL,
 shards are CPU-bound and a thread pool only adds hand-off cost (measured
-3.4x slower than this loop on real work), so there is none.  A 4-shard read
-costs about 3x the unsharded one — every shard re-encodes the query and
-pays its own fixed per-search overhead.  What the module models honestly
+3.4x slower than this loop on real work), so there is none.  The router
+encodes a read once and scatters its vectors; a sharded read still costs
+more than the unsharded one, since every shard pays its own fixed
+per-search overhead.  What the module models honestly
 is partitioning, the exact merge, tombstones, rebalancing and degradation.
 """
 
@@ -67,8 +68,9 @@ from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.data.modality import Modality
-from repro.data.objects import MultiModalObject, RawQuery
-from repro.errors import CircuitOpenError, EncodingError, MQAError, RetrievalError
+from repro.data.objects import MultiModalObject
+from repro.encoders.base import EncodedQuery
+from repro.errors import CircuitOpenError, MQAError, RetrievalError
 from repro.observability import labelled, trace_span
 from repro.retrieval import build_framework
 from repro.retrieval.base import (
@@ -263,13 +265,14 @@ class ShardReplica:
 
     def search_batch(
         self,
-        queries: Sequence[RawQuery],
+        queries: Sequence[EncodedQuery],
         k: int,
         budget: int,
         weights=None,
         filter_fn: "ObjectFilter | None" = None,
     ) -> List[RetrievalResponse]:
-        """Top-``k`` per query over this replica, results in global ids."""
+        """Top-``k`` per query over this replica, results in global ids; the
+        router's vectors are handed on, so the replica encodes nothing."""
         self.searches += len(queries)
         if self.framework is None:
             return [
@@ -722,28 +725,19 @@ class ShardRouter(RetrievalFramework):
         Returns None when the shard contributed nothing.  ``degraded``
         collects human-readable reasons (also the /health story); ``span``
         is the shard's ``shard-search`` span and is labelled with the
-        serving replica.  An :class:`EncodingError` is the request's fault
-        and the same on every shard (``k`` and the options were refused
-        before the scatter): it is carried past the breaker as a value and
-        raised to the caller as the unsharded engine raises it — no replica
-        is marked, no search counted degraded.
+        serving replica.  A request's own faults never get here: ``k``, the
+        options and the query content were refused, and the query encoded,
+        before the scatter.
         """
         group = self.groups[shard_index]
         replica = group.select()
         span.set(replica=replica.replica_index)
         site = f"shard.{shard_index}.search"
-
-        def call():
-            try:
-                return fn(replica)
-            except EncodingError as exc:
-                return exc
-
         try:
             if self.resilience is not None and self.resilience.enabled:
-                result = self.resilience.call(site, call)
+                result = self.resilience.call(site, lambda: fn(replica))
             else:
-                result = call()
+                result = fn(replica)
         except CircuitOpenError as exc:
             group.mark(replica, False)
             degraded.append(f"shard {shard_index} unavailable (breaker open)")
@@ -756,8 +750,6 @@ class ShardRouter(RetrievalFramework):
             )
             self._note_degraded(exc)
             return None
-        if isinstance(result, EncodingError):
-            raise result
         group.mark(replica, True)
         return result
 
@@ -799,30 +791,17 @@ class ShardRouter(RetrievalFramework):
             scatter_span.set(answered=sum(1 for r in responses if r is not None))
         return responses
 
-    def retrieve_batch(
-        self,
-        queries: Sequence[RawQuery],
-        k: int,
-        budget: int = 64,
-        *,
-        weights: "Dict[Modality, float] | None" = None,
-        filter_fn: "ObjectFilter | None" = None,
-        fanout: "int | None" = None,
+    def _search_encoded(
+        self, queries, k, budget, weights=None, filter_fn=None, fanout=None
     ) -> List[RetrievalResponse]:
-        """Scatter the batch to every shard — one ``retrieve_batch`` per
-        shard is the unit of work — and merge each query's top-k exactly.
+        """Scatter the encoded batch to every shard — one ``search_batch``
+        per shard is the unit of work, over the vectors encoded once here —
+        and merge each query's top-k exactly.
 
         ``fanout`` (the planner's degraded-mode knob) limits the scatter
         to the first ``fanout`` shards; the results are marked degraded
         because the unqueried shards may hold better neighbours.
         """
-        self._require_ready()
-        if k <= 0:
-            raise RetrievalError(f"k must be positive, got {k}")
-        self._check_options(weights, filter_fn)
-        queries = list(queries)
-        if not queries:
-            return []
         if self.shards == 1:
             return self._passthrough_batch(queries, k, budget, weights, filter_fn)
         shard_filter = self._deleted_filter(filter_fn)

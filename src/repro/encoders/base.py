@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Iterator, Mapping, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.modality import Modality
 from repro.data.objects import MultiModalObject, RawQuery
-from repro.errors import EncodingError
+from repro.errors import EncodingError, MQAError
+from repro.observability.tracing import trace_span
 from repro.utils import row_blocks
 
 
@@ -190,62 +192,71 @@ class EncoderSet:
         corpus = self.encode_corpus([obj])
         return {modality: corpus[modality][0] for modality in corpus}
 
-    def encode_query(self, query: RawQuery) -> Dict[Modality, np.ndarray]:
-        """Encode the modalities the query actually carries.
+    def encode_query_batch(
+        self, queries: Sequence["RawQuery | EncodedQuery"], guard: "Callable | None" = None
+    ) -> List["EncodedQuery"]:
+        """Encode many queries: element ``i`` is ``queries[i]`` as an
+        :class:`EncodedQuery`.
 
-        Unlike objects, queries may be partial (text-only); missing
-        modalities are simply absent from the result.  Raw numeric content
-        holding a NaN or an infinity is refused here, before any encoder:
-        it would encode to a vector every distance to is NaN.  Content that
-        is not numeric at all is refused by :func:`numeric_content`.
+        The one place a query is encoded, under the one ``encode`` span (none
+        when nothing is to encode): an :class:`EncodedQuery` passes through
+        unchanged, so a read is encoded once, by the first layer that needs
+        its vectors.  A modality's raw numeric content that is not numbers or
+        holds a NaN or an infinity (every distance to its vector would be
+        NaN) is refused before its encoder runs.  Each query is its
+        encoders' block of one row, never a row of one block with the other
+        queries: a row's bits may depend on the rows blocked beside it (GEMM
+        accumulation order), and a query's vectors must be the same floats
+        however it arrives.
+
+        Without ``guard`` a refusal raises :class:`EncodingError`, as does a
+        query carrying none of the configured modalities.  With one (the
+        ``degrade-modalities`` stage), ``guard(modality, encode)`` runs each
+        encoder call after the content checks, and a modality whose check or
+        guarded call raises :class:`MQAError` is left out, named in
+        :attr:`EncodedQuery.dropped`.
         """
-        vectors: Dict[Modality, np.ndarray] = {}
+        encoded = list(queries)
+        raw = [i for i, query in enumerate(encoded) if not isinstance(query, EncodedQuery)]
+        if raw:
+            with trace_span("encode", queries=len(raw)):
+                for i in raw:
+                    encoded[i] = self._encode_query(encoded[i], guard)
+        return encoded
+
+    def _encode_query(self, query: RawQuery, guard: "Callable | None") -> "EncodedQuery":
+        carried: Dict[Modality, np.ndarray] = {}
+        dropped: Dict[Modality, MQAError] = {}
         for modality, encoder in self._assignment.items():
-            if query.has(modality):
+            if not query.has(modality):
+                continue
+            try:
                 content = query.get(modality)
                 if modality is not Modality.TEXT and not np.isfinite(
                     numeric_content(modality, content)
                 ).all():
                     raise EncodingError(f"query {modality.value} holds a NaN or an infinity")
-                vectors[modality] = encoder.encode(modality, content)
-        if not vectors:
+                carried[modality] = (
+                    encoder.encode(modality, content) if guard is None
+                    else guard(modality, partial(encoder.encode, modality, content))
+                )
+            except MQAError as exc:
+                if guard is None:
+                    raise
+                dropped[modality] = exc
+        if not carried and guard is None:
             expected = ", ".join(m.value for m in self._assignment)
-            raise EncodingError(
-                f"query carries none of the configured modalities ({expected})"
+            raise EncodingError(f"query carries none of the configured modalities ({expected})")
+        if dropped and carried:
+            query = RawQuery(
+                {m: c for m, c in query.content.items() if m not in dropped}, dict(query.metadata)
             )
-        return vectors
-
-    def encode_query_full(self, query: RawQuery) -> Dict[Modality, np.ndarray]:
-        """Encode a query with cross-modal fill for missing modalities.
-
-        With a joint encoder set (one shared-space encoder for every
-        modality), content of one modality embeds meaningfully into any
-        segment — CLIP's text-to-image property — so a text-only query
-        fills its image segment with the text embedding instead of zeros.
-        Unimodal sets cannot do this; missing modalities stay absent.
-        """
-        vectors = self.encode_query(query)
-        if not self.is_joint:
-            return vectors
-        missing = [m for m in self._assignment if m not in vectors]
-        if not missing or not vectors:
-            return vectors
-        donor = next(iter(vectors.values()))
-        for modality in missing:
-            vectors[modality] = donor.copy()
-        return vectors
-
-    def encode_query_batch(self, queries: Sequence[RawQuery]) -> list:
-        """Encode many queries; element ``i`` is ``encode_query_full(queries[i])``.
-
-        Deliberately per-query underneath: each query is its encoders'
-        block of one row, never a row of one block with the other queries.
-        A row's bits may depend on the rows blocked beside it (GEMM
-        accumulation order), and the batched retrieval path promises results
-        id-identical to serial retrieval, so a query's vectors must be the
-        same floats however it arrives.
-        """
-        return [self.encode_query_full(query) for query in queries]
+        encoded = EncodedQuery(query, carried, dropped)
+        if self.is_joint and carried:
+            donor = next(iter(carried.values()))
+            for modality in self._assignment:
+                encoded.setdefault(modality, donor)
+        return encoded
 
     def encode_corpus(self, objects: Sequence[MultiModalObject]) -> "EncodedCorpus":
         """Encode a corpus into one :class:`EncodedCorpus` (row i = object i).
@@ -281,6 +292,38 @@ class EncoderSet:
         ]
         kind = "joint" if self.is_joint else "unimodal"
         return f"encoder set {self.name!r} [{kind}] " + ", ".join(parts)
+
+
+class EncodedQuery(dict):
+    """A query with its vectors: what :meth:`EncoderSet.encode_query_batch`
+    returns, and hands back unchanged.
+
+    Is the mapping modality -> unit-norm vector that MUST and MR search
+    with: each carried modality and, for a joint encoder set, every missing
+    one filled with a carried vector (CLIP's text-to-image property).
+    :attr:`carried` holds the carried modalities' vectors alone (JE fuses
+    those, the semantic cache signs them), :attr:`dropped` the modalities a
+    guarded encode left out, with their errors; :attr:`query` is the raw
+    query without them, and :attr:`content` and :attr:`metadata` are its
+    own, so a reader of either takes both forms alike.
+    """
+
+    def __init__(
+        self,
+        query: RawQuery,
+        carried: Dict[Modality, np.ndarray],
+        dropped: Dict[Modality, MQAError],
+    ) -> None:
+        super().__init__(carried)
+        self.query, self.carried, self.dropped = query, carried, dropped
+
+    @property
+    def content(self) -> Dict[Modality, Any]:
+        return self.query.content
+
+    @property
+    def metadata(self) -> Dict[str, Any]:
+        return self.query.metadata
 
 
 class EncodedCorpus(Mapping):

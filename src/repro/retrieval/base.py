@@ -9,7 +9,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
 from repro.data.objects import RawQuery
-from repro.encoders.base import EncodedCorpus, EncoderSet
+from repro.encoders.base import EncodedCorpus, EncodedQuery, EncoderSet
 from repro.errors import RetrievalError
 from repro.index.base import SearchResult, SearchStats, VectorIndex
 from repro.index.tiered import TieredStore, tiered_snapshot
@@ -194,24 +194,27 @@ class RetrievalFramework(abc.ABC):
         """Return the top-``k`` objects for ``query``: a batch of one."""
         return self.retrieve_batch([query], k, budget=budget, **kwargs)[0]
 
-    @abc.abstractmethod
     def retrieve_batch(
         self,
-        queries: Sequence[RawQuery],
+        queries: "Sequence[RawQuery | EncodedQuery]",
         k: int,
         budget: int = 64,
         *,
         weights: "Dict[Modality, float] | None" = None,
         filter_fn: "ObjectFilter | None" = None,
+        **options,
     ) -> List[RetrievalResponse]:
         """Top-``k`` for every query; results in input order.
 
-        The one retrieval body of a framework: encode and index dispatches
-        are shared across the batch, and element ``i`` does not depend on
-        the rest of it (same ids, same scores as a batch of that query
-        alone).  Every framework repeats this parameter list; the two
-        options are keyword-only, apply to the whole batch, and this is
-        their reference:
+        The one retrieval entry of every framework: the checks, then the
+        batch's one :meth:`EncoderSet.encode_query_batch
+        <repro.encoders.base.EncoderSet.encode_query_batch>` call (a query
+        already encoded upstream passes through it unchanged), then the
+        framework's own :meth:`_search_encoded` over the vectors.  Element
+        ``i`` does not depend on the rest of the batch (same ids, same
+        scores as a batch of that query alone).  The two shared options
+        are keyword-only, apply to the whole batch, and this is their
+        reference:
 
         * ``weights`` — modality importances for this call only ("modality
           weights at the query point").  MUST searches its one index under
@@ -224,8 +227,32 @@ class RetrievalFramework(abc.ABC):
           flows *through* non-matching vertices.
 
         An option the framework does not list in :attr:`capabilities` is
-        refused (:meth:`_check_options`) rather than ignored.
+        refused (:meth:`_check_options`) rather than ignored; ``options``
+        are a framework's own (the shard router's ``fanout``), handed to
+        its :meth:`_search_encoded`.
         """
+        self._require_ready()
+        if k <= 0:
+            raise RetrievalError(f"k must be positive, got {k}")
+        self._check_options(weights, filter_fn)
+        queries = self.encoder_set.encode_query_batch(queries)
+        if not queries:
+            return []
+        return self._search_encoded(
+            queries, k, budget, weights=weights, filter_fn=filter_fn, **options
+        )
+
+    @abc.abstractmethod
+    def _search_encoded(
+        self,
+        queries: Sequence[EncodedQuery],
+        k: int,
+        budget: int,
+        weights: "Dict[Modality, float] | None" = None,
+        filter_fn: "ObjectFilter | None" = None,
+    ) -> List[RetrievalResponse]:
+        """The framework's search body: :meth:`retrieve_batch` after its
+        checks, over a non-empty batch of encoded queries."""
 
     def _check_options(self, weights, filter_fn, error: type = RetrievalError) -> None:
         """Refuse an option that is set but not in :attr:`capabilities`.

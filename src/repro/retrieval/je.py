@@ -11,24 +11,17 @@ constraints (the paper's round-two refinements) lose precision.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
-from repro.data.objects import RawQuery
 from repro.distance import SingleVectorKernel
 from repro.encoders.base import EncodedCorpus, EncoderSet
 from repro.errors import RetrievalError
 from repro.index.base import VectorIndex
-from repro.observability import trace_span
-from repro.retrieval.base import (
-    IndexBuilder,
-    ObjectFilter,
-    RetrievalFramework,
-    RetrievalResponse,
-)
+from repro.retrieval.base import IndexBuilder, RetrievalFramework
 from repro.utils import l2_normalize
 
 
@@ -88,33 +81,13 @@ class JointEmbeddingRetrieval(RetrievalFramework):
             )
         return self._index.add(self._fuse(self.encoder_set.encode_object(obj)))
 
-    def retrieve_batch(
-        self,
-        queries: Sequence[RawQuery],
-        k: int,
-        budget: int = 64,
-        *,
-        weights: "Dict[Modality, float] | None" = None,
-        filter_fn: "ObjectFilter | None" = None,
-    ) -> List[RetrievalResponse]:
-        """Queries are fused into the joint space one by one, stacked, and
-        resolved with one ``search_batch``.  ``weights`` is refused: the
-        modalities were averaged away when the object was indexed."""
-        self._require_ready()
-        assert self.encoder_set is not None and self._index is not None
-        if k <= 0:
-            raise RetrievalError(f"k must be positive, got {k}")
-        self._check_options(weights, filter_fn)
-        queries = list(queries)
-        if not queries:
-            return []
-        with trace_span("encode", queries=len(queries)):
-            joint_queries = np.stack(
-                [
-                    self._fuse(self.encoder_set.encode_query(query))
-                    for query in queries
-                ]
-            )
+    def _search_encoded(self, queries, k, budget, weights=None, filter_fn=None):
+        """The modalities each query carries are fused into the joint space,
+        stacked, and resolved with one ``search_batch``.  ``weights`` is
+        refused: the modalities were averaged away when the object was
+        indexed."""
+        assert self._index is not None
+        joint_queries = np.stack([self._fuse(query.carried) for query in queries])
         outcomes = self._search(self._index, joint_queries, k, budget, filter_fn)
         return [self._respond(outcome) for outcome in outcomes]
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
-from repro.data.objects import RawQuery
 from repro.distance import SingleVectorKernel
 from repro.encoders.base import EncodedCorpus, EncoderSet
 from repro.errors import RetrievalError
@@ -26,7 +25,6 @@ from repro.index.base import SearchStats, VectorIndex
 from repro.observability import trace_span
 from repro.retrieval.base import (
     IndexBuilder,
-    ObjectFilter,
     RetrievalFramework,
     RetrievalResponse,
     RetrievedItem,
@@ -112,15 +110,7 @@ class MultiStreamedRetrieval(RetrievalFramework):
             new_id = self._indexes[modality].add(vector)
         return new_id
 
-    def retrieve_batch(
-        self,
-        queries: Sequence[RawQuery],
-        k: int,
-        budget: int = 64,
-        *,
-        weights: "Dict[Modality, float] | None" = None,
-        filter_fn: "ObjectFilter | None" = None,
-    ) -> List[RetrievalResponse]:
+    def _search_encoded(self, queries, k, budget, weights=None, filter_fn=None):
         """One ``search_batch`` per modality stream over the queries that
         carry that modality, then per-query rank fusion.
 
@@ -128,22 +118,13 @@ class MultiStreamedRetrieval(RetrievalFramework):
         (weighted RRF/CombSUM) — the best MR can do with modality
         importances, since each stream has already searched blind by the
         time weights can act."""
-        self._require_ready()
-        assert self.encoder_set is not None
-        if k <= 0:
-            raise RetrievalError(f"k must be positive, got {k}")
-        queries = list(queries)
-        if not queries:
-            return []
-        with trace_span("encode", queries=len(queries)):
-            query_vectors_list = self.encoder_set.encode_query_batch(queries)
         parsed_weights = self._parse_weights(weights)
         fetch = self.expansion * k
 
         # Group query rows per modality stream (queries may be partial).
         stream_members: Dict[Modality, List[int]] = {}
-        for position, query_vectors in enumerate(query_vectors_list):
-            for modality in query_vectors:
+        for position, query in enumerate(queries):
+            for modality in query:
                 if modality not in self._indexes:
                     raise RetrievalError(
                         f"MR has no index for query modality {modality.value!r}"
@@ -154,7 +135,7 @@ class MultiStreamedRetrieval(RetrievalFramework):
         for modality, members in stream_members.items():
             index = self._indexes[modality]
             matrix = np.stack(
-                [query_vectors_list[position][modality] for position in members]
+                [queries[position][modality] for position in members]
             )
             results = self._search(
                 index, matrix, fetch, max(budget, fetch), filter_fn,
@@ -163,10 +144,10 @@ class MultiStreamedRetrieval(RetrievalFramework):
             outcomes[modality] = dict(zip(members, results))
 
         responses: List[RetrievalResponse] = []
-        for position, query_vectors in enumerate(query_vectors_list):
+        for position, query in enumerate(queries):
             streams: Dict[Modality, Stream] = {}
             stats = SearchStats()
-            for modality in query_vectors:
+            for modality in query:
                 outcome = outcomes[modality][position]
                 streams[modality] = (outcome.ids, outcome.distances)
                 stats.merge(outcome.stats)

@@ -12,24 +12,18 @@ traversal scores each round in one vectorised call instead.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.data.knowledge_base import KnowledgeBase
 from repro.data.modality import Modality
-from repro.data.objects import RawQuery
 from repro.distance import MultiVectorSchema, WeightedMultiVectorKernel
 from repro.encoders.base import EncodedCorpus, EncoderSet
 from repro.errors import RetrievalError
 from repro.index.base import VectorIndex
 from repro.observability import trace_span
-from repro.retrieval.base import (
-    IndexBuilder,
-    ObjectFilter,
-    RetrievalFramework,
-    RetrievalResponse,
-)
+from repro.retrieval.base import IndexBuilder, RetrievalFramework
 
 
 class MustRetrieval(RetrievalFramework):
@@ -98,15 +92,7 @@ class MustRetrieval(RetrievalFramework):
         vectors = self.encoder_set.encode_object(obj)
         return self._index.add(self._schema.concat(vectors))
 
-    def retrieve_batch(
-        self,
-        queries: Sequence[RawQuery],
-        k: int,
-        budget: int = 64,
-        *,
-        weights: "Dict[Modality, float] | None" = None,
-        filter_fn: "ObjectFilter | None" = None,
-    ) -> List[RetrievalResponse]:
+    def _search_encoded(self, queries, k, budget, weights=None, filter_fn=None):
         """The whole batch is concatenated under one schema and resolved by
         a single lockstep graph traversal.
 
@@ -114,23 +100,9 @@ class MustRetrieval(RetrievalFramework):
         re-weighted kernel is handed to ``search_batch`` and the answer is
         the index's answer under those weights.
         """
-        self._require_ready()
-        assert self.encoder_set is not None
         assert self._index is not None and self._schema is not None
         assert self._kernel is not None
-        if k <= 0:
-            raise RetrievalError(f"k must be positive, got {k}")
-        queries = list(queries)
-        if not queries:
-            return []
-        with trace_span("encode", queries=len(queries)):
-            query_vectors_list = self.encoder_set.encode_query_batch(queries)
-            concatenated = np.stack(
-                [
-                    self._schema.concat(query_vectors)
-                    for query_vectors in query_vectors_list
-                ]
-            )
+        concatenated = np.stack([self._schema.concat(query) for query in queries])
         override = None
         if weights is not None:
             with trace_span("weight-inference", modalities=len(weights)):

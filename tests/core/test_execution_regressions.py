@@ -35,9 +35,17 @@ class AnnotatedItem(RetrievedItem):
     provenance: str = "index"
 
 
+class UnencodedQueries:
+    """An encoder set that hands queries on as they came: the stub below
+    searches nothing."""
+
+    def encode_query_batch(self, queries, guard=None):
+        return list(queries)
+
+
 class StubFramework(RetrievalFramework):
-    """Minimal framework with controllable retrieve behaviour
-    (``retrieve`` is a batch of one through ``retrieve_batch``)."""
+    """Minimal framework with controllable search behaviour (``retrieve``
+    is a batch of one through ``retrieve_batch``, whose body this is)."""
 
     name = "stub"
 
@@ -46,12 +54,13 @@ class StubFramework(RetrievalFramework):
         self._items = list(items)
         self._internal_error = internal_error
         self.kb = object()  # mark ready
+        self.encoder_set = UnencodedQueries()
         self.calls = 0
 
     def setup(self, kb, encoder_set, index_builder, weights=None):
         raise NotImplementedError
 
-    def retrieve_batch(self, queries, k, budget=64, *, weights=None, filter_fn=None):
+    def _search_encoded(self, queries, k, budget, weights=None, filter_fn=None):
         self.calls += len(queries)
         if self._internal_error is not None:
             raise self._internal_error

@@ -35,18 +35,17 @@ class LossyFramework(RetrievalFramework):
 
     def __init__(self, inner):
         super().__init__()
-        self.inner, self.kb = inner, inner.kb
+        self.inner, self.kb, self.encoder_set = inner, inner.kb, inner.encoder_set
 
     def setup(self, kb, encoder_set, index_builder, weights=None):
         raise NotImplementedError
 
-    def retrieve_batch(self, queries, k, budget=64, weights=None, filter_fn=None):
-        kwargs = {} if weights is None else {"weights": weights}
+    def _search_encoded(self, queries, k, budget, weights=None, filter_fn=None):
         responses = self.inner.retrieve_batch(
-            queries, k, budget=budget, filter_fn=filter_fn, **kwargs
+            queries, k, budget=budget, weights=weights, filter_fn=filter_fn
         )
         for query, response in zip(queries, responses):
-            if query.get(Modality.TEXT) == DEGRADED_TEXT:
+            if query.content[Modality.TEXT] == DEGRADED_TEXT:
                 response.degraded_reasons = ["shard 1 unavailable"]
         return responses
 
@@ -58,15 +57,13 @@ def framework(scenes_kb, clip_set):
     return LossyFramework(inner)
 
 
-def make_cache(kind, clip_set):
+def make_cache(kind):
     if kind == "exact":
         return QueryCache()
     if kind == "semantic":
 
         def embed(query):
-            vector = np.asarray(
-                clip_set.encode_query(query)[Modality.TEXT], dtype=np.float64
-            )
+            vector = query[Modality.TEXT]
             return ("text",), vector / np.linalg.norm(vector)
 
         return SemanticQueryCache(embed, threshold=0.9)
@@ -114,7 +111,7 @@ class TestBatchRowIsASerialCall:
         def execution():
             made = QueryExecution(
                 framework,
-                cache=make_cache(cache_kind, clip_set),
+                cache=make_cache(cache_kind),
                 cost_accounting=True,
                 index_name="flat",
             )
@@ -254,13 +251,14 @@ class TestAllLayersOn:
 
             for trace in traces:
                 walk(trace)
-            # resilience wraps the encoder probes, the search and the LLM
-            # call in ``guard`` spans; the stages keep their order around them.
+            # resilience wraps the search and the LLM call in ``guard``
+            # spans, and its stage is the round's one ``encode`` (the encoder
+            # guards inside); the stages keep their order around them.
             stage_spans = [
                 child["name"] for child in traces[1]["children"]
                 if child["name"] != "guard"
             ]
-            assert stage_spans == ["plan", "generation"]
+            assert stage_spans == ["encode", "plan", "generation"]
             guarded = [
                 grandchild["name"]
                 for child in traces[1]["children"] if child["name"] == "guard"

@@ -65,24 +65,58 @@ class TestObjectEncoding:
 
 class TestQueryEncoding:
     def test_partial_query_partial_vectors(self, uni_set):
-        vectors = uni_set.encode_query(RawQuery.from_text("foggy clouds"))
+        (vectors,) = uni_set.encode_query_batch([RawQuery.from_text("foggy clouds")])
         assert set(vectors) == {Modality.TEXT}
 
     def test_query_without_known_modalities_rejected(self, uni_set):
         query = RawQuery(content={Modality.AUDIO: np.zeros(128)})
         with pytest.raises(EncodingError, match="none of the configured"):
-            uni_set.encode_query(query)
+            uni_set.encode_query_batch([query])
 
     def test_full_encoding_joint_fills_missing(self, clip_set):
-        vectors = clip_set.encode_query_full(RawQuery.from_text("foggy clouds"))
+        (vectors,) = clip_set.encode_query_batch([RawQuery.from_text("foggy clouds")])
         assert set(vectors) == {Modality.TEXT, Modality.IMAGE}
         np.testing.assert_array_equal(
             vectors[Modality.TEXT], vectors[Modality.IMAGE]
         )
+        assert set(vectors.carried) == {Modality.TEXT}
 
     def test_full_encoding_unimodal_does_not_fill(self, uni_set):
-        vectors = uni_set.encode_query_full(RawQuery.from_text("foggy clouds"))
+        (vectors,) = uni_set.encode_query_batch([RawQuery.from_text("foggy clouds")])
         assert set(vectors) == {Modality.TEXT}
+
+    def test_an_encoded_query_passes_through(self, clip_set):
+        query = RawQuery.from_text("foggy clouds", round=2)
+        (encoded,) = clip_set.encode_query_batch([query])
+        assert clip_set.encode_query_batch([encoded])[0] is encoded
+        assert encoded.content == query.content and encoded.metadata == {"round": 2}
+
+    def test_a_guard_runs_each_encoder_call_after_the_content_checks(self, clip_set):
+        image = np.full(256, np.nan)
+        guarded = []
+
+        def guard(modality, encode):
+            guarded.append(modality)
+            return encode()
+
+        query = RawQuery.from_text_and_image("foggy clouds", image, round=2)
+        (encoded,) = clip_set.encode_query_batch([query], guard=guard)
+        assert guarded == [Modality.TEXT]  # the refused image reached no guard
+        assert set(encoded.dropped) == {Modality.IMAGE}
+        assert isinstance(encoded.dropped[Modality.IMAGE], EncodingError)
+        assert encoded.content == {Modality.TEXT: "foggy clouds"}
+        assert encoded.metadata == {"round": 2}
+        with pytest.raises(EncodingError, match="NaN or an infinity"):
+            clip_set.encode_query_batch([query])
+
+    def test_a_failing_guard_drops_its_modality(self, clip_set):
+        def guard(modality, encode):
+            raise EncodingError(f"{modality.value} unavailable")
+
+        (encoded,) = clip_set.encode_query_batch(
+            [RawQuery.from_text("foggy clouds")], guard=guard
+        )
+        assert not encoded and set(encoded.dropped) == {Modality.TEXT}
 
     def test_describe_mentions_kind(self, clip_set, uni_set):
         assert "joint" in clip_set.describe()

@@ -24,7 +24,12 @@ different graph, walked in the same hops); stage keys, shard rows and
 ``/stats`` counts did not move.  When set-up's keyed draws moved to
 ``repro.utils.rng.words`` (another corpus), the signature's work counters —
 ``distance_evaluations``, ``hops``, ``block_reads``, ``cache_hits`` — were
-retaken by the regeneration command; nothing else moved.
+retaken by the regeneration command; nothing else moved.  When the shard
+router began encoding a read once before its scatter (each shard had
+encoded inside its ``shard-search`` branch, which the fold does not
+descend), every ``shards3-must`` and ``shards3-mr`` operation gained the
+``encode`` stage key and ``/stats`` count the unsharded rows have; nothing
+else moved.
 """
 
 import json

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import MQASystem
-from repro.core.resilience import ResilienceManager
+from repro.core.resilience import BreakerState, ResilienceManager
+from repro.data import Modality
 from repro.errors import EncodingError
 
 from tests.resilience.conftest import make_server, resilient_config
@@ -59,21 +60,52 @@ def systems():
     }
 
 
-@pytest.mark.parametrize("image", ["abc", {"a": 1}], ids=["string", "mapping"])
-class TestNonNumericContent:
-    """Image content that is not numbers is an ``EncodingError`` naming the
-    modality — it used to escape as a builtin ``ValueError`` / ``TypeError``
-    that the modality probe does not catch."""
+NAN_IMAGE = [float("nan")] * 256
+BAD_IMAGES = {
+    "string": ("abc", "image content must be numeric"),
+    "mapping": ({"a": 1}, "image content must be numeric"),
+    "nan": (NAN_IMAGE, "query image holds a NaN or an infinity"),
+}
 
-    def test_is_an_encoding_error(self, systems, image):
-        with pytest.raises(EncodingError, match="image content must be numeric"):
+
+@pytest.mark.parametrize("image, refusal", BAD_IMAGES.values(), ids=BAD_IMAGES)
+class TestNonNumericContent:
+    """Image content that is not numbers, or holds a NaN, is an
+    ``EncodingError`` naming the modality — non-numbers used to escape as a
+    builtin ``ValueError`` / ``TypeError`` that the modality probe did not
+    catch, and a NaN passed the probe to fail retrieval's own encode."""
+
+    def test_is_an_encoding_error(self, systems, image, refusal):
+        with pytest.raises(EncodingError, match=refusal):
             systems[False].ask("red car", image=image)
 
-    def test_drops_the_modality_under_resilience(self, systems, image):
+    def test_drops_the_modality_under_resilience(self, systems, image, refusal):
         answer = systems[True].ask("red car", image=image)
         assert answer.degraded is True
         assert answer.degraded_reasons == ["modality image dropped (EncodingError)"]
         assert answer.items  # text-only retrieval still answered
+
+
+class TestMalformedContentChargesNoBreaker:
+    """A client's malformed content is refused before any guard, so it
+    opens no breaker that every other client shares.  (Five NaN images
+    used to open ``index.search`` — the probe passed them and retrieval's
+    own encode refused them inside the guarded search — after which a
+    healthy text-only ask got no retrieval; six string images opened
+    ``encoder.image`` and every valid image was dropped.)"""
+
+    def test_repeated_bad_images_leave_the_breakers_closed(self):
+        system = MQASystem.from_config(resilient_config())
+        for image, _ in BAD_IMAGES.values():
+            for _ in range(6):
+                answer = system.ask("red car", image=image)
+                assert answer.degraded_reasons == ["modality image dropped (EncodingError)"]
+        image = system.coordinator.kb.get(0).get(Modality.IMAGE)
+        for healthy in (system.ask("foggy peaks"), system.ask("red car", image=image)):
+            assert healthy.degraded is False and healthy.items
+        resilience = system.coordinator.resilience
+        for site in ("encoder.image", "index.search"):
+            assert resilience.breaker(site).state is BreakerState.CLOSED, site
 
 
 class TestModalityDrop:

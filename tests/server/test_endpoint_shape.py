@@ -24,7 +24,12 @@ scores every 8th query, its own default), ``every-layer`` lost
 the monitor scores 1 query of the session instead of 4 (of loadgen's 8, 1),
 and with fewer recall observations the planner picks other tiers (plans per
 tier 2/1/1 -> 1/3/0 in the session, 5/2/1 -> 1/7/0 in loadgen), in the
-payloads and in the Prometheus samples alike.
+payloads and in the Prometheus samples alike.  When the shard router began
+encoding a read once, before its scatter, ``shards2-tiered``'s leaves were
+retaken: each shard had encoded inside its ``shard-search`` branch, which
+the cost fold does not descend, so the ``encode`` span count went 10 -> 5
+(``metrics.stages``) and the ``/stats`` groups gained the ``encode`` stage
+the unsharded deployments have (5 in the session, 8 in loadgen).
 """
 
 import json
@@ -73,7 +78,8 @@ VOLATILE = {"path", "active_bytes", "spill_path", "exemplars"}
 #: observations reach the ``cost.*`` families like a lone profile's — the
 #: mirror dropped them, so ``/stats`` and the families disagreed.  The
 #: session holds one wide ``/search`` batch and, with ``agentic``, one wide
-#: hop batch.
+#: hop batch.  (3) The sharded read's one encode, before the scatter: an
+#: ``encode`` stage per read where each shard had encoded inside its branch.
 INTENDED_ADDITIONS = {
     "defaults": {},
     "every-layer": {
@@ -85,6 +91,8 @@ INTENDED_ADDITIONS = {
         'repro_cost_stage_ms_count{framework="shard-router",index="starling",stage="merge"}': 1,
         'repro_cost_shard_ms_count{framework="shard-router",index="starling",shard="0"}': 1,
         'repro_cost_shard_ms_count{framework="shard-router",index="starling",shard="1"}': 1,
+        'repro_cost_stage_ms_count{framework="shard-router",index="starling",stage="encode"}': 5,
+        "repro_stage_ms_encode_count": -5,
     },
 }
 

@@ -50,7 +50,8 @@ class TestCrossShardTrace:
         assert trace is not None and trace.name == "query"
         retrieval = next(c for c in trace.children if c.name == "retrieval")
         names = [child.name for child in retrieval.children]
-        assert "scatter" in names and "shard-merge" in names
+        # The read is encoded once, before the scatter.
+        assert names == ["encode", "scatter", "shard-merge"]
         scatter = next(c for c in retrieval.children if c.name == "scatter")
         branches = [c for c in scatter.children if c.name == "shard-search"]
         assert len(branches) == 3
@@ -59,11 +60,9 @@ class TestCrossShardTrace:
             assert branch.attributes["ok"] is True
             assert branch.attributes["replica"] == 0
             assert branch.attributes["distance_evaluations"] > 0
-            # The shard's own pipeline ran inside the branch.
-            assert {child.name for child in branch.children} >= {
-                "encode",
-                "index-search",
-            }
+            # The shard's own search ran inside the branch, on the
+            # router's vectors: no shard encodes.
+            assert [child.name for child in branch.children] == ["index-search"]
         assert scatter.attributes["answered"] == 3
 
     def test_untraced_sharded_query_produces_no_trace(self, scenes_kb):

@@ -272,7 +272,9 @@ class TestMalformedRequestIsNotAShardFailure:
                 for shard in sharding["per_shard"]
                 for replica in shard["replicas"]
             )
-            assert bool(sharding["breakers"]) == resilience
+            # The read is encoded once, before the scatter: a refused one
+            # reaches no shard, so no shard breaker is even consulted.
+            assert sharding["breakers"] == {}
             for state in sharding["breakers"].values():
                 assert state["state"] == "closed"
                 assert state["consecutive_failures"] == state["times_opened"] == 0

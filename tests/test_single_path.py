@@ -48,7 +48,7 @@ def _subclasses(cls):
 @pytest.mark.parametrize(
     "base, single, batch",
     [(VectorIndex, "search", "search_batch"),
-     (RetrievalFramework, "retrieve", "retrieve_batch")],
+     (RetrievalFramework, "retrieve", "_search_encoded")],
 )
 def test_only_the_base_class_defines_the_single_query_form(base, single, batch):
     for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
@@ -362,7 +362,7 @@ def test_a_search_option_is_declared_once():
     assert [name for name, _, _ in declared(VectorIndex)][-2:] == ["kernel", "admit"]
 
     for framework in (JointEmbeddingRetrieval, MultiStreamedRetrieval, MustRetrieval):
-        source = inspect.getsource(framework.retrieve_batch)
+        source = inspect.getsource(framework._search_encoded)
         assert "_search(" in source, framework.__qualname__
         assert "search_batch(" not in source, framework.__qualname__
         assert "argsort" not in source, framework.__qualname__
@@ -405,8 +405,9 @@ def test_the_beam_loop_scores_through_score_ragged_alone():
 
 
 def test_the_shard_router_is_a_scatter_and_nothing_else():
-    """``retrieve_batch``'s options are declared on the abstract base and
-    repeated by every framework (the router adds ``fanout``); how partial
+    """``retrieve_batch`` and its options are declared once, on the base,
+    and every framework's search body repeats the base's parameter list
+    (the router adds ``fanout``); how partial
     answers combine is the framework's ``merge``, so ``core/sharding.py``
     holds no fusion, asks no framework for an attribute by name and starts
     no thread pool; MR fuses in one function; and the helpers that existed
@@ -417,24 +418,25 @@ def test_the_shard_router_is_a_scatter_and_nothing_else():
     import repro.retrieval.mr
     from repro.core.sharding import ShardRouter
 
-    def declared(cls):
+    def declared(method):
         return [
             (p.name, p.kind, p.default)
-            for p in inspect.signature(cls.retrieve_batch).parameters.values()
+            for p in inspect.signature(method).parameters.values()
         ]
 
     for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
         importlib.import_module(name)
     frameworks = sorted(set(_subclasses(RetrievalFramework)), key=lambda c: c.__qualname__)
     assert len(frameworks) >= 4, "the package walk lost the concrete classes"
-    base = declared(RetrievalFramework)
-    assert [(name, kind.name) for name, kind, _ in base][-2:] == [
-        ("weights", "KEYWORD_ONLY"), ("filter_fn", "KEYWORD_ONLY"),
+    assert [(name, kind.name) for name, kind, _ in declared(RetrievalFramework.retrieve_batch)][-3:] == [
+        ("weights", "KEYWORD_ONLY"), ("filter_fn", "KEYWORD_ONLY"), ("options", "VAR_KEYWORD"),
     ]
+    base = declared(RetrievalFramework._search_encoded)
     for cls in frameworks:
-        own = declared(cls)
+        assert "retrieve_batch" not in vars(cls), cls.__qualname__
+        own = declared(cls._search_encoded)
         if cls is ShardRouter:
-            assert own[-1][:2] == ("fanout", inspect.Parameter.KEYWORD_ONLY)
+            assert own[-1] == ("fanout", inspect.Parameter.POSITIONAL_OR_KEYWORD, None)
             own = own[:-1]
         assert own == base, cls.__qualname__
 
@@ -472,6 +474,60 @@ def test_the_shard_router_is_a_scatter_and_nothing_else():
         assert not hasattr(module, name), name
 
 
+def _calls(tree, attr):
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == attr
+    ]
+
+
+def _call_sites(attr=None, span=None):
+    """``module:function`` for every call under ``repro`` of ``.attr(``, or
+    of ``trace_span(span, ...)``."""
+    def wanted(node):
+        if span is not None:
+            return getattr(node.func, "id", "") == "trace_span" and bool(node.args) and (
+                getattr(node.args[0], "value", None) == span
+            )
+        return getattr(node.func, "attr", "") == attr
+
+    sites = []
+    for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        sites += [
+            f"{name}:{function.name}"
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and wanted(node)
+        ]
+    return sorted(sites)
+
+
+def test_a_read_is_encoded_once():
+    """A query is encoded in one place, ``EncoderSet.encode_query_batch``,
+    which hands an already-encoded query back unchanged.  It is called by
+    the first layer of a read that needs the vectors — the
+    ``degrade-modalities`` stage, query execution after its exact-cache
+    lookup, a framework's ``retrieve_batch`` for a caller that comes
+    straight to it — and nowhere else: the semantic cache embeds the
+    vectors it is handed, a shard searches the router's.  The one
+    ``encode`` span is opened there, and the degradation stage reaches no
+    encoder but through it."""
+    from repro.core.resilience import ResilienceManager
+    from repro.encoders.base import EncoderSet
+
+    assert _call_sites("encode_query_batch") == [
+        "repro.core.execution:execute_batch",
+        "repro.core.resilience:degrade_modalities",
+        "repro.retrieval.base:retrieve_batch",
+    ]
+    assert not {"encode_query", "encode_query_full"} & set(vars(EncoderSet))
+    assert _call_sites(span="encode") == ["repro.encoders.base:encode_query_batch"]
+    degrade = ast.parse(textwrap.dedent(inspect.getsource(ResilienceManager.degrade_modalities)))
+    assert not _calls(degrade, "encode") and not _calls(degrade, "encoder_for")
+
+
 def test_set_up_encodes_the_corpus_once():
     """The representation stage encodes the knowledge base and hands the
     matrices on; the only other ``encode_corpus(`` calls are the two
@@ -484,22 +540,7 @@ def test_set_up_encodes_the_corpus_once():
     import repro.weights.sampler
     from repro.retrieval import JointEmbeddingRetrieval
 
-    def calls(tree, attr):
-        return [
-            node for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == attr
-        ]
-
-    sites = []
-    for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro."):
-        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
-        sites += [
-            f"{name}:{function.name}"
-            for function in ast.walk(tree)
-            if isinstance(function, ast.FunctionDef)
-            for _ in calls(function, "encode_corpus")
-        ]
-    assert sorted(sites) == [
+    assert _call_sites("encode_corpus") == [
         "repro.core.representation:run",
         "repro.encoders.base:encode_object",
         "repro.retrieval.base:_corpus",
@@ -507,12 +548,12 @@ def test_set_up_encodes_the_corpus_once():
     ]
 
     setup = ast.parse(textwrap.dedent(inspect.getsource(JointEmbeddingRetrieval.setup)))
-    assert not calls(setup, "encode_object")
-    assert calls(setup, "_corpus")
+    assert not _calls(setup, "encode_object")
+    assert _calls(setup, "_corpus")
 
     sampler = ast.parse(inspect.getsource(repro.weights.sampler))
-    assert not calls(sampler, "encode")
-    assert calls(sampler, "encode_batch")
+    assert not _calls(sampler, "encode")
+    assert _calls(sampler, "encode_batch")
     assert not [
         node for node in ast.walk(sampler)
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
