@@ -196,25 +196,16 @@ class EncoderSet:
         self, queries: Sequence["RawQuery | EncodedQuery"], guard: "Callable | None" = None
     ) -> List["EncodedQuery"]:
         """Encode many queries: element ``i`` is ``queries[i]`` as an
-        :class:`EncodedQuery`.
+        :class:`EncodedQuery`, which passes through unchanged — the one place
+        a query is encoded, under the one ``encode`` span.
 
-        The one place a query is encoded, under the one ``encode`` span (none
-        when nothing is to encode): an :class:`EncodedQuery` passes through
-        unchanged, so a read is encoded once, by the first layer that needs
-        its vectors.  A modality's raw numeric content that is not numbers or
-        holds a NaN or an infinity (every distance to its vector would be
-        NaN) is refused before its encoder runs.  Each query is its
-        encoders' block of one row, never a row of one block with the other
-        queries: a row's bits may depend on the rows blocked beside it (GEMM
-        accumulation order), and a query's vectors must be the same floats
-        however it arrives.
-
-        Without ``guard`` a refusal raises :class:`EncodingError`, as does a
-        query carrying none of the configured modalities.  With one (the
-        ``degrade-modalities`` stage), ``guard(modality, encode)`` runs each
-        encoder call after the content checks, and a modality whose check or
-        guarded call raises :class:`MQAError` is left out, named in
-        :attr:`EncodedQuery.dropped`.
+        Content that is not numbers or holds a NaN or an infinity is refused
+        before its encoder runs.  Each query is its encoders' block of one
+        row, never blocked with the others: a row's bits may depend on the
+        rows beside it.  Without ``guard`` a refusal raises
+        :class:`EncodingError`; with one, ``guard(modality, encode)`` runs
+        each encoder call and a modality that raises :class:`MQAError` is
+        left out, named in :attr:`EncodedQuery.dropped`.
         """
         encoded = list(queries)
         raw = [i for i, query in enumerate(encoded) if not isinstance(query, EncodedQuery)]
